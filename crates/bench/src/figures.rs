@@ -13,9 +13,9 @@ use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::{Op, Reply};
+use ppm_runtime::trace::TraceCategory;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
-use ppm_simnet::trace::TraceCategory;
 use ppm_simos::ids::Uid;
 
 use crate::table3;

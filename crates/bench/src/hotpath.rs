@@ -41,8 +41,8 @@ use bytes::Bytes;
 use ppm_proto::codec::{decode_batch, encode_batch, frames, Enc, Wire};
 use ppm_proto::msg::{BcastPart, Msg, Op, Reply};
 use ppm_proto::types::{Gpid, ProcRecord, Route, Stamp, WireProcState};
+use ppm_runtime::obs::{Registry, SpanLog};
 use ppm_simnet::engine::{Engine, TimerWheel};
-use ppm_simnet::obs::{Registry, SpanLog};
 use ppm_simnet::time::SimDuration;
 
 /// SplitMix64 step: the workloads' deterministic choice stream.

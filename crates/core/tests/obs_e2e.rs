@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use ppm_core::config::PpmConfig;
 use ppm_harness::harness::PpmHarness;
-use ppm_simnet::obs::SpanPhase;
+use ppm_runtime::obs::SpanPhase;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::Uid;

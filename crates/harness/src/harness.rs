@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, ProcRecord, RusageRecord};
+use ppm_runtime::obs::SpanEvent;
 use ppm_simnet::latency::LatencyModel;
-use ppm_simnet::obs::SpanEvent;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec, NetSpec};
 use ppm_simos::config::OsConfig;

@@ -19,8 +19,8 @@
 //! gates diff.
 
 use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
+use ppm_runtime::obs::{CounterId, GaugeId, Registry};
 use ppm_simnet::engine::Engine;
-use ppm_simnet::obs::{CounterId, GaugeId, Registry};
 use ppm_simnet::time::SimDuration;
 use ppm_simos::ids::{Port, Uid};
 use ppm_simos::workload::{Storm, StormFork, StormSpec};
@@ -545,7 +545,7 @@ impl ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_simnet::obs::MetricValue;
+    use ppm_runtime::obs::MetricValue;
 
     fn run_world(users: u32, hosts: u16, seed: u64, procs: u64) -> (ScaleReport, TenantWorld) {
         let mut world = TenantWorld::new(StormSpec::new(users, hosts, seed), procs);

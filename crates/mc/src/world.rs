@@ -24,20 +24,16 @@ use bytes::Bytes;
 use ppm_core::{Lpm, Pmd, PmdOptions, UserDirectory, PMD_SERVICE};
 use ppm_proto::codec::Wire;
 use ppm_proto::Msg;
-use ppm_runtime::events::{KernelEvent, TraceFlags};
-use ppm_runtime::fd::{FdKind, OpenMode};
 use ppm_runtime::hashx::HashX;
 use ppm_runtime::inetd::Inetd;
-use ppm_runtime::kernel::Kernel;
+use ppm_runtime::kernel::{Effect, Effects, Kernel};
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::process::{ProcInfo, ProcState, Process, Rusage};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::{Clock, Spawner, Sys, TimerDriver, TimerHandle, Transport};
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
 use ppm_runtime::trace::TraceCategory;
 use ppm_runtime::{
-    ConnEvent, ConnId, CpuClass, Fd, HostId, KernelMsg, Pid, Port, Program, SigAction, SpawnSpec,
-    SysError, Uid,
+    ConnEvent, ConnId, CpuClass, HostId, Pid, Port, Program, SigAction, SpawnSpec, SysError, Uid,
 };
 
 /// Process key used internally: (host index, pid number). Plain integers
@@ -81,6 +77,21 @@ struct Conn {
     to_b: VecDeque<NetItem>,
 }
 
+impl Conn {
+    /// `end` closes (or dies): items travelling toward it are dropped,
+    /// its peer learns Closed behind any in-flight data.
+    fn fin(&mut self, end: K) {
+        self.open = false;
+        if self.a == end {
+            self.to_a.clear();
+            self.to_b.push_back(NetItem::Closed);
+        } else {
+            self.to_b.clear();
+            self.to_a.push_back(NetItem::Closed);
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct McTimer {
     owner: K,
@@ -118,8 +129,9 @@ pub enum Move {
     Fault(usize),
 }
 
-/// The bounded-model-checking world: per-host kernels and stable
-/// storage, programs, and the frontier of pending deliveries.
+/// The bounded-model-checking world: per-host kernels (the same
+/// [`Kernel`] state machine the sim and real backends run), programs,
+/// and the frontier of pending deliveries.
 pub struct McWorld {
     clock: SimTime,
     /// Timers due after this instant never fire: the end of the modelled
@@ -128,23 +140,18 @@ pub struct McWorld {
     host_names: Vec<String>,
     host_up: Vec<bool>,
     kernels: Vec<Kernel>,
-    stable: Vec<BTreeMap<String, Bytes>>,
+    /// The kernels' effects sink, drained after every kernel call.
+    fx: Effects,
     /// Currently cut host pairs (normalized low-high). Everything else
     /// in the static topology is routable; worlds are fully meshed.
     cut_links: BTreeSet<(u32, u32)>,
-    listeners: BTreeMap<(u32, u16), u32>,
-    services: BTreeMap<(u32, String), u32>,
     progs: BTreeMap<K, Box<dyn Program>>,
-    /// Processes that registered a kernel socket.
-    ksock: BTreeSet<K>,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     timers: BTreeMap<u64, McTimer>,
     next_timer: u64,
-    kqueues: BTreeMap<K, VecDeque<KernelMsg>>,
     child_exits: BTreeMap<K, VecDeque<(Pid, ExitStatus)>>,
     starts: BTreeSet<K>,
-    next_fd: u32,
     users: Arc<UserDirectory>,
     pmd_options: PmdOptions,
     /// Kill syscalls observed: (host, target pid, signal number) → count.
@@ -184,20 +191,15 @@ impl McWorld {
             host_names: hosts.iter().map(|h| (*h).to_string()).collect(),
             host_up: vec![true; hosts.len()],
             kernels: hosts.iter().map(|_| Kernel::new(clock)).collect(),
-            stable: hosts.iter().map(|_| BTreeMap::new()).collect(),
+            fx: Effects::new(),
             cut_links: BTreeSet::new(),
-            listeners: BTreeMap::new(),
-            services: BTreeMap::new(),
             progs: BTreeMap::new(),
-            ksock: BTreeSet::new(),
             conns: BTreeMap::new(),
             next_conn: 1,
             timers: BTreeMap::new(),
             next_timer: 1,
-            kqueues: BTreeMap::new(),
             child_exits: BTreeMap::new(),
             starts: BTreeSet::new(),
-            next_fd: 10,
             users: users.into_shared(),
             pmd_options,
             kill_log: BTreeMap::new(),
@@ -208,18 +210,9 @@ impl McWorld {
             exec_baseline: BTreeMap::new(),
         };
         for h in 0..w.host_names.len() {
-            w.boot_host(h as u32);
+            w.spawn_program(h as u32, Uid::ROOT, "inetd", Box::new(Inetd::new()));
         }
         w
-    }
-
-    fn boot_host(&mut self, host: u32) {
-        let pid = self.kernels[host as usize].alloc_pid();
-        let p = Process::new(pid, Pid::INIT, Uid::ROOT, "inetd", self.clock);
-        self.kernels[host as usize].insert(p);
-        let key = (host, pid.0);
-        self.progs.insert(key, Box::new(Inetd::new()));
-        self.starts.insert(key);
     }
 
     // ---- staging helpers (deterministic world construction) ------------
@@ -233,21 +226,15 @@ impl McWorld {
         command: &str,
         program: Box<dyn Program>,
     ) -> Pid {
-        let pid = self.kernels[host as usize].alloc_pid();
-        let p = Process::new(pid, Pid::INIT, uid, command, self.clock);
-        self.kernels[host as usize].insert(p);
-        self.progs.insert((host, pid.0), program);
-        self.starts.insert((host, pid.0));
-        pid
+        self.spawn((host, Pid::INIT.0), uid, SpawnSpec::new(command, program))
     }
 
     /// Places an inert running process in the table (a plain UNIX
     /// process from the PPM's perspective).
     pub fn spawn_inert(&mut self, host: u32, uid: Uid, command: &str) -> Pid {
-        let pid = self.kernels[host as usize].alloc_pid();
-        let mut p = Process::new(pid, Pid::INIT, uid, command, self.clock);
-        p.state = ProcState::Running;
-        self.kernels[host as usize].insert(p);
+        let pid = self.spawn((host, Pid::INIT.0), uid, SpawnSpec::inert(command));
+        self.starts.remove(&(host, pid.0));
+        self.kernel_call(host, |k, now, fx| k.start(pid, now, fx));
         pid
     }
 
@@ -348,6 +335,11 @@ impl McWorld {
             .collect()
     }
 
+    /// The kernel of a host (process table, stable storage).
+    pub fn kernel(&self, host: u32) -> &Kernel {
+        &self.kernels[host as usize]
+    }
+
     /// Host name for a host index.
     pub fn host_name(&self, host: u32) -> &str {
         &self.host_names[host as usize]
@@ -410,9 +402,9 @@ impl McWorld {
                 });
             }
         }
-        for (&k, q) in &self.kqueues {
-            if !q.is_empty() {
-                moves.push(Move::Kernel(k));
+        for (host, kernel) in self.kernels.iter().enumerate() {
+            for (tracer, _) in kernel.pending_batches() {
+                moves.push(Move::Kernel((host as u32, tracer.0)));
             }
         }
         for (&k, q) in &self.child_exits {
@@ -510,8 +502,7 @@ impl McWorld {
             Move::Net { conn, to_b } => self.do_deliver(*conn, *to_b),
             Move::Kernel(k) => {
                 self.clock += TICK;
-                let msg = self.kqueues.get_mut(k).and_then(VecDeque::pop_front);
-                if let Some(msg) = msg {
+                if let Some(msg) = self.kernels[k.0 as usize].pop_kernel_msg(Pid(k.1)) {
                     self.dispatch(*k, |p, sys| p.on_kernel_event(sys, msg));
                 }
             }
@@ -535,23 +526,9 @@ impl McWorld {
     fn do_start(&mut self, k: K) {
         self.starts.remove(&k);
         self.clock += TICK;
-        let kernel = &mut self.kernels[k.0 as usize];
-        let Ok(p) = kernel.live_mut(Pid(k.1)) else {
-            return;
-        };
-        if p.state == ProcState::Embryo {
-            p.state = ProcState::Running;
+        if self.kernel_call(k.0, |kn, now, fx| kn.start(Pid(k.1), now, fx)) {
+            self.dispatch(k, |p, sys| p.on_start(sys));
         }
-        let command = p.command.clone();
-        self.emit_kernel_event(
-            k.0,
-            Pid(k.1),
-            KernelEvent::Exec {
-                pid: Pid(k.1),
-                command,
-            },
-        );
-        self.dispatch(k, |p, sys| p.on_start(sys));
     }
 
     fn do_deliver(&mut self, conn_id: u64, to_b: bool) {
@@ -687,7 +664,7 @@ impl McWorld {
                 h.write_u32(p.tracer.map_or(0, |t| t.0));
                 h.write_u8(p.trace_flags.bits());
             }
-            for (k, v) in &self.stable[i] {
+            for (k, v) in self.kernels[i].stable_records() {
                 h.write(k.as_bytes());
                 h.write(v);
             }
@@ -696,10 +673,12 @@ impl McWorld {
             h.write_u32(*a);
             h.write_u32(*b);
         }
-        for ((host, port), pid) in &self.listeners {
-            h.write_u32(*host);
-            h.write_u16(*port);
-            h.write_u32(*pid);
+        for (host, kernel) in self.kernels.iter().enumerate() {
+            for (port, pid) in kernel.listeners() {
+                h.write_u32(host as u32);
+                h.write_u16(port.0);
+                h.write_u32(pid.0);
+            }
         }
         for (id, c) in &self.conns {
             h.write_u64(*id);
@@ -739,12 +718,14 @@ impl McWorld {
             h.write_u32(t.owner.1);
             h.write_u64(t.token);
         }
-        for (k, q) in &self.kqueues {
-            h.write_u32(k.0);
-            h.write_u32(k.1);
-            h.write_u64(q.len() as u64);
-            for m in q {
-                h.write(format!("{:?}", m.event).as_bytes());
+        for (host, kernel) in self.kernels.iter().enumerate() {
+            for (tracer, q) in kernel.pending_batches() {
+                h.write_u32(host as u32);
+                h.write_u32(tracer.0);
+                h.write_u64(q.len() as u64);
+                for m in q {
+                    h.write(format!("{:?}", m.event).as_bytes());
+                }
             }
         }
         for (k, q) in &self.child_exits {
@@ -791,10 +772,7 @@ impl McWorld {
     // ---- internals ------------------------------------------------------
 
     fn proc_alive(&self, k: K) -> bool {
-        self.host_up[k.0 as usize]
-            && self.kernels[k.0 as usize]
-                .get(Pid(k.1))
-                .is_some_and(Process::is_alive)
+        self.host_up[k.0 as usize] && self.kernels[k.0 as usize].is_alive(Pid(k.1))
     }
 
     fn route_alive(&self, a: u32, b: u32) -> bool {
@@ -812,9 +790,7 @@ impl McWorld {
         let Some(mut prog) = self.progs.remove(&k) else {
             return;
         };
-        let uid = self.kernels[k.0 as usize]
-            .get(Pid(k.1))
-            .map_or(Uid::ROOT, |p| p.uid);
+        let uid = self.kernels[k.0 as usize].uid_of(Pid(k.1));
         let mut sys = McSys {
             w: self,
             key: k,
@@ -827,152 +803,81 @@ impl McWorld {
             self.progs.insert(k, prog);
         }
         if let Some(status) = exited {
-            self.reap(k, status);
+            self.kernel_call(k.0, |kn, now, fx| kn.exit(Pid(k.1), status, now, fx));
         }
     }
 
-    /// Tears a process down: kernel exit, connection FINs, parent and
-    /// tracer notifications.
-    fn reap(&mut self, k: K, status: ExitStatus) {
-        let host = k.0 as usize;
-        let pid = Pid(k.1);
-        if !self.kernels[host].get(pid).is_some_and(Process::is_alive) {
-            return;
+    /// Runs one call into `host`'s kernel at the current instant, then
+    /// turns what the kernel asked for into frontier state, in order.
+    fn kernel_call<R>(
+        &mut self,
+        host: u32,
+        f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R,
+    ) -> R {
+        let out = f(&mut self.kernels[host as usize], self.clock, &mut self.fx);
+        let mut fx = std::mem::take(&mut self.fx);
+        for effect in fx.drain(..) {
+            // Queued events wait in the kernel until a `Kernel` move pops
+            // them; stopped programs are not held back; nothing traces.
+            if let Effect::Gone(pid, status, notify) = effect {
+                self.process_gone((host, pid.0), status, notify);
+            }
         }
-        let (ppid, rusage) = {
-            let p = self.kernels[host].get(pid).expect("live proc");
-            (p.ppid, p.rusage)
-        };
-        self.kernels[host].finish_exit(pid, status, self.clock);
+        self.fx = fx;
+        out
+    }
+
+    /// Frontier teardown for an exited process: its pending moves go,
+    /// its connections FIN, its parent (if it has behaviour) is told.
+    fn process_gone(&mut self, k: K, status: ExitStatus, notify: Option<Pid>) {
         self.progs.remove(&k);
         self.starts.remove(&k);
-        self.ksock.remove(&k);
-        self.kqueues.remove(&k);
         self.child_exits.remove(&k);
         self.timers.retain(|_, t| t.owner != k);
-        self.listeners
-            .retain(|&(h, _), &mut p| !(h == k.0 && p == k.1));
-        self.services.retain(|(h, _), p| !(*h == k.0 && *p == k.1));
-        // FIN every open connection: clear items travelling toward the
-        // dead process, append Closed behind in-flight data to the peer.
+        // Events still queued for a dead tracer would only be no-op moves.
+        self.kernels[k.0 as usize].take_batch(Pid(k.1));
         for c in self.conns.values_mut() {
-            if !c.open || (c.a != k && c.b != k) {
-                continue;
-            }
-            c.open = false;
-            if c.a == k {
-                c.to_a.clear();
-                c.to_b.push_back(NetItem::Closed);
-            } else {
-                c.to_b.clear();
-                c.to_a.push_back(NetItem::Closed);
+            if c.open && (c.a == k || c.b == k) {
+                c.fin(k);
             }
         }
-        // Parent notification (only parents with behaviour care).
-        let parent = (k.0, ppid.0);
-        if self.progs.contains_key(&parent) || self.starts.contains(&parent) {
-            self.child_exits
-                .entry(parent)
-                .or_default()
-                .push_back((pid, status));
+        if let Some(ppid) = notify {
+            let parent = (k.0, ppid.0);
+            if self.progs.contains_key(&parent) || self.starts.contains(&parent) {
+                self.child_exits
+                    .entry(parent)
+                    .or_default()
+                    .push_back((Pid(k.1), status));
+            }
         }
-        self.emit_kernel_event(
-            k.0,
-            pid,
-            KernelEvent::Exit {
-                pid,
-                status,
-                rusage,
-            },
-        );
     }
 
-    /// Queues a kernel event to the tracer of `about`, if that tracer
-    /// holds the required flag and registered a kernel socket.
-    fn emit_kernel_event(&mut self, host: u32, about: Pid, event: KernelEvent) {
-        let Some(p) = self.kernels[host as usize].get(about) else {
-            return;
-        };
-        let (tracer, flags) = (p.tracer, p.trace_flags);
-        let Some(tracer) = tracer else { return };
-        if !flags.contains(event.required_flag()) {
-            return;
-        }
-        let tk = (host, tracer.0);
-        if !self.ksock.contains(&tk) || !self.proc_alive(tk) {
-            return;
-        }
-        self.kqueues.entry(tk).or_default().push_back(KernelMsg {
-            event,
-            queued_at: self.clock,
+    /// Forks a child of `parent`; it starts via its `Start` move.
+    fn spawn(&mut self, parent: K, uid: Uid, spec: SpawnSpec) -> Pid {
+        let pid = self.kernel_call(parent.0, |kn, now, fx| {
+            kn.spawn(Pid(parent.1), uid, &spec.command, spec.cpu_bound, now, fx)
         });
+        if let Some(program) = spec.program {
+            self.progs.insert((parent.0, pid.0), program);
+        }
+        self.starts.insert((parent.0, pid.0));
+        pid
     }
 
-    /// Applies a signal to a live process: state changes, handler
-    /// dispatch, death.
+    /// Applies a signal to a live process: the kernel does the state
+    /// changes and events, the target's handler runs in between.
     fn deliver_signal(&mut self, k: K, signal: Signal) {
-        if !self.proc_alive(k) {
+        let pid = Pid(k.1);
+        if !self.proc_alive(k)
+            || !self.kernel_call(k.0, |kn, now, fx| kn.deliver_signal(pid, signal, now, fx))
+        {
             return;
         }
-        let host = k.0 as usize;
-        let pid = Pid(k.1);
-        match signal {
-            Signal::Stop => {
-                if let Some(p) = self.kernels[host].get_mut(pid) {
-                    if p.state == ProcState::Running {
-                        p.state = ProcState::Stopped;
-                        self.emit_kernel_event(k.0, pid, KernelEvent::Stopped { pid });
-                    }
-                }
-            }
-            Signal::Cont => {
-                if let Some(p) = self.kernels[host].get_mut(pid) {
-                    if p.state == ProcState::Stopped {
-                        p.state = ProcState::Running;
-                        self.emit_kernel_event(k.0, pid, KernelEvent::Continued { pid });
-                    }
-                }
-            }
-            Signal::Kill => self.reap(k, ExitStatus::Signaled(Signal::Kill)),
-            s if s.is_catchable() => {
-                if let Some(mut prog) = self.progs.remove(&k) {
-                    let uid = self.kernels[host].get(pid).map_or(Uid::ROOT, |p| p.uid);
-                    let mut sys = McSys {
-                        w: self,
-                        key: k,
-                        uid,
-                        exited: None,
-                    };
-                    let action = prog.on_signal(&mut sys, s);
-                    let exited = sys.exited;
-                    if self.proc_alive(k) {
-                        self.progs.insert(k, prog);
-                    }
-                    if let Some(status) = exited {
-                        self.reap(k, status);
-                        return;
-                    }
-                    self.emit_kernel_event(
-                        k.0,
-                        pid,
-                        KernelEvent::SignalDelivered { pid, signal: s },
-                    );
-                    if action == SigAction::Default && s.is_fatal_by_default() {
-                        self.reap(k, ExitStatus::Signaled(s));
-                    }
-                } else if s.is_fatal_by_default() {
-                    self.reap(k, ExitStatus::Signaled(s));
-                } else {
-                    self.emit_kernel_event(
-                        k.0,
-                        pid,
-                        KernelEvent::SignalDelivered { pid, signal: s },
-                    );
-                }
-            }
-            s if s.is_fatal_by_default() => self.reap(k, ExitStatus::Signaled(s)),
-            _ => {}
-        }
+        let mut action = SigAction::Default;
+        self.dispatch(k, |p, sys| action = p.on_signal(sys, signal));
+        self.kernel_call(k.0, |kn, now, fx| {
+            kn.finish_signal(pid, signal, action, now, fx);
+        });
     }
 }
 
@@ -1015,44 +920,23 @@ impl McSys<'_> {
         self.key.0 as usize
     }
 
+    fn kernel(&self) -> &Kernel {
+        &self.w.kernels[self.host()]
+    }
+
+    fn kernel_mut(&mut self) -> &mut Kernel {
+        &mut self.w.kernels[self.key.0 as usize]
+    }
+
+    fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R) -> R {
+        self.w.kernel_call(self.key.0, f)
+    }
+
     fn do_spawn(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
         if !self.w.host_up[self.host()] {
             return Err(SysError::HostDown);
         }
-        let host = self.key.0;
-        let h = self.host();
-        let pid = self.w.kernels[h].alloc_pid();
-        let mut p = Process::new(
-            pid,
-            Pid(self.key.1),
-            uid,
-            spec.command.clone(),
-            self.w.clock,
-        );
-        p.cpu_bound = spec.cpu_bound;
-        // Children inherit the parent's tracer ("the target and all its
-        // future descendants").
-        let inherited = self.w.kernels[h]
-            .get(Pid(self.key.1))
-            .and_then(|pp| pp.tracer.map(|t| (t, pp.trace_flags)));
-        if let Some((tracer, flags)) = inherited {
-            p.tracer = Some(tracer);
-            p.trace_flags = flags;
-        }
-        self.w.kernels[h].insert(p);
-        if let Some(program) = spec.program {
-            self.w.progs.insert((host, pid.0), program);
-        }
-        self.w.starts.insert((host, pid.0));
-        self.w.emit_kernel_event(
-            host,
-            pid,
-            KernelEvent::Fork {
-                parent: Pid(self.key.1),
-                child: pid,
-            },
-        );
-        Ok(pid)
+        Ok(self.w.spawn(self.key, uid, spec))
     }
 }
 
@@ -1084,14 +968,8 @@ impl TimerDriver for McSys<'_> {
 
 impl Transport for McSys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        let slot = (self.key.0, port.0);
-        if let Some(&holder) = self.w.listeners.get(&slot) {
-            if holder != self.key.1 && self.w.proc_alive((self.key.0, holder)) {
-                return Err(SysError::PortInUse);
-            }
-        }
-        self.w.listeners.insert(slot, self.key.1);
-        Ok(())
+        let pid = Pid(self.key.1);
+        self.kernel_mut().bind(pid, port)
     }
 
     fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
@@ -1101,12 +979,7 @@ impl Transport for McSys<'_> {
         let id = self.w.next_conn;
         self.w.next_conn += 1;
         let dst = host.0;
-        let listener = self
-            .w
-            .listeners
-            .get(&(dst, port.0))
-            .copied()
-            .filter(|&pid| self.w.proc_alive((dst, pid)));
+        let listener = self.w.kernels[dst as usize].listener(port).map(|pid| pid.0);
         let reachable = self.w.host_up[dst as usize] && self.w.route_alive(self.key.0, dst);
         let mut conn = Conn {
             a: self.key,
@@ -1183,14 +1056,7 @@ impl Transport for McSys<'_> {
             return Err(SysError::NotConnected);
         }
         if c.open {
-            c.open = false;
-            if c.a == me {
-                c.to_a.clear();
-                c.to_b.push_back(NetItem::Closed);
-            } else {
-                c.to_b.clear();
-                c.to_a.push_back(NetItem::Closed);
-            }
+            c.fin(me);
         }
         Ok(())
     }
@@ -1214,10 +1080,7 @@ impl Spawner for McSys<'_> {
 
     fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
         let host = self.key.0;
-        let target_uid = self.w.kernels[self.host()].live(target).map(|p| p.uid)?;
-        if !self.uid.is_root() && self.uid != target_uid {
-            return Err(SysError::PermissionDenied);
-        }
+        self.kernel().may_signal(self.uid, target)?;
         *self
             .w
             .kill_log
@@ -1242,11 +1105,8 @@ impl Spawner for McSys<'_> {
         if name != PMD_SERVICE {
             return Err(SysError::UnknownService);
         }
-        let host = self.key.0;
-        if let Some(&pid) = self.w.services.get(&(host, name.to_string())) {
-            if self.w.proc_alive((host, pid)) {
-                return Ok((Pid(pid), ppm_core::PMD_PORT));
-            }
+        if let Some(pid) = self.kernel().service(name) {
+            return Ok((pid, ppm_core::PMD_PORT));
         }
         let pmd = Pmd::new(
             Arc::clone(&self.w.users),
@@ -1254,7 +1114,7 @@ impl Spawner for McSys<'_> {
             self.w.pmd_options,
         );
         let pid = self.do_spawn(Uid::ROOT, SpawnSpec::new(PMD_SERVICE, Box::new(pmd)))?;
-        self.w.services.insert((host, name.to_string()), pid.0);
+        self.kernel_mut().register_service(name, pid);
         Ok((pid, ppm_core::PMD_PORT))
     }
 }
@@ -1278,10 +1138,6 @@ impl Sys for McSys<'_> {
 
     fn uid(&self) -> Uid {
         self.uid
-    }
-
-    fn load_avg(&self) -> f64 {
-        self.w.kernels[self.key.0 as usize].load_avg()
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -1313,76 +1169,15 @@ impl Sys for McSys<'_> {
         0.5
     }
 
-    fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError> {
-        self.w.kernels[self.key.0 as usize].adopt(target, Pid(self.key.1), self.uid, flags)
-    }
-
-    fn register_kernel_socket(&mut self) -> Fd {
-        self.w.ksock.insert(self.key);
-        Fd(3)
-    }
-
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.w.kernels[self.key.0 as usize]
-            .get(pid)
-            .map(ProcInfo::from)
-    }
-
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.w.kernels[self.key.0 as usize]
-            .user_processes(uid)
-            .into_iter()
-            .map(ProcInfo::from)
-            .collect()
-    }
-
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.w.kernels[self.key.0 as usize]
-            .get(pid)
-            .map(|p| p.rusage)
-    }
-
-    fn set_cpu_bound(&mut self, yes: bool) {
-        if let Some(p) = self.w.kernels[self.key.0 as usize].get_mut(Pid(self.key.1)) {
-            p.cpu_bound = yes;
-        }
-    }
-
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
         nominal
     }
 
     fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        if let Some(p) = self.w.kernels[self.key.0 as usize].get_mut(Pid(self.key.1)) {
-            p.rusage.cpu += nominal;
-        }
+        let (pid, now) = (Pid(self.key.1), self.w.clock);
+        self.kernel_mut().charge_cpu(pid, nominal, now);
         nominal
     }
 
-    fn stable_put_kv(&mut self, key: String, value: Bytes) {
-        self.w.stable[self.key.0 as usize].insert(key, value);
-    }
-
-    fn stable_get(&self, key: &str) -> Option<Bytes> {
-        self.w.stable[self.key.0 as usize].get(key).cloned()
-    }
-
-    fn stable_del(&mut self, key: &str) {
-        self.w.stable[self.key.0 as usize].remove(key);
-    }
-
-    fn open_path(&mut self, _path: String, _mode: OpenMode) -> Fd {
-        let fd = Fd(self.w.next_fd);
-        self.w.next_fd += 1;
-        fd
-    }
-
-    fn close_fd(&mut self, _fd: Fd) -> Result<(), SysError> {
-        Ok(())
-    }
-
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        self.w.kernels[self.key.0 as usize].live(pid)?;
-        Ok(Vec::new())
-    }
+    ppm_runtime::kernel_syscalls!();
 }

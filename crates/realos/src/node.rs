@@ -2,12 +2,13 @@
 //! actors as the simulated kernel, over real sockets and a real clock.
 //!
 //! A node is the real-backend analogue of one simulated host. It owns a
-//! [`Kernel`] process table (shared with the sim backend — adoption,
-//! descendant tracing and exit bookkeeping are identical by
-//! construction), a map of live programs, its stream connections and
-//! listeners, stable storage, and a timer heap. The loop blocks on its
-//! event queue with `recv_timeout` against the next timer deadline, so
-//! timers fire without a dedicated timer thread.
+//! [`Kernel`] (the host-kernel state machine the sim backend and the
+//! checker also drive — process, signal, kernel-event, listener, service
+//! and stable-storage semantics are identical by construction), a map of
+//! live programs, its stream connections and acceptor threads, and a
+//! timer heap. The loop blocks on its event queue with `recv_timeout`
+//! against the next timer deadline, so timers fire without a dedicated
+//! timer thread.
 //!
 //! Programs run to completion on the node thread, one callback at a
 //! time — the same run-to-completion discipline the simulation enforces
@@ -29,13 +30,11 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ppm_runtime::events::{KernelEvent, TraceFlags};
-use ppm_runtime::fd::{FdKind, OpenMode};
-use ppm_runtime::ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
-use ppm_runtime::kernel::Kernel;
+use ppm_runtime::fd::FdKind;
+use ppm_runtime::ids::{ConnId, CpuClass, HostId, Pid, Port, Uid};
+use ppm_runtime::kernel::{Effect, Effects, Kernel};
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::process::{ProcInfo, ProcState, Process, Rusage};
-use ppm_runtime::program::{ConnEvent, KernelMsg, Program, SigAction, SpawnSpec, SysError};
+use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::{Clock, Spawner, TimerDriver, TimerHandle, Transport};
 use ppm_runtime::time::{Micros, SimDuration};
@@ -103,30 +102,10 @@ pub enum NodeEvent {
         /// Optional reply channel.
         reply: Option<Sender<Result<(), SysError>>>,
     },
-    /// Driver: is this pid alive?
-    IsAlive {
-        /// The pid.
-        pid: Pid,
-        /// Reply channel.
-        reply: Sender<bool>,
-    },
-    /// Driver: find `uid`'s live process whose command starts with a
-    /// prefix (how tests locate a user's LPM without sim introspection).
-    FindProc {
-        /// Owner to search under.
-        uid: Uid,
-        /// Command-name prefix.
-        prefix: String,
-        /// Reply channel.
-        reply: Sender<Option<Pid>>,
-    },
-    /// Driver: read a stable-storage record.
-    StableGet {
-        /// The key.
-        key: String,
-        /// Reply channel.
-        reply: Sender<Option<Bytes>>,
-    },
+    /// Driver: read the node's kernel — liveness, process lookup, stable
+    /// storage — on the node thread; the closure carries its own reply
+    /// channel.
+    Inspect(Box<dyn FnOnce(&Kernel) + Send>),
     /// Driver: stop the node loop and tear down sockets.
     Shutdown,
 }
@@ -172,9 +151,14 @@ struct RConn {
     state: RConnState,
 }
 
-struct RListener {
-    owner: Pid,
-    alive: Arc<AtomicBool>,
+impl RConn {
+    /// Closes the local end; the peer's reader thread sees EOF.
+    fn shut(&mut self) {
+        if let RConnState::Up { stream } = &self.state {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.state = RConnState::Closed;
+    }
 }
 
 /// The state owned by one node's event-loop thread.
@@ -186,13 +170,14 @@ pub struct NodeCore {
     cluster: Arc<ClusterShared>,
     tx: Sender<NodeEvent>,
     kernel: Kernel,
+    /// The kernel's effects sink, drained after every kernel call.
+    fx: Effects,
     programs: HashMap<Pid, Box<dyn Program>>,
     conns: HashMap<ConnId, RConn>,
     next_conn: u64,
-    listeners: HashMap<Port, RListener>,
-    services: HashMap<String, Pid>,
-    stable: HashMap<String, Bytes>,
-    pending_kernel: HashMap<Pid, Vec<KernelMsg>>,
+    /// Liveness flags of the acceptor threads behind the kernel's
+    /// listeners; a flag drops when its port is unpublished.
+    acceptors: HashMap<Port, Arc<AtomicBool>>,
     actions: VecDeque<Deferred>,
     timer_heap: BinaryHeap<Reverse<(u64, u64)>>,
     timer_entries: HashMap<u64, (Pid, u64)>,
@@ -218,13 +203,11 @@ impl NodeCore {
             cluster,
             tx,
             kernel: Kernel::new(Micros::ZERO),
+            fx: Effects::new(),
             programs: HashMap::new(),
             conns: HashMap::new(),
             next_conn: 1,
-            listeners: HashMap::new(),
-            services: HashMap::new(),
-            stable: HashMap::new(),
-            pending_kernel: HashMap::new(),
+            acceptors: HashMap::new(),
             actions: VecDeque::new(),
             timer_heap: BinaryHeap::new(),
             timer_entries: HashMap::new(),
@@ -232,8 +215,7 @@ impl NodeCore {
             rng: 0x9E37_79B9_7F4A_7C15 ^ ((host.0 as u64) << 17 | 1),
         };
         let inetd = SpawnSpec::new("inetd", Box::new(ppm_runtime::inetd::Inetd::new()));
-        node.spawn_proc(Pid::INIT, Uid::ROOT, inetd)
-            .expect("boot inetd");
+        node.spawn_proc(Pid::INIT, Uid::ROOT, inetd);
         node
     }
 
@@ -271,7 +253,7 @@ impl NodeCore {
                     return;
                 }
                 let owner = c.owner;
-                self.account_received(owner, data.len());
+                self.kernel_call(|k, now, fx| k.account_received(owner, data.len(), now, fx));
                 self.actions
                     .push_back(Deferred::Deliver { owner, conn, data });
             }
@@ -338,15 +320,11 @@ impl NodeCore {
                 });
             }
             NodeEvent::AcceptedConn { port, peer, stream } => {
-                let Some(l) = self.listeners.get(&port) else {
+                // A dead owner's port is already unpublished.
+                let Some(owner) = self.kernel.listener(port) else {
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 };
-                let owner = l.owner;
-                if !self.is_alive(owner) {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
                 let conn = self.alloc_conn();
                 let writer = stream.try_clone().expect("clone stream");
                 net::spawn_reader(conn, stream, self.tx.clone());
@@ -357,9 +335,7 @@ impl NodeCore {
                         state: RConnState::Up { stream: writer },
                     },
                 );
-                if let Ok(p) = self.kernel.live_mut(owner) {
-                    p.fds.alloc(FdKind::Socket { conn });
-                }
+                self.kernel.alloc_fd(owner, FdKind::Socket { conn });
                 self.actions.push_back(Deferred::ConnEvt {
                     owner,
                     conn,
@@ -367,7 +343,7 @@ impl NodeCore {
                 });
             }
             NodeEvent::SpawnUser { uid, spec, reply } => {
-                let _ = reply.send(self.spawn_proc(Pid::INIT, uid, spec));
+                let _ = reply.send(Ok(self.spawn_proc(Pid::INIT, uid, spec)));
             }
             NodeEvent::PostSignal {
                 from,
@@ -380,21 +356,7 @@ impl NodeCore {
                     let _ = reply.send(res);
                 }
             }
-            NodeEvent::IsAlive { pid, reply } => {
-                let _ = reply.send(self.is_alive(pid));
-            }
-            NodeEvent::FindProc { uid, prefix, reply } => {
-                let found = self
-                    .kernel
-                    .user_processes(uid)
-                    .into_iter()
-                    .find(|p| p.command.starts_with(&prefix))
-                    .map(|p| p.pid);
-                let _ = reply.send(found);
-            }
-            NodeEvent::StableGet { key, reply } => {
-                let _ = reply.send(self.stable.get(&key).cloned());
-            }
+            NodeEvent::Inspect(read) => read(&self.kernel),
             NodeEvent::Shutdown => unreachable!("handled by the loop"),
         }
     }
@@ -458,24 +420,14 @@ impl NodeCore {
     }
 
     fn do_start(&mut self, pid: Pid) {
-        let command = match self.kernel.get(pid) {
-            Some(p) if p.is_alive() => {
-                let cmd = p.command.clone();
-                self.kernel.get_mut(pid).expect("alive").state = ProcState::Running;
-                cmd
-            }
-            _ => return,
-        };
-        self.emit_kernel(KernelEvent::Exec { pid, command });
-        self.with_program(pid, |prog, sys| prog.on_start(sys));
+        if self.kernel_call(|k, now, fx| k.start(pid, now, fx)) {
+            self.with_program(pid, |prog, sys| prog.on_start(sys));
+        }
     }
 
     fn do_kernel_flush(&mut self, tracer: Pid) {
-        let msgs = match self.pending_kernel.get_mut(&tracer) {
-            Some(v) if !v.is_empty() => std::mem::take(v),
-            _ => return,
-        };
-        if !self.is_alive(tracer) {
+        let msgs = self.kernel.take_batch(tracer);
+        if msgs.is_empty() || !self.kernel.is_alive(tracer) {
             return;
         }
         let batch = ppm_proto::codec::encode_batch(&msgs);
@@ -483,75 +435,76 @@ impl NodeCore {
     }
 
     fn do_signal(&mut self, target: Pid, signal: Signal) {
-        if !self.is_alive(target) {
-            return;
-        }
-        if let Ok(p) = self.kernel.live_mut(target) {
-            p.rusage.signals_received += 1;
-        }
-        self.emit_kernel(KernelEvent::SignalDelivered {
-            pid: target,
-            signal,
-        });
-        match signal {
-            Signal::Stop => {
-                if let Ok(p) = self.kernel.live_mut(target) {
-                    if p.state == ProcState::Running {
-                        p.state = ProcState::Stopped;
-                        self.emit_kernel(KernelEvent::Stopped { pid: target });
-                    }
-                }
-            }
-            Signal::Cont => {
-                let mut was_stopped = false;
-                if let Ok(p) = self.kernel.live_mut(target) {
-                    if p.state == ProcState::Stopped {
-                        p.state = ProcState::Running;
-                        was_stopped = true;
-                    }
-                }
-                if was_stopped {
-                    self.emit_kernel(KernelEvent::Continued { pid: target });
-                }
-            }
-            Signal::Kill => self.do_exit(target, ExitStatus::Signaled(Signal::Kill)),
-            other => {
-                let mut action = SigAction::Default;
-                self.with_program(target, |prog, sys| {
-                    action = prog.on_signal(sys, other);
-                });
-                if action == SigAction::Default && other.is_fatal_by_default() {
-                    self.do_exit(target, ExitStatus::Signaled(other));
-                }
-            }
+        if self.kernel_call(|k, now, fx| k.deliver_signal(target, signal, now, fx)) {
+            let mut action = SigAction::Default;
+            self.with_program(target, |prog, sys| {
+                action = prog.on_signal(sys, signal);
+            });
+            self.kernel_call(|k, now, fx| k.finish_signal(target, signal, action, now, fx));
         }
     }
 
-    // ---- process lifecycle -----------------------------------------------
+    // ---- the kernel and its effects --------------------------------------
 
-    fn is_alive(&self, pid: Pid) -> bool {
-        self.kernel.get(pid).is_some_and(Process::is_alive)
-    }
-
-    fn spawn_proc(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+    /// Runs one call into the node's kernel at the current instant, then
+    /// queues or performs whatever the kernel asked for, in order.
+    fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, Micros, &mut Effects) -> R) -> R {
         let now = self.now();
-        let pid = self.kernel.alloc_pid();
-        let mut proc = Process::new(pid, parent, uid, spec.command.clone(), now);
-        proc.cpu_bound = spec.cpu_bound;
-        // Descendants inherit their parent's tracer and flags, as in the
-        // simulated kernel ("Adoption allows the LPM to keep track of a
-        // process and its descendants").
-        let (tracer, flags, parent_traced) = match self.kernel.get(parent).filter(|p| p.is_alive())
-        {
-            Some(pp) => (pp.tracer, pp.trace_flags, pp.is_adopted()),
-            None => (None, TraceFlags::NONE, false),
-        };
-        proc.tracer = tracer;
-        proc.trace_flags = flags;
-        self.kernel.insert(proc);
-        if parent_traced {
-            self.emit_kernel(KernelEvent::Fork { parent, child: pid });
+        let out = f(&mut self.kernel, now, &mut self.fx);
+        if !self.fx.is_empty() {
+            let mut fx = std::mem::take(&mut self.fx);
+            for effect in fx.drain(..) {
+                self.apply_effect(effect);
+            }
+            self.fx = fx;
         }
+        out
+    }
+
+    fn apply_effect(&mut self, effect: Effect) {
+        match effect {
+            Effect::Queued { tracer, first, .. } => {
+                if first {
+                    self.actions.push_back(Deferred::KernelFlush { tracer });
+                }
+            }
+            // Stopped programs are not held back on real nodes.
+            Effect::Signaled(..) | Effect::Resumed(_) => {}
+            Effect::Exiting(pid, status) => {
+                self.trace(TraceCategory::Kernel, format!("pid {pid} {status}"));
+            }
+            Effect::Gone(pid, status, notify) => {
+                // Retire the acceptors of ports the kernel just unpublished:
+                // connects are refused until a respawn re-binds the port.
+                let (kernel, cluster, host) = (&self.kernel, &self.cluster, self.host);
+                self.acceptors.retain(|&port, alive| {
+                    let bound = kernel.listener(port).is_some();
+                    if !bound {
+                        alive.store(false, Ordering::SeqCst);
+                        cluster.ports.lock().unwrap().remove(&(host, port));
+                    }
+                    bound
+                });
+                // The peers' reader threads see EOF and report Closed there.
+                for c in self.conns.values_mut().filter(|c| c.owner == pid) {
+                    c.shut();
+                }
+                self.programs.remove(&pid);
+                self.timer_entries.retain(|_, (owner, _)| *owner != pid);
+                if let Some(parent) = notify {
+                    self.actions.push_back(Deferred::ChildExit {
+                        parent,
+                        child: pid,
+                        status,
+                    });
+                }
+            }
+        }
+    }
+
+    fn spawn_proc(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Pid {
+        let pid = self
+            .kernel_call(|k, now, fx| k.spawn(parent, uid, &spec.command, spec.cpu_bound, now, fx));
         if let Some(program) = spec.program {
             self.programs.insert(pid, program);
         }
@@ -560,114 +513,13 @@ impl NodeCore {
             format!("fork+exec pid {pid} ({}) by {parent}", spec.command),
         );
         self.actions.push_back(Deferred::Start(pid));
-        Ok(pid)
+        pid
     }
 
     fn post_signal(&mut self, from: Uid, target: Pid, signal: Signal) -> Result<(), SysError> {
-        let p = self.kernel.live(target)?;
-        if p.uid != from && !from.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
+        self.kernel.may_signal(from, target)?;
         self.actions.push_back(Deferred::Signal { target, signal });
         Ok(())
-    }
-
-    fn do_exit(&mut self, pid: Pid, status: ExitStatus) {
-        if !self.is_alive(pid) {
-            return;
-        }
-        let now = self.now();
-        let _orphans = self.kernel.finish_exit(pid, status, now);
-        let (rusage, ppid) = {
-            let p = self.kernel.get(pid).expect("just exited");
-            (p.rusage, p.ppid)
-        };
-        self.trace(TraceCategory::Kernel, format!("pid {pid} {status}"));
-        self.emit_kernel(KernelEvent::Exit {
-            pid,
-            status,
-            rusage,
-        });
-        // Unpublish and retire listeners the process owned: connects are
-        // refused until a respawn re-binds the logical port.
-        let dead_ports: Vec<Port> = self
-            .listeners
-            .iter()
-            .filter(|(_, l)| l.owner == pid)
-            .map(|(&port, _)| port)
-            .collect();
-        for port in dead_ports {
-            if let Some(l) = self.listeners.remove(&port) {
-                l.alive.store(false, Ordering::SeqCst);
-            }
-            self.cluster
-                .ports
-                .lock()
-                .unwrap()
-                .remove(&(self.host, port));
-        }
-        self.services.retain(|_, &mut owner| owner != pid);
-        // Shut down connections with this process as the local endpoint;
-        // the peer's reader thread sees EOF and reports Closed there.
-        let mut ids: Vec<ConnId> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.owner == pid && !matches!(c.state, RConnState::Closed))
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            if let Some(c) = self.conns.get_mut(&id) {
-                if let RConnState::Up { stream } = &c.state {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                c.state = RConnState::Closed;
-            }
-        }
-        self.programs.remove(&pid);
-        self.pending_kernel.remove(&pid);
-        self.timer_entries.retain(|_, (owner, _)| *owner != pid);
-        if ppid != pid && self.is_alive(ppid) {
-            self.actions.push_back(Deferred::ChildExit {
-                parent: ppid,
-                child: pid,
-                status,
-            });
-        }
-    }
-
-    // ---- kernel events ---------------------------------------------------
-
-    fn emit_kernel(&mut self, ev: KernelEvent) {
-        let pid = ev.pid();
-        let (tracer, flags) = match self.kernel.get(pid) {
-            Some(p) => (p.tracer, p.trace_flags),
-            None => return,
-        };
-        let Some(tracer) = tracer else { return };
-        if !flags.contains(ev.required_flag()) || tracer == pid || !self.is_alive(tracer) {
-            return;
-        }
-        let msg = KernelMsg {
-            event: ev,
-            queued_at: self.now(),
-        };
-        let starts_batch = self
-            .pending_kernel
-            .get(&tracer)
-            .is_none_or(|pending| pending.is_empty());
-        self.pending_kernel.entry(tracer).or_default().push(msg);
-        if starts_batch {
-            self.actions.push_back(Deferred::KernelFlush { tracer });
-        }
-    }
-
-    fn account_received(&mut self, owner: Pid, bytes: usize) {
-        if let Ok(p) = self.kernel.live_mut(owner) {
-            p.rusage.msgs_received += 1;
-            p.rusage.bytes_received += bytes as u64;
-        }
-        self.emit_kernel(KernelEvent::MsgReceived { pid: owner, bytes });
     }
 
     // ---- helpers ---------------------------------------------------------
@@ -694,7 +546,7 @@ impl NodeCore {
         let Some(mut prog) = self.programs.remove(&pid) else {
             return;
         };
-        let uid = self.kernel.get(pid).map(|p| p.uid).unwrap_or(Uid::ROOT);
+        let uid = self.kernel.uid_of(pid);
         let requested_exit = {
             let mut sys = RealSys {
                 node: self,
@@ -705,23 +557,20 @@ impl NodeCore {
             f(prog.as_mut(), &mut sys);
             sys.exit_code
         };
-        if self.is_alive(pid) {
+        if self.kernel.is_alive(pid) {
             self.programs.insert(pid, prog);
         }
         if let Some(code) = requested_exit {
-            self.do_exit(pid, ExitStatus::Code(code));
+            self.kernel_call(|k, now, fx| k.exit(pid, ExitStatus::Code(code), now, fx));
         }
     }
 
     fn teardown(&mut self) {
-        for l in self.listeners.values() {
-            l.alive.store(false, Ordering::SeqCst);
+        for alive in self.acceptors.values() {
+            alive.store(false, Ordering::SeqCst);
         }
         for c in self.conns.values_mut() {
-            if let RConnState::Up { stream } = &c.state {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            c.state = RConnState::Closed;
+            c.shut();
         }
         let mut ports = self.cluster.ports.lock().unwrap();
         ports.retain(|&(host, _), _| host != self.host);
@@ -739,6 +588,20 @@ pub struct RealSys<'a> {
     pid: Pid,
     uid: Uid,
     exit_code: Option<i32>,
+}
+
+impl RealSys<'_> {
+    fn kernel(&self) -> &Kernel {
+        &self.node.kernel
+    }
+
+    fn kernel_mut(&mut self) -> &mut Kernel {
+        &mut self.node.kernel
+    }
+
+    fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, Micros, &mut Effects) -> R) -> R {
+        self.node.kernel_call(f)
+    }
 }
 
 impl Clock for RealSys<'_> {
@@ -764,7 +627,7 @@ impl TimerDriver for RealSys<'_> {
 
 impl Transport for RealSys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        if self.node.listeners.contains_key(&port) {
+        if self.node.kernel.listener(port).is_some() {
             return Err(SysError::PortInUse);
         }
         let listener =
@@ -780,13 +643,8 @@ impl Transport for RealSys<'_> {
             .lock()
             .unwrap()
             .insert((self.node.host, port), real);
-        self.node.listeners.insert(
-            port,
-            RListener {
-                owner: self.pid,
-                alive: Arc::clone(&alive),
-            },
-        );
+        self.node.kernel.bind(self.pid, port)?;
+        self.node.acceptors.insert(port, Arc::clone(&alive));
         net::spawn_acceptor(
             listener,
             port,
@@ -794,9 +652,6 @@ impl Transport for RealSys<'_> {
             Arc::clone(&self.node.cluster.shutdown),
             self.node.tx.clone(),
         );
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
-            p.fds.alloc(FdKind::Listener { port });
-        }
         self.node.trace(
             TraceCategory::Net,
             format!("pid {} listening on {port} (tcp {real})", self.pid),
@@ -817,9 +672,7 @@ impl Transport for RealSys<'_> {
                 state: RConnState::Connecting { queued: Vec::new() },
             },
         );
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
-            p.fds.alloc(FdKind::Socket { conn });
-        }
+        self.node.kernel.alloc_fd(self.pid, FdKind::Socket { conn });
         net::spawn_connector(
             conn,
             (self.node.host, self.pid),
@@ -860,14 +713,9 @@ impl Transport for RealSys<'_> {
             });
             return Err(SysError::ConnectionClosed);
         }
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
-            p.rusage.msgs_sent += 1;
-            p.rusage.bytes_sent += len as u64;
-        }
-        self.node.emit_kernel(KernelEvent::MsgSent {
-            pid: self.pid,
-            bytes: len,
-        });
+        let pid = self.pid;
+        self.node
+            .kernel_call(|k, now, fx| k.account_sent(pid, len, now, fx));
         Ok(())
     }
 
@@ -880,10 +728,7 @@ impl Transport for RealSys<'_> {
         if c.owner != self.pid {
             return Err(SysError::NotConnected);
         }
-        if let RConnState::Up { stream } = &c.state {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        c.state = RConnState::Closed;
+        c.shut();
         if let Ok(p) = self.node.kernel.live_mut(self.pid) {
             if let Some(fd) = p.fds.fd_for_conn(conn) {
                 p.fds.release(fd);
@@ -895,14 +740,14 @@ impl Transport for RealSys<'_> {
 
 impl Spawner for RealSys<'_> {
     fn spawn(&mut self, spec: SpawnSpec) -> Result<Pid, SysError> {
-        self.node.spawn_proc(self.pid, self.uid, spec)
+        Ok(self.node.spawn_proc(self.pid, self.uid, spec))
     }
 
     fn spawn_as(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
         if !self.uid.is_root() {
             return Err(SysError::PermissionDenied);
         }
-        self.node.spawn_proc(self.pid, uid, spec)
+        Ok(self.node.spawn_proc(self.pid, uid, spec))
     }
 
     fn exit(&mut self, code: i32) {
@@ -917,15 +762,13 @@ impl Spawner for RealSys<'_> {
         if !self.uid.is_root() {
             return Err(SysError::PermissionDenied);
         }
-        if let Some(&pid) = self.node.services.get(name) {
-            if self.node.is_alive(pid) {
-                let port = self
-                    .node
-                    .cluster
-                    .service_port(name)
-                    .ok_or(SysError::UnknownService)?;
-                return Ok((pid, port));
-            }
+        if let Some(pid) = self.node.kernel.service(name) {
+            let port = self
+                .node
+                .cluster
+                .service_port(name)
+                .ok_or(SysError::UnknownService)?;
+            return Ok((pid, port));
         }
         let (port, program) = self
             .node
@@ -933,8 +776,8 @@ impl Spawner for RealSys<'_> {
             .make_service(name, self.node.host)
             .ok_or(SysError::UnknownService)?;
         let spec = SpawnSpec::new(name.to_string(), program);
-        let pid = self.node.spawn_proc(Pid::INIT, Uid::ROOT, spec)?;
-        self.node.services.insert(name.to_string(), pid);
+        let pid = self.node.spawn_proc(Pid::INIT, Uid::ROOT, spec);
+        self.node.kernel.register_service(name, pid);
         self.node.trace(
             TraceCategory::Daemon,
             format!("service {name} started as pid {pid} (port {port})"),
@@ -962,10 +805,6 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
 
     fn uid(&self) -> Uid {
         self.uid
-    }
-
-    fn load_avg(&self) -> f64 {
-        self.node.kernel.load_avg()
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -1009,47 +848,6 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         bits as f64 / (1u64 << 53) as f64
     }
 
-    fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError> {
-        self.node.kernel.adopt(target, self.pid, self.uid, flags)?;
-        self.node.trace(
-            TraceCategory::Lpm,
-            format!("adopted pid {target} with flags {flags}"),
-        );
-        Ok(())
-    }
-
-    fn register_kernel_socket(&mut self) -> Fd {
-        self.node
-            .kernel
-            .get_mut(self.pid)
-            .expect("caller is alive")
-            .fds
-            .alloc(FdKind::KernelSocket)
-    }
-
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.node.kernel.get(pid).map(ProcInfo::from)
-    }
-
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.node
-            .kernel
-            .user_processes(uid)
-            .into_iter()
-            .map(ProcInfo::from)
-            .collect()
-    }
-
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.node.kernel.get(pid).map(|p| p.rusage)
-    }
-
-    fn set_cpu_bound(&mut self, yes: bool) {
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
-            p.cpu_bound = yes;
-        }
-    }
-
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
         // Real work already takes real time; the nominal cost passes
         // through for protocol-level bookkeeping only.
@@ -1057,75 +855,10 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
-            p.rusage.cpu += nominal;
-        }
+        let now = self.node.now();
+        self.node.kernel.charge_cpu(self.pid, nominal, now);
         nominal
     }
 
-    fn stable_put_kv(&mut self, key: String, value: Bytes) {
-        self.node.stable.insert(key, value);
-    }
-
-    fn stable_get(&self, key: &str) -> Option<Bytes> {
-        self.node.stable.get(key).cloned()
-    }
-
-    fn stable_del(&mut self, key: &str) {
-        self.node.stable.remove(key);
-    }
-
-    fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
-        let fd = {
-            let p = self
-                .node
-                .kernel
-                .live_mut(self.pid)
-                .expect("caller is alive");
-            p.rusage.files_opened += 1;
-            p.fds.alloc(FdKind::File {
-                path: path.clone(),
-                mode,
-            })
-        };
-        self.node.emit_kernel(KernelEvent::FileOpened {
-            pid: self.pid,
-            path,
-        });
-        fd
-    }
-
-    fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
-        let released = {
-            let p = self
-                .node
-                .kernel
-                .live_mut(self.pid)
-                .map_err(|_| SysError::BadFileDescriptor)?;
-            p.fds.release(fd)
-        };
-        match released {
-            Some(FdKind::File { path, .. }) => {
-                self.node.emit_kernel(KernelEvent::FileClosed {
-                    pid: self.pid,
-                    path,
-                });
-                Ok(())
-            }
-            Some(FdKind::Socket { conn }) => {
-                let _ = Transport::close(self, conn);
-                Ok(())
-            }
-            Some(_) => Ok(()),
-            None => Err(SysError::BadFileDescriptor),
-        }
-    }
-
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        let p = self.node.kernel.live(pid)?;
-        if p.uid != self.uid && !self.uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        Ok(p.fds.iter().map(|(fd, k)| (fd, k.clone())).collect())
-    }
+    ppm_runtime::kernel_syscalls!();
 }

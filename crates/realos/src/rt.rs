@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use ppm_runtime::ids::{CpuClass, HostId, Pid, Port, Uid};
+use ppm_runtime::kernel::Kernel;
 use ppm_runtime::obs::SharedRegistry;
 use ppm_runtime::program::{Program, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
@@ -159,12 +160,27 @@ impl RealRuntime {
     /// Finds `uid`'s live process on `host` whose command starts with
     /// `prefix` — enough for tests to locate a user's LPM or pmd.
     pub fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
-        self.query(host, |reply| NodeEvent::FindProc {
-            uid,
-            prefix: prefix.to_string(),
-            reply,
+        let prefix = prefix.to_string();
+        self.inspect(host, move |k| {
+            let mine = k.user_processes(uid).into_iter();
+            mine.filter(|p| p.command.starts_with(&prefix))
+                .map(|p| p.pid)
+                .next()
         })
         .flatten()
+    }
+
+    /// Reads `host`'s kernel on its node thread.
+    fn inspect<T: Send + 'static>(
+        &self,
+        host: HostId,
+        read: impl FnOnce(&Kernel) -> T + Send + 'static,
+    ) -> Option<T> {
+        self.query(host, |reply| {
+            NodeEvent::Inspect(Box::new(move |kernel| {
+                let _ = reply.send(read(kernel));
+            }))
+        })
     }
 
     fn query<T: Send + 'static>(
@@ -218,16 +234,13 @@ impl Runtime for RealRuntime {
     }
 
     fn is_alive(&self, host: HostId, pid: Pid) -> bool {
-        self.query(host, |reply| NodeEvent::IsAlive { pid, reply })
+        self.inspect(host, move |k| k.is_alive(pid))
             .unwrap_or(false)
     }
 
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.query(host, |reply| NodeEvent::StableGet {
-            key: key.to_string(),
-            reply,
-        })
-        .flatten()
+        let key = key.to_string();
+        self.inspect(host, move |k| k.stable_get(&key)).flatten()
     }
 
     fn now(&self) -> Micros {

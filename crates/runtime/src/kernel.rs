@@ -1,20 +1,58 @@
-//! The per-host kernel: process table, adoption, load average.
+//! The per-host kernel: one state machine under every backend.
 //!
-//! This is the pure (event-free) part of the simulated 4.3BSD kernel. The
-//! the world driver drives it and turns its decisions into
-//! scheduled events.
+//! This is the paper's "enhanced 4.3BSD" mechanism, implemented once:
+//! the process table, adoption and descendant tracing, exit teardown,
+//! signal delivery, the kernel events deposited on an LPM's kernel
+//! socket, listener and service registrations, and stable storage. It
+//! is pure — no clock, no queue, no transport. A backend (discrete-event
+//! simulation, real loopback nodes, the model checker) passes the
+//! current instant in and an [`Effects`] buffer; the kernel mutates its
+//! tables and appends what the backend must now *schedule*. Backends
+//! differ only in when those effects fire and how bytes move.
 
-use std::collections::BTreeSet;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use crate::time::SimTime;
+use bytes::Bytes;
 
-use crate::events::TraceFlags;
-use crate::ids::{Pid, Uid};
-use crate::process::{ProcState, Process};
-use crate::program::SysError;
-use crate::signal::ExitStatus;
+use crate::events::{KernelEvent, TraceFlags};
+use crate::fd::{FdKind, OpenMode};
+use crate::ids::{ConnId, Fd, Pid, Port, Uid};
+use crate::process::{ProcInfo, ProcState, Process, Rusage};
+use crate::program::{KernelMsg, SigAction, SysError};
+use crate::signal::{ExitStatus, Signal};
+use crate::sys::CRASHED_AT_KEY;
+use crate::time::{SimDuration, SimTime};
+
+/// What a kernel call asks its backend to do, in the order it happened.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Effect {
+    /// A kernel event of `kind` (`wire_size` bytes on the kernel socket)
+    /// about `pid` joined `tracer`'s pending batch. When `first`, the
+    /// batch was empty: arm one flush (a later [`Kernel::take_batch`]);
+    /// events queued before it fires ride along.
+    Queued {
+        tracer: Pid,
+        pid: Pid,
+        kind: &'static str,
+        wire_size: usize,
+        first: bool,
+    },
+    /// The signal reached the process and is about to take effect.
+    Signaled(Pid, Signal),
+    /// The process was continued: release what was held while it was
+    /// stopped.
+    Resumed(Pid),
+    /// The process left the live set; its exit event, if traced, follows.
+    Exiting(Pid, ExitStatus),
+    /// The process is gone: drop its program and timers, break its
+    /// connections, then deliver a child-exit notification to its live
+    /// parent (the last field), if it has one.
+    Gone(Pid, ExitStatus, Option<Pid>),
+}
+
+/// The effects sink: a backend-owned scratch buffer, drained after each
+/// kernel call and reused, so a syscall allocates nothing for it.
+pub type Effects = Vec<Effect>;
 
 /// Maximum number of exited process entries retained per host before the
 /// oldest are evicted. LPMs keep longer-lived history themselves; the
@@ -39,6 +77,17 @@ pub struct Kernel {
     next_pid: u32,
     load_avg: f64,
     boot_count: u32,
+    /// Bound ports and their owners; unpublished when the owner exits.
+    listeners: HashMap<Port, Pid>,
+    /// Running inetd services by name; unpublished when the daemon exits.
+    services: HashMap<String, Pid>,
+    /// The disk: survives process exits *and* host crashes.
+    stable: HashMap<String, Bytes>,
+    /// Services running at the last crash; a reboot hands them back so
+    /// the backend re-runs them the way init replays /etc/rc.
+    prev_services: Vec<String>,
+    /// Kernel events coalescing toward each tracer's next wakeup.
+    pending: HashMap<Pid, Vec<KernelMsg>>,
 }
 
 impl Kernel {
@@ -51,6 +100,11 @@ impl Kernel {
             next_pid: 2,
             load_avg: 0.0,
             boot_count: 1,
+            listeners: HashMap::new(),
+            services: HashMap::new(),
+            stable: HashMap::new(),
+            prev_services: Vec::new(),
+            pending: HashMap::new(),
         };
         let mut init = Process::new(Pid::INIT, Pid::INIT, Uid::ROOT, "init", now);
         init.state = ProcState::Running;
@@ -59,13 +113,30 @@ impl Kernel {
         k
     }
 
-    /// Wipes all state, as after a crash + reboot. Pids restart from 2;
-    /// nothing survives — matching the paper's "all process activities in
-    /// that host, obviously, cease".
-    pub fn reboot(&mut self, now: SimTime) {
-        let boots = self.boot_count + 1;
-        *self = Kernel::new(now);
-        self.boot_count = boots;
+    /// The host lost power: stamps the instant on the disk (a respawned
+    /// daemon reads it to measure repair time), remembers the running
+    /// services, and unpublishes every listener and service. Process
+    /// entries stay until [`Kernel::reboot`]; the backend stops
+    /// scheduling for a downed host. A batch whose flush is already
+    /// armed is left for that flush to collect.
+    pub fn crash(&mut self, now: SimTime) {
+        let stamp = Bytes::copy_from_slice(&now.as_micros().to_be_bytes());
+        self.stable.insert(CRASHED_AT_KEY.to_string(), stamp);
+        self.prev_services = std::mem::take(&mut self.services).into_keys().collect();
+        self.prev_services.sort_unstable();
+        self.listeners.clear();
+    }
+
+    /// Boots again after a crash. Pids restart from 2 and no process
+    /// survives — "all process activities in that host, obviously,
+    /// cease" — but the disk does. Returns the services that were
+    /// running at the crash, name-sorted, for the backend to re-run.
+    pub fn reboot(&mut self, now: SimTime) -> Vec<String> {
+        let fresh = Kernel::new(now);
+        let old = std::mem::replace(self, fresh);
+        self.boot_count = old.boot_count + 1;
+        self.stable = old.stable;
+        old.prev_services
     }
 
     /// How many times this kernel has booted (1 = never crashed).
@@ -104,11 +175,6 @@ impl Kernel {
         self.procs.get(&pid)
     }
 
-    /// Mutable access to a process entry.
-    pub fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
-        self.procs.get_mut(&pid)
-    }
-
     /// Access to a live process, with a syscall-style error.
     pub fn live(&self, pid: Pid) -> Result<&Process, SysError> {
         match self.procs.get(&pid) {
@@ -132,14 +198,12 @@ impl Kernel {
         pids.into_iter().map(move |pid| &self.procs[&pid])
     }
 
-    /// Live processes owned by `uid`, in pid order. Served from the
-    /// per-uid shard index: O(user's own processes), independent of how
-    /// many other tenants the host carries.
-    pub fn user_processes(&self, uid: Uid) -> Vec<&Process> {
-        match self.by_uid.get(&uid) {
-            Some(pids) => pids.iter().map(|pid| &self.procs[pid]).collect(),
-            None => Vec::new(),
-        }
+    /// `ps`-style info about the live processes owned by `uid`, in pid
+    /// order. Served from the per-uid shard index: O(user's own
+    /// processes), independent of how many other tenants the host carries.
+    pub fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
+        let pids = self.by_uid.get(&uid).into_iter().flatten();
+        pids.map(|pid| ProcInfo::from(&self.procs[pid])).collect()
     }
 
     /// Marks a process exited, detaches it from the run queue, reparents
@@ -216,10 +280,8 @@ impl Kernel {
         // live holder counts.
         let prior = self.get(target).and_then(|p| p.tracer);
         let holder_live = prior.is_some_and(|t| self.procs.get(&t).is_some_and(Process::is_alive));
+        self.owned(target, tracer_uid)?;
         let p = self.live_mut(target)?;
-        if p.uid != tracer_uid && !tracer_uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
         match prior {
             Some(t) if t != tracer && holder_live => Err(SysError::AlreadyTraced),
             _ => {
@@ -229,6 +291,388 @@ impl Kernel {
             }
         }
     }
+
+    // ---- process lifecycle ----------------------------------------------
+
+    /// True when the process exists and has not exited.
+    pub fn is_alive(&self, pid: Pid) -> bool {
+        self.procs.get(&pid).is_some_and(Process::is_alive)
+    }
+
+    /// The owner of a process (root for unknown pids).
+    pub fn uid_of(&self, pid: Pid) -> Uid {
+        self.procs.get(&pid).map_or(Uid::ROOT, |p| p.uid)
+    }
+
+    /// Forks a child of `parent`. Descendant tracking: a traced parent's
+    /// children are traced by the same LPM with the same flags
+    /// ("Adoption allows the LPM to keep track of a process and its
+    /// descendants"), and the tracer is told of the fork. The child is
+    /// an embryo until the backend calls [`Kernel::start`] for it.
+    pub fn spawn(
+        &mut self,
+        parent: Pid,
+        uid: Uid,
+        command: &str,
+        cpu_bound: bool,
+        now: SimTime,
+        fx: &mut Effects,
+    ) -> Pid {
+        let pid = self.alloc_pid();
+        let mut proc = Process::new(pid, parent, uid, command, now);
+        proc.cpu_bound = cpu_bound;
+        let traced = match self.procs.get(&parent).filter(|p| p.is_alive()) {
+            Some(pp) => {
+                proc.tracer = pp.tracer;
+                proc.trace_flags = pp.trace_flags;
+                pp.is_adopted()
+            }
+            None => false,
+        };
+        self.insert(proc);
+        if traced {
+            self.emit(KernelEvent::Fork { parent, child: pid }, now, fx);
+        }
+        pid
+    }
+
+    /// The exec half of fork+exec: the process begins running. Returns
+    /// `false` (and does nothing) if it died as an embryo.
+    pub fn start(&mut self, pid: Pid, now: SimTime, fx: &mut Effects) -> bool {
+        let Ok(p) = self.live_mut(pid) else {
+            return false;
+        };
+        p.state = ProcState::Running;
+        let command = p.command.clone();
+        self.emit(KernelEvent::Exec { pid, command }, now, fx);
+        true
+    }
+
+    /// Terminates a live process: exit bookkeeping, the exit event to
+    /// its tracer, listener and service unpublishing, and the decision
+    /// whether a parent is there to be notified. No-op on a dead pid.
+    pub fn exit(&mut self, pid: Pid, status: ExitStatus, now: SimTime, fx: &mut Effects) {
+        if !self.is_alive(pid) {
+            return;
+        }
+        self.finish_exit(pid, status, now);
+        let p = &self.procs[&pid];
+        let (rusage, ppid) = (p.rusage, p.ppid);
+        fx.push(Effect::Exiting(pid, status));
+        let exit = KernelEvent::Exit {
+            pid,
+            status,
+            rusage,
+        };
+        self.emit(exit, now, fx);
+        self.listeners.retain(|_, owner| *owner != pid);
+        self.services.retain(|_, owner| *owner != pid);
+        let notify = (ppid != pid && self.is_alive(ppid)).then_some(ppid);
+        fx.push(Effect::Gone(pid, status, notify));
+    }
+
+    // ---- signals ---------------------------------------------------------
+
+    /// The permission half of `kill(2)`: the target must be alive
+    /// ([`SysError::NoSuchProcess`]) and owned by `from`, unless `from`
+    /// is root ([`SysError::PermissionDenied`]).
+    pub fn may_signal(&self, from: Uid, target: Pid) -> Result<(), SysError> {
+        self.owned(target, from).map(|_| ())
+    }
+
+    /// A live process that `who` may act on: its owner's, or anyone's
+    /// for root.
+    fn owned(&self, pid: Pid, who: Uid) -> Result<&Process, SysError> {
+        let p = self.live(pid)?;
+        if p.uid != who && !who.is_root() {
+            return Err(SysError::PermissionDenied);
+        }
+        Ok(p)
+    }
+
+    /// Delivers a signal to a live process: accounts it, reports it to
+    /// the tracer, and applies Stop, Cont and Kill. Returns `true` for a
+    /// catchable signal: the backend then runs the target program's
+    /// `on_signal` (if it has one) and passes the verdict to
+    /// [`Kernel::finish_signal`].
+    pub fn deliver_signal(
+        &mut self,
+        pid: Pid,
+        signal: Signal,
+        now: SimTime,
+        fx: &mut Effects,
+    ) -> bool {
+        let Ok(p) = self.live_mut(pid) else {
+            return false;
+        };
+        p.rusage.signals_received += 1;
+        self.emit(KernelEvent::SignalDelivered { pid, signal }, now, fx);
+        fx.push(Effect::Signaled(pid, signal));
+        match signal {
+            Signal::Stop => {
+                if self.switch_state(pid, ProcState::Running, ProcState::Stopped) {
+                    self.emit(KernelEvent::Stopped { pid }, now, fx);
+                }
+            }
+            Signal::Cont => {
+                if self.switch_state(pid, ProcState::Stopped, ProcState::Running) {
+                    self.emit(KernelEvent::Continued { pid }, now, fx);
+                    fx.push(Effect::Resumed(pid));
+                }
+            }
+            Signal::Kill => self.exit(pid, ExitStatus::Signaled(Signal::Kill), now, fx),
+            _ => return true,
+        }
+        false
+    }
+
+    /// Second half of a catchable signal: applies the default
+    /// disposition unless the program handled it (or already exited).
+    pub fn finish_signal(
+        &mut self,
+        pid: Pid,
+        signal: Signal,
+        action: SigAction,
+        now: SimTime,
+        fx: &mut Effects,
+    ) {
+        if action == SigAction::Default && signal.is_fatal_by_default() {
+            self.exit(pid, ExitStatus::Signaled(signal), now, fx);
+        }
+    }
+
+    fn switch_state(&mut self, pid: Pid, from: ProcState, to: ProcState) -> bool {
+        match self.procs.get_mut(&pid) {
+            Some(p) if p.state == from => {
+                p.state = to;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    // ---- kernel events ---------------------------------------------------
+
+    /// Deposits a kernel event on the kernel socket of the tracer of the
+    /// process it is about — if there is one, it asked for this class
+    /// of event, it is alive, and it is not the process itself (an LPM
+    /// does not report itself to itself).
+    pub fn emit(&mut self, event: KernelEvent, now: SimTime, fx: &mut Effects) {
+        let pid = event.pid();
+        let Some(p) = self.procs.get(&pid) else {
+            return;
+        };
+        let Some(tracer) = p.tracer else { return };
+        if !p.trace_flags.contains(event.required_flag()) || tracer == pid || !self.is_alive(tracer)
+        {
+            return;
+        }
+        let batch = self.pending.entry(tracer).or_default();
+        fx.push(Effect::Queued {
+            tracer,
+            pid,
+            kind: event.kind(),
+            wire_size: event.wire_size(),
+            first: batch.is_empty(),
+        });
+        batch.push(KernelMsg {
+            event,
+            queued_at: now,
+        });
+    }
+
+    /// Collects `tracer`'s pending batch (the flush armed by its first
+    /// event). Empty when nothing is pending.
+    pub fn take_batch(&mut self, tracer: Pid) -> Vec<KernelMsg> {
+        self.pending
+            .get_mut(&tracer)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Collects only the oldest pending event for `tracer` (backends
+    /// that deliver one event per wakeup).
+    pub fn pop_kernel_msg(&mut self, tracer: Pid) -> Option<KernelMsg> {
+        let batch = self.pending.get_mut(&tracer)?;
+        (!batch.is_empty()).then(|| batch.remove(0))
+    }
+
+    /// The non-empty pending batches, in tracer-pid order.
+    pub fn pending_batches(&self) -> Vec<(Pid, &[KernelMsg])> {
+        let waiting = self.pending.iter().filter(|(_, b)| !b.is_empty());
+        let mut batches: Vec<_> = waiting.map(|(t, b)| (*t, b.as_slice())).collect();
+        batches.sort_unstable_by_key(|(tracer, _)| *tracer);
+        batches
+    }
+
+    // ---- per-process syscalls --------------------------------------------
+
+    /// Allocates the kernel socket descriptor of `pid`, the (live)
+    /// calling process.
+    pub fn register_kernel_socket(&mut self, pid: Pid) -> Fd {
+        self.alloc_fd(pid, FdKind::KernelSocket)
+            .expect("caller is alive")
+    }
+
+    /// Allocates a descriptor in a live process's table.
+    pub fn alloc_fd(&mut self, pid: Pid, kind: FdKind) -> Option<Fd> {
+        self.live_mut(pid).ok().map(|p| p.fds.alloc(kind))
+    }
+
+    /// `ps`-style info about one process (any state).
+    pub fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
+        self.procs.get(&pid).map(ProcInfo::from)
+    }
+
+    /// Resource usage of a process (live or recently exited).
+    pub fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
+        self.procs.get(&pid).map(|p| p.rusage)
+    }
+
+    /// Marks a live process CPU-bound (it counts toward the run queue).
+    pub fn set_cpu_bound(&mut self, pid: Pid, yes: bool) {
+        if let Ok(p) = self.live_mut(pid) {
+            p.cpu_bound = yes;
+        }
+    }
+
+    /// Charges `cost` of CPU to a live process: it is busy for that long
+    /// past whatever it was already busy with, and its rusage grows.
+    pub fn charge_cpu(&mut self, pid: Pid, cost: SimDuration, now: SimTime) {
+        if let Ok(p) = self.live_mut(pid) {
+            p.busy_until = p.busy_until.max(now) + cost;
+            p.rusage.cpu += cost;
+        }
+    }
+
+    /// Accounts one stream message sent by `pid` and reports it.
+    pub fn account_sent(&mut self, pid: Pid, bytes: usize, now: SimTime, fx: &mut Effects) {
+        if let Ok(p) = self.live_mut(pid) {
+            p.rusage.msgs_sent += 1;
+            p.rusage.bytes_sent += bytes as u64;
+        }
+        self.emit(KernelEvent::MsgSent { pid, bytes }, now, fx);
+    }
+
+    /// Accounts one stream message received by `pid` and reports it.
+    pub fn account_received(&mut self, pid: Pid, bytes: usize, now: SimTime, fx: &mut Effects) {
+        if let Ok(p) = self.live_mut(pid) {
+            p.rusage.msgs_received += 1;
+            p.rusage.bytes_received += bytes as u64;
+        }
+        self.emit(KernelEvent::MsgReceived { pid, bytes }, now, fx);
+    }
+
+    /// Opens a file in the descriptor table of `pid`, the (live)
+    /// calling process.
+    pub fn open_path(
+        &mut self,
+        pid: Pid,
+        path: String,
+        mode: OpenMode,
+        now: SimTime,
+        fx: &mut Effects,
+    ) -> Fd {
+        let p = self.live_mut(pid).expect("caller is alive");
+        p.rusage.files_opened += 1;
+        let file = FdKind::File {
+            path: path.clone(),
+            mode,
+        };
+        let fd = p.fds.alloc(file);
+        self.emit(KernelEvent::FileOpened { pid, path }, now, fx);
+        fd
+    }
+
+    /// Closes a descriptor of `pid`, or fails with
+    /// [`SysError::BadFileDescriptor`]. A released socket's connection
+    /// is returned for the backend's transport to close.
+    pub fn close_fd(
+        &mut self,
+        pid: Pid,
+        fd: Fd,
+        now: SimTime,
+        fx: &mut Effects,
+    ) -> Result<Option<ConnId>, SysError> {
+        let p = self
+            .live_mut(pid)
+            .map_err(|_| SysError::BadFileDescriptor)?;
+        match p.fds.release(fd).ok_or(SysError::BadFileDescriptor)? {
+            FdKind::File { path, .. } => {
+                self.emit(KernelEvent::FileClosed { pid, path }, now, fx);
+                Ok(None)
+            }
+            FdKind::Socket { conn } => Ok(Some(conn)),
+            _ => Ok(None),
+        }
+    }
+
+    /// The descriptor table of a live process, for its owner or root
+    /// ([`SysError::NoSuchProcess`], [`SysError::PermissionDenied`]).
+    pub fn open_fds(&self, caller: Uid, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
+        let p = self.owned(pid, caller)?;
+        Ok(p.fds.iter().map(|(fd, k)| (fd, k.clone())).collect())
+    }
+
+    // ---- listeners, services, stable storage -----------------------------
+
+    /// Binds `port` to `pid` and allocates its listener descriptor, or
+    /// fails with [`SysError::PortInUse`].
+    pub fn bind(&mut self, pid: Pid, port: Port) -> Result<(), SysError> {
+        if self.listeners.contains_key(&port) {
+            return Err(SysError::PortInUse);
+        }
+        self.listeners.insert(port, pid);
+        self.alloc_fd(pid, FdKind::Listener { port });
+        Ok(())
+    }
+
+    /// The process listening on `port`, if any.
+    pub fn listener(&self, port: Port) -> Option<Pid> {
+        self.listeners.get(&port).copied()
+    }
+
+    /// All bound ports with their owners, in port order.
+    pub fn listeners(&self) -> Vec<(Port, Pid)> {
+        let mut bound: Vec<_> = self.listeners.iter().map(|(p, o)| (*p, *o)).collect();
+        bound.sort_unstable();
+        bound
+    }
+
+    /// The running daemon registered for an inetd service name, if any
+    /// (a daemon's exit unregisters it).
+    pub fn service(&self, name: &str) -> Option<Pid> {
+        self.services.get(name).copied()
+    }
+
+    /// Records `pid` as the running daemon for a service name.
+    pub fn register_service(&mut self, name: &str, pid: Pid) {
+        self.services.insert(name.to_string(), pid);
+    }
+
+    /// Writes a stable-storage record.
+    pub fn stable_put(&mut self, key: String, value: Bytes) {
+        self.stable.insert(key, value);
+    }
+
+    /// Reads a stable-storage record.
+    pub fn stable_get(&self, key: &str) -> Option<Bytes> {
+        self.stable.get(key).cloned()
+    }
+
+    /// Deletes a stable-storage record.
+    pub fn stable_del(&mut self, key: &str) {
+        self.stable.remove(key);
+    }
+
+    /// Every stable-storage record, in key order.
+    pub fn stable_records(&self) -> Vec<(&str, &Bytes)> {
+        let mut records: Vec<_> = self.stable.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        records.sort_unstable_by_key(|(key, _)| *key);
+        records
+    }
+
+    // ---- load average ----------------------------------------------------
 
     /// Number of runnable entities for the load-average sample: running
     /// CPU-bound processes plus processes currently busy with work.
@@ -255,6 +699,86 @@ impl Kernel {
     pub fn set_load_avg(&mut self, la: f64) {
         self.load_avg = la.max(0.0);
     }
+}
+
+/// The [`Sys`](crate::sys::Sys) methods every backend answers straight
+/// from its host [`Kernel`]; invoked inside the backend's `impl Sys`
+/// block. The syscall view supplies inherent `kernel()`, `kernel_mut()`
+/// and `kernel_call(|kernel, now, fx| ..)`, the last of which also
+/// schedules the call's effects.
+#[macro_export]
+macro_rules! kernel_syscalls {
+    () => {
+        fn load_avg(&self) -> f64 {
+            self.kernel().load_avg()
+        }
+
+        fn adopt(
+            &mut self,
+            target: $crate::Pid,
+            flags: $crate::events::TraceFlags,
+        ) -> Result<(), $crate::SysError> {
+            let (tracer, uid) = ($crate::Sys::pid(self), $crate::Sys::uid(self));
+            self.kernel_mut().adopt(target, tracer, uid, flags)?;
+            let note = format!("adopted pid {target} with flags {flags}");
+            $crate::Sys::trace_str(self, $crate::trace::TraceCategory::Lpm, note);
+            Ok(())
+        }
+
+        fn register_kernel_socket(&mut self) -> $crate::Fd {
+            let pid = $crate::Sys::pid(self);
+            self.kernel_mut().register_kernel_socket(pid)
+        }
+
+        fn proc_info(&self, pid: $crate::Pid) -> Option<$crate::process::ProcInfo> {
+            self.kernel().proc_info(pid)
+        }
+
+        fn user_processes(&self, uid: $crate::Uid) -> Vec<$crate::process::ProcInfo> {
+            self.kernel().user_processes(uid)
+        }
+
+        fn rusage_of(&self, pid: $crate::Pid) -> Option<$crate::process::Rusage> {
+            self.kernel().rusage_of(pid)
+        }
+
+        fn set_cpu_bound(&mut self, yes: bool) {
+            let pid = $crate::Sys::pid(self);
+            self.kernel_mut().set_cpu_bound(pid, yes);
+        }
+
+        fn stable_put_kv(&mut self, key: String, value: bytes::Bytes) {
+            self.kernel_mut().stable_put(key, value);
+        }
+
+        fn stable_get(&self, key: &str) -> Option<bytes::Bytes> {
+            self.kernel().stable_get(key)
+        }
+
+        fn stable_del(&mut self, key: &str) {
+            self.kernel_mut().stable_del(key);
+        }
+
+        fn open_path(&mut self, path: String, mode: $crate::fd::OpenMode) -> $crate::Fd {
+            let pid = $crate::Sys::pid(self);
+            self.kernel_call(|k, now, fx| k.open_path(pid, path, mode, now, fx))
+        }
+
+        fn close_fd(&mut self, fd: $crate::Fd) -> Result<(), $crate::SysError> {
+            let pid = $crate::Sys::pid(self);
+            if let Some(conn) = self.kernel_call(|k, now, fx| k.close_fd(pid, fd, now, fx))? {
+                let _ = $crate::Transport::close(self, conn);
+            }
+            Ok(())
+        }
+
+        fn open_fds(
+            &self,
+            pid: $crate::Pid,
+        ) -> Result<Vec<($crate::Fd, $crate::fd::FdKind)>, $crate::SysError> {
+            self.kernel().open_fds($crate::Sys::uid(self), pid)
+        }
+    };
 }
 
 #[cfg(test)]
@@ -434,15 +958,15 @@ mod tests {
     fn runnable_count_sees_cpu_bound_and_busy() {
         let mut k = kern();
         let a = add(&mut k, Pid::INIT, Uid(1), "busy");
-        k.get_mut(a).unwrap().cpu_bound = true;
+        k.live_mut(a).unwrap().cpu_bound = true;
         let b = add(&mut k, Pid::INIT, Uid(1), "worker");
-        k.get_mut(b).unwrap().busy_until = SimTime::from_millis(10);
+        k.live_mut(b).unwrap().busy_until = SimTime::from_millis(10);
         let c = add(&mut k, Pid::INIT, Uid(1), "idle");
         let _ = c;
         assert_eq!(k.runnable_count(SimTime::from_millis(5)), 2);
         assert_eq!(k.runnable_count(SimTime::from_millis(20)), 1);
         // stopped processes never count
-        k.get_mut(a).unwrap().state = ProcState::Stopped;
+        k.live_mut(a).unwrap().state = ProcState::Stopped;
         assert_eq!(k.runnable_count(SimTime::from_millis(5)), 1);
     }
 

@@ -5,15 +5,16 @@
 //! system calls — spawn/exit/kill/adopt, stream sockets, timers, files,
 //! CPU accounting — plus read-only introspection (`ps`-style queries).
 //!
-//! Two backends implement it:
-//!
-//! * the **simulated** kernel (`ppm-simos`), where time is discrete-event
-//!   ticks and the network is the modelled topology; and
-//! * the **real** node runtime (`ppm-realos`), where time is the machine's
-//!   monotonic clock and connections are loopback TCP sockets.
+//! Three backends implement it — the **simulated** world (`ppm-simos`:
+//! discrete-event time, a modelled network), the **real** node runtime
+//! (`ppm-realos`: the monotonic clock, loopback TCP) and the **model
+//! checker** (`ppm-mc`: event order by explorer choice). Each supplies
+//! only its clock, timers, transport and event order; everything about
+//! processes, signals and kernel events is answered by the one host
+//! kernel they share ([`crate::kernel::Kernel`]).
 //!
 //! Protocol code (`ppm-core`, the tools) is written against this trait
-//! only, so the same LPM/pmd/RPC stack drives both worlds. The trait is
+//! only, so the same LPM/pmd/RPC stack drives every world. The trait is
 //! split into capability supertraits ([`Clock`], [`TimerDriver`],
 //! [`Transport`], [`Spawner`]) so narrow helpers can accept only what
 //! they use.

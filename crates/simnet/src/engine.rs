@@ -59,7 +59,7 @@ impl EventId {
 }
 
 /// Lifetime activity counters of an event queue, sampled into the
-/// observability registry (see `ppm_simnet::obs`) at snapshot time.
+/// observability registry (see `ppm_runtime::obs`) at snapshot time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events scheduled so far.

@@ -3,7 +3,8 @@
 //! The foundation of the PPM reproduction: a deterministic discrete-event
 //! [`engine`], simulated [`time`], seeded [`rng`], a host/link
 //! [`topology`] with partitions and crashes, [`latency`] models calibrated
-//! to the paper's Tables 1–2, and a structured [`trace`] log.
+//! to the paper's Tables 1–2. (Traces, metrics and deterministic hashing
+//! live in `ppm-runtime`, shared by every backend.)
 //!
 //! Nothing in this crate knows about UNIX or the PPM; it is the "physics"
 //! the higher layers run on. `ppm-simos` builds the simulated Berkeley
@@ -32,22 +33,17 @@
 pub mod bandwidth;
 pub mod engine;
 pub mod fault;
-pub mod hashx;
 pub mod latency;
-pub mod obs;
 pub mod rng;
 pub mod routing;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use bandwidth::{NetModel, Transfer};
 pub use engine::{Engine, EventId, QueueStats, TimerWheel};
 pub use latency::LatencyModel;
-pub use obs::{Registry, SpanLog};
 pub use rng::SimRng;
 pub use routing::RoutingTable;
 pub use time::{SimDuration, SimTime};
 pub use topology::{CpuClass, HostId, HostSpec, Topology};
 pub use topology::{NetGraph, NetSpec};
-pub use trace::{TraceCategory, TraceEntry, TraceLog};

@@ -64,7 +64,7 @@ impl Runtime for SimRuntime {
     }
 
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.world.core().stable_get_pub(host, key)
+        self.world.core().kernel(host).stable_get(key)
     }
 
     fn now(&self) -> Micros {

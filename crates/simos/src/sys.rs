@@ -10,15 +10,13 @@
 use bytes::Bytes;
 use ppm_runtime::obs::{SharedRegistry, SpanPhase};
 use ppm_runtime::sys::{Clock, Spawner, TimerDriver, TimerHandle, Transport};
+use ppm_runtime::trace::TraceCategory;
 use ppm_simnet::engine::EventId;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId};
-use ppm_simnet::trace::TraceCategory;
 
-use ppm_runtime::events::TraceFlags;
-use ppm_runtime::fd::{FdKind, OpenMode};
-use ppm_runtime::ids::{ConnId, Fd, Pid, Port, Uid};
-use ppm_runtime::process::{ProcInfo, Rusage};
+use ppm_runtime::ids::{ConnId, Pid, Port, Uid};
+use ppm_runtime::kernel::{Effects, Kernel};
 use ppm_runtime::program::{ProcKey, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 
@@ -39,15 +37,21 @@ impl<'a> Sys<'a> {
     /// the IPC kernel event if traced. Called by the world at actual
     /// delivery time.
     pub(crate) fn account_msg_received(&mut self, bytes: usize) {
-        let key = self.key;
-        if let Ok(p) = self.core.kernel_mut(key.0).live_mut(key.1) {
-            p.rusage.msgs_received += 1;
-            p.rusage.bytes_received += bytes as u64;
-        }
-        self.core.emit_kernel_event(
-            key.0,
-            ppm_runtime::events::KernelEvent::MsgReceived { pid: key.1, bytes },
-        );
+        let pid = self.key.1;
+        self.kernel_call(|k, now, fx| k.account_received(pid, bytes, now, fx));
+    }
+
+    fn kernel(&self) -> &Kernel {
+        self.core.kernel(self.key.0)
+    }
+
+    fn kernel_mut(&mut self) -> &mut Kernel {
+        self.core.kernel_mut(self.key.0)
+    }
+
+    /// A call into this host's kernel; its effects are scheduled.
+    fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R) -> R {
+        self.core.kernel_call(self.key.0, f)
     }
 }
 
@@ -154,15 +158,7 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
     }
 
     fn uid(&self) -> Uid {
-        self.core
-            .kernel(self.key.0)
-            .get(self.key.1)
-            .map(|p| p.uid)
-            .unwrap_or(Uid::ROOT)
-    }
-
-    fn load_avg(&self) -> f64 {
-        self.core.kernel(self.key.0).load_avg()
+        self.kernel().uid_of(self.key.1)
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -208,145 +204,18 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
 
     // ---- process management --------------------------------------------
 
-    fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError> {
-        let uid = ppm_runtime::sys::Sys::uid(self);
-        let tracer = self.key.1;
-        let host = self.key.0;
-        self.core
-            .kernel_mut(host)
-            .adopt(target, tracer, uid, flags)?;
-        self.trace_str(
-            TraceCategory::Lpm,
-            format!("adopted pid {target} with flags {flags}"),
-        );
-        Ok(())
-    }
-
-    fn register_kernel_socket(&mut self) -> Fd {
-        let key = self.key;
-        let k = self.core.kernel_mut(key.0);
-        k.get_mut(key.1)
-            .expect("caller is alive")
-            .fds
-            .alloc(FdKind::KernelSocket)
-    }
-
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
-        self.core.kernel(self.key.0).get(pid).map(ProcInfo::from)
-    }
-
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        self.core
-            .kernel(self.key.0)
-            .user_processes(uid)
-            .into_iter()
-            .map(ProcInfo::from)
-            .collect()
-    }
-
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
-        self.core.kernel(self.key.0).get(pid).map(|p| p.rusage)
-    }
-
-    fn set_cpu_bound(&mut self, yes: bool) {
-        let key = self.key;
-        if let Ok(p) = self.core.kernel_mut(key.0).live_mut(key.1) {
-            p.cpu_bound = yes;
-        }
-    }
-
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
         self.core.scaled_cpu_cost(self.key.0, nominal)
     }
 
     fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        let key = self.key;
-        let scaled = self.core.scaled_cpu_cost(key.0, nominal);
-        let now = self.core.now();
-        if let Ok(p) = self.core.kernel_mut(key.0).live_mut(key.1) {
-            let from = if p.busy_until > now {
-                p.busy_until
-            } else {
-                now
-            };
-            p.busy_until = from + scaled;
-            p.rusage.cpu += scaled;
-        }
+        let scaled = self.core.scaled_cpu_cost(self.key.0, nominal);
+        let (pid, now) = (self.key.1, self.core.now());
+        self.kernel_mut().charge_cpu(pid, scaled, now);
         scaled
     }
 
-    // ---- stable storage ------------------------------------------------
-
-    fn stable_put_kv(&mut self, key: String, value: Bytes) {
-        self.core.stable_put(self.key.0, key, value);
-    }
-
-    fn stable_get(&self, key: &str) -> Option<Bytes> {
-        self.core.stable_get(self.key.0, key)
-    }
-
-    fn stable_del(&mut self, key: &str) {
-        self.core.stable_del(self.key.0, key);
-    }
-
-    // ---- files -----------------------------------------------------------
-
-    fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
-        let key = self.key;
-        let fd = {
-            let p = self
-                .core
-                .kernel_mut(key.0)
-                .live_mut(key.1)
-                .expect("caller is alive");
-            p.rusage.files_opened += 1;
-            p.fds.alloc(FdKind::File {
-                path: path.clone(),
-                mode,
-            })
-        };
-        self.core.emit_kernel_event(
-            key.0,
-            ppm_runtime::events::KernelEvent::FileOpened { pid: key.1, path },
-        );
-        fd
-    }
-
-    fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
-        let key = self.key;
-        let released = {
-            let p = self
-                .core
-                .kernel_mut(key.0)
-                .live_mut(key.1)
-                .map_err(|_| SysError::BadFileDescriptor)?;
-            p.fds.release(fd)
-        };
-        match released {
-            Some(FdKind::File { path, .. }) => {
-                self.core.emit_kernel_event(
-                    key.0,
-                    ppm_runtime::events::KernelEvent::FileClosed { pid: key.1, path },
-                );
-                Ok(())
-            }
-            Some(FdKind::Socket { conn }) => {
-                let _ = self.core.close(key, conn);
-                Ok(())
-            }
-            Some(_) => Ok(()),
-            None => Err(SysError::BadFileDescriptor),
-        }
-    }
-
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-        let me = ppm_runtime::sys::Sys::uid(self);
-        let p = self.core.kernel(self.key.0).live(pid)?;
-        if p.uid != me && !me.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        Ok(p.fds.iter().map(|(fd, k)| (fd, k.clone())).collect())
-    }
+    ppm_runtime::kernel_syscalls!();
 }
 
 #[cfg(test)]
@@ -356,6 +225,7 @@ mod tests {
     //! dependencies.
     use super::*;
     use crate::world::World;
+    use ppm_runtime::fd::OpenMode;
     use ppm_runtime::program::Program;
     use ppm_simnet::topology::HostSpec;
 

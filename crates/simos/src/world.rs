@@ -15,7 +15,9 @@ use std::fmt;
 
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
+use ppm_runtime::kernel::{Effect, Effects};
 use ppm_runtime::obs::{CounterId, HistId};
+use ppm_runtime::trace::{TraceCategory, TraceLog};
 use ppm_simnet::bandwidth::{NetModel, Transfer};
 use ppm_simnet::engine::TimerWheel;
 use ppm_simnet::fault::{FaultKind, FaultPlan, WireDecision, WireFaults};
@@ -23,17 +25,15 @@ use ppm_simnet::latency::LatencyModel;
 use ppm_simnet::rng::SimRng;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{HostId, HostSpec, NetSpec, Topology};
-use ppm_simnet::trace::{TraceCategory, TraceLog};
 
 use crate::config::OsConfig;
-use crate::events::{KernelEvent, TraceFlags};
 use crate::fd::FdKind;
 use crate::ids::{ConnId, Pid, Port, Uid};
 use crate::kernel::Kernel;
 use crate::net::{ConnState, Connection};
 use crate::obs::ObsHub;
-use crate::process::{ProcState, Process};
-use crate::program::{ConnEvent, KernelMsg, ProcKey, Program, SigAction, SpawnSpec, SysError};
+use crate::process::ProcState;
+use crate::program::{ConnEvent, ProcKey, Program, SigAction, SpawnSpec, SysError};
 use crate::signal::{ExitStatus, Signal};
 use crate::sys::Sys;
 
@@ -44,17 +44,6 @@ pub type ServiceFactory = Box<dyn Fn(HostId) -> Box<dyn Program>>;
 pub(crate) struct ServiceEntry {
     pub port: Port,
     pub factory: ServiceFactory,
-}
-
-pub(crate) struct HostState {
-    pub kernel: Kernel,
-    pub listeners: HashMap<Port, Pid>,
-    pub services: HashMap<String, Pid>,
-    /// Simulated disk: survives process exits *and* host crashes.
-    pub stable: HashMap<String, Bytes>,
-    /// Services running when the host crashed, name-sorted; a restart
-    /// re-runs them the way init re-runs /etc/rc after a power failure.
-    pub prev_services: Vec<String>,
 }
 
 /// Events flowing through the engine. Internal to the crate; programs see
@@ -127,9 +116,8 @@ pub(crate) struct NetObs {
     prev_bisection: u64,
 }
 
-/// Everything in the world except the program objects. Syscalls (via
-/// [`Sys`]) operate on this; the [`World`] wrapper owns the programs and
-/// runs the loop.
+/// The state of the world. Syscalls (via [`Sys`]) operate on this; the
+/// [`World`] wrapper runs the loop.
 pub struct WorldCore {
     // A hierarchical timer wheel: the short-deadline RPC timer population
     // (retransmits, handler slots, housekeeping) lands in the wheel arrays;
@@ -140,15 +128,20 @@ pub struct WorldCore {
     pub(crate) rng: SimRng,
     pub(crate) trace: TraceLog,
     pub(crate) config: OsConfig,
-    pub(crate) hosts: Vec<HostState>,
+    /// One kernel per host: all process, signal and kernel-event
+    /// semantics live there; this world only schedules what it asks for.
+    pub(crate) hosts: Vec<Kernel>,
+    /// The kernels' effects sink, drained after every kernel call.
+    fx: Effects,
     pub(crate) conns: HashMap<ConnId, Connection>,
     pub(crate) next_conn: u64,
     pub(crate) services: HashMap<String, ServiceEntry>,
-    pub(crate) pending_programs: Vec<(ProcKey, Box<dyn Program>)>,
-    /// Kernel events coalescing toward the same LPM wakeup: the first
-    /// event schedules the flush; events queued before it ride along in
-    /// one batch frame.
-    pub(crate) pending_kernel: HashMap<ProcKey, Vec<KernelMsg>>,
+    /// The behaviour of every live process that has one. A program is
+    /// taken out for the duration of its own callback, so the callback's
+    /// [`Sys`] can borrow the rest of the world.
+    pub(crate) programs: HashMap<ProcKey, Box<dyn Program>>,
+    /// Events held back because their target process is stopped.
+    pub(crate) deferred: HashMap<ProcKey, Vec<SimEvent>>,
     /// Metrics, spans and the per-program registry hub.
     pub(crate) obs: ObsHub,
     /// Probabilistic wire faults from an installed fault plan. `None`
@@ -245,13 +238,13 @@ impl WorldCore {
     ///
     /// Panics on an unknown host id.
     pub fn kernel(&self, host: HostId) -> &Kernel {
-        &self.hosts[host.0 as usize].kernel
+        &self.hosts[host.0 as usize]
     }
 
     /// Mutable kernel of a host (benchmark hooks such as
     /// [`Kernel::set_load_avg`]).
     pub fn kernel_mut(&mut self, host: HostId) -> &mut Kernel {
-        &mut self.hosts[host.0 as usize].kernel
+        &mut self.hosts[host.0 as usize]
     }
 
     /// Looks a host up by name.
@@ -281,39 +274,109 @@ impl WorldCore {
         self.trace.record(now, host, cat, text);
     }
 
-    fn host(&self, id: HostId) -> &HostState {
-        &self.hosts[id.0 as usize]
-    }
-
-    fn host_mut(&mut self, id: HostId) -> &mut HostState {
-        &mut self.hosts[id.0 as usize]
-    }
-
     pub(crate) fn host_up(&self, id: HostId) -> bool {
         self.topo.is_up(id)
     }
 
     /// True when the process exists and is alive.
     pub fn is_alive(&self, key: ProcKey) -> bool {
-        self.host_up(key.0)
-            && self
-                .host(key.0)
-                .kernel
-                .get(key.1)
-                .is_some_and(|p| p.is_alive())
+        self.host_up(key.0) && self.kernel(key.0).is_alive(key.1)
     }
 
     /// Scales a nominal (idle reference machine) CPU cost to this host's
     /// class and current load, with jitter.
     pub(crate) fn scaled_cpu_cost(&mut self, host: HostId, nominal: SimDuration) -> SimDuration {
         let cpu = self.topo.spec(host).cpu;
-        let la = self.host(host).kernel.load_avg();
+        let la = self.kernel(host).load_avg();
         let scaled = nominal.mul_f64(self.latency.cpu_scale(cpu, la));
         let jitter = self.config.cost_jitter;
         self.rng.jitter(scaled, jitter)
     }
 
     // ---- process management -------------------------------------------
+
+    /// Runs one call into `host`'s kernel at the current instant, then
+    /// schedules whatever the kernel asked for, in the order it asked.
+    pub(crate) fn kernel_call<R>(
+        &mut self,
+        host: HostId,
+        f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R,
+    ) -> R {
+        let now = self.engine.now();
+        let out = f(&mut self.hosts[host.0 as usize], now, &mut self.fx);
+        if !self.fx.is_empty() {
+            let mut fx = std::mem::take(&mut self.fx);
+            for effect in fx.drain(..) {
+                self.apply_effect(host, effect);
+            }
+            self.fx = fx;
+        }
+        out
+    }
+
+    fn apply_effect(&mut self, host: HostId, effect: Effect) {
+        match effect {
+            Effect::Queued {
+                tracer,
+                pid,
+                kind,
+                wire_size,
+                first,
+            } => {
+                self.obs.note_kernel_event();
+                let text = if first {
+                    // First event of the wakeup pays the Table 1 latency
+                    // and arms the flush; later ones coalesce into the
+                    // same batch frame, one delivery for the burst.
+                    self.obs.note_kernel_wakeup();
+                    let cpu = self.topo.spec(host).cpu;
+                    let la = self.kernel(host).load_avg();
+                    let base = self.latency.kernel_msg(cpu, la, wire_size);
+                    let delay = self.rng.jitter(base, self.latency.jitter_fraction);
+                    let to = (host, tracer);
+                    self.engine.schedule(delay, SimEvent::KernelFlush { to });
+                    format!("event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, {delay})")
+                } else {
+                    format!("event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, batched)")
+                };
+                self.tracef(Some(host), TraceCategory::Kernel, text);
+            }
+            Effect::Signaled(pid, signal) => self.tracef(
+                Some(host),
+                TraceCategory::Kernel,
+                format!("{signal} delivered to pid {pid}"),
+            ),
+            Effect::Resumed(pid) => {
+                for ev in self.deferred.remove(&(host, pid)).unwrap_or_default() {
+                    self.engine.schedule(SimDuration::ZERO, ev);
+                }
+            }
+            Effect::Exiting(pid, status) => self.tracef(
+                Some(host),
+                TraceCategory::Kernel,
+                format!("pid {pid} {status}"),
+            ),
+            Effect::Gone(pid, status, notify) => {
+                self.programs.remove(&(host, pid));
+                self.deferred.remove(&(host, pid));
+                for id in self.open_conns(|c| c.touches_proc(host, pid)) {
+                    self.break_conn(id, (host, pid));
+                }
+                if let Some(ppid) = notify {
+                    let delay = self.config.child_exit_latency;
+                    let parent = (host, ppid);
+                    self.engine.schedule(
+                        delay,
+                        SimEvent::ChildExit {
+                            parent,
+                            child: pid,
+                            status,
+                        },
+                    );
+                }
+            }
+        }
+    }
 
     /// Creates a process on `host` under `parent`. Returns its pid; the
     /// program (if any) starts after the fork+exec delay.
@@ -328,26 +391,9 @@ impl WorldCore {
         if !self.host_up(host) {
             return Err(SysError::HostDown);
         }
-        let now = self.now();
-        let pid = self.host_mut(host).kernel.alloc_pid();
-        let mut proc = Process::new(pid, parent, uid, spec.command.clone(), now);
-        proc.cpu_bound = spec.cpu_bound;
-        // Descendant tracking: a traced parent's children are traced by the
-        // same LPM with the same flags ("Adoption allows the LPM to keep
-        // track of a process and its descendants").
-        let (inherit_tracer, inherit_flags, parent_traced) = {
-            let k = &self.host(host).kernel;
-            match k.get(parent).filter(|p| p.is_alive()) {
-                Some(pp) => (pp.tracer, pp.trace_flags, pp.is_adopted()),
-                None => (None, TraceFlags::NONE, false),
-            }
-        };
-        proc.tracer = inherit_tracer;
-        proc.trace_flags = inherit_flags;
-        self.host_mut(host).kernel.insert(proc);
-        if parent_traced {
-            self.emit_kernel_event(host, KernelEvent::Fork { parent, child: pid });
-        }
+        let pid = self.kernel_call(host, |k, now, fx| {
+            k.spawn(parent, uid, &spec.command, spec.cpu_bound, now, fx)
+        });
         let cost = match cost_override {
             Some(c) => c,
             None => {
@@ -357,7 +403,7 @@ impl WorldCore {
         };
         self.engine.schedule(cost, SimEvent::Start((host, pid)));
         if let Some(program) = spec.program {
-            self.pending_programs.push(((host, pid), program));
+            self.programs.insert((host, pid), program);
         }
         self.tracef(
             Some(host),
@@ -380,19 +426,14 @@ impl WorldCore {
         if !self.host_up(host) {
             return Err(SysError::HostDown);
         }
-        let port = match self.services.get(name) {
-            Some(e) => e.port,
-            None => return Err(SysError::UnknownService),
-        };
-        if let Some(&pid) = self.host(host).services.get(name) {
-            if self.is_alive((host, pid)) {
-                return Ok((pid, port));
-            }
+        let entry = self.services.get(name).ok_or(SysError::UnknownService)?;
+        let port = entry.port;
+        if let Some(pid) = self.kernel(host).service(name) {
+            return Ok((pid, port));
         }
-        let program = (self.services[name].factory)(host);
-        let spec = SpawnSpec::new(name.to_string(), program);
+        let spec = SpawnSpec::new(name.to_string(), (entry.factory)(host));
         let pid = self.spawn(host, Pid::INIT, Uid::ROOT, spec, None)?;
-        self.host_mut(host).services.insert(name.to_string(), pid);
+        self.kernel_mut(host).register_service(name, pid);
         self.tracef(
             Some(host),
             TraceCategory::Daemon,
@@ -401,132 +442,17 @@ impl WorldCore {
         Ok((pid, port))
     }
 
-    /// Terminates a process: exit bookkeeping, kernel event, connection
-    /// teardown, parent notification.
+    /// Terminates a process; the kernel's effects tear down its
+    /// connections and notify its parent.
     pub(crate) fn do_exit(&mut self, key: ProcKey, status: ExitStatus) {
-        let (host, pid) = key;
-        if !self.host_up(host) || !self.is_alive(key) {
-            return;
-        }
-        let now = self.now();
-        let orphans = self.host_mut(host).kernel.finish_exit(pid, status, now);
-        let _ = orphans;
-        let (rusage, ppid) = {
-            let p = self.host(host).kernel.get(pid).expect("just exited");
-            (p.rusage, p.ppid)
-        };
-        self.tracef(
-            Some(host),
-            TraceCategory::Kernel,
-            format!("pid {pid} {status}"),
-        );
-        self.emit_kernel_event(
-            host,
-            KernelEvent::Exit {
-                pid,
-                status,
-                rusage,
-            },
-        );
-        // Tear down listeners and service registrations owned by the process.
-        {
-            let hs = self.host_mut(host);
-            hs.listeners.retain(|_, &mut owner| owner != pid);
-            hs.services.retain(|_, &mut owner| owner != pid);
-        }
-        // Close connections with this process as an endpoint.
-        let mut ids: Vec<ConnId> = self
-            .conns
-            .values()
-            .filter(|c| c.state != ConnState::Closed && c.touches_proc(host, pid))
-            .map(|c| c.id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            self.break_conn(id, key);
-        }
-        // Notify the parent program, if it is alive and interested.
-        if ppid != pid && self.is_alive((host, ppid)) {
-            let delay = self.config.child_exit_latency;
-            self.engine.schedule(
-                delay,
-                SimEvent::ChildExit {
-                    parent: (host, ppid),
-                    child: pid,
-                    status,
-                },
-            );
+        if self.host_up(key.0) {
+            self.kernel_call(key.0, |k, now, fx| k.exit(key.1, status, now, fx));
         }
     }
 
-    /// Emits a kernel event about a process on `host` toward its tracer,
-    /// subject to the tracing flags, with Table 1 latency.
-    pub(crate) fn emit_kernel_event(&mut self, host: HostId, ev: KernelEvent) {
-        let pid = ev.pid();
-        let (tracer, flags) = match self.host(host).kernel.get(pid) {
-            Some(p) => (p.tracer, p.trace_flags),
-            None => return,
-        };
-        let Some(tracer) = tracer else { return };
-        if !flags.contains(ev.required_flag()) {
-            return;
-        }
-        if tracer == pid {
-            return; // an LPM does not report itself to itself
-        }
-        if !self.is_alive((host, tracer)) {
-            return;
-        }
-        let key = (host, tracer);
-        let now = self.now();
-        let msg = KernelMsg {
-            event: ev,
-            queued_at: now,
-        };
-        self.obs.note_kernel_event();
-        let starts_batch = self
-            .pending_kernel
-            .get(&key)
-            .is_none_or(|pending| pending.is_empty());
-        if starts_batch {
-            self.obs.note_kernel_wakeup();
-            // First event of the wakeup pays the Table 1 latency and arms
-            // the flush.
-            let cpu = self.topo.spec(host).cpu;
-            let la = self.host(host).kernel.load_avg();
-            let base = self.latency.kernel_msg(cpu, la, msg.event.wire_size());
-            let jf = self.latency.jitter_fraction;
-            let delay = self.rng.jitter(base, jf);
-            self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format!(
-                    "event {} pid {pid} -> lpm {tracer} ({} bytes, {delay})",
-                    msg.event.kind(),
-                    msg.event.wire_size()
-                ),
-            );
-            self.pending_kernel.entry(key).or_default().push(msg);
-            self.engine
-                .schedule(delay, SimEvent::KernelFlush { to: key });
-        } else {
-            // A flush toward this LPM is already in flight: coalesce into
-            // the same batch frame, one delivery for the burst.
-            self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format!(
-                    "event {} pid {pid} -> lpm {tracer} ({} bytes, batched)",
-                    msg.event.kind(),
-                    msg.event.wire_size()
-                ),
-            );
-            self.pending_kernel.entry(key).or_default().push(msg);
-        }
-    }
-
-    /// Posts a signal from `from_uid` to a process (local or remote host —
-    /// the kernel side; permission is checked here).
+    /// Posts a signal from `from_uid` to a process (local or remote host);
+    /// the kernel checks permission, delivery follows after the signal
+    /// latency.
     pub(crate) fn post_signal(
         &mut self,
         from_uid: Uid,
@@ -536,10 +462,7 @@ impl WorldCore {
         if !self.host_up(target.0) {
             return Err(SysError::HostDown);
         }
-        let p = self.host(target.0).kernel.live(target.1)?;
-        if p.uid != from_uid && !from_uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
+        self.kernel(target.0).may_signal(from_uid, target.1)?;
         let delay = self.config.signal_latency;
         let jf = self.config.cost_jitter;
         let delay = self.rng.jitter(delay, jf);
@@ -556,13 +479,7 @@ impl WorldCore {
         if !self.host_up(host) {
             return Err(SysError::HostDown);
         }
-        if self.host(host).listeners.contains_key(&port) {
-            return Err(SysError::PortInUse);
-        }
-        self.host_mut(host).listeners.insert(port, pid);
-        if let Ok(p) = self.host_mut(host).kernel.live_mut(pid) {
-            p.fds.alloc(FdKind::Listener { port });
-        }
+        self.kernel_mut(host).bind(pid, port)?;
         self.tracef(
             Some(host),
             TraceCategory::Net,
@@ -610,8 +527,8 @@ impl WorldCore {
                 Ok(id)
             }
             RouteState::Hops(hops) => {
-                let server_pid = match self.host(target).listeners.get(&port) {
-                    Some(&pid) => pid,
+                let server_pid = match self.kernel(target).listener(port) {
+                    Some(pid) => pid,
                     None => {
                         // RST: refused after one round trip.
                         let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
@@ -632,9 +549,8 @@ impl WorldCore {
                 };
                 let c = Connection::new(id, from, (target, server_pid), port, now);
                 self.conns.insert(id, c);
-                if let Ok(p) = self.host_mut(from.0).kernel.live_mut(from.1) {
-                    p.fds.alloc(FdKind::Socket { conn: id });
-                }
+                self.kernel_mut(from.0)
+                    .alloc_fd(from.1, FdKind::Socket { conn: id });
                 let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
                 self.engine
                     .schedule(rtt, SimEvent::ConnEstablish { conn: id });
@@ -713,21 +629,7 @@ impl WorldCore {
             ConnState::Established => {}
         }
         let len = data.len();
-        // Sender-side accounting and tracing.
-        {
-            let k = &mut self.host_mut(from.0).kernel;
-            if let Ok(p) = k.live_mut(from.1) {
-                p.rusage.msgs_sent += 1;
-                p.rusage.bytes_sent += len as u64;
-            }
-        }
-        self.emit_kernel_event(
-            from.0,
-            KernelEvent::MsgSent {
-                pid: from.1,
-                bytes: len,
-            },
-        );
+        self.kernel_call(from.0, |k, now, fx| k.account_sent(from.1, len, now, fx));
         let reach = self.route_state(from.0, peer.0);
         let hops = match reach {
             RouteState::Hops(h) => h,
@@ -879,6 +781,14 @@ impl WorldCore {
         Ok(())
     }
 
+    /// The open connections `touching` selects, in id order.
+    fn open_conns(&self, touching: impl Fn(&Connection) -> bool) -> Vec<ConnId> {
+        let open = self.conns.values().filter(|c| c.state != ConnState::Closed);
+        let mut ids: Vec<ConnId> = open.filter(|c| touching(c)).map(|c| c.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Marks a connection closed and schedules a close notification to the
     /// peer of `dead_end`'s counterpart (used on process exit).
     fn break_conn(&mut self, conn: ConnId, dead_end: ProcKey) {
@@ -961,30 +871,6 @@ impl WorldCore {
             None => RouteState::Unreachable,
         }
     }
-
-    pub(crate) fn take_pending_programs(&mut self) -> Vec<(ProcKey, Box<dyn Program>)> {
-        std::mem::take(&mut self.pending_programs)
-    }
-
-    // ---- stable storage -------------------------------------------------
-
-    pub(crate) fn stable_put(&mut self, host: HostId, key: String, value: Bytes) {
-        self.host_mut(host).stable.insert(key, value);
-    }
-
-    pub(crate) fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.host(host).stable.get(key).cloned()
-    }
-
-    pub(crate) fn stable_del(&mut self, host: HostId, key: &str) {
-        self.host_mut(host).stable.remove(key);
-    }
-
-    /// Reads a host's stable-storage record (the facade's inspection
-    /// channel; see [`ppm_runtime::rt::Runtime::stable_get`]).
-    pub fn stable_get_pub(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.stable_get(host, key)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -994,12 +880,10 @@ enum RouteState {
     Unreachable,
 }
 
-/// The complete simulation: [`WorldCore`] plus the program objects.
+/// The complete simulation: [`WorldCore`] plus the event loop that
+/// dispatches its queue to the programs.
 pub struct World {
     core: WorldCore,
-    programs: HashMap<ProcKey, Box<dyn Program>>,
-    /// Events deferred because their target process was stopped.
-    deferred: HashMap<ProcKey, Vec<SimEvent>>,
 }
 
 impl fmt::Debug for World {
@@ -1007,7 +891,7 @@ impl fmt::Debug for World {
         f.debug_struct("World")
             .field("now", &self.core.now())
             .field("hosts", &self.core.hosts.len())
-            .field("programs", &self.programs.len())
+            .field("programs", &self.core.programs.len())
             .field("connections", &self.core.conns.len())
             .field("pending_events", &self.core.engine.pending())
             .finish()
@@ -1031,11 +915,12 @@ impl World {
                 trace: TraceLog::new(),
                 config,
                 hosts: Vec::new(),
+                fx: Effects::new(),
                 conns: HashMap::new(),
                 next_conn: 1,
                 services: HashMap::new(),
-                pending_programs: Vec::new(),
-                pending_kernel: HashMap::new(),
+                programs: HashMap::new(),
+                deferred: HashMap::new(),
                 obs: ObsHub::new(),
                 faults: None,
                 net: None,
@@ -1043,8 +928,6 @@ impl World {
                 net_epoch: 0,
                 seed,
             },
-            programs: HashMap::new(),
-            deferred: HashMap::new(),
         }
     }
 
@@ -1091,13 +974,7 @@ impl World {
     /// Adds a host running the standard daemons (inetd) and returns its id.
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
         let id = self.core.topo.add_host(spec);
-        self.core.hosts.push(HostState {
-            kernel: Kernel::new(self.core.now()),
-            listeners: HashMap::new(),
-            services: HashMap::new(),
-            stable: HashMap::new(),
-            prev_services: Vec::new(),
-        });
+        self.core.hosts.push(Kernel::new(self.core.now()));
         self.boot_daemons(id);
         let tick = self.core.config.load_tick;
         self.core.engine.schedule(tick, SimEvent::LoadTick(id));
@@ -1110,7 +987,6 @@ impl World {
         self.core
             .spawn(host, Pid::INIT, Uid::ROOT, spec, Some(boot))
             .expect("host is up during boot");
-        self.drain_pending();
     }
 
     /// Adds an undirected link.
@@ -1169,9 +1045,7 @@ impl World {
     ///
     /// Returns [`SysError::HostDown`] if the host is down.
     pub fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        let pid = self.core.spawn(host, Pid::INIT, uid, spec, None)?;
-        self.drain_pending();
-        Ok(pid)
+        self.core.spawn(host, Pid::INIT, uid, spec, None)
     }
 
     /// Schedules a host crash at `delay` from now.
@@ -1328,14 +1202,9 @@ impl World {
         }
     }
 
-    fn drain_pending(&mut self) {
-        for (key, program) in self.core.take_pending_programs() {
-            self.programs.insert(key, program);
-        }
-    }
-
-    /// Invokes a program callback with syscall access, honouring busy and
-    /// stopped states, and reaping the program if its process died.
+    /// Invokes a program callback, honouring busy and stopped states:
+    /// a stopped process accumulates its events until continued, a busy
+    /// one sees them when its CPU burst ends.
     fn with_program(
         &mut self,
         key: ProcKey,
@@ -1345,76 +1214,46 @@ impl World {
         if !self.core.is_alive(key) {
             return;
         }
-        // Stopped processes accumulate events until continued.
-        let state = self.core.hosts[key.0 .0 as usize]
-            .kernel
-            .get(key.1)
-            .map(|p| (p.state, p.busy_until));
-        if let Some((state, busy_until)) = state {
-            if state == ProcState::Stopped {
-                if let Some(ev) = reschedule {
-                    self.deferred.entry(key).or_default().push(ev);
-                }
+        let p = self.core.kernel(key.0).get(key.1).expect("alive");
+        let (state, busy_until) = (p.state, p.busy_until);
+        if state == ProcState::Stopped {
+            if let Some(ev) = reschedule {
+                self.core.deferred.entry(key).or_default().push(ev);
+            }
+            return;
+        }
+        if busy_until > self.core.now() {
+            if let Some(ev) = reschedule {
+                self.core.engine.schedule_at(busy_until, ev);
                 return;
             }
-            if busy_until > self.core.now() {
-                if let Some(ev) = reschedule {
-                    self.core.engine.schedule_at(busy_until, ev);
-                    return;
-                }
-            }
         }
-        let Some(mut program) = self.programs.remove(&key) else {
-            return;
-        };
-        {
-            let mut sys = Sys::new(&mut self.core, key);
-            f(program.as_mut(), &mut sys);
-        }
-        if self.core.is_alive(key) {
-            self.programs.insert(key, program);
-        }
-        self.drain_pending();
-        self.reap_dead_programs();
+        self.run_program(key, f);
     }
 
-    fn reap_dead_programs(&mut self) {
-        // Cheap incremental reap: drop programs whose process is gone.
-        // (Programs are only removed here and in crash handling, so scan
-        // only when the map is small relative to the pending queue — in
-        // practice key-by-key removal below suffices.)
-        let dead: Vec<ProcKey> = self
-            .programs
-            .keys()
-            .filter(|k| !self.core.is_alive(**k))
-            .copied()
-            .collect();
-        let mut dead = dead;
-        dead.sort_unstable();
-        for k in dead {
-            self.programs.remove(&k);
-            self.deferred.remove(&k);
+    /// Runs `f` on the program of `key` (if it has one) with syscall
+    /// access. The program sits outside the table meanwhile, and goes
+    /// back only if its process survived the callback.
+    fn run_program(&mut self, key: ProcKey, f: impl FnOnce(&mut dyn Program, &mut Sys<'_>)) {
+        let Some(mut program) = self.core.programs.remove(&key) else {
+            return;
+        };
+        f(program.as_mut(), &mut Sys::new(&mut self.core, key));
+        if self.core.is_alive(key) {
+            self.core.programs.insert(key, program);
         }
     }
 
     fn dispatch(&mut self, ev: SimEvent) {
         match ev {
             SimEvent::Start(key) => {
-                if !self.core.is_alive(key) {
-                    return;
+                if self.core.host_up(key.0)
+                    && self
+                        .core
+                        .kernel_call(key.0, |k, now, fx| k.start(key.1, now, fx))
+                {
+                    self.with_program(key, None, |p, sys| p.on_start(sys));
                 }
-                let (host, pid) = key;
-                let command = {
-                    let p = self.core.hosts[host.0 as usize]
-                        .kernel
-                        .get_mut(pid)
-                        .expect("alive");
-                    p.state = ProcState::Running;
-                    p.command.clone()
-                };
-                self.core
-                    .emit_kernel_event(host, KernelEvent::Exec { pid, command });
-                self.with_program(key, None, |p, sys| p.on_start(sys));
             }
             SimEvent::Timer(key, token) => {
                 let resched = SimEvent::Timer(key, token);
@@ -1460,9 +1299,7 @@ impl World {
                 });
             }
             SimEvent::KernelFlush { to } => {
-                let Some(msgs) = self.core.pending_kernel.remove(&to) else {
-                    return;
-                };
+                let msgs = self.core.kernel_mut(to.0).take_batch(to.1);
                 if msgs.is_empty() {
                     return;
                 }
@@ -1475,11 +1312,7 @@ impl World {
                         format!("flush {} coalesced event(s) -> lpm {}", msgs.len(), to.1),
                     );
                 }
-                let resched = SimEvent::KernelBatch {
-                    to,
-                    data: data.clone(),
-                };
-                self.with_program(to, Some(resched), |p, sys| p.on_kernel_batch(sys, data));
+                self.dispatch(SimEvent::KernelBatch { to, data });
             }
             SimEvent::KernelBatch { to, data } => {
                 let resched = SimEvent::KernelBatch {
@@ -1502,7 +1335,7 @@ impl World {
                 }
                 let now = self.core.now();
                 let alpha = self.core.config.load_alpha();
-                let k = &mut self.core.hosts[host.0 as usize].kernel;
+                let k = self.core.kernel_mut(host);
                 let runnable = k.runnable_count(now);
                 k.update_load(runnable, alpha);
                 let tick = self.core.config.load_tick;
@@ -1514,8 +1347,9 @@ impl World {
                 if !self.core.host_up(host) {
                     return;
                 }
-                let mut pids: Vec<Pid> = self.core.hosts[host.0 as usize]
-                    .kernel
+                let mut pids: Vec<Pid> = self
+                    .core
+                    .kernel(host)
                     .processes()
                     .filter(|p| p.is_alive() && p.command.starts_with(&prefix))
                     .map(|p| p.pid)
@@ -1568,11 +1402,10 @@ impl World {
         if state != ConnState::Connecting {
             return;
         }
-        // Re-validate: server process must still be alive and listening,
-        // and the route must still exist.
+        // Re-validate: the server must still be listening (its exit or its
+        // host's crash unpublishes the port) and the route must still exist.
         let still_listening = self.core.host_up(server.0)
-            && self.core.hosts[server.0 .0 as usize].listeners.get(&port) == Some(&server.1)
-            && self.core.is_alive(server);
+            && self.core.kernel(server.0).listener(port) == Some(server.1);
         let routed = self.core.topo.hops(client.0, server.0).is_some()
             && self
                 .core
@@ -1596,12 +1429,9 @@ impl World {
             c.state = ConnState::Established;
             c.stats.established_at = Some(now);
         }
-        if let Ok(p) = self.core.hosts[server.0 .0 as usize]
-            .kernel
-            .live_mut(server.1)
-        {
-            p.fds.alloc(FdKind::Socket { conn });
-        }
+        self.core
+            .kernel_mut(server.0)
+            .alloc_fd(server.1, FdKind::Socket { conn });
         self.core.tracef(
             Some(server.0),
             TraceCategory::Net,
@@ -1625,77 +1455,16 @@ impl World {
             return;
         }
         let (host, pid) = to;
-        {
-            let k = &mut self.core.hosts[host.0 as usize].kernel;
-            if let Ok(p) = k.live_mut(pid) {
-                p.rusage.signals_received += 1;
-            }
-        }
-        self.core
-            .emit_kernel_event(host, KernelEvent::SignalDelivered { pid, signal });
-        self.core.tracef(
-            Some(host),
-            TraceCategory::Kernel,
-            format!("{signal} delivered to pid {pid}"),
-        );
-        match signal {
-            Signal::Stop => {
-                let k = &mut self.core.hosts[host.0 as usize].kernel;
-                if let Ok(p) = k.live_mut(pid) {
-                    if p.state == ProcState::Running {
-                        p.state = ProcState::Stopped;
-                        self.core
-                            .emit_kernel_event(host, KernelEvent::Stopped { pid });
-                    }
-                }
-            }
-            Signal::Cont => {
-                let was_stopped = {
-                    let k = &mut self.core.hosts[host.0 as usize].kernel;
-                    match k.live_mut(pid) {
-                        Ok(p) if p.state == ProcState::Stopped => {
-                            p.state = ProcState::Running;
-                            true
-                        }
-                        _ => false,
-                    }
-                };
-                if was_stopped {
-                    self.core
-                        .emit_kernel_event(host, KernelEvent::Continued { pid });
-                    if let Some(evs) = self.deferred.remove(&to) {
-                        for ev in evs {
-                            self.core.engine.schedule(SimDuration::ZERO, ev);
-                        }
-                    }
-                }
-            }
-            Signal::Kill => {
-                self.core.do_exit(to, ExitStatus::Signaled(Signal::Kill));
-                self.reap_dead_programs();
-            }
-            other => {
-                // Catchable: give the program a chance, else default.
-                let mut action = SigAction::Default;
-                if self.programs.contains_key(&to) {
-                    let mut taken = self.programs.remove(&to).expect("checked");
-                    {
-                        let mut sys = Sys::new(&mut self.core, to);
-                        action = taken.on_signal(&mut sys, other);
-                    }
-                    if self.core.is_alive(to) {
-                        self.programs.insert(to, taken);
-                    }
-                    self.drain_pending();
-                }
-                if action == SigAction::Default
-                    && other.is_fatal_by_default()
-                    && self.core.is_alive(to)
-                {
-                    self.core.do_exit(to, ExitStatus::Signaled(other));
-                }
-                self.reap_dead_programs();
-            }
+        let catchable = self
+            .core
+            .kernel_call(host, |k, now, fx| k.deliver_signal(pid, signal, now, fx));
+        if catchable {
+            // Give the program a chance, else default.
+            let mut action = SigAction::Default;
+            self.run_program(to, |p, sys| action = p.on_signal(sys, signal));
+            self.core.kernel_call(host, |k, now, fx| {
+                k.finish_signal(pid, signal, action, now, fx);
+            });
         }
     }
 
@@ -1712,15 +1481,7 @@ impl World {
             .tracef(Some(host), TraceCategory::Net, "host crashed".to_string());
         // Break all connections touching the host; survivors learn after
         // the detection interval.
-        let mut ids: Vec<ConnId> = self
-            .core
-            .conns
-            .values()
-            .filter(|c| c.state != ConnState::Closed && c.touches_host(host))
-            .map(|c| c.id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
+        for id in self.core.open_conns(|c| c.touches_host(host)) {
             let (client, server) = {
                 let c = &self.core.conns[&id];
                 (c.client, c.server)
@@ -1746,31 +1507,9 @@ impl World {
         // restart re-runs the services, and a respawned daemon can read
         // how long the host was dark.
         let now = self.core.now();
-        let hs = &mut self.core.hosts[host.0 as usize];
-        hs.stable.insert(
-            CRASHED_AT_KEY.to_string(),
-            Bytes::copy_from_slice(&now.as_micros().to_be_bytes()),
-        );
-        let mut names: Vec<String> = hs.services.keys().cloned().collect();
-        names.sort_unstable();
-        hs.prev_services = names;
-        hs.listeners.clear();
-        hs.services.clear();
-        self.reap_dead_programs_on(host);
-    }
-
-    fn reap_dead_programs_on(&mut self, host: HostId) {
-        let mut keys: Vec<ProcKey> = self
-            .programs
-            .keys()
-            .filter(|k| k.0 == host)
-            .copied()
-            .collect();
-        keys.sort_unstable();
-        for k in keys {
-            self.programs.remove(&k);
-            self.deferred.remove(&k);
-        }
+        self.core.kernel_mut(host).crash(now);
+        self.core.programs.retain(|k, _| k.0 != host);
+        self.core.deferred.retain(|k, _| k.0 != host);
     }
 
     fn handle_restart(&mut self, host: HostId) {
@@ -1783,27 +1522,19 @@ impl World {
         }
         self.core.net_epoch += 1;
         let now = self.core.now();
-        self.core.hosts[host.0 as usize].kernel.reboot(now);
+        let names = self.core.kernel_mut(host).reboot(now);
         self.core
             .tracef(Some(host), TraceCategory::Net, "host restarted".to_string());
         self.boot_daemons(host);
         // Re-run the services that were up at crash time (pmd comes back
         // without waiting for traffic), the way init replays /etc/rc.
-        let names = std::mem::take(&mut self.core.hosts[host.0 as usize].prev_services);
         for name in names {
             let _ = self.core.spawn_service(host, &name);
         }
-        self.drain_pending();
         let tick = self.core.config.load_tick;
         self.core.engine.schedule(tick, SimEvent::LoadTick(host));
     }
 }
-
-/// Stable-storage key under which a crash stamps the simulation time the
-/// host went dark (big-endian microseconds). Programs respawned after the
-/// restart read it to measure recovery time. (Canonically defined in the
-/// runtime layer; both backends write it on their crash paths.)
-pub use ppm_runtime::sys::CRASHED_AT_KEY;
 
 #[cfg(test)]
 mod tests {
@@ -1830,9 +1561,7 @@ mod tests {
             .map(|p| p.pid);
         assert!(inetd.is_some());
         // inetd listens on its well-known port
-        assert!(w.core().hosts[a.0 as usize]
-            .listeners
-            .contains_key(&Port::INETD));
+        assert!(w.core().kernel(a).listener(Port::INETD).is_some());
     }
 
     #[test]
@@ -1898,9 +1627,7 @@ mod tests {
         assert!(w.core().host_up(a));
         assert_eq!(w.core().kernel(a).boot_count(), 2);
         // inetd is back
-        assert!(w.core().hosts[a.0 as usize]
-            .listeners
-            .contains_key(&Port::INETD));
+        assert!(w.core().kernel(a).listener(Port::INETD).is_some());
     }
 
     #[test]

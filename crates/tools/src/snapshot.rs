@@ -72,6 +72,21 @@ pub fn render(records: Vec<ProcRecord>, title: &str) -> String {
     out
 }
 
+/// Renders a snapshot like [`render`]; a partial sweep (`missing` names
+/// the hosts that sent no slice) gets a warning footer, so an incomplete
+/// forest is never mistaken for the whole computation.
+pub fn render_partial(records: Vec<ProcRecord>, title: &str, missing: &[String]) -> String {
+    let mut out = render(records, title);
+    if !missing.is_empty() {
+        let _ = writeln!(
+            out,
+            "! partial result: no answer from {}",
+            missing.join(", ")
+        );
+    }
+    out
+}
+
 /// The interactive snapshot tool: display plus the four control verbs.
 #[derive(Debug)]
 pub struct SnapshotTool<'a> {
@@ -100,15 +115,7 @@ impl<'a> SnapshotTool<'a> {
     pub fn show(&mut self, dest: &str) -> Result<String, HarnessError> {
         let (records, missing) = self.ppm.snapshot_partial(&self.from_host, self.uid, dest)?;
         let title = format!("PPM snapshot of {dest} for {}", self.uid);
-        let mut out = render(records, &title);
-        if !missing.is_empty() {
-            let _ = writeln!(
-                out,
-                "! partial result: no answer from {}",
-                missing.join(", ")
-            );
-        }
-        Ok(out)
+        Ok(render_partial(records, &title, &missing))
     }
 
     /// Stops a process.

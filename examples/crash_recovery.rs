@@ -9,9 +9,9 @@
 use ppm::core::config::PpmConfig;
 use ppm::harness::harness::PpmHarness;
 use ppm::proto::msg::Reply;
+use ppm::runtime::trace::TraceCategory;
 use ppm::simnet::time::SimDuration;
 use ppm::simnet::topology::CpuClass;
-use ppm::simnet::trace::TraceCategory;
 use ppm::simos::ids::Uid;
 
 fn ccs_view(ppm: &mut PpmHarness, host: &str, user: Uid) -> (String, u64) {

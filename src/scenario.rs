@@ -658,11 +658,12 @@ pub fn execute_with(
                     .map_err(|e| lift(e, line))?;
             }
             Action::Snapshot { from, uid, dest } => {
-                let procs = ppm
-                    .snapshot(&from, Uid(uid), &dest)
+                let (procs, missing) = ppm
+                    .snapshot_partial(&from, Uid(uid), &dest)
                     .map_err(|e| lift(e, line))?;
                 let title = format!("snapshot of {dest}");
-                let _ = writeln!(out, "{}", ppm_tools::snapshot::render(procs, &title));
+                let text = ppm_tools::snapshot::render_partial(procs, &title, &missing);
+                let _ = writeln!(out, "{text}");
             }
             Action::Dashboard { from, uid } => {
                 let text = ppm_tools::display::dashboard(&mut ppm, &from, Uid(uid))

@@ -45,3 +45,24 @@ fn every_shipped_scenario_parses() {
     }
     assert!(seen >= 2, "shipped scenarios present");
 }
+
+/// A `*` snapshot that lost hosts must say so: the generated chain
+/// answers in full at 24 hosts but times out past its far end at 30, and
+/// the scenario output carries the same footer the snapshot tool prints.
+#[test]
+fn chain_snapshot_names_missing_hosts_only_when_partial() {
+    let run = |hosts| {
+        let sc = ppm::scenario::parse(&ppm::scenario::chain_scenario(hosts)).expect("parses");
+        let mut out = String::new();
+        ppm::scenario::execute(&sc, &mut out).expect("chain executes");
+        out
+    };
+    let partial = run(30);
+    assert!(
+        partial.contains("! partial result: no answer from "),
+        "{partial}"
+    );
+    let full = run(24);
+    assert!(!full.contains("! partial result"), "{full}");
+    assert!(full.contains("24 process(es)"), "{full}");
+}
