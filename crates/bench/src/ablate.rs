@@ -132,7 +132,7 @@ pub fn route_learning(enabled: bool, seed: u64) -> RouteLearning {
     let _ = ppm.snapshot("root", USER, "*").expect("snapshot");
     ppm.run_for(SimDuration::from_secs(25));
 
-    let mark = ppm.world().core().trace().entries().len();
+    let mark = ppm.world().core().trace().len();
     let outcome = ppm
         .run_tool(
             "root",
@@ -149,8 +149,12 @@ pub fn route_learning(enabled: bool, seed: u64) -> RouteLearning {
         .expect("tool");
     let control_ms = outcome.elapsed(0).expect("reply").as_millis_f64();
     let root_id = ppm.host("root").expect("host");
-    let new_channel_built = ppm.world().core().trace().entries()[mark..]
-        .iter()
+    let new_channel_built = ppm
+        .world()
+        .core()
+        .trace()
+        .entries()
+        .skip(mark)
         .any(|e| e.host == Some(root_id) && e.text.contains("connecting to b:1 "));
     RouteLearning {
         control_ms,
@@ -275,7 +279,7 @@ pub fn bcast_window(window: SimDuration, seed: u64) -> BcastWindow {
     }
     ppm.run_for(SimDuration::from_secs(25));
 
-    let mark = ppm.world().core().trace().entries().len();
+    let mark = ppm.world().core().trace().len();
     let outcome = ppm
         .run_tool(
             "r",
@@ -288,17 +292,12 @@ pub fn bcast_window(window: SimDuration, seed: u64) -> BcastWindow {
     // Settle long enough for a too-short window to purge the wave's stamps
     // but well inside the healthy (60 s) retention.
     ppm.run_for(SimDuration::from_secs(5));
-    let entries = &ppm.world().core().trace().entries()[mark..];
-    let suppressed = entries
-        .iter()
+    let entries = || ppm.world().core().trace().entries().skip(mark);
+    let suppressed = entries()
         .filter(|e| e.text.starts_with("suppress duplicate"))
         .count();
-    let processings = entries
-        .iter()
-        .filter(|e| e.text.starts_with("receive "))
-        .count();
-    let stamps_purged = entries
-        .iter()
+    let processings = entries().filter(|e| e.text.starts_with("receive ")).count();
+    let stamps_purged = entries()
         .filter_map(|e| e.text.strip_prefix("stamp window purge "))
         .filter_map(|n| n.parse::<usize>().ok())
         .sum();

@@ -411,7 +411,7 @@ impl LpmChannel {
                         self.created = created;
                         sys.trace(
                             TraceCategory::Daemon,
-                            format!(
+                            format_args!(
                                 "locator: pmd returned accept address :{port} (created={created})"
                             ),
                         );

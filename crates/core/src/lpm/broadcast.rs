@@ -106,7 +106,7 @@ impl Lpm {
         }
         sys.trace(
             TraceCategory::Broadcast,
-            format!(
+            format_args!(
                 "originate {}#{} ({}) targets {:?}",
                 key.0,
                 key.1,
@@ -197,7 +197,7 @@ impl Lpm {
         if !stamp.verify(self.auth.stamp_secret()) {
             self.note(
                 sys,
-                format!("broadcast with bad stamp from {from_host}; ignored"),
+                format_args!("broadcast with bad stamp from {from_host}; ignored"),
             );
             return;
         }
@@ -208,7 +208,7 @@ impl Lpm {
             self.stats.bcasts_suppressed += 1;
             sys.trace(
                 TraceCategory::Broadcast,
-                format!("suppress duplicate {}#{} from {from_host}", key.0, key.1),
+                format_args!("suppress duplicate {}#{} from {from_host}", key.0, key.1),
             );
             // A wire-duplicated wave on the upstream connection of a wave
             // still in progress needs no answer: the real aggregate is
@@ -273,7 +273,7 @@ impl Lpm {
         }
         sys.trace(
             TraceCategory::Broadcast,
-            format!(
+            format_args!(
                 "receive {}#{} from {from_host}, forward to {:?}",
                 key.0, key.1, self.bcasts[&key].forward_targets
             ),
@@ -310,7 +310,7 @@ impl Lpm {
         let targets = b.forward_targets.clone();
         sys.trace(
             TraceCategory::Broadcast,
-            format!("forward {}#{} -> {targets:?}", key.0, key.1),
+            format_args!("forward {}#{} -> {targets:?}", key.0, key.1),
         );
         // The wave body is identical for every sibling: encode the message
         // once and fan out cheap shared-buffer clones of the bytes.
@@ -345,7 +345,7 @@ impl Lpm {
         b.local_done = true;
         sys.trace(
             TraceCategory::Broadcast,
-            format!("local slice done {}#{}", key.0, key.1),
+            format_args!("local slice done {}#{}", key.0, key.1),
         );
         let b = self.bcasts.get_mut(key).expect("checked");
         match b.upstream {
@@ -379,7 +379,7 @@ impl Lpm {
         let key = stamp.key();
         sys.trace(
             TraceCategory::Broadcast,
-            format!(
+            format_args!(
                 "part from {resp_host} for {}#{} (route {route})",
                 key.0, key.1
             ),
@@ -421,7 +421,7 @@ impl Lpm {
         };
         sys.trace(
             TraceCategory::Broadcast,
-            format!(
+            format_args!(
                 "aggregate from {from_host} for {}#{} ({} missing)",
                 key.0,
                 key.1,
@@ -436,7 +436,7 @@ impl Lpm {
                 let decoded: Vec<BcastPart> = match decode_batch(&parts) {
                     Ok(ps) => ps,
                     Err(e) => {
-                        self.note(sys, format!("bad aggregate from {from_host}: {e}"));
+                        self.note(sys, format_args!("bad aggregate from {from_host}: {e}"));
                         Vec::new()
                     }
                 };
@@ -555,7 +555,7 @@ impl Lpm {
             b.timeout_token = None;
             self.note(
                 sys,
-                format!(
+                format_args!(
                     "broadcast {}#{} timed out waiting for {stragglers:?}",
                     key.0, key.1
                 ),
@@ -604,7 +604,7 @@ impl Lpm {
             self.release_handler(sys, b.forward_handler);
             sys.trace(
                 TraceCategory::Broadcast,
-                format!(
+                format_args!(
                     "finalize {}#{} with {} parts ({} missing)",
                     key.0,
                     key.1,

@@ -51,7 +51,7 @@ impl Lpm {
             self.stats.auth_failures += 1;
             self.note(
                 sys,
-                format!("hello from {host} rejected (user {user}): bad proof"),
+                format_args!("hello from {host} rejected (user {user}): bad proof"),
             );
             let nak = Msg::HelloAck {
                 host: self.host.clone(),
@@ -75,7 +75,7 @@ impl Lpm {
             self.siblings.entry(host.clone()).or_insert(conn);
             sys.trace(
                 TraceCategory::Lpm,
-                format!("sibling channel accepted from {host}"),
+                format_args!("sibling channel accepted from {host}"),
             );
         }
         let ack = Msg::HelloAck {
@@ -223,7 +223,7 @@ impl Lpm {
                 self.consider_ccs(sys, &peer_ccs, peer_epoch);
                 self.note(
                     sys,
-                    format!("sibling channel to {host} ready (created={created})"),
+                    format_args!("sibling channel to {host} ready (created={created})"),
                 );
                 self.recovered_contact(sys);
                 self.maybe_pull_forest(sys, conn);
@@ -232,7 +232,7 @@ impl Lpm {
             }
             ChanProgress::Failed(err) => {
                 let slot = self.channels.remove(host);
-                self.note(sys, format!("channel to {host} failed: {err}"));
+                self.note(sys, format_args!("channel to {host} failed: {err}"));
                 self.fail_outbox(sys, host, err);
                 if let Some(slot) = slot {
                     self.channel_purpose_done(sys, host, slot.purpose, false);
@@ -287,7 +287,7 @@ impl Lpm {
                 if self.siblings.get(host) == Some(&conn) {
                     self.siblings.remove(host);
                 }
-                self.note(sys, format!("sibling channel to {host} lost"));
+                self.note(sys, format_args!("sibling channel to {host} lost"));
                 // Directed requests sent on this connection hit the retry
                 // machinery: origin-side requests with budget left re-send
                 // under the same correlation id; relays fail upstream.
@@ -312,7 +312,10 @@ impl Lpm {
                 // incarnation, whose retries must still deduplicate.
                 let evicted = self.route_cache.evict_via(host);
                 if evicted > 0 {
-                    self.note(sys, format!("peer {host} down: evicted {evicted} route(s)"));
+                    self.note(
+                        sys,
+                        format_args!("peer {host} down: evicted {evicted} route(s)"),
+                    );
                 }
                 self.on_sibling_lost(sys, host);
             }

@@ -31,6 +31,7 @@ mod recovery;
 mod requests;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -430,11 +431,12 @@ impl Lpm {
         }
     }
 
-    pub(crate) fn note(&mut self, sys: &mut dyn Sys, text: String) {
+    /// `&self`, so the arguments may borrow the LPM's own fields.
+    pub(crate) fn note(&self, sys: &mut dyn Sys, text: fmt::Arguments<'_>) {
         sys.trace(TraceCategory::Lpm, text);
     }
 
-    pub(crate) fn note_recovery(&mut self, sys: &mut dyn Sys, text: String) {
+    pub(crate) fn note_recovery(&self, sys: &mut dyn Sys, text: fmt::Arguments<'_>) {
         sys.trace(TraceCategory::Recovery, text);
     }
 
@@ -450,7 +452,7 @@ impl Lpm {
             // that wave or request would be reprocessed from scratch.
             sys.trace(
                 TraceCategory::Broadcast,
-                format!("stamp window purge {purged}"),
+                format_args!("stamp window purge {purged}"),
             );
         }
         let retention = self.cfg.dead_retention;
@@ -480,7 +482,7 @@ impl Lpm {
                 self.ttl_deadline = Some(now + ttl);
             }
             Some(deadline) if now >= deadline => {
-                self.note(sys, "time-to-live expired; LPM exiting".to_string());
+                self.note(sys, format_args!("time-to-live expired; LPM exiting"));
                 self.shutdown(sys, 0);
             }
             Some(_) => {}
@@ -509,7 +511,7 @@ impl Program for Lpm {
             // Section 5) and spawned a duplicate; the duplicate yields.
             sys.trace(
                 TraceCategory::Lpm,
-                format!(
+                format_args!(
                     "duplicate LPM for {} on {}; exiting",
                     self.auth.uid(),
                     self.host
@@ -546,7 +548,7 @@ impl Program for Lpm {
         self.arm(sys, interval, TimerKind::Housekeeping);
         self.note(
             sys,
-            format!(
+            format_args!(
                 "LPM up for {} on {} (accept {}, ccs {})",
                 self.auth.uid(),
                 self.host,
@@ -590,7 +592,7 @@ impl Program for Lpm {
             return;
         }
         let Ok(msg) = Msg::from_bytes(&data) else {
-            self.note(sys, format!("undecodable message on {conn}; dropping"));
+            self.note(sys, format_args!("undecodable message on {conn}; dropping"));
             if self.conns.get(&conn) == Some(&ConnRole::AwaitHello) {
                 // Protocol violation before authentication: hang up.
                 self.conns.remove(&conn);

@@ -43,7 +43,7 @@ impl Lpm {
         if adopt {
             self.ccs = ccs.to_string();
             self.epoch = epoch;
-            self.note_recovery(sys, format!("adopted CCS {ccs} (epoch {epoch})"));
+            self.note_recovery(sys, format_args!("adopted CCS {ccs} (epoch {epoch})"));
             self.after_ccs_change(sys);
         }
     }
@@ -104,7 +104,7 @@ impl Lpm {
             return; // already walking the list
         }
         if host == self.ccs {
-            self.note_recovery(sys, format!("lost contact with CCS {host}; seeking"));
+            self.note_recovery(sys, format_args!("lost contact with CCS {host}; seeking"));
             self.start_seek(sys);
         } else if self.ccs != self.host && !self.siblings.contains_key(&self.ccs) {
             // Re-establish contact with the CCS on any failure.
@@ -211,7 +211,7 @@ impl Lpm {
                     if changed {
                         self.note_recovery(
                             sys,
-                            format!("name server assigned CCS {ccs} (epoch {epoch})"),
+                            format_args!("name server assigned CCS {ccs} (epoch {epoch})"),
                         );
                         self.announce_ccs(sys);
                     }
@@ -231,7 +231,7 @@ impl Lpm {
             }
             PmdProgress::Failed(err) => {
                 self.ns_query = None;
-                self.note_recovery(sys, format!("name server unreachable: {err}"));
+                self.note_recovery(sys, format_args!("name server unreachable: {err}"));
                 self.enter_orphanhood(sys);
             }
         }
@@ -275,7 +275,7 @@ impl Lpm {
         self.orphan_deadline = None;
         self.note_recovery(
             sys,
-            format!("recovered: CCS is {candidate} (epoch {})", self.epoch),
+            format_args!("recovered: CCS is {candidate} (epoch {})", self.epoch),
         );
         self.announce_ccs(sys);
         self.maybe_arm_probe(sys);
@@ -288,7 +288,7 @@ impl Lpm {
         self.ccs = self.host.clone();
         self.recov = RecovMode::Normal;
         self.orphan_deadline = None;
-        self.note_recovery(sys, format!("acting as CCS (epoch {})", self.epoch));
+        self.note_recovery(sys, format_args!("acting as CCS (epoch {})", self.epoch));
         self.announce_ccs(sys);
         self.maybe_arm_probe(sys);
     }
@@ -339,7 +339,7 @@ impl Lpm {
                 self.obs.with(|r| r.inc(self.obs.orphan_entries));
                 self.note_recovery(
                     sys,
-                    format!("no recovery host reachable; time-to-die at {deadline}"),
+                    format_args!("no recovery host reachable; time-to-die at {deadline}"),
                 );
                 deadline
             }
@@ -363,7 +363,7 @@ impl Lpm {
             self.recov = RecovMode::Normal;
             self.note_recovery(
                 sys,
-                "contact re-established; normal operation resumed".to_string(),
+                format_args!("contact re-established; normal operation resumed"),
             );
         }
         self.orphan_deadline = None;
@@ -394,7 +394,7 @@ impl Lpm {
         }
         self.note_recovery(
             sys,
-            "time-to-die expired: terminating local processes and exiting".to_string(),
+            format_args!("time-to-die expired: terminating local processes and exiting"),
         );
         // "the appropriate action is to close down all the activities."
         let snapshot = self.tree.snapshot();
@@ -554,7 +554,7 @@ impl Lpm {
         self.rebuilding = readopted > 0;
         self.note_recovery(
             sys,
-            format!("respawned LPM re-adopted {readopted} survivor(s), mttr {mttr}"),
+            format_args!("respawned LPM re-adopted {readopted} survivor(s), mttr {mttr}"),
         );
         if readopted > 0 {
             self.history.record(
@@ -633,7 +633,7 @@ impl Lpm {
         if purged > 0 {
             self.note_recovery(
                 sys,
-                format!("peer {from} restarted: purged {purged} dedup entries"),
+                format_args!("peer {from} restarted: purged {purged} dedup entries"),
             );
         }
         let edges: Vec<(u32, Gpid)> = match self.remote_children.get(from) {
@@ -648,7 +648,7 @@ impl Lpm {
         }
         self.note_recovery(
             sys,
-            format!("forest gossip: sending {} edge(s) to {from}", edges.len()),
+            format_args!("forest gossip: sending {} edge(s) to {from}", edges.len()),
         );
         let msg = Msg::ForestInfo {
             user: self.auth.uid().0,
@@ -683,7 +683,7 @@ impl Lpm {
         if applied > 0 {
             self.note_recovery(
                 sys,
-                format!("forest gossip restored {applied} logical edge(s)"),
+                format_args!("forest gossip restored {applied} logical edge(s)"),
             );
         }
         // If the gossip explained every failure root, the rebuild is
@@ -693,7 +693,7 @@ impl Lpm {
         // checker's `no-orphans` counterexample.
         if self.rebuilding && self.failure_roots().is_empty() {
             self.rebuilding = false;
-            self.note_recovery(sys, "forest rebuild complete".to_string());
+            self.note_recovery(sys, format_args!("forest rebuild complete"));
         }
     }
 }

@@ -104,7 +104,7 @@ impl Lpm {
             other => {
                 self.note(
                     sys,
-                    format!("unexpected {} from tool; ignoring", other.kind()),
+                    format_args!("unexpected {} from tool; ignoring", other.kind()),
                 );
             }
         }
@@ -195,7 +195,7 @@ impl Lpm {
             other => {
                 self.note(
                     sys,
-                    format!("unexpected {} from sibling {host}", other.kind()),
+                    format_args!("unexpected {} from sibling {host}", other.kind()),
                 );
             }
         }
@@ -248,7 +248,7 @@ impl Lpm {
                     self.obs.with(|r| r.inc(self.obs.dups_suppressed));
                     self.note(
                         sys,
-                        format!(
+                        format_args!(
                             "duplicate request {} suppressed (in flight)",
                             fmt_key(&corr)
                         ),
@@ -264,7 +264,7 @@ impl Lpm {
                 self.obs.with(|r| r.inc(self.obs.dups_suppressed));
                 self.note(
                     sys,
-                    format!("replaying cached reply for {}", fmt_key(&corr)),
+                    format_args!("replaying cached reply for {}", fmt_key(&corr)),
                 );
                 // Replay with the cached route: the original responder's
                 // full path, so the origin still learns it from a retry.
@@ -281,7 +281,7 @@ impl Lpm {
                 self.obs.with(|r| r.inc(self.obs.dups_suppressed));
                 self.note(
                     sys,
-                    format!(
+                    format_args!(
                         "refusing {} from dead incarnation (boot {boot})",
                         fmt_key(&corr)
                     ),
@@ -575,7 +575,7 @@ impl Lpm {
                 if evicted > 0 {
                     self.note(
                         sys,
-                        format!("reachability changed; {evicted} cached route(s) evicted"),
+                        format_args!("reachability changed; {evicted} cached route(s) evicted"),
                     );
                 }
             }
@@ -593,7 +593,7 @@ impl Lpm {
                     }
                     let next = next.to_string();
                     self.route_cache.evict_via(&next);
-                    self.note(sys, format!("route via {next} is dead; evicted"));
+                    self.note(sys, format_args!("route via {next} is dead; evicted"));
                 }
             }
         }
@@ -752,7 +752,7 @@ impl Lpm {
         };
         self.note(
             sys,
-            format!("request {key} retry attempt {attempt} in {delay} ({why})"),
+            format_args!("request {key} retry attempt {attempt} in {delay} ({why})"),
         );
         self.arm(sys, delay, TimerKind::ReqRetry(id));
     }

@@ -141,7 +141,7 @@ impl Pmd {
         if !self.registry.is_empty() {
             sys.trace(
                 TraceCategory::Daemon,
-                format!(
+                format_args!(
                     "pmd: restored {} LPM registrations from stable storage",
                     self.registry.len()
                 ),
@@ -201,7 +201,7 @@ impl Pmd {
             let epoch = self.ccs_registry.get(&user).map(|(_, e)| *e).unwrap_or(0) + 1;
             sys.trace(
                 TraceCategory::Daemon,
-                format!("pmd(ns): CCS for uid {user} -> {claimant} (epoch {epoch})"),
+                format_args!("pmd(ns): CCS for uid {user} -> {claimant} (epoch {epoch})"),
             );
             self.ccs_registry.insert(user, (claimant, epoch));
             self.persist_ccs(sys);
@@ -230,7 +230,7 @@ impl Pmd {
         self.persist(sys);
         sys.trace(
             TraceCategory::Daemon,
-            format!("pmd: created LPM pid {pid} for uid {user} (accept {port})"),
+            format_args!("pmd: created LPM pid {pid} for uid {user} (accept {port})"),
         );
         Some((port, true))
     }
@@ -248,7 +248,7 @@ impl Pmd {
         self.persist(sys);
         sys.trace(
             TraceCategory::Daemon,
-            format!("pmd: respawned LPM pid {pid} for uid {user} (accept {port})"),
+            format_args!("pmd: respawned LPM pid {pid} for uid {user} (accept {port})"),
         );
         Some(pid)
     }
@@ -320,7 +320,7 @@ impl Program for Pmd {
         }
         sys.trace(
             TraceCategory::Daemon,
-            format!("pmd: LPM pid {child} for uid {user} died ({status:?}); respawning"),
+            format_args!("pmd: LPM pid {child} for uid {user} died ({status:?}); respawning"),
         );
         let now = sys.now();
         self.respawn_lpm(sys, user, now);

@@ -1153,7 +1153,7 @@ impl Sys for McSys<'_> {
         self.w.host_names.clone()
     }
 
-    fn trace_str(&mut self, _category: TraceCategory, _text: String) {}
+    fn trace(&mut self, _category: TraceCategory, _text: std::fmt::Arguments<'_>) {}
 
     fn spans_enabled(&self) -> bool {
         false

@@ -471,7 +471,7 @@ impl NodeCore {
             // Stopped programs are not held back on real nodes.
             Effect::Signaled(..) | Effect::Resumed(_) => {}
             Effect::Exiting(pid, status) => {
-                self.trace(TraceCategory::Kernel, format!("pid {pid} {status}"));
+                self.trace(TraceCategory::Kernel, format_args!("pid {pid} {status}"));
             }
             Effect::Gone(pid, status, notify) => {
                 // Retire the acceptors of ports the kernel just unpublished:
@@ -510,7 +510,7 @@ impl NodeCore {
         }
         self.trace(
             TraceCategory::Kernel,
-            format!("fork+exec pid {pid} ({}) by {parent}", spec.command),
+            format_args!("fork+exec pid {pid} ({}) by {parent}", spec.command),
         );
         self.actions.push_back(Deferred::Start(pid));
         pid
@@ -532,7 +532,7 @@ impl NodeCore {
         id
     }
 
-    fn trace(&self, category: TraceCategory, text: String) {
+    fn trace(&self, category: TraceCategory, text: std::fmt::Arguments<'_>) {
         if self.cluster.trace_enabled {
             let at = self.now();
             eprintln!("[{at} {}] {category}: {text}", self.name);
@@ -654,7 +654,7 @@ impl Transport for RealSys<'_> {
         );
         self.node.trace(
             TraceCategory::Net,
-            format!("pid {} listening on {port} (tcp {real})", self.pid),
+            format_args!("pid {} listening on {port} (tcp {real})", self.pid),
         );
         Ok(())
     }
@@ -780,7 +780,7 @@ impl Spawner for RealSys<'_> {
         self.node.kernel.register_service(name, pid);
         self.node.trace(
             TraceCategory::Daemon,
-            format!("service {name} started as pid {pid} (port {port})"),
+            format_args!("service {name} started as pid {pid} (port {port})"),
         );
         Ok((pid, port))
     }
@@ -821,7 +821,7 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         hosts.iter().map(|(n, _)| n.clone()).collect()
     }
 
-    fn trace_str(&mut self, category: TraceCategory, text: String) {
+    fn trace(&mut self, category: TraceCategory, text: std::fmt::Arguments<'_>) {
         self.node.trace(category, text);
     }
 

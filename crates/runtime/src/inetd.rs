@@ -72,7 +72,7 @@ impl Program for Inetd {
             Ok((pid, port)) => {
                 sys.trace(
                     TraceCategory::Daemon,
-                    format!("inetd: request for {service} -> pid {pid} port {port}"),
+                    format_args!("inetd: request for {service} -> pid {pid} port {port}"),
                 );
                 let Port(p) = port;
                 let [hi, lo] = p.to_be_bytes();

@@ -720,8 +720,11 @@ macro_rules! kernel_syscalls {
         ) -> Result<(), $crate::SysError> {
             let (tracer, uid) = ($crate::Sys::pid(self), $crate::Sys::uid(self));
             self.kernel_mut().adopt(target, tracer, uid, flags)?;
-            let note = format!("adopted pid {target} with flags {flags}");
-            $crate::Sys::trace_str(self, $crate::trace::TraceCategory::Lpm, note);
+            $crate::Sys::trace(
+                self,
+                $crate::trace::TraceCategory::Lpm,
+                format_args!("adopted pid {target} with flags {flags}"),
+            );
             Ok(())
         }
 

@@ -21,6 +21,8 @@
 //! * [`trace`], [`obs`], [`hashx`] — structured tracing, metrics/spans,
 //!   and deterministic hashing, shared so both backends record
 //!   comparable artifacts.
+//! * [`pages`] — paged append-only storage for the histories a world
+//!   keeps for life (trace headers, connection records).
 //! * [`inetd`], [`workload`] — backend-agnostic stock programs: the inet
 //!   daemon and the synthetic workloads.
 //!
@@ -35,6 +37,7 @@ pub mod ids;
 pub mod inetd;
 pub mod kernel;
 pub mod obs;
+pub mod pages;
 pub mod process;
 pub mod program;
 pub mod rt;

@@ -23,9 +23,12 @@
 //!
 //! The trait methods are deliberately monomorphic (`String`/[`Bytes`]
 //! parameters) so `dyn Sys` works. The generic conveniences programs
-//! actually call — `sys.trace(cat, format!(..))`, `sys.send(conn, msg)`,
-//! `sys.stable_put(key, value)` — are provided as inherent methods on
-//! `dyn Sys` itself, so call sites need no extra imports.
+//! actually call — `sys.send(conn, msg)`, `sys.stable_put(key, value)` —
+//! are provided as inherent methods on `dyn Sys` itself, so call sites
+//! need no extra imports. Tracing takes `format_args!(..)`: the text is
+//! formatted by the backend, into its log, only if it keeps one.
+
+use std::fmt;
 
 use bytes::Bytes;
 
@@ -200,9 +203,9 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// All host names in the network (the `/etc/hosts` view).
     fn known_hosts(&self) -> Vec<String>;
 
-    /// Records a trace entry attributed to this host. (Prefer the
-    /// inherent `trace` convenience, which accepts `impl Into<String>`.)
-    fn trace_str(&mut self, category: TraceCategory, text: String);
+    /// Records a trace entry attributed to this host. A backend whose
+    /// trace is off or absent returns without formatting `text`.
+    fn trace(&mut self, category: TraceCategory, text: fmt::Arguments<'_>);
 
     /// Whether span recording is enabled — callers guard on this before
     /// formatting correlation strings on hot paths.
@@ -313,11 +316,6 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
 /// Ergonomic generic wrappers over the monomorphic trait methods, as
 /// inherent methods on the trait object so call sites need no imports.
 impl dyn Sys + '_ {
-    /// Records a trace entry attributed to this host.
-    pub fn trace(&mut self, category: TraceCategory, text: impl Into<String>) {
-        self.trace_str(category, text.into());
-    }
-
     /// Records a correlation-stamped span event attributed to this host.
     pub fn span(&mut self, name: &'static str, corr: impl Into<String>, phase: SpanPhase) {
         self.span_str(name, corr.into(), phase);
@@ -436,8 +434,8 @@ mod tests {
             fn known_hosts(&self) -> Vec<String> {
                 vec!["mini".into()]
             }
-            fn trace_str(&mut self, category: TraceCategory, text: String) {
-                self.traces.push((category, text));
+            fn trace(&mut self, category: TraceCategory, text: fmt::Arguments<'_>) {
+                self.traces.push((category, text.to_string()));
             }
             fn spans_enabled(&self) -> bool {
                 false
@@ -496,7 +494,7 @@ mod tests {
         let mut mini = Mini::default();
         let sys: &mut dyn Sys = &mut mini;
         assert_eq!(sys.now(), Micros::from_millis(1));
-        sys.trace(TraceCategory::Tool, format!("n={}", 1));
+        sys.trace(TraceCategory::Tool, format_args!("n={}", 1));
         let conn = sys.connect(HostId(0), Port(9)).unwrap();
         sys.send(conn, Bytes::from_static(b"hi")).unwrap();
         sys.stable_put("k", Bytes::from_static(b"v"));

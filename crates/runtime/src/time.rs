@@ -12,7 +12,7 @@
 //! `SimTime` is the historical name of the instant type and remains as an
 //! alias; `SimDuration` is the matching span type.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant, measured in microseconds from the runtime's epoch (run
@@ -206,15 +206,39 @@ impl AddAssign<SimDuration> for SimDuration {
     }
 }
 
+/// Writes `us` as milliseconds with three decimals (`12.345ms`) from
+/// the integer, honouring the formatter's width, fill and alignment
+/// (left by default, like a string). Every trace line carries at least
+/// one of these, so no float formatting and no temporary `String`.
+fn fmt_millis(us: u64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let (ms, frac) = (us / 1_000, us % 1_000);
+    let len = ms.checked_ilog10().map_or(1, |d| d as usize + 1) + ".000ms".len();
+    let pad = f.width().map_or(0, |w| w.saturating_sub(len));
+    let before = match f.align() {
+        Some(fmt::Alignment::Right) => pad,
+        Some(fmt::Alignment::Center) => pad / 2,
+        Some(fmt::Alignment::Left) | None => 0,
+    };
+    let fill = f.fill();
+    for _ in 0..before {
+        f.write_char(fill)?;
+    }
+    write!(f, "{ms}.{frac:03}ms")?;
+    for _ in before..pad {
+        f.write_char(fill)?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for Micros {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}ms", self.as_millis_f64())
+        fmt_millis(self.0, f)
     }
 }
 
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}ms", self.as_millis_f64())
+        fmt_millis(self.0, f)
     }
 }
 
@@ -279,6 +303,30 @@ mod tests {
     fn display_formats_as_millis() {
         assert_eq!(Micros::from_micros(1_234).to_string(), "1.234ms");
         assert_eq!(SimDuration::from_millis(5).to_string(), "5.000ms");
+        assert_eq!(Micros::ZERO.to_string(), "0.000ms");
+    }
+
+    #[test]
+    fn display_honours_width_fill_and_alignment() {
+        let t = Micros::from_micros(7_001);
+        assert_eq!(format!("{t:>12}"), "     7.001ms");
+        assert_eq!(format!("{t:<9}|"), "7.001ms  |");
+        assert_eq!(format!("{t:*^10}"), "*7.001ms**");
+        assert_eq!(format!("{t:3}"), "7.001ms");
+        assert_eq!(format!("{:>9}", SimDuration::from_micros(12)), "  0.012ms");
+    }
+
+    #[test]
+    fn display_matches_the_float_rendering_it_replaced() {
+        // Up to a wall-clock epoch's worth of microseconds.
+        let samples = (0..60).flat_map(|bit| {
+            let base = 1u64 << bit;
+            [base - 1, base, base + 499, base + 500, base + 999]
+        });
+        for us in samples.filter(|us| *us < 1 << 52) {
+            let float = format!("{:.3}ms", us as f64 / 1_000.0);
+            assert_eq!(Micros::from_micros(us).to_string(), float, "us={us}");
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
             .collect()
     }
 
-    fn trace_str(&mut self, category: TraceCategory, text: String) {
+    fn trace(&mut self, category: TraceCategory, text: std::fmt::Arguments<'_>) {
         let host = self.key.0;
         self.core.tracef(Some(host), category, text);
     }

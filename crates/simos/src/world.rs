@@ -30,7 +30,7 @@ use crate::config::OsConfig;
 use crate::fd::FdKind;
 use crate::ids::{ConnId, Pid, Port, Uid};
 use crate::kernel::Kernel;
-use crate::net::{ConnState, Connection};
+use crate::net::{ConnState, ConnTable, Connection};
 use crate::obs::ObsHub;
 use crate::process::ProcState;
 use crate::program::{ConnEvent, ProcKey, Program, SigAction, SpawnSpec, SysError};
@@ -133,8 +133,7 @@ pub struct WorldCore {
     pub(crate) hosts: Vec<Kernel>,
     /// The kernels' effects sink, drained after every kernel call.
     fx: Effects,
-    pub(crate) conns: HashMap<ConnId, Connection>,
-    pub(crate) next_conn: u64,
+    pub(crate) conns: ConnTable,
     pub(crate) services: HashMap<String, ServiceEntry>,
     /// The behaviour of every live process that has one. A program is
     /// taken out for the duration of its own callback, so the callback's
@@ -257,19 +256,31 @@ impl WorldCore {
         &self.topo.spec(host).name
     }
 
-    /// All connections (for the IPC-statistics tool and tests).
+    /// All connections ever made, open and closed, in id order (for the
+    /// IPC-statistics tool and tests).
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        let mut ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().map(move |id| &self.conns[&id])
+        self.conns.iter()
     }
 
     /// One connection by id.
     pub fn connection(&self, id: ConnId) -> Option<&Connection> {
-        self.conns.get(&id)
+        self.conns.get(id)
     }
 
-    pub(crate) fn tracef(&mut self, host: Option<HostId>, cat: TraceCategory, text: String) {
+    /// The connection table, with its index of the open connections.
+    pub fn conn_table(&self) -> &ConnTable {
+        &self.conns
+    }
+
+    /// Records a trace entry at the current instant. `text` cannot
+    /// borrow `self` through a method while this runs; such sites
+    /// record through `self.trace` with the fields borrowed directly.
+    pub(crate) fn tracef(
+        &mut self,
+        host: Option<HostId>,
+        cat: TraceCategory,
+        text: fmt::Arguments<'_>,
+    ) {
         let now = self.engine.now();
         self.trace.record(now, host, cat, text);
     }
@@ -324,7 +335,7 @@ impl WorldCore {
                 first,
             } => {
                 self.obs.note_kernel_event();
-                let text = if first {
+                if first {
                     // First event of the wakeup pays the Table 1 latency
                     // and arms the flush; later ones coalesce into the
                     // same batch frame, one delivery for the burst.
@@ -335,16 +346,27 @@ impl WorldCore {
                     let delay = self.rng.jitter(base, self.latency.jitter_fraction);
                     let to = (host, tracer);
                     self.engine.schedule(delay, SimEvent::KernelFlush { to });
-                    format!("event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, {delay})")
+                    self.tracef(
+                        Some(host),
+                        TraceCategory::Kernel,
+                        format_args!(
+                            "event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, {delay})"
+                        ),
+                    );
                 } else {
-                    format!("event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, batched)")
-                };
-                self.tracef(Some(host), TraceCategory::Kernel, text);
+                    self.tracef(
+                        Some(host),
+                        TraceCategory::Kernel,
+                        format_args!(
+                            "event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, batched)"
+                        ),
+                    );
+                }
             }
             Effect::Signaled(pid, signal) => self.tracef(
                 Some(host),
                 TraceCategory::Kernel,
-                format!("{signal} delivered to pid {pid}"),
+                format_args!("{signal} delivered to pid {pid}"),
             ),
             Effect::Resumed(pid) => {
                 for ev in self.deferred.remove(&(host, pid)).unwrap_or_default() {
@@ -354,12 +376,13 @@ impl WorldCore {
             Effect::Exiting(pid, status) => self.tracef(
                 Some(host),
                 TraceCategory::Kernel,
-                format!("pid {pid} {status}"),
+                format_args!("pid {pid} {status}"),
             ),
             Effect::Gone(pid, status, notify) => {
                 self.programs.remove(&(host, pid));
                 self.deferred.remove(&(host, pid));
-                for id in self.open_conns(|c| c.touches_proc(host, pid)) {
+                let held: Vec<ConnId> = self.conns.held_by((host, pid)).collect();
+                for id in held {
                     self.break_conn(id, (host, pid));
                 }
                 if let Some(ppid) = notify {
@@ -408,7 +431,7 @@ impl WorldCore {
         self.tracef(
             Some(host),
             TraceCategory::Kernel,
-            format!(
+            format_args!(
                 "fork+exec pid {pid} ({}) by {parent}, ready in {cost}",
                 spec.command
             ),
@@ -437,7 +460,7 @@ impl WorldCore {
         self.tracef(
             Some(host),
             TraceCategory::Daemon,
-            format!("service {name} started as pid {pid} (port {port})"),
+            format_args!("service {name} started as pid {pid} (port {port})"),
         );
         Ok((pid, port))
     }
@@ -483,7 +506,7 @@ impl WorldCore {
         self.tracef(
             Some(host),
             TraceCategory::Net,
-            format!("pid {pid} listening on {port}"),
+            format_args!("pid {pid} listening on {port}"),
         );
         Ok(())
     }
@@ -498,8 +521,6 @@ impl WorldCore {
         if (target.0 as usize) >= self.hosts.len() {
             return Err(SysError::NoSuchHost);
         }
-        let id = ConnId(self.next_conn);
-        self.next_conn += 1;
         let now = self.now();
         let reach = self.route_state(from.0, target);
         match reach {
@@ -512,10 +533,8 @@ impl WorldCore {
                 };
                 let delay = self.config.connect_timeout;
                 // Connection record kept so a late close() is harmless.
-                let mut c = Connection::new(id, from, (target, Pid::INIT), port, now);
-                c.state = ConnState::Closed;
-                c.stats.closed_at = Some(now);
-                self.conns.insert(id, c);
+                let id = self.conns.open(from, (target, Pid::INIT), port, now);
+                self.conns.close(id, now);
                 self.engine.schedule(
                     delay,
                     SimEvent::ConnFailed {
@@ -532,10 +551,8 @@ impl WorldCore {
                     None => {
                         // RST: refused after one round trip.
                         let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
-                        let mut c = Connection::new(id, from, (target, Pid::INIT), port, now);
-                        c.state = ConnState::Closed;
-                        c.stats.closed_at = Some(now);
-                        self.conns.insert(id, c);
+                        let id = self.conns.open(from, (target, Pid::INIT), port, now);
+                        self.conns.close(id, now);
                         self.engine.schedule(
                             rtt,
                             SimEvent::ConnFailed {
@@ -547,20 +564,20 @@ impl WorldCore {
                         return Ok(id);
                     }
                 };
-                let c = Connection::new(id, from, (target, server_pid), port, now);
-                self.conns.insert(id, c);
+                let id = self.conns.open(from, (target, server_pid), port, now);
                 self.kernel_mut(from.0)
                     .alloc_fd(from.1, FdKind::Socket { conn: id });
                 let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
                 self.engine
                     .schedule(rtt, SimEvent::ConnEstablish { conn: id });
-                self.tracef(
+                self.trace.record(
+                    now,
                     Some(from.0),
                     TraceCategory::Net,
-                    format!(
+                    format_args!(
                         "pid {} connecting to {}{port} ({hops} hops, {id})",
                         from.1,
-                        self.host_name(target)
+                        self.topo.spec(target).name
                     ),
                 );
                 Ok(id)
@@ -599,7 +616,7 @@ impl WorldCore {
     /// after the detection interval — this is the send-time liveness
     /// check programs use to validate cached next-hops.
     pub(crate) fn conn_alive(&self, from: ProcKey, conn: ConnId) -> bool {
-        let Some(c) = self.conns.get(&conn) else {
+        let Some(c) = self.conns.get(conn) else {
             return false;
         };
         if !c.has_endpoint(from) || c.state != ConnState::Established {
@@ -618,7 +635,7 @@ impl WorldCore {
         conn: ConnId,
         data: Bytes,
     ) -> Result<(), SysError> {
-        let (peer, state) = match self.conns.get(&conn) {
+        let (peer, state) = match self.conns.get(conn) {
             Some(c) if c.has_endpoint(from) => (c.peer_of(from).expect("endpoint"), c.state),
             Some(_) => return Err(SysError::NotConnected),
             None => return Err(SysError::NotConnected),
@@ -645,7 +662,7 @@ impl WorldCore {
                 self.tracef(
                     Some(from.0),
                     TraceCategory::Net,
-                    format!("send on {conn} lost (peer unreachable); breakage pending"),
+                    format_args!("send on {conn} lost (peer unreachable); breakage pending"),
                 );
                 return Ok(());
             }
@@ -676,7 +693,7 @@ impl WorldCore {
                 self.tracef(
                     Some(from.0),
                     TraceCategory::Net,
-                    format!("net: message on {conn} dropped (lossy link)"),
+                    format_args!("net: message on {conn} dropped (lossy link)"),
                 );
                 return Ok(());
             }
@@ -713,12 +730,12 @@ impl WorldCore {
             self.tracef(
                 Some(from.0),
                 TraceCategory::Net,
-                format!("fault: message on {conn} dropped"),
+                format_args!("fault: message on {conn} dropped"),
             );
             return Ok(());
         }
         let delay = SimDuration::from_micros(delay.as_micros() + fate.extra.as_micros());
-        let c = self.conns.get_mut(&conn).expect("checked above");
+        let c = self.conns.get_mut(conn).expect("checked above");
         let dir = c.record_send(from, len);
         let mut arrival = self.engine.now() + delay;
         if arrival < c.next_arrival[dir] {
@@ -755,7 +772,7 @@ impl WorldCore {
     /// TCP FIN, the notification is ordered after data already in flight
     /// toward the peer.
     pub(crate) fn close(&mut self, from: ProcKey, conn: ConnId) -> Result<(), SysError> {
-        let (peer, state, dir_floor) = match self.conns.get(&conn) {
+        let (peer, state, dir_floor) = match self.conns.get(conn) {
             Some(c) if c.has_endpoint(from) => {
                 let peer = c.peer_of(from).expect("endpoint");
                 let dir = if peer == c.server { 1 } else { 0 };
@@ -781,21 +798,10 @@ impl WorldCore {
         Ok(())
     }
 
-    /// The open connections `touching` selects, in id order.
-    fn open_conns(&self, touching: impl Fn(&Connection) -> bool) -> Vec<ConnId> {
-        let open = self.conns.values().filter(|c| c.state != ConnState::Closed);
-        let mut ids: Vec<ConnId> = open.filter(|c| touching(c)).map(|c| c.id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Marks a connection closed and schedules a close notification to the
     /// peer of `dead_end`'s counterpart (used on process exit).
     fn break_conn(&mut self, conn: ConnId, dead_end: ProcKey) {
-        let peer = {
-            let c = &self.conns[&conn];
-            c.peer_of(dead_end)
-        };
+        let peer = self.conns.get(conn).and_then(|c| c.peer_of(dead_end));
         self.mark_closed(conn);
         if let Some(peer) = peer {
             if let RouteState::Hops(hops) = self.route_state(dead_end.0, peer.0) {
@@ -846,12 +852,7 @@ impl WorldCore {
 
     pub(crate) fn mark_closed(&mut self, conn: ConnId) {
         let now = self.now();
-        if let Some(c) = self.conns.get_mut(&conn) {
-            if c.state != ConnState::Closed {
-                c.state = ConnState::Closed;
-                c.stats.closed_at = Some(now);
-            }
-        }
+        self.conns.close(conn, now);
     }
 
     fn route_state(&self, a: HostId, b: HostId) -> RouteState {
@@ -916,8 +917,7 @@ impl World {
                 config,
                 hosts: Vec::new(),
                 fx: Effects::new(),
-                conns: HashMap::new(),
-                next_conn: 1,
+                conns: ConnTable::default(),
                 services: HashMap::new(),
                 programs: HashMap::new(),
                 deferred: HashMap::new(),
@@ -1026,7 +1026,7 @@ impl World {
         self.core.tracef(
             None,
             TraceCategory::Net,
-            format!(
+            format_args!(
                 "netmodel {} installed ({} hosts, {} switches, {} links)",
                 net.name,
                 host_names.len(),
@@ -1266,7 +1266,7 @@ impl World {
                 let alive_conn = self
                     .core
                     .conns
-                    .get(&conn)
+                    .get(conn)
                     .is_some_and(|c| c.state != ConnState::Connecting);
                 if !alive_conn {
                     return;
@@ -1309,7 +1309,7 @@ impl World {
                     self.core.tracef(
                         Some(to.0),
                         TraceCategory::Kernel,
-                        format!("flush {} coalesced event(s) -> lpm {}", msgs.len(), to.1),
+                        format_args!("flush {} coalesced event(s) -> lpm {}", msgs.len(), to.1),
                     );
                 }
                 self.dispatch(SimEvent::KernelBatch { to, data });
@@ -1358,7 +1358,7 @@ impl World {
                 self.core.tracef(
                     Some(host),
                     TraceCategory::Kernel,
-                    format!("fault: kill {prefix}* ({} process(es))", pids.len()),
+                    format_args!("fault: kill {prefix}* ({} process(es))", pids.len()),
                 );
                 for pid in pids {
                     let _ = self.core.post_signal(Uid::ROOT, (host, pid), Signal::Kill);
@@ -1367,35 +1367,42 @@ impl World {
             SimEvent::LinkSet(a, b, up) => {
                 self.core.topo.set_link_up(a, b, up);
                 self.core.net_epoch += 1;
-                self.core.tracef(
+                let now = self.core.now();
+                self.core.trace.record(
+                    now,
                     None,
                     TraceCategory::Net,
-                    format!(
+                    format_args!(
                         "link {} <-> {} {}",
-                        self.core.host_name(a),
-                        self.core.host_name(b),
+                        self.core.topo.spec(a).name,
+                        self.core.topo.spec(b).name,
                         if up { "up" } else { "down" }
                     ),
                 );
             }
             SimEvent::NetLinkSet(idx, up) => {
+                let now = self.core.now();
                 let Some(net) = self.core.net.as_mut() else {
                     return;
                 };
                 net.set_link_up(idx, up);
-                let name = net.graph.links[idx as usize].name.clone();
                 self.core.net_epoch += 1;
-                self.core.tracef(
+                self.core.trace.record(
+                    now,
                     None,
                     TraceCategory::Net,
-                    format!("net link {name} {}", if up { "up" } else { "down" }),
+                    format_args!(
+                        "net link {} {}",
+                        net.graph.links[idx as usize].name,
+                        if up { "up" } else { "down" }
+                    ),
                 );
             }
         }
     }
 
     fn handle_establish(&mut self, conn: ConnId) {
-        let (client, server, port, state) = match self.core.conns.get(&conn) {
+        let (client, server, port, state) = match self.core.conns.get(conn) {
             Some(c) => (c.client, c.server, c.port, c.state),
             None => return,
         };
@@ -1425,21 +1432,19 @@ impl World {
             return;
         }
         let now = self.core.now();
-        if let Some(c) = self.core.conns.get_mut(&conn) {
-            c.state = ConnState::Established;
-            c.stats.established_at = Some(now);
-        }
+        self.core.conns.establish(conn, now);
         self.core
             .kernel_mut(server.0)
             .alloc_fd(server.1, FdKind::Socket { conn });
-        self.core.tracef(
+        self.core.trace.record(
+            now,
             Some(server.0),
             TraceCategory::Net,
-            format!(
+            format_args!(
                 "{conn} established {}:{} -> {}{port}",
-                self.core.host_name(client.0),
+                self.core.topo.spec(client.0).name,
                 client.1,
-                self.core.host_name(server.0),
+                self.core.topo.spec(server.0).name,
             ),
         );
         self.with_program(server, None, |p, sys| {
@@ -1478,14 +1483,12 @@ impl World {
         }
         self.core.net_epoch += 1;
         self.core
-            .tracef(Some(host), TraceCategory::Net, "host crashed".to_string());
+            .tracef(Some(host), TraceCategory::Net, format_args!("host crashed"));
         // Break all connections touching the host; survivors learn after
         // the detection interval.
-        for id in self.core.open_conns(|c| c.touches_host(host)) {
-            let (client, server) = {
-                let c = &self.core.conns[&id];
-                (c.client, c.server)
-            };
+        for id in self.core.conns.held_on(host) {
+            let c = self.core.conns.get(id).expect("indexed");
+            let (client, server) = (c.client, c.server);
             self.core.mark_closed(id);
             let survivor = if client.0 == host { server } else { client };
             if survivor.0 != host && self.core.host_up(survivor.0) {
@@ -1523,8 +1526,11 @@ impl World {
         self.core.net_epoch += 1;
         let now = self.core.now();
         let names = self.core.kernel_mut(host).reboot(now);
-        self.core
-            .tracef(Some(host), TraceCategory::Net, "host restarted".to_string());
+        self.core.tracef(
+            Some(host),
+            TraceCategory::Net,
+            format_args!("host restarted"),
+        );
         self.boot_daemons(host);
         // Re-run the services that were up at crash time (pmd comes back
         // without waiting for traffic), the way init replays /etc/rc.
@@ -1540,6 +1546,7 @@ impl World {
 mod tests {
     use super::*;
     use ppm_simnet::topology::CpuClass;
+    use std::sync::{Arc, Mutex};
 
     fn two_hosts() -> (World, HostId, HostId) {
         let mut w = World::new(11);
@@ -1640,6 +1647,71 @@ mod tests {
         w.run_for(SimDuration::from_secs(300));
         let la = w.core().kernel(a).load_avg();
         assert!((1.8..2.2).contains(&la), "la={la}");
+    }
+
+    struct Listener(Port);
+    impl Program for Listener {
+        fn on_start(&mut self, sys: &mut dyn ppm_runtime::sys::Sys) {
+            sys.listen(self.0).expect("port free");
+        }
+    }
+
+    /// Dials once and logs what happens to the connection.
+    struct Dialer {
+        target: HostId,
+        port: Port,
+        log: Arc<Mutex<Vec<ConnEvent>>>,
+    }
+    impl Program for Dialer {
+        fn on_start(&mut self, sys: &mut dyn ppm_runtime::sys::Sys) {
+            sys.connect(self.target, self.port).expect("connect starts");
+        }
+        fn on_conn_event(&mut self, _: &mut dyn ppm_runtime::sys::Sys, _: ConnId, ev: ConnEvent) {
+            self.log.lock().unwrap().push(ev);
+        }
+    }
+
+    /// The index lists a `Connecting` record under the listening process,
+    /// as the full scan did: the listener's exit breaks the pending
+    /// connection before `handle_establish` sees it, and the client is
+    /// told `Closed` — never `Established`, never `Failed`.
+    #[test]
+    fn server_exit_with_a_syn_in_flight_breaks_the_pending_connection() {
+        let (mut w, a, b) = two_hosts();
+        let server = w
+            .spawn_user(
+                b,
+                Uid(1),
+                SpawnSpec::new("srv", Box::new(Listener(Port(9)))),
+            )
+            .unwrap();
+        w.run_for(SimDuration::from_millis(200));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let dialer = Dialer {
+            target: b,
+            port: Port(9),
+            log: Arc::clone(&log),
+        };
+        let client = w
+            .spawn_user(a, Uid(1), SpawnSpec::new("dial", Box::new(dialer)))
+            .unwrap();
+        while w.core().connections().count() == 0 {
+            assert!(w.step(), "the dialer starts");
+        }
+        let id = ConnId(1);
+        assert_eq!(
+            w.core().connection(id).unwrap().state,
+            ConnState::Connecting
+        );
+        let held = |w: &World, key| w.core().conn_table().held_by(key).collect::<Vec<_>>();
+        assert_eq!(held(&w, (b, server)), [id]);
+        assert_eq!(held(&w, (a, client)), [id]);
+
+        w.core_mut().do_exit((b, server), ExitStatus::Code(0));
+        assert_eq!(w.core().connection(id).unwrap().state, ConnState::Closed);
+        assert_eq!(w.core().conn_table().held_len(), 0);
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(*log.lock().unwrap(), [ConnEvent::Closed]);
     }
 
     #[test]

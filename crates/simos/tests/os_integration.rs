@@ -403,7 +403,7 @@ fn identical_seeds_replay_identically() {
         )
         .unwrap();
         w.run_for(SimDuration::from_secs(10));
-        let events = w.core().trace().entries().len() as u64;
+        let events = w.core().trace().len() as u64;
         (events, w.now())
     };
     let (e1, _) = run(12345);

@@ -1,14 +1,19 @@
 //! Property tests for the simulated kernel: process-table invariants
 //! under random operation sequences, and world-level determinism.
 
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
 use proptest::prelude::*;
 
+use ppm_runtime::sys::Sys;
 use ppm_simnet::time::{SimDuration, SimTime};
-use ppm_simnet::topology::{CpuClass, HostSpec};
-use ppm_simos::ids::{Pid, Uid};
+use ppm_simnet::topology::{CpuClass, HostId, HostSpec};
+use ppm_simos::ids::{ConnId, Pid, Port, Uid};
 use ppm_simos::kernel::Kernel;
+use ppm_simos::net::ConnState;
 use ppm_simos::process::{ProcState, Process};
-use ppm_simos::program::SpawnSpec;
+use ppm_simos::program::{ConnEvent, ProcKey, Program, SpawnSpec};
 use ppm_simos::signal::{ExitStatus, Signal};
 use ppm_simos::world::World;
 
@@ -41,7 +46,214 @@ fn arb_kern_ops() -> impl Strategy<Value = Vec<KernOp>> {
     )
 }
 
+/// What a [`Peer`] does when its timer fires.
+#[derive(Debug, Clone, Copy)]
+enum Then {
+    Linger,
+    Close,
+    Exit,
+}
+
+/// Listens on a port, echoes what it receives, and optionally dials
+/// another peer, sends a burst once established and — after `after`,
+/// which may be sooner than the handshake — closes, exits or stays.
+#[derive(Debug, Clone)]
+struct Peer {
+    port: Port,
+    dial: Option<(HostId, Port)>,
+    burst: u8,
+    then: Then,
+    after: SimDuration,
+    conn: Option<ConnId>,
+}
+
+impl Program for Peer {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        let _ = sys.listen(self.port);
+        if let Some((host, port)) = self.dial {
+            self.conn = sys.connect(host, port).ok();
+        }
+        sys.set_timer(self.after, 0);
+    }
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, ev: ConnEvent) {
+        if ev == ConnEvent::Established {
+            for i in 0..self.burst {
+                let _ = sys.send(conn, Bytes::from(vec![i; 24]));
+            }
+        }
+    }
+    fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, data: Bytes) {
+        if Some(conn) != self.conn {
+            let _ = sys.send(conn, data);
+        }
+    }
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        match (self.then, self.conn) {
+            (Then::Close, Some(conn)) => {
+                let _ = sys.close(conn);
+            }
+            (Then::Exit, _) => sys.exit(0),
+            _ => {}
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum NetOp {
+    Spawn {
+        host: usize,
+        port: u16,
+        dial: Option<(usize, u16)>,
+        burst: u8,
+        then: Then,
+        after_ms: u64,
+    },
+    Kill(usize),
+    Crash(usize),
+    Restart(usize),
+    Link(usize, usize, bool),
+}
+
+const NET_HOSTS: usize = 3;
+const NET_PORTS: u16 = 4;
+
+fn arb_net_ops() -> impl Strategy<Value = Vec<(NetOp, usize)>> {
+    let then = prop_oneof![Just(Then::Linger), Just(Then::Close), Just(Then::Exit)];
+    let spawn = (
+        0..NET_HOSTS,
+        0..NET_PORTS,
+        prop::option::of((0..NET_HOSTS, 0..NET_PORTS)),
+        0u8..4,
+        then,
+        0u64..400,
+    );
+    // `kind` weights the mix: mostly peers coming up, some dying, the
+    // occasional crash, restart and partition.
+    let op = (
+        0u8..11,
+        spawn,
+        0usize..64,
+        0..NET_HOSTS,
+        0..NET_HOSTS,
+        any::<bool>(),
+    )
+        .prop_map(
+            |(kind, (host, port, dial, burst, then, after_ms), idx, a, b, up)| match kind {
+                0..=5 => NetOp::Spawn {
+                    host,
+                    port,
+                    dial,
+                    burst,
+                    then,
+                    after_ms,
+                },
+                6 | 7 => NetOp::Kill(idx),
+                8 => NetOp::Crash(a),
+                9 => NetOp::Restart(a),
+                _ => NetOp::Link(a, b, up),
+            },
+        );
+    // Each op is followed by a number of single world steps.
+    prop::collection::vec((op, 0usize..60), 1..40)
+}
+
+/// The open-connection index must equal what a scan of every record
+/// finds — per process and per host, same ids in the same order — and
+/// hold nothing else.
+fn check_conn_index(w: &World) -> Result<(), TestCaseError> {
+    let core = w.core();
+    let mut by_proc: BTreeMap<ProcKey, Vec<ConnId>> = BTreeMap::new();
+    let mut by_host: BTreeMap<HostId, Vec<ConnId>> = BTreeMap::new();
+    let mut index_entries = 0;
+    for c in core.connections() {
+        let ends = if c.client == c.server {
+            vec![c.client]
+        } else {
+            vec![c.client, c.server]
+        };
+        for end in &ends {
+            by_proc.entry(*end).or_default();
+            by_host.entry(end.0).or_default();
+        }
+        if c.state == ConnState::Closed {
+            continue;
+        }
+        index_entries += ends.len();
+        for end in ends {
+            by_proc.entry(end).or_default().push(c.id);
+            let on_host = by_host.entry(end.0).or_default();
+            if on_host.last() != Some(&c.id) {
+                on_host.push(c.id);
+            }
+        }
+    }
+    let table = core.conn_table();
+    for (end, want) in &by_proc {
+        let got: Vec<ConnId> = table.held_by(*end).collect();
+        prop_assert_eq!(&got, want, "open connections of {:?}", end);
+    }
+    for (host, want) in &by_host {
+        prop_assert_eq!(&table.held_on(*host), want, "open connections on {}", host);
+    }
+    prop_assert_eq!(table.held_len(), index_entries);
+    prop_assert_eq!(table.len(), core.connections().count());
+    Ok(())
+}
+
 proptest! {
+    /// Random connect / establish / send / close / exit / crash / restart
+    /// / partition sequences: after every single world step the index of
+    /// open connections agrees with the full scan it replaced.
+    #[test]
+    fn open_connection_index_matches_a_full_scan(seed in any::<u64>(), ops in arb_net_ops()) {
+        let mut w = World::new(seed);
+        let hosts: Vec<HostId> = (0..NET_HOSTS)
+            .map(|i| w.add_host(HostSpec::new(format!("n{i}"), CpuClass::Vax780)))
+            .collect();
+        for i in 0..NET_HOSTS {
+            w.add_link(hosts[i], hosts[(i + 1) % NET_HOSTS]);
+        }
+        let mut spawned: Vec<ProcKey> = Vec::new();
+        for (op, steps) in ops {
+            match op {
+                NetOp::Spawn { host, port, dial, burst, then, after_ms } => {
+                    let peer = Peer {
+                        port: Port(100 + port),
+                        dial: dial.map(|(h, p)| (hosts[h], Port(100 + p))),
+                        burst,
+                        then,
+                        after: SimDuration::from_millis(after_ms),
+                        conn: None,
+                    };
+                    let spec = SpawnSpec::new("peer", Box::new(peer));
+                    if let Ok(pid) = w.spawn_user(hosts[host], Uid(1), spec) {
+                        spawned.push((hosts[host], pid));
+                    }
+                }
+                NetOp::Kill(i) => {
+                    if let Some(key) = spawned.get(i % spawned.len().max(1)) {
+                        let _ = w.post_signal(Uid(1), *key, Signal::Kill);
+                    }
+                }
+                NetOp::Crash(h) => w.schedule_crash(hosts[h], SimDuration::from_millis(1)),
+                NetOp::Restart(h) => w.schedule_restart(hosts[h], SimDuration::from_millis(1)),
+                NetOp::Link(a, b, up) => {
+                    w.schedule_link(hosts[a], hosts[b], up, SimDuration::from_millis(1));
+                }
+            }
+            check_conn_index(&w)?;
+            for _ in 0..steps {
+                w.step();
+                check_conn_index(&w)?;
+            }
+        }
+        // Let timers, handshakes and break notifications play out.
+        for _ in 0..600 {
+            w.step();
+            check_conn_index(&w)?;
+        }
+    }
+
     /// Process-table invariants hold under any spawn/exit/adopt sequence:
     /// parent-child links are mutual, live children have live entries,
     /// exited processes never re-enter the run queue, and adoption never
@@ -127,7 +339,7 @@ proptest! {
             }
             w.run_for(SimDuration::from_secs(5));
             (
-                w.core().trace().entries().len(),
+                w.core().trace().len(),
                 w.now(),
                 w.core().kernel(a).processes().count(),
             )
