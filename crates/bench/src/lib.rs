@@ -7,27 +7,14 @@
 //! * [`table3`] — snapshot gathering over the four Figure 5 topologies;
 //! * [`figures`] — textual regenerations of Figures 1–5;
 //! * [`ablate`] — ablations of the design choices DESIGN.md calls out;
-//! * [`hotpath`] — paired new-vs-seed workloads for the optimised hot paths;
-//! * [`multi_tenant`] — the sharded-arena storm world vs a per-record
-//!   allocation baseline, digest-checked;
-//! * [`netmodel`] — the identical end-to-end workload on the flat wire
-//!   vs under the full-mesh topology model (the pricing tax);
-//! * [`scale`] — the tens-of-nodes stress test the paper deferred;
-//! * [`sweep`] — the parallel experiment harness: declarative grids of
-//!   (seed × scenario × fault plan × topology) fanned out over a
-//!   work-stealing worker pool, merged into a deterministic report
-//!   (see the `ppm-sweep` binary).
+//! * [`scale`] — the tens-of-nodes stress test the paper deferred.
 //!
 //! Every measurement is *simulated* milliseconds from the calibrated
 //! substrate, directly comparable in shape to the paper's tables.
 
 pub mod ablate;
 pub mod figures;
-pub mod hotpath;
-pub mod multi_tenant;
-pub mod netmodel;
 pub mod scale;
-pub mod sweep;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -13,8 +13,8 @@
 //! replayable byte for byte and its resident set stays proportional to
 //! the *live* population, not the cumulative number of processes tracked.
 //!
-//! The world is the substrate for `ppm-sim --users U --hosts N` and for
-//! the `multi_tenant_scale` benchmark; its observable surface (report,
+//! The world is the substrate for `ppm-sim --users U --hosts N` and the
+//! `ppm-sweep` storm axis; its observable surface (report,
 //! metrics, per-shard snapshots) is what the determinism and isolation
 //! gates diff.
 

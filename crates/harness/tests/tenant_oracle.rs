@@ -1,42 +1,24 @@
-//! The `multi_tenant_scale` pair: the sharded arena world of
-//! `ppm_harness::tenant` against a bench-local per-record-allocation
-//! baseline running the *identical* storm.
+//! `TenantWorld` checked against an independent reference on the
+//! *identical* storm.
 //!
-//! The seed side is how the pre-PR code would have held this state: one
-//! `HashMap` per (user, host) with a freshly allocated `String` command
-//! and a per-node `Vec` of children for every tracked process, a
-//! `BinaryHeap` event queue, and retention sweeps that rediscover
-//! prunable nodes by scanning the whole map. Both sides consume the same
-//! seeded [`Storm`] decision stream and fold the same event digest, so a
-//! digest mismatch would mean the optimised world changed semantics, not
-//! just speed — the module test asserts they agree.
+//! The oracle holds the state the obvious way: one `HashMap` per
+//! (user, host) with a per-node `Vec` of children for every tracked
+//! process, a `BinaryHeap` event queue, and retention sweeps that
+//! rediscover prunable nodes by scanning the whole map. Both worlds
+//! consume the same seeded [`Storm`] decision stream and fold the same
+//! event digest, so a mismatch means the sharded arena world changed
+//! semantics, not just speed.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use ppm_harness::tenant::{TenantWorld, UID_BASE};
+use ppm_harness::tenant::{scale_spec, TenantWorld, UID_BASE};
 use ppm_simos::workload::{Storm, StormSpec};
 
 /// Retention before a dead node may be swept, µs (mirrors the tenant
 /// world's policy; sweeps do not feed the digest, so the exact value
 /// only shapes the work, not the stream).
 const RETENTION_US: u64 = 200_000;
-
-/// The storm spec the bench pair runs: per-lane rates as shipped, with
-/// lifetimes stretched by the user count (capped) so the concurrent
-/// population scales with `users` — the same sizing `ppm-sim --users`
-/// applies.
-pub fn bench_spec(users: u32, hosts: u16, seed: u64) -> StormSpec {
-    let mut spec = StormSpec::new(users, hosts, seed);
-    spec.mean_lifetime_us = 40_000 * u64::from(users.min(256));
-    spec
-}
-
-/// Optimised side: build the sharded arena world, run the storm, return
-/// the event digest.
-pub fn tenant_new(spec: StormSpec, procs: u64) -> u64 {
-    TenantWorld::new(spec, procs).run().digest
-}
 
 /// FNV-1a fold (the tenant world's digest function).
 #[inline]
@@ -51,34 +33,25 @@ enum Ev {
     Sweep { user: u32, host: u16 },
 }
 
-/// One tracked process, allocated the pre-PR way: its own command
-/// buffer and its own children vector on the heap. `command`, `cpu_us`
-/// and `logical` are stored but never read back — they exist so the
-/// baseline pays the same storage the real record carries.
-#[allow(dead_code)]
-struct SeedNode {
+/// One tracked process: the fields the digest and the sweeps read.
+struct Node {
     ppid: u32,
-    command: String,
     dead: bool,
     dead_at: u64,
-    cpu_us: u64,
     children: Vec<u32>,
-    logical: Option<(u16, u32)>,
 }
 
-/// Baseline side: per-record heap allocation, map-per-shard storage,
-/// dense-rescan sweeps. Returns the same digest as [`tenant_new`] for
-/// the same inputs.
-pub fn tenant_seed(spec: StormSpec, procs: u64) -> u64 {
+/// Runs the storm on the reference world and returns its event digest.
+fn reference_digest(spec: StormSpec, procs: u64) -> u64 {
     let users = spec.users as usize;
     let hosts = spec.hosts as usize;
     let mut storm = Storm::new(spec);
     let mut heap: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut arenas: Vec<Vec<HashMap<u32, SeedNode>>> = (0..users)
+    let mut arenas: Vec<Vec<HashMap<u32, Node>>> = (0..users)
         .map(|_| (0..hosts).map(|_| HashMap::new()).collect())
         .collect();
-    let mut lpms: Vec<Vec<Option<(u32, u64)>>> = vec![vec![None; hosts]; users];
+    let mut has_lpm: Vec<Vec<bool>> = vec![vec![false; hosts]; users];
     let mut last_pid: Vec<Vec<u32>> = vec![vec![0; hosts]; users];
     let mut sweep_pending: Vec<Vec<bool>> = vec![vec![false; hosts]; users];
     let mut next_pid: Vec<u32> = vec![2; hosts];
@@ -101,10 +74,10 @@ pub fn tenant_seed(spec: StormSpec, procs: u64) -> u64 {
                 // LPM slots, allocating their pids first as the world
                 // does.
                 for h in [f.home, f.host] {
-                    if lpms[u][h as usize].is_none() {
+                    if !has_lpm[u][h as usize] {
                         let pid = next_pid[h as usize];
                         next_pid[h as usize] += 1;
-                        lpms[u][h as usize] = Some((pid, 0));
+                        has_lpm[u][h as usize] = true;
                         digest = mix(
                             digest,
                             0x11 ^ (u64::from(UID_BASE + f.user) << 16) ^ u64::from(pid),
@@ -122,20 +95,13 @@ pub fn tenant_seed(spec: StormSpec, procs: u64) -> u64 {
                     && f.lifetime_us.is_multiple_of(4)
                     && arenas[u][h].get(&last).is_some_and(|n| !n.dead);
                 let ppid = if nest { last } else { 1 };
-                let logical = (f.host != f.home)
-                    .then(|| (f.home, lpms[u][f.home as usize].expect("home ensured").0));
                 arenas[u][h].insert(
                     pid,
-                    SeedNode {
+                    Node {
                         ppid,
-                        // The per-record allocation under test: a fresh
-                        // buffer for every process ever tracked.
-                        command: Storm::command(f.command).to_string(),
                         dead: false,
                         dead_at: 0,
-                        cpu_us: 0,
                         children: Vec::new(),
-                        logical,
                     },
                 );
                 if ppid != pid {
@@ -144,9 +110,6 @@ pub fn tenant_seed(spec: StormSpec, procs: u64) -> u64 {
                     }
                 }
                 last_pid[u][h] = pid;
-                if let Some(slot) = &mut lpms[u][h] {
-                    slot.1 += 1;
-                }
                 forks += 1;
                 digest = mix(
                     digest,
@@ -173,7 +136,6 @@ pub fn tenant_seed(spec: StormSpec, procs: u64) -> u64 {
                 let n = arenas[u][h].get_mut(&pid).expect("exit of a tracked pid");
                 n.dead = true;
                 n.dead_at = now;
-                n.cpu_us = u64::from(pid).wrapping_mul(2_654_435_761) % 40_000;
                 digest = mix(
                     digest,
                     0x99 ^ (u64::from(user) << 32) ^ (u64::from(host) << 16) ^ u64::from(pid),
@@ -192,8 +154,8 @@ pub fn tenant_seed(spec: StormSpec, procs: u64) -> u64 {
                 let u = user as usize;
                 let h = host as usize;
                 sweep_pending[u][h] = false;
-                // The pre-PR shape: rediscover prunable nodes with a
-                // full scan, cascading up through parents.
+                // Rediscover prunable nodes with a full scan, cascading
+                // up through parents.
                 let arena = &mut arenas[u][h];
                 let mut work: Vec<u32> = arena
                     .iter()
@@ -227,41 +189,21 @@ pub fn tenant_seed(spec: StormSpec, procs: u64) -> u64 {
     digest
 }
 
-/// Peak resident set of this process so far, in KiB (`VmHWM` from
-/// `/proc/self/status`); `None` off Linux.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
+#[test]
+fn arena_world_and_reference_agree() {
+    for (users, hosts, procs) in [(16, 4, 3_000u64), (64, 16, 6_000)] {
+        let spec = scale_spec(users, hosts, 7);
+        assert_eq!(
+            TenantWorld::new(spec, procs).run().digest,
+            reference_digest(spec, procs),
+            "digest diverged at {users}x{hosts}"
+        );
+    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arena_world_and_alloc_baseline_agree() {
-        for (users, hosts, procs) in [(16, 4, 3_000u64), (64, 16, 6_000)] {
-            let spec = bench_spec(users, hosts, 7);
-            assert_eq!(
-                tenant_new(spec, procs),
-                tenant_seed(spec, procs),
-                "digest diverged at {users}x{hosts}"
-            );
-        }
-    }
-
-    #[test]
-    fn digests_differ_across_seeds() {
-        let a = tenant_seed(bench_spec(16, 4, 1), 2_000);
-        let b = tenant_seed(bench_spec(16, 4, 2), 2_000);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn peak_rss_is_readable_on_linux() {
-        if cfg!(target_os = "linux") {
-            assert!(peak_rss_kb().unwrap() > 0);
-        }
-    }
+#[test]
+fn reference_digests_differ_across_seeds() {
+    let a = reference_digest(scale_spec(16, 4, 1), 2_000);
+    let b = reference_digest(scale_spec(16, 4, 2), 2_000);
+    assert_ne!(a, b);
 }

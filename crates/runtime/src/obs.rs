@@ -6,8 +6,8 @@
 //! into dense indices; the hot-path operations ([`Registry::inc`],
 //! [`Registry::add`], [`Registry::set`], [`Registry::record`]) are a
 //! bounds-checked array access plus a relaxed atomic add, cheap enough to
-//! stay enabled in benchmark runs (see `ppm-bench`'s `obs_overhead`
-//! workload) while remaining safe to sample from another thread.
+//! stay enabled in benchmark runs (`runtime.obs.record_ns_per_op` in
+//! `benchmark/`) while remaining safe to sample from another thread.
 //!
 //! The span log mirrors [`crate::trace::TraceLog`]: correlation-stamped
 //! begin/end records that higher layers export as JSONL or a Chrome

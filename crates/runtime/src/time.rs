@@ -14,6 +14,7 @@
 
 use std::fmt::{self, Write as _};
 use std::ops::{Add, AddAssign, Sub};
+use std::str::FromStr;
 
 /// An instant, measured in microseconds from the runtime's epoch (run
 /// start in the simulation; a shared wall-clock epoch for real nodes).
@@ -169,6 +170,43 @@ impl SimDuration {
     }
 }
 
+/// The one duration syntax of scenario files and fault plans: a decimal
+/// count directly followed by `us`, `ms` or `s`. A span longer than
+/// [`Micros::FAR_FUTURE`] is rejected, not wrapped, which also keeps an
+/// `at` instant plus a parsed delay clear of overflow.
+///
+/// # Examples
+///
+/// ```
+/// use ppm_runtime::time::SimDuration;
+///
+/// assert_eq!("250ms".parse(), Ok(SimDuration::from_millis(250)));
+/// assert!("18446744073710s".parse::<SimDuration>().is_err());
+/// ```
+impl FromStr for SimDuration {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let split = s
+            .find(|c: char| c.is_alphabetic())
+            .ok_or_else(|| format!("duration {s:?} needs a unit (us, ms or s)"))?;
+        let (num, unit) = s.split_at(split);
+        let n: u64 = num
+            .parse()
+            .map_err(|_| format!("bad duration number {num:?}"))?;
+        let per_unit = match unit {
+            "us" => 1,
+            "ms" => 1_000,
+            "s" => 1_000_000,
+            other => return Err(format!("unknown duration unit {other:?}")),
+        };
+        n.checked_mul(per_unit)
+            .filter(|us| *us <= Micros::FAR_FUTURE.0)
+            .map(SimDuration)
+            .ok_or_else(|| format!("duration {s:?} is out of range"))
+    }
+}
+
 impl Add<SimDuration> for Micros {
     type Output = Micros;
     fn add(self, rhs: SimDuration) -> Micros {
@@ -258,6 +296,27 @@ mod tests {
         assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1_500);
         assert_eq!(SimDuration::from_millis_f64(0.0004).as_micros(), 0);
         assert_eq!(SimDuration::from_millis_f64(-3.0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn parsing_takes_three_units_and_rejects_what_would_wrap() {
+        assert_eq!("7us".parse(), Ok(SimDuration::from_micros(7)));
+        assert_eq!("250ms".parse(), Ok(SimDuration::from_millis(250)));
+        assert_eq!("3s".parse(), Ok(SimDuration::from_secs(3)));
+        for bad in ["10", "5h", "ms", "-1s", "1.5s", "1 s", ""] {
+            assert!(bad.parse::<SimDuration>().is_err(), "{bad:?}");
+        }
+        // 2^64 us is 18 446 744 073 709.55 s: the next whole second
+        // overflows the multiply, and anything past FAR_FUTURE is refused
+        // before an addition could.
+        assert!("18446744073710s".parse::<SimDuration>().is_err());
+        assert!("18446744073709551615us".parse::<SimDuration>().is_err());
+        let far = Micros::FAR_FUTURE.as_micros();
+        assert_eq!(
+            format!("{far}us").parse(),
+            Ok(SimDuration::from_micros(far))
+        );
+        assert!(format!("{}us", far + 1).parse::<SimDuration>().is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`Storm`] scales the same idea up six orders of magnitude: a seeded,
 //! replayable fork/exec/exit storm across thousands of users whose
 //! activity follows a Zipf law — the multi-tenant workload the scale
-//! scenario and the `multi_tenant_scale` bench replay.
+//! scenario (`ppm-sim --users`) and the `ppm-sweep` storm axis replay.
 
 use bytes::Bytes;
 

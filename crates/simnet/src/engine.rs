@@ -282,16 +282,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Releases spare capacity retained after a burst of scheduling.
-    ///
-    /// Long runs alternate between dense phases (broadcast waves, crash
-    /// recovery) and quiet ones; calling this in a quiet phase returns
-    /// the burst's memory without affecting pending events.
-    pub fn compact(&mut self) {
-        self.heap.shrink_to_fit();
-        self.free.shrink_to_fit();
-    }
-
     /// Retires `slot`: advances its generation (invalidating the issued
     /// id) and returns it to the free list.
     #[inline]
@@ -465,13 +455,6 @@ impl SeqSet {
     #[inline]
     fn len(&self) -> usize {
         self.live
-    }
-
-    fn shrink_to_fit(&mut self) {
-        while self.words.back() == Some(&0) {
-            self.words.pop_back();
-        }
-        self.words.shrink_to_fit();
     }
 }
 
@@ -800,30 +783,6 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Sweeps cancelled entries out of every bucket and releases spare
-    /// capacity retained after a burst of scheduling.
-    pub fn compact(&mut self) {
-        for l in 0..WHEEL_LEVELS {
-            let mut mask = self.occ[l];
-            while mask != 0 {
-                let s = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                self.clean_slot(l, s);
-                let bucket = &mut self.slots[l * WHEEL_SLOTS + s];
-                if bucket.is_empty() {
-                    self.occ[l] &= !(1u64 << s);
-                }
-                bucket.shrink_to_fit();
-            }
-        }
-        let alive = &self.alive;
-        let mut far = std::mem::take(&mut self.overflow).into_vec();
-        far.retain(|Reverse(FarEntry(e))| alive.contains(e.seq));
-        far.shrink_to_fit();
-        self.overflow = BinaryHeap::from(far);
-        self.alive.shrink_to_fit();
-    }
-
     /// Files an entry at the lowest level whose current window contains
     /// its deadline, or in the overflow heap past the top window.
     fn place(&mut self, e: WheelEntry<E>) {
@@ -838,12 +797,6 @@ impl<E> TimerWheel<E> {
         }
         self.overflow.push(Reverse(FarEntry(e)));
         self.overflow_peak = self.overflow_peak.max(self.overflow.len());
-    }
-
-    /// Drops cancelled entries from one bucket.
-    fn clean_slot(&mut self, level: usize, s: usize) {
-        let alive = &self.alive;
-        self.slots[level * WHEEL_SLOTS + s].retain(|e| alive.contains(e.seq));
     }
 
     /// Moves the earliest live slot of the lowest occupied level down one
@@ -966,7 +919,6 @@ mod tests {
         let survivors = std::iter::from_fn(|| e.pop()).count();
         assert_eq!(survivors, 50);
         assert_eq!(e.pending(), 0);
-        e.compact();
     }
 
     #[test]

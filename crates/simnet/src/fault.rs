@@ -167,19 +167,7 @@ fn err(line: usize, message: impl Into<String>) -> FaultPlanError {
 }
 
 fn parse_duration(s: &str, line: usize) -> Result<SimDuration, FaultPlanError> {
-    let split = s
-        .find(|c: char| c.is_alphabetic())
-        .ok_or_else(|| err(line, format!("duration {s:?} needs a unit (us, ms or s)")))?;
-    let (num, unit) = s.split_at(split);
-    let n: u64 = num
-        .parse()
-        .map_err(|_| err(line, format!("bad duration number {num:?}")))?;
-    match unit {
-        "us" => Ok(SimDuration::from_micros(n)),
-        "ms" => Ok(SimDuration::from_millis(n)),
-        "s" => Ok(SimDuration::from_secs(n)),
-        other => Err(err(line, format!("unknown duration unit {other:?}"))),
-    }
+    s.parse().map_err(|m: String| err(line, m))
 }
 
 fn parse_time(s: &str, line: usize) -> Result<SimTime, FaultPlanError> {
@@ -689,6 +677,10 @@ delay 0.5 add 40ms to kim
         assert!(e.message.contains("HOST"), "{e}");
         let e = FaultPlan::parse("reorder 0.1").unwrap_err();
         assert!(e.message.contains("skew"), "{e}");
+        // A time past the clock's range is refused, not wrapped to ~0.
+        let e = FaultPlan::parse("seed 1\nat 18446744073710s crash far").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("out of range"), "{e}");
     }
 
     #[test]

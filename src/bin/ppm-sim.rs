@@ -130,7 +130,7 @@ fn usage() -> ExitCode {
     );
     eprintln!("see scenarios/ for examples and src/scenario.rs for the grammar");
     eprintln!("fault plans: see scenarios/*.fault and ppm_simnet::fault for the grammar");
-    eprintln!("sweep grids: see scenarios/*.sweep and the ppm-sweep binary (ppm-bench)");
+    eprintln!("sweep grids: see scenarios/*.sweep and the ppm-sweep binary");
     ExitCode::FAILURE
 }
 

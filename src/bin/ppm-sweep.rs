@@ -1,13 +1,13 @@
 //! `ppm-sweep` — run a declarative sweep grid across every core.
 //!
 //! ```console
-//! $ cargo run --release -p ppm-bench --bin ppm-sweep -- scenarios/smoke.sweep
-//! $ cargo run --release -p ppm-bench --bin ppm-sweep -- scenarios/chaos_mttr.sweep --workers 8
-//! $ cargo run --release -p ppm-bench --bin ppm-sweep -- scenarios/smoke.sweep \
+//! $ cargo run --release --bin ppm-sweep -- scenarios/smoke.sweep
+//! $ cargo run --release --bin ppm-sweep -- scenarios/chaos_mttr.sweep --workers 8
+//! $ cargo run --release --bin ppm-sweep -- scenarios/smoke.sweep \
 //!       --repro 'scenario:chaos.ppm|fault:crash_heal.fault|seed=3'
 //! ```
 //!
-//! The grid (see `ppm_bench::sweep` for the grammar) expands into
+//! The grid (see `ppm::sweep` for the grammar) expands into
 //! independent runs; `--workers N` (default: every core) fans them out
 //! over a work-stealing thread pool, one private simulated world per
 //! run. The report on stdout is byte-identical for any worker count —
@@ -22,11 +22,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ppm_bench::sweep::{render_report, render_timing, run_specs, Grid};
+use ppm::sweep::{render_report, render_timing, run_specs, Grid};
 
 fn usage() -> ExitCode {
     eprintln!("usage: ppm-sweep <grid.sweep> [--workers N] [--out <path>] [--repro <spec-id>]");
-    eprintln!("see scenarios/*.sweep for examples and ppm_bench::sweep for the grammar");
+    eprintln!("see scenarios/*.sweep for examples and ppm::sweep for the grammar");
     ExitCode::FAILURE
 }
 

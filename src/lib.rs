@@ -14,7 +14,9 @@
 //! * [`tools`] — snapshot display, statistics, files, IPC analysis.
 //!
 //! plus the [`scenario`] language that drives the whole system from a
-//! text file (see the `ppm-sim` binary and `scenarios/`).
+//! text file (see the `ppm-sim` binary and `scenarios/`) and the
+//! [`sweep`] harness that runs grids of scenarios across every core
+//! (see the `ppm-sweep` binary).
 //!
 //! See `examples/` for runnable walkthroughs and `ppm-bench` for the
 //! regeneration of every table and figure in the paper.
@@ -41,6 +43,7 @@
 
 pub mod digest;
 pub mod scenario;
+pub mod sweep;
 
 pub use ppm_core as core;
 pub use ppm_harness as harness;

@@ -31,7 +31,9 @@
 //! ```
 //!
 //! `as NAME` binds the created process's `<host, pid>`; `$NAME` refers to
-//! it in later `control`/`killtree`/`parent=` arguments.
+//! it in later `control`/`killtree`/`parent=` arguments. Durations are a
+//! count and a unit (`us`, `ms` or `s`). A `link` joins two distinct
+//! hosts declared on earlier lines; a host is declared once.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -195,18 +197,7 @@ pub struct Scenario {
 }
 
 fn parse_duration(s: &str, line: usize) -> Result<SimDuration, ScenarioError> {
-    let (num, unit) = s
-        .find(|c: char| c.is_alphabetic())
-        .map(|i| s.split_at(i))
-        .ok_or_else(|| err(line, format!("duration {s:?} needs a unit (ms or s)")))?;
-    let n: u64 = num
-        .parse()
-        .map_err(|_| err(line, format!("bad duration number {num:?}")))?;
-    match unit {
-        "ms" => Ok(SimDuration::from_millis(n)),
-        "s" => Ok(SimDuration::from_secs(n)),
-        other => Err(err(line, format!("unknown duration unit {other:?}"))),
-    }
+    s.parse().map_err(|m: String| err(line, m))
 }
 
 fn parse_u64(s: &str, line: usize) -> Result<u64, ScenarioError> {
@@ -282,6 +273,9 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                     Some("sun2") => CpuClass::Sun2,
                     Some(other) => return Err(err(line, format!("unknown cpu {other:?}"))),
                 };
+                if sc.hosts.iter().any(|(h, _)| h == name) {
+                    return Err(err(line, format!("host {name:?} is declared twice")));
+                }
                 sc.hosts.push((name.to_string(), cpu));
             }
             "link" => {
@@ -291,6 +285,14 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 let b = tokens
                     .get(2)
                     .ok_or_else(|| err(line, "link needs two hosts"))?;
+                if a == b {
+                    return Err(err(line, format!("link joins {a:?} to itself")));
+                }
+                for end in [a, b] {
+                    if !sc.hosts.iter().any(|(h, _)| h == end) {
+                        return Err(err(line, format!("link names undeclared host {end:?}")));
+                    }
+                }
                 sc.links.push((a.to_string(), b.to_string()));
             }
             "user" => {
@@ -335,6 +337,9 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                     .get(1)
                     .ok_or_else(|| err(line, "run needs a duration"))?;
                 sc.tail += parse_duration(d, line)?;
+                if sc.tail.as_micros() > SimTime::FAR_FUTURE.as_micros() {
+                    return Err(err(line, "run durations add up out of range"));
+                }
             }
             other => return Err(err(line, format!("unknown statement {other:?}"))),
         }

@@ -42,7 +42,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ppm::digest::{fnv1a, fnv1a_fold, hex};
+use crate::digest::{fnv1a, fnv1a_fold, hex};
 
 /// One axis-point of the variant dimension.
 #[derive(Debug, Clone)]
@@ -243,7 +243,7 @@ impl Grid {
                         let resolved = base.join(rest);
                         let text = std::fs::read_to_string(&resolved)
                             .map_err(|e| err(format!("cannot read {}: {e}", resolved.display())))?;
-                        ppm::simnet::fault::FaultPlan::parse(&text)
+                        crate::simnet::fault::FaultPlan::parse(&text)
                             .map_err(|e| err(format!("{rest}: {e}")))?;
                         plans.push(Plan {
                             label: format!("fault:{rest}"),
@@ -255,7 +255,7 @@ impl Grid {
                 "topology" => {
                     if rest == "none" {
                         topos.push(Topo::flat());
-                    } else if ppm::simnet::topology::NetSpec::PRESETS.contains(&rest) {
+                    } else if crate::simnet::topology::NetSpec::PRESETS.contains(&rest) {
                         topos.push(Topo {
                             label: format!("net:{rest}"),
                             arg: Some(rest.to_string()),
@@ -266,7 +266,7 @@ impl Grid {
                         let resolved = base.join(rest);
                         let text = std::fs::read_to_string(&resolved)
                             .map_err(|e| err(format!("cannot read {}: {e}", resolved.display())))?;
-                        ppm::simnet::topology::NetSpec::parse(&text)
+                        crate::simnet::topology::NetSpec::parse(&text)
                             .map_err(|e| err(format!("{rest}: {e}")))?;
                         topos.push(Topo {
                             label: format!("net:{rest}"),
@@ -464,7 +464,7 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
     let (output, metrics, digest, sim_end_us) = match &spec.variant.kind {
         VariantKind::Scenario { text } => run_scenario(text, spec, &mut failures),
         VariantKind::Chain { hosts } => {
-            let text = ppm::scenario::chain_scenario(*hosts);
+            let text = crate::scenario::chain_scenario(*hosts);
             run_scenario(&text, spec, &mut failures)
         }
         VariantKind::Storm {
@@ -472,12 +472,12 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
             hosts,
             procs,
         } => {
-            let storm = ppm::harness::tenant::scale_spec(*users, *hosts, spec.seed);
-            let mut world = ppm::harness::tenant::TenantWorld::new(storm, *procs);
+            let storm = crate::harness::tenant::scale_spec(*users, *hosts, spec.seed);
+            let mut world = crate::harness::tenant::TenantWorld::new(storm, *procs);
             let report = world.run();
             let rendered = report.render();
-            let rows = ppm::core::obs::rows(&world.metrics().snapshot());
-            let metrics = ppm::core::obs::render_metrics(&[("tenant".to_string(), rows)]);
+            let rows = crate::core::obs::rows(&world.metrics().snapshot());
+            let metrics = crate::core::obs::render_metrics(&[("tenant".to_string(), rows)]);
             let digest = fnv1a(&[&rendered, &metrics]);
             (rendered, metrics, digest, report.sim_end_us)
         }
@@ -510,25 +510,25 @@ fn run_scenario(
     failures: &mut Vec<String>,
 ) -> (String, String, u64, u64) {
     let mut out = String::new();
-    let scenario = ppm::scenario::parse(text);
-    let plan = spec
-        .plan
-        .text
-        .as_deref()
-        .map(|t| ppm::simnet::fault::FaultPlan::parse(t).expect("plan validated at grid load"));
+    let scenario = crate::scenario::parse(text);
+    let plan =
+        spec.plan.text.as_deref().map(|t| {
+            crate::simnet::fault::FaultPlan::parse(t).expect("plan validated at grid load")
+        });
     let run = scenario.and_then(|mut sc| {
         sc.seed = spec.seed;
         // File-based topologies were validated at grid load; presets are
         // instantiated over this variant's own host list.
         let topo = match (&spec.topo.text, &spec.topo.arg) {
             (Some(t), _) => Some(
-                ppm::simnet::topology::NetSpec::parse(t).expect("topology validated at grid load"),
+                crate::simnet::topology::NetSpec::parse(t)
+                    .expect("topology validated at grid load"),
             ),
             (None, Some(name)) => {
                 let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
                 Some(
-                    ppm::simnet::topology::NetSpec::preset(name, &hosts).ok_or_else(|| {
-                        ppm::scenario::ScenarioError {
+                    crate::simnet::topology::NetSpec::preset(name, &hosts).ok_or_else(|| {
+                        crate::scenario::ScenarioError {
                             line: 0,
                             message: format!("preset {name:?} needs at least one host"),
                         }
@@ -537,12 +537,12 @@ fn run_scenario(
             }
             (None, None) => None,
         };
-        let opts = ppm::scenario::ExecOptions {
+        let opts = crate::scenario::ExecOptions {
             spans: false,
             faults: plan.as_ref(),
             topology: topo.as_ref(),
         };
-        ppm::scenario::execute_with(&sc, &mut out, opts)
+        crate::scenario::execute_with(&sc, &mut out, opts)
     });
     match run {
         Ok(h) => {

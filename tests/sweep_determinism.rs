@@ -2,6 +2,8 @@
 //!
 //! 1. The checked-in smoke grid renders **byte-identical** reports at
 //!    worker counts 1, 4 and 8 — merge order never leaks into the output.
+//!    The `chaos_mttr` grid's report digest is pinned at 1 and 8 workers,
+//!    so every one of its 64 cells is pinned with it.
 //! 2. A pooled cell's digest equals a standalone run of the same spec —
 //!    the repro command line really replays the cell.
 //! 3. Two worlds on two threads behave exactly like two worlds run
@@ -10,11 +12,15 @@
 
 use std::path::Path;
 
-use ppm_bench::sweep::{render_report, run_spec, run_specs, Grid};
+use ppm::sweep::{render_report, run_spec, run_specs, Grid};
+
+fn load_grid(file: &str) -> Grid {
+    let scenarios = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    Grid::load(&scenarios.join(file)).unwrap_or_else(|e| panic!("{file} loads: {e}"))
+}
 
 fn smoke_grid() -> Grid {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    Grid::load(&root.join("scenarios/smoke.sweep")).expect("smoke grid loads")
+    load_grid("smoke.sweep")
 }
 
 #[test]
@@ -31,6 +37,21 @@ fn smoke_report_is_byte_identical_across_worker_counts() {
         r1.contains("summary runs=8 ok=8 fail=0"),
         "smoke grid passes"
     );
+}
+
+#[test]
+fn chaos_mttr_report_digest_is_pinned_at_both_widths() {
+    let grid = load_grid("chaos_mttr.sweep");
+    let specs = grid.expand();
+    assert_eq!(specs.len(), 64);
+    for workers in [1, 8] {
+        let report = render_report(&grid, &run_specs(&specs, workers));
+        assert!(
+            report.ends_with("summary runs=64 ok=64 fail=0 digest 8202586a7a9b1415\n"),
+            "{workers} worker(s): {:?}",
+            report.lines().last()
+        );
+    }
 }
 
 #[test]
