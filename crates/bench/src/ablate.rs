@@ -185,16 +185,8 @@ pub fn pmd_stable(stable_storage: bool, seed: u64) -> PmdStable {
     ppm.spawn_remote("h0", USER, "h0", "job", None, None)
         .expect("spawn");
     let h0 = ppm.host("h0").expect("host");
-    let pmd_pid = ppm
-        .world()
-        .core()
-        .kernel(h0)
-        .processes()
-        .find(|p| p.command == "pmd" && p.is_alive())
-        .map(|p| p.pid)
-        .expect("pmd alive");
-    ppm.world_mut()
-        .post_signal(Uid::ROOT, (h0, pmd_pid), Signal::Kill)
+    let pmd_pid = ppm.find_proc("h0", Uid::ROOT, "pmd").expect("pmd alive");
+    ppm.post_signal("h0", Uid::ROOT, pmd_pid, Signal::Kill)
         .expect("kill pmd");
     ppm.run_for(SimDuration::from_secs(1));
 

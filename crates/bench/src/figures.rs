@@ -171,15 +171,7 @@ pub fn figure4(seed: u64) -> String {
     let mut ppm = three_host_harness(seed);
     ppm.spawn_remote("calder", USER, "ucbarpa", "peer", None, None)
         .expect("spawn");
-    let calder = ppm.host("calder").expect("host");
-    let lpm_pid = ppm
-        .world()
-        .core()
-        .kernel(calder)
-        .processes()
-        .find(|p| p.command.starts_with("lpm") && p.is_alive())
-        .map(|p| p.pid)
-        .expect("lpm alive");
+    let lpm_pid = ppm.find_proc("calder", USER, "lpm").expect("lpm alive");
     let outcome = ppm
         .run_tool(
             "calder",

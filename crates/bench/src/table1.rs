@@ -13,7 +13,7 @@ use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::{CpuClass, HostSpec};
 use ppm_simos::events::TraceFlags;
 use ppm_simos::ids::{Pid, Uid};
-use ppm_simos::program::{KernelMsg, Program, SpawnSpec};
+use ppm_simos::program::{Program, SpawnSpec};
 use ppm_simos::signal::Signal;
 use ppm_simos::workload::DutyCycle;
 use ppm_simos::world::World;
@@ -60,16 +60,11 @@ impl Program for KernelMsgProbe {
     }
 
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: bytes::Bytes) {
-        ppm_proto::kernel_wire::for_each_kernel_msg(&data, |m| self.on_kernel_event(sys, m));
-    }
-
-    fn on_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
-        let latency = sys.now().saturating_since(msg.queued_at);
-        self.samples
-            .lock()
-            .unwrap()
-            .latencies_us
-            .push(latency.as_micros());
+        let mut samples = self.samples.lock().unwrap();
+        ppm_proto::kernel_wire::for_each_kernel_msg(&data, |msg| {
+            let latency = sys.now().saturating_since(msg.queued_at);
+            samples.latencies_us.push(latency.as_micros());
+        });
     }
 
     fn name(&self) -> &str {

@@ -40,7 +40,7 @@ use ppm_proto::msg::{Msg, Op, Reply};
 use ppm_proto::types::{Gpid, Route, Stamp};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::{ConnId, Port};
-use ppm_runtime::program::{ConnEvent, KernelMsg, Program, SysError};
+use ppm_runtime::program::{ConnEvent, Program, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{SimDuration, SimTime};
@@ -614,10 +614,6 @@ impl Program for Lpm {
         ppm_proto::kernel_wire::for_each_kernel_msg(&data, |msg| {
             self.ingest_kernel_event(sys, msg);
         });
-    }
-
-    fn on_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
-        self.ingest_kernel_event(sys, msg);
     }
 
     fn on_timer(&mut self, sys: &mut dyn Sys, token: u64) {

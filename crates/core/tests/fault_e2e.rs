@@ -18,6 +18,7 @@ use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::{Pid, Uid};
 use ppm_simos::signal::Signal;
+use ppm_tools::drill::recovery_drill;
 
 const USER: Uid = Uid(100);
 const OTHER: Uid = Uid(200);
@@ -61,73 +62,39 @@ fn two_user_harness() -> PpmHarness {
         .build()
 }
 
-/// The pid of the live LPM process on `host`, if any.
-fn lpm_pid(ppm: &PpmHarness, host: &str) -> Option<Pid> {
-    let h = ppm.world().core().host_by_name(host)?;
-    ppm.world()
-        .core()
-        .kernel(h)
-        .processes()
-        .find(|p| p.command.starts_with("lpm") && p.is_alive())
-        .map(|p| p.pid)
+/// The pid of `uid`'s live LPM on `host`, if any.
+fn lpm_pid_of(ppm: &PpmHarness, host: &str, uid: Uid) -> Option<Pid> {
+    ppm.find_proc(host, uid, &format!("lpm-{}", uid.0))
 }
 
-/// The pid of `uid`'s live LPM on `host` — the per-tenant variant for
-/// networks where several users keep LPMs on the same host.
-fn lpm_pid_of(ppm: &PpmHarness, host: &str, uid: Uid) -> Option<Pid> {
-    let h = ppm.world().core().host_by_name(host)?;
-    let name = format!("lpm-{}", uid.0);
-    ppm.world()
-        .core()
-        .kernel(h)
-        .processes()
-        .find(|p| p.command == name && p.is_alive())
-        .map(|p| p.pid)
+/// The pid of [`USER`]'s live LPM on `host`, if any.
+fn lpm_pid(ppm: &PpmHarness, host: &str) -> Option<Pid> {
+    lpm_pid_of(ppm, host, USER)
 }
 
 /// Adopted, live user processes on `host` as seen by a sweep from
 /// `from`: the forest's node set for that host.
 fn forest_nodes(ppm: &mut PpmHarness, from: &str, host: &str) -> BTreeSet<u32> {
-    ppm.snapshot(from, USER, "*")
-        .expect("snapshot")
-        .into_iter()
-        .filter(|p| p.gpid.host == host && p.adopted && p.state != WireProcState::Dead)
-        .map(|p| p.gpid.pid)
-        .collect()
+    let procs = ppm.snapshot(from, USER, "*").expect("snapshot");
+    ppm_tools::drill::forest_nodes(&procs, host)
 }
 
 /// Killing the LPM out from under a live computation: the pmd notices the
 /// unclean exit, respawns the LPM, and the replacement re-adopts every
 /// surviving process — the forest's node set is exactly the pre-crash
-/// live set, and the recovery metrics are visible in the registry.
+/// live set, and the recovery metrics are visible in the registry. The
+/// script is the backend-generic drill the real loopback e2e test and
+/// `ppm-real` also run; the metrics asserts are this test's own.
 #[test]
 fn killed_lpm_is_respawned_and_readopts_survivors() {
     let mut ppm = harness();
 
-    // A computation with live children on work, driven from home.
-    for i in 0..3 {
-        ppm.spawn_remote("home", USER, "work", &format!("job-{i}"), None, None)
-            .expect("spawn");
-    }
-    ppm.run_for(SimDuration::from_secs(1));
-    let before = forest_nodes(&mut ppm, "home", "work");
-    assert_eq!(before.len(), 3, "three live managed jobs before the crash");
-
-    // SIGKILL the LPM process itself; the jobs survive it.
-    let victim = lpm_pid(&ppm, "work").expect("work has an LPM");
-    let h = ppm.host("work").unwrap();
-    ppm.world_mut()
-        .post_signal(Uid::ROOT, (h, victim), Signal::Kill)
-        .expect("kill LPM");
-    ppm.run_for(SimDuration::from_secs(5));
-
-    // A replacement LPM exists and it is a different process.
-    let respawned = lpm_pid(&ppm, "work").expect("LPM was respawned");
-    assert_ne!(respawned, victim, "a fresh LPM process");
-
-    // The forest was reconstructed: same node set as before the crash.
-    let after = forest_nodes(&mut ppm, "home", "work");
-    assert_eq!(after, before, "re-adoption restored the forest node set");
+    // A root on home, three jobs on work, work's LPM the victim.
+    let report = recovery_drill(&mut ppm, USER, "home", &["work"; 3], Some("work"))
+        .expect("drill on the simulated world");
+    let recovery = report.recovery.expect("the kill leg ran");
+    assert_eq!(recovery.forest.len(), 3, "three live managed jobs on work");
+    assert_ne!(recovery.respawned, recovery.victim, "a fresh LPM process");
 
     // Recovery metrics are in the respawned LPM's registry section.
     let report = ppm.metrics_report();
@@ -143,10 +110,6 @@ fn killed_lpm_is_respawned_and_readopts_survivors() {
         report.contains("work/uid100 lpm.mttr_us count=1"),
         "recovery time recorded"
     );
-
-    // And the PPM still serves requests on the respawned LPM.
-    ppm.spawn_remote("home", USER, "work", "after", None, None)
-        .expect("respawned LPM serves spawns");
 }
 
 /// Logical (cross-host) parent edges live only in LPM memory, so they
@@ -194,9 +157,7 @@ fn sibling_gossip_rebuilds_logical_edges_after_lpm_death() {
 
     // Kill work's LPM; its forest (and the logical edges) die with it.
     let victim = lpm_pid(&ppm, "work").expect("work has an LPM");
-    let h = ppm.host("work").unwrap();
-    ppm.world_mut()
-        .post_signal(Uid::ROOT, (h, victim), Signal::Kill)
+    ppm.post_signal("work", Uid::ROOT, victim, Signal::Kill)
         .expect("kill LPM");
     ppm.run_for(SimDuration::from_secs(5));
 
@@ -378,9 +339,7 @@ fn tenant_isolation_holds_across_lpm_crash_and_readoption() {
     // Kill USER's LPM on work; OTHER's LPM on the same host must survive.
     let victim = lpm_pid_of(&ppm, "work", USER).expect("USER has an LPM on work");
     let bystander = lpm_pid_of(&ppm, "work", OTHER).expect("OTHER has an LPM on work");
-    let h = ppm.host("work").unwrap();
-    ppm.world_mut()
-        .post_signal(Uid::ROOT, (h, victim), Signal::Kill)
+    ppm.post_signal("work", Uid::ROOT, victim, Signal::Kill)
         .expect("kill USER's LPM");
 
     // While USER's LPM is down, OTHER's view is unperturbed and clean.

@@ -477,14 +477,8 @@ fn open_files_listing_shows_descriptors() {
     }
 
     // The LPM's own descriptor table shows the Figure-4 endpoint types.
-    let ucbarpa = ppm.host("ucbarpa").unwrap();
     let lpm_pid = ppm
-        .world()
-        .core()
-        .kernel(ucbarpa)
-        .processes()
-        .find(|p| p.command.starts_with("lpm") && p.is_alive())
-        .map(|p| p.pid)
+        .find_proc("ucbarpa", USER, "lpm")
         .expect("LPM running on ucbarpa");
     let outcome = ppm
         .run_tool(

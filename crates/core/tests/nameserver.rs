@@ -176,17 +176,8 @@ fn assignments_survive_pmd_crash_with_stable_storage() {
     let (_, epoch_before) = ccs_of(&mut ppm, "alpha");
 
     // Kill the name server's pmd; its successor restores the registry.
-    let ns = ppm.host("ns").unwrap();
-    let pmd_pid = ppm
-        .world()
-        .core()
-        .kernel(ns)
-        .processes()
-        .find(|p| p.command == "pmd" && p.is_alive())
-        .map(|p| p.pid)
-        .expect("pmd alive");
-    ppm.world_mut()
-        .post_signal(Uid::ROOT, (ns, pmd_pid), ppm_simos::signal::Signal::Kill)
+    let pmd_pid = ppm.find_proc("ns", Uid::ROOT, "pmd").expect("pmd alive");
+    ppm.post_signal("ns", Uid::ROOT, pmd_pid, ppm_simos::signal::Signal::Kill)
         .unwrap();
     ppm.run_for(SimDuration::from_secs(1));
 

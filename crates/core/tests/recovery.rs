@@ -164,12 +164,7 @@ fn orphaned_lpm_kills_local_processes_after_time_to_die() {
         ))
     );
     // The LPM itself exited too.
-    let lpm_alive = ppm
-        .world()
-        .core()
-        .kernel(far)
-        .processes()
-        .any(|pr| pr.command.starts_with("lpm") && pr.is_alive());
+    let lpm_alive = ppm.find_proc("far", USER, "lpm").is_some();
     assert!(!lpm_alive, "orphaned LPM exited after time-to-die");
 }
 
@@ -222,7 +217,6 @@ fn lpm_outlives_login_session_and_expires_after_ttl() {
         .host("solo", CpuClass::Vax780)
         .user(USER, SECRET, &["solo"], cfg)
         .build();
-    let solo = ppm.host("solo").unwrap();
 
     // A short job managed by the PPM.
     ppm.spawn_remote(
@@ -234,13 +228,7 @@ fn lpm_outlives_login_session_and_expires_after_ttl() {
         Some(SimDuration::from_secs(3)),
     )
     .unwrap();
-    let lpm_running = |ppm: &PpmHarness| {
-        ppm.world()
-            .core()
-            .kernel(solo)
-            .processes()
-            .any(|p| p.command.starts_with("lpm") && p.is_alive())
-    };
+    let lpm_running = |ppm: &PpmHarness| ppm.find_proc("solo", USER, "lpm").is_some();
     assert!(lpm_running(&ppm));
 
     // The job exits; the LPM lingers through its time-to-live…
@@ -274,16 +262,10 @@ fn lpm_with_live_processes_does_not_expire() {
         .host("solo", CpuClass::Vax780)
         .user(USER, SECRET, &["solo"], cfg)
         .build();
-    let solo = ppm.host("solo").unwrap();
     ppm.spawn_remote("solo", USER, "solo", "long-job", None, None)
         .unwrap();
     ppm.run_for(SimDuration::from_secs(60));
-    let lpm_alive = ppm
-        .world()
-        .core()
-        .kernel(solo)
-        .processes()
-        .any(|p| p.command.starts_with("lpm") && p.is_alive());
+    let lpm_alive = ppm.find_proc("solo", USER, "lpm").is_some();
     assert!(lpm_alive, "managed processes keep the LPM alive");
 }
 
@@ -296,15 +278,9 @@ fn pmd_crash_without_stable_storage_spawns_duplicate_lpm() {
 
     // Kill only the pmd (LPM survives).
     let pmd_pid = ppm
-        .world()
-        .core()
-        .kernel(home)
-        .processes()
-        .find(|p| p.command == "pmd" && p.is_alive())
-        .map(|p| p.pid)
+        .find_proc("home", Uid::ROOT, "pmd")
         .expect("pmd running");
-    ppm.world_mut()
-        .post_signal(Uid::ROOT, (home, pmd_pid), Signal::Kill)
+    ppm.post_signal("home", Uid::ROOT, pmd_pid, Signal::Kill)
         .unwrap();
     ppm.run_for(SimDuration::from_secs(1));
 
@@ -353,15 +329,9 @@ fn pmd_crash_with_stable_storage_finds_existing_lpm() {
         .unwrap();
     let home = ppm.host("home").unwrap();
     let pmd_pid = ppm
-        .world()
-        .core()
-        .kernel(home)
-        .processes()
-        .find(|p| p.command == "pmd" && p.is_alive())
-        .map(|p| p.pid)
+        .find_proc("home", Uid::ROOT, "pmd")
         .expect("pmd running");
-    ppm.world_mut()
-        .post_signal(Uid::ROOT, (home, pmd_pid), Signal::Kill)
+    ppm.post_signal("home", Uid::ROOT, pmd_pid, Signal::Kill)
         .unwrap();
     ppm.run_for(SimDuration::from_secs(1));
 
@@ -437,16 +407,8 @@ fn snapshot_after_lpm_kill_loses_that_hosts_information() {
         .spawn_remote("home", USER, "work", "job", None, None)
         .unwrap();
     let work = ppm.host("work").unwrap();
-    let lpm_pid = ppm
-        .world()
-        .core()
-        .kernel(work)
-        .processes()
-        .find(|p| p.command.starts_with("lpm") && p.is_alive())
-        .map(|p| p.pid)
-        .expect("lpm on work");
-    ppm.world_mut()
-        .post_signal(USER, (work, lpm_pid), Signal::Kill)
+    let lpm_pid = ppm.find_proc("work", USER, "lpm").expect("lpm on work");
+    ppm.post_signal("work", USER, lpm_pid, Signal::Kill)
         .unwrap();
     ppm.run_for(SimDuration::from_secs(1));
 
@@ -565,18 +527,10 @@ fn ccs_with_siblings_does_not_expire_by_ttl() {
         .unwrap();
     ppm.run_for(SimDuration::from_secs(60));
 
-    let home = ppm.host("home").unwrap();
-    let work = ppm.host("work").unwrap();
-    let lpm_alive = |ppm: &PpmHarness, h| {
-        ppm.world()
-            .core()
-            .kernel(h)
-            .processes()
-            .any(|p| p.command.starts_with("lpm") && p.is_alive())
-    };
+    let lpm_alive = |ppm: &PpmHarness, h| ppm.find_proc(h, USER, "lpm").is_some();
     assert!(
-        lpm_alive(&ppm, home),
+        lpm_alive(&ppm, "home"),
         "the CCS stays alive while any sibling LPM exists"
     );
-    assert!(lpm_alive(&ppm, work), "work manages a live process");
+    assert!(lpm_alive(&ppm, "work"), "work manages a live process");
 }

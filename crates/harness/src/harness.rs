@@ -1,23 +1,31 @@
-//! A synchronous driver around the simulated PPM.
+//! A synchronous driver around a PPM, on any backend.
 //!
-//! Tests, examples and benchmarks all need the same scaffolding: a world
-//! with hosts and links, the pmd service registered, user accounts with
-//! `.recovery` lists, and a way to run a tool script and wait for its
-//! outcome. [`PpmHarness`] packages that. It plays the role of the user at
-//! the terminal — everything it does goes through the same tools, daemons
-//! and protocols a real user of the paper's system would exercise.
+//! Tests, examples, benchmarks and the `ppm-real` demo all need the same
+//! scaffolding: hosts, the pmd service registered with inetd, user
+//! accounts with `.recovery` lists, and a way to run a tool script and
+//! wait for its outcome. [`PpmHarness`] packages that once, over the
+//! [`Runtime`] facade: it plays the user at the terminal — everything it
+//! does goes through the same tools, daemons and protocols a real user
+//! of the paper's system would exercise — and only the world underneath
+//! (virtual or wall clock, modelled or loopback wire) is substituted.
+//! What only the simulation has (the [`World`] itself, fault plans, the
+//! network model, spans) stays on `PpmHarness<SimRuntime>`, which is what
+//! the bare name `PpmHarness` means.
 
 use std::sync::Arc;
 
 use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, ProcRecord, RusageRecord};
 use ppm_runtime::obs::SpanEvent;
+pub use ppm_runtime::rt::Runtime;
 use ppm_simnet::latency::LatencyModel;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec, NetSpec};
 use ppm_simos::config::OsConfig;
 use ppm_simos::ids::{Pid, Uid};
 use ppm_simos::program::SpawnSpec;
+use ppm_simos::rt::SimRuntime;
+use ppm_simos::signal::Signal;
 use ppm_simos::world::World;
 
 use ppm_core::auth::UserCred;
@@ -122,47 +130,59 @@ impl HarnessBuilder {
         self
     }
 
-    /// Builds the world: hosts, links, daemons, accounts.
+    /// Builds the simulated world: hosts, links, daemons, accounts.
     ///
     /// # Panics
     ///
     /// Panics if a link references an unknown host name.
     pub fn build(self) -> PpmHarness {
-        let mut world = World::with_config(self.os, self.latency, self.seed);
+        let mut rt = SimRuntime::from_world(World::with_config(self.os, self.latency, self.seed));
         let users = self.users.into_shared();
-        let pmd_users = Arc::clone(&users);
-        let pmd_options = self.pmd_options;
-        world.register_service(
-            PMD_SERVICE,
-            PMD_PORT,
-            Box::new(move |_host| {
-                Box::new(Pmd::new(Arc::clone(&pmd_users), PMD_PORT, pmd_options))
-            }),
-        );
-        let mut ids = Vec::new();
+        register_pmd(&mut rt, &users, self.pmd_options);
+        let world = rt.world_mut();
+        let hosts: Vec<String> = self.hosts.iter().map(|h| h.name.clone()).collect();
         for spec in self.hosts {
-            ids.push(world.add_host(spec));
+            world.add_host(spec);
         }
         for (a, b) in self.links {
-            let ai = world
-                .core()
-                .host_by_name(&a)
-                .unwrap_or_else(|| panic!("link references unknown host {a:?}"));
-            let bi = world
-                .core()
-                .host_by_name(&b)
-                .unwrap_or_else(|| panic!("link references unknown host {b:?}"));
-            world.add_link(ai, bi);
+            let id = |name: &String| {
+                let at = hosts.iter().position(|h| h == name);
+                HostId(at.unwrap_or_else(|| panic!("link references unknown host {name:?}")) as u32)
+            };
+            world.add_link(id(&a), id(&b));
         }
         if let Some(spec) = &self.topology {
             world
                 .install_netmodel(spec)
                 .unwrap_or_else(|e| panic!("topology install failed: {e}"));
         }
-        // Let daemons boot.
-        world.run_for(SimDuration::from_millis(50));
-        PpmHarness { world, users }
+        PpmHarness::booted(rt, users, hosts)
     }
+
+    /// Boots the same PPM on any backend through the [`Runtime`] facade:
+    /// the hosts share one LAN segment. The knobs that describe a
+    /// simulated world (`seed`, `os_config`, `latency`, `link`,
+    /// `topology`) have no meaning there and are not consulted.
+    pub fn build_on<R: Runtime>(self, mut rt: R) -> PpmHarness<R> {
+        let users = self.users.into_shared();
+        register_pmd(&mut rt, &users, self.pmd_options);
+        let hosts: Vec<String> = self.hosts.iter().map(|h| h.name.clone()).collect();
+        for spec in &self.hosts {
+            rt.add_host(&spec.name, spec.cpu);
+        }
+        PpmHarness::booted(rt, users, hosts)
+    }
+}
+
+/// Registers the pmd with inetd's registry: one factory serves every host
+/// of either backend.
+fn register_pmd<R: Runtime>(rt: &mut R, users: &Arc<UserDirectory>, options: PmdOptions) {
+    let users = Arc::clone(users);
+    rt.register_service(
+        PMD_SERVICE,
+        PMD_PORT,
+        Box::new(move |_host| Box::new(Pmd::new(Arc::clone(&users), PMD_PORT, options))),
+    );
 }
 
 /// Errors surfaced by the synchronous harness operations.
@@ -197,16 +217,19 @@ impl std::fmt::Display for HarnessError {
 
 impl std::error::Error for HarnessError {}
 
-/// The assembled simulation plus conveniences.
-pub struct PpmHarness {
-    world: World,
+/// The assembled PPM plus conveniences, on backend `R` (the simulation
+/// unless said otherwise).
+pub struct PpmHarness<R: Runtime = SimRuntime> {
+    rt: R,
     users: Arc<UserDirectory>,
+    /// Host names indexed by `HostId`.
+    hosts: Vec<String>,
 }
 
-impl std::fmt::Debug for PpmHarness {
+impl<R: Runtime> std::fmt::Debug for PpmHarness<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PpmHarness")
-            .field("world", &self.world)
+            .field("hosts", &self.hosts)
             .field("users", &self.users.len())
             .finish()
     }
@@ -220,22 +243,56 @@ impl PpmHarness {
 
     /// The world, for inspection.
     pub fn world(&self) -> &World {
-        &self.world
+        self.rt.world()
     }
 
     /// The world, mutable (fault injection, load hooks).
     pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
+        self.rt.world_mut()
     }
 
-    /// Current simulated time.
+    /// Enables structured span recording. Off by default: span records
+    /// cost an allocation each, so benchmarks leave them disabled.
+    pub fn enable_spans(&mut self) {
+        self.world_mut()
+            .core_mut()
+            .obs_mut()
+            .spans
+            .set_enabled(true);
+    }
+
+    /// Recorded span events (empty unless [`PpmHarness::enable_spans`]
+    /// was called before the activity of interest).
+    pub fn span_events(&self) -> &[SpanEvent] {
+        self.world().core().obs().spans.events()
+    }
+
+    /// Span events rendered as JSONL, one record per line.
+    pub fn spans_jsonl(&self) -> String {
+        ppm_core::obs::spans_jsonl(self.span_events(), &self.hosts)
+    }
+
+    /// Span events rendered as a Chrome `trace_event` document.
+    pub fn spans_chrome(&self) -> String {
+        ppm_core::obs::spans_chrome(self.span_events(), &self.hosts)
+    }
+}
+
+impl<R: Runtime> PpmHarness<R> {
+    fn booted(mut rt: R, users: Arc<UserDirectory>, hosts: Vec<String>) -> Self {
+        // Let daemons boot.
+        rt.run(SimDuration::from_millis(50));
+        PpmHarness { rt, users, hosts }
+    }
+
+    /// The backend clock's current instant.
     pub fn now(&self) -> SimTime {
-        self.world.now()
+        self.rt.now()
     }
 
-    /// Runs the world forward.
+    /// Lets the world run for `d` of the backend clock.
     pub fn run_for(&mut self, d: SimDuration) {
-        self.world.run_for(d);
+        self.rt.run(d);
     }
 
     /// Resolves a host name.
@@ -244,17 +301,40 @@ impl PpmHarness {
     ///
     /// [`HarnessError::UnknownHost`].
     pub fn host(&self, name: &str) -> Result<HostId, HarnessError> {
-        self.world
-            .core()
-            .host_by_name(name)
+        let at = self.hosts.iter().position(|h| h == name);
+        at.map(|i| HostId(i as u32))
             .ok_or_else(|| HarnessError::UnknownHost(name.to_string()))
     }
 
-    fn entry(&self, uid: Uid) -> Result<UserEntry, HarnessError> {
-        self.users
-            .get(uid)
-            .cloned()
-            .ok_or(HarnessError::UnknownUser)
+    /// Host names indexed by `HostId`.
+    pub fn host_names(&self) -> Vec<String> {
+        self.hosts.clone()
+    }
+
+    /// `uid`'s live process on `host` whose command starts with `prefix`
+    /// (`"lpm-"` finds the user's LPM), as `ps` at a terminal would.
+    pub fn find_proc(&self, host: &str, uid: Uid, prefix: &str) -> Option<Pid> {
+        self.rt.find_proc(self.host(host).ok()?, uid, prefix)
+    }
+
+    /// Sends `signal` to a process with `from`'s credentials, as `kill`
+    /// at a terminal would — outside the PPM.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::UnknownHost`], or the kernel's refusal as a tool
+    /// error.
+    pub fn post_signal(
+        &mut self,
+        host: &str,
+        from: Uid,
+        pid: Pid,
+        signal: Signal,
+    ) -> Result<(), HarnessError> {
+        let h = self.host(host)?;
+        self.rt
+            .post_signal(from, (h, pid), signal)
+            .map_err(|e| HarnessError::Tool(e.to_string()))
     }
 
     /// Spawns a user process directly on a host (as if from a login
@@ -270,7 +350,7 @@ impl PpmHarness {
         spec: SpawnSpec,
     ) -> Result<Pid, HarnessError> {
         let h = self.host(host)?;
-        self.world
+        self.rt
             .spawn_user(h, uid, spec)
             .map_err(|e| HarnessError::Tool(e.to_string()))
     }
@@ -287,13 +367,7 @@ impl PpmHarness {
         uid: Uid,
         script: Vec<ToolStep>,
     ) -> Result<ToolHandle, HarnessError> {
-        let h = self.host(host)?;
-        let entry = self.entry(uid)?;
-        let (tool, handle) = Tool::new(entry.cred, entry.config.clone(), script);
-        self.world
-            .spawn_user(h, uid, SpawnSpec::new("ppm-tool", Box::new(tool)))
-            .map_err(|e| HarnessError::Tool(e.to_string()))?;
-        Ok(handle)
+        self.launch_tool_pipelined(host, uid, script, 1)
     }
 
     /// Like [`PpmHarness::launch_tool`], but the tool keeps up to `window`
@@ -311,10 +385,10 @@ impl PpmHarness {
         window: usize,
     ) -> Result<ToolHandle, HarnessError> {
         let h = self.host(host)?;
-        let entry = self.entry(uid)?;
+        let entry = self.users.get(uid).ok_or(HarnessError::UnknownUser)?;
         let (tool, handle) = Tool::new(entry.cred, entry.config.clone(), script);
         let tool = tool.with_pipeline(window);
-        self.world
+        self.rt
             .spawn_user(h, uid, SpawnSpec::new("ppm-tool", Box::new(tool)))
             .map_err(|e| HarnessError::Tool(e.to_string()))?;
         Ok(handle)
@@ -352,8 +426,7 @@ impl PpmHarness {
         script: Vec<ToolStep>,
         wait: SimDuration,
     ) -> Result<ToolOutcome, HarnessError> {
-        let handle = self.launch_tool(host, uid, script)?;
-        self.await_tool(handle, wait)
+        self.run_tool_pipelined(host, uid, script, 1, wait)
     }
 
     fn await_tool(
@@ -361,12 +434,12 @@ impl PpmHarness {
         handle: ToolHandle,
         wait: SimDuration,
     ) -> Result<ToolOutcome, HarnessError> {
-        let deadline = self.world.now() + wait;
-        while self.world.now() < deadline {
+        let deadline = self.rt.now() + wait;
+        while self.rt.now() < deadline {
             if handle.lock().unwrap().done {
                 break;
             }
-            self.world.run_for(SimDuration::from_millis(20));
+            self.rt.run(SimDuration::from_millis(20));
         }
         let outcome = handle.lock().unwrap().clone();
         if !outcome.done {
@@ -588,67 +661,21 @@ impl PpmHarness {
         }
     }
 
-    /// Enables structured span recording. Off by default: span records
-    /// cost an allocation each, so benchmarks leave them disabled.
-    pub fn enable_spans(&mut self) {
-        self.world.core_mut().obs_mut().spans.set_enabled(true);
-    }
-
-    /// Host names indexed by `HostId`, for the span exporters.
-    pub fn host_names(&self) -> Vec<String> {
-        let core = self.world.core();
-        core.topology()
-            .host_ids()
-            .map(|id| core.host_name(id).to_string())
-            .collect()
-    }
-
-    /// Recorded span events (empty unless [`PpmHarness::enable_spans`]
-    /// was called before the activity of interest).
-    pub fn span_events(&self) -> &[SpanEvent] {
-        self.world.core().obs().spans.events()
-    }
-
-    /// Span events rendered as JSONL, one record per line.
-    pub fn spans_jsonl(&self) -> String {
-        ppm_core::obs::spans_jsonl(self.span_events(), &self.host_names())
-    }
-
-    /// Span events rendered as a Chrome `trace_event` document.
-    pub fn spans_chrome(&self) -> String {
-        ppm_core::obs::spans_chrome(self.span_events(), &self.host_names())
-    }
-
-    /// Every registry in the world as label-sorted sections: the world
-    /// section first (kernel event path plus the event-engine queue
+    /// Every registry in the world as label-sorted sections: the
+    /// backend's own section first when it keeps one (the simulation's
+    /// `world`: kernel event path plus the event-engine queue
     /// statistics), then each registered LPM registry under its
     /// `host/uid` label.
     pub fn metrics_sections(&self) -> Vec<(String, Vec<MetricRow>)> {
-        let core = self.world.core();
-        let mut world_rows = ppm_core::obs::rows(&core.obs().registry.snapshot());
-        let stats = core.engine_stats();
-        let row = |name: &str, kind: u8, value: i64| MetricRow {
-            name: name.to_string(),
-            kind,
-            value,
-            sum: 0,
-            buckets: Vec::new(),
-        };
-        world_rows.push(row("engine.schedules", 0, stats.schedules as i64));
-        world_rows.push(row("engine.cancels", 0, stats.cancels as i64));
-        world_rows.push(row("engine.fired", 0, stats.fired as i64));
-        world_rows.push(row("engine.pending", 1, stats.pending as i64));
-        world_rows.push(row("engine.overflow_peak", 1, stats.overflow_peak as i64));
-        world_rows.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut sections = vec![("world".to_string(), world_rows)];
-        for (label, snap) in core.obs().program_snapshots() {
-            sections.push((label, ppm_core::obs::rows(&snap)));
-        }
-        sections
+        let snaps = self.rt.metric_snapshots();
+        snaps
+            .into_iter()
+            .map(|(label, snap)| (label, ppm_core::obs::rows(&snap)))
+            .collect()
     }
 
     /// All metrics rendered as the stable text format behind
-    /// `ppm-sim --metrics`.
+    /// `ppm-sim --metrics` and `ppm-real --metrics`.
     pub fn metrics_report(&self) -> String {
         ppm_core::obs::render_metrics(&self.metrics_sections())
     }

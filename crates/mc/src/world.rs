@@ -503,7 +503,10 @@ impl McWorld {
             Move::Kernel(k) => {
                 self.clock += TICK;
                 if let Some(msg) = self.kernels[k.0 as usize].pop_kernel_msg(Pid(k.1)) {
-                    self.dispatch(*k, |p, sys| p.on_kernel_event(sys, msg));
+                    // One message per move, through the batch frame the
+                    // sim and real backends ship.
+                    let frame = ppm_proto::codec::encode_batch(&[msg]);
+                    self.dispatch(*k, |p, sys| p.on_kernel_batch(sys, frame));
                 }
             }
             Move::ChildExit(k) => {

@@ -20,19 +20,16 @@ use bytes::Bytes;
 
 use ppm_runtime::ids::{CpuClass, HostId, Pid, Port, Uid};
 use ppm_runtime::kernel::Kernel;
-use ppm_runtime::obs::SharedRegistry;
-use ppm_runtime::program::{Program, SpawnSpec, SysError};
+use ppm_runtime::obs::{MetricSample, SharedRegistry};
+use ppm_runtime::program::{ProcKey, Program, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
+pub use ppm_runtime::rt::ServiceFactory;
 use ppm_runtime::signal::Signal;
 use ppm_runtime::time::{Micros, SimDuration};
 
 use crate::clock::ClusterClock;
 use crate::net::PortMap;
 use crate::node::{NodeCore, NodeEvent};
-
-/// Builds a service program instance for a host, on demand. `Send + Sync`
-/// because any node thread's inetd may ask for it.
-pub type ServiceFactory = Box<dyn Fn(HostId) -> Box<dyn Program> + Send + Sync>;
 
 /// How long driver queries wait for a node thread to answer before the
 /// node is presumed wedged.
@@ -123,53 +120,6 @@ impl RealRuntime {
         &self.shared
     }
 
-    /// Registers a service with inetd's registry on every host, as the
-    /// simulation's `World::register_service` does. Call before spawning
-    /// anything that asks inetd for `name`.
-    pub fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
-        self.shared
-            .services
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), (port, factory));
-    }
-
-    /// Sends a signal to a process with `from`'s credentials — the
-    /// harness-side `kill(1)`, used by tests to SIGKILL an LPM.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::NoSuchProcess`], [`SysError::PermissionDenied`], or
-    /// [`SysError::HostDown`] when the node cannot be reached.
-    pub fn kill(
-        &self,
-        host: HostId,
-        from: Uid,
-        target: Pid,
-        signal: Signal,
-    ) -> Result<(), SysError> {
-        self.query(host, |reply| NodeEvent::PostSignal {
-            from,
-            target,
-            signal,
-            reply: Some(reply),
-        })
-        .unwrap_or(Err(SysError::HostDown))
-    }
-
-    /// Finds `uid`'s live process on `host` whose command starts with
-    /// `prefix` — enough for tests to locate a user's LPM or pmd.
-    pub fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
-        let prefix = prefix.to_string();
-        self.inspect(host, move |k| {
-            let mine = k.user_processes(uid).into_iter();
-            mine.filter(|p| p.command.starts_with(&prefix))
-                .map(|p| p.pid)
-                .next()
-        })
-        .flatten()
-    }
-
     /// Reads `host`'s kernel on its node thread.
     fn inspect<T: Send + 'static>(
         &self,
@@ -196,6 +146,14 @@ impl RealRuntime {
 }
 
 impl Runtime for RealRuntime {
+    fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
+        self.shared
+            .services
+            .lock()
+            .unwrap()
+            .insert(name.to_string(), (port, factory));
+    }
+
     fn add_host(&mut self, name: &str, cpu: CpuClass) -> HostId {
         let id = {
             let mut hosts = self.shared.hosts.write().unwrap();
@@ -227,6 +185,23 @@ impl Runtime for RealRuntime {
             .unwrap_or(Err(SysError::HostDown))
     }
 
+    fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError> {
+        let (host, target) = target;
+        self.query(host, |reply| NodeEvent::PostSignal {
+            from,
+            target,
+            signal,
+            reply: Some(reply),
+        })
+        .unwrap_or(Err(SysError::HostDown))
+    }
+
+    fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
+        let prefix = prefix.to_string();
+        self.inspect(host, move |k| k.find_user_proc(uid, &prefix))
+            .flatten()
+    }
+
     fn run(&mut self, span: SimDuration) {
         // The node threads are already running; letting the world "run"
         // is simply letting wall-clock time pass.
@@ -241,6 +216,13 @@ impl Runtime for RealRuntime {
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
         let key = key.to_string();
         self.inspect(host, move |k| k.stable_get(&key)).flatten()
+    }
+
+    fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
+        let obs = self.shared.obs.lock().unwrap();
+        let mut out: Vec<_> = obs.iter().map(|(l, r)| (l.clone(), r.snapshot())).collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     fn now(&self) -> Micros {

@@ -274,16 +274,8 @@ impl Program for ParentProg {
         }
     }
 
-    fn on_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
-        self.note_kernel(sys, msg);
-    }
-
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {
-        let mut msgs = Vec::new();
-        for_each_kernel_msg(&data, |m| msgs.push(m));
-        for msg in msgs {
-            self.note_kernel(sys, msg);
-        }
+        for_each_kernel_msg(&data, |msg| self.note_kernel(sys, msg));
     }
 
     fn name(&self) -> &str {

@@ -206,6 +206,15 @@ impl Kernel {
         pids.map(|pid| ProcInfo::from(&self.procs[pid])).collect()
     }
 
+    /// `uid`'s lowest-pid live process whose command starts with `prefix`
+    /// (`ps | grep` at a terminal; the [`crate::rt::Runtime::find_proc`]
+    /// of every backend).
+    pub fn find_user_proc(&self, uid: Uid, prefix: &str) -> Option<Pid> {
+        let mut pids = self.by_uid.get(&uid).into_iter().flatten();
+        pids.find(|pid| self.procs[pid].command.starts_with(prefix))
+            .copied()
+    }
+
     /// Marks a process exited, detaches it from the run queue, reparents
     /// its live children to init, and records it in the retention ring.
     ///

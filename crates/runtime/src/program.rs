@@ -193,19 +193,15 @@ pub trait Program: Send {
         let _ = (sys, conn, event);
     }
 
-    /// The kernel reported an event about a process this program traces
-    /// (only LPMs that registered a kernel socket receive these).
-    fn on_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
-        let _ = (sys, msg);
-    }
-
-    /// A coalesced batch of kernel event messages arrived in one wakeup,
-    /// as one encoded frame sequence. Only programs that registered a
-    /// kernel socket receive batches. The default ignores the frame; a
+    /// The kernel reported events about processes this program traces: a
+    /// coalesced batch of [`KernelMsg`]s arrived in one wakeup, as one
+    /// encoded frame sequence. Only programs that registered a kernel
+    /// socket receive batches, and this is the only way kernel events
+    /// reach a program on any backend. The default ignores the frame; a
     /// tracer (the LPM) overrides this to decode each message with the
-    /// wire codec and feed it to [`Program::on_kernel_event`] in queue
-    /// order. (The decoding lives with the tracer because the codec is a
-    /// protocol-layer concern this runtime crate does not depend on.)
+    /// wire codec, in queue order. (The decoding lives with the tracer
+    /// because the codec is a protocol-layer concern this runtime crate
+    /// does not depend on.)
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {
         let _ = (sys, data);
     }

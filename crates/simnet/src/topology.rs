@@ -9,6 +9,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::time::{SimDuration, SimTime};
+
 // Host identity and hardware class live in the backend-agnostic runtime
 // layer; re-exported here so simulation-side code keeps its paths.
 pub use ppm_runtime::ids::{CpuClass, HostId};
@@ -291,21 +293,6 @@ pub const NET_DEFAULT_CAP_BPS: u64 = 250_000;
 /// Default link latency: the flat model's 5 ms `hop_base`.
 pub const NET_DEFAULT_LAT_US: u64 = 5_000;
 
-fn parse_net_duration_us(s: &str) -> Result<u64, String> {
-    let (num, mult) = if let Some(n) = s.strip_suffix("ms") {
-        (n, 1_000.0)
-    } else if let Some(n) = s.strip_suffix("us") {
-        (n, 1.0)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1_000_000.0)
-    } else {
-        (s, 1.0)
-    };
-    num.parse::<f64>()
-        .map(|v| (v * mult) as u64)
-        .map_err(|_| format!("bad duration {s:?}"))
-}
-
 fn parse_net_cap_bps(s: &str) -> Result<u64, String> {
     let (num, mult) = if let Some(n) = s.strip_suffix('k') {
         (n, 1_000.0)
@@ -333,9 +320,12 @@ impl NetSpec {
     /// ```
     ///
     /// Unnamed links get `A-B`. `cap` defaults to
-    /// [`NET_DEFAULT_CAP_BPS`], `lat` to [`NET_DEFAULT_LAT_US`].
+    /// [`NET_DEFAULT_CAP_BPS`], `lat` to [`NET_DEFAULT_LAT_US`]. `DUR` is
+    /// a count and a unit (`us`, `ms` or `s`), and the latencies of all
+    /// links together must fit the simulated clock.
     pub fn parse(text: &str) -> Result<NetSpec, String> {
         let mut spec = NetSpec::default();
+        let mut route_lat_us = 0u64;
         for (ln, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -387,7 +377,7 @@ impl NetSpec {
                         } else if let Some(v) = t.strip_prefix("cap=") {
                             link.cap_bps = parse_net_cap_bps(v).map_err(&err)?;
                         } else if let Some(v) = t.strip_prefix("lat=") {
-                            link.lat_us = parse_net_duration_us(v).map_err(&err)?;
+                            link.lat_us = v.parse::<SimDuration>().map_err(&err)?.as_micros();
                         } else if let Some(v) = t.strip_prefix("loss=") {
                             link.loss = v
                                 .parse()
@@ -400,6 +390,12 @@ impl NetSpec {
                             return Err(err(format!("unknown link attribute {t:?}")));
                         }
                     }
+                    // No route crosses a link twice, so bounding the sum
+                    // over all links bounds every route's latency.
+                    route_lat_us = route_lat_us
+                        .checked_add(link.lat_us)
+                        .filter(|t| *t <= SimTime::FAR_FUTURE.as_micros())
+                        .ok_or_else(|| err("link latencies sum past the clock's range".into()))?;
                     spec.links.push(link);
                 }
                 other => return Err(err(format!("unknown directive {other:?}"))),
@@ -684,6 +680,14 @@ mod net_tests {
         assert!(NetSpec::parse("link a b loss=2").is_err());
         assert!(NetSpec::parse("link a b name=x\nlink b c name=x").is_err());
         assert!(NetSpec::parse("topo empty").is_err());
+        for lat in ["infs", "NaNms", "-3ms", "7"] {
+            let e = NetSpec::parse(&format!("link a b\nlink b c lat={lat}")).unwrap_err();
+            assert!(e.starts_with("topo line 2: "), "{lat}: {e}");
+        }
+        // Each latency fits the clock; a route over all three would not.
+        let far = "lat=2000000000000s";
+        let e = NetSpec::parse(&format!("link a b {far}\nlink b c {far}\nlink c d {far}"));
+        assert!(e.unwrap_err().starts_with("topo line 3: "));
     }
 
     #[test]

@@ -9,8 +9,9 @@ use ppm_simnet::topology::{CpuClass, HostSpec};
 use ppm_simos::events::{KernelEvent, TraceFlags};
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
 use ppm_simos::process::ProcState;
-use ppm_simos::program::{ConnEvent, KernelMsg, Program, SpawnSpec, SysError};
+use ppm_simos::program::{ConnEvent, Program, SpawnSpec, SysError};
 use ppm_simos::signal::{ExitStatus, Signal};
+use ppm_simos::wire::for_each_kernel_msg;
 use ppm_simos::workload::{Chatter, EchoServer};
 use ppm_simos::world::World;
 
@@ -274,14 +275,9 @@ impl Program for Tracer {
         sys.register_kernel_socket();
         sys.adopt(self.target, TraceFlags::PROC).unwrap();
     }
-    fn on_kernel_event(&mut self, _sys: &mut dyn Sys, msg: KernelMsg) {
-        self.events
-            .lock()
-            .unwrap()
-            .push(msg.event.kind().to_string());
-    }
-    fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: bytes::Bytes) {
-        ppm_proto::kernel_wire::for_each_kernel_msg(&data, |m| self.on_kernel_event(sys, m));
+    fn on_kernel_batch(&mut self, _sys: &mut dyn Sys, data: bytes::Bytes) {
+        let mut events = self.events.lock().unwrap();
+        for_each_kernel_msg(&data, |m| events.push(m.event.kind().to_string()));
     }
     fn name(&self) -> &str {
         "tracer"
@@ -298,12 +294,11 @@ impl Program for LatencyTracer {
         sys.register_kernel_socket();
         sys.adopt(self.target, TraceFlags::PROC).unwrap();
     }
-    fn on_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
-        let lat = sys.now().saturating_since(msg.queued_at).as_micros();
-        self.latencies.lock().unwrap().push(lat);
-    }
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: bytes::Bytes) {
-        ppm_proto::kernel_wire::for_each_kernel_msg(&data, |m| self.on_kernel_event(sys, m));
+        let mut latencies = self.latencies.lock().unwrap();
+        for_each_kernel_msg(&data, |m| {
+            latencies.push(sys.now().saturating_since(m.queued_at).as_micros());
+        });
     }
     fn name(&self) -> &str {
         "lat-tracer"
@@ -435,13 +430,12 @@ fn exit_event_carries_final_rusage() {
             sys.register_kernel_socket();
             sys.adopt(self.target, TraceFlags::PROC).unwrap();
         }
-        fn on_kernel_event(&mut self, _sys: &mut dyn Sys, msg: KernelMsg) {
-            if let KernelEvent::Exit { rusage, .. } = msg.event {
-                self.cpu.lock().unwrap().push(rusage.cpu.as_micros());
-            }
-        }
-        fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: bytes::Bytes) {
-            ppm_proto::kernel_wire::for_each_kernel_msg(&data, |m| self.on_kernel_event(sys, m));
+        fn on_kernel_batch(&mut self, _sys: &mut dyn Sys, data: bytes::Bytes) {
+            for_each_kernel_msg(&data, |m| {
+                if let KernelEvent::Exit { rusage, .. } = m.event {
+                    self.cpu.lock().unwrap().push(rusage.cpu.as_micros());
+                }
+            });
         }
         fn name(&self) -> &str {
             "exitwatch"

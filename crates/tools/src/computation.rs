@@ -8,7 +8,7 @@
 //! control action to each member through the PPM.
 
 use ppm_core::client::ToolStep;
-use ppm_harness::harness::{HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::{ControlAction, ErrCode, Op, Reply};
 use ppm_proto::types::{Gpid, WireProcState};
 use ppm_simnet::time::SimDuration;
@@ -41,8 +41,8 @@ pub struct ComputationSites {
 ///
 /// Snapshot errors as [`HarnessError`]; an unknown root yields an empty
 /// member list rather than an error (the computation may have ended).
-pub fn locate(
-    ppm: &mut PpmHarness,
+pub fn locate<R: Runtime>(
+    ppm: &mut PpmHarness<R>,
     from_host: &str,
     uid: Uid,
     root: &Gpid,
@@ -82,8 +82,8 @@ pub fn locate(
 /// # Errors
 ///
 /// Snapshot/tool failures as [`HarnessError`].
-pub fn signal_computation(
-    ppm: &mut PpmHarness,
+pub fn signal_computation<R: Runtime>(
+    ppm: &mut PpmHarness<R>,
     from_host: &str,
     uid: Uid,
     root: &Gpid,

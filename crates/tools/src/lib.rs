@@ -18,10 +18,13 @@
 //! * [`computation`] — locate a distributed computation's execution sites
 //!   and broadcast software interrupts to every member;
 //! * [`metrics`] — pull a live LPM's metrics registry over the wire;
+//! * [`drill`] — the exec → display → locate → LPM-kill → recovery script
+//!   every backend's end-to-end test and the `ppm-real` demo run;
 //! * [`tenant_view`] — per-user displays of the multi-tenant scale world.
 
 pub mod computation;
 pub mod display;
+pub mod drill;
 pub mod files_tool;
 pub mod forest;
 pub mod history_tool;

@@ -8,7 +8,7 @@
 //! arrives timestamped on the answering host's sim clock.
 
 use ppm_core::client::ToolStep;
-use ppm_harness::harness::{HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::{Op, Reply};
 use ppm_proto::types::MetricRow;
 use ppm_simnet::time::SimDuration;
@@ -30,8 +30,8 @@ pub struct HostMetrics {
 /// # Errors
 ///
 /// Tool/LPM/timeout errors as [`HarnessError`].
-pub fn pull(
-    ppm: &mut PpmHarness,
+pub fn pull<R: Runtime>(
+    ppm: &mut PpmHarness<R>,
     from_host: &str,
     uid: Uid,
     dest: &str,
@@ -50,8 +50,8 @@ const WAIT: SimDuration = SimDuration::from_secs(60);
 ///
 /// Only infrastructure failures (the tool could not run at all)
 /// propagate.
-pub fn pull_all(
-    ppm: &mut PpmHarness,
+pub fn pull_all<R: Runtime>(
+    ppm: &mut PpmHarness<R>,
     from_host: &str,
     uid: Uid,
 ) -> Result<Vec<HostMetrics>, HarnessError> {

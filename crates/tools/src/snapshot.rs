@@ -7,10 +7,11 @@
 
 use std::fmt::Write as _;
 
-use ppm_harness::harness::{HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::ControlAction;
 use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
 use ppm_simos::ids::Uid;
+use ppm_simos::rt::SimRuntime;
 
 use crate::forest::Forest;
 
@@ -89,15 +90,15 @@ pub fn render_partial(records: Vec<ProcRecord>, title: &str, missing: &[String])
 
 /// The interactive snapshot tool: display plus the four control verbs.
 #[derive(Debug)]
-pub struct SnapshotTool<'a> {
-    ppm: &'a mut PpmHarness,
+pub struct SnapshotTool<'a, R: Runtime = SimRuntime> {
+    ppm: &'a mut PpmHarness<R>,
     from_host: String,
     uid: Uid,
 }
 
-impl<'a> SnapshotTool<'a> {
+impl<'a, R: Runtime> SnapshotTool<'a, R> {
     /// Creates a tool session for a user at a host.
-    pub fn new(ppm: &'a mut PpmHarness, from_host: impl Into<String>, uid: Uid) -> Self {
+    pub fn new(ppm: &'a mut PpmHarness<R>, from_host: impl Into<String>, uid: Uid) -> Self {
         SnapshotTool {
             ppm,
             from_host: from_host.into(),

@@ -72,15 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{view}");
 
     // Descriptor listing of the LPM itself (Figure 4's endpoint kinds).
-    let calder = ppm.host("calder")?;
-    let lpm_pid = ppm
-        .world()
-        .core()
-        .kernel(calder)
-        .processes()
-        .find(|p| p.command.starts_with("lpm") && p.is_alive())
-        .map(|p| p.pid)
-        .expect("lpm alive");
+    let lpm_pid = ppm.find_proc("calder", user, "lpm").expect("lpm alive");
     let outcome = ppm.run_tool(
         "calder",
         user,

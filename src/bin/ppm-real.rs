@@ -10,7 +10,9 @@
 //! Boots `--hosts N` (default 3) node threads sharing one loopback
 //! cluster, then drives the same `ppm-core` protocol stack the simulation
 //! runs — inetd brokers the pmd, pmds spawn per-user LPMs on demand, and
-//! scripted tools authenticate over real sockets:
+//! scripted tools authenticate over real sockets. The driver is the same
+//! `PpmHarness` the simulation's tests use, built on a `RealRuntime`, and
+//! the script is the shared `ppm_tools::drill::recovery_drill`:
 //!
 //! 1. **remote execution** — a computation rooted on `h0` with one job
 //!    spawned onto every other host;
@@ -26,244 +28,49 @@
 //! under a watchdog and checks the exit code.
 
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use ppm_core::auth::UserCred;
-use ppm_core::client::{Tool, ToolOutcome, ToolStep};
-use ppm_core::config::{PpmConfig, PMD_PORT, PMD_SERVICE};
-use ppm_core::pmd::{Pmd, PmdOptions};
-use ppm_core::users::{UserDirectory, UserEntry};
-use ppm_proto::msg::{Op, Reply};
-use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
+use ppm_core::config::PpmConfig;
+use ppm_core::pmd::PmdOptions;
+use ppm_harness::harness::PpmHarness;
 use ppm_realos::RealRuntime;
-use ppm_runtime::ids::{CpuClass, HostId, Uid};
-use ppm_runtime::program::SpawnSpec;
-use ppm_runtime::rt::Runtime;
-use ppm_runtime::signal::Signal;
+use ppm_runtime::ids::{CpuClass, Uid};
+use ppm_tools::drill::{forest_nodes, recovery_drill};
 
 const USER: Uid = Uid(100);
 const SECRET: u64 = 0x1986;
-const TOOL_BUDGET: Duration = Duration::from_secs(30);
 
-struct Cluster {
-    rt: RealRuntime,
-    users: Arc<UserDirectory>,
-    hosts: Vec<(String, HostId)>,
-}
+/// Runs the shared drill — root on `h0`, one job on every other host,
+/// `h1`'s LPM the victim — and prints what it observed.
+fn demo(ppm: &mut PpmHarness<RealRuntime>, names: &[String], kill: bool) -> Result<(), String> {
+    let peers: Vec<&str> = names[1..].iter().map(String::as_str).collect();
+    let victim = kill.then_some(peers[0]);
+    let report = recovery_drill(ppm, USER, &names[0], &peers, victim)?;
 
-fn boot(n: usize, trace: bool) -> Cluster {
-    let names: Vec<String> = (0..n).map(|i| format!("h{i}")).collect();
-    let mut users = UserDirectory::new();
-    users.insert(UserEntry {
-        cred: UserCred::new(USER, SECRET),
-        recovery: names.iter().take(2).cloned().collect(),
-        config: PpmConfig::fast_recovery(),
-    });
-    let users = users.into_shared();
-    let pmd_users = Arc::clone(&users);
-    let mut rt = RealRuntime::with_trace(trace);
-    rt.register_service(
-        PMD_SERVICE,
-        PMD_PORT,
-        Box::new(move |_host| {
-            Box::new(Pmd::new(
-                Arc::clone(&pmd_users),
-                PMD_PORT,
-                PmdOptions {
-                    stable_storage: true,
-                    respawn_lpms: true,
-                },
-            ))
-        }),
-    );
-    let mut hosts = Vec::new();
-    for (i, name) in names.iter().enumerate() {
-        let cpu = if i % 2 == 0 {
-            CpuClass::Vax780
-        } else {
-            CpuClass::Sun2
-        };
-        let id = rt.add_host(name, cpu);
-        hosts.push((name.clone(), id));
+    println!("exec    root {} (inetd -> pmd -> LPM)", report.root);
+    for g in &report.jobs {
+        println!("exec    job {g} (logical parent {})", report.root.pid);
     }
-    Cluster { rt, users, hosts }
-}
-
-fn run_tool(c: &mut Cluster, from: HostId, script: Vec<ToolStep>) -> Result<ToolOutcome, String> {
-    let entry = c.users.get(USER).expect("registered user");
-    let (tool, handle) = Tool::new(entry.cred, entry.config.clone(), script);
-    c.rt.spawn_user(from, USER, SpawnSpec::new("ppm-tool", Box::new(tool)))
-        .map_err(|e| format!("spawn tool: {e:?}"))?;
-    let deadline = Instant::now() + TOOL_BUDGET;
-    while Instant::now() < deadline {
-        if handle.lock().unwrap().done {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
+    println!("display {} managed processes:", report.procs.len());
+    for name in names {
+        println!("display   {name}: {:?}", forest_nodes(&report.procs, name));
     }
-    let outcome = handle.lock().unwrap().clone();
-    if !outcome.done {
-        return Err("tool timed out".to_string());
-    }
-    if let Some(err) = &outcome.error {
-        return Err(format!("tool failed: {err}"));
-    }
-    Ok(outcome)
-}
-
-fn spawn_remote(
-    c: &mut Cluster,
-    dest: &str,
-    command: &str,
-    logical_parent: Option<Gpid>,
-) -> Result<Gpid, String> {
-    let from = c.hosts[0].1;
-    let out = run_tool(
-        c,
-        from,
-        vec![ToolStep::new(
-            dest,
-            Op::Spawn {
-                command: command.to_string(),
-                logical_parent,
-                lifetime_us: None,
-                work_us: 0,
-                cpu_bound: false,
-            },
-        )],
-    )?;
-    match out.reply(0) {
-        Some(Reply::Spawned { gpid }) => Ok(gpid.clone()),
-        other => Err(format!("expected Spawned, got {other:?}")),
-    }
-}
-
-fn snapshot_all(c: &mut Cluster) -> Result<Vec<ProcRecord>, String> {
-    let from = c.hosts[0].1;
-    let out = run_tool(c, from, vec![ToolStep::new("*", Op::Snapshot)])?;
-    let reply = out.replies.into_iter().next().map(|(r, _)| r);
-    let reply = match reply {
-        Some(Reply::Partial { inner, .. }) => *inner,
-        Some(other) => other,
-        None => return Err("snapshot produced no reply".to_string()),
-    };
-    match reply {
-        Reply::Snapshot { procs, .. } => Ok(procs),
-        other => Err(format!("expected Snapshot, got {other:?}")),
-    }
-}
-
-/// Adopted, live pids of `USER` on `host` in a snapshot: the forest's
-/// node set for that host.
-fn forest_nodes(procs: &[ProcRecord], host: &str) -> Vec<u32> {
-    let mut pids: Vec<u32> = procs
-        .iter()
-        .filter(|p| p.gpid.host == host && p.adopted && p.state != WireProcState::Dead)
-        .map(|p| p.gpid.pid)
-        .collect();
-    pids.sort_unstable();
-    pids
-}
-
-fn demo(c: &mut Cluster, kill: bool) -> Result<(), String> {
-    let names: Vec<String> = c.hosts.iter().map(|(n, _)| n.clone()).collect();
-
-    // Remote execution: a computation rooted on h0, one job per peer.
-    let started = Instant::now();
-    let root = spawn_remote(c, &names[0], "root", None)?;
     println!(
-        "exec    root {}:{} (first spawn walked inetd -> pmd -> LPM, {:.0?})",
-        root.host,
-        root.pid,
-        started.elapsed()
+        "locate  computation {} runs on {:?}",
+        report.root.pid, report.sites.hosts
     );
-    for name in &names[1..] {
-        let g = spawn_remote(c, name, &format!("job-{name}"), Some(root.clone()))?;
-        println!(
-            "exec    job {}:{} (logical parent {})",
-            g.host, g.pid, root.pid
-        );
-    }
-
-    // Display: the distributed snapshot sweep.
-    let procs = snapshot_all(c)?;
-    println!("display {} managed processes:", procs.len());
-    for name in &names {
-        let pids = forest_nodes(&procs, name);
-        println!("display   {name}: {pids:?}");
-    }
-
-    // Locate: hosts executing the computation rooted at `root`.
-    let mut sites: Vec<&str> = procs
-        .iter()
-        .filter(|p| p.state != WireProcState::Dead)
-        .filter(|p| p.gpid == root || p.logical_parent.as_ref() == Some(&root))
-        .map(|p| p.gpid.host.as_str())
-        .collect();
-    sites.sort_unstable();
-    sites.dedup();
-    println!("locate  computation {} runs on {sites:?}", root.pid);
-    if sites.len() != names.len() {
-        return Err(format!(
-            "locate expected all {} hosts, got {sites:?}",
-            names.len()
-        ));
-    }
-
-    if !kill {
+    let Some(r) = report.recovery else {
         return Ok(());
-    }
-
-    // Crash recovery: SIGKILL h1's LPM out from under its live jobs.
-    let (victim_host, victim_id) = (names[1].clone(), c.hosts[1].1);
-    let before = forest_nodes(&procs, &victim_host);
-    let victim =
-        c.rt.find_proc(victim_id, USER, "lpm-")
-            .ok_or_else(|| format!("{victim_host} has no LPM"))?;
-    c.rt.kill(victim_id, Uid::ROOT, victim, Signal::Kill)
-        .map_err(|e| format!("kill LPM: {e:?}"))?;
-    println!("kill    SIGKILL {victim_host} LPM (pid {})", victim.0);
-
-    let crashed = Instant::now();
-    let deadline = crashed + Duration::from_secs(20);
-    let respawned = loop {
-        match c.rt.find_proc(victim_id, USER, "lpm-") {
-            Some(pid) if pid != victim => break pid,
-            _ if Instant::now() >= deadline => {
-                return Err("LPM was not respawned within 20s".to_string())
-            }
-            _ => std::thread::sleep(Duration::from_millis(50)),
-        }
     };
+    println!("kill    SIGKILL {} LPM (pid {})", peers[0], r.victim.0);
     println!(
-        "respawn pmd restarted the LPM as pid {} after {:.0?}",
-        respawned.0,
-        crashed.elapsed()
+        "respawn pmd restarted the LPM as pid {} after {}",
+        r.respawned.0, r.respawn_after
     );
-
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let procs = snapshot_all(c)?;
-        let after = forest_nodes(&procs, &victim_host);
-        if after == before {
-            println!(
-                "readopt forest node set restored {after:?} after {:.0?}",
-                crashed.elapsed()
-            );
-            break;
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "re-adoption did not restore the forest: before={before:?} after={after:?}"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(250));
-    }
-
-    // The respawned LPM serves new work.
-    let g = spawn_remote(c, &victim_host, "after", None)?;
-    println!("exec    job {}:{} on the respawned LPM", g.host, g.pid);
+    println!(
+        "readopt forest node set restored {:?} after {}",
+        r.forest, r.readopt_after
+    );
+    println!("exec    job {} on the respawned LPM", r.after);
     Ok(())
 }
 
@@ -300,26 +107,31 @@ fn main() -> ExitCode {
         }
     }
 
-    let started = Instant::now();
-    let mut cluster = boot(hosts, trace);
+    let started = std::time::Instant::now();
+    let names: Vec<String> = (0..hosts).map(|i| format!("h{i}")).collect();
+    let mut builder = PpmHarness::builder()
+        .pmd_options(PmdOptions {
+            stable_storage: true,
+            respawn_lpms: true,
+        })
+        .user(USER, SECRET, &["h0", "h1"], PpmConfig::fast_recovery());
+    for (i, name) in names.iter().enumerate() {
+        let cpu = if i % 2 == 0 {
+            CpuClass::Vax780
+        } else {
+            CpuClass::Sun2
+        };
+        builder = builder.host(name.clone(), cpu);
+    }
+    let mut ppm = builder.build_on(RealRuntime::with_trace(trace));
     println!(
         "boot    {hosts} hosts on loopback TCP, one node thread each (user {})",
         USER.0
     );
-    let result = demo(&mut cluster, kill);
+    let result = demo(&mut ppm, &names, kill);
 
     if let Some(p) = metrics_path {
-        let sections: Vec<(String, Vec<ppm_proto::types::MetricRow>)> = cluster
-            .rt
-            .shared()
-            .obs
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(label, reg)| (label.clone(), ppm_core::obs::rows(&reg.snapshot())))
-            .collect();
-        let text = ppm_core::obs::render_metrics(&sections);
-        if let Err(e) = std::fs::write(&p, text) {
+        if let Err(e) = std::fs::write(&p, ppm.metrics_report()) {
             eprintln!("ppm-real: cannot write {p}: {e}");
             return ExitCode::FAILURE;
         }

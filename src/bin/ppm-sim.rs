@@ -57,42 +57,65 @@
 
 use std::process::ExitCode;
 
-/// The `--users U --hosts N` multi-tenant storm: build a
-/// [`ppm_harness::tenant::TenantWorld`] from the canonical
-/// [`ppm_harness::tenant::scale_spec`], run it to the fork target, print
-/// the deterministic report, and (optionally) write the shard metrics.
-/// Wall-clock throughput is observational, so it goes to stderr where
-/// the determinism diff never sees it.
+use ppm::sweep::{run_scenario_cell, run_storm_cell, CellRun, CellTopology};
+use ppm_simnet::fault::FaultPlan;
+use ppm_simnet::topology::NetSpec;
+
+/// Writes `text` to `path`, reporting a failure the way every output
+/// flag does.
+fn write_file(path: &str, text: &str) -> bool {
+    std::fs::write(path, text)
+        .map_err(|e| eprintln!("ppm-sim: cannot write {path}: {e}"))
+        .is_ok()
+}
+
+/// Prints a finished cell and writes the files the flags asked for.
+fn emit(
+    run: &CellRun,
+    trace: bool,
+    digest: bool,
+    metrics_path: Option<&str>,
+    spans_path: Option<&str>,
+) -> ExitCode {
+    print!("{}", run.output);
+    if trace {
+        print!("{}", run.trace);
+    }
+    if digest {
+        println!("digest {}", ppm::digest::hex(run.digest));
+    }
+    let mut ok = metrics_path.is_none_or(|p| write_file(p, &run.metrics));
+    if let (Some(p), Some((jsonl, chrome))) = (spans_path, &run.spans) {
+        ok = ok && write_file(p, jsonl) && write_file(&format!("{p}.chrome.json"), chrome);
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The `--users U --hosts N` multi-tenant storm (see
+/// [`ppm::sweep::run_storm_cell`]): the report and `--metrics` file are
+/// deterministic; wall-clock throughput is observational, so it goes to
+/// stderr where the determinism diff never sees it.
 fn run_scale(
     users: u32,
     hosts: u16,
     seed: u64,
     procs: Option<u64>,
-    metrics_path: Option<String>,
+    metrics_path: Option<&str>,
     digest: bool,
 ) -> ExitCode {
-    use ppm_harness::tenant::{scale_spec, TenantWorld};
-
-    let spec = scale_spec(users, hosts, seed);
     let procs = procs.unwrap_or_else(|| u64::from(users).saturating_mul(2_000));
     let started = std::time::Instant::now();
-    let mut world = TenantWorld::new(spec, procs);
-    let report = world.run();
+    let run = run_storm_cell(users, hosts, seed, procs);
     let elapsed = started.elapsed();
-    let rendered = report.render();
-    print!("{rendered}");
-    let rows = ppm_core::obs::rows(&world.metrics().snapshot());
-    let text = ppm_core::obs::render_metrics(&[("tenant".to_string(), rows)]);
-    if digest {
-        println!(
-            "digest {}",
-            ppm::digest::hex(ppm::digest::fnv1a(&[&rendered, &text]))
-        );
-    }
-    let rate = report.procs as f64 / elapsed.as_secs_f64().max(1e-9);
+    let code = emit(&run, false, digest, metrics_path, None);
+    let rate = procs as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
-        "ppm-sim: {} processes across {} users on {} hosts in {:.2?} ({:.0} procs/sec)",
-        report.procs, report.users, report.hosts, elapsed, rate
+        "ppm-sim: {procs} processes across {users} users on {hosts} hosts in {elapsed:.2?} \
+         ({rate:.0} procs/sec)"
     );
     // Peak RSS (VmHWM) covers the whole run including the world build;
     // Linux-only, observational, stderr like the throughput line.
@@ -106,13 +129,7 @@ fn run_scale(
     {
         eprintln!("ppm-sim: peak rss {kb} kB");
     }
-    if let Some(p) = metrics_path {
-        if let Err(e) = std::fs::write(&p, text) {
-            eprintln!("ppm-sim: cannot write {p}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    code
 }
 
 fn usage() -> ExitCode {
@@ -162,7 +179,7 @@ fn main() -> ExitCode {
                 let Some(t) = args.next() else {
                     eprintln!(
                         "ppm-sim: --topology needs a preset ({}) or a spec file",
-                        ppm_simnet::topology::NetSpec::PRESETS.join(", ")
+                        NetSpec::PRESETS.join(", ")
                     );
                     return ExitCode::FAILURE;
                 };
@@ -227,7 +244,7 @@ fn main() -> ExitCode {
             hosts as u16,
             seed.unwrap_or(1986),
             procs,
-            metrics_path,
+            metrics_path.as_deref(),
             digest,
         );
     }
@@ -242,19 +259,9 @@ fn main() -> ExitCode {
         },
         _ => return usage(),
     };
-    let mut scenario = match ppm::scenario::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ppm-sim: {name}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(s) = seed {
-        scenario.seed = s;
-    }
     let plan = match faults_path {
         Some(p) => match std::fs::read_to_string(&p) {
-            Ok(t) => match ppm_simnet::fault::FaultPlan::parse(&t) {
+            Ok(t) => match FaultPlan::parse(&t) {
                 Ok(plan) => Some(plan),
                 Err(e) => {
                     eprintln!("ppm-sim: {p}: {e}");
@@ -268,10 +275,15 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let topology = match topology_arg {
+    // A preset is instantiated over the scenario's hosts inside the cell;
+    // anything else is a topology spec file, read and checked here.
+    let is_preset = |arg: &&str| NetSpec::PRESETS.contains(arg);
+    let spec_file = match topology_arg.as_deref().filter(|a| !is_preset(a)) {
         Some(arg) => {
-            let host_names: Vec<String> = scenario.hosts.iter().map(|(n, _)| n.clone()).collect();
-            match ppm::scenario::resolve_topology(&arg, &host_names) {
+            let spec = std::fs::read_to_string(arg)
+                .map_err(|e| format!("cannot read topology {arg}: {e}"))
+                .and_then(|text| NetSpec::parse(&text));
+            match spec {
                 Ok(spec) => Some(spec),
                 Err(e) => {
                     eprintln!("ppm-sim: --topology {arg}: {e}");
@@ -281,46 +293,20 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    let mut out = String::new();
-    let opts = ppm::scenario::ExecOptions {
-        spans: spans_path.is_some(),
-        faults: plan.as_ref(),
-        topology: topology.as_ref(),
+    let topology = match &spec_file {
+        Some(spec) => Some(CellTopology::Spec(spec)),
+        None => topology_arg.as_deref().map(CellTopology::Preset),
     };
-    match ppm::scenario::execute_with(&scenario, &mut out, opts) {
-        Ok(ppm) => {
-            print!("{out}");
-            if trace {
-                print!("{}", ppm.world().core().trace().render(None));
-            }
-            if digest {
-                let trace_text = ppm.world().core().trace().render(None);
-                let metrics_text = ppm.metrics_report();
-                println!(
-                    "digest {}",
-                    ppm::digest::hex(ppm::digest::fnv1a(&[&out, &trace_text, &metrics_text]))
-                );
-            }
-            if let Some(p) = metrics_path {
-                if let Err(e) = std::fs::write(&p, ppm.metrics_report()) {
-                    eprintln!("ppm-sim: cannot write {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(p) = spans_path {
-                if let Err(e) = std::fs::write(&p, ppm.spans_jsonl()) {
-                    eprintln!("ppm-sim: cannot write {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                let chrome = format!("{p}.chrome.json");
-                if let Err(e) = std::fs::write(&chrome, ppm.spans_chrome()) {
-                    eprintln!("ppm-sim: cannot write {chrome}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
+    let spans = spans_path.is_some();
+    match run_scenario_cell(&text, seed, plan.as_ref(), topology, spans) {
+        Ok(run) => emit(
+            &run,
+            trace,
+            digest,
+            metrics_path.as_deref(),
+            spans_path.as_deref(),
+        ),
+        Err((out, e)) => {
             print!("{out}");
             eprintln!("ppm-sim: {name}: {e}");
             ExitCode::FAILURE

@@ -473,25 +473,6 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
     }
 }
 
-/// Resolves a `--topology` argument against a scenario's host list: a
-/// preset name (`full-mesh`, `fat-tree`, `wan-hub`, `last-mile`) builds
-/// the corresponding [`NetSpec`] over the hosts; anything else is read as
-/// a topology spec file (see `ppm_simnet::topology::NetSpec::parse` for
-/// the grammar).
-///
-/// # Errors
-///
-/// A message naming the unreadable file or the spec parse error.
-pub fn resolve_topology(arg: &str, hosts: &[String]) -> Result<NetSpec, String> {
-    if NetSpec::PRESETS.contains(&arg) {
-        return NetSpec::preset(arg, hosts)
-            .ok_or_else(|| format!("preset {arg:?} needs at least one host"));
-    }
-    let text =
-        std::fs::read_to_string(arg).map_err(|e| format!("cannot read topology {arg}: {e}"))?;
-    NetSpec::parse(&text)
-}
-
 /// Executes a parsed scenario, writing tool output through `out`.
 ///
 /// Returns the harness for post-run inspection.
@@ -500,26 +481,7 @@ pub fn resolve_topology(arg: &str, hosts: &[String]) -> Result<NetSpec, String> 
 ///
 /// [`ScenarioError`] naming the failing action's line.
 pub fn execute(sc: &Scenario, out: &mut dyn fmt::Write) -> Result<PpmHarness, ScenarioError> {
-    execute_observed(sc, out, false)
-}
-
-/// Like [`execute`], but optionally with structured span recording
-/// enabled from the first event (for `ppm-sim --spans`). Spans are off
-/// by default because each record costs an allocation.
-pub fn execute_observed(
-    sc: &Scenario,
-    out: &mut dyn fmt::Write,
-    spans: bool,
-) -> Result<PpmHarness, ScenarioError> {
-    execute_with(
-        sc,
-        out,
-        ExecOptions {
-            spans,
-            faults: None,
-            topology: None,
-        },
-    )
+    execute_with(sc, out, ExecOptions::default())
 }
 
 /// Execution knobs for [`execute_with`].

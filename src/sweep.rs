@@ -43,6 +43,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::digest::{fnv1a, fnv1a_fold, hex};
+use crate::harness::tenant::{scale_spec, TenantWorld};
+use crate::scenario::ScenarioError;
+use crate::simnet::fault::FaultPlan;
+use crate::simnet::topology::NetSpec;
 
 /// One axis-point of the variant dimension.
 #[derive(Debug, Clone)]
@@ -243,8 +247,7 @@ impl Grid {
                         let resolved = base.join(rest);
                         let text = std::fs::read_to_string(&resolved)
                             .map_err(|e| err(format!("cannot read {}: {e}", resolved.display())))?;
-                        crate::simnet::fault::FaultPlan::parse(&text)
-                            .map_err(|e| err(format!("{rest}: {e}")))?;
+                        FaultPlan::parse(&text).map_err(|e| err(format!("{rest}: {e}")))?;
                         plans.push(Plan {
                             label: format!("fault:{rest}"),
                             repro_path: Some(resolved.display().to_string()),
@@ -255,7 +258,7 @@ impl Grid {
                 "topology" => {
                     if rest == "none" {
                         topos.push(Topo::flat());
-                    } else if crate::simnet::topology::NetSpec::PRESETS.contains(&rest) {
+                    } else if NetSpec::PRESETS.contains(&rest) {
                         topos.push(Topo {
                             label: format!("net:{rest}"),
                             arg: Some(rest.to_string()),
@@ -266,8 +269,7 @@ impl Grid {
                         let resolved = base.join(rest);
                         let text = std::fs::read_to_string(&resolved)
                             .map_err(|e| err(format!("cannot read {}: {e}", resolved.display())))?;
-                        crate::simnet::topology::NetSpec::parse(&text)
-                            .map_err(|e| err(format!("{rest}: {e}")))?;
+                        NetSpec::parse(&text).map_err(|e| err(format!("{rest}: {e}")))?;
                         topos.push(Topo {
                             label: format!("net:{rest}"),
                             arg: Some(rest.to_string()),
@@ -454,109 +456,158 @@ fn pool_mttr(metrics: &str) -> Option<(u64, u64)> {
     (count > 0).then_some((count, sum))
 }
 
-/// Executes one spec in the calling thread: builds a private world, runs
-/// it to completion, reduces it to a [`RunResult`]. This is the only
-/// function a worker runs; nothing in it is shared.
-#[must_use]
-pub fn run_spec(spec: &RunSpec) -> RunResult {
-    let repro = spec.repro();
-    let mut failures = Vec::new();
-    let (output, metrics, digest, sim_end_us) = match &spec.variant.kind {
-        VariantKind::Scenario { text } => run_scenario(text, spec, &mut failures),
-        VariantKind::Chain { hosts } => {
-            let text = crate::scenario::chain_scenario(*hosts);
-            run_scenario(&text, spec, &mut failures)
-        }
-        VariantKind::Storm {
-            users,
-            hosts,
-            procs,
-        } => {
-            let storm = crate::harness::tenant::scale_spec(*users, *hosts, spec.seed);
-            let mut world = crate::harness::tenant::TenantWorld::new(storm, *procs);
-            let report = world.run();
-            let rendered = report.render();
-            let rows = crate::core::obs::rows(&world.metrics().snapshot());
-            let metrics = crate::core::obs::render_metrics(&[("tenant".to_string(), rows)]);
-            let digest = fnv1a(&[&rendered, &metrics]);
-            (rendered, metrics, digest, report.sim_end_us)
-        }
-    };
-    for want in &spec.expects {
-        if !output.contains(want) {
-            failures.push(format!("output missing {want:?}"));
-        }
-    }
-    for want in &spec.expects_metric {
-        if !metrics.contains(want) {
-            failures.push(format!("metrics missing {want:?}"));
-        }
-    }
-    RunResult {
-        id: spec.id.clone(),
-        digest,
-        sim_end_us,
-        mttr: pool_mttr(&metrics),
-        failures,
-        repro,
-    }
+/// What one cell's run leaves behind: exactly the strings `ppm-sim`
+/// prints or writes, and the digest `--digest` reports over them.
+#[derive(Debug, Clone, Default)]
+pub struct CellRun {
+    /// Scenario output, or the storm report.
+    pub output: String,
+    /// The rendered simulation trace (empty for storms).
+    pub trace: String,
+    /// Every metrics registry as stable text.
+    pub metrics: String,
+    /// JSONL and Chrome renderings of the span log, when asked for.
+    pub spans: Option<(String, String)>,
+    /// FNV-1a fold of `output`, `trace` (scenarios only) and `metrics`.
+    pub digest: u64,
+    /// Simulated instant the run ended, µs.
+    pub sim_end_us: u64,
 }
 
-/// Scenario/chain executor shared by [`run_spec`]: mirrors `ppm-sim`
-/// byte for byte (same parse, same seed override, same digest chunks).
-fn run_scenario(
+/// Where a scenario cell's network model comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum CellTopology<'a> {
+    /// A preset, instantiated over the scenario's own host list.
+    Preset(&'a str),
+    /// A parsed spec file.
+    Spec(&'a NetSpec),
+}
+
+/// Runs one scenario cell — the whole of `ppm-sim <file>` / `--hosts N`
+/// and of a sweep's `scenario`/`chain` cell: parse, seed override, build,
+/// fault plan, network model, execute, render, digest.
+///
+/// # Errors
+///
+/// The parse or execution error, with whatever output preceded it.
+pub fn run_scenario_cell(
     text: &str,
-    spec: &RunSpec,
-    failures: &mut Vec<String>,
-) -> (String, String, u64, u64) {
-    let mut out = String::new();
-    let scenario = crate::scenario::parse(text);
-    let plan =
-        spec.plan.text.as_deref().map(|t| {
-            crate::simnet::fault::FaultPlan::parse(t).expect("plan validated at grid load")
-        });
-    let run = scenario.and_then(|mut sc| {
-        sc.seed = spec.seed;
-        // File-based topologies were validated at grid load; presets are
-        // instantiated over this variant's own host list.
-        let topo = match (&spec.topo.text, &spec.topo.arg) {
-            (Some(t), _) => Some(
-                crate::simnet::topology::NetSpec::parse(t)
-                    .expect("topology validated at grid load"),
-            ),
-            (None, Some(name)) => {
+    seed: Option<u64>,
+    faults: Option<&FaultPlan>,
+    topology: Option<CellTopology<'_>>,
+    spans: bool,
+) -> Result<CellRun, (String, ScenarioError)> {
+    let mut output = String::new();
+    let run = crate::scenario::parse(text).and_then(|mut sc| {
+        if let Some(seed) = seed {
+            sc.seed = seed;
+        }
+        let preset;
+        let topology = match topology {
+            Some(CellTopology::Spec(spec)) => Some(spec),
+            Some(CellTopology::Preset(name)) => {
                 let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-                Some(
-                    crate::simnet::topology::NetSpec::preset(name, &hosts).ok_or_else(|| {
-                        crate::scenario::ScenarioError {
-                            line: 0,
-                            message: format!("preset {name:?} needs at least one host"),
-                        }
-                    })?,
-                )
+                preset = NetSpec::preset(name, &hosts).ok_or_else(|| ScenarioError {
+                    line: 0,
+                    message: format!("preset {name:?} needs at least one host"),
+                })?;
+                Some(&preset)
             }
-            (None, None) => None,
+            None => None,
         };
         let opts = crate::scenario::ExecOptions {
-            spans: false,
-            faults: plan.as_ref(),
-            topology: topo.as_ref(),
+            spans,
+            faults,
+            topology,
         };
-        crate::scenario::execute_with(&sc, &mut out, opts)
+        crate::scenario::execute_with(&sc, &mut output, opts)
     });
     match run {
         Ok(h) => {
             let trace = h.world().core().trace().render(None);
             let metrics = h.metrics_report();
-            let digest = fnv1a(&[&out, &trace, &metrics]);
-            let end = h.now().as_micros();
-            (out, metrics, digest, end)
+            Ok(CellRun {
+                digest: fnv1a(&[&output, &trace, &metrics]),
+                sim_end_us: h.now().as_micros(),
+                spans: spans.then(|| (h.spans_jsonl(), h.spans_chrome())),
+                output,
+                trace,
+                metrics,
+            })
         }
-        Err(e) => {
-            failures.push(format!("execution error: {e}"));
-            let digest = fnv1a(&[&out]);
-            (out, String::new(), digest, 0)
+        Err(e) => Err((output, e)),
+    }
+}
+
+/// Runs one storm cell — the whole of `ppm-sim --users U --hosts H` and
+/// of a sweep's `storm` cell: the canonical [`scale_spec`] storm of
+/// `procs` forks on a [`TenantWorld`], its report and shard metrics.
+#[must_use]
+pub fn run_storm_cell(users: u32, hosts: u16, seed: u64, procs: u64) -> CellRun {
+    let mut world = TenantWorld::new(scale_spec(users, hosts, seed), procs);
+    let report = world.run();
+    let output = report.render();
+    let rows = crate::core::obs::rows(&world.metrics().snapshot());
+    let metrics = crate::core::obs::render_metrics(&[("tenant".to_string(), rows)]);
+    CellRun {
+        digest: fnv1a(&[&output, &metrics]),
+        sim_end_us: report.sim_end_us,
+        output,
+        metrics,
+        ..CellRun::default()
+    }
+}
+
+/// Executes one spec in the calling thread: builds a private world, runs
+/// it to completion, reduces it to a [`RunResult`]. This is the only
+/// function a worker runs; nothing in it is shared.
+#[must_use]
+pub fn run_spec(spec: &RunSpec) -> RunResult {
+    let scenario = |text: &str| {
+        // Plans and file-based topologies were validated at grid load.
+        let plan = spec.plan.text.as_deref();
+        let plan = plan.map(|t| FaultPlan::parse(t).expect("plan validated at grid load"));
+        let file = spec.topo.text.as_deref();
+        let file = file.map(|t| NetSpec::parse(t).expect("topology validated at grid load"));
+        let preset = spec.topo.arg.as_deref().map(CellTopology::Preset);
+        let topology = file.as_ref().map(CellTopology::Spec).or(preset);
+        run_scenario_cell(text, Some(spec.seed), plan.as_ref(), topology, false)
+    };
+    let run = match &spec.variant.kind {
+        VariantKind::Scenario { text } => scenario(text),
+        VariantKind::Chain { hosts } => scenario(&crate::scenario::chain_scenario(*hosts)),
+        VariantKind::Storm {
+            users,
+            hosts,
+            procs,
+        } => Ok(run_storm_cell(*users, *hosts, spec.seed, *procs)),
+    };
+    let mut failures = Vec::new();
+    let run = run.unwrap_or_else(|(output, e)| {
+        failures.push(format!("execution error: {e}"));
+        CellRun {
+            digest: fnv1a(&[&output]),
+            output,
+            ..CellRun::default()
         }
+    });
+    for want in &spec.expects {
+        if !run.output.contains(want) {
+            failures.push(format!("output missing {want:?}"));
+        }
+    }
+    for want in &spec.expects_metric {
+        if !run.metrics.contains(want) {
+            failures.push(format!("metrics missing {want:?}"));
+        }
+    }
+    RunResult {
+        id: spec.id.clone(),
+        digest: run.digest,
+        sim_end_us: run.sim_end_us,
+        mttr: pool_mttr(&run.metrics),
+        failures,
+        repro: spec.repro(),
     }
 }
 

@@ -18,7 +18,7 @@ use ppm_realos::RealRuntime;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::fd::OpenMode;
 use ppm_runtime::ids::{CpuClass, Pid, Uid};
-use ppm_runtime::program::{KernelMsg, Program, SigAction, SpawnSpec, SysError};
+use ppm_runtime::program::{Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
@@ -123,10 +123,6 @@ impl Program for Observer {
         sys.adopt(subject, TraceFlags::ALL)
             .expect("adopt own child");
         self.subject = Some(subject);
-    }
-
-    fn on_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
-        self.observe(sys, msg.event);
     }
 
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {

@@ -149,10 +149,44 @@ fn render(
     s
 }
 
+/// Renders a `.topo` chain over hosts `h0..h{k-1}` (at least one link,
+/// to an undeclared `h1` when there is only `h0`) whose attributes are
+/// drawn from valid and hostile spellings alike: non-finite, negative,
+/// unit-less and clock-filling latencies, zero and non-finite capacities,
+/// loss outside `0..=1`.
+fn render_topo(k: usize, picks: &[(u8, u8, u8)]) -> String {
+    use std::fmt::Write as _;
+    let lats = [
+        "2ms",
+        "infs",
+        "NaNms",
+        "-3ms",
+        "7",
+        "0us",
+        "4611686018427s",
+        "2000000000000s",
+    ];
+    let caps = ["100k", "1", "0", "infm", "-5k", "NaN", "9999999999999m"];
+    let losses = ["0", "0.5", "1", "2", "-1", "NaN"];
+    let mut s = String::from("topo hostile\n");
+    for i in 0..k.max(2) - 1 {
+        let (l, c, p) = picks.get(i).copied().unwrap_or((0, 0, 0));
+        let (l, c, p) = (l as usize, c as usize, p as usize);
+        write!(s, "link h{i} h{}", i + 1).unwrap();
+        write!(s, " lat={}", lats[l % lats.len()]).unwrap();
+        write!(s, " cap={}", caps[c % caps.len()]).unwrap();
+        writeln!(s, " loss={}", losses[p % losses.len()]).unwrap();
+    }
+    s
+}
+
 proptest! {
     /// Whatever `parse` accepts also builds and runs: `execute_with` may
     /// report a line-numbered error (an unknown host in an action, an
-    /// unbound name) but never panics on a parsed scenario.
+    /// unbound name, a topology naming an undeclared host) but never
+    /// panics on a parsed scenario — on the flat wire, under a preset,
+    /// or under whatever a hostile `.topo` file `NetSpec::parse` let
+    /// through.
     #[test]
     fn accepted_scenarios_build_and_run_without_panicking(
         k in 1usize..5,
@@ -170,7 +204,17 @@ proptest! {
             return Ok(());
         };
         let hosts: Vec<String> = sc.hosts.iter().map(|(h, _)| h.clone()).collect();
-        let topology = NetSpec::preset("fat-tree", &hosts).filter(|_| tail & 4 == 4);
+        let topology = match tail & 12 {
+            4 => NetSpec::preset("fat-tree", &hosts),
+            8 => match NetSpec::parse(&render_topo(k, &links)) {
+                Ok(spec) => Some(spec),
+                Err(e) => {
+                    prop_assert!(e.starts_with("topo line "), "{e}");
+                    None
+                }
+            },
+            _ => None,
+        };
         let opts = ExecOptions {
             topology: topology.as_ref(),
             ..ExecOptions::default()
