@@ -101,9 +101,8 @@ impl Lpm {
             timeout_token: None,
         };
         self.bcasts.insert(key.clone(), state);
-        if sys.spans_enabled() {
-            sys.span("bcast", format!("{}@{}", key.0, key.1), SpanPhase::Begin);
-        }
+        let span = format_args!("{}@{}", key.0, key.1);
+        sys.span("bcast", span, SpanPhase::Begin);
         sys.trace(
             TraceCategory::Broadcast,
             format_args!(
@@ -264,13 +263,8 @@ impl Lpm {
             timeout_token: None,
         };
         self.bcasts.insert(key.clone(), state);
-        if sys.spans_enabled() {
-            sys.span(
-                "bcast.relay",
-                format!("{}@{}", key.0, key.1),
-                SpanPhase::Begin,
-            );
-        }
+        let span = format_args!("{}@{}", key.0, key.1);
+        sys.span("bcast.relay", span, SpanPhase::Begin);
         sys.trace(
             TraceCategory::Broadcast,
             format_args!(
@@ -456,7 +450,7 @@ impl Lpm {
                 let spliced = u64::from(b.agg_count - before);
                 b.agg_received.insert(from_host.to_string());
                 b.missing.extend(missing);
-                self.obs.with(|r| r.add(self.obs.parts_spliced, spliced));
+                self.obs.registry.add(self.obs.parts_spliced, spliced);
             }
         }
     }
@@ -612,17 +606,15 @@ impl Lpm {
                     b.missing.len()
                 ),
             );
-            if sys.spans_enabled() {
-                sys.span("bcast", format!("{}@{}", key.0, key.1), SpanPhase::End);
-            }
+            let span = format_args!("{}@{}", key.0, key.1);
+            sys.span("bcast", span, SpanPhase::End);
             let combined = combine(&b.op, b.parts);
             let combined = if b.missing.is_empty() {
                 combined
             } else {
-                self.obs.with(|r| {
-                    r.inc(self.obs.partial_flushes);
-                    r.add(self.obs.missing_hosts, b.missing.len() as u64);
-                });
+                let missing = b.missing.len() as u64;
+                self.obs.registry.inc(self.obs.partial_flushes);
+                self.obs.registry.add(self.obs.missing_hosts, missing);
                 Reply::Partial {
                     missing: b.missing.into_iter().collect(),
                     inner: Box::new(combined),
@@ -696,13 +688,8 @@ impl Lpm {
             self.release_handler(sys, forward_handler);
             self.release_handler(sys, respond_handler);
             self.bcasts.remove(key);
-            if sys.spans_enabled() {
-                sys.span(
-                    "bcast.relay",
-                    format!("{}@{}", key.0, key.1),
-                    SpanPhase::End,
-                );
-            }
+            let span = format_args!("{}@{}", key.0, key.1);
+            sys.span("bcast.relay", span, SpanPhase::End);
         }
     }
 }

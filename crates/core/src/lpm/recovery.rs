@@ -269,7 +269,7 @@ impl Lpm {
 
     fn adopt_candidate(&mut self, sys: &mut dyn Sys, candidate: &str) {
         self.epoch += 1;
-        self.obs.with(|r| r.inc(self.obs.ccs_elections));
+        self.obs.registry.inc(self.obs.ccs_elections);
         self.ccs = candidate.to_string();
         self.recov = RecovMode::Normal;
         self.orphan_deadline = None;
@@ -284,7 +284,7 @@ impl Lpm {
     /// This LPM assumes the CCS role.
     pub(crate) fn become_ccs(&mut self, sys: &mut dyn Sys) {
         self.epoch += 1;
-        self.obs.with(|r| r.inc(self.obs.ccs_elections));
+        self.obs.registry.inc(self.obs.ccs_elections);
         self.ccs = self.host.clone();
         self.recov = RecovMode::Normal;
         self.orphan_deadline = None;
@@ -336,7 +336,7 @@ impl Lpm {
             None => {
                 let deadline = now + ttd;
                 self.orphan_deadline = Some(deadline);
-                self.obs.with(|r| r.inc(self.obs.orphan_entries));
+                self.obs.registry.inc(self.obs.orphan_entries);
                 self.note_recovery(
                     sys,
                     format_args!("no recovery host reachable; time-to-die at {deadline}"),
@@ -455,11 +455,10 @@ impl Lpm {
     ) {
         if let Some(sent) = self.probe_sent.remove(from) {
             let rtt = sys.now().saturating_since(sent);
-            self.obs
-                .with(|r| r.record(self.obs.probe_rtt_us, rtt.as_micros()));
-            if sys.spans_enabled() {
-                sys.span("probe", format!("{}>{from}", self.host), SpanPhase::End);
-            }
+            let probe_rtt = self.obs.probe_rtt_us;
+            self.obs.registry.record(probe_rtt, rtt.as_micros());
+            let span = format_args!("{}>{from}", self.host);
+            sys.span("probe", span, SpanPhase::End);
         }
         self.consider_ccs(sys, ccs, epoch);
         // The probed host is alive; if it outranks the current CCS, it
@@ -495,9 +494,8 @@ impl Lpm {
     fn note_probe_sent(&mut self, sys: &mut dyn Sys, host: &str) {
         if !self.probe_sent.contains_key(host) {
             self.probe_sent.insert(host.to_string(), sys.now());
-            if sys.spans_enabled() {
-                sys.span("probe", format!("{}>{host}", self.host), SpanPhase::Begin);
-            }
+            let span = format_args!("{}>{host}", self.host);
+            sys.span("probe", span, SpanPhase::Begin);
         }
     }
 
@@ -546,11 +544,9 @@ impl Lpm {
         }
         let now = sys.now();
         let mttr = now.saturating_since(crashed_at);
-        self.obs.with(|r| {
-            r.inc(self.obs.restarts);
-            r.add(self.obs.readopted, readopted);
-            r.record(self.obs.mttr_us, mttr.as_micros());
-        });
+        self.obs.registry.inc(self.obs.restarts);
+        self.obs.registry.add(self.obs.readopted, readopted);
+        self.obs.registry.record(self.obs.mttr_us, mttr.as_micros());
         self.rebuilding = readopted > 0;
         self.note_recovery(
             sys,

@@ -245,7 +245,7 @@ impl Lpm {
                         };
                     }
                     self.stats.dups_suppressed += 1;
-                    self.obs.with(|r| r.inc(self.obs.dups_suppressed));
+                    self.obs.registry.inc(self.obs.dups_suppressed);
                     self.note(
                         sys,
                         format_args!(
@@ -261,7 +261,7 @@ impl Lpm {
             }
             DupVerdict::Replay { reply, route } => {
                 self.stats.dups_suppressed += 1;
-                self.obs.with(|r| r.inc(self.obs.dups_suppressed));
+                self.obs.registry.inc(self.obs.dups_suppressed);
                 self.note(
                     sys,
                     format_args!("replaying cached reply for {}", fmt_key(&corr)),
@@ -278,7 +278,7 @@ impl Lpm {
                 // reply. Executing it now would be a second execution the
                 // dedup window can no longer prevent — refuse instead.
                 self.stats.dups_suppressed += 1;
-                self.obs.with(|r| r.inc(self.obs.dups_suppressed));
+                self.obs.registry.inc(self.obs.dups_suppressed);
                 self.note(
                     sys,
                     format_args!(
@@ -319,7 +319,7 @@ impl Lpm {
             let decayed =
                 SimTime::from_micros(deadline_us).saturating_back(self.cfg.deadline_decay);
             if decayed <= sys.now() {
-                self.obs.with(|r| r.inc(self.obs.deadline_refused));
+                self.obs.registry.inc(self.obs.deadline_refused);
                 self.refuse(
                     sys,
                     conn,
@@ -389,16 +389,15 @@ impl Lpm {
         ctx: RequestCtx,
     ) {
         self.stats.requests += 1;
-        self.obs.with(|r| r.inc(self.obs.requests));
+        self.obs.registry.inc(self.obs.requests);
         let id = self.alloc_internal_id();
         let policy = self.retry_policy();
         let origin_side = reply_to.is_origin();
         let corr = ctx
             .corr
             .unwrap_or_else(|| (std::sync::Arc::from(self.host.as_str()), id));
-        if sys.spans_enabled() {
-            sys.span("req", fmt_key(&corr), SpanPhase::Begin);
-        }
+        let span = format_args!("{}#{}", corr.0, corr.1);
+        sys.span("req", span, SpanPhase::Begin);
         let deadline = match ctx.deadline {
             Some(d) => Some(d),
             // Only requests we originate get the default end-to-end
@@ -541,7 +540,7 @@ impl Lpm {
         // slot before the inevitable failure.
         let now = sys.now();
         if self.rpc.get(id).is_some_and(|r| r.past_deadline(now)) {
-            self.obs.with(|r| r.inc(self.obs.deadline_refused));
+            self.obs.registry.inc(self.obs.deadline_refused);
             self.finish_with_error(
                 sys,
                 id,
@@ -740,10 +739,9 @@ impl Lpm {
     /// Parks a request for its backoff delay before the next attempt.
     fn schedule_retry(&mut self, sys: &mut dyn Sys, id: u64, delay: SimDuration, why: &str) {
         self.stats.retries += 1;
-        self.obs.with(|r| {
-            r.inc(self.obs.retries);
-            r.record(self.obs.backoff_us, delay.as_micros());
-        });
+        self.obs.registry.inc(self.obs.retries);
+        let backoff = self.obs.backoff_us;
+        self.obs.registry.record(backoff, delay.as_micros());
         let (key, attempt) = {
             let r = self.rpc.get_mut(id).expect("retrying request exists");
             r.phase = ReqPhase::RetryWait;
@@ -1077,9 +1075,8 @@ impl Lpm {
                 }
             }
         }
-        if sys.spans_enabled() {
-            sys.span("req", fmt_key(&req.corr), SpanPhase::End);
-        }
+        let span = format_args!("{}#{}", req.corr.0, req.corr.1);
+        sys.span("req", span, SpanPhase::End);
         if let Some(tok) = req.timeout_token {
             self.rpc.cancel(tok);
         }

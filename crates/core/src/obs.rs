@@ -20,8 +20,8 @@ use ppm_runtime::obs::{CounterId, HistId, MetricSample, MetricValue, SpanEvent, 
 
 /// The LPM's registered metric set: ids into its shared registry.
 ///
-/// Hot-path updates go through [`LpmObs::with`], a relaxed atomic add
-/// into the sealed registry — no lock on either backend.
+/// A hot-path update is a relaxed atomic add into the sealed registry —
+/// no lock on any backend.
 pub(crate) struct LpmObs {
     pub registry: SharedRegistry,
     /// Requests entering the pipeline.
@@ -88,12 +88,6 @@ impl LpmObs {
             readopted,
             mttr_us,
         }
-    }
-
-    /// Runs `f` against the sealed registry (lock-free atomic updates).
-    #[inline]
-    pub(crate) fn with<T>(&self, f: impl FnOnce(&ppm_runtime::obs::Registry) -> T) -> T {
-        f(&self.registry)
     }
 
     /// Samples the registry into wire rows (name-sorted, deterministic).
@@ -258,9 +252,6 @@ mod tests {
     #[test]
     fn lpm_obs_samples_to_trimmed_rows() {
         let obs = LpmObs::new();
-        obs.with(|r| {
-            let _ = r;
-        });
         obs.registry.inc(obs.retries);
         obs.registry.record(obs.backoff_us, 250_000);
         let rows = obs.rows();

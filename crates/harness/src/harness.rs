@@ -8,9 +8,12 @@
 //! does goes through the same tools, daemons and protocols a real user
 //! of the paper's system would exercise — and only the world underneath
 //! (virtual or wall clock, modelled or loopback wire) is substituted.
-//! What only the simulation has (the [`World`] itself, fault plans, the
-//! network model, spans) stays on `PpmHarness<SimRuntime>`, which is what
-//! the bare name `PpmHarness` means.
+//! What the world recorded about itself — trace, spans, published
+//! registries — is read from the backend's one hub, so it too is the
+//! same call on every backend. What only the simulation has (the
+//! [`World`] itself, fault plans, the network model) stays on
+//! `PpmHarness<SimRuntime>`, which is what the bare name `PpmHarness`
+//! means.
 
 use std::sync::Arc;
 
@@ -18,6 +21,7 @@ use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, ProcRecord, RusageRecord};
 use ppm_runtime::obs::SpanEvent;
 pub use ppm_runtime::rt::Runtime;
+use ppm_runtime::trace::TraceCategory;
 use ppm_simnet::latency::LatencyModel;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec, NetSpec};
@@ -250,32 +254,6 @@ impl PpmHarness {
     pub fn world_mut(&mut self) -> &mut World {
         self.rt.world_mut()
     }
-
-    /// Enables structured span recording. Off by default: span records
-    /// cost an allocation each, so benchmarks leave them disabled.
-    pub fn enable_spans(&mut self) {
-        self.world_mut()
-            .core_mut()
-            .obs_mut()
-            .spans
-            .set_enabled(true);
-    }
-
-    /// Recorded span events (empty unless [`PpmHarness::enable_spans`]
-    /// was called before the activity of interest).
-    pub fn span_events(&self) -> &[SpanEvent] {
-        self.world().core().obs().spans.events()
-    }
-
-    /// Span events rendered as JSONL, one record per line.
-    pub fn spans_jsonl(&self) -> String {
-        ppm_core::obs::spans_jsonl(self.span_events(), &self.hosts)
-    }
-
-    /// Span events rendered as a Chrome `trace_event` document.
-    pub fn spans_chrome(&self) -> String {
-        ppm_core::obs::spans_chrome(self.span_events(), &self.hosts)
-    }
 }
 
 impl<R: Runtime> PpmHarness<R> {
@@ -288,6 +266,34 @@ impl<R: Runtime> PpmHarness<R> {
     /// The backend clock's current instant.
     pub fn now(&self) -> SimTime {
         self.rt.now()
+    }
+
+    /// Enables structured span recording. Off by default: span records
+    /// cost an allocation each, so benchmarks leave them disabled.
+    pub fn enable_spans(&mut self) {
+        self.rt.hub().spans.set_enabled(true);
+    }
+
+    /// Recorded span events (empty unless [`PpmHarness::enable_spans`]
+    /// was called before the activity of interest).
+    pub fn span_events(&mut self) -> Vec<SpanEvent> {
+        self.rt.hub().spans.events().to_vec()
+    }
+
+    /// Span events rendered as JSONL, one record per line.
+    pub fn spans_jsonl(&mut self) -> String {
+        ppm_core::obs::spans_jsonl(self.rt.hub().spans.events(), &self.hosts)
+    }
+
+    /// Span events rendered as a Chrome `trace_event` document.
+    pub fn spans_chrome(&mut self) -> String {
+        ppm_core::obs::spans_chrome(self.rt.hub().spans.events(), &self.hosts)
+    }
+
+    /// The trace (or one category of it) as display lines — what
+    /// `ppm-sim --trace` and `ppm-real --trace` print.
+    pub fn trace_render(&mut self, category: Option<TraceCategory>) -> String {
+        self.rt.hub().trace.render(category)
     }
 
     /// Lets the world run for `d` of the backend clock.

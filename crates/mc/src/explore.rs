@@ -17,6 +17,7 @@
 //! violation.
 
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 use crate::world::McWorld;
 
@@ -87,7 +88,8 @@ pub struct Violation {
     pub predicate: String,
     /// Minimized pick vector (replay with `pick % enabled.len()`).
     pub picks: Vec<usize>,
-    /// Human-readable move list of the minimized schedule.
+    /// Human-readable move list of the minimized schedule, each move
+    /// followed by the protocol notes it produced.
     pub trace: Vec<String>,
 }
 
@@ -158,9 +160,12 @@ pub fn replay(s: &Scenario, picks: &[usize]) -> McWorld {
     w
 }
 
-/// Replays and renders each move's description (the repro trace).
+/// Replays and renders each move's description (the repro trace), with
+/// what the programs noted while it ran — the hub's trace entries, in
+/// the format every backend prints — indented under it.
 pub fn replay_trace(s: &Scenario, picks: &[usize]) -> Vec<String> {
     let mut w = (s.build)();
+    w.hub_mut().trace.set_enabled(true);
     let mut out = Vec::new();
     for &p in picks {
         let moves = w.enabled_moves();
@@ -168,8 +173,13 @@ pub fn replay_trace(s: &Scenario, picks: &[usize]) -> Vec<String> {
             break;
         }
         let mv = moves[p % moves.len()].clone();
-        out.push(w.describe(&mv));
+        let mut step = w.describe(&mv);
+        let noted = w.hub().trace.len();
         w.apply(&mv);
+        for note in w.hub().trace.entries().skip(noted) {
+            write!(step, "\n      {note}").expect("writing to a String cannot fail");
+        }
+        out.push(step);
     }
     out
 }

@@ -20,7 +20,12 @@
 //!   route was learned must never be used for a directed request (the
 //!   `conn_alive`-at-send-time bug).
 
-use ppm_core::{PmdOptions, PpmConfig, Tool, ToolStep, UserCred, UserDirectory, UserEntry};
+use std::sync::Arc;
+
+use ppm_core::{
+    Pmd, PmdOptions, PpmConfig, Tool, ToolStep, UserCred, UserDirectory, UserEntry, PMD_PORT,
+    PMD_SERVICE,
+};
 use ppm_proto::types::Gpid;
 use ppm_proto::{ControlAction, Msg, Op};
 use ppm_runtime::signal::Signal;
@@ -51,15 +56,18 @@ fn cred() -> UserCred {
 }
 
 fn world(hosts: &[&str], recovery: &[&str], respawn: bool) -> McWorld {
-    McWorld::new(
-        hosts,
-        users(recovery),
-        PmdOptions {
-            stable_storage: true,
-            respawn_lpms: respawn,
-        },
-        SimDuration::from_secs(20),
-    )
+    let mut w = McWorld::new(hosts, SimDuration::from_secs(20));
+    let users = users(recovery).into_shared();
+    let options = PmdOptions {
+        stable_storage: true,
+        respawn_lpms: respawn,
+    };
+    w.register_service(
+        PMD_SERVICE,
+        PMD_PORT,
+        Box::new(move |_host| Box::new(Pmd::new(Arc::clone(&users), PMD_PORT, options))),
+    );
+    w
 }
 
 /// All scenarios by CLI/CI suite name.
@@ -486,5 +494,52 @@ pub fn stale_route() -> Scenario {
         build: Box::new(build),
         check_step: Box::new(used_stale),
         check_quiescent: Box::new(undelivered),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::{replay, replay_trace};
+
+    /// A tool on `a` pings `b`: the inetd → pmd → LPM chain comes up on
+    /// both hosts and one request crosses the wire.
+    fn ping() -> Scenario {
+        let build = || {
+            let mut w = world(&["a", "b"], &["a", "b"], false);
+            let script = vec![ToolStep::new("b", Op::Ping)];
+            let (tool, _outcome) = Tool::new(cred(), PpmConfig::fast_recovery(), script);
+            w.spawn_program(0, UID, "tool", Box::new(tool));
+            w
+        };
+        Scenario {
+            name: "ping",
+            default_budget: Budget::smoke(),
+            build: Box::new(build),
+            check_step: Box::new(|_| None),
+            check_quiescent: Box::new(|_| None),
+        }
+    }
+
+    #[test]
+    fn a_replayed_schedule_shows_the_lpms_notes_under_its_moves() {
+        let s = ping();
+        // First enabled move each time, to quiescence.
+        let picks = vec![0; 300];
+        // What `explore` replays keeps the hub off: nothing is recorded.
+        assert!(replay(&s, &picks).hub().trace.is_empty());
+
+        let trace = replay_trace(&s, &picks);
+        let mut lpm_notes = 0;
+        for step in &trace {
+            let mut lines = step.lines();
+            let moved = lines.next().expect("the move's description");
+            assert!(!moved.starts_with(' '), "{step}");
+            for note in lines {
+                assert!(note.starts_with("      ["), "a hub-rendered line: {step}");
+                lpm_notes += usize::from(note.contains(" lpm] "));
+            }
+        }
+        assert!(lpm_notes > 0, "no LPM note under any move:\n{trace:#?}");
     }
 }

@@ -17,23 +17,22 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hasher;
-use std::sync::Arc;
 
 use bytes::Bytes;
 
-use ppm_core::{Lpm, Pmd, PmdOptions, UserDirectory, PMD_SERVICE};
+use ppm_core::Lpm;
 use ppm_proto::codec::Wire;
 use ppm_proto::Msg;
 use ppm_runtime::hashx::HashX;
 use ppm_runtime::inetd::Inetd;
 use ppm_runtime::kernel::{Effect, Effects, Kernel};
-use ppm_runtime::obs::{SharedRegistry, SpanPhase};
+use ppm_runtime::obs::{HubRef, ObsHub};
+use ppm_runtime::rt::{ServiceFactory, Services};
 use ppm_runtime::signal::{ExitStatus, Signal};
-use ppm_runtime::sys::{Clock, Spawner, Sys, TimerDriver, TimerHandle, Transport};
+use ppm_runtime::sys::{Sys, TimerHandle};
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
-use ppm_runtime::trace::TraceCategory;
 use ppm_runtime::{
-    ConnEvent, ConnId, CpuClass, HostId, Pid, Port, Program, SigAction, SpawnSpec, SysError, Uid,
+    ConnEvent, ConnId, HostId, Pid, Port, Program, SigAction, SpawnSpec, SysError, Uid,
 };
 
 /// Process key used internally: (host index, pid number). Plain integers
@@ -152,8 +151,12 @@ pub struct McWorld {
     next_timer: u64,
     child_exits: BTreeMap<K, VecDeque<(Pid, ExitStatus)>>,
     starts: BTreeSet<K>,
-    users: Arc<UserDirectory>,
-    pmd_options: PmdOptions,
+    /// inetd's registry (the scenarios register pmd).
+    services: Services,
+    /// What the world records about itself. Tracing is off — and costs
+    /// nothing — while the explorer runs; a replay that wants the
+    /// programs' notes under its moves switches it on.
+    hub: ObsHub,
     /// Kill syscalls observed: (host, target pid, signal number) → count.
     /// The exactly-once predicate reads this.
     pub kill_log: BTreeMap<(u32, u32, u8), u32>,
@@ -178,12 +181,7 @@ impl McWorld {
     /// Creates a fully meshed world of `hosts`, boots inetd everywhere,
     /// and drains nothing: call [`McWorld::run_to_quiescence`] or start
     /// staging.
-    pub fn new(
-        hosts: &[&str],
-        users: UserDirectory,
-        pmd_options: PmdOptions,
-        horizon: SimDuration,
-    ) -> Self {
+    pub fn new(hosts: &[&str], horizon: SimDuration) -> Self {
         let clock = SimTime::from_micros(1_000);
         let mut w = McWorld {
             clock,
@@ -200,8 +198,8 @@ impl McWorld {
             next_timer: 1,
             child_exits: BTreeMap::new(),
             starts: BTreeSet::new(),
-            users: users.into_shared(),
-            pmd_options,
+            services: Services::default(),
+            hub: ObsHub::new(false),
             kill_log: BTreeMap::new(),
             blackhole_sends: 0,
             adversaries: Vec::new(),
@@ -216,6 +214,11 @@ impl McWorld {
     }
 
     // ---- staging helpers (deterministic world construction) ------------
+
+    /// Registers a service with inetd's registry on every host.
+    pub fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
+        self.services.register(name, port, factory);
+    }
 
     /// Spawns a process with behaviour as a child of init; it starts via
     /// its `Start` move (first in drain priority).
@@ -338,6 +341,16 @@ impl McWorld {
     /// The kernel of a host (process table, stable storage).
     pub fn kernel(&self, host: u32) -> &Kernel {
         &self.kernels[host as usize]
+    }
+
+    /// What the world recorded about itself.
+    pub fn hub(&self) -> &ObsHub {
+        &self.hub
+    }
+
+    /// The hub, to switch recording on for a replay.
+    pub fn hub_mut(&mut self) -> &mut ObsHub {
+        &mut self.hub
     }
 
     /// Host name for a host index.
@@ -793,11 +806,9 @@ impl McWorld {
         let Some(mut prog) = self.progs.remove(&k) else {
             return;
         };
-        let uid = self.kernels[k.0 as usize].uid_of(Pid(k.1));
         let mut sys = McSys {
             w: self,
             key: k,
-            uid,
             exited: None,
         };
         f(prog.as_mut(), &mut sys);
@@ -818,16 +829,21 @@ impl McWorld {
         f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R,
     ) -> R {
         let out = f(&mut self.kernels[host as usize], self.clock, &mut self.fx);
+        self.apply_effects(host);
+        out
+    }
+
+    fn apply_effects(&mut self, host: u32) {
         let mut fx = std::mem::take(&mut self.fx);
         for effect in fx.drain(..) {
             // Queued events wait in the kernel until a `Kernel` move pops
-            // them; stopped programs are not held back; nothing traces.
+            // them; stopped programs are not held back; the kernel's own
+            // steps are not traced (a move's description names them).
             if let Effect::Gone(pid, status, notify) = effect {
                 self.process_gone((host, pid.0), status, notify);
             }
         }
         self.fx = fx;
-        out
     }
 
     /// Frontier teardown for an exited process: its pending moves go,
@@ -912,44 +928,16 @@ fn frame_kind(bytes: &Bytes) -> String {
 struct McSys<'w> {
     w: &'w mut McWorld,
     key: K,
-    uid: Uid,
     /// Set by `exit` (and self-kill); applied by the dispatcher after
     /// the callback returns.
     exited: Option<ExitStatus>,
 }
 
-impl McSys<'_> {
-    fn host(&self) -> usize {
-        self.key.0 as usize
-    }
-
-    fn kernel(&self) -> &Kernel {
-        &self.w.kernels[self.host()]
-    }
-
-    fn kernel_mut(&mut self) -> &mut Kernel {
-        &mut self.w.kernels[self.key.0 as usize]
-    }
-
-    fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R) -> R {
-        self.w.kernel_call(self.key.0, f)
-    }
-
-    fn do_spawn(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        if !self.w.host_up[self.host()] {
-            return Err(SysError::HostDown);
-        }
-        Ok(self.w.spawn(self.key, uid, spec))
-    }
-}
-
-impl Clock for McSys<'_> {
+impl Sys for McSys<'_> {
     fn now(&self) -> Micros {
         self.w.clock
     }
-}
 
-impl TimerDriver for McSys<'_> {
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
         let id = self.w.next_timer;
         self.w.next_timer += 1;
@@ -967,12 +955,9 @@ impl TimerDriver for McSys<'_> {
     fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
         self.w.timers.remove(&handle.0).is_some()
     }
-}
 
-impl Transport for McSys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        let pid = Pid(self.key.1);
-        self.kernel_mut().bind(pid, port)
+        self.w.kernels[self.key.0 as usize].bind(Pid(self.key.1), port)
     }
 
     fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
@@ -1063,66 +1048,7 @@ impl Transport for McSys<'_> {
         }
         Ok(())
     }
-}
 
-impl Spawner for McSys<'_> {
-    fn spawn(&mut self, spec: SpawnSpec) -> Result<Pid, SysError> {
-        self.do_spawn(self.uid, spec)
-    }
-
-    fn spawn_as(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        if !self.uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        self.do_spawn(uid, spec)
-    }
-
-    fn exit(&mut self, code: i32) {
-        self.exited = Some(ExitStatus::Code(code));
-    }
-
-    fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
-        let host = self.key.0;
-        self.kernel().may_signal(self.uid, target)?;
-        *self
-            .w
-            .kill_log
-            .entry((host, target.0, signal.number()))
-            .or_insert(0) += 1;
-        if target.0 == self.key.1 {
-            // Suicide by signal: defer like exit so the dispatcher
-            // unwinds cleanly.
-            if signal.is_fatal_by_default() || signal == Signal::Kill {
-                self.exited = Some(ExitStatus::Signaled(signal));
-            }
-            return Ok(());
-        }
-        self.w.deliver_signal((host, target.0), signal);
-        Ok(())
-    }
-
-    fn spawn_service(&mut self, name: &str) -> Result<(Pid, Port), SysError> {
-        if !self.uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        if name != PMD_SERVICE {
-            return Err(SysError::UnknownService);
-        }
-        if let Some(pid) = self.kernel().service(name) {
-            return Ok((pid, ppm_core::PMD_PORT));
-        }
-        let pmd = Pmd::new(
-            Arc::clone(&self.w.users),
-            ppm_core::PMD_PORT,
-            self.w.pmd_options,
-        );
-        let pid = self.do_spawn(Uid::ROOT, SpawnSpec::new(PMD_SERVICE, Box::new(pmd)))?;
-        self.kernel_mut().register_service(name, pid);
-        Ok((pid, ppm_core::PMD_PORT))
-    }
-}
-
-impl Sys for McSys<'_> {
     fn host(&self) -> HostId {
         HostId(self.key.0)
     }
@@ -1131,16 +1057,8 @@ impl Sys for McSys<'_> {
         &self.w.host_names[self.key.0 as usize]
     }
 
-    fn cpu_class(&self) -> CpuClass {
-        CpuClass::Vax780
-    }
-
     fn pid(&self) -> Pid {
         Pid(self.key.1)
-    }
-
-    fn uid(&self) -> Uid {
-        self.uid
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -1156,31 +1074,58 @@ impl Sys for McSys<'_> {
         self.w.host_names.clone()
     }
 
-    fn trace(&mut self, _category: TraceCategory, _text: std::fmt::Arguments<'_>) {}
-
-    fn spans_enabled(&self) -> bool {
-        false
-    }
-
-    fn span_str(&mut self, _name: &'static str, _corr: String, _phase: SpanPhase) {}
-
-    fn register_metrics_str(&mut self, _label: String, _registry: SharedRegistry) {}
-
     fn random_unit(&mut self) -> f64 {
         // Deterministic midpoint: jittered backoffs collapse to their
         // nominal value, which keeps the schedule space canonical.
         0.5
     }
 
-    fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
-        nominal
+    fn exit(&mut self, code: i32) {
+        self.exited = Some(ExitStatus::Code(code));
     }
 
-    fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        let (pid, now) = (Pid(self.key.1), self.w.clock);
-        self.kernel_mut().charge_cpu(pid, nominal, now);
-        nominal
+    /// Every child is filed under its caller, whatever `parent` says: a
+    /// daemon is inetd's child here, not init's as elsewhere. The suites'
+    /// state digests fold the parent pid in; aligning it changes all five.
+    fn fork_exec(&mut self, _parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        Ok(self.w.spawn(self.key, uid, spec))
     }
 
-    ppm_runtime::kernel_syscalls!();
+    fn post_signal(&mut self, target: Pid, signal: Signal) {
+        let host = self.key.0;
+        *self
+            .w
+            .kill_log
+            .entry((host, target.0, signal.number()))
+            .or_insert(0) += 1;
+        if target.0 == self.key.1 {
+            // Suicide by signal: defer like exit so the dispatcher
+            // unwinds cleanly.
+            if signal.is_fatal_by_default() || signal == Signal::Kill {
+                self.exited = Some(ExitStatus::Signaled(signal));
+            }
+            return;
+        }
+        self.w.deliver_signal((host, target.0), signal);
+    }
+
+    fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)> {
+        self.w.services.make(name, HostId(self.key.0))
+    }
+
+    fn kernel(&self) -> &Kernel {
+        &self.w.kernels[self.key.0 as usize]
+    }
+
+    fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
+        (&mut self.w.kernels[self.key.0 as usize], &mut self.w.fx)
+    }
+
+    fn flush_effects(&mut self) {
+        self.w.apply_effects(self.key.0);
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Own(&mut self.w.hub)
+    }
 }

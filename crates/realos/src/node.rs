@@ -31,12 +31,12 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use ppm_runtime::fd::FdKind;
-use ppm_runtime::ids::{ConnId, CpuClass, HostId, Pid, Port, Uid};
+use ppm_runtime::ids::{ConnId, HostId, Pid, Port, Uid};
 use ppm_runtime::kernel::{Effect, Effects, Kernel};
-use ppm_runtime::obs::{SharedRegistry, SpanPhase};
+use ppm_runtime::obs::HubRef;
 use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
-use ppm_runtime::sys::{Clock, Spawner, TimerDriver, TimerHandle, Transport};
+use ppm_runtime::sys::TimerHandle;
 use ppm_runtime::time::{Micros, SimDuration};
 use ppm_runtime::trace::TraceCategory;
 
@@ -165,7 +165,6 @@ impl RConn {
 pub struct NodeCore {
     host: HostId,
     name: String,
-    cpu: CpuClass,
     clock: ClusterClock,
     cluster: Arc<ClusterShared>,
     tx: Sender<NodeEvent>,
@@ -190,7 +189,6 @@ impl NodeCore {
     pub fn new(
         host: HostId,
         name: String,
-        cpu: CpuClass,
         cluster: Arc<ClusterShared>,
         tx: Sender<NodeEvent>,
     ) -> Self {
@@ -198,7 +196,6 @@ impl NodeCore {
         let mut node = NodeCore {
             host,
             name,
-            cpu,
             clock,
             cluster,
             tx,
@@ -451,6 +448,11 @@ impl NodeCore {
     fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, Micros, &mut Effects) -> R) -> R {
         let now = self.now();
         let out = f(&mut self.kernel, now, &mut self.fx);
+        self.apply_effects();
+        out
+    }
+
+    fn apply_effects(&mut self) {
         if !self.fx.is_empty() {
             let mut fx = std::mem::take(&mut self.fx);
             for effect in fx.drain(..) {
@@ -458,7 +460,6 @@ impl NodeCore {
             }
             self.fx = fx;
         }
-        out
     }
 
     fn apply_effect(&mut self, effect: Effect) {
@@ -532,10 +533,12 @@ impl NodeCore {
         id
     }
 
+    /// A note from the node itself (its programs' go through `Sys`).
     fn trace(&self, category: TraceCategory, text: std::fmt::Arguments<'_>) {
-        if self.cluster.trace_enabled {
-            let at = self.now();
-            eprintln!("[{at} {}] {category}: {text}", self.name);
+        let mut hub = self.cluster.hub();
+        if hub.trace.is_enabled() {
+            hub.trace
+                .record(self.now(), Some(self.host), category, text);
         }
     }
 
@@ -546,12 +549,10 @@ impl NodeCore {
         let Some(mut prog) = self.programs.remove(&pid) else {
             return;
         };
-        let uid = self.kernel.uid_of(pid);
         let requested_exit = {
             let mut sys = RealSys {
                 node: self,
                 pid,
-                uid,
                 exit_code: None,
             };
             f(prog.as_mut(), &mut sys);
@@ -579,38 +580,21 @@ impl NodeCore {
 
 /// The real syscall interface bound to one calling process.
 ///
-/// Where [`ppm_simos::sys::Sys`] maps the trait contracts onto the
-/// discrete-event world, this maps them onto the node: timers go to the
-/// node heap, connections to loopback TCP, spawn/kill to the shared
-/// kernel process table.
+/// Where [`ppm_simos::sys::Sys`] supplies the trait's required methods
+/// from the discrete-event world, this supplies them from the node:
+/// timers go to the node heap, connections to loopback TCP, forks and
+/// signals to the node's deferred actions, notes to the cluster's hub.
 pub struct RealSys<'a> {
     node: &'a mut NodeCore,
     pid: Pid,
-    uid: Uid,
     exit_code: Option<i32>,
 }
 
-impl RealSys<'_> {
-    fn kernel(&self) -> &Kernel {
-        &self.node.kernel
-    }
-
-    fn kernel_mut(&mut self) -> &mut Kernel {
-        &mut self.node.kernel
-    }
-
-    fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, Micros, &mut Effects) -> R) -> R {
-        self.node.kernel_call(f)
-    }
-}
-
-impl Clock for RealSys<'_> {
+impl ppm_runtime::sys::Sys for RealSys<'_> {
     fn now(&self) -> Micros {
         self.node.now()
     }
-}
 
-impl TimerDriver for RealSys<'_> {
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
         let seq = self.node.next_timer;
         self.node.next_timer += 1;
@@ -623,9 +607,7 @@ impl TimerDriver for RealSys<'_> {
     fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
         self.node.timer_entries.remove(&handle.0).is_some()
     }
-}
 
-impl Transport for RealSys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
         if self.node.kernel.listener(port).is_some() {
             return Err(SysError::PortInUse);
@@ -736,57 +718,7 @@ impl Transport for RealSys<'_> {
         }
         Ok(())
     }
-}
 
-impl Spawner for RealSys<'_> {
-    fn spawn(&mut self, spec: SpawnSpec) -> Result<Pid, SysError> {
-        Ok(self.node.spawn_proc(self.pid, self.uid, spec))
-    }
-
-    fn spawn_as(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        if !self.uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        Ok(self.node.spawn_proc(self.pid, uid, spec))
-    }
-
-    fn exit(&mut self, code: i32) {
-        self.exit_code = Some(code);
-    }
-
-    fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
-        self.node.post_signal(self.uid, target, signal)
-    }
-
-    fn spawn_service(&mut self, name: &str) -> Result<(Pid, Port), SysError> {
-        if !self.uid.is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        if let Some(pid) = self.node.kernel.service(name) {
-            let port = self
-                .node
-                .cluster
-                .service_port(name)
-                .ok_or(SysError::UnknownService)?;
-            return Ok((pid, port));
-        }
-        let (port, program) = self
-            .node
-            .cluster
-            .make_service(name, self.node.host)
-            .ok_or(SysError::UnknownService)?;
-        let spec = SpawnSpec::new(name.to_string(), program);
-        let pid = self.node.spawn_proc(Pid::INIT, Uid::ROOT, spec);
-        self.node.kernel.register_service(name, pid);
-        self.node.trace(
-            TraceCategory::Daemon,
-            format_args!("service {name} started as pid {pid} (port {port})"),
-        );
-        Ok((pid, port))
-    }
-}
-
-impl ppm_runtime::sys::Sys for RealSys<'_> {
     fn host(&self) -> HostId {
         self.node.host
     }
@@ -795,46 +727,21 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         &self.node.name
     }
 
-    fn cpu_class(&self) -> CpuClass {
-        self.node.cpu
-    }
-
     fn pid(&self) -> Pid {
         self.pid
-    }
-
-    fn uid(&self) -> Uid {
-        self.uid
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
         let hosts = self.node.cluster.hosts.read().unwrap();
         hosts
             .iter()
-            .position(|(n, _)| n == name)
+            .position(|n| n == name)
             .map(|i| HostId(i as u32))
             .ok_or(SysError::NoSuchHost)
     }
 
     fn known_hosts(&self) -> Vec<String> {
-        let hosts = self.node.cluster.hosts.read().unwrap();
-        hosts.iter().map(|(n, _)| n.clone()).collect()
-    }
-
-    fn trace(&mut self, category: TraceCategory, text: std::fmt::Arguments<'_>) {
-        self.node.trace(category, text);
-    }
-
-    fn spans_enabled(&self) -> bool {
-        false
-    }
-
-    fn span_str(&mut self, _name: &'static str, _corr: String, _phase: SpanPhase) {}
-
-    fn register_metrics_str(&mut self, label: String, registry: SharedRegistry) {
-        let mut obs = self.node.cluster.obs.lock().unwrap();
-        obs.retain(|(l, _)| *l != label);
-        obs.push((label, registry));
+        self.node.cluster.hosts.read().unwrap().clone()
     }
 
     fn random_unit(&mut self) -> f64 {
@@ -848,17 +755,37 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         bits as f64 / (1u64 << 53) as f64
     }
 
-    fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
-        // Real work already takes real time; the nominal cost passes
-        // through for protocol-level bookkeeping only.
-        nominal
+    fn exit(&mut self, code: i32) {
+        self.exit_code = Some(code);
     }
 
-    fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        let now = self.node.now();
-        self.node.kernel.charge_cpu(self.pid, nominal, now);
-        nominal
+    fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        Ok(self.node.spawn_proc(parent, uid, spec))
     }
 
-    ppm_runtime::kernel_syscalls!();
+    fn post_signal(&mut self, target: Pid, signal: Signal) {
+        self.node
+            .actions
+            .push_back(Deferred::Signal { target, signal });
+    }
+
+    fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)> {
+        self.node.cluster.services().make(name, self.node.host)
+    }
+
+    fn kernel(&self) -> &Kernel {
+        &self.node.kernel
+    }
+
+    fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
+        (&mut self.node.kernel, &mut self.node.fx)
+    }
+
+    fn flush_effects(&mut self) {
+        self.node.apply_effects();
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Locked(self.node.cluster.hub())
+    }
 }

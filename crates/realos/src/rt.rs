@@ -4,7 +4,8 @@
 //! One OS process hosts a whole cluster: each `add_host` boots a node
 //! thread (see [`crate::node`]) with its own kernel table, programs, and
 //! timer heap, and all nodes share loopback TCP, a monotonic clock epoch,
-//! the logical→real port map, and the service registry inetd draws from.
+//! the logical→real port map, the service registry inetd draws from, and
+//! the cluster's one observability hub.
 //! The driver talks to nodes only through their event queues — queries
 //! (`is_alive`, `stable_get`) travel as events with reply channels, so
 //! node state needs no cross-thread locking.
@@ -12,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -20,10 +21,10 @@ use bytes::Bytes;
 
 use ppm_runtime::ids::{CpuClass, HostId, Pid, Port, Uid};
 use ppm_runtime::kernel::Kernel;
-use ppm_runtime::obs::{MetricSample, SharedRegistry};
-use ppm_runtime::program::{ProcKey, Program, SpawnSpec, SysError};
-use ppm_runtime::rt::Runtime;
+use ppm_runtime::obs::{HubRef, MetricSample, ObsHub};
+use ppm_runtime::program::{ProcKey, SpawnSpec, SysError};
 pub use ppm_runtime::rt::ServiceFactory;
+use ppm_runtime::rt::{Runtime, Services};
 use ppm_runtime::signal::Signal;
 use ppm_runtime::time::{Micros, SimDuration};
 
@@ -39,43 +40,40 @@ const QUERY_TIMEOUT: Duration = Duration::from_secs(10);
 pub struct ClusterShared {
     /// The cluster clock epoch; all node clocks count from it.
     pub epoch: Instant,
-    /// Host names and CPU classes, indexed by `HostId`.
-    pub hosts: RwLock<Vec<(String, CpuClass)>>,
+    /// Host names, indexed by `HostId`.
+    pub hosts: RwLock<Vec<String>>,
     /// Logical `(host, port)` → real loopback TCP port.
     pub ports: PortMap,
     /// Set once at teardown; acceptor threads exit when they see it.
     pub shutdown: Arc<AtomicBool>,
-    /// Metrics registries published by programs (`register_metrics`),
-    /// labelled, latest registration per label winning.
-    pub obs: Mutex<Vec<(String, SharedRegistry)>>,
-    /// Mirrors the simulation's trace switch; entries go to stderr.
-    pub trace_enabled: bool,
-    services: Mutex<HashMap<String, (Port, ServiceFactory)>>,
+    /// What the cluster records about itself; every node thread and the
+    /// driver take this lock for the length of one record or read
+    /// ([`ClusterShared::hub`]; the field is public for `benchmark/`).
+    pub obs: Mutex<ObsHub>,
+    services: Mutex<Services>,
 }
 
 impl ClusterShared {
-    fn new(trace_enabled: bool) -> Self {
+    fn new(trace: bool) -> Self {
         ClusterShared {
             epoch: Instant::now(),
             hosts: RwLock::new(Vec::new()),
             ports: Arc::new(Mutex::new(HashMap::new())),
             shutdown: Arc::new(AtomicBool::new(false)),
-            obs: Mutex::new(Vec::new()),
-            trace_enabled,
-            services: Mutex::new(HashMap::new()),
+            obs: Mutex::new(ObsHub::new(trace)),
+            services: Mutex::new(Services::default()),
         }
     }
 
-    /// The well-known port of a registered service.
-    pub fn service_port(&self, name: &str) -> Option<Port> {
-        self.services.lock().unwrap().get(name).map(|(p, _)| *p)
+    /// The cluster's observability hub, locked.
+    pub fn hub(&self) -> MutexGuard<'_, ObsHub> {
+        self.obs.lock().expect("no thread panics holding the hub")
     }
 
-    /// Instantiates a registered service's program for `host`.
-    pub fn make_service(&self, name: &str, host: HostId) -> Option<(Port, Box<dyn Program>)> {
-        let services = self.services.lock().unwrap();
-        let (port, factory) = services.get(name)?;
-        Some((*port, factory(host)))
+    /// inetd's registry, locked.
+    pub fn services(&self) -> MutexGuard<'_, Services> {
+        let services = self.services.lock();
+        services.expect("no thread panics holding the registry")
     }
 }
 
@@ -98,15 +96,14 @@ impl Default for RealRuntime {
 }
 
 impl RealRuntime {
-    /// A fresh cluster with no hosts. Tracing to stderr switches on when
-    /// the `PPM_REAL_TRACE` environment variable is set.
+    /// A fresh cluster with no hosts and tracing off.
     pub fn new() -> Self {
-        RealRuntime::with_trace(std::env::var_os("PPM_REAL_TRACE").is_some())
+        RealRuntime::with_trace(false)
     }
 
-    /// A fresh cluster with tracing explicitly on or off.
-    pub fn with_trace(trace_enabled: bool) -> Self {
-        let shared = Arc::new(ClusterShared::new(trace_enabled));
+    /// A fresh cluster whose hub records a trace, or not.
+    pub fn with_trace(trace: bool) -> Self {
+        let shared = Arc::new(ClusterShared::new(trace));
         let clock = ClusterClock::new(shared.epoch);
         RealRuntime {
             shared,
@@ -115,7 +112,7 @@ impl RealRuntime {
         }
     }
 
-    /// The shared cluster state (metrics registries, port map).
+    /// The shared cluster state (hub, port map).
     pub fn shared(&self) -> &Arc<ClusterShared> {
         &self.shared
     }
@@ -147,28 +144,18 @@ impl RealRuntime {
 
 impl Runtime for RealRuntime {
     fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
-        self.shared
-            .services
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), (port, factory));
+        self.shared.services().register(name, port, factory);
     }
 
-    fn add_host(&mut self, name: &str, cpu: CpuClass) -> HostId {
+    fn add_host(&mut self, name: &str, _cpu: CpuClass) -> HostId {
         let id = {
             let mut hosts = self.shared.hosts.write().unwrap();
             let id = HostId(hosts.len() as u32);
-            hosts.push((name.to_string(), cpu));
+            hosts.push(name.to_string());
             id
         };
         let (tx, rx) = mpsc::channel();
-        let core = NodeCore::new(
-            id,
-            name.to_string(),
-            cpu,
-            Arc::clone(&self.shared),
-            tx.clone(),
-        );
+        let core = NodeCore::new(id, name.to_string(), Arc::clone(&self.shared), tx.clone());
         let join = std::thread::Builder::new()
             .name(format!("ppm-node-{name}"))
             .spawn(move || core.run(rx))
@@ -219,10 +206,11 @@ impl Runtime for RealRuntime {
     }
 
     fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
-        let obs = self.shared.obs.lock().unwrap();
-        let mut out: Vec<_> = obs.iter().map(|(l, r)| (l.clone(), r.snapshot())).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.shared.hub().snapshots()
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Locked(self.shared.hub())
     }
 
     fn now(&self) -> Micros {

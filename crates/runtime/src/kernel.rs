@@ -79,8 +79,9 @@ pub struct Kernel {
     boot_count: u32,
     /// Bound ports and their owners; unpublished when the owner exits.
     listeners: HashMap<Port, Pid>,
-    /// Running inetd services by name; unpublished when the daemon exits.
-    services: HashMap<String, Pid>,
+    /// Running inetd services by name, with the well-known port each was
+    /// started for; unpublished when the daemon exits.
+    services: HashMap<String, (Pid, Port)>,
     /// The disk: survives process exits *and* host crashes.
     stable: HashMap<String, Bytes>,
     /// Services running at the last crash; a reboot hands them back so
@@ -375,7 +376,7 @@ impl Kernel {
         };
         self.emit(exit, now, fx);
         self.listeners.retain(|_, owner| *owner != pid);
-        self.services.retain(|_, owner| *owner != pid);
+        self.services.retain(|_, (owner, _)| *owner != pid);
         let notify = (ppid != pid && self.is_alive(ppid)).then_some(ppid);
         fx.push(Effect::Gone(pid, status, notify));
     }
@@ -648,15 +649,16 @@ impl Kernel {
         bound
     }
 
-    /// The running daemon registered for an inetd service name, if any
-    /// (a daemon's exit unregisters it).
-    pub fn service(&self, name: &str) -> Option<Pid> {
+    /// The running daemon registered for an inetd service name and its
+    /// well-known port, if any (a daemon's exit unregisters it).
+    pub fn service(&self, name: &str) -> Option<(Pid, Port)> {
         self.services.get(name).copied()
     }
 
-    /// Records `pid` as the running daemon for a service name.
-    pub fn register_service(&mut self, name: &str, pid: Pid) {
-        self.services.insert(name.to_string(), pid);
+    /// Records `pid` as the running daemon for a service name, serving
+    /// on `port`.
+    pub fn register_service(&mut self, name: &str, pid: Pid, port: Port) {
+        self.services.insert(name.to_string(), (pid, port));
     }
 
     /// Writes a stable-storage record.
@@ -708,89 +710,6 @@ impl Kernel {
     pub fn set_load_avg(&mut self, la: f64) {
         self.load_avg = la.max(0.0);
     }
-}
-
-/// The [`Sys`](crate::sys::Sys) methods every backend answers straight
-/// from its host [`Kernel`]; invoked inside the backend's `impl Sys`
-/// block. The syscall view supplies inherent `kernel()`, `kernel_mut()`
-/// and `kernel_call(|kernel, now, fx| ..)`, the last of which also
-/// schedules the call's effects.
-#[macro_export]
-macro_rules! kernel_syscalls {
-    () => {
-        fn load_avg(&self) -> f64 {
-            self.kernel().load_avg()
-        }
-
-        fn adopt(
-            &mut self,
-            target: $crate::Pid,
-            flags: $crate::events::TraceFlags,
-        ) -> Result<(), $crate::SysError> {
-            let (tracer, uid) = ($crate::Sys::pid(self), $crate::Sys::uid(self));
-            self.kernel_mut().adopt(target, tracer, uid, flags)?;
-            $crate::Sys::trace(
-                self,
-                $crate::trace::TraceCategory::Lpm,
-                format_args!("adopted pid {target} with flags {flags}"),
-            );
-            Ok(())
-        }
-
-        fn register_kernel_socket(&mut self) -> $crate::Fd {
-            let pid = $crate::Sys::pid(self);
-            self.kernel_mut().register_kernel_socket(pid)
-        }
-
-        fn proc_info(&self, pid: $crate::Pid) -> Option<$crate::process::ProcInfo> {
-            self.kernel().proc_info(pid)
-        }
-
-        fn user_processes(&self, uid: $crate::Uid) -> Vec<$crate::process::ProcInfo> {
-            self.kernel().user_processes(uid)
-        }
-
-        fn rusage_of(&self, pid: $crate::Pid) -> Option<$crate::process::Rusage> {
-            self.kernel().rusage_of(pid)
-        }
-
-        fn set_cpu_bound(&mut self, yes: bool) {
-            let pid = $crate::Sys::pid(self);
-            self.kernel_mut().set_cpu_bound(pid, yes);
-        }
-
-        fn stable_put_kv(&mut self, key: String, value: bytes::Bytes) {
-            self.kernel_mut().stable_put(key, value);
-        }
-
-        fn stable_get(&self, key: &str) -> Option<bytes::Bytes> {
-            self.kernel().stable_get(key)
-        }
-
-        fn stable_del(&mut self, key: &str) {
-            self.kernel_mut().stable_del(key);
-        }
-
-        fn open_path(&mut self, path: String, mode: $crate::fd::OpenMode) -> $crate::Fd {
-            let pid = $crate::Sys::pid(self);
-            self.kernel_call(|k, now, fx| k.open_path(pid, path, mode, now, fx))
-        }
-
-        fn close_fd(&mut self, fd: $crate::Fd) -> Result<(), $crate::SysError> {
-            let pid = $crate::Sys::pid(self);
-            if let Some(conn) = self.kernel_call(|k, now, fx| k.close_fd(pid, fd, now, fx))? {
-                let _ = $crate::Transport::close(self, conn);
-            }
-            Ok(())
-        }
-
-        fn open_fds(
-            &self,
-            pid: $crate::Pid,
-        ) -> Result<Vec<($crate::Fd, $crate::fd::FdKind)>, $crate::SysError> {
-            self.kernel().open_fds($crate::Sys::uid(self), pid)
-        }
-    };
 }
 
 #[cfg(test)]

@@ -13,14 +13,13 @@
 //!   bookkeeping, load average), reused verbatim by both backends.
 //! * [`program`] — the [`program::Program`] actor trait every LPM, pmd,
 //!   inetd, tool and workload implements.
-//! * [`sys`] — the [`sys::Sys`] syscall facade handed to programs, split
-//!   into [`sys::Clock`] / [`sys::TimerDriver`] / [`sys::Transport`] /
-//!   [`sys::Spawner`] capabilities.
+//! * [`sys`] — the [`sys::Sys`] syscall facade handed to programs: a
+//!   backend supplies its required methods, the rest is written once.
 //! * [`rt`] — the [`rt::Runtime`] harness facade the backend-conformance
 //!   suite drives.
-//! * [`trace`], [`obs`], [`hashx`] — structured tracing, metrics/spans,
-//!   and deterministic hashing, shared so both backends record
-//!   comparable artifacts.
+//! * [`trace`], [`obs`], [`hashx`] — structured tracing, metrics/spans
+//!   and the one [`obs::ObsHub`] every backend keeps them in, and
+//!   deterministic hashing.
 //! * [`pages`] — paged append-only storage for the histories a world
 //!   keeps for life (trace headers, connection records).
 //! * [`inetd`], [`workload`] — backend-agnostic stock programs: the inet
@@ -50,5 +49,5 @@ pub mod workload;
 pub use ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
 pub use program::{ConnEvent, Inert, KernelMsg, ProcKey, Program, SigAction, SpawnSpec, SysError};
 pub use rt::Runtime;
-pub use sys::{Clock, Spawner, Sys, TimerDriver, TimerHandle, Transport, CRASHED_AT_KEY};
+pub use sys::{Sys, TimerHandle, CRASHED_AT_KEY};
 pub use time::{Micros, SimDuration, SimTime};

@@ -1,4 +1,5 @@
-//! Observability primitives: a metrics registry and a span log.
+//! Observability: a metrics registry, a span log, and the one hub every
+//! backend keeps them in.
 //!
 //! Both are deterministic by construction — they record only simulated
 //! time and values derived from simulation state, so a same-seed run
@@ -14,12 +15,22 @@
 //! `trace_event` file. Spans reuse the RPC wire identity (`origin#id` for
 //! directed requests, `origin@seq` for broadcast waves), so one request
 //! can be followed hop-by-hop across hosts.
+//!
+//! [`ObsHub`] is where a world keeps all of it — the trace log, the span
+//! log, the backend's own registry and the registries programs publish.
+//! Every backend owns exactly one (the simulated world and the checker
+//! as a field, the real cluster behind its lock) and hands it out as a
+//! [`HubRef`]; what is recorded, and in what format, is decided here and
+//! in [`crate::sys::Sys`], never in a backend.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 use crate::ids::HostId;
 use crate::time::SimTime;
+use crate::trace::TraceLog;
 
 /// A shared handle to a program-owned metrics registry.
 ///
@@ -386,13 +397,14 @@ impl SpanLog {
         self.enabled = enabled;
     }
 
-    /// Appends a record (no-op while disabled).
+    /// Appends a record. A disabled log returns before looking at
+    /// `corr`, so nothing is formatted.
     pub fn record(
         &mut self,
         at: SimTime,
         host: Option<HostId>,
         name: &'static str,
-        corr: impl Into<String>,
+        corr: fmt::Arguments<'_>,
         phase: SpanPhase,
     ) {
         if self.enabled {
@@ -400,7 +412,7 @@ impl SpanLog {
                 at,
                 host,
                 name,
-                corr: corr.into(),
+                corr: corr.to_string(),
                 phase,
             });
         }
@@ -409,6 +421,92 @@ impl SpanLog {
     /// All recorded span events, in emission order.
     pub fn events(&self) -> &[SpanEvent] {
         &self.events
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The hub
+// ---------------------------------------------------------------------------
+
+/// Everything one world records about itself.
+#[derive(Debug)]
+pub struct ObsHub {
+    /// The activity trace.
+    pub trace: TraceLog,
+    /// Correlation-stamped span records from every host.
+    pub spans: SpanLog,
+    /// The backend's own metrics (the simulation's kernel event path and
+    /// network model; empty elsewhere).
+    pub registry: Registry,
+    /// Registries programs published, keyed by a caller-chosen label (an
+    /// LPM uses `"host/uid"`).
+    programs: Vec<(String, SharedRegistry)>,
+}
+
+impl ObsHub {
+    /// A hub with span recording off and tracing as given.
+    pub fn new(trace: bool) -> Self {
+        let mut log = TraceLog::disabled();
+        log.set_enabled(trace);
+        ObsHub {
+            trace: log,
+            spans: SpanLog::new(),
+            registry: Registry::new(),
+            programs: Vec::new(),
+        }
+    }
+
+    /// Publishes a program registry under `label`. A label registered
+    /// before is replaced in place, so a respawned LPM shadows its
+    /// predecessor.
+    pub fn register(&mut self, label: String, registry: SharedRegistry) {
+        match self.programs.iter_mut().find(|(l, _)| *l == label) {
+            Some(slot) => slot.1 = registry,
+            None => self.programs.push((label, registry)),
+        }
+    }
+
+    /// The published registries with their labels, in first-publication
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = &(String, SharedRegistry)> {
+        self.programs.iter()
+    }
+
+    /// Snapshots every published registry, sorted by label.
+    pub fn snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
+        let published = self.iter().map(|(l, r)| (l.clone(), r.snapshot()));
+        let mut out: Vec<_> = published.collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+}
+
+/// A borrowed [`ObsHub`]: a backend's own, or the one a cluster of
+/// threads shares, locked for as long as the borrow lives.
+pub enum HubRef<'a> {
+    /// The hub of a single-threaded world.
+    Own(&'a mut ObsHub),
+    /// The hub behind a cluster's lock.
+    Locked(MutexGuard<'a, ObsHub>),
+}
+
+impl Deref for HubRef<'_> {
+    type Target = ObsHub;
+
+    fn deref(&self) -> &ObsHub {
+        match self {
+            HubRef::Own(hub) => hub,
+            HubRef::Locked(guard) => guard,
+        }
+    }
+}
+
+impl DerefMut for HubRef<'_> {
+    fn deref_mut(&mut self) -> &mut ObsHub {
+        match self {
+            HubRef::Own(hub) => hub,
+            HubRef::Locked(guard) => guard,
+        }
     }
 }
 
@@ -474,25 +572,40 @@ mod tests {
     #[test]
     fn span_log_is_disabled_by_default() {
         let mut log = SpanLog::new();
-        log.record(SimTime::ZERO, None, "req", "a#1", SpanPhase::Begin);
+        let corr = format_args!("a#{}", 1);
+        log.record(SimTime::ZERO, None, "req", corr, SpanPhase::Begin);
         assert!(log.events().is_empty());
         log.set_enabled(true);
-        log.record(
-            SimTime::ZERO,
-            Some(HostId(2)),
-            "req",
-            "a#1",
-            SpanPhase::Begin,
-        );
-        log.record(
-            SimTime::from_millis(3),
-            Some(HostId(2)),
-            "req",
-            "a#1",
-            SpanPhase::End,
-        );
+        let host = Some(HostId(2));
+        log.record(SimTime::ZERO, host, "req", corr, SpanPhase::Begin);
+        log.record(SimTime::from_millis(3), host, "req", corr, SpanPhase::End);
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.events()[1].phase, SpanPhase::End);
         assert_eq!(log.events()[0].corr, "a#1");
+    }
+
+    #[test]
+    fn hub_samples_registered_registries_sorted_by_label() {
+        let mut hub = ObsHub::new(false);
+        let mut reg = Registry::new();
+        let c = reg.counter("x");
+        let a: SharedRegistry = reg.clone().into_shared();
+        a.inc(c);
+        let b: SharedRegistry = Registry::new().into_shared();
+        hub.register("beta/1".into(), b);
+        hub.register("alpha/1".into(), a);
+        let snaps = hub.snapshots();
+        assert_eq!(snaps.len(), 2);
+        assert_eq!(snaps[0].0, "alpha/1");
+        assert_eq!(snaps[0].1[0].value, MetricValue::Counter(1));
+        // A respawn re-registers its label: the fresh registry shadows
+        // its predecessor in the predecessor's slot, on every backend.
+        let respawned: SharedRegistry = reg.into_shared();
+        respawned.add(c, 7);
+        hub.register("alpha/1".into(), respawned);
+        let snaps = hub.snapshots();
+        assert_eq!(snaps.len(), 2, "replaced, not appended");
+        assert_eq!(snaps[0].0, "alpha/1");
+        assert_eq!(snaps[0].1[0].value, MetricValue::Counter(7));
     }
 }

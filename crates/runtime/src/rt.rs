@@ -11,13 +11,17 @@
 //!
 //! The surface is what both backends can answer identically. Conformance
 //! programs report what they observed through stable storage
-//! ([`Runtime::stable_get`]); anything only one backend has (fault plans,
-//! traces, spans, the network model) stays on that backend's own type.
+//! ([`Runtime::stable_get`]); what the world recorded about itself —
+//! trace, spans, published registries — is read from its one
+//! [`crate::obs::ObsHub`] ([`Runtime::hub`]). Anything only one backend
+//! has (fault plans, the network model) stays on that backend's own type.
+
+use std::collections::HashMap;
 
 use bytes::Bytes;
 
 use crate::ids::{CpuClass, HostId, Pid, Port, Uid};
-use crate::obs::MetricSample;
+use crate::obs::{HubRef, MetricSample};
 use crate::program::{ProcKey, Program, SpawnSpec, SysError};
 use crate::signal::Signal;
 use crate::time::{Micros, SimDuration};
@@ -26,6 +30,37 @@ use crate::time::{Micros, SimDuration};
 /// because on the real backend any node thread's inetd may ask for it;
 /// the simulation simply never moves it.
 pub type ServiceFactory = Box<dyn Fn(HostId) -> Box<dyn Program> + Send + Sync>;
+
+/// inetd's registry: the daemons it may start on any host, by name.
+#[derive(Default)]
+pub struct Services(HashMap<String, (Port, ServiceFactory)>);
+
+impl Services {
+    /// Registers a service.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service name or port is already registered.
+    pub fn register(&mut self, name: &str, port: Port, factory: ServiceFactory) {
+        assert!(
+            !self.0.contains_key(name),
+            "service {name:?} already registered"
+        );
+        assert!(
+            !self.0.values().any(|(p, _)| *p == port),
+            "service port {port} already registered"
+        );
+        self.0.insert(name.to_string(), (port, factory));
+    }
+
+    /// A registered service's well-known port and a fresh instance of
+    /// its program for `host`.
+    pub fn make(&self, name: &str, host: HostId) -> Option<(Port, Box<dyn Program>)> {
+        self.0
+            .get(name)
+            .map(|(port, factory)| (*port, factory(host)))
+    }
+}
 
 /// A bootable PPM world: simulated ([`ppm-simos`]'s `SimRuntime`) or real
 /// (`ppm-realos`'s `RealRuntime`).
@@ -74,8 +109,12 @@ pub trait Runtime {
 
     /// Every metrics registry in the world as labelled snapshots, in
     /// report order: the backend's own section first, if it keeps one,
-    /// then the registries programs published, sorted by label.
+    /// then the hub's [`crate::obs::ObsHub::snapshots`].
     fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)>;
+
+    /// The world's observability hub: switch trace or span recording,
+    /// read what was recorded.
+    fn hub(&mut self) -> HubRef<'_>;
 
     /// The backend clock's current instant.
     fn now(&self) -> Micros;

@@ -15,9 +15,13 @@
 //!
 //! Protocol code (`ppm-core`, the tools) is written against this trait
 //! only, so the same LPM/pmd/RPC stack drives every world. The trait is
-//! split into capability supertraits ([`Clock`], [`TimerDriver`],
-//! [`Transport`], [`Spawner`]) so narrow helpers can accept only what
-//! they use.
+//! flat: its *required* methods are what a backend genuinely supplies —
+//! the clock, timers, the transport, identity and the host table, raw
+//! process creation and signal posting, inetd's registry, and access to
+//! its [`Kernel`], effects sink and [`ObsHub`](crate::obs::ObsHub).
+//! Everything else — permission checks, inetd's start-once rule, CPU
+//! accounting, tracing, spans, published registries and every call the
+//! kernel answers by itself — is a *provided* method, written once here.
 //!
 //! ## Object safety and ergonomics
 //!
@@ -25,8 +29,8 @@
 //! parameters) so `dyn Sys` works. The generic conveniences programs
 //! actually call — `sys.send(conn, msg)`, `sys.stable_put(key, value)` —
 //! are provided as inherent methods on `dyn Sys` itself, so call sites
-//! need no extra imports. Tracing takes `format_args!(..)`: the text is
-//! formatted by the backend, into its log, only if it keeps one.
+//! need no extra imports. Tracing and spans take `format_args!(..)`: the
+//! text is formatted by the hub, into its log, only if it keeps one.
 
 use std::fmt;
 
@@ -34,10 +38,11 @@ use bytes::Bytes;
 
 use crate::events::TraceFlags;
 use crate::fd::{FdKind, OpenMode};
-use crate::ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
-use crate::obs::{SharedRegistry, SpanPhase};
+use crate::ids::{ConnId, Fd, HostId, Pid, Port, Uid};
+use crate::kernel::{Effects, Kernel};
+use crate::obs::{HubRef, SharedRegistry, SpanPhase};
 use crate::process::{ProcInfo, Rusage};
-use crate::program::{SpawnSpec, SysError};
+use crate::program::{Program, SpawnSpec, SysError};
 use crate::signal::Signal;
 use crate::time::{Micros, SimDuration};
 use crate::trace::TraceCategory;
@@ -54,25 +59,25 @@ pub const CRASHED_AT_KEY: &str = "os.crashed_at";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerHandle(pub u64);
 
-/// A source of protocol-visible time.
-pub trait Clock {
+/// The full syscall interface bound to one calling process.
+pub trait Sys {
+    // ==== what a backend supplies =========================================
+
+    // ---- clock and timers ----------------------------------------------
+
     /// The current instant: simulated time in the simulation, microseconds
     /// since the shared cluster epoch on real nodes.
     fn now(&self) -> Micros;
-}
 
-/// One-shot timers delivered to [`crate::program::Program::on_timer`].
-pub trait TimerDriver: Clock {
     /// Arms a one-shot timer; `token` comes back in
     /// [`crate::program::Program::on_timer`].
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle;
 
     /// Cancels a pending timer. Returns `false` if it already fired.
     fn cancel_timer(&mut self, handle: TimerHandle) -> bool;
-}
 
-/// Reliable ordered stream connections between processes.
-pub trait Transport {
+    // ---- transport -----------------------------------------------------
+
     /// Binds a listener on `port`.
     ///
     /// # Errors
@@ -95,6 +100,13 @@ pub trait Transport {
     ///
     /// [`SysError::NotConnected`] or [`SysError::ConnectionClosed`].
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError>;
+
+    /// Closes a connection.
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::NotConnected`] if the caller is not an endpoint.
+    fn close(&mut self, conn: ConnId) -> Result<(), SysError>;
 
     /// Whether a connection is believed deliverable right now: the
     /// endpoints are up and the link between them is routable. Programs
@@ -125,55 +137,7 @@ pub trait Transport {
         true
     }
 
-    /// Closes a connection.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::NotConnected`] if the caller is not an endpoint.
-    fn close(&mut self, conn: ConnId) -> Result<(), SysError>;
-}
-
-/// Process creation and termination.
-pub trait Spawner {
-    /// Forks and execs a child of the calling process.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::HostDown`] (only during in-flight crash handling).
-    fn spawn(&mut self, spec: SpawnSpec) -> Result<Pid, SysError>;
-
-    /// Forks and execs a child *owned by another user* — the setuid spawn
-    /// pmd uses to create a user's LPM. Root only.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::PermissionDenied`] for non-root callers.
-    fn spawn_as(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError>;
-
-    /// Terminates the calling process with `code`.
-    fn exit(&mut self, code: i32);
-
-    /// Sends a signal to a process on this host, with the caller's
-    /// credentials.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::NoSuchProcess`] or [`SysError::PermissionDenied`].
-    fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError>;
-
-    /// Asks inetd's registry to ensure a service runs on this host.
-    /// Returns its pid and well-known port. Root only.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::PermissionDenied`] for non-root callers,
-    /// [`SysError::UnknownService`] for unregistered names.
-    fn spawn_service(&mut self, name: &str) -> Result<(Pid, Port), SysError>;
-}
-
-/// The full syscall interface bound to one calling process.
-pub trait Sys: Clock + TimerDriver + Transport + Spawner {
-    // ---- identity and environment --------------------------------------
+    // ---- identity and the host table -----------------------------------
 
     /// The calling process's host.
     fn host(&self) -> HostId;
@@ -181,17 +145,8 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// The calling process's host name.
     fn host_name(&self) -> &str;
 
-    /// The host's CPU class.
-    fn cpu_class(&self) -> CpuClass;
-
     /// The calling process's pid.
     fn pid(&self) -> Pid;
-
-    /// The calling process's uid.
-    fn uid(&self) -> Uid;
-
-    /// The host's current load average (`uptime`).
-    fn load_avg(&self) -> f64;
 
     /// Resolves a host name to an id (the name service).
     ///
@@ -203,30 +158,165 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// All host names in the network (the `/etc/hosts` view).
     fn known_hosts(&self) -> Vec<String>;
 
-    /// Records a trace entry attributed to this host. A backend whose
-    /// trace is off or absent returns without formatting `text`.
-    fn trace(&mut self, category: TraceCategory, text: fmt::Arguments<'_>);
-
-    /// Whether span recording is enabled — callers guard on this before
-    /// formatting correlation strings on hot paths.
-    fn spans_enabled(&self) -> bool;
-
-    /// Records a correlation-stamped span event attributed to this host
-    /// (no-op unless span recording is enabled). (Prefer the inherent
-    /// `span` convenience.)
-    fn span_str(&mut self, name: &'static str, corr: String, phase: SpanPhase);
-
-    /// Registers a shared metrics registry with the world's observability
-    /// hub under `label`, so harnesses can sample it without protocol
-    /// traffic. Re-registering a label replaces the previous handle.
-    /// (Prefer the inherent `register_metrics` convenience.)
-    fn register_metrics_str(&mut self, label: String, registry: SharedRegistry);
+    // ---- chance and cost -------------------------------------------------
 
     /// A uniformly distributed value in `[0, 1)` — drawn from the seeded
     /// world RNG in the simulation, so runs stay replayable.
     fn random_unit(&mut self) -> f64;
 
+    /// Scales a nominal (idle reference machine) CPU cost to this host's
+    /// class and current load, with jitter — without consuming it. Used by
+    /// programs that model their own internal concurrency (the LPM's
+    /// handler processes run in parallel with its dispatcher). Backends
+    /// without a load model (real nodes, where the work takes the time it
+    /// takes) return the nominal cost unchanged.
+    fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
+        nominal
+    }
+
+    // ---- processes, raw --------------------------------------------------
+
+    /// Terminates the calling process with `code`.
+    fn exit(&mut self, code: i32);
+
+    /// Forks and execs a process owned by `uid` under `parent`, checking
+    /// nothing: the raw half of [`Sys::spawn`], [`Sys::spawn_as`] and
+    /// [`Sys::spawn_service`], which programs call instead.
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::HostDown`] (only during in-flight crash handling).
+    fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError>;
+
+    /// Schedules delivery of `signal` to `target` on this host, checking
+    /// nothing: the raw half of [`Sys::kill`].
+    fn post_signal(&mut self, target: Pid, signal: Signal);
+
+    /// Looks `name` up in inetd's registry: its well-known port and a
+    /// fresh instance of its program for this host.
+    fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)>;
+
+    // ---- the host's kernel and the world's hub ---------------------------
+
+    /// This host's kernel. Backend plumbing for the provided methods
+    /// below; programs use those.
+    fn kernel(&self) -> &Kernel;
+
+    /// This host's kernel with the backend's effects sink, for a kernel
+    /// call that may ask for something to be scheduled; follow it with
+    /// [`Sys::flush_effects`].
+    fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects);
+
+    /// Schedules whatever the kernel calls since the last flush asked
+    /// for, in the order they asked.
+    fn flush_effects(&mut self);
+
+    /// The world's observability hub.
+    fn hub(&mut self) -> HubRef<'_>;
+
+    // ==== written once, on top of the above ===============================
+
+    // ---- identity and environment --------------------------------------
+
+    /// The calling process's uid.
+    fn uid(&self) -> Uid {
+        self.kernel().uid_of(self.pid())
+    }
+
+    /// The host's current load average (`uptime`).
+    fn load_avg(&self) -> f64 {
+        self.kernel().load_avg()
+    }
+
+    /// Records a trace entry attributed to this host. With tracing off
+    /// `text` is never formatted.
+    fn trace(&mut self, category: TraceCategory, text: fmt::Arguments<'_>) {
+        // Asked first: reading a backend's clock may be a system call.
+        if self.hub().trace.is_enabled() {
+            let (now, host) = (self.now(), self.host());
+            self.hub().trace.record(now, Some(host), category, text);
+        }
+    }
+
+    /// Records a correlation-stamped span event attributed to this host.
+    /// With span recording off `corr` is never formatted.
+    fn span(&mut self, name: &'static str, corr: fmt::Arguments<'_>, phase: SpanPhase) {
+        if self.hub().spans.is_enabled() {
+            let (now, host) = (self.now(), self.host());
+            self.hub().spans.record(now, Some(host), name, corr, phase);
+        }
+    }
+
+    /// Publishes a shared metrics registry in the world's hub under
+    /// `label`, so harnesses can sample it without protocol traffic.
+    /// Re-registering a label replaces the previous handle.
+    fn register_metrics(&mut self, label: String, registry: SharedRegistry) {
+        self.hub().register(label, registry);
+    }
+
     // ---- process management --------------------------------------------
+
+    /// Forks and execs a child of the calling process.
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::HostDown`] (only during in-flight crash handling).
+    fn spawn(&mut self, spec: SpawnSpec) -> Result<Pid, SysError> {
+        let (pid, uid) = (self.pid(), self.uid());
+        self.fork_exec(pid, uid, spec)
+    }
+
+    /// Forks and execs a child *owned by another user* — the setuid spawn
+    /// pmd uses to create a user's LPM. Root only.
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::PermissionDenied`] for non-root callers.
+    fn spawn_as(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        if !self.uid().is_root() {
+            return Err(SysError::PermissionDenied);
+        }
+        let pid = self.pid();
+        self.fork_exec(pid, uid, spec)
+    }
+
+    /// Sends a signal to a process on this host, with the caller's
+    /// credentials.
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::NoSuchProcess`] or [`SysError::PermissionDenied`].
+    fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
+        self.kernel().may_signal(self.uid(), target)?;
+        self.post_signal(target, signal);
+        Ok(())
+    }
+
+    /// Asks inetd's registry to ensure a service runs on this host:
+    /// the running daemon if there is one, else a fresh one under init.
+    /// Returns its pid and well-known port. Root only.
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::PermissionDenied`] for non-root callers,
+    /// [`SysError::UnknownService`] for unregistered names.
+    fn spawn_service(&mut self, name: &str) -> Result<(Pid, Port), SysError> {
+        if !self.uid().is_root() {
+            return Err(SysError::PermissionDenied);
+        }
+        if let Some(running) = self.kernel().service(name) {
+            return Ok(running);
+        }
+        let (port, program) = self.make_service(name).ok_or(SysError::UnknownService)?;
+        let spec = SpawnSpec::new(name.to_string(), program);
+        let pid = self.fork_exec(Pid::INIT, Uid::ROOT, spec)?;
+        self.kernel_fx().0.register_service(name, pid, port);
+        self.trace(
+            TraceCategory::Daemon,
+            format_args!("service {name} started as pid {pid} (port {port})"),
+        );
+        Ok((pid, port))
+    }
 
     /// Adopts a process (the extended `ptrace` of the paper's Section 4):
     /// the caller becomes its tracer and receives kernel events per
@@ -235,7 +325,15 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// # Errors
     ///
     /// See [`crate::kernel::Kernel::adopt`].
-    fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError>;
+    fn adopt(&mut self, target: Pid, flags: TraceFlags) -> Result<(), SysError> {
+        let (tracer, uid) = (self.pid(), self.uid());
+        self.kernel_fx().0.adopt(target, tracer, uid, flags)?;
+        self.trace(
+            TraceCategory::Lpm,
+            format_args!("adopted pid {target} with flags {flags}"),
+        );
+        Ok(())
+    }
 
     /// Updates the tracing flags of an already-adopted process.
     ///
@@ -248,33 +346,43 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
 
     /// Allocates the kernel socket descriptor (LPMs call this once; see
     /// Figure 4 of the paper).
-    fn register_kernel_socket(&mut self) -> Fd;
+    fn register_kernel_socket(&mut self) -> Fd {
+        let pid = self.pid();
+        self.kernel_fx().0.register_kernel_socket(pid)
+    }
 
     /// `ps`-style info about one process on this host (any state).
-    fn proc_info(&self, pid: Pid) -> Option<ProcInfo>;
+    fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
+        self.kernel().proc_info(pid)
+    }
 
     /// Live processes of `uid` on this host, in pid order.
-    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo>;
+    fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
+        self.kernel().user_processes(uid)
+    }
 
     /// Resource usage of a process on this host (live or recently exited).
-    fn rusage_of(&self, pid: Pid) -> Option<Rusage>;
+    fn rusage_of(&self, pid: Pid) -> Option<Rusage> {
+        self.kernel().rusage_of(pid)
+    }
 
     /// Marks the caller CPU-bound (contributes to the run queue while
     /// running), or not.
-    fn set_cpu_bound(&mut self, yes: bool);
-
-    /// Scales a nominal (idle reference machine) CPU cost to this host's
-    /// class and current load, with jitter — without consuming it. Used by
-    /// programs that model their own internal concurrency (the LPM's
-    /// handler processes run in parallel with its dispatcher). The real
-    /// backend returns the nominal cost unchanged.
-    fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration;
+    fn set_cpu_bound(&mut self, yes: bool) {
+        let pid = self.pid();
+        self.kernel_fx().0.set_cpu_bound(pid, yes);
+    }
 
     /// Consumes CPU: in the simulation the process is busy for the scaled
     /// cost (events queue behind it) and the cost is added to its rusage;
     /// on real nodes the work already happened, so this only accounts it.
     /// Returns the scaled elapsed time.
-    fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration;
+    fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
+        let scaled = self.scale_cost(nominal);
+        let (pid, now) = (self.pid(), self.now());
+        self.kernel_fx().0.charge_cpu(pid, scaled, now);
+        scaled
+    }
 
     // ---- stable storage ------------------------------------------------
 
@@ -283,26 +391,47 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// state ("could be stored in secondary (even stable) storage so as
     /// to survive the daemon's possible failure modes"). (Prefer the
     /// inherent `stable_put` convenience.)
-    fn stable_put_kv(&mut self, key: String, value: Bytes);
+    fn stable_put_kv(&mut self, key: String, value: Bytes) {
+        self.kernel_fx().0.stable_put(key, value);
+    }
 
     /// Reads a record from the host's stable storage.
-    fn stable_get(&self, key: &str) -> Option<Bytes>;
+    fn stable_get(&self, key: &str) -> Option<Bytes> {
+        self.kernel().stable_get(key)
+    }
 
     /// Deletes a record from the host's stable storage.
-    fn stable_del(&mut self, key: &str);
+    fn stable_del(&mut self, key: &str) {
+        self.kernel_fx().0.stable_del(key);
+    }
 
     // ---- files -----------------------------------------------------------
 
     /// Opens a file, allocating a descriptor. (Prefer the inherent `open`
     /// convenience.)
-    fn open_path(&mut self, path: String, mode: OpenMode) -> Fd;
+    fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
+        let (pid, now) = (self.pid(), self.now());
+        let (kernel, fx) = self.kernel_fx();
+        let fd = kernel.open_path(pid, path, mode, now, fx);
+        self.flush_effects();
+        fd
+    }
 
     /// Closes a descriptor.
     ///
     /// # Errors
     ///
     /// [`SysError::BadFileDescriptor`].
-    fn close_fd(&mut self, fd: Fd) -> Result<(), SysError>;
+    fn close_fd(&mut self, fd: Fd) -> Result<(), SysError> {
+        let (pid, now) = (self.pid(), self.now());
+        let (kernel, fx) = self.kernel_fx();
+        let released = kernel.close_fd(pid, fd, now, fx);
+        self.flush_effects();
+        if let Some(conn) = released? {
+            let _ = self.close(conn);
+        }
+        Ok(())
+    }
 
     /// The descriptor table of a same-user (or any, for root) process on
     /// this host.
@@ -310,22 +439,14 @@ pub trait Sys: Clock + TimerDriver + Transport + Spawner {
     /// # Errors
     ///
     /// [`SysError::NoSuchProcess`] or [`SysError::PermissionDenied`].
-    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError>;
+    fn open_fds(&self, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
+        self.kernel().open_fds(self.uid(), pid)
+    }
 }
 
 /// Ergonomic generic wrappers over the monomorphic trait methods, as
 /// inherent methods on the trait object so call sites need no imports.
 impl dyn Sys + '_ {
-    /// Records a correlation-stamped span event attributed to this host.
-    pub fn span(&mut self, name: &'static str, corr: impl Into<String>, phase: SpanPhase) {
-        self.span_str(name, corr.into(), phase);
-    }
-
-    /// Registers a shared metrics registry under `label`.
-    pub fn register_metrics(&mut self, label: impl Into<String>, registry: SharedRegistry) {
-        self.register_metrics_str(label.into(), registry);
-    }
-
     /// Sends bytes on an established connection.
     ///
     /// # Errors
@@ -349,24 +470,25 @@ impl dyn Sys + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ObsHub;
 
     #[test]
     fn sys_is_object_safe_and_conveniences_resolve() {
-        // A minimal in-memory backend: enough to prove `dyn Sys` works
-        // and the inherent conveniences dispatch through it.
-        #[derive(Default)]
+        // A minimal in-memory backend — the required methods and nothing
+        // else: enough to prove `dyn Sys` works, the provided methods run
+        // on it and the inherent conveniences dispatch through it.
         struct Mini {
-            traces: Vec<(TraceCategory, String)>,
+            kernel: Kernel,
+            fx: Effects,
+            hub: ObsHub,
+            pid: Pid,
             sent: Vec<(ConnId, Bytes)>,
-            stable: Vec<(String, Bytes)>,
             timers: u64,
         }
-        impl Clock for Mini {
+        impl Sys for Mini {
             fn now(&self) -> Micros {
                 Micros::from_millis(1)
             }
-        }
-        impl TimerDriver for Mini {
             fn set_timer(&mut self, _d: SimDuration, _t: u64) -> TimerHandle {
                 self.timers += 1;
                 TimerHandle(self.timers)
@@ -374,8 +496,6 @@ mod tests {
             fn cancel_timer(&mut self, _h: TimerHandle) -> bool {
                 true
             }
-        }
-        impl Transport for Mini {
             fn listen(&mut self, _p: Port) -> Result<(), SysError> {
                 Ok(())
             }
@@ -389,40 +509,14 @@ mod tests {
             fn close(&mut self, _c: ConnId) -> Result<(), SysError> {
                 Ok(())
             }
-        }
-        impl Spawner for Mini {
-            fn spawn(&mut self, _s: SpawnSpec) -> Result<Pid, SysError> {
-                Ok(Pid(2))
-            }
-            fn spawn_as(&mut self, _u: Uid, _s: SpawnSpec) -> Result<Pid, SysError> {
-                Err(SysError::PermissionDenied)
-            }
-            fn exit(&mut self, _code: i32) {}
-            fn kill(&mut self, _t: Pid, _s: Signal) -> Result<(), SysError> {
-                Ok(())
-            }
-            fn spawn_service(&mut self, _n: &str) -> Result<(Pid, Port), SysError> {
-                Err(SysError::UnknownService)
-            }
-        }
-        impl Sys for Mini {
             fn host(&self) -> HostId {
                 HostId(0)
             }
             fn host_name(&self) -> &str {
                 "mini"
             }
-            fn cpu_class(&self) -> CpuClass {
-                CpuClass::Vax780
-            }
             fn pid(&self) -> Pid {
-                Pid(2)
-            }
-            fn uid(&self) -> Uid {
-                Uid(7)
-            }
-            fn load_avg(&self) -> f64 {
-                0.0
+                self.pid
             }
             fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
                 if name == "mini" {
@@ -434,74 +528,70 @@ mod tests {
             fn known_hosts(&self) -> Vec<String> {
                 vec!["mini".into()]
             }
-            fn trace(&mut self, category: TraceCategory, text: fmt::Arguments<'_>) {
-                self.traces.push((category, text.to_string()));
-            }
-            fn spans_enabled(&self) -> bool {
-                false
-            }
-            fn span_str(&mut self, _n: &'static str, _c: String, _p: SpanPhase) {}
-            fn register_metrics_str(&mut self, _l: String, _r: SharedRegistry) {}
             fn random_unit(&mut self) -> f64 {
                 0.5
             }
-            fn adopt(&mut self, _t: Pid, _f: TraceFlags) -> Result<(), SysError> {
-                Ok(())
+            fn exit(&mut self, _code: i32) {}
+            fn fork_exec(
+                &mut self,
+                parent: Pid,
+                uid: Uid,
+                spec: SpawnSpec,
+            ) -> Result<Pid, SysError> {
+                let now = self.now();
+                let (k, fx) = (&mut self.kernel, &mut self.fx);
+                Ok(k.spawn(parent, uid, &spec.command, spec.cpu_bound, now, fx))
             }
-            fn register_kernel_socket(&mut self) -> Fd {
-                Fd(3)
-            }
-            fn proc_info(&self, _p: Pid) -> Option<ProcInfo> {
+            fn post_signal(&mut self, _t: Pid, _s: Signal) {}
+            fn make_service(&self, _n: &str) -> Option<(Port, Box<dyn Program>)> {
                 None
             }
-            fn user_processes(&self, _u: Uid) -> Vec<ProcInfo> {
-                Vec::new()
+            fn kernel(&self) -> &Kernel {
+                &self.kernel
             }
-            fn rusage_of(&self, _p: Pid) -> Option<Rusage> {
-                None
+            fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
+                (&mut self.kernel, &mut self.fx)
             }
-            fn set_cpu_bound(&mut self, _y: bool) {}
-            fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
-                nominal
+            fn flush_effects(&mut self) {
+                self.fx.clear();
             }
-            fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-                nominal
-            }
-            fn stable_put_kv(&mut self, key: String, value: Bytes) {
-                self.stable.push((key, value));
-            }
-            fn stable_get(&self, key: &str) -> Option<Bytes> {
-                self.stable
-                    .iter()
-                    .rev()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.clone())
-            }
-            fn stable_del(&mut self, key: &str) {
-                self.stable.retain(|(k, _)| k != key);
-            }
-            fn open_path(&mut self, _p: String, _m: OpenMode) -> Fd {
-                Fd(4)
-            }
-            fn close_fd(&mut self, _fd: Fd) -> Result<(), SysError> {
-                Ok(())
-            }
-            fn open_fds(&self, _p: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
-                Ok(Vec::new())
+            fn hub(&mut self) -> HubRef<'_> {
+                HubRef::Own(&mut self.hub)
             }
         }
 
-        let mut mini = Mini::default();
+        let mut mini = Mini {
+            kernel: Kernel::new(Micros::ZERO),
+            fx: Effects::new(),
+            hub: ObsHub::new(true),
+            pid: Pid::INIT,
+            sent: Vec::new(),
+            timers: 0,
+        };
+        // Root may spawn for another user; that user may not.
+        mini.pid = mini.spawn_as(Uid(7), SpawnSpec::inert("job")).unwrap();
         let sys: &mut dyn Sys = &mut mini;
+        assert_eq!(sys.uid(), Uid(7));
+        assert_eq!(
+            sys.spawn_as(Uid(8), SpawnSpec::inert("job")),
+            Err(SysError::PermissionDenied)
+        );
+        assert_eq!(sys.spawn_service("pmd"), Err(SysError::PermissionDenied));
+        assert_eq!(
+            sys.kill(Pid::INIT, Signal::Kill),
+            Err(SysError::PermissionDenied)
+        );
         assert_eq!(sys.now(), Micros::from_millis(1));
         sys.trace(TraceCategory::Tool, format_args!("n={}", 1));
         let conn = sys.connect(HostId(0), Port(9)).unwrap();
         sys.send(conn, Bytes::from_static(b"hi")).unwrap();
         sys.stable_put("k", Bytes::from_static(b"v"));
         assert_eq!(sys.stable_get("k"), Some(Bytes::from_static(b"v")));
+        let fd = sys.open("/tmp/f", OpenMode::ReadWrite);
+        assert!(sys.close_fd(fd).is_ok());
         let t = sys.set_timer(SimDuration::from_millis(5), 7);
         assert!(sys.cancel_timer(t));
-        assert_eq!(mini.traces.len(), 1);
+        assert_eq!(mini.hub.trace.entries().next().unwrap().text, "n=1");
         assert_eq!(mini.sent.len(), 1);
     }
 

@@ -87,7 +87,7 @@ fn exit_reports_then_unpublishes_then_names_the_parent_to_notify() {
     let kid = k.spawn(job, USER, "daemon", false, T0, &mut fx);
     k.bind(kid, Port(40)).expect("free port");
     assert_eq!(k.bind(job, Port(40)), Err(SysError::PortInUse));
-    k.register_service("svc", kid);
+    k.register_service("svc", kid, Port(41));
     fx.clear();
     k.exit(kid, ExitStatus::Code(2), T0, &mut fx);
     assert_eq!(kinds(&fx), ["exiting", "exit", "gone"]);
@@ -144,7 +144,7 @@ fn acting_on_a_process_takes_its_owner_or_root() {
 fn a_crash_keeps_the_disk_and_hands_the_services_to_the_reboot() {
     let (mut k, lpm, _job, _fx) = traced(TraceFlags::NONE);
     k.stable_put("k".to_string(), Bytes::from_static(b"v"));
-    k.register_service("pmd", lpm);
+    k.register_service("pmd", lpm, Port(8));
     k.bind(lpm, Port(7)).expect("free port");
     let at = SimTime::from_millis(1_500);
     k.crash(at);

@@ -32,7 +32,6 @@
 
 pub mod config;
 pub mod net;
-pub mod obs;
 pub mod rt;
 pub mod sys;
 pub mod world;

@@ -12,7 +12,7 @@
 use bytes::Bytes;
 
 use ppm_runtime::ids::{CpuClass, HostId, Pid, Port, Uid};
-use ppm_runtime::obs::{MetricSample, MetricValue};
+use ppm_runtime::obs::{HubRef, MetricSample, MetricValue};
 use ppm_runtime::program::{ProcKey, SpawnSpec, SysError};
 use ppm_runtime::rt::{Runtime, ServiceFactory};
 use ppm_runtime::signal::Signal;
@@ -108,8 +108,12 @@ impl Runtime for SimRuntime {
         world.push(gauge("engine.overflow_peak", stats.overflow_peak));
         world.sort_by(|a, b| a.name.cmp(b.name));
         let mut sections = vec![("world".to_string(), world)];
-        sections.extend(core.obs().program_snapshots());
+        sections.extend(core.obs().snapshots());
         sections
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Own(self.world.core_mut().obs_mut())
     }
 
     fn now(&self) -> Micros {

@@ -2,22 +2,21 @@
 //!
 //! A [`Sys`] borrows the world core and identifies the calling process;
 //! the world constructs one around every [`ppm_runtime::Program`]
-//! callback. All behaviour — spawn/exit/kill/adopt, stream sockets,
-//! timers, files, CPU accounting, `ps`-style queries — is defined by the
-//! trait contracts in `ppm_runtime::sys`; this module maps them onto the
-//! discrete-event world.
+//! callback. This module supplies the trait's required methods — the
+//! virtual clock, the timer wheel, modelled streams, the topology's host
+//! table, the seeded RNG and cost model, raw fork and signal scheduling;
+//! everything else a program calls `ppm_runtime::sys` provides on top.
 
 use bytes::Bytes;
-use ppm_runtime::obs::{SharedRegistry, SpanPhase};
-use ppm_runtime::sys::{Clock, Spawner, TimerDriver, TimerHandle, Transport};
-use ppm_runtime::trace::TraceCategory;
+use ppm_runtime::obs::HubRef;
+use ppm_runtime::sys::TimerHandle;
 use ppm_simnet::engine::EventId;
 use ppm_simnet::time::{SimDuration, SimTime};
-use ppm_simnet::topology::{CpuClass, HostId};
+use ppm_simnet::topology::HostId;
 
 use ppm_runtime::ids::{ConnId, Pid, Port, Uid};
 use ppm_runtime::kernel::{Effects, Kernel};
-use ppm_runtime::program::{ProcKey, SpawnSpec, SysError};
+use ppm_runtime::program::{ProcKey, Program, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 
 use crate::world::{SimEvent, WorldCore};
@@ -37,31 +36,17 @@ impl<'a> Sys<'a> {
     /// the IPC kernel event if traced. Called by the world at actual
     /// delivery time.
     pub(crate) fn account_msg_received(&mut self, bytes: usize) {
-        let pid = self.key.1;
-        self.kernel_call(|k, now, fx| k.account_received(pid, bytes, now, fx));
-    }
-
-    fn kernel(&self) -> &Kernel {
-        self.core.kernel(self.key.0)
-    }
-
-    fn kernel_mut(&mut self) -> &mut Kernel {
-        self.core.kernel_mut(self.key.0)
-    }
-
-    /// A call into this host's kernel; its effects are scheduled.
-    fn kernel_call<R>(&mut self, f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R) -> R {
-        self.core.kernel_call(self.key.0, f)
+        let (host, pid) = self.key;
+        self.core
+            .kernel_call(host, |k, now, fx| k.account_received(pid, bytes, now, fx));
     }
 }
 
-impl Clock for Sys<'_> {
+impl ppm_runtime::sys::Sys for Sys<'_> {
     fn now(&self) -> SimTime {
         self.core.now()
     }
-}
 
-impl TimerDriver for Sys<'_> {
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
         let id = self
             .core
@@ -73,9 +58,7 @@ impl TimerDriver for Sys<'_> {
     fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
         self.core.engine.cancel(EventId::from_raw(handle.0))
     }
-}
 
-impl Transport for Sys<'_> {
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
         self.core.listen(self.key, port)
     }
@@ -86,6 +69,10 @@ impl Transport for Sys<'_> {
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
         self.core.send(self.key, conn, data)
+    }
+
+    fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
+        self.core.close(self.key, conn)
     }
 
     fn conn_alive(&self, conn: ConnId) -> bool {
@@ -103,44 +90,6 @@ impl Transport for Sys<'_> {
         }
     }
 
-    fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        self.core.close(self.key, conn)
-    }
-}
-
-impl Spawner for Sys<'_> {
-    fn spawn(&mut self, spec: SpawnSpec) -> Result<Pid, SysError> {
-        let uid = ppm_runtime::sys::Sys::uid(self);
-        self.core.spawn(self.key.0, self.key.1, uid, spec, None)
-    }
-
-    fn spawn_as(&mut self, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        if !ppm_runtime::sys::Sys::uid(self).is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        self.core.spawn(self.key.0, self.key.1, uid, spec, None)
-    }
-
-    fn exit(&mut self, code: i32) {
-        self.core.do_exit(self.key, ExitStatus::Code(code));
-    }
-
-    fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
-        let uid = ppm_runtime::sys::Sys::uid(self);
-        self.core.post_signal(uid, (self.key.0, target), signal)
-    }
-
-    fn spawn_service(&mut self, name: &str) -> Result<(Pid, Port), SysError> {
-        if !ppm_runtime::sys::Sys::uid(self).is_root() {
-            return Err(SysError::PermissionDenied);
-        }
-        self.core.spawn_service(self.key.0, name)
-    }
-}
-
-impl ppm_runtime::sys::Sys for Sys<'_> {
-    // ---- identity and environment --------------------------------------
-
     fn host(&self) -> HostId {
         self.key.0
     }
@@ -149,16 +98,8 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
         self.core.host_name(self.key.0)
     }
 
-    fn cpu_class(&self) -> CpuClass {
-        self.core.topology().spec(self.key.0).cpu
-    }
-
     fn pid(&self) -> Pid {
         self.key.1
-    }
-
-    fn uid(&self) -> Uid {
-        self.kernel().uid_of(self.key.1)
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
@@ -173,49 +114,45 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
             .collect()
     }
 
-    fn trace(&mut self, category: TraceCategory, text: std::fmt::Arguments<'_>) {
-        let host = self.key.0;
-        self.core.tracef(Some(host), category, text);
-    }
-
-    fn spans_enabled(&self) -> bool {
-        self.core.obs.spans.is_enabled()
-    }
-
-    fn span_str(&mut self, name: &'static str, corr: String, phase: SpanPhase) {
-        if !self.core.obs.spans.is_enabled() {
-            return;
-        }
-        let host = self.key.0;
-        let now = self.core.now();
-        self.core
-            .obs
-            .spans
-            .record(now, Some(host), name, corr, phase);
-    }
-
-    fn register_metrics_str(&mut self, label: String, registry: SharedRegistry) {
-        self.core.obs.register(label, registry);
-    }
-
     fn random_unit(&mut self) -> f64 {
         self.core.rng.unit_f64()
     }
-
-    // ---- process management --------------------------------------------
 
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
         self.core.scaled_cpu_cost(self.key.0, nominal)
     }
 
-    fn consume_cpu(&mut self, nominal: SimDuration) -> SimDuration {
-        let scaled = self.core.scaled_cpu_cost(self.key.0, nominal);
-        let (pid, now) = (self.key.1, self.core.now());
-        self.kernel_mut().charge_cpu(pid, scaled, now);
-        scaled
+    fn exit(&mut self, code: i32) {
+        self.core.do_exit(self.key, ExitStatus::Code(code));
     }
 
-    ppm_runtime::kernel_syscalls!();
+    fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        self.core.spawn(self.key.0, parent, uid, spec, None)
+    }
+
+    fn post_signal(&mut self, target: Pid, signal: Signal) {
+        self.core.schedule_signal((self.key.0, target), signal);
+    }
+
+    fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)> {
+        self.core.services.make(name, self.key.0)
+    }
+
+    fn kernel(&self) -> &Kernel {
+        self.core.kernel(self.key.0)
+    }
+
+    fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
+        self.core.kernel_fx(self.key.0)
+    }
+
+    fn flush_effects(&mut self) {
+        self.core.apply_effects(self.key.0);
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Own(&mut self.core.obs)
+    }
 }
 
 #[cfg(test)]
@@ -226,8 +163,7 @@ mod tests {
     use super::*;
     use crate::world::World;
     use ppm_runtime::fd::OpenMode;
-    use ppm_runtime::program::Program;
-    use ppm_simnet::topology::HostSpec;
+    use ppm_simnet::topology::{CpuClass, HostSpec};
 
     struct Probe;
     impl Program for Probe {

@@ -16,7 +16,9 @@ use std::fmt;
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
 use ppm_runtime::kernel::{Effect, Effects};
-use ppm_runtime::obs::{CounterId, HistId};
+use ppm_runtime::obs::{CounterId, HistId, ObsHub, Registry};
+use ppm_runtime::rt::{ServiceFactory, Services};
+use ppm_runtime::sys::Sys as _;
 use ppm_runtime::trace::{TraceCategory, TraceLog};
 use ppm_simnet::bandwidth::{NetModel, Transfer};
 use ppm_simnet::engine::TimerWheel;
@@ -31,20 +33,10 @@ use crate::fd::FdKind;
 use crate::ids::{ConnId, Pid, Port, Uid};
 use crate::kernel::Kernel;
 use crate::net::{ConnState, ConnTable, Connection};
-use crate::obs::ObsHub;
 use crate::process::ProcState;
 use crate::program::{ConnEvent, ProcKey, Program, SigAction, SpawnSpec, SysError};
 use crate::signal::{ExitStatus, Signal};
 use crate::sys::Sys;
-
-/// Factory producing a fresh service program instance for a host, used by
-/// inetd to start daemons (pmd) on demand.
-pub type ServiceFactory = Box<dyn Fn(HostId) -> Box<dyn Program>>;
-
-pub(crate) struct ServiceEntry {
-    pub port: Port,
-    pub factory: ServiceFactory,
-}
 
 /// Events flowing through the engine. Internal to the crate; programs see
 /// the typed callbacks of [`Program`] instead.
@@ -101,6 +93,26 @@ pub(crate) enum SimEvent {
     KillCmd(HostId, String),
 }
 
+/// Registry ids of the world's own metrics: the kernel event path and
+/// injected faults.
+pub(crate) struct WorldObs {
+    kernel_events: CounterId,
+    kernel_wakeups: CounterId,
+    kernel_batch_msgs: HistId,
+    faults_injected: CounterId,
+}
+
+impl WorldObs {
+    fn register(reg: &mut Registry) -> Self {
+        WorldObs {
+            kernel_events: reg.counter("kernel.events"),
+            kernel_wakeups: reg.counter("kernel.wakeups"),
+            kernel_batch_msgs: reg.hist("kernel.batch_msgs"),
+            faults_injected: reg.counter("faults.injected"),
+        }
+    }
+}
+
 /// Registry ids for the `net.*` metrics. Registered only when a netmodel
 /// is installed, so flat-mode metric output is byte-identical to worlds
 /// that predate the network model.
@@ -126,7 +138,6 @@ pub struct WorldCore {
     pub(crate) topo: Topology,
     pub(crate) latency: LatencyModel,
     pub(crate) rng: SimRng,
-    pub(crate) trace: TraceLog,
     pub(crate) config: OsConfig,
     /// One kernel per host: all process, signal and kernel-event
     /// semantics live there; this world only schedules what it asks for.
@@ -134,15 +145,18 @@ pub struct WorldCore {
     /// The kernels' effects sink, drained after every kernel call.
     fx: Effects,
     pub(crate) conns: ConnTable,
-    pub(crate) services: HashMap<String, ServiceEntry>,
+    pub(crate) services: Services,
     /// The behaviour of every live process that has one. A program is
     /// taken out for the duration of its own callback, so the callback's
     /// [`Sys`] can borrow the rest of the world.
     pub(crate) programs: HashMap<ProcKey, Box<dyn Program>>,
     /// Events held back because their target process is stopped.
     pub(crate) deferred: HashMap<ProcKey, Vec<SimEvent>>,
-    /// Metrics, spans and the per-program registry hub.
+    /// Everything the world records about itself: trace, spans, its own
+    /// metrics and the registries programs publish.
     pub(crate) obs: ObsHub,
+    /// Ids of the world's own metrics in the hub's registry.
+    ids: WorldObs,
     /// Probabilistic wire faults from an installed fault plan. `None`
     /// (the default) leaves the send path untouched.
     pub(crate) faults: Option<WireFaults>,
@@ -185,20 +199,16 @@ impl WorldCore {
 
     /// The trace log.
     pub fn trace(&self) -> &TraceLog {
-        &self.trace
+        &self.obs.trace
     }
 
-    /// Mutable trace log (to toggle recording or clear).
-    pub fn trace_mut(&mut self) -> &mut TraceLog {
-        &mut self.trace
-    }
-
-    /// The observability hub: world metrics, spans, program registries.
+    /// The observability hub: trace, spans, world metrics, program
+    /// registries.
     pub fn obs(&self) -> &ObsHub {
         &self.obs
     }
 
-    /// Mutable hub (to enable span recording or register a registry).
+    /// Mutable hub (to toggle trace or span recording).
     pub fn obs_mut(&mut self) -> &mut ObsHub {
         &mut self.obs
     }
@@ -274,7 +284,7 @@ impl WorldCore {
 
     /// Records a trace entry at the current instant. `text` cannot
     /// borrow `self` through a method while this runs; such sites
-    /// record through `self.trace` with the fields borrowed directly.
+    /// record through `self.obs.trace` with the fields borrowed directly.
     pub(crate) fn tracef(
         &mut self,
         host: Option<HostId>,
@@ -282,7 +292,7 @@ impl WorldCore {
         text: fmt::Arguments<'_>,
     ) {
         let now = self.engine.now();
-        self.trace.record(now, host, cat, text);
+        self.obs.trace.record(now, host, cat, text);
     }
 
     pub(crate) fn host_up(&self, id: HostId) -> bool {
@@ -314,7 +324,19 @@ impl WorldCore {
         f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R,
     ) -> R {
         let now = self.engine.now();
-        let out = f(&mut self.hosts[host.0 as usize], now, &mut self.fx);
+        let (kernel, fx) = self.kernel_fx(host);
+        let out = f(kernel, now, fx);
+        self.apply_effects(host);
+        out
+    }
+
+    /// `host`'s kernel and the effects sink its calls append to.
+    pub(crate) fn kernel_fx(&mut self, host: HostId) -> (&mut Kernel, &mut Effects) {
+        (&mut self.hosts[host.0 as usize], &mut self.fx)
+    }
+
+    /// Schedules what `host`'s kernel asked for since the last drain.
+    pub(crate) fn apply_effects(&mut self, host: HostId) {
         if !self.fx.is_empty() {
             let mut fx = std::mem::take(&mut self.fx);
             for effect in fx.drain(..) {
@@ -322,7 +344,6 @@ impl WorldCore {
             }
             self.fx = fx;
         }
-        out
     }
 
     fn apply_effect(&mut self, host: HostId, effect: Effect) {
@@ -334,12 +355,12 @@ impl WorldCore {
                 wire_size,
                 first,
             } => {
-                self.obs.note_kernel_event();
+                self.obs.registry.inc(self.ids.kernel_events);
                 if first {
                     // First event of the wakeup pays the Table 1 latency
                     // and arms the flush; later ones coalesce into the
                     // same batch frame, one delivery for the burst.
-                    self.obs.note_kernel_wakeup();
+                    self.obs.registry.inc(self.ids.kernel_wakeups);
                     let cpu = self.topo.spec(host).cpu;
                     let la = self.kernel(host).load_avg();
                     let base = self.latency.kernel_msg(cpu, la, wire_size);
@@ -439,32 +460,6 @@ impl WorldCore {
         Ok(pid)
     }
 
-    /// Starts a registered service on `host` if not already running.
-    /// Returns its pid and well-known port.
-    pub(crate) fn spawn_service(
-        &mut self,
-        host: HostId,
-        name: &str,
-    ) -> Result<(Pid, Port), SysError> {
-        if !self.host_up(host) {
-            return Err(SysError::HostDown);
-        }
-        let entry = self.services.get(name).ok_or(SysError::UnknownService)?;
-        let port = entry.port;
-        if let Some(pid) = self.kernel(host).service(name) {
-            return Ok((pid, port));
-        }
-        let spec = SpawnSpec::new(name.to_string(), (entry.factory)(host));
-        let pid = self.spawn(host, Pid::INIT, Uid::ROOT, spec, None)?;
-        self.kernel_mut(host).register_service(name, pid);
-        self.tracef(
-            Some(host),
-            TraceCategory::Daemon,
-            format_args!("service {name} started as pid {pid} (port {port})"),
-        );
-        Ok((pid, port))
-    }
-
     /// Terminates a process; the kernel's effects tear down its
     /// connections and notify its parent.
     pub(crate) fn do_exit(&mut self, key: ProcKey, status: ExitStatus) {
@@ -486,12 +481,17 @@ impl WorldCore {
             return Err(SysError::HostDown);
         }
         self.kernel(target.0).may_signal(from_uid, target.1)?;
+        self.schedule_signal(target, signal);
+        Ok(())
+    }
+
+    /// Delivery of a permitted signal, after the signal latency.
+    pub(crate) fn schedule_signal(&mut self, target: ProcKey, signal: Signal) {
         let delay = self.config.signal_latency;
         let jf = self.config.cost_jitter;
         let delay = self.rng.jitter(delay, jf);
         self.engine
             .schedule(delay, SimEvent::SignalDeliver { to: target, signal });
-        Ok(())
     }
 
     // ---- networking ----------------------------------------------------
@@ -570,7 +570,7 @@ impl WorldCore {
                 let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
                 self.engine
                     .schedule(rtt, SimEvent::ConnEstablish { conn: id });
-                self.trace.record(
+                self.obs.trace.record(
                     now,
                     Some(from.0),
                     TraceCategory::Net,
@@ -722,7 +722,8 @@ impl WorldCore {
             None => WireDecision::default(),
         };
         if fate.fired > 0 {
-            self.obs.note_faults(u64::from(fate.fired));
+            let fired = u64::from(fate.fired);
+            self.obs.registry.add(self.ids.faults_injected, fired);
         }
         if fate.drop {
             // Silent loss: the sender's write succeeded, nothing arrives,
@@ -907,21 +908,23 @@ impl World {
 
     /// Creates a world with explicit OS constants and latency model.
     pub fn with_config(config: OsConfig, latency: LatencyModel, seed: u64) -> Self {
+        let mut obs = ObsHub::new(true);
+        let ids = WorldObs::register(&mut obs.registry);
         World {
             core: WorldCore {
                 engine: TimerWheel::new(),
                 topo: Topology::new(),
                 latency,
                 rng: SimRng::seed_from(seed),
-                trace: TraceLog::new(),
                 config,
                 hosts: Vec::new(),
                 fx: Effects::new(),
                 conns: ConnTable::default(),
-                services: HashMap::new(),
+                services: Services::default(),
                 programs: HashMap::new(),
                 deferred: HashMap::new(),
-                obs: ObsHub::new(),
+                obs,
+                ids,
                 faults: None,
                 net: None,
                 net_obs: None,
@@ -951,24 +954,8 @@ impl World {
     /// # Panics
     ///
     /// Panics if the service name or port is already registered.
-    pub fn register_service(
-        &mut self,
-        name: impl Into<String>,
-        port: Port,
-        factory: ServiceFactory,
-    ) {
-        let name = name.into();
-        assert!(
-            !self.core.services.contains_key(&name),
-            "service {name:?} already registered"
-        );
-        assert!(
-            !self.core.services.values().any(|e| e.port == port),
-            "service port {port} already registered"
-        );
-        self.core
-            .services
-            .insert(name, ServiceEntry { port, factory });
+    pub fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
+        self.core.services.register(name, port, factory);
     }
 
     /// Adds a host running the standard daemons (inetd) and returns its id.
@@ -1151,8 +1138,9 @@ impl World {
                 }
             }
         }
+        let faults = self.core.ids.faults_injected;
         if !plan.events.is_empty() {
-            self.core.obs.note_faults(plan.events.len() as u64);
+            self.core.obs.registry.add(faults, plan.events.len() as u64);
         }
         let wire = WireFaults::new(plan);
         if !wire.is_empty() {
@@ -1303,7 +1291,8 @@ impl World {
                 if msgs.is_empty() {
                     return;
                 }
-                self.core.obs.note_kernel_batch(msgs.len());
+                let batch = self.core.ids.kernel_batch_msgs;
+                self.core.obs.registry.record(batch, msgs.len() as u64);
                 let data = encode_batch(&msgs);
                 if msgs.len() > 1 {
                     self.core.tracef(
@@ -1368,7 +1357,7 @@ impl World {
                 self.core.topo.set_link_up(a, b, up);
                 self.core.net_epoch += 1;
                 let now = self.core.now();
-                self.core.trace.record(
+                self.core.obs.trace.record(
                     now,
                     None,
                     TraceCategory::Net,
@@ -1387,7 +1376,7 @@ impl World {
                 };
                 net.set_link_up(idx, up);
                 self.core.net_epoch += 1;
-                self.core.trace.record(
+                self.core.obs.trace.record(
                     now,
                     None,
                     TraceCategory::Net,
@@ -1436,7 +1425,7 @@ impl World {
         self.core
             .kernel_mut(server.0)
             .alloc_fd(server.1, FdKind::Socket { conn });
-        self.core.trace.record(
+        self.core.obs.trace.record(
             now,
             Some(server.0),
             TraceCategory::Net,
@@ -1535,7 +1524,7 @@ impl World {
         // Re-run the services that were up at crash time (pmd comes back
         // without waiting for traffic), the way init replays /etc/rc.
         for name in names {
-            let _ = self.core.spawn_service(host, &name);
+            let _ = Sys::new(&mut self.core, (host, Pid::INIT)).spawn_service(&name);
         }
         let tick = self.core.config.load_tick;
         self.core.engine.schedule(tick, SimEvent::LoadTick(host));

@@ -3,6 +3,7 @@
 //! deterministic replay.
 
 use bytes::Bytes;
+use ppm_runtime::obs::MetricValue;
 use ppm_runtime::sys::Sys;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec};
@@ -347,6 +348,22 @@ fn trace_flags_are_inherited_by_descendants() {
         events.lock().unwrap().contains(&"exit".to_string()),
         "{events:?}"
     );
+    // The world's own registry counted the same kernel-event path: every
+    // event once, in batches of at least one per wakeup.
+    let world = w.core().obs().registry.snapshot();
+    let metric = |name: &str| {
+        let sample = world.iter().find(|s| s.name == name);
+        sample.unwrap_or_else(|| panic!("no {name}")).value.clone()
+    };
+    let delivered = events.lock().unwrap().len() as u64;
+    assert_eq!(metric("kernel.events"), MetricValue::Counter(delivered));
+    let MetricValue::Counter(wakeups) = metric("kernel.wakeups") else {
+        panic!("kernel.wakeups is a counter");
+    };
+    let MetricValue::Hist(batches) = metric("kernel.batch_msgs") else {
+        panic!("kernel.batch_msgs is a histogram");
+    };
+    assert_eq!((batches.count, batches.sum), (wakeups, delivered));
 }
 
 #[test]

@@ -22,8 +22,10 @@
 //!    out from under its live jobs, then wait for the pmd respawn and
 //!    forest re-adoption path to restore the exact pre-crash node set.
 //!
-//! `--trace` mirrors the simulation's trace switch (to stderr), and
-//! `--metrics <path>` writes every registry published in the cluster.
+//! `--trace` records the cluster's trace in its hub and prints it to
+//! stderr once the drill has ended or failed, in the line format of
+//! `ppm-sim --trace`; `--metrics <path>` writes every registry published
+//! in the cluster.
 //! Everything is wall-clock real time; the CI `real-smoke` job runs this
 //! under a watchdog and checks the exit code.
 
@@ -129,6 +131,9 @@ fn main() -> ExitCode {
         USER.0
     );
     let result = demo(&mut ppm, &names, kill);
+    if trace {
+        eprint!("{}", ppm.trace_render(None));
+    }
 
     if let Some(p) = metrics_path {
         if let Err(e) = std::fs::write(&p, ppm.metrics_report()) {

@@ -523,7 +523,7 @@ pub fn run_scenario_cell(
         crate::scenario::execute_with(&sc, &mut output, opts)
     });
     match run {
-        Ok(h) => {
+        Ok(mut h) => {
             let trace = h.world().core().trace().render(None);
             let metrics = h.metrics_report();
             Ok(CellRun {

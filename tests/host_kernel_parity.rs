@@ -11,7 +11,6 @@
 
 use bytes::Bytes;
 
-use ppm_core::{PmdOptions, UserDirectory};
 use ppm_mc::McWorld;
 use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_realos::RealRuntime;
@@ -178,15 +177,7 @@ fn run_on<R: Runtime>(rt: &mut R, backend: &str) -> Outcome {
 }
 
 fn run_on_mc() -> Outcome {
-    let mut w = McWorld::new(
-        &["a"],
-        UserDirectory::new(),
-        PmdOptions {
-            stable_storage: true,
-            respawn_lpms: false,
-        },
-        SimDuration::from_secs(20),
-    );
+    let mut w = McWorld::new(&["a"], SimDuration::from_secs(20));
     let observer = w.spawn_program(0, OWNER, "observer", Box::<Observer>::default());
     let snoop = Snoop { target: observer };
     w.spawn_program(0, STRANGER, "snoop", Box::new(snoop));
