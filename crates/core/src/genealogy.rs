@@ -22,8 +22,19 @@
 //! array instead of chasing a hash map's buckets. At multi-tenant scale
 //! (one arena per user per host) this is what keeps millions of tracked
 //! processes cache-resident.
+//!
+//! # Reading it
+//!
+//! There is one pid-ordered walk, [`Genealogy::records`], which yields
+//! every tracked process as a [`ProcRecordRef`] borrowed from the slab.
+//! The LPM answers a snapshot request by handing that walk to
+//! [`WireReply::snapshot`](ppm_proto::msg::WireReply::snapshot), which
+//! encodes each record as it comes — no [`ProcRecord`], and so no host
+//! or command string, is built on the answering host.
+//! [`Genealogy::snapshot`] is the same walk collected into owned records
+//! for callers that want them (tests, tools, the benchmark's replays).
 
-use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
+use ppm_proto::types::{Gpid, ProcRecord, ProcRecordRef, WireProcState};
 use ppm_runtime::hashx::FastMap;
 
 /// Sentinel for "no slot" in the intrusive links.
@@ -334,24 +345,34 @@ impl Genealogy {
         self.prune_older_than(u64::MAX / 2, 0)
     }
 
-    /// The snapshot slice this LPM reports: every tracked process as a
-    /// [`ProcRecord`], in pid order. One dense pass over the slab.
-    pub fn snapshot(&self) -> Vec<ProcRecord> {
-        let mut entries: Vec<&Node> = self.slab.iter().filter(|n| n.in_use).collect();
+    /// Every tracked process in pid order, borrowed from the slab: the
+    /// one walk both forms of the snapshot slice are built on — the
+    /// encoded reply an LPM answers with
+    /// ([`WireReply::snapshot`](ppm_proto::msg::WireReply::snapshot),
+    /// which writes each record as it is yielded) and the owned
+    /// [`Genealogy::snapshot`]. One dense pass over the slab plus a sort
+    /// of slot references.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = ProcRecordRef<'_>> {
+        let mut entries: Vec<&Node> = Vec::with_capacity(self.len());
+        entries.extend(self.slab.iter().filter(|n| n.in_use));
         entries.sort_unstable_by_key(|n| n.pid);
-        entries
-            .into_iter()
-            .map(|n| ProcRecord {
-                gpid: Gpid::new(self.host.clone(), n.pid),
-                ppid: n.ppid,
-                logical_parent: n.logical_parent.clone(),
-                command: n.command.clone(),
-                state: n.state,
-                started_us: n.started_us,
-                cpu_us: n.cpu_us,
-                adopted: n.adopted,
-            })
-            .collect()
+        entries.into_iter().map(|n| ProcRecordRef {
+            host: &self.host,
+            pid: n.pid,
+            ppid: n.ppid,
+            logical_parent: n.logical_parent.as_ref().map(|g| (&*g.host, g.pid)),
+            command: &n.command,
+            state: n.state,
+            started_us: n.started_us,
+            cpu_us: n.cpu_us,
+            adopted: n.adopted,
+        })
+    }
+
+    /// The snapshot slice this LPM reports: every tracked process as a
+    /// [`ProcRecord`], in pid order.
+    pub fn snapshot(&self) -> Vec<ProcRecord> {
+        self.records().map(ProcRecordRef::to_record).collect()
     }
 
     /// Local descendants of `pid` (not including `pid`), pid order. The

@@ -17,15 +17,29 @@
 //! subtree is exhausted. Child aggregates are spliced byte-for-byte (the
 //! part frames are never re-decoded in transit), so a deep chain moves
 //! each record across each edge once instead of re-relaying every record
-//! at every hop. Lost children and straggler timeouts are recorded in the
-//! aggregate's `missing` list; the originator surfaces a non-empty list as
-//! [`Reply::Partial`]. Duplicates (identified by the signed stamp within
-//! the retention window) are answered with an immediate `BcastDone`.
+//! at every hop. Lost children, straggler timeouts and children whose
+//! aggregate cannot be read are recorded in the aggregate's `missing`
+//! list; the originator surfaces a non-empty list as
+//! [`Reply::Partial`](ppm_proto::msg::Reply::Partial). Duplicates
+//! (identified by the signed stamp within the retention window) are
+//! answered with an immediate `BcastDone`.
+//!
+//! The originator works gather-then-combine. While the wave runs, each
+//! arriving aggregate is split into its parts ([`WirePart::split`]: the
+//! route of each part is decoded and learned from, the reply stays a
+//! slice of the arriving frame) and the parts wait. Once the wave has
+//! quiesced every part gets one serialized merge slot of
+//! [`merge_cost`](crate::config::PpmConfig::merge_cost) — the modelled
+//! price of folding one host's answer in, which is what gives Table 3 its
+//! per-answering-host slope — and when the last slot has fired the
+//! combine itself runs once: [`WireReply::merge`], a sort of record keys
+//! and one copy of each record's bytes into the reply the tool receives.
+//! No record is materialised at the originator.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
-use ppm_proto::codec::{decode_batch, Enc, Wire};
-use ppm_proto::msg::{BcastPart, ErrCode, Msg, Op, Reply};
+use ppm_proto::codec::{frames, Enc, Wire};
+use ppm_proto::msg::{ErrCode, Msg, Op, Reply, WirePart, WireReply};
 use ppm_proto::types::{Route, Stamp};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::obs::SpanPhase;
@@ -89,12 +103,12 @@ impl Lpm {
             respond_handler: None,
             forward_targets,
             forwarded,
-            agg_buf: Vec::new(),
+            agg_buf: Enc::new(),
             agg_count: 0,
             agg_received: BTreeSet::new(),
             missing: BTreeSet::new(),
             route_in: Route::from_origin(self.host.clone()),
-            merge_queue: Vec::new(),
+            merge_queue: VecDeque::new(),
             combine_started: false,
             merges_outstanding: 0,
             merge_free_at: SimTime::ZERO,
@@ -251,12 +265,12 @@ impl Lpm {
             respond_handler: None,
             forward_targets,
             forwarded,
-            agg_buf: Vec::new(),
+            agg_buf: Enc::new(),
             agg_count: 0,
             agg_received: BTreeSet::new(),
             missing: BTreeSet::new(),
             route_in: route,
-            merge_queue: Vec::new(),
+            merge_queue: VecDeque::new(),
             combine_started: false,
             merges_outstanding: 0,
             merge_free_at: SimTime::ZERO,
@@ -332,7 +346,12 @@ impl Lpm {
     }
 
     /// The local slice finished gathering.
-    pub(crate) fn bcast_local_complete(&mut self, sys: &mut dyn Sys, key: &BcastKey, reply: Reply) {
+    pub(crate) fn bcast_local_complete(
+        &mut self,
+        sys: &mut dyn Sys,
+        key: &BcastKey,
+        reply: WireReply,
+    ) {
         let Some(b) = self.bcasts.get_mut(key) else {
             return;
         };
@@ -349,12 +368,8 @@ impl Lpm {
                 // subtree's single upstream aggregate.
                 let mut route = b.route_in.clone();
                 route.push(self.host.clone());
-                let part = BcastPart {
-                    host: self.host.clone(),
-                    reply,
-                    route,
-                };
-                push_part(&mut b.agg_buf, &mut b.agg_count, &part);
+                reply.push_part(&mut b.agg_buf, &self.host, &route);
+                b.agg_count += 1;
             }
         }
         self.maybe_complete(sys, key);
@@ -367,7 +382,7 @@ impl Lpm {
         _conn: ConnId,
         stamp: Stamp,
         resp_host: String,
-        reply: Reply,
+        reply: WireReply,
         route: Route,
     ) {
         let key = stamp.key();
@@ -384,18 +399,14 @@ impl Lpm {
         match b.upstream {
             None => {
                 // Originator: queue the part for the combine phase.
-                self.queue_part(sys, &key, resp_host, reply, route);
+                self.queue_part(sys, &key, WirePart { reply, route });
             }
             Some(_) => {
                 // Relay: fold the single-part answer into the subtree
                 // aggregate like any child contribution.
                 let b = self.bcasts.get_mut(&key).expect("checked");
-                let part = BcastPart {
-                    host: resp_host,
-                    reply,
-                    route,
-                };
-                push_part(&mut b.agg_buf, &mut b.agg_count, &part);
+                reply.push_part(&mut b.agg_buf, &resp_host, &route);
+                b.agg_count += 1;
             }
         }
     }
@@ -422,55 +433,58 @@ impl Lpm {
                 missing.len()
             ),
         );
+        // A child whose aggregate cannot be read has not answered: it is
+        // named missing, so the tool gets a `Partial` naming it instead of
+        // a complete-looking result with that subtree silently absent.
+        let mut unreadable = None;
         match b.upstream {
             None => {
-                // Originator: unpack the batch and queue each part for the
+                // Originator: split the batch and queue each part for the
                 // combine phase (the per-part merge cost model is
                 // unchanged — only the transit cost collapsed).
-                let decoded: Vec<BcastPart> = match decode_batch(&parts) {
-                    Ok(ps) => ps,
-                    Err(e) => {
-                        self.note(sys, format_args!("bad aggregate from {from_host}: {e}"));
-                        Vec::new()
+                match WirePart::split(&parts) {
+                    Ok(parts) => {
+                        for part in parts {
+                            self.queue_part(sys, &key, part);
+                        }
                     }
-                };
-                for part in decoded {
-                    self.queue_part(sys, &key, part.host, part.reply, part.route);
+                    Err(e) => unreadable = Some(e.to_string()),
                 }
-                let b = self.bcasts.get_mut(&key).expect("checked");
-                b.agg_received.insert(from_host.to_string());
-                b.missing.extend(missing);
             }
             Some(_) => {
                 // Relay: splice the child's frames onto ours byte-for-byte
                 // — the in-network aggregation fast path.
                 let b = self.bcasts.get_mut(&key).expect("checked");
-                let before = b.agg_count;
-                append_batch(&mut b.agg_buf, &mut b.agg_count, &parts);
-                let spliced = u64::from(b.agg_count - before);
-                b.agg_received.insert(from_host.to_string());
-                b.missing.extend(missing);
-                self.obs.registry.add(self.obs.parts_spliced, spliced);
+                match append_batch(&mut b.agg_buf, &parts) {
+                    Some(spliced) => {
+                        b.agg_count += spliced;
+                        let spliced = u64::from(spliced);
+                        self.obs.registry.add(self.obs.parts_spliced, spliced);
+                    }
+                    None => unreadable = Some("frames do not fill the batch".to_string()),
+                }
             }
+        }
+        if let Some(why) = &unreadable {
+            self.note(sys, format_args!("bad aggregate from {from_host}: {why}"));
+        }
+        let b = self.bcasts.get_mut(&key).expect("checked");
+        b.agg_received.insert(from_host.to_string());
+        b.missing.extend(missing);
+        if unreadable.is_some() {
+            b.missing.insert(from_host.to_string());
         }
     }
 
     /// Queues one gathered part at the originator. During the wave the
     /// part just waits; once the combine phase has begun (a late
     /// straggler after a timeout), it gets its serialized slot at once.
-    fn queue_part(
-        &mut self,
-        sys: &mut dyn Sys,
-        key: &BcastKey,
-        host: String,
-        reply: Reply,
-        route: Route,
-    ) {
-        self.learn_route(&route);
+    fn queue_part(&mut self, sys: &mut dyn Sys, key: &BcastKey, part: WirePart) {
+        self.learn_route(&part.route);
         let Some(b) = self.bcasts.get_mut(key) else {
             return;
         };
-        b.merge_queue.push((host, reply, route));
+        b.merge_queue.push_back(part.reply);
         if b.combine_started {
             self.schedule_merge_slot(sys, key);
         }
@@ -504,8 +518,7 @@ impl Lpm {
             if b.merges_outstanding > 0 {
                 b.merges_outstanding -= 1;
             }
-            if !b.merge_queue.is_empty() {
-                let (_host, reply, _route) = b.merge_queue.remove(0);
+            if let Some(reply) = b.merge_queue.pop_front() {
                 b.parts.push(reply);
             }
             self.maybe_complete(sys, key);
@@ -608,17 +621,21 @@ impl Lpm {
             );
             let span = format_args!("{}@{}", key.0, key.1);
             sys.span("bcast", span, SpanPhase::End);
-            let combined = combine(&b.op, b.parts);
+            // Every part was checked when it was made or arrived, so the
+            // merge's own checked walk has nothing left to refuse.
+            let combined = WireReply::merge(&b.op, &b.parts).unwrap_or_else(|e| {
+                WireReply::from(&Reply::Err {
+                    code: ErrCode::Internal,
+                    detail: format!("merge failed at {e}"),
+                })
+            });
             let combined = if b.missing.is_empty() {
                 combined
             } else {
                 let missing = b.missing.len() as u64;
                 self.obs.registry.inc(self.obs.partial_flushes);
                 self.obs.registry.add(self.obs.missing_hosts, missing);
-                Reply::Partial {
-                    missing: b.missing.into_iter().collect(),
-                    inner: Box::new(combined),
-                }
+                combined.partial(&b.missing)
             };
             if let Some(req_id) = b.reply_req {
                 self.finish_req(sys, req_id, combined);
@@ -632,15 +649,15 @@ impl Lpm {
             let respond_handler = b.respond_handler.take();
             let timeout_token = b.timeout_token.take();
             let missing: Vec<String> = b.missing.iter().cloned().collect();
+            let mut batch = Vec::with_capacity(4 + b.agg_buf.len());
+            batch.extend_from_slice(&b.agg_count.to_be_bytes());
+            batch.extend_from_slice(b.agg_buf.as_slice());
             if self.cfg.reply_splicing {
                 // The whole subtree's answers leave in a single aggregated
                 // frame on this edge, then the wave-completion marker.
-                let mut parts = Vec::with_capacity(4 + b.agg_buf.len());
-                parts.extend_from_slice(&b.agg_count.to_be_bytes());
-                parts.append(&mut b.agg_buf);
                 let agg = Msg::BcastAgg {
                     stamp: stamp.clone(),
-                    parts: bytes::Bytes::from(parts),
+                    parts: bytes::Bytes::from(batch),
                     missing,
                 };
                 let _ = self.send_msg(sys, upstream, &agg);
@@ -649,24 +666,18 @@ impl Lpm {
                 // collected part goes upstream as its own batch-of-one
                 // frame — leaf-direct-style traffic on every edge toward
                 // the originator — then one empty frame carries the
-                // missing list.
-                let mut batch = Vec::with_capacity(4 + b.agg_buf.len());
-                batch.extend_from_slice(&b.agg_count.to_be_bytes());
-                batch.append(&mut b.agg_buf);
-                let decoded: Vec<BcastPart> = decode_batch(&batch).unwrap_or_default();
-                for part in &decoded {
-                    let mut one = Vec::new();
-                    let mut count = 0u32;
-                    push_part(&mut one, &mut count, part);
-                    let mut framed = Vec::with_capacity(4 + one.len());
-                    framed.extend_from_slice(&count.to_be_bytes());
-                    framed.append(&mut one);
+                // missing list. Re-framed, not re-encoded: each part's
+                // frame is copied as it stands.
+                for frame in frames(&batch).into_iter().flatten().map_while(Result::ok) {
+                    let mut one = Enc::with_capacity(8 + frame.len());
+                    one.u32(1);
+                    one.bytes(frame);
                     let _ = self.send_msg(
                         sys,
                         upstream,
                         &Msg::BcastAgg {
                             stamp: stamp.clone(),
-                            parts: bytes::Bytes::from(framed),
+                            parts: one.into_bytes(),
                             missing: Vec::new(),
                         },
                     );
@@ -694,61 +705,53 @@ impl Lpm {
     }
 }
 
-/// Appends one part to a relay's aggregation buffer as a framed entry.
-fn push_part(buf: &mut Vec<u8>, count: &mut u32, part: &BcastPart) {
-    let mut enc = Enc::pooled();
-    enc.frame(part);
-    buf.extend_from_slice(&enc.into_bytes());
-    *count += 1;
-}
-
 /// Splices a child aggregate's frames (a batch minus its count header)
-/// onto ours byte-for-byte — no decode, no re-encode.
-fn append_batch(buf: &mut Vec<u8>, count: &mut u32, batch: &[u8]) {
-    if batch.len() < 4 {
-        return;
+/// onto ours byte-for-byte — no decode, no re-encode — and returns how
+/// many there were. Only the framing is checked, so that one child's
+/// garbage cannot make this whole subtree's aggregate unreadable further
+/// up: a batch whose frames do not fill it exactly as its header says is
+/// refused (`None`) and nothing is spliced.
+fn append_batch(buf: &mut Enc, batch: &[u8]) -> Option<u32> {
+    let mut iter = frames(batch).ok()?;
+    let count = u32::try_from(iter.len()).ok()?;
+    if !iter.all(|frame| frame.is_ok()) {
+        return None;
     }
-    let n = u32::from_be_bytes(batch[..4].try_into().expect("4-byte header"));
-    buf.extend_from_slice(&batch[4..]);
-    *count += n;
+    buf.splice(&batch[4..]);
+    Some(count)
 }
 
-/// Merges broadcast parts into one reply.
-fn combine(op: &Op, parts: Vec<Reply>) -> Reply {
-    match op {
-        Op::Snapshot => {
-            let mut procs = Vec::new();
-            for p in parts {
-                if let Reply::Snapshot { procs: mut ps, .. } = p {
-                    procs.append(&mut ps);
-                }
-            }
-            procs.sort_by(|a, b| (&a.gpid.host, a.gpid.pid).cmp(&(&b.gpid.host, b.gpid.pid)));
-            Reply::Snapshot {
-                host: "*".to_string(),
-                procs,
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_batch_with_broken_framing_is_not_spliced() {
+        let route = Route::from_origin("a");
+        let mut batch = Enc::new();
+        batch.u32(2);
+        WireReply::from(&Reply::Pong).push_part(&mut batch, "b", &route);
+        WireReply::from(&Reply::Ok).push_part(&mut batch, "c", &route);
+        let batch = batch.into_bytes();
+
+        let mut buf = Enc::new();
+        assert_eq!(append_batch(&mut buf, &batch), Some(2));
+        assert_eq!(buf.as_slice(), &batch[4..]);
+        assert_eq!(append_batch(&mut buf, &0u32.to_be_bytes()), Some(0));
+
+        let spliced = buf.len();
+        let mut trailing = batch.to_vec();
+        trailing.push(0);
+        let mut overcounted = batch.to_vec();
+        overcounted[3] = 3;
+        for bad in [
+            &batch[..batch.len() - 1],
+            &batch[..3],
+            &trailing,
+            &overcounted,
+        ] {
+            assert_eq!(append_batch(&mut buf, bad), None);
+            assert_eq!(buf.len(), spliced, "nothing spliced from a bad batch");
         }
-        Op::Rusage { .. } => {
-            let mut records = Vec::new();
-            for p in parts {
-                if let Reply::Rusage { records: mut rs } = p {
-                    records.append(&mut rs);
-                }
-            }
-            records.sort_by_key(|r| r.exited_us);
-            Reply::Rusage { records }
-        }
-        Op::History { .. } => {
-            let mut events = Vec::new();
-            for p in parts {
-                if let Reply::History { events: mut es } = p {
-                    events.append(&mut es);
-                }
-            }
-            events.sort_by_key(|e| e.at_us);
-            Reply::History { events }
-        }
-        _ => Reply::Pong,
     }
 }

@@ -4,7 +4,7 @@
 //! "LPMs also receive messages from the local kernel. All data pertaining
 //! to the local user's processes are obtained in this way."
 
-use ppm_proto::msg::Reply;
+use ppm_proto::msg::{Reply, WireReply};
 use ppm_proto::triggers::TriggerAction;
 use ppm_proto::types::{Gpid, RusageRecord, WireProcState};
 use ppm_runtime::events::KernelEvent;
@@ -47,7 +47,7 @@ impl Lpm {
                     let reply = Reply::Spawned {
                         gpid: Gpid::new(self.host.clone(), pid.0),
                     };
-                    self.finish_req(sys, req_id, reply);
+                    self.finish_req(sys, req_id, WireReply::from(&reply));
                 }
                 self.trigger_check(sys, "exec", pid.0)
             }

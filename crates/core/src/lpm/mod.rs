@@ -30,13 +30,13 @@ mod kernel_ev;
 mod recovery;
 mod requests;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use ppm_proto::codec::Wire;
-use ppm_proto::msg::{Msg, Op, Reply};
+use ppm_proto::codec::{Enc, Wire};
+use ppm_proto::msg::{Inbound, Msg, Op, WireReply};
 use ppm_proto::types::{Gpid, Route, Stamp};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::{ConnId, Port};
@@ -102,8 +102,9 @@ pub(crate) struct BcastState {
     pub upstream: Option<ConnId>,
     /// Internal request to finish with the merged reply (originator only).
     pub reply_req: Option<u64>,
-    /// Accumulated parts (originator only).
-    pub parts: Vec<Reply>,
+    /// Accumulated parts (originator only), in the order their merge
+    /// slots completed — the order the final merge's stable sort sees.
+    pub parts: Vec<WireReply>,
     /// Hosts we forwarded to and still owe us a `BcastDone`.
     pub pending_children: BTreeSet<String>,
     /// The local slice finished.
@@ -123,7 +124,7 @@ pub(crate) struct BcastState {
     /// accumulated for the one upstream aggregate (batch body without its
     /// count header). Child aggregates are spliced in byte-for-byte — no
     /// decode, no re-encode — so each record crosses every edge once.
-    pub agg_buf: Vec<u8>,
+    pub agg_buf: Enc,
     /// Number of part frames in `agg_buf`.
     pub agg_count: u32,
     /// Direct children whose aggregate already arrived (a later
@@ -136,7 +137,7 @@ pub(crate) struct BcastState {
     /// Route the request had when it reached us.
     pub route_in: Route,
     /// Replies waiting for their merge slot (originator only).
-    pub merge_queue: Vec<(String, Reply, Route)>,
+    pub merge_queue: VecDeque<WireReply>,
     /// Whether the originator's combine phase has begun: parts gather
     /// during the wave and every serialized merge slot starts once the
     /// wave quiesces, so each contributor costs a full slot at the tail.
@@ -591,20 +592,26 @@ impl Program for Lpm {
             self.ns_message(sys, data);
             return;
         }
-        let Ok(msg) = Msg::from_bytes(&data) else {
+        let role = self.conns.get(&conn).cloned();
+        // Siblings are who replies come from: theirs stay on the wire.
+        let msg = match &role {
+            Some(ConnRole::Sibling(_)) => Inbound::decode(&data),
+            _ => Msg::from_bytes(&data).map(Inbound::Other),
+        };
+        let Ok(msg) = msg else {
             self.note(sys, format_args!("undecodable message on {conn}; dropping"));
-            if self.conns.get(&conn) == Some(&ConnRole::AwaitHello) {
+            if role == Some(ConnRole::AwaitHello) {
                 // Protocol violation before authentication: hang up.
                 self.conns.remove(&conn);
                 let _ = sys.close(conn);
             }
             return;
         };
-        match self.conns.get(&conn).cloned() {
-            Some(ConnRole::AwaitHello) => self.handle_hello(sys, conn, msg),
-            Some(ConnRole::Tool) => self.handle_tool_msg(sys, conn, msg),
-            Some(ConnRole::Sibling(host)) => self.handle_sibling_msg(sys, conn, &host, msg),
-            None => {
+        match (role, msg) {
+            (Some(ConnRole::Sibling(host)), msg) => self.handle_sibling_msg(sys, conn, &host, msg),
+            (Some(ConnRole::AwaitHello), Inbound::Other(msg)) => self.handle_hello(sys, conn, msg),
+            (Some(ConnRole::Tool), Inbound::Other(msg)) => self.handle_tool_msg(sys, conn, msg),
+            _ => {
                 // Message on an unknown connection (e.g. raced with close).
             }
         }
@@ -669,15 +676,15 @@ impl Program for Lpm {
             h.write(s.as_bytes());
         }
         h.write_u64(self.rpc.digest());
-        for rec in self.tree.snapshot() {
-            h.write(rec.gpid.host.as_bytes());
-            h.write_u32(rec.gpid.pid);
+        for rec in self.tree.records() {
+            h.write(rec.host.as_bytes());
+            h.write_u32(rec.pid);
             h.write_u32(rec.ppid);
             h.write(format!("{:?}", rec.state).as_bytes());
             h.write_u8(u8::from(rec.adopted));
-            if let Some(lp) = &rec.logical_parent {
-                h.write(lp.host.as_bytes());
-                h.write_u32(lp.pid);
+            if let Some((host, pid)) = rec.logical_parent {
+                h.write(host.as_bytes());
+                h.write_u32(pid);
             }
         }
         for (host, kids) in &self.remote_children {

@@ -397,14 +397,13 @@ impl Lpm {
             format_args!("time-to-die expired: terminating local processes and exiting"),
         );
         // "the appropriate action is to close down all the activities."
-        let snapshot = self.tree.snapshot();
         let at = sys.now();
-        for rec in snapshot {
+        for rec in self.tree.records() {
             if rec.state != ppm_proto::types::WireProcState::Dead {
-                let _ = sys.kill(Pid(rec.gpid.pid), Signal::Kill);
+                let _ = sys.kill(Pid(rec.pid), Signal::Kill);
                 self.history.record(
                     at,
-                    Gpid::new(self.host.clone(), rec.gpid.pid),
+                    Gpid::new(self.host.clone(), rec.pid),
                     "ttd-kill",
                     "killed at time-to-die",
                 );

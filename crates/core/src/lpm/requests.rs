@@ -8,7 +8,7 @@
 //! fresh, which is what makes end-to-end dedup and full-route learning
 //! possible.
 
-use ppm_proto::msg::{ControlAction, ErrCode, Msg, Op, Reply};
+use ppm_proto::msg::{ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyPeek, WireReply};
 use ppm_proto::types::{FileRecord, Gpid, Route};
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::fd::FdKind;
@@ -116,10 +116,26 @@ impl Lpm {
         sys: &mut dyn Sys,
         conn: ConnId,
         host: &str,
-        msg: Msg,
+        msg: Inbound,
     ) {
         // Any live sibling traffic counts as contact for recovery purposes.
         self.recovered_contact(sys);
+        // Messages that carry a reply keep it on the wire.
+        let msg = match msg {
+            Inbound::Resp { id, reply, route } => return self.handle_resp(sys, id, reply, route),
+            Inbound::BcastResp {
+                stamp,
+                host: resp_host,
+                reply,
+                route,
+            } => return self.handle_bcast_resp(sys, conn, stamp, resp_host, reply, route),
+            Inbound::BcastAgg {
+                stamp,
+                parts,
+                missing,
+            } => return self.handle_bcast_agg(sys, host, stamp, parts, missing),
+            Inbound::Other(msg) => msg,
+        };
         match msg {
             Msg::Req {
                 id,
@@ -146,24 +162,12 @@ impl Lpm {
                     boot,
                 );
             }
-            Msg::Resp { id, reply, route } => self.handle_resp(sys, id, reply, route),
             Msg::Bcast {
                 stamp,
                 user,
                 op,
                 route,
             } => self.handle_bcast(sys, conn, host, stamp, user, op, route),
-            Msg::BcastResp {
-                stamp,
-                host: resp_host,
-                reply,
-                route,
-            } => self.handle_bcast_resp(sys, conn, stamp, resp_host, reply, route),
-            Msg::BcastAgg {
-                stamp,
-                parts,
-                missing,
-            } => self.handle_bcast_agg(sys, host, stamp, parts, missing),
             Msg::BcastDone { stamp } => {
                 let key = stamp.key();
                 self.bcast_child_done(sys, &key, host);
@@ -268,8 +272,7 @@ impl Lpm {
                 );
                 // Replay with the cached route: the original responder's
                 // full path, so the origin still learns it from a retry.
-                let msg = Msg::Resp { id, reply, route };
-                let _ = self.send_msg(sys, conn, &msg);
+                let _ = sys.send(conn, reply.resp(id, &route));
                 return;
             }
             DupVerdict::Stale => {
@@ -669,7 +672,7 @@ impl Lpm {
 
     /// A `Resp` arrived for a request we sent (or relayed), addressed by
     /// its correlation key `(route origin, wire id)`.
-    fn handle_resp(&mut self, sys: &mut dyn Sys, id: u64, reply: Reply, route: Route) {
+    fn handle_resp(&mut self, sys: &mut dyn Sys, id: u64, reply: WireReply, route: Route) {
         let Some(origin) = route.origin() else {
             return;
         };
@@ -798,10 +801,12 @@ impl Lpm {
                 work_us,
                 cpu_bound,
             ),
-            Op::Snapshot => Some(Reply::Snapshot {
-                host: self.host.clone(),
-                procs: self.tree.snapshot(),
-            }),
+            Op::Snapshot => {
+                // The one bulky reply: written straight from the slab,
+                // no record is built on the way.
+                let slice = WireReply::snapshot(&self.host, self.tree.records());
+                return self.finish_req(sys, id, slice);
+            }
             Op::Rusage { pid } => Some(Reply::Rusage {
                 records: self.history.exited(pid),
             }),
@@ -853,7 +858,7 @@ impl Lpm {
             }),
         };
         match reply {
-            Some(reply) => self.finish_req(sys, id, reply),
+            Some(reply) => self.finish_req(sys, id, WireReply::from(&reply)),
             None => {
                 // Spawn: reply deferred until the child's exec event.
                 if let Some(r) = self.rpc.get_mut(id) {
@@ -1040,7 +1045,7 @@ impl Lpm {
     // ---- completion ------------------------------------------------------------
 
     /// Completes a request with a reply, releasing its resources.
-    pub(crate) fn finish_req(&mut self, sys: &mut dyn Sys, id: u64, reply: Reply) {
+    pub(crate) fn finish_req(&mut self, sys: &mut dyn Sys, id: u64, reply: WireReply) {
         self.finish_req_via(sys, id, reply, None);
     }
 
@@ -1051,7 +1056,7 @@ impl Lpm {
         &mut self,
         sys: &mut dyn Sys,
         id: u64,
-        reply: Reply,
+        reply: WireReply,
         resp_route: Option<Route>,
     ) {
         let Some(req) = self.rpc.remove(id) else {
@@ -1065,13 +1070,13 @@ impl Lpm {
                 logical_parent: Some(parent),
                 ..
             },
-            Reply::Spawned { gpid },
-        ) = (&req.op, &reply)
+            ReplyPeek::Spawned { host, pid },
+        ) = (&req.op, reply.peek())
         {
-            if gpid.host != self.host {
-                let known = self.remote_children.entry(gpid.host.clone()).or_default();
+            if host != self.host {
+                let known = self.remote_children.entry(host.to_string()).or_default();
                 if known.len() < 4096 {
-                    known.insert(gpid.pid, parent.clone());
+                    known.insert(pid, parent.clone());
                 }
             }
         }
@@ -1098,21 +1103,7 @@ impl Lpm {
                 let route = resp_route.unwrap_or(req.route);
                 // Registry pulls get their own frame so tools stream them
                 // without unwrapping a generic response.
-                let msg = match reply {
-                    Reply::Metrics { host, at_us, rows } => Msg::MetricsSnapshot {
-                        id: external_id,
-                        host,
-                        at_us,
-                        rows,
-                        route,
-                    },
-                    reply => Msg::Resp {
-                        id: external_id,
-                        reply,
-                        route,
-                    },
-                };
-                let _ = self.send_msg(sys, conn, &msg);
+                let _ = sys.send(conn, reply.tool_resp(external_id, &route));
             }
             ReplyTo::Sibling {
                 conn,
@@ -1120,20 +1111,15 @@ impl Lpm {
                 route_in,
             } => {
                 let route = resp_route.unwrap_or(route_in);
+                let resp = reply.resp(external_id, &route);
                 // Idempotent dedup: park the reply in the retention
                 // window so a retried delivery of the same correlation
                 // id is answered without re-execution.
-                self.rpc
-                    .note_done(req.corr, sys.now(), reply.clone(), route.clone());
-                let msg = Msg::Resp {
-                    id: external_id,
-                    reply,
-                    route,
-                };
-                let _ = self.send_msg(sys, conn, &msg);
+                self.rpc.note_done(req.corr, sys.now(), reply, route);
+                let _ = sys.send(conn, resp);
             }
             ReplyTo::Internal => {
-                if let Reply::Err { code, detail } = reply {
+                if let ReplyPeek::Err { code, detail } = reply.peek() {
                     let at = sys.now();
                     self.history.record(
                         at,
@@ -1157,14 +1143,11 @@ impl Lpm {
         code: ErrCode,
         detail: &str,
     ) {
-        self.finish_req(
-            sys,
-            id,
-            Reply::Err {
-                code,
-                detail: detail.to_string(),
-            },
-        );
+        let reply = Reply::Err {
+            code,
+            detail: detail.to_string(),
+        };
+        self.finish_req(sys, id, WireReply::from(&reply));
     }
 }
 

@@ -31,7 +31,7 @@ mod table;
 
 use std::sync::Arc;
 
-use ppm_proto::msg::{Op, Reply};
+use ppm_proto::msg::{Op, WireReply};
 use ppm_proto::types::Route;
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::time::{SimDuration, SimTime};
@@ -170,11 +170,12 @@ pub(crate) enum TimerKind {
 pub(crate) enum DedupEntry {
     /// A broadcast wave stamp, seen at `at`.
     Bcast { at: SimTime },
-    /// A directed sibling request executed here; the reply is cached so
+    /// A directed sibling request executed here; the reply is cached —
+    /// as the bytes that answered it, so parking it copied nothing — and
     /// a retried delivery is answered without re-execution.
     Done {
         at: SimTime,
-        reply: Reply,
+        reply: WireReply,
         route: Route,
     },
 }

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ppm_proto::msg::{ErrCode, Reply};
+use ppm_proto::msg::{ErrCode, WireReply};
 use ppm_proto::types::Route;
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::sys::Sys;
@@ -41,7 +41,7 @@ pub(crate) enum DupVerdict {
     InFlight(u64),
     /// Already executed here; replay the cached reply without running the
     /// operation again.
-    Replay { reply: Reply, route: Route },
+    Replay { reply: WireReply, route: Route },
     /// The correlation id was stamped by a dead incarnation of its origin
     /// (its boot epoch is older than the fence a respawn installed).
     /// Replay-only territory: with no cached reply left, the request is
@@ -249,7 +249,7 @@ impl RpcTable {
 
     /// Caches the reply of an executed sibling request so a retried
     /// delivery is answered without re-execution.
-    pub(crate) fn note_done(&mut self, key: RpcKey, at: SimTime, reply: Reply, route: Route) {
+    pub(crate) fn note_done(&mut self, key: RpcKey, at: SimTime, reply: WireReply, route: Route) {
         self.index_dedup(key.clone(), at);
         self.dedup
             .insert(key, DedupEntry::Done { at, reply, route });
@@ -387,8 +387,12 @@ impl PendingRequest {
 mod tests {
     use super::super::ReplyTo;
     use super::*;
-    use ppm_proto::msg::Op;
+    use ppm_proto::msg::{Op, Reply};
     use std::sync::Arc;
+
+    fn wire(reply: Reply) -> WireReply {
+        WireReply::from(&reply)
+    }
 
     fn req(corr: RpcKey, reply_to: ReplyTo) -> PendingRequest {
         PendingRequest {
@@ -430,9 +434,14 @@ mod tests {
         let mut t = RpcTable::new();
         let key: RpcKey = (Arc::from("far"), 9);
         let at = SimTime::from_micros(1_000_000);
-        t.note_done(key.clone(), at, Reply::Pong, Route::from_origin("far"));
+        t.note_done(
+            key.clone(),
+            at,
+            wire(Reply::Pong),
+            Route::from_origin("far"),
+        );
         match t.dup_verdict(&key, 1) {
-            DupVerdict::Replay { reply, .. } => assert_eq!(reply, Reply::Pong),
+            DupVerdict::Replay { reply, .. } => assert_eq!(reply, wire(Reply::Pong)),
             v => panic!("expected replay, got {v:?}"),
         }
         // Inside the window: kept. Past it: purged.
@@ -452,7 +461,7 @@ mod tests {
         t.note_done(
             d,
             SimTime::from_micros(500),
-            Reply::Pong,
+            wire(Reply::Pong),
             Route::from_origin("b"),
         );
         assert!(t.bcast_seen(&b));
@@ -470,14 +479,14 @@ mod tests {
         t.note_done(
             a1.clone(),
             SimTime::ZERO,
-            Reply::Pong,
+            wire(Reply::Pong),
             Route::from_origin("a"),
         );
         t.note_bcast(a2.clone(), SimTime::ZERO);
         t.note_done(
             b1.clone(),
             SimTime::ZERO,
-            Reply::Ok,
+            wire(Reply::Ok),
             Route::from_origin("b"),
         );
         assert_eq!(t.purge_peer("a"), 2);
@@ -505,13 +514,13 @@ mod tests {
         t.note_done(
             key.clone(),
             SimTime::ZERO,
-            Reply::Pong,
+            wire(Reply::Pong),
             Route::from_origin("far"),
         );
         t.note_done(
             key.clone(),
             SimTime::from_micros(50_000_000),
-            Reply::Ok,
+            wire(Reply::Ok),
             Route::from_origin("far"),
         );
         // 61s: the t=0 insertion would have expired, but the entry was
@@ -555,7 +564,7 @@ mod tests {
         t.note_done(
             key.clone(),
             SimTime::ZERO,
-            Reply::Pong,
+            wire(Reply::Pong),
             Route::from_origin("work"),
         );
         t.fence_origin("work", 5_000_000);

@@ -14,11 +14,14 @@ use rand::{Rng, SeedableRng};
 use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
 use ppm_harness::harness::{HarnessError, PpmHarness};
-use ppm_proto::msg::{ControlAction, Op};
-use ppm_proto::types::Gpid;
+use ppm_proto::codec::{encode_batch, Wire};
+use ppm_proto::msg::{BcastPart, ControlAction, Msg, Op, Reply};
+use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
+use ppm_runtime::sys::Sys;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::CpuClass;
-use ppm_simos::ids::Uid;
+use ppm_simos::ids::{ConnId, Uid};
+use ppm_simos::program::{ConnEvent, Program, SpawnSpec};
 use ppm_simos::signal::Signal;
 
 const USER: Uid = Uid(100);
@@ -343,4 +346,151 @@ fn relay_losing_a_child_mid_gather_yields_a_partial_aggregate() {
         .snapshot_partial("c0", USER, "*")
         .expect("sweep after heal");
     assert!(missing.is_empty(), "healed sweep is complete: {missing:?}");
+}
+
+/// A process that joins the sibling graph of the LPM on its own host as
+/// the relay of a subtree called `ghost`, and answers every wave with an
+/// aggregate the receiver cannot use.
+struct CorruptChild {
+    /// Damages a well-formed batch holding `ghost`'s one-record slice.
+    damage: fn(&mut Vec<u8>),
+}
+
+impl Program for CorruptChild {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        let _ = sys.connect(sys.host(), ppm_core::config::lpm_port(USER));
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        if matches!(event, ConnEvent::Established) {
+            let hello = Msg::Hello {
+                user: USER.0,
+                host: "ghost".into(),
+                is_tool: false,
+                ccs: String::new(),
+                epoch: 0,
+                proof: ppm_core::auth::UserCred::new(USER, 0xBCA57).proof(),
+            };
+            let _ = sys.send(conn, hello.to_bytes());
+        }
+    }
+
+    fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, data: bytes::Bytes) {
+        let Ok(Msg::Bcast { stamp, route, .. }) = Msg::from_bytes(&data) else {
+            return;
+        };
+        let mut batch = encode_batch(&[BcastPart {
+            host: "ghost".into(),
+            reply: Reply::Snapshot {
+                host: "ghost".into(),
+                procs: vec![ProcRecord {
+                    gpid: Gpid::new("ghost", 66),
+                    ppid: 1,
+                    logical_parent: None,
+                    command: "haunt".into(),
+                    state: WireProcState::Running,
+                    started_us: 1,
+                    cpu_us: 2,
+                    adopted: true,
+                }],
+            },
+            route,
+        }])
+        .to_vec();
+        (self.damage)(&mut batch);
+        let agg = Msg::BcastAgg {
+            stamp: stamp.clone(),
+            parts: batch.into(),
+            missing: Vec::new(),
+        };
+        let _ = sys.send(conn, agg.to_bytes());
+        let _ = sys.send(conn, Msg::BcastDone { stamp }.to_bytes());
+    }
+
+    fn name(&self) -> &str {
+        "corrupt-child"
+    }
+}
+
+/// A child whose aggregate cannot be read has not answered, and the tool
+/// is told so: the sweep comes back `Partial`, naming that child, with
+/// every readable slice intact — not complete-looking with a hole.
+#[test]
+fn an_unreadable_aggregate_names_its_sender_missing() {
+    // Framing intact, one record's state tag out of range: caught where
+    // the parts are read, at the originator.
+    let bad_record: fn(&mut Vec<u8>) = |batch| {
+        let command = batch.windows(5).position(|w| w == b"haunt").unwrap();
+        batch[command + 5] = 9;
+    };
+    // Cut short: caught by the first LPM that would splice it.
+    let bad_framing: fn(&mut Vec<u8>) = |batch| batch.truncate(batch.len() - 3);
+
+    for (attach_to, damage, lost) in [
+        // Under the originator: only the ghost is lost.
+        ("c0", bad_record, vec!["ghost"]),
+        ("c0", bad_framing, vec!["ghost"]),
+        // Under a relay: broken framing is refused there, and costs only
+        // the ghost...
+        ("c1", bad_framing, vec!["ghost"]),
+        // ...while a bad record is spliced on unread and makes the
+        // relay's whole aggregate unreadable at the originator, which
+        // names the child that sent it: c1, and so c1's subtree.
+        ("c1", bad_record, vec!["c1"]),
+    ] {
+        let chain = ["c0", "c1", "c2"];
+        let mut b = PpmHarness::builder().seed(0xBCA57);
+        for h in chain {
+            b = b.host(h, CpuClass::Vax780);
+        }
+        let mut ppm = b
+            .link("c0", "c1")
+            .link("c1", "c2")
+            .user(USER, 0xBCA57, &chain, PpmConfig::fast_recovery())
+            .build();
+        ppm.spawn_remote("c0", USER, "c0", "job-c0", None, None)
+            .unwrap();
+        for i in 1..chain.len() {
+            let command = format!("job-{}", chain[i]);
+            ppm.spawn_remote(chain[i - 1], USER, chain[i], &command, None, None)
+                .unwrap();
+        }
+        let host = ppm.host(attach_to).unwrap();
+        let ghost = CorruptChild { damage };
+        ppm.world_mut()
+            .spawn_user(host, USER, SpawnSpec::new("ghost", Box::new(ghost)))
+            .unwrap();
+        ppm.run_for(SimDuration::from_secs(1));
+
+        let before = ppm.metrics_report();
+        let (procs, missing) = ppm
+            .snapshot_partial("c0", USER, "*")
+            .expect("the sweep still completes");
+        assert_eq!(missing, lost, "ghost under {attach_to}");
+        let answered: Vec<&str> = chain
+            .iter()
+            .copied()
+            .filter(|h| procs.iter().any(|p| p.gpid.host == *h))
+            .collect();
+        let expect = if lost == ["c1"] {
+            vec!["c0"]
+        } else {
+            chain.to_vec()
+        };
+        assert_eq!(answered, expect, "ghost under {attach_to}");
+        assert!(procs.iter().all(|p| p.gpid.host != "ghost"));
+
+        // The originator counted one partial flush and one missing host.
+        let counter = |report: &str, name: &str| -> u64 {
+            let line = report
+                .lines()
+                .find(|l| l.starts_with("c0/") && l.contains(name))
+                .unwrap_or_else(|| panic!("no {name} row for c0 in\n{report}"));
+            line.split_whitespace().last().unwrap().parse().unwrap()
+        };
+        let after = ppm.metrics_report();
+        for name in ["bcast.partial_flushes", "bcast.missing_hosts"] {
+            assert_eq!(counter(&after, name), counter(&before, name) + 1, "{name}");
+        }
+    }
 }

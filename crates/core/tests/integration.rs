@@ -854,3 +854,96 @@ fn cpu_threshold_trigger_fires_end_to_end() {
         .state;
     assert_eq!(modest_state, ProcState::Running);
 }
+
+/// FNV-1a over a reply's encoding: one number for "the same reply".
+fn reply_digest(reply: &Reply) -> u64 {
+    use ppm_proto::codec::Wire;
+    reply.to_bytes().iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// What a tool gets back did not change when replies stopped being
+/// decoded inside the LPMs: a sixteen-host sweep (seen from the root of
+/// the cover tree and from a leaf) and a directed snapshot relayed
+/// through an intermediate LPM are, byte for byte, the replies the
+/// record-level path produced. The digests were taken from the commit
+/// before the change.
+#[test]
+fn snapshot_replies_are_the_ones_the_record_level_path_gave() {
+    // h0 at the root of a 4-ary sibling tree, three processes a host.
+    let host = |i: usize| format!("h{i}");
+    let mut b = PpmHarness::builder().seed(17);
+    for i in 0..16 {
+        let cpu = [CpuClass::Vax780, CpuClass::Vax750, CpuClass::Sun2][i % 3];
+        b = b.host(host(i), cpu);
+    }
+    for i in 1..16 {
+        b = b.link(host((i - 1) / 4), host(i));
+    }
+    let mut ppm = b.user(USER, SECRET, &["h0"], PpmConfig::default()).build();
+    let mut parent = ppm
+        .spawn_remote("h0", USER, "h0", "root", None, None)
+        .unwrap();
+    for i in 1..16 {
+        for j in 0..3 {
+            let command = format!("job{j}-on-{i}");
+            let logical = (j == 0).then(|| parent.clone());
+            let gpid = ppm
+                .spawn_remote(&host((i - 1) / 4), USER, &host(i), &command, logical, None)
+                .unwrap();
+            if j == 0 {
+                parent = gpid;
+            }
+        }
+    }
+    let mut sweep = |from: &str| {
+        let out = ppm
+            .run_tool(
+                from,
+                USER,
+                vec![ToolStep::new("*", Op::Snapshot)],
+                SimDuration::from_secs(60),
+            )
+            .unwrap();
+        let reply = out.reply(0).expect("answered").clone();
+        let Reply::Snapshot { host, procs } = &reply else {
+            panic!("unexpected {reply:?}");
+        };
+        assert_eq!(host, "*");
+        assert_eq!(procs.len(), 46);
+        reply_digest(&reply)
+    };
+    assert_eq!(sweep("h0"), 0xc1c7b48ff1a0042, "sweep from the root");
+    assert_eq!(sweep("h9"), 0xc1c7b48ff1a0042, "sweep from a leaf");
+
+    // calder — ucbarpa — kim: once a sweep has taught calder the route,
+    // a snapshot directed at kim is relayed by ucbarpa's LPM.
+    let mut ppm = three_hosts();
+    ppm.spawn_remote("calder", USER, "ucbarpa", "a", None, None)
+        .unwrap();
+    for command in ["b", "c"] {
+        ppm.spawn_remote("ucbarpa", USER, "kim", command, None, None)
+            .unwrap();
+    }
+    ppm.snapshot("calder", USER, "*").unwrap();
+    let out = ppm
+        .run_tool(
+            "calder",
+            USER,
+            vec![ToolStep::new("kim", Op::Snapshot)],
+            SimDuration::from_secs(60),
+        )
+        .unwrap();
+    let reply = out.reply(0).expect("answered");
+    assert!(matches!(reply, Reply::Snapshot { host, procs } if host == "kim" && procs.len() == 2));
+    assert_eq!(
+        reply_digest(reply),
+        0xdc916e8cc4b39f92,
+        "relayed directed snapshot"
+    );
+    match ppm.lpm_stats("calder", USER, "ucbarpa").unwrap() {
+        Reply::Stats { relays, .. } => assert!(relays >= 1, "ucbarpa relayed it"),
+        other => panic!("unexpected {other:?}"),
+    }
+}

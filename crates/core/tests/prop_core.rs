@@ -7,6 +7,8 @@ use ppm_core::genealogy::Genealogy;
 use ppm_core::handlers::HandlerPool;
 use ppm_core::history::History;
 use ppm_core::trigger_engine::{TriggerEngine, TriggerEvent};
+use ppm_proto::codec::Wire;
+use ppm_proto::msg::{Reply, WireReply};
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{Gpid, WireProcState};
 use ppm_simnet::time::{SimDuration, SimTime};
@@ -34,7 +36,8 @@ fn arb_tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
 proptest! {
     /// After any operation sequence: child lists never dangle, a dead
     /// node with a live local descendant is always retained by prune,
-    /// and live nodes are never pruned.
+    /// live nodes are never pruned, and the snapshot reply written
+    /// straight from the slab is the reply built from owned records.
     #[test]
     fn genealogy_invariants(ops in arb_tree_ops()) {
         let mut g = Genealogy::new("h");
@@ -49,8 +52,10 @@ proptest! {
                         .get(parent_idx % pids.len().max(1))
                         .copied()
                         .unwrap_or(1);
-                    g.track(pid, ppid, None, "cmd", 0, true);
-                    g.set_exec(pid, "cmd");
+                    let logical = pid.is_multiple_of(3).then(|| Gpid::new("far", pid + 1));
+                    g.track(pid, ppid, logical, "cmd", u64::from(pid), pid.is_multiple_of(2));
+                    g.set_exec(pid, format!("cmd{pid}"));
+                    g.set_cpu(pid, u64::from(pid) * 7);
                     pids.push(pid);
                 }
                 TreeOp::Kill { idx } => {
@@ -74,6 +79,12 @@ proptest! {
                     }
                 }
             }
+
+            // Invariant: both snapshot forms come off one walk and say
+            // the same thing, byte for byte.
+            let owned = Reply::Snapshot { host: "h".into(), procs: g.snapshot() };
+            let written = WireReply::snapshot("h", g.records());
+            prop_assert_eq!(written.as_bytes(), &owned.to_bytes()[..]);
         }
         // Final hard prune: no dead node with all-dead subtree survives,
         // and no live node was lost.

@@ -447,10 +447,15 @@ impl<R: Runtime> PpmHarness<R> {
             }
             self.rt.run(SimDuration::from_millis(20));
         }
-        let outcome = handle.lock().unwrap().clone();
-        if !outcome.done {
+        let mut shared = handle.lock().unwrap();
+        if !shared.done {
             return Err(HarnessError::Timeout);
         }
+        // The tool is finished and this was the only other handle: hand
+        // its outcome over instead of copying every reply in it. What is
+        // left behind still says `done`, should the exiting tool look.
+        let outcome = std::mem::take(&mut *shared);
+        shared.done = true;
         Ok(outcome)
     }
 

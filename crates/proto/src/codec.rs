@@ -22,6 +22,10 @@
 //! [`Dec::str_ref`] borrows string fields straight out of the receive
 //! buffer so callers that only inspect (route hops, host-name dispatch)
 //! skip the per-field `String` allocation that [`Dec::str`] pays.
+//! A value that is only passed on is not decoded at all: [`Dec::pos`]
+//! (and [`Dec::sub`], [`FrameIter::next_dec`] for values inside a frame)
+//! say where it sits in the buffer, so it can be kept as a
+//! [`Bytes::slice`] and written back out with [`Enc::splice`].
 
 use std::cell::RefCell;
 use std::error::Error;
@@ -119,6 +123,17 @@ impl Enc {
         }
     }
 
+    /// Creates an encoder over a fresh buffer of exactly `n` bytes, for
+    /// callers that know the encoded size up front (a reply spliced out
+    /// of pieces already on the wire): the buffer never regrows and
+    /// [`Enc::into_bytes`] hands it over without the pooled path's copy.
+    pub fn with_capacity(n: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(n),
+            pooled: false,
+        }
+    }
+
     /// Finishes encoding, yielding the bytes.
     pub fn into_bytes(self) -> Bytes {
         if self.pooled {
@@ -141,15 +156,31 @@ impl Enc {
     }
 
     /// Appends `item` as a `u32` length-prefixed frame.
-    ///
-    /// The length slot is reserved up front and patched after the item
-    /// encodes, so framing costs no extra buffer or second encode pass.
     pub fn frame(&mut self, item: &impl Wire) {
+        self.frame_with(|enc| item.encode(enc));
+    }
+
+    /// Appends whatever `body` writes as a `u32` length-prefixed frame.
+    ///
+    /// The length slot is reserved up front and patched after the body
+    /// encodes, so framing costs no extra buffer or second encode pass.
+    pub fn frame_with(&mut self, body: impl FnOnce(&mut Self)) {
         let slot = self.buf.len();
         self.u32(0);
-        item.encode(self);
+        body(self);
         let len = u32::try_from(self.buf.len() - slot - 4).expect("frame fits in u32");
         self.buf[slot..slot + 4].copy_from_slice(&len.to_be_bytes());
+    }
+
+    /// Appends bytes that are already in wire form (no length prefix):
+    /// how a value is forwarded without being decoded.
+    pub fn splice(&mut self, encoded: &[u8]) {
+        self.buf.extend_from_slice(encoded);
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Bytes written so far.
@@ -234,14 +265,23 @@ impl Enc {
         }
     }
 
+    /// Writes the count that prefixes a sequence, for callers that write
+    /// the elements themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count exceeds `u16::MAX`.
+    pub fn seq_len(&mut self, count: usize) {
+        self.u16(u16::try_from(count).expect("protocol sequence fits in u16"));
+    }
+
     /// Writes a count-prefixed sequence.
     ///
     /// # Panics
     ///
     /// Panics if the sequence exceeds `u16::MAX` entries.
     pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        let len = u16::try_from(items.len()).expect("protocol sequence fits in u16");
-        self.u16(len);
+        self.seq_len(items.len());
         for item in items {
             f(self, item);
         }
@@ -249,7 +289,7 @@ impl Enc {
 }
 
 /// Decoder: a cursor over received bytes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
@@ -264,6 +304,33 @@ impl<'a> Dec<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
+    }
+
+    /// Offset of the next unread byte from the start of the input this
+    /// decoder (or the decoder it was carved from, see [`Dec::sub`]) was
+    /// created over. A caller that holds that input as [`Bytes`] can
+    /// slice a value out of it by the positions before and after.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Carves the next `len` bytes off as a decoder of their own, which
+    /// cannot read past them. Its [`Dec::pos`] keeps counting from the
+    /// start of this decoder's input.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`].
+    pub fn sub(&mut self, len: usize) -> Result<Dec<'a>, CodecError> {
+        if self.remaining() < len {
+            return Err(CodecError::Truncated);
+        }
+        let start = self.pos;
+        self.pos += len;
+        Ok(Dec {
+            data: &self.data[..self.pos],
+            pos: start,
+        })
     }
 
     /// Fails unless all input was consumed.
@@ -405,6 +472,22 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// Reads the count that prefixes a sequence.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`], also for a count the remaining input
+    /// cannot hold.
+    pub fn seq_len(&mut self) -> Result<usize, CodecError> {
+        let n = self.u16()? as usize;
+        // Guard against absurd counts in hostile input: each element needs
+        // at least one byte.
+        if n > self.remaining() {
+            return Err(CodecError::Truncated);
+        }
+        Ok(n)
+    }
+
     /// Reads a count-prefixed sequence.
     ///
     /// # Errors
@@ -414,12 +497,7 @@ impl<'a> Dec<'a> {
         &mut self,
         mut f: impl FnMut(&mut Self) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
-        let n = self.u16()? as usize;
-        // Guard against absurd counts in hostile input: each element needs
-        // at least one byte.
-        if n > self.remaining() {
-            return Err(CodecError::Truncated);
-        }
+        let n = self.seq_len()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(f(self)?);
@@ -513,18 +591,13 @@ pub fn frames(data: &[u8]) -> Result<FrameIter<'_>, CodecError> {
     if count.checked_mul(4).is_none_or(|min| min > dec.remaining()) {
         return Err(CodecError::Truncated);
     }
-    Ok(FrameIter {
-        data,
-        pos: data.len() - dec.remaining(),
-        left: count,
-    })
+    Ok(FrameIter { dec, left: count })
 }
 
 /// Zero-copy iterator over the frames of a batch. See [`frames`].
 #[derive(Debug, Clone)]
 pub struct FrameIter<'a> {
-    data: &'a [u8],
-    pos: usize,
+    dec: Dec<'a>,
     left: usize,
 }
 
@@ -538,39 +611,38 @@ impl<'a> FrameIter<'a> {
     pub fn is_empty(&self) -> bool {
         self.left == 0
     }
+
+    /// The next frame as a decoder confined to it, whose [`Dec::pos`]
+    /// counts from the start of the batch — what a caller needs to keep
+    /// part of a frame as a slice of the batch. Otherwise as
+    /// [`Iterator::next`].
+    pub fn next_dec(&mut self) -> Option<Result<Dec<'a>, CodecError>> {
+        if self.left == 0 {
+            // All frames consumed: any residue is a framing error.
+            return match self.dec.remaining() {
+                0 => None,
+                trailing => {
+                    self.dec.pos = self.dec.data.len();
+                    Some(Err(CodecError::TrailingBytes(trailing)))
+                }
+            };
+        }
+        self.left -= 1;
+        let frame = self.dec.u32().and_then(|len| self.dec.sub(len as usize));
+        if frame.is_err() {
+            // Poison the iterator: framing is unrecoverable.
+            self.left = 0;
+            self.dec.pos = self.dec.data.len();
+        }
+        Some(frame)
+    }
 }
 
 impl<'a> Iterator for FrameIter<'a> {
     type Item = Result<&'a [u8], CodecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            // All frames consumed: any residue is a framing error.
-            let trailing = self.data.len() - self.pos;
-            if trailing > 0 {
-                self.pos = self.data.len();
-                return Some(Err(CodecError::TrailingBytes(trailing)));
-            }
-            return None;
-        }
-        self.left -= 1;
-        let mut dec = Dec::new(&self.data[self.pos..]);
-        let frame = (|| {
-            let len = dec.u32()? as usize;
-            dec.take(len)
-        })();
-        match frame {
-            Ok(slice) => {
-                self.pos = self.data.len() - dec.remaining();
-                Some(Ok(slice))
-            }
-            Err(e) => {
-                // Poison the iterator: framing is unrecoverable.
-                self.left = 0;
-                self.pos = self.data.len();
-                Some(Err(e))
-            }
-        }
+        Some(self.next_dec()?.map(|frame| &frame.data[frame.pos..]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

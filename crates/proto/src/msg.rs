@@ -8,12 +8,53 @@
 //!   then request/reply ([`Msg::Req`]/[`Msg::Resp`]) and the broadcast
 //!   echo wave ([`Msg::Bcast`]/[`Msg::BcastResp`]/[`Msg::BcastDone`]);
 //! * the **recovery protocol** — CCS announcements and probes, Section 5.
+//!
+//! # Replies inside an LPM
+//!
+//! A tool wants a [`Reply`]; an LPM almost never does. It produces a
+//! reply once, then parks it in the dedup window, wraps it in a
+//! [`Msg::Resp`] or a [`BcastPart`] frame, merges it with others or
+//! forwards it — all of which need its bytes, not its fields. So inside
+//! an LPM a reply travels as a [`WireReply`]: exactly the bytes
+//! [`Reply::encode`] writes. **What it guarantees:** the bytes are one
+//! complete, valid reply encoding — a `WireReply` is only ever made by
+//! encoding a [`Reply`] (or a genealogy's records, see
+//! [`WireReply::snapshot`]), by the validating walk [`Inbound::decode`]
+//! and [`WirePart::split`] run over arriving frames, or by splicing other
+//! `WireReply`s ([`WireReply::partial`], [`WireReply::merge`]) — so
+//! everything spliced out of one is byte-for-byte what encoding the
+//! corresponding [`Msg`] / [`BcastPart`] / [`Reply`] value would give.
+//! **Who may peek:** the LPM's completion path reads three things through
+//! [`WireReply::peek`] — a `Spawned` reply's gpid (remote-child
+//! bookkeeping), an `Err` (internal-request logging) — and
+//! [`WireReply::tool_resp`] re-frames `Metrics` for the tool edge. Nothing
+//! else inside an LPM looks into a reply; only the tool decodes it.
 
-use crate::codec::{CodecError, Dec, Enc, Wire};
+use std::collections::BTreeSet;
+use std::fmt;
+
+use bytes::Bytes;
+
+use crate::codec::{frames, CodecError, Dec, Enc, Wire};
 use crate::triggers::TriggerSpec;
 use crate::types::{
-    FileRecord, Gpid, HistoryRecord, MetricRow, ProcRecord, Route, RusageRecord, Stamp,
+    FileRecord, Gpid, HistoryRecord, MetricRow, ProcRecord, ProcRecordRef, Route, RusageRecord,
+    Stamp,
 };
+
+// Tags of the values this module reads or writes around an encoded
+// reply without decoding it.
+const REPLY_ERR: u8 = 1;
+const REPLY_SPAWNED: u8 = 3;
+const REPLY_SNAPSHOT: u8 = 4;
+const REPLY_RUSAGE: u8 = 5;
+const REPLY_HISTORY: u8 = 6;
+const REPLY_PARTIAL: u8 = 11;
+const REPLY_METRICS: u8 = 12;
+const MSG_RESP: u8 = 7;
+const MSG_BCAST_RESP: u8 = 9;
+const MSG_BCAST_AGG: u8 = 16;
+const MSG_METRICS_SNAPSHOT: u8 = 17;
 
 /// Sorts and dedups a `missing`-hosts list for the wire: aggregate
 /// relays build these from per-hop sets and re-flushes, so the raw order
@@ -463,26 +504,26 @@ impl Wire for Reply {
         match self {
             Reply::Ok => enc.u8(0),
             Reply::Err { code, detail } => {
-                enc.u8(1);
+                enc.u8(REPLY_ERR);
                 code.encode(enc);
                 enc.str(detail);
             }
             Reply::Pong => enc.u8(2),
             Reply::Spawned { gpid } => {
-                enc.u8(3);
+                enc.u8(REPLY_SPAWNED);
                 gpid.encode(enc);
             }
             Reply::Snapshot { host, procs } => {
-                enc.u8(4);
+                enc.u8(REPLY_SNAPSHOT);
                 enc.str(host);
                 enc.seq(procs, |e, p| p.encode(e));
             }
             Reply::Rusage { records } => {
-                enc.u8(5);
+                enc.u8(REPLY_RUSAGE);
                 enc.seq(records, |e, r| r.encode(e));
             }
             Reply::History { events } => {
-                enc.u8(6);
+                enc.u8(REPLY_HISTORY);
                 enc.seq(events, |e, r| r.encode(e));
             }
             Reply::Files { entries } => {
@@ -530,12 +571,12 @@ impl Wire for Reply {
                 enc.u64(*epoch);
             }
             Reply::Partial { missing, inner } => {
-                enc.u8(11);
+                enc.u8(REPLY_PARTIAL);
                 enc.seq(&canonical_missing(missing), |e, s| e.str(s));
                 inner.encode(enc);
             }
             Reply::Metrics { host, at_us, rows } => {
-                enc.u8(12);
+                enc.u8(REPLY_METRICS);
                 enc.str(host);
                 enc.u64(*at_us);
                 enc.seq(rows, |e, r| r.encode(e));
@@ -546,22 +587,22 @@ impl Wire for Reply {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(match dec.u8()? {
             0 => Reply::Ok,
-            1 => Reply::Err {
+            REPLY_ERR => Reply::Err {
                 code: ErrCode::decode(dec)?,
                 detail: dec.str()?,
             },
             2 => Reply::Pong,
-            3 => Reply::Spawned {
+            REPLY_SPAWNED => Reply::Spawned {
                 gpid: Gpid::decode(dec)?,
             },
-            4 => Reply::Snapshot {
+            REPLY_SNAPSHOT => Reply::Snapshot {
                 host: dec.str()?,
                 procs: dec.seq(ProcRecord::decode)?,
             },
-            5 => Reply::Rusage {
+            REPLY_RUSAGE => Reply::Rusage {
                 records: dec.seq(RusageRecord::decode)?,
             },
-            6 => Reply::History {
+            REPLY_HISTORY => Reply::History {
                 events: dec.seq(HistoryRecord::decode)?,
             },
             7 => Reply::Files {
@@ -586,11 +627,11 @@ impl Wire for Reply {
                 auth_failures: dec.u64()?,
                 handlers: (dec.u64()?, dec.u64()?, dec.u64()?),
             },
-            11 => Reply::Partial {
+            REPLY_PARTIAL => Reply::Partial {
                 missing: dec.seq(|d| d.str())?,
                 inner: Box::new(Reply::decode(dec)?),
             },
-            12 => Reply::Metrics {
+            REPLY_METRICS => Reply::Metrics {
                 host: dec.str()?,
                 at_us: dec.u64()?,
                 rows: dec.seq(MetricRow::decode)?,
@@ -970,7 +1011,7 @@ impl Wire for Msg {
                 enc.u64(*boot);
             }
             Msg::Resp { id, reply, route } => {
-                enc.u8(7);
+                enc.u8(MSG_RESP);
                 enc.u64(*id);
                 reply.encode(enc);
                 route.encode(enc);
@@ -993,7 +1034,7 @@ impl Wire for Msg {
                 reply,
                 route,
             } => {
-                enc.u8(9);
+                enc.u8(MSG_BCAST_RESP);
                 stamp.encode(enc);
                 enc.str(host);
                 reply.encode(enc);
@@ -1008,7 +1049,7 @@ impl Wire for Msg {
                 parts,
                 missing,
             } => {
-                enc.u8(16);
+                enc.u8(MSG_BCAST_AGG);
                 stamp.encode(enc);
                 enc.bytes(parts);
                 enc.seq(&canonical_missing(missing), |e, s| e.str(s));
@@ -1020,7 +1061,7 @@ impl Wire for Msg {
                 rows,
                 route,
             } => {
-                enc.u8(17);
+                enc.u8(MSG_METRICS_SNAPSHOT);
                 enc.u64(*id);
                 enc.str(host);
                 enc.u64(*at_us);
@@ -1119,7 +1160,7 @@ impl Wire for Msg {
                 attempt: dec.u8()?,
                 boot: dec.u64()?,
             },
-            7 => Msg::Resp {
+            MSG_RESP => Msg::Resp {
                 id: dec.u64()?,
                 reply: Reply::decode(dec)?,
                 route: Route::decode(dec)?,
@@ -1130,7 +1171,7 @@ impl Wire for Msg {
                 op: Op::decode(dec)?,
                 route: Route::decode(dec)?,
             },
-            9 => Msg::BcastResp {
+            MSG_BCAST_RESP => Msg::BcastResp {
                 stamp: Stamp::decode(dec)?,
                 host: dec.str()?,
                 reply: Reply::decode(dec)?,
@@ -1163,12 +1204,12 @@ impl Wire for Msg {
                 ccs: dec.str()?,
                 epoch: dec.u64()?,
             },
-            16 => Msg::BcastAgg {
+            MSG_BCAST_AGG => Msg::BcastAgg {
                 stamp: Stamp::decode(dec)?,
                 parts: bytes::Bytes::copy_from_slice(dec.bytes_ref()?),
                 missing: dec.seq(|d| d.str())?,
             },
-            17 => Msg::MetricsSnapshot {
+            MSG_METRICS_SNAPSHOT => Msg::MetricsSnapshot {
                 id: dec.u64()?,
                 host: dec.str()?,
                 at_us: dec.u64()?,
@@ -1188,6 +1229,427 @@ impl Wire for Msg {
             },
             tag => return Err(CodecError::BadTag { what: "Msg", tag }),
         })
+    }
+}
+
+/// Replies at most this long are held in the [`WireReply`] value itself
+/// (`Ok`, `Pong`, `Spawned`, the usual `Err`): producing, parking and
+/// forwarding one allocates nothing.
+const INLINE_REPLY: usize = 38;
+
+/// One encoded [`Reply`], as an LPM carries it. See the module docs for
+/// what it guarantees and who may look inside.
+#[derive(Clone)]
+pub struct WireReply(Held);
+
+#[derive(Clone)]
+enum Held {
+    Inline {
+        len: u8,
+        buf: [u8; INLINE_REPLY],
+    },
+    /// A buffer of its own, or a slice of the frame the reply arrived in;
+    /// cloning bumps a reference count.
+    Shared(Bytes),
+}
+
+/// The fields an LPM reads of a reply it is completing a request with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyPeek<'a> {
+    /// [`Reply::Err`].
+    Err {
+        /// Machine-readable code.
+        code: ErrCode,
+        /// Human-readable detail.
+        detail: &'a str,
+    },
+    /// [`Reply::Spawned`]'s gpid.
+    Spawned {
+        /// Host of the new process.
+        host: &'a str,
+        /// Its pid there.
+        pid: u32,
+    },
+    /// Anything else: not the LPM's business.
+    Other,
+}
+
+/// Why a set of broadcast parts could not be split or merged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartError {
+    /// Index of the offending part (for a batch whose framing broke,
+    /// the number of parts read before it did).
+    pub part: usize,
+    /// What was wrong with it.
+    pub err: CodecError,
+}
+
+impl fmt::Display for PartError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "part {}: {}", self.part, self.err)
+    }
+}
+
+impl std::error::Error for PartError {}
+
+impl WireReply {
+    /// The encoded reply.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Held::Inline { len, buf } => &buf[..usize::from(*len)],
+            Held::Shared(bytes) => bytes,
+        }
+    }
+
+    /// Decodes the reply — what a tool does on receipt; an LPM has no
+    /// reason to.
+    ///
+    /// # Errors
+    ///
+    /// None for a value built through this module (see the module docs).
+    pub fn decode(&self) -> Result<Reply, CodecError> {
+        Reply::from_bytes(self.as_bytes())
+    }
+
+    fn inline(encoded: &[u8]) -> Option<Self> {
+        let len = u8::try_from(encoded.len()).ok()?;
+        let mut buf = [0; INLINE_REPLY];
+        buf.get_mut(..encoded.len())?.copy_from_slice(encoded);
+        Some(WireReply(Held::Inline { len, buf }))
+    }
+
+    fn from_enc(enc: Enc) -> Self {
+        match Self::inline(enc.as_slice()) {
+            Some(reply) => {
+                enc.into_len(); // hands a pooled buffer back
+                reply
+            }
+            None => WireReply(Held::Shared(enc.into_bytes())),
+        }
+    }
+
+    /// `Reply::Snapshot { host, procs }` written straight from borrowed
+    /// records (an LPM's genealogy), without building a [`ProcRecord`].
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u16::MAX` records, as encoding the owned reply does.
+    pub fn snapshot<'a>(
+        host: &str,
+        records: impl ExactSizeIterator<Item = ProcRecordRef<'a>>,
+    ) -> Self {
+        let mut enc = Enc::pooled();
+        enc.u8(REPLY_SNAPSHOT);
+        enc.str(host);
+        enc.seq_len(records.len());
+        for record in records {
+            record.encode(&mut enc);
+        }
+        Self::from_enc(enc)
+    }
+
+    /// Walks over one encoded reply at `dec`, checking it as
+    /// [`Reply::decode`] would, and keeps it as a slice of `frame` — the
+    /// buffer `dec` reads. Snapshot records, the bulk of what crosses an
+    /// LPM, are checked in place; the small replies take the decode path.
+    fn scan(frame: &Bytes, dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let start = dec.pos();
+        if dec.clone().u8()? == REPLY_SNAPSHOT {
+            dec.u8()?;
+            dec.str_ref()?;
+            for _ in 0..dec.seq_len()? {
+                ProcRecordRef::decode(dec)?;
+            }
+        } else {
+            Reply::decode(dec)?;
+        }
+        let range = start..dec.pos();
+        Ok(Self::inline(&frame[range.clone()])
+            .unwrap_or_else(|| WireReply(Held::Shared(frame.slice(range)))))
+    }
+
+    /// The fields the LPM's completion path acts on.
+    pub fn peek(&self) -> ReplyPeek<'_> {
+        let mut dec = Dec::new(self.as_bytes());
+        let mut read = || {
+            Ok::<_, CodecError>(match dec.u8()? {
+                REPLY_ERR => ReplyPeek::Err {
+                    code: ErrCode::decode(&mut dec)?,
+                    detail: dec.str_ref()?,
+                },
+                REPLY_SPAWNED => ReplyPeek::Spawned {
+                    host: dec.str_ref()?,
+                    pid: dec.u32()?,
+                },
+                _ => ReplyPeek::Other,
+            })
+        };
+        read().unwrap_or(ReplyPeek::Other)
+    }
+
+    /// `[tag][id][body][route]`, sized exactly.
+    fn framed(tag: u8, id: u64, body: &[u8], route: &Route) -> Bytes {
+        let mut enc = Enc::with_capacity(9 + body.len() + route.wire_len());
+        enc.u8(tag);
+        enc.u64(id);
+        enc.splice(body);
+        route.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// The bytes of `Msg::Resp { id, reply, route }`.
+    pub fn resp(&self, id: u64, route: &Route) -> Bytes {
+        Self::framed(MSG_RESP, id, self.as_bytes(), route)
+    }
+
+    /// The frame a tool is answered with: [`WireReply::resp`], except
+    /// that a [`Reply::Metrics`] goes out as the
+    /// [`Msg::MetricsSnapshot`] with the same fields.
+    pub fn tool_resp(&self, id: u64, route: &Route) -> Bytes {
+        match self.as_bytes() {
+            [REPLY_METRICS, fields @ ..] => Self::framed(MSG_METRICS_SNAPSHOT, id, fields, route),
+            reply => Self::framed(MSG_RESP, id, reply, route),
+        }
+    }
+
+    /// Appends `BcastPart { host, reply, route }` to `batch` as one
+    /// length-prefixed frame (the batch's count header is the caller's).
+    pub fn push_part(&self, batch: &mut Enc, host: &str, route: &Route) {
+        batch.frame_with(|enc| {
+            enc.str(host);
+            enc.splice(self.as_bytes());
+            route.encode(enc);
+        });
+    }
+
+    /// `Reply::Partial { missing, inner: self }`; a set is already in the
+    /// canonical (sorted, deduplicated) order the wire form requires.
+    pub fn partial(&self, missing: &BTreeSet<String>) -> Self {
+        let mut enc = Enc::pooled();
+        enc.u8(REPLY_PARTIAL);
+        enc.seq_len(missing.len());
+        for host in missing {
+            enc.str(host);
+        }
+        enc.splice(self.as_bytes());
+        Self::from_enc(enc)
+    }
+
+    /// Merges the parts a broadcast of `op` gathered into the one reply
+    /// its tool gets: records of every matching part, stably sorted —
+    /// snapshots by `(host, pid)`, rusage by exit time, history by event
+    /// time — under one header. The records are never built: the walk
+    /// collects each one's sort key and byte range, the keys are sorted,
+    /// and the ranges are copied once. Parts of another kind (an `Err`
+    /// from one host) contribute nothing, and a broadcast of any other
+    /// `op` merges to `Pong`.
+    ///
+    /// # Errors
+    ///
+    /// The index of a part that does not walk, with the reason. Cannot
+    /// happen for parts built through this module, whose bytes were
+    /// checked on the way in; the walk is a checked one regardless.
+    pub fn merge(op: &Op, parts: &[WireReply]) -> Result<Self, PartError> {
+        match op {
+            Op::Snapshot => merge_records(parts, REPLY_SNAPSHOT, |dec| {
+                ProcRecordRef::decode(dec).map(|r| (r.host, r.pid))
+            }),
+            Op::Rusage { .. } => merge_records(parts, REPLY_RUSAGE, |dec| {
+                RusageRecord::decode(dec).map(|r| r.exited_us)
+            }),
+            Op::History { .. } => merge_records(parts, REPLY_HISTORY, |dec| {
+                HistoryRecord::decode(dec).map(|r| r.at_us)
+            }),
+            _ => Ok(WireReply::from(&Reply::Pong)),
+        }
+    }
+}
+
+/// [`WireReply::merge`] for one record-list reply kind; `key` reads one
+/// record off the decoder and returns what its kind sorts by.
+fn merge_records<'a, K: Ord>(
+    parts: &'a [WireReply],
+    kind: u8,
+    key: impl Fn(&mut Dec<'a>) -> Result<K, CodecError>,
+) -> Result<WireReply, PartError> {
+    let mut records: Vec<(K, &'a [u8])> = Vec::new();
+    for (part, reply) in parts.iter().enumerate() {
+        let bytes = reply.as_bytes();
+        let mut dec = Dec::new(bytes);
+        let mut walk = || {
+            if dec.u8()? != kind {
+                return Ok(());
+            }
+            if kind == REPLY_SNAPSHOT {
+                dec.str_ref()?; // the reporting host; each record names its own
+            }
+            let count = dec.seq_len()?;
+            records.reserve(count);
+            for _ in 0..count {
+                let start = dec.pos();
+                let key = key(&mut dec)?;
+                records.push((key, &bytes[start..dec.pos()]));
+            }
+            dec.clone().finish()
+        };
+        walk().map_err(|err| PartError { part, err })?;
+    }
+    records.sort_by(|a, b| a.0.cmp(&b.0));
+    let body: usize = records.iter().map(|(_, raw)| raw.len()).sum();
+    let mut enc = Enc::with_capacity(6 + body);
+    enc.u8(kind);
+    if kind == REPLY_SNAPSHOT {
+        enc.str("*");
+    }
+    enc.seq_len(records.len());
+    for (_, raw) in &records {
+        enc.splice(raw);
+    }
+    Ok(WireReply::from_enc(enc))
+}
+
+impl From<&Reply> for WireReply {
+    fn from(reply: &Reply) -> Self {
+        let mut enc = Enc::pooled();
+        reply.encode(&mut enc);
+        Self::from_enc(enc)
+    }
+}
+
+impl PartialEq for WireReply {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for WireReply {}
+
+impl fmt::Debug for WireReply {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.decode() {
+            Ok(reply) => write!(f, "WireReply({reply:?})"),
+            Err(e) => write!(f, "WireReply({} bytes: {e})", self.as_bytes().len()),
+        }
+    }
+}
+
+/// A message off a sibling connection, with any reply it carries left on
+/// the wire: what [`Msg::from_bytes`] accepts, [`Inbound::decode`]
+/// accepts, and the other way round.
+#[derive(Debug, PartialEq)]
+pub enum Inbound {
+    /// [`Msg::Resp`].
+    Resp {
+        /// Request id.
+        id: u64,
+        /// The reply.
+        reply: WireReply,
+        /// Full source→destination route the request took.
+        route: Route,
+    },
+    /// [`Msg::BcastResp`].
+    BcastResp {
+        /// Stamp of the request being answered.
+        stamp: Stamp,
+        /// Answering host.
+        host: String,
+        /// The reply.
+        reply: WireReply,
+        /// Route the answer's request had taken.
+        route: Route,
+    },
+    /// [`Msg::BcastAgg`]; `parts` is a slice of the arriving frame, for
+    /// [`WirePart::split`] or for splicing onward untouched.
+    BcastAgg {
+        /// Stamp of the wave being answered.
+        stamp: Stamp,
+        /// Batch-framed [`BcastPart`]s.
+        parts: Bytes,
+        /// Hosts of the subtree that never answered.
+        missing: Vec<String>,
+    },
+    /// Every message that carries no reply, decoded.
+    Other(Msg),
+}
+
+impl Inbound {
+    /// Reads one message from a complete frame (no trailing bytes).
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] on malformed input.
+    pub fn decode(frame: &Bytes) -> Result<Self, CodecError> {
+        let mut dec = Dec::new(frame);
+        let msg = match dec.u8()? {
+            MSG_RESP => Inbound::Resp {
+                id: dec.u64()?,
+                reply: WireReply::scan(frame, &mut dec)?,
+                route: Route::decode(&mut dec)?,
+            },
+            MSG_BCAST_RESP => Inbound::BcastResp {
+                stamp: Stamp::decode(&mut dec)?,
+                host: dec.str()?,
+                reply: WireReply::scan(frame, &mut dec)?,
+                route: Route::decode(&mut dec)?,
+            },
+            MSG_BCAST_AGG => {
+                let stamp = Stamp::decode(&mut dec)?;
+                let len = dec.u32()? as usize;
+                let parts = dec.sub(len)?;
+                Inbound::BcastAgg {
+                    stamp,
+                    parts: frame.slice(parts.pos()..dec.pos()),
+                    missing: dec.seq(|d| d.str())?,
+                }
+            }
+            _ => return Msg::from_bytes(frame).map(Inbound::Other),
+        };
+        dec.finish()?;
+        Ok(msg)
+    }
+}
+
+/// One [`BcastPart`] of an aggregate as the broadcast's originator keeps
+/// it: the route decoded (routes are learned from it), the reply a slice
+/// of the batch. The answering host is checked and skipped — every
+/// record names its own.
+#[derive(Debug, PartialEq)]
+pub struct WirePart {
+    /// The host's reply.
+    pub reply: WireReply,
+    /// Route the host's slice of the wave had taken.
+    pub route: Route,
+}
+
+impl WirePart {
+    /// Splits a [`Msg::BcastAgg`] batch into its parts, checking
+    /// everything [`crate::codec::decode_batch`]`::<BcastPart>` checks.
+    ///
+    /// # Errors
+    ///
+    /// The first part that fails, with the reason.
+    pub fn split(batch: &Bytes) -> Result<Vec<WirePart>, PartError> {
+        let mut parts = Vec::new();
+        let mut read = || {
+            let mut iter = frames(batch)?;
+            parts.reserve(iter.len());
+            while let Some(frame) = iter.next_dec() {
+                let mut dec = frame?;
+                dec.str_ref()?;
+                let reply = WireReply::scan(batch, &mut dec)?;
+                let route = Route::decode(&mut dec)?;
+                dec.finish()?;
+                parts.push(WirePart { reply, route });
+            }
+            Ok(())
+        };
+        match read() {
+            Ok(()) => Ok(parts),
+            Err(err) => Err(PartError {
+                part: parts.len(),
+                err,
+            }),
+        }
     }
 }
 
@@ -1527,6 +1989,205 @@ mod tests {
         };
         let decoded: Vec<BcastPart> = crate::codec::decode_batch(&wire).unwrap();
         assert_eq!(decoded, parts);
+    }
+
+    fn snapshot_of(host: &str, pids: &[u32]) -> Reply {
+        Reply::Snapshot {
+            host: host.into(),
+            procs: pids
+                .iter()
+                .map(|&pid| ProcRecord {
+                    gpid: Gpid::new(host, pid),
+                    ppid: 1,
+                    logical_parent: None,
+                    command: "troff".into(),
+                    state: crate::types::WireProcState::Running,
+                    started_us: 5,
+                    cpu_us: 6,
+                    adopted: true,
+                })
+                .collect(),
+        }
+    }
+
+    /// Ways one host's snapshot slice can arrive damaged, with what the
+    /// walk must say about each.
+    fn damaged_snapshots() -> Vec<(&'static str, Vec<u8>, CodecError)> {
+        let good = snapshot_of("b", &[7]).to_bytes().to_vec();
+        let command = good
+            .windows(5)
+            .position(|w| w == b"troff")
+            .expect("the command is in there");
+        let mut cases = Vec::new();
+        cases.push((
+            "truncated",
+            good[..good.len() - 3].to_vec(),
+            CodecError::Truncated,
+        ));
+        let mut bad = good.clone();
+        bad[command] = 0xFF;
+        cases.push(("bad utf-8 in a command", bad, CodecError::BadUtf8));
+        let mut bad = good.clone();
+        bad[command + 5] = 9;
+        cases.push((
+            "unknown state tag",
+            bad,
+            CodecError::BadTag {
+                what: "WireProcState",
+                tag: 9,
+            },
+        ));
+        let mut bad = good.clone();
+        bad[command - 2..command].copy_from_slice(&u16::MAX.to_be_bytes());
+        cases.push(("length word past the end", bad, CodecError::Truncated));
+        let mut bad = good.clone();
+        bad[command - 3] = 2;
+        cases.push((
+            "bad option byte",
+            bad,
+            CodecError::BadTag {
+                what: "Option",
+                tag: 2,
+            },
+        ));
+        let mut bad = good;
+        bad.push(0);
+        cases.push(("trailing byte", bad, CodecError::TrailingBytes(1)));
+        cases
+    }
+
+    #[test]
+    fn merge_names_the_part_it_cannot_walk() {
+        let good = WireReply::from(&snapshot_of("a", &[1, 2]));
+        for (what, bad, err) in damaged_snapshots() {
+            let parts = [
+                good.clone(),
+                WireReply(Held::Shared(Bytes::from(bad))),
+                good.clone(),
+            ];
+            assert_eq!(
+                WireReply::merge(&Op::Snapshot, &parts),
+                Err(PartError { part: 1, err }),
+                "{what}"
+            );
+        }
+        // A part of another kind is not damage: it contributes nothing.
+        let parts = [good.clone(), WireReply::from(&Reply::Pong), good];
+        let merged = WireReply::merge(&Op::Snapshot, &parts).unwrap();
+        let Reply::Snapshot { host, procs } = merged.decode().unwrap() else {
+            panic!("wrong variant");
+        };
+        assert_eq!(host, "*");
+        assert_eq!(procs.len(), 4);
+    }
+
+    #[test]
+    fn split_names_the_part_it_cannot_read() {
+        let route = Route::from_origin("a");
+        let good = WireReply::from(&snapshot_of("a", &[1]));
+        for (what, bad, err) in damaged_snapshots() {
+            let mut batch = Enc::new();
+            batch.u32(3);
+            good.push_part(&mut batch, "a", &route);
+            batch.frame_with(|enc| {
+                enc.str("b");
+                enc.splice(&bad);
+                route.encode(enc);
+            });
+            good.push_part(&mut batch, "c", &route);
+            let got = WirePart::split(&batch.into_bytes()).unwrap_err();
+            assert_eq!(got.part, 1, "{what}");
+            // Cutting the reply short makes the walk run into the route
+            // behind it; whatever it trips over there, it is refused.
+            if !matches!(what, "truncated" | "trailing byte") {
+                assert_eq!(got.err, err, "{what}");
+            }
+            assert!(got.to_string().starts_with("part 1: "));
+        }
+        // A frame length that runs past the batch.
+        let mut batch = Enc::new();
+        batch.u32(2);
+        good.push_part(&mut batch, "a", &route);
+        batch.u32(1_000);
+        batch.u8(0);
+        assert_eq!(
+            WirePart::split(&batch.into_bytes()),
+            Err(PartError {
+                part: 1,
+                err: CodecError::Truncated
+            })
+        );
+        // A header that promises more frames than there are bytes.
+        assert_eq!(
+            WirePart::split(&Bytes::from(vec![0, 0, 1, 0, 0]))
+                .unwrap_err()
+                .part,
+            0
+        );
+    }
+
+    #[test]
+    fn arriving_replies_are_slices_of_their_frame() {
+        let big = snapshot_of("b", &[1, 2, 3]);
+        let frame = Msg::Resp {
+            id: 4,
+            reply: big.clone(),
+            route: Route::from_origin("a"),
+        }
+        .to_bytes();
+        let Inbound::Resp { reply, .. } = Inbound::decode(&frame).unwrap() else {
+            panic!("wrong variant");
+        };
+        assert_eq!(reply.decode().unwrap(), big);
+        assert!(span_of(&frame).contains(&(reply.as_bytes().as_ptr() as usize)));
+
+        // Small replies are copied into the value instead, so parking
+        // one in the dedup window does not pin the frame it came in.
+        let frame = Msg::Resp {
+            id: 4,
+            reply: Reply::Ok,
+            route: Route::from_origin("a"),
+        }
+        .to_bytes();
+        let Inbound::Resp { reply, .. } = Inbound::decode(&frame).unwrap() else {
+            panic!("wrong variant");
+        };
+        assert_eq!(reply, WireReply::from(&Reply::Ok));
+        assert!(!span_of(&frame).contains(&(reply.as_bytes().as_ptr() as usize)));
+    }
+
+    fn span_of(frame: &Bytes) -> std::ops::Range<usize> {
+        frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len()
+    }
+
+    #[test]
+    fn peek_reads_what_the_lpm_acts_on() {
+        let spawned = WireReply::from(&Reply::Spawned {
+            gpid: Gpid::new("far", 9),
+        });
+        assert_eq!(
+            spawned.peek(),
+            ReplyPeek::Spawned {
+                host: "far",
+                pid: 9
+            }
+        );
+        let err = WireReply::from(&Reply::Err {
+            code: ErrCode::NoRoute,
+            detail: "unknown host".into(),
+        });
+        assert_eq!(
+            err.peek(),
+            ReplyPeek::Err {
+                code: ErrCode::NoRoute,
+                detail: "unknown host"
+            }
+        );
+        assert_eq!(WireReply::from(&Reply::Pong).peek(), ReplyPeek::Other);
+        assert_eq!(
+            WireReply::from(&snapshot_of("a", &[1])).peek(),
+            ReplyPeek::Other
+        );
     }
 
     #[test]

@@ -184,6 +184,12 @@ impl Wire for Route {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Route(dec.seq(|d| d.str())?))
     }
+
+    /// Counted, not encoded: replies are spliced into frames sized up
+    /// front, and every one of them ends in a route.
+    fn wire_len(&self) -> usize {
+        2 + self.0.iter().map(|h| 2 + h.len()).sum::<usize>()
+    }
 }
 
 /// Process state on the wire (the paper's running / stopped / dead, plus
@@ -263,29 +269,112 @@ pub struct ProcRecord {
     pub adopted: bool,
 }
 
+impl ProcRecord {
+    /// This record with its strings borrowed.
+    pub fn view(&self) -> ProcRecordRef<'_> {
+        ProcRecordRef {
+            host: &self.gpid.host,
+            pid: self.gpid.pid,
+            ppid: self.ppid,
+            logical_parent: self.logical_parent.as_ref().map(|g| (&*g.host, g.pid)),
+            command: &self.command,
+            state: self.state,
+            started_us: self.started_us,
+            cpu_us: self.cpu_us,
+            adopted: self.adopted,
+        }
+    }
+}
+
 impl Wire for ProcRecord {
     fn encode(&self, enc: &mut Enc) {
-        self.gpid.encode(enc);
+        self.view().encode(enc);
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        ProcRecordRef::decode(dec).map(ProcRecordRef::to_record)
+    }
+}
+
+/// A [`ProcRecord`] whose strings are borrowed: from the genealogy that
+/// is being reported, or from the frame a record arrived in.
+///
+/// This is the one place that knows a record's wire layout —
+/// [`ProcRecord`]'s own [`Wire`] impl goes through it — so a record
+/// written straight from an LPM's slab and a record merely walked over at
+/// a broadcast's originator are encoded and checked exactly as the owned
+/// type is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProcRecordRef<'a> {
+    /// Host the process runs on.
+    pub host: &'a str,
+    /// Pid on that host.
+    pub pid: u32,
+    /// Local parent pid.
+    pub ppid: u32,
+    /// Logical parent `(host, pid)`, when created remotely.
+    pub logical_parent: Option<(&'a str, u32)>,
+    /// Command name.
+    pub command: &'a str,
+    /// State.
+    pub state: WireProcState,
+    /// Creation time (µs, simulated).
+    pub started_us: u64,
+    /// CPU consumed so far (µs).
+    pub cpu_us: u64,
+    /// Whether the LPM adopted it.
+    pub adopted: bool,
+}
+
+impl<'a> ProcRecordRef<'a> {
+    /// Appends the record in [`ProcRecord`]'s wire form.
+    pub fn encode(&self, enc: &mut Enc) {
+        enc.str(self.host);
+        enc.u32(self.pid);
         enc.u32(self.ppid);
-        enc.opt(&self.logical_parent, |e, g| g.encode(e));
-        enc.str(&self.command);
+        enc.opt(&self.logical_parent, |e, (host, pid)| {
+            e.str(host);
+            e.u32(*pid);
+        });
+        enc.str(self.command);
         self.state.encode(enc);
         enc.u64(self.started_us);
         enc.u64(self.cpu_us);
         enc.bool(self.adopted);
     }
 
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(ProcRecord {
-            gpid: Gpid::decode(dec)?,
+    /// Reads one record, checking every length, string, option byte and
+    /// state tag, and allocating nothing.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] on malformed input.
+    pub fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
+        Ok(ProcRecordRef {
+            host: dec.str_ref()?,
+            pid: dec.u32()?,
             ppid: dec.u32()?,
-            logical_parent: dec.opt(Gpid::decode)?,
-            command: dec.str()?,
+            logical_parent: dec.opt(|d| Ok((d.str_ref()?, d.u32()?)))?,
+            command: dec.str_ref()?,
             state: WireProcState::decode(dec)?,
             started_us: dec.u64()?,
             cpu_us: dec.u64()?,
             adopted: dec.bool()?,
         })
+    }
+
+    /// The owned record.
+    pub fn to_record(self) -> ProcRecord {
+        ProcRecord {
+            gpid: Gpid::new(self.host, self.pid),
+            ppid: self.ppid,
+            logical_parent: self.logical_parent.map(|(host, pid)| Gpid::new(host, pid)),
+            command: self.command.to_owned(),
+            state: self.state,
+            started_us: self.started_us,
+            cpu_us: self.cpu_us,
+            adopted: self.adopted,
+        }
     }
 }
 
@@ -489,7 +578,9 @@ mod tests {
         let mut r = Route::from_origin("x");
         r.push("y");
         assert_eq!(Route::from_bytes(&r.to_bytes()).unwrap(), r);
+        assert_eq!(r.wire_len(), r.to_bytes().len());
         let empty = Route::default();
+        assert_eq!(empty.wire_len(), empty.to_bytes().len());
         assert_eq!(empty.hops(), 0);
         assert_eq!(empty.origin(), None);
     }

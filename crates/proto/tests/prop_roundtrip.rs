@@ -1,14 +1,20 @@
 //! Property tests: every generated protocol value survives an
-//! encode→decode roundtrip, and the decoder never panics on arbitrary
-//! bytes.
+//! encode→decode roundtrip, the decoder never panics on arbitrary
+//! bytes, and everything an LPM splices out of a reply's bytes
+//! ([`WireReply`]) is what encoding the corresponding value gives.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use ppm_proto::codec::{decode_batch, encode_batch, frames, Dec, Enc, Wire};
-use ppm_proto::msg::{ControlAction, ErrCode, Msg, Op, Reply};
+use ppm_proto::msg::{
+    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, WirePart, WireReply,
+};
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{
-    FileRecord, Gpid, HistoryRecord, ProcRecord, Route, RusageRecord, Stamp, WireProcState,
+    FileRecord, Gpid, HistoryRecord, MetricRow, ProcRecord, ProcRecordRef, Route, RusageRecord,
+    Stamp, WireProcState,
 };
 
 fn arb_name() -> impl Strategy<Value = String> {
@@ -225,7 +231,112 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                     epoch,
                 }
             ),
+        (
+            arb_name(),
+            any::<u64>(),
+            prop::collection::vec(
+                (
+                    arb_name(),
+                    0u8..3,
+                    any::<i64>(),
+                    any::<u64>(),
+                    prop::collection::vec(any::<u64>(), 0..3)
+                )
+                    .prop_map(|(name, kind, value, sum, buckets)| MetricRow {
+                        name,
+                        kind,
+                        value,
+                        sum,
+                        buckets
+                    }),
+                0..3
+            )
+        )
+            .prop_map(|(host, at_us, rows)| Reply::Metrics { host, at_us, rows }),
     ]
+}
+
+fn arb_history_record() -> impl Strategy<Value = HistoryRecord> {
+    (any::<u64>(), arb_gpid(), arb_name(), arb_name()).prop_map(|(at_us, gpid, kind, detail)| {
+        HistoryRecord {
+            at_us,
+            gpid,
+            kind,
+            detail,
+        }
+    })
+}
+
+/// What a host can answer a broadcast with. Keys come from small ranges
+/// and hosts include prefixes of one another, so parts collide on
+/// `(host, pid)` / exit time / event time and the merge's stability and
+/// string order are exercised, not just its happy path.
+fn arb_bcast_answer() -> impl Strategy<Value = Reply> {
+    let host = prop_oneof![Just("h"), Just("h1"), Just("h10"), Just("h2"), Just("g")];
+    let proc_record = (host, 0u32..4, arb_proc_record()).prop_map(|(host, pid, mut r)| {
+        r.gpid = Gpid::new(host, pid);
+        r
+    });
+    let rusage_record = (0u64..4, arb_rusage_record()).prop_map(|(exited_us, mut r)| {
+        r.exited_us = exited_us;
+        r
+    });
+    let history_record = (0u64..4, arb_history_record()).prop_map(|(at_us, mut r)| {
+        r.at_us = at_us;
+        r
+    });
+    prop_oneof![
+        (arb_name(), prop::collection::vec(proc_record, 0..5))
+            .prop_map(|(host, procs)| Reply::Snapshot { host, procs }),
+        prop::collection::vec(rusage_record, 0..5).prop_map(|records| Reply::Rusage { records }),
+        prop::collection::vec(history_record, 0..5).prop_map(|events| Reply::History { events }),
+        Just(Reply::Pong),
+        arb_name().prop_map(|detail| Reply::Err {
+            code: ErrCode::Internal,
+            detail
+        }),
+    ]
+}
+
+/// The record-level merge the originator used to run: the oracle
+/// [`WireReply::merge`] must agree with byte for byte.
+fn combine(op: &Op, parts: Vec<Reply>) -> Reply {
+    match op {
+        Op::Snapshot => {
+            let mut procs: Vec<ProcRecord> = Vec::new();
+            for p in parts {
+                if let Reply::Snapshot { procs: mut ps, .. } = p {
+                    procs.append(&mut ps);
+                }
+            }
+            procs.sort_by(|a, b| (&a.gpid.host, a.gpid.pid).cmp(&(&b.gpid.host, b.gpid.pid)));
+            Reply::Snapshot {
+                host: "*".to_string(),
+                procs,
+            }
+        }
+        Op::Rusage { .. } => {
+            let mut records = Vec::new();
+            for p in parts {
+                if let Reply::Rusage { records: mut rs } = p {
+                    records.append(&mut rs);
+                }
+            }
+            records.sort_by_key(|r| r.exited_us);
+            Reply::Rusage { records }
+        }
+        Op::History { .. } => {
+            let mut events = Vec::new();
+            for p in parts {
+                if let Reply::History { events: mut es } = p {
+                    events.append(&mut es);
+                }
+            }
+            events.sort_by_key(|e| e.at_us);
+            Reply::History { events }
+        }
+        _ => Reply::Pong,
+    }
 }
 
 fn arb_msg() -> impl Strategy<Value = Msg> {
@@ -463,5 +574,184 @@ proptest! {
         prop_assert_eq!(&decoded, &expect);
         let reencoded = Reply::from_bytes(&wire).expect("decodes").to_bytes();
         prop_assert_eq!(reencoded, wire);
+    }
+
+    /// Whatever an LPM splices out of a reply's bytes — the `Resp` to a
+    /// sibling, the frame for the tool edge, a `BcastPart` frame in an
+    /// aggregate, the `Partial` wrapper — is byte-identical to encoding
+    /// the `Msg` / `BcastPart` / `Reply` value it stands for.
+    #[test]
+    fn spliced_frames_match_encoded_values(
+        reply in arb_reply(),
+        id in any::<u64>(),
+        host in arb_name(),
+        route in arb_route(),
+        missing in prop::collection::vec(arb_name(), 0..5),
+    ) {
+        let wire = WireReply::from(&reply);
+        prop_assert_eq!(wire.as_bytes(), &reply.to_bytes()[..]);
+        prop_assert_eq!(wire.decode().expect("decodes"), reply.clone());
+
+        let resp = Msg::Resp { id, reply: reply.clone(), route: route.clone() };
+        prop_assert_eq!(wire.resp(id, &route), resp.to_bytes());
+        let at_tool = match reply.clone() {
+            Reply::Metrics { host, at_us, rows } => {
+                Msg::MetricsSnapshot { id, host, at_us, rows, route: route.clone() }
+            }
+            _ => resp,
+        };
+        prop_assert_eq!(wire.tool_resp(id, &route), at_tool.to_bytes());
+
+        let mut spliced = Enc::new();
+        wire.push_part(&mut spliced, &host, &route);
+        let mut encoded = Enc::new();
+        encoded.frame(&BcastPart { host, reply: reply.clone(), route });
+        prop_assert_eq!(spliced.into_bytes(), encoded.into_bytes());
+
+        let set: BTreeSet<String> = missing.iter().cloned().collect();
+        let partial = Reply::Partial { missing, inner: Box::new(reply) };
+        let wrapped = wire.partial(&set);
+        prop_assert_eq!(wrapped.as_bytes(), &partial.to_bytes()[..]);
+    }
+
+    /// A sibling's message read with its reply left on the wire is the
+    /// message `Msg::from_bytes` reads: same fields, the reply the very
+    /// bytes that were sent, and the same verdict on truncations and on
+    /// arbitrary bytes.
+    #[test]
+    fn inbound_agrees_with_msg_decode(
+        msg in arb_msg(),
+        cut in any::<u16>(),
+        garbage in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let wire = msg.to_bytes();
+        let expect = match msg.clone() {
+            Msg::Resp { id, reply, route } => {
+                Inbound::Resp { id, reply: WireReply::from(&reply), route }
+            }
+            Msg::BcastResp { stamp, host, reply, route } => {
+                Inbound::BcastResp { stamp, host, reply: WireReply::from(&reply), route }
+            }
+            Msg::BcastAgg { stamp, parts, missing } => Inbound::BcastAgg { stamp, parts, missing },
+            other => Inbound::Other(other),
+        };
+        prop_assert_eq!(Inbound::decode(&wire).expect("decodes"), expect);
+
+        let cut = wire.slice(..usize::from(cut) % wire.len());
+        prop_assert_eq!(Inbound::decode(&cut).is_ok(), Msg::from_bytes(&cut).is_ok());
+        // Steer some garbage at the three reply-carrying tags.
+        for tag in [None, Some(7u8), Some(9), Some(16)] {
+            let mut data = garbage.clone();
+            if let (Some(tag), Some(first)) = (tag, data.first_mut()) {
+                *first = tag;
+            }
+            let data = bytes::Bytes::from(data);
+            prop_assert_eq!(Inbound::decode(&data).is_ok(), Msg::from_bytes(&data).is_ok());
+        }
+    }
+
+    /// The borrowed record walk and `ProcRecord::decode` agree on
+    /// arbitrary bytes: both refuse, or both accept the same fields over
+    /// the same span — and that span re-decodes to the same record.
+    #[test]
+    fn borrowed_record_scan_agrees_with_decode(
+        record in arb_proc_record(),
+        flips in prop::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+        cut in any::<u16>(),
+        garbage in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        // A valid record, damaged a little, cut somewhere — and plain noise.
+        let mut damaged = record.to_bytes().to_vec();
+        for (at, byte) in flips {
+            let at = usize::from(at) % damaged.len();
+            damaged[at] = byte;
+        }
+        damaged.truncate(1 + usize::from(cut) % (damaged.len() + 8));
+        for data in [record.to_bytes().to_vec(), damaged, garbage] {
+            let mut owned = Dec::new(&data);
+            let mut borrowed = Dec::new(&data);
+            match (ProcRecord::decode(&mut owned), ProcRecordRef::decode(&mut borrowed)) {
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (Ok(rec), Ok(view)) => {
+                    prop_assert_eq!(view, rec.view());
+                    prop_assert_eq!(view.to_record(), rec.clone());
+                    prop_assert_eq!(borrowed.pos(), owned.pos());
+                    let span = &data[..borrowed.pos()];
+                    prop_assert_eq!(ProcRecord::from_bytes(span).expect("span decodes"), rec);
+                }
+                (owned, borrowed) => {
+                    prop_assert!(false, "owned {owned:?} but borrowed {borrowed:?}");
+                }
+            }
+        }
+    }
+
+    /// Splitting an aggregate and merging the parts as bytes gives the
+    /// bytes of decoding every part, combining the records and encoding
+    /// the result — for empty parts, duplicate keys in different parts,
+    /// hosts that are prefixes of one another, and parts of the wrong
+    /// kind alike.
+    #[test]
+    fn merged_bytes_match_the_record_level_combine(
+        answers in prop::collection::vec((arb_name(), arb_bcast_answer(), arb_route()), 0..7),
+        local in arb_bcast_answer(),
+        op in prop_oneof![
+            Just(Op::Snapshot),
+            Just(Op::Rusage { pid: None }),
+            Just(Op::History { since_us: 0, max: 100 }),
+            Just(Op::Ping),
+        ],
+    ) {
+        let parts: Vec<BcastPart> = answers
+            .into_iter()
+            .map(|(host, reply, route)| BcastPart { host, reply, route })
+            .collect();
+        let batch = encode_batch(&parts);
+        let split = WirePart::split(&batch).expect("a valid batch splits");
+        prop_assert_eq!(split.len(), parts.len());
+        for (wire, part) in split.iter().zip(&parts) {
+            prop_assert_eq!(wire.reply.as_bytes(), &part.reply.to_bytes()[..]);
+            prop_assert_eq!(&wire.route, &part.route);
+        }
+
+        // The originator's own slice comes first, then the parts.
+        let mut wires = vec![WireReply::from(&local)];
+        wires.extend(split.into_iter().map(|p| p.reply));
+        let mut replies = vec![local];
+        replies.extend(parts.into_iter().map(|p| p.reply));
+        let merged = WireReply::merge(&op, &wires).expect("valid parts merge");
+        prop_assert_eq!(merged.as_bytes(), &combine(&op, replies).to_bytes()[..]);
+    }
+
+    /// `WirePart::split` accepts exactly the batches
+    /// `decode_batch::<BcastPart>` accepts, damaged or not.
+    #[test]
+    fn split_agrees_with_batch_decode(
+        answers in prop::collection::vec((arb_name(), arb_bcast_answer(), arb_route()), 0..4),
+        flips in prop::collection::vec((any::<u16>(), any::<u8>()), 0..3),
+        cut in any::<u16>(),
+    ) {
+        let parts: Vec<BcastPart> = answers
+            .into_iter()
+            .map(|(host, reply, route)| BcastPart { host, reply, route })
+            .collect();
+        let mut data = encode_batch(&parts).to_vec();
+        for (at, byte) in flips {
+            let at = usize::from(at) % data.len();
+            data[at] = byte;
+        }
+        data.truncate(usize::from(cut) % (data.len() + 64));
+        let data = bytes::Bytes::from(data);
+        match (decode_batch::<BcastPart>(&data), WirePart::split(&data)) {
+            (Ok(owned), Ok(split)) => {
+                prop_assert_eq!(owned.len(), split.len());
+                for (part, wire) in owned.iter().zip(&split) {
+                    prop_assert_eq!(wire.reply.decode().expect("checked"), part.reply.clone());
+                    prop_assert_eq!(&wire.route, &part.route);
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (owned, split) => prop_assert!(false, "decode {owned:?} but split {split:?}"),
+        }
     }
 }

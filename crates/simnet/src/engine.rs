@@ -819,8 +819,8 @@ impl<E> TimerWheel<E> {
                 self.win[l - 1] = self.win[l] * WHEEL_SLOTS as u64 + s as u64;
                 // Distribute the batch in source order, dropping corpses
                 // on the way instead of paying a separate cleaning pass.
-                let entries = std::mem::take(&mut self.slots[l * WHEEL_SLOTS + s]);
-                for e in entries {
+                let mut entries = std::mem::take(&mut self.slots[l * WHEEL_SLOTS + s]);
+                for e in entries.drain(..) {
                     if !self.alive.contains(e.seq) {
                         continue;
                     }
@@ -828,6 +828,9 @@ impl<E> TimerWheel<E> {
                     self.slots[(l - 1) * WHEEL_SLOTS + s2].push(e);
                     self.occ[l - 1] |= 1u64 << s2;
                 }
+                // The slot keeps its (now empty) buffer for its next turn
+                // of the wheel.
+                self.slots[l * WHEEL_SLOTS + s] = entries;
                 return true;
             }
         }

@@ -7,6 +7,7 @@
 //! recovery in Section 5 is driven by partitions and host crashes). This
 //! module models exactly those.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
@@ -67,7 +68,17 @@ pub struct Topology {
     by_name: HashMap<String, HostId>,
     // adjacency: for each host, the set of (peer, link_up) entries
     adj: Vec<Vec<(HostId, bool)>>,
+    /// Hop counts between all pairs over live hosts and links (row-major
+    /// `n × n`, [`NO_ROUTE`] where there is none), or `None` once a host
+    /// or link has been added or changed state. [`Topology::hops`] is
+    /// asked on every simulated send and hosts and links change a handful
+    /// of times in a run, so it answers from this table and rebuilds it
+    /// on the first question after a change.
+    hop_table: RefCell<Option<Vec<u32>>>,
 }
+
+/// [`Topology::hop_table`]'s "unreachable, or an endpoint is down".
+const NO_ROUTE: u32 = u32::MAX;
 
 impl Topology {
     /// Creates an empty topology.
@@ -90,6 +101,7 @@ impl Topology {
         self.by_name.insert(spec.name.clone(), id);
         self.hosts.push(HostEntry { spec, up: true });
         self.adj.push(Vec::new());
+        *self.hop_table.get_mut() = None;
         id
     }
 
@@ -107,6 +119,7 @@ impl Topology {
         if !self.adj[a.0 as usize].iter().any(|(p, _)| *p == b) {
             self.adj[a.0 as usize].push((b, true));
             self.adj[b.0 as usize].push((a, true));
+            *self.hop_table.get_mut() = None;
         }
     }
 
@@ -148,12 +161,14 @@ impl Topology {
     pub fn set_host_up(&mut self, id: HostId, up: bool) {
         self.check(id);
         self.hosts[id.0 as usize].up = up;
+        *self.hop_table.get_mut() = None;
     }
 
     /// Takes a link down (partition) or brings it back.
     ///
     /// Returns `false` if no such link exists.
     pub fn set_link_up(&mut self, a: HostId, b: HostId, up: bool) -> bool {
+        *self.hop_table.get_mut() = None;
         let mut found = false;
         for (p, live) in &mut self.adj[a.0 as usize] {
             if *p == b {
@@ -181,31 +196,39 @@ impl Topology {
     /// Returns `Some(0)` when `a == b` (and `a` is up), `None` when
     /// unreachable or either endpoint is down.
     pub fn hops(&self, a: HostId, b: HostId) -> Option<u32> {
-        if !self.is_up(a) || !self.is_up(b) {
-            return None;
+        self.check(a);
+        self.check(b);
+        let mut table = self.hop_table.borrow_mut();
+        let table = table.get_or_insert_with(|| self.all_pairs_hops());
+        match table[a.0 as usize * self.hosts.len() + b.0 as usize] {
+            NO_ROUTE => None,
+            hops => Some(hops),
         }
-        if a == b {
-            return Some(0);
-        }
-        // Plain BFS; host counts in this system are tens of nodes.
-        let mut dist: HashMap<HostId, u32> = HashMap::new();
-        dist.insert(a, 0);
+    }
+
+    /// One breadth-first search per live host; host counts in this
+    /// system are tens of nodes.
+    fn all_pairs_hops(&self) -> Vec<u32> {
+        let n = self.hosts.len();
+        let mut table = vec![NO_ROUTE; n * n];
         let mut q = VecDeque::new();
-        q.push_back(a);
-        while let Some(u) = q.pop_front() {
-            let du = dist[&u];
-            for &(v, live) in &self.adj[u.0 as usize] {
-                if !live || !self.is_up(v) || dist.contains_key(&v) {
-                    continue;
+        for (a, row) in table.chunks_exact_mut(n.max(1)).enumerate() {
+            if !self.hosts[a].up {
+                continue;
+            }
+            row[a] = 0;
+            q.push_back(a);
+            while let Some(u) = q.pop_front() {
+                for &(v, live) in &self.adj[u] {
+                    let v = v.0 as usize;
+                    if live && self.hosts[v].up && row[v] == NO_ROUTE {
+                        row[v] = row[u] + 1;
+                        q.push_back(v);
+                    }
                 }
-                if v == b {
-                    return Some(du + 1);
-                }
-                dist.insert(v, du + 1);
-                q.push_back(v);
             }
         }
-        None
+        table
     }
 
     /// All hosts reachable from `a` (including `a` itself, if up).
@@ -787,6 +810,85 @@ mod tests {
         assert_eq!(t.hops(ids[0], ids[1]), None);
         t.set_host_up(ids[1], true);
         assert_eq!(t.hops(ids[0], ids[2]), Some(2));
+    }
+
+    /// The search `hops` used to run on every call: the oracle its table
+    /// must agree with.
+    fn hops_by_search(t: &Topology, a: HostId, b: HostId) -> Option<u32> {
+        if !t.is_up(a) || !t.is_up(b) {
+            return None;
+        }
+        if a == b {
+            return Some(0);
+        }
+        let mut dist: HashMap<HostId, u32> = HashMap::new();
+        dist.insert(a, 0);
+        let mut q = VecDeque::new();
+        q.push_back(a);
+        while let Some(u) = q.pop_front() {
+            let du = dist[&u];
+            for &(v, live) in &t.adj[u.0 as usize] {
+                if !live || !t.is_up(v) || dist.contains_key(&v) {
+                    continue;
+                }
+                if v == b {
+                    return Some(du + 1);
+                }
+                dist.insert(v, du + 1);
+                q.push_back(v);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn hop_table_matches_a_fresh_search_through_any_history() {
+        let mut rng = crate::rng::SimRng::seed_from(0x0b5e_55ed);
+        let mut pick = |n: usize| rng.index(n);
+        for _world in 0..40 {
+            let mut t = Topology::new();
+            let mut ids = Vec::new();
+            for step in 0..120 {
+                // Grow for a while, then mostly crash, restart, cut, heal
+                // — asking between any two changes, and not asking too.
+                match pick(if ids.len() < 3 { 1 } else { 8 }) {
+                    0 if ids.len() < 12 => {
+                        ids.push(t.add_host(HostSpec::new(format!("h{step}"), CpuClass::Sun2)));
+                    }
+                    0 | 1 => {
+                        let (a, b) = (ids[pick(ids.len())], ids[pick(ids.len())]);
+                        if a != b {
+                            t.add_link(a, b);
+                        }
+                    }
+                    2 | 3 => t.set_host_up(ids[pick(ids.len())], pick(2) == 0),
+                    4 | 5 => {
+                        let (a, b) = (ids[pick(ids.len())], ids[pick(ids.len())]);
+                        t.set_link_up(a, b, pick(2) == 0);
+                    }
+                    _ => {}
+                }
+                if pick(3) == 0 {
+                    continue;
+                }
+                for &a in &ids {
+                    for &b in &ids {
+                        assert_eq!(t.hops(a, b), hops_by_search(&t, a, b), "{a} -> {b}");
+                    }
+                }
+            }
+            // A clone answers for itself from then on.
+            let mut fork = t.clone();
+            if let Some(&h) = ids.first() {
+                fork.set_host_up(h, !fork.is_up(h));
+            }
+            for &a in &ids {
+                for &b in &ids {
+                    assert_eq!(t.hops(a, b), hops_by_search(&t, a, b));
+                    assert_eq!(fork.hops(a, b), hops_by_search(&fork, a, b));
+                }
+            }
+        }
     }
 
     #[test]
