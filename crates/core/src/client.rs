@@ -19,8 +19,8 @@ use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{SimDuration, SimTime};
 
 use crate::auth::UserCred;
-use crate::config::PpmConfig;
-use crate::locator::{ChanProgress, HelloIdentity, LpmChannel};
+use crate::config::{PpmConfig, CONNECT_ATTEMPTS};
+use crate::locator::{Dial, Dialed, HelloIdentity, Progress};
 
 /// One scripted request: destination host (or `"*"`) and operation.
 #[derive(Debug, Clone)]
@@ -83,11 +83,10 @@ pub struct Tool {
     cfg: PpmConfig,
     script: Vec<ToolStep>,
     outcome: ToolHandle,
-    chan: Option<LpmChannel>,
+    chan: Option<Dial>,
     conn: Option<ConnId>,
     step: usize,
     next_id: u64,
-    deadline: SimDuration,
     /// How many requests may be in flight at once (1 = lock-step).
     pipeline: usize,
     /// Per-request deadline stamped on the wire; `None` lets the LPM
@@ -113,6 +112,8 @@ impl std::fmt::Debug for Tool {
 
 const RETRY_TOKEN: u64 = 1;
 const DEADLINE_TOKEN: u64 = 2;
+/// How long a tool waits for its whole script before giving up.
+const GIVE_UP: SimDuration = SimDuration::from_secs(120);
 
 impl Tool {
     /// Creates a tool with a script; results land in the returned handle.
@@ -127,7 +128,6 @@ impl Tool {
             conn: None,
             step: 0,
             next_id: 1,
-            deadline: SimDuration::from_secs(120),
             pipeline: 1,
             step_deadline: None,
             inflight: HashMap::new(),
@@ -135,12 +135,6 @@ impl Tool {
             flushed: 0,
         };
         (tool, outcome)
-    }
-
-    /// Overrides the give-up deadline.
-    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        self.deadline = deadline;
-        self
     }
 
     /// Allows up to `window` requests in flight at once on the LPM
@@ -218,13 +212,14 @@ impl Tool {
         }
     }
 
-    fn apply_progress(&mut self, sys: &mut dyn Sys, progress: ChanProgress) {
+    fn apply_progress(&mut self, sys: &mut dyn Sys, progress: Progress<Dialed>) {
         match progress {
-            ChanProgress::Pending => {}
-            ChanProgress::RetryAfter(d) => {
+            // This dial asks for a channel; pmd's answer is not its end.
+            Progress::Pending | Progress::Done(Dialed::Answer(_)) => {}
+            Progress::RetryAfter(d) => {
                 sys.set_timer(d, RETRY_TOKEN);
             }
-            ChanProgress::Ready { conn, created, .. } => {
+            Progress::Done(Dialed::Channel { conn, created, .. }) => {
                 self.conn = Some(conn);
                 {
                     let mut o = self.outcome.lock().unwrap();
@@ -233,7 +228,7 @@ impl Tool {
                 }
                 self.pump(sys);
             }
-            ChanProgress::Failed(e) => {
+            Progress::Failed(e) => {
                 self.fail(sys, format!("cannot reach LPM: {e}"));
             }
         }
@@ -243,8 +238,7 @@ impl Tool {
 impl Program for Tool {
     fn on_start(&mut self, sys: &mut dyn Sys) {
         self.outcome.lock().unwrap().started_at = Some(sys.now());
-        let deadline = self.deadline;
-        sys.set_timer(deadline, DEADLINE_TOKEN);
+        sys.set_timer(GIVE_UP, DEADLINE_TOKEN);
         let identity = HelloIdentity {
             user: self.cred.uid.0,
             host: sys.host_name().to_string(),
@@ -255,8 +249,7 @@ impl Program for Tool {
         };
         let target = sys.host();
         let retry = self.cfg.connect_retry;
-        let attempts = self.cfg.connect_attempts;
-        self.chan = Some(LpmChannel::start(sys, target, identity, retry, attempts));
+        self.chan = Some(Dial::lpm(sys, target, identity, retry, CONNECT_ATTEMPTS));
     }
 
     fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
@@ -285,25 +278,8 @@ impl Program for Tool {
                         self.pump(sys);
                     }
                 }
-                Ok(Msg::MetricsSnapshot {
-                    id,
-                    host,
-                    at_us,
-                    rows,
-                    ..
-                }) => {
-                    // A registry pull's dedicated frame; fold it back into
-                    // the reply stream under its wire id.
-                    if let Some(idx) = self.inflight.remove(&id) {
-                        let reply = Reply::Metrics { host, at_us, rows };
-                        self.record_reply(idx, reply, sys.now());
-                        self.pump(sys);
-                    }
-                }
-                Ok(other) => {
-                    // Announcements etc. are not replies; ignore.
-                    let _ = other;
-                }
+                // Announcements etc. are not replies; ignore.
+                Ok(_) => {}
                 Err(_) => self.fail(sys, "undecodable reply".to_string()),
             }
             return;

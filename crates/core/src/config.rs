@@ -3,8 +3,29 @@
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::time::SimDuration;
 
-/// Constants governing LPM behaviour. CPU costs are nominal values for an
-//  idle VAX 11/780 and are scaled by host class and load at run time.
+/// Idle handlers are reaped after this long.
+pub const HANDLER_IDLE_TTL: SimDuration = SimDuration::from_secs(20);
+/// Maximum resident handlers per LPM.
+pub const HANDLER_MAX: usize = 16;
+/// Total send attempts per directed request at its origin (1 = no retry);
+/// retries reuse the same correlation id so receivers can deduplicate.
+pub const REQ_ATTEMPTS: u8 = 3;
+/// How much each relay hop shaves off the propagated deadline, accounting
+/// for the return path the reply still has to travel.
+pub const DEADLINE_DECAY: SimDuration = SimDuration::from_millis(20);
+/// Refused connections one Figure-2 dial rides out before reporting
+/// failure, [`PpmConfig::connect_retry`] apart.
+pub const CONNECT_ATTEMPTS: u32 = 30;
+/// History ring capacity.
+pub const HISTORY_CAP: usize = 4096;
+/// Exited-process statistics retention.
+pub const RUSAGE_CAP: usize = 1024;
+/// Tracing granularity applied when adopting.
+pub const DEFAULT_TRACE_FLAGS: TraceFlags = TraceFlags::ALL;
+
+/// The settings of LPM behaviour some caller varies; what every caller
+/// leaves alone is a constant above. CPU costs are nominal values for an
+/// idle VAX 11/780 and are scaled by host class and load at run time.
 ///
 /// The cost constants are calibrated so the regenerated Table 2 lands on
 /// the paper's numbers (77 ms within-host create; 30 / 199 / 210 ms
@@ -29,10 +50,6 @@ pub struct PpmConfig {
     pub handler_fork_cost: SimDuration,
     /// Handing a request to an already-idle handler.
     pub handler_reuse_cost: SimDuration,
-    /// Idle handlers are reaped after this long.
-    pub handler_idle_ttl: SimDuration,
-    /// Maximum resident handlers per LPM.
-    pub handler_max: usize,
     /// Reuse idle handlers instead of forking per request (the paper's
     /// optimization; disabled only for ablation).
     pub handler_reuse: bool,
@@ -58,10 +75,6 @@ pub struct PpmConfig {
     pub max_hops: u8,
     /// Give up on one attempt of a directed request after this long.
     pub req_timeout: SimDuration,
-    /// Total send attempts per directed request at its origin (1 = no
-    /// retry); retries reuse the same correlation id so receivers can
-    /// deduplicate.
-    pub req_attempts: u8,
     /// Backoff before the first retry; doubles per attempt.
     pub req_backoff: SimDuration,
     /// Ceiling on the doubling retry backoff. Without it a
@@ -71,14 +84,9 @@ pub struct PpmConfig {
     /// End-to-end deadline stamped on origin requests; relays refuse
     /// requests whose propagated deadline has passed.
     pub req_deadline: SimDuration,
-    /// How much each relay hop shaves off the propagated deadline,
-    /// accounting for the return path the reply still has to travel.
-    pub deadline_decay: SimDuration,
 
     /// Retry interval while connecting to a booting daemon/LPM.
     pub connect_retry: SimDuration,
-    /// Maximum connect attempts before reporting failure.
-    pub connect_attempts: u32,
 
     /// Housekeeping timer period (TTL checks, window GC, handler reaping).
     pub housekeeping_interval: SimDuration,
@@ -86,12 +94,6 @@ pub struct PpmConfig {
     /// How long exited processes stay visible in snapshots after their
     /// whole local subtree has died.
     pub dead_retention: SimDuration,
-    /// History ring capacity.
-    pub history_cap: usize,
-    /// Exited-process statistics retention.
-    pub rusage_cap: usize,
-    /// Default tracing granularity applied when adopting.
-    pub default_trace_flags: TraceFlags,
     /// Learn routes from broadcast replies ("allows quick routing of
     /// messages affecting processes in topologically distant hosts").
     pub route_learning: bool,
@@ -117,8 +119,6 @@ impl Default for PpmConfig {
             merge_cost: SimDuration::from_micros(21_000),
             handler_fork_cost: SimDuration::from_micros(77_500),
             handler_reuse_cost: SimDuration::from_micros(3_500),
-            handler_idle_ttl: SimDuration::from_secs(20),
-            handler_max: 16,
             handler_reuse: true,
 
             lpm_ttl: SimDuration::from_secs(300),
@@ -130,21 +130,15 @@ impl Default for PpmConfig {
             bcast_timeout: SimDuration::from_secs(10),
             max_hops: 8,
             req_timeout: SimDuration::from_secs(10),
-            req_attempts: 3,
             req_backoff: SimDuration::from_millis(250),
             req_backoff_max: SimDuration::from_secs(10),
             req_deadline: SimDuration::from_secs(45),
-            deadline_decay: SimDuration::from_millis(20),
 
             connect_retry: SimDuration::from_micros(20_000),
-            connect_attempts: 30,
 
             housekeeping_interval: SimDuration::from_secs(1),
 
             dead_retention: SimDuration::from_secs(600),
-            history_cap: 4096,
-            rusage_cap: 1024,
-            default_trace_flags: TraceFlags::ALL,
             route_learning: true,
             reply_splicing: true,
             recovery_policy: RecoveryPolicy::RecoveryFile,
@@ -212,7 +206,6 @@ mod tests {
         assert!(c.handler_fork_cost > c.handler_reuse_cost);
         assert!(c.dispatch_cost < c.control_cost);
         assert!(c.time_to_die > c.probe_interval);
-        assert!(c.handler_max > 0);
     }
 
     #[test]
@@ -226,17 +219,17 @@ mod tests {
     #[test]
     fn retry_budget_fits_inside_the_deadline() {
         for c in [PpmConfig::default(), PpmConfig::fast_recovery()] {
-            assert!(c.req_attempts >= 1);
+            const { assert!(REQ_ATTEMPTS >= 1) };
             // Worst case: every attempt times out, plus the doubling
             // backoffs between them, must fit under the deadline so the
             // final verdict is Timeout, not a premature DeadlineExceeded.
-            let retries = u64::from(c.req_attempts) - 1;
-            let attempts_us = u64::from(c.req_attempts) * c.req_timeout.as_micros();
+            let retries = u64::from(REQ_ATTEMPTS) - 1;
+            let attempts_us = u64::from(REQ_ATTEMPTS) * c.req_timeout.as_micros();
             let backoff_us: u64 = (0..retries)
                 .map(|i| (c.req_backoff.as_micros() << i).min(c.req_backoff_max.as_micros()))
                 .sum();
             assert!(attempts_us + backoff_us <= c.req_deadline.as_micros());
-            assert!(c.deadline_decay < c.req_timeout);
+            assert!(DEADLINE_DECAY < c.req_timeout);
             assert!(c.req_backoff_max >= c.req_backoff);
         }
     }

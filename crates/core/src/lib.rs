@@ -29,14 +29,14 @@
 //! ## Example
 //!
 //! ```
-//! use ppm_core::config::{lpm_port, PpmConfig};
+//! use ppm_core::config::{lpm_port, PpmConfig, HANDLER_MAX};
 //! use ppm_runtime::ids::Uid;
 //!
 //! // Protocol constants are backend-independent: a user's LPM listens on
 //! // the same well-known port in the simulation and on real nodes.
 //! let cfg = PpmConfig::default();
 //! assert_eq!(lpm_port(Uid(100)).0, 1100);
-//! assert!(cfg.handler_max >= 1);
+//! assert!(cfg.max_hops >= 1 && HANDLER_MAX >= 1);
 //! ```
 
 pub mod auth;

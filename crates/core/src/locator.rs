@@ -14,6 +14,13 @@
 //!
 //! Daemons may still be booting when we connect, so refused connections
 //! are retried — the owner of the machine schedules the retry timer.
+//!
+//! The chain is written once, as [`Dial`]. [`Dial::lpm`] runs all of it;
+//! [`Dial::pmd`] stops after step 3 with any question in place of
+//! `CreateLpm` and hands back pmd's answer. Two owners drive it: a
+//! [`Tool`](crate::client::Tool) holds one dial to its local LPM, and an
+//! LPM keeps a table of them — one per sibling channel being set up, plus
+//! the name-server query of the Section 5 alternative policy.
 
 use bytes::Bytes;
 use ppm_proto::codec::Wire;
@@ -30,17 +37,6 @@ use ppm_runtime::trace::TraceCategory;
 
 use crate::config::PMD_SERVICE;
 
-/// A bounded next-hop cache learned from reply routes.
-///
-/// Establishing a direct sibling channel costs the full Figure 2 chain
-/// (inetd → pmd → LPM handshake); relaying through an already-connected
-/// sibling costs one message. The cache maps a destination host to the
-/// first hop of a route that reached it, keyed with the hot-path hasher —
-/// it is consulted on every remote send. First-learned routes win, and
-/// the cache stops learning at `cap` entries so a pathological topology
-/// cannot grow it without bound. Entries are only dropped wholesale via
-/// [`RouteCache::clear`], never evicted one by one, which keeps lookups
-/// deterministic.
 /// One learned route: the next hop to relay through, plus the full hop
 /// path (`[me, next, ..., dest]`) it was learned from, kept so the cache
 /// can revalidate every leg when the world's reachability epoch moves.
@@ -50,12 +46,19 @@ struct RouteEntry {
     path: Vec<String>,
 }
 
+/// A bounded next-hop cache learned from reply routes.
+///
+/// Establishing a direct sibling channel costs the full Figure 2 chain
+/// (inetd → pmd → LPM handshake); relaying through an already-connected
+/// sibling costs one message. The cache maps a destination host to the
+/// first hop of a route that reached it, keyed with the hot-path hasher —
+/// it is consulted on every remote send. First-learned routes win, and
+/// the cache stops learning at `cap` entries so a pathological topology
+/// cannot grow it without bound.
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     map: FastMap<String, RouteEntry>,
     cap: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl Default for RouteCache {
@@ -70,48 +73,12 @@ impl RouteCache {
         RouteCache {
             map: FastMap::default(),
             cap,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Looks up the next hop toward `dest`, counting the hit or miss.
-    pub fn lookup(&mut self, dest: &str) -> Option<&str> {
-        match self.map.get(dest) {
-            Some(e) => {
-                self.hits += 1;
-                Some(e.next.as_str())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Peeks at the next hop toward `dest` without touching the counters.
+    /// The next hop toward `dest`, if one was learned.
     pub fn get(&self, dest: &str) -> Option<&str> {
         self.map.get(dest).map(|e| e.next.as_str())
-    }
-
-    /// Whether a next hop is known for `dest`.
-    pub fn contains_key(&self, dest: &str) -> bool {
-        self.map.contains_key(dest)
-    }
-
-    /// Number of cached destinations.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been learned.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// (hits, misses) recorded by [`RouteCache::lookup`].
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Learns next hops from a reply's route, which must originate at
@@ -137,13 +104,6 @@ impl RouteCache {
                 path: hops[..=i].to_vec(),
             });
         }
-    }
-
-    /// Forgets everything (counters included).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Evicts `host` as a destination and every entry routed *via* it.
@@ -177,7 +137,7 @@ impl RouteCache {
     }
 }
 
-/// Identity material the channel presents in its `Hello`.
+/// Identity material a dial presents in its `Hello`.
 #[derive(Debug, Clone)]
 pub struct HelloIdentity {
     /// Acting user.
@@ -194,16 +154,13 @@ pub struct HelloIdentity {
     pub proof: u64,
 }
 
-/// Progress report returned by every event fed to the channel.
+/// What a finished [`Dial`] hands its owner.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ChanProgress {
-    /// Still working; nothing for the owner to do.
-    Pending,
-    /// Transient failure (daemon booting); call
-    /// [`LpmChannel::retry`] after this delay.
-    RetryAfter(SimDuration),
-    /// Channel established and authenticated.
-    Ready {
+pub enum Dialed {
+    /// [`Dial::pmd`]: the pmd's answer.
+    Answer(Msg),
+    /// [`Dial::lpm`]: an authenticated channel to the LPM.
+    Channel {
         /// The authenticated connection to the LPM.
         conn: ConnId,
         /// Whether this request created the LPM.
@@ -213,6 +170,18 @@ pub enum ChanProgress {
         /// The LPM's CCS epoch.
         peer_epoch: u64,
     },
+}
+
+/// Progress report returned by every event fed to a [`Dial`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Progress<T> {
+    /// Still working; nothing for the owner to do.
+    Pending,
+    /// Transient failure (daemon booting); call [`Dial::retry`] after
+    /// this delay.
+    RetryAfter(SimDuration),
+    /// Finished.
+    Done(T),
     /// Permanent failure.
     Failed(SysError),
 }
@@ -222,207 +191,213 @@ enum Step {
     ToInetd,
     AwaitPmdPort,
     ToPmd,
-    AwaitLpmAddr,
+    AwaitAnswer,
     ToLpm,
     AwaitAck,
     Done,
     Dead,
 }
 
-/// The state machine. The owner routes events for connections the channel
-/// [`owns`](LpmChannel::owns) into [`on_conn_event`](Self::on_conn_event) /
-/// [`on_message`](Self::on_message), and calls [`retry`](Self::retry) when
-/// a `RetryAfter` delay elapses.
+/// The chain as a state machine. The owner routes events for the
+/// connection the dial [`owns`](Dial::owns) into
+/// [`on_conn_event`](Self::on_conn_event) / [`on_message`](Self::on_message),
+/// and calls [`retry`](Self::retry) when a `RetryAfter` delay elapses. One
+/// attempts budget covers every refused connection of the whole chain.
 #[derive(Debug)]
-pub struct LpmChannel {
+pub struct Dial {
     target: HostId,
-    identity: HelloIdentity,
+    /// What pmd is asked once located.
+    request: Msg,
+    /// `Some`: pmd's answer is an accept address to connect to and
+    /// authenticate on with this identity. `None`: the answer is the goal.
+    hello: Option<HelloIdentity>,
     step: Step,
     conn: Option<ConnId>,
-    pmd_port: Option<Port>,
-    lpm_port: Option<Port>,
+    /// Where the current step connects: inetd, then pmd, then the LPM.
+    port: Port,
     created: bool,
     attempts_left: u32,
     retry_delay: SimDuration,
 }
 
-impl LpmChannel {
-    /// Starts the chain toward `target`.
-    pub fn start(
+impl Dial {
+    /// Starts the full chain toward the LPM of `identity.user` on
+    /// `target`; finishes with [`Dialed::Channel`].
+    pub fn lpm(
         sys: &mut dyn Sys,
         target: HostId,
         identity: HelloIdentity,
         retry_delay: SimDuration,
         attempts: u32,
     ) -> Self {
-        let mut chan = LpmChannel {
+        let request = Msg::CreateLpm {
+            user: identity.user,
+        };
+        Self::start(sys, target, request, Some(identity), retry_delay, attempts)
+    }
+
+    /// Starts a one-shot exchange with `target`'s pmd — steps 1–3 with
+    /// `request` in place of `CreateLpm` — and finishes with
+    /// [`Dialed::Answer`]. Used by the name-server CCS policy of Section 5
+    /// ("LPMs would query the name server for a CCS"), where pmd plays the
+    /// name server it already is for LPM creation.
+    pub fn pmd(
+        sys: &mut dyn Sys,
+        target: HostId,
+        request: Msg,
+        retry_delay: SimDuration,
+        attempts: u32,
+    ) -> Self {
+        Self::start(sys, target, request, None, retry_delay, attempts)
+    }
+
+    fn start(
+        sys: &mut dyn Sys,
+        target: HostId,
+        request: Msg,
+        hello: Option<HelloIdentity>,
+        retry_delay: SimDuration,
+        attempts: u32,
+    ) -> Self {
+        let mut dial = Dial {
             target,
-            identity,
+            request,
+            hello,
             step: Step::ToInetd,
             conn: None,
-            pmd_port: None,
-            lpm_port: None,
+            port: Port::INETD,
             created: false,
             attempts_left: attempts.max(1),
             retry_delay,
         };
-        chan.connect_current(sys);
-        chan
+        dial.connect_current(sys);
+        dial
     }
 
-    /// The host this channel targets.
-    pub fn target(&self) -> HostId {
-        self.target
-    }
-
-    /// Whether `conn` belongs to this channel.
+    /// Whether `conn` belongs to this dial.
     pub fn owns(&self, conn: ConnId) -> bool {
         self.conn == Some(conn)
     }
 
-    /// The connection the channel is currently using, if any. Owners
-    /// re-register this after every progress report so events route back.
-    pub fn current_conn(&self) -> Option<ConnId> {
-        self.conn
-    }
-
-    /// True once the channel reached a terminal state.
+    /// True once the dial reached a terminal state.
     pub fn is_terminal(&self) -> bool {
         matches!(self.step, Step::Done | Step::Dead)
     }
 
+    /// Connects to `self.port` if the current step is a connecting one.
     fn connect_current(&mut self, sys: &mut dyn Sys) {
-        let port = match self.step {
-            Step::ToInetd => Port::INETD,
-            Step::ToPmd => self.pmd_port.expect("pmd port known at ToPmd"),
-            Step::ToLpm => self.lpm_port.expect("lpm port known at ToLpm"),
-            _ => return,
-        };
-        self.conn = sys.connect(self.target, port).ok();
-        if self.conn.is_none() {
-            self.step = Step::Dead;
+        if matches!(self.step, Step::ToInetd | Step::ToPmd | Step::ToLpm) {
+            self.conn = sys.connect(self.target, self.port).ok();
+            if self.conn.is_none() {
+                self.step = Step::Dead;
+            }
         }
+    }
+
+    /// Hangs up the finished step's connection.
+    fn hang_up(&mut self, sys: &mut dyn Sys) {
+        let _ = sys.close(self.conn.expect("owned conn"));
+    }
+
+    fn connect_next(&mut self, sys: &mut dyn Sys, step: Step, port: Port) {
+        self.port = port;
+        self.step = step;
+        self.connect_current(sys);
     }
 
     /// Re-attempts the current step after a `RetryAfter`.
-    pub fn retry(&mut self, sys: &mut dyn Sys) -> ChanProgress {
+    pub fn retry(&mut self, sys: &mut dyn Sys) -> Progress<Dialed> {
         if self.is_terminal() {
-            return ChanProgress::Failed(SysError::ConnectionClosed);
+            return Progress::Failed(SysError::ConnectionClosed);
         }
         self.connect_current(sys);
-        match self.step {
-            Step::ToInetd | Step::ToPmd | Step::ToLpm if self.conn.is_some() => {
-                ChanProgress::Pending
-            }
-            _ => self.fail(SysError::HostDown),
+        if self.is_terminal() {
+            Progress::Failed(SysError::HostDown)
+        } else {
+            Progress::Pending
         }
     }
 
-    fn fail(&mut self, err: SysError) -> ChanProgress {
+    fn fail(&mut self, err: SysError) -> Progress<Dialed> {
         self.step = Step::Dead;
-        ChanProgress::Failed(err)
+        Progress::Failed(err)
     }
 
-    fn bounce(&mut self) -> ChanProgress {
+    fn bounce(&mut self) -> Progress<Dialed> {
         if self.attempts_left == 0 {
             return self.fail(SysError::ConnectionRefused);
         }
         self.attempts_left -= 1;
-        ChanProgress::RetryAfter(self.retry_delay)
+        Progress::RetryAfter(self.retry_delay)
     }
 
     /// Feeds a connection event for an owned connection.
-    pub fn on_conn_event(&mut self, sys: &mut dyn Sys, ev: ConnEvent) -> ChanProgress {
-        match (self.step, ev) {
-            (Step::ToInetd, ConnEvent::Established) => {
-                let conn = self.conn.expect("owned conn");
-                if sys.send(conn, inetd::request(PMD_SERVICE)).is_err() {
-                    return self.bounce();
-                }
-                self.step = Step::AwaitPmdPort;
-                ChanProgress::Pending
-            }
-            (Step::ToPmd, ConnEvent::Established) => {
-                let conn = self.conn.expect("owned conn");
-                let msg = Msg::CreateLpm {
-                    user: self.identity.user,
+    pub fn on_conn_event(&mut self, sys: &mut dyn Sys, ev: ConnEvent) -> Progress<Dialed> {
+        match ev {
+            ConnEvent::Established => {
+                let (wire, next) = match (self.step, &self.hello) {
+                    (Step::ToInetd, _) => (inetd::request(PMD_SERVICE), Step::AwaitPmdPort),
+                    (Step::ToPmd, _) => (self.request.to_bytes(), Step::AwaitAnswer),
+                    (Step::ToLpm, Some(id)) => {
+                        let hello = Msg::Hello {
+                            user: id.user,
+                            host: id.host.clone(),
+                            is_tool: id.is_tool,
+                            ccs: id.ccs.clone(),
+                            epoch: id.epoch,
+                            proof: id.proof,
+                        };
+                        (hello.to_bytes(), Step::AwaitAck)
+                    }
+                    _ => return Progress::Pending,
                 };
-                if sys.send(conn, msg.to_bytes()).is_err() {
-                    return self.bounce();
-                }
-                self.step = Step::AwaitLpmAddr;
-                ChanProgress::Pending
-            }
-            (Step::ToLpm, ConnEvent::Established) => {
                 let conn = self.conn.expect("owned conn");
-                let id = &self.identity;
-                let hello = Msg::Hello {
-                    user: id.user,
-                    host: id.host.clone(),
-                    is_tool: id.is_tool,
-                    ccs: id.ccs.clone(),
-                    epoch: id.epoch,
-                    proof: id.proof,
-                };
-                if sys.send(conn, hello.to_bytes()).is_err() {
+                if sys.send(conn, wire).is_err() {
                     return self.bounce();
                 }
-                self.step = Step::AwaitAck;
-                ChanProgress::Pending
+                self.step = next;
+                Progress::Pending
             }
-            (_, ConnEvent::Failed(SysError::ConnectionRefused)) => {
-                // Daemon still booting: retry, like TCP SYN retransmission.
-                self.bounce()
-            }
-            (_, ConnEvent::Failed(err)) => self.fail(err),
-            (_, ConnEvent::Closed) => {
-                if self.step == Step::Done {
-                    ChanProgress::Pending
-                } else {
-                    self.fail(SysError::ConnectionClosed)
-                }
-            }
-            _ => ChanProgress::Pending,
+            // Daemon still booting: retry, like TCP SYN retransmission.
+            ConnEvent::Failed(SysError::ConnectionRefused) => self.bounce(),
+            ConnEvent::Failed(err) => self.fail(err),
+            ConnEvent::Closed if self.step != Step::Done => self.fail(SysError::ConnectionClosed),
+            _ => Progress::Pending,
         }
     }
 
     /// Feeds a message arriving on an owned connection.
-    pub fn on_message(&mut self, sys: &mut dyn Sys, data: Bytes) -> ChanProgress {
+    pub fn on_message(&mut self, sys: &mut dyn Sys, data: Bytes) -> Progress<Dialed> {
         match self.step {
-            Step::AwaitPmdPort => {
-                let conn = self.conn.expect("owned conn");
-                match inetd::parse_reply(&data) {
-                    Ok(port) => {
-                        let _ = sys.close(conn);
-                        self.pmd_port = Some(port);
-                        self.step = Step::ToPmd;
-                        self.connect_current(sys);
-                        ChanProgress::Pending
-                    }
-                    Err(e) => self.fail(e),
+            Step::AwaitPmdPort => match inetd::parse_reply(&data) {
+                Ok(port) => {
+                    self.hang_up(sys);
+                    self.connect_next(sys, Step::ToPmd, port);
+                    Progress::Pending
                 }
-            }
-            Step::AwaitLpmAddr => {
-                let conn = self.conn.expect("owned conn");
-                match Msg::from_bytes(&data) {
-                    Ok(Msg::LpmAddr { port, created, .. }) => {
-                        let _ = sys.close(conn);
-                        self.lpm_port = Some(Port(port));
-                        self.created = created;
-                        sys.trace(
-                            TraceCategory::Daemon,
-                            format_args!(
-                                "locator: pmd returned accept address :{port} (created={created})"
-                            ),
-                        );
-                        self.step = Step::ToLpm;
-                        self.connect_current(sys);
-                        ChanProgress::Pending
-                    }
-                    Ok(Msg::NoLpm { .. }) => self.fail(SysError::PermissionDenied),
-                    _ => self.fail(SysError::InvalidArgument),
+                Err(e) => self.fail(e),
+            },
+            Step::AwaitAnswer => match (Msg::from_bytes(&data), self.hello.is_some()) {
+                (Ok(answer), false) => {
+                    self.hang_up(sys);
+                    self.step = Step::Done;
+                    Progress::Done(Dialed::Answer(answer))
                 }
-            }
+                (Ok(Msg::LpmAddr { port, created, .. }), true) => {
+                    self.hang_up(sys);
+                    self.created = created;
+                    sys.trace(
+                        TraceCategory::Daemon,
+                        format_args!(
+                            "locator: pmd returned accept address :{port} (created={created})"
+                        ),
+                    );
+                    self.connect_next(sys, Step::ToLpm, Port(port));
+                    Progress::Pending
+                }
+                (Ok(Msg::NoLpm { .. }), true) => self.fail(SysError::PermissionDenied),
+                _ => self.fail(SysError::InvalidArgument),
+            },
             Step::AwaitAck => match Msg::from_bytes(&data) {
                 Ok(Msg::HelloAck {
                     ok: true,
@@ -431,230 +406,194 @@ impl LpmChannel {
                     ..
                 }) => {
                     self.step = Step::Done;
-                    ChanProgress::Ready {
+                    Progress::Done(Dialed::Channel {
                         conn: self.conn.expect("owned conn"),
                         created: self.created,
                         peer_ccs: ccs,
                         peer_epoch: epoch,
-                    }
+                    })
                 }
                 Ok(Msg::HelloAck { ok: false, .. }) => self.fail(SysError::PermissionDenied),
                 _ => self.fail(SysError::InvalidArgument),
             },
-            _ => ChanProgress::Pending,
-        }
-    }
-}
-
-/// Progress of a [`PmdExchange`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum PmdProgress {
-    /// Still working.
-    Pending,
-    /// Transient failure; call [`PmdExchange::retry`] after this delay.
-    RetryAfter(SimDuration),
-    /// The pmd answered.
-    Answer(Msg),
-    /// Permanent failure.
-    Failed(SysError),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PmdStep {
-    ToInetd,
-    AwaitPort,
-    ToPmd,
-    AwaitAnswer,
-    Done,
-    Dead,
-}
-
-/// A one-shot exchange with a (possibly remote) pmd: locate it through
-/// inetd, send one message, return the answer. Used by the name-server
-/// CCS policy of Section 5 ("LPMs would query the name server for a
-/// CCS"), where pmd plays the name server it already is for LPM creation.
-#[derive(Debug)]
-pub struct PmdExchange {
-    target: HostId,
-    request: Msg,
-    step: PmdStep,
-    conn: Option<ConnId>,
-    pmd_port: Option<Port>,
-    attempts_left: u32,
-    retry_delay: SimDuration,
-}
-
-impl PmdExchange {
-    /// Starts the exchange toward `target`'s pmd.
-    pub fn start(
-        sys: &mut dyn Sys,
-        target: HostId,
-        request: Msg,
-        retry_delay: SimDuration,
-        attempts: u32,
-    ) -> Self {
-        let mut x = PmdExchange {
-            target,
-            request,
-            step: PmdStep::ToInetd,
-            conn: None,
-            pmd_port: None,
-            attempts_left: attempts.max(1),
-            retry_delay,
-        };
-        x.connect_current(sys);
-        x
-    }
-
-    /// Whether `conn` belongs to this exchange.
-    pub fn owns(&self, conn: ConnId) -> bool {
-        self.conn == Some(conn)
-    }
-
-    /// The connection currently in use.
-    pub fn current_conn(&self) -> Option<ConnId> {
-        self.conn
-    }
-
-    /// True once finished (successfully or not).
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.step, PmdStep::Done | PmdStep::Dead)
-    }
-
-    fn connect_current(&mut self, sys: &mut dyn Sys) {
-        let port = match self.step {
-            PmdStep::ToInetd => Port::INETD,
-            PmdStep::ToPmd => self.pmd_port.expect("port known"),
-            _ => return,
-        };
-        self.conn = sys.connect(self.target, port).ok();
-        if self.conn.is_none() {
-            self.step = PmdStep::Dead;
-        }
-    }
-
-    fn bounce(&mut self) -> PmdProgress {
-        if self.attempts_left == 0 {
-            self.step = PmdStep::Dead;
-            return PmdProgress::Failed(SysError::ConnectionRefused);
-        }
-        self.attempts_left -= 1;
-        PmdProgress::RetryAfter(self.retry_delay)
-    }
-
-    /// Re-attempts the current step.
-    pub fn retry(&mut self, sys: &mut dyn Sys) -> PmdProgress {
-        if self.is_terminal() {
-            return PmdProgress::Failed(SysError::ConnectionClosed);
-        }
-        self.connect_current(sys);
-        if self.conn.is_some() {
-            PmdProgress::Pending
-        } else {
-            self.step = PmdStep::Dead;
-            PmdProgress::Failed(SysError::HostDown)
-        }
-    }
-
-    /// Feeds a connection event for an owned connection.
-    pub fn on_conn_event(&mut self, sys: &mut dyn Sys, ev: ConnEvent) -> PmdProgress {
-        match (self.step, ev) {
-            (PmdStep::ToInetd, ConnEvent::Established) => {
-                let conn = self.conn.expect("owned");
-                if sys.send(conn, inetd::request(PMD_SERVICE)).is_err() {
-                    return self.bounce();
-                }
-                self.step = PmdStep::AwaitPort;
-                PmdProgress::Pending
-            }
-            (PmdStep::ToPmd, ConnEvent::Established) => {
-                let conn = self.conn.expect("owned");
-                if sys.send(conn, self.request.to_bytes()).is_err() {
-                    return self.bounce();
-                }
-                self.step = PmdStep::AwaitAnswer;
-                PmdProgress::Pending
-            }
-            (_, ConnEvent::Failed(SysError::ConnectionRefused)) => self.bounce(),
-            (_, ConnEvent::Failed(err)) => {
-                self.step = PmdStep::Dead;
-                PmdProgress::Failed(err)
-            }
-            (_, ConnEvent::Closed) if self.step != PmdStep::Done => {
-                self.step = PmdStep::Dead;
-                PmdProgress::Failed(SysError::ConnectionClosed)
-            }
-            _ => PmdProgress::Pending,
-        }
-    }
-
-    /// Feeds a message arriving on an owned connection.
-    pub fn on_message(&mut self, sys: &mut dyn Sys, data: Bytes) -> PmdProgress {
-        match self.step {
-            PmdStep::AwaitPort => match inetd::parse_reply(&data) {
-                Ok(port) => {
-                    let conn = self.conn.expect("owned");
-                    let _ = sys.close(conn);
-                    self.pmd_port = Some(port);
-                    self.step = PmdStep::ToPmd;
-                    self.connect_current(sys);
-                    PmdProgress::Pending
-                }
-                Err(e) => {
-                    self.step = PmdStep::Dead;
-                    PmdProgress::Failed(e)
-                }
-            },
-            PmdStep::AwaitAnswer => match Msg::from_bytes(&data) {
-                Ok(answer) => {
-                    let conn = self.conn.expect("owned");
-                    let _ = sys.close(conn);
-                    self.step = PmdStep::Done;
-                    PmdProgress::Answer(answer)
-                }
-                Err(_) => {
-                    self.step = PmdStep::Dead;
-                    PmdProgress::Failed(SysError::InvalidArgument)
-                }
-            },
-            _ => PmdProgress::Pending,
+            _ => Progress::Pending,
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! The channel is exercised end-to-end in the LPM/harness integration
-    //! tests; here we check the pure state transitions that need no world.
+    //! The chain is exercised end-to-end in the LPM/harness integration
+    //! tests; here a stub backend feeds it the events those never produce
+    //! on demand.
     use super::*;
+    use ppm_runtime::ids::{Pid, Uid};
+    use ppm_runtime::kernel::{Effects, Kernel};
+    use ppm_runtime::obs::{HubRef, ObsHub};
+    use ppm_runtime::program::{Program, SpawnSpec};
+    use ppm_runtime::signal::Signal;
+    use ppm_runtime::sys::TimerHandle;
+    use ppm_runtime::time::SimTime;
 
-    fn identity() -> HelloIdentity {
-        HelloIdentity {
-            user: 100,
-            host: "a".into(),
-            is_tool: true,
-            ccs: "a".into(),
-            epoch: 0,
-            proof: 1,
+    /// Every connect succeeds with the next id, every send and close is
+    /// accepted, tracing is off; a dial asks for nothing else.
+    struct Stub {
+        conns: u64,
+        hub: ObsHub,
+    }
+
+    impl Sys for Stub {
+        fn connect(&mut self, _: HostId, _: Port) -> Result<ConnId, SysError> {
+            self.conns += 1;
+            Ok(ConnId(self.conns))
+        }
+        fn send_bytes(&mut self, _: ConnId, _: Bytes) -> Result<(), SysError> {
+            Ok(())
+        }
+        fn close(&mut self, _: ConnId) -> Result<(), SysError> {
+            Ok(())
+        }
+        fn hub(&mut self) -> HubRef<'_> {
+            HubRef::Own(&mut self.hub)
+        }
+        fn now(&self) -> SimTime {
+            unimplemented!()
+        }
+        fn host(&self) -> HostId {
+            unimplemented!()
+        }
+        fn host_name(&self) -> &str {
+            unimplemented!()
+        }
+        fn pid(&self) -> Pid {
+            unimplemented!()
+        }
+        fn set_timer(&mut self, _: SimDuration, _: u64) -> TimerHandle {
+            unimplemented!()
+        }
+        fn cancel_timer(&mut self, _: TimerHandle) -> bool {
+            unimplemented!()
+        }
+        fn listen(&mut self, _: Port) -> Result<(), SysError> {
+            unimplemented!()
+        }
+        fn resolve_host(&self, _: &str) -> Result<HostId, SysError> {
+            unimplemented!()
+        }
+        fn known_hosts(&self) -> Vec<String> {
+            unimplemented!()
+        }
+        fn random_unit(&mut self) -> f64 {
+            unimplemented!()
+        }
+        fn exit(&mut self, _: i32) {
+            unimplemented!()
+        }
+        fn fork_exec(&mut self, _: Pid, _: Uid, _: SpawnSpec) -> Result<Pid, SysError> {
+            unimplemented!()
+        }
+        fn post_signal(&mut self, _: Pid, _: Signal) {
+            unimplemented!()
+        }
+        fn make_service(&self, _: &str) -> Option<(Port, Box<dyn Program>)> {
+            unimplemented!()
+        }
+        fn kernel(&self) -> &Kernel {
+            unimplemented!()
+        }
+        fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
+            unimplemented!()
+        }
+        fn flush_effects(&mut self) {
+            unimplemented!()
         }
     }
 
+    const DELAY: SimDuration = SimDuration::from_millis(20);
+    const REFUSED: ConnEvent = ConnEvent::Failed(SysError::ConnectionRefused);
+
+    /// A stub backend and a dial on it that inetd has just answered.
+    fn dial_past_inetd(hello: bool, attempts: u32) -> (Stub, Dial) {
+        let mut sys = Stub {
+            conns: 0,
+            hub: ObsHub::new(false),
+        };
+        let mut dial = if hello {
+            let identity = HelloIdentity {
+                user: 100,
+                host: "a".into(),
+                is_tool: true,
+                ccs: "a".into(),
+                epoch: 0,
+                proof: 1,
+            };
+            Dial::lpm(&mut sys, HostId(1), identity, DELAY, attempts)
+        } else {
+            let ask = Msg::CcsQuery {
+                user: 100,
+                claimant: "a".into(),
+                dead: None,
+            };
+            Dial::pmd(&mut sys, HostId(1), ask, DELAY, attempts)
+        };
+        dial.on_conn_event(&mut sys, ConnEvent::Established);
+        let port = Bytes::copy_from_slice(&[inetd::INETD_OK, 0, 9]);
+        assert_eq!(dial.on_message(&mut sys, port), Progress::Pending);
+        assert_eq!((dial.step, dial.port), (Step::ToPmd, Port(9)));
+        (sys, dial)
+    }
+
     #[test]
-    fn route_cache_learns_and_counts() {
-        let mut c = RouteCache::new(8);
-        let mut route = Route::from_origin("here");
-        route.push("mid");
-        route.push("far");
-        c.learn(&route, "here");
-        assert_eq!(c.lookup("far"), Some("mid"));
-        assert_eq!(c.lookup("nowhere"), None);
-        assert_eq!(c.counters(), (1, 1));
-        // Peeking leaves the counters alone.
-        assert_eq!(c.get("far"), Some("mid"));
-        assert_eq!(c.counters(), (1, 1));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.counters(), (0, 0));
+    fn refusals_anywhere_in_the_chain_draw_on_one_budget() {
+        let (mut sys, mut dial) = dial_past_inetd(true, 2);
+        let sys = &mut sys;
+        // pmd is still booting ...
+        assert_eq!(
+            dial.on_conn_event(sys, REFUSED),
+            Progress::RetryAfter(DELAY)
+        );
+        assert_eq!(dial.retry(sys), Progress::Pending);
+        dial.on_conn_event(sys, ConnEvent::Established);
+        let addr = Msg::LpmAddr {
+            user: 100,
+            port: 1100,
+            created: true,
+        };
+        assert_eq!(dial.on_message(sys, addr.to_bytes()), Progress::Pending);
+        assert_eq!((dial.step, dial.port), (Step::ToLpm, Port(1100)));
+        // ... and so is the LPM it names, which gets what is left.
+        assert_eq!(
+            dial.on_conn_event(sys, REFUSED),
+            Progress::RetryAfter(DELAY)
+        );
+        assert_eq!(dial.retry(sys), Progress::Pending);
+        assert_eq!(
+            dial.on_conn_event(sys, REFUSED),
+            Progress::Failed(SysError::ConnectionRefused)
+        );
+        assert!(dial.is_terminal());
+    }
+
+    #[test]
+    fn closed_after_done_is_not_a_failure() {
+        let (mut sys, mut dial) = dial_past_inetd(false, 1);
+        let sys = &mut sys;
+        dial.on_conn_event(sys, ConnEvent::Established);
+        let conn = dial.conn.expect("connected to pmd");
+        assert!(dial.owns(conn) && !dial.owns(ConnId(conn.0 - 1)));
+        let answer = Msg::CcsInfo {
+            user: 100,
+            ccs: "a".into(),
+            epoch: 1,
+        };
+        assert_eq!(
+            dial.on_message(sys, answer.to_bytes()),
+            Progress::Done(Dialed::Answer(answer))
+        );
+        assert_eq!(
+            dial.on_conn_event(sys, ConnEvent::Closed),
+            Progress::Pending
+        );
     }
 
     #[test]
@@ -670,16 +609,14 @@ mod tests {
         r2.push("alt");
         r2.push("elsewhere");
         c.learn(&r2, "here");
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.get("nowhere"), None);
         // mid crashed: both entries routed via it go; the other stays.
         assert_eq!(c.evict_via("mid"), 2);
-        assert!(!c.contains_key("far"));
-        assert!(!c.contains_key("farther"));
+        assert_eq!((c.get("far"), c.get("farther")), (None, None));
         assert_eq!(c.get("elsewhere"), Some("alt"));
         // Evicting a destination host drops its entry too.
         assert_eq!(c.evict_via("elsewhere"), 1);
-        assert!(c.is_empty());
-        assert_eq!(c.evict_via("nowhere"), 0);
+        assert_eq!(c.evict_via("elsewhere"), 0, "nothing is left");
     }
 
     #[test]
@@ -691,61 +628,13 @@ mod tests {
             route.push(dest);
             c.learn(&route, "here");
         }
-        assert_eq!(c.len(), 2, "third destination rejected at capacity");
-        assert!(c.contains_key("d1"));
-        assert!(c.contains_key("d2"));
-        assert!(!c.contains_key("d3"));
+        assert_eq!((c.get("d1"), c.get("d2")), (Some("mid"), Some("mid")));
+        assert_eq!(c.get("d3"), None, "third destination rejected at capacity");
         // Hosts already cached still refresh-no-op past the cap.
         let mut again = Route::from_origin("here");
         again.push("alt");
         again.push("d1");
         c.learn(&again, "here");
         assert_eq!(c.get("d1"), Some("mid"), "first route wins");
-    }
-
-    #[test]
-    fn bounce_counts_down_then_fails() {
-        let mut chan = LpmChannel {
-            target: HostId(0),
-            identity: identity(),
-            step: Step::ToInetd,
-            conn: Some(ConnId(1)),
-            pmd_port: None,
-            lpm_port: None,
-            created: false,
-            attempts_left: 2,
-            retry_delay: SimDuration::from_millis(20),
-        };
-        assert_eq!(
-            chan.bounce(),
-            ChanProgress::RetryAfter(SimDuration::from_millis(20))
-        );
-        assert_eq!(
-            chan.bounce(),
-            ChanProgress::RetryAfter(SimDuration::from_millis(20))
-        );
-        assert_eq!(
-            chan.bounce(),
-            ChanProgress::Failed(SysError::ConnectionRefused)
-        );
-        assert!(chan.is_terminal());
-    }
-
-    #[test]
-    fn ownership_is_per_conn() {
-        let chan = LpmChannel {
-            target: HostId(3),
-            identity: identity(),
-            step: Step::ToInetd,
-            conn: Some(ConnId(9)),
-            pmd_port: None,
-            lpm_port: None,
-            created: false,
-            attempts_left: 1,
-            retry_delay: SimDuration::from_millis(20),
-        };
-        assert!(chan.owns(ConnId(9)));
-        assert!(!chan.owns(ConnId(8)));
-        assert_eq!(chan.target(), HostId(3));
     }
 }

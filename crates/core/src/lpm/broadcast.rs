@@ -49,7 +49,7 @@ use ppm_runtime::trace::TraceCategory;
 
 use crate::rpc::PendingRequest;
 
-use super::{BcastKey, BcastState, Lpm, ReplyTo, TimerKind};
+use super::{BcastKey, BcastRole, BcastState, Lpm, ReplyTo, TimerKind};
 
 /// Which operations may be broadcast (`dest = "*"`).
 fn broadcastable(op: &Op) -> bool {
@@ -57,6 +57,34 @@ fn broadcastable(op: &Op) -> bool {
         op,
         Op::Snapshot | Op::Rusage { .. } | Op::History { .. } | Op::Ping
     )
+}
+
+impl BcastState {
+    /// The state of a wave this LPM has just entered, nothing done yet.
+    fn new(
+        stamp: Stamp,
+        user: u32,
+        op: Op,
+        route_in: Route,
+        forward_targets: Vec<String>,
+        role: BcastRole,
+    ) -> Self {
+        BcastState {
+            stamp,
+            op,
+            user,
+            role,
+            pending_children: BTreeSet::new(),
+            local_done: false,
+            forward_handler: None,
+            forwarded: forward_targets.is_empty(),
+            forward_targets,
+            agg_received: BTreeSet::new(),
+            missing: BTreeSet::new(),
+            route_in,
+            timeout_token: None,
+        }
+    }
 }
 
 impl Lpm {
@@ -88,63 +116,52 @@ impl Lpm {
         self.stats.bcasts_originated += 1;
 
         let forward_targets: Vec<String> = self.siblings.keys().cloned().collect();
-        let forwarded = forward_targets.is_empty();
-        let state = BcastState {
-            stamp: stamp.clone(),
-            op: op.clone(),
-            user,
-            upstream: None,
-            reply_req: Some(req_id),
-            parts: Vec::new(),
-            pending_children: BTreeSet::new(),
-            local_done: false,
-            done_sent: false,
-            forward_handler: None,
-            respond_handler: None,
-            forward_targets,
-            forwarded,
-            agg_buf: Enc::new(),
-            agg_count: 0,
-            agg_received: BTreeSet::new(),
-            missing: BTreeSet::new(),
-            route_in: Route::from_origin(self.host.clone()),
-            merge_queue: VecDeque::new(),
-            combine_started: false,
-            merges_outstanding: 0,
-            merge_free_at: SimTime::ZERO,
-            timeout_token: None,
-        };
-        self.bcasts.insert(key.clone(), state);
         let span = format_args!("{}@{}", key.0, key.1);
         sys.span("bcast", span, SpanPhase::Begin);
         sys.trace(
             TraceCategory::Broadcast,
             format_args!(
-                "originate {}#{} ({}) targets {:?}",
+                "originate {}#{} ({}) targets {forward_targets:?}",
                 key.0,
                 key.1,
                 op.kind(),
-                self.bcasts[&key].forward_targets
             ),
         );
+        let role = BcastRole::Origin {
+            reply_req: req_id,
+            parts: Vec::new(),
+            merge_queue: VecDeque::new(),
+            combine_started: false,
+            merges_outstanding: 0,
+            merge_free_at: SimTime::ZERO,
+        };
+        let route_in = Route::from_origin(self.host.clone());
+        self.join_wave(
+            sys,
+            BcastState::new(stamp, user, op, route_in, forward_targets, role),
+        );
+    }
 
-        // Local slice: the originator's dispatcher gathers it directly.
-        self.begin_local_slice(sys, &key, user, op, false);
-
+    /// Starts this LPM's part in a wave — for the originator and a relay
+    /// alike: gather the local slice, hand the downstream fan-out to a
+    /// handler, arm the straggler timeout.
+    fn join_wave(&mut self, sys: &mut dyn Sys, mut state: BcastState) {
+        let key = state.stamp.key();
+        // The originator's dispatcher gathers its slice directly. A relay
+        // hands it to a handler, respond-task first and then the
+        // forward-task — the dispatcher serializes the two hand-offs.
+        let by_handler = matches!(state.role, BcastRole::Relay { .. });
+        self.begin_local_slice(sys, &key, state.user, state.op.clone(), by_handler);
         // Downstream wave: a handler carries the fan-out and blocks on it.
-        let has_targets = !self.bcasts[&key].forward_targets.is_empty();
-        if has_targets {
+        if !state.forward_targets.is_empty() {
             let (h, d) = self.acquire_handler(sys);
-            if let Some(b) = self.bcasts.get_mut(&key) {
-                b.forward_handler = Some(h);
-            }
+            state.forward_handler = Some(h);
             self.arm(sys, d, TimerKind::BcastForward(key.clone()));
         }
         let timeout = self.cfg.bcast_timeout;
         let tok = self.arm(sys, timeout, TimerKind::BcastTimeout(key.clone()));
-        if let Some(b) = self.bcasts.get_mut(&key) {
-            b.timeout_token = Some(tok);
-        }
+        state.timeout_token = Some(tok);
+        self.bcasts.insert(key, state);
     }
 
     /// Creates the internal sub-request that gathers this host's slice.
@@ -181,18 +198,17 @@ impl Lpm {
             backoff: policy.backoff,
             backoff_max: policy.backoff_max,
         };
-        if with_handler {
+        let d = if with_handler {
             let (h, d) = self.acquire_handler(sys);
             req.handler = Some(h);
             req.phase = super::ReqPhase::HandlerForLocal;
-            self.rpc.insert(id, req);
-            self.arm(sys, d, TimerKind::ReqStep(id));
+            d
         } else {
             let cost = self.op_cost(&op);
-            let d = sys.scale_cost(cost);
-            self.rpc.insert(id, req);
-            self.arm(sys, d, TimerKind::ReqStep(id));
-        }
+            sys.scale_cost(cost)
+        };
+        self.rpc.insert(id, req);
+        self.arm(sys, d, TimerKind::ReqStep(id));
     }
 
     /// A broadcast request arrived from sibling `from_host`.
@@ -229,10 +245,9 @@ impl Lpm {
             // would make the parent finalize without it. Duplicates via
             // an alternate graph path (or after completion) still get the
             // marker so that parent stops waiting on this child.
-            let in_progress_upstream = self
-                .bcasts
-                .get(&key)
-                .is_some_and(|b| b.upstream == Some(conn));
+            let in_progress_upstream = self.bcasts.get(&key).is_some_and(
+                |b| matches!(b.role, BcastRole::Relay { upstream, .. } if upstream == conn),
+            );
             if !in_progress_upstream {
                 let _ = self.send_msg(sys, conn, &Msg::BcastDone { stamp });
             }
@@ -250,59 +265,25 @@ impl Lpm {
             .filter(|h| h.as_str() != from_host && !route.contains(h))
             .cloned()
             .collect();
-        let forwarded = forward_targets.is_empty();
-        let state = BcastState {
-            stamp: stamp.clone(),
-            op: op.clone(),
-            user,
-            upstream: Some(conn),
-            reply_req: None,
-            parts: Vec::new(),
-            pending_children: BTreeSet::new(),
-            local_done: false,
-            done_sent: false,
-            forward_handler: None,
-            respond_handler: None,
-            forward_targets,
-            forwarded,
-            agg_buf: Enc::new(),
-            agg_count: 0,
-            agg_received: BTreeSet::new(),
-            missing: BTreeSet::new(),
-            route_in: route,
-            merge_queue: VecDeque::new(),
-            combine_started: false,
-            merges_outstanding: 0,
-            merge_free_at: SimTime::ZERO,
-            timeout_token: None,
-        };
-        self.bcasts.insert(key.clone(), state);
         let span = format_args!("{}@{}", key.0, key.1);
         sys.span("bcast.relay", span, SpanPhase::Begin);
         sys.trace(
             TraceCategory::Broadcast,
             format_args!(
-                "receive {}#{} from {from_host}, forward to {:?}",
-                key.0, key.1, self.bcasts[&key].forward_targets
+                "receive {}#{} from {from_host}, forward to {forward_targets:?}",
+                key.0, key.1
             ),
         );
-
-        // Respond-task first (a handler gathers and answers), then the
-        // forward-task — the dispatcher serializes the two hand-offs.
-        self.begin_local_slice(sys, &key, user, op, true);
-        let has_targets = !self.bcasts[&key].forward_targets.is_empty();
-        if has_targets {
-            let (h, d) = self.acquire_handler(sys);
-            if let Some(b) = self.bcasts.get_mut(&key) {
-                b.forward_handler = Some(h);
-            }
-            self.arm(sys, d, TimerKind::BcastForward(key.clone()));
-        }
-        let timeout = self.cfg.bcast_timeout;
-        let tok = self.arm(sys, timeout, TimerKind::BcastTimeout(key.clone()));
-        if let Some(b) = self.bcasts.get_mut(&key) {
-            b.timeout_token = Some(tok);
-        }
+        let role = BcastRole::Relay {
+            upstream: conn,
+            agg_buf: Enc::new(),
+            agg_count: 0,
+            respond_handler: None,
+        };
+        self.join_wave(
+            sys,
+            BcastState::new(stamp, user, op, route, forward_targets, role),
+        );
     }
 
     /// The forward handler is ready: send the wave downstream.
@@ -360,55 +341,20 @@ impl Lpm {
             TraceCategory::Broadcast,
             format_args!("local slice done {}#{}", key.0, key.1),
         );
-        let b = self.bcasts.get_mut(key).expect("checked");
-        match b.upstream {
-            None => b.parts.push(reply),
-            Some(_) => {
-                // Relay: the local slice becomes the first part of the
-                // subtree's single upstream aggregate.
+        match &mut b.role {
+            BcastRole::Origin { parts, .. } => parts.push(reply),
+            BcastRole::Relay {
+                agg_buf, agg_count, ..
+            } => {
+                // The local slice becomes the first part of the subtree's
+                // single upstream aggregate.
                 let mut route = b.route_in.clone();
                 route.push(self.host.clone());
-                reply.push_part(&mut b.agg_buf, &self.host, &route);
-                b.agg_count += 1;
+                reply.push_part(agg_buf, &self.host, &route);
+                *agg_count += 1;
             }
         }
         self.maybe_complete(sys, key);
-    }
-
-    /// A downstream host's answer arrived.
-    pub(crate) fn handle_bcast_resp(
-        &mut self,
-        sys: &mut dyn Sys,
-        _conn: ConnId,
-        stamp: Stamp,
-        resp_host: String,
-        reply: WireReply,
-        route: Route,
-    ) {
-        let key = stamp.key();
-        sys.trace(
-            TraceCategory::Broadcast,
-            format_args!(
-                "part from {resp_host} for {}#{} (route {route})",
-                key.0, key.1
-            ),
-        );
-        let Some(b) = self.bcasts.get(&key) else {
-            return;
-        };
-        match b.upstream {
-            None => {
-                // Originator: queue the part for the combine phase.
-                self.queue_part(sys, &key, WirePart { reply, route });
-            }
-            Some(_) => {
-                // Relay: fold the single-part answer into the subtree
-                // aggregate like any child contribution.
-                let b = self.bcasts.get_mut(&key).expect("checked");
-                reply.push_part(&mut b.agg_buf, &resp_host, &route);
-                b.agg_count += 1;
-            }
-        }
     }
 
     /// A child subtree's aggregated answers arrived in one frame.
@@ -421,7 +367,7 @@ impl Lpm {
         missing: Vec<String>,
     ) {
         let key = stamp.key();
-        let Some(b) = self.bcasts.get(&key) else {
+        let Some(b) = self.bcasts.get_mut(&key) else {
             return;
         };
         sys.trace(
@@ -437,11 +383,11 @@ impl Lpm {
         // named missing, so the tool gets a `Partial` naming it instead of
         // a complete-looking result with that subtree silently absent.
         let mut unreadable = None;
-        match b.upstream {
-            None => {
-                // Originator: split the batch and queue each part for the
-                // combine phase (the per-part merge cost model is
-                // unchanged — only the transit cost collapsed).
+        match &mut b.role {
+            BcastRole::Origin { .. } => {
+                // Split the batch and queue each part for the combine
+                // phase (the per-part merge cost model is unchanged —
+                // only the transit cost collapsed).
                 match WirePart::split(&parts) {
                     Ok(parts) => {
                         for part in parts {
@@ -451,13 +397,14 @@ impl Lpm {
                     Err(e) => unreadable = Some(e.to_string()),
                 }
             }
-            Some(_) => {
-                // Relay: splice the child's frames onto ours byte-for-byte
-                // — the in-network aggregation fast path.
-                let b = self.bcasts.get_mut(&key).expect("checked");
-                match append_batch(&mut b.agg_buf, &parts) {
+            BcastRole::Relay {
+                agg_buf, agg_count, ..
+            } => {
+                // Splice the child's frames onto ours byte-for-byte — the
+                // in-network aggregation fast path.
+                match append_batch(agg_buf, &parts) {
                     Some(spliced) => {
-                        b.agg_count += spliced;
+                        *agg_count += spliced;
                         let spliced = u64::from(spliced);
                         self.obs.registry.add(self.obs.parts_spliced, spliced);
                     }
@@ -481,11 +428,16 @@ impl Lpm {
     /// straggler after a timeout), it gets its serialized slot at once.
     fn queue_part(&mut self, sys: &mut dyn Sys, key: &BcastKey, part: WirePart) {
         self.learn_route(&part.route);
-        let Some(b) = self.bcasts.get_mut(key) else {
+        let Some(BcastRole::Origin {
+            merge_queue,
+            combine_started,
+            ..
+        }) = self.bcasts.get_mut(key).map(|b| &mut b.role)
+        else {
             return;
         };
-        b.merge_queue.push_back(part.reply);
-        if b.combine_started {
+        merge_queue.push_back(part.reply);
+        if *combine_started {
             self.schedule_merge_slot(sys, key);
         }
     }
@@ -494,35 +446,35 @@ impl Lpm {
     fn schedule_merge_slot(&mut self, sys: &mut dyn Sys, key: &BcastKey) {
         let now = sys.now();
         let cost = sys.scale_cost(self.cfg.merge_cost);
-        let Some(b) = self.bcasts.get_mut(key) else {
+        let Some(BcastRole::Origin {
+            merges_outstanding,
+            merge_free_at,
+            ..
+        }) = self.bcasts.get_mut(key).map(|b| &mut b.role)
+        else {
             return;
         };
-        b.merges_outstanding += 1;
-        let start = if b.merge_free_at > now {
-            b.merge_free_at
-        } else {
-            now
-        };
-        let ready = start + cost;
-        b.merge_free_at = ready;
+        *merges_outstanding += 1;
+        let ready = (*merge_free_at).max(now) + cost;
+        *merge_free_at = ready;
         let delay = ready.saturating_since(now);
         self.arm(sys, delay, TimerKind::BcastMerge(key.clone()));
     }
 
     /// An originator merge slot completed.
     pub(crate) fn bcast_merge_slot(&mut self, sys: &mut dyn Sys, key: &BcastKey) {
-        let Some(b) = self.bcasts.get_mut(key) else {
+        let Some(BcastRole::Origin {
+            parts,
+            merge_queue,
+            merges_outstanding,
+            ..
+        }) = self.bcasts.get_mut(key).map(|b| &mut b.role)
+        else {
             return;
         };
-        if b.upstream.is_none() {
-            if b.merges_outstanding > 0 {
-                b.merges_outstanding -= 1;
-            }
-            if let Some(reply) = b.merge_queue.pop_front() {
-                b.parts.push(reply);
-            }
-            self.maybe_complete(sys, key);
-        }
+        *merges_outstanding = merges_outstanding.saturating_sub(1);
+        parts.extend(merge_queue.pop_front());
+        self.maybe_complete(sys, key);
     }
 
     /// A child subtree reported completion.
@@ -573,134 +525,124 @@ impl Lpm {
 
     /// Checks whether this LPM's participation in the wave is complete.
     fn maybe_complete(&mut self, sys: &mut dyn Sys, key: &BcastKey) {
-        let Some(b) = self.bcasts.get(key) else {
+        let Some(b) = self.bcasts.get_mut(key) else {
             return;
         };
         let gathered = b.local_done && b.forwarded && b.pending_children.is_empty();
         if !gathered {
             return;
         }
-        if b.upstream.is_none() && !b.combine_started {
-            // Gather-then-combine: the origin's serialized merge slots
-            // start only once the wave has quiesced, so every contributor
-            // pays a full slot at the tail — the Table 3 shape, where an
-            // extra answering host costs an extra merge even when its
-            // reply arrived early and in parallel.
-            let parts_waiting = b.merge_queue.len();
-            let b = self.bcasts.get_mut(key).expect("checked");
-            b.combine_started = true;
-            for _ in 0..parts_waiting {
-                self.schedule_merge_slot(sys, key);
-            }
-            if parts_waiting > 0 {
+        if let BcastRole::Origin {
+            merge_queue,
+            combine_started,
+            merges_outstanding,
+            ..
+        } = &mut b.role
+        {
+            if !*combine_started {
+                // Gather-then-combine: the origin's serialized merge slots
+                // start only once the wave has quiesced, so every
+                // contributor pays a full slot at the tail — the Table 3
+                // shape, where an extra answering host costs an extra
+                // merge even when its reply arrived early and in parallel.
+                *combine_started = true;
+                let parts_waiting = merge_queue.len();
+                for _ in 0..parts_waiting {
+                    self.schedule_merge_slot(sys, key);
+                }
+                if parts_waiting > 0 {
+                    return;
+                }
+            } else if !merge_queue.is_empty() || *merges_outstanding > 0 {
                 return;
             }
         }
-        let b = self.bcasts.get(key).expect("checked");
-        let quiesced = b.merge_queue.is_empty() && b.merges_outstanding == 0;
-        if !quiesced {
-            return;
+        let b = self.bcasts.remove(key).expect("checked");
+        if let Some(tok) = b.timeout_token {
+            self.rpc.cancel(tok);
         }
-        if b.upstream.is_none() {
-            // Originator: merge parts into the final reply; a non-empty
-            // missing list marks the result as partial.
-            let b = self.bcasts.remove(key).expect("checked");
-            if let Some(tok) = b.timeout_token {
-                self.rpc.cancel(tok);
-            }
-            self.release_handler(sys, b.forward_handler);
-            sys.trace(
-                TraceCategory::Broadcast,
-                format_args!(
-                    "finalize {}#{} with {} parts ({} missing)",
-                    key.0,
-                    key.1,
-                    b.parts.len(),
-                    b.missing.len()
-                ),
-            );
-            let span = format_args!("{}@{}", key.0, key.1);
-            sys.span("bcast", span, SpanPhase::End);
-            // Every part was checked when it was made or arrived, so the
-            // merge's own checked walk has nothing left to refuse.
-            let combined = WireReply::merge(&b.op, &b.parts).unwrap_or_else(|e| {
-                WireReply::from(&Reply::Err {
-                    code: ErrCode::Internal,
-                    detail: format!("merge failed at {e}"),
-                })
-            });
-            let combined = if b.missing.is_empty() {
-                combined
-            } else {
-                let missing = b.missing.len() as u64;
-                self.obs.registry.inc(self.obs.partial_flushes);
-                self.obs.registry.add(self.obs.missing_hosts, missing);
-                combined.partial(&b.missing)
-            };
-            if let Some(req_id) = b.reply_req {
-                self.finish_req(sys, req_id, combined);
-            }
-        } else if !b.done_sent {
-            let b = self.bcasts.get_mut(key).expect("checked");
-            b.done_sent = true;
-            let upstream = b.upstream.expect("relay");
-            let stamp = b.stamp.clone();
-            let forward_handler = b.forward_handler.take();
-            let respond_handler = b.respond_handler.take();
-            let timeout_token = b.timeout_token.take();
-            let missing: Vec<String> = b.missing.iter().cloned().collect();
-            let mut batch = Vec::with_capacity(4 + b.agg_buf.len());
-            batch.extend_from_slice(&b.agg_count.to_be_bytes());
-            batch.extend_from_slice(b.agg_buf.as_slice());
-            if self.cfg.reply_splicing {
-                // The whole subtree's answers leave in a single aggregated
-                // frame on this edge, then the wave-completion marker.
-                let agg = Msg::BcastAgg {
-                    stamp: stamp.clone(),
-                    parts: bytes::Bytes::from(batch),
-                    missing,
-                };
-                let _ = self.send_msg(sys, upstream, &agg);
-            } else {
-                // Splicing off (the congestion exhibit's baseline): every
-                // collected part goes upstream as its own batch-of-one
-                // frame — leaf-direct-style traffic on every edge toward
-                // the originator — then one empty frame carries the
-                // missing list. Re-framed, not re-encoded: each part's
-                // frame is copied as it stands.
-                for frame in frames(&batch).into_iter().flatten().map_while(Result::ok) {
-                    let mut one = Enc::with_capacity(8 + frame.len());
-                    one.u32(1);
-                    one.bytes(frame);
-                    let _ = self.send_msg(
-                        sys,
-                        upstream,
-                        &Msg::BcastAgg {
-                            stamp: stamp.clone(),
-                            parts: one.into_bytes(),
-                            missing: Vec::new(),
-                        },
-                    );
-                }
-                let _ = self.send_msg(
-                    sys,
-                    upstream,
-                    &Msg::BcastAgg {
-                        stamp: stamp.clone(),
-                        parts: bytes::Bytes::from(0u32.to_be_bytes().to_vec()),
-                        missing,
-                    },
+        match b.role {
+            BcastRole::Origin {
+                reply_req, parts, ..
+            } => {
+                // Merge parts into the final reply; a non-empty missing
+                // list marks the result as partial.
+                self.release_handler(sys, b.forward_handler);
+                sys.trace(
+                    TraceCategory::Broadcast,
+                    format_args!(
+                        "finalize {}#{} with {} parts ({} missing)",
+                        key.0,
+                        key.1,
+                        parts.len(),
+                        b.missing.len()
+                    ),
                 );
+                let span = format_args!("{}@{}", key.0, key.1);
+                sys.span("bcast", span, SpanPhase::End);
+                // Every part was checked when it was made or arrived, so
+                // the merge's own checked walk has nothing left to refuse.
+                let combined = WireReply::merge(&b.op, &parts).unwrap_or_else(|e| {
+                    WireReply::from(&Reply::Err {
+                        code: ErrCode::Internal,
+                        detail: format!("merge failed at {e}"),
+                    })
+                });
+                let combined = if b.missing.is_empty() {
+                    combined
+                } else {
+                    let missing = b.missing.len() as u64;
+                    self.obs.registry.inc(self.obs.partial_flushes);
+                    self.obs.registry.add(self.obs.missing_hosts, missing);
+                    combined.partial(&b.missing)
+                };
+                self.finish_req(sys, reply_req, combined);
             }
-            let _ = self.send_msg(sys, upstream, &Msg::BcastDone { stamp });
-            if let Some(tok) = timeout_token {
-                self.rpc.cancel(tok);
+            BcastRole::Relay {
+                upstream,
+                agg_buf,
+                agg_count,
+                respond_handler,
+            } => {
+                let stamp = b.stamp;
+                let missing: Vec<String> = b.missing.into_iter().collect();
+                let mut batch = Vec::with_capacity(4 + agg_buf.len());
+                batch.extend_from_slice(&agg_count.to_be_bytes());
+                batch.extend_from_slice(agg_buf.as_slice());
+                let mut send_agg = |parts: bytes::Bytes, missing: Vec<String>| {
+                    let agg = Msg::BcastAgg {
+                        stamp: stamp.clone(),
+                        parts,
+                        missing,
+                    };
+                    let _ = sys.send(upstream, agg.to_bytes());
+                };
+                if self.cfg.reply_splicing {
+                    // The whole subtree's answers leave in a single
+                    // aggregated frame on this edge, then the
+                    // wave-completion marker.
+                    send_agg(batch.into(), missing);
+                } else {
+                    // Splicing off (the congestion exhibit's baseline):
+                    // every collected part goes upstream as its own
+                    // batch-of-one frame — leaf-direct-style traffic on
+                    // every edge toward the originator — then one empty
+                    // frame carries the missing list. Re-framed, not
+                    // re-encoded: each part's frame is copied as it stands.
+                    for frame in frames(&batch).into_iter().flatten().map_while(Result::ok) {
+                        let mut one = Enc::with_capacity(8 + frame.len());
+                        one.u32(1);
+                        one.bytes(frame);
+                        send_agg(one.into_bytes(), Vec::new());
+                    }
+                    send_agg(0u32.to_be_bytes().to_vec().into(), missing);
+                }
+                let _ = self.send_msg(sys, upstream, &Msg::BcastDone { stamp });
+                self.release_handler(sys, b.forward_handler);
+                self.release_handler(sys, respond_handler);
+                let span = format_args!("{}@{}", key.0, key.1);
+                sys.span("bcast.relay", span, SpanPhase::End);
             }
-            self.release_handler(sys, forward_handler);
-            self.release_handler(sys, respond_handler);
-            self.bcasts.remove(key);
-            let span = format_args!("{}@{}", key.0, key.1);
-            sys.span("bcast.relay", span, SpanPhase::End);
         }
     }
 }

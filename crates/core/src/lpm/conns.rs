@@ -11,9 +11,10 @@ use ppm_runtime::program::{ConnEvent, SysError};
 use ppm_runtime::sys::Sys;
 use ppm_runtime::trace::TraceCategory;
 
-use crate::locator::{ChanProgress, HelloIdentity, LpmChannel};
+use crate::config::CONNECT_ATTEMPTS;
+use crate::locator::{Dial, Dialed, HelloIdentity, Progress};
 
-use super::{BcastKey, ChanPurpose, ChannelSlot, ConnRole, Lpm, TimerKind};
+use super::{BcastKey, ChanPurpose, ChannelSlot, ConnRole, DialKey, Lpm, TimerKind};
 
 /// Result of asking for a sibling connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,23 +101,27 @@ impl Lpm {
         if let Some(&conn) = self.siblings.get(host) {
             return SiblingStatus::Connected(conn);
         }
-        if self.channels.contains_key(host) {
-            return SiblingStatus::Pending;
-        }
-        match self.start_channel(sys, host, ChanPurpose::Sibling) {
+        match self.start_channel_if_absent(sys, host, ChanPurpose::Sibling) {
             true => SiblingStatus::Pending,
             false => SiblingStatus::Unavailable,
         }
     }
 
-    /// Starts a channel toward `host` for `purpose`. Returns `false` when
-    /// the host name does not resolve.
-    pub(crate) fn start_channel(
+    /// Starts a channel toward `host` for `purpose` unless one is up or
+    /// on its way. Returns `false` when the host name does not resolve.
+    pub(crate) fn start_channel_if_absent(
         &mut self,
         sys: &mut dyn Sys,
         host: &str,
         purpose: ChanPurpose,
     ) -> bool {
+        if self.siblings.contains_key(host) {
+            return true;
+        }
+        let key = DialKey::Lpm(host.into());
+        if self.channels.contains_key(&key) {
+            return true;
+        }
         let Ok(target) = sys.resolve_host(host) else {
             return false;
         };
@@ -129,95 +134,65 @@ impl Lpm {
             proof: self.auth.proof(),
         };
         let retry = self.cfg.connect_retry;
-        let attempts = self.cfg.connect_attempts;
-        let chan = LpmChannel::start(sys, target, identity, retry, attempts);
-        self.channels
-            .insert(host.to_string(), ChannelSlot { chan, purpose });
-        self.reindex_channel(host);
+        let dial = Dial::lpm(sys, target, identity, retry, CONNECT_ATTEMPTS);
+        self.channels.insert(key, ChannelSlot { dial, purpose });
         true
     }
 
-    /// Routes a connection event that may belong to a channel.
-    pub(crate) fn channel_conn_event(
-        &mut self,
-        sys: &mut dyn Sys,
-        host: &str,
-        conn: ConnId,
-        event: ConnEvent,
-    ) {
-        let Some(slot) = self.channels.get_mut(host) else {
-            self.chan_conns.remove(&conn);
-            return;
-        };
-        if !slot.chan.owns(conn) {
-            self.chan_conns.remove(&conn);
-            return;
-        }
-        let progress = slot.chan.on_conn_event(sys, event);
-        self.apply_channel_progress(sys, host, progress);
+    /// The dial that is using `conn` at its current step, if any.
+    pub(crate) fn dial_owning(&self, conn: ConnId) -> Option<DialKey> {
+        let mut slots = self.channels.iter();
+        slots
+            .find(|(_, slot)| slot.dial.owns(conn))
+            .map(|(key, _)| key.clone())
     }
 
-    /// Routes a message that may belong to a channel.
-    pub(crate) fn channel_message(
-        &mut self,
-        sys: &mut dyn Sys,
-        host: &str,
-        conn: ConnId,
-        data: bytes::Bytes,
-    ) {
-        let Some(slot) = self.channels.get_mut(host) else {
-            self.chan_conns.remove(&conn);
-            return;
-        };
-        if !slot.chan.owns(conn) {
-            self.chan_conns.remove(&conn);
-            return;
+    /// Feeds a dial an event of the connection it is using.
+    pub(crate) fn channel_conn_event(&mut self, sys: &mut dyn Sys, key: &DialKey, ev: ConnEvent) {
+        if let Some(slot) = self.channels.get_mut(key) {
+            let progress = slot.dial.on_conn_event(sys, ev);
+            self.apply_channel_progress(sys, key, progress);
         }
-        let progress = slot.chan.on_message(sys, data);
-        self.apply_channel_progress(sys, host, progress);
+    }
+
+    /// Feeds a dial a message off the connection it is using.
+    pub(crate) fn channel_message(&mut self, sys: &mut dyn Sys, key: &DialKey, data: bytes::Bytes) {
+        if let Some(slot) = self.channels.get_mut(key) {
+            let progress = slot.dial.on_message(sys, data);
+            self.apply_channel_progress(sys, key, progress);
+        }
     }
 
     /// A `ChannelRetry` timer fired.
-    pub(crate) fn channel_retry(&mut self, sys: &mut dyn Sys, host: &str) {
-        self.chan_retry_armed.remove(host);
-        let Some(slot) = self.channels.get_mut(host) else {
-            return;
-        };
-        let progress = slot.chan.retry(sys);
-        self.apply_channel_progress(sys, host, progress);
-    }
-
-    /// Registers the channel's current connection id so events route back.
-    ///
-    /// `LpmChannel` opens a fresh connection per step, so the owner must
-    /// re-register after every progress report.
-    fn reindex_channel(&mut self, host: &str) {
-        let Some(slot) = self.channels.get(host) else {
-            return;
-        };
-        if let Some(conn) = slot.chan.current_conn() {
-            self.chan_conns.insert(conn, host.into());
+    pub(crate) fn channel_retry(&mut self, sys: &mut dyn Sys, key: &DialKey) {
+        self.chan_retry_armed.remove(key);
+        if let Some(slot) = self.channels.get_mut(key) {
+            let progress = slot.dial.retry(sys);
+            self.apply_channel_progress(sys, key, progress);
         }
     }
 
-    fn apply_channel_progress(&mut self, sys: &mut dyn Sys, host: &str, progress: ChanProgress) {
+    fn apply_channel_progress(
+        &mut self,
+        sys: &mut dyn Sys,
+        key: &DialKey,
+        progress: Progress<Dialed>,
+    ) {
+        let host = key.host();
         match progress {
-            ChanProgress::Pending => {
-                self.reindex_channel(host);
-            }
-            ChanProgress::RetryAfter(delay) => {
-                if self.chan_retry_armed.insert(host.to_string()) {
-                    self.arm(sys, delay, TimerKind::ChannelRetry(host.to_string()));
+            Progress::Pending => {}
+            Progress::RetryAfter(delay) => {
+                if self.chan_retry_armed.insert(key.clone()) {
+                    self.arm(sys, delay, TimerKind::ChannelRetry(key.clone()));
                 }
             }
-            ChanProgress::Ready {
+            Progress::Done(Dialed::Channel {
                 conn,
                 created,
                 peer_ccs,
                 peer_epoch,
-            } => {
-                let slot = self.channels.remove(host).expect("channel exists");
-                self.chan_conns.remove(&conn);
+            }) => {
+                let slot = self.channels.remove(key).expect("channel exists");
                 self.conns.insert(conn, ConnRole::Sibling(host.into()));
                 self.siblings.entry(host.to_string()).or_insert(conn);
                 self.consider_ccs(sys, &peer_ccs, peer_epoch);
@@ -230,14 +205,23 @@ impl Lpm {
                 self.flush_outbox(sys, host, conn);
                 self.channel_purpose_done(sys, host, slot.purpose, true);
             }
-            ChanProgress::Failed(err) => {
-                let slot = self.channels.remove(host);
-                self.note(sys, format_args!("channel to {host} failed: {err}"));
-                self.fail_outbox(sys, host, err);
-                if let Some(slot) = slot {
-                    self.channel_purpose_done(sys, host, slot.purpose, false);
-                }
+            Progress::Done(Dialed::Answer(answer)) => {
+                self.channels.remove(key);
+                self.name_server_answered(sys, answer);
             }
+            Progress::Failed(err) => match self.channels.remove(key).map(|slot| slot.purpose) {
+                Some(ChanPurpose::NameServer) => {
+                    self.note_recovery(sys, format_args!("name server unreachable: {err}"));
+                    self.enter_orphanhood(sys);
+                }
+                purpose => {
+                    self.note(sys, format_args!("channel to {host} failed: {err}"));
+                    self.fail_outbox(sys, host, err);
+                    if let Some(purpose) = purpose {
+                        self.channel_purpose_done(sys, host, purpose, false);
+                    }
+                }
+            },
         }
     }
 

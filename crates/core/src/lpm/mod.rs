@@ -41,17 +41,19 @@ use ppm_proto::types::{Gpid, Route, Stamp};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::{ConnId, Port};
 use ppm_runtime::program::{ConnEvent, Program, SysError};
-use ppm_runtime::signal::{ExitStatus, Signal};
+use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{SimDuration, SimTime};
 use ppm_runtime::trace::TraceCategory;
 
 use crate::auth::Authenticator;
-use crate::config::{lpm_port, PpmConfig};
+use crate::config::{
+    lpm_port, PpmConfig, HANDLER_IDLE_TTL, HANDLER_MAX, HISTORY_CAP, REQ_ATTEMPTS, RUSAGE_CAP,
+};
 use crate::genealogy::Genealogy;
 use crate::handlers::{HandlerId, HandlerPool};
 use crate::history::History;
-use crate::locator::{LpmChannel, PmdExchange, RouteCache};
+use crate::locator::{Dial, RouteCache};
 use crate::obs::LpmObs;
 use crate::rpc::{ReplyTo, ReqPhase, RetryPolicy, RpcKey, RpcTable, TimerKind};
 use crate::trigger_engine::TriggerEngine;
@@ -71,7 +73,7 @@ pub(crate) enum ConnRole {
     Sibling(Arc<str>),
 }
 
-/// Why a channel toward a host is being established.
+/// Why a dial toward a host is in progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChanPurpose {
     /// Ordinary sibling connection (requests queued in the outbox).
@@ -80,10 +82,29 @@ pub(crate) enum ChanPurpose {
     Seek { rank: usize },
     /// Recovery: probing a higher-priority host while acting as CCS.
     Probe,
+    /// Recovery: asking the name server's pmd who the CCS is.
+    NameServer,
+}
+
+/// What a dial connects to: the user's LPM on a host, or a host's pmd —
+/// so the name-server query and a sibling channel to the name server's
+/// own host can be in progress at once.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) enum DialKey {
+    Lpm(Arc<str>),
+    Pmd(Arc<str>),
+}
+
+impl DialKey {
+    pub(crate) fn host(&self) -> &str {
+        match self {
+            DialKey::Lpm(host) | DialKey::Pmd(host) => host,
+        }
+    }
 }
 
 pub(crate) struct ChannelSlot {
-    pub chan: LpmChannel,
+    pub dial: Dial,
     pub purpose: ChanPurpose,
 }
 
@@ -98,35 +119,17 @@ pub(crate) struct BcastState {
     pub stamp: Stamp,
     pub op: Op,
     pub user: u32,
-    /// `None` at the originator, else the upstream sibling connection.
-    pub upstream: Option<ConnId>,
-    /// Internal request to finish with the merged reply (originator only).
-    pub reply_req: Option<u64>,
-    /// Accumulated parts (originator only), in the order their merge
-    /// slots completed — the order the final merge's stable sort sees.
-    pub parts: Vec<WireReply>,
+    pub role: BcastRole,
     /// Hosts we forwarded to and still owe us a `BcastDone`.
     pub pending_children: BTreeSet<String>,
     /// The local slice finished.
     pub local_done: bool,
-    /// The `BcastDone` has been sent upstream (non-originator).
-    pub done_sent: bool,
     /// Handler blocked on the downstream wave, if any.
     pub forward_handler: Option<HandlerId>,
-    /// Handler that gathered and sent the local slice; it blocks until
-    /// this node's whole participation completes (non-originator).
-    pub respond_handler: Option<HandlerId>,
     /// Hosts the wave will be forwarded to (decided at receipt).
     pub forward_targets: Vec<String>,
     /// The downstream forward has been performed (or none was needed).
     pub forwarded: bool,
-    /// Relay-side aggregation: [`ppm_proto::msg::BcastPart`] frames
-    /// accumulated for the one upstream aggregate (batch body without its
-    /// count header). Child aggregates are spliced in byte-for-byte — no
-    /// decode, no re-encode — so each record crosses every edge once.
-    pub agg_buf: Enc,
-    /// Number of part frames in `agg_buf`.
-    pub agg_count: u32,
     /// Direct children whose aggregate already arrived (a later
     /// connection loss must not mark an answered subtree as missing).
     pub agg_received: BTreeSet<String>,
@@ -136,17 +139,45 @@ pub(crate) struct BcastState {
     pub missing: BTreeSet<String>,
     /// Route the request had when it reached us.
     pub route_in: Route,
-    /// Replies waiting for their merge slot (originator only).
-    pub merge_queue: VecDeque<WireReply>,
-    /// Whether the originator's combine phase has begun: parts gather
-    /// during the wave and every serialized merge slot starts once the
-    /// wave quiesces, so each contributor costs a full slot at the tail.
-    pub combine_started: bool,
-    /// Merge work in flight.
-    pub merges_outstanding: u32,
-    /// When merging can next start (serializes merge costs).
-    pub merge_free_at: SimTime,
     pub timeout_token: Option<u64>,
+}
+
+/// What this LPM is to a wave, with the state only that role keeps.
+#[derive(Debug)]
+pub(crate) enum BcastRole {
+    /// It started the wave, and combines the answers into one reply.
+    Origin {
+        /// Internal request to finish with the merged reply.
+        reply_req: u64,
+        /// Accumulated parts, in the order their merge slots completed —
+        /// the order the final merge's stable sort sees.
+        parts: Vec<WireReply>,
+        /// Replies waiting for their merge slot.
+        merge_queue: VecDeque<WireReply>,
+        /// Whether the combine phase has begun: parts gather during the
+        /// wave and every serialized merge slot starts once the wave
+        /// quiesces, so each contributor costs a full slot at the tail.
+        combine_started: bool,
+        /// Merge work in flight.
+        merges_outstanding: u32,
+        /// When merging can next start (serializes merge costs).
+        merge_free_at: SimTime,
+    },
+    /// The wave reached it from a sibling, which gets one aggregate back.
+    Relay {
+        /// The sibling connection the wave arrived on.
+        upstream: ConnId,
+        /// [`ppm_proto::msg::BcastPart`] frames accumulated for the one
+        /// upstream aggregate (batch body without its count header).
+        /// Child aggregates are spliced in byte-for-byte — no decode, no
+        /// re-encode — so each record crosses every edge once.
+        agg_buf: Enc,
+        /// Number of part frames in `agg_buf`.
+        agg_count: u32,
+        /// Handler that gathered the local slice; it blocks until this
+        /// node's whole participation completes.
+        respond_handler: Option<HandlerId>,
+    },
 }
 
 /// Recovery mode (Section 5).
@@ -214,9 +245,9 @@ pub struct Lpm {
 
     pub(crate) conns: HashMap<ConnId, ConnRole>,
     pub(crate) siblings: BTreeMap<String, ConnId>,
-    pub(crate) channels: BTreeMap<String, ChannelSlot>,
-    pub(crate) chan_conns: HashMap<ConnId, Arc<str>>,
-    pub(crate) chan_retry_armed: BTreeSet<String>,
+    /// The dial table: every Figure-2 chain in progress.
+    pub(crate) channels: BTreeMap<DialKey, ChannelSlot>,
+    pub(crate) chan_retry_armed: BTreeSet<DialKey>,
     pub(crate) outbox: BTreeMap<String, Vec<(Msg, Option<u64>)>>,
     pub(crate) route_cache: RouteCache,
     /// The last reachability epoch the route cache was validated at;
@@ -249,8 +280,6 @@ pub struct Lpm {
     /// lost; cleared on any recovery.
     pub(crate) orphan_deadline: Option<SimTime>,
     pub(crate) last_keepalive: SimTime,
-    /// In-flight name-server CCS query (NameServer recovery policy).
-    pub(crate) ns_query: Option<PmdExchange>,
 
     /// When each outstanding recovery probe was sent, for RTT metrics.
     pub(crate) probe_sent: BTreeMap<String, SimTime>,
@@ -290,7 +319,6 @@ impl Lpm {
             conns: HashMap::new(),
             siblings: BTreeMap::new(),
             channels: BTreeMap::new(),
-            chan_conns: HashMap::new(),
             chan_retry_armed: BTreeSet::new(),
             outbox: BTreeMap::new(),
             route_cache: RouteCache::default(),
@@ -299,14 +327,14 @@ impl Lpm {
             bcast_seq: 0,
             bcasts: FastMap::default(),
             tree: Genealogy::default(),
-            history: History::new(entry.config.history_cap, entry.config.rusage_cap),
+            history: History::new(HISTORY_CAP, RUSAGE_CAP),
             triggers: TriggerEngine::new(),
             pool: {
                 let mut pool = HandlerPool::new(
                     entry.config.handler_fork_cost,
                     entry.config.handler_reuse_cost,
-                    entry.config.handler_idle_ttl,
-                    entry.config.handler_max,
+                    HANDLER_IDLE_TTL,
+                    HANDLER_MAX,
                 );
                 pool.set_reuse_enabled(entry.config.handler_reuse);
                 pool
@@ -320,7 +348,6 @@ impl Lpm {
             ttd_armed: false,
             orphan_deadline: None,
             last_keepalive: SimTime::ZERO,
-            ns_query: None,
             probe_sent: BTreeMap::new(),
             stats: LpmStats::default(),
             obs: LpmObs::new(),
@@ -380,7 +407,7 @@ impl Lpm {
     /// The transport-retry policy for origin-side requests.
     pub(crate) fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy {
-            attempts: self.cfg.req_attempts.max(1),
+            attempts: REQ_ATTEMPTS,
             backoff: self.cfg.req_backoff,
             backoff_max: self.cfg.req_backoff_max.max(self.cfg.req_backoff),
         }
@@ -491,8 +518,7 @@ impl Lpm {
     }
 
     pub(crate) fn shutdown(&mut self, sys: &mut dyn Sys, code: i32) {
-        let conns: Vec<ConnId> = self.conns.keys().copied().collect();
-        let mut conns = conns;
+        let mut conns: Vec<ConnId> = self.conns.keys().copied().collect();
         conns.sort_unstable();
         for c in conns {
             let _ = sys.close(c);
@@ -563,13 +589,9 @@ impl Program for Lpm {
     }
 
     fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
-        // Channel-owned connections are routed to their state machines.
-        if let Some(host) = self.chan_conns.get(&conn).cloned() {
-            self.channel_conn_event(sys, &host, conn, event);
-            return;
-        }
-        if self.ns_query.as_ref().is_some_and(|x| x.owns(conn)) {
-            self.ns_conn_event(sys, event);
+        // Dial-owned connections are routed to their state machines.
+        if let Some(key) = self.dial_owning(conn) {
+            self.channel_conn_event(sys, &key, event);
             return;
         }
         match event {
@@ -584,12 +606,8 @@ impl Program for Lpm {
     }
 
     fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, data: Bytes) {
-        if let Some(host) = self.chan_conns.get(&conn).cloned() {
-            self.channel_message(sys, &host, conn, data);
-            return;
-        }
-        if self.ns_query.as_ref().is_some_and(|x| x.owns(conn)) {
-            self.ns_message(sys, data);
+        if let Some(key) = self.dial_owning(conn) {
+            self.channel_message(sys, &key, data);
             return;
         }
         let role = self.conns.get(&conn).cloned();
@@ -632,26 +650,14 @@ impl Program for Lpm {
             TimerKind::ReqStep(id) => self.req_step(sys, id),
             TimerKind::ReqTimeout(id) => self.req_timeout(sys, id),
             TimerKind::ReqRetry(id) => self.req_retry(sys, id),
-            TimerKind::ChannelRetry(host) => self.channel_retry(sys, &host),
+            TimerKind::ChannelRetry(key) => self.channel_retry(sys, &key),
             TimerKind::BcastForward(key) => self.bcast_forward_ready(sys, &key),
             TimerKind::BcastMerge(key) => self.bcast_merge_slot(sys, &key),
             TimerKind::BcastTimeout(key) => self.bcast_timeout(sys, &key),
             TimerKind::Probe => self.probe_tick(sys),
             TimerKind::SeekRetry => self.seek_retry(sys),
             TimerKind::TimeToDie => self.time_to_die(sys),
-            TimerKind::NsRetry => self.ns_retry(sys),
         }
-    }
-
-    fn on_child_exit(
-        &mut self,
-        sys: &mut dyn Sys,
-        child: ppm_runtime::ids::Pid,
-        status: ExitStatus,
-    ) {
-        // Child exits also arrive as kernel Exit events (the LPM traces
-        // its children); this hook only logs the reaping.
-        let _ = (sys, child, status);
     }
 
     fn on_signal(&mut self, sys: &mut dyn Sys, signal: Signal) -> ppm_runtime::program::SigAction {
@@ -772,7 +778,7 @@ mod tests {
         assert_eq!(l.route_cache.get("far"), Some("mid"));
         assert_eq!(l.route_cache.get("farther"), Some("mid"));
         assert!(
-            !l.route_cache.contains_key("mid"),
+            l.route_cache.get("mid").is_none(),
             "direct neighbours are not cached"
         );
 
@@ -781,7 +787,7 @@ mod tests {
         foreign.push("x");
         foreign.push("y");
         l.learn_route(&foreign);
-        assert!(!l.route_cache.contains_key("y"));
+        assert!(l.route_cache.get("y").is_none());
 
         // Existing entries are not overwritten (first route wins).
         let mut second = Route::from_origin("here");
@@ -800,7 +806,7 @@ mod tests {
         route.push("mid");
         route.push("far");
         l.learn_route(&route);
-        assert!(l.route_cache.is_empty());
+        assert!(l.route_cache.get("far").is_none());
     }
 
     #[test]

@@ -13,16 +13,15 @@
 
 use ppm_proto::msg::Msg;
 use ppm_proto::types::Gpid;
-use ppm_runtime::ids::Pid;
+use ppm_runtime::ids::{ConnId, Pid};
 use ppm_runtime::obs::SpanPhase;
 use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
 
-use crate::config::RecoveryPolicy;
-use crate::locator::{PmdExchange, PmdProgress};
-use ppm_runtime::program::ConnEvent;
+use crate::config::{RecoveryPolicy, CONNECT_ATTEMPTS, DEFAULT_TRACE_FLAGS};
+use crate::locator::Dial;
 
-use super::{ChanPurpose, Lpm, RecovMode, TimerKind};
+use super::{ChanPurpose, ChannelSlot, DialKey, Lpm, RecovMode, TimerKind};
 
 impl Lpm {
     // ---- CCS view management ------------------------------------------------
@@ -113,28 +112,13 @@ impl Lpm {
         }
     }
 
-    fn start_channel_if_absent(
-        &mut self,
-        sys: &mut dyn Sys,
-        host: &str,
-        purpose: ChanPurpose,
-    ) -> bool {
-        if self.siblings.contains_key(host) || self.channels.contains_key(host) {
-            return true;
-        }
-        self.start_channel(sys, host, purpose)
-    }
-
     /// Locates a new CCS: walks the `.recovery` list, or asks the name
     /// server, per the configured policy.
     pub(crate) fn start_seek(&mut self, sys: &mut dyn Sys) {
-        match self.cfg.recovery_policy.clone() {
-            RecoveryPolicy::RecoveryFile => {
-                self.recov = RecovMode::Seeking { rank: 0 };
-                self.try_seek_candidate(sys);
-            }
+        self.recov = RecovMode::Seeking { rank: 0 };
+        match self.cfg.recovery_policy {
+            RecoveryPolicy::RecoveryFile => self.try_seek_candidate(sys),
             RecoveryPolicy::NameServer { .. } => {
-                self.recov = RecovMode::Seeking { rank: 0 };
                 let dead = Some(self.ccs.clone()).filter(|c| !c.is_empty());
                 self.begin_ns_query(sys, dead);
             }
@@ -152,88 +136,45 @@ impl Lpm {
             self.enter_orphanhood(sys);
             return;
         };
-        let request = ppm_proto::msg::Msg::CcsQuery {
+        let request = Msg::CcsQuery {
             user: self.auth.uid().0,
             claimant: self.host.clone(),
             dead,
         };
         let retry = self.cfg.connect_retry;
-        let attempts = self.cfg.connect_attempts;
-        let x = PmdExchange::start(sys, target, request, retry, attempts);
-        self.ns_query = Some(x);
+        let dial = Dial::pmd(sys, target, request, retry, CONNECT_ATTEMPTS);
+        // A query still in flight is replaced; its connection, owned by
+        // no dial now, is ignored from here on.
+        let purpose = ChanPurpose::NameServer;
+        let key = DialKey::Pmd(host.into());
+        self.channels.insert(key, ChannelSlot { dial, purpose });
     }
 
-    /// Routes a connection event into the in-flight name-server exchange.
-    pub(crate) fn ns_conn_event(&mut self, sys: &mut dyn Sys, ev: ConnEvent) {
-        let Some(mut x) = self.ns_query.take() else {
+    /// The name server's pmd answered the CCS query.
+    pub(crate) fn name_server_answered(&mut self, sys: &mut dyn Sys, answer: Msg) {
+        let Msg::CcsInfo { ccs, epoch, .. } = answer else {
+            self.enter_orphanhood(sys);
             return;
         };
-        let progress = x.on_conn_event(sys, ev);
-        self.ns_query = Some(x);
-        self.apply_ns_progress(sys, progress);
-    }
-
-    /// Routes a message into the in-flight name-server exchange.
-    pub(crate) fn ns_message(&mut self, sys: &mut dyn Sys, data: bytes::Bytes) {
-        let Some(mut x) = self.ns_query.take() else {
-            return;
-        };
-        let progress = x.on_message(sys, data);
-        self.ns_query = Some(x);
-        self.apply_ns_progress(sys, progress);
-    }
-
-    /// The NsRetry timer fired.
-    pub(crate) fn ns_retry(&mut self, sys: &mut dyn Sys) {
-        let Some(mut x) = self.ns_query.take() else {
-            return;
-        };
-        if x.is_terminal() {
-            return;
+        if epoch >= self.epoch {
+            let changed = self.ccs != ccs || self.epoch != epoch;
+            self.ccs = ccs.clone();
+            self.epoch = epoch;
+            if changed {
+                self.note_recovery(
+                    sys,
+                    format_args!("name server assigned CCS {ccs} (epoch {epoch})"),
+                );
+                self.announce_ccs(sys);
+            }
         }
-        let progress = x.retry(sys);
-        self.ns_query = Some(x);
-        self.apply_ns_progress(sys, progress);
-    }
-
-    fn apply_ns_progress(&mut self, sys: &mut dyn Sys, progress: PmdProgress) {
-        match progress {
-            PmdProgress::Pending => {}
-            PmdProgress::RetryAfter(d) => {
-                self.arm(sys, d, TimerKind::NsRetry);
-            }
-            PmdProgress::Answer(ppm_proto::msg::Msg::CcsInfo { ccs, epoch, .. }) => {
-                self.ns_query = None;
-                if epoch >= self.epoch {
-                    let changed = self.ccs != ccs || self.epoch != epoch;
-                    self.ccs = ccs.clone();
-                    self.epoch = epoch;
-                    if changed {
-                        self.note_recovery(
-                            sys,
-                            format_args!("name server assigned CCS {ccs} (epoch {epoch})"),
-                        );
-                        self.announce_ccs(sys);
-                    }
-                }
-                self.recov = RecovMode::Normal;
-                self.orphan_deadline = None;
-                // Keep a channel to the coordinator so its failure is
-                // observable.
-                if self.ccs != self.host && !self.siblings.contains_key(&self.ccs) {
-                    let ccs = self.ccs.clone();
-                    let _ = self.start_channel_if_absent(sys, &ccs, ChanPurpose::Sibling);
-                }
-            }
-            PmdProgress::Answer(_) => {
-                self.ns_query = None;
-                self.enter_orphanhood(sys);
-            }
-            PmdProgress::Failed(err) => {
-                self.ns_query = None;
-                self.note_recovery(sys, format_args!("name server unreachable: {err}"));
-                self.enter_orphanhood(sys);
-            }
+        self.recov = RecovMode::Normal;
+        self.orphan_deadline = None;
+        // Keep a channel to the coordinator so its failure is
+        // observable.
+        if self.ccs != self.host && !self.siblings.contains_key(&self.ccs) {
+            let ccs = self.ccs.clone();
+            let _ = self.start_channel_if_absent(sys, &ccs, ChanPurpose::Sibling);
         }
     }
 
@@ -302,7 +243,7 @@ impl Lpm {
         success: bool,
     ) {
         match purpose {
-            ChanPurpose::Sibling => {}
+            ChanPurpose::Sibling | ChanPurpose::NameServer => {}
             ChanPurpose::Seek { rank } => {
                 if !matches!(self.recov, RecovMode::Seeking { rank: r } if r == rank) {
                     return; // stale
@@ -326,7 +267,7 @@ impl Lpm {
 
     // ---- orphanhood and time-to-die ------------------------------------------
 
-    fn enter_orphanhood(&mut self, sys: &mut dyn Sys) {
+    pub(crate) fn enter_orphanhood(&mut self, sys: &mut dyn Sys) {
         let now = sys.now();
         let ttd = self.cfg.time_to_die;
         // The deadline is set once, when contact is first lost; failed
@@ -431,12 +372,7 @@ impl Lpm {
         for host in higher {
             if let Some(&conn) = self.siblings.get(&host) {
                 // Connected: ask directly whether it is back.
-                let probe = Msg::Probe {
-                    user: self.auth.uid().0,
-                    from: self.host.clone(),
-                };
-                self.note_probe_sent(sys, &host);
-                let _ = self.send_msg(sys, conn, &probe);
+                self.send_probe(sys, &host, conn);
             } else {
                 let _ = self.start_channel_if_absent(sys, &host, ChanPurpose::Probe);
             }
@@ -477,25 +413,26 @@ impl Lpm {
         if self.ccs != self.host && now.saturating_since(self.last_keepalive) >= interval {
             if let Some(&conn) = self.siblings.get(&self.ccs.clone()) {
                 self.last_keepalive = now;
-                let probe = Msg::Probe {
-                    user: self.auth.uid().0,
-                    from: self.host.clone(),
-                };
                 let ccs = self.ccs.clone();
-                self.note_probe_sent(sys, &ccs);
-                let _ = self.send_msg(sys, conn, &probe);
+                self.send_probe(sys, &ccs, conn);
             }
         }
     }
 
-    /// Stamps an outgoing probe for RTT measurement. An unanswered probe
-    /// keeps its original stamp so the eventual ack measures the full gap.
-    fn note_probe_sent(&mut self, sys: &mut dyn Sys, host: &str) {
+    /// Probes `host` over `conn`, stamped for RTT measurement. An
+    /// unanswered probe keeps its original stamp so the eventual ack
+    /// measures the full gap.
+    fn send_probe(&mut self, sys: &mut dyn Sys, host: &str, conn: ConnId) {
         if !self.probe_sent.contains_key(host) {
             self.probe_sent.insert(host.to_string(), sys.now());
             let span = format_args!("{}>{host}", self.host);
             sys.span("probe", span, SpanPhase::Begin);
         }
+        let probe = Msg::Probe {
+            user: self.auth.uid().0,
+            from: self.host.clone(),
+        };
+        let _ = self.send_msg(sys, conn, &probe);
     }
 
     // ---- crash respawn: re-adoption and forest gossip ------------------------
@@ -511,7 +448,6 @@ impl Lpm {
         crashed_at: ppm_runtime::time::SimTime,
     ) {
         let me = sys.pid();
-        let flags = self.cfg.default_trace_flags;
         let mut readopted = 0u64;
         for info in sys.user_processes(sys.uid()) {
             // Skip ourselves and any other manager; a dead predecessor's
@@ -519,7 +455,7 @@ impl Lpm {
             if info.pid == me || info.command.starts_with("lpm") {
                 continue;
             }
-            if sys.adopt(info.pid, flags).is_err() {
+            if sys.adopt(info.pid, DEFAULT_TRACE_FLAGS).is_err() {
                 continue;
             }
             // A survivor reparented to init lost its real parent to the
@@ -585,7 +521,7 @@ impl Lpm {
 
     /// While rebuilding, ask a freshly connected sibling for the logical
     /// parents of the survivors that still look like failure roots.
-    pub(crate) fn maybe_pull_forest(&mut self, sys: &mut dyn Sys, conn: ppm_runtime::ids::ConnId) {
+    pub(crate) fn maybe_pull_forest(&mut self, sys: &mut dyn Sys, conn: ConnId) {
         if !self.rebuilding {
             return;
         }

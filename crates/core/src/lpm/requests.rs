@@ -20,9 +20,10 @@ use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{SimDuration, SimTime};
 use ppm_runtime::workload::Worker;
 
+use crate::config::{DEADLINE_DECAY, DEFAULT_TRACE_FLAGS};
 use crate::rpc::{fmt_key, DupVerdict, PendingRequest, RpcKey, TransportVerdict};
 
-use super::{conns::SiblingStatus, Lpm, ReplyTo, ReqPhase, TimerKind};
+use super::{conns::SiblingStatus, BcastRole, Lpm, ReplyTo, ReqPhase, TimerKind};
 
 /// How a request enters the pipeline: as a fresh origin request (this LPM
 /// is responsible for end-to-end retry) or as a relay/execution of a
@@ -123,12 +124,6 @@ impl Lpm {
         // Messages that carry a reply keep it on the wire.
         let msg = match msg {
             Inbound::Resp { id, reply, route } => return self.handle_resp(sys, id, reply, route),
-            Inbound::BcastResp {
-                stamp,
-                host: resp_host,
-                reply,
-                route,
-            } => return self.handle_bcast_resp(sys, conn, stamp, resp_host, reply, route),
             Inbound::BcastAgg {
                 stamp,
                 parts,
@@ -319,8 +314,7 @@ impl Lpm {
         // Deadline propagation: decay by one hop in lockstep with the
         // hops_left decrement, and refuse what has already expired.
         let deadline = if deadline_us > 0 {
-            let decayed =
-                SimTime::from_micros(deadline_us).saturating_back(self.cfg.deadline_decay);
+            let decayed = SimTime::from_micros(deadline_us).saturating_back(DEADLINE_DECAY);
             if decayed <= sys.now() {
                 self.obs.registry.inc(self.obs.deadline_refused);
                 self.refuse(
@@ -581,7 +575,7 @@ impl Lpm {
                     );
                 }
             }
-            if let Some(next) = self.route_cache.lookup(&dest) {
+            if let Some(next) = self.route_cache.get(&dest) {
                 if let Some(&conn) = self.siblings.get(next) {
                     // Validate the cached hop against link liveness: a
                     // route learned during a brief heal can survive a
@@ -942,8 +936,7 @@ impl Lpm {
             Ok(pid) => pid,
             Err(e) => return Some(err_reply(e)),
         };
-        let flags = self.cfg.default_trace_flags;
-        if let Err(e) = sys.adopt(pid, flags) {
+        if let Err(e) = sys.adopt(pid, DEFAULT_TRACE_FLAGS) {
             return Some(err_reply(e));
         }
         // Tree: link locally when the logical parent is here, otherwise
@@ -1091,19 +1084,18 @@ impl Lpm {
         // the broadcast state rather than released here.
         let mut handler = req.handler;
         if let ReplyTo::BcastLocal { key } = &req.reply_to {
-            if let Some(b) = self.bcasts.get_mut(key) {
-                if b.upstream.is_some() {
-                    b.respond_handler = handler.take();
-                }
+            if let Some(BcastRole::Relay {
+                respond_handler, ..
+            }) = self.bcasts.get_mut(key).map(|b| &mut b.role)
+            {
+                *respond_handler = handler.take();
             }
         }
         self.release_handler(sys, handler);
         match req.reply_to {
             ReplyTo::Tool { conn, external_id } => {
                 let route = resp_route.unwrap_or(req.route);
-                // Registry pulls get their own frame so tools stream them
-                // without unwrapping a generic response.
-                let _ = sys.send(conn, reply.tool_resp(external_id, &route));
+                let _ = sys.send(conn, reply.resp(external_id, &route));
             }
             ReplyTo::Sibling {
                 conn,

@@ -281,14 +281,6 @@ impl Program for Pmd {
                 },
                 None => Msg::NoLpm { user },
             },
-            Ok(Msg::QueryLpm { user }) => match self.live_lpm(sys, user) {
-                Some(port) => Msg::LpmAddr {
-                    user,
-                    port: port.0,
-                    created: false,
-                },
-                None => Msg::NoLpm { user },
-            },
             Ok(Msg::CcsQuery {
                 user,
                 claimant,

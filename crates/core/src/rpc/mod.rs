@@ -10,7 +10,7 @@
 //!   index keyed by `(origin host, origin id)` — the identity a request
 //!   keeps across relays and retries;
 //! * **per-request deadlines** propagated on the wire ([`ppm_proto::msg::Msg::Req`]'s
-//!   `deadline_us`), decayed by one [`crate::config::PpmConfig::deadline_decay`]
+//!   `deadline_us`), decayed by one [`crate::config::DEADLINE_DECAY`]
 //!   at each relay in lockstep with `hops_left`;
 //! * **attempt budgets with exponential backoff**: when a sibling
 //!   connection breaks under an origin-side request (or its local timer
@@ -37,6 +37,7 @@ use ppm_runtime::ids::ConnId;
 use ppm_runtime::time::{SimDuration, SimTime};
 
 use crate::handlers::HandlerId;
+use crate::lpm::DialKey;
 
 pub(crate) use table::{DupVerdict, RpcTable, TransportVerdict};
 
@@ -147,8 +148,8 @@ pub(crate) enum TimerKind {
     ReqTimeout(u64),
     /// A request's retry backoff elapsed; re-send it.
     ReqRetry(u64),
-    /// Retry a channel (daemon booting).
-    ChannelRetry(String),
+    /// Retry a dial (daemon booting).
+    ChannelRetry(DialKey),
     /// The forward handler of a broadcast is ready; send downstream.
     BcastForward(RpcKey),
     /// One merge slot finished; apply the next queued part.
@@ -161,8 +162,6 @@ pub(crate) enum TimerKind {
     SeekRetry,
     /// Recovery: orphan time-to-die expired.
     TimeToDie,
-    /// Name-server CCS query retry (daemon booting).
-    NsRetry,
 }
 
 /// An entry of the shared dedup window.

@@ -6,7 +6,7 @@
 //! * the **pmd protocol** — LPM creation ab initio, Figure 2;
 //! * the **sibling/tool protocol** — authenticated `Hello` handshakes,
 //!   then request/reply ([`Msg::Req`]/[`Msg::Resp`]) and the broadcast
-//!   echo wave ([`Msg::Bcast`]/[`Msg::BcastResp`]/[`Msg::BcastDone`]);
+//!   echo wave ([`Msg::Bcast`]/[`Msg::BcastAgg`]/[`Msg::BcastDone`]);
 //! * the **recovery protocol** — CCS announcements and probes, Section 5.
 //!
 //! # Replies inside an LPM
@@ -24,11 +24,18 @@
 //! `WireReply`s ([`WireReply::partial`], [`WireReply::merge`]) — so
 //! everything spliced out of one is byte-for-byte what encoding the
 //! corresponding [`Msg`] / [`BcastPart`] / [`Reply`] value would give.
-//! **Who may peek:** the LPM's completion path reads three things through
+//! **Who may peek:** the LPM's completion path reads two things through
 //! [`WireReply::peek`] — a `Spawned` reply's gpid (remote-child
-//! bookkeeping), an `Err` (internal-request logging) — and
-//! [`WireReply::tool_resp`] re-frames `Metrics` for the tool edge. Nothing
-//! else inside an LPM looks into a reply; only the tool decodes it.
+//! bookkeeping) and an `Err` (internal-request logging). Nothing else
+//! inside an LPM looks into a reply; only the tool decodes it.
+//!
+//! # The vocabulary is what is spoken
+//!
+//! Every [`Msg`] variant is sent by some component and accepted by
+//! another (DESIGN.md §8 has the table), and the decoder accepts exactly
+//! the tags the encoder writes. Tags 1, 9 and 17 belonged to words no
+//! component said any more; they are [`CodecError::BadTag`] like any
+//! other unknown byte, and the words in use keep their numbers.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -50,11 +57,8 @@ const REPLY_SNAPSHOT: u8 = 4;
 const REPLY_RUSAGE: u8 = 5;
 const REPLY_HISTORY: u8 = 6;
 const REPLY_PARTIAL: u8 = 11;
-const REPLY_METRICS: u8 = 12;
 const MSG_RESP: u8 = 7;
-const MSG_BCAST_RESP: u8 = 9;
 const MSG_BCAST_AGG: u8 = 16;
-const MSG_METRICS_SNAPSHOT: u8 = 17;
 
 /// Sorts and dedups a `missing`-hosts list for the wire: aggregate
 /// relays build these from per-hop sets and re-flushes, so the raw order
@@ -262,8 +266,7 @@ pub enum Op {
     /// handler pool activity) — introspection for tools and experiments.
     Stats,
     /// Pull the LPM's observability registry: every counter, gauge and
-    /// histogram it keeps, answered with [`Reply::Metrics`] (delivered to
-    /// tools as [`Msg::MetricsSnapshot`]).
+    /// histogram it keeps, answered with [`Reply::Metrics`].
     Metrics,
 }
 
@@ -576,7 +579,7 @@ impl Wire for Reply {
                 inner.encode(enc);
             }
             Reply::Metrics { host, at_us, rows } => {
-                enc.u8(REPLY_METRICS);
+                enc.u8(12);
                 enc.str(host);
                 enc.u64(*at_us);
                 enc.seq(rows, |e, r| r.encode(e));
@@ -631,7 +634,7 @@ impl Wire for Reply {
                 missing: dec.seq(|d| d.str())?,
                 inner: Box::new(Reply::decode(dec)?),
             },
-            REPLY_METRICS => Reply::Metrics {
+            12 => Reply::Metrics {
                 host: dec.str()?,
                 at_us: dec.u64()?,
                 rows: dec.seq(MetricRow::decode)?,
@@ -641,9 +644,8 @@ impl Wire for Reply {
     }
 }
 
-/// One host's contribution inside a [`Msg::BcastAgg`] batch: what a
-/// [`Msg::BcastResp`] carries, minus the per-message stamp (the aggregate
-/// frame carries it once for the whole batch).
+/// One host's contribution inside a [`Msg::BcastAgg`] batch (the
+/// aggregate frame carries the wave's stamp once for the whole batch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BcastPart {
     /// Answering host.
@@ -679,11 +681,6 @@ pub enum Msg {
         /// Owning user.
         user: u32,
     },
-    /// Query without creating.
-    QueryLpm {
-        /// Owning user.
-        user: u32,
-    },
     /// Step 4: the accept address of the user's LPM.
     LpmAddr {
         /// Owning user.
@@ -693,7 +690,7 @@ pub enum Msg {
         /// True when the LPM was created by this request.
         created: bool,
     },
-    /// Negative answer to [`Msg::QueryLpm`].
+    /// Step 4 refused: this host has no account for the user.
     NoLpm {
         /// Owning user.
         user: u32,
@@ -779,17 +776,6 @@ pub enum Msg {
         /// Hosts traversed so far.
         route: Route,
     },
-    /// One LPM's answer, relayed upstream toward the originator.
-    BcastResp {
-        /// Stamp of the request being answered.
-        stamp: Stamp,
-        /// Answering host.
-        host: String,
-        /// The reply.
-        reply: Reply,
-        /// Route the answer's request had taken.
-        route: Route,
-    },
     /// Subtree-complete marker of the echo wave.
     BcastDone {
         /// Stamp of the completed request.
@@ -809,21 +795,6 @@ pub enum Msg {
         /// stragglers cut off by the wave timeout). Canonical on the
         /// wire: encoding sorts and dedups.
         missing: Vec<String>,
-    },
-    /// A pulled observability registry on its way back to a tool — the
-    /// terminal form [`Reply::Metrics`] takes at the tool edge, keeping
-    /// the (potentially large) registry out of the generic `Resp` path.
-    MetricsSnapshot {
-        /// The tool's request id (as in [`Msg::Resp`]).
-        id: u64,
-        /// Reporting host.
-        host: String,
-        /// Simulated sample instant (µs).
-        at_us: u64,
-        /// Registry contents, sorted by name.
-        rows: Vec<MetricRow>,
-        /// Full source→destination route the request took.
-        route: Route,
     },
 
     // ---- recovery (Section 5) ----------------------------------------------
@@ -912,7 +883,6 @@ impl Msg {
     pub fn kind(&self) -> &'static str {
         match self {
             Msg::CreateLpm { .. } => "create-lpm",
-            Msg::QueryLpm { .. } => "query-lpm",
             Msg::LpmAddr { .. } => "lpm-addr",
             Msg::NoLpm { .. } => "no-lpm",
             Msg::Hello { .. } => "hello",
@@ -920,10 +890,8 @@ impl Msg {
             Msg::Req { .. } => "req",
             Msg::Resp { .. } => "resp",
             Msg::Bcast { .. } => "bcast",
-            Msg::BcastResp { .. } => "bcast-resp",
             Msg::BcastDone { .. } => "bcast-done",
             Msg::BcastAgg { .. } => "bcast-agg",
-            Msg::MetricsSnapshot { .. } => "metrics-snapshot",
             Msg::CcsAnnounce { .. } => "ccs-announce",
             Msg::Probe { .. } => "probe",
             Msg::ProbeAck { .. } => "probe-ack",
@@ -940,10 +908,6 @@ impl Wire for Msg {
         match self {
             Msg::CreateLpm { user } => {
                 enc.u8(0);
-                enc.u32(*user);
-            }
-            Msg::QueryLpm { user } => {
-                enc.u8(1);
                 enc.u32(*user);
             }
             Msg::LpmAddr {
@@ -1028,18 +992,6 @@ impl Wire for Msg {
                 op.encode(enc);
                 route.encode(enc);
             }
-            Msg::BcastResp {
-                stamp,
-                host,
-                reply,
-                route,
-            } => {
-                enc.u8(MSG_BCAST_RESP);
-                stamp.encode(enc);
-                enc.str(host);
-                reply.encode(enc);
-                route.encode(enc);
-            }
             Msg::BcastDone { stamp } => {
                 enc.u8(10);
                 stamp.encode(enc);
@@ -1053,20 +1005,6 @@ impl Wire for Msg {
                 stamp.encode(enc);
                 enc.bytes(parts);
                 enc.seq(&canonical_missing(missing), |e, s| e.str(s));
-            }
-            Msg::MetricsSnapshot {
-                id,
-                host,
-                at_us,
-                rows,
-                route,
-            } => {
-                enc.u8(MSG_METRICS_SNAPSHOT);
-                enc.u64(*id);
-                enc.str(host);
-                enc.u64(*at_us);
-                enc.seq(rows, |e, r| r.encode(e));
-                route.encode(enc);
             }
             Msg::CcsAnnounce { user, ccs, epoch } => {
                 enc.u8(11);
@@ -1128,7 +1066,6 @@ impl Wire for Msg {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(match dec.u8()? {
             0 => Msg::CreateLpm { user: dec.u32()? },
-            1 => Msg::QueryLpm { user: dec.u32()? },
             2 => Msg::LpmAddr {
                 user: dec.u32()?,
                 port: dec.u16()?,
@@ -1171,12 +1108,6 @@ impl Wire for Msg {
                 op: Op::decode(dec)?,
                 route: Route::decode(dec)?,
             },
-            MSG_BCAST_RESP => Msg::BcastResp {
-                stamp: Stamp::decode(dec)?,
-                host: dec.str()?,
-                reply: Reply::decode(dec)?,
-                route: Route::decode(dec)?,
-            },
             10 => Msg::BcastDone {
                 stamp: Stamp::decode(dec)?,
             },
@@ -1208,13 +1139,6 @@ impl Wire for Msg {
                 stamp: Stamp::decode(dec)?,
                 parts: bytes::Bytes::copy_from_slice(dec.bytes_ref()?),
                 missing: dec.seq(|d| d.str())?,
-            },
-            MSG_METRICS_SNAPSHOT => Msg::MetricsSnapshot {
-                id: dec.u64()?,
-                host: dec.str()?,
-                at_us: dec.u64()?,
-                rows: dec.seq(MetricRow::decode)?,
-                route: Route::decode(dec)?,
             },
             18 => Msg::ForestPull {
                 user: dec.u32()?,
@@ -1387,29 +1311,15 @@ impl WireReply {
         read().unwrap_or(ReplyPeek::Other)
     }
 
-    /// `[tag][id][body][route]`, sized exactly.
-    fn framed(tag: u8, id: u64, body: &[u8], route: &Route) -> Bytes {
+    /// The bytes of `Msg::Resp { id, reply, route }`, sized exactly.
+    pub fn resp(&self, id: u64, route: &Route) -> Bytes {
+        let body = self.as_bytes();
         let mut enc = Enc::with_capacity(9 + body.len() + route.wire_len());
-        enc.u8(tag);
+        enc.u8(MSG_RESP);
         enc.u64(id);
         enc.splice(body);
         route.encode(&mut enc);
         enc.into_bytes()
-    }
-
-    /// The bytes of `Msg::Resp { id, reply, route }`.
-    pub fn resp(&self, id: u64, route: &Route) -> Bytes {
-        Self::framed(MSG_RESP, id, self.as_bytes(), route)
-    }
-
-    /// The frame a tool is answered with: [`WireReply::resp`], except
-    /// that a [`Reply::Metrics`] goes out as the
-    /// [`Msg::MetricsSnapshot`] with the same fields.
-    pub fn tool_resp(&self, id: u64, route: &Route) -> Bytes {
-        match self.as_bytes() {
-            [REPLY_METRICS, fields @ ..] => Self::framed(MSG_METRICS_SNAPSHOT, id, fields, route),
-            reply => Self::framed(MSG_RESP, id, reply, route),
-        }
     }
 
     /// Appends `BcastPart { host, reply, route }` to `batch` as one
@@ -1547,17 +1457,6 @@ pub enum Inbound {
         /// Full source→destination route the request took.
         route: Route,
     },
-    /// [`Msg::BcastResp`].
-    BcastResp {
-        /// Stamp of the request being answered.
-        stamp: Stamp,
-        /// Answering host.
-        host: String,
-        /// The reply.
-        reply: WireReply,
-        /// Route the answer's request had taken.
-        route: Route,
-    },
     /// [`Msg::BcastAgg`]; `parts` is a slice of the arriving frame, for
     /// [`WirePart::split`] or for splicing onward untouched.
     BcastAgg {
@@ -1583,12 +1482,6 @@ impl Inbound {
         let msg = match dec.u8()? {
             MSG_RESP => Inbound::Resp {
                 id: dec.u64()?,
-                reply: WireReply::scan(frame, &mut dec)?,
-                route: Route::decode(&mut dec)?,
-            },
-            MSG_BCAST_RESP => Inbound::BcastResp {
-                stamp: Stamp::decode(&mut dec)?,
-                host: dec.str()?,
                 reply: WireReply::scan(frame, &mut dec)?,
                 route: Route::decode(&mut dec)?,
             },
@@ -1664,7 +1557,6 @@ mod tests {
         route.push("b");
         vec![
             Msg::CreateLpm { user: 100 },
-            Msg::QueryLpm { user: 100 },
             Msg::LpmAddr {
                 user: 100,
                 port: 1099,
@@ -1708,24 +1600,6 @@ mod tests {
                 stamp: stamp.clone(),
                 user: 100,
                 op: Op::Snapshot,
-                route: route.clone(),
-            },
-            Msg::BcastResp {
-                stamp: stamp.clone(),
-                host: "b".into(),
-                reply: Reply::Snapshot {
-                    host: "b".into(),
-                    procs: vec![ProcRecord {
-                        gpid: Gpid::new("b", 8),
-                        ppid: 1,
-                        logical_parent: None,
-                        command: "cc".into(),
-                        state: crate::types::WireProcState::Running,
-                        started_us: 5,
-                        cpu_us: 6,
-                        adopted: true,
-                    }],
-                },
                 route: route.clone(),
             },
             Msg::BcastAgg {
@@ -1773,28 +1647,6 @@ mod tests {
                 user: 100,
                 ccs: "b".into(),
                 epoch: 4,
-            },
-            Msg::MetricsSnapshot {
-                id: 12,
-                host: "b".into(),
-                at_us: 5_000_000,
-                rows: vec![
-                    MetricRow {
-                        name: "rpc.retries".into(),
-                        kind: 0,
-                        value: 3,
-                        sum: 0,
-                        buckets: vec![],
-                    },
-                    MetricRow {
-                        name: "recov.probe_rtt_us".into(),
-                        kind: 2,
-                        value: 2,
-                        sum: 9_000,
-                        buckets: vec![0, 0, 1, 1],
-                    },
-                ],
-                route: route.clone(),
             },
             Msg::ForestPull {
                 user: 100,
@@ -1863,25 +1715,8 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn every_msg_roundtrips() {
-        for m in sample_msgs() {
-            let b = m.to_bytes();
-            assert_eq!(Msg::from_bytes(&b).unwrap(), m, "{}", m.kind());
-        }
-    }
-
-    #[test]
-    fn every_op_roundtrips() {
-        for op in sample_ops() {
-            let b = op.to_bytes();
-            assert_eq!(Op::from_bytes(&b).unwrap(), op, "{}", op.kind());
-        }
-    }
-
-    #[test]
-    fn every_reply_roundtrips() {
-        let replies = vec![
+    fn sample_replies() -> Vec<Reply> {
+        vec![
             Reply::Ok,
             Reply::Err {
                 code: ErrCode::Permission,
@@ -1891,6 +1726,7 @@ mod tests {
             Reply::Spawned {
                 gpid: Gpid::new("a", 3),
             },
+            snapshot_of("b", &[8]),
             Reply::Rusage { records: vec![] },
             Reply::History { events: vec![] },
             Reply::Files { entries: vec![] },
@@ -1921,19 +1757,80 @@ mod tests {
             Reply::Metrics {
                 host: "a".into(),
                 at_us: 42,
-                rows: vec![MetricRow {
-                    name: "bcast.partial_flushes".into(),
-                    kind: 1,
-                    value: -1,
-                    sum: 0,
-                    buckets: vec![],
-                }],
+                rows: vec![
+                    MetricRow {
+                        name: "bcast.partial_flushes".into(),
+                        kind: 1,
+                        value: -1,
+                        sum: 0,
+                        buckets: vec![],
+                    },
+                    MetricRow {
+                        name: "recov.probe_rtt_us".into(),
+                        kind: 2,
+                        value: 2,
+                        sum: 9_000,
+                        buckets: vec![0, 0, 1, 1],
+                    },
+                ],
             },
-        ];
-        for r in replies {
+        ]
+    }
+
+    #[test]
+    fn every_msg_roundtrips() {
+        for m in sample_msgs() {
+            let b = m.to_bytes();
+            assert_eq!(Msg::from_bytes(&b).unwrap(), m, "{}", m.kind());
+        }
+    }
+
+    #[test]
+    fn every_op_roundtrips() {
+        for op in sample_ops() {
+            let b = op.to_bytes();
+            assert_eq!(Op::from_bytes(&b).unwrap(), op, "{}", op.kind());
+        }
+    }
+
+    #[test]
+    fn every_reply_roundtrips() {
+        for r in sample_replies() {
             let b = r.to_bytes();
             assert_eq!(Reply::from_bytes(&b).unwrap(), r);
         }
+    }
+
+    /// A lone tag byte is `BadTag` unless some sample value encodes under
+    /// that tag, and the tags in use go on to read (or miss) their fields.
+    /// Returns the tags in use.
+    fn tags_in_use<T: Wire + PartialEq + fmt::Debug>(
+        what: &'static str,
+        samples: &[T],
+    ) -> BTreeSet<u8> {
+        let spoken: BTreeSet<u8> = samples.iter().map(|v| v.to_bytes()[0]).collect();
+        for tag in 0..=u8::MAX {
+            let got = T::from_bytes(&[tag]);
+            if spoken.contains(&tag) {
+                assert!(
+                    matches!(got, Ok(_) | Err(CodecError::Truncated)),
+                    "{what} tag {tag} is spoken but refused: {got:?}"
+                );
+            } else {
+                assert_eq!(got, Err(CodecError::BadTag { what, tag }));
+            }
+        }
+        spoken
+    }
+
+    #[test]
+    fn the_decoder_accepts_the_tags_the_encoder_writes_and_no_others() {
+        let msgs = tags_in_use("Msg", &sample_msgs());
+        // Retired words stay retired: their numbers are not reused.
+        assert_eq!(msgs.len(), 17);
+        assert!([1, 9, 17].iter().all(|tag| !msgs.contains(tag)));
+        assert_eq!(tags_in_use("Op", &sample_ops()).len(), 15);
+        assert_eq!(tags_in_use("Reply", &sample_replies()).len(), 13);
     }
 
     #[test]

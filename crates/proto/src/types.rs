@@ -488,7 +488,7 @@ impl Wire for FileRecord {
 }
 
 /// One metric of an LPM's observability registry, as pulled over the wire
-/// by `Op::Metrics` / `Msg::MetricsSnapshot`.
+/// by `Op::Metrics` and answered in `Reply::Metrics`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricRow {
     /// Registry name, e.g. `"rpc.retries"`.

@@ -342,7 +342,6 @@ fn combine(op: &Op, parts: Vec<Reply>) -> Reply {
 fn arb_msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
         any::<u32>().prop_map(|user| Msg::CreateLpm { user }),
-        any::<u32>().prop_map(|user| Msg::QueryLpm { user }),
         (any::<u32>(), any::<u16>(), any::<bool>()).prop_map(|(user, port, created)| {
             Msg::LpmAddr {
                 user,
@@ -412,14 +411,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 route,
             }
         }),
-        (arb_stamp(), arb_name(), arb_reply(), arb_route()).prop_map(
-            |(stamp, host, reply, route)| Msg::BcastResp {
-                stamp,
-                host,
-                reply,
-                route
-            }
-        ),
         arb_stamp().prop_map(|stamp| Msg::BcastDone { stamp }),
         (any::<u32>(), arb_name(), any::<u64>()).prop_map(|(user, ccs, epoch)| Msg::CcsAnnounce {
             user,
@@ -577,8 +568,8 @@ proptest! {
     }
 
     /// Whatever an LPM splices out of a reply's bytes — the `Resp` to a
-    /// sibling, the frame for the tool edge, a `BcastPart` frame in an
-    /// aggregate, the `Partial` wrapper — is byte-identical to encoding
+    /// sibling or a tool, a `BcastPart` frame in an aggregate, the
+    /// `Partial` wrapper — is byte-identical to encoding
     /// the `Msg` / `BcastPart` / `Reply` value it stands for.
     #[test]
     fn spliced_frames_match_encoded_values(
@@ -594,13 +585,6 @@ proptest! {
 
         let resp = Msg::Resp { id, reply: reply.clone(), route: route.clone() };
         prop_assert_eq!(wire.resp(id, &route), resp.to_bytes());
-        let at_tool = match reply.clone() {
-            Reply::Metrics { host, at_us, rows } => {
-                Msg::MetricsSnapshot { id, host, at_us, rows, route: route.clone() }
-            }
-            _ => resp,
-        };
-        prop_assert_eq!(wire.tool_resp(id, &route), at_tool.to_bytes());
 
         let mut spliced = Enc::new();
         wire.push_part(&mut spliced, &host, &route);
@@ -629,9 +613,6 @@ proptest! {
             Msg::Resp { id, reply, route } => {
                 Inbound::Resp { id, reply: WireReply::from(&reply), route }
             }
-            Msg::BcastResp { stamp, host, reply, route } => {
-                Inbound::BcastResp { stamp, host, reply: WireReply::from(&reply), route }
-            }
             Msg::BcastAgg { stamp, parts, missing } => Inbound::BcastAgg { stamp, parts, missing },
             other => Inbound::Other(other),
         };
@@ -639,7 +620,8 @@ proptest! {
 
         let cut = wire.slice(..usize::from(cut) % wire.len());
         prop_assert_eq!(Inbound::decode(&cut).is_ok(), Msg::from_bytes(&cut).is_ok());
-        // Steer some garbage at the three reply-carrying tags.
+        // Steer some garbage at the two reply-carrying tags, and at the
+        // retired third (9), which both sides refuse.
         for tag in [None, Some(7u8), Some(9), Some(16)] {
             let mut data = garbage.clone();
             if let (Some(tag), Some(first)) = (tag, data.first_mut()) {
@@ -647,6 +629,7 @@ proptest! {
             }
             let data = bytes::Bytes::from(data);
             prop_assert_eq!(Inbound::decode(&data).is_ok(), Msg::from_bytes(&data).is_ok());
+            prop_assert!(data.first() != Some(&9) || Msg::from_bytes(&data).is_err());
         }
     }
 

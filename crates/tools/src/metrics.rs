@@ -3,9 +3,9 @@
 //! Where `ppm-sim --metrics` samples every registry out-of-band at end of
 //! run, this tool asks a *running* LPM for its counters through the same
 //! authenticated request path as every other operation
-//! ([`ppm_proto::msg::Op::Metrics`]). The LPM answers with a dedicated
-//! [`ppm_proto::msg::Msg::MetricsSnapshot`] frame, so the registry
-//! arrives timestamped on the answering host's sim clock.
+//! ([`ppm_proto::msg::Op::Metrics`]). The LPM answers with a
+//! [`ppm_proto::msg::Reply::Metrics`] in the `Resp` every reply rides, so
+//! the registry arrives timestamped on the answering host's sim clock.
 
 use ppm_core::client::ToolStep;
 use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
