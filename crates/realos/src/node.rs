@@ -398,6 +398,9 @@ impl NodeCore {
             match action {
                 Deferred::Start(pid) => self.do_start(pid),
                 Deferred::ConnEvt { owner, conn, event } => {
+                    if matches!(event, ConnEvent::Closed | ConnEvent::Failed(_)) {
+                        self.kernel.release_socket(owner, conn);
+                    }
                     self.with_program(owner, |prog, sys| prog.on_conn_event(sys, conn, event));
                 }
                 Deferred::Deliver { owner, conn, data } => {
@@ -711,11 +714,7 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
             return Err(SysError::NotConnected);
         }
         c.shut();
-        if let Ok(p) = self.node.kernel.live_mut(self.pid) {
-            if let Some(fd) = p.fds.fd_for_conn(conn) {
-                p.fds.release(fd);
-            }
-        }
+        self.node.kernel.release_socket(self.pid, conn);
         Ok(())
     }
 

@@ -529,6 +529,18 @@ impl Kernel {
         self.live_mut(pid).ok().map(|p| p.fds.alloc(kind))
     }
 
+    /// Gives back the socket descriptor `pid` holds for `conn`, if any.
+    /// A backend calls this for the end that closes a connection and for
+    /// the end that is told it closed or failed, so a long-lived process
+    /// lists the sockets it has, not every one it ever had.
+    pub fn release_socket(&mut self, pid: Pid, conn: ConnId) {
+        if let Ok(p) = self.live_mut(pid) {
+            if let Some(fd) = p.fds.fd_for_conn(conn) {
+                p.fds.release(fd);
+            }
+        }
+    }
+
     /// `ps`-style info about one process (any state).
     pub fn proc_info(&self, pid: Pid) -> Option<ProcInfo> {
         self.procs.get(&pid).map(ProcInfo::from)

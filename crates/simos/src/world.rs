@@ -781,6 +781,7 @@ impl WorldCore {
             }
             _ => return Err(SysError::NotConnected),
         };
+        self.kernel_mut(from.0).release_socket(from.1, conn);
         if state == ConnState::Closed {
             return Ok(());
         }
@@ -1276,12 +1277,14 @@ impl World {
             }
             SimEvent::ConnEstablish { conn } => self.handle_establish(conn),
             SimEvent::ConnFailed { conn, to, reason } => {
+                self.core.kernel_mut(to.0).release_socket(to.1, conn);
                 self.with_program(to, None, |p, sys| {
                     p.on_conn_event(sys, conn, ConnEvent::Failed(reason))
                 });
             }
             SimEvent::ConnClosedNotify { conn, to } => {
                 self.core.mark_closed(conn);
+                self.core.kernel_mut(to.0).release_socket(to.1, conn);
                 self.with_program(to, None, |p, sys| {
                     p.on_conn_event(sys, conn, ConnEvent::Closed)
                 });
@@ -1410,6 +1413,9 @@ impl World {
                 .is_none_or(|n| n.reachable(client.0 .0, server.0 .0));
         if !still_listening || !routed {
             self.core.mark_closed(conn);
+            self.core
+                .kernel_mut(client.0)
+                .release_socket(client.1, conn);
             let reason = if routed {
                 SysError::ConnectionRefused
             } else {

@@ -1,12 +1,13 @@
 //! A world that serves many requests remembers them — every connection
 //! record stays readable — but what it must *search* does not grow: the
 //! open connections and their index stay as small after two thousand
-//! tool invocations as after the first few.
+//! tool invocations as after the first few, and so do the descriptor
+//! tables of the daemons that served them.
 
-use ppm::core::config::PpmConfig;
+use ppm::core::config::{lpm_port, PpmConfig, PMD_PORT};
 use ppm::harness::harness::PpmHarness;
 use ppm::simnet::topology::CpuClass;
-use ppm::simos::ids::Uid;
+use ppm::simos::ids::{Port, Uid};
 use ppm::simos::net::ConnState;
 
 const USER: Uid = Uid(100);
@@ -23,6 +24,20 @@ fn census(ppm: &PpmHarness) -> (usize, usize, usize) {
         open,
         core.conn_table().held_len(),
     )
+}
+
+/// The largest descriptor table among the daemons every request on host
+/// `a` passes through: inetd, pmd and the user's LPM.
+fn daemon_fds(ppm: &PpmHarness) -> usize {
+    let core = ppm.world().core();
+    let kernel = core.kernel(core.host_by_name("a").expect("host a"));
+    let table_of = |port: Port| {
+        let daemon = kernel.listener(port).expect("daemon listens");
+        let fds = kernel.open_fds(Uid::ROOT, daemon).expect("root may look");
+        fds.len()
+    };
+    let ports = [Port::INETD, PMD_PORT, lpm_port(USER)];
+    ports.into_iter().map(table_of).max().expect("three daemons")
 }
 
 #[test]
@@ -59,6 +74,10 @@ fn two_thousand_tool_rounds_leave_the_open_set_bounded() {
                 "{open} open connections after {round} rounds (was {open0})"
             );
             assert!(index <= 2 * open, "index {index} for {open} open");
+            // Listener, kernel socket, sibling channel, the request's own
+            // connection: a closed connection's descriptor is given back.
+            let fds = daemon_fds(&ppm);
+            assert!(fds <= 8, "a daemon holds {fds} descriptors after {round}");
         }
     }
 }
