@@ -17,10 +17,10 @@ use ppm_core::config::PpmConfig;
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::{ControlAction, Op, Reply};
+use ppm_runtime::signal::Signal;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::Uid;
-use ppm_simos::signal::Signal;
 
 const USER: Uid = Uid(100);
 

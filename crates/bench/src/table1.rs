@@ -8,14 +8,14 @@
 //! emitter receives signals (112-byte messages, like the paper's
 //! reference).
 
+use ppm_runtime::events::TraceFlags;
+use ppm_runtime::program::{Program, SpawnSpec};
+use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
+use ppm_runtime::workload::DutyCycle;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::{CpuClass, HostSpec};
-use ppm_simos::events::TraceFlags;
 use ppm_simos::ids::{Pid, Uid};
-use ppm_simos::program::{Program, SpawnSpec};
-use ppm_simos::signal::Signal;
-use ppm_simos::workload::DutyCycle;
 use ppm_simos::world::World;
 
 use std::sync::{Arc, Mutex};

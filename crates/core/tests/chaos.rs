@@ -17,12 +17,12 @@ use ppm_harness::harness::{HarnessError, PpmHarness};
 use ppm_proto::codec::{encode_batch, Wire};
 use ppm_proto::msg::{BcastPart, ControlAction, Msg, Op, Reply};
 use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
+use ppm_runtime::program::{ConnEvent, Program, SpawnSpec};
+use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::{ConnId, Uid};
-use ppm_simos::program::{ConnEvent, Program, SpawnSpec};
-use ppm_simos::signal::Signal;
 
 const USER: Uid = Uid(100);
 const HOSTS: [&str; 4] = ["h0", "h1", "h2", "h3"];

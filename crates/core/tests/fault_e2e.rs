@@ -13,11 +13,11 @@ use ppm_core::config::PpmConfig;
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::types::{Gpid, WireProcState};
+use ppm_runtime::signal::Signal;
 use ppm_simnet::fault::FaultPlan;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::{Pid, Uid};
-use ppm_simos::signal::Signal;
 use ppm_tools::drill::recovery_drill;
 
 const USER: Uid = Uid(100);

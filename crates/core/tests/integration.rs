@@ -9,13 +9,13 @@ use ppm_harness::harness::{HarnessError, PpmHarness};
 use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{Gpid, WireProcState};
+use ppm_runtime::events::TraceFlags;
+use ppm_runtime::process::ProcState;
+use ppm_runtime::program::SpawnSpec;
+use ppm_runtime::workload::TreeSpawner;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::CpuClass;
-use ppm_simos::events::TraceFlags;
 use ppm_simos::ids::Uid;
-use ppm_simos::process::ProcState;
-use ppm_simos::program::SpawnSpec;
-use ppm_simos::workload::TreeSpawner;
 
 const USER: Uid = Uid(100);
 const SECRET: u64 = 0x1986;

@@ -177,7 +177,7 @@ fn assignments_survive_pmd_crash_with_stable_storage() {
 
     // Kill the name server's pmd; its successor restores the registry.
     let pmd_pid = ppm.find_proc("ns", Uid::ROOT, "pmd").expect("pmd alive");
-    ppm.post_signal("ns", Uid::ROOT, pmd_pid, ppm_simos::signal::Signal::Kill)
+    ppm.post_signal("ns", Uid::ROOT, pmd_pid, ppm_runtime::signal::Signal::Kill)
         .unwrap();
     ppm.run_for(SimDuration::from_secs(1));
 

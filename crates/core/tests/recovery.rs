@@ -8,10 +8,10 @@ use ppm_core::config::PpmConfig;
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::{ControlAction, Op, Reply};
+use ppm_runtime::signal::Signal;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::{Pid, Uid};
-use ppm_simos::signal::Signal;
 
 const USER: Uid = Uid(100);
 const SECRET: u64 = 0x1986;
@@ -159,7 +159,7 @@ fn orphaned_lpm_kills_local_processes_after_time_to_die() {
     assert!(!p.is_alive(), "time-to-die terminated the user's processes");
     assert_eq!(
         p.state,
-        ppm_simos::process::ProcState::Exited(ppm_simos::signal::ExitStatus::Signaled(
+        ppm_runtime::process::ProcState::Exited(ppm_runtime::signal::ExitStatus::Signaled(
             Signal::Kill
         ))
     );

@@ -193,7 +193,7 @@ fn expired_deadline_is_refused_in_flight() {
         .spawn_user(
             h,
             USER,
-            ppm_simos::program::SpawnSpec::new("ppm-tool", Box::new(tool)),
+            ppm_runtime::program::SpawnSpec::new("ppm-tool", Box::new(tool)),
         )
         .unwrap();
     ppm.run_for(SimDuration::from_secs(10));

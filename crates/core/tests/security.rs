@@ -8,11 +8,11 @@ use ppm_core::client::{Tool, ToolStep};
 use ppm_core::config::PpmConfig;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::Op;
+use ppm_runtime::program::{ConnEvent, Program, SpawnSpec};
 use ppm_runtime::sys::Sys;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::{ConnId, Uid};
-use ppm_simos::program::{ConnEvent, Program, SpawnSpec};
 
 const ALICE: Uid = Uid(100);
 const BOB: Uid = Uid(200);

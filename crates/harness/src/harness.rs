@@ -20,16 +20,14 @@ use std::sync::Arc;
 use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, ProcRecord, RusageRecord};
 use ppm_runtime::obs::SpanEvent;
+use ppm_runtime::program::SpawnSpec;
 pub use ppm_runtime::rt::Runtime;
+pub use ppm_runtime::signal::Signal;
 use ppm_runtime::trace::TraceCategory;
-use ppm_simnet::latency::LatencyModel;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec, NetSpec};
-use ppm_simos::config::OsConfig;
 use ppm_simos::ids::{Pid, Uid};
-use ppm_simos::program::SpawnSpec;
 use ppm_simos::rt::SimRuntime;
-use ppm_simos::signal::Signal;
 use ppm_simos::world::World;
 
 use ppm_core::auth::UserCred;
@@ -41,8 +39,6 @@ use ppm_core::users::{UserDirectory, UserEntry};
 /// Builder for a [`PpmHarness`].
 pub struct HarnessBuilder {
     seed: u64,
-    os: OsConfig,
-    latency: LatencyModel,
     pmd_options: PmdOptions,
     hosts: Vec<HostSpec>,
     links: Vec<(String, String)>,
@@ -54,8 +50,6 @@ impl Default for HarnessBuilder {
     fn default() -> Self {
         HarnessBuilder {
             seed: 1986,
-            os: OsConfig::default(),
-            latency: LatencyModel::default(),
             pmd_options: PmdOptions::default(),
             hosts: Vec::new(),
             links: Vec::new(),
@@ -80,18 +74,6 @@ impl HarnessBuilder {
     /// Sets the world seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides OS constants.
-    pub fn os_config(mut self, os: OsConfig) -> Self {
-        self.os = os;
-        self
-    }
-
-    /// Overrides the latency model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -140,7 +122,7 @@ impl HarnessBuilder {
     ///
     /// Panics if a link references an unknown host name.
     pub fn build(self) -> PpmHarness {
-        let mut rt = SimRuntime::from_world(World::with_config(self.os, self.latency, self.seed));
+        let mut rt = SimRuntime::from_world(World::new(self.seed));
         let users = self.users.into_shared();
         register_pmd(&mut rt, &users, self.pmd_options);
         let world = rt.world_mut();

@@ -18,12 +18,12 @@
 //! metrics, per-shard snapshots) is what the determinism and isolation
 //! gates diff.
 
-use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
+use ppm_proto::types::{Gpid, WireProcState};
 use ppm_runtime::obs::{CounterId, GaugeId, Registry};
+use ppm_runtime::workload::{Storm, StormFork, StormSpec};
 use ppm_simnet::engine::Engine;
 use ppm_simnet::time::SimDuration;
 use ppm_simos::ids::{Port, Uid};
-use ppm_simos::workload::{Storm, StormFork, StormSpec};
 
 use ppm_core::config::lpm_port;
 use ppm_core::genealogy::Genealogy;
@@ -85,48 +85,9 @@ impl UserShard {
         }
     }
 
-    /// The shard's owner.
-    pub fn uid(&self) -> Uid {
-        self.uid
-    }
-
-    /// The user's genealogy arena on `host`, if the user ever forked
-    /// there.
-    pub fn genealogy(&self, host: u16) -> Option<&Genealogy> {
-        self.arenas.get(host as usize).and_then(|a| a.as_ref())
-    }
-
-    /// The user's LPM slot on `host`, if registered.
-    pub fn lpm(&self, host: u16) -> Option<&LpmSlot> {
-        self.lpms.get(host as usize).and_then(|s| s.as_ref())
-    }
-
-    /// Hosts on which this user has an LPM registered.
-    pub fn lpm_hosts(&self) -> Vec<u16> {
-        (0..self.lpms.len() as u16)
-            .filter(|&h| self.lpms[h as usize].is_some())
-            .collect()
-    }
-
-    /// Live processes across every host of the shard.
-    pub fn live_total(&self) -> usize {
-        self.arenas.iter().flatten().map(|a| a.live_count()).sum()
-    }
-
     /// Tracked processes (live plus retained-dead) across every host.
     pub fn tracked_total(&self) -> usize {
         self.arenas.iter().flatten().map(|a| a.len()).sum()
-    }
-
-    /// The user's whole forest as wire records, host-major then pid
-    /// order — exactly what this user's display tools would render, and
-    /// nothing another user's would.
-    pub fn snapshot(&self) -> Vec<ProcRecord> {
-        let mut out = Vec::new();
-        for arena in self.arenas.iter().flatten() {
-            out.extend(arena.snapshot());
-        }
-        out
     }
 }
 
@@ -162,7 +123,7 @@ struct Meters {
 ///
 /// ```
 /// use ppm_harness::tenant::TenantWorld;
-/// use ppm_simos::workload::StormSpec;
+/// use ppm_runtime::workload::StormSpec;
 ///
 /// let spec = StormSpec::new(32, 4, 7);
 /// let a = TenantWorld::new(spec, 2_000).run();
@@ -254,26 +215,6 @@ impl TenantWorld {
             tracked_peak: 0,
             digest: 0xcbf2_9ce4_8422_2325,
         }
-    }
-
-    /// The storm spec this world replays.
-    pub fn spec(&self) -> &StormSpec {
-        &self.spec
-    }
-
-    /// All user shards, in activity-rank order.
-    pub fn shards(&self) -> &[UserShard] {
-        &self.shards
-    }
-
-    /// One user's shard by activity rank.
-    pub fn shard(&self, user: u32) -> &UserShard {
-        &self.shards[user as usize]
-    }
-
-    /// The name of host `host` (`"h0"`, `"h1"`, …).
-    pub fn host_name(&self, host: u16) -> &str {
-        &self.host_names[host as usize]
     }
 
     /// The world's metrics registry (deterministic snapshot source).
@@ -568,8 +509,9 @@ mod tests {
         let (report, world) = run_world(20, 3, 7, 4_000);
         assert_eq!(report.procs, 4_000);
         assert_eq!(report.exits, 4_000, "every fork exits");
+        let arenas = world.shards.iter().flat_map(|s| s.arenas.iter().flatten());
         assert_eq!(
-            world.shards.iter().map(|s| s.live_total()).sum::<usize>(),
+            arenas.map(|a| a.live_count()).sum::<usize>(),
             0,
             "nothing live after the drain"
         );
@@ -605,8 +547,8 @@ mod tests {
         // between two shards' snapshots would be a leak.
         let mut seen = std::collections::HashSet::new();
         let mut total = 0usize;
-        for shard in world.shards() {
-            for rec in shard.snapshot() {
+        for shard in &world.shards {
+            for rec in shard.arenas.iter().flatten().flat_map(|a| a.snapshot()) {
                 assert!(
                     seen.insert((rec.gpid.host.clone(), rec.gpid.pid)),
                     "{} appears in more than one user's shard",
@@ -618,11 +560,11 @@ mod tests {
         assert_eq!(total as u64, report.tracked_end);
         // Per-shard accounting sums to the world's.
         assert_eq!(
-            world.shards().iter().map(|s| s.forked).sum::<u64>(),
+            world.shards.iter().map(|s| s.forked).sum::<u64>(),
             report.procs
         );
         assert_eq!(
-            world.shards().iter().map(|s| s.exited).sum::<u64>(),
+            world.shards.iter().map(|s| s.exited).sum::<u64>(),
             report.exits
         );
     }
@@ -631,16 +573,15 @@ mod tests {
     fn lpm_slots_register_once_per_user_host() {
         let (report, world) = run_world(12, 4, 11, 2_000);
         let mut slots = 0u64;
-        for shard in world.shards() {
-            for h in shard.lpm_hosts() {
-                let slot = shard.lpm(h).unwrap();
-                assert_eq!(slot.port, lpm_port(shard.uid()), "well-known per-user port");
+        for shard in &world.shards {
+            for slot in shard.lpms.iter().flatten() {
+                assert_eq!(slot.port, lpm_port(shard.uid), "well-known per-user port");
                 slots += 1;
             }
             // The home host is always registered for an active user.
             if shard.forked > 0 {
-                let home = (shard.uid().0 - UID_BASE) % u32::from(world.spec().hosts);
-                assert!(shard.lpm(home as u16).is_some());
+                let home = (shard.uid.0 - UID_BASE) % u32::from(world.spec.hosts);
+                assert!(shard.lpms[home as usize].is_some());
             }
         }
         assert_eq!(slots, report.lpm_spawns, "slots registered exactly once");
@@ -649,8 +590,8 @@ mod tests {
     #[test]
     fn zipf_storm_skews_work_toward_low_ranks() {
         let (_, world) = run_world(30, 2, 13, 6_000);
-        let first = world.shard(0).forked;
-        let last = world.shard(29).forked;
+        let first = world.shards[0].forked;
+        let last = world.shards[29].forked;
         assert!(
             first > last * 3,
             "rank 0 ({first}) should dominate rank 29 ({last})"

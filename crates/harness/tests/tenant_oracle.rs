@@ -13,7 +13,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use ppm_harness::tenant::{scale_spec, TenantWorld, UID_BASE};
-use ppm_simos::workload::{Storm, StormSpec};
+use ppm_runtime::workload::{Storm, StormSpec};
 
 /// Retention before a dead node may be swept, µs (mirrors the tenant
 /// world's policy; sweeps do not feed the digest, so the exact value

@@ -240,7 +240,7 @@ pub enum Op {
         /// Target pid.
         pid: u32,
         /// [`TraceFlags`](https://en.wikipedia.org/wiki/Ptrace)-style bits
-        /// (see `ppm-simos::events::TraceFlags`).
+        /// (see `ppm-runtime::events::TraceFlags`).
         flags: u8,
     },
     /// Change the tracing granularity of an adopted process.

@@ -22,13 +22,6 @@ impl ClusterClock {
         ClusterClock { epoch }
     }
 
-    /// A clock starting now.
-    pub fn starting_now() -> Self {
-        ClusterClock {
-            epoch: Instant::now(),
-        }
-    }
-
     /// Microseconds elapsed since the epoch.
     pub fn now(&self) -> Micros {
         Micros::from_micros(self.epoch.elapsed().as_micros() as u64)
@@ -41,7 +34,7 @@ mod tests {
 
     #[test]
     fn clock_is_monotonic_and_shared() {
-        let c = ClusterClock::starting_now();
+        let c = ClusterClock::new(Instant::now());
         let d = c; // copy shares the epoch
         let a = c.now();
         let b = d.now();

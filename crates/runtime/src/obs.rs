@@ -98,15 +98,6 @@ impl Hist {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
     }
-
-    /// Inclusive upper bound of a bucket (`2^i - 1`), for rendering.
-    pub fn bucket_limit(i: usize) -> u64 {
-        if i >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
-    }
 }
 
 /// A snapshot value of one metric.
@@ -309,11 +300,6 @@ impl Registry {
     #[inline]
     pub fn record(&self, id: HistId, v: u64) {
         self.hists[id.0 as usize].1.record(v);
-    }
-
-    /// Current value of a counter (tests and snapshot plumbing).
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize].1.load(Relaxed)
     }
 
     /// All metrics, sorted by name.
@@ -554,8 +540,10 @@ mod tests {
         assert_eq!(a, b);
         r.inc(a);
         r.inc(b);
-        assert_eq!(r.counter_value(a), 2);
-        assert_eq!(r.snapshot().len(), 1);
+        let [both] = &r.snapshot()[..] else {
+            panic!("one name, one metric");
+        };
+        assert_eq!(both.value, MetricValue::Counter(2));
     }
 
     #[test]
@@ -566,7 +554,6 @@ mod tests {
         assert_eq!(Hist::bucket_of(3), 2);
         assert_eq!(Hist::bucket_of(4), 3);
         assert_eq!(Hist::bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        assert_eq!(Hist::bucket_limit(3), 7);
     }
 
     #[test]

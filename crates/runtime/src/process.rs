@@ -65,20 +65,6 @@ pub struct Rusage {
     pub forks: u64,
 }
 
-impl Rusage {
-    /// Merges a child's usage into a parent aggregate (like `RUSAGE_CHILDREN`).
-    pub fn absorb(&mut self, other: &Rusage) {
-        self.cpu += other.cpu;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_received += other.msgs_received;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.files_opened += other.files_opened;
-        self.signals_received += other.signals_received;
-        self.forks += other.forks;
-    }
-}
-
 /// One entry in a host's process table.
 #[derive(Debug, Clone)]
 pub struct Process {
@@ -203,34 +189,6 @@ mod tests {
         assert!(ProcState::Exited(ExitStatus::Signaled(Signal::Kill))
             .to_string()
             .starts_with("dead"));
-    }
-
-    #[test]
-    fn rusage_absorb_sums_everything() {
-        let mut a = Rusage {
-            cpu: SimDuration::from_millis(5),
-            msgs_sent: 1,
-            ..Default::default()
-        };
-        let b = Rusage {
-            cpu: SimDuration::from_millis(7),
-            msgs_sent: 2,
-            msgs_received: 3,
-            bytes_sent: 10,
-            bytes_received: 20,
-            files_opened: 1,
-            signals_received: 4,
-            forks: 5,
-        };
-        a.absorb(&b);
-        assert_eq!(a.cpu, SimDuration::from_millis(12));
-        assert_eq!(a.msgs_sent, 3);
-        assert_eq!(a.msgs_received, 3);
-        assert_eq!(a.bytes_sent, 10);
-        assert_eq!(a.bytes_received, 20);
-        assert_eq!(a.files_opened, 1);
-        assert_eq!(a.signals_received, 4);
-        assert_eq!(a.forks, 5);
     }
 
     #[test]

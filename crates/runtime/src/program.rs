@@ -254,12 +254,6 @@ impl Program for Inert {
 /// Identifies a process world-wide.
 pub type ProcKey = (HostId, Pid);
 
-/// Formats a `(host, pid)` pair the way the paper writes process
-/// identities: `<host name, pid>`.
-pub fn format_gpid(host_name: &str, pid: Pid) -> String {
-    format!("<{host_name}, {pid}>")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,10 +298,5 @@ mod tests {
         let s = SpawnSpec::new("worker", Box::new(Inert));
         assert!(s.program.is_some());
         assert!(!s.cpu_bound);
-    }
-
-    #[test]
-    fn gpid_format_matches_paper() {
-        assert_eq!(format_gpid("ucbvax", Pid(102)), "<ucbvax, 102>");
     }
 }

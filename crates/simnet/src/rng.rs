@@ -48,19 +48,6 @@ impl SimRng {
         d.mul_f64(k)
     }
 
-    /// A uniformly distributed duration in `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn duration_between(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
-        assert!(lo <= hi, "duration_between requires lo <= hi");
-        if lo == hi {
-            return lo;
-        }
-        SimDuration::from_micros(self.inner.gen_range(lo.as_micros()..=hi.as_micros()))
-    }
-
     /// A uniformly distributed `f64` in `[0, 1)`.
     pub fn unit_f64(&mut self) -> f64 {
         self.inner.gen_range(0.0..1.0)
@@ -137,18 +124,6 @@ mod tests {
         let d = SimDuration::from_millis(10);
         assert_eq!(rng.jitter(d, 0.0), d);
         assert_eq!(rng.jitter(SimDuration::ZERO, 0.5), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn duration_between_is_inclusive() {
-        let mut rng = SimRng::seed_from(5);
-        let lo = SimDuration::from_micros(10);
-        let hi = SimDuration::from_micros(12);
-        for _ in 0..200 {
-            let d = rng.duration_between(lo, hi);
-            assert!(d >= lo && d <= hi);
-        }
-        assert_eq!(rng.duration_between(lo, lo), lo);
     }
 
     #[test]

@@ -159,12 +159,6 @@ impl RoutingTable {
         Some(&self.links[idx])
     }
 
-    /// The next hop from `a` toward `b`, or `None` when unreachable.
-    pub fn next_hop(&self, a: u32, b: u32) -> Option<u32> {
-        self.route(a, b)
-            .and_then(|(nodes, _)| nodes.get(1).copied())
-    }
-
     /// Whether hosts `a` and `b` can currently exchange traffic.
     pub fn reachable(&self, a: u32, b: u32) -> bool {
         if a == b {
@@ -262,7 +256,6 @@ mod tests {
         assert!(!t.reachable(0, 7));
         assert!(t.reachable(0, 3), "pod-internal unaffected");
         assert!(t.route(0, 7).is_none());
-        assert!(t.next_hop(0, 7).is_none());
     }
 
     #[test]

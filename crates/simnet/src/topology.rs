@@ -184,13 +184,6 @@ impl Topology {
         found
     }
 
-    /// Whether a live link joins `a` and `b` directly.
-    pub fn link_up(&self, a: HostId, b: HostId) -> bool {
-        self.adj[a.0 as usize]
-            .iter()
-            .any(|(p, live)| *p == b && *live)
-    }
-
     /// Minimum hop count between two live hosts over live links.
     ///
     /// Returns `Some(0)` when `a == b` (and `a` is up), `None` when

@@ -9,7 +9,7 @@
 //! The paper modified 4.3BSD "with kernel changes kept to a minimum"; the
 //! PPM interacts with the kernel only through system calls, stream
 //! sockets and kernel event messages. This crate reproduces that exact
-//! surface (see [`sys::Sys`] and [`program::Program`]) so the PPM logic
+//! surface (see [`sys::Sys`] and [`ppm_runtime::program::Program`]) so the PPM logic
 //! in `ppm-core` is structured just like the original user-level C
 //! implementation.
 //!
@@ -19,7 +19,7 @@
 //! use ppm_simnet::time::SimDuration;
 //! use ppm_simnet::topology::{CpuClass, HostSpec};
 //! use ppm_simos::ids::Uid;
-//! use ppm_simos::program::SpawnSpec;
+//! use ppm_runtime::program::SpawnSpec;
 //! use ppm_simos::world::World;
 //!
 //! let mut world = World::new(42);
@@ -27,7 +27,7 @@
 //! let pid = world.spawn_user(host, Uid(100), SpawnSpec::inert("cc"))?;
 //! world.run_for(SimDuration::from_millis(200));
 //! assert!(world.core().is_alive((host, pid)));
-//! # Ok::<(), ppm_simos::program::SysError>(())
+//! # Ok::<(), ppm_runtime::program::SysError>(())
 //! ```
 
 pub mod config;
@@ -36,26 +36,9 @@ pub mod rt;
 pub mod sys;
 pub mod world;
 
-// The process model, actor trait and stock programs moved to the
-// backend-agnostic `ppm-runtime` layer (the real backend shares them);
-// the kernel wire codec moved next to the rest of the protocol in
-// `ppm-proto`. These shims keep the historical `ppm_simos::` paths.
-pub use ppm_proto::kernel_wire as wire;
-pub use ppm_runtime::events;
-pub use ppm_runtime::fd;
 pub use ppm_runtime::ids;
-pub use ppm_runtime::inetd;
-pub use ppm_runtime::kernel;
-pub use ppm_runtime::process;
-pub use ppm_runtime::program;
-pub use ppm_runtime::signal;
-pub use ppm_runtime::workload;
 
 pub use config::OsConfig;
-pub use events::{KernelEvent, TraceFlags};
 pub use ids::{ConnId, Fd, Pid, Port, Uid};
-pub use process::{ProcInfo, ProcState, Rusage};
-pub use program::{ConnEvent, Inert, KernelMsg, ProcKey, Program, SigAction, SpawnSpec, SysError};
-pub use signal::{ExitStatus, Signal};
 pub use sys::Sys;
 pub use world::World;

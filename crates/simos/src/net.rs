@@ -14,7 +14,7 @@ use ppm_simnet::time::SimTime;
 use ppm_simnet::topology::HostId;
 
 use crate::ids::{ConnId, Pid, Port};
-use crate::program::ProcKey;
+use ppm_runtime::program::ProcKey;
 
 /// One endpoint of a connection.
 pub type Endpoint = ProcKey;

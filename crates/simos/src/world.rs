@@ -29,14 +29,14 @@ use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{HostId, HostSpec, NetSpec, Topology};
 
 use crate::config::OsConfig;
-use crate::fd::FdKind;
 use crate::ids::{ConnId, Pid, Port, Uid};
-use crate::kernel::Kernel;
 use crate::net::{ConnState, ConnTable, Connection};
-use crate::process::ProcState;
-use crate::program::{ConnEvent, ProcKey, Program, SigAction, SpawnSpec, SysError};
-use crate::signal::{ExitStatus, Signal};
 use crate::sys::Sys;
+use ppm_runtime::fd::FdKind;
+use ppm_runtime::kernel::Kernel;
+use ppm_runtime::process::ProcState;
+use ppm_runtime::program::{ConnEvent, ProcKey, Program, SigAction, SpawnSpec, SysError};
+use ppm_runtime::signal::{ExitStatus, Signal};
 
 /// Events flowing through the engine. Internal to the crate; programs see
 /// the typed callbacks of [`Program`] instead.
@@ -185,16 +185,6 @@ impl WorldCore {
     /// The network topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// The latency model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    /// The OS constants in force.
-    pub fn os_config(&self) -> &OsConfig {
-        &self.config
     }
 
     /// The trace log.
@@ -902,22 +892,19 @@ impl fmt::Debug for World {
 }
 
 impl World {
-    /// Creates an empty world with default config and the given RNG seed.
+    /// Creates an empty world with the given RNG seed; the OS constants
+    /// and the latency model are [`OsConfig::default`] and
+    /// [`LatencyModel::default`].
     pub fn new(seed: u64) -> Self {
-        Self::with_config(OsConfig::default(), LatencyModel::default(), seed)
-    }
-
-    /// Creates a world with explicit OS constants and latency model.
-    pub fn with_config(config: OsConfig, latency: LatencyModel, seed: u64) -> Self {
         let mut obs = ObsHub::new(true);
         let ids = WorldObs::register(&mut obs.registry);
         World {
             core: WorldCore {
                 engine: TimerWheel::new(),
                 topo: Topology::new(),
-                latency,
+                latency: LatencyModel::default(),
                 rng: SimRng::seed_from(seed),
-                config,
+                config: OsConfig::default(),
                 hosts: Vec::new(),
                 fx: Effects::new(),
                 conns: ConnTable::default(),
@@ -971,7 +958,7 @@ impl World {
 
     fn boot_daemons(&mut self, host: HostId) {
         let boot = self.core.config.daemon_boot_cost;
-        let spec = SpawnSpec::new("inetd", Box::new(crate::inetd::Inetd::new()));
+        let spec = SpawnSpec::new("inetd", Box::new(ppm_runtime::inetd::Inetd::new()));
         self.core
             .spawn(host, Pid::INIT, Uid::ROOT, spec, Some(boot))
             .expect("host is up during boot");

@@ -3,17 +3,17 @@
 //! deterministic replay.
 
 use bytes::Bytes;
+use ppm_proto::kernel_wire::for_each_kernel_msg;
+use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::obs::MetricValue;
+use ppm_runtime::process::ProcState;
+use ppm_runtime::program::{ConnEvent, Program, SpawnSpec, SysError};
+use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
+use ppm_runtime::workload::{Chatter, EchoServer};
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec};
-use ppm_simos::events::{KernelEvent, TraceFlags};
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
-use ppm_simos::process::ProcState;
-use ppm_simos::program::{ConnEvent, Program, SpawnSpec, SysError};
-use ppm_simos::signal::{ExitStatus, Signal};
-use ppm_simos::wire::for_each_kernel_msg;
-use ppm_simos::workload::{Chatter, EchoServer};
 use ppm_simos::world::World;
 
 use std::sync::{Arc, Mutex};

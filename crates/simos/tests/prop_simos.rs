@@ -6,15 +6,15 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use ppm_runtime::kernel::Kernel;
+use ppm_runtime::process::{ProcState, Process};
+use ppm_runtime::program::{ConnEvent, ProcKey, Program, SpawnSpec};
+use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec};
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
-use ppm_simos::kernel::Kernel;
 use ppm_simos::net::ConnState;
-use ppm_simos::process::{ProcState, Process};
-use ppm_simos::program::{ConnEvent, ProcKey, Program, SpawnSpec};
-use ppm_simos::signal::{ExitStatus, Signal};
 use ppm_simos::world::World;
 
 #[derive(Debug, Clone)]
@@ -292,7 +292,7 @@ proptest! {
                         continue;
                     };
                     let tracer_uid = k.get(tr).map(|e| e.uid).unwrap_or(Uid(0));
-                    let res = k.adopt(t, tr, tracer_uid, ppm_simos::events::TraceFlags::ALL);
+                    let res = k.adopt(t, tr, tracer_uid, ppm_runtime::events::TraceFlags::ALL);
                     if let Ok(()) = res {
                         // Same-user or root only.
                         let target_uid = k.get(t).expect("adopted").uid;

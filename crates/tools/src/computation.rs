@@ -133,7 +133,6 @@ mod tests {
     use ppm_core::config::PpmConfig;
     use ppm_simnet::time::SimDuration;
     use ppm_simnet::topology::CpuClass;
-    use ppm_simos::process::ProcState;
 
     const USER: Uid = Uid(100);
 
@@ -195,7 +194,7 @@ mod tests {
                 .get(ppm_simos::ids::Pid(m.pid))
                 .unwrap()
                 .state;
-            assert_eq!(state, ProcState::Stopped, "{m}");
+            assert_eq!(state.to_string(), "stopped", "{m}");
         }
         // And resume it.
         let n = signal_computation(&mut ppm, "a", USER, &root, ControlAction::Background).unwrap();
@@ -208,8 +207,9 @@ mod tests {
                 .kernel(host)
                 .get(ppm_simos::ids::Pid(members[1].pid))
                 .unwrap()
-                .state,
-            ProcState::Running
+                .state
+                .to_string(),
+            "running"
         );
     }
 

@@ -15,11 +15,10 @@
 
 use std::collections::BTreeSet;
 
-use ppm_harness::harness::{PpmHarness, Runtime};
+use ppm_harness::harness::{PpmHarness, Runtime, Signal};
 use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
 use ppm_simnet::time::SimDuration;
 use ppm_simos::ids::{Pid, Uid};
-use ppm_simos::signal::Signal;
 
 use crate::computation::{locate, ComputationSites};
 

@@ -34,7 +34,7 @@ pub fn connection_report(world: &World) -> Vec<ConnReport> {
         .core()
         .connections()
         .map(|c| {
-            let name = |(h, p): ppm_simos::program::ProcKey| {
+            let name = |(h, p): (ppm_simos::ids::HostId, ppm_simos::ids::Pid)| {
                 format!("{}:{}", world.core().host_name(h), p)
             };
             ConnReport {

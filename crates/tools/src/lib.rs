@@ -20,7 +20,6 @@
 //! * [`metrics`] — pull a live LPM's metrics registry over the wire;
 //! * [`drill`] — the exec → display → locate → LPM-kill → recovery script
 //!   every backend's end-to-end test and the `ppm-real` demo run;
-//! * [`tenant_view`] — per-user displays of the multi-tenant scale world.
 
 pub mod computation;
 pub mod display;
@@ -32,7 +31,6 @@ pub mod ipc_tool;
 pub mod metrics;
 pub mod rusage_tool;
 pub mod snapshot;
-pub mod tenant_view;
 
 pub use forest::{Forest, ForestNode};
 pub use snapshot::SnapshotTool;

@@ -10,12 +10,12 @@ use ppm::core::config::PpmConfig;
 use ppm::harness::harness::PpmHarness;
 use ppm::proto::msg::{Op, Reply};
 use ppm::proto::types::Gpid;
+use ppm::runtime::events::TraceFlags;
+use ppm::runtime::program::SpawnSpec;
+use ppm::runtime::workload::{Chatter, EchoServer, TreeSpawner};
 use ppm::simnet::time::SimDuration;
 use ppm::simnet::topology::CpuClass;
-use ppm::simos::events::TraceFlags;
 use ppm::simos::ids::{Port, Uid};
-use ppm::simos::program::SpawnSpec;
-use ppm::simos::workload::{Chatter, EchoServer, TreeSpawner};
 use ppm::tools::{files_tool, ipc_tool, SnapshotTool};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

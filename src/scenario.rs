@@ -43,10 +43,10 @@ use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::{HarnessError, PpmHarness};
 use ppm_proto::msg::ControlAction;
 use ppm_proto::types::Gpid;
+use ppm_runtime::events::TraceFlags;
 use ppm_simnet::fault::FaultPlan;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, NetGraph, NetSpec};
-use ppm_simos::events::TraceFlags;
 use ppm_simos::ids::Uid;
 
 /// The generated `--hosts N` scale scenario: a chain where each host's

@@ -9,12 +9,12 @@ use ppm::harness::harness::PpmHarness;
 use ppm::proto::msg::{ControlAction, Op, Reply};
 use ppm::proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm::proto::types::WireProcState;
+use ppm::runtime::events::TraceFlags;
+use ppm::runtime::program::SpawnSpec;
+use ppm::runtime::workload::TreeSpawner;
 use ppm::simnet::time::{SimDuration, SimTime};
 use ppm::simnet::topology::CpuClass;
-use ppm::simos::events::TraceFlags;
 use ppm::simos::ids::Uid;
-use ppm::simos::program::SpawnSpec;
-use ppm::simos::workload::TreeSpawner;
 use ppm::tools::{forest::Forest, history_tool, ipc_tool, rusage_tool, snapshot};
 
 const ALICE: Uid = Uid(100);

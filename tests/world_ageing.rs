@@ -37,7 +37,11 @@ fn daemon_fds(ppm: &PpmHarness) -> usize {
         fds.len()
     };
     let ports = [Port::INETD, PMD_PORT, lpm_port(USER)];
-    ports.into_iter().map(table_of).max().expect("three daemons")
+    ports
+        .into_iter()
+        .map(table_of)
+        .max()
+        .expect("three daemons")
 }
 
 #[test]
