@@ -1084,11 +1084,8 @@ impl Sys for McSys<'_> {
         self.exited = Some(ExitStatus::Code(code));
     }
 
-    /// Every child is filed under its caller, whatever `parent` says: a
-    /// daemon is inetd's child here, not init's as elsewhere. The suites'
-    /// state digests fold the parent pid in; aligning it changes all five.
-    fn fork_exec(&mut self, _parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        Ok(self.w.spawn(self.key, uid, spec))
+    fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        Ok(self.w.spawn((self.key.0, parent.0), uid, spec))
     }
 
     fn post_signal(&mut self, target: Pid, signal: Signal) {

@@ -8,6 +8,10 @@
 //! All three sit on `ppm_runtime::kernel::Kernel`, so the tracer must
 //! see the same `KernelEvent` sequence and the same resource usage, and
 //! a foreign user's `open_fds` must be refused, on each of them.
+//!
+//! A second script starts a daemon the way inetd does and opens and
+//! closes one connection to it: the daemon is init's child, and neither
+//! end keeps a descriptor for the closed connection, on each of them.
 
 use bytes::Bytes;
 
@@ -16,8 +20,8 @@ use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_realos::RealRuntime;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::fd::OpenMode;
-use ppm_runtime::ids::{CpuClass, Pid, Uid};
-use ppm_runtime::program::{Program, SigAction, SpawnSpec, SysError};
+use ppm_runtime::ids::{ConnId, CpuClass, Pid, Port, Uid};
+use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
@@ -218,4 +222,94 @@ own open_fds Ok(1)";
     let real = run_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, sim, "real backend diverges from sim");
     assert_eq!(run_on_mc(), sim, "model checker diverges from sim");
+}
+
+const SINK: &str = "sink";
+const SINK_PORT: Port = Port(9);
+/// Stable-storage keys of the second script's three findings.
+const FINDINGS: [&str; 3] = ["parity.daemon_ppid", "parity.closer_fds", "parity.told_fds"];
+
+fn own_fd_kinds(sys: &dyn Sys) -> String {
+    let fds = sys.open_fds(sys.pid()).expect("own table");
+    let kinds: Vec<_> = fds.iter().map(|(_, kind)| kind.kind_name()).collect();
+    kinds.join(",")
+}
+
+/// The daemon: accepts, and reports its descriptors when told of a close.
+struct Sink;
+
+impl Program for Sink {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.listen(SINK_PORT).expect("port free");
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, _: ConnId, event: ConnEvent) {
+        if event == ConnEvent::Closed {
+            sys.stable_put(FINDINGS[2], own_fd_kinds(sys));
+        }
+    }
+}
+
+/// Root's caller: starts the daemon, connects until it listens, closes.
+struct Caller;
+
+impl Program for Caller {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        let (daemon, _) = sys.spawn_service(SINK).expect("root starts services");
+        let ppid = sys.proc_info(daemon).expect("just started").ppid;
+        sys.stable_put(FINDINGS[0], ppid.to_string());
+        self.on_timer(sys, 0);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
+        sys.connect(sys.host(), SINK_PORT).expect("host known");
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        match event {
+            ConnEvent::Established => {
+                sys.close(conn).expect("own connection");
+                sys.stable_put(FINDINGS[1], own_fd_kinds(sys));
+            }
+            _ => drop(sys.set_timer(SimDuration::from_millis(5), 0)),
+        }
+    }
+}
+
+fn sink_factory() -> ppm_runtime::rt::ServiceFactory {
+    Box::new(|_| Box::new(Sink))
+}
+
+fn findings(backend: &str, get: impl Fn(&str) -> Option<Bytes>) -> Vec<String> {
+    let read = |key: &&str| text(get(key), key, backend);
+    FINDINGS.iter().map(read).collect()
+}
+
+fn dial_on<R: Runtime>(rt: &mut R, backend: &str) -> Vec<String> {
+    rt.register_service(SINK, SINK_PORT, sink_factory());
+    let host = rt.add_host("a", CpuClass::Vax780);
+    rt.spawn_user(host, Uid::ROOT, SpawnSpec::new("caller", Box::new(Caller)))
+        .expect("spawn caller");
+    for _ in 0..250 {
+        if rt.stable_get(host, FINDINGS[2]).is_some() {
+            break;
+        }
+        rt.run(SimDuration::from_millis(20));
+    }
+    findings(backend, |key| rt.stable_get(host, key))
+}
+
+#[test]
+fn a_daemon_is_inits_child_and_a_closed_connection_leaves_no_descriptor() {
+    let expected = ["1", "", "listener"];
+    assert_eq!(dial_on(&mut SimRuntime::new(7), "sim"), expected);
+    assert_eq!(
+        dial_on(&mut RealRuntime::with_trace(false), "real"),
+        expected
+    );
+    let mut w = McWorld::new(&["a"], SimDuration::from_secs(20));
+    w.register_service(SINK, SINK_PORT, sink_factory());
+    w.spawn_program(0, Uid::ROOT, "caller", Box::new(Caller));
+    assert!(w.run_to_quiescence(10_000), "mc: script never quiesced");
+    assert_eq!(findings("mc", |key| w.kernel(0).stable_get(key)), expected);
 }
