@@ -1,4 +1,7 @@
-//! PPM tunables.
+//! PPM tunables: [`PpmConfig`] holds the settings some caller, scenario
+//! option or benchmark workload varies; a value every caller left at its
+//! default is a `const` here, so the number of configurations to test is
+//! the number somebody uses.
 
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::time::SimDuration;
@@ -23,8 +26,7 @@ pub const RUSAGE_CAP: usize = 1024;
 /// Tracing granularity applied when adopting.
 pub const DEFAULT_TRACE_FLAGS: TraceFlags = TraceFlags::ALL;
 
-/// The settings of LPM behaviour some caller varies; what every caller
-/// leaves alone is a constant above. CPU costs are nominal values for an
+/// The settings of LPM behaviour. CPU costs are nominal values for an
 /// idle VAX 11/780 and are scaled by host class and load at run time.
 ///
 /// The cost constants are calibrated so the regenerated Table 2 lands on

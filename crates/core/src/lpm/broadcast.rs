@@ -24,6 +24,10 @@
 //! (identified by the signed stamp within the retention window) are
 //! answered with an immediate `BcastDone`.
 //!
+//! Every participant keeps one [`BcastState`] and starts the same way
+//! (`join_wave`); what only the originator or only a relay keeps — the
+//! merge queue, the upstream aggregate — lives in its [`BcastRole`].
+//!
 //! The originator works gather-then-combine. While the wave runs, each
 //! arriving aggregate is split into its parts ([`WirePart::split`]: the
 //! route of each part is decoded and learned from, the reply stays a

@@ -31,11 +31,10 @@
 //!
 //! # The vocabulary is what is spoken
 //!
-//! Every [`Msg`] variant is sent by some component and accepted by
-//! another (DESIGN.md §8 has the table), and the decoder accepts exactly
-//! the tags the encoder writes. Tags 1, 9 and 17 belonged to words no
-//! component said any more; they are [`CodecError::BadTag`] like any
-//! other unknown byte, and the words in use keep their numbers.
+//! Every [`Msg`] is sent by some component and accepted by another
+//! (DESIGN.md §8 has the table), and the decoder accepts exactly the tags
+//! the encoder writes: tags 1, 9 and 17, words nobody said any more, are
+//! [`CodecError::BadTag`] like any other unknown byte.
 
 use std::collections::BTreeSet;
 use std::fmt;
