@@ -206,8 +206,8 @@ enum Step {
 #[derive(Debug)]
 pub struct Dial {
     target: HostId,
-    /// What pmd is asked once located.
-    request: Msg,
+    /// What pmd is asked once located, encoded.
+    request: Bytes,
     /// `Some`: pmd's answer is an accept address to connect to and
     /// authenticate on with this identity. `None`: the answer is the goal.
     hello: Option<HelloIdentity>,
@@ -233,6 +233,7 @@ impl Dial {
         let request = Msg::CreateLpm {
             user: identity.user,
         };
+        let request = request.to_bytes();
         Self::start(sys, target, request, Some(identity), retry_delay, attempts)
     }
 
@@ -244,17 +245,17 @@ impl Dial {
     pub fn pmd(
         sys: &mut dyn Sys,
         target: HostId,
-        request: Msg,
+        request: &Msg,
         retry_delay: SimDuration,
         attempts: u32,
     ) -> Self {
-        Self::start(sys, target, request, None, retry_delay, attempts)
+        Self::start(sys, target, request.to_bytes(), None, retry_delay, attempts)
     }
 
     fn start(
         sys: &mut dyn Sys,
         target: HostId,
-        request: Msg,
+        request: Bytes,
         hello: Option<HelloIdentity>,
         retry_delay: SimDuration,
         attempts: u32,
@@ -337,7 +338,7 @@ impl Dial {
             ConnEvent::Established => {
                 let (wire, next) = match (self.step, &self.hello) {
                     (Step::ToInetd, _) => (inetd::request(PMD_SERVICE), Step::AwaitPmdPort),
-                    (Step::ToPmd, _) => (self.request.to_bytes(), Step::AwaitAnswer),
+                    (Step::ToPmd, _) => (self.request.clone(), Step::AwaitAnswer),
                     (Step::ToLpm, Some(id)) => {
                         let hello = Msg::Hello {
                             user: id.user,
@@ -534,7 +535,7 @@ mod tests {
                 claimant: "a".into(),
                 dead: None,
             };
-            Dial::pmd(&mut sys, HostId(1), ask, DELAY, attempts)
+            Dial::pmd(&mut sys, HostId(1), &ask, DELAY, attempts)
         };
         dial.on_conn_event(&mut sys, ConnEvent::Established);
         let port = Bytes::copy_from_slice(&[inetd::INETD_OK, 0, 9]);

@@ -142,7 +142,7 @@ impl Lpm {
             dead,
         };
         let retry = self.cfg.connect_retry;
-        let dial = Dial::pmd(sys, target, request, retry, CONNECT_ATTEMPTS);
+        let dial = Dial::pmd(sys, target, &request, retry, CONNECT_ATTEMPTS);
         // A query still in flight is replaced; its connection, owned by
         // no dial now, is ignored from here on.
         let purpose = ChanPurpose::NameServer;

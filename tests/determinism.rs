@@ -36,7 +36,12 @@ fn scenario_cells_repeat_byte_for_byte() {
     let cells = [
         ("demo.ppm", shipped("demo.ppm"), None, None),
         ("chain of 24", chain_scenario(24), None, None),
-        ("chaos.ppm + crash_heal", shipped("chaos.ppm"), Some(&plan), None),
+        (
+            "chaos.ppm + crash_heal",
+            shipped("chaos.ppm"),
+            Some(&plan),
+            None,
+        ),
         (
             "congestion.ppm on fat-tree",
             shipped("congestion.ppm"),
