@@ -212,7 +212,7 @@ impl Tool {
         }
     }
 
-    fn apply_progress(&mut self, sys: &mut dyn Sys, progress: Progress<Dialed>) {
+    fn apply_progress(&mut self, sys: &mut dyn Sys, progress: Progress) {
         match progress {
             // This dial asks for a channel; pmd's answer is not its end.
             Progress::Pending | Progress::Done(Dialed::Answer(_)) => {}

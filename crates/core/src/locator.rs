@@ -174,14 +174,14 @@ pub enum Dialed {
 
 /// Progress report returned by every event fed to a [`Dial`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Progress<T> {
+pub enum Progress {
     /// Still working; nothing for the owner to do.
     Pending,
     /// Transient failure (daemon booting); call [`Dial::retry`] after
     /// this delay.
     RetryAfter(SimDuration),
     /// Finished.
-    Done(T),
+    Done(Dialed),
     /// Permanent failure.
     Failed(SysError),
 }
@@ -209,8 +209,9 @@ pub struct Dial {
     /// What pmd is asked once located, encoded.
     request: Bytes,
     /// `Some`: pmd's answer is an accept address to connect to and
-    /// authenticate on with this identity. `None`: the answer is the goal.
-    hello: Option<HelloIdentity>,
+    /// authenticate on with this (encoded) `Hello`. `None`: the answer
+    /// is the goal.
+    hello: Option<Bytes>,
     step: Step,
     conn: Option<ConnId>,
     /// Where the current step connects: inetd, then pmd, then the LPM.
@@ -233,8 +234,16 @@ impl Dial {
         let request = Msg::CreateLpm {
             user: identity.user,
         };
-        let request = request.to_bytes();
-        Self::start(sys, target, request, Some(identity), retry_delay, attempts)
+        let hello = Msg::Hello {
+            user: identity.user,
+            host: identity.host,
+            is_tool: identity.is_tool,
+            ccs: identity.ccs,
+            epoch: identity.epoch,
+            proof: identity.proof,
+        };
+        let (request, hello) = (request.to_bytes(), Some(hello.to_bytes()));
+        Self::start(sys, target, request, hello, retry_delay, attempts)
     }
 
     /// Starts a one-shot exchange with `target`'s pmd — steps 1–3 with
@@ -256,7 +265,7 @@ impl Dial {
         sys: &mut dyn Sys,
         target: HostId,
         request: Bytes,
-        hello: Option<HelloIdentity>,
+        hello: Option<Bytes>,
         retry_delay: SimDuration,
         attempts: u32,
     ) -> Self {
@@ -307,7 +316,7 @@ impl Dial {
     }
 
     /// Re-attempts the current step after a `RetryAfter`.
-    pub fn retry(&mut self, sys: &mut dyn Sys) -> Progress<Dialed> {
+    pub fn retry(&mut self, sys: &mut dyn Sys) -> Progress {
         if self.is_terminal() {
             return Progress::Failed(SysError::ConnectionClosed);
         }
@@ -319,12 +328,12 @@ impl Dial {
         }
     }
 
-    fn fail(&mut self, err: SysError) -> Progress<Dialed> {
+    fn fail(&mut self, err: SysError) -> Progress {
         self.step = Step::Dead;
         Progress::Failed(err)
     }
 
-    fn bounce(&mut self) -> Progress<Dialed> {
+    fn bounce(&mut self) -> Progress {
         if self.attempts_left == 0 {
             return self.fail(SysError::ConnectionRefused);
         }
@@ -333,23 +342,13 @@ impl Dial {
     }
 
     /// Feeds a connection event for an owned connection.
-    pub fn on_conn_event(&mut self, sys: &mut dyn Sys, ev: ConnEvent) -> Progress<Dialed> {
+    pub fn on_conn_event(&mut self, sys: &mut dyn Sys, ev: ConnEvent) -> Progress {
         match ev {
             ConnEvent::Established => {
                 let (wire, next) = match (self.step, &self.hello) {
                     (Step::ToInetd, _) => (inetd::request(PMD_SERVICE), Step::AwaitPmdPort),
                     (Step::ToPmd, _) => (self.request.clone(), Step::AwaitAnswer),
-                    (Step::ToLpm, Some(id)) => {
-                        let hello = Msg::Hello {
-                            user: id.user,
-                            host: id.host.clone(),
-                            is_tool: id.is_tool,
-                            ccs: id.ccs.clone(),
-                            epoch: id.epoch,
-                            proof: id.proof,
-                        };
-                        (hello.to_bytes(), Step::AwaitAck)
-                    }
+                    (Step::ToLpm, Some(hello)) => (hello.clone(), Step::AwaitAck),
                     _ => return Progress::Pending,
                 };
                 let conn = self.conn.expect("owned conn");
@@ -368,7 +367,7 @@ impl Dial {
     }
 
     /// Feeds a message arriving on an owned connection.
-    pub fn on_message(&mut self, sys: &mut dyn Sys, data: Bytes) -> Progress<Dialed> {
+    pub fn on_message(&mut self, sys: &mut dyn Sys, data: Bytes) -> Progress {
         match self.step {
             Step::AwaitPmdPort => match inetd::parse_reply(&data) {
                 Ok(port) => {

@@ -172,12 +172,7 @@ impl Lpm {
         }
     }
 
-    fn apply_channel_progress(
-        &mut self,
-        sys: &mut dyn Sys,
-        key: &DialKey,
-        progress: Progress<Dialed>,
-    ) {
+    fn apply_channel_progress(&mut self, sys: &mut dyn Sys, key: &DialKey, progress: Progress) {
         let host = key.host();
         match progress {
             Progress::Pending => {}
