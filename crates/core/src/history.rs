@@ -4,32 +4,153 @@
 //! activities, accept parameters that determine the amount of process
 //! events recorded" (Section 2). History is the substrate for the
 //! resource-statistics tool and for history-dependent triggers.
+//!
+//! Values in, wire records out. An LPM records an event for every kernel
+//! message about every traced process, and almost none of them is ever
+//! asked for, so an entry holds what the event *is* — a pid, a literal
+//! kind, the child, status, signal or byte count it carries — and the
+//! [`HistoryRecord`] / [`RusageRecord`] a tool sees (host name, `"child
+//! 7"`, `"exit(0)"`, `"112 bytes"`) is built in [`History::query`] and
+//! [`History::exited`], when `Op::History` or `Op::Rusage` asks. Both
+//! rings evict before they push and so never hold more than their cap.
 
 use std::collections::VecDeque;
 
 use ppm_proto::types::{Gpid, HistoryRecord, RusageRecord};
+use ppm_runtime::ids::Pid;
+use ppm_runtime::process::Rusage;
+use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::time::SimTime;
 
+/// Whom an event is about.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Who {
+    /// A process of the recording LPM's own host (pid 0: the LPM itself).
+    Local(u32),
+    /// A process elsewhere (the target of a forwarded trigger action).
+    Remote(Gpid),
+}
+
+/// What an event carries besides its kind: the value its detail text is
+/// made from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Detail {
+    /// Nothing (`""`).
+    None,
+    /// A forked child (`"child 7"`).
+    Child(Pid),
+    /// How a process ended (`"exit(0)"`, `"killed by SIGKILL"`).
+    Status(ExitStatus),
+    /// A signal delivered or sent (`"SIGSTOP"`).
+    Signal(Signal),
+    /// A message size (`"112 bytes"`).
+    Bytes(usize),
+    /// Text that is only known as text: a command, a path, a note.
+    Text(Box<str>),
+}
+
+impl Detail {
+    fn render(&self) -> String {
+        match self {
+            Detail::None => String::new(),
+            Detail::Child(pid) => format!("child {pid}"),
+            Detail::Status(status) => status.to_string(),
+            Detail::Signal(signal) => signal.to_string(),
+            Detail::Bytes(n) => format!("{n} bytes"),
+            Detail::Text(text) => text.to_string(),
+        }
+    }
+}
+
+impl From<String> for Detail {
+    fn from(text: String) -> Self {
+        Detail::Text(text.into_boxed_str())
+    }
+}
+
+impl From<&str> for Detail {
+    fn from(text: &str) -> Self {
+        Detail::Text(text.into())
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Event {
+    at_us: u64,
+    who: Who,
+    kind: &'static str,
+    detail: Detail,
+}
+
+impl Event {
+    fn to_record(&self, host: &str) -> HistoryRecord {
+        HistoryRecord {
+            at_us: self.at_us,
+            gpid: match &self.who {
+                Who::Local(pid) => Gpid::new(host, *pid),
+                Who::Remote(gpid) => gpid.clone(),
+            },
+            kind: self.kind.to_string(),
+            detail: self.detail.render(),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Exited {
+    pid: u32,
+    command: Box<str>,
+    exited_us: u64,
+    status: ExitStatus,
+    rusage: Rusage,
+}
+
+impl Exited {
+    fn to_record(&self, host: &str) -> RusageRecord {
+        let r = &self.rusage;
+        RusageRecord {
+            gpid: Gpid::new(host, self.pid),
+            command: self.command.to_string(),
+            exited_us: self.exited_us,
+            status: match self.status {
+                ExitStatus::Code(c) => c,
+                ExitStatus::Signaled(s) => -(1000 + i32::from(s.number())),
+            },
+            cpu_us: r.cpu.as_micros(),
+            msgs: r.msgs_sent + r.msgs_received,
+            bytes: r.bytes_sent + r.bytes_received,
+            files: r.files_opened,
+            forks: r.forks,
+        }
+    }
+}
+
 /// Bounded event log plus exited-process statistics.
+///
+/// The log does not know its host's name: the LPM passes it when a
+/// query renders records.
 ///
 /// # Examples
 ///
 /// ```
-/// use ppm_core::history::History;
-/// use ppm_proto::types::Gpid;
+/// use ppm_core::history::{Detail, History, Who};
+/// use ppm_runtime::signal::ExitStatus;
 /// use ppm_runtime::time::SimTime;
 ///
 /// let mut h = History::new(100, 10);
-/// h.record(SimTime::from_millis(5), Gpid::new("a", 9), "exec", "troff");
-/// h.record(SimTime::from_millis(9), Gpid::new("a", 9), "exit", "code 0");
-/// let events = h.query(6_000, 100); // at or after 6 ms
+/// h.record(SimTime::from_millis(5), Who::Local(9), "exec", "troff".into());
+/// let status = Detail::Status(ExitStatus::Code(0));
+/// h.record(SimTime::from_millis(9), Who::Local(9), "exit", status);
+/// let events = h.query("a", 6_000, 100); // at or after 6 ms
 /// assert_eq!(events.len(), 1);
+/// assert_eq!(events[0].gpid.host, "a");
 /// assert_eq!(events[0].kind, "exit");
+/// assert_eq!(events[0].detail, "exit(0)");
 /// ```
 #[derive(Debug, Clone)]
 pub struct History {
-    events: VecDeque<HistoryRecord>,
-    exited: VecDeque<RusageRecord>,
+    events: VecDeque<Event>,
+    exited: VecDeque<Exited>,
     events_cap: usize,
     exited_cap: usize,
     dropped: u64,
@@ -47,50 +168,60 @@ impl History {
         }
     }
 
-    /// Appends an event.
-    pub fn record(
-        &mut self,
-        at: SimTime,
-        gpid: Gpid,
-        kind: impl Into<String>,
-        detail: impl Into<String>,
-    ) {
-        self.events.push_back(HistoryRecord {
-            at_us: at.as_micros(),
-            gpid,
-            kind: kind.into(),
-            detail: detail.into(),
-        });
-        while self.events.len() > self.events_cap {
+    /// Appends an event, evicting the oldest when the log is full.
+    pub fn record(&mut self, at: SimTime, who: Who, kind: &'static str, detail: Detail) {
+        if self.events.len() == self.events_cap {
             self.events.pop_front();
             self.dropped += 1;
         }
+        self.events.push_back(Event {
+            at_us: at.as_micros(),
+            who,
+            kind,
+            detail,
+        });
     }
 
-    /// Appends an exited-process statistics record.
-    pub fn record_exit(&mut self, record: RusageRecord) {
-        self.exited.push_back(record);
-        while self.exited.len() > self.exited_cap {
+    /// Appends the statistics of a local process that exited at `at`,
+    /// evicting the oldest when the ring is full.
+    pub fn record_exit(
+        &mut self,
+        at: SimTime,
+        pid: u32,
+        command: &str,
+        status: ExitStatus,
+        rusage: Rusage,
+    ) {
+        if self.exited.len() == self.exited_cap {
             self.exited.pop_front();
         }
+        self.exited.push_back(Exited {
+            pid,
+            command: command.into(),
+            exited_us: at.as_micros(),
+            status,
+            rusage,
+        });
     }
 
-    /// Events at or after `since_us`, oldest first, at most `max`.
-    pub fn query(&self, since_us: u64, max: usize) -> Vec<HistoryRecord> {
+    /// Events at or after `since_us`, oldest first, at most `max`, as
+    /// the records of the LPM on `host`.
+    pub fn query(&self, host: &str, since_us: u64, max: usize) -> Vec<HistoryRecord> {
         self.events
             .iter()
             .filter(|e| e.at_us >= since_us)
             .take(max)
-            .cloned()
+            .map(|e| e.to_record(host))
             .collect()
     }
 
-    /// Statistics of exited processes, oldest first; `pid` filters.
-    pub fn exited(&self, pid: Option<u32>) -> Vec<RusageRecord> {
+    /// Statistics of exited processes, oldest first, as the records of
+    /// the LPM on `host`; `pid` filters.
+    pub fn exited(&self, host: &str, pid: Option<u32>) -> Vec<RusageRecord> {
         self.exited
             .iter()
-            .filter(|r| pid.is_none_or(|p| r.gpid.pid == p))
-            .cloned()
+            .filter(|r| pid.is_none_or(|p| r.pid == p))
+            .map(|r| r.to_record(host))
             .collect()
     }
 
@@ -109,9 +240,9 @@ impl History {
         self.dropped
     }
 
-    /// The most recent event, if any.
-    pub fn last(&self) -> Option<&HistoryRecord> {
-        self.events.back()
+    /// The most recent event, if any, as a record of the LPM on `host`.
+    pub fn last(&self, host: &str) -> Option<HistoryRecord> {
+        self.events.back().map(|e| e.to_record(host))
     }
 }
 
@@ -119,8 +250,13 @@ impl History {
 mod tests {
     use super::*;
 
-    fn rec(h: &mut History, t: u64, pid: u32, kind: &str) {
-        h.record(SimTime::from_micros(t), Gpid::new("a", pid), kind, "");
+    fn rec(h: &mut History, t: u64, pid: u32, kind: &'static str) {
+        h.record(SimTime::from_micros(t), Who::Local(pid), kind, Detail::None);
+    }
+
+    fn exit(h: &mut History, t: u64, pid: u32) {
+        let at = SimTime::from_micros(t);
+        h.record_exit(at, pid, "x", ExitStatus::SUCCESS, Rusage::default());
     }
 
     #[test]
@@ -130,11 +266,42 @@ mod tests {
         rec(&mut h, 20, 1, "exec");
         rec(&mut h, 30, 1, "exit");
         assert_eq!(h.len(), 3);
-        let q = h.query(20, 100);
+        let q = h.query("a", 20, 100);
         assert_eq!(q.len(), 2);
         assert_eq!(q[0].kind, "exec");
-        assert_eq!(h.query(0, 1).len(), 1);
-        assert_eq!(h.last().unwrap().kind, "exit");
+        assert_eq!(h.query("a", 0, 1).len(), 1);
+        assert_eq!(h.last("a").unwrap().kind, "exit");
+    }
+
+    #[test]
+    fn details_render_as_the_texts_a_tool_reads() {
+        let texts = [
+            (Detail::None, ""),
+            (Detail::Child(Pid(7)), "child 7"),
+            (Detail::Status(ExitStatus::Code(0)), "exit(0)"),
+            (
+                Detail::Status(ExitStatus::Signaled(Signal::Kill)),
+                "killed by SIGKILL",
+            ),
+            (Detail::Signal(Signal::Stop), "SIGSTOP"),
+            (Detail::Bytes(112), "112 bytes"),
+            (Detail::from("troff"), "troff"),
+        ];
+        for (detail, text) in texts {
+            assert_eq!(detail.render(), text);
+        }
+    }
+
+    #[test]
+    fn a_remote_subject_keeps_its_own_host() {
+        let mut h = History::new(10, 10);
+        let far = Gpid::new("kim", 5);
+        let at = SimTime::ZERO;
+        h.record(at, Who::Remote(far.clone()), "trigger-signal", Detail::None);
+        h.record(at, Who::Local(5), "signal", Detail::Signal(Signal::Kill));
+        let q = h.query("calder", 0, 10);
+        assert_eq!(q[0].gpid, far);
+        assert_eq!(q[1].gpid, Gpid::new("calder", 5));
     }
 
     #[test]
@@ -145,47 +312,27 @@ mod tests {
         rec(&mut h, 3, 1, "c");
         assert_eq!(h.len(), 2);
         assert_eq!(h.dropped(), 1);
-        assert_eq!(h.query(0, 10)[0].kind, "b");
+        assert_eq!(h.query("a", 0, 10)[0].kind, "b");
     }
 
     #[test]
     fn exited_records_filter_by_pid() {
         let mut h = History::new(10, 10);
         for pid in [5u32, 6, 5] {
-            h.record_exit(RusageRecord {
-                gpid: Gpid::new("a", pid),
-                command: "x".into(),
-                exited_us: 0,
-                status: 0,
-                cpu_us: 1,
-                msgs: 0,
-                bytes: 0,
-                files: 0,
-                forks: 0,
-            });
+            exit(&mut h, 0, pid);
         }
-        assert_eq!(h.exited(None).len(), 3);
-        assert_eq!(h.exited(Some(5)).len(), 2);
-        assert_eq!(h.exited(Some(9)).len(), 0);
+        assert_eq!(h.exited("a", None).len(), 3);
+        assert_eq!(h.exited("a", Some(5)).len(), 2);
+        assert_eq!(h.exited("a", Some(9)).len(), 0);
     }
 
     #[test]
     fn exited_capacity_bounded() {
         let mut h = History::new(10, 2);
         for i in 0..5u32 {
-            h.record_exit(RusageRecord {
-                gpid: Gpid::new("a", i),
-                command: "x".into(),
-                exited_us: i as u64,
-                status: 0,
-                cpu_us: 0,
-                msgs: 0,
-                bytes: 0,
-                files: 0,
-                forks: 0,
-            });
+            exit(&mut h, u64::from(i), i);
         }
-        let left = h.exited(None);
+        let left = h.exited("a", None);
         assert_eq!(left.len(), 2);
         assert_eq!(left[0].gpid.pid, 3);
     }

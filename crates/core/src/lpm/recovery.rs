@@ -19,6 +19,7 @@ use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
 
 use crate::config::{RecoveryPolicy, CONNECT_ATTEMPTS, DEFAULT_TRACE_FLAGS};
+use crate::history::Who;
 use crate::locator::Dial;
 
 use super::{ChanPurpose, ChannelSlot, DialKey, Lpm, RecovMode, TimerKind};
@@ -342,12 +343,9 @@ impl Lpm {
         for rec in self.tree.records() {
             if rec.state != ppm_proto::types::WireProcState::Dead {
                 let _ = sys.kill(Pid(rec.pid), Signal::Kill);
-                self.history.record(
-                    at,
-                    Gpid::new(self.host.clone(), rec.pid),
-                    "ttd-kill",
-                    "killed at time-to-die",
-                );
+                let who = Who::Local(rec.pid);
+                let note = "killed at time-to-die".into();
+                self.history.record(at, who, "ttd-kill", note);
             }
         }
         self.shutdown(sys, 2);
@@ -488,12 +486,9 @@ impl Lpm {
             format_args!("respawned LPM re-adopted {readopted} survivor(s), mttr {mttr}"),
         );
         if readopted > 0 {
-            self.history.record(
-                now,
-                Gpid::new(self.host.clone(), 0),
-                "readopt",
-                format!("{readopted} survivors after crash"),
-            );
+            let note = format!("{readopted} survivors after crash");
+            self.history
+                .record(now, Who::Local(0), "readopt", note.into());
         }
         // Rejoin the computation: the predecessor's sibling channels died
         // with it, and nobody dials a host they believe is still up. The

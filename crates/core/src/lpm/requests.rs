@@ -21,6 +21,7 @@ use ppm_runtime::time::{SimDuration, SimTime};
 use ppm_runtime::workload::Worker;
 
 use crate::config::{DEADLINE_DECAY, DEFAULT_TRACE_FLAGS};
+use crate::history::{Detail, Who};
 use crate::rpc::{fmt_key, DupVerdict, PendingRequest, RpcKey, TransportVerdict};
 
 use super::{conns::SiblingStatus, BcastRole, Lpm, ReplyTo, ReqPhase, TimerKind};
@@ -802,10 +803,10 @@ impl Lpm {
                 return self.finish_req(sys, id, slice);
             }
             Op::Rusage { pid } => Some(Reply::Rusage {
-                records: self.history.exited(pid),
+                records: self.history.exited(&self.host, pid),
             }),
             Op::History { since_us, max } => Some(Reply::History {
-                events: self.history.query(since_us, max as usize),
+                events: self.history.query(&self.host, since_us, max as usize),
             }),
             Op::OpenFiles { pid } => Some(self.do_open_files(sys, pid)),
             Op::Adopt { pid, flags } => Some(self.do_adopt(sys, pid, flags)),
@@ -898,12 +899,8 @@ impl Lpm {
         match sys.kill(Pid(pid), signal) {
             Ok(()) => {
                 let at = sys.now();
-                self.history.record(
-                    at,
-                    Gpid::new(self.host.clone(), pid),
-                    verb,
-                    signal.to_string(),
-                );
+                self.history
+                    .record(at, Who::Local(pid), verb, Detail::Signal(signal));
                 Reply::Ok
             }
             Err(e) => err_reply(e),
@@ -948,17 +945,31 @@ impl Lpm {
         let now = sys.now();
         self.tree
             .track(pid.0, ppid, logical, command.clone(), now.as_micros(), true);
-        self.history.record(
-            now,
-            Gpid::new(self.host.clone(), pid.0),
-            "create",
-            format!("spawned {command} for request"),
-        );
+        let note = format!("spawned {command} for request");
+        self.history
+            .record(now, Who::Local(pid.0), "create", note.into());
         self.rpc.add_spawn_wait(pid.0, id);
         if let Some(r) = self.rpc.get_mut(id) {
             r.spawn_pid = Some(pid.0);
         }
         None
+    }
+
+    /// Settles the creation request waiting on `pid`, if there is one:
+    /// it completes when its child reaches exec (the process exists and
+    /// runs) and fails when the child dies first.
+    pub(crate) fn finish_spawn_wait(&mut self, sys: &mut dyn Sys, pid: u32, reached_exec: bool) {
+        let Some(req_id) = self.rpc.take_spawn_wait(pid) else {
+            return;
+        };
+        if reached_exec {
+            let gpid = Gpid::new(self.host.as_str(), pid);
+            let reply = Reply::Spawned { gpid };
+            self.finish_req(sys, req_id, WireReply::from(&reply));
+        } else {
+            let why = "created process died before exec";
+            self.finish_with_error(sys, req_id, ErrCode::Internal, why);
+        }
     }
 
     fn do_adopt(&mut self, sys: &mut dyn Sys, pid: u32, flags: u8) -> Reply {
@@ -1002,12 +1013,9 @@ impl Lpm {
                 }
             }
         }
-        self.history.record(
-            now,
-            Gpid::new(self.host.clone(), pid),
-            "adopt",
-            format!("flags {flags}"),
-        );
+        let note = format!("flags {flags}");
+        self.history
+            .record(now, Who::Local(pid), "adopt", note.into());
         Reply::Ok
     }
 
@@ -1113,12 +1121,9 @@ impl Lpm {
             ReplyTo::Internal => {
                 if let ReplyPeek::Err { code, detail } = reply.peek() {
                     let at = sys.now();
-                    self.history.record(
-                        at,
-                        Gpid::new(self.host.clone(), 0),
-                        "internal-error",
-                        format!("{code:?}: {detail}"),
-                    );
+                    let note = format!("{code:?}: {detail}");
+                    self.history
+                        .record(at, Who::Local(0), "internal-error", note.into());
                 }
             }
             ReplyTo::BcastLocal { key } => {

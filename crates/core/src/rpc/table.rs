@@ -6,7 +6,7 @@
 //! spawn-wait map, and the timer registry. The LPM submodules drive it;
 //! nothing else in the crate reaches into its maps directly.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use ppm_proto::msg::{ErrCode, WireReply};
 use ppm_proto::types::Route;
@@ -53,7 +53,7 @@ pub(crate) enum DupVerdict {
 pub(crate) struct RpcTable {
     /// Local-id allocator (the LPM salts it with the host name).
     next_seq: u64,
-    pending: HashMap<u64, PendingRequest>,
+    pending: FastMap<u64, PendingRequest>,
     /// Correlation index: `(origin, origin id)` → local id.
     corr: FastMap<RpcKey, u64>,
     /// Shared retention window: broadcast stamps and executed sibling
@@ -66,7 +66,7 @@ pub(crate) struct RpcTable {
     /// which purge discards after checking the live entry.
     dedup_buckets: BTreeMap<u64, Vec<RpcKey>>,
     /// Spawned-but-not-yet-exec'd pid → local request id.
-    spawn_waits: HashMap<u32, u64>,
+    spawn_waits: FastMap<u32, u64>,
     /// Incarnation fence per origin host: the newest boot epoch a forest
     /// pull has taught us. Requests stamped with an older (nonzero) boot
     /// are from a dead incarnation and must never execute fresh — the
@@ -74,7 +74,7 @@ pub(crate) struct RpcTable {
     /// stops a late retry from re-executing.
     fences: FastMap<std::sync::Arc<str>, u64>,
     next_token: u64,
-    timers: HashMap<u64, TimerKind>,
+    timers: FastMap<u64, TimerKind>,
 }
 
 impl RpcTable {

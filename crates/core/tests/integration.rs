@@ -10,9 +10,13 @@ use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{Gpid, WireProcState};
 use ppm_runtime::events::TraceFlags;
+use ppm_runtime::fd::OpenMode;
+use ppm_runtime::ids::{ConnId, Fd, HostId, Port};
 use ppm_runtime::process::ProcState;
-use ppm_runtime::program::SpawnSpec;
-use ppm_runtime::workload::TreeSpawner;
+use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec};
+use ppm_runtime::signal::Signal;
+use ppm_runtime::sys::Sys;
+use ppm_runtime::workload::{EchoServer, TreeSpawner, Worker};
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::Uid;
@@ -946,4 +950,201 @@ fn snapshot_replies_are_the_ones_the_record_level_path_gave() {
         Reply::Stats { relays, .. } => assert!(relays >= 1, "ucbarpa relayed it"),
         other => panic!("unexpected {other:?}"),
     }
+}
+
+/// A traced job that produces every kind of kernel event once it is
+/// told to go: opens a file, forks a short-lived child, exchanges one
+/// message with an echo server, closes the file, and catches SIGUSR1.
+struct ScriptedJob {
+    echo: (HostId, Port),
+    log: Option<Fd>,
+}
+
+impl Program for ScriptedJob {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        // Held so the adopt lands before the first event.
+        sys.set_timer(SimDuration::from_secs(2), 0);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        self.log = Some(sys.open("/usr/tmp/scripted.log", OpenMode::Write));
+        let kid = Worker::new(SimDuration::from_millis(200), SimDuration::from_millis(5));
+        sys.spawn(SpawnSpec::new("kid", Box::new(kid))).unwrap();
+        sys.connect(self.echo.0, self.echo.1).unwrap();
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        if event == ConnEvent::Established {
+            sys.send(conn, vec![0x55u8; 112]).unwrap();
+        }
+    }
+
+    fn on_message(&mut self, sys: &mut dyn Sys, _conn: ConnId, _data: bytes::Bytes) {
+        if let Some(fd) = self.log.take() {
+            sys.close_fd(fd).unwrap();
+        }
+    }
+
+    fn on_signal(&mut self, _sys: &mut dyn Sys, signal: Signal) -> SigAction {
+        match signal {
+            Signal::Usr1 => SigAction::Handled,
+            _ => SigAction::Default,
+        }
+    }
+}
+
+/// What `Op::History` and `Op::Rusage` answer did not change when the
+/// LPM stopped storing wire records: one scripted job (fork, exec, file
+/// open/close, a message each way, stop, continue, a caught signal, two
+/// exits — one by code, one by SIGKILL), an adopt, the controls, a
+/// remote create and a trigger that signals across hosts give, byte for
+/// byte, the replies the record-level history produced. The digests were
+/// taken from the commit before the change.
+#[test]
+fn history_and_rusage_replies_are_the_ones_the_record_level_path_gave() {
+    let mut ppm = three_hosts();
+    let calder = ppm.host("calder").unwrap();
+    ppm.spawn_login_process(
+        "calder",
+        USER,
+        SpawnSpec::new("echod", Box::new(EchoServer { port: Port(7) })),
+    )
+    .unwrap();
+    let job = ScriptedJob {
+        echo: (calder, Port(7)),
+        log: None,
+    };
+    let pid = ppm
+        .spawn_login_process("calder", USER, SpawnSpec::new("scripted", Box::new(job)))
+        .unwrap();
+    let job = Gpid::new("calder", pid.0);
+    ppm.adopt("calder", USER, "calder", pid.0, TraceFlags::ALL.bits())
+        .unwrap();
+    let remote = ppm
+        .spawn_remote(
+            "calder",
+            USER,
+            "ucbarpa",
+            "remote-job",
+            Some(job.clone()),
+            None,
+        )
+        .unwrap();
+    // When the scripted job dies, calder's LPM kills the remote one.
+    let spec = TriggerSpec {
+        id: 3,
+        pattern: EventPattern::kind("exit").with_pid(pid.0),
+        action: TriggerAction::Signal {
+            target: remote.clone(),
+            signal: 9,
+        },
+        once: true,
+    };
+    let out = ppm
+        .run_tool(
+            "calder",
+            USER,
+            vec![ToolStep::new("calder", Op::AddTrigger { spec })],
+            SimDuration::from_secs(30),
+        )
+        .unwrap();
+    assert!(matches!(out.reply(0), Some(Reply::Ok)));
+    ppm.run_for(SimDuration::from_secs(3));
+    for action in [
+        ControlAction::Stop,
+        ControlAction::Foreground,
+        ControlAction::Signal(Signal::Usr1.number()),
+        ControlAction::Kill,
+    ] {
+        ppm.control("calder", USER, &job, action).unwrap();
+    }
+    ppm.run_for(SimDuration::from_secs(3));
+
+    let out = ppm
+        .run_tool(
+            "calder",
+            USER,
+            vec![
+                ToolStep::new(
+                    "*",
+                    Op::History {
+                        since_us: 0,
+                        max: 500,
+                    },
+                ),
+                ToolStep::new("*", Op::Rusage { pid: None }),
+                ToolStep::new(
+                    "calder",
+                    Op::History {
+                        since_us: 2_000_000,
+                        max: 7,
+                    },
+                ),
+                ToolStep::new("calder", Op::Rusage { pid: Some(pid.0) }),
+            ],
+            SimDuration::from_secs(60),
+        )
+        .unwrap();
+    let reply = |i| out.reply(i).expect("answered");
+
+    let Reply::History { events } = reply(0) else {
+        panic!("unexpected {:?}", reply(0));
+    };
+    let seen: std::collections::BTreeSet<&str> = events.iter().map(|e| e.kind.as_str()).collect();
+    let expected = [
+        "adopt",
+        "cont",
+        "create",
+        "exec",
+        "exit",
+        "file-close",
+        "file-open",
+        "foreground",
+        "fork",
+        "kill",
+        "msg-recv",
+        "msg-sent",
+        "signal",
+        "stop",
+        "trigger-signal",
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected);
+    let detail_of = |kind: &str| {
+        let e = events.iter().find(|e| e.kind == kind).expect("recorded");
+        (e.gpid.clone(), e.detail.as_str())
+    };
+    assert_eq!(detail_of("msg-sent"), (job.clone(), "112 bytes"));
+    assert_eq!(detail_of("file-open").1, "/usr/tmp/scripted.log");
+    assert_eq!(detail_of("exit").1, "exit(0)", "the child, by code");
+    assert_eq!(detail_of("trigger-signal").0, remote, "a remote subject");
+
+    let Reply::Rusage { records } = reply(1) else {
+        panic!("unexpected {:?}", reply(1));
+    };
+    let exits: Vec<(&str, &str, i32)> = records
+        .iter()
+        .map(|r| (r.gpid.host.as_str(), r.command.as_str(), r.status))
+        .collect();
+    assert_eq!(
+        exits,
+        [
+            ("calder", "kid", 0),
+            ("calder", "scripted", -1009),
+            ("ucbarpa", "remote-job", -1009),
+        ]
+    );
+    assert!(matches!(reply(2), Reply::History { events } if events.len() == 7));
+    assert!(matches!(reply(3), Reply::Rusage { records } if records.len() == 1));
+
+    let digests: Vec<u64> = (0..4).map(|i| reply_digest(reply(i))).collect();
+    assert_eq!(
+        digests,
+        [
+            0xe386857d6a1485b,
+            0x8b1ce01e88b6c6,
+            0x41a1e30336477ae0,
+            0xe33546a45a8fb51e,
+        ],
+        "broadcast history, broadcast rusage, directed slice, one pid"
+    );
 }

@@ -854,7 +854,7 @@ impl McWorld {
         self.child_exits.remove(&k);
         self.timers.retain(|_, t| t.owner != k);
         // Events still queued for a dead tracer would only be no-op moves.
-        self.kernels[k.0 as usize].take_batch(Pid(k.1));
+        self.kernels[k.0 as usize].drain_batch(Pid(k.1), |_| ());
         for c in self.conns.values_mut() {
             if c.open && (c.a == k || c.b == k) {
                 c.fin(k);

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use ppm_proto::codec::encode_batch;
 
 use ppm_runtime::fd::FdKind;
 use ppm_runtime::ids::{ConnId, HostId, Pid, Port, Uid};
@@ -426,12 +427,11 @@ impl NodeCore {
     }
 
     fn do_kernel_flush(&mut self, tracer: Pid) {
-        let msgs = self.kernel.take_batch(tracer);
-        if msgs.is_empty() || !self.kernel.is_alive(tracer) {
-            return;
+        // A dead tracer's batch is collected all the same, and dropped.
+        let batch = self.kernel.drain_batch(tracer, encode_batch);
+        if let Some(batch) = batch.filter(|_| self.kernel.is_alive(tracer)) {
+            self.with_program(tracer, |prog, sys| prog.on_kernel_batch(sys, batch));
         }
-        let batch = ppm_proto::codec::encode_batch(&msgs);
-        self.with_program(tracer, |prog, sys| prog.on_kernel_batch(sys, batch));
     }
 
     fn do_signal(&mut self, target: Pid, signal: Signal) {

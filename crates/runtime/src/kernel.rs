@@ -9,6 +9,22 @@
 //! current instant in and an [`Effects`] buffer; the kernel mutates its
 //! tables and appends what the backend must now *schedule*. Backends
 //! differ only in when those effects fire and how bytes move.
+//!
+//! The tables keyed by pid, uid or port hash with [`FastMap`]: every
+//! syscall and every event looks a pid up several times, and the keys
+//! are the kernel's own counters, not outside input. Nothing may depend
+//! on the order such a table iterates in (`std`'s randomly seeded maps,
+//! which these were, already forbade it): what is listed is sorted or
+//! walked through the ordered per-uid index.
+//!
+//! Kernel events coalesce in one queue per tracer. [`Kernel::emit`]
+//! reports the event that made a queue non-empty as `first`, and the
+//! backend arms one flush for it. The flush is
+//! [`Kernel::drain_batch`]: the whole queue, oldest first, as one slice
+//! to encode, after which the queue is empty *and keeps its buffer*, so
+//! a tracer's next burst allocates nothing for it. A backend that
+//! delivers one event per wakeup (the checker) calls
+//! [`Kernel::pop_kernel_msg`] instead; neither shifts what stays queued.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -16,6 +32,7 @@ use bytes::Bytes;
 
 use crate::events::{KernelEvent, TraceFlags};
 use crate::fd::{FdKind, OpenMode};
+use crate::hashx::FastMap;
 use crate::ids::{ConnId, Fd, Pid, Port, Uid};
 use crate::process::{ProcInfo, ProcState, Process, Rusage};
 use crate::program::{KernelMsg, SigAction, SysError};
@@ -28,7 +45,7 @@ use crate::time::{SimDuration, SimTime};
 pub enum Effect {
     /// A kernel event of `kind` (`wire_size` bytes on the kernel socket)
     /// about `pid` joined `tracer`'s pending batch. When `first`, the
-    /// batch was empty: arm one flush (a later [`Kernel::take_batch`]);
+    /// batch was empty: arm one flush (a later [`Kernel::drain_batch`]);
     /// events queued before it fires ride along.
     Queued {
         tracer: Pid,
@@ -69,16 +86,16 @@ pub const EXITED_RETENTION: usize = 512;
 /// scan the index replaces was the multi-tenant bottleneck.
 #[derive(Debug)]
 pub struct Kernel {
-    procs: HashMap<Pid, Process>,
+    procs: FastMap<Pid, Process>,
     /// Live pids per owner, pid-ordered. Maintained on insert and exit;
     /// a uid's entry is removed when its last live pid exits.
-    by_uid: HashMap<Uid, BTreeSet<Pid>>,
+    by_uid: FastMap<Uid, BTreeSet<Pid>>,
     exited_order: VecDeque<Pid>,
     next_pid: u32,
     load_avg: f64,
     boot_count: u32,
     /// Bound ports and their owners; unpublished when the owner exits.
-    listeners: HashMap<Port, Pid>,
+    listeners: FastMap<Port, Pid>,
     /// Running inetd services by name, with the well-known port each was
     /// started for; unpublished when the daemon exits.
     services: HashMap<String, (Pid, Port)>,
@@ -87,25 +104,26 @@ pub struct Kernel {
     /// Services running at the last crash; a reboot hands them back so
     /// the backend re-runs them the way init replays /etc/rc.
     prev_services: Vec<String>,
-    /// Kernel events coalescing toward each tracer's next wakeup.
-    pending: HashMap<Pid, Vec<KernelMsg>>,
+    /// Kernel events coalescing toward each tracer's next wakeup. A
+    /// drained queue stays, empty, for its buffer.
+    pending: FastMap<Pid, VecDeque<KernelMsg>>,
 }
 
 impl Kernel {
     /// Creates a freshly booted kernel containing only the init process.
     pub fn new(now: SimTime) -> Self {
         let mut k = Kernel {
-            procs: HashMap::new(),
-            by_uid: HashMap::new(),
+            procs: FastMap::default(),
+            by_uid: FastMap::default(),
             exited_order: VecDeque::new(),
             next_pid: 2,
             load_avg: 0.0,
             boot_count: 1,
-            listeners: HashMap::new(),
+            listeners: FastMap::default(),
             services: HashMap::new(),
             stable: HashMap::new(),
             prev_services: Vec::new(),
-            pending: HashMap::new(),
+            pending: FastMap::default(),
         };
         let mut init = Process::new(Pid::INIT, Pid::INIT, Uid::ROOT, "init", now);
         init.state = ProcState::Running;
@@ -252,10 +270,13 @@ impl Kernel {
         if let Some(init) = self.procs.get_mut(&Pid::INIT) {
             init.children.extend(children.iter().copied());
         }
-        // Unlink from the (old) parent's child list.
+        // Unlink from the (old) parent's child list: a pid is listed
+        // once, and init's list is long while orphans pile up.
         let ppid = self.procs[&pid].ppid;
         if let Some(parent) = self.procs.get_mut(&ppid) {
-            parent.children.retain(|&c| c != pid);
+            if let Some(at) = parent.children.iter().position(|&c| c == pid) {
+                parent.children.remove(at);
+            }
         }
         self.exited_order.push_back(pid);
         while self.exited_order.len() > EXITED_RETENTION {
@@ -485,32 +506,40 @@ impl Kernel {
             wire_size: event.wire_size(),
             first: batch.is_empty(),
         });
-        batch.push(KernelMsg {
+        batch.push_back(KernelMsg {
             event,
             queued_at: now,
         });
     }
 
-    /// Collects `tracer`'s pending batch (the flush armed by its first
-    /// event). Empty when nothing is pending.
-    pub fn take_batch(&mut self, tracer: Pid) -> Vec<KernelMsg> {
-        self.pending
-            .get_mut(&tracer)
-            .map(std::mem::take)
-            .unwrap_or_default()
+    /// The flush armed by a batch's first event: hands `tracer`'s whole
+    /// pending batch to `flush`, oldest first, and empties it in place
+    /// (a dead tracer's queue is dropped instead: nothing joins it
+    /// again). `None`, without calling `flush`, when nothing is pending.
+    pub fn drain_batch<R>(
+        &mut self,
+        tracer: Pid,
+        flush: impl FnOnce(&[KernelMsg]) -> R,
+    ) -> Option<R> {
+        let batch = self.pending.get_mut(&tracer).filter(|b| !b.is_empty())?;
+        let flushed = flush(batch.make_contiguous());
+        batch.clear();
+        if !self.is_alive(tracer) {
+            self.pending.remove(&tracer);
+        }
+        Some(flushed)
     }
 
     /// Collects only the oldest pending event for `tracer` (backends
     /// that deliver one event per wakeup).
     pub fn pop_kernel_msg(&mut self, tracer: Pid) -> Option<KernelMsg> {
-        let batch = self.pending.get_mut(&tracer)?;
-        (!batch.is_empty()).then(|| batch.remove(0))
+        self.pending.get_mut(&tracer)?.pop_front()
     }
 
     /// The non-empty pending batches, in tracer-pid order.
-    pub fn pending_batches(&self) -> Vec<(Pid, &[KernelMsg])> {
+    pub fn pending_batches(&self) -> Vec<(Pid, &VecDeque<KernelMsg>)> {
         let waiting = self.pending.iter().filter(|(_, b)| !b.is_empty());
-        let mut batches: Vec<_> = waiting.map(|(t, b)| (*t, b.as_slice())).collect();
+        let mut batches: Vec<_> = waiting.map(|(t, b)| (*t, b)).collect();
         batches.sort_unstable_by_key(|(tracer, _)| *tracer);
         batches
     }

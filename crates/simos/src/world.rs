@@ -10,11 +10,11 @@
 //! signal, child exit, kernel event) becomes a scheduled event, mirroring
 //! the paper's message-based LPM design.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
+use ppm_runtime::hashx::FastMap;
 use ppm_runtime::kernel::{Effect, Effects};
 use ppm_runtime::obs::{CounterId, HistId, ObsHub, Registry};
 use ppm_runtime::rt::{ServiceFactory, Services};
@@ -149,9 +149,9 @@ pub struct WorldCore {
     /// The behaviour of every live process that has one. A program is
     /// taken out for the duration of its own callback, so the callback's
     /// [`Sys`] can borrow the rest of the world.
-    pub(crate) programs: HashMap<ProcKey, Box<dyn Program>>,
+    pub(crate) programs: FastMap<ProcKey, Box<dyn Program>>,
     /// Events held back because their target process is stopped.
-    pub(crate) deferred: HashMap<ProcKey, Vec<SimEvent>>,
+    pub(crate) deferred: FastMap<ProcKey, Vec<SimEvent>>,
     /// Everything the world records about itself: trace, spans, its own
     /// metrics and the registries programs publish.
     pub(crate) obs: ObsHub,
@@ -909,8 +909,8 @@ impl World {
                 fx: Effects::new(),
                 conns: ConnTable::default(),
                 services: Services::default(),
-                programs: HashMap::new(),
-                deferred: HashMap::new(),
+                programs: FastMap::default(),
+                deferred: FastMap::default(),
                 obs,
                 ids,
                 faults: None,
@@ -1277,18 +1277,18 @@ impl World {
                 });
             }
             SimEvent::KernelFlush { to } => {
-                let msgs = self.core.kernel_mut(to.0).take_batch(to.1);
-                if msgs.is_empty() {
+                let kernel = self.core.kernel_mut(to.0);
+                let flush = |msgs: &[_]| (msgs.len(), encode_batch(msgs));
+                let Some((count, data)) = kernel.drain_batch(to.1, flush) else {
                     return;
-                }
+                };
                 let batch = self.core.ids.kernel_batch_msgs;
-                self.core.obs.registry.record(batch, msgs.len() as u64);
-                let data = encode_batch(&msgs);
-                if msgs.len() > 1 {
+                self.core.obs.registry.record(batch, count as u64);
+                if count > 1 {
                     self.core.tracef(
                         Some(to.0),
                         TraceCategory::Kernel,
-                        format_args!("flush {} coalesced event(s) -> lpm {}", msgs.len(), to.1),
+                        format_args!("flush {count} coalesced event(s) -> lpm {}", to.1),
                     );
                 }
                 self.dispatch(SimEvent::KernelBatch { to, data });
