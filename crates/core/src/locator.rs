@@ -432,7 +432,6 @@ mod tests {
     use ppm_runtime::obs::{HubRef, ObsHub};
     use ppm_runtime::program::{Program, SpawnSpec};
     use ppm_runtime::signal::Signal;
-    use ppm_runtime::sys::TimerHandle;
     use ppm_runtime::time::SimTime;
 
     /// Every connect succeeds with the next id, every send and close is
@@ -468,19 +467,13 @@ mod tests {
         fn pid(&self) -> Pid {
             unimplemented!()
         }
-        fn set_timer(&mut self, _: SimDuration, _: u64) -> TimerHandle {
-            unimplemented!()
-        }
-        fn cancel_timer(&mut self, _: TimerHandle) -> bool {
+        fn set_timer(&mut self, _: SimDuration, _: u64) {
             unimplemented!()
         }
         fn listen(&mut self, _: Port) -> Result<(), SysError> {
             unimplemented!()
         }
         fn resolve_host(&self, _: &str) -> Result<HostId, SysError> {
-            unimplemented!()
-        }
-        fn known_hosts(&self) -> Vec<String> {
             unimplemented!()
         }
         fn random_unit(&mut self) -> f64 {

@@ -330,11 +330,6 @@ impl RpcTable {
         self.spawn_waits.remove(&pid)
     }
 
-    #[cfg(test)]
-    pub(crate) fn peek_spawn_wait(&self, pid: u32) -> Option<u64> {
-        self.spawn_waits.get(&pid).copied()
-    }
-
     // ---- timers ----------------------------------------------------------
 
     /// Arms a timer and records what it means.
@@ -701,7 +696,8 @@ mod tests {
         r.spawn_pid = Some(77);
         t.insert(3, r);
         t.add_spawn_wait(77, 3);
-        assert_eq!(t.peek_spawn_wait(77), Some(3));
+        assert_eq!(t.take_spawn_wait(77), Some(3));
+        t.add_spawn_wait(77, 3);
         t.remove(3);
         assert_eq!(t.take_spawn_wait(77), None, "removal clears the wait");
     }

@@ -6,7 +6,7 @@
 //! module takes that isolation property to scale. A [`TenantWorld`] holds
 //! one [`UserShard`] per user — per-host [`Genealogy`] slab arenas plus an
 //! LPM slot registry keyed by [`Uid`] — and drives all of them from a
-//! single discrete-event [`Engine`] fed by the deterministic
+//! single discrete-event [`TimerWheel`] fed by the deterministic
 //! fork/exec/exit [`Storm`] of `ppm-simos`. Because every decision comes
 //! from the storm's seeded stream and every data structure is
 //! allocation-recycling (slab arenas, slot free lists), a run is
@@ -21,7 +21,7 @@
 use ppm_proto::types::{Gpid, WireProcState};
 use ppm_runtime::obs::{CounterId, GaugeId, Registry};
 use ppm_runtime::workload::{Storm, StormFork, StormSpec};
-use ppm_simnet::engine::Engine;
+use ppm_simnet::engine::TimerWheel;
 use ppm_simnet::time::SimDuration;
 use ppm_simos::ids::{Port, Uid};
 
@@ -137,7 +137,7 @@ pub struct TenantWorld {
     spec: StormSpec,
     target: u64,
     storm: Storm,
-    engine: Engine<StormEvent>,
+    engine: TimerWheel<StormEvent>,
     shards: Vec<UserShard>,
     host_names: Vec<String>,
     /// Per-host monotonic pid allocator (never recycled, so `(host,
@@ -197,7 +197,7 @@ impl TenantWorld {
             spec,
             target: procs,
             storm: Storm::new(spec),
-            engine: Engine::new(),
+            engine: TimerWheel::new(),
             shards: (0..users)
                 .map(|r| UserShard::new(Uid(UID_BASE + r), hosts))
                 .collect(),

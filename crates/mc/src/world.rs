@@ -29,7 +29,7 @@ use ppm_runtime::kernel::{Effect, Effects, Kernel};
 use ppm_runtime::obs::{HubRef, ObsHub};
 use ppm_runtime::rt::{ServiceFactory, Services};
 use ppm_runtime::signal::{ExitStatus, Signal};
-use ppm_runtime::sys::{Sys, TimerHandle};
+use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
 use ppm_runtime::{
     ConnEvent, ConnId, HostId, Pid, Port, Program, SigAction, SpawnSpec, SysError, Uid,
@@ -938,7 +938,7 @@ impl Sys for McSys<'_> {
         self.w.clock
     }
 
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let id = self.w.next_timer;
         self.w.next_timer += 1;
         self.w.timers.insert(
@@ -949,11 +949,6 @@ impl Sys for McSys<'_> {
                 due: self.w.clock + delay,
             },
         );
-        TimerHandle(id)
-    }
-
-    fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.w.timers.remove(&handle.0).is_some()
     }
 
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
@@ -1068,10 +1063,6 @@ impl Sys for McSys<'_> {
             .position(|h| h == name)
             .map(|i| HostId(i as u32))
             .ok_or(SysError::NoSuchHost)
-    }
-
-    fn known_hosts(&self) -> Vec<String> {
-        self.w.host_names.clone()
     }
 
     fn random_unit(&mut self) -> f64 {

@@ -37,7 +37,6 @@ use ppm_runtime::kernel::{Effect, Effects, Kernel};
 use ppm_runtime::obs::HubRef;
 use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
-use ppm_runtime::sys::TimerHandle;
 use ppm_runtime::time::{Micros, SimDuration};
 use ppm_runtime::trace::TraceCategory;
 
@@ -179,8 +178,8 @@ pub struct NodeCore {
     /// listeners; a flag drops when its port is unpublished.
     acceptors: HashMap<Port, Arc<AtomicBool>>,
     actions: VecDeque<Deferred>,
-    timer_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    timer_entries: HashMap<u64, (Pid, u64)>,
+    /// Armed timers, earliest first: `(deadline, seq, owner, token)`.
+    timers: BinaryHeap<Reverse<(u64, u64, Pid, u64)>>,
     next_timer: u64,
     rng: u64,
 }
@@ -207,8 +206,7 @@ impl NodeCore {
             next_conn: 1,
             acceptors: HashMap::new(),
             actions: VecDeque::new(),
-            timer_heap: BinaryHeap::new(),
-            timer_entries: HashMap::new(),
+            timers: BinaryHeap::new(),
             next_timer: 1,
             rng: 0x9E37_79B9_7F4A_7C15 ^ ((host.0 as u64) << 17 | 1),
         };
@@ -365,28 +363,20 @@ impl NodeCore {
         self.clock.now()
     }
 
-    fn next_timer_wait(&mut self) -> Option<Duration> {
-        loop {
-            let &Reverse((deadline, seq)) = self.timer_heap.peek()?;
-            if !self.timer_entries.contains_key(&seq) {
-                self.timer_heap.pop(); // cancelled; discard lazily
-                continue;
-            }
-            let now = self.now().as_micros();
-            return Some(Duration::from_micros(deadline.saturating_sub(now)));
-        }
+    fn next_timer_wait(&self) -> Option<Duration> {
+        let &Reverse((deadline, ..)) = self.timers.peek()?;
+        let now = self.now().as_micros();
+        Some(Duration::from_micros(deadline.saturating_sub(now)))
     }
 
     fn fire_due_timers(&mut self) {
         let now = self.now().as_micros();
-        while let Some(&Reverse((deadline, seq))) = self.timer_heap.peek() {
+        while let Some(&Reverse((deadline, _, pid, token))) = self.timers.peek() {
             if deadline > now {
                 break;
             }
-            self.timer_heap.pop();
-            let Some((pid, token)) = self.timer_entries.remove(&seq) else {
-                continue; // cancelled
-            };
+            self.timers.pop();
+            // A dead owner has no program left: its timer is dropped here.
             self.with_program(pid, |prog, sys| prog.on_timer(sys, token));
             self.drain();
         }
@@ -494,7 +484,6 @@ impl NodeCore {
                     c.shut();
                 }
                 self.programs.remove(&pid);
-                self.timer_entries.retain(|_, (owner, _)| *owner != pid);
                 if let Some(parent) = notify {
                     self.actions.push_back(Deferred::ChildExit {
                         parent,
@@ -598,17 +587,12 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         self.node.now()
     }
 
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let seq = self.node.next_timer;
         self.node.next_timer += 1;
         let deadline = self.node.now().as_micros() + delay.as_micros();
-        self.node.timer_heap.push(Reverse((deadline, seq)));
-        self.node.timer_entries.insert(seq, (self.pid, token));
-        TimerHandle(seq)
-    }
-
-    fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.node.timer_entries.remove(&handle.0).is_some()
+        let entry = Reverse((deadline, seq, self.pid, token));
+        self.node.timers.push(entry);
     }
 
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
@@ -737,10 +721,6 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
             .position(|n| n == name)
             .map(|i| HostId(i as u32))
             .ok_or(SysError::NoSuchHost)
-    }
-
-    fn known_hosts(&self) -> Vec<String> {
-        self.node.cluster.hosts.read().unwrap().clone()
     }
 
     fn random_unit(&mut self) -> f64 {

@@ -5,7 +5,7 @@
 //! The programs report what they observed through stable storage (the
 //! facade's only introspection channel), so the assertions are identical
 //! for both backends: message ordering over a connection, timer firing
-//! and cancellation, deadline expiry against the backend clock, refused
+//! order, deadline expiry against the backend clock, refused
 //! connects, close notification, and child-exit plus kernel-event
 //! delivery for adopted processes.
 
@@ -93,8 +93,8 @@ impl Program for OrderClient {
     }
 }
 
-/// Arms three timers, cancels the middle one, and records the firing
-/// order of the survivors.
+/// Arms three timers, longest delay first, and records the order they
+/// fire in.
 struct TimerProg {
     fired: Vec<u64>,
 }
@@ -102,14 +102,13 @@ struct TimerProg {
 impl Program for TimerProg {
     fn on_start(&mut self, sys: &mut dyn Sys) {
         sys.set_timer(SimDuration::from_millis(60), 1);
-        let doomed = sys.set_timer(SimDuration::from_millis(40), 3);
+        sys.set_timer(SimDuration::from_millis(40), 3);
         sys.set_timer(SimDuration::from_millis(20), 2);
-        assert!(sys.cancel_timer(doomed), "pending timer cancels");
     }
 
     fn on_timer(&mut self, sys: &mut dyn Sys, token: u64) {
         self.fired.push(token);
-        if self.fired.len() == 2 {
+        if self.fired.len() == 3 {
             let order = self
                 .fired
                 .iter()
@@ -360,8 +359,8 @@ fn conformance_suite<R: Runtime>(rt: &mut R) {
     );
     assert_eq!(
         wait_for(rt, alpha, "conf.timers", budget).as_deref(),
-        Some(&b"2,1"[..]),
-        "timers fire shortest-delay first and cancelled timers never fire"
+        Some(&b"2,3,1"[..]),
+        "timers fire shortest-delay first"
     );
     assert_eq!(
         wait_for(rt, alpha, "conf.deadline", budget).as_deref(),

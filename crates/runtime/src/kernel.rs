@@ -712,11 +712,6 @@ impl Kernel {
         self.stable.get(key).cloned()
     }
 
-    /// Deletes a stable-storage record.
-    pub fn stable_del(&mut self, key: &str) {
-        self.stable.remove(key);
-    }
-
     /// Every stable-storage record, in key order.
     pub fn stable_records(&self) -> Vec<(&str, &Bytes)> {
         let mut records: Vec<_> = self.stable.iter().map(|(k, v)| (k.as_str(), v)).collect();

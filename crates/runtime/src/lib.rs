@@ -49,5 +49,5 @@ pub mod workload;
 pub use ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
 pub use program::{ConnEvent, Inert, KernelMsg, ProcKey, Program, SigAction, SpawnSpec, SysError};
 pub use rt::Runtime;
-pub use sys::{Sys, TimerHandle, CRASHED_AT_KEY};
+pub use sys::{Sys, CRASHED_AT_KEY};
 pub use time::{Micros, SimDuration, SimTime};

@@ -16,9 +16,14 @@
 //! Protocol code (`ppm-core`, the tools) is written against this trait
 //! only, so the same LPM/pmd/RPC stack drives every world. The trait is
 //! flat: its *required* methods are what a backend genuinely supplies —
-//! the clock, timers, the transport, identity and the host table, raw
-//! process creation and signal posting, inetd's registry, and access to
-//! its [`Kernel`], effects sink and [`ObsHub`](crate::obs::ObsHub).
+//! the clock, one-shot timers, the transport, identity and name
+//! resolution, raw process creation and signal posting, inetd's
+//! registry, and access to its [`Kernel`], effects sink and
+//! [`ObsHub`](crate::obs::ObsHub) — and only what some program calls.
+//! Timers are armed and run out; there is no cancel, because the PPM's
+//! timers (time-to-live, time-to-die, retention, probes, RPC steps) are
+//! forgotten by their owner rather than called off, and a forgotten
+//! timer's fire is a no-op.
 //! Everything else — permission checks, inetd's start-once rule, CPU
 //! accounting, tracing, spans, published registries and every call the
 //! kernel answers by itself — is a *provided* method, written once here.
@@ -52,13 +57,6 @@ use crate::trace::TraceCategory;
 /// read by pmd's recovery path to compute time-to-repair.
 pub const CRASHED_AT_KEY: &str = "os.crashed_at";
 
-/// Handle to a pending timer, usable to cancel it.
-///
-/// The payload is backend-defined: the simulation packs an engine event
-/// id, the real runtime an entry in the node's timer heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle(pub u64);
-
 /// The full syscall interface bound to one calling process.
 pub trait Sys {
     // ==== what a backend supplies =========================================
@@ -70,11 +68,10 @@ pub trait Sys {
     fn now(&self) -> Micros;
 
     /// Arms a one-shot timer; `token` comes back in
-    /// [`crate::program::Program::on_timer`].
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle;
-
-    /// Cancels a pending timer. Returns `false` if it already fired.
-    fn cancel_timer(&mut self, handle: TimerHandle) -> bool;
+    /// [`crate::program::Program::on_timer`]. There is no cancel: a
+    /// program that no longer wants a timer forgets its token and
+    /// ignores the fire.
+    fn set_timer(&mut self, delay: SimDuration, token: u64);
 
     // ---- transport -----------------------------------------------------
 
@@ -154,9 +151,6 @@ pub trait Sys {
     ///
     /// [`SysError::NoSuchHost`] when the name is unknown.
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError>;
-
-    /// All host names in the network (the `/etc/hosts` view).
-    fn known_hosts(&self) -> Vec<String>;
 
     // ---- chance and cost -------------------------------------------------
 
@@ -400,11 +394,6 @@ pub trait Sys {
         self.kernel().stable_get(key)
     }
 
-    /// Deletes a record from the host's stable storage.
-    fn stable_del(&mut self, key: &str) {
-        self.kernel_fx().0.stable_del(key);
-    }
-
     // ---- files -----------------------------------------------------------
 
     /// Opens a file, allocating a descriptor. (Prefer the inherent `open`
@@ -489,12 +478,8 @@ mod tests {
             fn now(&self) -> Micros {
                 Micros::from_millis(1)
             }
-            fn set_timer(&mut self, _d: SimDuration, _t: u64) -> TimerHandle {
+            fn set_timer(&mut self, _d: SimDuration, _t: u64) {
                 self.timers += 1;
-                TimerHandle(self.timers)
-            }
-            fn cancel_timer(&mut self, _h: TimerHandle) -> bool {
-                true
             }
             fn listen(&mut self, _p: Port) -> Result<(), SysError> {
                 Ok(())
@@ -524,9 +509,6 @@ mod tests {
                 } else {
                     Err(SysError::NoSuchHost)
                 }
-            }
-            fn known_hosts(&self) -> Vec<String> {
-                vec!["mini".into()]
             }
             fn random_unit(&mut self) -> f64 {
                 0.5
@@ -589,10 +571,9 @@ mod tests {
         assert_eq!(sys.stable_get("k"), Some(Bytes::from_static(b"v")));
         let fd = sys.open("/tmp/f", OpenMode::ReadWrite);
         assert!(sys.close_fd(fd).is_ok());
-        let t = sys.set_timer(SimDuration::from_millis(5), 7);
-        assert!(sys.cancel_timer(t));
+        sys.set_timer(SimDuration::from_millis(5), 7);
         assert_eq!(mini.hub.trace.entries().next().unwrap().text, "n=1");
-        assert_eq!(mini.sent.len(), 1);
+        assert_eq!((mini.sent.len(), mini.timers), (1, 1));
     }
 
     #[test]

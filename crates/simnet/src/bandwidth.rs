@@ -239,14 +239,6 @@ impl NetModel {
         prev != up
     }
 
-    /// Flips a named link and rebuilds the routes. Returns the link
-    /// index, or `None` for an unknown name.
-    pub fn set_link_up_by_name(&mut self, name: &str, up: bool) -> Option<u32> {
-        let idx = self.graph.link_by_name(name)?;
-        self.set_link_up(idx, up);
-        Some(idx)
-    }
-
     /// Mirrors a host crash/restart and rebuilds the routes.
     pub fn set_host_up(&mut self, host: u32, up: bool) {
         self.graph.set_host_up(host, up);
@@ -342,13 +334,15 @@ mod tests {
     #[test]
     fn cut_core_links_make_pods_unreachable() {
         let mut m = model("fat-tree", 8);
-        assert!(m.set_link_up_by_name("core:tor0-spine0", false).is_some());
-        assert!(m.set_link_up_by_name("core:tor0-spine1", false).is_some());
+        let spine0 = m.graph.link_by_name("core:tor0-spine0").unwrap();
+        let spine1 = m.graph.link_by_name("core:tor0-spine1").unwrap();
+        assert!(m.set_link_up(spine0, false));
+        assert!(m.set_link_up(spine1, false));
         assert_eq!(m.transfer(0, 7, 100, 0), Transfer::Unreachable);
         assert!(m.reachable(0, 3));
-        assert!(m.set_link_up_by_name("core:tor0-spine0", true).is_some());
+        assert!(m.set_link_up(spine0, true));
         assert!(m.reachable(0, 7));
-        assert!(m.set_link_up_by_name("no-such-link", false).is_none());
+        assert!(m.graph.link_by_name("no-such-link").is_none());
     }
 
     #[test]

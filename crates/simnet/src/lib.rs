@@ -14,7 +14,7 @@
 //! ## Example
 //!
 //! ```
-//! use ppm_simnet::engine::Engine;
+//! use ppm_simnet::engine::TimerWheel;
 //! use ppm_simnet::time::SimDuration;
 //! use ppm_simnet::topology::{CpuClass, HostSpec, Topology};
 //!
@@ -25,7 +25,7 @@
 //! topo.add_link(a, b);
 //! assert_eq!(topo.hops(a, b), Some(1));
 //!
-//! let mut engine: Engine<&str> = Engine::new();
+//! let mut engine: TimerWheel<&str> = TimerWheel::new();
 //! engine.schedule(SimDuration::from_millis(1), "hello");
 //! assert_eq!(engine.pop().map(|(_, e)| e), Some("hello"));
 //! ```
@@ -40,7 +40,7 @@ pub mod time;
 pub mod topology;
 
 pub use bandwidth::{NetModel, Transfer};
-pub use engine::{Engine, EventId, QueueStats, TimerWheel};
+pub use engine::{EventId, QueueStats, TimerWheel};
 pub use latency::LatencyModel;
 pub use rng::SimRng;
 pub use routing::RoutingTable;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use ppm_simnet::engine::{Engine, TimerWheel};
+use ppm_simnet::engine::TimerWheel;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec, Topology};
 
@@ -13,7 +13,7 @@ proptest! {
     /// order, and ties preserve insertion order.
     #[test]
     fn engine_pops_sorted_and_stable(delays in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut engine: Engine<usize> = Engine::new();
+        let mut engine: TimerWheel<usize> = TimerWheel::new();
         for (i, &d) in delays.iter().enumerate() {
             engine.schedule(SimDuration::from_micros(d), i);
         }
@@ -40,7 +40,7 @@ proptest! {
         delays in prop::collection::vec(0u64..1000, 1..100),
         cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
     ) {
-        let mut engine: Engine<usize> = Engine::new();
+        let mut engine: TimerWheel<usize> = TimerWheel::new();
         let ids: Vec<_> = delays
             .iter()
             .enumerate()
@@ -66,7 +66,7 @@ proptest! {
     /// Interleaved scheduling never lets the clock move backwards.
     #[test]
     fn engine_clock_is_monotone(ops in prop::collection::vec((0u64..500, any::<bool>()), 1..200)) {
-        let mut engine: Engine<u64> = Engine::new();
+        let mut engine: TimerWheel<u64> = TimerWheel::new();
         let mut last = SimTime::ZERO;
         for (d, pop_now) in ops {
             engine.schedule(SimDuration::from_micros(d), d);
@@ -84,7 +84,7 @@ proptest! {
     }
 }
 
-// ---- engine vs reference model --------------------------------------------
+// ---- timer wheel vs reference model ---------------------------------------
 
 /// A deliberately naive event queue: a flat vector scanned linearly for
 /// the minimum `(time, seq)` pair. Trivially correct, O(n) everywhere.
@@ -120,6 +120,10 @@ impl ModelQueue {
         }
     }
 
+    fn peek_time(&self) -> Option<u64> {
+        self.pending.iter().map(|&(at, _, _)| at).min()
+    }
+
     fn pop(&mut self) -> Option<(u64, u64)> {
         let best = self
             .pending
@@ -131,63 +135,111 @@ impl ModelQueue {
         self.now = at;
         Some((at, payload))
     }
+
+    fn pop_until(&mut self, horizon_us: u64) -> Option<(u64, u64)> {
+        match self.peek_time() {
+            Some(t) if t <= horizon_us => self.pop(),
+            _ => None,
+        }
+    }
+
+    fn advance_to(&mut self, at_us: u64) {
+        self.now = self.now.max(at_us);
+    }
+}
+
+/// Delay ceilings that land an event in each wheel level (64 µs, 4 ms,
+/// 262 ms, 16.8 s windows) and, past the last, in the overflow heap.
+const DELAY_SPANS: [u64; 5] = [64, 4_096, 262_144, 16_777_216, 20_000_000];
+
+/// The delay of one op: uniform up to the span's ceiling or, half the
+/// time, one of four round values plus 0..=2 µs — so events collide on
+/// the same instant (where only `seq` orders them) at every level.
+fn delay_of(span: usize, arg: u64) -> u64 {
+    let ceiling = DELAY_SPANS[span];
+    if arg & 1 == 0 {
+        (arg >> 1) % (ceiling + 1)
+    } else {
+        (arg >> 1) % 4 * (ceiling / 4) + (arg >> 3) % 3
+    }
 }
 
 proptest! {
-    /// The indexed heap is observationally equivalent to the naive model
-    /// under arbitrary interleavings of schedule / cancel / pop —
-    /// including cancels aimed at already-fired and already-cancelled
-    /// events.
+    /// The wheel is observationally equivalent to the naive model under
+    /// arbitrary interleavings of schedule / cancel / pop / peek /
+    /// bounded runs — cancels aimed at live, already-fired and
+    /// already-cancelled events alike, delays spanning all four levels
+    /// and the overflow heap, drains that force cascades and a rebase.
+    /// This is the queue's only oracle.
     #[test]
-    fn engine_matches_reference_model(
-        ops in prop::collection::vec((0u8..8, 0u64..2_000, any::<u16>()), 1..300)
+    fn timer_wheel_matches_reference_model(
+        ops in prop::collection::vec((0u8..12, 0usize..5, any::<u64>()), 1..300)
     ) {
-        let mut engine: Engine<u64> = Engine::new();
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
         let mut model = ModelQueue::new();
         // Every id ever issued, fired or not: cancels draw from here so
         // they regularly target dead ids.
-        let mut engine_ids = Vec::new();
-        let mut model_ids = Vec::new();
+        let mut ids = Vec::new();
+        let fired = |e: Option<(SimTime, u64)>| e.map(|(t, v)| (t.as_micros(), v));
 
-        for (kind, delay, pick) in ops {
+        for (kind, span, arg) in ops {
+            let delay = delay_of(span, arg);
             match kind {
-                // Schedule (weight 3/8).
-                0..=2 => {
-                    let payload = delay ^ u64::from(pick);
-                    engine_ids.push(engine.schedule(SimDuration::from_micros(delay), payload));
-                    model_ids.push(model.schedule(delay, payload));
+                0..=4 => {
+                    let id = wheel.schedule(SimDuration::from_micros(delay), arg);
+                    ids.push((id, model.schedule(delay, arg)));
                 }
-                // Cancel a previously issued id (weight 3/8).
-                3..=5 => {
-                    if !engine_ids.is_empty() {
-                        let k = usize::from(pick) % engine_ids.len();
-                        prop_assert_eq!(
-                            engine.cancel(engine_ids[k]),
-                            model.cancel(model_ids[k]),
-                            "cancel verdicts diverge"
-                        );
+                5 | 6 => {
+                    if !ids.is_empty() {
+                        let (wid, mid) = ids[arg as usize % ids.len()];
+                        prop_assert_eq!(wheel.cancel(wid), model.cancel(mid), "cancel verdicts");
                     }
                 }
-                // Pop (weight 2/8).
+                7 | 8 => prop_assert_eq!(fired(wheel.pop()), model.pop(), "pop streams"),
+                9 => prop_assert_eq!(
+                    wheel.peek_time().map(SimTime::as_micros),
+                    model.peek_time(),
+                    "peeks"
+                ),
+                10 => {
+                    let horizon = model.now + delay;
+                    prop_assert_eq!(
+                        fired(wheel.pop_until(SimTime::from_micros(horizon))),
+                        model.pop_until(horizon),
+                        "bounded pops"
+                    );
+                }
+                // A bounded run, the way a world drives the queue: fire
+                // everything up to the horizon, then move the clock there.
                 _ => {
-                    let got = engine.pop().map(|(t, v)| (t.as_micros(), v));
-                    prop_assert_eq!(got, model.pop(), "pop streams diverge");
+                    let horizon = model.now + delay;
+                    loop {
+                        let want = model.pop_until(horizon);
+                        let got = fired(wheel.pop_until(SimTime::from_micros(horizon)));
+                        prop_assert_eq!(got, want, "bounded run");
+                        if want.is_none() {
+                            break;
+                        }
+                    }
+                    wheel.advance_to(SimTime::from_micros(horizon));
+                    model.advance_to(horizon);
+                    wheel.advance_to(SimTime::ZERO); // the past is ignored
                 }
             }
-            prop_assert_eq!(engine.pending(), model.pending.len());
-            prop_assert_eq!(engine.now().as_micros(), model.now);
+            prop_assert_eq!(wheel.pending(), model.pending.len());
+            prop_assert_eq!(wheel.now().as_micros(), model.now);
         }
 
         // Drain both to the end.
         loop {
-            let got = engine.pop().map(|(t, v)| (t.as_micros(), v));
             let want = model.pop();
-            prop_assert_eq!(got, want, "drain diverges");
+            prop_assert_eq!(fired(wheel.pop()), want, "drain");
+            prop_assert_eq!(wheel.pending(), model.pending.len());
+            prop_assert_eq!(wheel.now().as_micros(), model.now);
             if want.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(engine.pending(), 0);
     }
 }
 
@@ -287,58 +339,6 @@ proptest! {
             for &dst in &ids {
                 let reachable = topo.hops(src, dst).is_some();
                 prop_assert_eq!(reach.contains(&dst), reachable);
-            }
-        }
-    }
-}
-
-// ---- timer wheel vs indexed heap ------------------------------------------
-
-proptest! {
-    /// The hierarchical timer wheel and the indexed heap are
-    /// interchangeable: driven with the identical random
-    /// schedule/cancel/advance workload they fire the same events in the
-    /// same order (including ties) at the same times, agree on every
-    /// cancellation verdict, and report identical `pending()` counts
-    /// throughout. Delays span all wheel levels and the far-future
-    /// overflow heap.
-    #[test]
-    fn timer_wheel_matches_indexed_heap(
-        ops in prop::collection::vec((0u64..20_000_000, 0u8..10), 1..300),
-    ) {
-        let mut heap: Engine<usize> = Engine::new();
-        let mut wheel: TimerWheel<usize> = TimerWheel::new();
-        let mut ids = Vec::new();
-        for (i, &(arg, kind)) in ops.iter().enumerate() {
-            match kind {
-                0..=5 => {
-                    let d = SimDuration::from_micros(arg);
-                    ids.push((heap.schedule(d, i), wheel.schedule(d, i)));
-                }
-                6 | 7 => {
-                    if !ids.is_empty() {
-                        // Pseudo-random pick; may hit an already-fired or
-                        // already-cancelled id — the verdicts must agree.
-                        let (hid, wid) = ids[(arg as usize) % ids.len()];
-                        prop_assert_eq!(heap.cancel(hid), wheel.cancel(wid));
-                    }
-                }
-                _ => {
-                    prop_assert_eq!(heap.pop(), wheel.pop());
-                    prop_assert_eq!(heap.now(), wheel.now());
-                }
-            }
-            prop_assert_eq!(heap.pending(), wheel.pending());
-        }
-        // Drain both: the full remaining fire order must match.
-        loop {
-            let h = heap.pop();
-            let w = wheel.pop();
-            prop_assert_eq!(h.clone(), w);
-            prop_assert_eq!(heap.pending(), wheel.pending());
-            prop_assert_eq!(heap.now(), wheel.now());
-            if h.is_none() {
-                break;
             }
         }
     }

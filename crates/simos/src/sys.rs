@@ -9,8 +9,6 @@
 
 use bytes::Bytes;
 use ppm_runtime::obs::HubRef;
-use ppm_runtime::sys::TimerHandle;
-use ppm_simnet::engine::EventId;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::HostId;
 
@@ -47,16 +45,11 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
         self.core.now()
     }
 
-    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
-        let id = self
-            .core
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        let boot = self.core.kernel(self.key.0).boot_count();
+        self.core
             .engine
-            .schedule(delay, SimEvent::Timer(self.key, token));
-        TimerHandle(id.raw())
-    }
-
-    fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        self.core.engine.cancel(EventId::from_raw(handle.0))
+            .schedule(delay, SimEvent::Timer(self.key, token, boot));
     }
 
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
@@ -104,14 +97,6 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
         self.core.host_by_name(name).ok_or(SysError::NoSuchHost)
-    }
-
-    fn known_hosts(&self) -> Vec<String> {
-        self.core
-            .topology()
-            .host_ids()
-            .map(|h| self.core.host_name(h).to_string())
-            .collect()
     }
 
     fn random_unit(&mut self) -> f64 {
@@ -174,12 +159,9 @@ mod tests {
             let fd = sys.open("/tmp/file", OpenMode::ReadWrite);
             assert!(sys.close_fd(fd).is_ok());
             assert!(sys.close_fd(fd).is_err());
-            let hosts = sys.known_hosts();
-            assert_eq!(hosts, vec!["a".to_string()]);
             assert!(sys.resolve_host("a").is_ok());
             assert!(sys.resolve_host("zzz").is_err());
-            let t = sys.set_timer(SimDuration::from_millis(5), 1);
-            assert!(sys.cancel_timer(t));
+            sys.set_timer(SimDuration::from_millis(5), 1);
             sys.exit(0);
         }
         fn name(&self) -> &str {

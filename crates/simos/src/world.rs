@@ -43,7 +43,9 @@ use ppm_runtime::signal::{ExitStatus, Signal};
 #[derive(Debug, Clone)]
 pub(crate) enum SimEvent {
     Start(ProcKey),
-    Timer(ProcKey, u64),
+    /// `(process, token, boot)`: the timer belongs to the boot of its
+    /// host it was armed in ([`Kernel::boot_count`]).
+    Timer(ProcKey, u64, u32),
     Deliver {
         conn: ConnId,
         to: ProcKey,
@@ -1231,8 +1233,13 @@ impl World {
                     self.with_program(key, None, |p, sys| p.on_start(sys));
                 }
             }
-            SimEvent::Timer(key, token) => {
-                let resched = SimEvent::Timer(key, token);
+            SimEvent::Timer(key, token, boot) => {
+                // Pids restart at 2 after a crash: a timer that outlived
+                // its boot would fire into whoever holds the pid now.
+                if self.core.kernel(key.0).boot_count() != boot {
+                    return;
+                }
+                let resched = SimEvent::Timer(key, token, boot);
                 self.with_program(key, Some(resched), |p, sys| p.on_timer(sys, token));
             }
             SimEvent::Deliver { conn, to, data } => {

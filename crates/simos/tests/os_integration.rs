@@ -10,7 +10,7 @@ use ppm_runtime::process::ProcState;
 use ppm_runtime::program::{ConnEvent, Program, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
-use ppm_runtime::workload::{Chatter, EchoServer};
+use ppm_runtime::workload::{Chatter, EchoServer, Worker};
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec};
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
@@ -644,4 +644,28 @@ fn deferred_deliveries_are_accounted_exactly_once() {
         "each message accounted exactly once"
     );
     assert_eq!(p.rusage.bytes_received, 4 * 16);
+}
+
+/// Pids restart at 2 after a crash, and a `Worker` exits on any timer
+/// token: a timer armed before the crash must not reach the process that
+/// holds its owner's pid in the next boot.
+#[test]
+fn a_timer_does_not_outlive_the_boot_it_was_armed_in() {
+    let mut w = World::new(3);
+    let a = w.add_host(HostSpec::new("a", CpuClass::Vax780));
+    let worker = |secs| {
+        let life = SimDuration::from_secs(secs);
+        SpawnSpec::new("worker", Box::new(Worker::new(life, SimDuration::ZERO)))
+    };
+    let first = w.spawn_user(a, Uid(1), worker(60)).unwrap();
+    w.schedule_crash(a, SimDuration::from_secs(1));
+    w.schedule_restart(a, SimDuration::from_secs(2));
+    w.run_until(SimTime::from_secs(3));
+    let second = w.spawn_user(a, Uid(1), worker(300)).unwrap();
+    assert_eq!(second, first, "the second boot hands the pid out again");
+    w.run_until(SimTime::from_secs(100));
+    assert!(
+        w.core().kernel(a).get(second).unwrap().is_alive(),
+        "the first boot's 60 s timer fired into the second boot's worker"
+    );
 }

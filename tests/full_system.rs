@@ -11,10 +11,11 @@ use ppm::proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm::proto::types::WireProcState;
 use ppm::runtime::events::TraceFlags;
 use ppm::runtime::program::SpawnSpec;
-use ppm::runtime::workload::TreeSpawner;
+use ppm::runtime::workload::{TreeSpawner, Worker};
 use ppm::simnet::time::{SimDuration, SimTime};
-use ppm::simnet::topology::CpuClass;
+use ppm::simnet::topology::{CpuClass, HostSpec};
 use ppm::simos::ids::Uid;
+use ppm::simos::world::World;
 use ppm::tools::{forest::Forest, history_tool, ipc_tool, rusage_tool, snapshot};
 
 const ALICE: Uid = Uid(100);
@@ -232,4 +233,25 @@ fn status_is_consistent_across_observers() {
         }
         _ => panic!("status replies expected"),
     }
+}
+
+/// The tier-1 copy of `ppm-simos`'s
+/// `a_timer_does_not_outlive_the_boot_it_was_armed_in`: the worker that
+/// inherits a pid across a crash outlives the old holder's timer.
+#[test]
+fn a_timer_does_not_outlive_the_boot_it_was_armed_in() {
+    let mut w = World::new(3);
+    let a = w.add_host(HostSpec::new("a", CpuClass::Vax780));
+    let worker = |secs| {
+        let life = SimDuration::from_secs(secs);
+        SpawnSpec::new("worker", Box::new(Worker::new(life, SimDuration::ZERO)))
+    };
+    let first = w.spawn_user(a, ALICE, worker(60)).unwrap();
+    w.schedule_crash(a, SimDuration::from_secs(1));
+    w.schedule_restart(a, SimDuration::from_secs(2));
+    w.run_until(SimTime::from_secs(3));
+    let second = w.spawn_user(a, ALICE, worker(300)).unwrap();
+    assert_eq!(second, first, "the second boot hands the pid out again");
+    w.run_until(SimTime::from_secs(100));
+    assert!(w.core().kernel(a).get(second).unwrap().is_alive());
 }

@@ -271,7 +271,7 @@ impl Program for Caller {
                 sys.close(conn).expect("own connection");
                 sys.stable_put(FINDINGS[1], own_fd_kinds(sys));
             }
-            _ => drop(sys.set_timer(SimDuration::from_millis(5), 0)),
+            _ => sys.set_timer(SimDuration::from_millis(5), 0),
         }
     }
 }
