@@ -48,12 +48,18 @@ use ppm_proto::types::{Route, Stamp};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::obs::SpanPhase;
 use ppm_runtime::sys::Sys;
-use ppm_runtime::time::SimTime;
+use ppm_runtime::time::{SimDuration, SimTime};
 use ppm_runtime::trace::TraceCategory;
 
 use crate::rpc::PendingRequest;
 
 use super::{BcastKey, BcastRole, BcastState, Lpm, ReplyTo, TimerKind};
+
+/// The deepest cover tree the straggler timers are sized for.
+const WAVE_LEVELS: u64 = 48;
+/// What the timers allow one level of a wave: a handler fork and the
+/// request's hop down, the aggregate's hop back up.
+const LEVEL_ALLOWANCE: SimDuration = SimDuration::from_millis(150);
 
 /// Which operations may be broadcast (`dest = "*"`).
 fn broadcastable(op: &Op) -> bool {
@@ -87,6 +93,7 @@ impl BcastState {
             missing: BTreeSet::new(),
             route_in,
             timeout_token: None,
+            waited_below: false,
         }
     }
 }
@@ -507,6 +514,21 @@ impl Lpm {
             return;
         };
         if !b.pending_children.is_empty() || !b.forwarded {
+            // Whoever is still awaited may be relaying through levels
+            // further down: wait on, once, for an allowance per level that
+            // may lie below this one (the originator is at depth 0, a relay
+            // as deep as the route the wave took to it is long). A child
+            // thus gives up before its parent (DESIGN.md §8).
+            let depth = match b.role {
+                BcastRole::Origin { .. } => 0,
+                BcastRole::Relay { .. } => b.route_in.0.len() as u64,
+            };
+            let below = LEVEL_ALLOWANCE.saturating_mul(WAVE_LEVELS.saturating_sub(depth));
+            if !std::mem::replace(&mut b.waited_below, true) && !below.is_zero() {
+                let tok = self.arm(sys, below, TimerKind::BcastTimeout(key.clone()));
+                self.bcasts.get_mut(key).expect("checked").timeout_token = Some(tok);
+                return;
+            }
             let stragglers: Vec<String> = b.pending_children.iter().cloned().collect();
             for h in &stragglers {
                 if !b.agg_received.contains(h) {

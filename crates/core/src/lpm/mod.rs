@@ -140,6 +140,8 @@ pub(crate) struct BcastState {
     /// Route the request had when it reached us.
     pub route_in: Route,
     pub timeout_token: Option<u64>,
+    /// The straggler timer has already been extended for the levels below.
+    pub waited_below: bool,
 }
 
 /// What this LPM is to a wave, with the state only that role keeps.
@@ -364,9 +366,16 @@ impl Lpm {
         lpm
     }
 
-    /// Cumulative counters.
+    /// Cumulative counters. The three the metrics registry also exports
+    /// are kept there only and read back here.
     pub fn stats(&self) -> LpmStats {
-        self.stats
+        let count = |id| self.obs.registry.count(id);
+        LpmStats {
+            requests: count(self.obs.requests),
+            retries: count(self.obs.retries),
+            dups_suppressed: count(self.obs.dups_suppressed),
+            ..self.stats
+        }
     }
 
     // ---- model-checker observables --------------------------------------

@@ -244,7 +244,6 @@ impl Lpm {
                             route_in: route_in.clone(),
                         };
                     }
-                    self.stats.dups_suppressed += 1;
                     self.obs.registry.inc(self.obs.dups_suppressed);
                     self.note(
                         sys,
@@ -260,7 +259,6 @@ impl Lpm {
                 return;
             }
             DupVerdict::Replay { reply, route } => {
-                self.stats.dups_suppressed += 1;
                 self.obs.registry.inc(self.obs.dups_suppressed);
                 self.note(
                     sys,
@@ -276,7 +274,6 @@ impl Lpm {
                 // its origin, and the respawn already purged any cached
                 // reply. Executing it now would be a second execution the
                 // dedup window can no longer prevent — refuse instead.
-                self.stats.dups_suppressed += 1;
                 self.obs.registry.inc(self.obs.dups_suppressed);
                 self.note(
                     sys,
@@ -386,7 +383,6 @@ impl Lpm {
         hops_left: u8,
         ctx: RequestCtx,
     ) {
-        self.stats.requests += 1;
         self.obs.registry.inc(self.obs.requests);
         let id = self.alloc_internal_id();
         let policy = self.retry_policy();
@@ -736,7 +732,6 @@ impl Lpm {
 
     /// Parks a request for its backoff delay before the next attempt.
     fn schedule_retry(&mut self, sys: &mut dyn Sys, id: u64, delay: SimDuration, why: &str) {
-        self.stats.retries += 1;
         self.obs.registry.inc(self.obs.retries);
         let backoff = self.obs.backoff_us;
         self.obs.registry.record(backoff, delay.as_micros());
@@ -834,7 +829,7 @@ impl Lpm {
             Op::Stats => {
                 let pool = self.pool.stats();
                 Some(Reply::Stats {
-                    requests: self.stats.requests,
+                    requests: self.stats().requests,
                     bcasts: (
                         self.stats.bcasts_originated,
                         self.stats.bcasts_forwarded,

@@ -441,6 +441,21 @@ impl<R: Runtime> PpmHarness<R> {
         Ok(outcome)
     }
 
+    /// Waits, `wait` in all, for tools launched earlier (a launch that
+    /// failed stays failed) and returns what each one-step script got.
+    pub fn await_replies(
+        &mut self,
+        tools: Vec<Result<ToolHandle, HarnessError>>,
+        wait: SimDuration,
+    ) -> Vec<Result<Reply, HarnessError>> {
+        let deadline = self.rt.now() + wait;
+        let mut reply = |tool| {
+            let left = deadline.saturating_since(self.rt.now());
+            self.await_tool(tool, left).and_then(first_reply)
+        };
+        tools.into_iter().map(|tool| reply(tool?)).collect()
+    }
+
     fn one_reply(
         &mut self,
         host: &str,
@@ -449,17 +464,7 @@ impl<R: Runtime> PpmHarness<R> {
         op: Op,
         wait: SimDuration,
     ) -> Result<Reply, HarnessError> {
-        let outcome = self.run_tool(host, uid, vec![ToolStep::new(dest, op)], wait)?;
-        if let Some(err) = outcome.error {
-            return Err(HarnessError::Tool(err));
-        }
-        match outcome.replies.into_iter().next() {
-            Some((Reply::Err { code, detail }, _)) => {
-                Err(HarnessError::Lpm(format!("{code:?}: {detail}")))
-            }
-            Some((reply, _)) => Ok(reply),
-            None => Err(HarnessError::UnexpectedReply),
-        }
+        first_reply(self.run_tool(host, uid, vec![ToolStep::new(dest, op)], wait)?)
     }
 
     /// Default wait budget for synchronous convenience calls.
@@ -556,13 +561,7 @@ impl<R: Runtime> PpmHarness<R> {
         logical_parent: Option<Gpid>,
         lifetime: Option<SimDuration>,
     ) -> Result<Gpid, HarnessError> {
-        let op = Op::Spawn {
-            command: command.to_string(),
-            logical_parent,
-            lifetime_us: lifetime.map(|d| d.as_micros()),
-            work_us: 0,
-            cpu_bound: false,
-        };
+        let op = spawn_op(command, logical_parent, lifetime);
         match self.one_reply(from_host, uid, dest, op, Self::WAIT)? {
             Reply::Spawned { gpid } => Ok(gpid),
             _ => Err(HarnessError::UnexpectedReply),
@@ -674,9 +673,35 @@ impl<R: Runtime> PpmHarness<R> {
     }
 }
 
+/// The request that creates `command` (an idle process living `lifetime`,
+/// or inert).
+pub(crate) fn spawn_op(command: &str, parent: Option<Gpid>, lifetime: Option<SimDuration>) -> Op {
+    Op::Spawn {
+        command: command.to_string(),
+        logical_parent: parent,
+        lifetime_us: lifetime.map(|d| d.as_micros()),
+        work_us: 0,
+        cpu_bound: false,
+    }
+}
+
+/// The reply a finished one-step tool got, if it is not an error.
+fn first_reply(outcome: ToolOutcome) -> Result<Reply, HarnessError> {
+    if let Some(err) = outcome.error {
+        return Err(HarnessError::Tool(err));
+    }
+    match outcome.replies.into_iter().next() {
+        Some((Reply::Err { code, detail }, _)) => {
+            Err(HarnessError::Lpm(format!("{code:?}: {detail}")))
+        }
+        Some((reply, _)) => Ok(reply),
+        None => Err(HarnessError::UnexpectedReply),
+    }
+}
+
 /// Unwraps a partial-result marker: the inner reply plus the hosts that
 /// never answered (empty for a complete result).
-fn split_partial(reply: Reply) -> (Reply, Vec<String>) {
+pub(crate) fn split_partial(reply: Reply) -> (Reply, Vec<String>) {
     match reply {
         Reply::Partial { missing, inner } => (*inner, missing),
         other => (other, Vec::new()),

@@ -11,4 +11,4 @@ pub mod harness;
 pub mod tenant;
 
 pub use harness::{HarnessBuilder, HarnessError, PpmHarness};
-pub use tenant::{ScaleReport, TenantWorld, UserShard};
+pub use tenant::{ScaleReport, TenantWorld};

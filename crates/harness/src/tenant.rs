@@ -1,484 +1,248 @@
-//! Multi-tenant scale world: millions of processes across thousands of
-//! users, sharded per user end to end.
+//! The multi-tenant storm: many users' fork/exec/exit activity on one PPM.
 //!
-//! The paper's PPM is *personal*: "each user has his own process manager"
-//! and one user's administration never routes through another's. This
-//! module takes that isolation property to scale. A [`TenantWorld`] holds
-//! one [`UserShard`] per user — per-host [`Genealogy`] slab arenas plus an
-//! LPM slot registry keyed by [`Uid`] — and drives all of them from a
-//! single discrete-event [`TimerWheel`] fed by the deterministic
-//! fork/exec/exit [`Storm`] of `ppm-simos`. Because every decision comes
-//! from the storm's seeded stream and every data structure is
-//! allocation-recycling (slab arenas, slot free lists), a run is
-//! replayable byte for byte and its resident set stays proportional to
-//! the *live* population, not the cumulative number of processes tracked.
-//!
-//! The world is the substrate for `ppm-sim --users U --hosts N` and the
-//! `ppm-sweep` storm axis; its observable surface (report,
-//! metrics, per-shard snapshots) is what the determinism and isolation
-//! gates diff.
+//! "Each user has his own process manager." A [`TenantWorld`] is a
+//! [`PpmHarness`] with `U` accounts on `N` hosts of one LAN segment, plus
+//! a driver that plays the seeded Zipf storm ([`StormDeal`]) into it the
+//! way its users would: each active user logs in on a home host (a
+//! [`StormShell`], adopted by the LPM pmd creates for the occasion), the
+//! shell forks that user's local processes, and each remote fork is an
+//! [`Op::Spawn`] typed at the home host for a sibling LPM to carry out.
+//! No clock, process table or genealogy is kept here: the [`ScaleReport`]
+//! is read back from the world's registry and the users' `*` snapshots.
 
+use ppm_core::client::{ToolHandle, ToolStep};
+use ppm_core::config::PpmConfig;
+use ppm_proto::msg::{Op, Reply};
 use ppm_proto::types::{Gpid, WireProcState};
-use ppm_runtime::obs::{CounterId, GaugeId, Registry};
-use ppm_runtime::workload::{Storm, StormFork, StormSpec};
-use ppm_simnet::engine::TimerWheel;
+use ppm_runtime::events::TraceFlags;
+use ppm_runtime::program::SpawnSpec;
+use ppm_runtime::signal::Signal;
+use ppm_runtime::workload::{Storm, StormDeal, StormShell, StormSpec, STORM_SHELL};
 use ppm_simnet::time::SimDuration;
-use ppm_simos::ids::{Port, Uid};
+use ppm_simnet::topology::CpuClass;
+use ppm_simos::ids::Uid;
 
-use ppm_core::config::lpm_port;
-use ppm_core::genealogy::Genealogy;
+use crate::harness::{spawn_op, split_partial, HarnessBuilder, HarnessError, PpmHarness};
 
-/// Uid of the first (most active) storm user; user rank `r` is
-/// `Uid(UID_BASE + r)`.
+/// Uid of the most active storm user; user rank `r` is `UID_BASE + r`.
 pub const UID_BASE: u32 = 1_000;
+/// Neither `users × hosts` (the LPMs a storm world may come to run) nor
+/// `hosts × hosts` (its LAN's links, its hop table) may exceed this.
+pub const MAX_STORM_CELLS: u64 = 1 << 16;
+/// How long the driver waits, in all, for the tools of one phase (logins,
+/// remote forks, closing snapshots); a tool gives up after as long.
+const TOOL_WAIT: SimDuration = SimDuration::from_secs(120);
+/// Most records of one user kept for the closing snapshot: half a reply's
+/// 16-bit count, the rest being for the live and for those yet to die.
+const SNAPSHOT_RECORDS: u64 = u16::MAX as u64 / 2;
+/// What a closing snapshot may take, its modelled per-record cost
+/// included — at the origin and, as straggler allowance, at a sibling.
+const CLOSING: SimDuration = SimDuration::from_secs(30);
+/// What one remote creation occupies the creating LPM for, µs: Table 2's
+/// 77 ms create, doubled so that no manager runs above half its capacity.
+const REMOTE_SPAWN_US: u64 = 160_000;
 
-/// How long a shard retains a dead node before an arena sweep may drop
-/// it, µs. Generous enough that snapshots see recent exits marked dead
-/// (Section 2's "retain exit information"), short enough that arenas
-/// recycle slots instead of growing with the cumulative fork count.
-const RETENTION_US: u64 = 200_000;
-
-/// The registered manager of one user on one host: the scale analogue of
-/// a pmd registry row plus the LPM process it names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LpmSlot {
-    /// The LPM's pid on its host.
-    pub pid: u32,
-    /// Its well-known per-user port.
-    pub port: Port,
-    /// Forks this slot has administered.
-    pub forks: u64,
-}
-
-/// One user's slice of the world: per-host genealogy arenas and LPM
-/// slots, touched lazily so a user who never reaches a host pays nothing
-/// for it.
-#[derive(Debug, Clone)]
-pub struct UserShard {
-    uid: Uid,
-    /// Per-host genealogy arenas, `None` until the user's first fork
-    /// lands there.
-    arenas: Vec<Option<Genealogy>>,
-    /// Per-host LPM slots, populated on first use of the host.
-    lpms: Vec<Option<LpmSlot>>,
-    /// Per-host pid of the user's most recent fork (0 = none): the
-    /// candidate parent for nested forks.
-    last_pid: Vec<u32>,
-    /// Whether an arena sweep is already scheduled for this host.
-    sweep_pending: Vec<bool>,
-    /// Forks applied to this shard.
-    pub forked: u64,
-    /// Exits applied to this shard.
-    pub exited: u64,
-}
-
-impl UserShard {
-    fn new(uid: Uid, hosts: u16) -> Self {
-        UserShard {
-            uid,
-            arenas: vec![None; hosts as usize],
-            lpms: vec![None; hosts as usize],
-            last_pid: vec![0; hosts as usize],
-            sweep_pending: vec![false; hosts as usize],
-            forked: 0,
-            exited: 0,
-        }
-    }
-
-    /// Tracked processes (live plus retained-dead) across every host.
-    pub fn tracked_total(&self) -> usize {
-        self.arenas.iter().flatten().map(|a| a.len()).sum()
-    }
-}
-
-/// What the engine delivers: the next storm fork, a scheduled death, or
-/// a retention sweep of one user's arena on one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StormEvent {
-    /// Draw the next fork decision from the storm stream.
-    Fork,
-    /// A previously forked process reaches the end of its lifetime.
-    Exit { user: u32, host: u16, pid: u32 },
-    /// Retention sweep of one (user, host) arena.
-    Sweep { user: u32, host: u16 },
-}
-
-/// Dense counter/gauge handles for the world's registry.
-#[derive(Debug, Clone, Copy)]
-struct Meters {
-    forks: CounterId,
-    remote_forks: CounterId,
-    exits: CounterId,
-    lpm_spawns: CounterId,
-    sweeps: CounterId,
-    pruned: CounterId,
-    live: GaugeId,
-    live_peak: GaugeId,
-    tracked_peak: GaugeId,
-}
-
-/// The deterministic multi-tenant scale world (see the module docs).
-///
-/// # Examples
-///
-/// ```
-/// use ppm_harness::tenant::TenantWorld;
-/// use ppm_runtime::workload::StormSpec;
-///
-/// let spec = StormSpec::new(32, 4, 7);
-/// let a = TenantWorld::new(spec, 2_000).run();
-/// let b = TenantWorld::new(spec, 2_000).run();
-/// assert_eq!(a, b, "same spec, same report");
-/// assert_eq!(a.procs, 2_000);
-/// assert_eq!(a.exits, a.procs, "every fork eventually exits");
-/// ```
-#[derive(Debug)]
-pub struct TenantWorld {
-    spec: StormSpec,
-    target: u64,
-    storm: Storm,
-    engine: TimerWheel<StormEvent>,
-    shards: Vec<UserShard>,
-    host_names: Vec<String>,
-    /// Per-host monotonic pid allocator (never recycled, so `(host,
-    /// pid)` is unique across the run and across users).
-    next_pid: Vec<u32>,
-    reg: Registry,
-    m: Meters,
-    forks: u64,
-    exits: u64,
-    remote_forks: u64,
-    lpm_spawns: u64,
-    pruned: u64,
-    live: u64,
-    live_peak: u64,
-    tracked_peak: u64,
-    digest: u64,
-}
-
-/// FNV-1a fold of one value into the run digest.
-#[inline]
-fn mix(d: u64, v: u64) -> u64 {
-    (d ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
-/// The canonical `--users U --hosts N` storm spec: per-lane fork rates
-/// held constant while the concurrent population scales with the user
-/// count (capped so lifetimes stay bounded) — with `U` users the storm
-/// keeps roughly `40 × min(U, 256)` processes live at once, which is
-/// what makes the peak-RSS exhibit meaningful. `ppm-sim` and the
-/// `ppm-sweep` storm axis both build specs through this function, so a
-/// sweep cell and its repro command line replay the identical world.
+/// The canonical storm spec of `ppm-sim --users U --hosts N` and the
+/// `ppm-sweep` storm axis: roughly `40 × min(U, 256)` processes live at
+/// once, forks a millisecond apart — or as far apart as it takes, on few
+/// hosts, for one user making every remote fork not to swamp an LPM.
 #[must_use]
 pub fn scale_spec(users: u32, hosts: u16, seed: u64) -> StormSpec {
     let mut spec = StormSpec::new(users, hosts, seed);
     spec.mean_lifetime_us = 40_000 * u64::from(users.min(256));
+    let per_host = u64::from(spec.remote_permille) * REMOTE_SPAWN_US / 1_000;
+    let apart = per_host / u64::from(spec.hosts.max(2) - 1);
+    spec.mean_interarrival_us = spec.mean_interarrival_us.max(apart);
     spec
 }
 
+/// Whether a `users × hosts` storm world may be built; if not, why.
+pub fn storm_fits(users: u32, hosts: u16) -> Result<(), String> {
+    let (users, hosts) = (u64::from(users), u64::from(hosts));
+    let fits = users.max(hosts) * hosts <= MAX_STORM_CELLS;
+    fits.then_some(()).ok_or_else(|| {
+        format!("a {users}x{hosts} storm is too large: max(users, hosts) x hosts may not exceed {MAX_STORM_CELLS}")
+    })
+}
+
+/// The names of a storm world's hosts, in host-id order.
+pub fn host_names(hosts: u16) -> Vec<String> {
+    (0..hosts).map(|h| format!("h{h}")).collect()
+}
+
+/// The storm on the one world (see the module docs).
+#[derive(Debug)]
+pub struct TenantWorld {
+    /// The world: arm faults on it before `run`, read its trace after.
+    pub ppm: PpmHarness,
+    spec: StormSpec,
+    procs: u64,
+    deal: StormDeal,
+}
+
 impl TenantWorld {
-    /// Builds a world that will apply `procs` forks of `spec`'s storm.
+    /// A fault-free world on the flat wire to play `procs` forks of `spec`.
     pub fn new(spec: StormSpec, procs: u64) -> Self {
-        let users = spec.users;
-        let hosts = spec.hosts;
-        let mut reg = Registry::new();
-        let m = Meters {
-            forks: reg.counter("tenant.forks"),
-            remote_forks: reg.counter("tenant.remote_forks"),
-            exits: reg.counter("tenant.exits"),
-            lpm_spawns: reg.counter("tenant.lpm_spawns"),
-            sweeps: reg.counter("tenant.sweeps"),
-            pruned: reg.counter("tenant.pruned"),
-            live: reg.gauge("tenant.live"),
-            live_peak: reg.gauge("tenant.live_peak"),
-            tracked_peak: reg.gauge("tenant.tracked_peak"),
-        };
-        TenantWorld {
-            spec,
-            target: procs,
-            storm: Storm::new(spec),
-            engine: TimerWheel::new(),
-            shards: (0..users)
-                .map(|r| UserShard::new(Uid(UID_BASE + r), hosts))
-                .collect(),
-            host_names: (0..hosts).map(|h| format!("h{h}")).collect(),
-            next_pid: vec![2; hosts as usize],
-            reg,
-            m,
-            forks: 0,
-            exits: 0,
-            remote_forks: 0,
-            lpm_spawns: 0,
-            pruned: 0,
-            live: 0,
-            live_peak: 0,
-            tracked_peak: 0,
-            digest: 0xcbf2_9ce4_8422_2325,
-        }
+        TenantWorld::boot(PpmHarness::builder(), spec, procs)
     }
 
-    /// The world's metrics registry (deterministic snapshot source).
-    pub fn metrics(&self) -> &Registry {
-        &self.reg
-    }
-
-    /// Registers the user's LPM on `host` if absent; returns its pid.
-    fn ensure_lpm(&mut self, user: u32, host: u16) -> u32 {
-        let h = host as usize;
-        if let Some(slot) = &self.shards[user as usize].lpms[h] {
-            return slot.pid;
-        }
-        let pid = self.next_pid[h];
-        self.next_pid[h] += 1;
-        let uid = self.shards[user as usize].uid;
-        self.shards[user as usize].lpms[h] = Some(LpmSlot {
-            pid,
-            port: lpm_port(uid),
-            forks: 0,
-        });
-        self.lpm_spawns += 1;
-        self.reg.inc(self.m.lpm_spawns);
-        self.digest = mix(
-            self.digest,
-            0x11 ^ (u64::from(uid.0) << 16) ^ u64::from(pid),
-        );
-        pid
-    }
-
-    /// Applies one storm fork at the engine's current instant.
-    fn apply_fork(&mut self, f: StormFork) {
-        let now_us = self.engine.now().as_micros();
-        let home_lpm = self.ensure_lpm(f.user, f.home);
-        if f.host != f.home {
-            self.ensure_lpm(f.user, f.host);
-            self.remote_forks += 1;
-            self.reg.inc(self.m.remote_forks);
-        }
-        let h = f.host as usize;
-        let pid = self.next_pid[h];
-        self.next_pid[h] += 1;
-        if self.shards[f.user as usize].arenas[h].is_none() {
-            self.shards[f.user as usize].arenas[h] =
-                Some(Genealogy::new(self.host_names[h].as_str()));
-        }
-        // A remote fork carries a logical-parent edge back to the home
-        // host's manager, as in the paper's remote-creation chain.
-        let logical = (f.host != f.home)
-            .then(|| Gpid::new(self.host_names[f.home as usize].as_str(), home_lpm));
-        let shard = &mut self.shards[f.user as usize];
-        let arena = shard.arenas[h].as_mut().expect("arena just ensured");
-        // A quarter of forks nest under the lane's previous fork while it
-        // is still alive (the decision is read off the storm's lifetime
-        // stream so it stays replayable); the rest are roots. Keeping the
-        // nesting probability below 1/2 bounds expected chain depth, so
-        // retained-dead chains cannot grow without bound.
-        let last = shard.last_pid[h];
-        let nest = last != 0
-            && f.lifetime_us.is_multiple_of(4)
-            && arena
-                .get(last)
-                .is_some_and(|n| n.state != WireProcState::Dead);
-        let ppid = if nest { last } else { 1 };
-        // `track` already writes the command, so the exec transition
-        // only needs the state flip — not `set_exec`'s second buffer
-        // write.
-        arena.track(pid, ppid, logical, Storm::command(f.command), now_us, true);
-        arena.set_state(pid, WireProcState::Running);
-        shard.last_pid[h] = pid;
-        shard.forked += 1;
-        if let Some(slot) = &mut shard.lpms[h] {
-            slot.forks += 1;
-        }
-        self.forks += 1;
-        self.live += 1;
-        self.reg.inc(self.m.forks);
-        self.reg.set(self.m.live, self.live as i64);
-        if self.live > self.live_peak {
-            self.live_peak = self.live;
-            self.reg.set_max(self.m.live_peak, self.live as i64);
-        }
-        self.digest = mix(
-            self.digest,
-            (u64::from(f.user) << 32) ^ (u64::from(f.host) << 16) ^ u64::from(pid),
-        );
-        self.digest = mix(self.digest, now_us ^ f.lifetime_us);
-        self.engine.schedule(
-            SimDuration::from_micros(f.lifetime_us.max(1)),
-            StormEvent::Exit {
-                user: f.user,
-                host: f.host,
-                pid,
-            },
-        );
-    }
-
-    /// Applies a scheduled death and, if no sweep is pending for the
-    /// arena, schedules one a retention period out.
-    fn apply_exit(&mut self, user: u32, host: u16, pid: u32) {
-        let now_us = self.engine.now().as_micros();
-        let h = host as usize;
-        let shard = &mut self.shards[user as usize];
-        let arena = shard.arenas[h]
-            .as_mut()
-            .expect("exit delivered to an arena that forked");
-        // Deterministic stand-in for the kernel's final CPU report.
-        let cpu_us = u64::from(pid).wrapping_mul(2_654_435_761) % 40_000;
-        arena.mark_dead_at(pid, cpu_us, now_us);
-        shard.exited += 1;
-        self.exits += 1;
-        self.live -= 1;
-        self.reg.inc(self.m.exits);
-        self.reg.set(self.m.live, self.live as i64);
-        self.digest = mix(
-            self.digest,
-            0x99 ^ (u64::from(user) << 32) ^ (u64::from(host) << 16) ^ u64::from(pid),
-        );
-        if !shard.sweep_pending[h] {
-            shard.sweep_pending[h] = true;
-            self.engine.schedule(
-                SimDuration::from_micros(RETENTION_US + 1),
-                StormEvent::Sweep { user, host },
-            );
-        }
-    }
-
-    /// Runs one arena's retention sweep.
-    fn apply_sweep(&mut self, user: u32, host: u16) {
-        let now_us = self.engine.now().as_micros();
-        let h = host as usize;
-        let shard = &mut self.shards[user as usize];
-        shard.sweep_pending[h] = false;
-        let Some(arena) = shard.arenas[h].as_mut() else {
-            return;
-        };
-        let n = arena.prune_older_than(now_us, RETENTION_US) as u64;
-        self.pruned += n;
-        self.reg.inc(self.m.sweeps);
-        self.reg.add(self.m.pruned, n);
-    }
-
-    /// Total tracked processes across every shard (live plus
-    /// retained-dead).
-    pub fn tracked_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.tracked_total() as u64).sum()
-    }
-
-    /// Drives the storm to its fork target and drains every scheduled
-    /// exit and sweep, returning the run's report. Idempotent: a second
-    /// call finds the engine drained and recomputes the same report.
-    pub fn run(&mut self) -> ScaleReport {
-        if self.target > 0 && self.forks == 0 {
-            self.engine
-                .schedule(SimDuration::from_micros(0), StormEvent::Fork);
-        }
-        while let Some((_at, ev)) = self.engine.pop() {
-            match ev {
-                StormEvent::Fork => {
-                    let f = self.storm.next_fork();
-                    self.apply_fork(f);
-                    if self.forks < self.target {
-                        self.engine
-                            .schedule(SimDuration::from_micros(f.next_us), StormEvent::Fork);
-                    }
-                    // Sampled rather than per-fork: the tracked total is
-                    // an O(shards × hosts) scan.
-                    if self.forks.is_multiple_of(4096) {
-                        let tracked = self.tracked_total();
-                        if tracked > self.tracked_peak {
-                            self.tracked_peak = tracked;
-                            self.reg.set_max(self.m.tracked_peak, tracked as i64);
-                        }
-                    }
-                }
-                StormEvent::Exit { user, host, pid } => self.apply_exit(user, host, pid),
-                StormEvent::Sweep { user, host } => self.apply_sweep(user, host),
+    /// Populates `builder` (which may carry pmd options and a network
+    /// model) with `spec`'s seed, hosts and accounts, and boots it. Panics
+    /// unless [`storm_fits`]: whoever reads a size from outside asks first.
+    pub fn boot(mut builder: HarnessBuilder, spec: StormSpec, procs: u64) -> Self {
+        storm_fits(spec.users, spec.hosts).expect("the storm world fits");
+        let deal = StormDeal::new(spec, procs);
+        let names = host_names(spec.hosts);
+        builder = builder.seed(spec.seed);
+        for (h, name) in names.iter().enumerate() {
+            builder = builder.host(name.clone(), CpuClass::Vax780);
+            for peer in &names[..h] {
+                builder = builder.link(peer.clone(), name.clone());
             }
         }
-        let tracked_end = self.tracked_total();
-        if tracked_end > self.tracked_peak {
-            self.tracked_peak = tracked_end;
+        // The closing snapshots are how the report counts exits, so a dead
+        // process's record (and the LPM holding it) is kept to the end of
+        // the run — or as long as one reply can carry the busiest user's.
+        let keep = SimDuration::from_micros(deal.stretch_us(SNAPSHOT_RECORDS)) + CLOSING;
+        let config = PpmConfig {
+            dead_retention: keep,
+            lpm_ttl: keep,
+            bcast_timeout: CLOSING,
+            ..PpmConfig::fast_recovery()
+        };
+        for rank in 0..spec.users {
+            let home = (rank % u32::from(spec.hosts)) as usize;
+            let recovery = [&*names[home], &*names[(home + 1) % names.len()]];
+            let uid = UID_BASE + rank;
+            builder = builder.user(Uid(uid), 0x5EED ^ u64::from(uid), &recovery, config.clone());
         }
+        TenantWorld {
+            ppm: builder.build(),
+            spec,
+            procs,
+            deal,
+        }
+    }
+
+    fn user(&self, rank: u32) -> (String, Uid) {
+        let home = format!("h{}", rank % u32::from(self.spec.hosts));
+        (home, Uid(UID_BASE + rank))
+    }
+
+    /// User `rank` types one request for `dest` at the home host.
+    fn ask(&mut self, rank: u32, dest: &str, op: Op) -> Result<ToolHandle, HarnessError> {
+        let (home, uid) = self.user(rank);
+        self.ppm
+            .launch_tool(&home, uid, vec![ToolStep::new(dest, op)])
+    }
+
+    /// Plays the storm to its last exit and reads the report back. The
+    /// storm is spent by it: a second call finds nothing left to play.
+    pub fn run(&mut self) -> ScaleReport {
+        let deal = std::mem::take(&mut self.deal);
+        // Log in every user with local forks to make, and have the user's
+        // LPM — created by pmd for this first request — adopt the shell.
+        let (mut logins, mut adopts) = (Vec::new(), Vec::new());
+        let busy = (0..).zip(deal.local).filter(|(_, jobs)| !jobs.is_empty());
+        for (rank, jobs) in busy {
+            let (home, uid) = self.user(rank);
+            let shell = SpawnSpec::new(STORM_SHELL, Box::new(StormShell::new(jobs)));
+            if let Ok(pid) = self.ppm.spawn_login_process(&home, uid, shell) {
+                let flags = TraceFlags::ALL.bits();
+                adopts.push(self.ask(rank, &home, Op::Adopt { pid: pid.0, flags }));
+                logins.push((rank, pid));
+            }
+        }
+        // Go: every adopted shell starts its schedule at this instant.
+        let adopted = self.ppm.await_replies(adopts, TOOL_WAIT);
+        let go = self.ppm.now();
+        let mut shells = vec![None; self.spec.users as usize];
+        for (&(rank, pid), reply) in logins.iter().zip(adopted) {
+            let (home, uid) = self.user(rank);
+            let mut tell = || self.ppm.post_signal(&home, uid, pid, Signal::Usr1);
+            shells[rank as usize] = (reply == Ok(Reply::Ok) && tell().is_ok()).then_some(pid);
+        }
+        let mut failed = logins.len() - shells.iter().flatten().count();
+
+        // The remote forks, each typed at its user's home host when due.
+        let mut spawns = Vec::new();
+        for (rank, host, job) in deal.remote {
+            let at = go + SimDuration::from_micros(job.after_us);
+            self.ppm.run_for(at.saturating_since(self.ppm.now()));
+            let home = self.user(rank).0;
+            let parent = shells[rank as usize].map(|pid| Gpid::new(home.as_str(), pid.0));
+            let life = Some(SimDuration::from_micros(job.lifetime_us));
+            let op = spawn_op(Storm::command(job.command), parent, life);
+            spawns.push(self.ask(rank, &format!("h{host}"), op));
+        }
+
+        // Let the last process die and its exit reach its LPM, then ask
+        // every user who did anything what became of it all.
+        let end = go + SimDuration::from_micros(deal.end_us) + SimDuration::from_secs(2);
+        self.ppm.run_for(end.saturating_since(self.ppm.now()));
+        let snapshot = |&rank: &u32| self.ask(rank, "*", Op::Snapshot);
+        let asks = deal.active.iter().map(snapshot).collect();
+        let closing = self.ppm.await_replies(asks, TOOL_WAIT);
+        let spawned = self.ppm.await_replies(spawns, TOOL_WAIT);
+        let created = |reply: &&Result<Reply, _>| matches!(reply, Ok(Reply::Spawned { .. }));
+        let remote_forks = spawned.iter().filter(created).count();
+        failed += spawned.len() - remote_forks + deal.active.len();
+        let (mut live_end, mut exits) = (0, 0);
+        for reply in closing.into_iter().flatten() {
+            if let (Reply::Snapshot { procs, .. }, missing) = split_partial(reply) {
+                failed -= usize::from(missing.is_empty());
+                let dead = procs.iter().filter(|r| r.state == WireProcState::Dead);
+                exits += dead.clone().filter(|r| r.command != STORM_SHELL).count();
+                live_end += procs.len() - dead.count();
+            }
+        }
+        let world = self.ppm.world().core().obs().registry.snapshot();
+        let rows = ppm_core::obs::rows(&world);
+        let kernel_events = rows.iter().find(|row| row.name == "kernel.events");
         ScaleReport {
-            users: self.spec.users,
-            hosts: self.spec.hosts,
-            seed: self.spec.seed,
-            procs: self.forks,
-            exits: self.exits,
-            remote_forks: self.remote_forks,
-            lpm_spawns: self.lpm_spawns,
-            pruned: self.pruned,
-            tracked_end,
-            live_peak: self.live_peak,
-            tracked_peak: self.tracked_peak,
-            sim_end_us: self.engine.now().as_micros(),
-            digest: self.digest,
+            procs: self.procs,
+            remote_forks: remote_forks as u64,
+            failed: failed as u64,
+            kernel_events: kernel_events.map_or(0, |row| row.value as u64),
+            live_end: live_end as u64,
+            exits: exits as u64,
+            sim_end_us: self.ppm.now().as_micros(),
         }
     }
 }
 
-/// The deterministic summary of one scale run: same spec, same report,
-/// byte for byte.
+/// What one storm left behind, as the system itself reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleReport {
-    /// Users driven.
-    pub users: u32,
-    /// Hosts in the world.
-    pub hosts: u16,
-    /// Storm seed.
-    pub seed: u64,
-    /// Forks applied (the run target).
+    /// Forks the storm asked for.
     pub procs: u64,
-    /// Exits applied (equals `procs` after a full drain).
-    pub exits: u64,
-    /// Forks that landed away from the user's home host.
+    /// Remote forks a sibling LPM answered with the new process.
     pub remote_forks: u64,
-    /// LPM slots registered across all (user, host) pairs.
-    pub lpm_spawns: u64,
-    /// Nodes dropped by retention sweeps.
-    pub pruned: u64,
-    /// Nodes still tracked when the run drained (retained-dead).
-    pub tracked_end: u64,
-    /// Peak concurrent live processes.
-    pub live_peak: u64,
-    /// Peak tracked processes (live + retained-dead, sampled).
-    pub tracked_peak: u64,
-    /// Simulated instant the last event ran, µs.
+    /// Logins, remote forks and closing snapshots not answered in full.
+    pub failed: u64,
+    /// Events the kernels reported to tracing LPMs (`kernel.events`).
+    pub kernel_events: u64,
+    /// Processes the closing snapshots show alive.
+    pub live_end: u64,
+    /// Storm processes they show dead: all, if one reply could carry them.
+    pub exits: u64,
+    /// Simulated instant the report was read, µs.
     pub sim_end_us: u64,
-    /// FNV-1a fold of every fork, exit and LPM registration.
-    pub digest: u64,
 }
 
 impl ScaleReport {
-    /// Renders the report as deterministic text, one `key value` line
-    /// each — the surface the run-twice determinism gate diffs.
+    /// The report as text, one `scale <key> <value>` line per field.
     pub fn render(&self) -> String {
         format!(
-            "scale users {u}\n\
-             scale hosts {h}\n\
-             scale seed {s}\n\
-             scale procs {p}\n\
-             scale exits {e}\n\
-             scale remote_forks {r}\n\
-             scale lpm_spawns {l}\n\
-             scale pruned {pr}\n\
-             scale tracked_end {te}\n\
-             scale live_peak {lp}\n\
-             scale tracked_peak {tp}\n\
-             scale sim_end_us {us}\n\
-             scale digest {d:016x}\n",
-            u = self.users,
-            h = self.hosts,
-            s = self.seed,
-            p = self.procs,
-            e = self.exits,
-            r = self.remote_forks,
-            l = self.lpm_spawns,
-            pr = self.pruned,
-            te = self.tracked_end,
-            lp = self.live_peak,
-            tp = self.tracked_peak,
-            us = self.sim_end_us,
-            d = self.digest,
+            "scale procs {}\nscale remote_forks {}\nscale failed {}\nscale kernel_events {}\n\
+             scale live_end {}\nscale exits {}\nscale sim_end_us {}\n",
+            self.procs,
+            self.remote_forks,
+            self.failed,
+            self.kernel_events,
+            self.live_end,
+            self.exits,
+            self.sim_end_us,
         )
     }
 }
@@ -486,115 +250,114 @@ impl ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_runtime::obs::MetricValue;
+    use ppm_core::config::lpm_port;
+    use ppm_proto::types::ProcRecord;
+    use ppm_runtime::trace::TraceCategory;
+    use ppm_simos::ids::Pid;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    fn run_world(users: u32, hosts: u16, seed: u64, procs: u64) -> (ScaleReport, TenantWorld) {
-        let mut world = TenantWorld::new(StormSpec::new(users, hosts, seed), procs);
+    /// Runs a storm and takes every active user's `*` snapshot afterwards.
+    fn played(
+        users: u32,
+        hosts: u16,
+        procs: u64,
+    ) -> (TenantWorld, ScaleReport, Vec<(u32, Vec<ProcRecord>)>) {
+        let mut world = TenantWorld::new(scale_spec(users, hosts, 7), procs);
+        let active = StormDeal::new(scale_spec(users, hosts, 7), procs).active;
         let report = world.run();
-        (report, world)
-    }
-
-    #[test]
-    fn scale_runs_are_deterministic() {
-        let a = TenantWorld::new(StormSpec::new(50, 5, 42), 5_000).run();
-        let b = TenantWorld::new(StormSpec::new(50, 5, 42), 5_000).run();
-        assert_eq!(a, b);
-        assert_eq!(a.render(), b.render());
-        let c = TenantWorld::new(StormSpec::new(50, 5, 43), 5_000).run();
-        assert_ne!(a.digest, c.digest, "seed changes the run");
-    }
-
-    #[test]
-    fn storm_drains_and_prunes() {
-        let (report, world) = run_world(20, 3, 7, 4_000);
-        assert_eq!(report.procs, 4_000);
-        assert_eq!(report.exits, 4_000, "every fork exits");
-        let arenas = world.shards.iter().flat_map(|s| s.arenas.iter().flatten());
-        assert_eq!(
-            arenas.map(|a| a.live_count()).sum::<usize>(),
-            0,
-            "nothing live after the drain"
-        );
-        assert!(report.pruned > 0, "retention sweeps collected dead nodes");
-        assert!(
-            report.tracked_end < report.procs / 4,
-            "retained-dead stays far below the cumulative count \
-             ({} of {})",
-            report.tracked_end,
-            report.procs
-        );
-        assert!(report.live_peak > 0);
-        // The registry agrees with the report.
-        let snap = world.metrics().snapshot();
-        let counter = |name: &str| {
-            snap.iter()
-                .find(|s| s.name == name)
-                .map(|s| match &s.value {
-                    MetricValue::Counter(v) => *v,
-                    other => panic!("{name} is {other:?}"),
-                })
-                .unwrap()
+        let snapshot = |rank: u32| {
+            let (home, uid) = world.user(rank);
+            (rank, world.ppm.snapshot(&home, uid, "*").expect("snapshot"))
         };
-        assert_eq!(counter("tenant.forks"), report.procs);
-        assert_eq!(counter("tenant.exits"), report.exits);
-        assert_eq!(counter("tenant.pruned"), report.pruned);
+        let snapshots = active.into_iter().map(snapshot).collect();
+        (world, report, snapshots)
     }
 
     #[test]
-    fn shards_never_share_processes() {
-        let (report, world) = run_world(16, 4, 9, 3_000);
-        // (host, pid) identities are globally unique, so any overlap
-        // between two shards' snapshots would be a leak.
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0usize;
-        for shard in &world.shards {
-            for rec in shard.arenas.iter().flatten().flat_map(|a| a.snapshot()) {
+    fn every_fork_is_tracked_and_every_exit_seen() {
+        let (_, report, snapshots) = played(20, 3, 1_500);
+        assert_eq!((report.procs, report.exits), (1_500, 1_500));
+        assert_eq!((report.failed, report.live_end), (0, 0));
+        // A shell's child is reported forking, exec'ing and exiting; a
+        // process an LPM creates, and a shell (adopted after its exec,
+        // told to go by a signal), twice.
+        let shells = snapshots.iter().flat_map(|(_, records)| records);
+        let shells = shells.filter(|r| r.command == STORM_SHELL).count() as u64;
+        let local = report.procs - report.remote_forks;
+        let expected = 3 * local + 2 * report.remote_forks + 2 * shells;
+        assert_eq!(report.kernel_events, expected);
+        assert!(report.remote_forks > 100, "{report:?}");
+        for (rank, records) in &snapshots {
+            let live = records.iter().filter(|r| r.state != WireProcState::Dead);
+            assert_eq!(live.count(), 0, "user {rank} still has live processes");
+        }
+    }
+
+    #[test]
+    fn no_process_shows_in_two_users_snapshots_and_each_is_its_owners() {
+        let (world, report, snapshots) = played(12, 4, 600);
+        let mut seen = BTreeSet::new();
+        for (rank, records) in &snapshots {
+            for r in records {
                 assert!(
-                    seen.insert((rec.gpid.host.clone(), rec.gpid.pid)),
-                    "{} appears in more than one user's shard",
-                    rec.gpid
+                    seen.insert((r.gpid.host.clone(), r.gpid.pid)),
+                    "{} is in more than one user's snapshot",
+                    r.gpid
                 );
-                total += 1;
+                // The kernel still has the entry of so recent an exit.
+                let host = world.ppm.host(&r.gpid.host).expect("a storm host");
+                let kernel = world.ppm.world().core().kernel(host);
+                let owner = kernel.get(Pid(r.gpid.pid)).map(|p| p.uid);
+                assert_eq!(owner, Some(Uid(UID_BASE + rank)), "{}", r.gpid);
             }
         }
-        assert_eq!(total as u64, report.tracked_end);
-        // Per-shard accounting sums to the world's.
-        assert_eq!(
-            world.shards.iter().map(|s| s.forked).sum::<u64>(),
-            report.procs
-        );
-        assert_eq!(
-            world.shards.iter().map(|s| s.exited).sum::<u64>(),
-            report.exits
-        );
+        assert!(seen.len() as u64 >= report.procs);
     }
 
     #[test]
-    fn lpm_slots_register_once_per_user_host() {
-        let (report, world) = run_world(12, 4, 11, 2_000);
-        let mut slots = 0u64;
-        for shard in &world.shards {
-            for slot in shard.lpms.iter().flatten() {
-                assert_eq!(slot.port, lpm_port(shard.uid), "well-known per-user port");
-                slots += 1;
-            }
-            // The home host is always registered for an active user.
-            if shard.forked > 0 {
-                let home = (shard.uid.0 - UID_BASE) % u32::from(world.spec.hosts);
-                assert!(shard.lpms[home as usize].is_some());
-            }
-        }
-        assert_eq!(slots, report.lpm_spawns, "slots registered exactly once");
+    fn zipf_skews_the_work_toward_low_ranks() {
+        let (_, _, snapshots) = played(30, 2, 3_000);
+        let forks: BTreeMap<u32, usize> = snapshots
+            .iter()
+            .map(|(rank, records)| (*rank, records.len()))
+            .collect();
+        let (first, last) = (forks[&0], forks.get(&29).copied().unwrap_or(0));
+        assert!(first > 3 * last, "rank 0 made {first}, rank 29 {last}");
     }
 
     #[test]
-    fn zipf_storm_skews_work_toward_low_ranks() {
-        let (_, world) = run_world(30, 2, 13, 6_000);
-        let first = world.shards[0].forked;
-        let last = world.shards[29].forked;
-        assert!(
-            first > last * 3,
-            "rank 0 ({first}) should dominate rank 29 ({last})"
-        );
+    fn pmd_creates_each_lpm_once_on_its_users_port() {
+        let (world, _, snapshots) = played(12, 4, 2_000);
+        let trace = world.ppm.world().core().trace();
+        let mut created = BTreeSet::new();
+        for entry in trace.filtered(TraceCategory::Daemon) {
+            let Some(rest) = entry.text.strip_prefix("pmd: created LPM pid ") else {
+                continue;
+            };
+            // "<pid> for uid <uid> (accept :<port>)"
+            let words: Vec<&str> = rest.split_whitespace().collect();
+            let uid: u32 = words[3].parse().expect("uid");
+            let port = words[5].trim_matches(|c| c == ':' || c == ')');
+            assert_eq!(port, lpm_port(Uid(uid)).0.to_string(), "{}", entry.text);
+            assert!(created.insert((entry.host, uid)), "twice: {}", entry.text);
+        }
+        // Every host a user's processes ran on had an LPM of that user's.
+        for (rank, records) in &snapshots {
+            for r in records {
+                let host = world.ppm.host(&r.gpid.host).ok();
+                assert!(created.contains(&(host, UID_BASE + rank)), "{}", r.gpid);
+            }
+        }
+        let registries = world.ppm.metrics_sections().len() - 1;
+        assert_eq!(created.len(), registries, "one registry per LPM");
+    }
+
+    #[test]
+    fn few_users_on_few_hosts_are_paced_to_what_an_lpm_can_carry() {
+        assert_eq!(scale_spec(64, 32, 1).mean_interarrival_us, 1_000);
+        assert_eq!(scale_spec(64, 16, 1).mean_interarrival_us, 1_333);
+        assert_eq!(scale_spec(1, 2, 1).mean_interarrival_us, 20_000);
+        let report = TenantWorld::new(scale_spec(1, 2, 1986), 400).run();
+        assert_eq!((report.exits, report.failed), (400, 0), "{report:?}");
     }
 }

@@ -25,7 +25,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, MutexGuard};
 
 use crate::ids::HostId;
@@ -52,10 +52,6 @@ pub const HIST_BUCKETS: usize = 40;
 /// Handle of a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(u32);
-
-/// Handle of a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(u32);
 
 /// Handle of a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +193,6 @@ impl HistCells {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Vec<(&'static str, AtomicU64)>,
-    gauges: Vec<(&'static str, AtomicI64)>,
     hists: Vec<(&'static str, HistCells)>,
 }
 
@@ -209,11 +204,6 @@ impl Clone for Registry {
                 .counters
                 .iter()
                 .map(|(n, v)| (*n, AtomicU64::new(v.load(Relaxed))))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(n, v)| (*n, AtomicI64::new(v.load(Relaxed))))
                 .collect(),
             hists: self
                 .hists
@@ -254,15 +244,6 @@ impl Registry {
         CounterId((self.counters.len() - 1) as u32)
     }
 
-    /// Registers (or finds) a gauge by name.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| *n == name) {
-            return GaugeId(i as u32);
-        }
-        self.gauges.push((name, AtomicI64::new(0)));
-        GaugeId((self.gauges.len() - 1) as u32)
-    }
-
     /// Registers (or finds) a histogram by name.
     pub fn hist(&mut self, name: &'static str) -> HistId {
         if let Some(i) = self.hists.iter().position(|(n, _)| *n == name) {
@@ -284,16 +265,10 @@ impl Registry {
         self.counters[id.0 as usize].1.fetch_add(n, Relaxed);
     }
 
-    /// Sets a gauge.
+    /// A counter's current value.
     #[inline]
-    pub fn set(&self, id: GaugeId, v: i64) {
-        self.gauges[id.0 as usize].1.store(v, Relaxed);
-    }
-
-    /// Raises a gauge to at least `v` (high-water mark).
-    #[inline]
-    pub fn set_max(&self, id: GaugeId, v: i64) {
-        self.gauges[id.0 as usize].1.fetch_max(v, Relaxed);
+    pub fn count(&self, id: CounterId) -> u64 {
+        self.counters[id.0 as usize].1.load(Relaxed)
     }
 
     /// Records one histogram value.
@@ -304,18 +279,11 @@ impl Registry {
 
     /// All metrics, sorted by name.
     pub fn snapshot(&self) -> Vec<MetricSample> {
-        let mut out: Vec<MetricSample> =
-            Vec::with_capacity(self.counters.len() + self.gauges.len() + self.hists.len());
+        let mut out: Vec<MetricSample> = Vec::with_capacity(self.counters.len() + self.hists.len());
         for (name, v) in &self.counters {
             out.push(MetricSample {
                 name,
                 value: MetricValue::Counter(v.load(Relaxed)),
-            });
-        }
-        for (name, v) in &self.gauges {
-            out.push(MetricSample {
-                name,
-                value: MetricValue::Gauge(v.load(Relaxed)),
             });
         }
         for (name, h) in &self.hists {
@@ -501,27 +469,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_hists_register_and_update() {
+    fn counters_and_hists_register_and_update() {
         let mut r = Registry::new();
         let c = r.counter("a.count");
-        let g = r.gauge("a.level");
         let h = r.hist("a.dist");
         r.inc(c);
         r.add(c, 4);
-        r.set(g, -3);
-        r.set_max(g, 7);
-        r.set_max(g, 2);
+        assert_eq!(r.count(c), 5);
         r.record(h, 0);
         r.record(h, 1);
         r.record(h, 1024);
         let snap = r.snapshot();
         assert_eq!(
             snap.iter().map(|s| s.name).collect::<Vec<_>>(),
-            vec!["a.count", "a.dist", "a.level"],
+            vec!["a.count", "a.dist"],
             "snapshot is name-sorted"
         );
         assert_eq!(snap[0].value, MetricValue::Counter(5));
-        assert_eq!(snap[2].value, MetricValue::Gauge(7));
         let MetricValue::Hist(h) = &snap[1].value else {
             panic!("expected hist");
         };

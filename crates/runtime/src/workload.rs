@@ -6,10 +6,12 @@
 //! process trees for genealogy snapshots, and chattering client/server
 //! pairs for the IPC-tracing tool.
 //!
-//! [`Storm`] scales the same idea up six orders of magnitude: a seeded,
-//! replayable fork/exec/exit storm across thousands of users whose
-//! activity follows a Zipf law — the multi-tenant workload the scale
-//! scenario (`ppm-sim --users`) and the `ppm-sweep` storm axis replay.
+//! [`Storm`] scales the same idea up to many users: a seeded, replayable
+//! fork/exec/exit storm whose per-user activity follows a Zipf law — the
+//! multi-tenant workload the scale scenario (`ppm-sim --users`) and the
+//! `ppm-sweep` storm axis replay. A [`StormDeal`] splits it by who makes
+//! each fork; a [`StormShell`] is one user's login shell in it, the
+//! traced parent that forks that user's share.
 
 use bytes::Bytes;
 
@@ -17,8 +19,10 @@ use crate::ids::HostId;
 use crate::time::SimDuration;
 
 use crate::ids::{ConnId, Port};
-use crate::program::{ConnEvent, Program, SpawnSpec};
+use crate::program::{ConnEvent, Program, SigAction, SpawnSpec};
+use crate::signal::Signal;
 use crate::sys::Sys;
+use crate::time::SimTime;
 
 /// A partially CPU-bound process: runnable for `duty` of each `period`.
 ///
@@ -297,9 +301,9 @@ const STORM_COMMANDS: [&str; 10] = [
 ///
 /// A storm is a pure decision stream: given the same spec, two [`Storm`]s
 /// yield bit-identical sequences of [`StormFork`]s, which is what makes
-/// scale runs replayable end to end. The driver (one discrete-event
-/// engine over per-user shards) owns all timing; the storm only decides
-/// *who* forks *what*, *where*, and for *how long*.
+/// scale runs replayable end to end. The storm only decides *who* forks
+/// *what*, *where*, for *how long* and how long after the fork before;
+/// the world it is played into owns the clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormSpec {
     /// Number of users, ranked by activity (user 0 is the heaviest).
@@ -392,11 +396,6 @@ impl Storm {
         }
     }
 
-    /// The spec this storm replays.
-    pub fn spec(&self) -> &StormSpec {
-        &self.spec
-    }
-
     /// The command name for a [`StormFork::command`] index.
     pub fn command(idx: u8) -> &'static str {
         STORM_COMMANDS[idx as usize % STORM_COMMANDS.len()]
@@ -454,14 +453,149 @@ impl Storm {
     }
 }
 
+/// A whole storm, drawn up front and dealt out to whoever is to make
+/// each fork: a user's forks on the home host to that user's
+/// [`StormShell`], the ones that land elsewhere to the driver. Offsets
+/// count from the instant the shells are told to go; the first fork is
+/// at 0.
+#[derive(Debug, Clone, Default)]
+pub struct StormDeal {
+    /// By user rank: that user's home-host forks, in time order.
+    pub local: Vec<Vec<StormJob>>,
+    /// The remote forks, in time order: user rank, host, job.
+    pub remote: Vec<(u32, u16, StormJob)>,
+    /// The ranks of the users who fork at all, ascending.
+    pub active: Vec<u32>,
+    /// When the last process dies, µs.
+    pub end_us: u64,
+    /// The most forks any one user makes.
+    pub busiest: u64,
+}
+
+impl StormDeal {
+    /// The first `procs` forks of `spec`'s storm.
+    pub fn new(spec: StormSpec, procs: u64) -> Self {
+        let mut storm = Storm::new(spec);
+        let mut deal = StormDeal {
+            local: vec![Vec::new(); spec.users as usize],
+            ..StormDeal::default()
+        };
+        let mut forks = vec![0u64; spec.users as usize];
+        let mut after_us = 0;
+        for _ in 0..procs {
+            let f = storm.next_fork();
+            let job = StormJob {
+                after_us,
+                command: f.command,
+                lifetime_us: f.lifetime_us,
+            };
+            if f.host == f.home {
+                deal.local[f.user as usize].push(job);
+            } else {
+                deal.remote.push((f.user, f.host, job));
+            }
+            forks[f.user as usize] += 1;
+            deal.end_us = deal.end_us.max(after_us + f.lifetime_us);
+            after_us += f.next_us;
+        }
+        deal.busiest = forks.iter().copied().max().unwrap_or(0);
+        let active = (0..).zip(forks).filter(|(_, n)| *n > 0);
+        deal.active = active.map(|(rank, _)| rank).collect();
+        deal
+    }
+
+    /// The longest stretch of the storm, µs, in which its busiest user
+    /// makes no more than `forks` forks (all of it, if that user never
+    /// makes as many).
+    pub fn stretch_us(&self, forks: u64) -> u64 {
+        let share = forks as f64 / self.busiest.max(1) as f64;
+        (self.end_us as f64 * share.min(1.0)) as u64
+    }
+}
+
+/// One fork a [`StormShell`] owes: [`Storm::command`] index `command`,
+/// living `lifetime_us`, forked `after_us` after the shell is told to go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StormJob {
+    /// Offset from the go signal, µs.
+    pub after_us: u64,
+    /// Index into [`Storm::command`]'s table.
+    pub command: u8,
+    /// Child lifetime, µs.
+    pub lifetime_us: u64,
+}
+
+/// The command name a [`StormShell`] goes by.
+pub const STORM_SHELL: &str = "storm-shell";
+
+/// A storm user's login shell: idles until it receives `SIGUSR1` (the
+/// driver sends it once the user's LPM has adopted the shell, so every
+/// fork below is traced), then forks one [`Worker`] per [`StormJob`] at
+/// the job's offset from that instant and exits after the last.
+#[derive(Debug, Clone)]
+pub struct StormShell {
+    /// Jobs in `after_us` order.
+    jobs: Vec<StormJob>,
+    next: usize,
+    go: SimTime,
+}
+
+impl StormShell {
+    /// A shell owing `jobs`, which must be in `after_us` order.
+    pub fn new(jobs: Vec<StormJob>) -> Self {
+        StormShell {
+            jobs,
+            next: 0,
+            go: SimTime::ZERO,
+        }
+    }
+
+    /// Forks every job that is due, then sleeps until the next one or,
+    /// when none is left, exits.
+    fn fork_due(&mut self, sys: &mut dyn Sys) {
+        let since_go = sys.now().saturating_since(self.go).as_micros();
+        while let Some(job) = self.jobs.get(self.next) {
+            if job.after_us > since_go {
+                sys.set_timer(SimDuration::from_micros(job.after_us - since_go), 0);
+                return;
+            }
+            let life = SimDuration::from_micros(job.lifetime_us);
+            let child = Worker::new(life, SimDuration::ZERO);
+            let _ = sys.spawn(SpawnSpec::new(Storm::command(job.command), Box::new(child)));
+            self.next += 1;
+        }
+        sys.exit(0);
+    }
+}
+
+impl Program for StormShell {
+    fn on_signal(&mut self, sys: &mut dyn Sys, signal: Signal) -> SigAction {
+        if signal != Signal::Usr1 {
+            return SigAction::Default;
+        }
+        self.go = sys.now();
+        self.fork_due(sys);
+        SigAction::Handled
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
+        self.fork_due(sys);
+    }
+
+    fn name(&self) -> &str {
+        STORM_SHELL
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // The workload programs themselves (DutyCycle, Worker, TreeSpawner,
     // EchoServer/Chatter) need a world to run in; their behavioural tests
-    // live in `ppm-simos/tests/workload.rs`. Only the pure, world-free
-    // Storm decision stream is tested here.
+    // live in `ppm-simos/tests/workload.rs`, and a StormShell's in
+    // `ppm-harness`, where there is an LPM to adopt it. Only the pure,
+    // world-free Storm decision stream is tested here.
 
     #[test]
     fn storm_is_replayable_and_zipf_skewed() {
@@ -495,6 +629,34 @@ mod tests {
         assert_eq!(hosts_hit.len(), 16, "every host takes forks");
         // Remote fraction lands near the configured 12.5%.
         assert!((1_500..3_500).contains(&remote), "remote={remote}");
+    }
+
+    #[test]
+    fn a_deal_hands_out_every_fork_once_in_time_order() {
+        let deal = StormDeal::new(StormSpec::new(9, 3, 0xCAB), 500);
+        let per_user = |u: u32| {
+            let remote = deal.remote.iter().filter(|(user, ..)| *user == u).count();
+            (deal.local[u as usize].len() + remote) as u64
+        };
+        assert_eq!((0..9).map(per_user).sum::<u64>(), 500);
+        assert_eq!((0..9).map(per_user).max(), Some(deal.busiest));
+        let active: Vec<u32> = (0..9).filter(|&u| per_user(u) > 0).collect();
+        assert_eq!(deal.active, active);
+        let remote = deal.remote.iter().map(|(_, _, job)| *job);
+        for jobs in deal.local.iter().cloned().chain([remote.collect()]) {
+            assert!(jobs.windows(2).all(|w| w[0].after_us < w[1].after_us));
+            assert!(jobs
+                .iter()
+                .all(|j| j.after_us + j.lifetime_us <= deal.end_us));
+        }
+        // All of the storm while the busiest user fits, a proportional
+        // part of it after.
+        assert_eq!(deal.stretch_us(deal.busiest), deal.end_us);
+        assert_eq!(deal.stretch_us(4 * deal.busiest), deal.end_us);
+        assert_eq!(
+            deal.stretch_us(deal.busiest / 2) / 1_000,
+            deal.end_us / 2_000
+        );
     }
 
     #[test]

@@ -12,20 +12,22 @@
 //! host from its chain predecessor, closed by a whole-network snapshot
 //! sweep the origin gathers across `N - 1` relay hops.
 //!
-//! `--users U --hosts N` runs the multi-tenant scale scenario instead: a
-//! seeded fork/exec/exit storm (`--seed S`, default 1986) of `--procs P`
-//! processes (default `U × 2000`) across `U` per-user shards on `N`
-//! hosts, driven by one discrete-event engine (see `ppm_harness::tenant`).
-//! The report on stdout and the `--metrics` file are deterministic;
-//! wall-clock throughput goes to stderr.
+//! `--users U --hosts N` runs the multi-tenant storm instead: a seeded
+//! fork/exec/exit storm (`--seed S`, default 1986) of `--procs P`
+//! processes (default `U × 2000`) by `U` users, each with an LPM of their
+//! own on every one of the `N` hosts they touch (see
+//! `ppm_harness::tenant`). Every other flag means what it means for a
+//! scenario. The report on stdout and the `--trace`, `--metrics` and
+//! `--spans` output are deterministic; wall-clock throughput goes to
+//! stderr.
 //!
 //! `--seed S` also overrides a scenario file's (or the generated chain
 //! scenario's) `seed` statement — the knob the `ppm-sweep` harness turns
 //! to fan one scenario across a seed grid.
 //!
 //! `--digest` appends one `digest <16-hex>` line to stdout: the FNV-1a
-//! fold of the run's observable surface (scenario output + trace +
-//! metrics text, or the scale report + its metrics). The sweep harness
+//! fold of the run's observable surface (scenario output or storm
+//! report + trace + metrics text). The sweep harness
 //! computes cell digests over exactly the same strings, so a cell's
 //! digest can be re-checked by running its repro command line here.
 //!
@@ -57,7 +59,7 @@
 
 use std::process::ExitCode;
 
-use ppm::sweep::{run_scenario_cell, run_storm_cell, CellRun, CellTopology};
+use ppm::sweep::{run_cell, CellRun, CellTopology, VariantKind};
 use ppm_simnet::fault::FaultPlan;
 use ppm_simnet::topology::NetSpec;
 
@@ -95,30 +97,16 @@ fn emit(
     }
 }
 
-/// The `--users U --hosts N` multi-tenant storm (see
-/// [`ppm::sweep::run_storm_cell`]): the report and `--metrics` file are
-/// deterministic; wall-clock throughput is observational, so it goes to
-/// stderr where the determinism diff never sees it.
-fn run_scale(
-    users: u32,
-    hosts: u16,
-    seed: u64,
-    procs: Option<u64>,
-    metrics_path: Option<&str>,
-    digest: bool,
-) -> ExitCode {
-    let procs = procs.unwrap_or_else(|| u64::from(users).saturating_mul(2_000));
-    let started = std::time::Instant::now();
-    let run = run_storm_cell(users, hosts, seed, procs);
-    let elapsed = started.elapsed();
-    let code = emit(&run, false, digest, metrics_path, None);
+/// Wall-clock throughput and peak RSS of a storm: observational, so
+/// they go to stderr where the determinism diff never sees them.
+fn report_storm_rate(users: u32, hosts: usize, procs: u64, elapsed: std::time::Duration) {
     let rate = procs as f64 / elapsed.as_secs_f64().max(1e-9);
     eprintln!(
         "ppm-sim: {procs} processes across {users} users on {hosts} hosts in {elapsed:.2?} \
          ({rate:.0} procs/sec)"
     );
     // Peak RSS (VmHWM) covers the whole run including the world build;
-    // Linux-only, observational, stderr like the throughput line.
+    // Linux-only.
     if let Some(kb) = std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
@@ -129,21 +117,13 @@ fn run_scale(
     {
         eprintln!("ppm-sim: peak rss {kb} kB");
     }
-    code
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: ppm-sim [--trace] [--digest] [--seed <S>] [--metrics <path>] [--spans <path>] \
-         [--faults <plan>] [--topology <preset|file>] <scenario-file>"
-    );
-    eprintln!(
-        "       ppm-sim [--trace] [--digest] [--seed <S>] [--metrics <path>] [--spans <path>] \
-         [--faults <plan>] [--topology <preset|file>] --hosts <N>"
-    );
-    eprintln!(
-        "       ppm-sim [--digest] [--metrics <path>] --users <U> --hosts <N> [--seed <S>] \
-         [--procs <P>]"
+         [--faults <plan>] [--topology <preset|file>] \
+         (<scenario-file> | --hosts <N> | --users <U> --hosts <N> [--procs <P>])"
     );
     eprintln!("see scenarios/ for examples and src/scenario.rs for the grammar");
     eprintln!("fault plans: see scenarios/*.fault and ppm_simnet::fault for the grammar");
@@ -230,28 +210,24 @@ fn main() -> ExitCode {
             _ => path = Some(arg),
         }
     }
-    if let Some(users) = users {
-        let Some(hosts) = hosts.filter(|&n| n >= 2 && n <= u16::MAX as usize) else {
-            eprintln!("ppm-sim: --users needs --hosts (2 ..= 65535)");
-            return ExitCode::FAILURE;
-        };
-        if topology_arg.is_some() {
-            eprintln!("ppm-sim: --topology is not supported with --users (storm mode)");
-            return ExitCode::FAILURE;
+    let (name, kind) = match (users, hosts, path) {
+        (Some(users), Some(n), None) => {
+            // Whether so many hosts may be built is the cell's to say.
+            let Ok(hosts) = u16::try_from(n) else {
+                eprintln!("ppm-sim: --users needs --hosts of at most 65535");
+                return ExitCode::FAILURE;
+            };
+            let procs = procs.unwrap_or_else(|| u64::from(users).saturating_mul(2_000));
+            let kind = VariantKind::Storm {
+                users,
+                hosts,
+                procs,
+            };
+            (format!("--users {users} --hosts {n}"), kind)
         }
-        return run_scale(
-            users,
-            hosts as u16,
-            seed.unwrap_or(1986),
-            procs,
-            metrics_path.as_deref(),
-            digest,
-        );
-    }
-    let (name, text) = match (hosts, path) {
-        (Some(n), None) => (format!("--hosts {n}"), ppm::scenario::chain_scenario(n)),
-        (None, Some(path)) => match std::fs::read_to_string(&path) {
-            Ok(t) => (path, t),
+        (None, Some(hosts), None) => (format!("--hosts {hosts}"), VariantKind::Chain { hosts }),
+        (None, None, Some(path)) => match std::fs::read_to_string(&path) {
+            Ok(text) => (path, VariantKind::Scenario { text: text.into() }),
             Err(e) => {
                 eprintln!("ppm-sim: cannot read {path}: {e}");
                 return ExitCode::FAILURE;
@@ -298,7 +274,12 @@ fn main() -> ExitCode {
         None => topology_arg.as_deref().map(CellTopology::Preset),
     };
     let spans = spans_path.is_some();
-    match run_scenario_cell(&text, seed, plan.as_ref(), topology, spans) {
+    let started = std::time::Instant::now();
+    let run = run_cell(&kind, seed, plan.as_ref(), topology, spans);
+    if let (VariantKind::Storm { users, procs, .. }, Some(hosts), Ok(_)) = (&kind, hosts, &run) {
+        report_storm_rate(*users, hosts, *procs, started.elapsed());
+    }
+    match run {
         Ok(run) => emit(
             &run,
             trace,

@@ -40,7 +40,8 @@ use std::fmt;
 
 use ppm_core::config::{PpmConfig, RecoveryPolicy};
 use ppm_core::pmd::PmdOptions;
-use ppm_harness::harness::{HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessBuilder, HarnessError, PpmHarness};
+use ppm_harness::tenant::{self, scale_spec, TenantWorld};
 use ppm_proto::msg::ControlAction;
 use ppm_proto::types::Gpid;
 use ppm_runtime::events::TraceFlags;
@@ -484,8 +485,8 @@ pub fn execute(sc: &Scenario, out: &mut dyn fmt::Write) -> Result<PpmHarness, Sc
     execute_with(sc, out, ExecOptions::default())
 }
 
-/// Execution knobs for [`execute_with`].
-#[derive(Debug, Default)]
+/// Execution knobs for [`execute_with`] and [`execute_storm`].
+#[derive(Debug, Default, Clone, Copy)]
 pub struct ExecOptions<'a> {
     /// Record structured spans from the first event.
     pub spans: bool,
@@ -499,6 +500,80 @@ pub struct ExecOptions<'a> {
     pub topology: Option<&'a NetSpec>,
 }
 
+impl ExecOptions<'_> {
+    /// A harness builder carrying what must be settled before the world
+    /// boots: the network model and, for a faulted run, a pmd that can
+    /// bring LPMs back.
+    fn builder(
+        &self,
+        host_names: impl FnOnce() -> Vec<String>,
+    ) -> Result<HarnessBuilder, ScenarioError> {
+        let mut builder = PpmHarness::builder();
+        if let Some(spec) = self.topology {
+            // Dry-run the graph build so a bad spec (unknown endpoint, name
+            // collision with a host) surfaces as a scenario error instead of
+            // a harness panic.
+            NetGraph::build(spec, &host_names()).map_err(|e| err(0, e))?;
+            builder = builder.topology(spec.clone());
+        }
+        if self.faults.is_some() {
+            // A faulted run only makes sense if the system is allowed to
+            // recover: persist pmd registries and respawn dead LPMs.
+            builder = builder.pmd_options(PmdOptions {
+                stable_storage: true,
+                respawn_lpms: true,
+            });
+        }
+        Ok(builder)
+    }
+
+    /// What is switched on once the world has booted: span recording and
+    /// the fault plan.
+    fn arm(&self, ppm: &mut PpmHarness, out: &mut dyn fmt::Write) -> Result<(), ScenarioError> {
+        if self.spans {
+            ppm.enable_spans();
+        }
+        if let Some(plan) = self.faults {
+            ppm.world_mut()
+                .apply_fault_plan(plan)
+                .map_err(|e| err(0, e))?;
+            let _ = writeln!(
+                out,
+                "--- fault plan armed: {} scheduled fault(s), {} wire rule(s), seed {}",
+                plan.events.len(),
+                plan.wire.len(),
+                plan.seed
+            );
+        }
+        Ok(())
+    }
+}
+
+/// Plays the canonical `users × hosts` storm ([`scale_spec`]) of `procs`
+/// forks — the whole of `ppm-sim --users U --hosts N` — writing its
+/// report through `out`.
+///
+/// # Errors
+///
+/// A world larger than [`tenant::MAX_STORM_CELLS`], or what
+/// [`execute_with`] reports for a bad topology or fault plan.
+pub fn execute_storm(
+    users: u32,
+    hosts: u16,
+    seed: u64,
+    procs: u64,
+    out: &mut dyn fmt::Write,
+    opts: ExecOptions<'_>,
+) -> Result<PpmHarness, ScenarioError> {
+    tenant::storm_fits(users, hosts).map_err(|e| err(0, e))?;
+    let builder = opts.builder(|| tenant::host_names(hosts))?;
+    let mut world = TenantWorld::boot(builder, scale_spec(users, hosts, seed), procs);
+    opts.arm(&mut world.ppm, out)?;
+    let report = world.run();
+    let _ = out.write_str(&report.render());
+    Ok(world.ppm)
+}
+
 /// Like [`execute`], with all execution knobs explicit.
 ///
 /// # Errors
@@ -510,28 +585,8 @@ pub fn execute_with(
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
 ) -> Result<PpmHarness, ScenarioError> {
-    let ExecOptions {
-        spans,
-        faults,
-        topology,
-    } = opts;
-    let mut builder = PpmHarness::builder().seed(sc.seed);
-    if let Some(spec) = topology {
-        // Dry-run the graph build so a bad spec (unknown endpoint, name
-        // collision with a host) surfaces as a scenario error instead of
-        // a harness panic.
-        let host_names: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-        NetGraph::build(spec, &host_names).map_err(|e| err(0, e))?;
-        builder = builder.topology(spec.clone());
-    }
-    if faults.is_some() {
-        // A faulted run only makes sense if the system is allowed to
-        // recover: persist pmd registries and respawn dead LPMs.
-        builder = builder.pmd_options(PmdOptions {
-            stable_storage: true,
-            respawn_lpms: true,
-        });
-    }
+    let host_names = || sc.hosts.iter().map(|(n, _)| n.clone()).collect();
+    let mut builder = opts.builder(host_names)?.seed(sc.seed);
     for (name, cpu) in &sc.hosts {
         builder = builder.host(name.clone(), *cpu);
     }
@@ -543,21 +598,7 @@ pub fn execute_with(
         builder = builder.user(Uid(*uid), *secret, &rec, cfg.clone());
     }
     let mut ppm = builder.build();
-    if spans {
-        ppm.enable_spans();
-    }
-    if let Some(plan) = faults {
-        ppm.world_mut()
-            .apply_fault_plan(plan)
-            .map_err(|e| err(0, e))?;
-        let _ = writeln!(
-            out,
-            "--- fault plan armed: {} scheduled fault(s), {} wire rule(s), seed {}",
-            plan.events.len(),
-            plan.wire.len(),
-            plan.seed
-        );
-    }
+    opts.arm(&mut ppm, out)?;
     let mut bindings: HashMap<String, Gpid> = HashMap::new();
 
     let mut actions = sc.actions.clone();

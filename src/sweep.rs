@@ -28,23 +28,23 @@
 //! expect-metric lpm.restarts    # substring the metrics text must contain
 //! ```
 //!
-//! Every `scenario`/`chain` variant runs under every fault plan and every
-//! topology; storm variants have no fault-plan or topology hook and
-//! always run with `fault:none` on the flat wire. Grids that never say
-//! `topology` keep their pre-netmodel ids and report bytes — the
-//! `net:<arg>` id segment appears only once the axis is declared.
+//! Every variant runs under every fault plan and every topology. Grids
+//! that never say `topology` keep their pre-netmodel ids and report
+//! bytes — the `net:<arg>` id segment appears only once the axis is
+//! declared.
 //! Each (variant, plan, topology) triple runs once per seed. A run's digest is the
 //! FNV-1a fold of exactly the strings `ppm-sim --digest` hashes, so any
 //! cell — failed or not — can be re-derived standalone from the repro
 //! command line carried in its result.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::digest::{fnv1a, fnv1a_fold, hex};
-use crate::harness::tenant::{scale_spec, TenantWorld};
-use crate::scenario::ScenarioError;
+use crate::harness::tenant::{host_names, storm_fits};
+use crate::scenario::{ExecOptions, ScenarioError};
 use crate::simnet::fault::FaultPlan;
 use crate::simnet::topology::NetSpec;
 
@@ -221,6 +221,7 @@ impl Grid {
                         .and_then(|(u, h)| Some((u.parse().ok()?, h.parse().ok()?)))
                         .filter(|&(u, h): &(u32, u16)| u >= 1 && h >= 2)
                         .ok_or_else(|| err(format!("bad storm shape {shape:?} (want UxH)")))?;
+                    storm_fits(u, h).map_err(err)?;
                     let mut procs = u64::from(u).saturating_mul(2_000);
                     for p in parts {
                         let v = p
@@ -325,26 +326,19 @@ impl Grid {
     /// deterministic grid order (variant-major, then plan, then seed).
     #[must_use]
     pub fn expand(&self) -> Vec<RunSpec> {
-        let none = [Plan::none()];
         let flat = [Topo::flat()];
         let mut specs = Vec::new();
         for v in &self.variants {
-            // Storms have no fault-plan or topology hook: the storm world
-            // drives its engine directly, so only the no-faults plan on
-            // the flat wire applies.
-            let is_storm = matches!(v.kind, VariantKind::Storm { .. });
-            let plans: &[Plan] = if is_storm { &none } else { &self.plans };
-            let topos: &[Topo] = if is_storm || self.topos.is_empty() {
+            let topos: &[Topo] = if self.topos.is_empty() {
                 &flat
             } else {
                 &self.topos
             };
-            for p in plans {
+            for p in &self.plans {
                 for t in topos {
                     // The `net:` segment appears only when the grid
                     // declares the axis, so pre-netmodel grids keep
-                    // their exact ids and report bytes. Storms pin
-                    // `net:flat`, mirroring their `fault:none` pin.
+                    // their exact ids and report bytes.
                     let id = if self.topos.is_empty() {
                         format!("{}|{}|seed=", v.label, p.label)
                     } else {
@@ -396,40 +390,28 @@ impl RunSpec {
     /// digest and all.
     #[must_use]
     pub fn repro(&self) -> String {
-        let mut cmd = String::from("cargo run --release --bin ppm-sim -- --digest");
+        let mut cmd = format!(
+            "cargo run --release --bin ppm-sim -- --digest --seed {}",
+            self.seed
+        );
+        if let Some(p) = &self.plan.repro_path {
+            cmd.push_str(&format!(" --faults {p}"));
+        }
+        if let Some(t) = self.topo.repro_path.as_ref().or(self.topo.arg.as_ref()) {
+            cmd.push_str(&format!(" --topology {t}"));
+        }
         match &self.variant.kind {
             VariantKind::Scenario { .. } => {
-                cmd.push_str(&format!(" --seed {}", self.seed));
-                if let Some(p) = &self.plan.repro_path {
-                    cmd.push_str(&format!(" --faults {p}"));
-                }
-                if let Some(t) = self.topo.repro_path.as_ref().or(self.topo.arg.as_ref()) {
-                    cmd.push_str(&format!(" --topology {t}"));
-                }
                 if let Some(p) = &self.variant.repro_path {
                     cmd.push_str(&format!(" {p}"));
                 }
             }
-            VariantKind::Chain { hosts } => {
-                cmd.push_str(&format!(" --seed {}", self.seed));
-                if let Some(p) = &self.plan.repro_path {
-                    cmd.push_str(&format!(" --faults {p}"));
-                }
-                if let Some(t) = self.topo.repro_path.as_ref().or(self.topo.arg.as_ref()) {
-                    cmd.push_str(&format!(" --topology {t}"));
-                }
-                cmd.push_str(&format!(" --hosts {hosts}"));
-            }
+            VariantKind::Chain { hosts } => cmd.push_str(&format!(" --hosts {hosts}")),
             VariantKind::Storm {
                 users,
                 hosts,
                 procs,
-            } => {
-                cmd.push_str(&format!(
-                    " --users {users} --hosts {hosts} --seed {} --procs {procs}",
-                    self.seed
-                ));
-            }
+            } => cmd.push_str(&format!(" --users {users} --hosts {hosts} --procs {procs}")),
         }
         cmd
     }
@@ -462,66 +444,92 @@ fn pool_mttr(metrics: &str) -> Option<(u64, u64)> {
 pub struct CellRun {
     /// Scenario output, or the storm report.
     pub output: String,
-    /// The rendered simulation trace (empty for storms).
+    /// The rendered simulation trace.
     pub trace: String,
     /// Every metrics registry as stable text.
     pub metrics: String,
     /// JSONL and Chrome renderings of the span log, when asked for.
     pub spans: Option<(String, String)>,
-    /// FNV-1a fold of `output`, `trace` (scenarios only) and `metrics`.
+    /// FNV-1a fold of `output`, `trace` and `metrics`.
     pub digest: u64,
     /// Simulated instant the run ended, µs.
     pub sim_end_us: u64,
 }
 
-/// Where a scenario cell's network model comes from.
+/// Where a cell's network model comes from.
 #[derive(Debug, Clone, Copy)]
 pub enum CellTopology<'a> {
-    /// A preset, instantiated over the scenario's own host list.
+    /// A preset, instantiated over the cell's own host list.
     Preset(&'a str),
     /// A parsed spec file.
     Spec(&'a NetSpec),
 }
 
-/// Runs one scenario cell — the whole of `ppm-sim <file>` / `--hosts N`
-/// and of a sweep's `scenario`/`chain` cell: parse, seed override, build,
-/// fault plan, network model, execute, render, digest.
+impl<'a> CellTopology<'a> {
+    /// The model to install in a world of `hosts`.
+    fn spec(self, hosts: Vec<String>) -> Result<Cow<'a, NetSpec>, ScenarioError> {
+        match self {
+            CellTopology::Spec(spec) => Ok(Cow::Borrowed(spec)),
+            CellTopology::Preset(name) => {
+                NetSpec::preset(name, &hosts)
+                    .map(Cow::Owned)
+                    .ok_or_else(|| ScenarioError {
+                        line: 0,
+                        message: format!("preset {name:?} needs at least one host"),
+                    })
+            }
+        }
+    }
+}
+
+/// Runs one cell — the whole of `ppm-sim` and of a sweep cell, whatever
+/// it plays: build, fault plan, network model, execute, render, digest.
+/// `seed` overrides a scenario's `seed` statement; a storm without one
+/// runs on 1986.
 ///
 /// # Errors
 ///
 /// The parse or execution error, with whatever output preceded it.
-pub fn run_scenario_cell(
-    text: &str,
+pub fn run_cell(
+    kind: &VariantKind,
     seed: Option<u64>,
     faults: Option<&FaultPlan>,
     topology: Option<CellTopology<'_>>,
     spans: bool,
 ) -> Result<CellRun, (String, ScenarioError)> {
     let mut output = String::new();
-    let run = crate::scenario::parse(text).and_then(|mut sc| {
-        if let Some(seed) = seed {
-            sc.seed = seed;
-        }
-        let preset;
-        let topology = match topology {
-            Some(CellTopology::Spec(spec)) => Some(spec),
-            Some(CellTopology::Preset(name)) => {
-                let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-                preset = NetSpec::preset(name, &hosts).ok_or_else(|| ScenarioError {
-                    line: 0,
-                    message: format!("preset {name:?} needs at least one host"),
-                })?;
-                Some(&preset)
-            }
-            None => None,
-        };
-        let opts = crate::scenario::ExecOptions {
-            spans,
-            faults,
-            topology,
+    let net = |hosts: Vec<String>| topology.map(|t| t.spec(hosts)).transpose();
+    let flat = ExecOptions {
+        spans,
+        faults,
+        topology: None,
+    };
+    let mut scenario = |text: &str| {
+        let mut sc = crate::scenario::parse(text)?;
+        sc.seed = seed.unwrap_or(sc.seed);
+        let topology = net(sc.hosts.iter().map(|(n, _)| n.clone()).collect())?;
+        let opts = ExecOptions {
+            topology: topology.as_deref(),
+            ..flat
         };
         crate::scenario::execute_with(&sc, &mut output, opts)
-    });
+    };
+    let run = match kind {
+        VariantKind::Scenario { text } => scenario(text),
+        VariantKind::Chain { hosts } => scenario(&crate::scenario::chain_scenario(*hosts)),
+        &VariantKind::Storm {
+            users,
+            hosts,
+            procs,
+        } => net(host_names(hosts)).and_then(|topology| {
+            let opts = ExecOptions {
+                topology: topology.as_deref(),
+                ..flat
+            };
+            let seed = seed.unwrap_or(1986);
+            crate::scenario::execute_storm(users, hosts, seed, procs, &mut output, opts)
+        }),
+    };
     match run {
         Ok(mut h) => {
             let trace = h.world().core().trace().render(None);
@@ -539,49 +547,25 @@ pub fn run_scenario_cell(
     }
 }
 
-/// Runs one storm cell — the whole of `ppm-sim --users U --hosts H` and
-/// of a sweep's `storm` cell: the canonical [`scale_spec`] storm of
-/// `procs` forks on a [`TenantWorld`], its report and shard metrics.
-#[must_use]
-pub fn run_storm_cell(users: u32, hosts: u16, seed: u64, procs: u64) -> CellRun {
-    let mut world = TenantWorld::new(scale_spec(users, hosts, seed), procs);
-    let report = world.run();
-    let output = report.render();
-    let rows = crate::core::obs::rows(&world.metrics().snapshot());
-    let metrics = crate::core::obs::render_metrics(&[("tenant".to_string(), rows)]);
-    CellRun {
-        digest: fnv1a(&[&output, &metrics]),
-        sim_end_us: report.sim_end_us,
-        output,
-        metrics,
-        ..CellRun::default()
-    }
-}
-
 /// Executes one spec in the calling thread: builds a private world, runs
 /// it to completion, reduces it to a [`RunResult`]. This is the only
 /// function a worker runs; nothing in it is shared.
 #[must_use]
 pub fn run_spec(spec: &RunSpec) -> RunResult {
-    let scenario = |text: &str| {
-        // Plans and file-based topologies were validated at grid load.
-        let plan = spec.plan.text.as_deref();
-        let plan = plan.map(|t| FaultPlan::parse(t).expect("plan validated at grid load"));
-        let file = spec.topo.text.as_deref();
-        let file = file.map(|t| NetSpec::parse(t).expect("topology validated at grid load"));
-        let preset = spec.topo.arg.as_deref().map(CellTopology::Preset);
-        let topology = file.as_ref().map(CellTopology::Spec).or(preset);
-        run_scenario_cell(text, Some(spec.seed), plan.as_ref(), topology, false)
-    };
-    let run = match &spec.variant.kind {
-        VariantKind::Scenario { text } => scenario(text),
-        VariantKind::Chain { hosts } => scenario(&crate::scenario::chain_scenario(*hosts)),
-        VariantKind::Storm {
-            users,
-            hosts,
-            procs,
-        } => Ok(run_storm_cell(*users, *hosts, spec.seed, *procs)),
-    };
+    // Plans and file-based topologies were validated at grid load.
+    let plan = spec.plan.text.as_deref();
+    let plan = plan.map(|t| FaultPlan::parse(t).expect("plan validated at grid load"));
+    let file = spec.topo.text.as_deref();
+    let file = file.map(|t| NetSpec::parse(t).expect("topology validated at grid load"));
+    let preset = spec.topo.arg.as_deref().map(CellTopology::Preset);
+    let topology = file.as_ref().map(CellTopology::Spec).or(preset);
+    let run = run_cell(
+        &spec.variant.kind,
+        Some(spec.seed),
+        plan.as_ref(),
+        topology,
+        false,
+    );
     let mut failures = Vec::new();
     let run = run.unwrap_or_else(|(output, e)| {
         failures.push(format!("execution error: {e}"));
@@ -791,6 +775,7 @@ seeds 1..3
 seeds 9
 chain 4
 storm 2x2 procs=100
+storm 4096x16                 # the largest world there may be
 faults none
 expect complete
 expect-metric lpm.
@@ -798,9 +783,10 @@ expect-metric lpm.
         let g = Grid::parse(text, Path::new(".")).expect("parses");
         assert_eq!(g.name, "demo");
         assert_eq!(g.seeds, vec![1, 2, 3, 9]);
-        assert_eq!(g.variants.len(), 2);
+        assert_eq!(g.variants.len(), 3);
         assert_eq!(g.variants[0].label, "chain:4");
         assert_eq!(g.variants[1].label, "storm:2x2");
+        assert_eq!(g.variants[2].label, "storm:4096x16");
         assert_eq!(g.plans.len(), 1);
         assert_eq!(g.expects, vec!["complete"]);
         assert_eq!(g.expects_metric, vec!["lpm."]);
@@ -813,16 +799,23 @@ expect-metric lpm.
             "sweep x\nchain 1",             // chain too small
             "sweep x\nstorm 2",             // bad storm shape
             "sweep x\nstorm 2x2 blobs=4",   // unknown storm option
+            "sweep x\nstorm 100000x65535",  // more managers than a world may boot
+            "sweep x\nstorm 2x300",         // more hosts than a LAN may have
             "sweep x\nseeds 9..1\nchain 2", // empty seed range
             "sweep x\nwat 3",               // unknown directive
             "sweep x",                      // no variants
         ] {
             assert!(Grid::parse(bad, Path::new(".")).is_err(), "{bad:?}");
         }
+        let e = Grid::parse("sweep x\n\nstorm 100000x65535", Path::new(".")).unwrap_err();
+        assert!(
+            e.starts_with("line 3: a 100000x65535 storm is too large"),
+            "{e}"
+        );
     }
 
     #[test]
-    fn expansion_order_is_grid_order_and_storms_skip_plans() {
+    fn expansion_order_is_grid_order() {
         let mut g = mini_grid();
         g.plans = vec![
             Plan::none(),
@@ -843,7 +836,14 @@ expect-metric lpm.
                 "scenario:mini.ppm|fault:x.fault|seed=4",
                 "storm:2x2|fault:none|seed=3",
                 "storm:2x2|fault:none|seed=4",
+                "storm:2x2|fault:x.fault|seed=3",
+                "storm:2x2|fault:x.fault|seed=4",
             ]
+        );
+        let repro = specs[7].repro();
+        assert!(
+            repro.ends_with("--seed 4 --faults x.fault --users 2 --hosts 2 --procs 80"),
+            "{repro}"
         );
     }
 
@@ -872,6 +872,7 @@ topology fat-tree
                 "scenario:mini.ppm|fault:none|net:flat|seed=5",
                 "scenario:mini.ppm|fault:none|net:fat-tree|seed=5",
                 "storm:2x2|fault:none|net:flat|seed=5",
+                "storm:2x2|fault:none|net:fat-tree|seed=5",
             ]
         );
         assert!(
@@ -884,6 +885,7 @@ topology fat-tree
         let results = run_specs(&specs, 2);
         assert!(results.iter().all(|r| r.failures.is_empty()), "{results:?}");
         assert_ne!(results[0].digest, results[1].digest);
+        assert_ne!(results[2].digest, results[3].digest);
     }
 
     #[test]
@@ -924,7 +926,7 @@ topology fat-tree
         assert!(report.contains("fail scenario:mini.ppm|fault:none|seed=3"));
         assert!(report.contains(
             "repro storm:2x2|fault:none|seed=4 cargo run --release --bin ppm-sim -- \
-                       --digest --users 2 --hosts 2 --seed 4 --procs 80"
+                       --digest --seed 4 --users 2 --hosts 2 --procs 80"
         ));
     }
 

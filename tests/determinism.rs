@@ -9,7 +9,7 @@
 
 use ppm::scenario::chain_scenario;
 use ppm::simnet::fault::FaultPlan;
-use ppm::sweep::{run_scenario_cell, run_storm_cell, CellRun, CellTopology};
+use ppm::sweep::{run_cell, CellRun, CellTopology, VariantKind};
 
 fn shipped(name: &str) -> String {
     let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -51,7 +51,10 @@ fn scenario_cells_repeat_byte_for_byte() {
     ];
     for (what, text, faults, topology) in cells {
         assert_repeats(what, 7, 8, |seed| {
-            let run = run_scenario_cell(&text, Some(seed), faults, topology, true);
+            let kind = VariantKind::Scenario {
+                text: text.as_str().into(),
+            };
+            let run = run_cell(&kind, Some(seed), faults, topology, true);
             let run = run.unwrap_or_else(|(_, e)| panic!("{what}: {e}"));
             let (jsonl, chrome) = run.spans.as_ref().expect("spans were asked for");
             assert!(!run.trace.is_empty() && !jsonl.is_empty() && !chrome.is_empty());
@@ -60,17 +63,47 @@ fn scenario_cells_repeat_byte_for_byte() {
     }
 }
 
+const STORM: VariantKind = VariantKind::Storm {
+    users: 64,
+    hosts: 16,
+    procs: 6_000,
+};
+
 #[test]
 fn the_storm_cell_repeats_byte_for_byte() {
     assert_repeats("64x16 storm", 7, 8, |seed| {
-        let run = run_storm_cell(64, 16, seed, 128_000);
-        assert!(run.output.contains("scale procs 128000"), "{}", run.output);
-        // Pinned as well as repeated: the storm world has changed event
-        // queue under this number and must not move it.
+        let run = run_cell(&STORM, Some(seed), None, None, true).expect("the storm runs");
+        for line in ["scale procs 6000", "scale exits 6000", "scale failed 0"] {
+            assert!(run.output.contains(line), "{}", run.output);
+        }
+        // Pinned as well as repeated: what the storm does to the world
+        // (every LPM note, every kernel event) is in the trace under it.
         if seed == 7 {
-            let pin = "scale digest dd0f465d8e9d69bf";
-            assert!(run.output.contains(pin), "{}", run.output);
+            assert_eq!(ppm::digest::hex(run.digest), "8c8d0884bf8b2a44");
         }
         run
     });
+}
+
+/// The storm is a cell like any other: a host crashes under it and comes
+/// back, on a routed network, and the run still repeats. A plan written
+/// for another world is refused.
+#[test]
+fn the_storm_cell_takes_a_fault_plan_and_a_network_model() {
+    let plan = FaultPlan::parse("seed 7\nat 1s crash h1 restart 2s\n").expect("plan parses");
+    let fat_tree = Some(CellTopology::Preset("fat-tree"));
+    assert_repeats("faulted 64x16 storm on fat-tree", 7, 8, |seed| {
+        let run =
+            run_cell(&STORM, Some(seed), Some(&plan), fat_tree, false).expect("the storm runs");
+        assert!(
+            run.metrics.contains(" lpm.restarts 1\n"),
+            "no LPM came back"
+        );
+        assert!(run.metrics.contains("world net.routed_sends "));
+        assert!(run.output.contains("scale procs 6000\n"), "{}", run.output);
+        run
+    });
+    let elsewhere = FaultPlan::parse("at 1s crash calder restart 2s\n").expect("plan parses");
+    let (_, e) = run_cell(&STORM, None, Some(&elsewhere), None, false).expect_err("no such host");
+    assert!(e.message.contains("unknown host \"calder\""), "{e}");
 }

@@ -1,6 +1,9 @@
 //! The scenario files shipped in `scenarios/` must always parse and
 //! execute — they are the first thing a new user runs.
 
+use ppm::scenario::ExecOptions;
+use ppm::simnet::fault::FaultPlan;
+
 #[test]
 fn demo_scenario_parses_and_executes() {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/demo.ppm"))
@@ -46,23 +49,34 @@ fn every_shipped_scenario_parses() {
     assert!(seen >= 2, "shipped scenarios present");
 }
 
-/// A `*` snapshot that lost hosts must say so: the generated chain
-/// answers in full at 24 hosts but times out past its far end at 30, and
-/// the scenario output carries the same footer the snapshot tool prints.
+/// A fault-free `*` snapshot is whole however deep the chain it climbs,
+/// and one that lost hosts says which: with the far end's link silently
+/// eating the wave, the last relay gives up first (each level waits for
+/// the levels below it) and exactly the cut-off host is named, in the
+/// footer the snapshot tool prints.
 #[test]
 fn chain_snapshot_names_missing_hosts_only_when_partial() {
-    let run = |hosts| {
+    let run = |hosts, faults: Option<&FaultPlan>| {
         let sc = ppm::scenario::parse(&ppm::scenario::chain_scenario(hosts)).expect("parses");
         let mut out = String::new();
-        ppm::scenario::execute(&sc, &mut out).expect("chain executes");
+        let opts = ExecOptions {
+            faults,
+            ..ExecOptions::default()
+        };
+        ppm::scenario::execute_with(&sc, &mut out, opts).expect("chain executes");
         out
     };
-    let partial = run(30);
+    for hosts in [24, 32, 48] {
+        let full = run(hosts, None);
+        assert!(!full.contains("! partial result"), "{full}");
+        assert!(full.contains(&format!("{hosts} process(es)")), "{full}");
+    }
+    // The chain is built by 3.3 s and swept at 3.6 s.
+    let deaf = FaultPlan::parse("drop 1.0 from h6 to h7 after 3500ms").expect("plan parses");
+    let partial = run(8, Some(&deaf));
+    assert!(partial.contains("7 process(es)"), "{partial}");
     assert!(
-        partial.contains("! partial result: no answer from "),
+        partial.contains("! partial result: no answer from h7\n"),
         "{partial}"
     );
-    let full = run(24);
-    assert!(!full.contains("! partial result"), "{full}");
-    assert!(full.contains("24 process(es)"), "{full}");
 }
