@@ -155,7 +155,7 @@ pub fn route_learning(enabled: bool, seed: u64) -> RouteLearning {
         .trace()
         .entries()
         .skip(mark)
-        .any(|e| e.host == Some(root_id) && e.text.contains("connecting to b:1 "));
+        .any(|e| e.host == Some(root_id) && e.text().contains("connecting to b:1 "));
     RouteLearning {
         control_ms,
         new_channel_built,
@@ -286,12 +286,18 @@ pub fn bcast_window(window: SimDuration, seed: u64) -> BcastWindow {
     ppm.run_for(SimDuration::from_secs(5));
     let entries = || ppm.world().core().trace().entries().skip(mark);
     let suppressed = entries()
-        .filter(|e| e.text.starts_with("suppress duplicate"))
+        .filter(|e| e.text().starts_with("suppress duplicate"))
         .count();
-    let processings = entries().filter(|e| e.text.starts_with("receive ")).count();
+    let processings = entries()
+        .filter(|e| e.text().starts_with("receive "))
+        .count();
     let stamps_purged = entries()
-        .filter_map(|e| e.text.strip_prefix("stamp window purge "))
-        .filter_map(|n| n.parse::<usize>().ok())
+        .filter_map(|e| {
+            e.text()
+                .strip_prefix("stamp window purge ")?
+                .parse::<usize>()
+                .ok()
+        })
         .sum();
     BcastWindow {
         suppressed,

@@ -104,16 +104,17 @@ pub fn figure2(seed: u64) -> String {
     let _ = writeln!(out, "(trace of the first tool contact on a cold host)\n");
     let mut step = 0;
     for e in ppm.world().core().trace().entries() {
-        let annotate = if e.text.contains("connecting to calder:1 ") && step == 0 {
+        let text = e.text();
+        let annotate = if text.contains("connecting to calder:1 ") && step == 0 {
             step = 1;
             Some("(1) creation request directed to the inet daemon")
-        } else if e.text.contains("service pmd started") && step == 1 {
+        } else if text.contains("service pmd started") && step == 1 {
             step = 2;
             Some("(2) inetd passes the request to pmd, creating it")
-        } else if e.text.contains("created LPM") && step == 2 {
+        } else if text.contains("created LPM") && step == 2 {
             step = 3;
             Some("(3) pmd creates the LPM")
-        } else if e.text.contains("accept address") && step == 3 {
+        } else if text.contains("accept address") && step == 3 {
             step = 4;
             Some("(4) the accept address is returned")
         } else {

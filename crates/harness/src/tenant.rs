@@ -331,15 +331,16 @@ mod tests {
         let trace = world.ppm.world().core().trace();
         let mut created = BTreeSet::new();
         for entry in trace.filtered(TraceCategory::Daemon) {
-            let Some(rest) = entry.text.strip_prefix("pmd: created LPM pid ") else {
+            let text = entry.text();
+            let Some(rest) = text.strip_prefix("pmd: created LPM pid ") else {
                 continue;
             };
             // "<pid> for uid <uid> (accept :<port>)"
             let words: Vec<&str> = rest.split_whitespace().collect();
             let uid: u32 = words[3].parse().expect("uid");
             let port = words[5].trim_matches(|c| c == ':' || c == ')');
-            assert_eq!(port, lpm_port(Uid(uid)).0.to_string(), "{}", entry.text);
-            assert!(created.insert((entry.host, uid)), "twice: {}", entry.text);
+            assert_eq!(port, lpm_port(Uid(uid)).0.to_string(), "{text}");
+            assert!(created.insert((entry.host, uid)), "twice: {text}");
         }
         // Every host a user's processes ran on had an LPM of that user's.
         for (rank, records) in &snapshots {

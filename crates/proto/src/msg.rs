@@ -1155,6 +1155,10 @@ impl Wire for Msg {
     }
 }
 
+/// The most records one record-list reply carries: their count is a
+/// `u16` on the wire.
+pub const MAX_REPLY_RECORDS: usize = u16::MAX as usize;
+
 /// Replies at most this long are held in the [`WireReply`] value itself
 /// (`Ok`, `Pong`, `Spawned`, the usual `Err`): producing, parking and
 /// forwarding one allocates nothing.
@@ -1241,6 +1245,15 @@ impl WireReply {
         Some(WireReply(Held::Inline { len, buf }))
     }
 
+    /// What a record-list reply of `count` records is answered with
+    /// instead, when `count` is past [`MAX_REPLY_RECORDS`].
+    fn too_many_records(count: usize) -> Self {
+        WireReply::from(&Reply::Err {
+            code: ErrCode::Internal,
+            detail: format!("{count} records exceed the {MAX_REPLY_RECORDS} one reply carries"),
+        })
+    }
+
     fn from_enc(enc: Enc) -> Self {
         match Self::inline(enc.as_slice()) {
             Some(reply) => {
@@ -1253,14 +1266,15 @@ impl WireReply {
 
     /// `Reply::Snapshot { host, procs }` written straight from borrowed
     /// records (an LPM's genealogy), without building a [`ProcRecord`].
-    ///
-    /// # Panics
-    ///
-    /// Panics past `u16::MAX` records, as encoding the owned reply does.
+    /// Past [`MAX_REPLY_RECORDS`] the reply is a `Reply::Err` that says
+    /// so: the manager asked outlives a genealogy the wire cannot carry.
     pub fn snapshot<'a>(
         host: &str,
         records: impl ExactSizeIterator<Item = ProcRecordRef<'a>>,
     ) -> Self {
+        if records.len() > MAX_REPLY_RECORDS {
+            return Self::too_many_records(records.len());
+        }
         let mut enc = Enc::pooled();
         enc.u8(REPLY_SNAPSHOT);
         enc.str(host);
@@ -1351,7 +1365,8 @@ impl WireReply {
     /// collects each one's sort key and byte range, the keys are sorted,
     /// and the ranges are copied once. Parts of another kind (an `Err`
     /// from one host) contribute nothing, and a broadcast of any other
-    /// `op` merges to `Pong`.
+    /// `op` merges to `Pong`. Parts that sum past [`MAX_REPLY_RECORDS`]
+    /// merge to a `Reply::Err` that says so.
     ///
     /// # Errors
     ///
@@ -1402,6 +1417,9 @@ fn merge_records<'a, K: Ord>(
             dec.clone().finish()
         };
         walk().map_err(|err| PartError { part, err })?;
+    }
+    if records.len() > MAX_REPLY_RECORDS {
+        return Ok(WireReply::too_many_records(records.len()));
     }
     records.sort_by(|a, b| a.0.cmp(&b.0));
     let body: usize = records.iter().map(|(_, raw)| raw.len()).sum();
@@ -2184,5 +2202,40 @@ mod tests {
         assert_eq!(boot, 9_000_001);
         let b = ErrCode::StaleEpoch.to_bytes();
         assert_eq!(ErrCode::from_bytes(&b).unwrap(), ErrCode::StaleEpoch);
+    }
+
+    #[test]
+    fn a_record_list_past_the_count_field_is_an_error_reply() {
+        let record = ProcRecordRef {
+            host: "a",
+            pid: 7,
+            ppid: 1,
+            logical_parent: None,
+            command: "w",
+            state: crate::types::WireProcState::Dead,
+            started_us: 0,
+            cpu_us: 0,
+            adopted: true,
+        };
+        let snapshot = |n: usize| WireReply::snapshot("a", std::iter::repeat_n(record, n));
+        let refusal = |reply: &WireReply, count: usize| match reply.peek() {
+            ReplyPeek::Err { code, detail } => {
+                assert_eq!(code, ErrCode::Internal);
+                assert!(detail.contains(&format!("{count} records")), "{detail}");
+                assert!(detail.contains("65535"), "{detail}");
+            }
+            other => panic!("{count} records answered {other:?}"),
+        };
+        // The limit itself is carried; one more is refused, built or merged.
+        let full = snapshot(MAX_REPLY_RECORDS);
+        let Ok(Reply::Snapshot { procs, .. }) = full.decode() else {
+            panic!("a full reply is a snapshot");
+        };
+        assert_eq!(procs.len(), MAX_REPLY_RECORDS);
+        refusal(&snapshot(MAX_REPLY_RECORDS + 1), MAX_REPLY_RECORDS + 1);
+        let merged = WireReply::merge(&Op::Snapshot, &[full.clone(), snapshot(0)]);
+        assert_eq!(merged.unwrap().as_bytes().len(), full.as_bytes().len());
+        let merged = WireReply::merge(&Op::Snapshot, &[full, snapshot(1)]);
+        refusal(&merged.unwrap(), MAX_REPLY_RECORDS + 1);
     }
 }

@@ -179,6 +179,20 @@ impl KernelEvent {
         }
     }
 
+    /// Every name [`KernelEvent::kind`] gives, in variant order.
+    pub const KINDS: [&'static str; 10] = [
+        "fork",
+        "exec",
+        "exit",
+        "signal",
+        "stop",
+        "cont",
+        "msg-sent",
+        "msg-recv",
+        "file-open",
+        "file-close",
+    ];
+
     /// Short name for traces and history records.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -259,5 +273,40 @@ mod tests {
         assert_eq!(e.wire_size(), 112);
         assert_eq!(e.kind(), "exit");
         assert_eq!(e.pid(), Pid(9));
+    }
+
+    #[test]
+    fn kinds_names_every_kernel_event() {
+        let (pid, path) = (Pid(2), String::new());
+        let events = [
+            KernelEvent::Fork {
+                parent: pid,
+                child: Pid(3),
+            },
+            KernelEvent::Exec {
+                pid,
+                command: String::new(),
+            },
+            KernelEvent::Exit {
+                pid,
+                status: ExitStatus::SUCCESS,
+                rusage: Rusage::default(),
+            },
+            KernelEvent::SignalDelivered {
+                pid,
+                signal: Signal::Hup,
+            },
+            KernelEvent::Stopped { pid },
+            KernelEvent::Continued { pid },
+            KernelEvent::MsgSent { pid, bytes: 1 },
+            KernelEvent::MsgReceived { pid, bytes: 1 },
+            KernelEvent::FileOpened {
+                pid,
+                path: path.clone(),
+            },
+            KernelEvent::FileClosed { pid, path },
+        ];
+        let kinds: Vec<&str> = events.iter().map(KernelEvent::kind).collect();
+        assert_eq!(kinds, KernelEvent::KINDS);
     }
 }

@@ -109,6 +109,14 @@ pub struct Kernel {
     pending: FastMap<Pid, VecDeque<KernelMsg>>,
 }
 
+/// Links `pid` into a child list. Lists are kept in pid order, where an
+/// exit finds its entry by bisection; a fork's pid is the highest yet
+/// and lands at the end, an orphan handed to init wherever it belongs.
+fn link_child(children: &mut Vec<Pid>, pid: Pid) {
+    let at = children.partition_point(|&c| c < pid);
+    children.insert(at, pid);
+}
+
 impl Kernel {
     /// Creates a freshly booted kernel containing only the init process.
     pub fn new(now: SimTime) -> Self {
@@ -184,7 +192,7 @@ impl Kernel {
             "pid {pid} already in process table"
         );
         if let Some(parent) = self.procs.get_mut(&ppid) {
-            parent.children.push(pid);
+            link_child(&mut parent.children, pid);
             parent.rusage.forks += 1;
         }
     }
@@ -268,13 +276,15 @@ impl Kernel {
             }
         }
         if let Some(init) = self.procs.get_mut(&Pid::INIT) {
-            init.children.extend(children.iter().copied());
+            for &c in &children {
+                link_child(&mut init.children, c);
+            }
         }
-        // Unlink from the (old) parent's child list: a pid is listed
-        // once, and init's list is long while orphans pile up.
+        // Unlink from the (old) parent's child list, by bisection:
+        // init's list is long while orphans pile up.
         let ppid = self.procs[&pid].ppid;
         if let Some(parent) = self.procs.get_mut(&ppid) {
-            if let Some(at) = parent.children.iter().position(|&c| c == pid) {
+            if let Ok(at) = parent.children.binary_search(&pid) {
                 parent.children.remove(at);
             }
         }
@@ -724,9 +734,9 @@ impl Kernel {
     /// Number of runnable entities for the load-average sample: running
     /// CPU-bound processes plus processes currently busy with work.
     pub fn runnable_count(&self, now: SimTime) -> usize {
-        self.procs
-            .values()
-            .filter(|p| p.state == ProcState::Running && (p.cpu_bound || p.busy_until > now))
+        // Over the live index: the table also retains exited entries.
+        let live = self.by_uid.values().flatten().map(|pid| &self.procs[pid]);
+        live.filter(|p| p.state == ProcState::Running && (p.cpu_bound || p.busy_until > now))
             .count()
     }
 
@@ -833,6 +843,22 @@ mod tests {
         let a_entry = k.get(a).unwrap();
         assert_eq!(a_entry.state, ProcState::Exited(ExitStatus::Code(1)));
         assert_eq!(a_entry.exited_at, Some(SimTime::from_millis(5)));
+    }
+
+    #[test]
+    fn child_lists_stay_in_pid_order_through_orphaning_and_exits() {
+        let mut k = kern();
+        let sh = add(&mut k, Pid::INIT, Uid(100), "sh");
+        let kids: Vec<Pid> = (0..3).map(|_| add(&mut k, sh, Uid(100), "kid")).collect();
+        let late = add(&mut k, Pid::INIT, Uid(100), "late");
+        assert_eq!(k.finish_exit(sh, ExitStatus::SUCCESS, SimTime::ZERO), kids);
+        // The orphans' pids lie between init's own two children.
+        let mut all = kids.clone();
+        all.push(late);
+        assert_eq!(k.get(Pid::INIT).unwrap().children, all);
+        k.finish_exit(kids[1], ExitStatus::SUCCESS, SimTime::ZERO);
+        k.finish_exit(late, ExitStatus::SUCCESS, SimTime::ZERO);
+        assert_eq!(k.get(Pid::INIT).unwrap().children, [kids[0], kids[2]]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   and the one [`obs::ObsHub`] every backend keeps them in, and
 //!   deterministic hashing.
 //! * [`pages`] — paged append-only storage for the histories a world
-//!   keeps for life (trace headers, connection records).
+//!   keeps for life (trace headers and bodies, connection records).
 //! * [`inetd`], [`workload`] — backend-agnostic stock programs: the inet
 //!   daemon and the synthetic workloads.
 //!

@@ -1,12 +1,12 @@
-//! An append-only sequence kept in fixed-size pages.
+//! Append-only sequences kept in fixed-size pages.
 //!
-//! The histories a world keeps for its whole life — trace headers,
-//! connection records — reach megabytes. A `Vec` that large doubles by
-//! moving: while it grows it needs the old and the new block at once,
-//! and the blocks it leaves behind are too big for anything else to
-//! reuse, so a process that builds one world after another ends up with
-//! a resident set well above what is live. Pages are small enough to be
-//! recycled by the allocator, and nothing ever moves.
+//! The histories a world keeps for its whole life — trace headers and
+//! bodies, connection records — reach megabytes. A `Vec` that large
+//! doubles by moving: while it grows it needs the old and the new block
+//! at once, and the blocks it leaves behind are too big for anything
+//! else to reuse, so a process that builds one world after another ends
+//! up with a resident set well above what is live. Pages are small
+//! enough to be recycled by the allocator, and nothing ever moves.
 
 /// Upper bound on one page in bytes: below the allocator's `mmap`
 /// threshold, so freed pages are reused by the next world.
@@ -88,6 +88,56 @@ impl<T> Pages<T> {
     }
 }
 
+/// An append-only arena of variable-length byte items, in pages: an
+/// item is appended to the last page and lies within it, so it is
+/// addressed by a page index and a range.
+#[derive(Debug, Clone, Default)]
+pub struct Arena {
+    pages: Vec<Vec<u8>>,
+}
+
+impl Arena {
+    /// A page takes items until it is this full; the slack lets the
+    /// last one in without the page having to grow.
+    const FULL: usize = PAGE_BYTES - 2048;
+
+    /// The page the next item is appended to, and its index. Like
+    /// [`Pages`], the first page grows from nothing (by doubling, so to
+    /// exactly a page) and later ones come whole.
+    pub fn tail(&mut self) -> (usize, &mut Vec<u8>) {
+        if self.pages.last().is_none_or(|p| p.len() >= Self::FULL) {
+            let whole = if self.pages.is_empty() { 0 } else { PAGE_BYTES };
+            self.pages.push(Vec::with_capacity(whole));
+        }
+        let index = self.pages.len() - 1;
+        (index, self.pages.last_mut().expect("just ensured"))
+    }
+
+    /// The bytes at `range` of page `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no item was appended there.
+    pub fn get(&self, page: usize, range: std::ops::Range<usize>) -> &[u8] {
+        &self.pages[page][range]
+    }
+
+    /// Bytes appended so far.
+    pub fn len(&self) -> usize {
+        self.pages.iter().map(Vec::len).sum()
+    }
+
+    /// True when nothing was appended.
+    pub fn is_empty(&self) -> bool {
+        self.pages.iter().all(Vec::is_empty)
+    }
+
+    /// Drops every item and page.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,5 +177,28 @@ mod tests {
         unit.push(());
         unit.push(());
         assert_eq!(unit.len(), 2);
+    }
+
+    #[test]
+    fn arena_items_lie_within_one_page() {
+        let mut a = Arena::default();
+        assert!(a.is_empty());
+        let mut spans = Vec::new();
+        // 20-byte items, with one larger than a page in the middle.
+        for i in 0..10_000usize {
+            let (page, tail) = a.tail();
+            let start = tail.len();
+            let n = if i == 5_000 { 2 * PAGE_BYTES } else { 20 };
+            tail.extend(std::iter::repeat_n(i as u8, n));
+            spans.push((page, start..start + n));
+        }
+        assert_eq!(a.len(), 9_999 * 20 + 2 * PAGE_BYTES);
+        assert!(spans.iter().any(|(page, _)| *page > 1), "several pages");
+        for (i, (page, range)) in spans.into_iter().enumerate() {
+            assert!(a.get(page, range).iter().all(|&b| b == i as u8), "{i}");
+        }
+        a.clear();
+        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
     }
 }

@@ -94,7 +94,7 @@ pub struct Process {
     /// The process is busy handling work until this instant; events
     /// arriving earlier queue behind it.
     pub busy_until: SimTime,
-    /// Live child pids on this host.
+    /// Live child pids on this host, in pid order.
     pub children: Vec<Pid>,
     /// Open file descriptors.
     pub fds: FdTable,

@@ -60,6 +60,20 @@ impl Signal {
         })
     }
 
+    /// The conventional name, `SIGKILL` and the like.
+    pub fn name(self) -> &'static str {
+        match self {
+            Signal::Stop => "SIGSTOP",
+            Signal::Cont => "SIGCONT",
+            Signal::Term => "SIGTERM",
+            Signal::Kill => "SIGKILL",
+            Signal::Int => "SIGINT",
+            Signal::Hup => "SIGHUP",
+            Signal::Usr1 => "SIGUSR1",
+            Signal::Usr2 => "SIGUSR2",
+        }
+    }
+
     /// Whether the default disposition terminates the target.
     pub fn is_fatal_by_default(self) -> bool {
         matches!(
@@ -76,17 +90,7 @@ impl Signal {
 
 impl fmt::Display for Signal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Signal::Stop => "SIGSTOP",
-            Signal::Cont => "SIGCONT",
-            Signal::Term => "SIGTERM",
-            Signal::Kill => "SIGKILL",
-            Signal::Int => "SIGINT",
-            Signal::Hup => "SIGHUP",
-            Signal::Usr1 => "SIGUSR1",
-            Signal::Usr2 => "SIGUSR2",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

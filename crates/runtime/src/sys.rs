@@ -572,7 +572,7 @@ mod tests {
         let fd = sys.open("/tmp/f", OpenMode::ReadWrite);
         assert!(sys.close_fd(fd).is_ok());
         sys.set_timer(SimDuration::from_millis(5), 7);
-        assert_eq!(mini.hub.trace.entries().next().unwrap().text, "n=1");
+        assert_eq!(mini.hub.trace.entries().next().unwrap().text(), "n=1");
         assert_eq!((mini.sent.len(), mini.timers), (1, 1));
     }
 

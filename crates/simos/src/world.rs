@@ -19,7 +19,7 @@ use ppm_runtime::kernel::{Effect, Effects};
 use ppm_runtime::obs::{CounterId, HistId, ObsHub, Registry};
 use ppm_runtime::rt::{ServiceFactory, Services};
 use ppm_runtime::sys::Sys as _;
-use ppm_runtime::trace::{TraceCategory, TraceLog};
+use ppm_runtime::trace::{Note, TraceCategory, TraceLog};
 use ppm_simnet::bandwidth::{NetModel, Transfer};
 use ppm_simnet::engine::TimerWheel;
 use ppm_simnet::fault::{FaultKind, FaultPlan, WireDecision, WireFaults};
@@ -274,9 +274,11 @@ impl WorldCore {
         &self.conns
     }
 
-    /// Records a trace entry at the current instant. `text` cannot
-    /// borrow `self` through a method while this runs; such sites
-    /// record through `self.obs.trace` with the fields borrowed directly.
+    /// Records a text entry at the current instant: a line written once
+    /// per fault, not per process or connection (those are [`Note`]s).
+    /// `text` cannot borrow `self` through a method while this runs;
+    /// such sites record through `self.obs.trace` with the fields
+    /// borrowed directly.
     pub(crate) fn tracef(
         &mut self,
         host: Option<HostId>,
@@ -285,6 +287,13 @@ impl WorldCore {
     ) {
         let now = self.engine.now();
         self.obs.trace.record(now, host, cat, text);
+    }
+
+    /// Records a typed entry at the current instant; the same rule on
+    /// borrowing `self` applies to a note's names.
+    pub(crate) fn note(&mut self, host: HostId, cat: TraceCategory, note: Note<'_>) {
+        let now = self.engine.now();
+        self.obs.trace.note(now, Some(host), cat, note);
     }
 
     pub(crate) fn host_up(&self, id: HostId) -> bool {
@@ -348,7 +357,7 @@ impl WorldCore {
                 first,
             } => {
                 self.obs.registry.inc(self.ids.kernel_events);
-                if first {
+                let delay = if first {
                     // First event of the wakeup pays the Table 1 latency
                     // and arms the flush; later ones coalesce into the
                     // same batch frame, one delivery for the burst.
@@ -359,38 +368,30 @@ impl WorldCore {
                     let delay = self.rng.jitter(base, self.latency.jitter_fraction);
                     let to = (host, tracer);
                     self.engine.schedule(delay, SimEvent::KernelFlush { to });
-                    self.tracef(
-                        Some(host),
-                        TraceCategory::Kernel,
-                        format_args!(
-                            "event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, {delay})"
-                        ),
-                    );
+                    Some(delay)
                 } else {
-                    self.tracef(
-                        Some(host),
-                        TraceCategory::Kernel,
-                        format_args!(
-                            "event {kind} pid {pid} -> lpm {tracer} ({wire_size} bytes, batched)"
-                        ),
-                    );
-                }
+                    None
+                };
+                let queued = Note::KernelEvent {
+                    kind,
+                    pid,
+                    tracer,
+                    wire_size,
+                    delay,
+                };
+                self.note(host, TraceCategory::Kernel, queued);
             }
-            Effect::Signaled(pid, signal) => self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format_args!("{signal} delivered to pid {pid}"),
-            ),
+            Effect::Signaled(pid, signal) => {
+                self.note(host, TraceCategory::Kernel, Note::Signaled { signal, pid });
+            }
             Effect::Resumed(pid) => {
                 for ev in self.deferred.remove(&(host, pid)).unwrap_or_default() {
                     self.engine.schedule(SimDuration::ZERO, ev);
                 }
             }
-            Effect::Exiting(pid, status) => self.tracef(
-                Some(host),
-                TraceCategory::Kernel,
-                format_args!("pid {pid} {status}"),
-            ),
+            Effect::Exiting(pid, status) => {
+                self.note(host, TraceCategory::Kernel, Note::Exiting { pid, status });
+            }
             Effect::Gone(pid, status, notify) => {
                 self.programs.remove(&(host, pid));
                 self.deferred.remove(&(host, pid));
@@ -441,14 +442,13 @@ impl WorldCore {
         if let Some(program) = spec.program {
             self.programs.insert((host, pid), program);
         }
-        self.tracef(
-            Some(host),
-            TraceCategory::Kernel,
-            format_args!(
-                "fork+exec pid {pid} ({}) by {parent}, ready in {cost}",
-                spec.command
-            ),
-        );
+        let spawned = Note::Spawned {
+            pid,
+            command: &spec.command,
+            parent,
+            ready_in: cost,
+        };
+        self.note(host, TraceCategory::Kernel, spawned);
         Ok(pid)
     }
 
@@ -495,11 +495,7 @@ impl WorldCore {
             return Err(SysError::HostDown);
         }
         self.kernel_mut(host).bind(pid, port)?;
-        self.tracef(
-            Some(host),
-            TraceCategory::Net,
-            format_args!("pid {pid} listening on {port}"),
-        );
+        self.note(host, TraceCategory::Net, Note::Listening { pid, port });
         Ok(())
     }
 
@@ -562,16 +558,16 @@ impl WorldCore {
                 let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
                 self.engine
                     .schedule(rtt, SimEvent::ConnEstablish { conn: id });
-                self.obs.trace.record(
-                    now,
-                    Some(from.0),
-                    TraceCategory::Net,
-                    format_args!(
-                        "pid {} connecting to {}{port} ({hops} hops, {id})",
-                        from.1,
-                        self.topo.spec(target).name
-                    ),
-                );
+                let connecting = Note::Connecting {
+                    pid: from.1,
+                    to: &self.topo.spec(target).name,
+                    port,
+                    hops,
+                    conn: id,
+                };
+                self.obs
+                    .trace
+                    .note(now, Some(from.0), TraceCategory::Net, connecting);
                 Ok(id)
             }
         }
@@ -1292,11 +1288,11 @@ impl World {
                 let batch = self.core.ids.kernel_batch_msgs;
                 self.core.obs.registry.record(batch, count as u64);
                 if count > 1 {
-                    self.core.tracef(
-                        Some(to.0),
-                        TraceCategory::Kernel,
-                        format_args!("flush {count} coalesced event(s) -> lpm {}", to.1),
-                    );
+                    let flushed = Note::Flushed {
+                        count,
+                        tracer: to.1,
+                    };
+                    self.core.note(to.0, TraceCategory::Kernel, flushed);
                 }
                 self.dispatch(SimEvent::KernelBatch { to, data });
             }
@@ -1425,17 +1421,17 @@ impl World {
         self.core
             .kernel_mut(server.0)
             .alloc_fd(server.1, FdKind::Socket { conn });
-        self.core.obs.trace.record(
-            now,
-            Some(server.0),
-            TraceCategory::Net,
-            format_args!(
-                "{conn} established {}:{} -> {}{port}",
-                self.core.topo.spec(client.0).name,
-                client.1,
-                self.core.topo.spec(server.0).name,
-            ),
-        );
+        let established = Note::Established {
+            conn,
+            from: &self.core.topo.spec(client.0).name,
+            client: client.1,
+            to: &self.core.topo.spec(server.0).name,
+            port,
+        };
+        self.core
+            .obs
+            .trace
+            .note(now, Some(server.0), TraceCategory::Net, established);
         self.with_program(server, None, |p, sys| {
             p.on_conn_event(sys, conn, ConnEvent::Accepted { peer: client, port })
         });

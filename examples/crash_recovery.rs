@@ -75,8 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Show the recovery-related trace entries.
     println!("\n--- recovery timeline ---");
     for e in ppm.world().core().trace().entries() {
+        let text = e.text();
         if matches!(e.category, TraceCategory::Lpm | TraceCategory::Recovery)
-            && (e.text.contains("CCS") || e.text.contains("seeking") || e.text.contains("acting"))
+            && (text.contains("CCS") || text.contains("seeking") || text.contains("acting"))
         {
             println!("{e}");
         }

@@ -6,6 +6,9 @@
 //! allocation this thread makes meanwhile is counted. The budget fails
 //! when an event goes back to rebuilding strings it already has (a host
 //! name per event, a rendered detail, a `ProcInfo` to read one field).
+//! The trace the same tree leaves is budgeted beside it, in bytes: it is
+//! on by default, and what it stores per process is what a long run's
+//! resident set grows by.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -123,8 +126,9 @@ impl Program for TreeProc {
 }
 
 /// Spawns a held root, adopts it with every trace flag, runs the tree to
-/// quiescence; returns the allocations made between adopt and quiescence.
-fn wave(ppm: &mut PpmHarness) -> u64 {
+/// quiescence; returns the allocations made, and the bytes of trace
+/// stored, between adopt and quiescence.
+fn wave(ppm: &mut PpmHarness) -> (u64, usize) {
     let exited = Arc::new(AtomicU32::new(0));
     let root = TreeProc {
         depth: DEPTH,
@@ -135,14 +139,15 @@ fn wave(ppm: &mut PpmHarness) -> u64 {
     let pid = ppm.spawn_login_process("a", USER, spec).expect("spawn");
     ppm.adopt("a", USER, "a", pid.0, TraceFlags::ALL.bits())
         .expect("adopt");
-    let before = ALLOCS.get();
+    let trace = |ppm: &PpmHarness| ppm.world().core().trace().stored_bytes();
+    let before = (ALLOCS.get(), trace(ppm));
     for _ in 0..200 {
         if exited.load(Ordering::Relaxed) == PROCS {
             break;
         }
         ppm.run_for(SimDuration::from_millis(50));
     }
-    let spent = ALLOCS.get() - before;
+    let spent = (ALLOCS.get() - before.0, trace(ppm) - before.1);
     assert_eq!(exited.load(Ordering::Relaxed), PROCS, "the tree ran dry");
     spent
 }
@@ -157,7 +162,7 @@ fn a_traced_process_costs_at_most_fourteen_allocations() {
     // The first wave creates the LPM and sizes the kernel's tables, the
     // batch buffers and the genealogy arena; the second is steady state.
     wave(&mut ppm);
-    let spent = wave(&mut ppm);
+    let (spent, traced) = wave(&mut ppm);
     // Both trees were followed to the last exit.
     let records = ppm.snapshot("a", USER, "a").expect("snapshot");
     let dead = |r: &&ProcRecord| r.command.starts_with("tree-") && r.state == WireProcState::Dead;
@@ -168,5 +173,14 @@ fn a_traced_process_costs_at_most_fourteen_allocations() {
     assert!(
         per_proc <= 14.0,
         "{per_proc:.1} allocations per traced process ({spent} for {PROCS})"
+    );
+    // A process leaves five lines (fork+exec, its fork, exec and exit
+    // events, its exit): five 24-byte headers and their values, where
+    // the text of the same lines took 340 bytes.
+    assert!(ppm.world().core().trace().is_enabled());
+    let per_proc = traced as f64 / f64::from(PROCS);
+    assert!(
+        per_proc <= 240.0,
+        "{per_proc:.1} bytes of trace per traced process ({traced} for {PROCS})"
     );
 }
