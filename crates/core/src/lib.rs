@@ -50,6 +50,8 @@ pub mod lpm;
 pub mod obs;
 pub mod pmd;
 pub(crate) mod rpc;
+#[cfg(test)]
+mod stub_sys;
 pub mod trigger_engine;
 pub mod users;
 

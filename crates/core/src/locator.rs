@@ -427,90 +427,14 @@ mod tests {
     //! tests; here a stub backend feeds it the events those never produce
     //! on demand.
     use super::*;
-    use ppm_runtime::ids::{Pid, Uid};
-    use ppm_runtime::kernel::{Effects, Kernel};
-    use ppm_runtime::obs::{HubRef, ObsHub};
-    use ppm_runtime::program::{Program, SpawnSpec};
-    use ppm_runtime::signal::Signal;
-    use ppm_runtime::time::SimTime;
-
-    /// Every connect succeeds with the next id, every send and close is
-    /// accepted, tracing is off; a dial asks for nothing else.
-    struct Stub {
-        conns: u64,
-        hub: ObsHub,
-    }
-
-    impl Sys for Stub {
-        fn connect(&mut self, _: HostId, _: Port) -> Result<ConnId, SysError> {
-            self.conns += 1;
-            Ok(ConnId(self.conns))
-        }
-        fn send_bytes(&mut self, _: ConnId, _: Bytes) -> Result<(), SysError> {
-            Ok(())
-        }
-        fn close(&mut self, _: ConnId) -> Result<(), SysError> {
-            Ok(())
-        }
-        fn hub(&mut self) -> HubRef<'_> {
-            HubRef::Own(&mut self.hub)
-        }
-        fn now(&self) -> SimTime {
-            unimplemented!()
-        }
-        fn host(&self) -> HostId {
-            unimplemented!()
-        }
-        fn host_name(&self) -> &str {
-            unimplemented!()
-        }
-        fn pid(&self) -> Pid {
-            unimplemented!()
-        }
-        fn set_timer(&mut self, _: SimDuration, _: u64) {
-            unimplemented!()
-        }
-        fn listen(&mut self, _: Port) -> Result<(), SysError> {
-            unimplemented!()
-        }
-        fn resolve_host(&self, _: &str) -> Result<HostId, SysError> {
-            unimplemented!()
-        }
-        fn random_unit(&mut self) -> f64 {
-            unimplemented!()
-        }
-        fn exit(&mut self, _: i32) {
-            unimplemented!()
-        }
-        fn fork_exec(&mut self, _: Pid, _: Uid, _: SpawnSpec) -> Result<Pid, SysError> {
-            unimplemented!()
-        }
-        fn post_signal(&mut self, _: Pid, _: Signal) {
-            unimplemented!()
-        }
-        fn make_service(&self, _: &str) -> Option<(Port, Box<dyn Program>)> {
-            unimplemented!()
-        }
-        fn kernel(&self) -> &Kernel {
-            unimplemented!()
-        }
-        fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
-            unimplemented!()
-        }
-        fn flush_effects(&mut self) {
-            unimplemented!()
-        }
-    }
+    use crate::stub_sys::StubSys;
 
     const DELAY: SimDuration = SimDuration::from_millis(20);
     const REFUSED: ConnEvent = ConnEvent::Failed(SysError::ConnectionRefused);
 
     /// A stub backend and a dial on it that inetd has just answered.
-    fn dial_past_inetd(hello: bool, attempts: u32) -> (Stub, Dial) {
-        let mut sys = Stub {
-            conns: 0,
-            hub: ObsHub::new(false),
-        };
+    fn dial_past_inetd(hello: bool, attempts: u32) -> (StubSys, Dial) {
+        let mut sys = StubSys::new(false);
         let mut dial = if hello {
             let identity = HelloIdentity {
                 user: 100,

@@ -31,19 +31,27 @@
 //! The originator works gather-then-combine. While the wave runs, each
 //! arriving aggregate is split into its parts ([`WirePart::split`]: the
 //! route of each part is decoded and learned from, the reply stays a
-//! slice of the arriving frame) and the parts wait. Once the wave has
-//! quiesced every part gets one serialized merge slot of
+//! slice of the arriving frame, and the walk that checks a snapshot
+//! records its run — [`SnapshotRun`]) and the parts wait, one per
+//! answering host: a second part from a host, which only a duplicated
+//! aggregate brings, is dropped. Once the wave has quiesced every part
+//! gets one serialized merge slot of
 //! [`merge_cost`](crate::config::PpmConfig::merge_cost) — the modelled
 //! price of folding one host's answer in, which is what gives Table 3 its
 //! per-answering-host slope — and when the last slot has fired the
-//! combine itself runs once: [`WireReply::merge`], a sort of record keys
-//! and one copy of each record's bytes into the reply the tool receives.
-//! No record is materialised at the originator.
+//! combine itself runs once: [`WireReply::merge`], which splices the
+//! runs' record regions in first-key order into the reply the tool
+//! receives (a sort of record keys only when the runs do not line up).
+//! No record is materialised at the originator, and a relay writes its
+//! aggregate once, straight from what it gathered
+//! ([`Msg::bcast_agg_bytes`]).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use ppm_proto::codec::{frames, Enc, Wire};
-use ppm_proto::msg::{ErrCode, Msg, Op, Reply, WirePart, WireReply};
+use ppm_proto::msg::{
+    ErrCode, Msg, Op, Reply, SnapshotRun, WirePart, WireReply, MAX_REPLY_RECORDS,
+};
 use ppm_proto::types::{Route, Stamp};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::obs::SpanPhase;
@@ -91,9 +99,29 @@ impl BcastState {
             forward_targets,
             agg_received: BTreeSet::new(),
             missing: BTreeSet::new(),
+            missing_capped: false,
             route_in,
             timeout_token: None,
             waited_below: false,
+        }
+    }
+
+    /// Names `host` missing, unless the set already holds
+    /// [`MAX_REPLY_RECORDS`] names — all one aggregate or one `Partial`
+    /// reply can carry; a name past that is refused, and the wave's
+    /// first refusal noted. No world has that many hosts, but a sibling
+    /// may send any number of aggregates.
+    fn name_missing(&mut self, sys: &mut dyn Sys, host: String) {
+        if self.missing.len() < MAX_REPLY_RECORDS || self.missing.contains(&host) {
+            self.missing.insert(host);
+        } else if !std::mem::replace(&mut self.missing_capped, true) {
+            sys.trace(
+                TraceCategory::Lpm,
+                format_args!(
+                    "broadcast {}#{} names over {MAX_REPLY_RECORDS} hosts missing; refusing the rest",
+                    self.stamp.origin, self.stamp.seq
+                ),
+            );
         }
     }
 }
@@ -142,6 +170,7 @@ impl Lpm {
             reply_req: req_id,
             parts: Vec::new(),
             merge_queue: VecDeque::new(),
+            answered: HashSet::new(),
             combine_started: false,
             merges_outstanding: 0,
             merge_free_at: SimTime::ZERO,
@@ -353,7 +382,10 @@ impl Lpm {
             format_args!("local slice done {}#{}", key.0, key.1),
         );
         match &mut b.role {
-            BcastRole::Origin { parts, .. } => parts.push(reply),
+            BcastRole::Origin { parts, .. } => {
+                let run = SnapshotRun::of(&reply);
+                parts.push((reply, run));
+            }
             BcastRole::Relay {
                 agg_buf, agg_count, ..
             } => {
@@ -401,8 +433,18 @@ impl Lpm {
                 // only the transit cost collapsed).
                 match WirePart::split(&parts) {
                     Ok(parts) => {
+                        let mut dropped = 0;
                         for part in parts {
-                            self.queue_part(sys, &key, part);
+                            dropped += usize::from(!self.queue_part(sys, &key, part));
+                        }
+                        if dropped > 0 {
+                            self.note(
+                                sys,
+                                format_args!(
+                                    "dropped {dropped} part(s) from {from_host} for {}#{}: their hosts had answered",
+                                    key.0, key.1
+                                ),
+                            );
                         }
                     }
                     Err(e) => unreadable = Some(e.to_string()),
@@ -428,29 +470,39 @@ impl Lpm {
         }
         let b = self.bcasts.get_mut(&key).expect("checked");
         b.agg_received.insert(from_host.to_string());
-        b.missing.extend(missing);
+        for host in missing {
+            b.name_missing(sys, host);
+        }
         if unreadable.is_some() {
-            b.missing.insert(from_host.to_string());
+            b.name_missing(sys, from_host.to_string());
         }
     }
 
-    /// Queues one gathered part at the originator. During the wave the
-    /// part just waits; once the combine phase has begun (a late
-    /// straggler after a timeout), it gets its serialized slot at once.
-    fn queue_part(&mut self, sys: &mut dyn Sys, key: &BcastKey, part: WirePart) {
-        self.learn_route(&part.route);
+    /// Queues one gathered part at the originator, unless its host has
+    /// answered this wave already (returns `false`: the part is
+    /// dropped). During the wave the part just waits; once the combine
+    /// phase has begun (a late straggler after a timeout), it gets its
+    /// serialized slot at once.
+    fn queue_part(&mut self, sys: &mut dyn Sys, key: &BcastKey, part: WirePart) -> bool {
         let Some(BcastRole::Origin {
             merge_queue,
+            answered,
             combine_started,
             ..
         }) = self.bcasts.get_mut(key).map(|b| &mut b.role)
         else {
-            return;
+            return true;
         };
-        merge_queue.push_back(part.reply);
-        if *combine_started {
+        if part.host == self.host.as_bytes() || !answered.insert(part.host) {
+            return false;
+        }
+        merge_queue.push_back((part.reply, part.run));
+        let combine_started = *combine_started;
+        self.learn_route(&part.route);
+        if combine_started {
             self.schedule_merge_slot(sys, key);
         }
+        true
     }
 
     /// Arms one serialized originator merge slot.
@@ -502,7 +554,7 @@ impl Lpm {
     pub(crate) fn bcast_child_lost(&mut self, sys: &mut dyn Sys, key: &BcastKey, child: &str) {
         if let Some(b) = self.bcasts.get_mut(key) {
             if b.pending_children.remove(child) && !b.agg_received.contains(child) {
-                b.missing.insert(child.to_string());
+                b.name_missing(sys, child.to_string());
             }
         }
         self.maybe_complete(sys, key);
@@ -532,7 +584,7 @@ impl Lpm {
             let stragglers: Vec<String> = b.pending_children.iter().cloned().collect();
             for h in &stragglers {
                 if !b.agg_received.contains(h) {
-                    b.missing.insert(h.clone());
+                    b.name_missing(sys, h.clone());
                 }
             }
             b.pending_children.clear();
@@ -631,23 +683,13 @@ impl Lpm {
                 respond_handler,
             } => {
                 let stamp = b.stamp;
-                let missing: Vec<String> = b.missing.into_iter().collect();
-                let mut batch = Vec::with_capacity(4 + agg_buf.len());
-                batch.extend_from_slice(&agg_count.to_be_bytes());
-                batch.extend_from_slice(agg_buf.as_slice());
-                let mut send_agg = |parts: bytes::Bytes, missing: Vec<String>| {
-                    let agg = Msg::BcastAgg {
-                        stamp: stamp.clone(),
-                        parts,
-                        missing,
-                    };
-                    let _ = sys.send(upstream, agg.to_bytes());
-                };
                 if self.cfg.reply_splicing {
                     // The whole subtree's answers leave in a single
-                    // aggregated frame on this edge, then the
-                    // wave-completion marker.
-                    send_agg(batch.into(), missing);
+                    // aggregated frame on this edge, written once from
+                    // what was gathered, then the wave-completion marker.
+                    let agg =
+                        Msg::bcast_agg_bytes(&stamp, agg_count, agg_buf.as_slice(), &b.missing);
+                    let _ = sys.send(upstream, agg);
                 } else {
                     // Splicing off (the congestion exhibit's baseline):
                     // every collected part goes upstream as its own
@@ -655,6 +697,18 @@ impl Lpm {
                     // every edge toward the originator — then one empty
                     // frame carries the missing list. Re-framed, not
                     // re-encoded: each part's frame is copied as it stands.
+                    let missing: Vec<String> = b.missing.into_iter().collect();
+                    let mut batch = Vec::with_capacity(4 + agg_buf.len());
+                    batch.extend_from_slice(&agg_count.to_be_bytes());
+                    batch.extend_from_slice(agg_buf.as_slice());
+                    let mut send_agg = |parts: bytes::Bytes, missing: Vec<String>| {
+                        let agg = Msg::BcastAgg {
+                            stamp: stamp.clone(),
+                            parts,
+                            missing,
+                        };
+                        let _ = sys.send(upstream, agg.to_bytes());
+                    };
                     for frame in frames(&batch).into_iter().flatten().map_while(Result::ok) {
                         let mut one = Enc::with_capacity(8 + frame.len());
                         one.u32(1);
@@ -692,6 +746,121 @@ fn append_batch(buf: &mut Enc, batch: &[u8]) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auth::UserCred;
+    use crate::config::PpmConfig;
+    use crate::rpc::{PendingRequest, ReqPhase};
+    use crate::stub_sys::StubSys;
+    use crate::users::UserEntry;
+    use bytes::Bytes;
+    use ppm_runtime::ids::Uid;
+
+    /// An LPM on "here" that has entered a snapshot wave of `origin` in
+    /// `role`, its local slice done and nothing to forward, still waiting
+    /// on one child, "kid".
+    fn in_wave(origin: &str, role: BcastRole) -> (Lpm, StubSys, BcastKey) {
+        let entry = UserEntry {
+            cred: UserCred::new(Uid(100), 7),
+            recovery: vec!["here".into()],
+            config: PpmConfig::default(),
+        };
+        let mut lpm = Lpm::new(&entry);
+        lpm.host = "here".into();
+        let stamp = Stamp::signed(origin, 1, 0, lpm.auth.stamp_secret());
+        let key = stamp.key();
+        let route_in = Route::from_origin(origin);
+        let mut wave = BcastState::new(stamp, 100, Op::Snapshot, route_in, Vec::new(), role);
+        wave.local_done = true;
+        wave.pending_children.insert("kid".into());
+        lpm.bcasts.insert(key.clone(), wave);
+        (lpm, StubSys::new(true), key)
+    }
+
+    /// "kid" sends two aggregates of 40 000 distinct missing names each,
+    /// then its `BcastDone`.
+    fn flood(lpm: &mut Lpm, sys: &mut StubSys, key: &BcastKey) {
+        let stamp = lpm.bcasts[key].stamp.clone();
+        for batch in 0..2 {
+            let missing = (0..40_000).map(|i| format!("h{batch}-{i}")).collect();
+            let no_parts = Bytes::from(0u32.to_be_bytes().to_vec());
+            lpm.handle_bcast_agg(sys, "kid", stamp.clone(), no_parts, missing);
+        }
+        assert_eq!(lpm.bcasts[key].missing.len(), MAX_REPLY_RECORDS);
+        lpm.bcast_child_done(sys, key, "kid");
+        let refusals = sys.hub.trace.grep("refusing the rest").count();
+        assert_eq!(refusals, 1, "one note per wave");
+    }
+
+    #[test]
+    fn a_relay_flooded_with_missing_names_still_sends_what_decodes() {
+        let role = BcastRole::Relay {
+            upstream: ConnId(7),
+            agg_buf: Enc::new(),
+            agg_count: 0,
+            respond_handler: None,
+        };
+        let (mut lpm, mut sys, key) = in_wave("origin", role);
+        flood(&mut lpm, &mut sys, &key);
+        let [agg, done] = &sys.sent[..] else {
+            panic!("{} messages sent", sys.sent.len());
+        };
+        let Ok(Msg::BcastAgg { missing, .. }) = Msg::from_bytes(agg) else {
+            panic!("the aggregate decodes");
+        };
+        assert_eq!(missing.len(), MAX_REPLY_RECORDS);
+        assert!(matches!(Msg::from_bytes(done), Ok(Msg::BcastDone { .. })));
+    }
+
+    #[test]
+    fn an_originator_flooded_with_missing_names_still_answers_what_decodes() {
+        let role = BcastRole::Origin {
+            reply_req: 1,
+            parts: Vec::new(),
+            merge_queue: VecDeque::new(),
+            answered: HashSet::new(),
+            combine_started: false,
+            merges_outstanding: 0,
+            merge_free_at: SimTime::ZERO,
+        };
+        let (mut lpm, mut sys, key) = in_wave("here", role);
+        let tool = PendingRequest {
+            user: 100,
+            dest: "*".into(),
+            op: Op::Snapshot,
+            reply_to: crate::rpc::ReplyTo::Tool {
+                conn: ConnId(9),
+                external_id: 5,
+            },
+            phase: ReqPhase::BcastWait,
+            handler: None,
+            sent_conn: None,
+            hops_left: 0,
+            route: Route::from_origin("here"),
+            timeout_token: None,
+            spawn_pid: None,
+            corr: key.clone(),
+            boot: 1,
+            deadline: None,
+            attempt: 0,
+            attempts_left: 0,
+            backoff: SimDuration::ZERO,
+            backoff_max: SimDuration::ZERO,
+        };
+        lpm.rpc.insert(1, tool);
+        flood(&mut lpm, &mut sys, &key);
+        let [resp] = &sys.sent[..] else {
+            panic!("{} messages sent", sys.sent.len());
+        };
+        let Ok(Msg::Resp {
+            id: 5,
+            reply: Reply::Partial { missing, inner },
+            ..
+        }) = Msg::from_bytes(resp)
+        else {
+            panic!("the reply decodes, partial");
+        };
+        assert_eq!(missing.len(), MAX_REPLY_RECORDS);
+        assert!(matches!(*inner, Reply::Snapshot { ref procs, .. } if procs.is_empty()));
+    }
 
     #[test]
     fn a_batch_with_broken_framing_is_not_spliced() {

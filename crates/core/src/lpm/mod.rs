@@ -30,13 +30,13 @@ mod kernel_ev;
 mod recovery;
 mod requests;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use ppm_proto::codec::{Enc, Wire};
-use ppm_proto::msg::{Inbound, Msg, Op, WireReply};
+use ppm_proto::msg::{Inbound, Msg, Op, SnapshotRun, WireReply};
 use ppm_proto::types::{Gpid, Route, Stamp};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::{ConnId, Port};
@@ -135,8 +135,12 @@ pub(crate) struct BcastState {
     pub agg_received: BTreeSet<String>,
     /// Hosts of this subtree whose answers never arrived (lost children,
     /// straggler timeouts). Travels upstream in the aggregate; at the
-    /// origin it becomes the [`Reply::Partial`] marker.
+    /// origin it becomes the [`Reply::Partial`] marker. Holds at most
+    /// [`MAX_REPLY_RECORDS`](ppm_proto::msg::MAX_REPLY_RECORDS) names, as
+    /// many as either carries.
     pub missing: BTreeSet<String>,
+    /// A name past that bound has been refused (and noted) in this wave.
+    pub missing_capped: bool,
     /// Route the request had when it reached us.
     pub route_in: Route,
     pub timeout_token: Option<u64>,
@@ -152,10 +156,16 @@ pub(crate) enum BcastRole {
         /// Internal request to finish with the merged reply.
         reply_req: u64,
         /// Accumulated parts, in the order their merge slots completed —
-        /// the order the final merge's stable sort sees.
-        parts: Vec<WireReply>,
+        /// the order the final merge's stable sort sees — each with the
+        /// run the walk that admitted it recorded.
+        parts: Vec<(WireReply, Option<SnapshotRun>)>,
         /// Replies waiting for their merge slot.
-        merge_queue: VecDeque<WireReply>,
+        merge_queue: VecDeque<(WireReply, Option<SnapshotRun>)>,
+        /// Hosts whose part has been accepted in this wave (the
+        /// originator's own is its local slice): a second part from one
+        /// of them — a duplicated aggregate — is dropped. Names off the
+        /// wire, so the default hasher.
+        answered: HashSet<Bytes>,
         /// Whether the combine phase has begun: parts gather during the
         /// wave and every serialized merge slot starts once the wave
         /// quiesces, so each contributor costs a full slot at the tail.

@@ -12,6 +12,7 @@ use std::collections::BTreeSet;
 use ppm_core::config::PpmConfig;
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::PpmHarness;
+use ppm_proto::msg::ControlAction;
 use ppm_proto::types::{Gpid, WireProcState};
 use ppm_runtime::signal::Signal;
 use ppm_simnet::fault::FaultPlan;
@@ -280,6 +281,44 @@ fn forced_duplication_preserves_exactly_once() {
             "{name} executed exactly once despite duplicated delivery"
         );
     }
+}
+
+/// A duplicated aggregate is merged once. Every wire message from work
+/// to home is delivered twice, so work's aggregate reaches the
+/// originator twice (the test above duplicates home → work, which no
+/// aggregate travels); yet the `*` snapshot has each process once and
+/// `rusage *` counts each exit once.
+#[test]
+fn a_duplicated_aggregate_is_merged_once() {
+    let mut ppm = harness();
+    let plan = FaultPlan::parse("dup 1.0 from work to home\n").expect("plan parses");
+    ppm.world_mut()
+        .apply_fault_plan(&plan)
+        .expect("plan applies");
+
+    let job = ppm
+        .spawn_remote("home", USER, "work", "job", None, None)
+        .expect("spawn on work");
+    let brief = SimDuration::from_millis(300);
+    ppm.spawn_remote("home", USER, "far", "brief", None, Some(brief))
+        .expect("spawn on far");
+    ppm.control("home", USER, &job, ControlAction::Kill)
+        .expect("kill the job");
+    ppm.run_for(SimDuration::from_secs(2));
+
+    let procs = ppm.snapshot("home", USER, "*").expect("snapshot");
+    let keys: Vec<(&str, u32)> = procs
+        .iter()
+        .map(|p| (p.gpid.host.as_str(), p.gpid.pid))
+        .collect();
+    let distinct: BTreeSet<(&str, u32)> = keys.iter().copied().collect();
+    assert_eq!(keys.len(), distinct.len(), "each process once: {keys:?}");
+    assert!(distinct.iter().any(|(host, _)| *host == "far"), "{keys:?}");
+
+    let exits = ppm.rusage("home", USER, "*", None).expect("rusage");
+    let mut commands: Vec<&str> = exits.iter().map(|r| r.command.as_str()).collect();
+    commands.sort_unstable();
+    assert_eq!(commands, ["brief", "job"], "each exit counted once");
 }
 
 /// Two tenants on the same hosts: one user's sweep never observes the

@@ -900,6 +900,36 @@ impl Msg {
             Msg::ForestInfo { .. } => "forest-info",
         }
     }
+
+    /// The bytes of `Msg::BcastAgg { stamp, parts, missing }` whose
+    /// `parts` batch is the `count` part frames `frames` (a batch without
+    /// its count header), written once into a buffer sized exactly: how a
+    /// relay sends what it gathered without first copying it into a
+    /// batch of its own. A set is already in the canonical (sorted,
+    /// deduplicated) order the wire form requires.
+    ///
+    /// # Panics
+    ///
+    /// Past `u16::MAX` missing hosts, as [`Enc::seq`] does.
+    pub fn bcast_agg_bytes(
+        stamp: &Stamp,
+        count: u32,
+        frames: &[u8],
+        missing: &BTreeSet<String>,
+    ) -> Bytes {
+        let names: usize = missing.iter().map(|host| 2 + host.len()).sum();
+        let mut enc = Enc::with_capacity(1 + stamp.wire_len() + 8 + frames.len() + 2 + names);
+        enc.u8(MSG_BCAST_AGG);
+        stamp.encode(&mut enc);
+        enc.u32(u32::try_from(4 + frames.len()).expect("protocol blob fits in u32"));
+        enc.u32(count);
+        enc.splice(frames);
+        enc.seq_len(missing.len());
+        for host in missing {
+            enc.str(host);
+        }
+        enc.into_bytes()
+    }
 }
 
 impl Wire for Msg {
@@ -1169,6 +1199,11 @@ const INLINE_REPLY: usize = 38;
 #[derive(Clone)]
 pub struct WireReply(Held);
 
+// Replies are parked, cached and moved on every request, so they stay
+// this small: what a walk learns of one (a `SnapshotRun`) is kept beside
+// it, not in it.
+const _: () = assert!(std::mem::size_of::<WireReply>() == 40);
+
 #[derive(Clone)]
 enum Held {
     Inline {
@@ -1288,21 +1323,22 @@ impl WireReply {
     /// Walks over one encoded reply at `dec`, checking it as
     /// [`Reply::decode`] would, and keeps it as a slice of `frame` — the
     /// buffer `dec` reads. Snapshot records, the bulk of what crosses an
-    /// LPM, are checked in place; the small replies take the decode path.
-    fn scan(frame: &Bytes, dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+    /// LPM, are checked in place, and the walk records their run; the
+    /// small replies take the decode path.
+    fn scan(frame: &Bytes, dec: &mut Dec<'_>) -> Result<(Self, Option<SnapshotRun>), CodecError> {
         let start = dec.pos();
-        if dec.clone().u8()? == REPLY_SNAPSHOT {
+        let run = if dec.clone().u8()? == REPLY_SNAPSHOT {
             dec.u8()?;
             dec.str_ref()?;
-            for _ in 0..dec.seq_len()? {
-                ProcRecordRef::decode(dec)?;
-            }
+            SnapshotRun::walk(dec, start)?
         } else {
             Reply::decode(dec)?;
-        }
+            None
+        };
         let range = start..dec.pos();
-        Ok(Self::inline(&frame[range.clone()])
-            .unwrap_or_else(|| WireReply(Held::Shared(frame.slice(range)))))
+        let reply = Self::inline(&frame[range.clone()])
+            .unwrap_or_else(|| WireReply(Held::Shared(frame.slice(range))));
+        Ok((reply, run))
     }
 
     /// The fields the LPM's completion path acts on.
@@ -1361,23 +1397,30 @@ impl WireReply {
     /// Merges the parts a broadcast of `op` gathered into the one reply
     /// its tool gets: records of every matching part, stably sorted —
     /// snapshots by `(host, pid)`, rusage by exit time, history by event
-    /// time — under one header. The records are never built: the walk
-    /// collects each one's sort key and byte range, the keys are sorted,
-    /// and the ranges are copied once. Parts of another kind (an `Err`
-    /// from one host) contribute nothing, and a broadcast of any other
-    /// `op` merges to `Pong`. Parts that sum past [`MAX_REPLY_RECORDS`]
-    /// merge to a `Reply::Err` that says so.
+    /// time — under one header. The records are never built. When every
+    /// snapshot among the parts comes with its [`SnapshotRun`] and no two
+    /// runs touch (each run's last key is below the next one's first),
+    /// the sorted records are the runs one after another in first-key
+    /// order: each run's record region is copied once, and no record is
+    /// walked. Otherwise a walk collects each record's sort key and byte
+    /// range, the keys are sorted, and the ranges are copied once. Parts
+    /// of another kind (an `Err` from one host) contribute nothing, and a
+    /// broadcast of any other `op` merges to `Pong`. Parts that sum past
+    /// [`MAX_REPLY_RECORDS`] merge to a `Reply::Err` that says so.
     ///
     /// # Errors
     ///
     /// The index of a part that does not walk, with the reason. Cannot
     /// happen for parts built through this module, whose bytes were
     /// checked on the way in; the walk is a checked one regardless.
-    pub fn merge(op: &Op, parts: &[WireReply]) -> Result<Self, PartError> {
+    pub fn merge<P: MergePart>(op: &Op, parts: &[P]) -> Result<Self, PartError> {
         match op {
-            Op::Snapshot => merge_records(parts, REPLY_SNAPSHOT, |dec| {
-                ProcRecordRef::decode(dec).map(|r| (r.host, r.pid))
-            }),
+            Op::Snapshot => match splice_runs(parts) {
+                Some(merged) => Ok(merged),
+                None => merge_records(parts, REPLY_SNAPSHOT, |dec| {
+                    ProcRecordRef::decode(dec).map(|r| (r.host, r.pid))
+                }),
+            },
             Op::Rusage { .. } => merge_records(parts, REPLY_RUSAGE, |dec| {
                 RusageRecord::decode(dec).map(|r| r.exited_us)
             }),
@@ -1389,16 +1432,159 @@ impl WireReply {
     }
 }
 
+/// A part [`WireReply::merge`] combines: a reply, with the run the walk
+/// that admitted it recorded, when it kept one.
+pub trait MergePart {
+    /// The reply.
+    fn reply(&self) -> &WireReply;
+    /// Its run, recorded from these very bytes.
+    fn run(&self) -> Option<SnapshotRun>;
+}
+
+impl MergePart for WireReply {
+    fn reply(&self) -> &WireReply {
+        self
+    }
+
+    fn run(&self) -> Option<SnapshotRun> {
+        None
+    }
+}
+
+impl MergePart for (WireReply, Option<SnapshotRun>) {
+    fn reply(&self) -> &WireReply {
+        &self.0
+    }
+
+    fn run(&self) -> Option<SnapshotRun> {
+        self.1
+    }
+}
+
+/// A snapshot record's sort key.
+type Key<'a> = (&'a str, u32);
+
+/// What the checked walk that admitted a snapshot reply learned of its
+/// records, so that [`WireReply::merge`] need not walk them again: their
+/// count, where the first one starts — the record region runs from there
+/// to the end of the reply — and where the last one starts. A walk
+/// records a run only when the records' `(host, pid)` keys strictly
+/// ascend (one host's slice, as an LPM writes it, does). A run is kept
+/// beside its reply, not in it (see [`WireReply`]'s size), and is only
+/// ever paired with the reply it was recorded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotRun {
+    count: usize,
+    first: usize,
+    last: usize,
+}
+
+impl SnapshotRun {
+    /// Walks `reply`, checked, and returns its run: `None` for a reply
+    /// that is not a snapshot, does not walk, or whose keys do not
+    /// ascend. The walk that admits the originator's own slice; an
+    /// arriving one gets its run from [`WirePart::split`].
+    pub fn of(reply: &WireReply) -> Option<Self> {
+        let mut dec = Dec::new(reply.as_bytes());
+        if dec.u8().ok()? != REPLY_SNAPSHOT {
+            return None;
+        }
+        dec.str_ref().ok()?;
+        let run = Self::walk(&mut dec, 0).ok()?;
+        dec.finish().ok()?;
+        run
+    }
+
+    /// Walks the record list at `dec` — count, then every record,
+    /// checked — and returns its run, offsets counted from `start`
+    /// (where the reply begins), or `None` when the keys do not strictly
+    /// ascend. Compares pids, and hosts only when they change.
+    fn walk(dec: &mut Dec<'_>, start: usize) -> Result<Option<Self>, CodecError> {
+        let count = dec.seq_len()?;
+        let first = dec.pos() - start;
+        let mut last = first;
+        let mut prev: Option<Key<'_>> = None;
+        let mut ascending = true;
+        for _ in 0..count {
+            last = dec.pos() - start;
+            let record = ProcRecordRef::decode(dec)?;
+            if let Some((host, pid)) = prev {
+                ascending &= if record.host == host {
+                    record.pid > pid
+                } else {
+                    record.host > host
+                };
+            }
+            prev = Some((record.host, record.pid));
+        }
+        Ok(ascending.then_some(SnapshotRun { count, first, last }))
+    }
+
+    /// The keys of the first and last record and the record region, read
+    /// out of the reply's `bytes`; `None` if they are not there, which
+    /// for the reply the run was recorded from they always are.
+    fn bounds(self, bytes: &[u8]) -> Option<(Key<'_>, Key<'_>, &[u8])> {
+        let key_at = |at: usize| {
+            let mut dec = Dec::new(bytes.get(at..)?);
+            Some((dec.str_ref().ok()?, dec.u32().ok()?))
+        };
+        Some((
+            key_at(self.first)?,
+            key_at(self.last)?,
+            &bytes[self.first..],
+        ))
+    }
+}
+
+/// [`WireReply::merge`] for a snapshot whose parts are runs that do not
+/// touch: the header, then each run's record region in first-key order,
+/// which is what the stable sort of their records gives. `None` sends
+/// the merge to the walk: a snapshot part without a run, runs that tie
+/// or overlap.
+fn splice_runs<P: MergePart>(parts: &[P]) -> Option<WireReply> {
+    let mut runs: Vec<(Key<'_>, Key<'_>, &[u8])> = Vec::with_capacity(parts.len());
+    let mut count = 0;
+    for part in parts {
+        let bytes = part.reply().as_bytes();
+        match part.run() {
+            Some(run) if run.count > 0 => {
+                runs.push(run.bounds(bytes)?);
+                count += run.count;
+            }
+            Some(_) => {}
+            // Another kind contributes nothing, as it does to the walk.
+            None if bytes.first().is_some_and(|&tag| tag != REPLY_SNAPSHOT) => {}
+            None => return None,
+        }
+    }
+    if count > MAX_REPLY_RECORDS {
+        return Some(WireReply::too_many_records(count));
+    }
+    runs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    if runs.windows(2).any(|pair| pair[0].1 >= pair[1].0) {
+        return None;
+    }
+    let body: usize = runs.iter().map(|(_, _, region)| region.len()).sum();
+    let mut enc = Enc::with_capacity(6 + body);
+    enc.u8(REPLY_SNAPSHOT);
+    enc.str("*");
+    enc.seq_len(count);
+    for (_, _, region) in &runs {
+        enc.splice(region);
+    }
+    Some(WireReply::from_enc(enc))
+}
+
 /// [`WireReply::merge`] for one record-list reply kind; `key` reads one
 /// record off the decoder and returns what its kind sorts by.
-fn merge_records<'a, K: Ord>(
-    parts: &'a [WireReply],
+fn merge_records<'a, K: Ord, P: MergePart>(
+    parts: &'a [P],
     kind: u8,
     key: impl Fn(&mut Dec<'a>) -> Result<K, CodecError>,
 ) -> Result<WireReply, PartError> {
     let mut records: Vec<(K, &'a [u8])> = Vec::new();
     for (part, reply) in parts.iter().enumerate() {
-        let bytes = reply.as_bytes();
+        let bytes = reply.reply().as_bytes();
         let mut dec = Dec::new(bytes);
         let mut walk = || {
             if dec.u8()? != kind {
@@ -1499,7 +1685,7 @@ impl Inbound {
         let msg = match dec.u8()? {
             MSG_RESP => Inbound::Resp {
                 id: dec.u64()?,
-                reply: WireReply::scan(frame, &mut dec)?,
+                reply: WireReply::scan(frame, &mut dec)?.0,
                 route: Route::decode(&mut dec)?,
             },
             MSG_BCAST_AGG => {
@@ -1520,13 +1706,18 @@ impl Inbound {
 }
 
 /// One [`BcastPart`] of an aggregate as the broadcast's originator keeps
-/// it: the route decoded (routes are learned from it), the reply a slice
-/// of the batch. The answering host is checked and skipped — every
-/// record names its own.
+/// it: the route decoded (routes are learned from it), the answering
+/// host and the reply slices of the batch, and the reply's run when it
+/// is a snapshot whose records ascend.
 #[derive(Debug, PartialEq)]
 pub struct WirePart {
+    /// The answering host's name (checked UTF-8), which the originator
+    /// accepts one part from per wave.
+    pub host: Bytes,
     /// The host's reply.
     pub reply: WireReply,
+    /// The reply's run, recorded by the walk that checked it.
+    pub run: Option<SnapshotRun>,
     /// Route the host's slice of the wave had taken.
     pub route: Route,
 }
@@ -1545,11 +1736,18 @@ impl WirePart {
             parts.reserve(iter.len());
             while let Some(frame) = iter.next_dec() {
                 let mut dec = frame?;
+                let at = dec.pos();
                 dec.str_ref()?;
-                let reply = WireReply::scan(batch, &mut dec)?;
+                let host = batch.slice(at + 2..dec.pos());
+                let (reply, run) = WireReply::scan(batch, &mut dec)?;
                 let route = Route::decode(&mut dec)?;
                 dec.finish()?;
-                parts.push(WirePart { reply, route });
+                parts.push(WirePart {
+                    host,
+                    reply,
+                    run,
+                    route,
+                });
             }
             Ok(())
         };
@@ -1993,6 +2191,38 @@ mod tests {
         };
         assert_eq!(host, "*");
         assert_eq!(procs.len(), 4);
+    }
+
+    #[test]
+    fn runs_that_do_not_touch_are_spliced_without_a_walk() {
+        let route = Route::from_origin("o");
+        let mut batch = Enc::new();
+        batch.u32(3);
+        for (host, pids) in [("b", &[4, 9][..]), ("a", &[1, 2]), ("c", &[])] {
+            WireReply::from(&snapshot_of(host, pids)).push_part(&mut batch, host, &route);
+        }
+        let split = WirePart::split(&batch.into_bytes()).unwrap();
+        assert_eq!(split[1].host, b"a"[..]);
+        let mut parts: Vec<_> = split.into_iter().map(|p| (p.reply, p.run)).collect();
+        parts.push((WireReply::from(&Reply::Pong), None));
+        let walked: Vec<WireReply> = parts.iter().map(|p| p.0.clone()).collect();
+        let walked = WireReply::merge(&Op::Snapshot, &walked).unwrap();
+        assert_eq!(splice_runs(&parts), Some(walked));
+
+        // A run that touches another, or a snapshot without a run, sends
+        // the merge to the walk; a slice whose pids descend has no run.
+        let local = |pids: &[u32]| {
+            let reply = WireReply::from(&snapshot_of("b", pids));
+            let run = SnapshotRun::of(&reply);
+            (reply, run)
+        };
+        assert!(splice_runs(&[parts[0].clone(), local(&[9, 12])]).is_none());
+        assert!(splice_runs(&[parts[0].clone(), local(&[5])]).is_none());
+        assert!(splice_runs(&[parts[0].clone(), local(&[10])]).is_some());
+        let runless = (WireReply::from(&snapshot_of("d", &[1])), None);
+        assert!(splice_runs(&[parts[0].clone(), runless]).is_none());
+        assert_eq!(local(&[2, 1]).1, None);
+        assert_eq!(local(&[1, 1]).1, None);
     }
 
     #[test]

@@ -126,6 +126,12 @@ impl Wire for Stamp {
             sig: dec.u64()?,
         })
     }
+
+    /// Counted, not encoded: a relay's aggregate is written into a
+    /// buffer sized up front, and it starts with the wave's stamp.
+    fn wire_len(&self) -> usize {
+        2 + self.origin.len() + 24
+    }
 }
 
 /// The hosts a message traversed, in order. "All data returned to the
@@ -556,6 +562,7 @@ mod tests {
     fn stamp_roundtrip_and_key() {
         let s = Stamp::signed("a", 9, 55, 1);
         assert_eq!(Stamp::from_bytes(&s.to_bytes()).unwrap(), s);
+        assert_eq!(s.wire_len(), s.to_bytes().len());
         assert_eq!(s.key(), ("a".into(), 9));
     }
 

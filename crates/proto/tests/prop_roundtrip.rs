@@ -7,9 +7,10 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use ppm_proto::codec::{decode_batch, encode_batch, frames, Dec, Enc, Wire};
+use ppm_proto::codec::{decode_batch, encode_batch, frames, CodecError, Dec, Enc, Wire};
 use ppm_proto::msg::{
-    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, WirePart, WireReply,
+    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, SnapshotRun, WirePart, WireReply,
+    MAX_REPLY_RECORDS,
 };
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{
@@ -337,6 +338,169 @@ fn combine(op: &Op, parts: Vec<Reply>) -> Reply {
         }
         _ => Reply::Pong,
     }
+}
+
+/// The walk-and-sort merge [`WireReply::merge`] ran before it spliced
+/// runs, kept as its reference: walk every part of the op's kind,
+/// collect each record's sort key and bytes, stable-sort the keys, copy
+/// each record once.
+fn reference_merge(op: &Op, parts: &[WireReply]) -> Vec<u8> {
+    fn walk_and_sort<'a, K: Ord>(
+        parts: &'a [WireReply],
+        empty: &Reply,
+        key: impl Fn(&mut Dec<'a>) -> Result<K, CodecError>,
+    ) -> Vec<u8> {
+        let kind = empty.to_bytes()[0];
+        let snapshot = matches!(empty, Reply::Snapshot { .. });
+        let mut records: Vec<(K, &'a [u8])> = Vec::new();
+        for (part, reply) in parts.iter().enumerate() {
+            let bytes = reply.as_bytes();
+            let mut dec = Dec::new(bytes);
+            let mut read = || {
+                if dec.u8()? != kind {
+                    return Ok(());
+                }
+                if snapshot {
+                    dec.str_ref()?;
+                }
+                for _ in 0..dec.seq_len()? {
+                    let start = dec.pos();
+                    let key = key(&mut dec)?;
+                    records.push((key, &bytes[start..dec.pos()]));
+                }
+                dec.clone().finish()
+            };
+            read().unwrap_or_else(|e| panic!("part {part} does not walk: {e}"));
+        }
+        if records.len() > MAX_REPLY_RECORDS {
+            let detail = format!(
+                "{} records exceed the {MAX_REPLY_RECORDS} one reply carries",
+                records.len()
+            );
+            let code = ErrCode::Internal;
+            return Reply::Err { code, detail }.to_bytes().to_vec();
+        }
+        records.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut enc = Enc::new();
+        enc.u8(kind);
+        if snapshot {
+            enc.str("*");
+        }
+        enc.seq_len(records.len());
+        for (_, raw) in &records {
+            enc.splice(raw);
+        }
+        enc.into_bytes().to_vec()
+    }
+    match op {
+        Op::Snapshot => walk_and_sort(
+            parts,
+            &Reply::Snapshot {
+                host: String::new(),
+                procs: vec![],
+            },
+            |dec| ProcRecordRef::decode(dec).map(|r| (r.host, r.pid)),
+        ),
+        Op::Rusage { .. } => walk_and_sort(parts, &Reply::Rusage { records: vec![] }, |dec| {
+            RusageRecord::decode(dec).map(|r| r.exited_us)
+        }),
+        Op::History { .. } => walk_and_sort(parts, &Reply::History { events: vec![] }, |dec| {
+            HistoryRecord::decode(dec).map(|r| r.at_us)
+        }),
+        _ => Reply::Pong.to_bytes().to_vec(),
+    }
+}
+
+/// One host's snapshot slice for the merge property: pids that mostly
+/// ascend (as an LPM writes them) but now and then do not or repeat,
+/// records that name the reporting host or, now and then, another, and
+/// empty slices. Hosts come from a small set, so slices of different
+/// parts are distinct, repeated or equal.
+fn arb_slice() -> impl Strategy<Value = Reply> {
+    let host = || prop_oneof![Just("h"), Just("h1"), Just("h10"), Just("h2"), Just("g")];
+    (
+        host(),
+        prop::collection::vec(0u32..8, 0..6),
+        0u8..4,
+        (0u8..4, host()),
+        arb_proc_record(),
+    )
+        .prop_map(|(host, mut pids, sorted, stranger, template)| {
+            // One slice in four keeps its pids as drawn, and one in four
+            // names another host in every other record.
+            if sorted > 0 {
+                pids.sort_unstable();
+                pids.dedup();
+            }
+            let procs = pids
+                .iter()
+                .enumerate()
+                .map(|(i, &pid)| {
+                    let on = match stranger {
+                        (0, other) if i % 2 == 1 => other,
+                        _ => host,
+                    };
+                    ProcRecord {
+                        gpid: Gpid::new(on, pid),
+                        ..template.clone()
+                    }
+                })
+                .collect();
+            Reply::Snapshot {
+                host: host.to_string(),
+                procs,
+            }
+        })
+}
+
+/// How a part came to the originator: split out of an arriving
+/// aggregate (the walk that checked it recorded its run), as its own
+/// slice (walked once on the way in), or encoded from a value (no run).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Admitted {
+    Split,
+    Local,
+    Encoded,
+}
+
+fn arb_admitted() -> impl Strategy<Value = Admitted> {
+    prop_oneof![
+        Just(Admitted::Split),
+        Just(Admitted::Split),
+        Just(Admitted::Local),
+        Just(Admitted::Local),
+        Just(Admitted::Encoded)
+    ]
+}
+
+/// Whether a reply is a snapshot whose `(host, pid)` keys strictly
+/// ascend: the replies a walk records a run for.
+fn ascends(reply: &Reply) -> bool {
+    let key = |p: &ProcRecord| (p.gpid.host.clone(), p.gpid.pid);
+    matches!(reply, Reply::Snapshot { procs, .. }
+        if procs.windows(2).all(|w| key(&w[0]) < key(&w[1])))
+}
+
+/// A slice of `count` records on `host`, pids ascending from 0, with
+/// its run when `admitted` keeps one.
+fn bulk_slice(host: &str, count: usize, admitted: Admitted) -> (WireReply, Option<SnapshotRun>) {
+    let records = (0..count as u32).map(|pid| ProcRecordRef {
+        host,
+        pid,
+        ppid: 1,
+        logical_parent: None,
+        command: "bulk",
+        state: WireProcState::Running,
+        started_us: 0,
+        cpu_us: 0,
+        adopted: true,
+    });
+    let reply = WireReply::snapshot(host, records);
+    let run = match admitted {
+        Admitted::Encoded => None,
+        Admitted::Split | Admitted::Local => SnapshotRun::of(&reply),
+    };
+    (reply, run)
 }
 
 fn arb_msg() -> impl Strategy<Value = Msg> {
@@ -736,5 +900,106 @@ proptest! {
             (Err(_), Err(_)) => {}
             (owned, split) => prop_assert!(false, "decode {owned:?} but split {split:?}"),
         }
+    }
+
+    /// The merge, whether it splices runs or falls back to the walk, is
+    /// byte for byte the walk-and-sort reference — over parts that came
+    /// split (runs recorded), as the local slice (walked once) or encoded
+    /// (no run); snapshots whose keys ascend or not, tie, overlap or stay
+    /// apart across parts; empty, inline-sized and other-kind parts; and,
+    /// now and then, totals either side of `MAX_REPLY_RECORDS`. A recorded
+    /// run is the one the bytes give, and there is one exactly when the
+    /// keys strictly ascend.
+    #[test]
+    fn merge_matches_the_walk_and_sort_reference(
+        answers in prop::collection::vec(
+            (
+                arb_name(),
+                prop_oneof![arb_slice(), arb_slice(), arb_bcast_answer(), Just(Reply::Ok)],
+                arb_admitted(),
+            ),
+            0..7,
+        ),
+        bulk in (0u8..8, 0usize..3, arb_admitted(), arb_admitted()),
+        bulk_at in any::<bool>(),
+        op in prop_oneof![
+            Just(Op::Snapshot),
+            Just(Op::Snapshot),
+            Just(Op::Rusage { pid: None }),
+            Just(Op::History { since_us: 0, max: 100 }),
+            Just(Op::Ping),
+        ],
+    ) {
+        // The parts that came split arrived together, in one aggregate.
+        let route = Route::from_origin("o");
+        let mut batch = Enc::new();
+        let arrived = answers.iter().filter(|a| a.2 == Admitted::Split).count();
+        batch.u32(arrived as u32);
+        for (host, reply, _) in answers.iter().filter(|a| a.2 == Admitted::Split) {
+            WireReply::from(reply).push_part(&mut batch, host, &route);
+        }
+        let mut split = WirePart::split(&batch.into_bytes())
+            .expect("a valid batch splits")
+            .into_iter();
+        let mut parts = Vec::new();
+        for (host, reply, admitted) in &answers {
+            let part = match admitted {
+                Admitted::Split => {
+                    let part = split.next().expect("one part per frame");
+                    prop_assert_eq!(&part.host, &host.as_bytes());
+                    (part.reply, part.run)
+                }
+                Admitted::Local => {
+                    let wire = WireReply::from(reply);
+                    let run = SnapshotRun::of(&wire);
+                    (wire, run)
+                }
+                Admitted::Encoded => (WireReply::from(reply), None),
+            };
+            if *admitted != Admitted::Encoded {
+                prop_assert_eq!(part.1, SnapshotRun::of(&part.0));
+                prop_assert_eq!(part.1.is_some(), ascends(reply));
+            }
+            parts.push(part);
+        }
+        // One case in eight adds two slices of 32 767 and 32 767 +
+        // {0, 1, 2} records: the total lands either side of the limit.
+        if let (0, extra, first, second) = bulk {
+            let half = MAX_REPLY_RECORDS / 2;
+            let big = [bulk_slice("zy", half, first), bulk_slice("zz", half + extra, second)];
+            let at = if bulk_at { 0 } else { parts.len() };
+            parts.splice(at..at, big);
+        }
+
+        let wires: Vec<WireReply> = parts.iter().map(|p| p.0.clone()).collect();
+        let expect = reference_merge(&op, &wires);
+        let merged = WireReply::merge(&op, &parts).expect("valid parts merge");
+        prop_assert_eq!(merged.as_bytes(), &expect[..]);
+        let walked = WireReply::merge(&op, &wires).expect("valid parts merge");
+        prop_assert_eq!(walked.as_bytes(), &expect[..]);
+    }
+
+    /// A relay's aggregate, written once from the part frames it
+    /// gathered, is the encoded `Msg::BcastAgg` — for real frames and for
+    /// noise, any stamp, any missing set.
+    #[test]
+    fn relay_aggregate_is_the_encoded_msg(
+        stamp in arb_stamp(),
+        answers in prop::collection::vec((arb_name(), arb_bcast_answer(), arb_route()), 0..5),
+        noise in prop::option::of((any::<u32>(), prop::collection::vec(any::<u8>(), 0..64))),
+        missing in prop::collection::vec(arb_name(), 0..6),
+    ) {
+        let (count, frames) = noise.unwrap_or_else(|| {
+            let parts: Vec<BcastPart> = answers
+                .into_iter()
+                .map(|(host, reply, route)| BcastPart { host, reply, route })
+                .collect();
+            (parts.len() as u32, encode_batch(&parts)[4..].to_vec())
+        });
+        let set: BTreeSet<String> = missing.iter().cloned().collect();
+        let mut batch = count.to_be_bytes().to_vec();
+        batch.extend_from_slice(&frames);
+        let msg = Msg::BcastAgg { stamp: stamp.clone(), parts: batch.into(), missing };
+        prop_assert_eq!(Msg::bcast_agg_bytes(&stamp, count, &frames, &set), msg.to_bytes());
     }
 }
