@@ -9,11 +9,13 @@
 //! world — exactly the schedules a discrete-event simulation samples
 //! only one of per seed.
 //!
-//! Connections keep per-direction FIFO queues and only the head of each
-//! queue is enabled, so streams stay ordered (TCP semantics) while
-//! independent streams commute. A process death appends `Closed` behind
-//! any in-flight data, preserving the FIN-after-data interleavings that
-//! triggered the dedup-purge bug.
+//! Connections are the one table every backend shares
+//! ([`ppm_runtime::conn`]); beside each record the checker keeps
+//! per-direction FIFO queues, and only the head of each queue is enabled,
+//! so streams stay ordered (TCP semantics) while independent streams
+//! commute. A process death appends `Closed` behind any in-flight data,
+//! preserving the FIN-after-data interleavings that triggered the
+//! dedup-purge bug.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hasher;
@@ -23,6 +25,7 @@ use bytes::Bytes;
 use ppm_core::Lpm;
 use ppm_proto::codec::Wire;
 use ppm_proto::Msg;
+use ppm_runtime::conn::{ConnState, ConnTable, Endpoint, Tell};
 use ppm_runtime::hashx::HashX;
 use ppm_runtime::inetd::Inetd;
 use ppm_runtime::kernel::{Effect, Effects, Kernel};
@@ -45,50 +48,29 @@ pub type K = (u32, u32);
 /// timestamps protocol code derives epochs from.
 const TICK: SimDuration = SimDuration::from_micros(200);
 
-/// One item in a connection's per-direction FIFO.
+/// One item in a connection's per-direction FIFO: what its end is told
+/// (peer closed, died, or the link broke under a send: `Closed`), or a
+/// data frame.
 #[derive(Debug, Clone, PartialEq)]
 enum NetItem {
-    /// Client side: connect succeeded.
-    Established,
-    /// Server side: a client connected.
-    Accepted { peer: (HostId, Pid), port: Port },
-    /// Client side: connect failed.
-    Failed(SysError),
-    /// A data frame.
+    Conn(ConnEvent),
     Msg(Bytes),
-    /// Peer closed, died, or the link broke under a send.
-    Closed,
 }
 
-/// A stream connection between two processes.
-#[derive(Debug)]
-struct Conn {
-    /// Initiating endpoint.
-    a: K,
-    /// Accepting endpoint (the listener's process).
-    b: K,
-    /// Both directions usable. Cleared on close/death/blackhole; items
-    /// already queued still deliver (data in flight stays in flight).
-    open: bool,
-    /// Items travelling toward `a`.
-    to_a: VecDeque<NetItem>,
-    /// Items travelling toward `b`.
-    to_b: VecDeque<NetItem>,
+const CLOSED: NetItem = NetItem::Conn(ConnEvent::Closed);
+
+/// The items travelling on one connection, per direction
+/// ([`ppm_runtime::conn::Connection::toward`]: 0 toward the client, 1
+/// toward the server). Items already queued still deliver after a close
+/// (data in flight stays in flight).
+type Queues = [VecDeque<NetItem>; 2];
+
+fn key(end: Endpoint) -> K {
+    (end.0 .0, end.1 .0)
 }
 
-impl Conn {
-    /// `end` closes (or dies): items travelling toward it are dropped,
-    /// its peer learns Closed behind any in-flight data.
-    fn fin(&mut self, end: K) {
-        self.open = false;
-        if self.a == end {
-            self.to_a.clear();
-            self.to_b.push_back(NetItem::Closed);
-        } else {
-            self.to_b.clear();
-            self.to_a.push_back(NetItem::Closed);
-        }
-    }
+fn end(k: K) -> Endpoint {
+    (HostId(k.0), Pid(k.1))
 }
 
 #[derive(Debug, Clone)]
@@ -145,8 +127,7 @@ pub struct McWorld {
     /// in the static topology is routable; worlds are fully meshed.
     cut_links: BTreeSet<(u32, u32)>,
     progs: BTreeMap<K, Box<dyn Program>>,
-    conns: BTreeMap<u64, Conn>,
-    next_conn: u64,
+    conns: ConnTable<Queues>,
     timers: BTreeMap<u64, McTimer>,
     next_timer: u64,
     child_exits: BTreeMap<K, VecDeque<(Pid, ExitStatus)>>,
@@ -192,8 +173,7 @@ impl McWorld {
             fx: Effects::new(),
             cut_links: BTreeSet::new(),
             progs: BTreeMap::new(),
-            conns: BTreeMap::new(),
-            next_conn: 1,
+            conns: ConnTable::default(),
             timers: BTreeMap::new(),
             next_timer: 1,
             child_exits: BTreeMap::new(),
@@ -277,9 +257,9 @@ impl McWorld {
     /// the protocols must deduplicate. `toward` restricts the match to
     /// queues delivering to that host. Returns `true` if a frame matched.
     pub fn stage_dup_head(&mut self, toward: Option<u32>, pred: impl Fn(&Msg) -> bool) -> bool {
-        for conn in self.conns.values_mut() {
-            let dirs = [(conn.b.0, &mut conn.to_b), (conn.a.0, &mut conn.to_a)];
-            for (dst_host, q) in dirs {
+        for (c, qs) in self.conns.iter_mut() {
+            let [to_a, to_b] = qs;
+            for (dst_host, q) in [(c.server.0 .0, to_b), (c.client.0 .0, to_a)] {
                 if toward.is_some_and(|h| h != dst_host) {
                     continue;
                 }
@@ -401,18 +381,12 @@ impl McWorld {
         for &k in &self.starts {
             moves.push(Move::Start(k));
         }
-        for (&id, conn) in &self.conns {
-            if !conn.to_a.is_empty() {
-                moves.push(Move::Net {
-                    conn: id,
-                    to_b: false,
-                });
-            }
-            if !conn.to_b.is_empty() {
-                moves.push(Move::Net {
-                    conn: id,
-                    to_b: true,
-                });
+        for c in self.conns.iter() {
+            let queues = self.conns.link(c.id).expect("a queue pair per record");
+            for (to_b, q) in [false, true].into_iter().zip(queues) {
+                if !q.is_empty() {
+                    moves.push(Move::Net { conn: c.id.0, to_b });
+                }
             }
         }
         for (host, kernel) in self.kernels.iter().enumerate() {
@@ -461,18 +435,15 @@ impl McWorld {
         match mv {
             Move::Start(k) => format!("start {}", self.proc_label(*k)),
             Move::Net { conn, to_b } => {
-                let c = &self.conns[conn];
-                let (q, dst) = if *to_b {
-                    (&c.to_b, c.b)
-                } else {
-                    (&c.to_a, c.a)
-                };
+                let c = self.conns.get(ConnId(*conn)).expect("an enabled move");
+                let dst = key(if *to_b { c.server } else { c.client });
+                let q = &self.conns.link(c.id).expect("an enabled move")[usize::from(*to_b)];
                 let what = match q.front() {
-                    Some(NetItem::Established) => "established".to_string(),
-                    Some(NetItem::Accepted { .. }) => "accepted".to_string(),
-                    Some(NetItem::Failed(e)) => format!("failed({e})"),
+                    Some(NetItem::Conn(ConnEvent::Established)) => "established".to_string(),
+                    Some(NetItem::Conn(ConnEvent::Accepted { .. })) => "accepted".to_string(),
+                    Some(NetItem::Conn(ConnEvent::Failed(e))) => format!("failed({e})"),
+                    Some(NetItem::Conn(ConnEvent::Closed)) => "closed".to_string(),
                     Some(NetItem::Msg(b)) => format!("msg {}", frame_kind(b)),
-                    Some(NetItem::Closed) => "closed".to_string(),
                     None => "empty".to_string(),
                 };
                 format!("deliver {what} -> {}", self.proc_label(dst))
@@ -549,48 +520,43 @@ impl McWorld {
 
     fn do_deliver(&mut self, conn_id: u64, to_b: bool) {
         self.clock += TICK;
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
+        let cid = ConnId(conn_id);
+        let Some(c) = self.conns.get(cid) else {
             return;
         };
-        let (item, dst) = if to_b {
-            (conn.to_b.pop_front(), conn.b)
-        } else {
-            (conn.to_a.pop_front(), conn.a)
+        let (server, to) = (c.server, if to_b { c.server } else { c.client });
+        let (dst, now) = (key(to), self.clock);
+        let queue = self.conns.link_mut(cid).map(|q| &mut q[usize::from(to_b)]);
+        let Some(item) = queue.and_then(VecDeque::pop_front) else {
+            return;
         };
-        let Some(item) = item else { return };
-        let cid = ConnId(conn_id);
-        match item {
-            NetItem::Established => {
-                self.dispatch(dst, |p, sys| {
-                    p.on_conn_event(sys, cid, ConnEvent::Established)
-                });
-            }
-            NetItem::Accepted { peer, port } => {
-                self.dispatch(dst, |p, sys| {
-                    p.on_conn_event(sys, cid, ConnEvent::Accepted { peer, port });
-                });
-            }
-            NetItem::Failed(e) => {
-                self.last_disruption_at = Some(self.clock);
-                self.dispatch(dst, |p, sys| {
-                    p.on_conn_event(sys, cid, ConnEvent::Failed(e))
-                });
-            }
+        let event = match item {
             NetItem::Msg(bytes) => {
-                self.dispatch(dst, |p, sys| p.on_message(sys, cid, bytes));
+                let (k, fx) = (&mut self.kernels[dst.0 as usize], &mut self.fx);
+                let handed = self.conns.deliver(cid, to, bytes.len(), now, k, fx);
+                self.apply_effects(dst.0);
+                if handed {
+                    self.dispatch(dst, |p, sys| p.on_message(sys, cid, bytes));
+                }
+                return;
             }
-            NetItem::Closed => {
-                self.last_disruption_at = Some(self.clock);
-                self.dispatch(dst, |p, sys| p.on_conn_event(sys, cid, ConnEvent::Closed));
+            NetItem::Conn(event) => event,
+        };
+        let kernels = &mut self.kernels;
+        match event {
+            // The handshake completes when either end first hears of it.
+            ConnEvent::Established | ConnEvent::Accepted { .. } => {
+                self.conns
+                    .establish(cid, now, &mut kernels[server.0 .0 as usize]);
+            }
+            ConnEvent::Failed(_) => self.last_disruption_at = Some(now),
+            ConnEvent::Closed => {
+                self.last_disruption_at = Some(now);
+                self.conns
+                    .told_closed(cid, to, now, &mut kernels[dst.0 as usize]);
             }
         }
-        // Drop fully drained dead connections so they stop contributing
-        // moves and digest weight.
-        if let Some(c) = self.conns.get(&conn_id) {
-            if !c.open && c.to_a.is_empty() && c.to_b.is_empty() {
-                self.conns.remove(&conn_id);
-            }
-        }
+        self.dispatch(dst, |p, sys| p.on_conn_event(sys, cid, event));
     }
 
     fn do_fault(&mut self, i: usize) {
@@ -696,25 +662,32 @@ impl McWorld {
                 h.write_u32(pid.0);
             }
         }
-        for (id, c) in &self.conns {
-            h.write_u64(*id);
-            h.write_u32(c.a.0);
-            h.write_u32(c.a.1);
-            h.write_u32(c.b.0);
-            h.write_u32(c.b.1);
-            h.write_u8(u8::from(c.open));
-            for q in [&c.to_a, &c.to_b] {
+        // A closed connection whose queues drained no longer steers
+        // anything: it stops contributing digest weight.
+        for c in self.conns.iter() {
+            let queues = self.conns.link(c.id).expect("a queue pair per record");
+            let open = c.state != ConnState::Closed;
+            if !open && queues.iter().all(VecDeque::is_empty) {
+                continue;
+            }
+            h.write_u64(c.id.0);
+            for e in [c.client, c.server] {
+                h.write_u32(e.0 .0);
+                h.write_u32(e.1 .0);
+            }
+            h.write_u8(u8::from(open));
+            for q in queues {
                 h.write_u64(q.len() as u64);
                 for item in q {
                     match item {
-                        NetItem::Established => h.write_u8(1),
-                        NetItem::Accepted { peer, port } => {
+                        NetItem::Conn(ConnEvent::Established) => h.write_u8(1),
+                        NetItem::Conn(ConnEvent::Accepted { peer, port }) => {
                             h.write_u8(2);
                             h.write_u32(peer.0 .0);
                             h.write_u32(peer.1 .0);
                             h.write_u16(port.0);
                         }
-                        NetItem::Failed(e) => {
+                        NetItem::Conn(ConnEvent::Failed(e)) => {
                             h.write_u8(3);
                             h.write(format!("{e:?}").as_bytes());
                         }
@@ -722,7 +695,7 @@ impl McWorld {
                             h.write_u8(4);
                             h.write(b);
                         }
-                        NetItem::Closed => h.write_u8(5),
+                        NetItem::Conn(ConnEvent::Closed) => h.write_u8(5),
                     }
                 }
             }
@@ -855,10 +828,8 @@ impl McWorld {
         self.timers.retain(|_, t| t.owner != k);
         // Events still queued for a dead tracer would only be no-op moves.
         self.kernels[k.0 as usize].drain_batch(Pid(k.1), |_| ());
-        for c in self.conns.values_mut() {
-            if c.open && (c.a == k || c.b == k) {
-                c.fin(k);
-            }
+        for told in self.conns.process_gone(end(k), self.clock) {
+            self.fin(told);
         }
         if let Some(ppid) = notify {
             let parent = (k.0, ppid.0);
@@ -869,6 +840,16 @@ impl McWorld {
                     .push_back((Pid(k.1), status));
             }
         }
+    }
+
+    /// One end closed or died: items travelling toward it are dropped,
+    /// and its peer, `told.to`, learns `Closed` behind any in-flight data.
+    fn fin(&mut self, told: Tell) {
+        let c = self.conns.get(told.conn).expect("just closed");
+        let toward_peer = c.toward(told.to);
+        let q = self.conns.link_mut(told.conn).expect("just closed");
+        q[1 - toward_peer].clear();
+        q[toward_peer].push_back(CLOSED);
     }
 
     /// Forks a child of `parent`; it starts via its `Start` move.
@@ -959,87 +940,61 @@ impl Sys for McSys<'_> {
         if host.0 as usize >= self.w.host_names.len() {
             return Err(SysError::NoSuchHost);
         }
-        let id = self.w.next_conn;
-        self.w.next_conn += 1;
-        let dst = host.0;
-        let listener = self.w.kernels[dst as usize].listener(port).map(|pid| pid.0);
-        let reachable = self.w.host_up[dst as usize] && self.w.route_alive(self.key.0, dst);
-        let mut conn = Conn {
-            a: self.key,
-            b: (dst, listener.unwrap_or(0)),
-            open: false,
-            to_a: VecDeque::new(),
-            to_b: VecDeque::new(),
+        let (me, w) = (end(self.key), &mut *self.w);
+        let listener = w.kernels[host.0 as usize].listener(port);
+        let reachable = w.host_up[host.0 as usize] && w.route_alive(self.key.0, host.0);
+        let Some(pid) = listener.filter(|_| reachable) else {
+            let reason = match reachable {
+                true => SysError::ConnectionRefused,
+                false => SysError::Unreachable,
+            };
+            let server = (host, listener.unwrap_or(Pid::NONE));
+            let told = w.conns.open_refused(me, server, port, reason, w.clock);
+            let queues = w.conns.link_mut(told.conn).expect("just opened");
+            queues[0].push_back(NetItem::Conn(told.event));
+            return Ok(told.conn);
         };
-        if !reachable {
-            conn.to_a.push_back(NetItem::Failed(SysError::Unreachable));
-        } else if let Some(pid) = listener {
-            conn.open = true;
-            conn.b = (dst, pid);
-            conn.to_a.push_back(NetItem::Established);
-            conn.to_b.push_back(NetItem::Accepted {
-                peer: (HostId(self.key.0), Pid(self.key.1)),
-                port,
-            });
-        } else {
-            conn.to_a
-                .push_back(NetItem::Failed(SysError::ConnectionRefused));
-        }
-        self.w.conns.insert(id, conn);
-        Ok(ConnId(id))
+        let kernel = &mut w.kernels[self.key.0 as usize];
+        let id = w.conns.open(me, (host, pid), port, w.clock, kernel);
+        let queues = w.conns.link_mut(id).expect("just opened");
+        queues[0].push_back(NetItem::Conn(ConnEvent::Established));
+        queues[1].push_back(NetItem::Conn(ConnEvent::Accepted { peer: me, port }));
+        Ok(id)
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        let me = self.key;
-        let (peer, a_is_me) = match self.w.conns.get(&conn.0) {
-            Some(c) if c.a == me || c.b == me => {
-                if !c.open {
-                    return Err(SysError::ConnectionClosed);
-                }
-                (if c.a == me { c.b } else { c.a }, c.a == me)
-            }
-            _ => return Err(SysError::NotConnected),
-        };
-        let deliverable = self.w.host_up[peer.0 as usize] && self.w.route_alive(me.0, peer.0);
-        let c = self.w.conns.get_mut(&conn.0).expect("checked above");
-        if deliverable {
-            if a_is_me {
-                c.to_b.push_back(NetItem::Msg(data));
-            } else {
-                c.to_a.push_back(NetItem::Msg(data));
-            }
+        let (me, w) = (end(self.key), &mut *self.w);
+        let (k, fx) = (&mut w.kernels[self.key.0 as usize], &mut w.fx);
+        let peer = w.conns.send(conn, me, data.len(), w.clock, k, fx)?;
+        w.apply_effects(self.key.0);
+        if w.host_up[peer.0 .0 as usize] && w.route_alive(self.key.0, peer.0 .0) {
+            let (dir, queues) = w.conns.carry(conn, me, data.len());
+            queues[dir].push_back(NetItem::Msg(data));
             return Ok(());
         }
         // Link is cut under an established connection: the send is
         // silently swallowed (TCP would buffer it); both endpoints later
         // learn Closed. This is the window the stale-route-cache bug
         // lived in.
-        c.open = false;
-        c.to_a.push_back(NetItem::Closed);
-        c.to_b.push_back(NetItem::Closed);
-        self.w.blackhole_sends += 1;
+        w.conns.sever(conn, w.clock);
+        for q in w.conns.link_mut(conn).expect("sent on") {
+            q.push_back(CLOSED);
+        }
+        w.blackhole_sends += 1;
         Ok(())
     }
 
     fn conn_alive(&self, conn: ConnId) -> bool {
-        self.w.conns.get(&conn.0).is_some_and(|c| {
-            c.open
-                && self.w.proc_alive(c.a)
-                && self.w.proc_alive(c.b)
-                && self.w.route_alive(c.a.0, c.b.0)
-        })
+        let peer = self.w.conns.established(conn, end(self.key));
+        // The caller is alive: it is running.
+        peer.is_some_and(|p| self.w.proc_alive(key(p)) && self.w.route_alive(self.key.0, p.0 .0))
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        let me = self.key;
-        let Some(c) = self.w.conns.get_mut(&conn.0) else {
-            return Err(SysError::NotConnected);
-        };
-        if c.a != me && c.b != me {
-            return Err(SysError::NotConnected);
-        }
-        if c.open {
-            c.fin(me);
+        let (me, w) = (end(self.key), &mut *self.w);
+        let kernel = &mut w.kernels[self.key.0 as usize];
+        if let Some(told) = w.conns.close(conn, me, w.clock, kernel)? {
+            w.fin(told);
         }
         Ok(())
     }

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ppm_runtime::ids::{HostId, Pid, Port};
+use ppm_runtime::ids::{ConnId, HostId, Pid, Port};
 use ppm_runtime::program::SysError;
 
 use crate::node::NodeEvent;
@@ -102,18 +102,18 @@ pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Bytes>> {
 
 /// Spawns the per-connection reader thread: turns the byte stream back
 /// into framed messages and forwards them to the owning node's queue.
-pub fn spawn_reader(conn: ppm_runtime::ids::ConnId, mut stream: TcpStream, tx: Sender<NodeEvent>) {
+pub fn spawn_reader(conn: ConnId, to: Pid, mut stream: TcpStream, tx: Sender<NodeEvent>) {
     std::thread::Builder::new()
         .name(format!("ppm-reader-{}", conn.0))
         .spawn(move || loop {
             match read_frame(&mut stream) {
                 Ok(Some(data)) => {
-                    if tx.send(NodeEvent::Incoming { conn, data }).is_err() {
+                    if tx.send(NodeEvent::Incoming { conn, to, data }).is_err() {
                         return;
                     }
                 }
                 Ok(None) | Err(_) => {
-                    let _ = tx.send(NodeEvent::PeerClosed { conn });
+                    let _ = tx.send(NodeEvent::PeerClosed { conn, to });
                     return;
                 }
             }
@@ -178,7 +178,7 @@ pub fn spawn_acceptor(
 /// [`SysError::ConnectionRefused`], which clients treat like a TCP RST
 /// and retry at the protocol layer.
 pub fn spawn_connector(
-    conn: ppm_runtime::ids::ConnId,
+    conn: ConnId,
     src: (HostId, Pid),
     dst: (HostId, Port),
     ports: PortMap,

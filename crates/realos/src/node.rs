@@ -31,11 +31,11 @@ use std::time::Duration;
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
 
-use ppm_runtime::fd::FdKind;
+use ppm_runtime::conn::{ConnTable, Tell};
 use ppm_runtime::ids::{ConnId, HostId, Pid, Port, Uid};
 use ppm_runtime::kernel::{Effect, Effects, Kernel};
 use ppm_runtime::obs::HubRef;
-use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
+use ppm_runtime::program::{Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::time::{Micros, SimDuration};
 use ppm_runtime::trace::TraceCategory;
@@ -51,6 +51,8 @@ pub enum NodeEvent {
     Incoming {
         /// Local connection id.
         conn: ConnId,
+        /// The local process holding this end.
+        to: Pid,
         /// The frame payload.
         data: Bytes,
     },
@@ -72,6 +74,8 @@ pub enum NodeEvent {
     PeerClosed {
         /// Local connection id.
         conn: ConnId,
+        /// The local process holding this end.
+        to: Pid,
     },
     /// The acceptor took a new inbound connection on `port`.
     AcceptedConn {
@@ -113,11 +117,7 @@ pub enum NodeEvent {
 /// Work queued during a program callback, run after it returns.
 enum Deferred {
     Start(Pid),
-    ConnEvt {
-        owner: Pid,
-        conn: ConnId,
-        event: ConnEvent,
-    },
+    Tell(Tell),
     Deliver {
         owner: Pid,
         conn: ConnId,
@@ -137,30 +137,6 @@ enum Deferred {
     },
 }
 
-enum RConnState {
-    /// Connector thread still working; sends are queued.
-    Connecting { queued: Vec<Bytes> },
-    /// Stream live; sends write through.
-    Up { stream: TcpStream },
-    /// Closed by either side.
-    Closed,
-}
-
-struct RConn {
-    owner: Pid,
-    state: RConnState,
-}
-
-impl RConn {
-    /// Closes the local end; the peer's reader thread sees EOF.
-    fn shut(&mut self) {
-        if let RConnState::Up { stream } = &self.state {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        self.state = RConnState::Closed;
-    }
-}
-
 /// The state owned by one node's event-loop thread.
 pub struct NodeCore {
     host: HostId,
@@ -172,8 +148,11 @@ pub struct NodeCore {
     /// The kernel's effects sink, drained after every kernel call.
     fx: Effects,
     programs: HashMap<Pid, Box<dyn Program>>,
-    conns: HashMap<ConnId, RConn>,
-    next_conn: u64,
+    /// The ends of streams this node holds, each with its socket once the
+    /// stream is up. The far end is its own node's to hold: a connect
+    /// records it as `(host, Pid::NONE)`, an accept as the `<host, pid>`
+    /// the client sent; it hears of a close as end of file.
+    conns: ConnTable<Option<TcpStream>>,
     /// Liveness flags of the acceptor threads behind the kernel's
     /// listeners; a flag drops when its port is unpublished.
     acceptors: HashMap<Port, Arc<AtomicBool>>,
@@ -202,8 +181,9 @@ impl NodeCore {
             kernel: Kernel::new(Micros::ZERO),
             fx: Effects::new(),
             programs: HashMap::new(),
-            conns: HashMap::new(),
-            next_conn: 1,
+            // Ids carry the host in their upper bits, so they never
+            // collide across the cluster in traces.
+            conns: ConnTable::numbered_from(u64::from(host.0) << 40),
             acceptors: HashMap::new(),
             actions: VecDeque::new(),
             timers: BinaryHeap::new(),
@@ -241,79 +221,38 @@ impl NodeCore {
 
     fn handle(&mut self, ev: NodeEvent) {
         match ev {
-            NodeEvent::Incoming { conn, data } => {
-                let Some(c) = self.conns.get(&conn) else {
-                    return;
-                };
-                if matches!(c.state, RConnState::Closed) {
-                    return;
+            NodeEvent::Incoming { conn, to, data } => {
+                let (now, to) = (self.now(), (self.host, to));
+                let (k, fx) = (&mut self.kernel, &mut self.fx);
+                if self.conns.deliver(conn, to, data.len(), now, k, fx) {
+                    self.apply_effects();
+                    let owner = to.1;
+                    self.actions
+                        .push_back(Deferred::Deliver { owner, conn, data });
                 }
-                let owner = c.owner;
-                self.kernel_call(|k, now, fx| k.account_received(owner, data.len(), now, fx));
-                self.actions
-                    .push_back(Deferred::Deliver { owner, conn, data });
             }
             NodeEvent::ConnUp { conn, stream } => {
                 stream.set_nodelay(true).ok();
-                let Some(c) = self.conns.get_mut(&conn) else {
+                let now = self.now();
+                // A connection closed meanwhile drops the stream here.
+                let Some([_, told]) = self.conns.establish(conn, now, &mut self.kernel) else {
                     return;
                 };
-                let owner = c.owner;
-                let queued = match &mut c.state {
-                    RConnState::Connecting { queued } => std::mem::take(queued),
-                    _ => return,
-                };
-                let mut writer = stream.try_clone().expect("clone stream");
-                net::spawn_reader(conn, stream, self.tx.clone());
-                let mut broke = false;
-                for frame in &queued {
-                    if net::write_frame(&mut writer, frame).is_err() {
-                        broke = true;
-                        break;
-                    }
-                }
-                if broke {
-                    c.state = RConnState::Closed;
-                    self.actions.push_back(Deferred::ConnEvt {
-                        owner,
-                        conn,
-                        event: ConnEvent::Closed,
-                    });
-                    return;
-                }
-                c.state = RConnState::Up { stream: writer };
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Established,
-                });
+                self.attach(conn, told.to.1, stream);
+                self.tell(told);
             }
             NodeEvent::ConnFail { conn, error } => {
-                let Some(c) = self.conns.get_mut(&conn) else {
-                    return;
-                };
-                let owner = c.owner;
-                c.state = RConnState::Closed;
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Failed(error),
-                });
+                let now = self.now();
+                let told = self.conns.refuse(conn, error, now, &mut self.kernel);
+                told.into_iter().for_each(|t| self.tell(t));
             }
-            NodeEvent::PeerClosed { conn } => {
-                let Some(c) = self.conns.get_mut(&conn) else {
-                    return;
-                };
-                if matches!(c.state, RConnState::Closed) {
-                    return;
+            NodeEvent::PeerClosed { conn, to } => {
+                // End of file after a close of this end's own is not news.
+                let (now, to) = (self.now(), (self.host, to));
+                if self.conns.told_closed(conn, to, now, &mut self.kernel) {
+                    self.shut(conn);
+                    self.tell(Tell::closed(conn, to));
                 }
-                let owner = c.owner;
-                c.state = RConnState::Closed;
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Closed,
-                });
             }
             NodeEvent::AcceptedConn { port, peer, stream } => {
                 // A dead owner's port is already unpublished.
@@ -321,22 +260,10 @@ impl NodeCore {
                     let _ = stream.shutdown(Shutdown::Both);
                     return;
                 };
-                let conn = self.alloc_conn();
-                let writer = stream.try_clone().expect("clone stream");
-                net::spawn_reader(conn, stream, self.tx.clone());
-                self.conns.insert(
-                    conn,
-                    RConn {
-                        owner,
-                        state: RConnState::Up { stream: writer },
-                    },
-                );
-                self.kernel.alloc_fd(owner, FdKind::Socket { conn });
-                self.actions.push_back(Deferred::ConnEvt {
-                    owner,
-                    conn,
-                    event: ConnEvent::Accepted { peer, port },
-                });
+                let (now, server) = (self.now(), (self.host, owner));
+                let told = self.conns.accept(peer, server, port, now, &mut self.kernel);
+                self.attach(told.conn, owner, stream);
+                self.tell(told);
             }
             NodeEvent::SpawnUser { uid, spec, reply } => {
                 let _ = reply.send(Ok(self.spawn_proc(Pid::INIT, uid, spec)));
@@ -388,11 +315,8 @@ impl NodeCore {
         while let Some(action) = self.actions.pop_front() {
             match action {
                 Deferred::Start(pid) => self.do_start(pid),
-                Deferred::ConnEvt { owner, conn, event } => {
-                    if matches!(event, ConnEvent::Closed | ConnEvent::Failed(_)) {
-                        self.kernel.release_socket(owner, conn);
-                    }
-                    self.with_program(owner, |prog, sys| prog.on_conn_event(sys, conn, event));
+                Deferred::Tell(Tell { conn, to, event }) => {
+                    self.with_program(to.1, |prog, sys| prog.on_conn_event(sys, conn, event));
                 }
                 Deferred::Deliver { owner, conn, data } => {
                     self.with_program(owner, |prog, sys| prog.on_message(sys, conn, data));
@@ -480,8 +404,9 @@ impl NodeCore {
                     bound
                 });
                 // The peers' reader threads see EOF and report Closed there.
-                for c in self.conns.values_mut().filter(|c| c.owner == pid) {
-                    c.shut();
+                let now = self.now();
+                for told in self.conns.process_gone((self.host, pid), now) {
+                    self.shut(told.conn);
                 }
                 self.programs.remove(&pid);
                 if let Some(parent) = notify {
@@ -517,12 +442,26 @@ impl NodeCore {
 
     // ---- helpers ---------------------------------------------------------
 
-    fn alloc_conn(&mut self) -> ConnId {
-        // Upper bits carry the host so conn ids never collide across the
-        // cluster in traces.
-        let id = ConnId(((self.host.0 as u64) << 40) | self.next_conn);
-        self.next_conn += 1;
-        id
+    /// Puts a live stream under `conn`, read for `owner` on a thread of
+    /// its own.
+    fn attach(&mut self, conn: ConnId, owner: Pid, stream: TcpStream) {
+        let writer = stream.try_clone().expect("clone stream");
+        net::spawn_reader(conn, owner, stream, self.tx.clone());
+        *self.conns.link_mut(conn).expect("a held connection") = Some(writer);
+    }
+
+    /// Closes this end's socket, if it has one; the far end's reader
+    /// sees end of file.
+    fn shut(&mut self, conn: ConnId) {
+        if let Some(stream) = self.conns.link_mut(conn).and_then(Option::take) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Queues what a connection transition told a process on this node
+    /// (a far end hears from its own node).
+    fn tell(&mut self, told: Tell) {
+        self.actions.push_back(Deferred::Tell(told));
     }
 
     /// A note from the node itself (its programs' go through `Sys`).
@@ -562,8 +501,8 @@ impl NodeCore {
         for alive in self.acceptors.values() {
             alive.store(false, Ordering::SeqCst);
         }
-        for c in self.conns.values_mut() {
-            c.shut();
+        for stream in self.conns.iter_mut().filter_map(|(_, s)| s.take()) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         let mut ports = self.cluster.ports.lock().unwrap();
         ports.retain(|&(host, _), _| host != self.host);
@@ -633,18 +572,12 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
         if host.0 >= known {
             return Err(SysError::NoSuchHost);
         }
-        let conn = self.node.alloc_conn();
-        self.node.conns.insert(
-            conn,
-            RConn {
-                owner: self.pid,
-                state: RConnState::Connecting { queued: Vec::new() },
-            },
-        );
-        self.node.kernel.alloc_fd(self.pid, FdKind::Socket { conn });
+        let (me, node) = ((self.node.host, self.pid), &mut *self.node);
+        let far = (host, Pid::NONE);
+        let conn = node.conns.open(me, far, port, node.now(), &mut node.kernel);
         net::spawn_connector(
             conn,
-            (self.node.host, self.pid),
+            me,
             (host, port),
             Arc::clone(&self.node.cluster.ports),
             self.node.tx.clone(),
@@ -653,53 +586,33 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        let c = self
-            .node
-            .conns
-            .get_mut(&conn)
-            .ok_or(SysError::NotConnected)?;
-        if c.owner != self.pid {
-            return Err(SysError::NotConnected);
+        let (me, node) = ((self.node.host, self.pid), &mut *self.node);
+        let (now, len) = (node.now(), data.len());
+        node.conns
+            .send(conn, me, len, now, &mut node.kernel, &mut node.fx)?;
+        node.apply_effects();
+        let (_, stream) = node.conns.carry(conn, me, len);
+        if let Some(Ok(())) = stream.as_mut().map(|s| net::write_frame(s, &data)) {
+            return Ok(());
         }
-        let len = data.len();
-        let mut closed_now = false;
-        match &mut c.state {
-            RConnState::Connecting { queued } => queued.push(data),
-            RConnState::Up { stream } => {
-                if net::write_frame(stream, &data).is_err() {
-                    closed_now = true;
-                }
-            }
-            RConnState::Closed => return Err(SysError::ConnectionClosed),
-        }
-        if closed_now {
-            c.state = RConnState::Closed;
-            let owner = c.owner;
-            self.node.actions.push_back(Deferred::ConnEvt {
-                owner,
-                conn,
-                event: ConnEvent::Closed,
-            });
-            return Err(SysError::ConnectionClosed);
-        }
-        let pid = self.pid;
-        self.node
-            .kernel_call(|k, now, fx| k.account_sent(pid, len, now, fx));
-        Ok(())
+        // The stream broke under the write: this end learns it now.
+        node.shut(conn);
+        node.conns.told_closed(conn, me, now, &mut node.kernel);
+        node.tell(Tell::closed(conn, me));
+        Err(SysError::ConnectionClosed)
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        let c = self
-            .node
-            .conns
-            .get_mut(&conn)
-            .ok_or(SysError::NotConnected)?;
-        if c.owner != self.pid {
-            return Err(SysError::NotConnected);
-        }
-        c.shut();
-        self.node.kernel.release_socket(self.pid, conn);
+        let (me, node) = ((self.node.host, self.pid), &mut *self.node);
+        // The far end hears of it from its socket, not from the table.
+        node.conns.close(conn, me, node.now(), &mut node.kernel)?;
+        node.shut(conn);
         Ok(())
+    }
+
+    fn conn_alive(&self, conn: ConnId) -> bool {
+        let me = (self.node.host, self.pid);
+        self.node.conns.established(conn, me).is_some()
     }
 
     fn host(&self) -> HostId {

@@ -70,6 +70,11 @@ impl fmt::Display for Pid {
 impl Pid {
     /// The init/system pseudo-process that owns per-host daemons.
     pub const INIT: Pid = Pid(1);
+
+    /// No process: no kernel hands out pid 0, so a descriptor or an
+    /// accounting call for it does nothing. A connection end that is
+    /// not known by its pid is recorded under it.
+    pub const NONE: Pid = Pid(0);
 }
 
 /// A user id. Uid 0 is the superuser, as in UNIX.

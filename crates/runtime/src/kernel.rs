@@ -569,9 +569,9 @@ impl Kernel {
     }
 
     /// Gives back the socket descriptor `pid` holds for `conn`, if any.
-    /// A backend calls this for the end that closes a connection and for
-    /// the end that is told it closed or failed, so a long-lived process
-    /// lists the sockets it has, not every one it ever had.
+    /// The connection table ([`crate::conn`]) calls this for the end that
+    /// closes a connection and for the end told it closed or failed, so a
+    /// long-lived process lists the sockets it has, not all it ever had.
     pub fn release_socket(&mut self, pid: Pid, conn: ConnId) {
         if let Ok(p) = self.live_mut(pid) {
             if let Some(fd) = p.fds.fd_for_conn(conn) {

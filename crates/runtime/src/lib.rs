@@ -11,6 +11,8 @@
 //!   the kernel-event vocabulary of the paper's extended `ptrace`.
 //! * [`kernel`] — the pure per-host process table (fork genealogy, tracer
 //!   bookkeeping, load average), reused verbatim by both backends.
+//! * [`conn`] — the one stream-connection table and state machine, with
+//!   the open-connection index, under every backend.
 //! * [`program`] — the [`program::Program`] actor trait every LPM, pmd,
 //!   inetd, tool and workload implements.
 //! * [`sys`] — the [`sys::Sys`] syscall facade handed to programs: a
@@ -29,6 +31,7 @@
 //! discrete-event engine); the real one in `ppm-realos` (loopback TCP,
 //! monotonic clock, thread-per-node event loops).
 
+pub mod conn;
 pub mod events;
 pub mod fd;
 pub mod hashx;

@@ -82,6 +82,11 @@ impl<T> Pages<T> {
         self.pages.iter().flatten()
     }
 
+    /// All items mutably, in push order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.pages.iter_mut().flatten()
+    }
+
     /// Drops every item and page.
     pub fn clear(&mut self) {
         self.pages.clear();

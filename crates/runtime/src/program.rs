@@ -86,7 +86,7 @@ impl fmt::Display for SysError {
 impl Error for SysError {}
 
 /// Connection lifecycle notifications delivered to [`Program::on_conn_event`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConnEvent {
     /// Server side: a client connected to a port this process listens on.
     Accepted {

@@ -105,12 +105,12 @@ pub trait Sys {
     /// [`SysError::NotConnected`] if the caller is not an endpoint.
     fn close(&mut self, conn: ConnId) -> Result<(), SysError>;
 
-    /// Whether a connection is believed deliverable right now: the
-    /// endpoints are up and the link between them is routable. Programs
-    /// use this to validate cached next-hops before committing a send to
-    /// them — a connection can look established while a fresh link cut
-    /// has not yet produced its closed notification. Backends without
-    /// that visibility (real TCP) report `true` and rely on send errors.
+    /// Whether a connection is believed deliverable right now: the caller
+    /// holds it established ([`crate::conn::ConnTable::established`]),
+    /// and as far as the backend can see, the peer is up and routable.
+    /// Programs use this to validate cached next-hops before committing a
+    /// send to them — a connection can look established while a fresh
+    /// link cut has not yet produced its closed notification.
     fn conn_alive(&self, conn: ConnId) -> bool {
         let _ = conn;
         true

@@ -30,13 +30,17 @@ impl<'a> Sys<'a> {
         Sys { core, key }
     }
 
-    /// Accounts a received stream message against the caller and emits
-    /// the IPC kernel event if traced. Called by the world at actual
+    /// A stream message reaches the caller: accounted to it, and `true`,
+    /// if it is to be handed over. Called by the world at actual
     /// delivery time.
-    pub(crate) fn account_msg_received(&mut self, bytes: usize) {
-        let (host, pid) = self.key;
-        self.core
-            .kernel_call(host, |k, now, fx| k.account_received(pid, bytes, now, fx));
+    pub(crate) fn delivered(&mut self, conn: ConnId, bytes: usize) -> bool {
+        let (core, to) = (&mut *self.core, self.key);
+        let (now, kernel) = (core.now(), &mut core.hosts[to.0 .0 as usize]);
+        let handed = core
+            .conns
+            .deliver(conn, to, bytes, now, kernel, &mut core.fx);
+        core.apply_effects(to.0);
+        handed
     }
 }
 

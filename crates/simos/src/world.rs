@@ -30,9 +30,8 @@ use ppm_simnet::topology::{HostId, HostSpec, NetSpec, Topology};
 
 use crate::config::OsConfig;
 use crate::ids::{ConnId, Pid, Port, Uid};
-use crate::net::{ConnState, ConnTable, Connection};
 use crate::sys::Sys;
-use ppm_runtime::fd::FdKind;
+use ppm_runtime::conn::{ConnState, ConnTable, Connection, Tell};
 use ppm_runtime::kernel::Kernel;
 use ppm_runtime::process::ProcState;
 use ppm_runtime::program::{ConnEvent, ProcKey, Program, SigAction, SpawnSpec, SysError};
@@ -54,15 +53,8 @@ pub(crate) enum SimEvent {
     ConnEstablish {
         conn: ConnId,
     },
-    ConnFailed {
-        conn: ConnId,
-        to: ProcKey,
-        reason: SysError,
-    },
-    ConnClosedNotify {
-        conn: ConnId,
-        to: ProcKey,
-    },
+    /// Tell one end what became of its connection (`Failed`, `Closed`).
+    Tell(Tell),
     /// Deliver the pending kernel-event batch for `to` (armed by the
     /// first event of the batch; later events ride the same wakeup).
     KernelFlush {
@@ -130,6 +122,11 @@ pub(crate) struct NetObs {
     prev_bisection: u64,
 }
 
+/// Earliest admissible arrival time of the next message on a connection,
+/// per direction ([`Connection::toward`]), enforcing FIFO despite
+/// jittered latencies: the sim's transport beside each record.
+pub type Floors = [SimTime; 2];
+
 /// The state of the world. Syscalls (via [`Sys`]) operate on this; the
 /// [`World`] wrapper runs the loop.
 pub struct WorldCore {
@@ -145,8 +142,8 @@ pub struct WorldCore {
     /// semantics live there; this world only schedules what it asks for.
     pub(crate) hosts: Vec<Kernel>,
     /// The kernels' effects sink, drained after every kernel call.
-    fx: Effects,
-    pub(crate) conns: ConnTable,
+    pub(crate) fx: Effects,
+    pub(crate) conns: ConnTable<Floors>,
     pub(crate) services: Services,
     /// The behaviour of every live process that has one. A program is
     /// taken out for the duration of its own callback, so the callback's
@@ -264,13 +261,8 @@ impl WorldCore {
         self.conns.iter()
     }
 
-    /// One connection by id.
-    pub fn connection(&self, id: ConnId) -> Option<&Connection> {
-        self.conns.get(id)
-    }
-
     /// The connection table, with its index of the open connections.
-    pub fn conn_table(&self) -> &ConnTable {
+    pub fn conn_table(&self) -> &ConnTable<Floors> {
         &self.conns
     }
 
@@ -395,9 +387,14 @@ impl WorldCore {
             Effect::Gone(pid, status, notify) => {
                 self.programs.remove(&(host, pid));
                 self.deferred.remove(&(host, pid));
-                let held: Vec<ConnId> = self.conns.held_by((host, pid)).collect();
-                for id in held {
-                    self.break_conn(id, (host, pid));
+                let now = self.now();
+                for t in self.conns.process_gone((host, pid), now) {
+                    if let RouteState::Hops(hops) = self.route_state(host, t.to.0) {
+                        let jf = self.latency.jitter_fraction;
+                        let base = self.one_way(hops, host, t.to.0, 32);
+                        let delay = self.rng.jitter(base, jf);
+                        self.engine.schedule(delay, SimEvent::Tell(t));
+                    }
                 }
                 if let Some(ppid) = notify {
                     let delay = self.config.child_exit_latency;
@@ -510,67 +507,42 @@ impl WorldCore {
             return Err(SysError::NoSuchHost);
         }
         let now = self.now();
-        let reach = self.route_state(from.0, target);
-        match reach {
-            RouteState::HostDown | RouteState::Unreachable => {
-                // SYN goes nowhere; timeout later.
-                let reason = if matches!(reach, RouteState::HostDown) {
-                    SysError::HostDown
-                } else {
-                    SysError::Unreachable
-                };
-                let delay = self.config.connect_timeout;
-                // Connection record kept so a late close() is harmless.
-                let id = self.conns.open(from, (target, Pid::INIT), port, now);
-                self.conns.close(id, now);
-                self.engine.schedule(
-                    delay,
-                    SimEvent::ConnFailed {
-                        conn: id,
-                        to: from,
-                        reason,
-                    },
-                );
-                Ok(id)
-            }
+        // A SYN that goes nowhere times out; a refused one comes back as an
+        // RST after one round trip. Either way the record is kept, so a
+        // late `close` is harmless.
+        let (delay, reason) = match self.route_state(from.0, target) {
+            RouteState::HostDown => (self.config.connect_timeout, SysError::HostDown),
+            RouteState::Unreachable => (self.config.connect_timeout, SysError::Unreachable),
             RouteState::Hops(hops) => {
-                let server_pid = match self.kernel(target).listener(port) {
-                    Some(pid) => pid,
-                    None => {
-                        // RST: refused after one round trip.
-                        let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
-                        let id = self.conns.open(from, (target, Pid::INIT), port, now);
-                        self.conns.close(id, now);
-                        self.engine.schedule(
-                            rtt,
-                            SimEvent::ConnFailed {
-                                conn: id,
-                                to: from,
-                                reason: SysError::ConnectionRefused,
-                            },
-                        );
+                let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
+                match self.kernel(target).listener(port) {
+                    None => (rtt, SysError::ConnectionRefused),
+                    Some(server_pid) => {
+                        let kernel = &mut self.hosts[from.0 .0 as usize];
+                        let id = self
+                            .conns
+                            .open(from, (target, server_pid), port, now, kernel);
+                        self.engine
+                            .schedule(rtt, SimEvent::ConnEstablish { conn: id });
+                        let connecting = Note::Connecting {
+                            pid: from.1,
+                            to: &self.topo.spec(target).name,
+                            port,
+                            hops,
+                            conn: id,
+                        };
+                        self.obs
+                            .trace
+                            .note(now, Some(from.0), TraceCategory::Net, connecting);
                         return Ok(id);
                     }
-                };
-                let id = self.conns.open(from, (target, server_pid), port, now);
-                self.kernel_mut(from.0)
-                    .alloc_fd(from.1, FdKind::Socket { conn: id });
-                let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
-                self.engine
-                    .schedule(rtt, SimEvent::ConnEstablish { conn: id });
-                let connecting = Note::Connecting {
-                    pid: from.1,
-                    to: &self.topo.spec(target).name,
-                    port,
-                    hops,
-                    conn: id,
-                };
-                self.obs
-                    .trace
-                    .note(now, Some(from.0), TraceCategory::Net, connecting);
-                Ok(id)
+                }
             }
-        }
+        };
+        let server = (target, Pid::INIT);
+        let told = self.conns.open_refused(from, server, port, reason, now);
+        self.engine.schedule(delay, SimEvent::Tell(told));
+        Ok(told.conn)
     }
 
     fn rtt(&mut self, hops: u32, a: HostId, b: HostId, bytes: usize) -> SimDuration {
@@ -604,14 +576,8 @@ impl WorldCore {
     /// after the detection interval — this is the send-time liveness
     /// check programs use to validate cached next-hops.
     pub(crate) fn conn_alive(&self, from: ProcKey, conn: ConnId) -> bool {
-        let Some(c) = self.conns.get(conn) else {
-            return false;
-        };
-        if !c.has_endpoint(from) || c.state != ConnState::Established {
-            return false;
-        }
-        let peer = c.peer_of(from).expect("endpoint checked");
-        matches!(self.route_state(from.0, peer.0), RouteState::Hops(_))
+        let peer = self.conns.established(conn, from);
+        peer.is_some_and(|p| matches!(self.route_state(from.0, p.0), RouteState::Hops(_)))
     }
 
     /// Sends bytes on an established connection. Returns `Ok` when the
@@ -623,18 +589,12 @@ impl WorldCore {
         conn: ConnId,
         data: Bytes,
     ) -> Result<(), SysError> {
-        let (peer, state) = match self.conns.get(conn) {
-            Some(c) if c.has_endpoint(from) => (c.peer_of(from).expect("endpoint"), c.state),
-            Some(_) => return Err(SysError::NotConnected),
-            None => return Err(SysError::NotConnected),
-        };
-        match state {
-            ConnState::Connecting => return Err(SysError::NotConnected),
-            ConnState::Closed => return Err(SysError::ConnectionClosed),
-            ConnState::Established => {}
-        }
-        let len = data.len();
-        self.kernel_call(from.0, |k, now, fx| k.account_sent(from.1, len, now, fx));
+        let (len, now) = (data.len(), self.now());
+        let kernel = &mut self.hosts[from.0 .0 as usize];
+        let peer = self
+            .conns
+            .send(conn, from, len, now, kernel, &mut self.fx)?;
+        self.apply_effects(from.0);
         let reach = self.route_state(from.0, peer.0);
         let hops = match reach {
             RouteState::Hops(h) => h,
@@ -644,9 +604,9 @@ impl WorldCore {
                 let jf = self.config.cost_jitter;
                 let base = self.config.break_detection;
                 let delay = self.rng.jitter(base, jf);
-                self.mark_closed(conn);
+                self.conns.sever(conn, now);
                 self.engine
-                    .schedule(delay, SimEvent::ConnClosedNotify { conn, to: from });
+                    .schedule(delay, SimEvent::Tell(Tell::closed(conn, from)));
                 self.tracef(
                     Some(from.0),
                     TraceCategory::Net,
@@ -690,9 +650,9 @@ impl WorldCore {
                 // this cannot fire today; handle it like any dead route.
                 let base = self.config.break_detection;
                 let delay = self.rng.jitter(base, self.config.cost_jitter);
-                self.mark_closed(conn);
+                self.conns.sever(conn, now);
                 self.engine
-                    .schedule(delay, SimEvent::ConnClosedNotify { conn, to: from });
+                    .schedule(delay, SimEvent::Tell(Tell::closed(conn, from)));
                 return Ok(());
             }
         };
@@ -724,13 +684,9 @@ impl WorldCore {
             return Ok(());
         }
         let delay = SimDuration::from_micros(delay.as_micros() + fate.extra.as_micros());
-        let c = self.conns.get_mut(conn).expect("checked above");
-        let dir = c.record_send(from, len);
-        let mut arrival = self.engine.now() + delay;
-        if arrival < c.next_arrival[dir] {
-            arrival = c.next_arrival[dir];
-        }
-        c.next_arrival[dir] = arrival + SimDuration::from_micros(1);
+        let (dir, floors) = self.conns.carry(conn, from, len);
+        let mut arrival = (now + delay).max(floors[dir]);
+        floors[dir] = arrival + SimDuration::from_micros(1);
         if let Some(skew) = fate.reorder {
             // Land past the slot without raising the FIFO floor, so later
             // traffic in the same direction overtakes this message.
@@ -761,47 +717,22 @@ impl WorldCore {
     /// TCP FIN, the notification is ordered after data already in flight
     /// toward the peer.
     pub(crate) fn close(&mut self, from: ProcKey, conn: ConnId) -> Result<(), SysError> {
-        let (peer, state, dir_floor) = match self.conns.get(conn) {
-            Some(c) if c.has_endpoint(from) => {
-                let peer = c.peer_of(from).expect("endpoint");
-                let dir = if peer == c.server { 1 } else { 0 };
-                (peer, c.state, c.next_arrival[dir])
-            }
-            _ => return Err(SysError::NotConnected),
-        };
-        self.kernel_mut(from.0).release_socket(from.1, conn);
-        if state == ConnState::Closed {
+        let now = self.now();
+        let kernel = &mut self.hosts[from.0 .0 as usize];
+        let Some(told) = self.conns.close(conn, from, now, kernel)? else {
             return Ok(());
-        }
-        self.mark_closed(conn);
+        };
+        let peer = told.to;
         if let RouteState::Hops(hops) = self.route_state(from.0, peer.0) {
             let jf = self.latency.jitter_fraction;
             let base = self.one_way(hops, from.0, peer.0, 32);
             let delay = self.rng.jitter(base, jf);
-            let mut at = self.engine.now() + delay;
-            if at < dir_floor {
-                at = dir_floor;
-            }
+            let c = self.conns.get(conn).expect("just closed");
+            let floor = self.conns.link(conn).expect("just closed")[c.toward(peer)];
             self.engine
-                .schedule_at(at, SimEvent::ConnClosedNotify { conn, to: peer });
+                .schedule_at((now + delay).max(floor), SimEvent::Tell(told));
         }
         Ok(())
-    }
-
-    /// Marks a connection closed and schedules a close notification to the
-    /// peer of `dead_end`'s counterpart (used on process exit).
-    fn break_conn(&mut self, conn: ConnId, dead_end: ProcKey) {
-        let peer = self.conns.get(conn).and_then(|c| c.peer_of(dead_end));
-        self.mark_closed(conn);
-        if let Some(peer) = peer {
-            if let RouteState::Hops(hops) = self.route_state(dead_end.0, peer.0) {
-                let jf = self.latency.jitter_fraction;
-                let base = self.one_way(hops, dead_end.0, peer.0, 32);
-                let delay = self.rng.jitter(base, jf);
-                self.engine
-                    .schedule(delay, SimEvent::ConnClosedNotify { conn, to: peer });
-            }
-        }
     }
 
     /// Records one routed delivery into the `net.*` metrics.
@@ -838,11 +769,6 @@ impl WorldCore {
             .registry
             .add(ids.bisection_bytes, bis - ids.prev_bisection);
         ids.prev_bisection = bis;
-    }
-
-    pub(crate) fn mark_closed(&mut self, conn: ConnId) {
-        let now = self.now();
-        self.conns.close(conn, now);
     }
 
     fn route_state(&self, a: HostId, b: HostId) -> RouteState {
@@ -1239,17 +1165,6 @@ impl World {
                 self.with_program(key, Some(resched), |p, sys| p.on_timer(sys, token));
             }
             SimEvent::Deliver { conn, to, data } => {
-                // Data already on the wire is delivered even if the
-                // connection closed meanwhile (TCP delivers data queued
-                // before a FIN); only never-established connections drop.
-                let alive_conn = self
-                    .core
-                    .conns
-                    .get(conn)
-                    .is_some_and(|c| c.state != ConnState::Connecting);
-                if !alive_conn {
-                    return;
-                }
                 if !self.core.is_alive(to) {
                     return;
                 }
@@ -1261,24 +1176,13 @@ impl World {
                     data: data.clone(),
                 };
                 self.with_program(to, Some(resched), |p, sys| {
-                    sys.account_msg_received(data.len());
-                    p.on_message(sys, conn, data)
+                    if sys.delivered(conn, data.len()) {
+                        p.on_message(sys, conn, data)
+                    }
                 });
             }
             SimEvent::ConnEstablish { conn } => self.handle_establish(conn),
-            SimEvent::ConnFailed { conn, to, reason } => {
-                self.core.kernel_mut(to.0).release_socket(to.1, conn);
-                self.with_program(to, None, |p, sys| {
-                    p.on_conn_event(sys, conn, ConnEvent::Failed(reason))
-                });
-            }
-            SimEvent::ConnClosedNotify { conn, to } => {
-                self.core.mark_closed(conn);
-                self.core.kernel_mut(to.0).release_socket(to.1, conn);
-                self.with_program(to, None, |p, sys| {
-                    p.on_conn_event(sys, conn, ConnEvent::Closed)
-                });
-            }
+            SimEvent::Tell(told) => self.tell(told),
             SimEvent::KernelFlush { to } => {
                 let kernel = self.core.kernel_mut(to.0);
                 let flush = |msgs: &[_]| (msgs.len(), encode_batch(msgs));
@@ -1383,14 +1287,23 @@ impl World {
         }
     }
 
-    fn handle_establish(&mut self, conn: ConnId) {
-        let (client, server, port, state) = match self.core.conns.get(conn) {
-            Some(c) => (c.client, c.server, c.port, c.state),
-            None => return,
-        };
-        if state != ConnState::Connecting {
-            return;
+    /// Hands one end what a connection transition told it; an end told
+    /// `Closed` gives its descriptor back first.
+    fn tell(&mut self, told: Tell) {
+        let Tell { conn, to, event } = told;
+        if event == ConnEvent::Closed {
+            let (now, kernel) = (self.core.now(), &mut self.core.hosts[to.0 .0 as usize]);
+            self.core.conns.told_closed(conn, to, now, kernel);
         }
+        self.with_program(to, None, |p, sys| p.on_conn_event(sys, conn, event));
+    }
+
+    fn handle_establish(&mut self, conn: ConnId) {
+        let c = self.core.conns.get(conn);
+        let Some(c) = c.filter(|c| c.state == ConnState::Connecting) else {
+            return;
+        };
+        let (client, server, port) = (c.client, c.server, c.port);
         // Re-validate: the server must still be listening (its exit or its
         // host's crash unpublishes the port) and the route must still exist.
         let still_listening = self.core.host_up(server.0)
@@ -1401,26 +1314,20 @@ impl World {
                 .net
                 .as_ref()
                 .is_none_or(|n| n.reachable(client.0 .0, server.0 .0));
+        let now = self.core.now();
         if !still_listening || !routed {
-            self.core.mark_closed(conn);
-            self.core
-                .kernel_mut(client.0)
-                .release_socket(client.1, conn);
             let reason = if routed {
                 SysError::ConnectionRefused
             } else {
                 SysError::Unreachable
             };
-            self.with_program(client, None, |p, sys| {
-                p.on_conn_event(sys, conn, ConnEvent::Failed(reason))
-            });
+            let kernel = &mut self.core.hosts[client.0 .0 as usize];
+            let told = self.core.conns.refuse(conn, reason, now, kernel);
+            told.into_iter().for_each(|t| self.tell(t));
             return;
         }
-        let now = self.core.now();
-        self.core.conns.establish(conn, now);
-        self.core
-            .kernel_mut(server.0)
-            .alloc_fd(server.1, FdKind::Socket { conn });
+        let kernel = &mut self.core.hosts[server.0 .0 as usize];
+        let told = self.core.conns.establish(conn, now, kernel);
         let established = Note::Established {
             conn,
             from: &self.core.topo.spec(client.0).name,
@@ -1432,12 +1339,7 @@ impl World {
             .obs
             .trace
             .note(now, Some(server.0), TraceCategory::Net, established);
-        self.with_program(server, None, |p, sys| {
-            p.on_conn_event(sys, conn, ConnEvent::Accepted { peer: client, port })
-        });
-        self.with_program(client, None, |p, sys| {
-            p.on_conn_event(sys, conn, ConnEvent::Established)
-        });
+        told.into_iter().flatten().for_each(|t| self.tell(t));
     }
 
     fn handle_signal(&mut self, to: ProcKey, signal: Signal) {
@@ -1471,30 +1373,18 @@ impl World {
             .tracef(Some(host), TraceCategory::Net, format_args!("host crashed"));
         // Break all connections touching the host; survivors learn after
         // the detection interval.
-        for id in self.core.conns.held_on(host) {
-            let c = self.core.conns.get(id).expect("indexed");
-            let (client, server) = (c.client, c.server);
-            self.core.mark_closed(id);
-            let survivor = if client.0 == host { server } else { client };
-            if survivor.0 != host && self.core.host_up(survivor.0) {
-                let jf = self.core.config.cost_jitter;
-                let base = self.core.config.break_detection;
-                let delay = self.core.rng.jitter(base, jf);
-                self.core.engine.schedule(
-                    delay,
-                    SimEvent::ConnClosedNotify {
-                        conn: id,
-                        to: survivor,
-                    },
-                );
-            }
+        let now = self.core.now();
+        for told in self.core.conns.host_crash(host, now) {
+            let jf = self.core.config.cost_jitter;
+            let base = self.core.config.break_detection;
+            let delay = self.core.rng.jitter(base, jf);
+            self.core.engine.schedule(delay, SimEvent::Tell(told));
         }
         // All local process activity ceases; nothing is notified locally.
         // The crash instant and the running service set go to stable
         // storage (the simulated disk survives the power failure): a
         // restart re-runs the services, and a respawned daemon can read
         // how long the host was dark.
-        let now = self.core.now();
         self.core.kernel_mut(host).crash(now);
         self.core.programs.retain(|k, _| k.0 != host);
         self.core.deferred.retain(|k, _| k.0 != host);
@@ -1685,7 +1575,7 @@ mod tests {
         }
         let id = ConnId(1);
         assert_eq!(
-            w.core().connection(id).unwrap().state,
+            w.core().conn_table().get(id).unwrap().state,
             ConnState::Connecting
         );
         let held = |w: &World, key| w.core().conn_table().held_by(key).collect::<Vec<_>>();
@@ -1693,7 +1583,10 @@ mod tests {
         assert_eq!(held(&w, (a, client)), [id]);
 
         w.core_mut().do_exit((b, server), ExitStatus::Code(0));
-        assert_eq!(w.core().connection(id).unwrap().state, ConnState::Closed);
+        assert_eq!(
+            w.core().conn_table().get(id).unwrap().state,
+            ConnState::Closed
+        );
         assert_eq!(w.core().conn_table().held_len(), 0);
         w.run_for(SimDuration::from_secs(1));
         assert_eq!(*log.lock().unwrap(), [ConnEvent::Closed]);

@@ -12,6 +12,13 @@
 //! A second script starts a daemon the way inetd does and opens and
 //! closes one connection to it: the daemon is init's child, and neither
 //! end keeps a descriptor for the closed connection, on each of them.
+//!
+//! A third script walks one connection through every rule of the shared
+//! connection table (`ppm_runtime::conn`): a refused connect, a send
+//! before the handshake, one socket descriptor per end while it is up,
+//! one message each way in both ends' rusage, a close and a process exit
+//! each reaching the peer as `Closed`, and `conn_alive` after it, with
+//! the same findings on each of them.
 
 use bytes::Bytes;
 
@@ -19,7 +26,7 @@ use ppm_mc::McWorld;
 use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_realos::RealRuntime;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
-use ppm_runtime::fd::OpenMode;
+use ppm_runtime::fd::{FdKind, OpenMode};
 use ppm_runtime::ids::{ConnId, CpuClass, Pid, Port, Uid};
 use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
@@ -312,4 +319,164 @@ fn a_daemon_is_inits_child_and_a_closed_connection_leaves_no_descriptor() {
     w.spawn_program(0, Uid::ROOT, "caller", Box::new(Caller));
     assert!(w.run_to_quiescence(10_000), "mc: script never quiesced");
     assert_eq!(findings("mc", |key| w.kernel(0).stable_get(key)), expected);
+}
+
+const PORT_UP: Port = Port(21);
+const PORT_DOWN: Port = Port(22);
+/// Stable-storage keys the two ends of the third script report under.
+const CONN_REPORTS: [&str; 2] = ["parity.conn.client", "parity.conn.server"];
+
+/// How many of `sys`'s descriptors are sockets; of `conn`'s, if given.
+fn sockets(sys: &dyn Sys, conn: Option<ConnId>) -> usize {
+    let fds = sys.open_fds(sys.pid()).expect("own table");
+    let of = |kind: &FdKind| match kind {
+        FdKind::Socket { conn: c } => conn.is_none_or(|want| *c == want),
+        _ => false,
+    };
+    fds.iter().filter(|(_, kind)| of(kind)).count()
+}
+
+fn ipc(sys: &dyn Sys) -> String {
+    let r = sys.rusage_of(sys.pid()).expect("own rusage");
+    let (sent, got) = (
+        (r.msgs_sent, r.bytes_sent),
+        (r.msgs_received, r.bytes_received),
+    );
+    format!("sent {}/{}B received {}/{}B", sent.0, sent.1, got.0, got.1)
+}
+
+/// Listens, starts the client, answers its ping, and reports how its
+/// two connections ended: one closed by the client, one by its exit.
+#[derive(Default)]
+struct ConnServer {
+    accepted: Vec<ConnId>,
+    lines: [Option<String>; 5],
+}
+
+impl Program for ConnServer {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.listen(PORT_UP).expect("port free");
+        sys.spawn(SpawnSpec::new("client", Box::<ConnClient>::default()))
+            .expect("spawn client");
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        let line = match event {
+            ConnEvent::Accepted { port, .. } => {
+                self.accepted.push(conn);
+                (self.accepted.len() == 1).then(|| (0, format!("accepted on {port}")))
+            }
+            ConnEvent::Closed => {
+                let first = self.accepted.first() == Some(&conn);
+                let (slot, how) = if first { (3, "closed") } else { (4, "exited") };
+                let (alive, left) = (sys.conn_alive(conn), sockets(sys, Some(conn)));
+                Some((slot, format!("peer {how}: alive {alive}, sockets {left}")))
+            }
+            other => Some((4, format!("unexpected {other:?}"))),
+        };
+        if let Some((slot, line)) = line {
+            self.lines[slot] = Some(line);
+        }
+        if self.lines.iter().all(Option::is_some) {
+            let report: Vec<_> = self.lines.iter().flatten().cloned().collect();
+            sys.stable_put(CONN_REPORTS[1], report.join("\n"));
+        }
+    }
+
+    fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, data: Bytes) {
+        let up = sockets(sys, None);
+        self.lines[1] = Some(format!("got {} bytes, sockets {up}", data.len()));
+        let _ = sys.send(conn, Bytes::from_static(b"pong!!"));
+        self.lines[2] = Some(ipc(sys));
+    }
+}
+
+/// Connects to a port nobody listens on, then to the server: sends too
+/// early, pings, closes, connects again and exits holding it.
+#[derive(Default)]
+struct ConnClient {
+    log: Vec<String>,
+    first: Option<ConnId>,
+}
+
+impl Program for ConnClient {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.connect(sys.host(), PORT_DOWN).expect("host known");
+    }
+
+    fn on_conn_event(&mut self, sys: &mut dyn Sys, conn: ConnId, event: ConnEvent) {
+        match (event, self.first) {
+            (ConnEvent::Failed(why), None) => {
+                self.log.push(format!("no listener: {why:?}"));
+                let conn = sys.connect(sys.host(), PORT_UP).expect("host known");
+                let early = sys.send(conn, Bytes::from_static(b"early"));
+                self.log.push(format!("send while connecting: {early:?}"));
+                self.first = Some(conn);
+            }
+            (ConnEvent::Established, Some(first)) if conn == first => {
+                let (up, alive) = (sockets(sys, None), sys.conn_alive(conn));
+                self.log
+                    .push(format!("established: sockets {up}, alive {alive}"));
+                sys.send(conn, Bytes::from_static(b"ping"))
+                    .expect("established");
+            }
+            (ConnEvent::Established, Some(_)) => {
+                sys.stable_put(CONN_REPORTS[0], self.log.join("\n"));
+                sys.exit(0);
+            }
+            (other, _) => self.log.push(format!("unexpected {other:?}")),
+        }
+    }
+
+    fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, _: Bytes) {
+        self.log.push(ipc(sys));
+        sys.close(conn).expect("own connection");
+        let (alive, left) = (sys.conn_alive(conn), sockets(sys, Some(conn)));
+        self.log
+            .push(format!("closed: alive {alive}, sockets {left}"));
+        sys.connect(sys.host(), PORT_UP).expect("host known");
+    }
+}
+
+fn conn_reports(backend: &str, get: impl Fn(&str) -> Option<Bytes>) -> [String; 2] {
+    CONN_REPORTS.map(|key| text(get(key), key, backend))
+}
+
+fn conn_script_on<R: Runtime>(rt: &mut R, backend: &str) -> [String; 2] {
+    let host = rt.add_host("a", CpuClass::Vax780);
+    let server = SpawnSpec::new("server", Box::<ConnServer>::default());
+    rt.spawn_user(host, OWNER, server).expect("spawn server");
+    for _ in 0..250 {
+        if rt.stable_get(host, CONN_REPORTS[1]).is_some() {
+            break;
+        }
+        rt.run(SimDuration::from_millis(20));
+    }
+    conn_reports(backend, |key| rt.stable_get(host, key))
+}
+
+#[test]
+fn one_connection_keeps_the_same_rules_on_sim_real_and_mc() {
+    let expected = [
+        "\
+no listener: ConnectionRefused
+send while connecting: Err(NotConnected)
+established: sockets 1, alive true
+sent 1/4B received 1/6B
+closed: alive false, sockets 0",
+        "\
+accepted on :21
+got 4 bytes, sockets 1
+sent 1/6B received 1/4B
+peer closed: alive false, sockets 0
+peer exited: alive false, sockets 0",
+    ];
+    assert_eq!(conn_script_on(&mut SimRuntime::new(7), "sim"), expected);
+    let real = conn_script_on(&mut RealRuntime::with_trace(false), "real");
+    assert_eq!(real, expected, "real backend diverges from sim");
+    let mut w = McWorld::new(&["a"], SimDuration::from_secs(20));
+    w.spawn_program(0, OWNER, "server", Box::<ConnServer>::default());
+    assert!(w.run_to_quiescence(10_000), "mc: script never quiesced");
+    let mc = conn_reports("mc", |key| w.kernel(0).stable_get(key));
+    assert_eq!(mc, expected, "model checker diverges from sim");
 }
