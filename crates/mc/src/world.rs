@@ -128,6 +128,10 @@ pub struct McWorld {
     cut_links: BTreeSet<(u32, u32)>,
     progs: BTreeMap<K, Box<dyn Program>>,
     conns: ConnTable<Queues>,
+    /// The connections that can still make a move: open ones, and closed
+    /// ones with items queued. A closed connection never gets another
+    /// item, so once it drains it leaves the frontier and the digest.
+    busy: BTreeSet<ConnId>,
     timers: BTreeMap<u64, McTimer>,
     next_timer: u64,
     child_exits: BTreeMap<K, VecDeque<(Pid, ExitStatus)>>,
@@ -174,6 +178,7 @@ impl McWorld {
             cut_links: BTreeSet::new(),
             progs: BTreeMap::new(),
             conns: ConnTable::default(),
+            busy: BTreeSet::new(),
             timers: BTreeMap::new(),
             next_timer: 1,
             child_exits: BTreeMap::new(),
@@ -381,11 +386,11 @@ impl McWorld {
         for &k in &self.starts {
             moves.push(Move::Start(k));
         }
-        for c in self.conns.iter() {
-            let queues = self.conns.link(c.id).expect("a queue pair per record");
+        for &id in &self.busy {
+            let queues = self.conns.link(id).expect("a queue pair per record");
             for (to_b, q) in [false, true].into_iter().zip(queues) {
                 if !q.is_empty() {
-                    moves.push(Move::Net { conn: c.id.0, to_b });
+                    moves.push(Move::Net { conn: id.0, to_b });
                 }
             }
         }
@@ -530,33 +535,38 @@ impl McWorld {
         let Some(item) = queue.and_then(VecDeque::pop_front) else {
             return;
         };
-        let event = match item {
+        let kernel = &mut self.kernels[dst.0 as usize];
+        match item {
             NetItem::Msg(bytes) => {
-                let (k, fx) = (&mut self.kernels[dst.0 as usize], &mut self.fx);
-                let handed = self.conns.deliver(cid, to, bytes.len(), now, k, fx);
+                let handed = self
+                    .conns
+                    .deliver(cid, to, bytes.len(), now, kernel, &mut self.fx);
                 self.apply_effects(dst.0);
                 if handed {
                     self.dispatch(dst, |p, sys| p.on_message(sys, cid, bytes));
                 }
-                return;
             }
-            NetItem::Conn(event) => event,
-        };
-        let kernels = &mut self.kernels;
-        match event {
-            // The handshake completes when either end first hears of it.
-            ConnEvent::Established | ConnEvent::Accepted { .. } => {
-                self.conns
-                    .establish(cid, now, &mut kernels[server.0 .0 as usize]);
-            }
-            ConnEvent::Failed(_) => self.last_disruption_at = Some(now),
-            ConnEvent::Closed => {
-                self.last_disruption_at = Some(now);
-                self.conns
-                    .told_closed(cid, to, now, &mut kernels[dst.0 as usize]);
+            NetItem::Conn(event) => {
+                match event {
+                    // The handshake completes when either end first hears of it.
+                    ConnEvent::Established | ConnEvent::Accepted { .. } => {
+                        let kernel = &mut self.kernels[server.0 .0 as usize];
+                        self.conns.establish(cid, now, kernel);
+                    }
+                    ConnEvent::Failed(_) => self.last_disruption_at = Some(now),
+                    ConnEvent::Closed => {
+                        self.last_disruption_at = Some(now);
+                        self.conns.told_closed(cid, to, now, kernel);
+                    }
+                }
+                self.dispatch(dst, |p, sys| p.on_conn_event(sys, cid, event));
             }
         }
-        self.dispatch(dst, |p, sys| p.on_conn_event(sys, cid, event));
+        let c = self.conns.get(cid).expect("delivered on");
+        let queues = self.conns.link(cid).expect("delivered on");
+        if c.state == ConnState::Closed && queues.iter().all(VecDeque::is_empty) {
+            self.busy.remove(&cid);
+        }
     }
 
     fn do_fault(&mut self, i: usize) {
@@ -664,12 +674,10 @@ impl McWorld {
         }
         // A closed connection whose queues drained no longer steers
         // anything: it stops contributing digest weight.
-        for c in self.conns.iter() {
-            let queues = self.conns.link(c.id).expect("a queue pair per record");
+        for &id in &self.busy {
+            let c = self.conns.get(id).expect("a record per busy id");
+            let queues = self.conns.link(id).expect("a queue pair per record");
             let open = c.state != ConnState::Closed;
-            if !open && queues.iter().all(VecDeque::is_empty) {
-                continue;
-            }
             h.write_u64(c.id.0);
             for e in [c.client, c.server] {
                 h.write_u32(e.0 .0);
@@ -952,6 +960,7 @@ impl Sys for McSys<'_> {
             let told = w.conns.open_refused(me, server, port, reason, w.clock);
             let queues = w.conns.link_mut(told.conn).expect("just opened");
             queues[0].push_back(NetItem::Conn(told.event));
+            w.busy.insert(told.conn);
             return Ok(told.conn);
         };
         let kernel = &mut w.kernels[self.key.0 as usize];
@@ -959,6 +968,7 @@ impl Sys for McSys<'_> {
         let queues = w.conns.link_mut(id).expect("just opened");
         queues[0].push_back(NetItem::Conn(ConnEvent::Established));
         queues[1].push_back(NetItem::Conn(ConnEvent::Accepted { peer: me, port }));
+        w.busy.insert(id);
         Ok(id)
     }
 

@@ -31,7 +31,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
 
-use ppm_runtime::conn::{ConnTable, Tell};
+use ppm_runtime::conn::{ConnTable, Endpoint, Tell};
 use ppm_runtime::ids::{ConnId, HostId, Pid, Port, Uid};
 use ppm_runtime::kernel::{Effect, Effects, Kernel};
 use ppm_runtime::obs::HubRef;
@@ -521,6 +521,23 @@ pub struct RealSys<'a> {
     exit_code: Option<i32>,
 }
 
+impl RealSys<'_> {
+    /// The caller, if it holds this node's end of `conn`:
+    /// [`SysError::NotConnected`] otherwise. A node holds the client of a
+    /// connect and the server of an accept; the other end of each is the
+    /// far node's to hold, even when that node is this one.
+    fn own_end(&self, conn: ConnId) -> Result<Endpoint, SysError> {
+        let me = (self.node.host, self.pid);
+        let c = self.node.conns.get(conn).ok_or(SysError::NotConnected)?;
+        let held = if c.server.1 == Pid::NONE {
+            c.client
+        } else {
+            c.server
+        };
+        (held == me).then_some(me).ok_or(SysError::NotConnected)
+    }
+}
+
 impl ppm_runtime::sys::Sys for RealSys<'_> {
     fn now(&self) -> Micros {
         self.node.now()
@@ -586,13 +603,17 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        let (me, node) = ((self.node.host, self.pid), &mut *self.node);
+        let me = self.own_end(conn)?;
+        let node = &mut *self.node;
         let (now, len) = (node.now(), data.len());
-        node.conns
-            .send(conn, me, len, now, &mut node.kernel, &mut node.fx)?;
-        node.apply_effects();
-        let (_, stream) = node.conns.carry(conn, me, len);
-        if let Some(Ok(())) = stream.as_mut().map(|s| net::write_frame(s, &data)) {
+        node.conns.may_send(conn, me)?;
+        let stream = node.conns.link_mut(conn).and_then(Option::as_mut);
+        if let Some(Ok(())) = stream.map(|s| net::write_frame(s, &data)) {
+            // Counted once it is written.
+            node.conns
+                .send(conn, me, len, now, &mut node.kernel, &mut node.fx)?;
+            node.apply_effects();
+            node.conns.carry(conn, me, len);
             return Ok(());
         }
         // The stream broke under the write: this end learns it now.
@@ -603,7 +624,8 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        let (me, node) = ((self.node.host, self.pid), &mut *self.node);
+        let me = self.own_end(conn)?;
+        let node = &mut *self.node;
         // The far end hears of it from its socket, not from the table.
         node.conns.close(conn, me, node.now(), &mut node.kernel)?;
         node.shut(conn);
@@ -611,8 +633,8 @@ impl ppm_runtime::sys::Sys for RealSys<'_> {
     }
 
     fn conn_alive(&self, conn: ConnId) -> bool {
-        let me = (self.node.host, self.pid);
-        self.node.conns.established(conn, me).is_some()
+        let me = self.own_end(conn);
+        me.is_ok_and(|me| self.node.conns.established(conn, me).is_some())
     }
 
     fn host(&self) -> HostId {

@@ -129,8 +129,7 @@ impl Tell {
 /// are still open, and the backend's transport `L` beside each record.
 #[derive(Debug, Default)]
 pub struct ConnTable<L = ()> {
-    records: Pages<Connection>,
-    links: Pages<L>,
+    records: Pages<(Connection, L)>,
     base: u64,
     /// `(endpoint, id)` for the held ends of every open connection.
     held: BTreeSet<(Endpoint, ConnId)>,
@@ -168,8 +167,7 @@ impl<L: Default> ConnTable<L> {
             state,
             stats,
         };
-        self.records.push(record);
-        self.links.push(L::default());
+        self.records.push((record, L::default()));
         id
     }
 
@@ -229,30 +227,34 @@ impl<L> ConnTable<L> {
         usize::try_from(id.0.checked_sub(self.base + 1)?).ok()
     }
 
+    fn entry_mut(&mut self, id: ConnId) -> Option<&mut (Connection, L)> {
+        let slot = self.slot(id)?;
+        self.records.get_mut(slot)
+    }
+
     /// One connection by id, open or closed.
     pub fn get(&self, id: ConnId) -> Option<&Connection> {
-        self.records.get(self.slot(id)?)
+        self.records.get(self.slot(id)?).map(|(c, _)| c)
     }
 
     /// The backend's transport beside one connection.
     pub fn link(&self, id: ConnId) -> Option<&L> {
-        self.links.get(self.slot(id)?)
+        self.records.get(self.slot(id)?).map(|(_, l)| l)
     }
 
     /// The backend's transport beside one connection, mutably.
     pub fn link_mut(&mut self, id: ConnId) -> Option<&mut L> {
-        let slot = self.slot(id)?;
-        self.links.get_mut(slot)
+        self.entry_mut(id).map(|(_, l)| l)
     }
 
     /// All records, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Connection> {
-        self.records.iter()
+        self.records.iter().map(|(c, _)| c)
     }
 
     /// All records with their transports, in id order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&Connection, &mut L)> {
-        self.records.iter().zip(self.links.iter_mut())
+        self.records.iter_mut().map(|(c, l)| (&*c, l))
     }
 
     /// Number of records, open and closed.
@@ -298,7 +300,7 @@ impl<L> ConnTable<L> {
     /// decides itself who learns, and when. `false` if it was closed or
     /// unknown.
     pub fn sever(&mut self, id: ConnId, now: SimTime) -> bool {
-        let Some(c) = self.slot(id).and_then(|s| self.records.get_mut(s)) else {
+        let Some((c, _)) = self.entry_mut(id) else {
             return false;
         };
         if c.state == ConnState::Closed {
@@ -317,8 +319,7 @@ impl<L> ConnTable<L> {
     /// is to be told it accepted, then the client that it is established.
     /// `None`, changing nothing, from any other state.
     pub fn establish(&mut self, id: ConnId, now: SimTime, k: &mut Kernel) -> Option<[Tell; 2]> {
-        let slot = self.slot(id)?;
-        let c = self.records.get_mut(slot)?;
+        let (c, _) = self.entry_mut(id)?;
         if c.state != ConnState::Connecting {
             return None;
         }
@@ -348,11 +349,25 @@ impl<L> ConnTable<L> {
         Some(Tell::new(id, client, ConnEvent::Failed(reason)))
     }
 
-    /// `from` sends `len` bytes: [`SysError::NotConnected`] unless `from`
-    /// is an endpoint of an established connection,
-    /// [`SysError::ConnectionClosed`] once it has closed. Otherwise the
-    /// message is accounted to the sender (which may queue a kernel event
-    /// in `fx`) and the peer is returned for the backend to carry it to.
+    /// Whether `from` may send on `id`: the peer if `from` is an endpoint
+    /// of an established connection; [`SysError::NotConnected`] if it is
+    /// not an endpoint or the handshake has not completed,
+    /// [`SysError::ConnectionClosed`] once it has closed.
+    pub fn may_send(&self, id: ConnId, from: Endpoint) -> Result<Endpoint, SysError> {
+        let c = self.get(id).ok_or(SysError::NotConnected)?;
+        let peer = c.peer_of(from).ok_or(SysError::NotConnected)?;
+        match c.state {
+            ConnState::Connecting => Err(SysError::NotConnected),
+            ConnState::Closed => Err(SysError::ConnectionClosed),
+            ConnState::Established => Ok(peer),
+        }
+    }
+
+    /// `from` sends `len` bytes: refused as by [`ConnTable::may_send`];
+    /// otherwise the message is accounted to the sender (which may queue
+    /// a kernel event in `fx`) and the peer is returned for the backend
+    /// to carry it to. A backend whose local write can fail checks with
+    /// `may_send` first and calls this once the write succeeded.
     pub fn send(
         &self,
         id: ConnId,
@@ -362,13 +377,7 @@ impl<L> ConnTable<L> {
         k: &mut Kernel,
         fx: &mut Effects,
     ) -> Result<Endpoint, SysError> {
-        let c = self.get(id).ok_or(SysError::NotConnected)?;
-        let peer = c.peer_of(from).ok_or(SysError::NotConnected)?;
-        match c.state {
-            ConnState::Connecting => return Err(SysError::NotConnected),
-            ConnState::Closed => return Err(SysError::ConnectionClosed),
-            ConnState::Established => {}
-        }
+        let peer = self.may_send(id, from)?;
         k.account_sent(from.1, len, now, fx);
         Ok(peer)
     }
@@ -381,8 +390,7 @@ impl<L> ConnTable<L> {
     ///
     /// Panics if the connection is unknown or `from` is not an endpoint.
     pub fn carry(&mut self, id: ConnId, from: Endpoint, len: usize) -> (usize, &mut L) {
-        let slot = self.slot(id).expect("a known connection");
-        let c = self.records.get_mut(slot).expect("a record");
+        let (c, link) = self.entry_mut(id).expect("a known connection");
         let dir = c.toward(c.peer_of(from).expect("carried from an endpoint"));
         let s = &mut c.stats;
         let (msgs, bytes) = if dir == 1 {
@@ -392,7 +400,7 @@ impl<L> ConnTable<L> {
         };
         *msgs += 1;
         *bytes += len as u64;
-        (dir, self.links.get_mut(slot).expect("a link per record"))
+        (dir, link)
     }
 
     /// A message of `len` bytes reaches `to`. `true` — and it is accounted
@@ -474,118 +482,5 @@ impl<L> ConnTable<L> {
     pub fn established(&self, id: ConnId, from: Endpoint) -> Option<Endpoint> {
         let c = self.get(id)?;
         (c.state == ConnState::Established).then_some(c.peer_of(from)?)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::Uid;
-
-    /// A kernel on `host` with `n` live processes, and their endpoints.
-    fn host(h: u32, n: usize) -> (Kernel, Vec<Endpoint>) {
-        let (mut k, fx) = (Kernel::new(SimTime::ZERO), &mut Effects::new());
-        let mut spawn = || {
-            (
-                HostId(h),
-                k.spawn(Pid::INIT, Uid(1), "p", false, SimTime::ZERO, fx),
-            )
-        };
-        let ends = (0..n).map(|_| spawn()).collect();
-        (k, ends)
-    }
-
-    fn sockets(k: &Kernel, end: Endpoint) -> usize {
-        let fds = k.open_fds(Uid::ROOT, end.1).expect("live");
-        fds.iter()
-            .filter(|(_, f)| f.kind_name() == "socket")
-            .count()
-    }
-
-    #[test]
-    fn a_connection_lives_connecting_established_closed() {
-        let ((mut ka, a), (mut kb, b)) = (host(0, 1), host(1, 1));
-        let (a, b, now, fx) = (a[0], b[0], SimTime::from_millis(1), &mut Effects::new());
-        let (mut t, no) = (ConnTable::<()>::default(), Err(SysError::NotConnected));
-        let id = t.open(a, b, Port(3), now, &mut ka);
-        assert_eq!((id, sockets(&ka, a), sockets(&kb, b)), (ConnId(1), 1, 0));
-        assert_eq!(
-            t.send(id, a, 5, now, &mut ka, fx),
-            no,
-            "not before the handshake"
-        );
-        assert!(!t.deliver(id, b, 5, now, &mut kb, fx));
-        let [acc, est] = t.establish(id, now, &mut kb).expect("connecting");
-        assert_eq!(
-            (acc.to, est, sockets(&kb, b)),
-            (b, Tell::new(id, a, ConnEvent::Established), 1)
-        );
-        assert_eq!(t.send(id, a, 5, now, &mut ka, fx), Ok(b));
-        assert_eq!(t.carry(id, a, 5).0, 1, "toward the server");
-        assert!(t.deliver(id, b, 5, now, &mut kb, fx));
-        let stranger = t.close(id, (HostId(2), Pid(9)), now, &mut ka);
-        assert_eq!(stranger, Err(SysError::NotConnected));
-        assert_eq!(t.close(id, a, now, &mut ka), Ok(Some(Tell::closed(id, b))));
-        assert_eq!(t.close(id, a, now, &mut ka), Ok(None), "closing twice");
-        assert_eq!(
-            t.send(id, b, 1, now, &mut kb, fx),
-            Err(SysError::ConnectionClosed)
-        );
-        assert!(
-            t.deliver(id, b, 5, now, &mut kb, fx),
-            "data in flight arrives"
-        );
-        assert!(!t.told_closed(id, b, now, &mut kb));
-        assert_eq!((sockets(&ka, a), sockets(&kb, b), t.held_len()), (0, 0, 0));
-        let (ra, rb) = (ka.rusage_of(a.1).unwrap(), kb.rusage_of(b.1).unwrap());
-        assert_eq!(
-            (
-                ra.msgs_sent,
-                rb.bytes_received,
-                t.get(id).unwrap().stats.bytes_to_server
-            ),
-            (1, 10, 5)
-        );
-        assert_eq!(t.establish(id, now, &mut kb), None, "closed stays closed");
-        let no = SysError::ConnectionRefused;
-        let told = t.open_refused(a, b, Port(4), no, now);
-        assert_eq!(told, Tell::new(ConnId(2), a, ConnEvent::Failed(no)));
-        let id = t.open(a, b, Port(4), now, &mut ka);
-        assert_eq!(t.refuse(id, no, now, &mut ka).map(|t| t.to), Some(a));
-        assert_eq!(t.refuse(id, no, now, &mut ka), None);
-        assert_eq!((sockets(&ka, a), t.held_len(), t.len()), (0, 0, 3));
-    }
-
-    #[test]
-    fn the_index_holds_open_connections_by_their_held_ends() {
-        let ((mut k0, p0), (mut k1, p1)) = (host(0, 1), host(1, 2));
-        let (a, b, c, now) = (p0[0], p1[0], p1[1], SimTime::ZERO);
-        let mut t = ConnTable::<u8>::numbered_from(7 << 40);
-        let ab = t.open(a, b, Port(3), now, &mut k0);
-        let ac = t.open(a, c, Port(3), now, &mut k0);
-        let cb = t.open(c, b, Port(3), now, &mut k1);
-        let aa = t.open(a, a, Port(3), now, &mut k0);
-        assert_eq!(
-            (ab.0, t.held_len()),
-            ((7 << 40) + 1, 7),
-            "a self-connection once"
-        );
-        // Host 1 holds `cb` through both endpoints; it is listed once.
-        assert_eq!(t.held_on(HostId(1)), [ab, ac, cb]);
-        let gone = t.process_gone(b, now);
-        assert_eq!(gone, [Tell::closed(ab, a), Tell::closed(cb, c)]);
-        assert_eq!(t.held_by(a).collect::<Vec<_>>(), [ac, aa]);
-        assert_eq!(t.host_crash(HostId(1), now), [Tell::closed(ac, a)]);
-        let far = (HostId(6), Pid::NONE);
-        let told = t.accept(far, c, Port(9), now, &mut k1);
-        assert_eq!(
-            (told.to, t.held_by(far).count()),
-            (c, 0),
-            "the far end is held elsewhere"
-        );
-        assert_eq!((t.held_len(), sockets(&k1, c)), (2, 2));
-        *t.link_mut(told.conn).unwrap() = 4;
-        let links: Vec<u8> = t.iter_mut().map(|(_, l)| *l).collect();
-        assert_eq!(links, [0, 0, 0, 0, 4]);
     }
 }

@@ -16,9 +16,10 @@
 //! A third script walks one connection through every rule of the shared
 //! connection table (`ppm_runtime::conn`): a refused connect, a send
 //! before the handshake, one socket descriptor per end while it is up,
-//! one message each way in both ends' rusage, a close and a process exit
-//! each reaching the peer as `Closed`, and `conn_alive` after it, with
-//! the same findings on each of them.
+//! one message each way in both ends' rusage, a process on the server's
+//! host refused the server's end, a close and a process exit each
+//! reaching the peer as `Closed`, and `conn_alive` after it, with the
+//! same findings on each of them.
 
 use bytes::Bytes;
 
@@ -325,6 +326,8 @@ const PORT_UP: Port = Port(21);
 const PORT_DOWN: Port = Port(22);
 /// Stable-storage keys the two ends of the third script report under.
 const CONN_REPORTS: [&str; 2] = ["parity.conn.client", "parity.conn.server"];
+/// Where the server leaves the id it accepted its first connection on.
+const ACCEPTED_ID: &str = "parity.conn.accepted";
 
 /// How many of `sys`'s descriptors are sockets; of `conn`'s, if given.
 fn sockets(sys: &dyn Sys, conn: Option<ConnId>) -> usize {
@@ -364,7 +367,11 @@ impl Program for ConnServer {
         let line = match event {
             ConnEvent::Accepted { port, .. } => {
                 self.accepted.push(conn);
-                (self.accepted.len() == 1).then(|| (0, format!("accepted on {port}")))
+                let first = self.accepted.len() == 1;
+                if first {
+                    sys.stable_put(ACCEPTED_ID, conn.0.to_string());
+                }
+                first.then(|| (0, format!("accepted on {port}")))
             }
             ConnEvent::Closed => {
                 let first = self.accepted.first() == Some(&conn);
@@ -430,6 +437,17 @@ impl Program for ConnClient {
 
     fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, _: Bytes) {
         self.log.push(ipc(sys));
+        // The server's end, from a process on its host: the sim and the
+        // checker name both ends by one id, a real node names each end.
+        let id = text(sys.stable_get(ACCEPTED_ID), ACCEPTED_ID, "client");
+        let theirs = ConnId(id.parse().expect("an id"));
+        let no = Err(SysError::NotConnected);
+        let refused = theirs == conn
+            || (sys.send(theirs, Bytes::from_static(b"x")) == no
+                && !sys.conn_alive(theirs)
+                && sys.close(theirs) == no);
+        self.log
+            .push(format!("only its own end is usable: {refused}"));
         sys.close(conn).expect("own connection");
         let (alive, left) = (sys.conn_alive(conn), sockets(sys, Some(conn)));
         self.log
@@ -463,6 +481,7 @@ no listener: ConnectionRefused
 send while connecting: Err(NotConnected)
 established: sockets 1, alive true
 sent 1/4B received 1/6B
+only its own end is usable: true
 closed: alive false, sockets 0",
         "\
 accepted on :21
