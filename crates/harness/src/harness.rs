@@ -250,6 +250,12 @@ impl<R: Runtime> PpmHarness<R> {
         self.rt.now()
     }
 
+    /// Hands the world back for what only its own type can do (the
+    /// checker's staging and exploration).
+    pub fn into_runtime(self) -> R {
+        self.rt
+    }
+
     /// Enables structured span recording. Off by default: span records
     /// cost an allocation each, so benchmarks leave them disabled.
     pub fn enable_spans(&mut self) {

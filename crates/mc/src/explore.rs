@@ -19,6 +19,8 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
+use ppm_runtime::rt::Runtime;
+
 use crate::world::McWorld;
 
 /// Exploration limits.
@@ -165,7 +167,7 @@ pub fn replay(s: &Scenario, picks: &[usize]) -> McWorld {
 /// the format every backend prints — indented under it.
 pub fn replay_trace(s: &Scenario, picks: &[usize]) -> Vec<String> {
     let mut w = (s.build)();
-    w.hub_mut().trace.set_enabled(true);
+    w.hub().trace.set_enabled(true);
     let mut out = Vec::new();
     for &p in picks {
         let moves = w.enabled_moves();

@@ -11,13 +11,16 @@
 //!
 //! * [`world`] — the mc backend: per-host kernels, per-direction
 //!   connection FIFOs, an explorable timer set, budgeted fault moves.
+//!   It is also a [`ppm_runtime::rt::Runtime`], so every driver written
+//!   for the sim and real backends boots and runs on it unchanged.
 //! * [`explore`] — replay-based DFS with digest pruning and greedy
 //!   counterexample minimization.
-//! * [`scenarios`] — the four checked properties, staged
-//!   deterministically to their interesting frontiers.
+//!
+//! The suites themselves — worlds booted through `ppm-harness` and
+//! staged to their interesting frontiers — are the `ppm` crate's
+//! `mc_suites`, beside the `ppm-mc` binary that runs them.
 
 pub mod explore;
-pub mod scenarios;
 pub mod world;
 
 pub use explore::{

@@ -16,6 +16,10 @@
 //! commute. A process death appends `Closed` behind any in-flight data,
 //! preserving the FIN-after-data interleavings that triggered the
 //! dedup-purge bug.
+//!
+//! A driver boots and runs it like the other two backends, through
+//! [`Runtime`]: `run(span)` is the default schedule, the first enabled
+//! move in drain order until the span has passed.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hasher;
@@ -29,13 +33,14 @@ use ppm_runtime::conn::{ConnState, ConnTable, Endpoint, Tell};
 use ppm_runtime::hashx::HashX;
 use ppm_runtime::inetd::Inetd;
 use ppm_runtime::kernel::{Effect, Effects, Kernel};
-use ppm_runtime::obs::{HubRef, ObsHub};
-use ppm_runtime::rt::{ServiceFactory, Services};
+use ppm_runtime::obs::{HubRef, MetricSample, ObsHub};
+use ppm_runtime::rt::{Runtime, ServiceFactory, Services};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
 use ppm_runtime::{
-    ConnEvent, ConnId, HostId, Pid, Port, Program, SigAction, SpawnSpec, SysError, Uid,
+    ConnEvent, ConnId, CpuClass, HostId, Pid, Port, ProcKey, Program, SigAction, SpawnSpec,
+    SysError, Uid,
 };
 
 /// Process key used internally: (host index, pid number). Plain integers
@@ -115,11 +120,11 @@ pub enum Move {
 /// and the frontier of pending deliveries.
 pub struct McWorld {
     clock: SimTime,
-    /// Timers due after this instant never fire: the end of the modelled
-    /// schedule. Keeps housekeeping from generating unbounded suffixes.
+    /// Timers due after this instant are no move: the end of the
+    /// explored schedule ([`McWorld::set_horizon`]). Keeps housekeeping
+    /// from generating unbounded suffixes; `run` sets its own.
     horizon: SimTime,
     host_names: Vec<String>,
-    host_up: Vec<bool>,
     kernels: Vec<Kernel>,
     /// The kernels' effects sink, drained after every kernel call.
     fx: Effects,
@@ -136,7 +141,7 @@ pub struct McWorld {
     next_timer: u64,
     child_exits: BTreeMap<K, VecDeque<(Pid, ExitStatus)>>,
     starts: BTreeSet<K>,
-    /// inetd's registry (the scenarios register pmd).
+    /// inetd's registry (the harness registers pmd).
     services: Services,
     /// What the world records about itself. Tracing is off — and costs
     /// nothing — while the explorer runs; a replay that wants the
@@ -162,18 +167,21 @@ pub struct McWorld {
     exec_baseline: BTreeMap<K, u64>,
 }
 
+impl Default for McWorld {
+    fn default() -> Self {
+        McWorld::new()
+    }
+}
+
 impl McWorld {
-    /// Creates a fully meshed world of `hosts`, boots inetd everywhere,
-    /// and drains nothing: call [`McWorld::run_to_quiescence`] or start
-    /// staging.
-    pub fn new(hosts: &[&str], horizon: SimDuration) -> Self {
-        let clock = SimTime::from_micros(1_000);
-        let mut w = McWorld {
-            clock,
-            horizon: clock + horizon,
-            host_names: hosts.iter().map(|h| (*h).to_string()).collect(),
-            host_up: vec![true; hosts.len()],
-            kernels: hosts.iter().map(|_| Kernel::new(clock)).collect(),
+    /// An empty world with no horizon: hosts come from
+    /// [`Runtime::add_host`], and nothing runs until a driver asks.
+    pub fn new() -> Self {
+        McWorld {
+            clock: SimTime::from_micros(1_000),
+            horizon: SimTime::FAR_FUTURE,
+            host_names: Vec::new(),
+            kernels: Vec::new(),
             fx: Effects::new(),
             cut_links: BTreeSet::new(),
             progs: BTreeMap::new(),
@@ -191,40 +199,10 @@ impl McWorld {
             last_disruption_at: None,
             convergence_margin: SimDuration::from_micros(0),
             exec_baseline: BTreeMap::new(),
-        };
-        for h in 0..w.host_names.len() {
-            w.spawn_program(h as u32, Uid::ROOT, "inetd", Box::new(Inetd::new()));
         }
-        w
     }
 
     // ---- staging helpers (deterministic world construction) ------------
-
-    /// Registers a service with inetd's registry on every host.
-    pub fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
-        self.services.register(name, port, factory);
-    }
-
-    /// Spawns a process with behaviour as a child of init; it starts via
-    /// its `Start` move (first in drain priority).
-    pub fn spawn_program(
-        &mut self,
-        host: u32,
-        uid: Uid,
-        command: &str,
-        program: Box<dyn Program>,
-    ) -> Pid {
-        self.spawn((host, Pid::INIT.0), uid, SpawnSpec::new(command, program))
-    }
-
-    /// Places an inert running process in the table (a plain UNIX
-    /// process from the PPM's perspective).
-    pub fn spawn_inert(&mut self, host: u32, uid: Uid, command: &str) -> Pid {
-        let pid = self.spawn((host, Pid::INIT.0), uid, SpawnSpec::inert(command));
-        self.starts.remove(&(host, pid.0));
-        self.kernel_call(host, |k, now, fx| k.start(pid, now, fx));
-        pid
-    }
 
     /// Registers an adversary action with a budget of uses.
     pub fn add_adversary(&mut self, adv: Adversary, budget: u32) {
@@ -282,18 +260,6 @@ impl McWorld {
         false
     }
 
-    /// Kills the first live process on `host` named `command` (staging
-    /// variant of [`Adversary::KillProc`]). Returns `true` on a kill.
-    pub fn stage_kill(&mut self, host: u32, command: &str) -> bool {
-        match self.find_proc(host, command) {
-            Some(pid) => {
-                self.deliver_signal((host, pid), Signal::Kill);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Cuts the link between two hosts (staging variant).
     pub fn stage_cut(&mut self, a: u32, b: u32) {
         self.cut_links.insert(norm(a, b));
@@ -323,21 +289,6 @@ impl McWorld {
             .collect()
     }
 
-    /// The kernel of a host (process table, stable storage).
-    pub fn kernel(&self, host: u32) -> &Kernel {
-        &self.kernels[host as usize]
-    }
-
-    /// What the world recorded about itself.
-    pub fn hub(&self) -> &ObsHub {
-        &self.hub
-    }
-
-    /// The hub, to switch recording on for a replay.
-    pub fn hub_mut(&mut self) -> &mut ObsHub {
-        &mut self.hub
-    }
-
     /// Host name for a host index.
     pub fn host_name(&self, host: u32) -> &str {
         &self.host_names[host as usize]
@@ -365,17 +316,13 @@ impl McWorld {
             .unwrap_or(0)
     }
 
-    /// First live pid on `host` with the given command name.
-    pub fn find_proc(&self, host: u32, command: &str) -> Option<u32> {
+    /// First live pid on `host` with the given command name, whoever
+    /// owns it (what [`Adversary::KillProc`] aims at).
+    fn first_live(&self, host: u32, command: &str) -> Option<u32> {
         self.kernels[host as usize]
             .processes()
             .find(|p| p.is_alive() && p.command == command)
             .map(|p| p.pid.0)
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
-        self.clock
     }
 
     // ---- the frontier ---------------------------------------------------
@@ -426,9 +373,7 @@ impl McWorld {
 
     fn fault_enabled(&self, adv: &Adversary) -> bool {
         match adv {
-            Adversary::KillProc { host, command } => {
-                self.host_up[*host as usize] && self.find_proc(*host, command).is_some()
-            }
+            Adversary::KillProc { host, command } => self.first_live(*host, command).is_some(),
             Adversary::CutLink { a, b } => !self.cut_links.contains(&norm(*a, *b)),
             Adversary::HealLink { a, b } => self.cut_links.contains(&norm(*a, *b)),
         }
@@ -578,7 +523,7 @@ impl McWorld {
         self.last_disruption_at = Some(self.clock);
         match adv.clone() {
             Adversary::KillProc { host, command } => {
-                if let Some(pid) = self.find_proc(host, &command) {
+                if let Some(pid) = self.first_live(host, &command) {
                     self.deliver_signal((host, pid), Signal::Kill);
                 }
             }
@@ -644,10 +589,9 @@ impl McWorld {
     /// the observables predicates read — is folded in.
     pub fn digest(&self) -> u64 {
         let mut h = HashX::default();
-        for (i, up) in self.host_up.iter().enumerate() {
-            h.write_u8(u8::from(*up));
-            h.write_u32(self.kernels[i].boot_count());
-            for p in self.kernels[i].processes() {
+        for kernel in &self.kernels {
+            h.write_u32(kernel.boot_count());
+            for p in kernel.processes() {
                 h.write_u32(p.pid.0);
                 h.write_u32(p.ppid.0);
                 h.write_u32(p.uid.0);
@@ -656,7 +600,7 @@ impl McWorld {
                 h.write_u32(p.tracer.map_or(0, |t| t.0));
                 h.write_u8(p.trace_flags.bits());
             }
-            for (k, v) in self.kernels[i].stable_records() {
+            for (k, v) in kernel.stable_records() {
                 h.write(k.as_bytes());
                 h.write(v);
             }
@@ -769,7 +713,7 @@ impl McWorld {
     // ---- internals ------------------------------------------------------
 
     fn proc_alive(&self, k: K) -> bool {
-        self.host_up[k.0 as usize] && self.kernels[k.0 as usize].is_alive(Pid(k.1))
+        self.kernels[k.0 as usize].is_alive(Pid(k.1))
     }
 
     fn route_alive(&self, a: u32, b: u32) -> bool {
@@ -791,14 +735,22 @@ impl McWorld {
             w: self,
             key: k,
             exited: None,
+            own_signals: Vec::new(),
         };
         f(prog.as_mut(), &mut sys);
-        let exited = sys.exited;
+        let McSys {
+            exited,
+            own_signals,
+            ..
+        } = sys;
         if exited.is_none() && self.proc_alive(k) {
             self.progs.insert(k, prog);
         }
         if let Some(status) = exited {
             self.kernel_call(k.0, |kn, now, fx| kn.exit(Pid(k.1), status, now, fx));
+        }
+        for signal in own_signals {
+            self.deliver_signal(k, signal);
         }
     }
 
@@ -889,6 +841,78 @@ impl McWorld {
     }
 }
 
+impl Runtime for McWorld {
+    fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
+        self.services.register(name, port, factory);
+    }
+
+    /// A host routable to every other, with inetd spawned on it.
+    fn add_host(&mut self, name: &str, _cpu: CpuClass) -> HostId {
+        let host = self.kernels.len() as u32;
+        self.host_names.push(name.to_string());
+        self.kernels.push(Kernel::new(self.clock));
+        let inetd = SpawnSpec::new("inetd", Box::new(Inetd::new()));
+        self.spawn((host, Pid::INIT.0), Uid::ROOT, inetd);
+        HostId(host)
+    }
+
+    /// A child of init; it starts with its `Start` move.
+    fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        if host.0 as usize >= self.kernels.len() {
+            return Err(SysError::NoSuchHost);
+        }
+        Ok(self.spawn((host.0, Pid::INIT.0), uid, spec))
+    }
+
+    /// Checked by the kernel, then delivered on the spot.
+    fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError> {
+        let (host, pid) = target;
+        let kernel = self.kernels.get(host.0 as usize);
+        kernel.ok_or(SysError::NoSuchHost)?.may_signal(from, pid)?;
+        self.deliver_signal((host.0, pid.0), signal);
+        Ok(())
+    }
+
+    fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
+        self.kernels
+            .get(host.0 as usize)?
+            .find_user_proc(uid, prefix)
+    }
+
+    /// The default schedule: [`McWorld::run_until`]'s drain with the
+    /// horizon, for its length, at the end of the span — until the clock
+    /// gets there or only a later timer is left.
+    fn run(&mut self, span: SimDuration) {
+        let (end, horizon) = (self.clock + span, self.horizon);
+        self.horizon = end;
+        self.run_until(usize::MAX, |_, _| false, |w| w.clock >= end);
+        self.horizon = horizon;
+        self.clock = self.clock.max(end);
+    }
+
+    fn is_alive(&self, host: HostId, pid: Pid) -> bool {
+        self.kernels
+            .get(host.0 as usize)
+            .is_some_and(|k| k.is_alive(pid))
+    }
+
+    fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
+        self.kernels.get(host.0 as usize)?.stable_get(key)
+    }
+
+    fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
+        self.hub.snapshots()
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Own(&mut self.hub)
+    }
+
+    fn now(&self) -> Micros {
+        self.clock
+    }
+}
+
 fn norm(a: u32, b: u32) -> (u32, u32) {
     if a <= b {
         (a, b)
@@ -917,9 +941,12 @@ fn frame_kind(bytes: &Bytes) -> String {
 struct McSys<'w> {
     w: &'w mut McWorld,
     key: K,
-    /// Set by `exit` (and self-kill); applied by the dispatcher after
-    /// the callback returns.
+    /// Set by `exit`; applied by the dispatcher after the callback
+    /// returns.
     exited: Option<ExitStatus>,
+    /// Signals the caller sent itself: delivered, handler and all, once
+    /// the dispatcher has put the program back.
+    own_signals: Vec<Signal>,
 }
 
 impl Sys for McSys<'_> {
@@ -950,7 +977,7 @@ impl Sys for McSys<'_> {
         }
         let (me, w) = (end(self.key), &mut *self.w);
         let listener = w.kernels[host.0 as usize].listener(port);
-        let reachable = w.host_up[host.0 as usize] && w.route_alive(self.key.0, host.0);
+        let reachable = w.route_alive(self.key.0, host.0);
         let Some(pid) = listener.filter(|_| reachable) else {
             let reason = match reachable {
                 true => SysError::ConnectionRefused,
@@ -977,7 +1004,7 @@ impl Sys for McSys<'_> {
         let (k, fx) = (&mut w.kernels[self.key.0 as usize], &mut w.fx);
         let peer = w.conns.send(conn, me, data.len(), w.clock, k, fx)?;
         w.apply_effects(self.key.0);
-        if w.host_up[peer.0 .0 as usize] && w.route_alive(self.key.0, peer.0 .0) {
+        if w.route_alive(self.key.0, peer.0 .0) {
             let (dir, queues) = w.conns.carry(conn, me, data.len());
             queues[dir].push_back(NetItem::Msg(data));
             return Ok(());
@@ -1052,14 +1079,10 @@ impl Sys for McSys<'_> {
             .entry((host, target.0, signal.number()))
             .or_insert(0) += 1;
         if target.0 == self.key.1 {
-            // Suicide by signal: defer like exit so the dispatcher
-            // unwinds cleanly.
-            if signal.is_fatal_by_default() || signal == Signal::Kill {
-                self.exited = Some(ExitStatus::Signaled(signal));
-            }
-            return;
+            self.own_signals.push(signal);
+        } else {
+            self.w.deliver_signal((host, target.0), signal);
         }
-        self.w.deliver_signal((host, target.0), signal);
     }
 
     fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)> {

@@ -1,10 +1,10 @@
-//! Backend conformance: one suite of observation programs, run over both
-//! the simulated runtime and the real loopback runtime through the
-//! [`Runtime`] facade.
+//! Backend conformance: one suite of observation programs, run over the
+//! simulated runtime, the real loopback runtime and the model checker's
+//! world (its default schedule) through the [`Runtime`] facade.
 //!
 //! The programs report what they observed through stable storage (the
 //! facade's only introspection channel), so the assertions are identical
-//! for both backends: message ordering over a connection, timer firing
+//! for every backend: message ordering over a connection, timer firing
 //! order, deadline expiry against the backend clock, refused
 //! connects, close notification, and child-exit plus kernel-event
 //! delivery for adopted processes.
@@ -400,5 +400,11 @@ fn sim_backend_conforms() {
 #[test]
 fn real_backend_conforms() {
     let mut rt = ppm_realos::RealRuntime::new();
+    conformance_suite(&mut rt);
+}
+
+#[test]
+fn mc_backend_conforms() {
+    let mut rt = ppm_mc::McWorld::new();
     conformance_suite(&mut rt);
 }

@@ -6,10 +6,11 @@
 //! at a terminal (`ps`, `kill`), and sample what the programs published.
 //! Everything that drives a PPM is written against this trait alone —
 //! the backend-conformance suite, the host-kernel parity test and
-//! `ppm-harness`'s `PpmHarness<R>` — and runs unchanged over the
-//! simulated world and the real loopback cluster.
+//! `ppm-harness`'s `PpmHarness<R>` — and runs unchanged over three
+//! backends: the simulated world, the real loopback cluster and the
+//! model checker's world.
 //!
-//! The surface is what both backends can answer identically. Conformance
+//! The surface is what every backend can answer identically. Conformance
 //! programs report what they observed through stable storage
 //! ([`Runtime::stable_get`]); what the world recorded about itself —
 //! trace, spans, published registries — is read from its one
@@ -62,8 +63,8 @@ impl Services {
     }
 }
 
-/// A bootable PPM world: simulated ([`ppm-simos`]'s `SimRuntime`) or real
-/// (`ppm-realos`'s `RealRuntime`).
+/// A bootable PPM world: simulated ([`ppm-simos`]'s `SimRuntime`), real
+/// (`ppm-realos`'s `RealRuntime`) or explored (`ppm-mc`'s `McWorld`).
 pub trait Runtime {
     /// Registers a service with inetd's registry on every host. Call
     /// before spawning anything that asks inetd for `name`.
@@ -97,7 +98,8 @@ pub trait Runtime {
 
     /// Lets the world run for (at least) `span` of the backend clock.
     /// The simulation advances its virtual clock; the real backend
-    /// sleeps wall-clock time while node threads work.
+    /// sleeps wall-clock time while node threads work; the checker
+    /// applies its default schedule.
     fn run(&mut self, span: SimDuration);
 
     /// Whether a process is currently alive.

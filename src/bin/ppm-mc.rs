@@ -24,7 +24,7 @@
 use std::process::ExitCode;
 
 use ppm::digest::hex;
-use ppm_mc::scenarios;
+use ppm::mc_suites;
 use ppm_mc::{explore, replay, replay_trace, Budget};
 
 struct Args {
@@ -74,10 +74,10 @@ fn main() -> ExitCode {
         }
     };
     let names: Vec<&str> = if args.suite == "all" {
-        scenarios::SUITES.to_vec()
+        mc_suites::SUITES.to_vec()
     } else {
-        match scenarios::by_name(&args.suite) {
-            Some(_) => vec![scenarios::SUITES
+        match mc_suites::by_name(&args.suite) {
+            Some(_) => vec![mc_suites::SUITES
                 .iter()
                 .copied()
                 .find(|n| *n == args.suite)
@@ -86,7 +86,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "ppm-mc: unknown suite {:?}; known: {}",
                     args.suite,
-                    scenarios::SUITES.join(", ")
+                    mc_suites::SUITES.join(", ")
                 );
                 return ExitCode::from(2);
             }
@@ -94,7 +94,7 @@ fn main() -> ExitCode {
     };
     let mut failed = false;
     for name in names {
-        let s = scenarios::by_name(name).expect("listed suite exists");
+        let s = mc_suites::by_name(name).expect("listed suite exists");
         let budget = Budget {
             max_depth: args.depth.unwrap_or(s.default_budget.max_depth),
             max_states: args.states.unwrap_or(s.default_budget.max_states),

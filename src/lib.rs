@@ -16,7 +16,8 @@
 //! plus the [`scenario`] language that drives the whole system from a
 //! text file (see the `ppm-sim` binary and `scenarios/`) and the
 //! [`sweep`] harness that runs grids of scenarios across every core
-//! (see the `ppm-sweep` binary).
+//! (see the `ppm-sweep` binary), and the [`mc_suites`] the model checker
+//! explores (see the `ppm-mc` binary).
 //!
 //! See `examples/` for runnable walkthroughs and `ppm-bench` for the
 //! regeneration of every table and figure in the paper.
@@ -42,6 +43,7 @@
 //! ```
 
 pub mod digest;
+pub mod mc_suites;
 pub mod scenario;
 pub mod sweep;
 

@@ -1,11 +1,12 @@
-//! The four checked protocol scenarios.
+//! The five protocol suites `ppm-mc` explores.
 //!
-//! Each scenario stages a small world **deterministically** up to the
-//! interesting frontier (requests in flight, a retransmit duplicated, a
-//! manager killed), then hands the explorer a compact set of enabled
-//! moves to interleave exhaustively. Staging uses the same move
-//! machinery as exploration, so a scenario build is itself a replayable
-//! schedule prefix.
+//! Each suite boots a small PPM on the checker through the same
+//! [`PpmHarness`] every backend uses (accounts, pmd, tools), stages it
+//! **deterministically** up to the interesting frontier (requests in
+//! flight, a retransmit duplicated, a manager killed), then hands the
+//! explorer a compact set of enabled moves to interleave exhaustively.
+//! Staging uses the same move machinery as exploration, so a suite
+//! build is itself a replayable schedule prefix.
 //!
 //! * `exactly-once` — a control operation retransmitted across its
 //!   origin LPM's crash must not execute twice (the dedup-purge /
@@ -20,57 +21,83 @@
 //!   route was learned must never be used for a directed request (the
 //!   `conn_alive`-at-send-time bug).
 
-use std::sync::Arc;
-
-use ppm_core::{
-    Pmd, PmdOptions, PpmConfig, Tool, ToolStep, UserCred, UserDirectory, UserEntry, PMD_PORT,
-    PMD_SERVICE,
-};
+use ppm_core::{PmdOptions, PpmConfig, ToolHandle, ToolStep};
+use ppm_harness::harness::PpmHarness;
+use ppm_mc::{apply_matching, Adversary, Budget, McWorld, Scenario};
 use ppm_proto::types::Gpid;
 use ppm_proto::{ControlAction, Msg, Op};
 use ppm_runtime::signal::Signal;
 use ppm_runtime::time::SimDuration;
-use ppm_runtime::{Pid, Uid};
-
-use crate::explore::{apply_matching, Budget, Scenario};
-use crate::world::{Adversary, McWorld};
+use ppm_runtime::{CpuClass, HostId, Pid, Runtime, SpawnSpec, Uid};
 
 const UID: Uid = Uid(100);
-const SECRET: u64 = 0x5eed;
 /// Steps allowed for a staging drain; generous because drains are cheap
 /// forced chains.
 const DRAIN: usize = 20_000;
+/// Backend-clock budget for a staging tool.
+const WAIT: SimDuration = SimDuration::from_secs(20);
 
-fn users(recovery: &[&str]) -> UserDirectory {
-    let mut dir = UserDirectory::new();
-    dir.insert(UserEntry {
-        cred: UserCred::new(UID, SECRET),
-        recovery: recovery.iter().map(|h| (*h).to_string()).collect(),
-        config: PpmConfig::fast_recovery(),
-    });
-    dir
-}
-
-fn cred() -> UserCred {
-    UserCred::new(UID, SECRET)
-}
-
-fn world(hosts: &[&str], recovery: &[&str], respawn: bool) -> McWorld {
-    let mut w = McWorld::new(hosts, SimDuration::from_secs(20));
-    let users = users(recovery).into_shared();
+/// A PPM on `hosts` for one account whose `.recovery` list is `recovery`.
+fn boot(hosts: &[&str], recovery: &[&str], respawn: bool) -> PpmHarness<McWorld> {
     let options = PmdOptions {
         stable_storage: true,
         respawn_lpms: respawn,
     };
-    w.register_service(
-        PMD_SERVICE,
-        PMD_PORT,
-        Box::new(move |_host| Box::new(Pmd::new(Arc::clone(&users), PMD_PORT, options))),
-    );
-    w
+    let account = PpmHarness::builder().pmd_options(options);
+    let mut ppm = account.user(UID, 0x5eed, recovery, PpmConfig::fast_recovery());
+    for h in hosts {
+        ppm = ppm.host(*h, CpuClass::Vax780);
+    }
+    ppm.build_on(McWorld::new())
 }
 
-/// All scenarios by CLI/CI suite name.
+/// A plain UNIX process of the user's on `host` (no PPM behaviour).
+fn login(ppm: &mut PpmHarness<McWorld>, host: &str, command: &str) -> Pid {
+    let spec = SpawnSpec::inert(command);
+    ppm.spawn_login_process(host, UID, spec)
+        .expect("host known")
+}
+
+fn launch(ppm: &mut PpmHarness<McWorld>, host: &str, script: Vec<ToolStep>) -> ToolHandle {
+    ppm.launch_tool(host, UID, script)
+        .expect("account and host known")
+}
+
+fn ping(dest: &str) -> ToolStep {
+    ToolStep::new(dest, Op::Ping)
+}
+
+fn stop(dest: &str, pid: Pid) -> ToolStep {
+    let action = ControlAction::Stop;
+    ToolStep::new(dest, Op::Control { pid: pid.0, action })
+}
+
+/// Raises sibling edges by pinging: `a` pings each of `from_a`, `b` each
+/// of `from_b`, and both wait for their answers.
+fn pings(ppm: &mut PpmHarness<McWorld>, from_a: &[&str], from_b: &[&str]) {
+    let tools = [("a", from_a), ("b", from_b)].map(|(host, dests)| {
+        let script = dests.iter().copied().map(ping).collect();
+        ppm.launch_tool(host, UID, script)
+    });
+    for reply in ppm.await_replies(tools.into(), WAIT) {
+        reply.expect("staging: setup pings");
+    }
+}
+
+/// Whether some enabled move's description contains `pattern`.
+fn queued(w: &McWorld, pattern: &str) -> bool {
+    let moves = w.enabled_moves();
+    moves.iter().any(|m| w.describe(m).contains(pattern))
+}
+
+/// How often the user's `command` on `host` was sent `signal` by a
+/// program.
+fn signalled(w: &McWorld, host: u32, command: &str, signal: Signal) -> u32 {
+    let pid = w.find_proc(HostId(host), UID, command);
+    w.signal_count(host, pid.unwrap_or(Pid(0)), signal)
+}
+
+/// All suites by CLI/CI suite name.
 pub fn by_name(name: &str) -> Option<Scenario> {
     match name {
         "exactly-once" => Some(exactly_once()),
@@ -101,23 +128,13 @@ pub const SUITES: [&str; 5] = [
 /// window — races it.
 pub fn exactly_once() -> Scenario {
     let build = || {
-        let mut w = world(&["a", "b"], &["b", "a"], true);
+        let mut ppm = boot(&["a", "b"], &["b", "a"], true);
         // A surviving user process on `a` so the respawned LPM has
         // something to readopt — that is what makes it rebuild and pull.
-        w.spawn_inert(0, UID, "coord");
-        let job = w.spawn_inert(1, UID, "job");
-        let (tool, _outcome) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new(
-                "b",
-                Op::Control {
-                    pid: job.0,
-                    action: ControlAction::Stop,
-                },
-            )],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(tool));
+        login(&mut ppm, "a", "coord");
+        let job = login(&mut ppm, "b", "job");
+        launch(&mut ppm, "a", vec![stop("b", job)]);
+        let mut w = ppm.into_runtime();
         // Bring the stack up until the relayed control request is in
         // flight toward `b` (the tool's own request to its local LPM
         // flows freely), holding that frame on the wire.
@@ -125,36 +142,28 @@ pub fn exactly_once() -> Scenario {
         let reached = w.run_until(
             DRAIN,
             |w, m| w.describe(m).contains(relay),
-            |w| {
-                w.enabled_moves()
-                    .iter()
-                    .any(|m| w.describe(m).contains(relay))
-            },
+            |w| queued(w, relay),
         );
         assert!(reached, "staging: control request never queued");
         // The retransmit: duplicate the queued request frame.
         assert!(w.stage_dup_head(Some(1), |m| matches!(m, Msg::Req { .. })));
         // First copy delivers and executes.
         assert!(apply_matching(&mut w, relay));
-        let job_stopped = |w: &McWorld| {
-            w.signal_count(1, Pid(w.find_proc(1, "job").unwrap_or(0)), Signal::Stop) >= 1
-        };
+        let job_stopped = |w: &McWorld| signalled(w, 1, "job", Signal::Stop) >= 1;
         let reached = w.run_until(DRAIN, |w, m| w.describe(m).contains(relay), job_stopped);
         assert!(reached, "staging: first control never executed");
         // Crash the origin LPM; pmd respawns it; run the recovery
         // forward until the successor's forest pull is on the wire.
-        assert!(w.stage_kill(0, "lpm-100"));
+        let lpm = w.find_proc(HostId(0), UID, "lpm-").expect("a's LPM");
+        let kill = w.post_signal(Uid::ROOT, (HostId(0), lpm), Signal::Kill);
+        kill.expect("root may kill it");
         let reached = w.run_until(
             DRAIN,
             |w, m| {
                 let d = w.describe(m);
                 d.contains(relay) || d.contains("msg forestpull")
             },
-            |w| {
-                w.enabled_moves()
-                    .iter()
-                    .any(|m| w.describe(m).contains("msg forestpull"))
-            },
+            |w| queued(w, "msg forestpull"),
         );
         assert!(reached, "staging: respawned LPM never pulled the forest");
         // The race under test is all in flight; a short remaining window
@@ -163,8 +172,7 @@ pub fn exactly_once() -> Scenario {
         w
     };
     let stopped_twice = |w: &McWorld| {
-        let job = w.find_proc(1, "job").unwrap_or(0);
-        let n = w.signal_count(1, Pid(job), Signal::Stop);
+        let n = signalled(w, 1, "job", Signal::Stop);
         (n > 1).then(|| format!("control executed {n} times on job@b (exactly-once broken)"))
     };
     Scenario {
@@ -184,43 +192,19 @@ pub fn exactly_once() -> Scenario {
 /// at most once.
 pub fn bcast_dedup() -> Scenario {
     let build = || {
-        let mut w = world(&["a", "b", "c"], &["a", "b", "c"], true);
-        // Pings to raise the full sibling triangle (a-b, a-c, b-c), so
-        // the wave reaches `c` via both `a` and `b`.
-        let (t1, t1_out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("b", Op::Ping), ToolStep::new("c", Op::Ping)],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(t1));
-        let (t2, t2_out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("c", Op::Ping)],
-        );
-        w.spawn_program(1, UID, "tool", Box::new(t2));
-        let reached = w.run_until(
-            DRAIN,
-            |_, _| false,
-            |_| t1_out.lock().unwrap().done && t2_out.lock().unwrap().done,
-        );
-        assert!(reached, "staging: setup pings never completed");
-        w.snapshot_exec_baseline();
+        let mut ppm = boot(&["a", "b", "c"], &["a", "b", "c"], true);
+        // Pings raise the full sibling triangle (a-b, a-c, b-c), so the
+        // wave reaches `c` via both `a` and `b`.
+        pings(&mut ppm, &["b", "c"], &["c"]);
         // The broadcast under test.
-        let (t3, _out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("*", Op::Ping)],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(t3));
+        launch(&mut ppm, "a", vec![ping("*")]);
+        let mut w = ppm.into_runtime();
+        w.snapshot_exec_baseline();
+        let wave = "msg bcast";
         let reached = w.run_until(
             DRAIN,
-            |w, m| w.describe(m).contains("msg bcast"),
-            |w| {
-                w.enabled_moves()
-                    .iter()
-                    .any(|m| w.describe(m).contains("msg bcast"))
-            },
+            |w, m| w.describe(m).contains(wave),
+            |w| queued(w, wave),
         );
         assert!(reached, "staging: wave never queued");
         // Wire-duplicate the first wave frame.
@@ -248,25 +232,9 @@ pub fn bcast_dedup() -> Scenario {
 /// schedule must end with all live LPMs agreeing on one (CCS, epoch).
 pub fn election() -> Scenario {
     let build = || {
-        let mut w = world(&["a", "b", "c"], &["a", "b", "c"], true);
-        let (t1, t1_out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("b", Op::Ping), ToolStep::new("c", Op::Ping)],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(t1));
-        let (t2, t2_out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("c", Op::Ping)],
-        );
-        w.spawn_program(1, UID, "tool", Box::new(t2));
-        let reached = w.run_until(
-            DRAIN,
-            |_, _| false,
-            |_| t1_out.lock().unwrap().done && t2_out.lock().unwrap().done,
-        );
-        assert!(reached, "staging: setup pings never completed");
+        let mut ppm = boot(&["a", "b", "c"], &["a", "b", "c"], true);
+        pings(&mut ppm, &["b", "c"], &["c"]);
+        let mut w = ppm.into_runtime();
         // Partition the CCS (`a`, highest priority) away and let the
         // survivors elect deterministically.
         w.stage_cut(0, 1);
@@ -325,34 +293,23 @@ pub fn election() -> Scenario {
 /// entry may remain an orphan root and rebuilding must have finished.
 pub fn no_orphans() -> Scenario {
     let build = || {
-        let mut w = world(&["a", "b"], &["a", "b"], true);
-        let coord = w.spawn_inert(0, UID, "coord");
-        let (tool, out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new(
-                "b",
-                Op::Spawn {
-                    command: "worker".to_string(),
-                    logical_parent: Some(Gpid::new("a", coord.0)),
-                    lifetime_us: None,
-                    work_us: 0,
-                    cpu_bound: false,
-                },
-            )],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(tool));
-        let reached = w.run_until(DRAIN, |_, _| false, |_| out.lock().unwrap().done);
-        assert!(reached, "staging: remote spawn never completed");
+        let mut ppm = boot(&["a", "b"], &["a", "b"], true);
+        let coord = login(&mut ppm, "a", "coord");
+        let spawn = Op::Spawn {
+            command: "worker".to_string(),
+            logical_parent: Some(Gpid::new("a", coord.0)),
+            lifetime_us: None,
+            work_us: 0,
+            cpu_bound: false,
+        };
+        let script = vec![ToolStep::new("b", spawn)];
+        ppm.run_tool("a", UID, script, WAIT)
+            .expect("staging: remote spawn");
+        let mut w = ppm.into_runtime();
         // The explorer chooses when the tracking LPM dies relative to
         // everything else in flight.
-        w.add_adversary(
-            Adversary::KillProc {
-                host: 1,
-                command: "lpm-100".to_string(),
-            },
-            1,
-        );
+        let command = "lpm-100".to_string();
+        w.add_adversary(Adversary::KillProc { host: 1, command }, 1);
         w.set_horizon(SimDuration::from_secs(10));
         w.set_convergence_margin(SimDuration::from_secs(5));
         w
@@ -377,7 +334,7 @@ pub fn no_orphans() -> Scenario {
             }
         }
         // The worker must still be alive and adopted by the successor.
-        match w.find_proc(1, "worker") {
+        match w.find_proc(HostId(1), UID, "worker") {
             None => Some("worker vanished".to_string()),
             Some(_) => None,
         }
@@ -406,53 +363,20 @@ pub fn no_orphans() -> Scenario {
 /// evicts and dials `c` directly.
 pub fn stale_route() -> Scenario {
     let build = || {
-        let mut w = world(&["a", "b", "c"], &["a", "b", "c"], true);
-        let job = w.spawn_inert(2, UID, "job");
+        let mut ppm = boot(&["a", "b", "c"], &["a", "b", "c"], true);
+        let job = login(&mut ppm, "c", "job");
         // Sibling edges a-b and b-c only: the broadcast wave relays
         // through b, and its gathered parts teach `a` that `c` is
         // reachable via `b`.
-        let (t1, t1_out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("b", Op::Ping)],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(t1));
-        let (t2, t2_out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("c", Op::Ping)],
-        );
-        w.spawn_program(1, UID, "tool", Box::new(t2));
-        let reached = w.run_until(
-            DRAIN,
-            |_, _| false,
-            |_| t1_out.lock().unwrap().done && t2_out.lock().unwrap().done,
-        );
-        assert!(reached, "staging: chain setup pings never completed");
-        let (t3, t3_out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new("*", Op::Ping)],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(t3));
-        let reached = w.run_until(DRAIN, |_, _| false, |_| t3_out.lock().unwrap().done);
-        assert!(reached, "staging: route-teaching broadcast never completed");
+        pings(&mut ppm, &["b"], &["c"]);
+        ppm.run_tool("a", UID, vec![ping("*")], WAIT)
+            .expect("staging: route-teaching broadcast");
+        launch(&mut ppm, "a", vec![stop("c", job)]);
+        let mut w = ppm.into_runtime();
         // Cut the learned hop. The sibling conn a-b stays up from the
         // LPMs' point of view until a send fails or the closed notice
         // lands — exactly the stale window under test.
         w.stage_cut(0, 1);
-        let (t4, _out) = Tool::new(
-            cred(),
-            PpmConfig::fast_recovery(),
-            vec![ToolStep::new(
-                "c",
-                Op::Control {
-                    pid: job.0,
-                    action: ControlAction::Stop,
-                },
-            )],
-        );
-        w.spawn_program(0, UID, "tool", Box::new(t4));
         w.set_horizon(SimDuration::from_secs(8));
         w.set_convergence_margin(SimDuration::from_secs(4));
         w
@@ -468,8 +392,7 @@ pub fn stale_route() -> Scenario {
                 );
             }
         }
-        let job = w.find_proc(2, "job").unwrap_or(0);
-        let n = w.signal_count(2, Pid(job), Signal::Stop);
+        let n = signalled(w, 2, "job", Signal::Stop);
         (n > 1).then(|| format!("control executed {n} times on job@c"))
     };
     let undelivered = move |w: &McWorld| {
@@ -479,8 +402,7 @@ pub fn stale_route() -> Scenario {
         if !w.converge_expected() {
             return None;
         }
-        let job = w.find_proc(2, "job").unwrap_or(0);
-        if w.signal_count(2, Pid(job), Signal::Stop) == 0 {
+        if signalled(w, 2, "job", Signal::Stop) == 0 {
             return Some("control op never reached job@c despite a live a-c path".to_string());
         }
         None
@@ -500,17 +422,15 @@ pub fn stale_route() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{replay, replay_trace};
+    use ppm_mc::{replay, replay_trace};
 
     /// A tool on `a` pings `b`: the inetd → pmd → LPM chain comes up on
     /// both hosts and one request crosses the wire.
-    fn ping() -> Scenario {
+    fn ping_suite() -> Scenario {
         let build = || {
-            let mut w = world(&["a", "b"], &["a", "b"], false);
-            let script = vec![ToolStep::new("b", Op::Ping)];
-            let (tool, _outcome) = Tool::new(cred(), PpmConfig::fast_recovery(), script);
-            w.spawn_program(0, UID, "tool", Box::new(tool));
-            w
+            let mut ppm = boot(&["a", "b"], &["a", "b"], false);
+            launch(&mut ppm, "a", vec![ping("b")]);
+            ppm.into_runtime()
         };
         Scenario {
             name: "ping",
@@ -523,7 +443,7 @@ mod tests {
 
     #[test]
     fn a_replayed_schedule_shows_the_lpms_notes_under_its_moves() {
-        let s = ping();
+        let s = ping_suite();
         // First enabled move each time, to quiescence.
         let picks = vec![0; 300];
         // What `explore` replays keeps the hub off: nothing is recorded.

@@ -4,7 +4,7 @@
 //! fork, open and close a file, be stopped and continued, take a
 //! catchable signal with and without a handler, exit, and watch its
 //! child be killed — runs on the simulated world, on real loopback
-//! nodes, and on the model checker's world (one canonical schedule).
+//! nodes, and on the model checker's world (its default schedule).
 //! All three sit on `ppm_runtime::kernel::Kernel`, so the tracer must
 //! see the same `KernelEvent` sequence and the same resource usage, and
 //! a foreign user's `open_fds` must be refused, on each of them.
@@ -20,6 +20,11 @@
 //! host refused the server's end, a close and a process exit each
 //! reaching the peer as `Closed`, and `conn_alive` after it, with the
 //! same findings on each of them.
+//!
+//! A fourth sends a process two signals from itself: its handler runs
+//! for both, a fatal-by-default one included, and both count.
+//!
+//! Each script is one generic driver, run on all three `Runtime`s.
 
 use bytes::Bytes;
 
@@ -28,7 +33,7 @@ use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_realos::RealRuntime;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::fd::{FdKind, OpenMode};
-use ppm_runtime::ids::{ConnId, CpuClass, Pid, Port, Uid};
+use ppm_runtime::ids::{ConnId, CpuClass, HostId, Pid, Port, Uid};
 use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::Signal;
@@ -164,6 +169,17 @@ fn text(bytes: Option<Bytes>, what: &str, backend: &str) -> String {
     String::from_utf8(bytes.to_vec()).expect("utf-8 report")
 }
 
+/// Lets `rt` run until `host` keeps a record under `key`, for at most
+/// five seconds of its clock.
+fn wait_for<R: Runtime>(rt: &mut R, host: HostId, key: &str) {
+    for _ in 0..250 {
+        if rt.stable_get(host, key).is_some() {
+            break;
+        }
+        rt.run(SimDuration::from_millis(20));
+    }
+}
+
 fn run_on<R: Runtime>(rt: &mut R, backend: &str) -> Outcome {
     let host = rt.add_host("a", CpuClass::Vax780);
     let observer = rt
@@ -176,28 +192,10 @@ fn run_on<R: Runtime>(rt: &mut R, backend: &str) -> Outcome {
     let snoop = Snoop { target: observer };
     rt.spawn_user(host, STRANGER, SpawnSpec::new("snoop", Box::new(snoop)))
         .expect("spawn snoop");
-    for _ in 0..250 {
-        if rt.stable_get(host, REPORT).is_some() {
-            break;
-        }
-        rt.run(SimDuration::from_millis(20));
-    }
+    wait_for(rt, host, REPORT);
     (
         text(rt.stable_get(host, REPORT), "report", backend),
         text(rt.stable_get(host, SNOOP), "snoop verdict", backend),
-    )
-}
-
-fn run_on_mc() -> Outcome {
-    let mut w = McWorld::new(&["a"], SimDuration::from_secs(20));
-    let observer = w.spawn_program(0, OWNER, "observer", Box::<Observer>::default());
-    let snoop = Snoop { target: observer };
-    w.spawn_program(0, STRANGER, "snoop", Box::new(snoop));
-    assert!(w.run_to_quiescence(10_000), "mc: script never quiesced");
-    let disk = w.kernel(0);
-    (
-        text(disk.stable_get(REPORT), "report", "mc"),
-        text(disk.stable_get(SNOOP), "snoop verdict", "mc"),
     )
 }
 
@@ -229,7 +227,8 @@ own open_fds Ok(1)";
     );
     let real = run_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, sim, "real backend diverges from sim");
-    assert_eq!(run_on_mc(), sim, "model checker diverges from sim");
+    let mc = run_on(&mut McWorld::new(), "mc");
+    assert_eq!(mc, sim, "model checker diverges from sim");
 }
 
 const SINK: &str = "sink";
@@ -284,27 +283,14 @@ impl Program for Caller {
     }
 }
 
-fn sink_factory() -> ppm_runtime::rt::ServiceFactory {
-    Box::new(|_| Box::new(Sink))
-}
-
-fn findings(backend: &str, get: impl Fn(&str) -> Option<Bytes>) -> Vec<String> {
-    let read = |key: &&str| text(get(key), key, backend);
-    FINDINGS.iter().map(read).collect()
-}
-
 fn dial_on<R: Runtime>(rt: &mut R, backend: &str) -> Vec<String> {
-    rt.register_service(SINK, SINK_PORT, sink_factory());
+    rt.register_service(SINK, SINK_PORT, Box::new(|_| Box::new(Sink)));
     let host = rt.add_host("a", CpuClass::Vax780);
     rt.spawn_user(host, Uid::ROOT, SpawnSpec::new("caller", Box::new(Caller)))
         .expect("spawn caller");
-    for _ in 0..250 {
-        if rt.stable_get(host, FINDINGS[2]).is_some() {
-            break;
-        }
-        rt.run(SimDuration::from_millis(20));
-    }
-    findings(backend, |key| rt.stable_get(host, key))
+    wait_for(rt, host, FINDINGS[2]);
+    let read = |key: &&str| text(rt.stable_get(host, key), key, backend);
+    FINDINGS.iter().map(read).collect()
 }
 
 #[test]
@@ -315,11 +301,7 @@ fn a_daemon_is_inits_child_and_a_closed_connection_leaves_no_descriptor() {
         dial_on(&mut RealRuntime::with_trace(false), "real"),
         expected
     );
-    let mut w = McWorld::new(&["a"], SimDuration::from_secs(20));
-    w.register_service(SINK, SINK_PORT, sink_factory());
-    w.spawn_program(0, Uid::ROOT, "caller", Box::new(Caller));
-    assert!(w.run_to_quiescence(10_000), "mc: script never quiesced");
-    assert_eq!(findings("mc", |key| w.kernel(0).stable_get(key)), expected);
+    assert_eq!(dial_on(&mut McWorld::new(), "mc"), expected);
 }
 
 const PORT_UP: Port = Port(21);
@@ -456,21 +438,12 @@ impl Program for ConnClient {
     }
 }
 
-fn conn_reports(backend: &str, get: impl Fn(&str) -> Option<Bytes>) -> [String; 2] {
-    CONN_REPORTS.map(|key| text(get(key), key, backend))
-}
-
 fn conn_script_on<R: Runtime>(rt: &mut R, backend: &str) -> [String; 2] {
     let host = rt.add_host("a", CpuClass::Vax780);
     let server = SpawnSpec::new("server", Box::<ConnServer>::default());
     rt.spawn_user(host, OWNER, server).expect("spawn server");
-    for _ in 0..250 {
-        if rt.stable_get(host, CONN_REPORTS[1]).is_some() {
-            break;
-        }
-        rt.run(SimDuration::from_millis(20));
-    }
-    conn_reports(backend, |key| rt.stable_get(host, key))
+    wait_for(rt, host, CONN_REPORTS[1]);
+    CONN_REPORTS.map(|key| text(rt.stable_get(host, key), key, backend))
 }
 
 #[test]
@@ -493,9 +466,58 @@ peer exited: alive false, sockets 0",
     assert_eq!(conn_script_on(&mut SimRuntime::new(7), "sim"), expected);
     let real = conn_script_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
-    let mut w = McWorld::new(&["a"], SimDuration::from_secs(20));
-    w.spawn_program(0, OWNER, "server", Box::<ConnServer>::default());
-    assert!(w.run_to_quiescence(10_000), "mc: script never quiesced");
-    let mc = conn_reports("mc", |key| w.kernel(0).stable_get(key));
+    let mc = conn_script_on(&mut McWorld::new(), "mc");
+    assert_eq!(mc, expected, "model checker diverges from sim");
+}
+
+/// Where the fourth script's process reports what it handled.
+const SELF_REPORT: &str = "parity.self";
+
+/// Handles every catchable signal, sends itself SIGUSR1 and SIGTERM
+/// (fatal by default), and reports 30 ms later what reached it.
+#[derive(Default)]
+struct SelfSignaller {
+    handled: Vec<String>,
+}
+
+impl Program for SelfSignaller {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        for signal in [Signal::Usr1, Signal::Term] {
+            sys.kill(sys.pid(), signal).expect("its own pid");
+        }
+        sys.set_timer(SimDuration::from_millis(30), 0);
+    }
+
+    fn on_signal(&mut self, _: &mut dyn Sys, signal: Signal) -> SigAction {
+        self.handled.push(signal.to_string());
+        SigAction::Handled
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
+        let received = sys.rusage_of(sys.pid()).expect("own rusage");
+        let report = format!(
+            "handled {:?} received {}",
+            self.handled, received.signals_received
+        );
+        sys.stable_put(SELF_REPORT, report);
+    }
+}
+
+fn self_signal_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
+    let host = rt.add_host("a", CpuClass::Vax780);
+    let spec = SpawnSpec::new("self-signaller", Box::<SelfSignaller>::default());
+    rt.spawn_user(host, OWNER, spec)
+        .expect("spawn self-signaller");
+    wait_for(rt, host, SELF_REPORT);
+    text(rt.stable_get(host, SELF_REPORT), "report", backend)
+}
+
+#[test]
+fn a_signal_a_process_sends_itself_reaches_its_handler_on_sim_real_and_mc() {
+    let expected = r#"handled ["SIGUSR1", "SIGTERM"] received 2"#;
+    assert_eq!(self_signal_on(&mut SimRuntime::new(7), "sim"), expected);
+    let real = self_signal_on(&mut RealRuntime::with_trace(false), "real");
+    assert_eq!(real, expected, "real backend diverges from sim");
+    let mc = self_signal_on(&mut McWorld::new(), "mc");
     assert_eq!(mc, expected, "model checker diverges from sim");
 }

@@ -7,10 +7,13 @@
 //! at reduced debug-build budgets; CI runs the full budgets in release
 //! mode (`mc-smoke`).
 
-use ppm_mc::scenarios;
+use ppm::mc_suites;
 use ppm_mc::{apply_matching, assert_no_violation, explore, replay, replay_trace, Budget};
 use ppm_runtime::signal::Signal;
-use ppm_runtime::Pid;
+use ppm_runtime::{HostId, Runtime, Uid};
+
+/// The suites' one account.
+const UID: Uid = Uid(100);
 
 /// The incarnation-fence bug (`exactly-once` suite). Minimized pre-fix
 /// counterexample, 7 moves from the staged frontier:
@@ -28,7 +31,7 @@ use ppm_runtime::Pid;
 /// as `Stale`, so the duplicate is refused instead of re-executed.
 #[test]
 fn purge_before_late_retry_executes_exactly_once() {
-    let s = scenarios::exactly_once();
+    let s = mc_suites::exactly_once();
     let mut w = (s.build)();
     // The bad ordering: purge first, then the stale duplicate.
     assert!(
@@ -44,9 +47,9 @@ fn purge_before_late_retry_executes_exactly_once() {
         "duplicate must not re-execute"
     );
     w.run_to_quiescence(20_000);
-    let job = w.find_proc(1, "job").expect("job survives");
+    let job = w.find_proc(HostId(1), UID, "job").expect("job survives");
     assert_eq!(
-        w.signal_count(1, Pid(job), Signal::Stop),
+        w.signal_count(1, job, Signal::Stop),
         1,
         "control op executed exactly once across the purge/retry race"
     );
@@ -60,7 +63,7 @@ fn purge_before_late_retry_executes_exactly_once() {
 /// every failure root.
 #[test]
 fn forest_rebuild_completes_once_gossip_explains_roots() {
-    let s = scenarios::no_orphans();
+    let s = mc_suites::no_orphans();
     let mut w = (s.build)();
     assert!(
         apply_matching(&mut w, "fault kill lpm-100@b"),
@@ -68,7 +71,7 @@ fn forest_rebuild_completes_once_gossip_explains_roots() {
     );
     w.run_to_quiescence(20_000);
     assert!(
-        w.find_proc(1, "worker").is_some(),
+        w.find_proc(HostId(1), UID, "worker").is_some(),
         "worker survives its manager's crash"
     );
     for (k, l) in w.lpms() {
@@ -94,7 +97,7 @@ fn forest_rebuild_completes_once_gossip_explains_roots() {
 /// directly.
 #[test]
 fn cut_next_hop_is_evicted_not_used() {
-    let s = scenarios::stale_route();
+    let s = mc_suites::stale_route();
     let mut w = (s.build)();
     w.run_to_quiescence(20_000);
     for (k, l) in w.lpms() {
@@ -106,9 +109,9 @@ fn cut_next_hop_is_evicted_not_used() {
             );
         }
     }
-    let job = w.find_proc(2, "job").expect("job survives");
+    let job = w.find_proc(HostId(2), UID, "job").expect("job survives");
     assert_eq!(
-        w.signal_count(2, Pid(job), Signal::Stop),
+        w.signal_count(2, job, Signal::Stop),
         1,
         "control op reached c via the direct channel"
     );
@@ -123,7 +126,7 @@ fn exploration_and_replay_are_deterministic() {
         max_depth: 30,
         max_states: 2_000,
     };
-    let s = scenarios::exactly_once();
+    let s = mc_suites::exactly_once();
     let (first, v1) = explore(&s, budget);
     let (second, v2) = explore(&s, budget);
     assert!(v1.is_none() && v2.is_none());
@@ -145,8 +148,8 @@ fn exploration_and_replay_are_deterministic() {
 /// others are smoke-checked here and explored at full budget in CI.
 #[test]
 fn suites_stay_clean_at_smoke_budgets() {
-    for name in scenarios::SUITES {
-        let s = scenarios::by_name(name).expect("listed suite exists");
+    for name in mc_suites::SUITES {
+        let s = mc_suites::by_name(name).expect("listed suite exists");
         let budget = Budget {
             max_depth: s.default_budget.max_depth.min(20),
             max_states: s.default_budget.max_states.min(1_500),
