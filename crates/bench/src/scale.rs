@@ -129,7 +129,7 @@ pub fn measure(n: usize, shape: Shape, seed: u64) -> ScalePoint {
             "h0",
             USER,
             vec![ToolStep::new(
-                far.host.clone(),
+                far.host.to_string(),
                 Op::Control {
                     pid: far.pid,
                     action: ControlAction::Stop,

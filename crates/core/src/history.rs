@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use ppm_proto::types::{Gpid, HistoryRecord, RusageRecord};
+use ppm_proto::types::{Gpid, HistoryRecord, Name, RusageRecord};
 use ppm_runtime::ids::Pid;
 use ppm_runtime::process::Rusage;
 use ppm_runtime::signal::{ExitStatus, Signal};
@@ -110,7 +110,7 @@ impl Exited {
         let r = &self.rusage;
         RusageRecord {
             gpid: Gpid::new(host, self.pid),
-            command: self.command.to_string(),
+            command: Name::new(&self.command),
             exited_us: self.exited_us,
             status: match self.status {
                 ExitStatus::Code(c) => c,

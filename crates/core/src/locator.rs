@@ -25,7 +25,7 @@
 use bytes::Bytes;
 use ppm_proto::codec::Wire;
 use ppm_proto::msg::Msg;
-use ppm_proto::types::Route;
+use ppm_proto::types::{Name, Route};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::HostId;
 use ppm_runtime::ids::{ConnId, Port};
@@ -42,8 +42,8 @@ use crate::config::PMD_SERVICE;
 /// can revalidate every leg when the world's reachability epoch moves.
 #[derive(Debug, Clone)]
 struct RouteEntry {
-    next: String,
-    path: Vec<String>,
+    next: Name,
+    path: Vec<Name>,
 }
 
 /// A bounded next-hop cache learned from reply routes.
@@ -57,7 +57,7 @@ struct RouteEntry {
 /// cannot grow it without bound.
 #[derive(Debug, Clone)]
 pub struct RouteCache {
-    map: FastMap<String, RouteEntry>,
+    map: FastMap<Name, RouteEntry>,
     cap: usize,
 }
 

@@ -52,7 +52,7 @@ use ppm_proto::codec::{frames, Enc, Wire};
 use ppm_proto::msg::{
     ErrCode, Msg, Op, Reply, SnapshotRun, WirePart, WireReply, MAX_REPLY_RECORDS,
 };
-use ppm_proto::types::{Route, Stamp};
+use ppm_proto::types::{Name, Route, Stamp};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::obs::SpanPhase;
 use ppm_runtime::sys::Sys;
@@ -145,7 +145,7 @@ impl Lpm {
         self.bcast_seq += 1;
         let now = sys.now();
         let stamp = Stamp::signed(
-            self.host.clone(),
+            &self.host,
             self.bcast_seq,
             now.as_micros(),
             self.auth.stamp_secret(),
@@ -175,7 +175,7 @@ impl Lpm {
             merges_outstanding: 0,
             merge_free_at: SimTime::ZERO,
         };
-        let route_in = Route::from_origin(self.host.clone());
+        let route_in = Route::from_origin(&self.host);
         self.join_wave(
             sys,
             BcastState::new(stamp, user, op, route_in, forward_targets, role),
@@ -225,12 +225,12 @@ impl Lpm {
             handler: None,
             sent_conn: None,
             hops_left: 0,
-            route: Route::from_origin(self.host.clone()),
+            route: Route::from_origin(&self.host),
             timeout_token: None,
             spawn_pid: None,
             // Local pseudo-request: never travels, never retries; the
             // wave's own stamp and timeout govern it.
-            corr: (std::sync::Arc::from(self.host.as_str()), id),
+            corr: (Name::new(&self.host), id),
             boot: self.boot_epoch(),
             deadline: None,
             attempt: 0,
@@ -335,7 +335,7 @@ impl Lpm {
         let user = b.user;
         let op = b.op.clone();
         let mut route = b.route_in.clone();
-        route.push(self.host.clone());
+        route.push(&self.host);
         let targets = b.forward_targets.clone();
         sys.trace(
             TraceCategory::Broadcast,
@@ -392,7 +392,7 @@ impl Lpm {
                 // The local slice becomes the first part of the subtree's
                 // single upstream aggregate.
                 let mut route = b.route_in.clone();
-                route.push(self.host.clone());
+                route.push(&self.host);
                 reply.push_part(agg_buf, &self.host, &route);
                 *agg_count += 1;
             }

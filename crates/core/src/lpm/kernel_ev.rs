@@ -138,7 +138,7 @@ impl Lpm {
                     self.begin_request(
                         sys,
                         self.auth.uid().0,
-                        target.host.clone(),
+                        target.host.to_string(),
                         ppm_proto::msg::Op::Control {
                             pid: target.pid,
                             action: ppm_proto::msg::ControlAction::Signal(signal),
@@ -169,7 +169,7 @@ impl Lpm {
                     self.begin_request(
                         sys,
                         self.auth.uid().0,
-                        root.host.clone(),
+                        root.host.to_string(),
                         ppm_proto::msg::Op::Control {
                             pid: root.pid,
                             action: ppm_proto::msg::ControlAction::Kill,

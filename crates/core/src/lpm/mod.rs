@@ -32,12 +32,11 @@ mod requests;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use ppm_proto::codec::{Enc, Wire};
 use ppm_proto::msg::{Inbound, Msg, Op, SnapshotRun, WireReply};
-use ppm_proto::types::{Gpid, Route, Stamp};
+use ppm_proto::types::{Gpid, Name, Route, Stamp};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::{ConnId, Port};
 use ppm_runtime::program::{ConnEvent, Program, SysError};
@@ -61,8 +60,8 @@ use crate::users::UserEntry;
 
 /// Role of an accepted or established connection.
 ///
-/// Cloned on every dispatched message, so the sibling host name is an
-/// `Arc<str>`: the per-message cost is a reference-count bump.
+/// Cloned on every dispatched message, so the sibling host name is a
+/// [`Name`]: the clone allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ConnRole {
     /// Accepted; awaiting the authenticating `Hello`.
@@ -70,7 +69,7 @@ pub(crate) enum ConnRole {
     /// An authenticated tool.
     Tool,
     /// An authenticated sibling LPM on the named host.
-    Sibling(Arc<str>),
+    Sibling(Name),
 }
 
 /// Why a dial toward a host is in progress.
@@ -91,8 +90,8 @@ pub(crate) enum ChanPurpose {
 /// own host can be in progress at once.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum DialKey {
-    Lpm(Arc<str>),
-    Pmd(Arc<str>),
+    Lpm(Name),
+    Pmd(Name),
 }
 
 impl DialKey {
@@ -826,6 +825,49 @@ mod tests {
         route.push("far");
         l.learn_route(&route);
         assert!(l.route_cache.get("far").is_none());
+    }
+
+    /// A sibling sends a request whose route already names `u16::MAX`
+    /// hosts and whose hop budget is spent. Were it decoded, the LPM
+    /// would push its own name and refuse it with a route one entry too
+    /// long to encode.
+    #[test]
+    fn a_route_longer_than_any_hop_budget_is_dropped_not_answered() {
+        use crate::stub_sys::StubSys;
+        use ppm_proto::msg::{ErrCode, Reply};
+
+        let mut l = lpm();
+        let mut sys = StubSys::new(true);
+        let conn = ConnId(3);
+        l.conns.insert(conn, ConnRole::Sibling("far".into()));
+        let hostile = Msg::Req {
+            id: 1,
+            user: 100,
+            dest: "elsewhere".into(),
+            op: Op::Ping,
+            route: Route(vec!["h".into(); usize::from(u16::MAX)]),
+            hops_left: 0,
+            deadline_us: 0,
+            attempt: 0,
+            boot: 0,
+        };
+        l.on_message(&mut sys, conn, hostile.to_bytes());
+        for sent in &sys.sent {
+            assert!(
+                matches!(
+                    Msg::from_bytes(sent),
+                    Ok(Msg::Resp {
+                        reply: Reply::Err {
+                            code: ErrCode::NoRoute,
+                            ..
+                        },
+                        ..
+                    })
+                ),
+                "only a refusal may answer it"
+            );
+        }
+        assert_eq!(sys.hub.trace.grep("undecodable message").count(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! possible.
 
 use ppm_proto::msg::{ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyPeek, WireReply};
-use ppm_proto::types::{FileRecord, Gpid, Route};
+use ppm_proto::types::{FileRecord, Gpid, Name, Route};
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::fd::FdKind;
 use ppm_runtime::ids::{ConnId, Pid};
@@ -219,13 +219,10 @@ impl Lpm {
         attempt: u8,
         boot: u64,
     ) {
-        let origin: std::sync::Arc<str> = match route.origin() {
-            Some(o) => std::sync::Arc::from(o),
-            None => std::sync::Arc::from(self.host.as_str()),
-        };
+        let origin = Name::new(route.origin().unwrap_or(&self.host));
         let corr: RpcKey = (origin, id);
         let mut route_in = route.clone();
-        route_in.push(self.host.clone());
+        route_in.push(&self.host);
 
         // Idempotent dedup: a retried delivery of a request we already
         // hold (or already executed) must not run twice.
@@ -387,9 +384,7 @@ impl Lpm {
         let id = self.alloc_internal_id();
         let policy = self.retry_policy();
         let origin_side = reply_to.is_origin();
-        let corr = ctx
-            .corr
-            .unwrap_or_else(|| (std::sync::Arc::from(self.host.as_str()), id));
+        let corr = ctx.corr.unwrap_or_else(|| (Name::new(&self.host), id));
         let span = format_args!("{}#{}", corr.0, corr.1);
         sys.span("req", span, SpanPhase::Begin);
         let deadline = match ctx.deadline {
@@ -399,9 +394,7 @@ impl Lpm {
             None if origin_side => Some(sys.now() + self.cfg.req_deadline),
             None => None,
         };
-        let route = ctx
-            .route
-            .unwrap_or_else(|| Route::from_origin(self.host.clone()));
+        let route = ctx.route.unwrap_or_else(|| Route::from_origin(&self.host));
         self.rpc.insert(
             id,
             PendingRequest {
@@ -613,7 +606,7 @@ impl Lpm {
     fn req_wire_msg(&self, id: u64) -> Msg {
         let r = self.rpc.get(id).expect("wire msg of live request");
         let mut route = r.route.clone();
-        route.push(self.host.clone());
+        route.push(&self.host);
         Msg::Req {
             id: r.corr.1,
             user: r.user,
@@ -667,7 +660,7 @@ impl Lpm {
         let Some(origin) = route.origin() else {
             return;
         };
-        let key: RpcKey = (std::sync::Arc::from(origin), id);
+        let key: RpcKey = (Name::new(origin), id);
         let Some(local_id) = self.rpc.resolve(&key) else {
             return; // timed out, refused or duplicate
         };

@@ -29,10 +29,8 @@
 
 mod table;
 
-use std::sync::Arc;
-
 use ppm_proto::msg::{Op, WireReply};
-use ppm_proto::types::Route;
+use ppm_proto::types::{Name, Route};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::time::{SimDuration, SimTime};
 
@@ -42,13 +40,13 @@ use crate::lpm::DialKey;
 pub(crate) use table::{DupVerdict, RpcTable, TransportVerdict};
 
 /// Correlation key of a request or broadcast wave:
-/// `(origin host, origin-allocated id)`. The origin is a shared
-/// `Arc<str>`, so keys clone by bumping a reference count.
+/// `(origin host, origin-allocated id)`. The origin is a [`Name`], so
+/// keys clone without allocating.
 ///
 /// Directed requests keep this identity across relays and retries;
 /// broadcast waves use their signed stamp's `(origin, seq)`. Both kinds
 /// share one dedup window keyed by this type.
-pub(crate) type RpcKey = (Arc<str>, u64);
+pub(crate) type RpcKey = (Name, u64);
 
 /// Renders a correlation key for traces: `origin#id`.
 pub(crate) fn fmt_key(key: &RpcKey) -> String {
@@ -226,7 +224,7 @@ mod tests {
 
     #[test]
     fn fmt_key_is_origin_hash_id() {
-        let key: RpcKey = (Arc::from("calder"), 42);
+        let key: RpcKey = (Name::from("calder"), 42);
         assert_eq!(fmt_key(&key), "calder#42");
     }
 
@@ -245,7 +243,7 @@ mod tests {
         }
         .is_origin());
         assert!(!ReplyTo::BcastLocal {
-            key: (Arc::from("a"), 1)
+            key: (Name::from("a"), 1)
         }
         .is_origin());
     }
@@ -266,7 +264,7 @@ mod tests {
             route: Route::from_origin("here"),
             timeout_token: None,
             spawn_pid: None,
-            corr: (Arc::from("here"), 1),
+            corr: (Name::from("here"), 1),
             boot: 1,
             deadline: Some(SimTime::from_micros(1_000)),
             attempt: 0,

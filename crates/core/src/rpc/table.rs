@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use ppm_proto::msg::{ErrCode, WireReply};
-use ppm_proto::types::Route;
+use ppm_proto::types::{Name, Route};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{SimDuration, SimTime};
@@ -72,7 +72,7 @@ pub(crate) struct RpcTable {
     /// are from a dead incarnation and must never execute fresh — the
     /// respawn purged that incarnation's dedup window, so nothing else
     /// stops a late retry from re-executing.
-    fences: FastMap<std::sync::Arc<str>, u64>,
+    fences: FastMap<Name, u64>,
     next_token: u64,
     timers: FastMap<u64, TimerKind>,
 }
@@ -122,7 +122,7 @@ impl RpcTable {
             h.write_u64(*id);
             h.write_u8(tag);
         }
-        let mut fences: Vec<(&std::sync::Arc<str>, &u64)> = self.fences.iter().collect();
+        let mut fences: Vec<(&Name, &u64)> = self.fences.iter().collect();
         fences.sort_unstable();
         for (origin, boot) in fences {
             h.write(origin.as_bytes());
@@ -232,7 +232,7 @@ impl RpcTable {
         if boot == 0 {
             return;
         }
-        let slot = self.fences.entry(std::sync::Arc::from(origin)).or_insert(0);
+        let slot = self.fences.entry(Name::new(origin)).or_insert(0);
         *slot = (*slot).max(boot);
     }
 
@@ -383,7 +383,6 @@ mod tests {
     use super::super::ReplyTo;
     use super::*;
     use ppm_proto::msg::{Op, Reply};
-    use std::sync::Arc;
 
     fn wire(reply: Reply) -> WireReply {
         WireReply::from(&reply)
@@ -415,7 +414,7 @@ mod tests {
     #[test]
     fn correlation_index_tracks_insert_and_remove() {
         let mut t = RpcTable::new();
-        let key: RpcKey = (Arc::from("here"), 7);
+        let key: RpcKey = (Name::from("here"), 7);
         t.insert(7, req(key.clone(), ReplyTo::Internal));
         assert_eq!(t.resolve(&key), Some(7));
         matches!(t.dup_verdict(&key, 1), DupVerdict::InFlight(7));
@@ -427,7 +426,7 @@ mod tests {
     #[test]
     fn done_entries_replay_and_age_out() {
         let mut t = RpcTable::new();
-        let key: RpcKey = (Arc::from("far"), 9);
+        let key: RpcKey = (Name::from("far"), 9);
         let at = SimTime::from_micros(1_000_000);
         t.note_done(
             key.clone(),
@@ -450,8 +449,8 @@ mod tests {
     #[test]
     fn bcast_and_done_entries_share_the_window() {
         let mut t = RpcTable::new();
-        let b: RpcKey = (Arc::from("a"), 1);
-        let d: RpcKey = (Arc::from("b"), 2);
+        let b: RpcKey = (Name::from("a"), 1);
+        let d: RpcKey = (Name::from("b"), 2);
         t.note_bcast(b.clone(), SimTime::ZERO);
         t.note_done(
             d,
@@ -468,9 +467,9 @@ mod tests {
     #[test]
     fn purge_peer_clears_only_that_origin() {
         let mut t = RpcTable::new();
-        let a1: RpcKey = (Arc::from("a"), 1);
-        let a2: RpcKey = (Arc::from("a"), 2);
-        let b1: RpcKey = (Arc::from("b"), 1);
+        let a1: RpcKey = (Name::from("a"), 1);
+        let a2: RpcKey = (Name::from("a"), 2);
+        let b1: RpcKey = (Name::from("b"), 1);
         t.note_done(
             a1.clone(),
             SimTime::ZERO,
@@ -504,7 +503,7 @@ mod tests {
         // reference in its old expiry bucket; purging that bucket must
         // neither drop the live entry nor count it as purged.
         let mut t = RpcTable::new();
-        let key: RpcKey = (Arc::from("far"), 4);
+        let key: RpcKey = (Name::from("far"), 4);
         let window = SimDuration::from_secs(60);
         t.note_done(
             key.clone(),
@@ -533,8 +532,8 @@ mod tests {
         // Two entries in the same ~1s bucket, straddling the cutoff: only
         // the expired one goes, and the survivor expires on a later tick.
         let mut t = RpcTable::new();
-        let a: RpcKey = (Arc::from("a"), 1);
-        let b: RpcKey = (Arc::from("b"), 2);
+        let a: RpcKey = (Name::from("a"), 1);
+        let b: RpcKey = (Name::from("b"), 2);
         let window = SimDuration::from_secs(10);
         t.note_bcast(a.clone(), SimTime::from_micros(1_000_100));
         t.note_bcast(b.clone(), SimTime::from_micros(1_900_000));
@@ -555,7 +554,7 @@ mod tests {
         // boot epoch. A late retry stamped by the dead incarnation must
         // classify Stale (refused), never New (re-executed).
         let mut t = RpcTable::new();
-        let key: RpcKey = (Arc::from("work"), 12);
+        let key: RpcKey = (Name::from("work"), 12);
         t.note_done(
             key.clone(),
             SimTime::ZERO,
@@ -583,16 +582,16 @@ mod tests {
         t.fence_origin("work", 7_000_000);
         t.fence_origin("work", 3_000_000); // reordered older pull
         assert!(matches!(
-            t.dup_verdict(&(Arc::from("work"), 1), 3_000_000),
+            t.dup_verdict(&(Name::from("work"), 1), 3_000_000),
             DupVerdict::Stale
         ));
         t.fence_origin("work", 0); // unstamped pull never lowers it
         assert!(matches!(
-            t.dup_verdict(&(Arc::from("work"), 1), 6_999_999),
+            t.dup_verdict(&(Name::from("work"), 1), 6_999_999),
             DupVerdict::Stale
         ));
         assert!(matches!(
-            t.dup_verdict(&(Arc::from("work"), 1), 7_000_000),
+            t.dup_verdict(&(Name::from("work"), 1), 7_000_000),
             DupVerdict::New
         ));
     }
@@ -600,7 +599,7 @@ mod tests {
     #[test]
     fn retry_verdict_consumes_budget_then_fails() {
         let now = SimTime::from_micros(1_000);
-        let mut r = req((Arc::from("here"), 1), ReplyTo::Internal);
+        let mut r = req((Name::from("here"), 1), ReplyTo::Internal);
         let v1 = r.retry_verdict(now, false);
         assert_eq!(
             v1,
@@ -631,7 +630,7 @@ mod tests {
         // With a big budget the delay doubles 250ms → 500ms → 1s, then
         // plateaus at the 1s ceiling instead of marching toward hours.
         let now = SimTime::from_micros(1_000);
-        let mut r = req((Arc::from("here"), 1), ReplyTo::Internal);
+        let mut r = req((Name::from("here"), 1), ReplyTo::Internal);
         r.attempts_left = 20;
         r.backoff_max = SimDuration::from_secs(1);
         let mut delays = Vec::new();
@@ -651,7 +650,7 @@ mod tests {
     fn relays_never_retry() {
         let now = SimTime::from_micros(1_000);
         let mut r = req(
-            (Arc::from("orig"), 1),
+            (Name::from("orig"), 1),
             ReplyTo::Sibling {
                 conn: ppm_runtime::ids::ConnId(3),
                 external_id: 1,
@@ -667,7 +666,7 @@ mod tests {
 
     #[test]
     fn deadline_overrides_budget() {
-        let mut r = req((Arc::from("here"), 1), ReplyTo::Internal);
+        let mut r = req((Name::from("here"), 1), ReplyTo::Internal);
         r.deadline = Some(SimTime::from_micros(500));
         assert_eq!(
             r.retry_verdict(SimTime::from_micros(600), true),
@@ -691,7 +690,7 @@ mod tests {
     #[test]
     fn spawn_waits_follow_request_removal() {
         let mut t = RpcTable::new();
-        let key: RpcKey = (Arc::from("here"), 3);
+        let key: RpcKey = (Name::from("here"), 3);
         let mut r = req(key, ReplyTo::Internal);
         r.spawn_pid = Some(77);
         t.insert(3, r);

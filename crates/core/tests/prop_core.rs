@@ -349,7 +349,7 @@ fn apply_hist_op(h: &mut History, oracle: &mut RecordHistory, at: SimTime, op: H
                     h.record_exit(at, pid, "job", status, rusage);
                     oracle.record_exit(RusageRecord {
                         gpid: local(pid),
-                        command: "job".to_string(),
+                        command: "job".into(),
                         exited_us: at.as_micros(),
                         status: match status {
                             ExitStatus::Code(c) => c,

@@ -81,6 +81,13 @@ pub enum CodecError {
     BadUtf8,
     /// Decoding finished with bytes left over.
     TrailingBytes(usize),
+    /// A sequence held more entries than any honest sender writes.
+    TooLong {
+        /// Context description (which type was being decoded).
+        what: &'static str,
+        /// The count the input claimed.
+        len: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -90,6 +97,7 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { what, tag } => write!(f, "bad tag {tag} decoding {what}"),
             CodecError::BadUtf8 => f.write_str("invalid utf-8 in string field"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
+            CodecError::TooLong { what, len } => write!(f, "{len} entries is too many for {what}"),
         }
     }
 }
@@ -174,6 +182,7 @@ impl Enc {
 
     /// Appends bytes that are already in wire form (no length prefix):
     /// how a value is forwarded without being decoded.
+    #[inline]
     pub fn splice(&mut self, encoded: &[u8]) {
         self.buf.extend_from_slice(encoded);
     }
@@ -194,36 +203,43 @@ impl Enc {
     }
 
     /// Writes a `u8`.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a `u16` big-endian.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a `u32` big-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a `u64` big-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes an `i32` big-endian.
+    #[inline]
     pub fn i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes an `i64` big-endian.
+    #[inline]
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a bool as one byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
@@ -234,6 +250,7 @@ impl Enc {
     ///
     /// Panics if the string exceeds `u16::MAX` bytes (protocol fields are
     /// short names and paths).
+    #[inline]
     pub fn str(&mut self, s: &str) {
         let len = u16::try_from(s.len()).expect("protocol string fits in u16");
         self.u16(len);
@@ -248,6 +265,7 @@ impl Enc {
     /// # Panics
     ///
     /// Panics if the blob exceeds `u32::MAX` bytes.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         let len = u32::try_from(b.len()).expect("protocol blob fits in u32");
         self.u32(len);
@@ -255,6 +273,7 @@ impl Enc {
     }
 
     /// Writes an `Option` with a one-byte presence tag.
+    #[inline]
     pub fn opt<T>(&mut self, v: &Option<T>, f: impl FnOnce(&mut Self, &T)) {
         match v {
             None => self.u8(0),
@@ -271,6 +290,7 @@ impl Enc {
     /// # Panics
     ///
     /// Panics if the count exceeds `u16::MAX`.
+    #[inline]
     pub fn seq_len(&mut self, count: usize) {
         self.u16(u16::try_from(count).expect("protocol sequence fits in u16"));
     }
@@ -280,6 +300,7 @@ impl Enc {
     /// # Panics
     ///
     /// Panics if the sequence exceeds `u16::MAX` entries.
+    #[inline]
     pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
         self.seq_len(items.len());
         for item in items {
@@ -302,6 +323,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -310,6 +332,7 @@ impl<'a> Dec<'a> {
     /// decoder (or the decoder it was carved from, see [`Dec::sub`]) was
     /// created over. A caller that holds that input as [`Bytes`] can
     /// slice a value out of it by the positions before and after.
+    #[inline]
     pub fn pos(&self) -> usize {
         self.pos
     }
@@ -345,6 +368,7 @@ impl<'a> Dec<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated);
@@ -359,6 +383,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
@@ -368,6 +393,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
     }
@@ -377,6 +403,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
     }
@@ -386,6 +413,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
     }
@@ -395,6 +423,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn i32(&mut self) -> Result<i32, CodecError> {
         Ok(i32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
     }
@@ -404,6 +433,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
     }
@@ -413,6 +443,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         Ok(self.u8()? != 0)
     }
@@ -426,6 +457,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] or [`CodecError::BadUtf8`].
+    #[inline]
     pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u16()? as usize;
         let raw = self.take(len)?;
@@ -437,6 +469,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] or [`CodecError::BadUtf8`].
+    #[inline]
     pub fn str(&mut self) -> Result<String, CodecError> {
         self.str_ref().map(str::to_owned)
     }
@@ -447,6 +480,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
+    #[inline]
     pub fn bytes_ref(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u32()? as usize;
         self.take(len)
@@ -458,6 +492,7 @@ impl<'a> Dec<'a> {
     ///
     /// [`CodecError::BadTag`] for a tag other than 0 or 1, plus whatever
     /// the element decoder returns.
+    #[inline]
     pub fn opt<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, CodecError>,
@@ -478,6 +513,7 @@ impl<'a> Dec<'a> {
     ///
     /// [`CodecError::Truncated`], also for a count the remaining input
     /// cannot hold.
+    #[inline]
     pub fn seq_len(&mut self) -> Result<usize, CodecError> {
         let n = self.u16()? as usize;
         // Guard against absurd counts in hostile input: each element needs
@@ -493,6 +529,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// Whatever the element decoder returns.
+    #[inline]
     pub fn seq<T>(
         &mut self,
         mut f: impl FnMut(&mut Self) -> Result<T, CodecError>,

@@ -1,24 +1,205 @@
-//! Protocol data types: global pids, signed timestamps, routes, and the
-//! record types carried in replies.
+//! Protocol data types: names, global pids, signed timestamps, routes,
+//! and the record types carried in replies.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::codec::{CodecError, Dec, Enc, Wire};
+
+/// A host name or command as the wire carries it: immutable, and equal,
+/// ordered, hashed and printed exactly as the `str` it holds, so a map
+/// keyed by names is probed with a `&str` and walks in `str` order.
+///
+/// A name of at most [`Name::INLINE_CAP`] bytes — every host name and
+/// command the shipped workloads use — is held in the value itself:
+/// decoding one allocates nothing and cloning one copies 24 bytes. A
+/// longer name shares one `Arc<str>`. Either way a `Name` is the size of
+/// the `String` it replaced.
+#[derive(Clone)]
+pub struct Name(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` bytes of `bytes` are a `str`.
+    Inline {
+        len: u8,
+        bytes: [u8; Name::INLINE_CAP],
+    },
+    /// Longer than [`Name::INLINE_CAP`] bytes.
+    Shared(Arc<str>),
+}
+
+const _: () = assert!(std::mem::size_of::<Name>() == 24);
+
+impl Name {
+    /// The longest name held inline: what fits beside the length byte
+    /// and the variant tag in a `String`'s 24 bytes.
+    pub const INLINE_CAP: usize = 22;
+
+    /// A name holding `s`.
+    #[inline]
+    pub fn new(s: &str) -> Self {
+        if s.len() <= Self::INLINE_CAP {
+            let mut bytes = [0; Self::INLINE_CAP];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Name(Repr::Inline {
+                len: s.len() as u8,
+                bytes,
+            })
+        } else {
+            Name(Repr::Shared(Arc::from(s)))
+        }
+    }
+
+    /// The name as a string slice.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("an inline name holds the bytes of a str"),
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// The name's bytes, without the UTF-8 check `as_str` makes.
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Name {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Name {
+    #[inline]
+    fn from(s: &str) -> Self {
+        Name::new(s)
+    }
+}
+
+impl From<&String> for Name {
+    fn from(s: &String) -> Self {
+        Name::new(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name::new(&s)
+    }
+}
+
+impl PartialEq for Name {
+    #[inline]
+    fn eq(&self, other: &Name) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    /// Byte-wise, which is `str`'s order.
+    #[inline]
+    fn cmp(&self, other: &Name) -> Ordering {
+        self.bytes().cmp(other.bytes())
+    }
+}
+
+impl Hash for Name {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        self.bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl Wire for Name {
+    #[inline]
+    fn encode(&self, enc: &mut Enc) {
+        enc.str(self);
+    }
+
+    #[inline]
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        dec.str_ref().map(Name::new)
+    }
+}
 
 /// A network-global process identity, written `<host name, pid>` as in the
 /// paper ("Processes are identified in the network by `<host name, pid>`").
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Gpid {
     /// Host name.
-    pub host: String,
+    pub host: Name,
     /// Pid on that host.
     pub pid: u32,
 }
 
 impl Gpid {
     /// Convenience constructor.
-    pub fn new(host: impl Into<String>, pid: u32) -> Self {
+    pub fn new(host: impl Into<Name>, pid: u32) -> Self {
         Gpid {
             host: host.into(),
             pid,
@@ -40,7 +221,7 @@ impl Wire for Gpid {
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Gpid {
-            host: dec.str()?,
+            host: Name::decode(dec)?,
             pid: dec.u32()?,
         })
     }
@@ -55,10 +236,10 @@ impl Wire for Gpid {
 /// (host-level masquerade was explicitly out of scope there too).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Stamp {
-    /// Originating host name. Shared (`Arc<str>`) because a stamp is
-    /// cloned on every hop of the echo wave and keyed into the
-    /// seen/active maps — the hot paths clone a pointer, not the string.
-    pub origin: Arc<str>,
+    /// Originating host name. A stamp is cloned on every hop of the echo
+    /// wave and keyed into the seen/active maps; a [`Name`] clones
+    /// without allocating.
+    pub origin: Name,
     /// Per-origin sequence number.
     pub seq: u64,
     /// Origination time, microseconds of simulated time.
@@ -80,7 +261,7 @@ impl Stamp {
     const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
     /// Creates a stamp signed with `secret`.
-    pub fn signed(origin: impl Into<Arc<str>>, seq: u64, at_us: u64, secret: u64) -> Self {
+    pub fn signed(origin: impl Into<Name>, seq: u64, at_us: u64, secret: u64) -> Self {
         let origin = origin.into();
         let sig = Self::compute_sig(&origin, seq, at_us, secret);
         Stamp {
@@ -104,9 +285,9 @@ impl Stamp {
     }
 
     /// The deduplication key (origin, seq) — `at_us` only drives window
-    /// expiry. Cloning the key is a reference-count bump.
-    pub fn key(&self) -> (Arc<str>, u64) {
-        (Arc::clone(&self.origin), self.seq)
+    /// expiry.
+    pub fn key(&self) -> (Name, u64) {
+        (self.origin.clone(), self.seq)
     }
 }
 
@@ -120,7 +301,7 @@ impl Wire for Stamp {
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Stamp {
-            origin: dec.str()?.into(),
+            origin: Name::decode(dec)?,
             seq: dec.u64()?,
             at_us: dec.u64()?,
             sig: dec.u64()?,
@@ -134,21 +315,28 @@ impl Wire for Stamp {
     }
 }
 
+/// The most hosts a route may name: the origin, one relay for each unit
+/// of a directed request's `u8` hop budget, and the responder. No honest
+/// relay chain makes a longer route, so decoding refuses one — an LPM that
+/// pushed its own name onto a route of `u16::MAX` hosts could not encode
+/// its answer.
+pub const MAX_ROUTE_HOSTS: usize = u8::MAX as usize + 2;
+
 /// The hosts a message traversed, in order. "All data returned to the
 /// originator of a broadcast request includes the message's
 /// source-destination route. This allows quick routing of messages
 /// affecting processes in topologically distant hosts."
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Route(pub Vec<String>);
+pub struct Route(pub Vec<Name>);
 
 impl Route {
     /// A route starting at `origin`.
-    pub fn from_origin(origin: impl Into<String>) -> Self {
+    pub fn from_origin(origin: impl Into<Name>) -> Self {
         Route(vec![origin.into()])
     }
 
     /// Appends a hop (no-op if it is already the last entry).
-    pub fn push(&mut self, host: impl Into<String>) {
+    pub fn push(&mut self, host: impl Into<Name>) {
         let host = host.into();
         if self.0.last() != Some(&host) {
             self.0.push(host);
@@ -167,12 +355,12 @@ impl Route {
 
     /// The host the route started from.
     pub fn origin(&self) -> Option<&str> {
-        self.0.first().map(String::as_str)
+        self.0.first().map(Name::as_str)
     }
 
     /// The host the route last visited.
     pub fn last(&self) -> Option<&str> {
-        self.0.last().map(String::as_str)
+        self.0.last().map(Name::as_str)
     }
 }
 
@@ -188,7 +376,18 @@ impl Wire for Route {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Route(dec.seq(|d| d.str())?))
+        let n = dec.seq_len()?;
+        if n > MAX_ROUTE_HOSTS {
+            return Err(CodecError::TooLong {
+                what: "Route",
+                len: n,
+            });
+        }
+        let mut hosts = Vec::with_capacity(n);
+        for _ in 0..n {
+            hosts.push(Name::decode(dec)?);
+        }
+        Ok(Route(hosts))
     }
 
     /// Counted, not encoded: replies are spliced into frames sized up
@@ -264,7 +463,7 @@ pub struct ProcRecord {
     /// behalf of a process on another host.
     pub logical_parent: Option<Gpid>,
     /// Command name.
-    pub command: String,
+    pub command: Name,
     /// State.
     pub state: WireProcState,
     /// Creation time (µs, simulated).
@@ -334,6 +533,7 @@ pub struct ProcRecordRef<'a> {
 
 impl<'a> ProcRecordRef<'a> {
     /// Appends the record in [`ProcRecord`]'s wire form.
+    #[inline]
     pub fn encode(&self, enc: &mut Enc) {
         enc.str(self.host);
         enc.u32(self.pid);
@@ -355,6 +555,7 @@ impl<'a> ProcRecordRef<'a> {
     /// # Errors
     ///
     /// Any [`CodecError`] on malformed input.
+    #[inline]
     pub fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
         Ok(ProcRecordRef {
             host: dec.str_ref()?,
@@ -369,13 +570,14 @@ impl<'a> ProcRecordRef<'a> {
         })
     }
 
-    /// The owned record.
+    /// The owned record: no allocation for names that fit inline.
+    #[inline]
     pub fn to_record(self) -> ProcRecord {
         ProcRecord {
             gpid: Gpid::new(self.host, self.pid),
             ppid: self.ppid,
             logical_parent: self.logical_parent.map(|(host, pid)| Gpid::new(host, pid)),
-            command: self.command.to_owned(),
+            command: Name::new(self.command),
             state: self.state,
             started_us: self.started_us,
             cpu_us: self.cpu_us,
@@ -390,7 +592,7 @@ pub struct RusageRecord {
     /// Identity.
     pub gpid: Gpid,
     /// Command name.
-    pub command: String,
+    pub command: Name,
     /// Exit time (µs, simulated).
     pub exited_us: u64,
     /// Exit code, or the signal number that killed it (negated - 1000).
@@ -423,7 +625,7 @@ impl Wire for RusageRecord {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(RusageRecord {
             gpid: Gpid::decode(dec)?,
-            command: dec.str()?,
+            command: Name::decode(dec)?,
             exited_us: dec.u64()?,
             status: dec.i32()?,
             cpu_us: dec.u64()?,
@@ -590,6 +792,25 @@ mod tests {
         assert_eq!(empty.wire_len(), empty.to_bytes().len());
         assert_eq!(empty.hops(), 0);
         assert_eq!(empty.origin(), None);
+    }
+
+    #[test]
+    fn a_route_past_the_hop_budget_is_refused() {
+        let longest = Route(
+            (0..MAX_ROUTE_HOSTS)
+                .map(|i| format!("h{i}").into())
+                .collect(),
+        );
+        assert_eq!(Route::from_bytes(&longest.to_bytes()).unwrap(), longest);
+        let mut past = longest;
+        past.push("one-more");
+        assert_eq!(
+            Route::from_bytes(&past.to_bytes()),
+            Err(CodecError::TooLong {
+                what: "Route",
+                len: MAX_ROUTE_HOSTS + 1
+            })
+        );
     }
 
     #[test]

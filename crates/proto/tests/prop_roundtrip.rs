@@ -3,7 +3,9 @@
 //! bytes, and everything an LPM splices out of a reply's bytes
 //! ([`WireReply`]) is what encoding the corresponding value gives.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 
@@ -14,12 +16,31 @@ use ppm_proto::msg::{
 };
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{
-    FileRecord, Gpid, HistoryRecord, MetricRow, ProcRecord, ProcRecordRef, Route, RusageRecord,
-    Stamp, WireProcState,
+    FileRecord, Gpid, HistoryRecord, MetricRow, Name, ProcRecord, ProcRecordRef, Route,
+    RusageRecord, Stamp, WireProcState,
 };
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9-]{0,12}"
+}
+
+/// Text on both sides of [`Name::INLINE_CAP`]: ASCII of exactly 0, 21,
+/// 22 and 23 bytes; ASCII padding ended by one character of one to four
+/// bytes, which often straddles byte 22; and short runs of mixed widths.
+fn arb_text() -> impl Strategy<Value = String> {
+    const CHARS: [char; 6] = ['a', 'z', '-', 'é', '€', '𝄞'];
+    prop_oneof![
+        (0..4usize).prop_map(|i| "a".repeat([0, 21, 22, 23][i])),
+        (17..=22usize, 0..CHARS.len()).prop_map(|(pad, c)| "a".repeat(pad) + &CHARS[c].to_string()),
+        prop::collection::vec(0..CHARS.len(), 0..24)
+            .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect()),
+    ]
+}
+
+fn std_hash(value: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
 }
 
 fn arb_gpid() -> impl Strategy<Value = Gpid> {
@@ -27,7 +48,7 @@ fn arb_gpid() -> impl Strategy<Value = Gpid> {
 }
 
 fn arb_route() -> impl Strategy<Value = Route> {
-    prop::collection::vec(arb_name(), 0..5).prop_map(Route)
+    prop::collection::vec(arb_name().prop_map(Name::from), 0..5).prop_map(Route)
 }
 
 fn arb_stamp() -> impl Strategy<Value = Stamp> {
@@ -61,7 +82,7 @@ fn arb_proc_record() -> impl Strategy<Value = ProcRecord> {
                     gpid,
                     ppid,
                     logical_parent,
-                    command,
+                    command: command.into(),
                     state,
                     started_us,
                     cpu_us,
@@ -86,7 +107,7 @@ fn arb_rusage_record() -> impl Strategy<Value = RusageRecord> {
         .prop_map(
             |(gpid, command, exited_us, status, cpu_us, msgs, bytes, files, forks)| RusageRecord {
                 gpid,
-                command,
+                command: command.into(),
                 exited_us,
                 status,
                 cpu_us,
@@ -697,6 +718,96 @@ proptest! {
             forged.origin = other.into();
             prop_assert!(!forged.verify(secret));
         }
+    }
+
+    /// A [`Name`] is its string: equal, ordered, hashed, printed and
+    /// encoded as the `String` holding the same text, inline or shared.
+    #[test]
+    fn name_agrees_with_string(a in arb_text(), b in arb_text()) {
+        let (na, nb) = (Name::from(a.as_str()), Name::from(b.clone()));
+        prop_assert_eq!(na.as_str(), a.as_str());
+        prop_assert_eq!(na.len(), a.len());
+        prop_assert_eq!(na == nb, a == b);
+        prop_assert_eq!(&na, &a);
+        prop_assert_eq!(na, a.as_str());
+        prop_assert_eq!(na.cmp(&nb), a.cmp(&b));
+        prop_assert_eq!(std_hash(&na), std_hash(&a));
+        let mut map = HashMap::new();
+        map.insert(na.clone(), "a");
+        map.insert(nb.clone(), "b");
+        prop_assert_eq!(map.get(a.as_str()), Some(if a == b { &"b" } else { &"a" }));
+        prop_assert_eq!(map.get(b.as_str()), Some(&"b"));
+        prop_assert_eq!(format!("{na}"), a.clone());
+        prop_assert_eq!(format!("{na:>30}|{na:?}"), format!("{a:>30}|{a:?}"));
+        let mut enc = Enc::new();
+        enc.str(&a);
+        prop_assert_eq!(na.to_bytes(), enc.into_bytes());
+        prop_assert_eq!(Name::from_bytes(&na.to_bytes()).expect("decodes"), na);
+    }
+
+    /// A gpid, record, route and stamp encode exactly as when their names
+    /// were `String`s, and decode back to themselves.
+    #[test]
+    fn named_types_encode_as_their_string_forms(
+        host in arb_text(),
+        command in arb_text(),
+        hops in prop::collection::vec(arb_text(), 0..5),
+        pid in any::<u32>(),
+        parent in prop::option::of((arb_text(), any::<u32>())),
+        state in arb_state(),
+        seq in any::<u64>(),
+    ) {
+        let gpid = Gpid::new(host.as_str(), pid);
+        let mut want = Enc::new();
+        want.str(&host);
+        want.u32(pid);
+        prop_assert_eq!(gpid.to_bytes(), want.into_bytes());
+        prop_assert_eq!(Gpid::from_bytes(&gpid.to_bytes()).expect("gpid"), gpid.clone());
+
+        let record = ProcRecord {
+            gpid,
+            ppid: pid ^ 1,
+            logical_parent: parent.as_ref().map(|(h, p)| Gpid::new(h, *p)),
+            command: command.as_str().into(),
+            state,
+            started_us: seq,
+            cpu_us: seq / 3,
+            adopted: pid.is_multiple_of(2),
+        };
+        let mut want = Enc::new();
+        want.str(&host);
+        want.u32(pid);
+        want.u32(pid ^ 1);
+        want.opt(&parent, |e, (h, p)| {
+            e.str(h);
+            e.u32(*p);
+        });
+        want.str(&command);
+        state.encode(&mut want);
+        want.u64(seq);
+        want.u64(seq / 3);
+        want.bool(pid.is_multiple_of(2));
+        prop_assert_eq!(record.to_bytes(), want.into_bytes());
+        prop_assert_eq!(ProcRecord::from_bytes(&record.to_bytes()).expect("record"), record);
+
+        let route = Route(hops.iter().map(Name::from).collect());
+        let mut want = Enc::new();
+        want.seq(&hops, |e, h| e.str(h));
+        prop_assert_eq!(route.to_bytes(), want.into_bytes());
+        prop_assert_eq!(route.wire_len(), route.to_bytes().len());
+        prop_assert_eq!(Route::from_bytes(&route.to_bytes()).expect("route"), route);
+
+        let stamp = Stamp::signed(host.as_str(), seq, seq / 7, 0x1986);
+        let mut want = Enc::new();
+        want.str(&host);
+        want.u64(seq);
+        want.u64(seq / 7);
+        want.u64(stamp.sig);
+        prop_assert_eq!(stamp.to_bytes(), want.into_bytes());
+        prop_assert_eq!(stamp.wire_len(), stamp.to_bytes().len());
+        let back = Stamp::from_bytes(&stamp.to_bytes()).expect("stamp");
+        prop_assert!(back.verify(0x1986));
+        prop_assert_eq!(back, stamp);
     }
 
     /// `missing` lists are canonical on the wire: whatever order and

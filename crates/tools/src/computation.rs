@@ -58,7 +58,7 @@ pub fn locate<R: Runtime>(
         }
     }
     members.sort();
-    let mut hosts: Vec<String> = members.iter().map(|g| g.host.clone()).collect();
+    let mut hosts: Vec<String> = members.iter().map(|g| g.host.to_string()).collect();
     hosts.sort();
     hosts.dedup();
     Ok(ComputationSites {
@@ -99,7 +99,7 @@ pub fn signal_computation<R: Runtime>(
     let script: Vec<ToolStep> = sites
         .members
         .iter()
-        .map(|m| ToolStep::new(m.host.clone(), Op::Control { pid: m.pid, action }))
+        .map(|m| ToolStep::new(m.host.to_string(), Op::Control { pid: m.pid, action }))
         .collect();
     let window = script.len();
     let wait = SimDuration::from_secs(60);

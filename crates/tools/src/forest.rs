@@ -150,7 +150,7 @@ impl Forest {
 
     /// The hosts represented, sorted.
     pub fn hosts(&self) -> Vec<String> {
-        let set: BTreeSet<String> = self.nodes.keys().map(|g| g.host.clone()).collect();
+        let set: BTreeSet<String> = self.nodes.keys().map(|g| g.host.to_string()).collect();
         set.into_iter().collect()
     }
 
@@ -180,7 +180,7 @@ mod tests {
             gpid: Gpid::new(host, pid),
             ppid,
             logical_parent: logical.map(|(h, p)| Gpid::new(h, p)),
-            command: format!("cmd-{pid}"),
+            command: format!("cmd-{pid}").into(),
             state: WireProcState::Running,
             started_us: 0,
             cpu_us: 0,

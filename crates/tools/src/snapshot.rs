@@ -169,7 +169,7 @@ mod tests {
             gpid: Gpid::new(host, pid),
             ppid: 1,
             logical_parent: logical.map(|(h, p)| Gpid::new(h, p)),
-            command: format!("cmd{pid}"),
+            command: format!("cmd{pid}").into(),
             state,
             started_us: 0,
             cpu_us: 0,

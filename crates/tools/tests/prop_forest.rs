@@ -33,7 +33,7 @@ fn arb_records() -> impl Strategy<Value = Vec<ProcRecord>> {
                     gpid,
                     ppid,
                     logical_parent: lp.map(|(lh, lpid)| Gpid::new(format!("h{lh}"), lpid)),
-                    command: format!("c{pid}"),
+                    command: format!("c{pid}").into(),
                     state: if dead {
                         WireProcState::Dead
                     } else {

@@ -8,7 +8,8 @@
 //! name per event, a rendered detail, a `ProcInfo` to read one field).
 //! The trace the same tree leaves is budgeted beside it, in bytes: it is
 //! on by default, and what it stores per process is what a long run's
-//! resident set grows by.
+//! resident set grows by. The tool's end of a snapshot is counted too:
+//! decoding the reply must not allocate once per record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +18,9 @@ use std::sync::Arc;
 
 use ppm::core::config::PpmConfig;
 use ppm::harness::harness::PpmHarness;
-use ppm::proto::types::{ProcRecord, WireProcState};
+use ppm::proto::codec::Wire;
+use ppm::proto::msg::{Msg, Reply};
+use ppm::proto::types::{Gpid, ProcRecord, Route, WireProcState};
 use ppm::runtime::events::TraceFlags;
 use ppm::runtime::program::{Program, SpawnSpec};
 use ppm::runtime::sys::Sys;
@@ -183,4 +186,44 @@ fn a_traced_process_costs_at_most_fourteen_allocations() {
         per_proc <= 240.0,
         "{per_proc:.1} bytes of trace per traced process ({traced} for {PROCS})"
     );
+}
+
+/// The allocations one decode of a tool's `Msg::Resp` makes, for a
+/// snapshot of `n` records whose host names and commands fit inline.
+fn snapshot_decode_allocs(n: u32) -> u64 {
+    let procs = (0..n)
+        .map(|pid| ProcRecord {
+            gpid: Gpid::new(format!("host-{}", pid % 16), pid),
+            ppid: 1,
+            logical_parent: (pid % 3 == 0).then(|| Gpid::new("origin", pid / 3)),
+            command: format!("worker-{pid}").into(),
+            state: WireProcState::Running,
+            started_us: u64::from(pid),
+            cpu_us: 0,
+            adopted: true,
+        })
+        .collect();
+    let mut route = Route::from_origin("origin");
+    route.push("host-1");
+    let resp = Msg::Resp {
+        id: 7,
+        reply: Reply::Snapshot {
+            host: "host-1".into(),
+            procs,
+        },
+        route,
+    };
+    let bytes = resp.to_bytes();
+    let before = ALLOCS.get();
+    let decoded = Msg::from_bytes(&bytes).expect("the reply decodes");
+    let spent = ALLOCS.get() - before;
+    assert_eq!(decoded, resp);
+    spent
+}
+
+#[test]
+fn a_snapshot_reply_decodes_without_an_allocation_per_record() {
+    // The record vector, the reporting host and the route: a constant,
+    // where a `String` per name made it 2 N more.
+    assert_eq!(snapshot_decode_allocs(10), snapshot_decode_allocs(1_000));
 }

@@ -17,7 +17,7 @@ use ppm_core::config::PpmConfig;
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::{PpmHarness, Runtime};
 use ppm_mc::McWorld;
-use ppm_proto::types::WireProcState;
+use ppm_proto::types::{Name, WireProcState};
 use ppm_realos::RealRuntime;
 use ppm_runtime::ids::{CpuClass, Uid};
 use ppm_runtime::obs::SpanPhase;
@@ -30,7 +30,7 @@ const USER: Uid = Uid(100);
 /// What a user at a terminal can tell apart: which commands run where in
 /// which state, and where `locate` says the computation executes. Pids
 /// and timestamps are backend accidents and stay out.
-type Observed = (HashSet<(String, String, WireProcState)>, Vec<String>);
+type Observed = (HashSet<(Name, Name, WireProcState)>, Vec<String>);
 
 /// How the world explains the same run afterwards: the `(name, phase)`
 /// span records, sorted (kinds a timer starts, `probe`, fall where the
