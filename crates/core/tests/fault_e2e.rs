@@ -84,8 +84,10 @@ fn forest_nodes(ppm: &mut PpmHarness, from: &str, host: &str) -> BTreeSet<u32> {
 /// unclean exit, respawns the LPM, and the replacement re-adopts every
 /// surviving process — the forest's node set is exactly the pre-crash
 /// live set, and the recovery metrics are visible in the registry. The
-/// script is the backend-generic drill the real loopback e2e test and
-/// `ppm-real` also run; the metrics asserts are this test's own.
+/// script is the backend-generic drill a scenario's `drill` statement
+/// runs on every runtime (`tests/scenario_runtimes.rs`, `ppm-sim
+/// --runtime real scenarios/drill.ppm`); the metrics asserts are this
+/// test's own.
 #[test]
 fn killed_lpm_is_respawned_and_readopts_survivors() {
     let mut ppm = harness();

@@ -1,7 +1,7 @@
 //! A synchronous driver around a PPM, on any backend.
 //!
-//! Tests, examples, benchmarks and the `ppm-real` demo all need the same
-//! scaffolding: hosts, the pmd service registered with inetd, user
+//! Tests, examples, benchmarks and the scenario executor all need the
+//! same scaffolding: hosts, the pmd service registered with inetd, user
 //! accounts with `.recovery` lists, and a way to run a tool script and
 //! wait for its outcome. [`PpmHarness`] packages that once, over the
 //! [`Runtime`] facade: it plays the user at the terminal — everything it
@@ -22,7 +22,7 @@ use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, ProcRecord, RusageRecord}
 use ppm_runtime::obs::SpanEvent;
 use ppm_runtime::program::SpawnSpec;
 pub use ppm_runtime::rt::Runtime;
-pub use ppm_runtime::signal::Signal;
+use ppm_runtime::signal::Signal;
 use ppm_runtime::trace::TraceCategory;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec, NetSpec};
@@ -147,8 +147,9 @@ impl HarnessBuilder {
 
     /// Boots the same PPM on any backend through the [`Runtime`] facade:
     /// the hosts share one LAN segment. The knobs that describe a
-    /// simulated world (`seed`, `os_config`, `latency`, `link`,
-    /// `topology`) have no meaning there and are not consulted.
+    /// simulated world (`seed`, `link`, `topology`) have no meaning
+    /// there and are not consulted: a caller that may be handed them
+    /// refuses them first, as the scenario executor does off the sim.
     pub fn build_on<R: Runtime>(self, mut rt: R) -> PpmHarness<R> {
         let users = self.users.into_shared();
         register_pmd(&mut rt, &users, self.pmd_options);
@@ -279,7 +280,7 @@ impl<R: Runtime> PpmHarness<R> {
     }
 
     /// The trace (or one category of it) as display lines — what
-    /// `ppm-sim --trace` and `ppm-real --trace` print.
+    /// `ppm-sim --trace` prints on every runtime.
     pub fn trace_render(&mut self, category: Option<TraceCategory>) -> String {
         self.rt.hub().trace.render(category)
     }
@@ -303,6 +304,11 @@ impl<R: Runtime> PpmHarness<R> {
     /// Host names indexed by `HostId`.
     pub fn host_names(&self) -> Vec<String> {
         self.hosts.clone()
+    }
+
+    /// Whether host `h` is powered now, and how many times it has booted.
+    pub fn power(&self, h: HostId) -> (bool, u32) {
+        self.rt.power(h)
     }
 
     /// `uid`'s live process on `host` whose command starts with `prefix`
@@ -673,7 +679,7 @@ impl<R: Runtime> PpmHarness<R> {
     }
 
     /// All metrics rendered as the stable text format behind
-    /// `ppm-sim --metrics` and `ppm-real --metrics`.
+    /// `ppm-sim --metrics` on every runtime.
     pub fn metrics_report(&self) -> String {
         ppm_core::obs::render_metrics(&self.metrics_sections())
     }

@@ -105,6 +105,14 @@ pub trait Runtime {
     /// Whether a process is currently alive.
     fn is_alive(&self, host: HostId, pid: Pid) -> bool;
 
+    /// Whether `host` is powered now, and how many times it has booted:
+    /// a dashboard's state column. A backend whose hosts never crash
+    /// keeps the default, up and booted once.
+    fn power(&self, host: HostId) -> (bool, u32) {
+        let _ = host;
+        (true, 1)
+    }
+
     /// Reads a record from a host's stable storage — the conformance
     /// suite's channel for programs to report what they observed.
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes>;

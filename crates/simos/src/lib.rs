@@ -36,7 +36,7 @@ pub mod rt;
 pub mod sys;
 pub mod world;
 
-pub use ppm_runtime::ids;
+pub use ppm_runtime::{ids, signal};
 
 pub use config::OsConfig;
 pub use ids::{ConnId, Fd, Pid, Port, Uid};

@@ -85,6 +85,11 @@ impl Runtime for SimRuntime {
         self.world.core().is_alive((host, pid))
     }
 
+    fn power(&self, host: HostId) -> (bool, u32) {
+        let core = self.world.core();
+        (core.topology().is_up(host), core.kernel(host).boot_count())
+    }
+
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
         self.world.core().kernel(host).stable_get(key)
     }

@@ -6,15 +6,17 @@
 use std::fmt::Write as _;
 
 use ppm_core::client::ToolStep;
-use ppm_harness::harness::{HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::{Op, Reply};
+use ppm_proto::types::ProcRecord;
 use ppm_simnet::time::SimDuration;
+use ppm_simnet::topology::HostId;
 use ppm_simos::ids::Uid;
 
 use crate::forest::Forest;
 
-/// Host liveness as the simulation sees it: whether the host is powered
-/// and whether it has ever been power-cycled.
+/// Host liveness as the runtime sees it: whether the host is powered
+/// and whether it has ever been power-cycled (only the sim's hosts are).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Liveness {
     /// Powered, never crashed.
@@ -67,23 +69,18 @@ pub struct HostStatus {
 /// # Errors
 ///
 /// Only infrastructure failures (tool could not run at all) propagate.
-pub fn gather_status(
-    ppm: &mut PpmHarness,
+pub fn gather_status<R: Runtime>(
+    ppm: &mut PpmHarness<R>,
     from_host: &str,
     uid: Uid,
 ) -> Result<Vec<HostStatus>, HarnessError> {
-    let core = ppm.world().core();
-    let hosts: Vec<(String, Liveness)> = core
-        .topology()
-        .host_ids()
-        .map(|h| {
-            let name = core.host_name(h).to_string();
-            let live = if !core.topology().is_up(h) {
-                Liveness::Down
-            } else if core.kernel(h).boot_count() > 1 {
-                Liveness::Restarted
-            } else {
-                Liveness::Up
+    let names = ppm.host_names().into_iter().enumerate();
+    let hosts: Vec<(String, Liveness)> = names
+        .map(|(i, name)| {
+            let live = match ppm.power(HostId(i as u32)) {
+                (false, _) => Liveness::Down,
+                (true, boots) if boots > 1 => Liveness::Restarted,
+                (true, _) => Liveness::Up,
             };
             (name, live)
         })
@@ -146,22 +143,48 @@ fn dark_row(host: &str, liveness: Liveness) -> HostStatus {
     }
 }
 
-/// Renders the full dashboard: status table plus computation forest,
-/// plus the per-link network section when a topology model is installed
-/// (flat-wire worlds render exactly the pre-netmodel bytes).
+/// What a dashboard shows: the status rows, the user's managed
+/// processes and the hosts the snapshot sweep missed.
+pub type Gathered = (Vec<HostStatus>, Vec<ProcRecord>, Vec<String>);
+
+/// Gathers what a dashboard shows, on any runtime.
 ///
 /// # Errors
 ///
 /// Propagates snapshot/tool failures.
-pub fn dashboard(ppm: &mut PpmHarness, from_host: &str, uid: Uid) -> Result<String, HarnessError> {
+pub fn gather<R: Runtime>(
+    ppm: &mut PpmHarness<R>,
+    from_host: &str,
+    uid: Uid,
+) -> Result<Gathered, HarnessError> {
     let rows = gather_status(ppm, from_host, uid)?;
     let (records, missing) = ppm.snapshot_partial(from_host, uid, "*")?;
+    Ok((rows, records, missing))
+}
+
+/// Renders the full dashboard on any runtime: status table plus
+/// computation forest. A sim world with a network model adds its
+/// per-link section ([`net_section`]).
+///
+/// # Errors
+///
+/// Propagates snapshot/tool failures.
+pub fn dashboard<R: Runtime>(
+    ppm: &mut PpmHarness<R>,
+    from_host: &str,
+    uid: Uid,
+) -> Result<String, HarnessError> {
+    let (rows, records, missing) = gather(ppm, from_host, uid)?;
     let forest = Forest::build(records);
-    let mut out = render_dashboard(from_host, uid, &rows, &forest, &missing);
-    if let Some((name, links)) = net_rows(ppm) {
-        out.push_str(&render_net(&name, &links, NET_TOP_LINKS));
-    }
-    Ok(out)
+    Ok(render_dashboard(from_host, uid, &rows, &forest, &missing))
+}
+
+/// The dashboard's network section, or `None` when the sim world runs
+/// the flat wire law (which renders exactly the pre-netmodel bytes).
+#[must_use]
+pub fn net_section(ppm: &PpmHarness) -> Option<String> {
+    let (name, links) = net_rows(ppm)?;
+    Some(render_net(&name, &links, NET_TOP_LINKS))
 }
 
 /// How many of the busiest links the dashboard's network section shows.
@@ -442,13 +465,14 @@ mod tests {
         let out = dashboard(&mut flat, "x", USER).unwrap();
         assert!(!out.contains("network "), "{out}");
         assert!(net_rows(&flat).is_none());
+        assert!(net_section(&flat).is_none());
 
         let spec = NetSpec::preset("full-mesh", &["x".into(), "y".into()]).unwrap();
         let mut routed = build(Some(spec));
         routed
             .spawn_remote("x", USER, "y", "w", None, None)
             .unwrap();
-        let out = dashboard(&mut routed, "x", USER).unwrap();
+        let out = net_section(&routed).unwrap();
         assert!(out.contains("network full-mesh: 1 link(s)"), "{out}");
         assert!(out.contains("queue_ms"), "{out}");
         let (_, rows) = net_rows(&routed).unwrap();

@@ -10,15 +10,17 @@
 //!
 //! The script is generic over [`Runtime`] and waits only by polling the
 //! backend clock through the harness, so the simulation's `fault_e2e`
-//! test, the real loopback e2e test and the `ppm-real` demo all run this
-//! one body; each adds only its own extras to the [`DrillReport`].
+//! test and a scenario's `drill` statement on every runtime (`ppm-sim
+//! --runtime sim|real|mc scenarios/drill.ppm`) run this one body; each
+//! adds only its own extras to the [`DrillReport`].
 
 use std::collections::BTreeSet;
 
-use ppm_harness::harness::{PpmHarness, Runtime, Signal};
+use ppm_harness::harness::{PpmHarness, Runtime};
 use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
 use ppm_simnet::time::SimDuration;
 use ppm_simos::ids::{Pid, Uid};
+use ppm_simos::signal::Signal;
 
 use crate::computation::{locate, ComputationSites};
 

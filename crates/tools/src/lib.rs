@@ -19,7 +19,7 @@
 //!   and broadcast software interrupts to every member;
 //! * [`metrics`] — pull a live LPM's metrics registry over the wire;
 //! * [`drill`] — the exec → display → locate → LPM-kill → recovery script
-//!   every backend's end-to-end test and the `ppm-real` demo run;
+//!   behind a scenario's `drill` statement on every runtime;
 
 pub mod computation;
 pub mod display;

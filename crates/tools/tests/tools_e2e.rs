@@ -180,7 +180,7 @@ fn dashboard_network_section_tracks_link_traffic_and_cuts() {
     ppm.spawn_remote("a", USER, "b", "job", None, None).unwrap();
     ppm.spawn_remote("a", USER, "c", "job", None, None).unwrap();
 
-    let out = display::dashboard(&mut ppm, "a", USER).unwrap();
+    let out = display::net_section(&ppm).unwrap();
     assert!(out.contains("network wan-hub"), "{out}");
     let (name, links) = display::net_rows(&ppm).unwrap();
     assert_eq!(name, "wan-hub");

@@ -1,12 +1,25 @@
-//! `ppm-sim` — run a PPM scenario file against the simulated network.
+//! `ppm-sim` — run a PPM scenario file against the simulated network, a
+//! real loopback cluster or the model checker's world.
 //!
 //! ```console
 //! $ cargo run --bin ppm-sim -- scenarios/demo.ppm
 //! $ cargo run --bin ppm-sim -- --trace scenarios/demo.ppm
 //! $ cargo run --bin ppm-sim -- --trace --hosts 24
+//! $ cargo run --bin ppm-sim -- --runtime real --trace scenarios/drill.ppm
 //! ```
 //!
-//! `--trace` appends the full simulation trace after the scenario output.
+//! `--runtime sim|real|mc` (default `sim`) picks what the scenario plays
+//! on: the simulation, node threads on loopback TCP with the wall clock,
+//! or the checker's world under its default schedule. Off the sim, the
+//! hosts are one LAN segment, and what only the sim can play — `crash`,
+//! `restart`, `link-down`, `link-up`, a partial mesh of `link`s,
+//! `--seed`, `--faults`, `--topology`, `--hosts` and `--users` — is
+//! refused before a host boots (a scenario's `seed` line seeds only the
+//! sim: the others make no seeded choice). A run that fails off the sim
+//! still prints its output and `--trace` and writes `--metrics`, which
+//! say how far it got.
+//!
+//! `--trace` appends the full trace after the scenario output.
 //! `--hosts N` generates and runs a chain-topology scale scenario instead
 //! of reading a file: `N` hosts in a line, one process spawned onto each
 //! host from its chain predecessor, closed by a whole-network snapshot
@@ -59,7 +72,9 @@
 
 use std::process::ExitCode;
 
-use ppm::sweep::{run_cell, CellRun, CellTopology, VariantKind};
+use ppm::sweep::{run_cell, run_cell_on, CellRun, CellTopology, VariantKind};
+use ppm_mc::McWorld;
+use ppm_realos::RealRuntime;
 use ppm_simnet::fault::FaultPlan;
 use ppm_simnet::topology::NetSpec;
 
@@ -121,8 +136,8 @@ fn report_storm_rate(users: u32, hosts: usize, procs: u64, elapsed: std::time::D
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ppm-sim [--trace] [--digest] [--seed <S>] [--metrics <path>] [--spans <path>] \
-         [--faults <plan>] [--topology <preset|file>] \
+        "usage: ppm-sim [--runtime sim|real|mc] [--trace] [--digest] [--seed <S>] \
+         [--metrics <path>] [--spans <path>] [--faults <plan>] [--topology <preset|file>] \
          (<scenario-file> | --hosts <N> | --users <U> --hosts <N> [--procs <P>])"
     );
     eprintln!("see scenarios/ for examples and src/scenario.rs for the grammar");
@@ -144,8 +159,19 @@ fn main() -> ExitCode {
     let mut spans_path: Option<String> = None;
     let mut faults_path: Option<String> = None;
     let mut topology_arg: Option<String> = None;
+    let mut runtime = String::from("sim");
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--runtime" => {
+                let Some(r) = args
+                    .next()
+                    .filter(|r| ["sim", "real", "mc"].contains(&r.as_str()))
+                else {
+                    eprintln!("ppm-sim: --runtime needs sim, real or mc");
+                    return ExitCode::FAILURE;
+                };
+                runtime = r;
+            }
             "--trace" => trace = true,
             "--digest" => digest = true,
             "--faults" => {
@@ -275,7 +301,15 @@ fn main() -> ExitCode {
     };
     let spans = spans_path.is_some();
     let started = std::time::Instant::now();
-    let run = run_cell(&kind, seed, plan.as_ref(), topology, spans);
+    let faults = plan.as_ref();
+    let run = match runtime.as_str() {
+        "real" => run_cell_on(RealRuntime::new(), &kind, seed, faults, topology, spans),
+        "mc" => run_cell_on(McWorld::new(), &kind, seed, faults, topology, spans),
+        _ => run_cell(&kind, seed, faults, topology, spans).map_err(|(out, e)| {
+            print!("{out}");
+            (None, e)
+        }),
+    };
     if let (VariantKind::Storm { users, procs, .. }, Some(hosts), Ok(_)) = (&kind, hosts, &run) {
         report_storm_rate(*users, hosts, *procs, started.elapsed());
     }
@@ -287,8 +321,18 @@ fn main() -> ExitCode {
             metrics_path.as_deref(),
             spans_path.as_deref(),
         ),
-        Err((out, e)) => {
-            print!("{out}");
+        Err((run, e)) => {
+            // Off the sim, a failed run still prints its output and trace
+            // and writes its metrics: they say how far it got.
+            if let Some(run) = run {
+                emit(
+                    &run,
+                    trace,
+                    false,
+                    metrics_path.as_deref(),
+                    spans_path.as_deref(),
+                );
+            }
             eprintln!("ppm-sim: {name}: {e}");
             ExitCode::FAILURE
         }

@@ -1,18 +1,20 @@
-//! A small scenario language for driving the simulated PPM from files.
+//! A small scenario language for driving the PPM from files.
 //!
 //! `ppm-sim` (see `src/bin/ppm-sim.rs`) reads a line-oriented scenario,
 //! builds the network, plays timed actions, and prints tool output —
 //! making the reproduction usable as a standalone experimentation
 //! vehicle, the way the paper positions the PPM prototype ("a tool for
-//! experimentation in networked environments").
+//! experimentation in networked environments"). One executor plays a
+//! scenario on every runtime: the simulation ([`execute_with`]), a real
+//! loopback cluster or the model checker's world ([`execute_on`]).
 //!
 //! # Grammar (one statement per line, `#` comments)
 //!
 //! ```text
-//! seed 1986
+//! seed 1986                               # seeds the sim; real and mc make no seeded choice
 //! host calder vax780                      # cpu: vax780 | vax750 | sun2
-//! link calder ucbarpa
-//! user 100 secret=0xBEEF recovery=calder,ucbarpa [fast] [nameserver=ns]
+//! link calder ucbarpa                     # sim-only unless every pair is linked
+//! user 100 secret=0xBEEF recovery=calder,ucbarpa [fast] [nameserver=ns] [noagg]
 //!
 //! at 0s    spawn calder 100 ucbarpa worker as w1 [lifetime=10s] [parent=$w0]
 //! at 500ms adopt calder 100 calder 4
@@ -22,33 +24,56 @@
 //! at 4s    rusage calder 100 ucbarpa
 //! at 5s    history calder 100 *
 //! at 6s    killtree calder 100 $w1
-//! at 7s    crash ucbarpa
-//! at 8s    restart ucbarpa
-//! at 9s    link-down calder ucbarpa
-//! at 10s   link-up calder ucbarpa
+//! at 7s    drill calder 100 ucbarpa,kim [kill=ucbarpa]
+//! at 8s    crash ucbarpa                     # sim-only
+//! at 9s    restart ucbarpa                   # sim-only
+//! at 10s   link-down calder ucbarpa          # sim-only
+//! at 11s   link-up calder ucbarpa            # sim-only
 //!
 //! run 30s
 //! ```
 //!
 //! `as NAME` binds the created process's `<host, pid>`; `$NAME` refers to
 //! it in later `control`/`killtree`/`parent=` arguments. Durations are a
-//! count and a unit (`us`, `ms` or `s`). A `link` joins two distinct
-//! hosts declared on earlier lines; a host is declared once.
+//! count and a unit (`us`, `ms` or `s`). UIDs and PIDs fit in 32 bits. A
+//! `link` joins two distinct hosts declared on earlier lines; a host and
+//! a user are each declared once.
+//!
+//! `drill` runs [`ppm_tools::drill::recovery_drill`]: a root on FROM, one
+//! job per listed host, display, locate and, with `kill=HOST`, SIGKILL
+//! that host's LPM and wait for the respawn and re-adoption. A scenario
+//! with a `kill=` runs its pmds with stable storage and LPM respawn.
+//!
+//! **Sim-only statements** — `crash`, `restart`, `link-down`, `link-up`,
+//! and a `link` set that leaves some pair of hosts unlinked (every other
+//! runtime is one LAN segment) — need the simulated world, as do
+//! `ppm-sim --seed`, fault plans, a network model, the `--hosts` chain
+//! and the `--users` storm.
+//! Every other runtime refuses them with the offending line before a
+//! host boots.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use ppm_core::config::{PpmConfig, RecoveryPolicy};
 use ppm_core::pmd::PmdOptions;
-use ppm_harness::harness::{HarnessBuilder, HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessBuilder, HarnessError, PpmHarness, Runtime};
 use ppm_harness::tenant::{self, scale_spec, TenantWorld};
 use ppm_proto::msg::ControlAction;
-use ppm_proto::types::Gpid;
+use ppm_proto::types::{Gpid, ProcRecord};
 use ppm_runtime::events::TraceFlags;
 use ppm_simnet::fault::FaultPlan;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, NetGraph, NetSpec};
 use ppm_simos::ids::Uid;
+use ppm_simos::rt::SimRuntime;
+use ppm_tools::computation::signal_computation;
+use ppm_tools::display;
+use ppm_tools::drill::{forest_nodes, recovery_drill, DrillReport};
+use ppm_tools::forest::Forest;
+
+use crate::digest::{fnv1a, fnv1a_fold};
 
 /// The generated `--hosts N` scale scenario: a chain where each host's
 /// worker is created from the previous host, so the sibling graph — and
@@ -172,12 +197,32 @@ pub enum Action {
         uid: u32,
         root: ProcRef,
     },
+    /// Run the recovery drill: jobs on `jobs`, `kill`'s LPM the victim.
+    Drill {
+        from: String,
+        uid: u32,
+        jobs: Vec<String>,
+        kill: Option<String>,
+    },
     /// Crash a host.
     Crash { host: String },
     /// Restart a host.
     Restart { host: String },
     /// Take a link down / bring it up.
     Link { a: String, b: String, up: bool },
+}
+
+impl Action {
+    /// The statement, when only the simulated world can play it.
+    fn sim_only(&self) -> Option<&'static str> {
+        match self {
+            Action::Crash { .. } => Some("crash"),
+            Action::Restart { .. } => Some("restart"),
+            Action::Link { up: false, .. } => Some("link-down"),
+            Action::Link { up: true, .. } => Some("link-up"),
+            _ => None,
+        }
+    }
 }
 
 /// A parsed scenario.
@@ -189,6 +234,9 @@ pub struct Scenario {
     pub hosts: Vec<(String, CpuClass)>,
     /// Links.
     pub links: Vec<(String, String)>,
+    /// The line declaring the first host with no link to some host
+    /// declared before it: a partial mesh, which only the sim can play.
+    pub mesh_gap: Option<usize>,
     /// Users: uid → (secret, recovery list, config).
     pub users: Vec<(u32, u64, Vec<String>, PpmConfig)>,
     /// Timed actions, in file order.
@@ -210,6 +258,12 @@ fn parse_u64(s: &str, line: usize) -> Result<u64, ScenarioError> {
     parsed.map_err(|_| err(line, format!("bad number {s:?}")))
 }
 
+/// A UID or PID: a number that fits in 32 bits.
+fn parse_u32(s: &str, line: usize) -> Result<u32, ScenarioError> {
+    u32::try_from(parse_u64(s, line)?)
+        .map_err(|_| err(line, format!("{s:?} does not fit in 32 bits")))
+}
+
 fn parse_proc_ref(tokens: &[&str], line: usize) -> Result<(ProcRef, usize), ScenarioError> {
     match tokens.first() {
         Some(t) if t.starts_with('$') => Ok((ProcRef::Named(t[1..].to_string()), 1)),
@@ -217,7 +271,7 @@ fn parse_proc_ref(tokens: &[&str], line: usize) -> Result<(ProcRef, usize), Scen
             let pid = tokens
                 .get(1)
                 .ok_or_else(|| err(line, "expected HOST PID or $name"))?;
-            let pid = parse_u64(pid, line)? as u32;
+            let pid = parse_u32(pid, line)?;
             Ok((ProcRef::Literal(Gpid::new(*host, pid)), 2))
         }
         None => Err(err(line, "expected a process reference")),
@@ -248,6 +302,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         tail: SimDuration::ZERO,
         ..Default::default()
     };
+    let mut host_lines = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let stripped = raw.split('#').next().unwrap_or("").trim();
@@ -278,6 +333,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                     return Err(err(line, format!("host {name:?} is declared twice")));
                 }
                 sc.hosts.push((name.to_string(), cpu));
+                host_lines.push(line);
             }
             "link" => {
                 let a = tokens
@@ -297,10 +353,13 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 sc.links.push((a.to_string(), b.to_string()));
             }
             "user" => {
-                let uid = parse_u64(
+                let uid = parse_u32(
                     tokens.get(1).ok_or_else(|| err(line, "user needs a uid"))?,
                     line,
-                )? as u32;
+                )?;
+                if sc.users.iter().any(|u| u.0 == uid) {
+                    return Err(err(line, format!("user {uid} is declared twice")));
+                }
                 let mut secret = 0u64;
                 let mut recovery = Vec::new();
                 let mut cfg = PpmConfig::default();
@@ -351,6 +410,13 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     if sc.users.is_empty() {
         return Err(err(0, "scenario declares no users"));
     }
+    let joins = |a: &str, b: &str| {
+        sc.links
+            .iter()
+            .any(|(x, y)| [x, y] == [a, b] || [y, x] == [a, b])
+    };
+    let gap = |i: usize| sc.hosts[..i].iter().any(|(h, _)| !joins(h, &sc.hosts[i].0));
+    sc.mesh_gap = (1..sc.hosts.len()).find(|&i| gap(i)).map(|i| host_lines[i]);
     Ok(sc)
 }
 
@@ -367,7 +433,7 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
     match *verb {
         "spawn" => {
             let from = need(1, "FROM")?.to_string();
-            let uid = parse_u64(need(2, "UID")?, line)? as u32;
+            let uid = parse_u32(need(2, "UID")?, line)?;
             let dest = need(3, "DEST")?.to_string();
             let command = need(4, "COMMAND")?.to_string();
             let mut bind = None;
@@ -406,13 +472,13 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
         }
         "adopt" => Ok(Action::Adopt {
             from: need(1, "FROM")?.to_string(),
-            uid: parse_u64(need(2, "UID")?, line)? as u32,
+            uid: parse_u32(need(2, "UID")?, line)?,
             host: need(3, "HOST")?.to_string(),
-            pid: parse_u64(need(4, "PID")?, line)? as u32,
+            pid: parse_u32(need(4, "PID")?, line)?,
         }),
         "control" => {
             let from = need(1, "FROM")?.to_string();
-            let uid = parse_u64(need(2, "UID")?, line)? as u32;
+            let uid = parse_u32(need(2, "UID")?, line)?;
             let (target, used) = parse_proc_ref(&tokens[3..], line)?;
             let verb = need(3 + used, "stop|fg|bg|kill")?;
             let action = match verb {
@@ -431,28 +497,50 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
         }
         "snapshot" => Ok(Action::Snapshot {
             from: need(1, "FROM")?.to_string(),
-            uid: parse_u64(need(2, "UID")?, line)? as u32,
+            uid: parse_u32(need(2, "UID")?, line)?,
             dest: need(3, "DEST")?.to_string(),
         }),
         "dashboard" => Ok(Action::Dashboard {
             from: need(1, "FROM")?.to_string(),
-            uid: parse_u64(need(2, "UID")?, line)? as u32,
+            uid: parse_u32(need(2, "UID")?, line)?,
         }),
         "rusage" => Ok(Action::Rusage {
             from: need(1, "FROM")?.to_string(),
-            uid: parse_u64(need(2, "UID")?, line)? as u32,
+            uid: parse_u32(need(2, "UID")?, line)?,
             dest: need(3, "DEST")?.to_string(),
         }),
         "history" => Ok(Action::History {
             from: need(1, "FROM")?.to_string(),
-            uid: parse_u64(need(2, "UID")?, line)? as u32,
+            uid: parse_u32(need(2, "UID")?, line)?,
             dest: need(3, "DEST")?.to_string(),
         }),
         "killtree" => {
             let from = need(1, "FROM")?.to_string();
-            let uid = parse_u64(need(2, "UID")?, line)? as u32;
+            let uid = parse_u32(need(2, "UID")?, line)?;
             let (root, _) = parse_proc_ref(&tokens[3..], line)?;
             Ok(Action::KillTree { from, uid, root })
+        }
+        "drill" => {
+            let from = need(1, "FROM")?.to_string();
+            let uid = parse_u32(need(2, "UID")?, line)?;
+            let jobs: Vec<String> = need(3, "HOST[,HOST..]")?
+                .split(',')
+                .map(str::to_string)
+                .collect();
+            let kill = tokens
+                .get(4)
+                .map(|t| t.strip_prefix("kill=").filter(|h| !h.is_empty()));
+            let kill = match kill {
+                Some(Some(host)) if tokens.len() == 5 => Some(host.to_string()),
+                None if !jobs.iter().any(String::is_empty) => None,
+                _ => return Err(err(line, "drill takes FROM UID HOST[,HOST..] [kill=HOST]")),
+            };
+            Ok(Action::Drill {
+                from,
+                uid,
+                jobs,
+                kill,
+            })
         }
         "crash" => Ok(Action::Crash {
             host: need(1, "HOST")?.to_string(),
@@ -474,7 +562,8 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
     }
 }
 
-/// Executes a parsed scenario, writing tool output through `out`.
+/// Executes a parsed scenario on the simulation, writing tool output
+/// through `out`.
 ///
 /// Returns the harness for post-run inspection.
 ///
@@ -500,15 +589,22 @@ pub struct ExecOptions<'a> {
     pub topology: Option<&'a NetSpec>,
 }
 
+/// A pmd that can bring LPMs back: registries on stable storage, dead
+/// LPMs respawned.
+const RECOVERING: PmdOptions = PmdOptions {
+    stable_storage: true,
+    respawn_lpms: true,
+};
+
 impl ExecOptions<'_> {
-    /// A harness builder carrying what must be settled before the world
-    /// boots: the network model and, for a faulted run, a pmd that can
-    /// bring LPMs back.
+    /// `builder` plus what must be settled before the sim world boots:
+    /// the network model and, for a faulted run, a pmd that can bring
+    /// LPMs back.
     fn builder(
         &self,
+        mut builder: HarnessBuilder,
         host_names: impl FnOnce() -> Vec<String>,
     ) -> Result<HarnessBuilder, ScenarioError> {
-        let mut builder = PpmHarness::builder();
         if let Some(spec) = self.topology {
             // Dry-run the graph build so a bad spec (unknown endpoint, name
             // collision with a host) surfaces as a scenario error instead of
@@ -518,11 +614,8 @@ impl ExecOptions<'_> {
         }
         if self.faults.is_some() {
             // A faulted run only makes sense if the system is allowed to
-            // recover: persist pmd registries and respawn dead LPMs.
-            builder = builder.pmd_options(PmdOptions {
-                stable_storage: true,
-                respawn_lpms: true,
-            });
+            // recover.
+            builder = builder.pmd_options(RECOVERING);
         }
         Ok(builder)
     }
@@ -566,12 +659,26 @@ pub fn execute_storm(
     opts: ExecOptions<'_>,
 ) -> Result<PpmHarness, ScenarioError> {
     tenant::storm_fits(users, hosts).map_err(|e| err(0, e))?;
-    let builder = opts.builder(|| tenant::host_names(hosts))?;
+    let builder = opts.builder(PpmHarness::builder(), || tenant::host_names(hosts))?;
     let mut world = TenantWorld::boot(builder, scale_spec(users, hosts, seed), procs);
     opts.arm(&mut world.ppm, out)?;
     let report = world.run();
     let _ = out.write_str(&report.render());
     Ok(world.ppm)
+}
+
+/// A scenario played on runtime `R`, to its end or to the action that
+/// failed.
+pub struct Played<R: Runtime = SimRuntime> {
+    /// The harness, for post-run inspection — its trace and metrics say
+    /// how far a failed play got.
+    pub ppm: PpmHarness<R>,
+    /// The observable digest: an FNV-1a fold of what the actions returned
+    /// (gpids, logical parents, commands, states, adopted flags,
+    /// `missing` host sets, reachability, killtree counts), with every
+    /// clock value left out. A scenario every runtime can play folds the
+    /// same value on each. Or the error of the action that failed.
+    pub observed: Result<u64, ScenarioError>,
 }
 
 /// Like [`execute`], with all execution knobs explicit.
@@ -585,40 +692,172 @@ pub fn execute_with(
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
 ) -> Result<PpmHarness, ScenarioError> {
+    let played = execute_played(sc, out, opts)?;
+    played.observed.map(|_| played.ppm)
+}
+
+/// Like [`execute_with`], keeping the observable digest, and the harness
+/// when an action fails.
+///
+/// # Errors
+///
+/// A fault plan referencing an unknown host or a bad network model
+/// (line 0).
+pub fn execute_played(
+    sc: &Scenario,
+    out: &mut dyn fmt::Write,
+    opts: ExecOptions<'_>,
+) -> Result<Played, ScenarioError> {
     let host_names = || sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-    let mut builder = opts.builder(host_names)?.seed(sc.seed);
-    for (name, cpu) in &sc.hosts {
-        builder = builder.host(name.clone(), *cpu);
-    }
+    let mut builder = opts.builder(builder(sc), host_names)?.seed(sc.seed);
     for (a, b) in &sc.links {
         builder = builder.link(a.clone(), b.clone());
+    }
+    let mut ppm = builder.build();
+    opts.arm(&mut ppm, out)?;
+    let observed = play(sc, &mut ppm, out, &sim_world);
+    Ok(Played { ppm, observed })
+}
+
+/// Plays a scenario on another runtime — a real loopback cluster or the
+/// checker's world — as one LAN segment.
+///
+/// # Errors
+///
+/// A sim-only statement, refused with its line before any host boots.
+/// An action that fails is [`Played::observed`]'s error.
+pub fn execute_on<R: Runtime>(
+    sc: &Scenario,
+    rt: R,
+    out: &mut dyn fmt::Write,
+) -> Result<Played<R>, ScenarioError> {
+    let statement = sc
+        .actions
+        .iter()
+        .find_map(|(line, _, a)| Some((*line, a.sim_only()?)));
+    let mesh = sc
+        .mesh_gap
+        .map(|line| (line, "a link set that is not the full mesh"));
+    if let Some((line, what)) = statement.into_iter().chain(mesh).min() {
+        return Err(err(line, format!("{what} needs the sim runtime")));
+    }
+    let mut ppm = builder(sc).build_on(rt);
+    let observed = play(sc, &mut ppm, out, &|_, _, _| Ok(()));
+    Ok(Played { ppm, observed })
+}
+
+/// What every runtime boots for `sc`: its hosts and accounts and, when a
+/// drill kills an LPM, a pmd that brings it back.
+fn builder(sc: &Scenario) -> HarnessBuilder {
+    let mut builder = PpmHarness::builder();
+    for (name, cpu) in &sc.hosts {
+        builder = builder.host(name.clone(), *cpu);
     }
     for (uid, secret, recovery, cfg) in &sc.users {
         let rec: Vec<&str> = recovery.iter().map(String::as_str).collect();
         builder = builder.user(Uid(*uid), *secret, &rec, cfg.clone());
     }
-    let mut ppm = builder.build();
-    opts.arm(&mut ppm, out)?;
-    let mut bindings: HashMap<String, Gpid> = HashMap::new();
+    let kills =
+        |(_, _, a): &(usize, SimTime, Action)| matches!(a, Action::Drill { kill: Some(_), .. });
+    if sc.actions.iter().any(kills) {
+        builder = builder.pmd_options(RECOVERING);
+    }
+    builder
+}
 
-    let mut actions = sc.actions.clone();
-    actions.sort_by_key(|(_, at, _)| *at);
-
-    let resolve = |r: &ProcRef,
-                   bindings: &HashMap<String, Gpid>,
-                   line: usize|
-     -> Result<Gpid, ScenarioError> {
-        match r {
-            ProcRef::Literal(g) => Ok(g.clone()),
-            ProcRef::Named(n) => bindings
-                .get(n)
-                .cloned()
-                .ok_or_else(|| err(line, format!("unbound process name ${n}"))),
+/// The one way a sim-only statement (`crash`, `restart`, `link-down`,
+/// `link-up`) reaches the simulated world, and the world's network
+/// section reaches a dashboard's text. Only [`execute_played`] hands
+/// [`play`] this one; every other runtime hands it a no-op, having
+/// refused those statements before it booted.
+fn sim_world(ppm: &mut PpmHarness, action: &Action, text: &mut String) -> Result<(), HarnessError> {
+    let now = SimDuration::ZERO;
+    match action {
+        Action::Crash { host } => {
+            let h = ppm.host(host)?;
+            ppm.world_mut().schedule_crash(h, now);
         }
-    };
-    let lift = |e: HarnessError, line: usize| err(line, e.to_string());
+        Action::Restart { host } => {
+            let h = ppm.host(host)?;
+            ppm.world_mut().schedule_restart(h, now);
+        }
+        Action::Link { a, b, up } => {
+            let (ha, hb) = (ppm.host(a)?, ppm.host(b)?);
+            ppm.world_mut().schedule_link(ha, hb, *up, now);
+        }
+        Action::Dashboard { .. } => text.extend(display::net_section(ppm)),
+        _ => {}
+    }
+    Ok(())
+}
 
-    for (line, at, action) in actions {
+/// What [`play`] hands a sim-only statement and a dashboard's text to:
+/// [`sim_world`] on the sim, a no-op elsewhere.
+type SimHook<R> = dyn Fn(&mut PpmHarness<R>, &Action, &mut String) -> Result<(), HarnessError>;
+
+/// FNV-1a as a [`Hasher`]: what [`play`] folds [`Played::observed`] with.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_fold(self.0, bytes);
+    }
+}
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(fnv1a(&[]))
+    }
+
+    /// Folds `items` in any order: each on its own, the folds summed.
+    fn set<T: Hash>(&mut self, items: impl Iterator<Item = T>) {
+        let one = |item: T| {
+            let mut fnv = Fnv::new();
+            item.hash(&mut fnv);
+            fnv.0
+        };
+        let (n, sum) = items.fold((0u64, 0u64), |(n, sum), item| {
+            (n + 1, sum.wrapping_add(one(item)))
+        });
+        (n, sum).hash(self);
+    }
+
+    fn procs(&mut self, procs: &[ProcRecord]) {
+        self.set(
+            procs
+                .iter()
+                .map(|p| (&p.gpid, &p.logical_parent, &*p.command, p.state, p.adopted)),
+        );
+    }
+}
+
+/// Plays `sc`'s actions in time order on a booted harness, then its
+/// tail; returns the observable digest. `sim` plays what only the sim
+/// can (see [`sim_world`]).
+fn play<R: Runtime>(
+    sc: &Scenario,
+    ppm: &mut PpmHarness<R>,
+    out: &mut dyn fmt::Write,
+    sim: &SimHook<R>,
+) -> Result<u64, ScenarioError> {
+    let mut bindings: HashMap<&str, Gpid> = HashMap::new();
+    let mut seen = Fnv::new();
+    let mut actions: Vec<&(usize, SimTime, Action)> = sc.actions.iter().collect();
+    actions.sort_by_key(|(_, at, _)| *at);
+    let resolve = |r: &ProcRef, bindings: &HashMap<&str, Gpid>, line| match r {
+        ProcRef::Literal(g) => Ok(g.clone()),
+        ProcRef::Named(n) => bindings
+            .get(n.as_str())
+            .cloned()
+            .ok_or_else(|| err(line, format!("unbound process name ${n}"))),
+    };
+    let lift = |line: usize| move |e: HarnessError| err(line, e.to_string());
+
+    for &(line, at, ref action) in actions {
         if at > ppm.now() {
             let wait = at.saturating_since(ppm.now());
             ppm.run_for(wait);
@@ -635,13 +874,14 @@ pub fn execute_with(
                 parent,
             } => {
                 let parent = match parent {
-                    Some(r) => Some(resolve(&r, &bindings, line)?),
+                    Some(r) => Some(resolve(r, &bindings, line)?),
                     None => None,
                 };
                 let g = ppm
-                    .spawn_remote(&from, Uid(uid), &dest, &command, parent, lifetime)
-                    .map_err(|e| lift(e, line))?;
+                    .spawn_remote(from, Uid(*uid), dest, command, parent, *lifetime)
+                    .map_err(lift(line))?;
                 let _ = writeln!(out, "created {g}");
+                g.hash(&mut seen);
                 if let Some(name) = bind {
                     bindings.insert(name, g);
                 }
@@ -652,8 +892,8 @@ pub fn execute_with(
                 host,
                 pid,
             } => {
-                ppm.adopt(&from, Uid(uid), &host, pid, TraceFlags::ALL.bits())
-                    .map_err(|e| lift(e, line))?;
+                ppm.adopt(from, Uid(*uid), host, *pid, TraceFlags::ALL.bits())
+                    .map_err(lift(line))?;
             }
             Action::Control {
                 from,
@@ -661,67 +901,79 @@ pub fn execute_with(
                 target,
                 action,
             } => {
-                let g = resolve(&target, &bindings, line)?;
-                ppm.control(&from, Uid(uid), &g, action)
-                    .map_err(|e| lift(e, line))?;
+                let g = resolve(target, &bindings, line)?;
+                ppm.control(from, Uid(*uid), &g, *action)
+                    .map_err(lift(line))?;
             }
             Action::Snapshot { from, uid, dest } => {
                 let (procs, missing) = ppm
-                    .snapshot_partial(&from, Uid(uid), &dest)
-                    .map_err(|e| lift(e, line))?;
+                    .snapshot_partial(from, Uid(*uid), dest)
+                    .map_err(lift(line))?;
+                seen.procs(&procs);
+                seen.set(missing.iter());
                 let title = format!("snapshot of {dest}");
                 let text = ppm_tools::snapshot::render_partial(procs, &title, &missing);
                 let _ = writeln!(out, "{text}");
             }
             Action::Dashboard { from, uid } => {
-                let text = ppm_tools::display::dashboard(&mut ppm, &from, Uid(uid))
-                    .map_err(|e| lift(e, line))?;
+                let (rows, procs, missing) =
+                    display::gather(ppm, from, Uid(*uid)).map_err(lift(line))?;
+                for row in &rows {
+                    (&row.host, row.reachable, row.managed).hash(&mut seen);
+                }
+                seen.procs(&procs);
+                seen.set(missing.iter());
+                let forest = Forest::build(procs);
+                let mut text = display::render_dashboard(from, Uid(*uid), &rows, &forest, &missing);
+                sim(ppm, action, &mut text).map_err(lift(line))?;
                 let _ = writeln!(out, "{text}");
             }
             Action::Rusage { from, uid, dest } => {
                 let records = ppm
-                    .rusage(&from, Uid(uid), &dest, None)
-                    .map_err(|e| lift(e, line))?;
-                let _ = writeln!(
-                    out,
-                    "{}",
-                    ppm_tools::rusage_tool::render(&records, &format!("exited on {dest}"))
+                    .rusage(from, Uid(*uid), dest, None)
+                    .map_err(lift(line))?;
+                seen.set(
+                    records
+                        .iter()
+                        .map(|r| (&r.gpid, r.command.as_str(), r.status)),
                 );
+                let title = format!("exited on {dest}");
+                let _ = writeln!(out, "{}", ppm_tools::rusage_tool::render(&records, &title));
             }
             Action::History { from, uid, dest } => {
                 let events = ppm
-                    .history(&from, Uid(uid), &dest, SimTime::ZERO, 200)
-                    .map_err(|e| lift(e, line))?;
-                let _ = writeln!(
-                    out,
-                    "{}",
-                    ppm_tools::history_tool::render(&events, &format!("history of {dest}"))
-                );
+                    .history(from, Uid(*uid), dest, SimTime::ZERO, 200)
+                    .map_err(lift(line))?;
+                seen.set(events.iter().map(|e| (&e.gpid, &e.kind)));
+                let title = format!("history of {dest}");
+                let _ = writeln!(out, "{}", ppm_tools::history_tool::render(&events, &title));
             }
             Action::KillTree { from, uid, root } => {
-                let g = resolve(&root, &bindings, line)?;
-                let n = ppm_tools::computation::signal_computation(
-                    &mut ppm,
-                    &from,
-                    Uid(uid),
-                    &g,
-                    ControlAction::Kill,
-                )
-                .map_err(|e| lift(e, line))?;
+                let g = resolve(root, &bindings, line)?;
+                let n = signal_computation(ppm, from, Uid(*uid), &g, ControlAction::Kill)
+                    .map_err(lift(line))?;
+                n.hash(&mut seen);
                 let _ = writeln!(out, "killed {n} member(s) of {g}");
             }
-            Action::Crash { host } => {
-                let h = ppm.host(&host).map_err(|e| lift(e, line))?;
-                ppm.world_mut().schedule_crash(h, SimDuration::ZERO);
+            Action::Drill {
+                from,
+                uid,
+                jobs,
+                kill,
+            } => {
+                let jobs: Vec<&str> = jobs.iter().map(String::as_str).collect();
+                let report = recovery_drill(ppm, Uid(*uid), from, &jobs, kill.as_deref())
+                    .map_err(|e| err(line, e))?;
+                (&report.root, &report.jobs, &report.sites.hosts).hash(&mut seen);
+                seen.procs(&report.procs);
+                let recovery = report.recovery.as_ref();
+                recovery
+                    .map(|r| (r.victim, r.respawned, &r.forest, &r.after))
+                    .hash(&mut seen);
+                print_drill(out, &report, &ppm.host_names());
             }
-            Action::Restart { host } => {
-                let h = ppm.host(&host).map_err(|e| lift(e, line))?;
-                ppm.world_mut().schedule_restart(h, SimDuration::ZERO);
-            }
-            Action::Link { a, b, up } => {
-                let ha = ppm.host(&a).map_err(|e| lift(e, line))?;
-                let hb = ppm.host(&b).map_err(|e| lift(e, line))?;
-                ppm.world_mut().schedule_link(ha, hb, up, SimDuration::ZERO);
+            Action::Crash { .. } | Action::Restart { .. } | Action::Link { .. } => {
+                sim(ppm, action, &mut String::new()).map_err(lift(line))?;
             }
         }
     }
@@ -729,7 +981,39 @@ pub fn execute_with(
         ppm.run_for(sc.tail);
     }
     let _ = writeln!(out, "--- scenario complete at {}", ppm.now());
-    Ok(ppm)
+    Ok(seen.0)
+}
+
+/// What a drill observed, one act a line: exec, display, locate and,
+/// when an LPM was killed, kill, respawn, re-adopt and new work.
+fn print_drill(out: &mut dyn fmt::Write, report: &DrillReport, hosts: &[String]) {
+    let root = &report.root;
+    let _ = writeln!(out, "exec    root {root} (inetd -> pmd -> LPM)");
+    for g in &report.jobs {
+        let _ = writeln!(out, "exec    job {g} (logical parent {})", root.pid);
+    }
+    let _ = writeln!(out, "display {} managed processes:", report.procs.len());
+    for name in hosts {
+        let nodes = forest_nodes(&report.procs, name);
+        let _ = writeln!(out, "display   {name}: {nodes:?}");
+    }
+    let sites = &report.sites.hosts;
+    let _ = writeln!(out, "locate  computation {} runs on {sites:?}", root.pid);
+    if let Some(r) = &report.recovery {
+        let (victim, respawned, host) = (r.victim.0, r.respawned.0, &r.after.host);
+        let _ = writeln!(out, "kill    SIGKILL {host} LPM (pid {victim})");
+        let _ = writeln!(
+            out,
+            "respawn pmd restarted the LPM as pid {respawned} after {}",
+            r.respawn_after
+        );
+        let _ = writeln!(
+            out,
+            "readopt forest node set restored {:?} after {}",
+            r.forest, r.readopt_after
+        );
+        let _ = writeln!(out, "exec    job {} on the respawned LPM", r.after);
+    }
 }
 
 #[cfg(test)]
@@ -792,6 +1076,56 @@ run 2s
 
         let e = parse("user 1 secret=1").unwrap_err();
         assert!(e.message.contains("no hosts"));
+    }
+
+    #[test]
+    fn ids_past_32_bits_are_line_numbered_errors() {
+        // 4294967396 is 2^32 + 100: it used to wrap to uid 100.
+        let e = parse("host a vax780\nuser 4294967396 secret=1").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("32 bits"), "{e}");
+
+        let user = "host a vax780\nuser 100 secret=1\n";
+        for action in [
+            "at 1s snapshot a 4294967396 *",
+            "at 1s adopt a 100 a 4294967297",
+            "at 1s control a 100 a 0x100000004 stop",
+            "at 1s spawn a 100 a job parent=a:4294967297",
+            "at 1s drill a 4294967396 a",
+        ] {
+            let e = parse(&format!("{user}{action}")).unwrap_err();
+            assert_eq!(e.line, 3, "{action}: {e}");
+            assert!(e.message.contains("32 bits"), "{action}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_user_declared_twice_is_a_line_numbered_error() {
+        let e = parse("host a vax780\nuser 100 secret=1\n\nuser 100 secret=2").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("user 100 is declared twice"), "{e}");
+    }
+
+    #[test]
+    fn parses_a_drill() {
+        let sc = parse("host a vax780\nuser 1 secret=1\nat 0s drill a 1 b,c kill=b").unwrap();
+        let drill = Action::Drill {
+            from: "a".into(),
+            uid: 1,
+            jobs: vec!["b".into(), "c".into()],
+            kill: Some("b".into()),
+        };
+        assert_eq!(sc.actions[0].2, drill);
+        for bad in [
+            "drill a 1",
+            "drill a 1 b,,c",
+            "drill a 1 b kill=",
+            "drill a 1 b x=y",
+            "drill a 1 b kill=b z",
+        ] {
+            let e = parse(&format!("host a vax780\nuser 1 secret=1\nat 0s {bad}")).unwrap_err();
+            assert_eq!(e.line, 3, "{bad}: {e}");
+        }
     }
 
     #[test]

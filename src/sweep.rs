@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::digest::{fnv1a, fnv1a_fold, hex};
+use crate::harness::harness::{PpmHarness, Runtime};
 use crate::harness::tenant::{host_names, storm_fits};
 use crate::scenario::{ExecOptions, ScenarioError};
 use crate::simnet::fault::FaultPlan;
@@ -444,7 +445,7 @@ fn pool_mttr(metrics: &str) -> Option<(u64, u64)> {
 pub struct CellRun {
     /// Scenario output, or the storm report.
     pub output: String,
-    /// The rendered simulation trace.
+    /// The rendered trace.
     pub trace: String,
     /// Every metrics registry as stable text.
     pub metrics: String,
@@ -452,7 +453,7 @@ pub struct CellRun {
     pub spans: Option<(String, String)>,
     /// FNV-1a fold of `output`, `trace` and `metrics`.
     pub digest: u64,
-    /// Simulated instant the run ended, µs.
+    /// The backend-clock instant the run ended, µs.
     pub sim_end_us: u64,
 }
 
@@ -531,19 +532,69 @@ pub fn run_cell(
         }),
     };
     match run {
-        Ok(mut h) => {
-            let trace = h.world().core().trace().render(None);
-            let metrics = h.metrics_report();
-            Ok(CellRun {
-                digest: fnv1a(&[&output, &trace, &metrics]),
-                sim_end_us: h.now().as_micros(),
-                spans: spans.then(|| (h.spans_jsonl(), h.spans_chrome())),
-                output,
-                trace,
-                metrics,
-            })
-        }
+        Ok(h) => Ok(finished(h, output, spans)),
         Err(e) => Err((output, e)),
+    }
+}
+
+/// Runs one scenario cell on another runtime (`ppm-sim --runtime
+/// real|mc`), its trace recorded. What only the sim can play — a seed,
+/// the chain, the storm, a fault plan, a network model, a sim-only
+/// statement — is refused before a host boots.
+///
+/// # Errors
+///
+/// The refusal or the parse error; or the failed action's error with
+/// the run so far — output, trace, metrics — which says how far it got.
+pub fn run_cell_on<R: Runtime>(
+    mut rt: R,
+    kind: &VariantKind,
+    seed: Option<u64>,
+    faults: Option<&FaultPlan>,
+    topology: Option<CellTopology<'_>>,
+    spans: bool,
+) -> Result<CellRun, (Option<Box<CellRun>>, ScenarioError)> {
+    let refuse = |what: &str| {
+        let message = format!("{what} needs the sim runtime");
+        Err((None, ScenarioError { line: 0, message }))
+    };
+    let text = match kind {
+        VariantKind::Scenario { text } => text,
+        VariantKind::Chain { .. } => return refuse("the --hosts chain"),
+        VariantKind::Storm { .. } => return refuse("the --users storm"),
+    };
+    if seed.is_some() {
+        return refuse("a seed (--seed)");
+    }
+    if faults.is_some() {
+        return refuse("a fault plan (--faults)");
+    }
+    if topology.is_some() {
+        return refuse("a network model (--topology)");
+    }
+    let sc = crate::scenario::parse(text).map_err(|e| (None, e))?;
+    rt.hub().trace.set_enabled(true);
+    rt.hub().spans.set_enabled(spans);
+    let mut output = String::new();
+    let played = crate::scenario::execute_on(&sc, rt, &mut output).map_err(|e| (None, e))?;
+    let run = finished(played.ppm, output, spans);
+    match played.observed {
+        Ok(_) => Ok(run),
+        Err(e) => Err((Some(Box::new(run)), e)),
+    }
+}
+
+/// What a finished run leaves behind, on any runtime.
+fn finished<R: Runtime>(mut h: PpmHarness<R>, output: String, spans: bool) -> CellRun {
+    let trace = h.trace_render(None);
+    let metrics = h.metrics_report();
+    CellRun {
+        digest: fnv1a(&[&output, &trace, &metrics]),
+        sim_end_us: h.now().as_micros(),
+        spans: spans.then(|| (h.spans_jsonl(), h.spans_chrome())),
+        output,
+        trace,
+        metrics,
     }
 }
 

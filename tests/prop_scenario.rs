@@ -30,6 +30,7 @@ proptest! {
                 Just("crash".to_string()), Just("1s".to_string()),
                 Just("a".to_string()), Just("100".to_string()),
                 Just("secret=1".to_string()), Just("$x".to_string()),
+                Just("drill".to_string()), Just("kill=a".to_string()),
                 Just("\n".to_string()),
             ],
             0..60,

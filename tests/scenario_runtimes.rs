@@ -1,0 +1,267 @@
+//! One scenario executor on every runtime: a `.ppm` cell played on the
+//! simulation, on the model checker's world and on a real loopback
+//! cluster folds the same observable digest — what the actions returned,
+//! every clock value left out (`scenario::Played::observed`).
+//!
+//! What is shared and what is substituted (DESIGN.md §12): the parser,
+//! the executor (`scenario::play`), the harness, the tools and the whole
+//! PPM stack are shared; only the runtime under the harness differs. What
+//! only the sim can play is refused on the others, with its line, before
+//! a host boots.
+//!
+//! Sim and checker run in tier-1. The real column boots loopback TCP
+//! clusters and waits wall-clock time (about 45 s for the three cells):
+//! `cargo test --release --test scenario_runtimes -- --ignored` (CI
+//! `real-smoke`).
+
+use ppm::harness::harness::{PpmHarness, Runtime};
+use ppm::scenario::{self, ExecOptions, Played, ScenarioError};
+use ppm::simnet::fault::FaultPlan;
+use ppm::sweep::{run_cell_on, CellRun, CellTopology, VariantKind};
+use ppm_mc::McWorld;
+use ppm_realos::RealRuntime;
+
+/// The fault-free shipped cells every runtime plays.
+const CELLS: [&str; 3] = ["chaos.ppm", "chaos_dual.ppm", "drill.ppm"];
+
+fn shipped(name: &str) -> String {
+    let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// `drill.ppm` with three jobs on the victim's host: the home host
+/// keeps one node, h1's LPM re-adopts all three jobs.
+fn three_jobs() -> String {
+    let drill = shipped("drill.ppm");
+    let line = "at 0s drill h0 100 h1,h2 kill=h1";
+    assert!(drill.contains(line), "drill.ppm changed its drill line");
+    drill.replace(line, "at 0s drill h0 100 h1,h1,h1 kill=h1")
+}
+
+/// The sim entry point's digest and output.
+fn on_sim(text: &str) -> (u64, String) {
+    let sc = scenario::parse(text).expect("parses");
+    let mut out = String::new();
+    let played = scenario::execute_played(&sc, &mut out, ExecOptions::default());
+    let observed = played.expect("boots on the sim").observed;
+    (observed.unwrap_or_else(|e| panic!("{e}\n{out}")), out)
+}
+
+/// The digest, harness and output of `text` played on `rt`.
+fn on<R: Runtime>(rt: R, text: &str) -> (u64, PpmHarness<R>, String) {
+    let sc = scenario::parse(text).expect("parses");
+    let mut out = String::new();
+    let played = scenario::execute_on(&sc, rt, &mut out);
+    let Played { ppm, observed } = played.unwrap_or_else(|e| panic!("{e}\n{out}"));
+    (observed.unwrap_or_else(|e| panic!("{e}\n{out}")), ppm, out)
+}
+
+/// The output line that starts with `prefix`.
+fn line<'a>(out: &'a str, prefix: &str) -> &'a str {
+    let found = out.lines().find(|l| l.starts_with(prefix));
+    found.unwrap_or_else(|| panic!("no {prefix:?} line in\n{out}"))
+}
+
+/// The number of pids in a `{5, 6, 7}` set at the end of a line.
+fn set_len(l: &str) -> usize {
+    let set = &l[l.rfind('{').expect("a pid set")..];
+    set.split(',')
+        .filter(|p| !p.trim_matches([' ', '{', '}']).is_empty())
+        .count()
+}
+
+/// What `tests/loopback_e2e.rs` asserted of its drill: one node on the
+/// home host, three jobs re-adopted on the victim, a fresh LPM pid.
+fn assert_three_jobs_recovered(out: &str, metrics: &str) {
+    assert_eq!(set_len(line(out, "display   h0:")), 1, "{out}");
+    assert_eq!(set_len(line(out, "readopt")), 3, "{out}");
+    assert!(metrics.contains("h1/uid100 lpm.readopted 3"), "{metrics}");
+    let pid = |l: &str, before: &str| {
+        let at = l.find(before).expect("a pid") + before.len();
+        let digits = l[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.expect("digits").parse::<u32>().expect("a pid")
+    };
+    let victim = pid(line(out, "kill"), "(pid ");
+    let respawned = pid(line(out, "respawn"), "as pid ");
+    assert_ne!(victim, respawned, "a fresh LPM process: {out}");
+}
+
+#[test]
+fn sim_and_checker_observe_the_same_cells() {
+    for name in CELLS {
+        let text = shipped(name);
+        let (sim, sim_out) = on_sim(&text);
+        let (mc, _, mc_out) = on(McWorld::new(), &text);
+        assert_eq!(sim, mc, "{name}: sim\n{sim_out}\nmc\n{mc_out}");
+    }
+}
+
+#[test]
+fn the_checker_recovers_all_three_jobs_as_the_sim_does() {
+    let text = three_jobs();
+    let (sim, _) = on_sim(&text);
+    let (mc, ppm, out) = on(McWorld::new(), &text);
+    assert_eq!(sim, mc, "{out}");
+    assert_three_jobs_recovered(&out, &ppm.metrics_report());
+}
+
+#[test]
+#[ignore = "boots real loopback TCP clusters; run with --ignored (CI real-smoke job)"]
+fn the_real_runtime_observes_what_the_sim_does() {
+    for name in CELLS {
+        let text = shipped(name);
+        let (sim, _) = on_sim(&text);
+        let (real, ppm, out) = on(RealRuntime::new(), &text);
+        assert_eq!(sim, real, "{name}: real\n{out}");
+        if name == "drill.ppm" {
+            let metrics = ppm.metrics_report();
+            assert!(metrics.contains("h1/uid100 lpm.restarts 1"), "{metrics}");
+            assert!(metrics.contains("h1/uid100 lpm.readopted 1"), "{metrics}");
+        }
+    }
+    let text = three_jobs();
+    let (sim, _) = on_sim(&text);
+    let (real, ppm, out) = on(RealRuntime::new(), &text);
+    assert_eq!(sim, real, "{out}");
+    assert_three_jobs_recovered(&out, &ppm.metrics_report());
+}
+
+/// Three hosts in a full mesh and one job: a statement appended is
+/// line 9.
+const MESH: &str = "host a vax780\nhost b sun2\nhost c sun2\nlink a b\nlink a c\nlink b c\n";
+const USER: &str = "user 100 secret=0x1986 recovery=a\nat 0s spawn a 100 b job\n";
+
+/// `text` is refused at `line` on the real runtime and on the checker,
+/// naming `what`, with nothing played.
+fn refused_off_the_sim(text: &str, line: usize, what: &str) {
+    let sc = scenario::parse(text).expect("parses");
+    let mut out = String::new();
+    scenario::execute(&sc, &mut out).expect("the sim plays it");
+    let check = |e: ScenarioError, out: String, runtime: &str| {
+        assert_eq!(e.line, line, "{runtime}: {e}");
+        assert!(e.message.contains(what), "{runtime}: {e}");
+        assert!(e.message.contains("sim runtime"), "{runtime}: {e}");
+        assert!(out.is_empty(), "{runtime} played before refusing: {out}");
+    };
+    let mut out = String::new();
+    let e = scenario::execute_on(&sc, RealRuntime::new(), &mut out).err();
+    check(e.expect("real refuses"), out, "real");
+    let mut out = String::new();
+    let e = scenario::execute_on(&sc, McWorld::new(), &mut out).err();
+    check(e.expect("mc refuses"), out, "mc");
+}
+
+#[test]
+fn crash_is_refused_off_the_sim() {
+    refused_off_the_sim(&format!("{MESH}{USER}at 1s crash b\n"), 9, "crash");
+}
+
+#[test]
+fn restart_is_refused_off_the_sim() {
+    let text = format!("{MESH}{USER}at 1s restart b\n");
+    refused_off_the_sim(&text, 9, "restart");
+}
+
+#[test]
+fn link_down_is_refused_off_the_sim() {
+    let text = format!("{MESH}{USER}at 1s link-down a b\n");
+    refused_off_the_sim(&text, 9, "link-down");
+}
+
+#[test]
+fn link_up_is_refused_off_the_sim() {
+    let text = format!("{MESH}{USER}at 1s link-up a b\n");
+    refused_off_the_sim(&text, 9, "link-up");
+}
+
+#[test]
+fn a_partial_mesh_is_refused_off_the_sim() {
+    // c, declared on line 3, has no link to a.
+    let text = format!("host a vax780\nhost b sun2\nhost c sun2\nlink a b\nlink b c\n{USER}");
+    refused_off_the_sim(&text, 3, "full mesh");
+    // The first refusal in file order is the one named.
+    let text = format!("host a vax780\nhost b sun2\nhost c sun2\nlink a b\n{USER}at 1s crash b\n");
+    refused_off_the_sim(&text, 3, "full mesh");
+}
+
+/// A `ppm-sim` flag only the sim can honour, refused on the real runtime
+/// and on the checker, naming the flag.
+fn flag_refused_off_the_sim(
+    kind: &VariantKind,
+    seed: Option<u64>,
+    faults: Option<&FaultPlan>,
+    topology: Option<CellTopology<'_>>,
+    flag: &str,
+) {
+    let check = |run: Result<_, (Option<Box<CellRun>>, ScenarioError)>, runtime: &str| {
+        let (run, e) = run
+            .err()
+            .unwrap_or_else(|| panic!("{runtime} refuses {flag}"));
+        assert!(run.is_none(), "{runtime} played before refusing");
+        assert_eq!(e.line, 0, "{runtime}: {e}");
+        assert!(e.message.contains(flag), "{runtime}: {e}");
+        assert!(e.message.contains("sim runtime"), "{runtime}: {e}");
+    };
+    check(
+        run_cell_on(RealRuntime::new(), kind, seed, faults, topology, false),
+        "real",
+    );
+    check(
+        run_cell_on(McWorld::new(), kind, seed, faults, topology, false),
+        "mc",
+    );
+}
+
+fn drill_cell() -> VariantKind {
+    VariantKind::Scenario {
+        text: shipped("drill.ppm").into(),
+    }
+}
+
+#[test]
+fn a_fault_plan_is_refused_off_the_sim() {
+    let plan = FaultPlan::parse(&shipped("crash_heal.fault")).expect("plan parses");
+    flag_refused_off_the_sim(&drill_cell(), None, Some(&plan), None, "--faults");
+}
+
+#[test]
+fn a_network_model_is_refused_off_the_sim() {
+    let fat_tree = Some(CellTopology::Preset("fat-tree"));
+    flag_refused_off_the_sim(&drill_cell(), None, None, fat_tree, "--topology");
+}
+
+#[test]
+fn the_chain_is_refused_off_the_sim() {
+    let chain = VariantKind::Chain { hosts: 4 };
+    flag_refused_off_the_sim(&chain, None, None, None, "--hosts");
+}
+
+#[test]
+fn the_storm_is_refused_off_the_sim() {
+    let storm = VariantKind::Storm {
+        users: 1,
+        hosts: 2,
+        procs: 10,
+    };
+    flag_refused_off_the_sim(&storm, None, None, None, "--users");
+}
+
+#[test]
+fn a_seed_is_refused_off_the_sim() {
+    flag_refused_off_the_sim(&drill_cell(), Some(7), None, None, "--seed");
+}
+
+#[test]
+fn a_failed_run_off_the_sim_keeps_its_output_trace_and_metrics() {
+    // Line 9 controls a process no statement bound.
+    let text = format!("{MESH}{USER}at 1s control a 100 $nobody stop\n");
+    let kind = VariantKind::Scenario { text: text.into() };
+    let (run, e) = run_cell_on(McWorld::new(), &kind, None, None, None, false)
+        .expect_err("an unbound name fails the run");
+    assert_eq!(e.line, 9, "{e}");
+    let run = run.expect("the run so far");
+    assert!(run.output.contains("created <b, "), "{}", run.output);
+    assert!(!run.output.contains("scenario complete"), "{}", run.output);
+    assert!(run.trace.contains(" lpm] "), "{}", run.trace);
+    assert!(run.metrics.contains("lpm."), "{}", run.metrics);
+}
