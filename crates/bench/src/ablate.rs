@@ -401,9 +401,7 @@ pub fn recovery_comparison(name_server: bool, seed: u64) -> RecoveryComparison {
     use ppm_core::config::RecoveryPolicy;
     let mut cfg = PpmConfig::fast_recovery();
     if name_server {
-        cfg.recovery_policy = RecoveryPolicy::NameServer {
-            host: "ns".to_string(),
-        };
+        cfg.recovery_policy = RecoveryPolicy::NameServer { host: "ns".into() };
     }
     let recovery: &[&str] = if name_server { &[] } else { &["alpha", "beta"] };
     let mut ppm = PpmHarness::builder()

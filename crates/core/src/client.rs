@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use ppm_proto::codec::Wire;
 use ppm_proto::msg::{Msg, Op, Reply};
+use ppm_proto::types::Name;
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::program::{ConnEvent, Program};
 use ppm_runtime::sys::Sys;
@@ -26,14 +27,14 @@ use crate::locator::{Dial, Dialed, HelloIdentity, Progress};
 #[derive(Debug, Clone)]
 pub struct ToolStep {
     /// Destination host name, or `"*"` for a broadcast.
-    pub dest: String,
+    pub dest: Name,
     /// The operation.
     pub op: Op,
 }
 
 impl ToolStep {
     /// Convenience constructor.
-    pub fn new(dest: impl Into<String>, op: Op) -> Self {
+    pub fn new(dest: impl Into<Name>, op: Op) -> Self {
         ToolStep {
             dest: dest.into(),
             op,
@@ -175,7 +176,7 @@ impl Tool {
             let msg = Msg::Req {
                 id,
                 user: self.cred.uid.0,
-                dest,
+                dest: dest.to_string(),
                 op,
                 route: ppm_proto::types::Route::default(),
                 hops_left: self.cfg.max_hops,
@@ -241,9 +242,9 @@ impl Program for Tool {
         sys.set_timer(GIVE_UP, DEADLINE_TOKEN);
         let identity = HelloIdentity {
             user: self.cred.uid.0,
-            host: sys.host_name().to_string(),
+            host: Name::new(sys.host_name()),
             is_tool: true,
-            ccs: String::new(),
+            ccs: Name::default(),
             epoch: 0,
             proof: self.cred.proof(),
         };

@@ -4,6 +4,7 @@
 //! the number somebody uses.
 
 use ppm_runtime::events::TraceFlags;
+use ppm_runtime::name::Name;
 use ppm_runtime::time::SimDuration;
 
 /// Idle handlers are reaped after this long.
@@ -178,7 +179,7 @@ pub enum RecoveryPolicy {
     /// mechanism based on .recovery files would not be needed."
     NameServer {
         /// The administrator-designated name-server host.
-        host: String,
+        host: Name,
     },
 }
 

@@ -15,11 +15,11 @@
 //! through a free list, plus a pid → slot index. Tree edges are
 //! *intrusive* — each node carries `parent` / `first_child` /
 //! `next_sibling` / `prev_sibling` slot links instead of a per-node
-//! `Vec<u32>` of children — so tracking a process allocates nothing
-//! beyond its command string (and a recycled slot reuses even that
-//! buffer), unlinking a child on prune is O(1) pointer surgery, and the
-//! scans that seed a cascade prune or build a snapshot walk one dense
-//! array instead of chasing a hash map's buckets. At multi-tenant scale
+//! `Vec<u32>` of children — so tracking a process allocates nothing (its
+//! command is a [`Name`]: the kernel's, cloned, or the exec event's,
+//! inline up to 22 bytes), unlinking a child on prune is O(1) pointer
+//! surgery, and the scans that seed a cascade prune or build a snapshot
+//! walk one dense array instead of chasing a hash map's buckets. At multi-tenant scale
 //! (one arena per user per host) this is what keeps millions of tracked
 //! processes cache-resident.
 //!
@@ -34,7 +34,7 @@
 //! [`Genealogy::snapshot`] is the same walk collected into owned records
 //! for callers that want them (tests, tools, the benchmark's replays).
 
-use ppm_proto::types::{Gpid, ProcRecord, ProcRecordRef, WireProcState};
+use ppm_proto::types::{Gpid, Name, ProcRecord, ProcRecordRef, WireProcState};
 use ppm_runtime::hashx::FastMap;
 
 /// Sentinel for "no slot" in the intrusive links.
@@ -54,7 +54,7 @@ pub struct Node {
     /// Logical parent on another host, when created remotely.
     pub logical_parent: Option<Gpid>,
     /// Command name.
-    pub command: String,
+    pub command: Name,
     /// Last known state.
     pub state: WireProcState,
     /// Creation time (µs).
@@ -86,8 +86,8 @@ pub struct Node {
 /// snapshot and status paths for every request.
 #[derive(Debug, Clone, Default)]
 pub struct Genealogy {
-    host: String,
-    /// The arena. Free slots stay in place (with cleared buffers) so the
+    host: Name,
+    /// The arena. Free slots stay in place (their names dropped) so the
     /// whole store is one allocation churned in place.
     slab: Vec<Node>,
     /// Retired slots available for reuse, LIFO for cache warmth.
@@ -107,7 +107,7 @@ pub struct Genealogy {
 
 impl Genealogy {
     /// Creates an empty genealogy for `host`.
-    pub fn new(host: impl Into<String>) -> Self {
+    pub fn new(host: impl Into<Name>) -> Self {
         Genealogy {
             host: host.into(),
             slab: Vec::new(),
@@ -140,17 +140,16 @@ impl Genealogy {
         pid: u32,
         ppid: u32,
         logical_parent: Option<Gpid>,
-        command: impl AsRef<str>,
+        command: impl Into<Name>,
         started_us: u64,
         adopted: bool,
     ) {
         let slot = match self.index.get(&pid) {
             // A recycled pid overwrites a retained-dead node in place:
             // only the replaced node's liveness (if any) leaves the
-            // count, its children are detached (they keep their own
+            // count, and its children are detached (they keep their own
             // records but the replacement starts childless, exactly as
-            // the fresh-map insert used to behave), and its buffers are
-            // reused.
+            // the fresh-map insert used to behave).
             Some(&slot) => {
                 if self.slab[slot as usize].state != WireProcState::Dead {
                     self.live -= 1;
@@ -170,8 +169,7 @@ impl Genealogy {
             n.pid = pid;
             n.ppid = ppid;
             n.logical_parent = logical_parent;
-            n.command.clear();
-            n.command.push_str(command.as_ref());
+            n.command = command.into();
             n.state = WireProcState::Embryo;
             n.started_us = started_us;
             n.cpu_us = 0;
@@ -231,11 +229,10 @@ impl Genealogy {
     }
 
     /// Updates a node's command (on exec) and marks it running.
-    pub fn set_exec(&mut self, pid: u32, command: impl AsRef<str>) {
+    pub fn set_exec(&mut self, pid: u32, command: impl Into<Name>) {
         if let Some(&slot) = self.index.get(&pid) {
             let n = &mut self.slab[slot as usize];
-            n.command.clear();
-            n.command.push_str(command.as_ref());
+            n.command = command.into();
             if n.state == WireProcState::Dead {
                 self.live += 1;
             }
@@ -356,8 +353,9 @@ impl Genealogy {
         let mut entries: Vec<&Node> = Vec::with_capacity(self.len());
         entries.extend(self.slab.iter().filter(|n| n.in_use));
         entries.sort_unstable_by_key(|n| n.pid);
-        entries.into_iter().map(|n| ProcRecordRef {
-            host: &self.host,
+        let host = self.host.as_str();
+        entries.into_iter().map(move |n| ProcRecordRef {
+            host,
             pid: n.pid,
             ppid: n.ppid,
             logical_parent: n.logical_parent.as_ref().map(|g| (&*g.host, g.pid)),
@@ -407,7 +405,7 @@ impl Genealogy {
                     pid: 0,
                     ppid: 0,
                     logical_parent: None,
-                    command: String::new(),
+                    command: Name::default(),
                     state: WireProcState::Embryo,
                     started_us: 0,
                     cpu_us: 0,
@@ -424,14 +422,13 @@ impl Genealogy {
         }
     }
 
-    /// Returns `slot` to the free list, keeping its command buffer for
-    /// the next occupant and dropping the (allocating) logical parent.
+    /// Returns `slot` to the free list, dropping what its names hold.
     fn release(&mut self, slot: u32) {
         let n = &mut self.slab[slot as usize];
         debug_assert!(n.first_child == NIL, "released node still has children");
         n.in_use = false;
         n.logical_parent = None;
-        n.command.clear();
+        n.command = Name::default();
         self.free.push(slot);
     }
 

@@ -16,6 +16,7 @@
 
 use std::collections::VecDeque;
 
+use ppm_proto::codec::clip_str;
 use ppm_proto::types::{Gpid, HistoryRecord, Name, RusageRecord};
 use ppm_runtime::ids::Pid;
 use ppm_runtime::process::Rusage;
@@ -46,7 +47,7 @@ pub enum Detail {
     /// A message size (`"112 bytes"`).
     Bytes(usize),
     /// Text that is only known as text: a command, a path, a note.
-    Text(Box<str>),
+    Text(Name),
 }
 
 impl Detail {
@@ -57,14 +58,16 @@ impl Detail {
             Detail::Status(status) => status.to_string(),
             Detail::Signal(signal) => signal.to_string(),
             Detail::Bytes(n) => format!("{n} bytes"),
-            Detail::Text(text) => text.to_string(),
+            // A note built around a name at a protocol string's limit
+            // is cut to what the record can carry.
+            Detail::Text(text) => clip_str(text).to_string(),
         }
     }
 }
 
 impl From<String> for Detail {
     fn from(text: String) -> Self {
-        Detail::Text(text.into_boxed_str())
+        Detail::Text(text.into())
     }
 }
 
@@ -99,7 +102,7 @@ impl Event {
 #[derive(Debug, Clone)]
 struct Exited {
     pid: u32,
-    command: Box<str>,
+    command: Name,
     exited_us: u64,
     status: ExitStatus,
     rusage: Rusage,
@@ -110,7 +113,7 @@ impl Exited {
         let r = &self.rusage;
         RusageRecord {
             gpid: Gpid::new(host, self.pid),
-            command: Name::new(&self.command),
+            command: self.command.clone(),
             exited_us: self.exited_us,
             status: match self.status {
                 ExitStatus::Code(c) => c,
@@ -188,7 +191,7 @@ impl History {
         &mut self,
         at: SimTime,
         pid: u32,
-        command: &str,
+        command: Name,
         status: ExitStatus,
         rusage: Rusage,
     ) {
@@ -197,7 +200,7 @@ impl History {
         }
         self.exited.push_back(Exited {
             pid,
-            command: command.into(),
+            command,
             exited_us: at.as_micros(),
             status,
             rusage,
@@ -256,7 +259,7 @@ mod tests {
 
     fn exit(h: &mut History, t: u64, pid: u32) {
         let at = SimTime::from_micros(t);
-        h.record_exit(at, pid, "x", ExitStatus::SUCCESS, Rusage::default());
+        h.record_exit(at, pid, "x".into(), ExitStatus::SUCCESS, Rusage::default());
     }
 
     #[test]

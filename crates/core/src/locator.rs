@@ -143,11 +143,11 @@ pub struct HelloIdentity {
     /// Acting user.
     pub user: u32,
     /// Caller's host name.
-    pub host: String,
+    pub host: Name,
     /// True for tools, false for sibling LPMs.
     pub is_tool: bool,
     /// Caller's CCS view.
-    pub ccs: String,
+    pub ccs: Name,
     /// Caller's CCS epoch.
     pub epoch: u64,
     /// Authentication proof.
@@ -166,7 +166,7 @@ pub enum Dialed {
         /// Whether this request created the LPM.
         created: bool,
         /// The LPM's CCS view from its `HelloAck`.
-        peer_ccs: String,
+        peer_ccs: Name,
         /// The LPM's CCS epoch.
         peer_epoch: u64,
     },

@@ -84,7 +84,7 @@ impl BcastState {
         user: u32,
         op: Op,
         route_in: Route,
-        forward_targets: Vec<String>,
+        forward_targets: Vec<Name>,
         role: BcastRole,
     ) -> Self {
         BcastState {
@@ -111,7 +111,7 @@ impl BcastState {
     /// reply can carry; a name past that is refused, and the wave's
     /// first refusal noted. No world has that many hosts, but a sibling
     /// may send any number of aggregates.
-    fn name_missing(&mut self, sys: &mut dyn Sys, host: String) {
+    fn name_missing(&mut self, sys: &mut dyn Sys, host: Name) {
         if self.missing.len() < MAX_REPLY_RECORDS || self.missing.contains(&host) {
             self.missing.insert(host);
         } else if !std::mem::replace(&mut self.missing_capped, true) {
@@ -154,7 +154,7 @@ impl Lpm {
         self.rpc.note_bcast(key.clone(), now);
         self.stats.bcasts_originated += 1;
 
-        let forward_targets: Vec<String> = self.siblings.keys().cloned().collect();
+        let forward_targets: Vec<Name> = self.siblings.keys().cloned().collect();
         let span = format_args!("{}@{}", key.0, key.1);
         sys.span("bcast", span, SpanPhase::Begin);
         sys.trace(
@@ -230,7 +230,7 @@ impl Lpm {
             spawn_pid: None,
             // Local pseudo-request: never travels, never retries; the
             // wave's own stamp and timeout govern it.
-            corr: (Name::new(&self.host), id),
+            corr: (self.host.clone(), id),
             boot: self.boot_epoch(),
             deadline: None,
             attempt: 0,
@@ -299,7 +299,7 @@ impl Lpm {
 
         // Graph cover: forward to every sibling except the sender and any
         // host the request already visited.
-        let forward_targets: Vec<String> = self
+        let forward_targets: Vec<Name> = self
             .siblings
             .keys()
             .filter(|h| h.as_str() != from_host && !route.contains(h))
@@ -407,7 +407,7 @@ impl Lpm {
         from_host: &str,
         stamp: Stamp,
         parts: bytes::Bytes,
-        missing: Vec<String>,
+        missing: Vec<Name>,
     ) {
         let key = stamp.key();
         let Some(b) = self.bcasts.get_mut(&key) else {
@@ -469,12 +469,12 @@ impl Lpm {
             self.note(sys, format_args!("bad aggregate from {from_host}: {why}"));
         }
         let b = self.bcasts.get_mut(&key).expect("checked");
-        b.agg_received.insert(from_host.to_string());
+        b.agg_received.insert(Name::new(from_host));
         for host in missing {
             b.name_missing(sys, host);
         }
         if unreadable.is_some() {
-            b.name_missing(sys, from_host.to_string());
+            b.name_missing(sys, Name::new(from_host));
         }
     }
 
@@ -554,7 +554,7 @@ impl Lpm {
     pub(crate) fn bcast_child_lost(&mut self, sys: &mut dyn Sys, key: &BcastKey, child: &str) {
         if let Some(b) = self.bcasts.get_mut(key) {
             if b.pending_children.remove(child) && !b.agg_received.contains(child) {
-                b.name_missing(sys, child.to_string());
+                b.name_missing(sys, Name::new(child));
             }
         }
         self.maybe_complete(sys, key);
@@ -581,7 +581,7 @@ impl Lpm {
                 self.bcasts.get_mut(key).expect("checked").timeout_token = Some(tok);
                 return;
             }
-            let stragglers: Vec<String> = b.pending_children.iter().cloned().collect();
+            let stragglers: Vec<Name> = b.pending_children.iter().cloned().collect();
             for h in &stragglers {
                 if !b.agg_received.contains(h) {
                     b.name_missing(sys, h.clone());
@@ -697,11 +697,11 @@ impl Lpm {
                     // every edge toward the originator — then one empty
                     // frame carries the missing list. Re-framed, not
                     // re-encoded: each part's frame is copied as it stands.
-                    let missing: Vec<String> = b.missing.into_iter().collect();
+                    let missing: Vec<Name> = b.missing.into_iter().collect();
                     let mut batch = Vec::with_capacity(4 + agg_buf.len());
                     batch.extend_from_slice(&agg_count.to_be_bytes());
                     batch.extend_from_slice(agg_buf.as_slice());
-                    let mut send_agg = |parts: bytes::Bytes, missing: Vec<String>| {
+                    let mut send_agg = |parts: bytes::Bytes, missing: Vec<Name>| {
                         let agg = Msg::BcastAgg {
                             stamp: stamp.clone(),
                             parts,
@@ -780,7 +780,9 @@ mod tests {
     fn flood(lpm: &mut Lpm, sys: &mut StubSys, key: &BcastKey) {
         let stamp = lpm.bcasts[key].stamp.clone();
         for batch in 0..2 {
-            let missing = (0..40_000).map(|i| format!("h{batch}-{i}")).collect();
+            let missing = (0..40_000)
+                .map(|i| format!("h{batch}-{i}").into())
+                .collect();
             let no_parts = Bytes::from(0u32.to_be_bytes().to_vec());
             lpm.handle_bcast_agg(sys, "kid", stamp.clone(), no_parts, missing);
         }

@@ -6,6 +6,7 @@
 //! remote LPM when this is possible."
 
 use ppm_proto::msg::Msg;
+use ppm_proto::types::Name;
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::program::{ConnEvent, SysError};
 use ppm_runtime::sys::Sys;
@@ -71,8 +72,7 @@ impl Lpm {
             self.conns.insert(conn, ConnRole::Tool);
             self.ttl_deadline = None;
         } else {
-            self.conns
-                .insert(conn, ConnRole::Sibling(host.as_str().into()));
+            self.conns.insert(conn, ConnRole::Sibling(host.clone()));
             self.siblings.entry(host.clone()).or_insert(conn);
             sys.trace(
                 TraceCategory::Lpm,
@@ -189,7 +189,7 @@ impl Lpm {
             }) => {
                 let slot = self.channels.remove(key).expect("channel exists");
                 self.conns.insert(conn, ConnRole::Sibling(host.into()));
-                self.siblings.entry(host.to_string()).or_insert(conn);
+                self.siblings.entry(Name::new(host)).or_insert(conn);
                 self.consider_ccs(sys, &peer_ccs, peer_epoch);
                 self.note(
                     sys,

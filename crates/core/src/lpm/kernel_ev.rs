@@ -6,20 +6,22 @@
 //!
 //! Every fork, exec and exit of every traced process comes through
 //! [`Lpm::ingest_kernel_event`], so it builds nothing it can borrow or be
-//! given. The message is consumed: an exec's command is copied into the
-//! genealogy's recycled buffer and then *becomes* the history entry's
-//! text, a file path likewise. The subject is a bare pid (the history
+//! given. The message is read in place off the batch frame
+//! ([`KernelMsgRef`]): an exec's command is a `&str` into the frame,
+//! made into a [`Name`](ppm_proto::types::Name) — inline up to 22 bytes,
+//! so no allocation — once for the genealogy and once for the history
+//! entry's text, a file path likewise. A fork's node takes the command
+//! the kernel holds, and an exit's ring entry the command the node
+//! holds, each a `Name` clone. The subject is a bare pid (the history
 //! adds the host when asked, see [`crate::history`]); the kernel is read
 //! in place through `Sys::kernel` (a `ProcInfo` would clone the command
 //! to read one field); the trigger check borrows the command from the
-//! tree node. What is left per process is the exec command decoded off
-//! the batch frame and the command kept in the exited ring.
+//! tree node. Nothing is left per process on this side of the frame.
 
+use ppm_proto::kernel_wire::{KernelEventRef, KernelMsgRef};
 use ppm_proto::triggers::TriggerAction;
 use ppm_proto::types::WireProcState;
-use ppm_runtime::events::KernelEvent;
 use ppm_runtime::ids::Pid;
-use ppm_runtime::program::KernelMsg;
 use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
 
@@ -29,54 +31,54 @@ use crate::trigger_engine::{Firing, TriggerEvent};
 use super::{requests::RequestCtx, Lpm, ReplyTo};
 
 impl Lpm {
-    pub(crate) fn ingest_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsg) {
+    pub(crate) fn ingest_kernel_event(&mut self, sys: &mut dyn Sys, msg: KernelMsgRef<'_>) {
         let now = sys.now();
         let kind = msg.event.kind();
         let pid = msg.event.pid().0;
         // `Some(true)`: the process reached exec; `Some(false)`: it died.
         // Either settles a remote-creation request waiting on it.
         let mut created = None;
-        let detail = match msg.event {
-            KernelEvent::Fork { parent, child } => {
-                // A traced process forked: its child is traced too; track
-                // the genealogy edge.
-                let command = match sys.kernel().get(child) {
-                    Some(p) => p.command.as_str(),
-                    None => "(fork)",
-                };
-                self.tree
-                    .track(child.0, parent.0, None, command, now.as_micros(), true);
-                Detail::Child(child)
-            }
-            KernelEvent::Exec { command, .. } => {
-                self.tree.set_exec(pid, &command);
-                created = Some(true);
-                Detail::from(command)
-            }
-            KernelEvent::Exit { status, rusage, .. } => {
-                self.tree
-                    .mark_dead_at(pid, rusage.cpu.as_micros(), now.as_micros());
-                let command = self.tree.get(pid).map_or("", |n| n.command.as_str());
-                self.history.record_exit(now, pid, command, status, rusage);
-                created = Some(false);
-                Detail::Status(status)
-            }
-            KernelEvent::Stopped { .. } => {
-                self.tree.set_state(pid, WireProcState::Stopped);
-                Detail::None
-            }
-            KernelEvent::Continued { .. } => {
-                self.tree.set_state(pid, WireProcState::Running);
-                Detail::None
-            }
-            KernelEvent::SignalDelivered { signal, .. } => Detail::Signal(signal),
-            KernelEvent::MsgSent { bytes, .. } | KernelEvent::MsgReceived { bytes, .. } => {
-                Detail::Bytes(bytes)
-            }
-            KernelEvent::FileOpened { path, .. } | KernelEvent::FileClosed { path, .. } => {
-                Detail::from(path)
-            }
-        };
+        let detail =
+            match msg.event {
+                KernelEventRef::Fork { parent, child } => {
+                    // A traced process forked: its child is traced too; track
+                    // the genealogy edge.
+                    let command = match sys.kernel().get(child) {
+                        Some(p) => p.command.clone(),
+                        None => "(fork)".into(),
+                    };
+                    self.tree
+                        .track(child.0, parent.0, None, command, now.as_micros(), true);
+                    Detail::Child(child)
+                }
+                KernelEventRef::Exec { command, .. } => {
+                    self.tree.set_exec(pid, command);
+                    created = Some(true);
+                    Detail::from(command)
+                }
+                KernelEventRef::Exit { status, rusage, .. } => {
+                    self.tree
+                        .mark_dead_at(pid, rusage.cpu.as_micros(), now.as_micros());
+                    let command = self.tree.get(pid).map(|n| n.command.clone());
+                    let command = command.unwrap_or_default();
+                    self.history.record_exit(now, pid, command, status, rusage);
+                    created = Some(false);
+                    Detail::Status(status)
+                }
+                KernelEventRef::Stopped { .. } => {
+                    self.tree.set_state(pid, WireProcState::Stopped);
+                    Detail::None
+                }
+                KernelEventRef::Continued { .. } => {
+                    self.tree.set_state(pid, WireProcState::Running);
+                    Detail::None
+                }
+                KernelEventRef::SignalDelivered { signal, .. } => Detail::Signal(signal),
+                KernelEventRef::MsgSent { bytes, .. }
+                | KernelEventRef::MsgReceived { bytes, .. } => Detail::Bytes(bytes),
+                KernelEventRef::FileOpened { path, .. }
+                | KernelEventRef::FileClosed { path, .. } => Detail::from(path),
+            };
         self.history.record(now, Who::Local(pid), kind, detail);
 
         if let Some(reached_exec) = created {
@@ -138,7 +140,7 @@ impl Lpm {
                     self.begin_request(
                         sys,
                         self.auth.uid().0,
-                        target.host.to_string(),
+                        target.host.clone(),
                         ppm_proto::msg::Op::Control {
                             pid: target.pid,
                             action: ppm_proto::msg::ControlAction::Signal(signal),
@@ -169,7 +171,7 @@ impl Lpm {
                     self.begin_request(
                         sys,
                         self.auth.uid().0,
-                        root.host.to_string(),
+                        root.host.clone(),
                         ppm_proto::msg::Op::Control {
                             pid: root.pid,
                             action: ppm_proto::msg::ControlAction::Kill,

@@ -120,24 +120,24 @@ pub(crate) struct BcastState {
     pub user: u32,
     pub role: BcastRole,
     /// Hosts we forwarded to and still owe us a `BcastDone`.
-    pub pending_children: BTreeSet<String>,
+    pub pending_children: BTreeSet<Name>,
     /// The local slice finished.
     pub local_done: bool,
     /// Handler blocked on the downstream wave, if any.
     pub forward_handler: Option<HandlerId>,
     /// Hosts the wave will be forwarded to (decided at receipt).
-    pub forward_targets: Vec<String>,
+    pub forward_targets: Vec<Name>,
     /// The downstream forward has been performed (or none was needed).
     pub forwarded: bool,
     /// Direct children whose aggregate already arrived (a later
     /// connection loss must not mark an answered subtree as missing).
-    pub agg_received: BTreeSet<String>,
+    pub agg_received: BTreeSet<Name>,
     /// Hosts of this subtree whose answers never arrived (lost children,
     /// straggler timeouts). Travels upstream in the aggregate; at the
     /// origin it becomes the [`Reply::Partial`] marker. Holds at most
     /// [`MAX_REPLY_RECORDS`](ppm_proto::msg::MAX_REPLY_RECORDS) names, as
     /// many as either carries.
-    pub missing: BTreeSet<String>,
+    pub missing: BTreeSet<Name>,
     /// A name past that bound has been refused (and noted) in this wave.
     pub missing_capped: bool,
     /// Route the request had when it reached us.
@@ -237,9 +237,9 @@ pub struct LpmStats {
 pub struct Lpm {
     pub(crate) cfg: PpmConfig,
     pub(crate) auth: Authenticator,
-    pub(crate) recovery_list: Vec<String>,
+    pub(crate) recovery_list: Vec<Name>,
 
-    pub(crate) host: String,
+    pub(crate) host: Name,
     pub(crate) accept_port: Port,
     pub(crate) started_at: SimTime,
     /// Crash instant of the predecessor this LPM replaces; pmd sets it
@@ -252,14 +252,14 @@ pub struct Lpm {
     /// Logical-parent edges of remote spawns observed at this LPM (as
     /// origin or relay): dest host → local pid there → logical parent.
     /// Served to respawned siblings rebuilding their forests.
-    pub(crate) remote_children: BTreeMap<String, BTreeMap<u32, Gpid>>,
+    pub(crate) remote_children: BTreeMap<Name, BTreeMap<u32, Gpid>>,
 
     pub(crate) conns: HashMap<ConnId, ConnRole>,
-    pub(crate) siblings: BTreeMap<String, ConnId>,
+    pub(crate) siblings: BTreeMap<Name, ConnId>,
     /// The dial table: every Figure-2 chain in progress.
     pub(crate) channels: BTreeMap<DialKey, ChannelSlot>,
     pub(crate) chan_retry_armed: BTreeSet<DialKey>,
-    pub(crate) outbox: BTreeMap<String, Vec<(Msg, Option<u64>)>>,
+    pub(crate) outbox: BTreeMap<Name, Vec<(Msg, Option<u64>)>>,
     pub(crate) route_cache: RouteCache,
     /// The last reachability epoch the route cache was validated at;
     /// when `sys.net_epoch()` moves past it, cached routes with a dead
@@ -281,7 +281,7 @@ pub struct Lpm {
     /// dispatcher process in the paper's design).
     pub(crate) dispatcher_free_at: SimTime,
 
-    pub(crate) ccs: String,
+    pub(crate) ccs: Name,
     pub(crate) epoch: u64,
     pub(crate) recov: RecovMode,
     pub(crate) ttl_deadline: Option<SimTime>,
@@ -293,7 +293,7 @@ pub struct Lpm {
     pub(crate) last_keepalive: SimTime,
 
     /// When each outstanding recovery probe was sent, for RTT metrics.
-    pub(crate) probe_sent: BTreeMap<String, SimTime>,
+    pub(crate) probe_sent: BTreeMap<Name, SimTime>,
 
     pub(crate) stats: LpmStats,
     /// Shared metrics registry and pre-registered ids.
@@ -320,8 +320,8 @@ impl Lpm {
         Lpm {
             cfg: entry.config.clone(),
             auth: Authenticator::new(entry.cred),
-            recovery_list: entry.recovery.clone(),
-            host: String::new(),
+            recovery_list: entry.recovery.iter().map(Name::from).collect(),
+            host: Name::default(),
             accept_port: lpm_port(entry.cred.uid),
             started_at: SimTime::ZERO,
             respawn_of: None,
@@ -351,7 +351,7 @@ impl Lpm {
                 pool
             },
             dispatcher_free_at: SimTime::ZERO,
-            ccs: String::new(),
+            ccs: Name::default(),
             epoch: 0,
             recov: RecovMode::Normal,
             ttl_deadline: None,
@@ -547,7 +547,7 @@ impl Lpm {
 
 impl Program for Lpm {
     fn on_start(&mut self, sys: &mut dyn Sys) {
-        self.host = sys.host_name().to_string();
+        self.host = Name::new(sys.host_name());
         self.started_at = sys.now();
         self.tree = Genealogy::new(self.host.clone());
         if sys.listen(self.accept_port).is_err() {
@@ -654,7 +654,7 @@ impl Program for Lpm {
     }
 
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: bytes::Bytes) {
-        ppm_proto::kernel_wire::for_each_kernel_msg(&data, |msg| {
+        ppm_proto::kernel_wire::walk_kernel_batch(&data, |msg| {
             self.ingest_kernel_event(sys, msg);
         });
     }
@@ -744,7 +744,7 @@ mod tests {
             config: PpmConfig::default(),
         };
         let mut l = Lpm::new(&entry);
-        l.host = "here".to_string();
+        l.host = "here".into();
         l
     }
 
@@ -756,7 +756,7 @@ mod tests {
             assert!(ids.insert(a.alloc_internal_id()));
         }
         let mut b = lpm();
-        b.host = "elsewhere".to_string();
+        b.host = "elsewhere".into();
         assert_ne!(
             a.alloc_internal_id() >> 32,
             b.alloc_internal_id() >> 32,

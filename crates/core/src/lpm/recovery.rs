@@ -12,7 +12,7 @@
 //! probing, at a low frequency, the hosts higher on the list."
 
 use ppm_proto::msg::Msg;
-use ppm_proto::types::Gpid;
+use ppm_proto::types::{Gpid, Name};
 use ppm_runtime::ids::{ConnId, Pid};
 use ppm_runtime::obs::SpanPhase;
 use ppm_runtime::signal::Signal;
@@ -41,7 +41,7 @@ impl Lpm {
             }
         };
         if adopt {
-            self.ccs = ccs.to_string();
+            self.ccs = Name::new(ccs);
             self.epoch = epoch;
             self.note_recovery(sys, format_args!("adopted CCS {ccs} (epoch {epoch})"));
             self.after_ccs_change(sys);
@@ -129,7 +129,7 @@ impl Lpm {
     // ---- name-server CCS policy (Section 5 alternative) ---------------------
 
     /// Starts (or restarts) a CCS query toward the name server's pmd.
-    pub(crate) fn begin_ns_query(&mut self, sys: &mut dyn Sys, dead: Option<String>) {
+    pub(crate) fn begin_ns_query(&mut self, sys: &mut dyn Sys, dead: Option<Name>) {
         let RecoveryPolicy::NameServer { host } = self.cfg.recovery_policy.clone() else {
             return;
         };
@@ -147,7 +147,7 @@ impl Lpm {
         // A query still in flight is replaced; its connection, owned by
         // no dial now, is ignored from here on.
         let purpose = ChanPurpose::NameServer;
-        let key = DialKey::Pmd(host.into());
+        let key = DialKey::Pmd(host);
         self.channels.insert(key, ChannelSlot { dial, purpose });
     }
 
@@ -183,7 +183,7 @@ impl Lpm {
         let RecovMode::Seeking { rank } = self.recov else {
             return;
         };
-        let candidates: Vec<String> = if self.recovery_list.is_empty() {
+        let candidates: Vec<Name> = if self.recovery_list.is_empty() {
             vec![self.host.clone()]
         } else {
             self.recovery_list.clone()
@@ -212,7 +212,7 @@ impl Lpm {
     fn adopt_candidate(&mut self, sys: &mut dyn Sys, candidate: &str) {
         self.epoch += 1;
         self.obs.registry.inc(self.obs.ccs_elections);
-        self.ccs = candidate.to_string();
+        self.ccs = Name::new(candidate);
         self.recov = RecovMode::Normal;
         self.orphan_deadline = None;
         self.note_recovery(
@@ -358,7 +358,7 @@ impl Lpm {
             return; // no longer acting CCS
         }
         let my_rank = self.rank_of(&self.host);
-        let higher: Vec<String> = self
+        let higher: Vec<Name> = self
             .recovery_list
             .iter()
             .take(my_rank.min(self.recovery_list.len()))
@@ -422,7 +422,7 @@ impl Lpm {
     /// measures the full gap.
     fn send_probe(&mut self, sys: &mut dyn Sys, host: &str, conn: ConnId) {
         if !self.probe_sent.contains_key(host) {
-            self.probe_sent.insert(host.to_string(), sys.now());
+            self.probe_sent.insert(Name::new(host), sys.now());
             let span = format_args!("{}>{host}", self.host);
             sys.span("probe", span, SpanPhase::Begin);
         }
@@ -578,7 +578,7 @@ impl Lpm {
         );
         let msg = Msg::ForestInfo {
             user: self.auth.uid().0,
-            host: from.to_string(),
+            host: Name::new(from),
             edges,
         };
         let _ = self.send_msg(sys, conn, &msg);

@@ -8,6 +8,7 @@
 //! fresh, which is what makes end-to-end dedup and full-route learning
 //! possible.
 
+use ppm_proto::codec::clip_str;
 use ppm_proto::msg::{ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyPeek, WireReply};
 use ppm_proto::types::{FileRecord, Gpid, Name, Route};
 use ppm_runtime::events::TraceFlags;
@@ -374,7 +375,7 @@ impl Lpm {
         &mut self,
         sys: &mut dyn Sys,
         user: u32,
-        dest: String,
+        dest: impl Into<Name>,
         op: Op,
         reply_to: ReplyTo,
         hops_left: u8,
@@ -384,7 +385,7 @@ impl Lpm {
         let id = self.alloc_internal_id();
         let policy = self.retry_policy();
         let origin_side = reply_to.is_origin();
-        let corr = ctx.corr.unwrap_or_else(|| (Name::new(&self.host), id));
+        let corr = ctx.corr.unwrap_or_else(|| (self.host.clone(), id));
         let span = format_args!("{}#{}", corr.0, corr.1);
         sys.span("req", span, SpanPhase::Begin);
         let deadline = match ctx.deadline {
@@ -399,7 +400,7 @@ impl Lpm {
             id,
             PendingRequest {
                 user,
-                dest,
+                dest: dest.into(),
                 op,
                 reply_to,
                 phase: ReqPhase::Dispatch,
@@ -610,7 +611,7 @@ impl Lpm {
         Msg::Req {
             id: r.corr.1,
             user: r.user,
-            dest: r.dest.clone(),
+            dest: r.dest.to_string(),
             op: r.op.clone(),
             route,
             hops_left: r.hops_left,
@@ -778,7 +779,7 @@ impl Lpm {
             } => self.do_spawn(
                 sys,
                 id,
-                command,
+                Name::from(command),
                 logical_parent,
                 lifetime_us,
                 work_us,
@@ -900,7 +901,7 @@ impl Lpm {
         &mut self,
         sys: &mut dyn Sys,
         id: u64,
-        command: String,
+        command: Name,
         logical_parent: Option<Gpid>,
         lifetime_us: Option<u64>,
         work_us: u64,
@@ -1063,7 +1064,7 @@ impl Lpm {
         ) = (&req.op, reply.peek())
         {
             if host != self.host {
-                let known = self.remote_children.entry(host.to_string()).or_default();
+                let known = self.remote_children.entry(Name::new(host)).or_default();
                 if known.len() < 4096 {
                     known.insert(pid, parent.clone());
                 }
@@ -1130,7 +1131,7 @@ impl Lpm {
     ) {
         let reply = Reply::Err {
             code,
-            detail: detail.to_string(),
+            detail: clip_str(detail).to_string(),
         };
         self.finish_req(sys, id, WireReply::from(&reply));
     }

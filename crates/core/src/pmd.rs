@@ -16,6 +16,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use ppm_proto::codec::{Dec, Enc, Wire};
 use ppm_proto::msg::Msg;
+use ppm_proto::types::Name;
 use ppm_runtime::ids::{ConnId, Pid, Port, Uid};
 use ppm_runtime::program::{Program, SpawnSpec};
 use ppm_runtime::signal::ExitStatus;
@@ -56,7 +57,7 @@ pub struct Pmd {
     /// scan over every registered user on the host.
     lpm_pids: HashMap<Pid, u32>,
     /// Name-server role: per-user CCS assignment (Section 5 alternative).
-    ccs_registry: HashMap<u32, (String, u64)>,
+    ccs_registry: HashMap<u32, (Name, u64)>,
     port: Port,
     requests_served: u64,
 }
@@ -154,7 +155,7 @@ impl Pmd {
             return;
         }
         let mut enc = Enc::new();
-        let mut entries: Vec<(u32, String, u64)> = self
+        let mut entries: Vec<(u32, Name, u64)> = self
             .ccs_registry
             .iter()
             .map(|(&u, (h, e))| (u, h.clone(), *e))
@@ -176,7 +177,7 @@ impl Pmd {
             return;
         };
         let mut dec = Dec::new(&raw);
-        if let Ok(entries) = dec.seq(|d| Ok((d.u32()?, d.str()?, d.u64()?))) {
+        if let Ok(entries) = dec.seq(|d| Ok((d.u32()?, Name::decode(d)?, d.u64()?))) {
             for (u, h, e) in entries {
                 self.ccs_registry.insert(u, (h, e));
             }
@@ -190,12 +191,12 @@ impl Pmd {
         &mut self,
         sys: &mut dyn Sys,
         user: u32,
-        claimant: String,
-        dead: Option<String>,
-    ) -> (String, u64) {
+        claimant: Name,
+        dead: Option<Name>,
+    ) -> (Name, u64) {
         let reassign = match self.ccs_registry.get(&user) {
             None => true,
-            Some((current, _)) => dead.as_deref() == Some(current.as_str()),
+            Some((current, _)) => dead.as_ref() == Some(current),
         };
         if reassign {
             let epoch = self.ccs_registry.get(&user).map(|(_, e)| *e).unwrap_or(0) + 1;

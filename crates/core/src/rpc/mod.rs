@@ -105,7 +105,7 @@ pub(crate) enum ReqPhase {
 #[derive(Debug)]
 pub(crate) struct PendingRequest {
     pub user: u32,
-    pub dest: String,
+    pub dest: Name,
     pub op: Op,
     pub reply_to: ReplyTo,
     pub phase: ReqPhase,

@@ -367,7 +367,7 @@ impl Program for CorruptChild {
                 user: USER.0,
                 host: "ghost".into(),
                 is_tool: false,
-                ccs: String::new(),
+                ccs: Default::default(),
                 epoch: 0,
                 proof: ppm_core::auth::UserCred::new(USER, 0xBCA57).proof(),
             };

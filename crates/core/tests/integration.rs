@@ -516,7 +516,7 @@ fn status_reports_siblings_and_ccs() {
             ..
         } => {
             assert_eq!(host, "calder");
-            assert!(siblings.contains(&"ucbarpa".to_string()), "{siblings:?}");
+            assert!(siblings.iter().any(|s| s == "ucbarpa"), "{siblings:?}");
             assert_eq!(ccs, "calder", "top of the recovery list");
         }
         other => panic!("unexpected {other:?}"),

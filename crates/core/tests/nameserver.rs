@@ -8,6 +8,7 @@ use ppm_core::config::{PpmConfig, RecoveryPolicy};
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::Reply;
+use ppm_proto::types::Name;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::Uid;
@@ -16,9 +17,7 @@ const USER: Uid = Uid(100);
 
 fn ns_config() -> PpmConfig {
     PpmConfig {
-        recovery_policy: RecoveryPolicy::NameServer {
-            host: "ns".to_string(),
-        },
+        recovery_policy: RecoveryPolicy::NameServer { host: "ns".into() },
         ..PpmConfig::fast_recovery()
     }
 }
@@ -35,7 +34,7 @@ fn harness(cfg: PpmConfig) -> PpmHarness {
         .build()
 }
 
-fn ccs_of(ppm: &mut PpmHarness, host: &str) -> (String, u64) {
+fn ccs_of(ppm: &mut PpmHarness, host: &str) -> (Name, u64) {
     match ppm.status(host, USER, host).unwrap() {
         Reply::Status { ccs, epoch, .. } => (ccs, epoch),
         other => panic!("unexpected {other:?}"),

@@ -346,7 +346,7 @@ fn apply_hist_op(h: &mut History, oracle: &mut RecordHistory, at: SimTime, op: H
                 KernelEvent::Fork { child, .. } => (Detail::Child(child), format!("child {child}")),
                 KernelEvent::Exec { command, .. } => (Detail::from(command.as_str()), command),
                 KernelEvent::Exit { status, rusage, .. } => {
-                    h.record_exit(at, pid, "job", status, rusage);
+                    h.record_exit(at, pid, "job".into(), status, rusage);
                     oracle.record_exit(RusageRecord {
                         gpid: local(pid),
                         command: "job".into(),

@@ -8,6 +8,7 @@ use ppm_core::config::PpmConfig;
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::{ControlAction, Op, Reply};
+use ppm_proto::types::Name;
 use ppm_runtime::signal::Signal;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
@@ -29,7 +30,7 @@ fn harness(cfg: PpmConfig) -> PpmHarness {
         .build()
 }
 
-fn status_of(ppm: &mut PpmHarness, from: &str, dest: &str) -> (String, u64, Vec<String>) {
+fn status_of(ppm: &mut PpmHarness, from: &str, dest: &str) -> (Name, u64, Vec<Name>) {
     match ppm.status(from, USER, dest).unwrap() {
         Reply::Status {
             ccs,

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use ppm_proto::msg::{ControlAction, Op, Reply};
-use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, ProcRecord, RusageRecord};
+use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, Name, ProcRecord, RusageRecord};
 use ppm_runtime::obs::SpanEvent;
 use ppm_runtime::program::SpawnSpec;
 pub use ppm_runtime::rt::Runtime;
@@ -509,7 +509,7 @@ impl<R: Runtime> PpmHarness<R> {
         from_host: &str,
         uid: Uid,
         dest: &str,
-    ) -> Result<(Vec<ProcRecord>, Vec<String>), HarnessError> {
+    ) -> Result<(Vec<ProcRecord>, Vec<Name>), HarnessError> {
         let reply = self.one_reply(from_host, uid, dest, Op::Snapshot, Self::WAIT)?;
         let (inner, missing) = split_partial(reply);
         match inner {
@@ -658,7 +658,7 @@ impl<R: Runtime> PpmHarness<R> {
         from_host: &str,
         uid: Uid,
         dest: &str,
-    ) -> Result<(String, u64, Vec<MetricRow>), HarnessError> {
+    ) -> Result<(Name, u64, Vec<MetricRow>), HarnessError> {
         match self.one_reply(from_host, uid, dest, Op::Metrics, Self::WAIT)? {
             Reply::Metrics { host, at_us, rows } => Ok((host, at_us, rows)),
             _ => Err(HarnessError::UnexpectedReply),
@@ -713,7 +713,7 @@ fn first_reply(outcome: ToolOutcome) -> Result<Reply, HarnessError> {
 
 /// Unwraps a partial-result marker: the inner reply plus the hosts that
 /// never answered (empty for a complete result).
-pub(crate) fn split_partial(reply: Reply) -> (Reply, Vec<String>) {
+pub(crate) fn split_partial(reply: Reply) -> (Reply, Vec<Name>) {
     match reply {
         Reply::Partial { missing, inner } => (*inner, missing),
         other => (other, Vec::new()),

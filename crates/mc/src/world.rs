@@ -423,8 +423,7 @@ impl McWorld {
     fn proc_label(&self, k: K) -> String {
         let cmd = self.kernels[k.0 as usize]
             .get(Pid(k.1))
-            .map(|p| p.command.clone())
-            .unwrap_or_else(|| "?".to_string());
+            .map_or("?", |p| p.command.as_str());
         format!("{cmd}@{}:{}", self.host_names[k.0 as usize], k.1)
     }
 
@@ -815,7 +814,7 @@ impl McWorld {
     /// Forks a child of `parent`; it starts via its `Start` move.
     fn spawn(&mut self, parent: K, uid: Uid, spec: SpawnSpec) -> Pid {
         let pid = self.kernel_call(parent.0, |kn, now, fx| {
-            kn.spawn(Pid(parent.1), uid, &spec.command, spec.cpu_bound, now, fx)
+            kn.spawn(Pid(parent.1), uid, spec.command, spec.cpu_bound, now, fx)
         });
         if let Some(program) = spec.program {
             self.progs.insert((parent.0, pid.0), program);

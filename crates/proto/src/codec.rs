@@ -104,6 +104,21 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
+/// The most bytes a protocol string carries: its length is a `u16`.
+pub const MAX_STR_BYTES: usize = u16::MAX as usize;
+
+/// `text` cut to at most [`MAX_STR_BYTES`] bytes, at a char boundary.
+/// For text composed around a name from outside (an error's detail, a
+/// history note): a name at the limit would otherwise carry it past
+/// what [`Enc::str`] can write.
+pub fn clip_str(text: &str) -> &str {
+    let mut end = text.len().min(MAX_STR_BYTES);
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    &text[..end]
+}
+
 /// Encoder: accumulates bytes.
 #[derive(Debug, Default)]
 pub struct Enc {
@@ -248,8 +263,8 @@ impl Enc {
     ///
     /// # Panics
     ///
-    /// Panics if the string exceeds `u16::MAX` bytes (protocol fields are
-    /// short names and paths).
+    /// Panics if the string exceeds [`MAX_STR_BYTES`] (protocol fields
+    /// are short names and paths; composed text is [`clip_str`]ped).
     #[inline]
     pub fn str(&mut self, s: &str) {
         let len = u16::try_from(s.len()).expect("protocol string fits in u16");
@@ -803,6 +818,19 @@ mod tests {
         b.str("abc");
         b.u32(7);
         assert_eq!(a.into_len(), b.into_bytes().len());
+    }
+
+    #[test]
+    fn clipped_text_fits_a_protocol_string_at_a_char_boundary() {
+        assert_eq!(clip_str("short"), "short");
+        let at_limit = "a".repeat(MAX_STR_BYTES);
+        assert_eq!(clip_str(&at_limit).len(), MAX_STR_BYTES);
+        // A two-byte character straddling the limit is left out whole.
+        let straddling = "a".repeat(MAX_STR_BYTES - 1) + "é";
+        assert_eq!(clip_str(&straddling), &straddling[..MAX_STR_BYTES - 1]);
+        let mut enc = Enc::new();
+        enc.str(clip_str(&(at_limit + "x")));
+        assert_eq!(enc.len(), 2 + MAX_STR_BYTES);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The kernel coalesces event messages headed for the same LPM wakeup
 //! into one batch frame (`[u32 count][u32 len][frame]...`, the protocol's
 //! standard batch layout). Each frame is one [`KernelMsg`]. The batch is
-//! decoded with the zero-copy frame iterator and the borrowed-str path,
-//! so a burst of fork/exec/exit events costs one delivery, not one per
-//! event.
+//! walked in place by [`walk_kernel_batch`]: the zero-copy frame
+//! iterator yields each frame and [`KernelEventRef`] reads it with its
+//! text borrowed, so a burst of fork/exec/exit events costs one delivery
+//! and no copy of a command or path.
 
 use crate::codec::{CodecError, Dec, Enc, Wire};
 use ppm_runtime::time::{SimDuration, SimTime};
@@ -76,113 +77,269 @@ fn dec_rusage(dec: &mut Dec<'_>) -> Result<Rusage, CodecError> {
     })
 }
 
-impl Wire for KernelEvent {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            KernelEvent::Fork { parent, child } => {
-                enc.u8(0);
-                enc.u32(parent.0);
-                enc.u32(child.0);
-            }
-            KernelEvent::Exec { pid, command } => {
-                enc.u8(1);
-                enc.u32(pid.0);
-                enc.str(command);
-            }
+/// A kernel event read in place: a [`KernelEvent`] whose exec command
+/// and file paths borrow the batch frame they were decoded from.
+///
+/// This is the one place that knows a kernel event's layout. Both
+/// directions go through it — [`KernelEvent`]'s [`Wire`] impl encodes its
+/// borrowed view and decodes by this walk plus
+/// [`KernelEventRef::to_owned`] — so the LPM, which reads every event
+/// of every traced process, can take the command straight off the frame
+/// and build nothing it does not keep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum KernelEventRef<'a> {
+    /// `parent` forked `child`.
+    Fork { parent: Pid, child: Pid },
+    /// `pid` replaced its image with `command`.
+    Exec { pid: Pid, command: &'a str },
+    /// `pid` terminated.
+    Exit {
+        pid: Pid,
+        status: ExitStatus,
+        rusage: Rusage,
+    },
+    /// A signal was delivered to `pid`.
+    SignalDelivered { pid: Pid, signal: Signal },
+    /// `pid` was stopped.
+    Stopped { pid: Pid },
+    /// `pid` was continued.
+    Continued { pid: Pid },
+    /// `pid` sent an IPC message of `bytes` bytes.
+    MsgSent { pid: Pid, bytes: usize },
+    /// `pid` received an IPC message of `bytes` bytes.
+    MsgReceived { pid: Pid, bytes: usize },
+    /// `pid` opened `path`.
+    FileOpened { pid: Pid, path: &'a str },
+    /// `pid` closed `path`.
+    FileClosed { pid: Pid, path: &'a str },
+}
+
+impl<'a> From<&'a KernelEvent> for KernelEventRef<'a> {
+    fn from(ev: &'a KernelEvent) -> Self {
+        match *ev {
+            KernelEvent::Fork { parent, child } => KernelEventRef::Fork { parent, child },
+            KernelEvent::Exec { pid, ref command } => KernelEventRef::Exec { pid, command },
             KernelEvent::Exit {
                 pid,
                 status,
                 rusage,
-            } => {
-                enc.u8(2);
-                enc.u32(pid.0);
-                enc_status(enc, status);
-                enc_rusage(enc, rusage);
-            }
+            } => KernelEventRef::Exit {
+                pid,
+                status,
+                rusage,
+            },
             KernelEvent::SignalDelivered { pid, signal } => {
-                enc.u8(3);
-                enc.u32(pid.0);
-                enc_signal(enc, *signal);
+                KernelEventRef::SignalDelivered { pid, signal }
             }
-            KernelEvent::Stopped { pid } => {
-                enc.u8(4);
-                enc.u32(pid.0);
+            KernelEvent::Stopped { pid } => KernelEventRef::Stopped { pid },
+            KernelEvent::Continued { pid } => KernelEventRef::Continued { pid },
+            KernelEvent::MsgSent { pid, bytes } => KernelEventRef::MsgSent { pid, bytes },
+            KernelEvent::MsgReceived { pid, bytes } => KernelEventRef::MsgReceived { pid, bytes },
+            KernelEvent::FileOpened { pid, ref path } => KernelEventRef::FileOpened { pid, path },
+            KernelEvent::FileClosed { pid, ref path } => KernelEventRef::FileClosed { pid, path },
+        }
+    }
+}
+
+impl<'a> KernelEventRef<'a> {
+    /// The wire tag, which is also the index of the event's name in
+    /// [`KernelEvent::KINDS`].
+    fn tag(&self) -> u8 {
+        match self {
+            KernelEventRef::Fork { .. } => 0,
+            KernelEventRef::Exec { .. } => 1,
+            KernelEventRef::Exit { .. } => 2,
+            KernelEventRef::SignalDelivered { .. } => 3,
+            KernelEventRef::Stopped { .. } => 4,
+            KernelEventRef::Continued { .. } => 5,
+            KernelEventRef::MsgSent { .. } => 6,
+            KernelEventRef::MsgReceived { .. } => 7,
+            KernelEventRef::FileOpened { .. } => 8,
+            KernelEventRef::FileClosed { .. } => 9,
+        }
+    }
+
+    /// Short name for traces and history records, as
+    /// [`KernelEvent::kind`] gives it.
+    pub fn kind(&self) -> &'static str {
+        KernelEvent::KINDS[usize::from(self.tag())]
+    }
+
+    /// The process the event concerns, as [`KernelEvent::pid`] gives it.
+    pub fn pid(&self) -> Pid {
+        match *self {
+            KernelEventRef::Fork { parent, .. } => parent,
+            KernelEventRef::Exec { pid, .. }
+            | KernelEventRef::Exit { pid, .. }
+            | KernelEventRef::SignalDelivered { pid, .. }
+            | KernelEventRef::Stopped { pid }
+            | KernelEventRef::Continued { pid }
+            | KernelEventRef::MsgSent { pid, .. }
+            | KernelEventRef::MsgReceived { pid, .. }
+            | KernelEventRef::FileOpened { pid, .. }
+            | KernelEventRef::FileClosed { pid, .. } => pid,
+        }
+    }
+
+    /// The owned event, its text copied out of the frame.
+    pub fn to_owned(&self) -> KernelEvent {
+        match *self {
+            KernelEventRef::Fork { parent, child } => KernelEvent::Fork { parent, child },
+            KernelEventRef::Exec { pid, command } => KernelEvent::Exec {
+                pid,
+                command: command.to_owned(),
+            },
+            KernelEventRef::Exit {
+                pid,
+                status,
+                rusage,
+            } => KernelEvent::Exit {
+                pid,
+                status,
+                rusage,
+            },
+            KernelEventRef::SignalDelivered { pid, signal } => {
+                KernelEvent::SignalDelivered { pid, signal }
             }
-            KernelEvent::Continued { pid } => {
-                enc.u8(5);
-                enc.u32(pid.0);
+            KernelEventRef::Stopped { pid } => KernelEvent::Stopped { pid },
+            KernelEventRef::Continued { pid } => KernelEvent::Continued { pid },
+            KernelEventRef::MsgSent { pid, bytes } => KernelEvent::MsgSent { pid, bytes },
+            KernelEventRef::MsgReceived { pid, bytes } => KernelEvent::MsgReceived { pid, bytes },
+            KernelEventRef::FileOpened { pid, path } => KernelEvent::FileOpened {
+                pid,
+                path: path.to_owned(),
+            },
+            KernelEventRef::FileClosed { pid, path } => KernelEvent::FileClosed {
+                pid,
+                path: path.to_owned(),
+            },
+        }
+    }
+
+    /// Writes the event: its tag, its pid, then what the variant carries.
+    pub fn encode(&self, enc: &mut Enc) {
+        enc.u8(self.tag());
+        enc.u32(self.pid().0);
+        match *self {
+            KernelEventRef::Fork { child, .. } => enc.u32(child.0),
+            KernelEventRef::Exec { command, .. } => enc.str(command),
+            KernelEventRef::Exit { status, rusage, .. } => {
+                enc_status(enc, &status);
+                enc_rusage(enc, &rusage);
             }
-            KernelEvent::MsgSent { pid, bytes } => {
-                enc.u8(6);
-                enc.u32(pid.0);
-                enc.u64(*bytes as u64);
+            KernelEventRef::SignalDelivered { signal, .. } => enc_signal(enc, signal),
+            KernelEventRef::Stopped { .. } | KernelEventRef::Continued { .. } => {}
+            KernelEventRef::MsgSent { bytes, .. } | KernelEventRef::MsgReceived { bytes, .. } => {
+                enc.u64(bytes as u64)
             }
-            KernelEvent::MsgReceived { pid, bytes } => {
-                enc.u8(7);
-                enc.u32(pid.0);
-                enc.u64(*bytes as u64);
-            }
-            KernelEvent::FileOpened { pid, path } => {
-                enc.u8(8);
-                enc.u32(pid.0);
-                enc.str(path);
-            }
-            KernelEvent::FileClosed { pid, path } => {
-                enc.u8(9);
-                enc.u32(pid.0);
-                enc.str(path);
+            KernelEventRef::FileOpened { path, .. } | KernelEventRef::FileClosed { path, .. } => {
+                enc.str(path)
             }
         }
     }
 
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match dec.u8()? {
-            0 => KernelEvent::Fork {
-                parent: Pid(dec.u32()?),
+    /// Reads one event, borrowing its text from `dec`'s input.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadTag`] for an unknown event, signal or exit-status
+    /// tag; [`CodecError::Truncated`] or [`CodecError::BadUtf8`] as the
+    /// decoder reports them.
+    pub fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
+        let tag = dec.u8()?;
+        if usize::from(tag) >= KernelEvent::KINDS.len() {
+            return Err(CodecError::BadTag {
+                what: "kernel event",
+                tag,
+            });
+        }
+        let pid = Pid(dec.u32()?);
+        Ok(match tag {
+            0 => KernelEventRef::Fork {
+                parent: pid,
                 child: Pid(dec.u32()?),
             },
-            1 => KernelEvent::Exec {
-                pid: Pid(dec.u32()?),
-                command: dec.str_ref()?.to_owned(),
+            1 => KernelEventRef::Exec {
+                pid,
+                command: dec.str_ref()?,
             },
-            2 => KernelEvent::Exit {
-                pid: Pid(dec.u32()?),
+            2 => KernelEventRef::Exit {
+                pid,
                 status: dec_status(dec)?,
                 rusage: dec_rusage(dec)?,
             },
-            3 => KernelEvent::SignalDelivered {
-                pid: Pid(dec.u32()?),
+            3 => KernelEventRef::SignalDelivered {
+                pid,
                 signal: dec_signal(dec)?,
             },
-            4 => KernelEvent::Stopped {
-                pid: Pid(dec.u32()?),
-            },
-            5 => KernelEvent::Continued {
-                pid: Pid(dec.u32()?),
-            },
-            6 => KernelEvent::MsgSent {
-                pid: Pid(dec.u32()?),
+            4 => KernelEventRef::Stopped { pid },
+            5 => KernelEventRef::Continued { pid },
+            6 => KernelEventRef::MsgSent {
+                pid,
                 bytes: dec.u64()? as usize,
             },
-            7 => KernelEvent::MsgReceived {
-                pid: Pid(dec.u32()?),
+            7 => KernelEventRef::MsgReceived {
+                pid,
                 bytes: dec.u64()? as usize,
             },
-            8 => KernelEvent::FileOpened {
-                pid: Pid(dec.u32()?),
-                path: dec.str_ref()?.to_owned(),
+            8 => KernelEventRef::FileOpened {
+                pid,
+                path: dec.str_ref()?,
             },
-            9 => KernelEvent::FileClosed {
-                pid: Pid(dec.u32()?),
-                path: dec.str_ref()?.to_owned(),
+            _ => KernelEventRef::FileClosed {
+                pid,
+                path: dec.str_ref()?,
             },
-            t => {
-                return Err(CodecError::BadTag {
-                    what: "kernel event",
-                    tag: t,
-                })
-            }
         })
+    }
+}
+
+/// A kernel message read in place: the borrowed view of a [`KernelMsg`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelMsgRef<'a> {
+    /// When the kernel queued the event.
+    pub queued_at: SimTime,
+    /// The event, its text borrowed from the frame.
+    pub event: KernelEventRef<'a>,
+}
+
+impl<'a> KernelMsgRef<'a> {
+    /// Reads one message that fills `frame` exactly.
+    ///
+    /// # Errors
+    ///
+    /// As [`KernelEventRef::decode`], and [`CodecError::TrailingBytes`]
+    /// when the frame holds more than one message.
+    pub fn from_bytes(frame: &'a [u8]) -> Result<Self, CodecError> {
+        let mut dec = Dec::new(frame);
+        let msg = Self::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(msg)
+    }
+
+    fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
+        Ok(KernelMsgRef {
+            queued_at: SimTime::from_micros(dec.u64()?),
+            event: KernelEventRef::decode(dec)?,
+        })
+    }
+
+    /// The owned message, its text copied out of the frame.
+    pub fn to_owned(&self) -> KernelMsg {
+        KernelMsg {
+            queued_at: self.queued_at,
+            event: self.event.to_owned(),
+        }
+    }
+}
+
+impl Wire for KernelEvent {
+    fn encode(&self, enc: &mut Enc) {
+        KernelEventRef::from(self).encode(enc);
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        KernelEventRef::decode(dec).map(|ev| ev.to_owned())
     }
 }
 
@@ -193,27 +350,31 @@ impl Wire for KernelMsg {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let queued_at = SimTime::from_micros(dec.u64()?);
-        let event = KernelEvent::decode(dec)?;
-        Ok(KernelMsg { queued_at, event })
+        KernelMsgRef::decode(dec).map(|msg| msg.to_owned())
     }
 }
 
-/// Decodes a coalesced kernel batch frame with the zero-copy iterator
-/// and feeds each message to `f` in queue order; malformed frames are
-/// dropped. Tracer programs (the LPM) call this from their
-/// `on_kernel_batch` override — the runtime layer's default ignores
-/// batches because the codec is a protocol-layer concern.
-pub fn for_each_kernel_msg(data: &[u8], mut f: impl FnMut(KernelMsg)) {
+/// Walks a coalesced kernel batch frame in place and feeds each message,
+/// borrowed from `data`, to `f` in queue order; a malformed message is
+/// dropped, and a framing error ends the walk. Tracer programs (the LPM)
+/// call this from their `on_kernel_batch` override — the runtime layer's
+/// default ignores batches because the codec is a protocol-layer concern.
+pub fn walk_kernel_batch<'a>(data: &'a [u8], mut f: impl FnMut(KernelMsgRef<'a>)) {
     let Ok(iter) = crate::codec::frames(data) else {
         return;
     };
     for frame in iter {
         let Ok(frame) = frame else { return };
-        if let Ok(msg) = KernelMsg::from_bytes(frame) {
+        if let Ok(msg) = KernelMsgRef::from_bytes(frame) {
             f(msg);
         }
     }
+}
+
+/// [`walk_kernel_batch`], each message copied out as an owned
+/// [`KernelMsg`].
+pub fn for_each_kernel_msg(data: &[u8], mut f: impl FnMut(KernelMsg)) {
+    walk_kernel_batch(data, |msg| f(msg.to_owned()));
 }
 
 #[cfg(test)]

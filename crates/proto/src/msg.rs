@@ -44,8 +44,8 @@ use bytes::Bytes;
 use crate::codec::{frames, CodecError, Dec, Enc, Wire};
 use crate::triggers::TriggerSpec;
 use crate::types::{
-    FileRecord, Gpid, HistoryRecord, MetricRow, ProcRecord, ProcRecordRef, Route, RusageRecord,
-    Stamp,
+    FileRecord, Gpid, HistoryRecord, MetricRow, Name, ProcRecord, ProcRecordRef, Route,
+    RusageRecord, Stamp,
 };
 
 // Tags of the values this module reads or writes around an encoded
@@ -63,8 +63,8 @@ const MSG_BCAST_AGG: u8 = 16;
 /// relays build these from per-hop sets and re-flushes, so the raw order
 /// (and cross-hop duplicates) is not canonical. Encoding always emits
 /// the normalized form, keeping same-seed runs byte-identical.
-fn canonical_missing(missing: &[String]) -> Vec<&str> {
-    let mut v: Vec<&str> = missing.iter().map(String::as_str).collect();
+fn canonical_missing(missing: &[Name]) -> Vec<&str> {
+    let mut v: Vec<&str> = missing.iter().map(Name::as_str).collect();
     v.sort_unstable();
     v.dedup();
     v
@@ -462,15 +462,15 @@ pub enum Reply {
     /// LPM status.
     Status {
         /// Reporting host.
-        host: String,
+        host: Name,
         /// Load average × 1000.
         load_milli: u32,
         /// Managed (adopted or created) live processes.
         managed: u32,
         /// Hosts with live sibling connections.
-        siblings: Vec<String>,
+        siblings: Vec<Name>,
         /// Current CCS host as this LPM believes it.
-        ccs: String,
+        ccs: Name,
         /// CCS epoch (bumps on re-election).
         epoch: u64,
     },
@@ -479,14 +479,14 @@ pub enum Reply {
     /// (straggler timeout or partition during the wave).
     Partial {
         /// Hosts whose contributions are absent from `inner`.
-        missing: Vec<String>,
+        missing: Vec<Name>,
         /// The combined result of the hosts that did answer.
         inner: Box<Reply>,
     },
     /// [`Op::Metrics`] result: one LPM's observability registry.
     Metrics {
         /// Reporting host.
-        host: String,
+        host: Name,
         /// Simulated instant the registry was sampled (µs).
         at_us: u64,
         /// Registry contents, sorted by name.
@@ -614,11 +614,11 @@ impl Wire for Reply {
                 entries: dec.seq(TriggerSpec::decode)?,
             },
             9 => Reply::Status {
-                host: dec.str()?,
+                host: Name::decode(dec)?,
                 load_milli: dec.u32()?,
                 managed: dec.u32()?,
-                siblings: dec.seq(|d| d.str())?,
-                ccs: dec.str()?,
+                siblings: dec.seq(Name::decode)?,
+                ccs: Name::decode(dec)?,
                 epoch: dec.u64()?,
             },
             10 => Reply::Stats {
@@ -630,11 +630,11 @@ impl Wire for Reply {
                 handlers: (dec.u64()?, dec.u64()?, dec.u64()?),
             },
             REPLY_PARTIAL => Reply::Partial {
-                missing: dec.seq(|d| d.str())?,
+                missing: dec.seq(Name::decode)?,
                 inner: Box::new(Reply::decode(dec)?),
             },
             12 => Reply::Metrics {
-                host: dec.str()?,
+                host: Name::decode(dec)?,
                 at_us: dec.u64()?,
                 rows: dec.seq(MetricRow::decode)?,
             },
@@ -648,7 +648,7 @@ impl Wire for Reply {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BcastPart {
     /// Answering host.
-    pub host: String,
+    pub host: Name,
     /// The host's reply.
     pub reply: Reply,
     /// Route the host's slice of the wave had taken.
@@ -664,7 +664,7 @@ impl Wire for BcastPart {
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(BcastPart {
-            host: dec.str()?,
+            host: Name::decode(dec)?,
             reply: Reply::decode(dec)?,
             route: Route::decode(dec)?,
         })
@@ -701,11 +701,11 @@ pub enum Msg {
         /// The user the caller claims to act for.
         user: u32,
         /// Caller's host name.
-        host: String,
+        host: Name,
         /// True for tools, false for sibling LPMs.
         is_tool: bool,
         /// The caller's current CCS view (siblings propagate it).
-        ccs: String,
+        ccs: Name,
         /// CCS epoch.
         epoch: u64,
         /// Keyed proof derived from the user's network secret.
@@ -714,11 +714,11 @@ pub enum Msg {
     /// Handshake answer.
     HelloAck {
         /// Responder's host name.
-        host: String,
+        host: Name,
         /// Whether authentication succeeded.
         ok: bool,
         /// Responder's CCS view.
-        ccs: String,
+        ccs: Name,
         /// Responder's CCS epoch.
         epoch: u64,
     },
@@ -793,7 +793,7 @@ pub enum Msg {
         /// Hosts of this subtree that never answered (lost children or
         /// stragglers cut off by the wave timeout). Canonical on the
         /// wire: encoding sorts and dedups.
-        missing: Vec<String>,
+        missing: Vec<Name>,
     },
 
     // ---- recovery (Section 5) ----------------------------------------------
@@ -802,7 +802,7 @@ pub enum Msg {
         /// Acting user.
         user: u32,
         /// The coordinator host.
-        ccs: String,
+        ccs: Name,
         /// Election epoch.
         epoch: u64,
     },
@@ -811,14 +811,14 @@ pub enum Msg {
         /// Acting user.
         user: u32,
         /// Prober's host.
-        from: String,
+        from: Name,
     },
     /// Probe answer.
     ProbeAck {
         /// Responder's host.
-        from: String,
+        from: Name,
         /// Responder's CCS view.
-        ccs: String,
+        ccs: Name,
         /// Responder's epoch.
         epoch: u64,
     },
@@ -832,16 +832,16 @@ pub enum Msg {
         /// Acting user.
         user: u32,
         /// The querying LPM's host.
-        claimant: String,
+        claimant: Name,
         /// A CCS host observed dead, if any.
-        dead: Option<String>,
+        dead: Option<Name>,
     },
     /// The name server's answer.
     CcsInfo {
         /// Acting user.
         user: u32,
         /// Assigned coordinator host.
-        ccs: String,
+        ccs: Name,
         /// Assignment epoch.
         epoch: u64,
     },
@@ -854,7 +854,7 @@ pub enum Msg {
         /// Acting user.
         user: u32,
         /// The respawned LPM's host.
-        host: String,
+        host: Name,
         /// Local pids of the re-adopted survivors.
         live: Vec<u32>,
         /// The respawned incarnation's boot epoch. Receivers fence the
@@ -871,7 +871,7 @@ pub enum Msg {
         /// Acting user.
         user: u32,
         /// The host the edges are for (the respawned LPM's host).
-        host: String,
+        host: Name,
         /// `(local pid, remote logical parent)` pairs.
         edges: Vec<(u32, Gpid)>,
     },
@@ -915,7 +915,7 @@ impl Msg {
         stamp: &Stamp,
         count: u32,
         frames: &[u8],
-        missing: &BTreeSet<String>,
+        missing: &BTreeSet<Name>,
     ) -> Bytes {
         let names: usize = missing.iter().map(|host| 2 + host.len()).sum();
         let mut enc = Enc::with_capacity(1 + stamp.wire_len() + 8 + frames.len() + 2 + names);
@@ -1103,16 +1103,16 @@ impl Wire for Msg {
             3 => Msg::NoLpm { user: dec.u32()? },
             4 => Msg::Hello {
                 user: dec.u32()?,
-                host: dec.str()?,
+                host: Name::decode(dec)?,
                 is_tool: dec.bool()?,
-                ccs: dec.str()?,
+                ccs: Name::decode(dec)?,
                 epoch: dec.u64()?,
                 proof: dec.u64()?,
             },
             5 => Msg::HelloAck {
-                host: dec.str()?,
+                host: Name::decode(dec)?,
                 ok: dec.bool()?,
-                ccs: dec.str()?,
+                ccs: Name::decode(dec)?,
                 epoch: dec.u64()?,
             },
             6 => Msg::Req {
@@ -1142,42 +1142,42 @@ impl Wire for Msg {
             },
             11 => Msg::CcsAnnounce {
                 user: dec.u32()?,
-                ccs: dec.str()?,
+                ccs: Name::decode(dec)?,
                 epoch: dec.u64()?,
             },
             12 => Msg::Probe {
                 user: dec.u32()?,
-                from: dec.str()?,
+                from: Name::decode(dec)?,
             },
             13 => Msg::ProbeAck {
-                from: dec.str()?,
-                ccs: dec.str()?,
+                from: Name::decode(dec)?,
+                ccs: Name::decode(dec)?,
                 epoch: dec.u64()?,
             },
             14 => Msg::CcsQuery {
                 user: dec.u32()?,
-                claimant: dec.str()?,
-                dead: dec.opt(|d| d.str())?,
+                claimant: Name::decode(dec)?,
+                dead: dec.opt(Name::decode)?,
             },
             15 => Msg::CcsInfo {
                 user: dec.u32()?,
-                ccs: dec.str()?,
+                ccs: Name::decode(dec)?,
                 epoch: dec.u64()?,
             },
             MSG_BCAST_AGG => Msg::BcastAgg {
                 stamp: Stamp::decode(dec)?,
                 parts: bytes::Bytes::copy_from_slice(dec.bytes_ref()?),
-                missing: dec.seq(|d| d.str())?,
+                missing: dec.seq(Name::decode)?,
             },
             18 => Msg::ForestPull {
                 user: dec.u32()?,
-                host: dec.str()?,
+                host: Name::decode(dec)?,
                 live: dec.seq(|d| d.u32())?,
                 boot: dec.u64()?,
             },
             19 => Msg::ForestInfo {
                 user: dec.u32()?,
-                host: dec.str()?,
+                host: Name::decode(dec)?,
                 edges: dec.seq(|d| Ok((d.u32()?, Gpid::decode(d)?)))?,
             },
             tag => return Err(CodecError::BadTag { what: "Msg", tag }),
@@ -1383,7 +1383,7 @@ impl WireReply {
 
     /// `Reply::Partial { missing, inner: self }`; a set is already in the
     /// canonical (sorted, deduplicated) order the wire form requires.
-    pub fn partial(&self, missing: &BTreeSet<String>) -> Self {
+    pub fn partial(&self, missing: &BTreeSet<Name>) -> Self {
         let mut enc = Enc::pooled();
         enc.u8(REPLY_PARTIAL);
         enc.seq_len(missing.len());
@@ -1668,7 +1668,7 @@ pub enum Inbound {
         /// Batch-framed [`BcastPart`]s.
         parts: Bytes,
         /// Hosts of the subtree that never answered.
-        missing: Vec<String>,
+        missing: Vec<Name>,
     },
     /// Every message that carries no reply, decoded.
     Other(Msg),
@@ -1695,7 +1695,7 @@ impl Inbound {
                 Inbound::BcastAgg {
                     stamp,
                     parts: frame.slice(parts.pos()..dec.pos()),
-                    missing: dec.seq(|d| d.str())?,
+                    missing: dec.seq(Name::decode)?,
                 }
             }
             _ => return Msg::from_bytes(frame).map(Inbound::Other),

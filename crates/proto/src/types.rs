@@ -1,179 +1,11 @@
 //! Protocol data types: names, global pids, signed timestamps, routes,
 //! and the record types carried in replies.
 
-use std::borrow::Borrow;
-use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::Deref;
-use std::sync::Arc;
 
 use crate::codec::{CodecError, Dec, Enc, Wire};
 
-/// A host name or command as the wire carries it: immutable, and equal,
-/// ordered, hashed and printed exactly as the `str` it holds, so a map
-/// keyed by names is probed with a `&str` and walks in `str` order.
-///
-/// A name of at most [`Name::INLINE_CAP`] bytes — every host name and
-/// command the shipped workloads use — is held in the value itself:
-/// decoding one allocates nothing and cloning one copies 24 bytes. A
-/// longer name shares one `Arc<str>`. Either way a `Name` is the size of
-/// the `String` it replaced.
-#[derive(Clone)]
-pub struct Name(Repr);
-
-#[derive(Clone)]
-enum Repr {
-    /// The first `len` bytes of `bytes` are a `str`.
-    Inline {
-        len: u8,
-        bytes: [u8; Name::INLINE_CAP],
-    },
-    /// Longer than [`Name::INLINE_CAP`] bytes.
-    Shared(Arc<str>),
-}
-
-const _: () = assert!(std::mem::size_of::<Name>() == 24);
-
-impl Name {
-    /// The longest name held inline: what fits beside the length byte
-    /// and the variant tag in a `String`'s 24 bytes.
-    pub const INLINE_CAP: usize = 22;
-
-    /// A name holding `s`.
-    #[inline]
-    pub fn new(s: &str) -> Self {
-        if s.len() <= Self::INLINE_CAP {
-            let mut bytes = [0; Self::INLINE_CAP];
-            bytes[..s.len()].copy_from_slice(s.as_bytes());
-            Name(Repr::Inline {
-                len: s.len() as u8,
-                bytes,
-            })
-        } else {
-            Name(Repr::Shared(Arc::from(s)))
-        }
-    }
-
-    /// The name as a string slice.
-    #[inline]
-    pub fn as_str(&self) -> &str {
-        match &self.0 {
-            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
-                .expect("an inline name holds the bytes of a str"),
-            Repr::Shared(s) => s,
-        }
-    }
-
-    /// The name's bytes, without the UTF-8 check `as_str` makes.
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
-            Repr::Shared(s) => s.as_bytes(),
-        }
-    }
-}
-
-impl Deref for Name {
-    type Target = str;
-
-    #[inline]
-    fn deref(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl AsRef<str> for Name {
-    fn as_ref(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl Borrow<str> for Name {
-    fn borrow(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl From<&str> for Name {
-    #[inline]
-    fn from(s: &str) -> Self {
-        Name::new(s)
-    }
-}
-
-impl From<&String> for Name {
-    fn from(s: &String) -> Self {
-        Name::new(s)
-    }
-}
-
-impl From<String> for Name {
-    fn from(s: String) -> Self {
-        Name::new(&s)
-    }
-}
-
-impl PartialEq for Name {
-    #[inline]
-    fn eq(&self, other: &Name) -> bool {
-        self.bytes() == other.bytes()
-    }
-}
-
-impl Eq for Name {}
-
-impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Name {
-    /// Byte-wise, which is `str`'s order.
-    #[inline]
-    fn cmp(&self, other: &Name) -> Ordering {
-        self.bytes().cmp(other.bytes())
-    }
-}
-
-impl Hash for Name {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
-    }
-}
-
-impl PartialEq<str> for Name {
-    fn eq(&self, other: &str) -> bool {
-        self.bytes() == other.as_bytes()
-    }
-}
-
-impl PartialEq<&str> for Name {
-    fn eq(&self, other: &&str) -> bool {
-        self.bytes() == other.as_bytes()
-    }
-}
-
-impl PartialEq<String> for Name {
-    fn eq(&self, other: &String) -> bool {
-        self.bytes() == other.as_bytes()
-    }
-}
-
-impl fmt::Display for Name {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self.as_str(), f)
-    }
-}
-
-impl fmt::Debug for Name {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
-    }
-}
+pub use ppm_runtime::name::Name;
 
 impl Wire for Name {
     #[inline]

@@ -10,6 +10,9 @@ use std::hash::{Hash, Hasher};
 use proptest::prelude::*;
 
 use ppm_proto::codec::{decode_batch, encode_batch, frames, CodecError, Dec, Enc, Wire};
+use ppm_proto::kernel_wire::{
+    for_each_kernel_msg, walk_kernel_batch, KernelEventRef, KernelMsgRef,
+};
 use ppm_proto::msg::{
     BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, SnapshotRun, WirePart, WireReply,
     MAX_REPLY_RECORDS,
@@ -19,9 +22,19 @@ use ppm_proto::types::{
     FileRecord, Gpid, HistoryRecord, MetricRow, Name, ProcRecord, ProcRecordRef, Route,
     RusageRecord, Stamp, WireProcState,
 };
+use ppm_runtime::events::KernelEvent;
+use ppm_runtime::ids::Pid;
+use ppm_runtime::process::Rusage;
+use ppm_runtime::program::KernelMsg;
+use ppm_runtime::signal::{ExitStatus, Signal};
+use ppm_runtime::time::{SimDuration, SimTime};
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9-]{0,12}"
+}
+
+fn arb_host() -> impl Strategy<Value = Name> {
+    arb_name().prop_map(Name::from)
 }
 
 /// Text on both sides of [`Name::INLINE_CAP`]: ASCII of exactly 0, 21,
@@ -236,11 +249,11 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
         .prop_map(|entries| Reply::Files { entries }),
         prop::collection::vec(arb_trigger(), 0..3).prop_map(|entries| Reply::Triggers { entries }),
         (
-            arb_name(),
+            arb_host(),
             any::<u32>(),
             any::<u32>(),
-            prop::collection::vec(arb_name(), 0..4),
-            arb_name(),
+            prop::collection::vec(arb_host(), 0..4),
+            arb_host(),
             any::<u64>()
         )
             .prop_map(
@@ -254,7 +267,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
                 }
             ),
         (
-            arb_name(),
+            arb_host(),
             any::<u64>(),
             prop::collection::vec(
                 (
@@ -524,6 +537,76 @@ fn bulk_slice(host: &str, count: usize, admitted: Admitted) -> (WireReply, Optio
     (reply, run)
 }
 
+fn arb_signal() -> impl Strategy<Value = Signal> {
+    (1u8..32)
+        .prop_filter("a signal number", |&n| Signal::from_number(n).is_some())
+        .prop_map(|n| Signal::from_number(n).expect("filtered"))
+}
+
+fn arb_kernel_event() -> impl Strategy<Value = KernelEvent> {
+    let pid = || any::<u32>().prop_map(Pid);
+    let status = prop_oneof![
+        any::<i32>().prop_map(ExitStatus::Code),
+        arb_signal().prop_map(ExitStatus::Signaled),
+    ];
+    let rusage = prop::collection::vec(any::<u64>(), 8).prop_map(|v| Rusage {
+        cpu: SimDuration::from_micros(v[0]),
+        msgs_sent: v[1],
+        msgs_received: v[2],
+        bytes_sent: v[3],
+        bytes_received: v[4],
+        files_opened: v[5],
+        signals_received: v[6],
+        forks: v[7],
+    });
+    prop_oneof![
+        (pid(), pid()).prop_map(|(parent, child)| KernelEvent::Fork { parent, child }),
+        (pid(), arb_text()).prop_map(|(pid, command)| KernelEvent::Exec { pid, command }),
+        (pid(), status, rusage).prop_map(|(pid, status, rusage)| KernelEvent::Exit {
+            pid,
+            status,
+            rusage
+        }),
+        (pid(), arb_signal())
+            .prop_map(|(pid, signal)| KernelEvent::SignalDelivered { pid, signal }),
+        pid().prop_map(|pid| KernelEvent::Stopped { pid }),
+        pid().prop_map(|pid| KernelEvent::Continued { pid }),
+        (pid(), any::<u32>()).prop_map(|(pid, n)| KernelEvent::MsgSent {
+            pid,
+            bytes: n as usize
+        }),
+        (pid(), any::<u32>()).prop_map(|(pid, n)| KernelEvent::MsgReceived {
+            pid,
+            bytes: n as usize
+        }),
+        (pid(), arb_text()).prop_map(|(pid, path)| KernelEvent::FileOpened { pid, path }),
+        (pid(), arb_text()).prop_map(|(pid, path)| KernelEvent::FileClosed { pid, path }),
+    ]
+}
+
+fn arb_kernel_msg() -> impl Strategy<Value = KernelMsg> {
+    (any::<u64>(), arb_kernel_event()).prop_map(|(at, event)| KernelMsg {
+        queued_at: SimTime::from_micros(at),
+        event,
+    })
+}
+
+/// Walks a kernel batch, checking on the way that every message the walk
+/// yields re-encodes to bytes the walk reads back as itself.
+fn walk_checked(data: &[u8]) -> Result<Vec<KernelMsg>, TestCaseError> {
+    let mut walked = Vec::new();
+    let mut stable = Ok(());
+    walk_kernel_batch(data, |msg| {
+        let owned = msg.to_owned();
+        let bytes = owned.to_bytes();
+        if KernelMsgRef::from_bytes(&bytes) != Ok(msg) {
+            stable = Err(TestCaseError(format!("{msg:?} does not re-read")));
+        }
+        walked.push(owned);
+    });
+    stable.map(|()| walked)
+}
+
 fn arb_msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
         any::<u32>().prop_map(|user| Msg::CreateLpm { user }),
@@ -537,9 +620,9 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         any::<u32>().prop_map(|user| Msg::NoLpm { user }),
         (
             any::<u32>(),
-            arb_name(),
+            arb_host(),
             any::<bool>(),
-            arb_name(),
+            arb_host(),
             any::<u64>(),
             any::<u64>()
         )
@@ -551,7 +634,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 epoch,
                 proof
             }),
-        (arb_name(), any::<bool>(), arb_name(), any::<u64>()).prop_map(|(host, ok, ccs, epoch)| {
+        (arb_host(), any::<bool>(), arb_host(), any::<u64>()).prop_map(|(host, ok, ccs, epoch)| {
             Msg::HelloAck {
                 host,
                 ok,
@@ -597,13 +680,13 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             }
         }),
         arb_stamp().prop_map(|stamp| Msg::BcastDone { stamp }),
-        (any::<u32>(), arb_name(), any::<u64>()).prop_map(|(user, ccs, epoch)| Msg::CcsAnnounce {
+        (any::<u32>(), arb_host(), any::<u64>()).prop_map(|(user, ccs, epoch)| Msg::CcsAnnounce {
             user,
             ccs,
             epoch
         }),
-        (any::<u32>(), arb_name()).prop_map(|(user, from)| Msg::Probe { user, from }),
-        (arb_name(), arb_name(), any::<u64>()).prop_map(|(from, ccs, epoch)| Msg::ProbeAck {
+        (any::<u32>(), arb_host()).prop_map(|(user, from)| Msg::Probe { user, from }),
+        (arb_host(), arb_host(), any::<u64>()).prop_map(|(from, ccs, epoch)| Msg::ProbeAck {
             from,
             ccs,
             epoch
@@ -817,7 +900,7 @@ proptest! {
     #[test]
     fn missing_lists_canonicalize_at_encode(
         stamp in arb_stamp(),
-        missing in prop::collection::vec(arb_name(), 0..8),
+        missing in prop::collection::vec(arb_host(), 0..8),
     ) {
         let mut expect = missing.clone();
         expect.sort_unstable();
@@ -850,9 +933,9 @@ proptest! {
     fn spliced_frames_match_encoded_values(
         reply in arb_reply(),
         id in any::<u64>(),
-        host in arb_name(),
+        host in arb_host(),
         route in arb_route(),
-        missing in prop::collection::vec(arb_name(), 0..5),
+        missing in prop::collection::vec(arb_host(), 0..5),
     ) {
         let wire = WireReply::from(&reply);
         prop_assert_eq!(wire.as_bytes(), &reply.to_bytes()[..]);
@@ -867,7 +950,7 @@ proptest! {
         encoded.frame(&BcastPart { host, reply: reply.clone(), route });
         prop_assert_eq!(spliced.into_bytes(), encoded.into_bytes());
 
-        let set: BTreeSet<String> = missing.iter().cloned().collect();
+        let set: BTreeSet<Name> = missing.iter().cloned().collect();
         let partial = Reply::Partial { missing, inner: Box::new(reply) };
         let wrapped = wire.partial(&set);
         prop_assert_eq!(wrapped.as_bytes(), &partial.to_bytes()[..]);
@@ -951,7 +1034,7 @@ proptest! {
     /// kind alike.
     #[test]
     fn merged_bytes_match_the_record_level_combine(
-        answers in prop::collection::vec((arb_name(), arb_bcast_answer(), arb_route()), 0..7),
+        answers in prop::collection::vec((arb_host(), arb_bcast_answer(), arb_route()), 0..7),
         local in arb_bcast_answer(),
         op in prop_oneof![
             Just(Op::Snapshot),
@@ -985,7 +1068,7 @@ proptest! {
     /// `decode_batch::<BcastPart>` accepts, damaged or not.
     #[test]
     fn split_agrees_with_batch_decode(
-        answers in prop::collection::vec((arb_name(), arb_bcast_answer(), arb_route()), 0..4),
+        answers in prop::collection::vec((arb_host(), arb_bcast_answer(), arb_route()), 0..4),
         flips in prop::collection::vec((any::<u16>(), any::<u8>()), 0..3),
         cut in any::<u16>(),
     ) {
@@ -1096,9 +1179,9 @@ proptest! {
     #[test]
     fn relay_aggregate_is_the_encoded_msg(
         stamp in arb_stamp(),
-        answers in prop::collection::vec((arb_name(), arb_bcast_answer(), arb_route()), 0..5),
+        answers in prop::collection::vec((arb_host(), arb_bcast_answer(), arb_route()), 0..5),
         noise in prop::option::of((any::<u32>(), prop::collection::vec(any::<u8>(), 0..64))),
-        missing in prop::collection::vec(arb_name(), 0..6),
+        missing in prop::collection::vec(arb_host(), 0..6),
     ) {
         let (count, frames) = noise.unwrap_or_else(|| {
             let parts: Vec<BcastPart> = answers
@@ -1107,10 +1190,54 @@ proptest! {
                 .collect();
             (parts.len() as u32, encode_batch(&parts)[4..].to_vec())
         });
-        let set: BTreeSet<String> = missing.iter().cloned().collect();
+        let set: BTreeSet<Name> = missing.iter().cloned().collect();
         let mut batch = count.to_be_bytes().to_vec();
         batch.extend_from_slice(&frames);
         let msg = Msg::BcastAgg { stamp: stamp.clone(), parts: batch.into(), missing };
         prop_assert_eq!(Msg::bcast_agg_bytes(&stamp, count, &frames, &set), msg.to_bytes());
+    }
+
+    /// A batch of kernel messages walks back, borrowed and then owned, to
+    /// the messages encoded — the same values the owned batch decode and
+    /// `for_each_kernel_msg` give — and each borrowed event names the
+    /// kind and pid its owned form does.
+    #[test]
+    fn kernel_batches_walk_back_to_their_messages(
+        msgs in prop::collection::vec(arb_kernel_msg(), 0..12),
+    ) {
+        let wire = encode_batch(&msgs);
+        prop_assert_eq!(&walk_checked(&wire)?, &msgs);
+        prop_assert_eq!(&decode_batch::<KernelMsg>(&wire).expect("batch decodes"), &msgs);
+        let mut owned = Vec::new();
+        for_each_kernel_msg(&wire, |msg| owned.push(msg));
+        prop_assert_eq!(&owned, &msgs);
+        for msg in &msgs {
+            let view = KernelEventRef::from(&msg.event);
+            prop_assert_eq!(view.kind(), msg.event.kind());
+            prop_assert_eq!(view.pid(), msg.event.pid());
+            prop_assert_eq!(view.to_owned(), msg.event.clone());
+        }
+    }
+
+    /// Arbitrary bytes, and valid batches cut short or with a byte
+    /// changed, never panic the walk; whatever it yields is a message
+    /// that re-encodes to itself. A cut batch yields a prefix of the
+    /// messages it held.
+    #[test]
+    fn kernel_batch_walk_survives_garbage(
+        data in prop::collection::vec(any::<u8>(), 0..512),
+        msgs in prop::collection::vec(arb_kernel_msg(), 1..6),
+        cut in any::<u16>(),
+        flip in (any::<u16>(), 1u8..=255),
+    ) {
+        walk_checked(&data)?;
+        let wire = encode_batch(&msgs).to_vec();
+        let cut = usize::from(cut) % wire.len();
+        let prefix = walk_checked(&wire[..cut])?;
+        prop_assert!(msgs.starts_with(&prefix), "{prefix:?} is not a prefix");
+        let mut mutated = wire.clone();
+        let at = usize::from(flip.0) % mutated.len();
+        mutated[at] ^= flip.1;
+        walk_checked(&mutated)?;
     }
 }

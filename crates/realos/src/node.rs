@@ -421,8 +421,9 @@ impl NodeCore {
     }
 
     fn spawn_proc(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Pid {
-        let pid = self
-            .kernel_call(|k, now, fx| k.spawn(parent, uid, &spec.command, spec.cpu_bound, now, fx));
+        let pid = self.kernel_call(|k, now, fx| {
+            k.spawn(parent, uid, spec.command.clone(), spec.cpu_bound, now, fx)
+        });
         if let Some(program) = spec.program {
             self.programs.insert(pid, program);
         }

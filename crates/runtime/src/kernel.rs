@@ -26,7 +26,7 @@
 //! delivers one event per wakeup (the checker) calls
 //! [`Kernel::pop_kernel_msg`] instead; neither shifts what stays queued.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 
@@ -34,6 +34,7 @@ use crate::events::{KernelEvent, TraceFlags};
 use crate::fd::{FdKind, OpenMode};
 use crate::hashx::FastMap;
 use crate::ids::{ConnId, Fd, Pid, Port, Uid};
+use crate::name::Name;
 use crate::process::{ProcInfo, ProcState, Process, Rusage};
 use crate::program::{KernelMsg, SigAction, SysError};
 use crate::signal::{ExitStatus, Signal};
@@ -87,9 +88,10 @@ pub const EXITED_RETENTION: usize = 512;
 #[derive(Debug)]
 pub struct Kernel {
     procs: FastMap<Pid, Process>,
-    /// Live pids per owner, pid-ordered. Maintained on insert and exit;
-    /// a uid's entry is removed when its last live pid exits.
-    by_uid: FastMap<Uid, BTreeSet<Pid>>,
+    /// Live pids per owner, pid-ordered: a sorted `Vec`, kept like a
+    /// child list (a fork appends, an exit bisects). Maintained on insert
+    /// and exit; a uid's entry is removed when its last live pid exits.
+    by_uid: FastMap<Uid, Vec<Pid>>,
     exited_order: VecDeque<Pid>,
     next_pid: u32,
     load_avg: f64,
@@ -109,12 +111,20 @@ pub struct Kernel {
     pending: FastMap<Pid, VecDeque<KernelMsg>>,
 }
 
-/// Links `pid` into a child list. Lists are kept in pid order, where an
-/// exit finds its entry by bisection; a fork's pid is the highest yet
-/// and lands at the end, an orphan handed to init wherever it belongs.
+/// Links `pid` into a child list or a per-uid index. Both are kept in
+/// pid order, where an exit finds its entry by bisection; a fork's pid
+/// is the highest yet and lands at the end, an orphan handed to init
+/// wherever it belongs.
 fn link_child(children: &mut Vec<Pid>, pid: Pid) {
     let at = children.partition_point(|&c| c < pid);
     children.insert(at, pid);
+}
+
+/// Unlinks `pid` from a list [`link_child`] keeps, by bisection.
+fn unlink_child(children: &mut Vec<Pid>, pid: Pid) {
+    if let Ok(at) = children.binary_search(&pid) {
+        children.remove(at);
+    }
 }
 
 impl Kernel {
@@ -135,7 +145,7 @@ impl Kernel {
         };
         let mut init = Process::new(Pid::INIT, Pid::INIT, Uid::ROOT, "init", now);
         init.state = ProcState::Running;
-        k.by_uid.entry(Uid::ROOT).or_default().insert(Pid::INIT);
+        k.by_uid.entry(Uid::ROOT).or_default().push(Pid::INIT);
         k.procs.insert(Pid::INIT, init);
         k
     }
@@ -186,7 +196,7 @@ impl Kernel {
     pub fn insert(&mut self, proc: Process) {
         let pid = proc.pid;
         let ppid = proc.ppid;
-        self.by_uid.entry(proc.uid).or_default().insert(pid);
+        link_child(self.by_uid.entry(proc.uid).or_default(), pid);
         assert!(
             self.procs.insert(pid, proc).is_none(),
             "pid {pid} already in process table"
@@ -264,7 +274,7 @@ impl Kernel {
         }
         // The exited pid leaves its owner's shard of the live index.
         if let Some(pids) = self.by_uid.get_mut(&uid) {
-            pids.remove(&pid);
+            unlink_child(pids, pid);
             if pids.is_empty() {
                 self.by_uid.remove(&uid);
             }
@@ -284,9 +294,7 @@ impl Kernel {
         // init's list is long while orphans pile up.
         let ppid = self.procs[&pid].ppid;
         if let Some(parent) = self.procs.get_mut(&ppid) {
-            if let Ok(at) = parent.children.binary_search(&pid) {
-                parent.children.remove(at);
-            }
+            unlink_child(&mut parent.children, pid);
         }
         self.exited_order.push_back(pid);
         while self.exited_order.len() > EXITED_RETENTION {
@@ -354,7 +362,7 @@ impl Kernel {
         &mut self,
         parent: Pid,
         uid: Uid,
-        command: &str,
+        command: impl Into<Name>,
         cpu_bound: bool,
         now: SimTime,
         fx: &mut Effects,
@@ -384,7 +392,9 @@ impl Kernel {
             return false;
         };
         p.state = ProcState::Running;
-        let command = p.command.clone();
+        // The event's command is a `String`: the one allocation a traced
+        // process still costs here.
+        let command = p.command.to_string();
         self.emit(KernelEvent::Exec { pid, command }, now, fx);
         true
     }

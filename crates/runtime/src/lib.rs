@@ -6,6 +6,8 @@
 //!
 //! * [`time`] — protocol-visible time as integer microseconds
 //!   ([`time::Micros`], alias `SimTime`).
+//! * [`name`] — [`name::Name`], the one type of every host name and
+//!   command, inline up to 22 bytes.
 //! * [`ids`], [`process`], [`signal`], [`fd`], [`events`] — the process
 //!   model: pids, uids, hosts, states, rusage, signals, descriptors, and
 //!   the kernel-event vocabulary of the paper's extended `ptrace`.
@@ -38,6 +40,7 @@ pub mod hashx;
 pub mod ids;
 pub mod inetd;
 pub mod kernel;
+pub mod name;
 pub mod obs;
 pub mod pages;
 pub mod process;
@@ -50,6 +53,7 @@ pub mod trace;
 pub mod workload;
 
 pub use ids::{ConnId, CpuClass, Fd, HostId, Pid, Port, Uid};
+pub use name::Name;
 pub use program::{ConnEvent, Inert, KernelMsg, ProcKey, Program, SigAction, SpawnSpec, SysError};
 pub use rt::Runtime;
 pub use sys::{Sys, CRASHED_AT_KEY};

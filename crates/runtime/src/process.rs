@@ -7,6 +7,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::events::TraceFlags;
 use crate::fd::FdTable;
 use crate::ids::{Pid, Uid};
+use crate::name::Name;
 use crate::signal::ExitStatus;
 
 /// Scheduling state of a process, as reported by snapshots.
@@ -74,8 +75,8 @@ pub struct Process {
     pub ppid: Pid,
     /// Owning user.
     pub uid: Uid,
-    /// Command name (argv\[0\] equivalent).
-    pub command: String,
+    /// Command name (argv\[0\] equivalent): the spawn's own, not a copy.
+    pub command: Name,
     /// Scheduling state.
     pub state: ProcState,
     /// When the process was created.
@@ -102,7 +103,7 @@ pub struct Process {
 
 impl Process {
     /// Creates a fresh process entry in the embryonic state.
-    pub fn new(pid: Pid, ppid: Pid, uid: Uid, command: impl Into<String>, now: SimTime) -> Self {
+    pub fn new(pid: Pid, ppid: Pid, uid: Uid, command: impl Into<Name>, now: SimTime) -> Self {
         Process {
             pid,
             ppid,
@@ -143,7 +144,7 @@ pub struct ProcInfo {
     /// Owner.
     pub uid: Uid,
     /// Command name.
-    pub command: String,
+    pub command: Name,
     /// Scheduling state.
     pub state: ProcState,
     /// Creation time.

@@ -15,6 +15,7 @@ use bytes::Bytes;
 
 use crate::events::KernelEvent;
 use crate::ids::{ConnId, Pid, Port};
+use crate::name::Name;
 use crate::signal::{ExitStatus, Signal};
 use crate::sys::Sys;
 
@@ -115,8 +116,8 @@ pub enum SigAction {
 
 /// Specification for creating a process.
 pub struct SpawnSpec {
-    /// Command name (argv\[0\]).
-    pub command: String,
+    /// Command name (argv\[0\]). The process table keeps this value.
+    pub command: Name,
     /// Behaviour, if any. `None` yields an inert process that only exists
     /// in the process table (most real UNIX processes, from the PPM's
     /// perspective, are exactly that).
@@ -138,7 +139,7 @@ impl fmt::Debug for SpawnSpec {
 
 impl SpawnSpec {
     /// A process with behaviour.
-    pub fn new(command: impl Into<String>, program: Box<dyn Program>) -> Self {
+    pub fn new(command: impl Into<Name>, program: Box<dyn Program>) -> Self {
         SpawnSpec {
             command: command.into(),
             program: Some(program),
@@ -147,7 +148,7 @@ impl SpawnSpec {
     }
 
     /// An inert process with no behaviour.
-    pub fn inert(command: impl Into<String>) -> Self {
+    pub fn inert(command: impl Into<Name>) -> Self {
         SpawnSpec {
             command: command.into(),
             program: None,

@@ -522,7 +522,7 @@ mod tests {
             ) -> Result<Pid, SysError> {
                 let now = self.now();
                 let (k, fx) = (&mut self.kernel, &mut self.fx);
-                Ok(k.spawn(parent, uid, &spec.command, spec.cpu_bound, now, fx))
+                Ok(k.spawn(parent, uid, spec.command, spec.cpu_bound, now, fx))
             }
             fn post_signal(&mut self, _t: Pid, _s: Signal) {}
             fn make_service(&self, _n: &str) -> Option<(Port, Box<dyn Program>)> {

@@ -426,7 +426,7 @@ impl WorldCore {
             return Err(SysError::HostDown);
         }
         let pid = self.kernel_call(host, |k, now, fx| {
-            k.spawn(parent, uid, &spec.command, spec.cpu_bound, now, fx)
+            k.spawn(parent, uid, spec.command.clone(), spec.cpu_bound, now, fx)
         });
         let cost = match cost_override {
             Some(c) => c,

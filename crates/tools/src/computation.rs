@@ -10,7 +10,7 @@
 use ppm_core::client::ToolStep;
 use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::{ControlAction, ErrCode, Op, Reply};
-use ppm_proto::types::{Gpid, WireProcState};
+use ppm_proto::types::{Gpid, Name, WireProcState};
 use ppm_simnet::time::SimDuration;
 use ppm_simos::ids::Uid;
 
@@ -27,7 +27,7 @@ pub struct ComputationSites {
     pub hosts: Vec<String>,
     /// Hosts the locating snapshot never heard from — members executing
     /// there, if any, are unknown. Empty for a complete sweep.
-    pub unreachable: Vec<String>,
+    pub unreachable: Vec<Name>,
 }
 
 /// Locates the live members of the computation rooted at `root`.

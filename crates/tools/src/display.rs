@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use ppm_core::client::ToolStep;
 use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::{Op, Reply};
-use ppm_proto::types::ProcRecord;
+use ppm_proto::types::{Name, ProcRecord};
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::HostId;
 use ppm_simos::ids::Uid;
@@ -42,7 +42,7 @@ impl std::fmt::Display for Liveness {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostStatus {
     /// Host name.
-    pub host: String,
+    pub host: Name,
     /// Power state.
     pub liveness: Liveness,
     /// Load average × 1000.
@@ -50,9 +50,9 @@ pub struct HostStatus {
     /// Managed live processes.
     pub managed: u32,
     /// Sibling channel peers.
-    pub siblings: Vec<String>,
+    pub siblings: Vec<Name>,
     /// CCS as this LPM sees it.
-    pub ccs: String,
+    pub ccs: Name,
     /// CCS epoch.
     pub epoch: u64,
     /// Whether the host answered at all.
@@ -132,12 +132,12 @@ const WAIT: SimDuration = SimDuration::from_secs(60);
 
 fn dark_row(host: &str, liveness: Liveness) -> HostStatus {
     HostStatus {
-        host: host.to_string(),
+        host: host.into(),
         liveness,
         load_milli: 0,
         managed: 0,
         siblings: Vec::new(),
-        ccs: String::new(),
+        ccs: Name::default(),
         epoch: 0,
         reachable: false,
     }
@@ -145,7 +145,7 @@ fn dark_row(host: &str, liveness: Liveness) -> HostStatus {
 
 /// What a dashboard shows: the status rows, the user's managed
 /// processes and the hosts the snapshot sweep missed.
-pub type Gathered = (Vec<HostStatus>, Vec<ProcRecord>, Vec<String>);
+pub type Gathered = (Vec<HostStatus>, Vec<ProcRecord>, Vec<Name>);
 
 /// Gathers what a dashboard shows, on any runtime.
 ///
@@ -279,7 +279,7 @@ pub fn render_dashboard(
     uid: Uid,
     rows: &[HostStatus],
     forest: &Forest,
-    missing: &[String],
+    missing: &[Name],
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "PPM display for {uid} (from {from_host})");
@@ -389,7 +389,7 @@ mod tests {
     fn render_warns_on_partial_snapshot() {
         let rows = vec![dark_row("y", Liveness::Down)];
         let forest = Forest::build(Vec::new());
-        let missing = vec!["y".to_string()];
+        let missing = vec![Name::from("y")];
         let out = render_dashboard("x", USER, &rows, &forest, &missing);
         assert!(out.contains("snapshot incomplete"), "{out}");
         assert!(out.contains("no answer from y"), "{out}");

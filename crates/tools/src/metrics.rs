@@ -10,7 +10,7 @@
 use ppm_core::client::ToolStep;
 use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::{Op, Reply};
-use ppm_proto::types::MetricRow;
+use ppm_proto::types::{MetricRow, Name};
 use ppm_simnet::time::SimDuration;
 use ppm_simos::ids::Uid;
 
@@ -18,7 +18,7 @@ use ppm_simos::ids::Uid;
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostMetrics {
     /// The answering host.
-    pub host: String,
+    pub host: Name,
     /// The answering host's sim clock when it sampled the registry (µs).
     pub at_us: u64,
     /// Name-sorted metric rows.
@@ -84,7 +84,7 @@ pub fn pull_all<R: Runtime>(
 pub fn report(pulls: &[HostMetrics]) -> String {
     let sections: Vec<(String, Vec<MetricRow>)> = pulls
         .iter()
-        .map(|p| (p.host.clone(), p.rows.clone()))
+        .map(|p| (p.host.to_string(), p.rows.clone()))
         .collect();
     ppm_core::obs::render_metrics(&sections)
 }

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::ControlAction;
-use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
+use ppm_proto::types::{Gpid, Name, ProcRecord, WireProcState};
 use ppm_simos::ids::Uid;
 use ppm_simos::rt::SimRuntime;
 
@@ -76,7 +76,7 @@ pub fn render(records: Vec<ProcRecord>, title: &str) -> String {
 /// Renders a snapshot like [`render`]; a partial sweep (`missing` names
 /// the hosts that sent no slice) gets a warning footer, so an incomplete
 /// forest is never mistaken for the whole computation.
-pub fn render_partial(records: Vec<ProcRecord>, title: &str, missing: &[String]) -> String {
+pub fn render_partial(records: Vec<ProcRecord>, title: &str, missing: &[Name]) -> String {
     let mut out = render(records, title);
     if !missing.is_empty() {
         let _ = writeln!(

@@ -17,9 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let user = Uid(100);
     // Administrator-coordinated recovery: pmd on "ns" is the name server.
     let cfg = PpmConfig {
-        recovery_policy: RecoveryPolicy::NameServer {
-            host: "ns".to_string(),
-        },
+        recovery_policy: RecoveryPolicy::NameServer { host: "ns".into() },
         ..PpmConfig::fast_recovery()
     };
     let mut ppm = PpmHarness::builder()

@@ -9,12 +9,13 @@
 use ppm::core::config::PpmConfig;
 use ppm::harness::harness::PpmHarness;
 use ppm::proto::msg::Reply;
+use ppm::proto::types::Name;
 use ppm::runtime::trace::TraceCategory;
 use ppm::simnet::time::SimDuration;
 use ppm::simnet::topology::CpuClass;
 use ppm::simos::ids::Uid;
 
-fn ccs_view(ppm: &mut PpmHarness, host: &str, user: Uid) -> (String, u64) {
+fn ccs_view(ppm: &mut PpmHarness, host: &str, user: Uid) -> (Name, u64) {
     match ppm.status(host, user, host).unwrap() {
         Reply::Status { ccs, epoch, .. } => (ccs, epoch),
         other => panic!("unexpected {other:?}"),

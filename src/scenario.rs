@@ -35,7 +35,9 @@
 //!
 //! `as NAME` binds the created process's `<host, pid>`; `$NAME` refers to
 //! it in later `control`/`killtree`/`parent=` arguments. Durations are a
-//! count and a unit (`us`, `ms` or `s`). UIDs and PIDs fit in 32 bits. A
+//! count and a unit (`us`, `ms` or `s`). UIDs and PIDs fit in 32 bits,
+//! and no token is longer than 65 535 bytes, the most a protocol string
+//! carries (a host name, a command, a destination). A
 //! `link` joins two distinct hosts declared on earlier lines; a host and
 //! a user are each declared once.
 //!
@@ -60,6 +62,7 @@ use ppm_core::config::{PpmConfig, RecoveryPolicy};
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::{HarnessBuilder, HarnessError, PpmHarness, Runtime};
 use ppm_harness::tenant::{self, scale_spec, TenantWorld};
+use ppm_proto::codec::MAX_STR_BYTES;
 use ppm_proto::msg::ControlAction;
 use ppm_proto::types::{Gpid, ProcRecord};
 use ppm_runtime::events::TraceFlags;
@@ -310,6 +313,13 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
             continue;
         }
         let tokens: Vec<&str> = stripped.split_whitespace().collect();
+        if let Some(long) = tokens.iter().find(|t| t.len() > MAX_STR_BYTES) {
+            let len = long.len();
+            return Err(err(
+                line,
+                format!("a token of {len} bytes is longer than {MAX_STR_BYTES}"),
+            ));
+        }
         match tokens[0] {
             "seed" => {
                 sc.seed = parse_u64(
@@ -369,9 +379,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                     } else if let Some(v) = t.strip_prefix("recovery=") {
                         recovery = v.split(',').map(str::to_string).collect();
                     } else if let Some(v) = t.strip_prefix("nameserver=") {
-                        cfg.recovery_policy = RecoveryPolicy::NameServer {
-                            host: v.to_string(),
-                        };
+                        cfg.recovery_policy = RecoveryPolicy::NameServer { host: v.into() };
                     } else if *t == "fast" {
                         let policy = cfg.recovery_policy.clone();
                         let splicing = cfg.reply_splicing;
@@ -1097,6 +1105,25 @@ run 2s
             assert_eq!(e.line, 3, "{action}: {e}");
             assert!(e.message.contains("32 bits"), "{action}: {e}");
         }
+    }
+
+    #[test]
+    fn tokens_past_a_protocol_string_are_line_numbered_errors() {
+        let long = "x".repeat(70_000);
+        let user = "host a vax780\nuser 100 secret=1\n";
+        for (text, at) in [
+            (format!("host {long}"), 1),
+            (format!("{user}at 1s spawn a 100 a {long}"), 3),
+            (format!("{user}at 1s spawn a 100 {long} job"), 3),
+            (format!("{user}at 1s snapshot a 100 {long}"), 3),
+        ] {
+            let e = parse(&text).unwrap_err();
+            assert_eq!(e.line, at, "{e}");
+            assert!(e.message.contains("70000 bytes"), "{e}");
+        }
+        // The longest a protocol string carries is still a command.
+        let most = "y".repeat(MAX_STR_BYTES);
+        assert!(parse(&format!("{user}at 1s spawn a 100 a {most}")).is_ok());
     }
 
     #[test]

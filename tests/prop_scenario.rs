@@ -227,8 +227,9 @@ proptest! {
     }
 }
 
-/// The hostile inputs that used to panic in the world builder or wrap
-/// to time zero: each is now a parse error on the offending line.
+/// The hostile inputs that used to panic in the world builder or a
+/// tool's encode, or wrap to time zero: each is now a parse error on the
+/// offending line.
 #[test]
 fn hostile_statements_are_line_numbered_parse_errors() {
     let user = "user 1 secret=1 recovery=a\n";
@@ -269,9 +270,53 @@ fn hostile_statements_are_line_numbered_parse_errors() {
             4,
             "out of range",
         ),
+        // Past a protocol string's u16 length: the encode used to panic.
+        (
+            format!("host a\n{user}at 0s spawn a 1 a {}\n", "c".repeat(70_000)),
+            3,
+            "70000 bytes",
+        ),
+        (
+            format!("host {}\n{user}", "h".repeat(70_000)),
+            1,
+            "70000 bytes",
+        ),
     ] {
         let e = ppm::scenario::parse(&text).expect_err(&text);
         assert_eq!(e.line, line, "{text}: {e}");
         assert!(e.message.contains(needle), "{text}: {e}");
     }
+}
+
+/// A name at the protocol's limit is accepted, and the text an LPM
+/// builds around one (an error's detail, a history note) still encodes:
+/// both runs used to panic in the encoder.
+#[test]
+fn names_at_the_protocol_limit_run_without_panicking() {
+    let host = "h".repeat(65_535);
+    let command = "c".repeat(65_535);
+    let user = "user 100 secret=1 recovery=a\n";
+    let unreachable = format!(
+        "host a vax780\nhost {host} vax780\nlink a {host}\n{user}\
+         at 1s crash {host}\nat 2s spawn a 100 {host} job\nrun 1s\n"
+    );
+    let noted = format!(
+        "host a vax780\nhost b vax780\nlink a b\n{user}\
+         at 1s spawn a 100 b {command}\nat 2s history a 100 *\nrun 1s\n"
+    );
+    let run = |text: &str| {
+        let sc = ppm::scenario::parse(text).expect("a name at the limit parses");
+        let mut out = String::new();
+        let done = ppm::scenario::execute_with(&sc, &mut out, ExecOptions::default());
+        (done, out)
+    };
+    let (done, _) = run(&unreachable);
+    let e = done.expect_err("the crashed host is unreachable");
+    assert!(e.message.contains("cannot reach"), "{}", &e.message[..80]);
+    let (done, out) = run(&noted);
+    assert!(done.is_ok());
+    assert!(
+        out.contains("create     spawned ccc"),
+        "the note is kept, cut"
+    );
 }
