@@ -102,12 +102,15 @@ pub fn explore(s: &Scenario, budget: Budget) -> (Stats, Option<Violation>) {
     let mut seen: HashSet<u64> = HashSet::new();
     // Stack entries: (pick vector, branch depth consumed).
     let mut stack: Vec<(Vec<usize>, usize)> = vec![(Vec::new(), 0)];
+    // The world of the entry on top of the stack, when it is the first
+    // child of the state just expanded: that state's world, one move on.
+    let mut first_child: Option<McWorld> = None;
     while let Some((picks, depth)) = stack.pop() {
         if stats.states >= budget.max_states {
             stats.truncated = true;
             break;
         }
-        let w = replay(s, &picks);
+        let mut w = first_child.take().unwrap_or_else(|| replay(s, &picks));
         stats.states += 1;
         if let Some(why) = (s.check_step)(&w) {
             return (stats, Some(minimize(s, &picks, &why)));
@@ -143,6 +146,9 @@ pub fn explore(s: &Scenario, budget: Budget) -> (Stats, Option<Violation>) {
             np.push(i);
             stack.push((np, next_depth));
         }
+        // The next pop is `picks + [0]`: step into it rather than replay.
+        w.apply(&moves[0]);
+        first_child = Some(w);
     }
     (stats, None)
 }

@@ -174,6 +174,17 @@ fn parse_time(s: &str, line: usize) -> Result<SimTime, FaultPlanError> {
     Ok(SimTime::ZERO + parse_duration(s, line)?)
 }
 
+/// `at` plus a sugared `restart` / `heal` delay, still inside the clock's
+/// range (so the plan's `encode` parses again).
+fn parse_later(at: SimTime, s: &str, line: usize) -> Result<SimTime, FaultPlanError> {
+    let d = parse_duration(s, line)?;
+    let later = at.as_micros().checked_add(d.as_micros());
+    let later = later.filter(|us| *us <= SimTime::FAR_FUTURE.as_micros());
+    later
+        .map(|_| at + d)
+        .ok_or_else(|| err(line, format!("{at} + {s} is out of range")))
+}
+
 fn parse_prob(s: &str, line: usize) -> Result<f64, FaultPlanError> {
     let p: f64 = s
         .parse()
@@ -321,9 +332,8 @@ fn parse_event(plan: &mut FaultPlan, tokens: &[&str], line: usize) -> Result<(),
             // Sugar: `crash HOST restart DUR` heals the host DUR later.
             match tokens.get(3) {
                 Some(&"restart") => {
-                    let d = parse_duration(&need(4, "a delay after `restart`")?, line)?;
                     plan.events.push(FaultEvent {
-                        at: at + d,
+                        at: parse_later(at, &need(4, "a delay after `restart`")?, line)?,
                         kind: FaultKind::Restart { host },
                     });
                 }
@@ -352,9 +362,8 @@ fn parse_event(plan: &mut FaultPlan, tokens: &[&str], line: usize) -> Result<(),
                 });
                 match tokens.get(4) {
                     Some(&"heal") => {
-                        let d = parse_duration(&need(5, "a delay after `heal`")?, line)?;
                         plan.events.push(FaultEvent {
-                            at: at + d,
+                            at: parse_later(at, &need(5, "a delay after `heal`")?, line)?,
                             kind: FaultKind::NetLinkUp { link },
                         });
                     }
@@ -377,9 +386,8 @@ fn parse_event(plan: &mut FaultPlan, tokens: &[&str], line: usize) -> Result<(),
             // Sugar: `cut A B heal DUR` restores the link DUR later.
             match tokens.get(4) {
                 Some(&"heal") => {
-                    let d = parse_duration(&need(5, "a delay after `heal`")?, line)?;
                     plan.events.push(FaultEvent {
-                        at: at + d,
+                        at: parse_later(at, &need(5, "a delay after `heal`")?, line)?,
                         kind: FaultKind::LinkUp { a, b },
                     });
                 }
@@ -681,6 +689,17 @@ delay 0.5 add 40ms to kim
         let e = FaultPlan::parse("seed 1\nat 18446744073710s crash far").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("out of range"), "{e}");
+        // So is a sugared restart or heal that lands past it: `encode`
+        // could not write it back.
+        for late in [
+            "at 4611686018427s crash far restart 3s",
+            "at 4611686018427s cut a b heal 3s",
+            "at 4611686018427s cut link up0 heal 3s",
+        ] {
+            let e = FaultPlan::parse(&format!("seed 1\n{late}")).unwrap_err();
+            assert_eq!(e.line, 2, "{late}: {e}");
+            assert!(e.message.contains("out of range"), "{late}: {e}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! making the reproduction usable as a standalone experimentation
 //! vehicle, the way the paper positions the PPM prototype ("a tool for
 //! experimentation in networked environments"). One executor plays a
-//! scenario on every runtime: the simulation ([`execute_with`]), a real
-//! loopback cluster or the model checker's world ([`execute_on`]).
+//! scenario on every runtime — the simulation, a real loopback cluster or
+//! the model checker's world — behind [`crate::sweep::run_cell`], which
+//! runs every cell; [`execute_with`] plays one on the simulation alone.
 //!
 //! # Grammar (one statement per line, `#` comments)
 //!
@@ -51,8 +52,8 @@
 //! runtime is one LAN segment) — need the simulated world, as do
 //! `ppm-sim --seed`, fault plans, a network model, the `--hosts` chain
 //! and the `--users` storm.
-//! Every other runtime refuses them with the offending line before a
-//! host boots.
+//! [`crate::sweep::run_cell`] refuses them on every other runtime, with
+//! the offending line, before a host boots.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -131,7 +132,7 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-fn err(line: usize, message: impl Into<String>) -> ScenarioError {
+pub(crate) fn err(line: usize, message: impl Into<String>) -> ScenarioError {
     ScenarioError {
         line,
         message: message.into(),
@@ -217,7 +218,7 @@ pub enum Action {
 
 impl Action {
     /// The statement, when only the simulated world can play it.
-    fn sim_only(&self) -> Option<&'static str> {
+    pub(crate) fn sim_only(&self) -> Option<&'static str> {
         match self {
             Action::Crash { .. } => Some("crash"),
             Action::Restart { .. } => Some("restart"),
@@ -570,19 +571,7 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
     }
 }
 
-/// Executes a parsed scenario on the simulation, writing tool output
-/// through `out`.
-///
-/// Returns the harness for post-run inspection.
-///
-/// # Errors
-///
-/// [`ScenarioError`] naming the failing action's line.
-pub fn execute(sc: &Scenario, out: &mut dyn fmt::Write) -> Result<PpmHarness, ScenarioError> {
-    execute_with(sc, out, ExecOptions::default())
-}
-
-/// Execution knobs for [`execute_with`] and [`execute_storm`].
+/// Execution knobs for [`execute_with`] and the storm.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ExecOptions<'a> {
     /// Record structured spans from the first event.
@@ -652,13 +641,9 @@ impl ExecOptions<'_> {
 
 /// Plays the canonical `users × hosts` storm ([`scale_spec`]) of `procs`
 /// forks — the whole of `ppm-sim --users U --hosts N` — writing its
-/// report through `out`.
-///
-/// # Errors
-///
-/// A world larger than [`tenant::MAX_STORM_CELLS`], or what
-/// [`execute_with`] reports for a bad topology or fault plan.
-pub fn execute_storm(
+/// report through `out`. Refuses a world larger than
+/// [`tenant::MAX_STORM_CELLS`], a bad topology or a bad fault plan.
+pub(crate) fn execute_storm(
     users: u32,
     hosts: u16,
     seed: u64,
@@ -677,7 +662,7 @@ pub fn execute_storm(
 
 /// A scenario played on runtime `R`, to its end or to the action that
 /// failed.
-pub struct Played<R: Runtime = SimRuntime> {
+pub(crate) struct Played<R: Runtime = SimRuntime> {
     /// The harness, for post-run inspection — its trace and metrics say
     /// how far a failed play got.
     pub ppm: PpmHarness<R>,
@@ -689,7 +674,8 @@ pub struct Played<R: Runtime = SimRuntime> {
     pub observed: Result<u64, ScenarioError>,
 }
 
-/// Like [`execute`], with all execution knobs explicit.
+/// Executes a parsed scenario on the simulation, writing tool output
+/// through `out`; returns the harness for post-run inspection.
 ///
 /// # Errors
 ///
@@ -706,12 +692,7 @@ pub fn execute_with(
 
 /// Like [`execute_with`], keeping the observable digest, and the harness
 /// when an action fails.
-///
-/// # Errors
-///
-/// A fault plan referencing an unknown host or a bad network model
-/// (line 0).
-pub fn execute_played(
+pub(crate) fn execute_played(
     sc: &Scenario,
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
@@ -728,30 +709,13 @@ pub fn execute_played(
 }
 
 /// Plays a scenario on another runtime — a real loopback cluster or the
-/// checker's world — as one LAN segment.
-///
-/// # Errors
-///
-/// A sim-only statement, refused with its line before any host boots.
-/// An action that fails is [`Played::observed`]'s error.
-pub fn execute_on<R: Runtime>(
-    sc: &Scenario,
-    rt: R,
-    out: &mut dyn fmt::Write,
-) -> Result<Played<R>, ScenarioError> {
-    let statement = sc
-        .actions
-        .iter()
-        .find_map(|(line, _, a)| Some((*line, a.sim_only()?)));
-    let mesh = sc
-        .mesh_gap
-        .map(|line| (line, "a link set that is not the full mesh"));
-    if let Some((line, what)) = statement.into_iter().chain(mesh).min() {
-        return Err(err(line, format!("{what} needs the sim runtime")));
-    }
+/// checker's world — as one LAN segment. What only the sim can play has
+/// been refused by [`crate::sweep::run_cell`]; an action that fails is
+/// [`Played::observed`]'s error.
+pub(crate) fn execute_on<R: Runtime>(sc: &Scenario, rt: R, out: &mut dyn fmt::Write) -> Played<R> {
     let mut ppm = builder(sc).build_on(rt);
     let observed = play(sc, &mut ppm, out, &|_, _, _| Ok(()));
-    Ok(Played { ppm, observed })
+    Played { ppm, observed }
 }
 
 /// What every runtime boots for `sc`: its hosts and accounts and, when a
@@ -1064,7 +1028,7 @@ run 2s
     fn executes_the_demo() {
         let sc = parse(DEMO).unwrap();
         let mut out = String::new();
-        let ppm = execute(&sc, &mut out).unwrap();
+        let ppm = execute_with(&sc, &mut out, ExecOptions::default()).unwrap();
         assert!(out.contains("created <a,"), "{out}");
         assert!(out.contains("snapshot of *"));
         assert!(out.contains("worker"));
@@ -1172,7 +1136,7 @@ run 2s
             "host a vax780\nuser 100 secret=1 recovery=a\nat 1s control a 100 $ghost kill\nrun 1s";
         let sc = parse(text).unwrap();
         let mut out = String::new();
-        let e = execute(&sc, &mut out).unwrap_err();
+        let e = execute_with(&sc, &mut out, ExecOptions::default()).unwrap_err();
         assert!(e.message.contains("$ghost"), "{e}");
         assert_eq!(e.line, 3);
     }

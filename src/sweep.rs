@@ -1,4 +1,5 @@
-//! The parallel experiment harness: deterministic sweep grids.
+//! The parallel experiment harness: deterministic sweep grids, and the
+//! one runner behind every cell.
 //!
 //! A `.sweep` grid file declares a cross product of run dimensions —
 //! seeds × variants (scenario files, generated chains, tenant storms) ×
@@ -13,6 +14,10 @@
 //! spec-indexed slots and every section is sorted by spec id — arrival
 //! order never reaches the output. Wall-clock numbers are observational
 //! and live in [`render_timing`], which callers send to stderr.
+//!
+//! A `ppm-sim` command line is a one-cell grid: [`SimArgs::parse`] loads
+//! it into a [`RunSpec`] with a grid's loaders, and [`run_cell`] runs
+//! either on any runtime.
 //!
 //! ## Grid grammar
 //!
@@ -36,21 +41,47 @@
 //! FNV-1a fold of exactly the strings `ppm-sim --digest` hashes, so any
 //! cell — failed or not — can be re-derived standalone from the repro
 //! command line carried in its result.
+//!
+//! A grid names each cell once: a seed, variant, fault plan or topology
+//! listed twice (`seeds 1,1`) would repeat ids, and is refused.
 
 use std::borrow::Cow;
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+use ppm_mc::McWorld;
+use ppm_realos::RealRuntime;
 
 use crate::digest::{fnv1a, fnv1a_fold, hex};
 use crate::harness::harness::{PpmHarness, Runtime};
 use crate::harness::tenant::{host_names, storm_fits};
-use crate::scenario::{ExecOptions, ScenarioError};
+use crate::scenario::{self, ExecOptions, Played, Scenario, ScenarioError};
 use crate::simnet::fault::FaultPlan;
 use crate::simnet::topology::NetSpec;
+use std::fmt::Display;
+
+/// The runtime a cell plays on (`ppm-sim --runtime`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The simulated world: seeded, faultable, with network models.
+    Sim,
+    /// Node threads on loopback TCP, on the wall clock.
+    Real,
+    /// The model checker's world under its default schedule.
+    Mc,
+}
+
+/// Each runtime by its `--runtime` name.
+const BACKENDS: [(&str, Backend); 3] = [
+    ("sim", Backend::Sim),
+    ("real", Backend::Real),
+    ("mc", Backend::Mc),
+];
 
 /// One axis-point of the variant dimension.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VariantKind {
     /// A scenario file, preloaded so workers never touch the filesystem.
     Scenario { text: Arc<str> },
@@ -66,50 +97,149 @@ pub enum VariantKind {
 #[derive(Debug, Clone)]
 pub struct Variant {
     pub label: String,
-    /// Resolved path for repro command lines (scenario variants only).
-    pub repro_path: Option<String>,
+    /// The `ppm-sim` arguments that play it: the scenario's resolved
+    /// path, `--hosts N`, or `--users U --hosts H --procs P`.
+    pub args: String,
     pub kind: VariantKind,
 }
 
-/// A fault-plan axis point; `text == None` is the no-faults plan.
+/// A fault-plan axis point, parsed once at load; `plan == None` is the
+/// no-faults plan.
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub label: String,
+    /// The `--faults` path that replays it.
     pub repro_path: Option<String>,
-    pub text: Option<Arc<str>>,
-}
-
-impl Plan {
-    fn none() -> Self {
-        Plan {
-            label: "fault:none".into(),
-            repro_path: None,
-            text: None,
-        }
-    }
+    pub plan: Option<Arc<FaultPlan>>,
 }
 
 /// A topology axis point; `arg == None` is the flat wire (no net model).
-/// Presets carry only their name (they are instantiated over each
-/// variant's own host list at run time); spec files are preloaded like
-/// fault plans so workers never touch the filesystem.
+/// A preset is instantiated over each cell's own host list when it runs;
+/// a spec file is read and parsed once, at load.
 #[derive(Debug, Clone)]
 pub struct Topo {
     pub label: String,
-    /// The preset name or path *as written* in the grid (repro lines).
+    /// The `--topology` argument that replays it: the preset's name or
+    /// the spec file's resolved path.
     pub arg: Option<String>,
-    pub repro_path: Option<String>,
-    /// Preloaded spec-file text (file-based topologies only).
-    pub text: Option<Arc<str>>,
+    /// The parsed spec file (file-based topologies only).
+    pub spec: Option<Arc<NetSpec>>,
+}
+
+/// Reads a file a cell names — once, when the cell is loaded.
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// `v` as a number of at least `min`.
+fn at_least<T: FromStr + PartialOrd>(v: &str, min: T) -> Option<T> {
+    v.parse().ok().filter(|n| *n >= min)
+}
+
+impl Variant {
+    /// `scenario FILE` / `ppm-sim FILE`: the file at `base.join(arg)`.
+    pub fn scenario(arg: &str, base: &Path) -> Result<Variant, String> {
+        let path = base.join(arg);
+        let text = read(&path)?;
+        Ok(Variant {
+            label: format!("scenario:{arg}"),
+            args: path.display().to_string(),
+            kind: VariantKind::Scenario { text: text.into() },
+        })
+    }
+
+    /// `chain N` / `ppm-sim --hosts N`: the generated chain of `hosts`.
+    #[must_use]
+    pub fn chain(hosts: usize) -> Variant {
+        Variant {
+            label: format!("chain:{hosts}"),
+            args: format!("--hosts {hosts}"),
+            kind: VariantKind::Chain { hosts },
+        }
+    }
+
+    /// `storm UxH [procs=P]` / `ppm-sim --users U --hosts H [--procs P]`:
+    /// `procs` forks (default `U × 2000`), if the world is not too large.
+    pub fn storm(users: u32, hosts: u16, procs: Option<u64>) -> Result<Variant, String> {
+        storm_fits(users, hosts)?;
+        let procs = procs.unwrap_or_else(|| u64::from(users).saturating_mul(2_000));
+        Ok(Variant {
+            label: format!("storm:{users}x{hosts}"),
+            args: format!("--users {users} --hosts {hosts} --procs {procs}"),
+            kind: VariantKind::Storm {
+                users,
+                hosts,
+                procs,
+            },
+        })
+    }
+}
+
+impl Plan {
+    /// No fault plan.
+    #[must_use]
+    pub fn none() -> Self {
+        Plan {
+            label: "fault:none".into(),
+            repro_path: None,
+            plan: None,
+        }
+    }
+
+    /// `faults FILE|none` / `ppm-sim --faults FILE`: the plan at
+    /// `base.join(arg)`, read and parsed once.
+    pub fn load(arg: &str, base: &Path) -> Result<Plan, String> {
+        if arg == "none" {
+            return Ok(Plan::none());
+        }
+        let path = base.join(arg);
+        let plan = FaultPlan::parse(&read(&path)?).map_err(|e| format!("{arg}: {e}"))?;
+        Ok(Plan {
+            label: format!("fault:{arg}"),
+            repro_path: Some(path.display().to_string()),
+            plan: Some(Arc::new(plan)),
+        })
+    }
 }
 
 impl Topo {
-    fn flat() -> Self {
+    /// The flat wire.
+    #[must_use]
+    pub fn flat() -> Self {
         Topo {
             label: "net:flat".into(),
             arg: None,
-            repro_path: None,
-            text: None,
+            spec: None,
+        }
+    }
+
+    /// `topology PRESET|FILE|none` / `ppm-sim --topology PRESET|FILE`: a
+    /// preset by name, or the spec file at `base.join(arg)`, read and
+    /// parsed once.
+    pub fn load(arg: &str, base: &Path) -> Result<Topo, String> {
+        if arg == "none" {
+            return Ok(Topo::flat());
+        }
+        let label = format!("net:{arg}");
+        if NetSpec::PRESETS.contains(&arg) {
+            let (arg, spec) = (Some(arg.to_string()), None);
+            return Ok(Topo { label, arg, spec });
+        }
+        let path = base.join(arg);
+        let spec = NetSpec::parse(&read(&path)?).map_err(|e| format!("{arg}: {e}"))?;
+        let (arg, spec) = (Some(path.display().to_string()), Some(Arc::new(spec)));
+        Ok(Topo { label, arg, spec })
+    }
+
+    /// The model to install in a world of `hosts`, if any.
+    fn model(&self, hosts: Vec<String>) -> Result<Option<Cow<'_, NetSpec>>, ScenarioError> {
+        let preset = |name| NetSpec::preset(name, &hosts).map(Cow::Owned);
+        match (&self.spec, &self.arg) {
+            (Some(spec), _) => Ok(Some(Cow::Borrowed(spec))),
+            (None, Some(name)) => preset(name).map(Some).ok_or_else(|| {
+                scenario::err(0, format!("preset {name:?} needs at least one host"))
+            }),
+            (None, None) => Ok(None),
         }
     }
 }
@@ -130,15 +260,21 @@ pub struct Grid {
     pub expects_metric: Vec<String>,
 }
 
-/// One fully-specified independent run: a cell of the expanded grid.
+/// One fully-specified independent run: a cell of the expanded grid, or
+/// the one cell a `ppm-sim` command line names.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
-    /// `variant|plan|seed=N` — the sort key for every report section.
+    /// `variant|plan|seed=N` — the sort key for every report section; a
+    /// command line's one cell is named by its variant's arguments.
     pub id: String,
     pub variant: Variant,
     pub plan: Plan,
     pub topo: Topo,
-    pub seed: u64,
+    /// Overrides a scenario's `seed` statement; a storm without one runs
+    /// on 1986.
+    pub seed: Option<u64>,
+    /// What the cell plays on; a grid's cells play on the sim.
+    pub runtime: Backend,
     pub expects: Vec<String>,
     pub expects_metric: Vec<String>,
 }
@@ -159,6 +295,16 @@ pub struct RunResult {
     pub failures: Vec<String>,
     /// The exact `cargo run … ppm-sim` command line reproducing this cell.
     pub repro: String,
+}
+
+/// Appends `item` to an axis unless a point of the same label — so the
+/// same cell ids — is on it already.
+fn once<T>(axis: &mut Vec<T>, item: T, label: fn(&T) -> &str) -> Result<(), String> {
+    if axis.iter().any(|x| label(x) == label(&item)) {
+        return Err(format!("{} is listed twice", label(&item)));
+    }
+    axis.push(item);
+    Ok(())
 }
 
 impl Grid {
@@ -184,116 +330,47 @@ impl Grid {
                 Some((k, r)) => (k, r.trim()),
                 None => (line, ""),
             };
-            match key {
+            let mut variant = |v| once(&mut variants, v, |v: &Variant| &v.label);
+            let added = match key {
+                "sweep" if rest.is_empty() => Err("sweep needs a name".into()),
                 "sweep" => {
-                    if rest.is_empty() {
-                        return Err(err("sweep needs a name".into()));
-                    }
                     name = Some(rest.to_string());
+                    Ok(())
                 }
-                "seeds" => seeds.extend(parse_seeds(rest).map_err(err)?),
-                "scenario" => {
-                    let resolved = base.join(rest);
-                    let text = std::fs::read_to_string(&resolved)
-                        .map_err(|e| err(format!("cannot read {}: {e}", resolved.display())))?;
-                    variants.push(Variant {
-                        label: format!("scenario:{rest}"),
-                        repro_path: Some(resolved.display().to_string()),
-                        kind: VariantKind::Scenario { text: text.into() },
-                    });
-                }
-                "chain" => {
-                    let hosts: usize = rest
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 2)
-                        .ok_or_else(|| err("chain needs a host count of at least 2".into()))?;
-                    variants.push(Variant {
-                        label: format!("chain:{hosts}"),
-                        repro_path: None,
-                        kind: VariantKind::Chain { hosts },
-                    });
-                }
-                "storm" => {
-                    let mut parts = rest.split_whitespace();
-                    let shape = parts.next().unwrap_or("");
-                    let (u, h) = shape
-                        .split_once('x')
-                        .and_then(|(u, h)| Some((u.parse().ok()?, h.parse().ok()?)))
-                        .filter(|&(u, h): &(u32, u16)| u >= 1 && h >= 2)
-                        .ok_or_else(|| err(format!("bad storm shape {shape:?} (want UxH)")))?;
-                    storm_fits(u, h).map_err(err)?;
-                    let mut procs = u64::from(u).saturating_mul(2_000);
-                    for p in parts {
-                        let v = p
-                            .strip_prefix("procs=")
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&v: &u64| v >= 1)
-                            .ok_or_else(|| err(format!("bad storm option {p:?}")))?;
-                        procs = v;
-                    }
-                    variants.push(Variant {
-                        label: format!("storm:{u}x{h}"),
-                        repro_path: None,
-                        kind: VariantKind::Storm {
-                            users: u,
-                            hosts: h,
-                            procs,
-                        },
-                    });
-                }
-                "faults" => {
-                    if rest == "none" {
-                        plans.push(Plan::none());
-                    } else {
-                        let resolved = base.join(rest);
-                        let text = std::fs::read_to_string(&resolved)
-                            .map_err(|e| err(format!("cannot read {}: {e}", resolved.display())))?;
-                        FaultPlan::parse(&text).map_err(|e| err(format!("{rest}: {e}")))?;
-                        plans.push(Plan {
-                            label: format!("fault:{rest}"),
-                            repro_path: Some(resolved.display().to_string()),
-                            text: Some(text.into()),
-                        });
-                    }
-                }
+                "seeds" => parse_seeds(rest).and_then(|new| {
+                    new.into_iter().try_for_each(|seed| {
+                        if seeds.contains(&seed) {
+                            return Err(format!("seed {seed} is listed twice"));
+                        }
+                        seeds.push(seed);
+                        Ok(())
+                    })
+                }),
+                "scenario" => Variant::scenario(rest, base).and_then(&mut variant),
+                "chain" => at_least(rest, 2)
+                    .map(Variant::chain)
+                    .ok_or_else(|| "chain needs a host count of at least 2".to_string())
+                    .and_then(&mut variant),
+                "storm" => parse_storm(rest).and_then(&mut variant),
+                "faults" => Plan::load(rest, base).and_then(|p| once(&mut plans, p, |p| &p.label)),
                 "topology" => {
-                    if rest == "none" {
-                        topos.push(Topo::flat());
-                    } else if NetSpec::PRESETS.contains(&rest) {
-                        topos.push(Topo {
-                            label: format!("net:{rest}"),
-                            arg: Some(rest.to_string()),
-                            repro_path: None,
-                            text: None,
-                        });
+                    Topo::load(rest, base).and_then(|t| once(&mut topos, t, |t| &t.label))
+                }
+                "expect" | "expect-metric" if rest.is_empty() => {
+                    Err(format!("{key} needs a substring"))
+                }
+                "expect" | "expect-metric" => {
+                    let to = if key == "expect" {
+                        &mut expects
                     } else {
-                        let resolved = base.join(rest);
-                        let text = std::fs::read_to_string(&resolved)
-                            .map_err(|e| err(format!("cannot read {}: {e}", resolved.display())))?;
-                        NetSpec::parse(&text).map_err(|e| err(format!("{rest}: {e}")))?;
-                        topos.push(Topo {
-                            label: format!("net:{rest}"),
-                            arg: Some(rest.to_string()),
-                            repro_path: Some(resolved.display().to_string()),
-                            text: Some(text.into()),
-                        });
-                    }
+                        &mut expects_metric
+                    };
+                    to.push(rest.to_string());
+                    Ok(())
                 }
-                "expect" => {
-                    if rest.is_empty() {
-                        return Err(err("expect needs a substring".into()));
-                    }
-                    expects.push(rest.to_string());
-                }
-                "expect-metric" => {
-                    if rest.is_empty() {
-                        return Err(err("expect-metric needs a substring".into()));
-                    }
-                    expects_metric.push(rest.to_string());
-                }
-                other => return Err(err(format!("unknown directive {other:?}"))),
-            }
+                other => Err(format!("unknown directive {other:?}")),
+            };
+            added.map_err(err)?;
         }
         let name = name.ok_or("missing `sweep NAME` header")?;
         if variants.is_empty() {
@@ -318,9 +395,7 @@ impl Grid {
 
     /// Reads and parses a grid file; paths resolve against its parent dir.
     pub fn load(path: &Path) -> Result<Grid, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Grid::parse(&text, path.parent().unwrap_or(Path::new(".")))
+        Grid::parse(&read(path)?, path.parent().unwrap_or(Path::new(".")))
     }
 
     /// Expands the cross product into independent run specs, in the
@@ -351,7 +426,8 @@ impl Grid {
                             variant: v.clone(),
                             plan: p.clone(),
                             topo: t.clone(),
-                            seed,
+                            seed: Some(seed),
+                            runtime: Backend::Sim,
                             expects: self.expects.clone(),
                             expects_metric: self.expects_metric.clone(),
                         });
@@ -361,6 +437,22 @@ impl Grid {
         }
         specs
     }
+}
+
+/// A grid's `storm UxH [procs=P]`.
+fn parse_storm(rest: &str) -> Result<Variant, String> {
+    let mut parts = rest.split_whitespace();
+    let shape = parts.next().unwrap_or("");
+    let (users, hosts) = shape
+        .split_once('x')
+        .and_then(|(u, h)| Some((at_least(u, 1)?, at_least(h, 2)?)))
+        .ok_or_else(|| format!("bad storm shape {shape:?} (want UxH)"))?;
+    let mut procs = None;
+    for p in parts {
+        let v = p.strip_prefix("procs=").and_then(|v| at_least(v, 1));
+        procs = Some(v.ok_or_else(|| format!("bad storm option {p:?}"))?);
+    }
+    Variant::storm(users, hosts, procs)
 }
 
 fn parse_seeds(rest: &str) -> Result<Vec<u64>, String> {
@@ -391,30 +483,120 @@ impl RunSpec {
     /// digest and all.
     #[must_use]
     pub fn repro(&self) -> String {
-        let mut cmd = format!(
-            "cargo run --release --bin ppm-sim -- --digest --seed {}",
-            self.seed
-        );
+        let mut cmd = String::from("cargo run --release --bin ppm-sim -- --digest");
+        // The sim is the default, so it goes unsaid.
+        if let Some((name, _)) = BACKENDS[1..].iter().find(|(_, b)| *b == self.runtime) {
+            cmd.push_str(&format!(" --runtime {name}"));
+        }
+        if let Some(seed) = self.seed {
+            cmd.push_str(&format!(" --seed {seed}"));
+        }
         if let Some(p) = &self.plan.repro_path {
             cmd.push_str(&format!(" --faults {p}"));
         }
-        if let Some(t) = self.topo.repro_path.as_ref().or(self.topo.arg.as_ref()) {
+        if let Some(t) = &self.topo.arg {
             cmd.push_str(&format!(" --topology {t}"));
         }
-        match &self.variant.kind {
-            VariantKind::Scenario { .. } => {
-                if let Some(p) = &self.variant.repro_path {
-                    cmd.push_str(&format!(" {p}"));
+        format!("{cmd} {}", self.variant.args)
+    }
+}
+
+/// A `ppm-sim` command line: the one cell it names, loaded as a grid's
+/// cells are, and what to print or write of its run.
+#[derive(Debug, Clone)]
+pub struct SimArgs {
+    pub cell: RunSpec,
+    /// `--trace`: print the trace after the output.
+    pub trace: bool,
+    /// `--digest`: print the run's digest line.
+    pub digest: bool,
+    /// `--metrics PATH`: write every metrics registry there.
+    pub metrics: Option<String>,
+    /// `--spans PATH`: record spans, write them there as JSONL and at
+    /// `PATH.chrome.json` for Chrome.
+    pub spans: Option<String>,
+}
+
+/// A flag's value, or the error naming what the flag needs.
+fn value(flag: &str, v: Option<String>, what: &str) -> Result<String, String> {
+    v.ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// A flag's value as a number of at least `min`.
+fn count<T: FromStr + PartialOrd + Display>(
+    flag: &str,
+    v: Option<String>,
+    min: T,
+) -> Result<T, String> {
+    let what = format!("a number of at least {min}");
+    at_least(&value(flag, v, &what)?, min).ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+impl SimArgs {
+    /// Parses `ppm-sim`'s arguments (program name excluded); paths are
+    /// read relative to the working directory. Refuses an unknown flag, a
+    /// second scenario path and `--procs` without `--users`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<SimArgs, String> {
+        let here = Path::new("");
+        let mut args = args.into_iter();
+        let (mut trace, mut digest, mut metrics, mut spans) = (false, false, None, None);
+        let (mut hosts, mut users): (Option<usize>, Option<u32>) = (None, None);
+        let (mut procs, mut seed, mut path) = (None, None, None);
+        let mut runtime = Backend::Sim;
+        let (mut plan, mut topo) = (Plan::none(), Topo::flat());
+        while let Some(arg) = args.next() {
+            let flag = arg.as_str();
+            match flag {
+                "--trace" => trace = true,
+                "--digest" => digest = true,
+                "--runtime" => {
+                    let name = args.next().unwrap_or_default();
+                    let found = BACKENDS.iter().find(|(n, _)| *n == name);
+                    runtime = found.ok_or("--runtime needs sim, real or mc")?.1;
                 }
+                "--faults" => plan = Plan::load(&value(flag, args.next(), "a plan")?, here)?,
+                "--topology" => topo = Topo::load(&value(flag, args.next(), "a model")?, here)?,
+                "--hosts" => hosts = Some(count(flag, args.next(), 2)?),
+                "--users" => users = Some(count(flag, args.next(), 1)?),
+                "--procs" => procs = Some(count(flag, args.next(), 1)?),
+                "--seed" => seed = Some(count(flag, args.next(), 0)?),
+                "--metrics" => metrics = Some(value(flag, args.next(), "an output path")?),
+                "--spans" => spans = Some(value(flag, args.next(), "an output path")?),
+                _ if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+                _ if path.is_some() => return Err(format!("a second scenario path {flag:?}")),
+                _ => path = Some(arg),
             }
-            VariantKind::Chain { hosts } => cmd.push_str(&format!(" --hosts {hosts}")),
-            VariantKind::Storm {
-                users,
-                hosts,
-                procs,
-            } => cmd.push_str(&format!(" --users {users} --hosts {hosts} --procs {procs}")),
         }
-        cmd
+        if procs.is_some() && users.is_none() {
+            return Err("--procs needs --users".into());
+        }
+        let variant = match (users, hosts, path) {
+            (Some(users), Some(n), None) => {
+                let hosts =
+                    u16::try_from(n).map_err(|_| "--users needs --hosts of at most 65535")?;
+                Variant::storm(users, hosts, procs)?
+            }
+            (None, Some(hosts), None) => Variant::chain(hosts),
+            (None, None, Some(path)) => Variant::scenario(&path, here)?,
+            _ => return Err("name a scenario file, --hosts N or --users U --hosts N".into()),
+        };
+        let cell = RunSpec {
+            id: variant.args.clone(),
+            variant,
+            plan,
+            topo,
+            seed,
+            runtime,
+            expects: Vec::new(),
+            expects_metric: Vec::new(),
+        };
+        Ok(SimArgs {
+            cell,
+            trace,
+            digest,
+            metrics,
+            spans,
+        })
     }
 }
 
@@ -453,143 +635,129 @@ pub struct CellRun {
     pub spans: Option<(String, String)>,
     /// FNV-1a fold of `output`, `trace` and `metrics`.
     pub digest: u64,
+    /// A scenario's observable digest (`scenario::Played::observed`):
+    /// equal on every runtime that plays it to its end.
+    pub observed: Option<u64>,
     /// The backend-clock instant the run ended, µs.
     pub sim_end_us: u64,
 }
 
-/// Where a cell's network model comes from.
-#[derive(Debug, Clone, Copy)]
-pub enum CellTopology<'a> {
-    /// A preset, instantiated over the cell's own host list.
-    Preset(&'a str),
-    /// A parsed spec file.
-    Spec(&'a NetSpec),
-}
+/// A cell that did not run to its end: the run so far, when one
+/// started, and why.
+pub type CellFailure = (Option<Box<CellRun>>, ScenarioError);
 
-impl<'a> CellTopology<'a> {
-    /// The model to install in a world of `hosts`.
-    fn spec(self, hosts: Vec<String>) -> Result<Cow<'a, NetSpec>, ScenarioError> {
-        match self {
-            CellTopology::Spec(spec) => Ok(Cow::Borrowed(spec)),
-            CellTopology::Preset(name) => {
-                NetSpec::preset(name, &hosts)
-                    .map(Cow::Owned)
-                    .ok_or_else(|| ScenarioError {
-                        line: 0,
-                        message: format!("preset {name:?} needs at least one host"),
-                    })
-            }
-        }
+/// Runs one cell on its runtime — the whole of `ppm-sim` and of a sweep
+/// worker, whatever it plays: refuse what the runtime cannot play, build,
+/// fault plan, network model, execute, render, digest. Off the sim, the
+/// first of the chain, the storm, a seed, a fault plan, a network model,
+/// a sim-only statement and a partial mesh is refused here, and only
+/// here, with no run. A failed action's error comes with the run so far
+/// — output, trace, metrics — which says how far it got.
+pub fn run_cell(spec: &RunSpec, spans: bool) -> Result<CellRun, CellFailure> {
+    let off_sim = spec.runtime != Backend::Sim;
+    use VariantKind::{Chain, Storm};
+    let kind = &spec.variant.kind;
+    let flags = [
+        (matches!(kind, Chain { .. }), "the --hosts chain"),
+        (matches!(kind, Storm { .. }), "the --users storm"),
+        (spec.seed.is_some(), "a seed (--seed)"),
+        (spec.plan.plan.is_some(), "a fault plan (--faults)"),
+        (spec.topo.arg.is_some(), "a network model (--topology)"),
+    ];
+    if let Some((_, what)) = flags.into_iter().find(|&(set, _)| set && off_sim) {
+        return Err(refused(0, what));
     }
-}
-
-/// Runs one cell — the whole of `ppm-sim` and of a sweep cell, whatever
-/// it plays: build, fault plan, network model, execute, render, digest.
-/// `seed` overrides a scenario's `seed` statement; a storm without one
-/// runs on 1986.
-///
-/// # Errors
-///
-/// The parse or execution error, with whatever output preceded it.
-pub fn run_cell(
-    kind: &VariantKind,
-    seed: Option<u64>,
-    faults: Option<&FaultPlan>,
-    topology: Option<CellTopology<'_>>,
-    spans: bool,
-) -> Result<CellRun, (String, ScenarioError)> {
-    let mut output = String::new();
-    let net = |hosts: Vec<String>| topology.map(|t| t.spec(hosts)).transpose();
-    let flat = ExecOptions {
+    let faults = spec.plan.plan.as_deref();
+    let opts = |topology| ExecOptions {
         spans,
         faults,
-        topology: None,
+        topology,
     };
-    let mut scenario = |text: &str| {
-        let mut sc = crate::scenario::parse(text)?;
-        sc.seed = seed.unwrap_or(sc.seed);
-        let topology = net(sc.hosts.iter().map(|(n, _)| n.clone()).collect())?;
-        let opts = ExecOptions {
-            topology: topology.as_deref(),
-            ..flat
-        };
-        crate::scenario::execute_with(&sc, &mut output, opts)
-    };
-    let run = match kind {
-        VariantKind::Scenario { text } => scenario(text),
-        VariantKind::Chain { hosts } => scenario(&crate::scenario::chain_scenario(*hosts)),
-        &VariantKind::Storm {
+    let mut output = String::new();
+    let text = match *kind {
+        VariantKind::Scenario { ref text } => Cow::Borrowed(&**text),
+        Chain { hosts } => Cow::Owned(scenario::chain_scenario(hosts)),
+        Storm {
             users,
             hosts,
             procs,
-        } => net(host_names(hosts)).and_then(|topology| {
-            let opts = ExecOptions {
-                topology: topology.as_deref(),
-                ..flat
-            };
-            let seed = seed.unwrap_or(1986);
-            crate::scenario::execute_storm(users, hosts, seed, procs, &mut output, opts)
-        }),
+        } => {
+            let seed = spec.seed.unwrap_or(1986);
+            let topology = spec.topo.model(host_names(hosts)).map_err(|e| (None, e))?;
+            let opts = opts(topology.as_deref());
+            let run = scenario::execute_storm(users, hosts, seed, procs, &mut output, opts);
+            return Ok(finished(run.map_err(|e| (None, e))?, output, spans, None));
+        }
     };
-    match run {
-        Ok(h) => Ok(finished(h, output, spans)),
-        Err(e) => Err((output, e)),
+    let mut sc = scenario::parse(&text).map_err(|e| (None, e))?;
+    sc.seed = spec.seed.unwrap_or(sc.seed);
+    let statement = sc
+        .actions
+        .iter()
+        .find_map(|(line, _, a)| Some((*line, a.sim_only()?)));
+    let mesh = sc
+        .mesh_gap
+        .map(|line| (line, "a link set that is not the full mesh"));
+    if let Some((line, what)) = statement.into_iter().chain(mesh).min().filter(|_| off_sim) {
+        return Err(refused(line, what));
+    }
+    match spec.runtime {
+        Backend::Sim => {
+            let hosts = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
+            let topology = spec.topo.model(hosts).map_err(|e| (None, e))?;
+            let played = scenario::execute_played(&sc, &mut output, opts(topology.as_deref()));
+            done(played.map_err(|e| (None, e))?, output, spans)
+        }
+        Backend::Real => off_the_sim(RealRuntime::new(), &sc, spans, output),
+        Backend::Mc => off_the_sim(McWorld::new(), &sc, spans, output),
     }
 }
 
-/// Runs one scenario cell on another runtime (`ppm-sim --runtime
-/// real|mc`), its trace recorded. What only the sim can play — a seed,
-/// the chain, the storm, a fault plan, a network model, a sim-only
-/// statement — is refused before a host boots.
-///
-/// # Errors
-///
-/// The refusal or the parse error; or the failed action's error with
-/// the run so far — output, trace, metrics — which says how far it got.
-pub fn run_cell_on<R: Runtime>(
+/// What only the sim can play, refused on another runtime.
+fn refused(line: usize, what: &str) -> CellFailure {
+    let message = format!("{what} needs the sim runtime");
+    (None, ScenarioError { line, message })
+}
+
+/// Plays `sc` on a runtime other than the sim, its trace recorded.
+fn off_the_sim<R: Runtime>(
     mut rt: R,
-    kind: &VariantKind,
-    seed: Option<u64>,
-    faults: Option<&FaultPlan>,
-    topology: Option<CellTopology<'_>>,
+    sc: &Scenario,
     spans: bool,
-) -> Result<CellRun, (Option<Box<CellRun>>, ScenarioError)> {
-    let refuse = |what: &str| {
-        let message = format!("{what} needs the sim runtime");
-        Err((None, ScenarioError { line: 0, message }))
-    };
-    let text = match kind {
-        VariantKind::Scenario { text } => text,
-        VariantKind::Chain { .. } => return refuse("the --hosts chain"),
-        VariantKind::Storm { .. } => return refuse("the --users storm"),
-    };
-    if seed.is_some() {
-        return refuse("a seed (--seed)");
-    }
-    if faults.is_some() {
-        return refuse("a fault plan (--faults)");
-    }
-    if topology.is_some() {
-        return refuse("a network model (--topology)");
-    }
-    let sc = crate::scenario::parse(text).map_err(|e| (None, e))?;
+    mut out: String,
+) -> Result<CellRun, CellFailure> {
     rt.hub().trace.set_enabled(true);
     rt.hub().spans.set_enabled(spans);
-    let mut output = String::new();
-    let played = crate::scenario::execute_on(&sc, rt, &mut output).map_err(|e| (None, e))?;
-    let run = finished(played.ppm, output, spans);
-    match played.observed {
-        Ok(_) => Ok(run),
-        Err(e) => Err((Some(Box::new(run)), e)),
+    let played = scenario::execute_on(sc, rt, &mut out);
+    done(played, out, spans)
+}
+
+/// A played scenario's run, or the failed action's error with the run
+/// so far.
+fn done<R: Runtime>(
+    played: Played<R>,
+    output: String,
+    spans: bool,
+) -> Result<CellRun, CellFailure> {
+    let Played { ppm, observed } = played;
+    match observed {
+        Ok(digest) => Ok(finished(ppm, output, spans, Some(digest))),
+        Err(e) => Err((Some(Box::new(finished(ppm, output, spans, None))), e)),
     }
 }
 
 /// What a finished run leaves behind, on any runtime.
-fn finished<R: Runtime>(mut h: PpmHarness<R>, output: String, spans: bool) -> CellRun {
+fn finished<R: Runtime>(
+    mut h: PpmHarness<R>,
+    output: String,
+    spans: bool,
+    observed: Option<u64>,
+) -> CellRun {
     let trace = h.trace_render(None);
     let metrics = h.metrics_report();
     CellRun {
         digest: fnv1a(&[&output, &trace, &metrics]),
+        observed,
         sim_end_us: h.now().as_micros(),
         spans: spans.then(|| (h.spans_jsonl(), h.spans_chrome())),
         output,
@@ -603,23 +771,11 @@ fn finished<R: Runtime>(mut h: PpmHarness<R>, output: String, spans: bool) -> Ce
 /// function a worker runs; nothing in it is shared.
 #[must_use]
 pub fn run_spec(spec: &RunSpec) -> RunResult {
-    // Plans and file-based topologies were validated at grid load.
-    let plan = spec.plan.text.as_deref();
-    let plan = plan.map(|t| FaultPlan::parse(t).expect("plan validated at grid load"));
-    let file = spec.topo.text.as_deref();
-    let file = file.map(|t| NetSpec::parse(t).expect("topology validated at grid load"));
-    let preset = spec.topo.arg.as_deref().map(CellTopology::Preset);
-    let topology = file.as_ref().map(CellTopology::Spec).or(preset);
-    let run = run_cell(
-        &spec.variant.kind,
-        Some(spec.seed),
-        plan.as_ref(),
-        topology,
-        false,
-    );
     let mut failures = Vec::new();
-    let run = run.unwrap_or_else(|(output, e)| {
+    let run = run_cell(spec, false).unwrap_or_else(|(run, e)| {
         failures.push(format!("execution error: {e}"));
+        // A failed cell reports the fold of its output alone.
+        let output = run.map(|run| run.output).unwrap_or_default();
         CellRun {
             digest: fnv1a(&[&output]),
             output,
@@ -795,20 +951,12 @@ run 200ms
             variants: vec![
                 Variant {
                     label: "scenario:mini.ppm".into(),
-                    repro_path: Some("scenarios/mini.ppm".into()),
+                    args: "scenarios/mini.ppm".into(),
                     kind: VariantKind::Scenario {
                         text: MINI_SCENARIO.into(),
                     },
                 },
-                Variant {
-                    label: "storm:2x2".into(),
-                    repro_path: None,
-                    kind: VariantKind::Storm {
-                        users: 2,
-                        hosts: 2,
-                        procs: 80,
-                    },
-                },
+                Variant::storm(2, 2, Some(80)).expect("a small storm"),
             ],
             plans: vec![Plan::none()],
             topos: vec![],
@@ -873,7 +1021,7 @@ expect-metric lpm.
             Plan {
                 label: "fault:x.fault".into(),
                 repro_path: Some("x.fault".into()),
-                text: Some("seed 1\n".into()),
+                plan: Some(Arc::new(FaultPlan::parse("seed 1\n").expect("a plan"))),
             },
         ];
         let specs = g.expand();
@@ -988,6 +1136,141 @@ topology fat-tree
         let results = run_specs(&specs, 2);
         assert_ne!(results[0].digest, results[1].digest, "scenario seeds");
         assert_ne!(results[2].digest, results[3].digest, "storm seeds");
+    }
+
+    #[test]
+    fn a_repeated_cell_id_is_a_line_numbered_error() {
+        let dir = std::env::temp_dir().join(format!("ppm_sweep_dup_ids_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        std::fs::write(dir.join("mini.ppm"), MINI_SCENARIO).expect("write scenario");
+        std::fs::write(dir.join("p.fault"), "seed 1\n").expect("write plan");
+        for (grid, line, twice) in [
+            ("sweep x\nseeds 1,1\nchain 2", 2, "seed 1 is listed twice"),
+            (
+                "sweep x\nseeds 1..3\nseeds 3\nchain 2",
+                3,
+                "seed 3 is listed twice",
+            ),
+            (
+                "sweep x\nscenario mini.ppm\nscenario mini.ppm",
+                3,
+                "scenario:mini.ppm",
+            ),
+            ("sweep x\nchain 2\nchain 2", 3, "chain:2 is listed twice"),
+            (
+                "sweep x\nstorm 2x2\nstorm 2x2 procs=9",
+                3,
+                "storm:2x2 is listed twice",
+            ),
+            (
+                "sweep x\nchain 2\nfaults p.fault\nfaults p.fault",
+                4,
+                "fault:p.fault",
+            ),
+            (
+                "sweep x\nchain 2\nfaults none\nfaults none",
+                4,
+                "fault:none",
+            ),
+            (
+                "sweep x\nchain 2\ntopology none\ntopology none",
+                4,
+                "net:flat",
+            ),
+            (
+                "sweep x\nchain 2\ntopology fat-tree\ntopology fat-tree",
+                4,
+                "net:fat-tree",
+            ),
+        ] {
+            let e = Grid::parse(grid, &dir).expect_err(grid);
+            assert!(e.starts_with(&format!("line {line}: ")), "{grid}: {e}");
+            assert!(e.contains(twice) && e.contains("twice"), "{grid}: {e}");
+        }
+        // Distinct points on every axis are still one cell each.
+        let g = Grid::parse(
+            "sweep x\nseeds 1,2\nchain 2\nchain 3\nfaults none\nfaults p.fault",
+            &dir,
+        );
+        assert_eq!(g.expect("distinct points").expand().len(), 8);
+    }
+
+    fn sim_args(args: &[&str]) -> Result<SimArgs, String> {
+        SimArgs::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_misspelled_flag_is_refused_not_taken_for_the_path() {
+        let e = sim_args(&["--digest", "--fault", "x.fault", "--hosts", "4"]).unwrap_err();
+        assert!(e.contains("unknown flag \"--fault\""), "{e}");
+    }
+
+    #[test]
+    fn a_second_scenario_path_is_refused() {
+        let dir = std::env::temp_dir().join(format!("ppm_sim_args_two_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let (a, b) = (dir.join("a.ppm"), dir.join("b.ppm"));
+        for p in [&a, &b] {
+            std::fs::write(p, MINI_SCENARIO).expect("write scenario");
+        }
+        let (a, b) = (a.display().to_string(), b.display().to_string());
+        let e = sim_args(&[&a, &b]).unwrap_err();
+        assert!(
+            e.contains("a second scenario path") && e.contains(&b),
+            "{e}"
+        );
+        // One path is a cell, named by that path.
+        assert_eq!(sim_args(&[&a]).expect("one path").cell.variant.args, a);
+    }
+
+    #[test]
+    fn procs_without_users_is_refused() {
+        let e = sim_args(&["--hosts", "4", "--procs", "100"]).unwrap_err();
+        assert!(e.contains("--procs needs --users"), "{e}");
+        let storm = sim_args(&["--users", "2", "--hosts", "4", "--procs", "100"]).expect("a storm");
+        assert_eq!(
+            storm.cell.variant.kind,
+            VariantKind::Storm {
+                users: 2,
+                hosts: 4,
+                procs: 100
+            }
+        );
+    }
+
+    #[test]
+    fn a_command_line_names_one_cell_on_one_runtime() {
+        let args = sim_args(&[
+            "--runtime",
+            "mc",
+            "--seed",
+            "9",
+            "--topology",
+            "fat-tree",
+            "--hosts",
+            "3",
+        ]);
+        let args = args.expect("parses");
+        assert_eq!(args.cell.runtime, Backend::Mc);
+        assert_eq!(args.cell.seed, Some(9));
+        assert_eq!(args.cell.topo.arg.as_deref(), Some("fat-tree"));
+        assert_eq!(args.cell.variant.kind, VariantKind::Chain { hosts: 3 });
+        assert!(args
+            .cell
+            .repro()
+            .ends_with(" -- --digest --runtime mc --seed 9 --topology fat-tree --hosts 3"));
+        for bad in [
+            &["--runtime", "vax", "--hosts", "3"][..],
+            &["--hosts", "1"],
+            &["--hosts"],
+            &["--seed", "-1", "--hosts", "3"],
+            &["--users", "0", "--hosts", "3"],
+            &["--users", "2", "--hosts", "70000"],
+            &["--users", "2"],
+            &[],
+        ] {
+            assert!(sim_args(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,157 @@
+//! Property tests: every text grammar but the scenario's (which has
+//! `prop_scenario.rs`) rejects hostile input without panicking — fault
+//! plans, topology specs, sweep grids and `ppm-sim`'s command line.
+//!
+//! The inputs are shipped files (and a spec written to the `.topo`
+//! grammar) mutated a few edits at a time: a token or the number inside
+//! one replaced by a huge, negative, NaN or empty value, a line
+//! duplicated (a name declared twice), an unknown directive inserted, a
+//! stray `#` cut into a token. Each parse must return `Ok` or `Err`; an
+//! accepted fault plan must survive its own `encode`, and an accepted
+//! grid must name each cell once.
+
+use std::collections::HashSet;
+use std::path::PathBuf;
+
+use ppm::simnet::fault::FaultPlan;
+use ppm::simnet::topology::NetSpec;
+use ppm::sweep::{Grid, SimArgs};
+use proptest::prelude::*;
+
+const HOSTILE: [&str; 20] = [
+    "",
+    "-1",
+    "-0",
+    "0",
+    "NaN",
+    "nan",
+    "inf",
+    "-inf",
+    "1e309",
+    "0.5",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999999999999",
+    "4611686018427",
+    "0x",
+    "1..0",
+    "#",
+    "none",
+    "..",
+    ",",
+];
+
+const TOPO: &str = "\
+topo lab
+switch core
+switch tor0
+link h0 tor0 cap=100k lat=2ms
+link h1 tor0 name=up0 cap=1m lat=500us loss=0.01
+link tor0 core lat=1s core
+";
+
+fn scenarios() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
+}
+
+fn shipped(name: &str) -> String {
+    let path = scenarios().join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `tok` with its first run of digits (or its end) replaced by `with`,
+/// so `lat=2ms` becomes `lat=NaNms`.
+fn replace_number(tok: &str, with: &str) -> String {
+    let start = tok.find(|c: char| c.is_ascii_digit()).unwrap_or(tok.len());
+    let len = tok[start..]
+        .find(|c: char| !c.is_ascii_digit() && c != '.')
+        .unwrap_or(tok.len() - start);
+    format!("{}{with}{}", &tok[..start], &tok[start + len..])
+}
+
+/// Applies `edits` — (where, what, which hostile value) — to `text`'s
+/// whitespace-separated tokens, line by line.
+fn mutate(text: &str, edits: &[(u16, u8, u8)]) -> String {
+    let mut lines: Vec<Vec<String>> = text
+        .lines()
+        .map(|l| l.split_whitespace().map(String::from).collect())
+        .collect();
+    for &(at, op, pick) in edits {
+        if lines.is_empty() {
+            lines.push(Vec::new());
+        }
+        let l = usize::from(at) % lines.len();
+        let hostile = HOSTILE[usize::from(pick) % HOSTILE.len()].to_string();
+        let line = &mut lines[l];
+        let t = usize::from(at) / 7 % line.len().max(1);
+        match (op % 6, line.get_mut(t)) {
+            (0, Some(tok)) => *tok = hostile,
+            (1, Some(tok)) => *tok = replace_number(tok, &hostile),
+            (2, _) => {
+                let dup = line.clone();
+                lines.insert(l, dup);
+            }
+            (3, _) => lines.insert(l, vec!["frobnicate".into(), hostile]),
+            (4, Some(tok)) => {
+                let cut = tok.char_indices().nth(tok.chars().count() / 2);
+                tok.insert(cut.map_or(tok.len(), |(i, _)| i), '#');
+            }
+            _ => line.push(hostile),
+        }
+    }
+    let lines: Vec<String> = lines.iter().map(|l| l.join(" ")).collect();
+    lines.join("\n")
+}
+
+fn edits() -> impl Strategy<Value = Vec<(u16, u8, u8)>> {
+    prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..6)
+}
+
+proptest! {
+    #[test]
+    fn fault_plans_parse_or_refuse_and_round_trip(edits in edits()) {
+        let text = mutate(&shipped("crash_heal.fault"), &edits);
+        if let Ok(plan) = FaultPlan::parse(&text) {
+            let again = FaultPlan::parse(&plan.encode());
+            prop_assert_eq!(again.as_ref(), Ok(&plan), "{}", text);
+        }
+    }
+
+    #[test]
+    fn topology_specs_parse_or_refuse(edits in edits()) {
+        let text = mutate(TOPO, &edits);
+        if let Err(e) = NetSpec::parse(&text) {
+            prop_assert!(!e.is_empty(), "{}", text);
+        }
+    }
+
+    #[test]
+    fn sweep_grids_parse_or_refuse_and_name_each_cell_once(
+        grid in 0usize..4,
+        edits in edits(),
+    ) {
+        let file = ["chaos_mttr.sweep", "congestion.sweep", "smoke.sweep", "tenant_scale.sweep"];
+        let text = mutate(&shipped(file[grid]), &edits);
+        match Grid::parse(&text, &scenarios()) {
+            Ok(g) => {
+                let specs = g.expand();
+                let ids: HashSet<&str> = specs.iter().map(|s| s.id.as_str()).collect();
+                prop_assert_eq!(ids.len(), specs.len(), "{}", text);
+            }
+            Err(e) => prop_assert!(!e.is_empty(), "{}", text),
+        }
+    }
+
+    #[test]
+    fn command_lines_parse_or_refuse(line in 0usize..4, edits in edits()) {
+        let base = scenarios().display().to_string();
+        let lines = [
+            format!("--digest --seed 3 --faults {base}/crash_heal.fault {base}/chaos.ppm"),
+            format!("--trace --topology fat-tree --metrics m.txt {base}/congestion.ppm"),
+            "--runtime mc --users 16 --hosts 4 --procs 300 --spans s.jsonl".to_string(),
+            "--runtime real --hosts 12 --seed 9 --topology wan-hub --trace".to_string(),
+        ];
+        let argv = mutate(&lines[line], &edits);
+        let _ = SimArgs::parse(argv.split_whitespace().map(String::from));
+    }
+}

@@ -4,29 +4,48 @@
 //! every clock value left out (`scenario::Played::observed`).
 //!
 //! What is shared and what is substituted (DESIGN.md §12): the parser,
-//! the executor (`scenario::play`), the harness, the tools and the whole
-//! PPM stack are shared; only the runtime under the harness differs. What
-//! only the sim can play is refused on the others, with its line, before
-//! a host boots.
+//! the runner (`sweep::run_cell`), the executor (`scenario::play`), the
+//! harness, the tools and the whole PPM stack are shared; only the
+//! runtime under the harness differs. What only the sim can play is
+//! refused on the others, with its line, before a host boots.
 //!
 //! Sim and checker run in tier-1. The real column boots loopback TCP
 //! clusters and waits wall-clock time (about 45 s for the three cells):
 //! `cargo test --release --test scenario_runtimes -- --ignored` (CI
 //! `real-smoke`).
 
-use ppm::harness::harness::{PpmHarness, Runtime};
-use ppm::scenario::{self, ExecOptions, Played, ScenarioError};
-use ppm::simnet::fault::FaultPlan;
-use ppm::sweep::{run_cell_on, CellRun, CellTopology, VariantKind};
-use ppm_mc::McWorld;
-use ppm_realos::RealRuntime;
+use ppm::scenario::{self, ExecOptions, ScenarioError};
+use ppm::sweep::{run_cell, Backend, CellRun, Plan, RunSpec, SimArgs, Topo, Variant, VariantKind};
 
 /// The fault-free shipped cells every runtime plays.
 const CELLS: [&str; 3] = ["chaos.ppm", "chaos_dual.ppm", "drill.ppm"];
 
+fn path(name: &str) -> String {
+    format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
 fn shipped(name: &str) -> String {
-    let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
+    let path = path(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The cell that plays `text` on `runtime`, as `ppm-sim --runtime` does.
+fn cell(runtime: Backend, text: &str) -> RunSpec {
+    let kind = VariantKind::Scenario { text: text.into() };
+    RunSpec {
+        id: String::new(),
+        variant: Variant {
+            label: String::new(),
+            args: String::new(),
+            kind,
+        },
+        plan: Plan::none(),
+        topo: Topo::flat(),
+        seed: None,
+        runtime,
+        expects: Vec::new(),
+        expects_metric: Vec::new(),
+    }
 }
 
 /// `drill.ppm` with three jobs on the victim's host: the home host
@@ -38,22 +57,17 @@ fn three_jobs() -> String {
     drill.replace(line, "at 0s drill h0 100 h1,h1,h1 kill=h1")
 }
 
-/// The sim entry point's digest and output.
-fn on_sim(text: &str) -> (u64, String) {
-    let sc = scenario::parse(text).expect("parses");
-    let mut out = String::new();
-    let played = scenario::execute_played(&sc, &mut out, ExecOptions::default());
-    let observed = played.expect("boots on the sim").observed;
-    (observed.unwrap_or_else(|e| panic!("{e}\n{out}")), out)
+/// The observable digest and the run of `text` played on `runtime`.
+fn on(runtime: Backend, text: &str) -> (u64, CellRun) {
+    let run = run_cell(&cell(runtime, text), false);
+    let run = run.unwrap_or_else(|(run, e)| panic!("{runtime:?}: {e}\n{run:?}"));
+    (run.observed.expect("a scenario's observable digest"), run)
 }
 
-/// The digest, harness and output of `text` played on `rt`.
-fn on<R: Runtime>(rt: R, text: &str) -> (u64, PpmHarness<R>, String) {
-    let sc = scenario::parse(text).expect("parses");
-    let mut out = String::new();
-    let played = scenario::execute_on(&sc, rt, &mut out);
-    let Played { ppm, observed } = played.unwrap_or_else(|e| panic!("{e}\n{out}"));
-    (observed.unwrap_or_else(|e| panic!("{e}\n{out}")), ppm, out)
+/// The sim's digest and output.
+fn on_sim(text: &str) -> (u64, String) {
+    let (observed, run) = on(Backend::Sim, text);
+    (observed, run.output)
 }
 
 /// The output line that starts with `prefix`.
@@ -91,7 +105,8 @@ fn sim_and_checker_observe_the_same_cells() {
     for name in CELLS {
         let text = shipped(name);
         let (sim, sim_out) = on_sim(&text);
-        let (mc, _, mc_out) = on(McWorld::new(), &text);
+        let (mc, mc_run) = on(Backend::Mc, &text);
+        let mc_out = mc_run.output;
         assert_eq!(sim, mc, "{name}: sim\n{sim_out}\nmc\n{mc_out}");
     }
 }
@@ -100,9 +115,9 @@ fn sim_and_checker_observe_the_same_cells() {
 fn the_checker_recovers_all_three_jobs_as_the_sim_does() {
     let text = three_jobs();
     let (sim, _) = on_sim(&text);
-    let (mc, ppm, out) = on(McWorld::new(), &text);
-    assert_eq!(sim, mc, "{out}");
-    assert_three_jobs_recovered(&out, &ppm.metrics_report());
+    let (mc, run) = on(Backend::Mc, &text);
+    assert_eq!(sim, mc, "{}", run.output);
+    assert_three_jobs_recovered(&run.output, &run.metrics);
 }
 
 #[test]
@@ -111,19 +126,19 @@ fn the_real_runtime_observes_what_the_sim_does() {
     for name in CELLS {
         let text = shipped(name);
         let (sim, _) = on_sim(&text);
-        let (real, ppm, out) = on(RealRuntime::new(), &text);
-        assert_eq!(sim, real, "{name}: real\n{out}");
+        let (real, run) = on(Backend::Real, &text);
+        assert_eq!(sim, real, "{name}: real\n{}", run.output);
         if name == "drill.ppm" {
-            let metrics = ppm.metrics_report();
+            let metrics = run.metrics;
             assert!(metrics.contains("h1/uid100 lpm.restarts 1"), "{metrics}");
             assert!(metrics.contains("h1/uid100 lpm.readopted 1"), "{metrics}");
         }
     }
     let text = three_jobs();
     let (sim, _) = on_sim(&text);
-    let (real, ppm, out) = on(RealRuntime::new(), &text);
-    assert_eq!(sim, real, "{out}");
-    assert_three_jobs_recovered(&out, &ppm.metrics_report());
+    let (real, run) = on(Backend::Real, &text);
+    assert_eq!(sim, real, "{}", run.output);
+    assert_three_jobs_recovered(&run.output, &run.metrics);
 }
 
 /// Three hosts in a full mesh and one job: a statement appended is
@@ -136,19 +151,21 @@ const USER: &str = "user 100 secret=0x1986 recovery=a\nat 0s spawn a 100 b job\n
 fn refused_off_the_sim(text: &str, line: usize, what: &str) {
     let sc = scenario::parse(text).expect("parses");
     let mut out = String::new();
-    scenario::execute(&sc, &mut out).expect("the sim plays it");
+    scenario::execute_with(&sc, &mut out, ExecOptions::default()).expect("the sim plays it");
     let check = |e: ScenarioError, out: String, runtime: &str| {
         assert_eq!(e.line, line, "{runtime}: {e}");
         assert!(e.message.contains(what), "{runtime}: {e}");
         assert!(e.message.contains("sim runtime"), "{runtime}: {e}");
         assert!(out.is_empty(), "{runtime} played before refusing: {out}");
     };
-    let mut out = String::new();
-    let e = scenario::execute_on(&sc, RealRuntime::new(), &mut out).err();
-    check(e.expect("real refuses"), out, "real");
-    let mut out = String::new();
-    let e = scenario::execute_on(&sc, McWorld::new(), &mut out).err();
-    check(e.expect("mc refuses"), out, "mc");
+    let refused = |runtime| {
+        let (run, e) = run_cell(&cell(runtime, text), false).err()?;
+        Some((e, run.map(|run| run.output).unwrap_or_default()))
+    };
+    let (e, out) = refused(Backend::Real).expect("real refuses");
+    check(e, out, "real");
+    let (e, out) = refused(Backend::Mc).expect("mc refuses");
+    check(e, out, "mc");
 }
 
 #[test]
@@ -184,15 +201,9 @@ fn a_partial_mesh_is_refused_off_the_sim() {
     refused_off_the_sim(&text, 3, "full mesh");
 }
 
-/// A `ppm-sim` flag only the sim can honour, refused on the real runtime
-/// and on the checker, naming the flag.
-fn flag_refused_off_the_sim(
-    kind: &VariantKind,
-    seed: Option<u64>,
-    faults: Option<&FaultPlan>,
-    topology: Option<CellTopology<'_>>,
-    flag: &str,
-) {
+/// A `ppm-sim` command line only the sim can honour, refused on the real
+/// runtime and on the checker, naming the flag.
+fn flag_refused_off_the_sim(args: &[&str], flag: &str) {
     let check = |run: Result<_, (Option<Box<CellRun>>, ScenarioError)>, runtime: &str| {
         let (run, e) = run
             .err()
@@ -202,66 +213,63 @@ fn flag_refused_off_the_sim(
         assert!(e.message.contains(flag), "{runtime}: {e}");
         assert!(e.message.contains("sim runtime"), "{runtime}: {e}");
     };
-    check(
-        run_cell_on(RealRuntime::new(), kind, seed, faults, topology, false),
-        "real",
-    );
-    check(
-        run_cell_on(McWorld::new(), kind, seed, faults, topology, false),
-        "mc",
-    );
-}
-
-fn drill_cell() -> VariantKind {
-    VariantKind::Scenario {
-        text: shipped("drill.ppm").into(),
-    }
+    let on = |runtime: &str| {
+        let argv = [&["--runtime", runtime][..], args].concat();
+        let sim_args = SimArgs::parse(argv.iter().map(|a| a.to_string()));
+        run_cell(&sim_args.unwrap_or_else(|e| panic!("{e}")).cell, false)
+    };
+    check(on("real"), "real");
+    check(on("mc"), "mc");
 }
 
 #[test]
 fn a_fault_plan_is_refused_off_the_sim() {
-    let plan = FaultPlan::parse(&shipped("crash_heal.fault")).expect("plan parses");
-    flag_refused_off_the_sim(&drill_cell(), None, Some(&plan), None, "--faults");
+    let (plan, drill) = (path("crash_heal.fault"), path("drill.ppm"));
+    flag_refused_off_the_sim(&["--faults", &plan, &drill], "--faults");
 }
 
 #[test]
 fn a_network_model_is_refused_off_the_sim() {
-    let fat_tree = Some(CellTopology::Preset("fat-tree"));
-    flag_refused_off_the_sim(&drill_cell(), None, None, fat_tree, "--topology");
+    let drill = path("drill.ppm");
+    flag_refused_off_the_sim(&["--topology", "fat-tree", &drill], "--topology");
 }
 
 #[test]
 fn the_chain_is_refused_off_the_sim() {
-    let chain = VariantKind::Chain { hosts: 4 };
-    flag_refused_off_the_sim(&chain, None, None, None, "--hosts");
+    flag_refused_off_the_sim(&["--hosts", "4"], "--hosts");
 }
 
 #[test]
 fn the_storm_is_refused_off_the_sim() {
-    let storm = VariantKind::Storm {
-        users: 1,
-        hosts: 2,
-        procs: 10,
-    };
-    flag_refused_off_the_sim(&storm, None, None, None, "--users");
+    let storm = ["--users", "1", "--hosts", "2", "--procs", "10"];
+    flag_refused_off_the_sim(&storm, "--users");
 }
 
 #[test]
 fn a_seed_is_refused_off_the_sim() {
-    flag_refused_off_the_sim(&drill_cell(), Some(7), None, None, "--seed");
+    flag_refused_off_the_sim(&["--seed", "7", &path("drill.ppm")], "--seed");
 }
 
-#[test]
-fn a_failed_run_off_the_sim_keeps_its_output_trace_and_metrics() {
+/// A run that fails at line 9 keeps what it printed, traced and counted.
+fn a_failed_run_keeps_its_output_trace_and_metrics(runtime: Backend) {
     // Line 9 controls a process no statement bound.
     let text = format!("{MESH}{USER}at 1s control a 100 $nobody stop\n");
-    let kind = VariantKind::Scenario { text: text.into() };
-    let (run, e) = run_cell_on(McWorld::new(), &kind, None, None, None, false)
-        .expect_err("an unbound name fails the run");
+    let (run, e) =
+        run_cell(&cell(runtime, &text), false).expect_err("an unbound name fails the run");
     assert_eq!(e.line, 9, "{e}");
     let run = run.expect("the run so far");
     assert!(run.output.contains("created <b, "), "{}", run.output);
     assert!(!run.output.contains("scenario complete"), "{}", run.output);
     assert!(run.trace.contains(" lpm] "), "{}", run.trace);
     assert!(run.metrics.contains("lpm."), "{}", run.metrics);
+}
+
+#[test]
+fn a_failed_run_off_the_sim_keeps_its_output_trace_and_metrics() {
+    a_failed_run_keeps_its_output_trace_and_metrics(Backend::Mc);
+}
+
+#[test]
+fn a_failed_run_on_the_sim_keeps_its_output_trace_and_metrics() {
+    a_failed_run_keeps_its_output_trace_and_metrics(Backend::Sim);
 }

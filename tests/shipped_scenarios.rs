@@ -11,7 +11,7 @@ fn demo_scenario_parses_and_executes() {
     let sc = ppm::scenario::parse(&text).expect("demo parses");
     assert!(sc.hosts.len() >= 3);
     let mut out = String::new();
-    ppm::scenario::execute(&sc, &mut out).expect("demo executes");
+    ppm::scenario::execute_with(&sc, &mut out, ExecOptions::default()).expect("demo executes");
     assert!(out.contains("snapshot of *"), "{out}");
     assert!(out.contains("killed"), "{out}");
     assert!(out.contains("scenario complete"));
@@ -26,7 +26,8 @@ fn nameserver_scenario_parses_and_executes() {
     .expect("scenarios/nameserver.ppm exists");
     let sc = ppm::scenario::parse(&text).expect("nameserver parses");
     let mut out = String::new();
-    ppm::scenario::execute(&sc, &mut out).expect("nameserver executes");
+    ppm::scenario::execute_with(&sc, &mut out, ExecOptions::default())
+        .expect("nameserver executes");
     // The crash of the assigned CCS is visible in the final dashboard:
     // east is unreachable, the survivors carry on.
     assert!(out.contains("(unreachable)"), "{out}");

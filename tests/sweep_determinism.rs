@@ -9,10 +9,12 @@
 //! 3. Two worlds on two threads behave exactly like two worlds run
 //!    serially — the Send audit's regression test: no thread-local or
 //!    shared mutable state couples concurrently-running simulations.
+//! 4. Every cell of every shipped grid is the cell its repro line names
+//!    when `ppm-sim` parses that line.
 
 use std::path::Path;
 
-use ppm::sweep::{render_report, run_spec, run_specs, Grid};
+use ppm::sweep::{render_report, run_spec, run_specs, Grid, SimArgs};
 
 fn load_grid(file: &str) -> Grid {
     let scenarios = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
@@ -89,4 +91,28 @@ fn two_worlds_on_two_threads_match_serial_reference() {
     });
     assert_eq!(serial.0.digest, threaded.0.digest, "{}", a.id);
     assert_eq!(serial.1.digest, threaded.1.digest, "{}", b.id);
+}
+
+#[test]
+fn a_repro_line_names_the_cell_it_replays() {
+    let grids = [
+        "chaos_mttr.sweep",
+        "congestion.sweep",
+        "smoke.sweep",
+        "tenant_scale.sweep",
+    ];
+    for spec in grids.into_iter().flat_map(|g| load_grid(g).expand()) {
+        let repro = spec.repro();
+        let (_, argv) = repro.split_once(" -- ").expect("a cargo run line");
+        let args = SimArgs::parse(argv.split_whitespace().map(String::from));
+        let args = args.unwrap_or_else(|e| panic!("{repro}: {e}"));
+        let cell = &args.cell;
+        assert!(args.digest, "{repro}");
+        assert_eq!(cell.variant.kind, spec.variant.kind, "{repro}");
+        assert_eq!(cell.plan.plan, spec.plan.plan, "{repro}");
+        assert_eq!(cell.topo.arg, spec.topo.arg, "{repro}");
+        assert_eq!(cell.topo.spec, spec.topo.spec, "{repro}");
+        assert_eq!(cell.seed, spec.seed, "{repro}");
+        assert_eq!(cell.runtime, spec.runtime, "{repro}");
+    }
 }
