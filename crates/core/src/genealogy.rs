@@ -27,13 +27,16 @@
 //!
 //! There is one pid-ordered walk, [`Genealogy::records`], which yields
 //! every tracked process as a [`ProcRecordRef`] borrowed from the slab.
-//! The LPM answers a snapshot request by handing that walk to
-//! [`WireReply::snapshot`](ppm_proto::msg::WireReply::snapshot), which
-//! encodes each record as it comes — no [`ProcRecord`], and so no host
-//! or command string, is built on the answering host.
-//! [`Genealogy::snapshot`] is the same walk collected into owned records
-//! for callers that want them (tests, tools, the benchmark's replays).
+//! [`Genealogy::snapshot_reply`] hands that walk to
+//! [`WireReply::snapshot`], which encodes each record as it comes — no
+//! [`ProcRecord`], and so no host or command string, is built on the
+//! answering host — and keeps the encoded slice until a mutator changes
+//! what the walk yields, so a slice is encoded once per change, not once
+//! per request. [`Genealogy::snapshot`] is the same walk collected into
+//! owned records for callers that want them (tests, tools, the
+//! benchmark's replays).
 
+use ppm_proto::msg::WireReply;
 use ppm_proto::types::{Gpid, Name, ProcRecord, ProcRecordRef, WireProcState};
 use ppm_runtime::hashx::FastMap;
 
@@ -103,6 +106,10 @@ pub struct Genealogy {
     /// Entries go stale when a slot is pruned, recycled or revived; the
     /// sweep drops them by checking occupancy, pid and state.
     dead_queue: Vec<(u32, u32)>,
+    /// The snapshot slice last encoded from [`Genealogy::records`], until
+    /// a mutator changes what that walk yields; see
+    /// [`Genealogy::snapshot_reply`].
+    slice: Option<WireReply>,
 }
 
 impl Genealogy {
@@ -115,6 +122,7 @@ impl Genealogy {
             index: FastMap::default(),
             live: 0,
             dead_queue: Vec::new(),
+            slice: None,
         }
     }
 
@@ -144,6 +152,7 @@ impl Genealogy {
         started_us: u64,
         adopted: bool,
     ) {
+        self.slice = None;
         let slot = match self.index.get(&pid) {
             // A recycled pid overwrites a retained-dead node in place:
             // only the replaced node's liveness (if any) leaves the
@@ -216,6 +225,7 @@ impl Genealogy {
     /// Updates a node's state; no-op for untracked pids.
     pub fn set_state(&mut self, pid: u32, state: WireProcState) {
         if let Some(&slot) = self.index.get(&pid) {
+            self.slice = None;
             let was_dead = self.slab[slot as usize].state == WireProcState::Dead;
             let is_dead = state == WireProcState::Dead;
             if !was_dead && is_dead {
@@ -231,6 +241,7 @@ impl Genealogy {
     /// Updates a node's command (on exec) and marks it running.
     pub fn set_exec(&mut self, pid: u32, command: impl Into<Name>) {
         if let Some(&slot) = self.index.get(&pid) {
+            self.slice = None;
             let n = &mut self.slab[slot as usize];
             n.command = command.into();
             if n.state == WireProcState::Dead {
@@ -244,6 +255,7 @@ impl Genealogy {
     /// manager respawn); no-op for untracked pids.
     pub fn set_logical_parent(&mut self, pid: u32, parent: Gpid) {
         if let Some(&slot) = self.index.get(&pid) {
+            self.slice = None;
             self.slab[slot as usize].logical_parent = Some(parent);
         }
     }
@@ -251,6 +263,7 @@ impl Genealogy {
     /// Updates CPU usage.
     pub fn set_cpu(&mut self, pid: u32, cpu_us: u64) {
         if let Some(&slot) = self.index.get(&pid) {
+            self.slice = None;
             self.slab[slot as usize].cpu_us = cpu_us;
         }
     }
@@ -259,6 +272,7 @@ impl Genealogy {
     /// see [`Genealogy::prune`]).
     pub fn mark_dead_at(&mut self, pid: u32, cpu_us: u64, now_us: u64) {
         if let Some(&slot) = self.index.get(&pid) {
+            self.slice = None;
             if self.slab[slot as usize].state != WireProcState::Dead {
                 self.live -= 1;
                 self.dead_queue.push((slot, pid));
@@ -290,7 +304,7 @@ impl Genealogy {
 
     /// Drops dead nodes that have no live local descendants *and* have
     /// been dead longer than `retention_us`. Returns how many nodes were
-    /// pruned.
+    /// pruned; a sweep that prunes none keeps the encoded slice.
     pub fn prune_older_than(&mut self, now_us: u64, retention_us: u64) -> usize {
         // Cascade worklist, seeded from the dead queue rather than a
         // dense slab scan so a sweep costs O(retained-dead), not
@@ -334,6 +348,9 @@ impl Genealogy {
                 work.push(parent);
             }
         }
+        if pruned > 0 {
+            self.slice = None;
+        }
         pruned
     }
 
@@ -365,6 +382,22 @@ impl Genealogy {
             cpu_us: n.cpu_us,
             adopted: n.adopted,
         })
+    }
+
+    /// The snapshot slice as the LPM answers it:
+    /// `WireReply::snapshot(host, records())`, encoded on the first call
+    /// after a change and handed out again (a clone of a shared buffer)
+    /// until the next one. Every mutator that can change what
+    /// [`Genealogy::records`] yields drops it — [`Genealogy::track`], the
+    /// `set_*` updates and `mark_dead*` on a tracked pid, and a prune
+    /// that removes a node.
+    pub fn snapshot_reply(&mut self) -> WireReply {
+        if let Some(slice) = &self.slice {
+            return slice.clone();
+        }
+        let slice = WireReply::snapshot(&self.host, self.records());
+        self.slice = Some(slice.clone());
+        slice
     }
 
     /// The snapshot slice this LPM reports: every tracked process as a

@@ -786,9 +786,9 @@ impl Lpm {
                 cpu_bound,
             ),
             Op::Snapshot => {
-                // The one bulky reply: written straight from the slab,
-                // no record is built on the way.
-                let slice = WireReply::snapshot(&self.host, self.tree.records());
+                // The one bulky reply: encoded straight from the slab
+                // once per change of the genealogy, not once per request.
+                let slice = self.tree.snapshot_reply();
                 return self.finish_req(sys, id, slice);
             }
             Op::Rusage { pid } => Some(Reply::Rusage {

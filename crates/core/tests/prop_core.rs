@@ -1,6 +1,7 @@
 //! Property tests for the PPM's pure data structures: genealogy
-//! retention, handler-pool accounting, trigger matching, and the history
-//! against the record-level implementation it replaced.
+//! retention and its cached snapshot slice, handler-pool accounting,
+//! trigger matching, and the history against the record-level
+//! implementation it replaced.
 
 use std::collections::VecDeque;
 
@@ -111,6 +112,19 @@ proptest! {
         }
         let snapshot = g.snapshot();
         prop_assert_eq!(snapshot.len(), g.len());
+    }
+}
+
+#[path = "support/genealogy_ops.rs"]
+mod genealogy_ops;
+
+proptest! {
+    /// The slice an LPM answers a snapshot with is kept between requests
+    /// and dropped by every mutator that changes it: after any sequence
+    /// of them it is what a fresh encode of the records writes.
+    #[test]
+    fn cached_slice_is_a_fresh_encode(ops in genealogy_ops::arb_mutations()) {
+        genealogy_ops::check_cached_slice(&ops);
     }
 }
 

@@ -158,9 +158,14 @@ impl Ord for Name {
 }
 
 impl Hash for Name {
+    /// What `str`'s hash writes — its bytes, then `0xff`, which no `str`
+    /// contains — without `as_str`'s UTF-8 check on every map probe. The
+    /// values must stay equal to the `str`'s: `Borrow<str>` probes a
+    /// name-keyed map with a `&str`.
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -203,5 +208,34 @@ impl fmt::Display for Name {
 impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hashx::HashX;
+    use std::collections::hash_map::DefaultHasher;
+
+    fn hash_with<H: Hasher + Default>(value: &(impl Hash + ?Sized)) -> u64 {
+        let mut h = H::default();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_name_hashes_as_its_str() {
+        let long = "a command name longer than twenty-two bytes";
+        for s in ["", "vax780", long] {
+            let name = Name::new(s);
+            assert_eq!(hash_with::<HashX>(&name), hash_with::<HashX>(s), "{s:?}");
+            assert_eq!(
+                hash_with::<DefaultHasher>(&name),
+                hash_with::<DefaultHasher>(s),
+                "{s:?}"
+            );
+        }
+        assert!(matches!(Name::new("vax780").0, Repr::Inline { .. }));
+        assert!(matches!(Name::new(long).0, Repr::Shared(_)));
     }
 }

@@ -12,7 +12,11 @@
 //! time-to-die, the retention window of seen broadcast stamps, the CCS
 //! probe — and a timer that is no longer wanted is *forgotten by its
 //! owner*: the LPM drops the token from its RPC ledger and the fire, when
-//! it comes, finds nothing to do (a few per cent of a run's events).
+//! it comes, finds nothing to do. Counted on the benchmark's workloads at
+//! seed 1986, those are 19 % of LPM timer fires on `snapshot_fanout` (its
+//! 60 s request and broadcast timeouts; 11 % of the run's events), 9.8 %
+//! on `control_churn` (request timeouts; 3 % of events), 8.7 % on
+//! `sweep_cells` and none on `kernel_storm`.
 //! `engine.cancels` reads 0 on every shipped scenario and every benchmark
 //! workload. So the queue keeps no liveness ledger and no position index:
 //! schedule and pop touch only the bucket they land in, and

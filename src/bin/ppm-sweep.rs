@@ -16,8 +16,9 @@
 //! report to a file; `--repro <spec-id>` prints the single-run `ppm-sim`
 //! command line that replays one cell (digest and all) and exits.
 //!
-//! Exit status is nonzero when any cell fails its predicates, so the
-//! grid doubles as a batch acceptance gate.
+//! An unknown flag and a second grid path are refused with the usage
+//! line before any cell runs. Exit status is nonzero when any cell
+//! fails its predicates, so the grid doubles as a batch acceptance gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -58,6 +59,14 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 repro_id = Some(id);
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("ppm-sweep: unknown flag {flag:?}");
+                return usage();
+            }
+            _ if grid_path.is_some() => {
+                eprintln!("ppm-sweep: a second grid path {arg:?}");
+                return usage();
             }
             _ => grid_path = Some(PathBuf::from(arg)),
         }
