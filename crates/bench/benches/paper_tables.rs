@@ -1,14 +1,16 @@
-//! Regenerates Tables 1–3 of the paper, printing measured vs published
+//! Regenerates Table 1 of the paper, printing measured vs published
 //! values. Run with `cargo bench -p ppm-bench --bench paper_tables`.
+//!
+//! Tables 2 and 3 are scenario cells, run by the sweep harness:
+//! `cargo run --release --bin ppm-sweep -- scenarios/paper_table2.sweep`
+//! (and `paper_table3.sweep`).
 //!
 //! All times are *simulated* milliseconds from the calibrated substrate;
 //! the reproduction criterion is shape (orderings, ratios, crossovers).
 
-use ppm_bench::{table1, table2, table3, vs};
+use ppm_bench::{table1, vs};
 
 fn main() {
-    let seed = 1986;
-
     println!("=====================================================================");
     println!("Table 1: estimated 112-byte kernel-LPM message delivery time (ms)");
     println!("         load estimator: la (time-averaged cpu run queue length)");
@@ -17,63 +19,13 @@ fn main() {
         "{:<12} {:<14} {:>9} {:>34}",
         "host type", "load bucket", "la", "delivery ms (vs paper)"
     );
-    for (cpu, label, paper, cell) in table1::run(seed) {
+    for (cpu, label, paper, cell) in table1::run(1986) {
         println!(
             "{:<12} {:<14} {:>9.2} {:>34}",
             cpu.to_string(),
             label,
             cell.load_avg,
             vs(paper, cell.mean_ms)
-        );
-    }
-
-    println!();
-    println!("=====================================================================");
-    println!("Table 2: elapsed time of process creation and termination events (ms)");
-    println!("=====================================================================");
-    println!(
-        "{:<12} {:<12} {:>34}",
-        "action", "distance", "elapsed ms (vs paper)"
-    );
-    for (action, hops, paper, cell) in table2::run(5, seed) {
-        let dist = match hops {
-            0 => "within host".to_string(),
-            1 => "one hop".to_string(),
-            n => format!("{n} hops"),
-        };
-        println!(
-            "{:<12} {:<12} {:>34}",
-            action.label(),
-            dist,
-            vs(paper, cell.mean_ms)
-        );
-    }
-    println!("(the paper's text also quotes 177 ms for remote creation once a");
-    println!(" sibling connection exists; its own Table 2 marks those cells N/A)");
-    let v = table2::measure_create_remote_variants(seed);
-    println!("reconciliation of the 177 ms quote (one-hop create, handler pools):");
-    println!("  both pools cold:      {:>7.1} ms", v.cold_ms);
-    println!(
-        "  remote pool warm:     {:>7.1} ms   <- closest to the quoted 177 ms",
-        v.semi_warm_ms
-    );
-    println!("  both pools warm:      {:>7.1} ms", v.warm_ms);
-
-    println!();
-    println!("=====================================================================");
-    println!("Table 3: elapsed time to transmit snapshot information (ms)");
-    println!("         six user processes per remote host; four PPM topologies");
-    println!("=====================================================================");
-    println!(
-        "{:<12} {:>34}  {:>6}",
-        "topology", "elapsed ms (vs paper)", "procs"
-    );
-    for (id, paper, cell) in table3::run(5, seed) {
-        println!(
-            "{:<12} {:>34}  {:>6}",
-            id,
-            vs(Some(paper), cell.mean_ms),
-            cell.procs
         );
     }
 }

@@ -5,10 +5,11 @@
 //! snapshot (Fig. 1), the four-step LPM creation message sequence
 //! (Fig. 2), the full set of authenticated sibling channels (Fig. 3), the
 //! LPM's communication endpoint types (Fig. 4), and the four snapshot
-//! topologies (Fig. 5).
+//! topologies (Fig. 5), drawn from the Table 3 cells that measure them.
 
 use std::fmt::Write as _;
 
+use ppm::scenario::Action;
 use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
 use ppm_harness::harness::PpmHarness;
@@ -17,8 +18,6 @@ use ppm_runtime::trace::TraceCategory;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::Uid;
-
-use crate::table3;
 
 const USER: Uid = Uid(100);
 
@@ -195,11 +194,35 @@ pub fn figure4(seed: u64) -> String {
     out
 }
 
-/// Figure 5: the four snapshot topologies used by Table 3.
+/// The Table 3 cells, one per Figure 5 topology.
+const TABLE3_CELLS: [&str; 4] = [
+    include_str!("../../../scenarios/paper/table3_topology1.ppm"),
+    include_str!("../../../scenarios/paper/table3_topology2.ppm"),
+    include_str!("../../../scenarios/paper/table3_topology3.ppm"),
+    include_str!("../../../scenarios/paper/table3_topology4.ppm"),
+];
+
+/// Figure 5: the four snapshot topologies, as the Table 3 cells build
+/// them: a cell's hosts, and each distinct (from, dest) pair of its
+/// spawns as a sibling LPM channel.
 pub fn figure5() -> String {
     let mut out = String::from("Figure 5: snapshot configuration for four PPM topologies\n\n");
-    for t in table3::topologies() {
-        out.push_str(&table3::render_topology(&t));
+    for (id, cell) in (1..).zip(TABLE3_CELLS) {
+        let sc = ppm::scenario::parse(cell).expect("a Table 3 cell parses");
+        let hosts: Vec<&str> = sc.hosts.iter().map(|(h, _)| h.as_str()).collect();
+        let _ = writeln!(out, "topology {id}:\n  hosts: {}", hosts.join(", "));
+        let mut channels = Vec::new();
+        for (_, _, action, _) in &sc.actions {
+            match action {
+                Action::Spawn { from, dest, .. } if !channels.contains(&(from, dest)) => {
+                    channels.push((from, dest));
+                }
+                _ => {}
+            }
+        }
+        for (a, b) in channels {
+            let _ = writeln!(out, "  {a} <===> {b}   (sibling LPM channel)");
+        }
         out.push('\n');
     }
     out.push_str("(reconstructed from the Table 3 timings; see DESIGN.md)\n");
@@ -262,5 +285,12 @@ mod tests {
         for id in 1..=4 {
             assert!(art.contains(&format!("topology {id}:")));
         }
+        // Topology 4: a chain of two plus a star leaf.
+        let four = art.split("topology 4:").nth(1).expect("topology 4");
+        assert!(four.contains("hosts: root, a, b, c"), "{four}");
+        for edge in ["root <===> a", "a <===> b", "root <===> c"] {
+            assert!(four.contains(edge), "{four}");
+        }
+        assert_eq!(four.matches("<===>").count(), 3, "{four}");
     }
 }

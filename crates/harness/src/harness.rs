@@ -211,6 +211,9 @@ pub struct PpmHarness<R: Runtime = SimRuntime> {
     users: Arc<UserDirectory>,
     /// Host names indexed by `HostId`.
     hosts: Vec<String>,
+    /// What the last one-request call's tool measured: request sent to
+    /// reply received.
+    elapsed: Option<SimDuration>,
 }
 
 impl<R: Runtime> std::fmt::Debug for PpmHarness<R> {
@@ -243,7 +246,12 @@ impl<R: Runtime> PpmHarness<R> {
     fn booted(mut rt: R, users: Arc<UserDirectory>, hosts: Vec<String>) -> Self {
         // Let daemons boot.
         rt.run(SimDuration::from_millis(50));
-        PpmHarness { rt, users, hosts }
+        PpmHarness {
+            rt,
+            users,
+            hosts,
+            elapsed: None,
+        }
     }
 
     /// The backend clock's current instant.
@@ -476,7 +484,16 @@ impl<R: Runtime> PpmHarness<R> {
         op: Op,
         wait: SimDuration,
     ) -> Result<Reply, HarnessError> {
-        first_reply(self.run_tool(host, uid, vec![ToolStep::new(dest, op)], wait)?)
+        let outcome = self.run_tool(host, uid, vec![ToolStep::new(dest, op)], wait)?;
+        self.elapsed = outcome.elapsed(0);
+        first_reply(outcome)
+    }
+
+    /// The tool-measured elapsed time — request sent to reply received —
+    /// of the last one-request call (`spawn_remote`, `control`,
+    /// `snapshot`, …) whose tool finished.
+    pub fn last_elapsed(&self) -> Option<SimDuration> {
+        self.elapsed
     }
 
     /// Default wait budget for synchronous convenience calls.

@@ -17,10 +17,10 @@
 //! link calder ucbarpa                     # sim-only unless every pair is linked
 //! user 100 secret=0xBEEF recovery=calder,ucbarpa [fast] [nameserver=ns] [noagg]
 //!
-//! at 0s    spawn calder 100 ucbarpa worker as w1 [lifetime=10s] [parent=$w0]
+//! at 0s    spawn calder 100 ucbarpa worker as w1 [lifetime=10s] [parent=$w0] [time=LABEL]
 //! at 500ms adopt calder 100 calder 4
-//! at 1s    control calder 100 $w1 stop       # stop | fg | bg | kill
-//! at 2s    snapshot calder 100 *
+//! at 1s    control calder 100 $w1 stop [time=LABEL]  # stop | fg | bg | kill
+//! at 2s    snapshot calder 100 * [time=LABEL]
 //! at 3s    dashboard calder 100
 //! at 4s    rusage calder 100 ucbarpa
 //! at 5s    history calder 100 *
@@ -41,6 +41,11 @@
 //! carries (a host name, a command, a destination). A
 //! `link` joins two distinct hosts declared on earlier lines; a host and
 //! a user are each declared once.
+//!
+//! `time=LABEL` on a `spawn`, `control` or `snapshot` reports the tool's
+//! elapsed time for it — request sent to reply received — under LABEL in
+//! the sweep report ([`crate::sweep::render_report`]); it changes nothing
+//! the scenario prints or digests.
 //!
 //! `drill` runs [`ppm_tools::drill::recovery_drill`]: a root on FROM, one
 //! job per listed host, display, locate and, with `kill=HOST`, SIGKILL
@@ -243,8 +248,8 @@ pub struct Scenario {
     pub mesh_gap: Option<usize>,
     /// Users: uid → (secret, recovery list, config).
     pub users: Vec<(u32, u64, Vec<String>, PpmConfig)>,
-    /// Timed actions, in file order.
-    pub actions: Vec<(usize, SimTime, Action)>,
+    /// Timed actions, in file order, each with its `time=` label.
+    pub actions: Vec<(usize, SimTime, Action, Option<String>)>,
     /// Extra time to run after the last action.
     pub tail: SimDuration,
 }
@@ -313,7 +318,7 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         if stripped.is_empty() {
             continue;
         }
-        let tokens: Vec<&str> = stripped.split_whitespace().collect();
+        let mut tokens: Vec<&str> = stripped.split_whitespace().collect();
         if let Some(long) = tokens.iter().find(|t| t.len() > MAX_STR_BYTES) {
             let len = long.len();
             return Err(err(
@@ -398,8 +403,9 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
             "at" => {
                 let when = tokens.get(1).ok_or_else(|| err(line, "at needs a time"))?;
                 let at = SimTime::ZERO + parse_duration(when, line)?;
+                let label = take_label(&mut tokens, line)?;
                 let action = parse_action(&tokens[2..], line)?;
-                sc.actions.push((line, at, action));
+                sc.actions.push((line, at, action, label));
             }
             "run" => {
                 let d = tokens
@@ -427,6 +433,26 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let gap = |i: usize| sc.hosts[..i].iter().any(|(h, _)| !joins(h, &sc.hosts[i].0));
     sc.mesh_gap = (1..sc.hosts.len()).find(|&i| gap(i)).map(|i| host_lines[i]);
     Ok(sc)
+}
+
+/// Takes the `time=LABEL` token off an `at` line, if it has one: the
+/// label its action's elapsed time is reported under.
+fn take_label(tokens: &mut Vec<&str>, line: usize) -> Result<Option<String>, ScenarioError> {
+    let is_label = |t: &&str| t.starts_with("time=");
+    let Some(i) = tokens.iter().skip(3).position(is_label) else {
+        return Ok(None);
+    };
+    let label = tokens.remove(3 + i)["time=".len()..].to_string();
+    if label.is_empty() {
+        return Err(err(line, "time= needs a label"));
+    }
+    if tokens.iter().skip(3).any(is_label) {
+        return Err(err(line, "time= is given twice"));
+    }
+    match tokens[2] {
+        "spawn" | "control" | "snapshot" => Ok(Some(label)),
+        verb => Err(err(line, format!("{verb} takes no time= label"))),
+    }
 }
 
 fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
@@ -672,6 +698,9 @@ pub(crate) struct Played<R: Runtime = SimRuntime> {
     /// clock value left out. A scenario every runtime can play folds the
     /// same value on each. Or the error of the action that failed.
     pub observed: Result<u64, ScenarioError>,
+    /// Each `time=` labelled action played, in play order: its label and
+    /// the tool's elapsed time from request sent to reply, µs.
+    pub times: Vec<(String, u64)>,
 }
 
 /// Executes a parsed scenario on the simulation, writing tool output
@@ -704,8 +733,13 @@ pub(crate) fn execute_played(
     }
     let mut ppm = builder.build();
     opts.arm(&mut ppm, out)?;
-    let observed = play(sc, &mut ppm, out, &sim_world);
-    Ok(Played { ppm, observed })
+    let mut times = Vec::new();
+    let observed = play(sc, &mut ppm, out, &sim_world, &mut times);
+    Ok(Played {
+        ppm,
+        observed,
+        times,
+    })
 }
 
 /// Plays a scenario on another runtime — a real loopback cluster or the
@@ -714,8 +748,13 @@ pub(crate) fn execute_played(
 /// [`Played::observed`]'s error.
 pub(crate) fn execute_on<R: Runtime>(sc: &Scenario, rt: R, out: &mut dyn fmt::Write) -> Played<R> {
     let mut ppm = builder(sc).build_on(rt);
-    let observed = play(sc, &mut ppm, out, &|_, _, _| Ok(()));
-    Played { ppm, observed }
+    let mut times = Vec::new();
+    let observed = play(sc, &mut ppm, out, &|_, _, _| Ok(()), &mut times);
+    Played {
+        ppm,
+        observed,
+        times,
+    }
 }
 
 /// What every runtime boots for `sc`: its hosts and accounts and, when a
@@ -729,8 +768,7 @@ fn builder(sc: &Scenario) -> HarnessBuilder {
         let rec: Vec<&str> = recovery.iter().map(String::as_str).collect();
         builder = builder.user(Uid(*uid), *secret, &rec, cfg.clone());
     }
-    let kills =
-        |(_, _, a): &(usize, SimTime, Action)| matches!(a, Action::Drill { kill: Some(_), .. });
+    let kills = |(_, _, a, _): &_| matches!(a, Action::Drill { kill: Some(_), .. });
     if sc.actions.iter().any(kills) {
         builder = builder.pmd_options(RECOVERING);
     }
@@ -809,17 +847,19 @@ impl Fnv {
 
 /// Plays `sc`'s actions in time order on a booted harness, then its
 /// tail; returns the observable digest. `sim` plays what only the sim
-/// can (see [`sim_world`]).
+/// can (see [`sim_world`]); each labelled action's elapsed time goes to
+/// `times`.
 fn play<R: Runtime>(
     sc: &Scenario,
     ppm: &mut PpmHarness<R>,
     out: &mut dyn fmt::Write,
     sim: &SimHook<R>,
+    times: &mut Vec<(String, u64)>,
 ) -> Result<u64, ScenarioError> {
     let mut bindings: HashMap<&str, Gpid> = HashMap::new();
     let mut seen = Fnv::new();
-    let mut actions: Vec<&(usize, SimTime, Action)> = sc.actions.iter().collect();
-    actions.sort_by_key(|(_, at, _)| *at);
+    let mut actions: Vec<_> = sc.actions.iter().collect();
+    actions.sort_by_key(|(_, at, _, _)| *at);
     let resolve = |r: &ProcRef, bindings: &HashMap<&str, Gpid>, line| match r {
         ProcRef::Literal(g) => Ok(g.clone()),
         ProcRef::Named(n) => bindings
@@ -829,7 +869,7 @@ fn play<R: Runtime>(
     };
     let lift = |line: usize| move |e: HarnessError| err(line, e.to_string());
 
-    for &(line, at, ref action) in actions {
+    for &(line, at, ref action, ref label) in actions {
         if at > ppm.now() {
             let wait = at.saturating_since(ppm.now());
             ppm.run_for(wait);
@@ -947,6 +987,9 @@ fn play<R: Runtime>(
             Action::Crash { .. } | Action::Restart { .. } | Action::Link { .. } => {
                 sim(ppm, action, &mut String::new()).map_err(lift(line))?;
             }
+        }
+        if let (Some(label), Some(elapsed)) = (label, ppm.last_elapsed()) {
+            times.push((label.clone(), elapsed.as_micros()));
         }
     }
     if !sc.tail.is_zero() {
@@ -1107,6 +1150,7 @@ run 2s
             kill: Some("b".into()),
         };
         assert_eq!(sc.actions[0].2, drill);
+        assert_eq!(sc.actions[0].3, None);
         for bad in [
             "drill a 1",
             "drill a 1 b,,c",
@@ -1116,6 +1160,35 @@ run 2s
         ] {
             let e = parse(&format!("host a vax780\nuser 1 secret=1\nat 0s {bad}")).unwrap_err();
             assert_eq!(e.line, 3, "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_time_label_rides_beside_its_action() {
+        let user = "host a vax780\nuser 1 secret=1\n";
+        let sc = parse(&format!(
+            "{user}at 0s spawn a 1 a job as j time=create\n\
+             at 1s control a 1 $j stop time=stop\n\
+             at 2s snapshot a 1 * time=snap\n\
+             at 3s snapshot a 1 *"
+        ))
+        .unwrap();
+        let labels: Vec<_> = sc.actions.iter().map(|a| a.3.as_deref()).collect();
+        assert_eq!(labels, [Some("create"), Some("stop"), Some("snap"), None]);
+        // The label is not part of the action: its printed line is unchanged.
+        assert_eq!(sc.actions[2].2, sc.actions[3].2);
+        assert!(matches!(&sc.actions[0].2, Action::Spawn { bind: Some(b), .. } if b == "j"));
+
+        for (bad, says) in [
+            ("at 1s snapshot a 1 * time=", "needs a label"),
+            ("at 1s crash a time=x", "crash takes no time="),
+            ("at 1s dashboard a 1 time=x", "dashboard takes no time="),
+            ("at 1s snapshot a 1 * time=x time=y", "given twice"),
+            ("at 1s spawn a 1 a job time=x as j time=x", "given twice"),
+        ] {
+            let e = parse(&format!("{user}\n{bad}")).unwrap_err();
+            assert_eq!(e.line, 4, "{bad}: {e}");
+            assert!(e.message.contains(says), "{bad}: {e}");
         }
     }
 

@@ -291,6 +291,8 @@ pub struct RunResult {
     /// Pooled (`count`, `sum`) of every `lpm.mttr_us` histogram in the
     /// metrics text, when any LPM recovered during the run.
     pub mttr: Option<(u64, u64)>,
+    /// The scenario's `time=` samples ([`CellRun::times`]).
+    pub times: Vec<(String, u64)>,
     /// Unmet predicates and execution errors; empty means the run passed.
     pub failures: Vec<String>,
     /// The exact `cargo run … ppm-sim` command line reproducing this cell.
@@ -640,6 +642,9 @@ pub struct CellRun {
     pub observed: Option<u64>,
     /// The backend-clock instant the run ended, µs.
     pub sim_end_us: u64,
+    /// Each `time=` labelled action's label and tool-measured elapsed
+    /// time, µs, in play order (`scenario::Played::times`).
+    pub times: Vec<(String, u64)>,
 }
 
 /// A cell that did not run to its end: the run so far, when one
@@ -694,7 +699,7 @@ pub fn run_cell(spec: &RunSpec, spans: bool) -> Result<CellRun, CellFailure> {
     let statement = sc
         .actions
         .iter()
-        .find_map(|(line, _, a)| Some((*line, a.sim_only()?)));
+        .find_map(|(line, _, a, _)| Some((*line, a.sim_only()?)));
     let mesh = sc
         .mesh_gap
         .map(|line| (line, "a link set that is not the full mesh"));
@@ -739,9 +744,16 @@ fn done<R: Runtime>(
     output: String,
     spans: bool,
 ) -> Result<CellRun, CellFailure> {
-    let Played { ppm, observed } = played;
+    let Played {
+        ppm,
+        observed,
+        times,
+    } = played;
     match observed {
-        Ok(digest) => Ok(finished(ppm, output, spans, Some(digest))),
+        Ok(digest) => Ok(CellRun {
+            times,
+            ..finished(ppm, output, spans, Some(digest))
+        }),
         Err(e) => Err((Some(Box::new(finished(ppm, output, spans, None))), e)),
     }
 }
@@ -763,6 +775,7 @@ fn finished<R: Runtime>(
         output,
         trace,
         metrics,
+        times: Vec::new(),
     }
 }
 
@@ -797,6 +810,7 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
         digest: run.digest,
         sim_end_us: run.sim_end_us,
         mttr: pool_mttr(&run.metrics),
+        times: run.times,
         failures,
         repro: spec.repro(),
     }
@@ -839,10 +853,29 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
+/// Appends ` time:<label> mean_us=<m> n=<k>` for each label among
+/// `samples`, in the order the labels first appear.
+fn push_times<'a>(out: &mut String, samples: impl Iterator<Item = &'a (String, u64)>) {
+    let mut pooled: Vec<(&str, u64, u64)> = Vec::new();
+    for (label, us) in samples {
+        match pooled.iter_mut().find(|(l, _, _)| l == label) {
+            Some((_, n, sum)) => {
+                *n += 1;
+                *sum += us;
+            }
+            None => pooled.push((label, 1, *us)),
+        }
+    }
+    for (label, n, sum) in pooled {
+        out.push_str(&format!(" time:{label} mean_us={} n={n}", sum / n));
+    }
+}
+
 /// Renders the deterministic sweep report. Every section is keyed and
 /// sorted by spec id (cells by their `variant|plan` prefix); per-run
 /// digests fold into one grid digest so two reports are equal iff every
-/// cell agreed. No wall-clock data here — see [`render_timing`].
+/// cell agreed. A cell's `time=` samples are pooled over its seeds, as
+/// its `mttr_us` is. No wall-clock data here — see [`render_timing`].
 #[must_use]
 pub fn render_report(grid: &Grid, results: &[RunResult]) -> String {
     let mut results: Vec<&RunResult> = results.iter().collect();
@@ -883,6 +916,7 @@ pub fn render_report(grid: &Grid, results: &[RunResult]) -> String {
         if let Some(mean) = mttr_sum.checked_div(mttr_count) {
             out.push_str(&format!(" mttr_us mean={mean} samples={mttr_count}"));
         }
+        push_times(&mut out, rs.iter().flat_map(|r| &r.times));
         out.push('\n');
     }
     let mut grid_digest = fnv1a(&[]);
@@ -896,6 +930,7 @@ pub fn render_report(grid: &Grid, results: &[RunResult]) -> String {
         if let Some((c, s)) = r.mttr {
             out.push_str(&format!(" mttr_us mean={} samples={c}", s / c));
         }
+        push_times(&mut out, r.times.iter());
         out.push_str(if r.failures.is_empty() {
             " ok\n"
         } else {

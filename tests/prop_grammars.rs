@@ -127,10 +127,17 @@ proptest! {
 
     #[test]
     fn sweep_grids_parse_or_refuse_and_name_each_cell_once(
-        grid in 0usize..4,
+        grid in 0usize..6,
         edits in edits(),
     ) {
-        let file = ["chaos_mttr.sweep", "congestion.sweep", "smoke.sweep", "tenant_scale.sweep"];
+        let file = [
+            "chaos_mttr.sweep",
+            "congestion.sweep",
+            "smoke.sweep",
+            "tenant_scale.sweep",
+            "paper_table2.sweep",
+            "paper_table3.sweep",
+        ];
         let text = mutate(&shipped(file[grid]), &edits);
         match Grid::parse(&text, &scenarios()) {
             Ok(g) => {

@@ -31,6 +31,7 @@ proptest! {
                 Just("a".to_string()), Just("100".to_string()),
                 Just("secret=1".to_string()), Just("$x".to_string()),
                 Just("drill".to_string()), Just("kill=a".to_string()),
+                Just("time=x".to_string()), Just("snapshot".to_string()),
                 Just("\n".to_string()),
             ],
             0..60,

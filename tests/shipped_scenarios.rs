@@ -38,16 +38,19 @@ fn nameserver_scenario_parses_and_executes() {
 fn every_shipped_scenario_parses() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
     let mut seen = 0;
-    for entry in std::fs::read_dir(dir).expect("scenarios dir") {
-        let path = entry.expect("entry").path();
-        if path.extension().and_then(|e| e.to_str()) == Some("ppm") {
-            let text = std::fs::read_to_string(&path).expect("readable");
-            ppm::scenario::parse(&text)
-                .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-            seen += 1;
+    for dir in [dir.to_string(), format!("{dir}/paper")] {
+        for entry in std::fs::read_dir(&dir).expect("scenarios dir") {
+            let path = entry.expect("entry").path();
+            if path.extension().and_then(|e| e.to_str()) == Some("ppm") {
+                let text = std::fs::read_to_string(&path).expect("readable");
+                ppm::scenario::parse(&text)
+                    .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+                seen += 1;
+            }
         }
     }
-    assert!(seen >= 2, "shipped scenarios present");
+    // Seven at the top level, fourteen paper cells.
+    assert!(seen >= 21, "shipped scenarios present: {seen}");
 }
 
 /// A fault-free `*` snapshot is whole however deep the chain it climbs,

@@ -100,6 +100,8 @@ fn a_repro_line_names_the_cell_it_replays() {
         "congestion.sweep",
         "smoke.sweep",
         "tenant_scale.sweep",
+        "paper_table2.sweep",
+        "paper_table3.sweep",
     ];
     for spec in grids.into_iter().flat_map(|g| load_grid(g).expand()) {
         let repro = spec.repro();
