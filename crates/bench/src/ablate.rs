@@ -112,8 +112,10 @@ pub fn route_learning(enabled: bool, seed: u64) -> RouteLearning {
         route_learning: enabled,
         ..PpmConfig::default()
     };
+    // The trace says whether the origin dialled b: it is read below.
     let mut ppm = PpmHarness::builder()
         .seed(seed)
+        .trace(true)
         .host("root", CpuClass::Vax780)
         .host("a", CpuClass::Vax750)
         .host("b", CpuClass::Vax750)
@@ -243,7 +245,8 @@ pub fn bcast_window(window: SimDuration, seed: u64) -> BcastWindow {
         ..PpmConfig::default()
     };
     let hosts = ["r", "a", "b", "c"];
-    let mut b = PpmHarness::builder().seed(seed);
+    // Suppressions and purges are counted from the trace.
+    let mut b = PpmHarness::builder().seed(seed).trace(true);
     for (i, h) in hosts.iter().enumerate() {
         b = b.host(
             *h,

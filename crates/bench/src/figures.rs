@@ -85,6 +85,7 @@ pub fn figure1(seed: u64) -> String {
 pub fn figure2(seed: u64) -> String {
     let mut ppm = PpmHarness::builder()
         .seed(seed)
+        .trace(true)
         .host("calder", CpuClass::Vax780)
         .user(USER, 0x1986, &["calder"], PpmConfig::default())
         .build();

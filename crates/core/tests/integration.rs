@@ -5,7 +5,7 @@
 
 use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
-use ppm_harness::harness::{HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessBuilder, HarnessError, PpmHarness};
 use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{Gpid, WireProcState};
@@ -26,6 +26,11 @@ const SECRET: u64 = 0x1986;
 
 /// Three Berkeley-ish hosts in a line: calder — ucbarpa — kim.
 fn three_hosts() -> PpmHarness {
+    three_hosts_builder().build()
+}
+
+/// The same hosts unbuilt, for a test that turns the trace on to read it.
+fn three_hosts_builder() -> HarnessBuilder {
     PpmHarness::builder()
         .host("calder", CpuClass::Vax780)
         .host("ucbarpa", CpuClass::Vax750)
@@ -33,12 +38,11 @@ fn three_hosts() -> PpmHarness {
         .link("calder", "ucbarpa")
         .link("ucbarpa", "kim")
         .user(USER, SECRET, &["calder", "ucbarpa"], PpmConfig::default())
-        .build()
 }
 
 #[test]
 fn lpm_created_ab_initio_via_inetd_and_pmd() {
-    let mut ppm = three_hosts();
+    let mut ppm = three_hosts_builder().trace(true).build();
     let outcome = ppm
         .run_tool(
             "calder",

@@ -31,9 +31,11 @@ fn spawn_op(command: &str) -> Op {
 }
 
 /// Two hosts on a single link, so taking the link down actually severs
-/// them (richer topologies reroute at the network layer).
-fn pair() -> PpmHarness {
+/// them (richer topologies reroute at the network layer); the trace is
+/// recorded for a test that reads it.
+fn pair(trace: bool) -> PpmHarness {
     PpmHarness::builder()
+        .trace(trace)
         .host("origin", CpuClass::Vax780)
         .host("exec", CpuClass::Vax750)
         .link("origin", "exec")
@@ -70,7 +72,7 @@ fn live_named(ppm: &mut PpmHarness, host: &str, command: &str) -> usize {
 /// the operation executes exactly once.
 #[test]
 fn sibling_loss_before_delivery_retries_and_executes_once() {
-    let mut ppm = pair();
+    let mut ppm = pair(true);
     warm(&mut ppm);
 
     // Cut the direct link, healing it again shortly after. The stale
@@ -123,7 +125,7 @@ fn sibling_loss_before_delivery_retries_and_executes_once() {
 /// done-reply cache instead of running the operation again.
 #[test]
 fn lost_reply_is_replayed_from_the_dedup_cache_not_reexecuted() {
-    let mut ppm = pair();
+    let mut ppm = pair(true);
     warm(&mut ppm);
 
     let a = ppm.host("origin").unwrap();
@@ -176,7 +178,7 @@ fn lost_reply_is_replayed_from_the_dedup_cache_not_reexecuted() {
 /// were exhausted with no verdict.
 #[test]
 fn expired_deadline_is_refused_in_flight() {
-    let mut ppm = pair();
+    let mut ppm = pair(false);
     warm(&mut ppm);
 
     // One hop costs ~5 ms and each relay decays the deadline by 20 ms,

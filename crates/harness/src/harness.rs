@@ -44,6 +44,7 @@ pub struct HarnessBuilder {
     links: Vec<(String, String)>,
     users: UserDirectory,
     topology: Option<NetSpec>,
+    trace: bool,
 }
 
 impl Default for HarnessBuilder {
@@ -55,6 +56,7 @@ impl Default for HarnessBuilder {
             links: Vec::new(),
             users: UserDirectory::new(),
             topology: None,
+            trace: false,
         }
     }
 }
@@ -66,6 +68,7 @@ impl std::fmt::Debug for HarnessBuilder {
             .field("hosts", &self.hosts.len())
             .field("links", &self.links.len())
             .field("users", &self.users.len())
+            .field("trace", &self.trace)
             .finish()
     }
 }
@@ -106,6 +109,14 @@ impl HarnessBuilder {
         self
     }
 
+    /// Records the simulated world's trace log from before the first
+    /// host boots (off by default, as a [`World`]'s is): turn it on to
+    /// read the trace after the run.
+    pub fn trace(mut self, on: bool) -> Self {
+        self.trace = on;
+        self
+    }
+
     /// Adds a user account with a `.recovery` list and PPM config.
     pub fn user(mut self, uid: Uid, secret: u64, recovery: &[&str], config: PpmConfig) -> Self {
         self.users.insert(UserEntry {
@@ -122,7 +133,9 @@ impl HarnessBuilder {
     ///
     /// Panics if a link references an unknown host name.
     pub fn build(self) -> PpmHarness {
-        let mut rt = SimRuntime::from_world(World::new(self.seed));
+        let mut world = World::new(self.seed);
+        world.core_mut().obs_mut().trace.set_enabled(self.trace);
+        let mut rt = SimRuntime::from_world(world);
         let users = self.users.into_shared();
         register_pmd(&mut rt, &users, self.pmd_options);
         let world = rt.world_mut();
@@ -150,6 +163,7 @@ impl HarnessBuilder {
     /// simulated world (`seed`, `link`, `topology`) have no meaning
     /// there and are not consulted: a caller that may be handed them
     /// refuses them first, as the scenario executor does off the sim.
+    /// Nor is `trace`: `rt` comes with its own switch already set.
     pub fn build_on<R: Runtime>(self, mut rt: R) -> PpmHarness<R> {
         let users = self.users.into_shared();
         register_pmd(&mut rt, &users, self.pmd_options);

@@ -73,7 +73,8 @@ pub fn host_names(hosts: u16) -> Vec<String> {
 /// The storm on the one world (see the module docs).
 #[derive(Debug)]
 pub struct TenantWorld {
-    /// The world: arm faults on it before `run`, read its trace after.
+    /// The world: arm faults on it before `run`; read its trace after, if
+    /// the builder [`boot`](TenantWorld::boot) was handed turned it on.
     pub ppm: PpmHarness,
     spec: StormSpec,
     procs: u64,
@@ -256,13 +257,16 @@ mod tests {
     use ppm_simos::ids::Pid;
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// Runs a storm and takes every active user's `*` snapshot afterwards.
+    /// Runs a storm, its trace recorded if `trace`, and takes every
+    /// active user's `*` snapshot afterwards.
     fn played(
         users: u32,
         hosts: u16,
         procs: u64,
+        trace: bool,
     ) -> (TenantWorld, ScaleReport, Vec<(u32, Vec<ProcRecord>)>) {
-        let mut world = TenantWorld::new(scale_spec(users, hosts, 7), procs);
+        let builder = PpmHarness::builder().trace(trace);
+        let mut world = TenantWorld::boot(builder, scale_spec(users, hosts, 7), procs);
         let active = StormDeal::new(scale_spec(users, hosts, 7), procs).active;
         let report = world.run();
         let snapshot = |rank: u32| {
@@ -275,7 +279,7 @@ mod tests {
 
     #[test]
     fn every_fork_is_tracked_and_every_exit_seen() {
-        let (_, report, snapshots) = played(20, 3, 1_500);
+        let (_, report, snapshots) = played(20, 3, 1_500, false);
         assert_eq!((report.procs, report.exits), (1_500, 1_500));
         assert_eq!((report.failed, report.live_end), (0, 0));
         // A shell's child is reported forking, exec'ing and exiting; a
@@ -295,7 +299,7 @@ mod tests {
 
     #[test]
     fn no_process_shows_in_two_users_snapshots_and_each_is_its_owners() {
-        let (world, report, snapshots) = played(12, 4, 600);
+        let (world, report, snapshots) = played(12, 4, 600, false);
         let mut seen = BTreeSet::new();
         for (rank, records) in &snapshots {
             for r in records {
@@ -316,7 +320,7 @@ mod tests {
 
     #[test]
     fn zipf_skews_the_work_toward_low_ranks() {
-        let (_, _, snapshots) = played(30, 2, 3_000);
+        let (_, _, snapshots) = played(30, 2, 3_000, false);
         let forks: BTreeMap<u32, usize> = snapshots
             .iter()
             .map(|(rank, records)| (*rank, records.len()))
@@ -327,7 +331,7 @@ mod tests {
 
     #[test]
     fn pmd_creates_each_lpm_once_on_its_users_port() {
-        let (world, _, snapshots) = played(12, 4, 2_000);
+        let (world, _, snapshots) = played(12, 4, 2_000, true);
         let trace = world.ppm.world().core().trace();
         let mut created = BTreeSet::new();
         for entry in trace.filtered(TraceCategory::Daemon) {

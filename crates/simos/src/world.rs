@@ -818,9 +818,11 @@ impl fmt::Debug for World {
 impl World {
     /// Creates an empty world with the given RNG seed; the OS constants
     /// and the latency model are [`OsConfig::default`] and
-    /// [`LatencyModel::default`].
+    /// [`LatencyModel::default`]. Its trace log starts off, as the other
+    /// backends' do: a reader turns it on through
+    /// [`WorldCore::obs_mut`] before the lines it wants are written.
     pub fn new(seed: u64) -> Self {
-        let mut obs = ObsHub::new(true);
+        let mut obs = ObsHub::new(false);
         let ids = WorldObs::register(&mut obs.registry);
         World {
             core: WorldCore {

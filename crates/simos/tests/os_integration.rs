@@ -399,8 +399,9 @@ fn kernel_event_latency_grows_with_load() {
 
 #[test]
 fn identical_seeds_replay_identically() {
-    let run = |seed: u64| -> (u64, SimTime) {
+    let run = |seed: u64| -> (String, SimTime) {
         let (mut w, a, b) = two_hosts(seed);
+        w.core_mut().obs_mut().trace.set_enabled(true);
         w.spawn_user(
             b,
             Uid(1),
@@ -415,11 +416,11 @@ fn identical_seeds_replay_identically() {
         )
         .unwrap();
         w.run_for(SimDuration::from_secs(10));
-        let events = w.core().trace().len() as u64;
-        (events, w.now())
+        (w.core().trace().render(None), w.now())
     };
     let (e1, _) = run(12345);
     let (e2, _) = run(12345);
+    assert!(!e1.is_empty(), "the event history was recorded");
     assert_eq!(e1, e2, "same seed, same event history");
 }
 

@@ -324,12 +324,13 @@ proptest! {
     }
 
     /// World determinism: identical seeds and identical scripted worlds
-    /// produce identical trace lengths and clocks; different seeds are
-    /// allowed to differ.
+    /// produce identical traces and clocks; different seeds are allowed
+    /// to differ.
     #[test]
     fn world_replay_is_exact(seed in any::<u64>(), jobs in 1usize..6) {
         let run = |seed: u64| {
             let mut w = World::new(seed);
+            w.core_mut().obs_mut().trace.set_enabled(true);
             let a = w.add_host(HostSpec::new("a", CpuClass::Vax780));
             let b = w.add_host(HostSpec::new("b", CpuClass::Sun2));
             w.add_link(a, b);
@@ -339,12 +340,14 @@ proptest! {
             }
             w.run_for(SimDuration::from_secs(5));
             (
-                w.core().trace().len(),
+                w.core().trace().render(None),
                 w.now(),
                 w.core().kernel(a).processes().count(),
             )
         };
-        prop_assert_eq!(run(seed), run(seed));
+        let first = run(seed);
+        prop_assert!(!first.0.is_empty(), "the trace was recorded");
+        prop_assert_eq!(first, run(seed));
     }
 
     /// Signal permission: a non-root user can never signal another user's

@@ -27,7 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // .recovery: home first, then work — "users tend to use only a few
     // hosts as home machines. These home machines serve as recovery
     // orchestrators."
+    // Recorded for the recovery timeline printed at the end.
     let mut ppm = PpmHarness::builder()
+        .trace(true)
         .host("home", CpuClass::Vax780)
         .host("work", CpuClass::Vax750)
         .host("far", CpuClass::Sun2)

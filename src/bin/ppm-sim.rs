@@ -28,6 +28,10 @@
 //! | `--metrics <path>` | `expect-metric` reads the same text | writes every metrics registry (the kernel event path, each LPM's counters) |
 //! | `--spans <path>` | — | records spans, writes them as JSONL and as a Chrome `trace_event` file at `<path>.chrome.json` |
 //!
+//! The trace is recorded only under `--trace` or `--digest`, on every
+//! runtime: a run that neither prints nor folds it keeps none, and its
+//! output and metrics are the same bytes either way.
+//!
 //! `--runtime sim|real|mc` (default `sim`) picks what the cell plays on:
 //! the simulation, node threads on loopback TCP with the wall clock, or
 //! the checker's world under its default schedule. Off the sim, the
@@ -62,8 +66,8 @@ fn emit(run: &CellRun, args: &SimArgs, finished: bool) -> bool {
     if args.trace {
         print!("{}", run.trace);
     }
-    if args.digest && finished {
-        println!("digest {}", ppm::digest::hex(run.digest));
+    if let Some(digest) = run.digest.filter(|_| args.digest && finished) {
+        println!("digest {}", ppm::digest::hex(digest));
     }
     let ok = args
         .metrics
@@ -120,7 +124,10 @@ fn main() -> ExitCode {
         }
     };
     let started = std::time::Instant::now();
-    match run_cell(&args.cell, args.spans.is_some()) {
+    // The trace is recorded only for a reader: `--trace` prints it and
+    // `--digest` folds it.
+    let trace = args.trace || args.digest;
+    match run_cell(&args.cell, args.spans.is_some(), trace) {
         Ok(run) => {
             if let VariantKind::Storm {
                 users,

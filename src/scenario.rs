@@ -667,8 +667,9 @@ impl ExecOptions<'_> {
 
 /// Plays the canonical `users × hosts` storm ([`scale_spec`]) of `procs`
 /// forks — the whole of `ppm-sim --users U --hosts N` — writing its
-/// report through `out`. Refuses a world larger than
-/// [`tenant::MAX_STORM_CELLS`], a bad topology or a bad fault plan.
+/// report through `out`, its trace recorded if `trace`. Refuses a world
+/// larger than [`tenant::MAX_STORM_CELLS`], a bad topology or a bad
+/// fault plan.
 pub(crate) fn execute_storm(
     users: u32,
     hosts: u16,
@@ -676,9 +677,11 @@ pub(crate) fn execute_storm(
     procs: u64,
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
+    trace: bool,
 ) -> Result<PpmHarness, ScenarioError> {
     tenant::storm_fits(users, hosts).map_err(|e| err(0, e))?;
-    let builder = opts.builder(PpmHarness::builder(), || tenant::host_names(hosts))?;
+    let builder = PpmHarness::builder().trace(trace);
+    let builder = opts.builder(builder, || tenant::host_names(hosts))?;
     let mut world = TenantWorld::boot(builder, scale_spec(users, hosts, seed), procs);
     opts.arm(&mut world.ppm, out)?;
     let report = world.run();
@@ -704,7 +707,8 @@ pub(crate) struct Played<R: Runtime = SimRuntime> {
 }
 
 /// Executes a parsed scenario on the simulation, writing tool output
-/// through `out`; returns the harness for post-run inspection.
+/// through `out`; returns the harness for post-run inspection, its trace
+/// recorded from boot.
 ///
 /// # Errors
 ///
@@ -715,19 +719,21 @@ pub fn execute_with(
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
 ) -> Result<PpmHarness, ScenarioError> {
-    let played = execute_played(sc, out, opts)?;
+    let played = execute_played(sc, out, opts, true)?;
     played.observed.map(|_| played.ppm)
 }
 
 /// Like [`execute_with`], keeping the observable digest, and the harness
-/// when an action fails.
+/// when an action fails; the trace is recorded only if `trace`.
 pub(crate) fn execute_played(
     sc: &Scenario,
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
+    trace: bool,
 ) -> Result<Played, ScenarioError> {
     let host_names = || sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-    let mut builder = opts.builder(builder(sc), host_names)?.seed(sc.seed);
+    let builder = builder(sc).trace(trace).seed(sc.seed);
+    let mut builder = opts.builder(builder, host_names)?;
     for (a, b) in &sc.links {
         builder = builder.link(a.clone(), b.clone());
     }

@@ -629,14 +629,15 @@ fn pool_mttr(metrics: &str) -> Option<(u64, u64)> {
 pub struct CellRun {
     /// Scenario output, or the storm report.
     pub output: String,
-    /// The rendered trace.
+    /// The rendered trace: empty unless it was asked for.
     pub trace: String,
     /// Every metrics registry as stable text.
     pub metrics: String,
     /// JSONL and Chrome renderings of the span log, when asked for.
     pub spans: Option<(String, String)>,
-    /// FNV-1a fold of `output`, `trace` and `metrics`.
-    pub digest: u64,
+    /// FNV-1a fold of `output`, `trace` and `metrics`, when the trace
+    /// was recorded: never a fold of a trace nobody kept.
+    pub digest: Option<u64>,
     /// A scenario's observable digest (`scenario::Played::observed`):
     /// equal on every runtime that plays it to its end.
     pub observed: Option<u64>,
@@ -657,8 +658,10 @@ pub type CellFailure = (Option<Box<CellRun>>, ScenarioError);
 /// first of the chain, the storm, a seed, a fault plan, a network model,
 /// a sim-only statement and a partial mesh is refused here, and only
 /// here, with no run. A failed action's error comes with the run so far
-/// — output, trace, metrics — which says how far it got.
-pub fn run_cell(spec: &RunSpec, spans: bool) -> Result<CellRun, CellFailure> {
+/// — output, trace, metrics — which says how far it got. The trace is
+/// recorded, and the digest folded, only if the caller reads them
+/// (`trace`); spans only if `spans`.
+pub fn run_cell(spec: &RunSpec, spans: bool, trace: bool) -> Result<CellRun, CellFailure> {
     let off_sim = spec.runtime != Backend::Sim;
     use VariantKind::{Chain, Storm};
     let kind = &spec.variant.kind;
@@ -690,8 +693,9 @@ pub fn run_cell(spec: &RunSpec, spans: bool) -> Result<CellRun, CellFailure> {
             let seed = spec.seed.unwrap_or(1986);
             let topology = spec.topo.model(host_names(hosts)).map_err(|e| (None, e))?;
             let opts = opts(topology.as_deref());
-            let run = scenario::execute_storm(users, hosts, seed, procs, &mut output, opts);
-            return Ok(finished(run.map_err(|e| (None, e))?, output, spans, None));
+            let run = scenario::execute_storm(users, hosts, seed, procs, &mut output, opts, trace);
+            let run = run.map_err(|e| (None, e))?;
+            return Ok(finished(run, output, spans, trace, None));
         }
     };
     let mut sc = scenario::parse(&text).map_err(|e| (None, e))?;
@@ -710,11 +714,12 @@ pub fn run_cell(spec: &RunSpec, spans: bool) -> Result<CellRun, CellFailure> {
         Backend::Sim => {
             let hosts = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
             let topology = spec.topo.model(hosts).map_err(|e| (None, e))?;
-            let played = scenario::execute_played(&sc, &mut output, opts(topology.as_deref()));
-            done(played.map_err(|e| (None, e))?, output, spans)
+            let opts = opts(topology.as_deref());
+            let played = scenario::execute_played(&sc, &mut output, opts, trace);
+            done(played.map_err(|e| (None, e))?, output, spans, trace)
         }
-        Backend::Real => off_the_sim(RealRuntime::new(), &sc, spans, output),
-        Backend::Mc => off_the_sim(McWorld::new(), &sc, spans, output),
+        Backend::Real => off_the_sim(RealRuntime::new(), &sc, spans, trace, output),
+        Backend::Mc => off_the_sim(McWorld::new(), &sc, spans, trace, output),
     }
 }
 
@@ -724,17 +729,19 @@ fn refused(line: usize, what: &str) -> CellFailure {
     (None, ScenarioError { line, message })
 }
 
-/// Plays `sc` on a runtime other than the sim, its trace recorded.
+/// Plays `sc` on a runtime other than the sim, recording what the
+/// caller reads.
 fn off_the_sim<R: Runtime>(
     mut rt: R,
     sc: &Scenario,
     spans: bool,
+    trace: bool,
     mut out: String,
 ) -> Result<CellRun, CellFailure> {
-    rt.hub().trace.set_enabled(true);
+    rt.hub().trace.set_enabled(trace);
     rt.hub().spans.set_enabled(spans);
     let played = scenario::execute_on(sc, rt, &mut out);
-    done(played, out, spans)
+    done(played, out, spans, trace)
 }
 
 /// A played scenario's run, or the failed action's error with the run
@@ -743,6 +750,7 @@ fn done<R: Runtime>(
     played: Played<R>,
     output: String,
     spans: bool,
+    trace: bool,
 ) -> Result<CellRun, CellFailure> {
     let Played {
         ppm,
@@ -752,23 +760,25 @@ fn done<R: Runtime>(
     match observed {
         Ok(digest) => Ok(CellRun {
             times,
-            ..finished(ppm, output, spans, Some(digest))
+            ..finished(ppm, output, spans, trace, Some(digest))
         }),
-        Err(e) => Err((Some(Box::new(finished(ppm, output, spans, None))), e)),
+        Err(e) => Err((Some(Box::new(finished(ppm, output, spans, trace, None))), e)),
     }
 }
 
-/// What a finished run leaves behind, on any runtime.
+/// What a finished run leaves behind, on any runtime; `traced` says
+/// whether its trace was recorded, and so whether it has a digest.
 fn finished<R: Runtime>(
     mut h: PpmHarness<R>,
     output: String,
     spans: bool,
+    traced: bool,
     observed: Option<u64>,
 ) -> CellRun {
     let trace = h.trace_render(None);
     let metrics = h.metrics_report();
     CellRun {
-        digest: fnv1a(&[&output, &trace, &metrics]),
+        digest: traced.then(|| fnv1a(&[&output, &trace, &metrics])),
         observed,
         sim_end_us: h.now().as_micros(),
         spans: spans.then(|| (h.spans_jsonl(), h.spans_chrome())),
@@ -785,12 +795,13 @@ fn finished<R: Runtime>(
 #[must_use]
 pub fn run_spec(spec: &RunSpec) -> RunResult {
     let mut failures = Vec::new();
-    let run = run_cell(spec, false).unwrap_or_else(|(run, e)| {
+    // The report folds every run's digest, so every run records.
+    let run = run_cell(spec, false, true).unwrap_or_else(|(run, e)| {
         failures.push(format!("execution error: {e}"));
         // A failed cell reports the fold of its output alone.
         let output = run.map(|run| run.output).unwrap_or_default();
         CellRun {
-            digest: fnv1a(&[&output]),
+            digest: Some(fnv1a(&[&output])),
             output,
             ..CellRun::default()
         }
@@ -807,7 +818,7 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
     }
     RunResult {
         id: spec.id.clone(),
-        digest: run.digest,
+        digest: run.digest.expect("a recorded run has a digest"),
         sim_end_us: run.sim_end_us,
         mttr: pool_mttr(&run.metrics),
         times: run.times,

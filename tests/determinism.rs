@@ -56,7 +56,8 @@ fn scenario_cells_repeat_byte_for_byte() {
     for (what, args) in cells {
         assert_repeats(what, 7, 8, |seed| {
             let seed = seed.to_string();
-            let run = run_cell(&cell(&[&args[..], &["--seed", &seed]].concat()), true);
+            let spec = cell(&[&args[..], &["--seed", &seed]].concat());
+            let run = run_cell(&spec, true, true);
             let run = run.unwrap_or_else(|(_, e)| panic!("{what}: {e}"));
             let (jsonl, chrome) = run.spans.as_ref().expect("spans were asked for");
             assert!(!run.trace.is_empty() && !jsonl.is_empty() && !chrome.is_empty());
@@ -71,7 +72,8 @@ const STORM: [&str; 6] = ["--users", "64", "--hosts", "16", "--procs", "6000"];
 fn the_storm_cell_repeats_byte_for_byte() {
     assert_repeats("64x16 storm", 7, 8, |seed| {
         let seed = seed.to_string();
-        let run = run_cell(&cell(&[&STORM[..], &["--seed", &seed]].concat()), true);
+        let spec = cell(&[&STORM[..], &["--seed", &seed]].concat());
+        let run = run_cell(&spec, true, true);
         let run = run.expect("the storm runs");
         for line in ["scale procs 6000", "scale exits 6000", "scale failed 0"] {
             assert!(run.output.contains(line), "{}", run.output);
@@ -79,7 +81,8 @@ fn the_storm_cell_repeats_byte_for_byte() {
         // Pinned as well as repeated: what the storm does to the world
         // (every LPM note, every kernel event) is in the trace under it.
         if seed == "7" {
-            assert_eq!(ppm::digest::hex(run.digest), "8c8d0884bf8b2a44");
+            let digest = run.digest.expect("a traced run has a digest");
+            assert_eq!(ppm::digest::hex(digest), "8c8d0884bf8b2a44");
         }
         run
     });
@@ -94,7 +97,8 @@ fn the_storm_cell_takes_a_fault_plan_and_a_network_model() {
     let faulted = [&STORM[..], &["--faults", &plan, "--topology", "fat-tree"]].concat();
     assert_repeats("faulted 64x16 storm on fat-tree", 7, 8, |seed| {
         let seed = seed.to_string();
-        let run = run_cell(&cell(&[&faulted[..], &["--seed", &seed]].concat()), false);
+        let spec = cell(&[&faulted[..], &["--seed", &seed]].concat());
+        let run = run_cell(&spec, false, true);
         let run = run.expect("the storm runs");
         assert!(
             run.metrics.contains(" lpm.restarts 1\n"),
@@ -106,6 +110,6 @@ fn the_storm_cell_takes_a_fault_plan_and_a_network_model() {
     });
     let elsewhere = plan_file("crash_calder.fault", "at 1s crash calder restart 2s\n");
     let storm = cell(&[&STORM[..], &["--faults", &elsewhere]].concat());
-    let (_, e) = run_cell(&storm, false).expect_err("no such host");
+    let (_, e) = run_cell(&storm, false, false).expect_err("no such host");
     assert!(e.message.contains("unknown host \"calder\""), "{e}");
 }

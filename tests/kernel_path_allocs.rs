@@ -6,10 +6,11 @@
 //! allocation this thread makes meanwhile is counted. The budget fails
 //! when an event goes back to rebuilding strings it already has (a host
 //! name per event, a rendered detail, a `ProcInfo` to read one field).
-//! The trace the same tree leaves is budgeted beside it, in bytes: it is
-//! on by default, and what it stores per process is what a long run's
-//! resident set grows by. The tool's end of a snapshot is counted too:
-//! decoding the reply must not allocate once per record.
+//! The trace the same tree leaves is budgeted beside it, in bytes: what
+//! it stores per process is what a long run's resident set grows by when
+//! someone asked for it. Nobody asks by default, and then it stores
+//! nothing. The tool's end of a snapshot is counted too: decoding the
+//! reply must not allocate once per record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -155,21 +156,30 @@ fn wave(ppm: &mut PpmHarness) -> (u64, usize) {
     spent
 }
 
-#[test]
-fn a_traced_process_costs_at_most_four_allocations() {
+/// A steady-state wave on a one-host world whose trace log is on or
+/// off: the allocations it made and the bytes of trace it stored.
+fn steady_wave(trace: bool) -> (u64, usize) {
     let mut ppm = PpmHarness::builder()
         .seed(1986)
+        .trace(trace)
         .host("a", CpuClass::Vax780)
         .user(USER, 0xBEEF, &["a"], PpmConfig::default())
         .build();
+    assert_eq!(ppm.world().core().trace().is_enabled(), trace);
     // The first wave creates the LPM and sizes the kernel's tables, the
     // batch buffers and the genealogy arena; the second is steady state.
     wave(&mut ppm);
-    let (spent, traced) = wave(&mut ppm);
+    let spent = wave(&mut ppm);
     // Both trees were followed to the last exit.
     let records = ppm.snapshot("a", USER, "a").expect("snapshot");
     let dead = |r: &&ProcRecord| r.command.starts_with("tree-") && r.state == WireProcState::Dead;
     assert_eq!(records.iter().filter(dead).count(), 2 * PROCS as usize);
+    spent
+}
+
+#[test]
+fn a_traced_process_costs_at_most_four_allocations() {
+    let (spent, traced) = steady_wave(true);
     // 3.7 as written: 7.8 while the process table, the exec event's
     // decode and the exited ring each copied the command, 29.0 before
     // the path stopped rebuilding strings. The program above spends 2 of
@@ -182,11 +192,23 @@ fn a_traced_process_costs_at_most_four_allocations() {
     // A process leaves five lines (fork+exec, its fork, exec and exit
     // events, its exit): five 24-byte headers and their values, where
     // the text of the same lines took 340 bytes.
-    assert!(ppm.world().core().trace().is_enabled());
     let per_proc = traced as f64 / f64::from(PROCS);
     assert!(
         per_proc <= 240.0,
         "{per_proc:.1} bytes of trace per traced process ({traced} for {PROCS})"
+    );
+}
+
+#[test]
+fn an_unread_trace_stores_nothing_and_costs_no_more_allocations() {
+    let (on, _) = steady_wave(true);
+    let (off, stored) = steady_wave(false);
+    // A world built without asking for its trace keeps none of the
+    // wave's lines, and spends no more on a process than a traced one.
+    assert_eq!(stored, 0, "bytes of trace stored with the log off");
+    assert!(
+        off <= on,
+        "{off} allocations with the log off, {on} with it on (for {PROCS} processes)"
     );
 }
 

@@ -86,9 +86,17 @@ fn exec_display_locate<R: Runtime>(rt: R, backend: &str) -> (Observed, Explained
     )
 }
 
+/// A simulated world recording its trace, as the real and checker
+/// runtimes below are told to.
+fn traced_sim() -> SimRuntime {
+    let mut sim = SimRuntime::new(1986);
+    sim.hub().trace.set_enabled(true);
+    sim
+}
+
 #[test]
 fn sim_and_real_show_the_same_computation() {
-    let (sim, sim_why) = exec_display_locate(SimRuntime::new(1986), "sim");
+    let (sim, sim_why) = exec_display_locate(traced_sim(), "sim");
     let (real, real_why) = exec_display_locate(RealRuntime::with_trace(true), "real");
     assert_eq!(sim, real, "protocol-observable result differs by backend");
     assert_eq!(sim.0.len(), 3, "root and both jobs: {sim:?}");
@@ -102,7 +110,7 @@ fn sim_and_real_show_the_same_computation() {
 
 #[test]
 fn the_checker_shows_the_computation_the_sim_does() {
-    let sim = exec_display_locate(SimRuntime::new(1986), "sim");
+    let sim = exec_display_locate(traced_sim(), "sim");
     let mut mc = McWorld::new();
     mc.hub().trace.set_enabled(true);
     assert_eq!(exec_display_locate(mc, "mc"), sim, "mc differs from sim");

@@ -138,6 +138,6 @@ fn table3_has_the_papers_shape() {
     // Topology 4's snapshot merges every remote slice: 3 hosts × 6.
     let spec = grid.expand().pop().expect("a cell");
     assert!(spec.id.starts_with("scenario:paper/table3_topology4.ppm|"));
-    let run = run_cell(&spec, false).unwrap_or_else(|(_, e)| panic!("{e}"));
+    let run = run_cell(&spec, false, false).unwrap_or_else(|(_, e)| panic!("{e}"));
     assert!(run.output.contains("18 process(es)"), "{}", run.output);
 }

@@ -59,7 +59,7 @@ fn three_jobs() -> String {
 
 /// The observable digest and the run of `text` played on `runtime`.
 fn on(runtime: Backend, text: &str) -> (u64, CellRun) {
-    let run = run_cell(&cell(runtime, text), false);
+    let run = run_cell(&cell(runtime, text), false, false);
     let run = run.unwrap_or_else(|(run, e)| panic!("{runtime:?}: {e}\n{run:?}"));
     (run.observed.expect("a scenario's observable digest"), run)
 }
@@ -159,7 +159,7 @@ fn refused_off_the_sim(text: &str, line: usize, what: &str) {
         assert!(out.is_empty(), "{runtime} played before refusing: {out}");
     };
     let refused = |runtime| {
-        let (run, e) = run_cell(&cell(runtime, text), false).err()?;
+        let (run, e) = run_cell(&cell(runtime, text), false, false).err()?;
         Some((e, run.map(|run| run.output).unwrap_or_default()))
     };
     let (e, out) = refused(Backend::Real).expect("real refuses");
@@ -216,7 +216,8 @@ fn flag_refused_off_the_sim(args: &[&str], flag: &str) {
     let on = |runtime: &str| {
         let argv = [&["--runtime", runtime][..], args].concat();
         let sim_args = SimArgs::parse(argv.iter().map(|a| a.to_string()));
-        run_cell(&sim_args.unwrap_or_else(|e| panic!("{e}")).cell, false)
+        let spec = sim_args.unwrap_or_else(|e| panic!("{e}")).cell;
+        run_cell(&spec, false, false)
     };
     check(on("real"), "real");
     check(on("mc"), "mc");
@@ -255,7 +256,7 @@ fn a_failed_run_keeps_its_output_trace_and_metrics(runtime: Backend) {
     // Line 9 controls a process no statement bound.
     let text = format!("{MESH}{USER}at 1s control a 100 $nobody stop\n");
     let (run, e) =
-        run_cell(&cell(runtime, &text), false).expect_err("an unbound name fails the run");
+        run_cell(&cell(runtime, &text), false, true).expect_err("an unbound name fails the run");
     assert_eq!(e.line, 9, "{e}");
     let run = run.expect("the run so far");
     assert!(run.output.contains("created <b, "), "{}", run.output);
