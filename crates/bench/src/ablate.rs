@@ -134,7 +134,7 @@ pub fn route_learning(enabled: bool, seed: u64) -> RouteLearning {
     let _ = ppm.snapshot("root", USER, "*").expect("snapshot");
     ppm.run_for(SimDuration::from_secs(25));
 
-    let mark = ppm.world().core().trace().len();
+    let mark = ppm.world().trace().len();
     let outcome = ppm
         .run_tool(
             "root",
@@ -153,7 +153,6 @@ pub fn route_learning(enabled: bool, seed: u64) -> RouteLearning {
     let root_id = ppm.host("root").expect("host");
     let new_channel_built = ppm
         .world()
-        .core()
         .trace()
         .entries()
         .skip(mark)
@@ -203,7 +202,6 @@ pub fn pmd_stable(stable_storage: bool, seed: u64) -> PmdStable {
     ppm.run_for(SimDuration::from_secs(2));
     let duplicate_lpms = ppm
         .world()
-        .core()
         .kernel(h0)
         .processes()
         .filter(|p| p.command.starts_with("lpm") && !p.is_alive())
@@ -274,7 +272,7 @@ pub fn bcast_window(window: SimDuration, seed: u64) -> BcastWindow {
     }
     ppm.run_for(SimDuration::from_secs(25));
 
-    let mark = ppm.world().core().trace().len();
+    let mark = ppm.world().trace().len();
     let outcome = ppm
         .run_tool(
             "r",
@@ -287,7 +285,7 @@ pub fn bcast_window(window: SimDuration, seed: u64) -> BcastWindow {
     // Settle long enough for a too-short window to purge the wave's stamps
     // but well inside the healthy (60 s) retention.
     ppm.run_for(SimDuration::from_secs(5));
-    let entries = || ppm.world().core().trace().entries().skip(mark);
+    let entries = || ppm.world().trace().entries().skip(mark);
     let suppressed = entries()
         .filter(|e| e.text().starts_with("suppress duplicate"))
         .count();

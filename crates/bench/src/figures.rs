@@ -103,7 +103,7 @@ pub fn figure2(seed: u64) -> String {
     let _ = writeln!(out, "Figure 2: LPM creation steps ab initio");
     let _ = writeln!(out, "(trace of the first tool contact on a cold host)\n");
     let mut step = 0;
-    for e in ppm.world().core().trace().entries() {
+    for e in ppm.world().trace().entries() {
         let text = e.text();
         let annotate = if text.contains("connecting to calder:1 ") && step == 0 {
             step = 1;

@@ -10,6 +10,7 @@
 
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::program::{Program, SpawnSpec};
+use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
 use ppm_runtime::workload::DutyCycle;
@@ -123,7 +124,7 @@ pub fn measure_cell(cpu: CpuClass, la_target: f64, seed: u64) -> Cell {
         .expect("spawn probe");
     world.run_for(SimDuration::from_secs(90));
 
-    let load_avg = world.core().kernel(host).load_avg();
+    let load_avg = world.kernel(host).load_avg();
     let s = samples.lock().unwrap();
     let n = s.latencies_us.len();
     let mean_ms = if n == 0 {

@@ -11,6 +11,7 @@
 //! and the caller's claimed identity. Host-level masquerade is out of
 //! scope, exactly as in the paper.
 
+use ppm_runtime::hashx::{fnv1a_fold, FNV_OFFSET};
 use ppm_runtime::ids::Uid;
 
 /// Network-wide credentials of one user.
@@ -42,12 +43,7 @@ impl UserCred {
 
 /// FNV-1a over two words.
 fn hash_pair(a: u64, b: u64) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in a.to_be_bytes().into_iter().chain(b.to_be_bytes()) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a_fold(fnv1a_fold(FNV_OFFSET, &a.to_be_bytes()), &b.to_be_bytes())
 }
 
 /// Per-LPM authenticator: validates `Hello`s against the owning user's

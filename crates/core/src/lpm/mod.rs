@@ -37,7 +37,7 @@ use bytes::Bytes;
 use ppm_proto::codec::{Enc, Wire};
 use ppm_proto::msg::{Inbound, Msg, Op, SnapshotRun, WireReply};
 use ppm_proto::types::{Gpid, Name, Route, Stamp};
-use ppm_runtime::hashx::FastMap;
+use ppm_runtime::hashx::{fnv1a_fold, FastMap, FNV_OFFSET};
 use ppm_runtime::ids::{ConnId, Port};
 use ppm_runtime::program::{ConnEvent, Program, SysError};
 use ppm_runtime::signal::Signal;
@@ -444,11 +444,7 @@ impl Lpm {
         let seq = self.rpc.next_seq();
         // Globally unique: salt the counter with the host name so relayed
         // ids from different originators cannot collide.
-        let mut salt: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.host.bytes() {
-            salt ^= b as u64;
-            salt = salt.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let salt = fnv1a_fold(FNV_OFFSET, self.host.as_bytes());
         (salt & 0xFFFF_FFFF) << 32 | seq
     }
 

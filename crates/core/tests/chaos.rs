@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
-use ppm_harness::harness::{HarnessError, PpmHarness};
+use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::codec::{encode_batch, Wire};
 use ppm_proto::msg::{BcastPart, ControlAction, Msg, Op, Reply};
 use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
@@ -183,7 +183,6 @@ fn run_episode(seed: u64, steps: usize) {
                 let h = ppm.host(victim).unwrap();
                 let daemon = ppm
                     .world()
-                    .core()
                     .kernel(h)
                     .processes()
                     .find(|p| (p.command == "pmd" || p.command.starts_with("lpm")) && p.is_alive())

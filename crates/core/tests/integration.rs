@@ -57,7 +57,7 @@ fn lpm_created_ab_initio_via_inetd_and_pmd() {
 
     // The Figure-2 chain is visible in the trace: pmd service start and
     // LPM creation on calder.
-    let trace = ppm.world().core().trace().render(None);
+    let trace = ppm.world().trace().render(None);
     assert!(trace.contains("service pmd started"), "inetd started pmd");
     assert!(trace.contains("created LPM"), "pmd created the LPM");
 
@@ -171,7 +171,7 @@ fn control_across_machine_boundaries_stop_continue_kill() {
         .unwrap();
     ppm.run_for(SimDuration::from_millis(200));
     assert_eq!(
-        ppm.world().core().kernel(kim).get(pid).unwrap().state,
+        ppm.world().kernel(kim).get(pid).unwrap().state,
         ProcState::Stopped
     );
 
@@ -179,14 +179,14 @@ fn control_across_machine_boundaries_stop_continue_kill() {
         .unwrap();
     ppm.run_for(SimDuration::from_millis(200));
     assert_eq!(
-        ppm.world().core().kernel(kim).get(pid).unwrap().state,
+        ppm.world().kernel(kim).get(pid).unwrap().state,
         ProcState::Running
     );
 
     ppm.control("calder", USER, &gpid, ControlAction::Kill)
         .unwrap();
     ppm.run_for(SimDuration::from_millis(200));
-    assert!(!ppm.world().core().kernel(kim).get(pid).unwrap().is_alive());
+    assert!(!ppm.world().kernel(kim).get(pid).unwrap().is_alive());
 
     // The snapshot marks it dead (exit information retained).
     let procs = ppm.snapshot("calder", USER, "kim").unwrap();
@@ -411,7 +411,6 @@ fn trigger_signals_a_remote_process_event_driven() {
     let kim = ppm.host("kim").unwrap();
     let alive = ppm
         .world()
-        .core()
         .kernel(kim)
         .get(ppm_simos::ids::Pid(b.pid))
         .unwrap()
@@ -843,7 +842,6 @@ fn cpu_threshold_trigger_fires_end_to_end() {
     let ucbarpa = ppm.host("ucbarpa").unwrap();
     let hog_alive = ppm
         .world()
-        .core()
         .kernel(ucbarpa)
         .get(ppm_simos::ids::Pid(hog_gpid.pid))
         .unwrap()
@@ -855,7 +853,6 @@ fn cpu_threshold_trigger_fires_end_to_end() {
     // The modest job survives its own signals (its CPU stays under).
     let modest_state = ppm
         .world()
-        .core()
         .kernel(ucbarpa)
         .get(ppm_simos::ids::Pid(modest_gpid.pid))
         .unwrap()

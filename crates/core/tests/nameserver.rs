@@ -147,7 +147,6 @@ fn name_server_outage_leads_to_orphan_time_to_die() {
     let beta = ppm.host("beta").unwrap();
     let p = ppm
         .world()
-        .core()
         .kernel(beta)
         .get(ppm_simos::ids::Pid(g.pid))
         .unwrap();

@@ -144,7 +144,7 @@ fn orphaned_lpm_kills_local_processes_after_time_to_die() {
         .unwrap();
     let far = ppm.host("far").unwrap();
     let pid = Pid(far_job.pid);
-    assert!(ppm.world().core().kernel(far).get(pid).unwrap().is_alive());
+    assert!(ppm.world().kernel(far).get(pid).unwrap().is_alive());
 
     // Cut far off completely and give it a reason to notice (its only
     // sibling connection breaks when home crashes the link path).
@@ -156,7 +156,7 @@ fn orphaned_lpm_kills_local_processes_after_time_to_die() {
         .schedule_crash(work, SimDuration::from_millis(10));
     ppm.run_for(SimDuration::from_secs(60));
 
-    let p = ppm.world().core().kernel(far).get(pid).unwrap();
+    let p = ppm.world().kernel(far).get(pid).unwrap();
     assert!(!p.is_alive(), "time-to-die terminated the user's processes");
     assert_eq!(
         p.state,
@@ -308,7 +308,6 @@ fn pmd_crash_without_stable_storage_spawns_duplicate_lpm() {
     ppm.run_for(SimDuration::from_secs(2));
     let duplicates = ppm
         .world()
-        .core()
         .kernel(home)
         .processes()
         .filter(|p| p.command.starts_with("lpm") && !p.is_alive())
@@ -348,7 +347,6 @@ fn pmd_crash_with_stable_storage_finds_existing_lpm() {
     assert!(!outcome.created_lpm, "restored registry found the live LPM");
     let duplicates = ppm
         .world()
-        .core()
         .kernel(home)
         .processes()
         .filter(|p| p.command.starts_with("lpm") && !p.is_alive())
@@ -415,13 +413,7 @@ fn snapshot_after_lpm_kill_loses_that_hosts_information() {
 
     // The user process itself survives (it belongs to the user, not the
     // LPM), but a fresh LPM no longer knows its genealogy.
-    assert!(ppm
-        .world()
-        .core()
-        .kernel(work)
-        .get(Pid(g.pid))
-        .unwrap()
-        .is_alive());
+    assert!(ppm.world().kernel(work).get(Pid(g.pid)).unwrap().is_alive());
     let procs = ppm.snapshot("home", USER, "*").unwrap();
     assert!(
         !procs.iter().any(|p| p.gpid == g),

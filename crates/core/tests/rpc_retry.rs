@@ -11,7 +11,7 @@
 
 use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
-use ppm_harness::harness::PpmHarness;
+use ppm_harness::harness::{PpmHarness, Runtime};
 use ppm_proto::msg::{ErrCode, Op, Reply};
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
@@ -101,7 +101,7 @@ fn sibling_loss_before_delivery_retries_and_executes_once() {
         outcome.reply(0)
     );
 
-    let trace = ppm.world().core().trace().render(None);
+    let trace = ppm.world().trace().render(None);
     assert!(
         trace.contains("retry attempt 1"),
         "the retry path was exercised"
@@ -162,7 +162,7 @@ fn lost_reply_is_replayed_from_the_dedup_cache_not_reexecuted() {
         outcome.reply(0)
     );
 
-    let trace = ppm.world().core().trace().render(None);
+    let trace = ppm.world().trace().render(None);
     assert!(trace.contains("retry attempt"), "origin retried");
     assert!(
         trace.contains("replaying cached reply") || trace.contains("suppressed (in flight)"),

@@ -6,7 +6,7 @@ use bytes::Bytes;
 use ppm_core::auth::UserCred;
 use ppm_core::client::{Tool, ToolStep};
 use ppm_core::config::PpmConfig;
-use ppm_harness::harness::PpmHarness;
+use ppm_harness::harness::{PpmHarness, Runtime};
 use ppm_proto::msg::Op;
 use ppm_runtime::program::{ConnEvent, Program, SpawnSpec};
 use ppm_runtime::sys::Sys;
@@ -81,7 +81,6 @@ fn users_have_separate_lpms_and_views() {
     let host = ppm.host("shared").unwrap();
     let lpms = ppm
         .world()
-        .core()
         .kernel(host)
         .processes()
         .filter(|p| p.command.starts_with("lpm") && p.is_alive())
@@ -104,7 +103,6 @@ fn cross_user_control_is_denied_end_to_end() {
     let host = ppm.host("shared").unwrap();
     assert!(ppm
         .world()
-        .core()
         .kernel(host)
         .get(ppm_simos::ids::Pid(a.pid))
         .unwrap()

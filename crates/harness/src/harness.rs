@@ -12,8 +12,7 @@
 //! registries — is read from the backend's one hub, so it too is the
 //! same call on every backend. What only the simulation has (the
 //! [`World`] itself, fault plans, the network model) stays on
-//! `PpmHarness<SimRuntime>`, which is what the bare name `PpmHarness`
-//! means.
+//! `PpmHarness<World>`, which is what the bare name `PpmHarness` means.
 
 use std::sync::Arc;
 
@@ -27,7 +26,6 @@ use ppm_runtime::trace::TraceCategory;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec, NetSpec};
 use ppm_simos::ids::{Pid, Uid};
-use ppm_simos::rt::SimRuntime;
 use ppm_simos::world::World;
 
 use ppm_core::auth::UserCred;
@@ -134,11 +132,9 @@ impl HarnessBuilder {
     /// Panics if a link references an unknown host name.
     pub fn build(self) -> PpmHarness {
         let mut world = World::new(self.seed);
-        world.core_mut().obs_mut().trace.set_enabled(self.trace);
-        let mut rt = SimRuntime::from_world(world);
+        world.obs_mut().trace.set_enabled(self.trace);
         let users = self.users.into_shared();
-        register_pmd(&mut rt, &users, self.pmd_options);
-        let world = rt.world_mut();
+        register_pmd(&mut world, &users, self.pmd_options);
         let hosts: Vec<String> = self.hosts.iter().map(|h| h.name.clone()).collect();
         for spec in self.hosts {
             world.add_host(spec);
@@ -155,7 +151,7 @@ impl HarnessBuilder {
                 .install_netmodel(spec)
                 .unwrap_or_else(|e| panic!("topology install failed: {e}"));
         }
-        PpmHarness::booted(rt, users, hosts)
+        PpmHarness::booted(world, users, hosts)
     }
 
     /// Boots the same PPM on any backend through the [`Runtime`] facade:
@@ -220,7 +216,7 @@ impl std::error::Error for HarnessError {}
 
 /// The assembled PPM plus conveniences, on backend `R` (the simulation
 /// unless said otherwise).
-pub struct PpmHarness<R: Runtime = SimRuntime> {
+pub struct PpmHarness<R: Runtime = World> {
     rt: R,
     users: Arc<UserDirectory>,
     /// Host names indexed by `HostId`.
@@ -247,12 +243,12 @@ impl PpmHarness {
 
     /// The world, for inspection.
     pub fn world(&self) -> &World {
-        self.rt.world()
+        &self.rt
     }
 
     /// The world, mutable (fault injection, load hooks).
     pub fn world_mut(&mut self) -> &mut World {
-        self.rt.world_mut()
+        &mut self.rt
     }
 }
 

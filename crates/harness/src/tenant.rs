@@ -197,7 +197,7 @@ impl TenantWorld {
                 live_end += procs.len() - dead.count();
             }
         }
-        let world = self.ppm.world().core().obs().registry.snapshot();
+        let world = self.ppm.world().obs().registry.snapshot();
         let rows = ppm_core::obs::rows(&world);
         let kernel_events = rows.iter().find(|row| row.name == "kernel.events");
         ScaleReport {
@@ -310,7 +310,7 @@ mod tests {
                 );
                 // The kernel still has the entry of so recent an exit.
                 let host = world.ppm.host(&r.gpid.host).expect("a storm host");
-                let kernel = world.ppm.world().core().kernel(host);
+                let kernel = world.ppm.world().kernel(host);
                 let owner = kernel.get(Pid(r.gpid.pid)).map(|p| p.uid);
                 assert_eq!(owner, Some(Uid(UID_BASE + rank)), "{}", r.gpid);
             }
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn pmd_creates_each_lpm_once_on_its_users_port() {
         let (world, _, snapshots) = played(12, 4, 2_000, true);
-        let trace = world.ppm.world().core().trace();
+        let trace = world.ppm.world().trace();
         let mut created = BTreeSet::new();
         for entry in trace.filtered(TraceCategory::Daemon) {
             let text = entry.text();

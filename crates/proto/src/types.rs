@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use ppm_runtime::hashx::{fnv1a_fold, FNV_OFFSET};
+
 use crate::codec::{CodecError, Dec, Enc, Wire};
 
 pub use ppm_runtime::name::Name;
@@ -80,18 +82,7 @@ pub struct Stamp {
     pub sig: u64,
 }
 
-/// FNV-1a 64-bit.
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 impl Stamp {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
     /// Creates a stamp signed with `secret`.
     pub fn signed(origin: impl Into<Name>, seq: u64, at_us: u64, secret: u64) -> Self {
         let origin = origin.into();
@@ -105,10 +96,10 @@ impl Stamp {
     }
 
     fn compute_sig(origin: &str, seq: u64, at_us: u64, secret: u64) -> u64 {
-        let mut h = fnv1a(origin.as_bytes(), Self::FNV_OFFSET);
-        h = fnv1a(&seq.to_be_bytes(), h);
-        h = fnv1a(&at_us.to_be_bytes(), h);
-        fnv1a(&secret.to_be_bytes(), h)
+        let mut h = fnv1a_fold(FNV_OFFSET, origin.as_bytes());
+        h = fnv1a_fold(h, &seq.to_be_bytes());
+        h = fnv1a_fold(h, &at_us.to_be_bytes());
+        fnv1a_fold(h, &secret.to_be_bytes())
     }
 
     /// Verifies the signature against `secret`.

@@ -128,17 +128,23 @@ impl RealRuntime {
                 let _ = reply.send(read(kernel));
             }))
         })
+        .ok()
     }
 
+    /// Asks `host`'s node thread and waits for its answer: a host no
+    /// `add_host` returned is [`SysError::NoSuchHost`], a node that does
+    /// not answer is [`SysError::HostDown`].
     fn query<T: Send + 'static>(
         &self,
         host: HostId,
         make: impl FnOnce(Sender<T>) -> NodeEvent,
-    ) -> Option<T> {
-        let node = self.nodes.get(host.0 as usize)?;
+    ) -> Result<T, SysError> {
+        let node = self.nodes.get(host.0 as usize);
+        let node = node.ok_or(SysError::NoSuchHost)?;
         let (tx, rx) = mpsc::channel();
-        node.tx.send(make(tx)).ok()?;
-        rx.recv_timeout(QUERY_TIMEOUT).ok()
+        node.tx.send(make(tx)).map_err(|_| SysError::HostDown)?;
+        rx.recv_timeout(QUERY_TIMEOUT)
+            .map_err(|_| SysError::HostDown)
     }
 }
 
@@ -168,8 +174,7 @@ impl Runtime for RealRuntime {
     }
 
     fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        self.query(host, |reply| NodeEvent::SpawnUser { uid, spec, reply })
-            .unwrap_or(Err(SysError::HostDown))
+        self.query(host, |reply| NodeEvent::SpawnUser { uid, spec, reply })?
     }
 
     fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError> {
@@ -179,8 +184,7 @@ impl Runtime for RealRuntime {
             target,
             signal,
             reply: Some(reply),
-        })
-        .unwrap_or(Err(SysError::HostDown))
+        })?
     }
 
     fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {

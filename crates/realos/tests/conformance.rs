@@ -393,7 +393,7 @@ fn conformance_suite<R: Runtime>(rt: &mut R) {
 
 #[test]
 fn sim_backend_conforms() {
-    let mut rt = ppm_simos::rt::SimRuntime::new(0xC0FFEE);
+    let mut rt = ppm_simos::world::World::new(0xC0FFEE);
     conformance_suite(&mut rt);
 }
 

@@ -9,6 +9,11 @@
 //!
 //! Use [`FastMap`] / [`FastSet`] where profiles show hashing, and keep the
 //! `std` defaults everywhere else.
+//!
+//! [`fnv1a_fold`] is the one FNV-1a 64-bit loop: broadcast stamp
+//! signatures, `Hello` proofs, relayed request ids and every run digest
+//! fold their bytes through it, so what goes on the wire and what the
+//! digests pin are the same function.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -74,6 +79,23 @@ impl Hasher for HashX {
     fn write_usize(&mut self, n: usize) {
         self.fold(n as u64);
     }
+}
+
+/// FNV-1a 64-bit offset basis: the state before the first byte.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds one byte slice into an FNV-1a 64-bit state; start from
+/// [`FNV_OFFSET`].
+#[inline]
+#[must_use]
+pub fn fnv1a_fold(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(FNV_PRIME);
+    }
+    state
 }
 
 /// `BuildHasher` for [`HashX`].

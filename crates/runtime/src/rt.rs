@@ -63,8 +63,11 @@ impl Services {
     }
 }
 
-/// A bootable PPM world: simulated ([`ppm-simos`]'s `SimRuntime`), real
+/// A bootable PPM world: simulated (`ppm-simos`'s `World`), real
 /// (`ppm-realos`'s `RealRuntime`) or explored (`ppm-mc`'s `McWorld`).
+///
+/// A host id no `add_host` returned is an answer, not a panic: the
+/// actions say [`SysError::NoSuchHost`], the queries `None` or `false`.
 pub trait Runtime {
     /// Registers a service with inetd's registry on every host. Call
     /// before spawning anything that asks inetd for `name`.
@@ -88,8 +91,8 @@ pub trait Runtime {
     /// # Errors
     ///
     /// The kernel's liveness and permission checks
-    /// ([`SysError::NoSuchProcess`], [`SysError::PermissionDenied`]), or
-    /// [`SysError::HostDown`].
+    /// ([`SysError::NoSuchProcess`], [`SysError::PermissionDenied`]),
+    /// [`SysError::HostDown`] or [`SysError::NoSuchHost`].
     fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError>;
 
     /// `uid`'s lowest-pid live process on `host` whose command starts

@@ -84,10 +84,15 @@ pub enum Transfer {
         queue_us: u64,
         /// Links traversed.
         links: u32,
+        /// Bytes charged to `core` (bisection) links.
+        bisection_bytes: u64,
     },
     /// A lossy link dropped the message (the draw is recorded; the
     /// caller traces and does not schedule a delivery).
-    Dropped,
+    Dropped {
+        /// Bytes charged to `core` (bisection) links up to the drop.
+        bisection_bytes: u64,
+    },
     /// No live physical path between the endpoints.
     Unreachable,
 }
@@ -119,12 +124,6 @@ pub struct NetModel {
     rng: SimRng,
     /// Topology name, for traces.
     pub name: String,
-    /// Transfers priced (excludes local IPC).
-    pub routed_sends: u64,
-    /// Transfers dropped by lossy links.
-    pub drops: u64,
-    /// Bytes admitted onto `core`-flagged (bisection) links.
-    pub bisection_bytes: u64,
 }
 
 impl NetModel {
@@ -152,9 +151,6 @@ impl NetModel {
             rng: SimRng::seed_from(seed ^ 0x6e65_746d),
             name: spec.name.clone(),
             graph,
-            routed_sends: 0,
-            drops: 0,
-            bisection_bytes: 0,
         })
     }
 
@@ -170,6 +166,7 @@ impl NetModel {
         };
         let mut total_us = 0u64;
         let mut queue_us = 0u64;
+        let mut bisection_bytes = 0u64;
         let links = route.len() as u32;
         let mut dropped = false;
         // Collect charges even on the dropped path: the bytes occupied
@@ -186,7 +183,7 @@ impl NetModel {
                 s.congested += 1;
             }
             if link.core {
-                self.bisection_bytes += bytes;
+                bisection_bytes += bytes;
             }
             total_us += link.lat_us + charge.serialize_us;
             queue_us += charge.queue_us;
@@ -195,15 +192,14 @@ impl NetModel {
                 break;
             }
         }
-        self.routed_sends += 1;
         if dropped {
-            self.drops += 1;
-            return Transfer::Dropped;
+            return Transfer::Dropped { bisection_bytes };
         }
         Transfer::Deliver {
             total_us,
             queue_us,
             links,
+            bisection_bytes,
         }
     }
 
@@ -276,6 +272,7 @@ mod tests {
                 total_us,
                 queue_us,
                 links,
+                ..
             } => {
                 assert_eq!(total_us, 5_000 + 400);
                 assert_eq!(queue_us, 0);
@@ -312,7 +309,8 @@ mod tests {
             Transfer::Deliver {
                 total_us: 9_000,
                 queue_us: 0,
-                links: 1
+                links: 1,
+                bisection_bytes: 0,
             }
         );
         let (_, s) = m.link_stats().next().unwrap();
@@ -324,11 +322,16 @@ mod tests {
     #[test]
     fn fat_tree_counts_bisection_bytes_only_on_core_links() {
         let mut m = model("fat-tree", 8);
-        m.transfer(0, 1, 500, 0); // same pod: no core link
-        assert_eq!(m.bisection_bytes, 0);
+        let bisection = |t| match t {
+            Transfer::Deliver {
+                bisection_bytes, ..
+            } => bisection_bytes,
+            other => panic!("a fat-tree delivers, got {other:?}"),
+        };
+        // Same pod: no core link.
+        assert_eq!(bisection(m.transfer(0, 1, 500, 0)), 0);
         // Cross-pod: up to a spine and back down — two core links.
-        m.transfer(0, 7, 500, 0);
-        assert_eq!(m.bisection_bytes, 1000);
+        assert_eq!(bisection(m.transfer(0, 7, 500, 0)), 1000);
     }
 
     #[test]
@@ -351,7 +354,7 @@ mod tests {
             let mut m = model("last-mile", 4);
             let mut drops = Vec::new();
             for i in 0..2000u64 {
-                if m.transfer(0, 1, 64, i * 10_000) == Transfer::Dropped {
+                if let Transfer::Dropped { .. } = m.transfer(0, 1, 64, i * 10_000) {
                     drops.push(i);
                 }
             }
@@ -362,14 +365,6 @@ mod tests {
         assert_eq!(a, b, "same seed, same drops");
         // loss=0.02 per link, 2 links per path: ≈ 4% of 2000.
         assert!(a.len() > 20 && a.len() < 200, "{}", a.len());
-        let m = {
-            let mut m = model("last-mile", 4);
-            for i in 0..100u64 {
-                m.transfer(0, 1, 64, i * 10_000);
-            }
-            m
-        };
-        assert_eq!(m.routed_sends, 100);
     }
 
     #[test]
@@ -383,7 +378,8 @@ mod tests {
             Transfer::Deliver {
                 total_us: 5_400,
                 queue_us: 0,
-                links: 1
+                links: 1,
+                bisection_bytes: 0,
             }
         );
     }

@@ -15,24 +15,27 @@
 //!
 //! ## Example
 //!
+//! [`World`] is also the simulated backend of the
+//! [`ppm_runtime::rt::Runtime`] facade, which supplies `spawn_user`:
+//!
 //! ```
 //! use ppm_simnet::time::SimDuration;
 //! use ppm_simnet::topology::{CpuClass, HostSpec};
 //! use ppm_simos::ids::Uid;
 //! use ppm_runtime::program::SpawnSpec;
+//! use ppm_runtime::rt::Runtime;
 //! use ppm_simos::world::World;
 //!
 //! let mut world = World::new(42);
 //! let host = world.add_host(HostSpec::new("ucbvax", CpuClass::Vax780));
 //! let pid = world.spawn_user(host, Uid(100), SpawnSpec::inert("cc"))?;
 //! world.run_for(SimDuration::from_millis(200));
-//! assert!(world.core().is_alive((host, pid)));
+//! assert!(world.is_alive(host, pid));
 //! # Ok::<(), ppm_runtime::program::SysError>(())
 //! ```
 
 pub mod config;
 pub mod net;
-pub mod rt;
 pub mod sys;
 pub mod world;
 

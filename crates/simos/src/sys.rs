@@ -1,8 +1,8 @@
 //! The simulated backend of the [`ppm_runtime::sys::Sys`] syscall surface.
 //!
-//! A [`Sys`] borrows the world core and identifies the calling process;
-//! the world constructs one around every [`ppm_runtime::Program`]
-//! callback. This module supplies the trait's required methods — the
+//! A [`Sys`] borrows the world and identifies the calling process; the
+//! world constructs one around every [`ppm_runtime::Program`] callback.
+//! This module supplies the trait's required methods — the
 //! virtual clock, the timer wheel, modelled streams, the topology's host
 //! table, the seeded RNG and cost model, raw fork and signal scheduling;
 //! everything else a program calls `ppm_runtime::sys` provides on top.
@@ -15,74 +15,75 @@ use ppm_simnet::topology::HostId;
 use ppm_runtime::ids::{ConnId, Pid, Port, Uid};
 use ppm_runtime::kernel::{Effects, Kernel};
 use ppm_runtime::program::{ProcKey, Program, SpawnSpec, SysError};
+use ppm_runtime::rt::Runtime as _;
 use ppm_runtime::signal::{ExitStatus, Signal};
 
-use crate::world::{SimEvent, WorldCore};
+use crate::world::{SimEvent, World};
 
 /// The simulated syscall interface bound to one calling process.
 pub struct Sys<'a> {
-    core: &'a mut WorldCore,
+    world: &'a mut World,
     key: ProcKey,
 }
 
 impl<'a> Sys<'a> {
-    pub(crate) fn new(core: &'a mut WorldCore, key: ProcKey) -> Self {
-        Sys { core, key }
+    pub(crate) fn new(world: &'a mut World, key: ProcKey) -> Self {
+        Sys { world, key }
     }
 
     /// A stream message reaches the caller: accounted to it, and `true`,
     /// if it is to be handed over. Called by the world at actual
     /// delivery time.
     pub(crate) fn delivered(&mut self, conn: ConnId, bytes: usize) -> bool {
-        let (core, to) = (&mut *self.core, self.key);
-        let (now, kernel) = (core.now(), &mut core.hosts[to.0 .0 as usize]);
-        let handed = core
+        let (world, to) = (&mut *self.world, self.key);
+        let (now, kernel) = (world.now(), &mut world.hosts[to.0 .0 as usize]);
+        let handed = world
             .conns
-            .deliver(conn, to, bytes, now, kernel, &mut core.fx);
-        core.apply_effects(to.0);
+            .deliver(conn, to, bytes, now, kernel, &mut world.fx);
+        world.apply_effects(to.0);
         handed
     }
 }
 
 impl ppm_runtime::sys::Sys for Sys<'_> {
     fn now(&self) -> SimTime {
-        self.core.now()
+        self.world.now()
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let boot = self.core.kernel(self.key.0).boot_count();
-        self.core
+        let boot = self.world.kernel(self.key.0).boot_count();
+        self.world
             .engine
             .schedule(delay, SimEvent::Timer(self.key, token, boot));
     }
 
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        self.core.listen(self.key, port)
+        self.world.listen(self.key, port)
     }
 
     fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
-        self.core.connect(self.key, host, port)
+        self.world.connect(self.key, host, port)
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        self.core.send(self.key, conn, data)
+        self.world.send(self.key, conn, data)
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        self.core.close(self.key, conn)
+        self.world.close(self.key, conn)
     }
 
     fn conn_alive(&self, conn: ConnId) -> bool {
-        self.core.conn_alive(self.key, conn)
+        self.world.conn_alive(self.key, conn)
     }
 
     fn net_epoch(&self) -> u64 {
-        self.core.net_epoch()
+        self.world.net_epoch()
     }
 
     fn edge_up(&self, a: &str, b: &str) -> bool {
-        match (self.core.host_by_name(a), self.core.host_by_name(b)) {
-            (Some(ha), Some(hb)) => self.core.edge_up(ha, hb),
+        match (self.world.host_by_name(a), self.world.host_by_name(b)) {
+            (Some(ha), Some(hb)) => self.world.edge_up(ha, hb),
             _ => false,
         }
     }
@@ -92,7 +93,7 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
     }
 
     fn host_name(&self) -> &str {
-        self.core.host_name(self.key.0)
+        self.world.host_name(self.key.0)
     }
 
     fn pid(&self) -> Pid {
@@ -100,47 +101,47 @@ impl ppm_runtime::sys::Sys for Sys<'_> {
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
-        self.core.host_by_name(name).ok_or(SysError::NoSuchHost)
+        self.world.host_by_name(name).ok_or(SysError::NoSuchHost)
     }
 
     fn random_unit(&mut self) -> f64 {
-        self.core.rng.unit_f64()
+        self.world.rng.unit_f64()
     }
 
     fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
-        self.core.scaled_cpu_cost(self.key.0, nominal)
+        self.world.scaled_cpu_cost(self.key.0, nominal)
     }
 
     fn exit(&mut self, code: i32) {
-        self.core.do_exit(self.key, ExitStatus::Code(code));
+        self.world.do_exit(self.key, ExitStatus::Code(code));
     }
 
     fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        self.core.spawn(self.key.0, parent, uid, spec, None)
+        self.world.spawn(self.key.0, parent, uid, spec, None)
     }
 
     fn post_signal(&mut self, target: Pid, signal: Signal) {
-        self.core.schedule_signal((self.key.0, target), signal);
+        self.world.schedule_signal((self.key.0, target), signal);
     }
 
     fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)> {
-        self.core.services.make(name, self.key.0)
+        self.world.services.make(name, self.key.0)
     }
 
     fn kernel(&self) -> &Kernel {
-        self.core.kernel(self.key.0)
+        self.world.kernel(self.key.0)
     }
 
     fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
-        self.core.kernel_fx(self.key.0)
+        self.world.kernel_fx(self.key.0)
     }
 
     fn flush_effects(&mut self) {
-        self.core.apply_effects(self.key.0);
+        self.world.apply_effects(self.key.0);
     }
 
     fn hub(&mut self) -> HubRef<'_> {
-        HubRef::Own(&mut self.core.obs)
+        HubRef::Own(&mut self.world.obs)
     }
 }
 
@@ -181,7 +182,7 @@ mod tests {
             .spawn_user(a, Uid(7), SpawnSpec::new("probe", Box::new(Probe)))
             .unwrap();
         w.run_for(SimDuration::from_millis(500));
-        let p = w.core().kernel(a).get(pid).unwrap();
+        let p = w.kernel(a).get(pid).unwrap();
         assert!(!p.is_alive(), "probe exited cleanly");
         assert_eq!(p.rusage.files_opened, 1);
     }

@@ -4,7 +4,9 @@
 //! [`Kernel`] per host, all live connections, and the [`Program`] objects
 //! attached to processes. Its event loop pops one event at a time, mutates
 //! kernel/network state, and invokes at most one program handler — so a
-//! run with a given seed is exactly reproducible.
+//! run with a given seed is exactly reproducible. It is the simulated
+//! backend of the [`Runtime`] facade itself, and lends each program
+//! callback a [`Sys`] that borrows it.
 //!
 //! Programs never call each other directly: every interaction (message,
 //! signal, child exit, kernel event) becomes a scheduled event, mirroring
@@ -15,9 +17,10 @@ use std::fmt;
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
 use ppm_runtime::hashx::FastMap;
+use ppm_runtime::ids::CpuClass;
 use ppm_runtime::kernel::{Effect, Effects};
-use ppm_runtime::obs::{CounterId, HistId, ObsHub, Registry};
-use ppm_runtime::rt::{ServiceFactory, Services};
+use ppm_runtime::obs::{CounterId, HistId, HubRef, MetricSample, MetricValue, ObsHub, Registry};
+use ppm_runtime::rt::{Runtime, ServiceFactory, Services};
 use ppm_runtime::sys::Sys as _;
 use ppm_runtime::trace::{Note, TraceCategory, TraceLog};
 use ppm_simnet::bandwidth::{NetModel, Transfer};
@@ -117,9 +120,6 @@ pub(crate) struct NetObs {
     routed_sends: CounterId,
     drops: CounterId,
     bisection_bytes: CounterId,
-    /// Last observed [`NetModel::bisection_bytes`], to turn the model's
-    /// cumulative count into registry increments.
-    prev_bisection: u64,
 }
 
 /// Earliest admissible arrival time of the next message on a connection,
@@ -127,9 +127,9 @@ pub(crate) struct NetObs {
 /// jittered latencies: the sim's transport beside each record.
 pub type Floors = [SimTime; 2];
 
-/// The state of the world. Syscalls (via [`Sys`]) operate on this; the
-/// [`World`] wrapper runs the loop.
-pub struct WorldCore {
+/// The simulated world: its state, which syscalls (via [`Sys`]) operate
+/// on, and the event loop that dispatches its queue to the programs.
+pub struct World {
     // A hierarchical timer wheel: the short-deadline RPC timer population
     // (retransmits, handler slots, housekeeping) lands in the wheel arrays;
     // far-future deadlines sit in its internal overflow heap.
@@ -175,12 +175,7 @@ pub struct WorldCore {
     pub(crate) seed: u64,
 }
 
-impl WorldCore {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
+impl World {
     /// The network topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
@@ -290,11 +285,6 @@ impl WorldCore {
 
     pub(crate) fn host_up(&self, id: HostId) -> bool {
         self.topo.is_up(id)
-    }
-
-    /// True when the process exists and is alive.
-    pub fn is_alive(&self, key: ProcKey) -> bool {
-        self.host_up(key.0) && self.kernel(key.0).is_alive(key.1)
     }
 
     /// Scales a nominal (idle reference machine) CPU cost to this host's
@@ -457,23 +447,6 @@ impl WorldCore {
         }
     }
 
-    /// Posts a signal from `from_uid` to a process (local or remote host);
-    /// the kernel checks permission, delivery follows after the signal
-    /// latency.
-    pub(crate) fn post_signal(
-        &mut self,
-        from_uid: Uid,
-        target: ProcKey,
-        signal: Signal,
-    ) -> Result<(), SysError> {
-        if !self.host_up(target.0) {
-            return Err(SysError::HostDown);
-        }
-        self.kernel(target.0).may_signal(from_uid, target.1)?;
-        self.schedule_signal(target, signal);
-        Ok(())
-    }
-
     /// Delivery of a permitted signal, after the signal latency.
     pub(crate) fn schedule_signal(&mut self, target: ProcKey, signal: Signal) {
         let delay = self.config.signal_latency;
@@ -571,7 +544,7 @@ impl WorldCore {
 
     /// Whether a connection is deliverable right now: `from` is an
     /// endpoint, the connection is established, and the link to the peer
-    /// is routable. Unlike [`WorldCore::send`], a dead route here is
+    /// is routable. Unlike [`World::send`], a dead route here is
     /// reported immediately instead of succeeding locally and breaking
     /// after the detection interval — this is the send-time liveness
     /// check programs use to validate cached next-hops.
@@ -630,14 +603,15 @@ impl WorldCore {
                 total_us,
                 queue_us,
                 links,
+                bisection_bytes,
             }) => {
-                self.note_net_send(len as u64, queue_us, links);
+                self.note_net_send(len as u64, queue_us, links, bisection_bytes);
                 SimDuration::from_micros(total_us)
             }
-            Some(Transfer::Dropped) => {
+            Some(Transfer::Dropped { bisection_bytes }) => {
                 // A lossy link ate it: the write succeeded locally,
                 // nothing arrives, recovery is up to the RPC retries.
-                self.note_net_drop();
+                self.note_net_drop(bisection_bytes);
                 self.tracef(
                     Some(from.0),
                     TraceCategory::Net,
@@ -736,8 +710,8 @@ impl WorldCore {
     }
 
     /// Records one routed delivery into the `net.*` metrics.
-    fn note_net_send(&mut self, bytes: u64, queue_us: u64, links: u32) {
-        let Some(ids) = &mut self.net_obs else {
+    fn note_net_send(&mut self, bytes: u64, queue_us: u64, links: u32, bisection: u64) {
+        let Some(ids) = &self.net_obs else {
             return;
         };
         self.obs
@@ -748,27 +722,19 @@ impl WorldCore {
             self.obs.registry.inc(ids.congested_sends);
         }
         self.obs.registry.inc(ids.routed_sends);
-        let bis = self.net.as_ref().map_or(0, |n| n.bisection_bytes);
-        self.obs
-            .registry
-            .add(ids.bisection_bytes, bis - ids.prev_bisection);
-        ids.prev_bisection = bis;
+        self.obs.registry.add(ids.bisection_bytes, bisection);
     }
 
     /// Records one lossy-link drop into the `net.*` metrics. The bytes
-    /// still occupied the links up to the drop, so the bisection count is
-    /// synced here too.
-    fn note_net_drop(&mut self) {
-        let Some(ids) = &mut self.net_obs else {
+    /// still occupied the links up to the drop, so they count toward
+    /// the bisection too.
+    fn note_net_drop(&mut self, bisection: u64) {
+        let Some(ids) = &self.net_obs else {
             return;
         };
         self.obs.registry.inc(ids.drops);
         self.obs.registry.inc(ids.routed_sends);
-        let bis = self.net.as_ref().map_or(0, |n| n.bisection_bytes);
-        self.obs
-            .registry
-            .add(ids.bisection_bytes, bis - ids.prev_bisection);
-        ids.prev_bisection = bis;
+        self.obs.registry.add(ids.bisection_bytes, bisection);
     }
 
     fn route_state(&self, a: HostId, b: HostId) -> RouteState {
@@ -788,111 +754,64 @@ impl WorldCore {
             None => RouteState::Unreachable,
         }
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum RouteState {
-    Hops(u32),
-    HostDown,
-    Unreachable,
-}
-
-/// The complete simulation: [`WorldCore`] plus the event loop that
-/// dispatches its queue to the programs.
-pub struct World {
-    core: WorldCore,
-}
-
-impl fmt::Debug for World {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("World")
-            .field("now", &self.core.now())
-            .field("hosts", &self.core.hosts.len())
-            .field("programs", &self.core.programs.len())
-            .field("connections", &self.core.conns.len())
-            .field("pending_events", &self.core.engine.pending())
-            .finish()
-    }
-}
-
-impl World {
     /// Creates an empty world with the given RNG seed; the OS constants
     /// and the latency model are [`OsConfig::default`] and
     /// [`LatencyModel::default`]. Its trace log starts off, as the other
     /// backends' do: a reader turns it on through
-    /// [`WorldCore::obs_mut`] before the lines it wants are written.
+    /// [`World::obs_mut`] before the lines it wants are written.
     pub fn new(seed: u64) -> Self {
         let mut obs = ObsHub::new(false);
         let ids = WorldObs::register(&mut obs.registry);
         World {
-            core: WorldCore {
-                engine: TimerWheel::new(),
-                topo: Topology::new(),
-                latency: LatencyModel::default(),
-                rng: SimRng::seed_from(seed),
-                config: OsConfig::default(),
-                hosts: Vec::new(),
-                fx: Effects::new(),
-                conns: ConnTable::default(),
-                services: Services::default(),
-                programs: FastMap::default(),
-                deferred: FastMap::default(),
-                obs,
-                ids,
-                faults: None,
-                net: None,
-                net_obs: None,
-                net_epoch: 0,
-                seed,
-            },
+            engine: TimerWheel::new(),
+            topo: Topology::new(),
+            latency: LatencyModel::default(),
+            rng: SimRng::seed_from(seed),
+            config: OsConfig::default(),
+            hosts: Vec::new(),
+            fx: Effects::new(),
+            conns: ConnTable::default(),
+            services: Services::default(),
+            programs: FastMap::default(),
+            deferred: FastMap::default(),
+            obs,
+            ids,
+            faults: None,
+            net: None,
+            net_obs: None,
+            net_epoch: 0,
+            seed,
         }
     }
 
-    /// Shared state accessor.
-    pub fn core(&self) -> &WorldCore {
-        &self.core
+    /// The world itself, for `benchmark/`, which reads `world().core()`.
+    pub fn core(&self) -> &Self {
+        self
     }
 
-    /// Mutable shared state accessor (benchmark hooks, trace control).
-    pub fn core_mut(&mut self) -> &mut WorldCore {
-        &mut self.core
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.core.now()
-    }
-
-    /// Registers a service so inetd can start it on any host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service name or port is already registered.
-    pub fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
-        self.core.services.register(name, port, factory);
-    }
-
-    /// Adds a host running the standard daemons (inetd) and returns its id.
+    /// Adds a host linked to nothing, running the standard daemons
+    /// (inetd), and returns its id: the sim's own host, wired with
+    /// [`World::add_link`]. The facade's [`Runtime::add_host`] links
+    /// the new host to every other.
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
-        let id = self.core.topo.add_host(spec);
-        self.core.hosts.push(Kernel::new(self.core.now()));
+        let id = self.topo.add_host(spec);
+        self.hosts.push(Kernel::new(self.now()));
         self.boot_daemons(id);
-        let tick = self.core.config.load_tick;
-        self.core.engine.schedule(tick, SimEvent::LoadTick(id));
+        let tick = self.config.load_tick;
+        self.engine.schedule(tick, SimEvent::LoadTick(id));
         id
     }
 
     fn boot_daemons(&mut self, host: HostId) {
-        let boot = self.core.config.daemon_boot_cost;
+        let boot = self.config.daemon_boot_cost;
         let spec = SpawnSpec::new("inetd", Box::new(ppm_runtime::inetd::Inetd::new()));
-        self.core
-            .spawn(host, Pid::INIT, Uid::ROOT, spec, Some(boot))
+        self.spawn(host, Pid::INIT, Uid::ROOT, spec, Some(boot))
             .expect("host is up during boot");
     }
 
     /// Adds an undirected link.
     pub fn add_link(&mut self, a: HostId, b: HostId) {
-        self.core.topo.add_link(a, b);
+        self.topo.add_link(a, b);
     }
 
     /// Installs the bandwidth- and topology-aware network model. Call
@@ -908,23 +827,21 @@ impl World {
     /// collision); the world is unchanged in that case.
     pub fn install_netmodel(&mut self, spec: &NetSpec) -> Result<(), String> {
         let host_names: Vec<String> = self
-            .core
             .topo
             .host_ids()
-            .map(|h| self.core.topo.spec(h).name.clone())
+            .map(|h| self.topo.spec(h).name.clone())
             .collect();
-        let net = NetModel::build(spec, &host_names, self.core.seed)?;
-        let reg = &mut self.core.obs.registry;
-        self.core.net_obs = Some(NetObs {
+        let net = NetModel::build(spec, &host_names, self.seed)?;
+        let reg = &mut self.obs.registry;
+        self.net_obs = Some(NetObs {
             bytes_on_link: reg.counter("net.bytes_on_link"),
             link_queue_us: reg.hist("net.link_queue_us"),
             congested_sends: reg.counter("net.congested_sends"),
             routed_sends: reg.counter("net.routed_sends"),
             drops: reg.counter("net.drops"),
             bisection_bytes: reg.counter("net.bisection_bytes"),
-            prev_bisection: 0,
         });
-        self.core.tracef(
+        self.tracef(
             None,
             TraceCategory::Net,
             format_args!(
@@ -935,37 +852,23 @@ impl World {
                 net.graph.links.len(),
             ),
         );
-        self.core.net = Some(net);
+        self.net = Some(net);
         Ok(())
-    }
-
-    /// Spawns a user process (as if from a login shell) with `Pid::INIT`
-    /// as parent. Returns the pid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SysError::HostDown`] if the host is down.
-    pub fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        self.core.spawn(host, Pid::INIT, uid, spec, None)
     }
 
     /// Schedules a host crash at `delay` from now.
     pub fn schedule_crash(&mut self, host: HostId, delay: SimDuration) {
-        self.core.engine.schedule(delay, SimEvent::HostCrash(host));
+        self.engine.schedule(delay, SimEvent::HostCrash(host));
     }
 
     /// Schedules a host restart at `delay` from now.
     pub fn schedule_restart(&mut self, host: HostId, delay: SimDuration) {
-        self.core
-            .engine
-            .schedule(delay, SimEvent::HostRestart(host));
+        self.engine.schedule(delay, SimEvent::HostRestart(host));
     }
 
     /// Schedules a link state change (partition / heal) at `delay` from now.
     pub fn schedule_link(&mut self, a: HostId, b: HostId, up: bool, delay: SimDuration) {
-        self.core
-            .engine
-            .schedule(delay, SimEvent::LinkSet(a, b, up));
+        self.engine.schedule(delay, SimEvent::LinkSet(a, b, up));
     }
 
     /// Installs a fault plan: schedules its timed faults on the event
@@ -979,8 +882,9 @@ impl World {
     /// Returns a message naming any host the plan references but the
     /// world does not have; nothing is scheduled in that case.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), String> {
-        let resolve = |core: &WorldCore, name: &str| {
-            core.host_by_name(name)
+        let resolve = |world: &World, name: &str| {
+            world
+                .host_by_name(name)
                 .ok_or_else(|| format!("fault plan references unknown host {name:?}"))
         };
         // Validate every host first so a bad plan is all-or-nothing.
@@ -989,14 +893,14 @@ impl World {
                 FaultKind::Crash { host }
                 | FaultKind::Restart { host }
                 | FaultKind::Kill { host, .. } => {
-                    resolve(&self.core, host)?;
+                    resolve(self, host)?;
                 }
                 FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => {
-                    resolve(&self.core, a)?;
-                    resolve(&self.core, b)?;
+                    resolve(self, a)?;
+                    resolve(self, b)?;
                 }
                 FaultKind::NetLinkDown { link } | FaultKind::NetLinkUp { link } => {
-                    match &self.core.net {
+                    match &self.net {
                         Some(net) if net.graph.link_by_name(link).is_some() => {}
                         Some(_) => {
                             return Err(format!("fault plan references unknown net link {link:?}"));
@@ -1010,92 +914,73 @@ impl World {
                 }
             }
         }
-        let now = self.core.now();
+        let now = self.now();
         for ev in &plan.events {
             let delay = ev.at.saturating_since(now);
             match &ev.kind {
                 FaultKind::Crash { host } => {
-                    let h = resolve(&self.core, host).expect("validated");
+                    let h = resolve(self, host).expect("validated");
                     self.schedule_crash(h, delay);
                 }
                 FaultKind::Restart { host } => {
-                    let h = resolve(&self.core, host).expect("validated");
+                    let h = resolve(self, host).expect("validated");
                     self.schedule_restart(h, delay);
                 }
                 FaultKind::LinkDown { a, b } => {
-                    let ha = resolve(&self.core, a).expect("validated");
-                    let hb = resolve(&self.core, b).expect("validated");
+                    let ha = resolve(self, a).expect("validated");
+                    let hb = resolve(self, b).expect("validated");
                     self.schedule_link(ha, hb, false, delay);
                 }
                 FaultKind::LinkUp { a, b } => {
-                    let ha = resolve(&self.core, a).expect("validated");
-                    let hb = resolve(&self.core, b).expect("validated");
+                    let ha = resolve(self, a).expect("validated");
+                    let hb = resolve(self, b).expect("validated");
                     self.schedule_link(ha, hb, true, delay);
                 }
                 FaultKind::NetLinkDown { link } | FaultKind::NetLinkUp { link } => {
                     let idx = self
-                        .core
                         .net
                         .as_ref()
                         .and_then(|n| n.graph.link_by_name(link))
                         .expect("validated");
                     let up = matches!(&ev.kind, FaultKind::NetLinkUp { .. });
-                    self.core
-                        .engine
-                        .schedule(delay, SimEvent::NetLinkSet(idx, up));
+                    self.engine.schedule(delay, SimEvent::NetLinkSet(idx, up));
                 }
                 FaultKind::Kill { host, command } => {
-                    let h = resolve(&self.core, host).expect("validated");
-                    self.core
-                        .engine
+                    let h = resolve(self, host).expect("validated");
+                    self.engine
                         .schedule(delay, SimEvent::KillCmd(h, command.clone()));
                 }
             }
         }
-        let faults = self.core.ids.faults_injected;
+        let faults = self.ids.faults_injected;
         if !plan.events.is_empty() {
-            self.core.obs.registry.add(faults, plan.events.len() as u64);
+            self.obs.registry.add(faults, plan.events.len() as u64);
         }
         let wire = WireFaults::new(plan);
         if !wire.is_empty() {
-            self.core.faults = Some(wire);
+            self.faults = Some(wire);
         }
         Ok(())
-    }
-
-    /// Sends a signal "from outside" (e.g. a test acting as the user at a
-    /// terminal) with the given credentials.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's permission and liveness checks.
-    pub fn post_signal(
-        &mut self,
-        from_uid: Uid,
-        target: ProcKey,
-        signal: Signal,
-    ) -> Result<(), SysError> {
-        self.core.post_signal(from_uid, target, signal)
     }
 
     /// Runs until the event queue is quiet at or before `horizon`, then
     /// advances the clock to `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some((_, ev)) = self.core.engine.pop_until(horizon) {
+        while let Some((_, ev)) = self.engine.pop_until(horizon) {
             self.dispatch(ev);
         }
-        self.core.engine.advance_to(horizon);
+        self.engine.advance_to(horizon);
     }
 
     /// Runs for `d` of simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
-        let horizon = self.core.now() + d;
+        let horizon = self.now() + d;
         self.run_until(horizon);
     }
 
     /// Processes a single event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.core.engine.pop() {
+        match self.engine.pop() {
             Some((_, ev)) => {
                 self.dispatch(ev);
                 true
@@ -1113,20 +998,20 @@ impl World {
         reschedule: Option<SimEvent>,
         f: impl FnOnce(&mut dyn Program, &mut Sys<'_>),
     ) {
-        if !self.core.is_alive(key) {
+        if !self.is_alive(key.0, key.1) {
             return;
         }
-        let p = self.core.kernel(key.0).get(key.1).expect("alive");
+        let p = self.kernel(key.0).get(key.1).expect("alive");
         let (state, busy_until) = (p.state, p.busy_until);
         if state == ProcState::Stopped {
             if let Some(ev) = reschedule {
-                self.core.deferred.entry(key).or_default().push(ev);
+                self.deferred.entry(key).or_default().push(ev);
             }
             return;
         }
-        if busy_until > self.core.now() {
+        if busy_until > self.now() {
             if let Some(ev) = reschedule {
-                self.core.engine.schedule_at(busy_until, ev);
+                self.engine.schedule_at(busy_until, ev);
                 return;
             }
         }
@@ -1137,22 +1022,20 @@ impl World {
     /// access. The program sits outside the table meanwhile, and goes
     /// back only if its process survived the callback.
     fn run_program(&mut self, key: ProcKey, f: impl FnOnce(&mut dyn Program, &mut Sys<'_>)) {
-        let Some(mut program) = self.core.programs.remove(&key) else {
+        let Some(mut program) = self.programs.remove(&key) else {
             return;
         };
-        f(program.as_mut(), &mut Sys::new(&mut self.core, key));
-        if self.core.is_alive(key) {
-            self.core.programs.insert(key, program);
+        f(program.as_mut(), &mut Sys::new(self, key));
+        if self.is_alive(key.0, key.1) {
+            self.programs.insert(key, program);
         }
     }
 
     fn dispatch(&mut self, ev: SimEvent) {
         match ev {
             SimEvent::Start(key) => {
-                if self.core.host_up(key.0)
-                    && self
-                        .core
-                        .kernel_call(key.0, |k, now, fx| k.start(key.1, now, fx))
+                if self.host_up(key.0)
+                    && self.kernel_call(key.0, |k, now, fx| k.start(key.1, now, fx))
                 {
                     self.with_program(key, None, |p, sys| p.on_start(sys));
                 }
@@ -1160,14 +1043,14 @@ impl World {
             SimEvent::Timer(key, token, boot) => {
                 // Pids restart at 2 after a crash: a timer that outlived
                 // its boot would fire into whoever holds the pid now.
-                if self.core.kernel(key.0).boot_count() != boot {
+                if self.kernel(key.0).boot_count() != boot {
                     return;
                 }
                 let resched = SimEvent::Timer(key, token, boot);
                 self.with_program(key, Some(resched), |p, sys| p.on_timer(sys, token));
             }
             SimEvent::Deliver { conn, to, data } => {
-                if !self.core.is_alive(to) {
+                if !self.is_alive(to.0, to.1) {
                     return;
                 }
                 // Accounting happens on actual handling (inside the
@@ -1186,19 +1069,19 @@ impl World {
             SimEvent::ConnEstablish { conn } => self.handle_establish(conn),
             SimEvent::Tell(told) => self.tell(told),
             SimEvent::KernelFlush { to } => {
-                let kernel = self.core.kernel_mut(to.0);
+                let kernel = self.kernel_mut(to.0);
                 let flush = |msgs: &[_]| (msgs.len(), encode_batch(msgs));
                 let Some((count, data)) = kernel.drain_batch(to.1, flush) else {
                     return;
                 };
-                let batch = self.core.ids.kernel_batch_msgs;
-                self.core.obs.registry.record(batch, count as u64);
+                let batch = self.ids.kernel_batch_msgs;
+                self.obs.registry.record(batch, count as u64);
                 if count > 1 {
                     let flushed = Note::Flushed {
                         count,
                         tracer: to.1,
                     };
-                    self.core.note(to.0, TraceCategory::Kernel, flushed);
+                    self.note(to.0, TraceCategory::Kernel, flushed);
                 }
                 self.dispatch(SimEvent::KernelBatch { to, data });
             }
@@ -1218,64 +1101,63 @@ impl World {
                 self.with_program(parent, None, |p, sys| p.on_child_exit(sys, child, status));
             }
             SimEvent::LoadTick(host) => {
-                if !self.core.host_up(host) {
+                if !self.host_up(host) {
                     return;
                 }
-                let now = self.core.now();
-                let alpha = self.core.config.load_alpha();
-                let k = self.core.kernel_mut(host);
+                let now = self.now();
+                let alpha = self.config.load_alpha();
+                let k = self.kernel_mut(host);
                 let runnable = k.runnable_count(now);
                 k.update_load(runnable, alpha);
-                let tick = self.core.config.load_tick;
-                self.core.engine.schedule(tick, SimEvent::LoadTick(host));
+                let tick = self.config.load_tick;
+                self.engine.schedule(tick, SimEvent::LoadTick(host));
             }
             SimEvent::HostCrash(host) => self.handle_crash(host),
             SimEvent::HostRestart(host) => self.handle_restart(host),
             SimEvent::KillCmd(host, prefix) => {
-                if !self.core.host_up(host) {
+                if !self.host_up(host) {
                     return;
                 }
                 let mut pids: Vec<Pid> = self
-                    .core
                     .kernel(host)
                     .processes()
                     .filter(|p| p.is_alive() && p.command.starts_with(&prefix))
                     .map(|p| p.pid)
                     .collect();
                 pids.sort_unstable();
-                self.core.tracef(
+                self.tracef(
                     Some(host),
                     TraceCategory::Kernel,
                     format_args!("fault: kill {prefix}* ({} process(es))", pids.len()),
                 );
                 for pid in pids {
-                    let _ = self.core.post_signal(Uid::ROOT, (host, pid), Signal::Kill);
+                    let _ = self.post_signal(Uid::ROOT, (host, pid), Signal::Kill);
                 }
             }
             SimEvent::LinkSet(a, b, up) => {
-                self.core.topo.set_link_up(a, b, up);
-                self.core.net_epoch += 1;
-                let now = self.core.now();
-                self.core.obs.trace.record(
+                self.topo.set_link_up(a, b, up);
+                self.net_epoch += 1;
+                let now = self.now();
+                self.obs.trace.record(
                     now,
                     None,
                     TraceCategory::Net,
                     format_args!(
                         "link {} <-> {} {}",
-                        self.core.topo.spec(a).name,
-                        self.core.topo.spec(b).name,
+                        self.topo.spec(a).name,
+                        self.topo.spec(b).name,
                         if up { "up" } else { "down" }
                     ),
                 );
             }
             SimEvent::NetLinkSet(idx, up) => {
-                let now = self.core.now();
-                let Some(net) = self.core.net.as_mut() else {
+                let now = self.now();
+                let Some(net) = self.net.as_mut() else {
                     return;
                 };
                 net.set_link_up(idx, up);
-                self.core.net_epoch += 1;
-                self.core.obs.trace.record(
+                self.net_epoch += 1;
+                self.obs.trace.record(
                     now,
                     None,
                     TraceCategory::Net,
@@ -1294,116 +1176,111 @@ impl World {
     fn tell(&mut self, told: Tell) {
         let Tell { conn, to, event } = told;
         if event == ConnEvent::Closed {
-            let (now, kernel) = (self.core.now(), &mut self.core.hosts[to.0 .0 as usize]);
-            self.core.conns.told_closed(conn, to, now, kernel);
+            let (now, kernel) = (self.now(), &mut self.hosts[to.0 .0 as usize]);
+            self.conns.told_closed(conn, to, now, kernel);
         }
         self.with_program(to, None, |p, sys| p.on_conn_event(sys, conn, event));
     }
 
     fn handle_establish(&mut self, conn: ConnId) {
-        let c = self.core.conns.get(conn);
+        let c = self.conns.get(conn);
         let Some(c) = c.filter(|c| c.state == ConnState::Connecting) else {
             return;
         };
         let (client, server, port) = (c.client, c.server, c.port);
         // Re-validate: the server must still be listening (its exit or its
         // host's crash unpublishes the port) and the route must still exist.
-        let still_listening = self.core.host_up(server.0)
-            && self.core.kernel(server.0).listener(port) == Some(server.1);
-        let routed = self.core.topo.hops(client.0, server.0).is_some()
+        let still_listening =
+            self.host_up(server.0) && self.kernel(server.0).listener(port) == Some(server.1);
+        let routed = self.topo.hops(client.0, server.0).is_some()
             && self
-                .core
                 .net
                 .as_ref()
                 .is_none_or(|n| n.reachable(client.0 .0, server.0 .0));
-        let now = self.core.now();
+        let now = self.now();
         if !still_listening || !routed {
             let reason = if routed {
                 SysError::ConnectionRefused
             } else {
                 SysError::Unreachable
             };
-            let kernel = &mut self.core.hosts[client.0 .0 as usize];
-            let told = self.core.conns.refuse(conn, reason, now, kernel);
+            let kernel = &mut self.hosts[client.0 .0 as usize];
+            let told = self.conns.refuse(conn, reason, now, kernel);
             told.into_iter().for_each(|t| self.tell(t));
             return;
         }
-        let kernel = &mut self.core.hosts[server.0 .0 as usize];
-        let told = self.core.conns.establish(conn, now, kernel);
+        let kernel = &mut self.hosts[server.0 .0 as usize];
+        let told = self.conns.establish(conn, now, kernel);
         let established = Note::Established {
             conn,
-            from: &self.core.topo.spec(client.0).name,
+            from: &self.topo.spec(client.0).name,
             client: client.1,
-            to: &self.core.topo.spec(server.0).name,
+            to: &self.topo.spec(server.0).name,
             port,
         };
-        self.core
-            .obs
+        self.obs
             .trace
             .note(now, Some(server.0), TraceCategory::Net, established);
         told.into_iter().flatten().for_each(|t| self.tell(t));
     }
 
     fn handle_signal(&mut self, to: ProcKey, signal: Signal) {
-        if !self.core.is_alive(to) {
+        if !self.is_alive(to.0, to.1) {
             return;
         }
         let (host, pid) = to;
-        let catchable = self
-            .core
-            .kernel_call(host, |k, now, fx| k.deliver_signal(pid, signal, now, fx));
+        let catchable = self.kernel_call(host, |k, now, fx| k.deliver_signal(pid, signal, now, fx));
         if catchable {
             // Give the program a chance, else default.
             let mut action = SigAction::Default;
             self.run_program(to, |p, sys| action = p.on_signal(sys, signal));
-            self.core.kernel_call(host, |k, now, fx| {
+            self.kernel_call(host, |k, now, fx| {
                 k.finish_signal(pid, signal, action, now, fx);
             });
         }
     }
 
     fn handle_crash(&mut self, host: HostId) {
-        if !self.core.host_up(host) {
+        if !self.host_up(host) {
             return;
         }
-        self.core.topo.set_host_up(host, false);
-        if let Some(net) = self.core.net.as_mut() {
+        self.topo.set_host_up(host, false);
+        if let Some(net) = self.net.as_mut() {
             net.set_host_up(host.0, false);
         }
-        self.core.net_epoch += 1;
-        self.core
-            .tracef(Some(host), TraceCategory::Net, format_args!("host crashed"));
+        self.net_epoch += 1;
+        self.tracef(Some(host), TraceCategory::Net, format_args!("host crashed"));
         // Break all connections touching the host; survivors learn after
         // the detection interval.
-        let now = self.core.now();
-        for told in self.core.conns.host_crash(host, now) {
-            let jf = self.core.config.cost_jitter;
-            let base = self.core.config.break_detection;
-            let delay = self.core.rng.jitter(base, jf);
-            self.core.engine.schedule(delay, SimEvent::Tell(told));
+        let now = self.now();
+        for told in self.conns.host_crash(host, now) {
+            let jf = self.config.cost_jitter;
+            let base = self.config.break_detection;
+            let delay = self.rng.jitter(base, jf);
+            self.engine.schedule(delay, SimEvent::Tell(told));
         }
         // All local process activity ceases; nothing is notified locally.
         // The crash instant and the running service set go to stable
         // storage (the simulated disk survives the power failure): a
         // restart re-runs the services, and a respawned daemon can read
         // how long the host was dark.
-        self.core.kernel_mut(host).crash(now);
-        self.core.programs.retain(|k, _| k.0 != host);
-        self.core.deferred.retain(|k, _| k.0 != host);
+        self.kernel_mut(host).crash(now);
+        self.programs.retain(|k, _| k.0 != host);
+        self.deferred.retain(|k, _| k.0 != host);
     }
 
     fn handle_restart(&mut self, host: HostId) {
-        if self.core.host_up(host) {
+        if self.host_up(host) {
             return;
         }
-        self.core.topo.set_host_up(host, true);
-        if let Some(net) = self.core.net.as_mut() {
+        self.topo.set_host_up(host, true);
+        if let Some(net) = self.net.as_mut() {
             net.set_host_up(host.0, true);
         }
-        self.core.net_epoch += 1;
-        let now = self.core.now();
-        let names = self.core.kernel_mut(host).reboot(now);
-        self.core.tracef(
+        self.net_epoch += 1;
+        let now = self.now();
+        let names = self.kernel_mut(host).reboot(now);
+        self.tracef(
             Some(host),
             TraceCategory::Net,
             format_args!("host restarted"),
@@ -1412,10 +1289,122 @@ impl World {
         // Re-run the services that were up at crash time (pmd comes back
         // without waiting for traffic), the way init replays /etc/rc.
         for name in names {
-            let _ = Sys::new(&mut self.core, (host, Pid::INIT)).spawn_service(&name);
+            let _ = Sys::new(self, (host, Pid::INIT)).spawn_service(&name);
         }
-        let tick = self.core.config.load_tick;
-        self.core.engine.schedule(tick, SimEvent::LoadTick(host));
+        let tick = self.config.load_tick;
+        self.engine.schedule(tick, SimEvent::LoadTick(host));
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RouteState {
+    Hops(u32),
+    HostDown,
+    Unreachable,
+}
+
+impl fmt::Debug for World {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("World")
+            .field("now", &self.now())
+            .field("hosts", &self.hosts.len())
+            .field("programs", &self.programs.len())
+            .field("connections", &self.conns.len())
+            .field("pending_events", &self.engine.pending())
+            .finish()
+    }
+}
+
+impl Runtime for World {
+    fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
+        self.services.register(name, port, factory);
+    }
+
+    /// The facade's host: [`World::add_host`], then a link to every host
+    /// already there (one LAN segment).
+    fn add_host(&mut self, name: &str, cpu: CpuClass) -> HostId {
+        let id = World::add_host(self, HostSpec::new(name, cpu));
+        for other in 0..id.0 {
+            self.add_link(HostId(other), id);
+        }
+        id
+    }
+
+    /// A child of init, started after the fork+exec delay.
+    fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        if host.0 as usize >= self.hosts.len() {
+            return Err(SysError::NoSuchHost);
+        }
+        self.spawn(host, Pid::INIT, uid, spec, None)
+    }
+
+    /// Checked by the kernel; delivered after the signal latency.
+    fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError> {
+        let kernel = self.hosts.get(target.0 .0 as usize);
+        let kernel = kernel.ok_or(SysError::NoSuchHost)?;
+        if !self.host_up(target.0) {
+            return Err(SysError::HostDown);
+        }
+        kernel.may_signal(from, target.1)?;
+        self.schedule_signal(target, signal);
+        Ok(())
+    }
+
+    fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
+        self.hosts.get(host.0 as usize)?.find_user_proc(uid, prefix)
+    }
+
+    fn run(&mut self, span: SimDuration) {
+        self.run_for(span);
+    }
+
+    fn is_alive(&self, host: HostId, pid: Pid) -> bool {
+        let kernel = self.hosts.get(host.0 as usize);
+        kernel.is_some_and(|k| self.host_up(host) && k.is_alive(pid))
+    }
+
+    /// A host no `add_host` returned is down and has never booted.
+    fn power(&self, host: HostId) -> (bool, u32) {
+        match self.hosts.get(host.0 as usize) {
+            Some(k) => (self.host_up(host), k.boot_count()),
+            None => (false, 0),
+        }
+    }
+
+    fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
+        self.hosts.get(host.0 as usize)?.stable_get(key)
+    }
+
+    /// Leads with the world's own section: its registry (kernel event
+    /// path, faults, `net.*`) and the event engine's queue counts.
+    fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
+        let mut world = self.obs.registry.snapshot();
+        let stats = self.engine_stats();
+        let counter = |name, v: u64| MetricSample {
+            name,
+            value: MetricValue::Counter(v),
+        };
+        let gauge = |name, v: usize| MetricSample {
+            name,
+            value: MetricValue::Gauge(v as i64),
+        };
+        world.push(counter("engine.schedules", stats.schedules));
+        world.push(counter("engine.cancels", stats.cancels));
+        world.push(counter("engine.fired", stats.fired));
+        world.push(gauge("engine.pending", stats.pending));
+        world.push(gauge("engine.overflow_peak", stats.overflow_peak));
+        world.sort_by(|a, b| a.name.cmp(b.name));
+        let mut sections = vec![("world".to_string(), world)];
+        sections.extend(self.obs.snapshots());
+        sections
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Own(&mut self.obs)
+    }
+
+    fn now(&self) -> SimTime {
+        self.engine.now()
     }
 }
 
@@ -1438,29 +1427,22 @@ mod tests {
         let (mut w, a, _) = two_hosts();
         w.run_for(SimDuration::from_millis(100));
         let inetd = w
-            .core()
             .kernel(a)
             .processes()
             .find(|p| p.command == "inetd")
             .map(|p| p.pid);
         assert!(inetd.is_some());
         // inetd listens on its well-known port
-        assert!(w.core().kernel(a).listener(Port::INETD).is_some());
+        assert!(w.kernel(a).listener(Port::INETD).is_some());
     }
 
     #[test]
     fn spawn_user_creates_running_process_after_delay() {
         let (mut w, a, _) = two_hosts();
         let pid = w.spawn_user(a, Uid(100), SpawnSpec::inert("job")).unwrap();
-        assert_eq!(
-            w.core().kernel(a).get(pid).unwrap().state,
-            ProcState::Embryo
-        );
+        assert_eq!(w.kernel(a).get(pid).unwrap().state, ProcState::Embryo);
         w.run_for(SimDuration::from_millis(200));
-        assert_eq!(
-            w.core().kernel(a).get(pid).unwrap().state,
-            ProcState::Running
-        );
+        assert_eq!(w.kernel(a).get(pid).unwrap().state, ProcState::Running);
     }
 
     #[test]
@@ -1470,19 +1452,13 @@ mod tests {
         w.run_for(SimDuration::from_millis(200));
         w.post_signal(Uid(100), (a, pid), Signal::Stop).unwrap();
         w.run_for(SimDuration::from_millis(50));
-        assert_eq!(
-            w.core().kernel(a).get(pid).unwrap().state,
-            ProcState::Stopped
-        );
+        assert_eq!(w.kernel(a).get(pid).unwrap().state, ProcState::Stopped);
         w.post_signal(Uid(100), (a, pid), Signal::Cont).unwrap();
         w.run_for(SimDuration::from_millis(50));
-        assert_eq!(
-            w.core().kernel(a).get(pid).unwrap().state,
-            ProcState::Running
-        );
+        assert_eq!(w.kernel(a).get(pid).unwrap().state, ProcState::Running);
         w.post_signal(Uid(100), (a, pid), Signal::Kill).unwrap();
         w.run_for(SimDuration::from_millis(50));
-        assert!(!w.core().is_alive((a, pid)));
+        assert!(!w.is_alive(a, pid));
     }
 
     #[test]
@@ -1504,14 +1480,14 @@ mod tests {
         w.run_for(SimDuration::from_millis(200));
         w.schedule_crash(a, SimDuration::from_millis(10));
         w.run_for(SimDuration::from_millis(50));
-        assert!(!w.core().host_up(a));
-        assert!(!w.core().is_alive((a, pid)));
+        assert!(!w.host_up(a));
+        assert!(!w.is_alive(a, pid));
         w.schedule_restart(a, SimDuration::from_millis(10));
         w.run_for(SimDuration::from_millis(200));
-        assert!(w.core().host_up(a));
-        assert_eq!(w.core().kernel(a).boot_count(), 2);
+        assert!(w.host_up(a));
+        assert_eq!(w.kernel(a).boot_count(), 2);
         // inetd is back
-        assert!(w.core().kernel(a).listener(Port::INETD).is_some());
+        assert!(w.kernel(a).listener(Port::INETD).is_some());
     }
 
     #[test]
@@ -1522,7 +1498,7 @@ mod tests {
                 .unwrap();
         }
         w.run_for(SimDuration::from_secs(300));
-        let la = w.core().kernel(a).load_avg();
+        let la = w.kernel(a).load_avg();
         assert!((1.8..2.2).contains(&la), "la={la}");
     }
 
@@ -1572,24 +1548,18 @@ mod tests {
         let client = w
             .spawn_user(a, Uid(1), SpawnSpec::new("dial", Box::new(dialer)))
             .unwrap();
-        while w.core().connections().count() == 0 {
+        while w.connections().count() == 0 {
             assert!(w.step(), "the dialer starts");
         }
         let id = ConnId(1);
-        assert_eq!(
-            w.core().conn_table().get(id).unwrap().state,
-            ConnState::Connecting
-        );
-        let held = |w: &World, key| w.core().conn_table().held_by(key).collect::<Vec<_>>();
+        assert_eq!(w.conn_table().get(id).unwrap().state, ConnState::Connecting);
+        let held = |w: &World, key| w.conn_table().held_by(key).collect::<Vec<_>>();
         assert_eq!(held(&w, (b, server)), [id]);
         assert_eq!(held(&w, (a, client)), [id]);
 
-        w.core_mut().do_exit((b, server), ExitStatus::Code(0));
-        assert_eq!(
-            w.core().conn_table().get(id).unwrap().state,
-            ConnState::Closed
-        );
-        assert_eq!(w.core().conn_table().held_len(), 0);
+        w.do_exit((b, server), ExitStatus::Code(0));
+        assert_eq!(w.conn_table().get(id).unwrap().state, ConnState::Closed);
+        assert_eq!(w.conn_table().held_len(), 0);
         w.run_for(SimDuration::from_secs(1));
         assert_eq!(*log.lock().unwrap(), [ConnEvent::Closed]);
     }

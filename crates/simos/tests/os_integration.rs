@@ -8,6 +8,7 @@ use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::obs::MetricValue;
 use ppm_runtime::process::ProcState;
 use ppm_runtime::program::{ConnEvent, Program, SpawnSpec, SysError};
+use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_runtime::workload::{Chatter, EchoServer, Worker};
@@ -216,7 +217,7 @@ fn partition_breaks_connections_on_send() {
         .unwrap();
     w.schedule_link(a, b, false, SimDuration::from_millis(500));
     w.run_for(SimDuration::from_secs(5));
-    let p = w.core().kernel(a).get(c).unwrap();
+    let p = w.kernel(a).get(c).unwrap();
     assert_eq!(
         p.state,
         ProcState::Exited(ExitStatus::Code(1)),
@@ -233,7 +234,7 @@ fn catchable_signal_default_kills_inert_processes() {
     w.post_signal(Uid(1), (a, pid), Signal::Term).unwrap();
     w.run_for(SimDuration::from_millis(100));
     assert_eq!(
-        w.core().kernel(a).get(pid).unwrap().state,
+        w.kernel(a).get(pid).unwrap().state,
         ProcState::Exited(ExitStatus::Signaled(Signal::Term))
     );
 }
@@ -246,7 +247,7 @@ fn usr_signals_do_not_kill() {
     w.post_signal(Uid(1), (a, pid), Signal::Usr1).unwrap();
     w.post_signal(Uid(1), (a, pid), Signal::Usr2).unwrap();
     w.run_for(SimDuration::from_millis(100));
-    let p = w.core().kernel(a).get(pid).unwrap();
+    let p = w.kernel(a).get(pid).unwrap();
     assert!(p.is_alive());
     assert_eq!(p.rusage.signals_received, 2);
 }
@@ -336,7 +337,6 @@ fn trace_flags_are_inherited_by_descendants() {
     );
     // Kill the child: its exit is reported as well.
     let child = w
-        .core()
         .kernel(a)
         .processes()
         .find(|p| p.command == "child")
@@ -350,7 +350,7 @@ fn trace_flags_are_inherited_by_descendants() {
     );
     // The world's own registry counted the same kernel-event path: every
     // event once, in batches of at least one per wakeup.
-    let world = w.core().obs().registry.snapshot();
+    let world = w.obs().registry.snapshot();
     let metric = |name: &str| {
         let sample = world.iter().find(|s| s.name == name);
         sample.unwrap_or_else(|| panic!("no {name}")).value.clone()
@@ -401,7 +401,7 @@ fn kernel_event_latency_grows_with_load() {
 fn identical_seeds_replay_identically() {
     let run = |seed: u64| -> (String, SimTime) {
         let (mut w, a, b) = two_hosts(seed);
-        w.core_mut().obs_mut().trace.set_enabled(true);
+        w.obs_mut().trace.set_enabled(true);
         w.spawn_user(
             b,
             Uid(1),
@@ -416,7 +416,7 @@ fn identical_seeds_replay_identically() {
         )
         .unwrap();
         w.run_for(SimDuration::from_secs(10));
-        (w.core().trace().render(None), w.now())
+        (w.trace().render(None), w.now())
     };
     let (e1, _) = run(12345);
     let (e2, _) = run(12345);
@@ -639,7 +639,7 @@ fn deferred_deliveries_are_accounted_exactly_once() {
     .unwrap();
     w.run_for(SimDuration::from_secs(3));
     assert_eq!(handled.lock().unwrap().len(), 4);
-    let p = w.core().kernel(b).get(server).unwrap();
+    let p = w.kernel(b).get(server).unwrap();
     assert_eq!(
         p.rusage.msgs_received, 4,
         "each message accounted exactly once"
@@ -666,7 +666,7 @@ fn a_timer_does_not_outlive_the_boot_it_was_armed_in() {
     assert_eq!(second, first, "the second boot hands the pid out again");
     w.run_until(SimTime::from_secs(100));
     assert!(
-        w.core().kernel(a).get(second).unwrap().is_alive(),
+        w.kernel(a).get(second).unwrap().is_alive(),
         "the first boot's 60 s timer fired into the second boot's worker"
     );
 }

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use ppm_runtime::kernel::Kernel;
 use ppm_runtime::process::{ProcState, Process};
 use ppm_runtime::program::{ConnEvent, ProcKey, Program, SpawnSpec};
+use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_simnet::time::{SimDuration, SimTime};
@@ -161,7 +162,7 @@ fn arb_net_ops() -> impl Strategy<Value = Vec<(NetOp, usize)>> {
 /// finds — per process and per host, same ids in the same order — and
 /// hold nothing else.
 fn check_conn_index(w: &World) -> Result<(), TestCaseError> {
-    let core = w.core();
+    let core = w;
     let mut by_proc: BTreeMap<ProcKey, Vec<ConnId>> = BTreeMap::new();
     let mut by_host: BTreeMap<HostId, Vec<ConnId>> = BTreeMap::new();
     let mut index_entries = 0;
@@ -330,7 +331,7 @@ proptest! {
     fn world_replay_is_exact(seed in any::<u64>(), jobs in 1usize..6) {
         let run = |seed: u64| {
             let mut w = World::new(seed);
-            w.core_mut().obs_mut().trace.set_enabled(true);
+            w.obs_mut().trace.set_enabled(true);
             let a = w.add_host(HostSpec::new("a", CpuClass::Vax780));
             let b = w.add_host(HostSpec::new("b", CpuClass::Sun2));
             w.add_link(a, b);
@@ -340,9 +341,9 @@ proptest! {
             }
             w.run_for(SimDuration::from_secs(5));
             (
-                w.core().trace().render(None),
+                w.trace().render(None),
                 w.now(),
-                w.core().kernel(a).processes().count(),
+                w.kernel(a).processes().count(),
             )
         };
         let first = run(seed);
@@ -363,6 +364,6 @@ proptest! {
         w.run_for(SimDuration::from_millis(200));
         let res = w.post_signal(Uid(other_uid), (a, pid), signal);
         prop_assert!(res.is_err());
-        prop_assert!(w.core().is_alive((a, pid)));
+        prop_assert!(w.is_alive(a, pid));
     }
 }

@@ -7,6 +7,7 @@
 use ppm_runtime::ids::{Port, Uid};
 use ppm_runtime::process::ProcState;
 use ppm_runtime::program::SpawnSpec;
+use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::ExitStatus;
 use ppm_runtime::time::SimDuration;
 use ppm_runtime::workload::{Chatter, DutyCycle, EchoServer, TreeSpawner, Worker};
@@ -36,7 +37,7 @@ fn duty_cycle_pins_load_average() {
         .unwrap();
     }
     w.run_for(SimDuration::from_secs(400));
-    let la = w.core().kernel(a).load_avg();
+    let la = w.kernel(a).load_avg();
     assert!(
         (1.2..1.8).contains(&la),
         "3 half-duty spinners ≈ 1.5, got {la}"
@@ -60,7 +61,7 @@ fn worker_consumes_cpu_and_exits() {
         )
         .unwrap();
     w.run_for(SimDuration::from_secs(2));
-    let p = w.core().kernel(a).get(pid).unwrap();
+    let p = w.kernel(a).get(pid).unwrap();
     assert!(matches!(p.state, ProcState::Exited(_)));
     assert!(p.rusage.cpu >= SimDuration::from_millis(30));
 }
@@ -74,7 +75,7 @@ fn tree_spawner_builds_full_tree() {
         .spawn_user(a, Uid(1), SpawnSpec::new("tree-root", Box::new(spec)))
         .unwrap();
     w.run_for(SimDuration::from_secs(5));
-    let kern = w.core().kernel(a);
+    let kern = w.kernel(a);
     let mine = kern.user_processes(Uid(1));
     assert_eq!(mine.len(), 7, "root + 2 + 4 nodes alive");
     // Genealogy: root has exactly two children.
@@ -99,12 +100,12 @@ fn chatter_and_echo_exchange_messages() {
         )
         .unwrap();
     w.run_for(SimDuration::from_secs(5));
-    let p = w.core().kernel(a).get(c).unwrap();
+    let p = w.kernel(a).get(c).unwrap();
     assert_eq!(p.state, ProcState::Exited(ExitStatus::Code(0)));
     assert_eq!(p.rusage.msgs_sent, 5);
     assert_eq!(p.rusage.msgs_received, 5);
     // Connection stats captured both directions.
-    let conn = w.core().connections().next().unwrap();
+    let conn = w.connections().next().unwrap();
     assert_eq!(conn.stats.msgs_to_server, 5);
     assert_eq!(conn.stats.msgs_to_client, 5);
 }

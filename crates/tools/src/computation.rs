@@ -189,7 +189,6 @@ mod tests {
             let host = ppm.host(&m.host).unwrap();
             let state = ppm
                 .world()
-                .core()
                 .kernel(host)
                 .get(ppm_simos::ids::Pid(m.pid))
                 .unwrap()
@@ -203,7 +202,6 @@ mod tests {
         let host = ppm.host(&members[1].host).unwrap();
         assert_eq!(
             ppm.world()
-                .core()
                 .kernel(host)
                 .get(ppm_simos::ids::Pid(members[1].pid))
                 .unwrap()
@@ -224,7 +222,6 @@ mod tests {
             let host = ppm.host(&m.host).unwrap();
             assert!(
                 !ppm.world()
-                    .core()
                     .kernel(host)
                     .get(ppm_simos::ids::Pid(m.pid))
                     .unwrap()

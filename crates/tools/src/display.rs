@@ -213,7 +213,7 @@ pub struct NetLinkRow {
 /// or `None` when the world runs the flat wire law (no net model).
 #[must_use]
 pub fn net_rows(ppm: &PpmHarness) -> Option<(String, Vec<NetLinkRow>)> {
-    let net = ppm.world().core().net()?;
+    let net = ppm.world().net()?;
     let mut rows: Vec<NetLinkRow> = net
         .graph
         .links

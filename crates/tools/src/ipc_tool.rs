@@ -31,11 +31,10 @@ pub struct ConnReport {
 /// Extracts the connection table from the world.
 pub fn connection_report(world: &World) -> Vec<ConnReport> {
     world
-        .core()
         .connections()
         .map(|c| {
             let name = |(h, p): (ppm_simos::ids::HostId, ppm_simos::ids::Pid)| {
-                format!("{}:{}", world.core().host_name(h), p)
+                format!("{}:{}", world.host_name(h), p)
             };
             ConnReport {
                 client: name(c.client),

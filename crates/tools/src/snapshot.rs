@@ -11,7 +11,7 @@ use ppm_harness::harness::{HarnessError, PpmHarness, Runtime};
 use ppm_proto::msg::ControlAction;
 use ppm_proto::types::{Gpid, Name, ProcRecord, WireProcState};
 use ppm_simos::ids::Uid;
-use ppm_simos::rt::SimRuntime;
+use ppm_simos::world::World;
 
 use crate::forest::Forest;
 
@@ -90,7 +90,7 @@ pub fn render_partial(records: Vec<ProcRecord>, title: &str, missing: &[Name]) -
 
 /// The interactive snapshot tool: display plus the four control verbs.
 #[derive(Debug)]
-pub struct SnapshotTool<'a, R: Runtime = SimRuntime> {
+pub struct SnapshotTool<'a, R: Runtime = World> {
     ppm: &'a mut PpmHarness<R>,
     from_host: String,
     uid: Uid,

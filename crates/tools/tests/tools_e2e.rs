@@ -41,7 +41,7 @@ fn snapshot_tool_verbs_drive_remote_processes() {
         .unwrap();
     let b = ppm.host("b").unwrap();
     let pid = Pid(g.pid);
-    let state = |ppm: &PpmHarness| ppm.world().core().kernel(b).get(pid).unwrap().state;
+    let state = |ppm: &PpmHarness| ppm.world().kernel(b).get(pid).unwrap().state;
 
     let mut tool = SnapshotTool::new(&mut ppm, "a", USER);
     // show/stop/fg/bg/kill — the paper's built-in verbs, end to end.

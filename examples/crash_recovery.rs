@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show the recovery-related trace entries.
     println!("\n--- recovery timeline ---");
-    for e in ppm.world().core().trace().entries() {
+    for e in ppm.world().trace().entries() {
         let text = e.text();
         if matches!(e.category, TraceCategory::Lpm | TraceCategory::Recovery)
             && (text.contains("CCS") || text.contains("seeking") || text.contains("acting"))

@@ -91,7 +91,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let beta = ppm.host("beta")?;
     let consumer_alive = ppm
         .world()
-        .core()
         .kernel(beta)
         .get(ppm::simos::ids::Pid(consumer.pid))
         .unwrap()

@@ -8,20 +8,8 @@
 //! standalone, which is what makes a failed cell reproducible and what
 //! the sweep determinism gate checksums.
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one byte slice into an existing FNV-1a state.
-#[must_use]
-pub fn fnv1a_fold(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
+pub use ppm_runtime::hashx::fnv1a_fold;
+use ppm_runtime::hashx::FNV_OFFSET;
 
 /// FNV-1a over a sequence of text chunks, as if concatenated.
 #[must_use]

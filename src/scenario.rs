@@ -76,7 +76,7 @@ use ppm_simnet::fault::FaultPlan;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, NetGraph, NetSpec};
 use ppm_simos::ids::Uid;
-use ppm_simos::rt::SimRuntime;
+use ppm_simos::world::World;
 use ppm_tools::computation::signal_computation;
 use ppm_tools::display;
 use ppm_tools::drill::{forest_nodes, recovery_drill, DrillReport};
@@ -691,7 +691,7 @@ pub(crate) fn execute_storm(
 
 /// A scenario played on runtime `R`, to its end or to the action that
 /// failed.
-pub(crate) struct Played<R: Runtime = SimRuntime> {
+pub(crate) struct Played<R: Runtime = World> {
     /// The harness, for post-run inspection — its trace and metrics say
     /// how far a failed play got.
     pub ppm: PpmHarness<R>,

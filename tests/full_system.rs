@@ -5,7 +5,7 @@
 
 use ppm::core::client::ToolStep;
 use ppm::core::config::PpmConfig;
-use ppm::harness::harness::PpmHarness;
+use ppm::harness::harness::{PpmHarness, Runtime};
 use ppm::proto::msg::{ControlAction, Op, Reply};
 use ppm::proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm::proto::types::WireProcState;
@@ -253,5 +253,5 @@ fn a_timer_does_not_outlive_the_boot_it_was_armed_in() {
     let second = w.spawn_user(a, ALICE, worker(300)).unwrap();
     assert_eq!(second, first, "the second boot hands the pid out again");
     w.run_until(SimTime::from_secs(100));
-    assert!(w.core().kernel(a).get(second).unwrap().is_alive());
+    assert!(w.kernel(a).get(second).unwrap().is_alive());
 }

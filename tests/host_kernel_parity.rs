@@ -24,6 +24,10 @@
 //! A fourth sends a process two signals from itself: its handler runs
 //! for both, a fatal-by-default one included, and both count.
 //!
+//! A fifth asks the driver's facade about the host id just past the
+//! last one: each action says `NoSuchHost`, each query `None` or
+//! `false`, and none panics.
+//!
 //! Each script is one generic driver, run on all three `Runtime`s.
 
 use bytes::Bytes;
@@ -39,7 +43,7 @@ use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::SimDuration;
-use ppm_simos::rt::SimRuntime;
+use ppm_simos::world::World;
 
 const OWNER: Uid = Uid(100);
 const STRANGER: Uid = Uid(200);
@@ -201,7 +205,7 @@ fn run_on<R: Runtime>(rt: &mut R, backend: &str) -> Outcome {
 
 #[test]
 fn one_script_same_kernel_events_on_sim_real_and_mc() {
-    let sim = run_on(&mut SimRuntime::new(7), "sim");
+    let sim = run_on(&mut World::new(7), "sim");
     let expected = "\
 exec subject subject
 fork subject -> kid
@@ -296,7 +300,7 @@ fn dial_on<R: Runtime>(rt: &mut R, backend: &str) -> Vec<String> {
 #[test]
 fn a_daemon_is_inits_child_and_a_closed_connection_leaves_no_descriptor() {
     let expected = ["1", "", "listener"];
-    assert_eq!(dial_on(&mut SimRuntime::new(7), "sim"), expected);
+    assert_eq!(dial_on(&mut World::new(7), "sim"), expected);
     assert_eq!(
         dial_on(&mut RealRuntime::with_trace(false), "real"),
         expected
@@ -463,7 +467,7 @@ sent 1/6B received 1/4B
 peer closed: alive false, sockets 0
 peer exited: alive false, sockets 0",
     ];
-    assert_eq!(conn_script_on(&mut SimRuntime::new(7), "sim"), expected);
+    assert_eq!(conn_script_on(&mut World::new(7), "sim"), expected);
     let real = conn_script_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
     let mc = conn_script_on(&mut McWorld::new(), "mc");
@@ -515,9 +519,42 @@ fn self_signal_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
 #[test]
 fn a_signal_a_process_sends_itself_reaches_its_handler_on_sim_real_and_mc() {
     let expected = r#"handled ["SIGUSR1", "SIGTERM"] received 2"#;
-    assert_eq!(self_signal_on(&mut SimRuntime::new(7), "sim"), expected);
+    assert_eq!(self_signal_on(&mut World::new(7), "sim"), expected);
     let real = self_signal_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
     let mc = self_signal_on(&mut McWorld::new(), "mc");
     assert_eq!(mc, expected, "model checker diverges from sim");
+}
+
+/// Every facade call that names a host, made with one no `add_host`
+/// returned.
+fn unknown_host_on<R: Runtime>(rt: &mut R) -> Vec<String> {
+    let host = rt.add_host("a", CpuClass::Vax780);
+    let ghost = HostId(host.0 + 1);
+    let spawned = rt.spawn_user(ghost, OWNER, SpawnSpec::inert("ghost"));
+    let signalled = rt.post_signal(OWNER, (ghost, Pid(2)), Signal::Kill);
+    vec![
+        format!("spawn_user {spawned:?}"),
+        format!("post_signal {signalled:?}"),
+        format!("find_proc {:?}", rt.find_proc(ghost, OWNER, "")),
+        format!("is_alive {}", rt.is_alive(ghost, Pid::INIT)),
+        format!("stable_get {:?}", rt.stable_get(ghost, REPORT)),
+    ]
+}
+
+#[test]
+fn an_unknown_host_is_an_answer_not_a_panic_on_sim_real_and_mc() {
+    let expected = [
+        "spawn_user Err(NoSuchHost)",
+        "post_signal Err(NoSuchHost)",
+        "find_proc None",
+        "is_alive false",
+        "stable_get None",
+    ];
+    let mut sim = World::new(7);
+    assert_eq!(unknown_host_on(&mut sim), expected);
+    assert_eq!(sim.power(HostId(1)), (false, 0), "sim: never booted");
+    let real = unknown_host_on(&mut RealRuntime::with_trace(false));
+    assert_eq!(real, expected, "real backend diverges from sim");
+    assert_eq!(unknown_host_on(&mut McWorld::new()), expected, "mc");
 }

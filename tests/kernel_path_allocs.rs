@@ -143,7 +143,7 @@ fn wave(ppm: &mut PpmHarness) -> (u64, usize) {
     let pid = ppm.spawn_login_process("a", USER, spec).expect("spawn");
     ppm.adopt("a", USER, "a", pid.0, TraceFlags::ALL.bits())
         .expect("adopt");
-    let trace = |ppm: &PpmHarness| ppm.world().core().trace().stored_bytes();
+    let trace = |ppm: &PpmHarness| ppm.world().trace().stored_bytes();
     let before = (ALLOCS.get(), trace(ppm));
     for _ in 0..200 {
         if exited.load(Ordering::Relaxed) == PROCS {
@@ -165,7 +165,7 @@ fn steady_wave(trace: bool) -> (u64, usize) {
         .host("a", CpuClass::Vax780)
         .user(USER, 0xBEEF, &["a"], PpmConfig::default())
         .build();
-    assert_eq!(ppm.world().core().trace().is_enabled(), trace);
+    assert_eq!(ppm.world().trace().is_enabled(), trace);
     // The first wave creates the LPM and sizes the kernel's tables, the
     // batch buffers and the genealogy arena; the second is steady state.
     wave(&mut ppm);

@@ -32,7 +32,7 @@ fn run_digest(text: &str, faults: Option<&str>, topo: Option<&NetSpec>) -> Strin
         topology: topo,
     };
     let h = scenario::execute_with(&sc, &mut out, opts).expect("scenario executes");
-    let trace = h.world().core().trace().render(None);
+    let trace = h.world().trace().render(None);
     let metrics = h.metrics_report();
     hex(fnv1a(&[&out, &trace, &metrics]))
 }

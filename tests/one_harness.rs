@@ -22,7 +22,7 @@ use ppm_realos::RealRuntime;
 use ppm_runtime::ids::{CpuClass, Uid};
 use ppm_runtime::obs::SpanPhase;
 use ppm_runtime::trace::TraceCategory;
-use ppm_simos::rt::SimRuntime;
+use ppm_simos::world::World;
 use ppm_tools::drill::recovery_drill;
 
 const USER: Uid = Uid(100);
@@ -88,8 +88,8 @@ fn exec_display_locate<R: Runtime>(rt: R, backend: &str) -> (Observed, Explained
 
 /// A simulated world recording its trace, as the real and checker
 /// runtimes below are told to.
-fn traced_sim() -> SimRuntime {
-    let mut sim = SimRuntime::new(1986);
+fn traced_sim() -> World {
+    let mut sim = World::new(1986);
     sim.hub().trace.set_enabled(true);
     sim
 }

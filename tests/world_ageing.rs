@@ -14,7 +14,7 @@ const USER: Uid = Uid(100);
 
 /// (records, open connections, index entries)
 fn census(ppm: &PpmHarness) -> (usize, usize, usize) {
-    let core = ppm.world().core();
+    let core = ppm.world();
     let open = core
         .connections()
         .filter(|c| c.state != ConnState::Closed)
@@ -29,7 +29,7 @@ fn census(ppm: &PpmHarness) -> (usize, usize, usize) {
 /// The largest descriptor table among the daemons every request on host
 /// `a` passes through: inetd, pmd and the user's LPM.
 fn daemon_fds(ppm: &PpmHarness) -> usize {
-    let core = ppm.world().core();
+    let core = ppm.world();
     let kernel = core.kernel(core.host_by_name("a").expect("host a"));
     let table_of = |port: Port| {
         let daemon = kernel.listener(port).expect("daemon listens");
