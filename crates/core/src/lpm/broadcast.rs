@@ -49,9 +49,7 @@
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use ppm_proto::codec::{frames, Enc, Wire};
-use ppm_proto::msg::{
-    ErrCode, Msg, Op, Reply, SnapshotRun, WirePart, WireReply, MAX_REPLY_RECORDS,
-};
+use ppm_proto::msg::{ErrCode, Msg, Op, Reply, ReplyRef, WirePart, WireReply, MAX_REPLY_RECORDS};
 use ppm_proto::types::{Name, Route, Stamp};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::obs::SpanPhase;
@@ -383,7 +381,7 @@ impl Lpm {
         );
         match &mut b.role {
             BcastRole::Origin { parts, .. } => {
-                let run = SnapshotRun::of(&reply);
+                let run = reply.read().ok().and_then(ReplyRef::run);
                 parts.push((reply, run));
             }
             BcastRole::Relay {

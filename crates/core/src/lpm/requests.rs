@@ -9,7 +9,7 @@
 //! possible.
 
 use ppm_proto::codec::clip_str;
-use ppm_proto::msg::{ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyPeek, WireReply};
+use ppm_proto::msg::{ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyRef, WireReply};
 use ppm_proto::types::{FileRecord, Gpid, Name, Route};
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::fd::FdKind;
@@ -1055,19 +1055,19 @@ impl Lpm {
         // Remember cross-host logical edges of spawns we saw succeed (as
         // origin or relay): a respawned sibling pulls them back when it
         // rebuilds its forest after a crash ([`Msg::ForestPull`]).
-        if let (
-            Op::Spawn {
-                logical_parent: Some(parent),
-                ..
-            },
-            ReplyPeek::Spawned { host, pid },
-        ) = (&req.op, reply.peek())
+        if let Op::Spawn {
+            logical_parent: Some(parent),
+            ..
+        } = &req.op
         {
-            if host != self.host {
-                let known = self.remote_children.entry(Name::new(host)).or_default();
-                if known.len() < 4096 {
-                    known.insert(pid, parent.clone());
+            match reply.read() {
+                Ok(ReplyRef::Spawned { host, pid }) if host != self.host => {
+                    let known = self.remote_children.entry(Name::new(host)).or_default();
+                    if known.len() < 4096 {
+                        known.insert(pid, parent.clone());
+                    }
                 }
+                _ => {}
             }
         }
         let span = format_args!("{}#{}", req.corr.0, req.corr.1);
@@ -1108,7 +1108,7 @@ impl Lpm {
                 let _ = sys.send(conn, resp);
             }
             ReplyTo::Internal => {
-                if let ReplyPeek::Err { code, detail } = reply.peek() {
+                if let Ok(ReplyRef::Err { code, detail }) = reply.read() {
                     let at = sys.now();
                     let note = format!("{code:?}: {detail}");
                     self.history

@@ -371,6 +371,13 @@ impl<'a> Dec<'a> {
         })
     }
 
+    /// The bytes read since `start`, an earlier [`Dec::pos`] of this
+    /// decoder.
+    #[inline]
+    pub fn read_since(&self, start: usize) -> &'a [u8] {
+        &self.data[start..self.pos]
+    }
+
     /// Fails unless all input was consumed.
     ///
     /// # Errors

@@ -24,10 +24,13 @@
 //! `WireReply`s ([`WireReply::partial`], [`WireReply::merge`]) — so
 //! everything spliced out of one is byte-for-byte what encoding the
 //! corresponding [`Msg`] / [`BcastPart`] / [`Reply`] value would give.
-//! **Who may peek:** the LPM's completion path reads two things through
-//! [`WireReply::peek`] — a `Spawned` reply's gpid (remote-child
-//! bookkeeping) and an `Err` (internal-request logging). Nothing else
-//! inside an LPM looks into a reply; only the tool decodes it.
+//! **Who reads one:** inside an LPM, only [`ReplyRef::read`], one
+//! checked walk that builds nothing. It admits arriving replies
+//! ([`Inbound::decode`], [`WirePart::split`]) and the originator's own
+//! slice, recording a snapshot's run; it gives the completion path a
+//! spawned child's gpid and an internal request's `Err`; and it gives
+//! [`WireReply::merge`] each part's records. Nothing else in an LPM looks
+//! into a reply; only the tool decodes one ([`Reply::decode`]).
 //!
 //! # The vocabulary is what is spoken
 //!
@@ -38,14 +41,15 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 use bytes::Bytes;
 
 use crate::codec::{frames, CodecError, Dec, Enc, Wire};
 use crate::triggers::TriggerSpec;
 use crate::types::{
-    FileRecord, Gpid, HistoryRecord, MetricRow, Name, ProcRecord, ProcRecordRef, Route,
-    RusageRecord, Stamp,
+    FileRecord, Gpid, HistoryRecord, HistoryRecordRef, MetricRow, Name, ProcRecord, ProcRecordRef,
+    Route, RusageRecord, Stamp,
 };
 
 // Tags of the values this module reads or writes around an encoded
@@ -1215,25 +1219,129 @@ enum Held {
     Shared(Bytes),
 }
 
-/// The fields an LPM reads of a reply it is completing a request with.
+/// A reply read in place by [`ReplyRef::read`], one variant per kind:
+/// its strings and records stay in the bytes they were read from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplyPeek<'a> {
-    /// [`Reply::Err`].
-    Err {
-        /// Machine-readable code.
-        code: ErrCode,
-        /// Human-readable detail.
-        detail: &'a str,
-    },
+pub enum ReplyRef<'a> {
+    /// [`Reply::Ok`].
+    Ok,
+    /// [`Reply::Err`]'s code and detail.
+    Err { code: ErrCode, detail: &'a str },
+    /// [`Reply::Pong`].
+    Pong,
     /// [`Reply::Spawned`]'s gpid.
-    Spawned {
-        /// Host of the new process.
-        host: &'a str,
-        /// Its pid there.
-        pid: u32,
+    Spawned { host: &'a str, pid: u32 },
+    /// [`Reply::Snapshot`], [`Reply::Rusage`] or [`Reply::History`], as
+    /// its tag `kind` says: `count` records, whose bytes are `region` (the
+    /// rest of the reply), and a snapshot's `run` when its records'
+    /// `(host, pid)` keys strictly ascend.
+    Records {
+        kind: u8,
+        count: usize,
+        region: &'a [u8],
+        run: Option<SnapshotRun>,
     },
-    /// Anything else: not the LPM's business.
-    Other,
+    /// [`Reply::Files`].
+    Files,
+    /// [`Reply::Triggers`].
+    Triggers,
+    /// [`Reply::Status`].
+    Status,
+    /// [`Reply::Stats`].
+    Stats,
+    /// [`Reply::Partial`].
+    Partial,
+    /// [`Reply::Metrics`].
+    Metrics,
+}
+
+impl<'a> ReplyRef<'a> {
+    /// Reads one reply at `dec`, checked as [`Reply::decode`] checks it
+    /// (same verdict, same error, same end), without building a record.
+    /// A snapshot's walk records its run; the kinds no LPM looks into are
+    /// checked by [`Reply::decode`] itself.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] on malformed input.
+    pub fn read(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
+        let start = dec.clone();
+        Ok(match dec.u8()? {
+            0 => ReplyRef::Ok,
+            REPLY_ERR => ReplyRef::Err {
+                code: ErrCode::decode(dec)?,
+                detail: dec.str_ref()?,
+            },
+            2 => ReplyRef::Pong,
+            REPLY_SPAWNED => ReplyRef::Spawned {
+                host: dec.str_ref()?,
+                pid: dec.u32()?,
+            },
+            REPLY_SNAPSHOT => {
+                dec.str_ref()?; // the reporting host; each record names its own
+                Self::records::<REPLY_SNAPSHOT>(dec, start.pos())?
+            }
+            REPLY_RUSAGE => Self::records::<REPLY_RUSAGE>(dec, start.pos())?,
+            REPLY_HISTORY => Self::records::<REPLY_HISTORY>(dec, start.pos())?,
+            tag => {
+                *dec = start;
+                Reply::decode(dec)?;
+                match tag {
+                    7 => ReplyRef::Files,
+                    8 => ReplyRef::Triggers,
+                    9 => ReplyRef::Status,
+                    10 => ReplyRef::Stats,
+                    REPLY_PARTIAL => ReplyRef::Partial,
+                    _ => ReplyRef::Metrics, // 12: the decode refused any other tag
+                }
+            }
+        })
+    }
+
+    /// The record list of a reply of kind `KIND` (its tag) begun at
+    /// `start`: the count, then every record, checked. A snapshot's walk
+    /// records its run, comparing pids, and hosts only when they change.
+    /// Compiled apart from [`ReplyRef::read`], so that the loop every
+    /// record crossing an LPM runs through stays a small one.
+    #[inline(never)]
+    fn records<const KIND: u8>(dec: &mut Dec<'a>, start: usize) -> Result<Self, CodecError> {
+        let count = dec.seq_len()?;
+        let first = dec.pos();
+        let (mut last, mut prev, mut ascending) = (first, None, KIND == REPLY_SNAPSHOT);
+        for _ in 0..count {
+            last = dec.pos();
+            if KIND == REPLY_SNAPSHOT {
+                let record = ProcRecordRef::decode(dec)?;
+                if let Some((host, pid)) = prev {
+                    ascending &= if record.host == host {
+                        record.pid > pid
+                    } else {
+                        record.host > host
+                    };
+                }
+                prev = Some((record.host, record.pid));
+            } else {
+                sort_key::<KIND>(dec)?;
+            }
+        }
+        let region = dec.read_since(first);
+        let (first, last) = (first - start, last - start);
+        let run = ascending.then_some(SnapshotRun { count, first, last });
+        Ok(ReplyRef::Records {
+            kind: KIND,
+            count,
+            region,
+            run,
+        })
+    }
+
+    /// The run a snapshot's walk recorded; `None` for any other reply.
+    pub fn run(self) -> Option<SnapshotRun> {
+        match self {
+            ReplyRef::Records { run, .. } => run,
+            _ => None,
+        }
+    }
 }
 
 /// Why a set of broadcast parts could not be split or merged.
@@ -1273,11 +1381,30 @@ impl WireReply {
         Reply::from_bytes(self.as_bytes())
     }
 
+    /// Reads the reply in place, to its last byte.
+    ///
+    /// # Errors
+    ///
+    /// None for a value built through this module (see the module docs).
+    pub fn read(&self) -> Result<ReplyRef<'_>, CodecError> {
+        let mut dec = Dec::new(self.as_bytes());
+        let reply = ReplyRef::read(&mut dec)?;
+        dec.finish()?;
+        Ok(reply)
+    }
+
     fn inline(encoded: &[u8]) -> Option<Self> {
         let len = u8::try_from(encoded.len()).ok()?;
         let mut buf = [0; INLINE_REPLY];
         buf.get_mut(..encoded.len())?.copy_from_slice(encoded);
         Some(WireReply(Held::Inline { len, buf }))
+    }
+
+    /// The reply at `range` of `frame`, read there already: a slice of
+    /// the frame, or a copy held inline when it is that small.
+    fn slice(frame: &Bytes, range: Range<usize>) -> Self {
+        Self::inline(&frame[range.clone()])
+            .unwrap_or_else(|| WireReply(Held::Shared(frame.slice(range))))
     }
 
     /// What a record-list reply of `count` records is answered with
@@ -1320,46 +1447,6 @@ impl WireReply {
         Self::from_enc(enc)
     }
 
-    /// Walks over one encoded reply at `dec`, checking it as
-    /// [`Reply::decode`] would, and keeps it as a slice of `frame` — the
-    /// buffer `dec` reads. Snapshot records, the bulk of what crosses an
-    /// LPM, are checked in place, and the walk records their run; the
-    /// small replies take the decode path.
-    fn scan(frame: &Bytes, dec: &mut Dec<'_>) -> Result<(Self, Option<SnapshotRun>), CodecError> {
-        let start = dec.pos();
-        let run = if dec.clone().u8()? == REPLY_SNAPSHOT {
-            dec.u8()?;
-            dec.str_ref()?;
-            SnapshotRun::walk(dec, start)?
-        } else {
-            Reply::decode(dec)?;
-            None
-        };
-        let range = start..dec.pos();
-        let reply = Self::inline(&frame[range.clone()])
-            .unwrap_or_else(|| WireReply(Held::Shared(frame.slice(range))));
-        Ok((reply, run))
-    }
-
-    /// The fields the LPM's completion path acts on.
-    pub fn peek(&self) -> ReplyPeek<'_> {
-        let mut dec = Dec::new(self.as_bytes());
-        let mut read = || {
-            Ok::<_, CodecError>(match dec.u8()? {
-                REPLY_ERR => ReplyPeek::Err {
-                    code: ErrCode::decode(&mut dec)?,
-                    detail: dec.str_ref()?,
-                },
-                REPLY_SPAWNED => ReplyPeek::Spawned {
-                    host: dec.str_ref()?,
-                    pid: dec.u32()?,
-                },
-                _ => ReplyPeek::Other,
-            })
-        };
-        read().unwrap_or(ReplyPeek::Other)
-    }
-
     /// The bytes of `Msg::Resp { id, reply, route }`, sized exactly.
     pub fn resp(&self, id: u64, route: &Route) -> Bytes {
         let body = self.as_bytes();
@@ -1394,18 +1481,17 @@ impl WireReply {
         Self::from_enc(enc)
     }
 
-    /// Merges the parts a broadcast of `op` gathered into the one reply
-    /// its tool gets: records of every matching part, stably sorted —
-    /// snapshots by `(host, pid)`, rusage by exit time, history by event
-    /// time — under one header. The records are never built. When every
-    /// snapshot among the parts comes with its [`SnapshotRun`] and no two
-    /// runs touch (each run's last key is below the next one's first),
-    /// the sorted records are the runs one after another in first-key
-    /// order: each run's record region is copied once, and no record is
-    /// walked. Otherwise a walk collects each record's sort key and byte
-    /// range, the keys are sorted, and the ranges are copied once. Parts
-    /// of another kind (an `Err` from one host) contribute nothing, and a
-    /// broadcast of any other `op` merges to `Pong`. Parts that sum past
+    /// Merges the parts a broadcast of `op` gathered, each with the
+    /// [`SnapshotRun`] its admission recorded or `None`, into the one
+    /// reply its tool gets: records of every matching part, stably sorted
+    /// — snapshots by `(host, pid)`, rusage by exit time, history by event
+    /// time — under one header, never built. When every snapshot part has
+    /// a run and no two runs touch (each run's last key is below the next
+    /// one's first), the runs' record regions are copied in first-key
+    /// order and no record is walked. Otherwise each part's records are
+    /// walked for their sort keys, the keys sorted and the records copied
+    /// once. Parts of another kind (an `Err` from one host) add nothing; a
+    /// broadcast of any other `op` merges to `Pong`; parts that sum past
     /// [`MAX_REPLY_RECORDS`] merge to a `Reply::Err` that says so.
     ///
     /// # Errors
@@ -1413,65 +1499,41 @@ impl WireReply {
     /// The index of a part that does not walk, with the reason. Cannot
     /// happen for parts built through this module, whose bytes were
     /// checked on the way in; the walk is a checked one regardless.
-    pub fn merge<P: MergePart>(op: &Op, parts: &[P]) -> Result<Self, PartError> {
+    pub fn merge(op: &Op, parts: &[(WireReply, Option<SnapshotRun>)]) -> Result<Self, PartError> {
         match op {
             Op::Snapshot => match splice_runs(parts) {
                 Some(merged) => Ok(merged),
-                None => merge_records(parts, REPLY_SNAPSHOT, |dec| {
-                    ProcRecordRef::decode(dec).map(|r| (r.host, r.pid))
-                }),
+                None => merge_records::<REPLY_SNAPSHOT>(parts),
             },
-            Op::Rusage { .. } => merge_records(parts, REPLY_RUSAGE, |dec| {
-                RusageRecord::decode(dec).map(|r| r.exited_us)
-            }),
-            Op::History { .. } => merge_records(parts, REPLY_HISTORY, |dec| {
-                HistoryRecord::decode(dec).map(|r| r.at_us)
-            }),
+            Op::Rusage { .. } => merge_records::<REPLY_RUSAGE>(parts),
+            Op::History { .. } => merge_records::<REPLY_HISTORY>(parts),
             _ => Ok(WireReply::from(&Reply::Pong)),
         }
     }
 }
 
-/// A part [`WireReply::merge`] combines: a reply, with the run the walk
-/// that admitted it recorded, when it kept one.
-pub trait MergePart {
-    /// The reply.
-    fn reply(&self) -> &WireReply;
-    /// Its run, recorded from these very bytes.
-    fn run(&self) -> Option<SnapshotRun>;
+/// What the merge sorts a record by: a snapshot record's `(host, pid)`;
+/// a rusage or history record's exit or event time, with no host.
+type Key<'a> = (&'a str, u64);
+
+/// Reads one record of a reply of kind `KIND` (its tag), checked as its
+/// owned type's decode checks it, and returns its [`Key`].
+#[inline]
+fn sort_key<'a, const KIND: u8>(dec: &mut Dec<'a>) -> Result<Key<'a>, CodecError> {
+    Ok(match KIND {
+        REPLY_SNAPSHOT => ProcRecordRef::decode(dec).map(|r| (r.host, u64::from(r.pid)))?,
+        REPLY_RUSAGE => ("", RusageRecord::decode(dec)?.exited_us),
+        _ => ("", HistoryRecordRef::decode(dec)?.at_us),
+    })
 }
 
-impl MergePart for WireReply {
-    fn reply(&self) -> &WireReply {
-        self
-    }
-
-    fn run(&self) -> Option<SnapshotRun> {
-        None
-    }
-}
-
-impl MergePart for (WireReply, Option<SnapshotRun>) {
-    fn reply(&self) -> &WireReply {
-        &self.0
-    }
-
-    fn run(&self) -> Option<SnapshotRun> {
-        self.1
-    }
-}
-
-/// A snapshot record's sort key.
-type Key<'a> = (&'a str, u32);
-
-/// What the checked walk that admitted a snapshot reply learned of its
-/// records, so that [`WireReply::merge`] need not walk them again: their
-/// count, where the first one starts — the record region runs from there
-/// to the end of the reply — and where the last one starts. A walk
-/// records a run only when the records' `(host, pid)` keys strictly
-/// ascend (one host's slice, as an LPM writes it, does). A run is kept
-/// beside its reply, not in it (see [`WireReply`]'s size), and is only
-/// ever paired with the reply it was recorded from.
+/// What [`ReplyRef::read`] learned of a snapshot's records, so that
+/// [`WireReply::merge`] need not walk them again: their count, where the
+/// first one starts — the record region runs from there to the end of
+/// the reply — and where the last one starts. There is a run only when
+/// the records' `(host, pid)` keys strictly ascend (one host's slice, as
+/// an LPM writes it, does). It is kept beside its reply, not in it (see
+/// [`WireReply`]'s size), and only ever paired with the reply it came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotRun {
     count: usize,
@@ -1480,53 +1542,13 @@ pub struct SnapshotRun {
 }
 
 impl SnapshotRun {
-    /// Walks `reply`, checked, and returns its run: `None` for a reply
-    /// that is not a snapshot, does not walk, or whose keys do not
-    /// ascend. The walk that admits the originator's own slice; an
-    /// arriving one gets its run from [`WirePart::split`].
-    pub fn of(reply: &WireReply) -> Option<Self> {
-        let mut dec = Dec::new(reply.as_bytes());
-        if dec.u8().ok()? != REPLY_SNAPSHOT {
-            return None;
-        }
-        dec.str_ref().ok()?;
-        let run = Self::walk(&mut dec, 0).ok()?;
-        dec.finish().ok()?;
-        run
-    }
-
-    /// Walks the record list at `dec` — count, then every record,
-    /// checked — and returns its run, offsets counted from `start`
-    /// (where the reply begins), or `None` when the keys do not strictly
-    /// ascend. Compares pids, and hosts only when they change.
-    fn walk(dec: &mut Dec<'_>, start: usize) -> Result<Option<Self>, CodecError> {
-        let count = dec.seq_len()?;
-        let first = dec.pos() - start;
-        let mut last = first;
-        let mut prev: Option<Key<'_>> = None;
-        let mut ascending = true;
-        for _ in 0..count {
-            last = dec.pos() - start;
-            let record = ProcRecordRef::decode(dec)?;
-            if let Some((host, pid)) = prev {
-                ascending &= if record.host == host {
-                    record.pid > pid
-                } else {
-                    record.host > host
-                };
-            }
-            prev = Some((record.host, record.pid));
-        }
-        Ok(ascending.then_some(SnapshotRun { count, first, last }))
-    }
-
     /// The keys of the first and last record and the record region, read
     /// out of the reply's `bytes`; `None` if they are not there, which
     /// for the reply the run was recorded from they always are.
     fn bounds(self, bytes: &[u8]) -> Option<(Key<'_>, Key<'_>, &[u8])> {
         let key_at = |at: usize| {
             let mut dec = Dec::new(bytes.get(at..)?);
-            Some((dec.str_ref().ok()?, dec.u32().ok()?))
+            Some((dec.str_ref().ok()?, u64::from(dec.u32().ok()?)))
         };
         Some((
             key_at(self.first)?,
@@ -1541,12 +1563,12 @@ impl SnapshotRun {
 /// which is what the stable sort of their records gives. `None` sends
 /// the merge to the walk: a snapshot part without a run, runs that tie
 /// or overlap.
-fn splice_runs<P: MergePart>(parts: &[P]) -> Option<WireReply> {
+fn splice_runs(parts: &[(WireReply, Option<SnapshotRun>)]) -> Option<WireReply> {
     let mut runs: Vec<(Key<'_>, Key<'_>, &[u8])> = Vec::with_capacity(parts.len());
     let mut count = 0;
-    for part in parts {
-        let bytes = part.reply().as_bytes();
-        match part.run() {
+    for (reply, run) in parts {
+        let bytes = reply.as_bytes();
+        match run {
             Some(run) if run.count > 0 => {
                 runs.push(run.bounds(bytes)?);
                 count += run.count;
@@ -1557,68 +1579,72 @@ fn splice_runs<P: MergePart>(parts: &[P]) -> Option<WireReply> {
             None => return None,
         }
     }
-    if count > MAX_REPLY_RECORDS {
-        return Some(WireReply::too_many_records(count));
-    }
     runs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     if runs.windows(2).any(|pair| pair[0].1 >= pair[1].0) {
         return None;
     }
-    let body: usize = runs.iter().map(|(_, _, region)| region.len()).sum();
-    let mut enc = Enc::with_capacity(6 + body);
-    enc.u8(REPLY_SNAPSHOT);
-    enc.str("*");
-    enc.seq_len(count);
-    for (_, _, region) in &runs {
-        enc.splice(region);
-    }
-    Some(WireReply::from_enc(enc))
+    Some(records_reply(
+        REPLY_SNAPSHOT,
+        count,
+        runs.iter().map(|run| run.2),
+    ))
 }
 
-/// [`WireReply::merge`] for one record-list reply kind; `key` reads one
-/// record off the decoder and returns what its kind sorts by.
-fn merge_records<'a, K: Ord, P: MergePart>(
-    parts: &'a [P],
-    kind: u8,
-    key: impl Fn(&mut Dec<'a>) -> Result<K, CodecError>,
+/// [`WireReply::merge`] by a walk: every record of each part of kind
+/// `KIND` with its key, stably sorted.
+fn merge_records<const KIND: u8>(
+    parts: &[(WireReply, Option<SnapshotRun>)],
 ) -> Result<WireReply, PartError> {
-    let mut records: Vec<(K, &'a [u8])> = Vec::new();
-    for (part, reply) in parts.iter().enumerate() {
-        let bytes = reply.reply().as_bytes();
-        let mut dec = Dec::new(bytes);
+    let mut records: Vec<(Key<'_>, &[u8])> = Vec::new();
+    for (part, (reply, _)) in parts.iter().enumerate() {
         let mut walk = || {
-            if dec.u8()? != kind {
-                return Ok(());
-            }
-            if kind == REPLY_SNAPSHOT {
-                dec.str_ref()?; // the reporting host; each record names its own
-            }
-            let count = dec.seq_len()?;
-            records.reserve(count);
+            let (count, region) = match reply.read()? {
+                ReplyRef::Records {
+                    kind: of,
+                    count,
+                    region,
+                    ..
+                } if of == KIND => (count, region),
+                _ => return Ok(()), // another kind (an `Err` from one host) adds nothing
+            };
+            let mut dec = Dec::new(region);
             for _ in 0..count {
                 let start = dec.pos();
-                let key = key(&mut dec)?;
-                records.push((key, &bytes[start..dec.pos()]));
+                let key = sort_key::<KIND>(&mut dec)?;
+                records.push((key, dec.read_since(start)));
             }
-            dec.clone().finish()
+            Ok(())
         };
         walk().map_err(|err| PartError { part, err })?;
     }
-    if records.len() > MAX_REPLY_RECORDS {
-        return Ok(WireReply::too_many_records(records.len()));
-    }
     records.sort_by(|a, b| a.0.cmp(&b.0));
-    let body: usize = records.iter().map(|(_, raw)| raw.len()).sum();
+    Ok(records_reply(
+        KIND,
+        records.len(),
+        records.iter().map(|record| record.1),
+    ))
+}
+
+/// The merged reply of `kind`: its header, then the record `regions` one
+/// after another, `count` records in all; past [`MAX_REPLY_RECORDS`], the
+/// `Reply::Err` that says so.
+fn records_reply<'a>(
+    kind: u8,
+    count: usize,
+    regions: impl Iterator<Item = &'a [u8]> + Clone,
+) -> WireReply {
+    if count > MAX_REPLY_RECORDS {
+        return WireReply::too_many_records(count);
+    }
+    let body: usize = regions.clone().map(<[u8]>::len).sum();
     let mut enc = Enc::with_capacity(6 + body);
     enc.u8(kind);
     if kind == REPLY_SNAPSHOT {
         enc.str("*");
     }
-    enc.seq_len(records.len());
-    for (_, raw) in &records {
-        enc.splice(raw);
-    }
-    Ok(WireReply::from_enc(enc))
+    enc.seq_len(count);
+    regions.for_each(|region| enc.splice(region));
+    WireReply::from_enc(enc)
 }
 
 impl From<&Reply> for WireReply {
@@ -1683,11 +1709,16 @@ impl Inbound {
     pub fn decode(frame: &Bytes) -> Result<Self, CodecError> {
         let mut dec = Dec::new(frame);
         let msg = match dec.u8()? {
-            MSG_RESP => Inbound::Resp {
-                id: dec.u64()?,
-                reply: WireReply::scan(frame, &mut dec)?.0,
-                route: Route::decode(&mut dec)?,
-            },
+            MSG_RESP => {
+                let id = dec.u64()?;
+                let at = dec.pos();
+                ReplyRef::read(&mut dec)?;
+                Inbound::Resp {
+                    id,
+                    reply: WireReply::slice(frame, at..dec.pos()),
+                    route: Route::decode(&mut dec)?,
+                }
+            }
             MSG_BCAST_AGG => {
                 let stamp = Stamp::decode(&mut dec)?;
                 let len = dec.u32()? as usize;
@@ -1739,7 +1770,9 @@ impl WirePart {
                 let at = dec.pos();
                 dec.str_ref()?;
                 let host = batch.slice(at + 2..dec.pos());
-                let (reply, run) = WireReply::scan(batch, &mut dec)?;
+                let at = dec.pos();
+                let run = ReplyRef::read(&mut dec)?.run();
+                let reply = WireReply::slice(batch, at..dec.pos());
                 let route = Route::decode(&mut dec)?;
                 dec.finish()?;
                 parts.push(WirePart {
@@ -2170,11 +2203,11 @@ mod tests {
 
     #[test]
     fn merge_names_the_part_it_cannot_walk() {
-        let good = WireReply::from(&snapshot_of("a", &[1, 2]));
+        let good = (WireReply::from(&snapshot_of("a", &[1, 2])), None);
         for (what, bad, err) in damaged_snapshots() {
             let parts = [
                 good.clone(),
-                WireReply(Held::Shared(Bytes::from(bad))),
+                (WireReply(Held::Shared(Bytes::from(bad))), None),
                 good.clone(),
             ];
             assert_eq!(
@@ -2184,7 +2217,7 @@ mod tests {
             );
         }
         // A part of another kind is not damage: it contributes nothing.
-        let parts = [good.clone(), WireReply::from(&Reply::Pong), good];
+        let parts = [good.clone(), (WireReply::from(&Reply::Pong), None), good];
         let merged = WireReply::merge(&Op::Snapshot, &parts).unwrap();
         let Reply::Snapshot { host, procs } = merged.decode().unwrap() else {
             panic!("wrong variant");
@@ -2205,15 +2238,15 @@ mod tests {
         assert_eq!(split[1].host, b"a"[..]);
         let mut parts: Vec<_> = split.into_iter().map(|p| (p.reply, p.run)).collect();
         parts.push((WireReply::from(&Reply::Pong), None));
-        let walked: Vec<WireReply> = parts.iter().map(|p| p.0.clone()).collect();
-        let walked = WireReply::merge(&Op::Snapshot, &walked).unwrap();
+        let runless: Vec<_> = parts.iter().map(|p| (p.0.clone(), None)).collect();
+        let walked = WireReply::merge(&Op::Snapshot, &runless).unwrap();
         assert_eq!(splice_runs(&parts), Some(walked));
 
         // A run that touches another, or a snapshot without a run, sends
         // the merge to the walk; a slice whose pids descend has no run.
         let local = |pids: &[u32]| {
             let reply = WireReply::from(&snapshot_of("b", pids));
-            let run = SnapshotRun::of(&reply);
+            let run = reply.read().unwrap().run();
             (reply, run)
         };
         assert!(splice_runs(&[parts[0].clone(), local(&[9, 12])]).is_none());
@@ -2305,33 +2338,60 @@ mod tests {
     }
 
     #[test]
-    fn peek_reads_what_the_lpm_acts_on() {
+    fn read_gives_what_the_lpm_acts_on() {
         let spawned = WireReply::from(&Reply::Spawned {
             gpid: Gpid::new("far", 9),
         });
         assert_eq!(
-            spawned.peek(),
-            ReplyPeek::Spawned {
+            spawned.read(),
+            Ok(ReplyRef::Spawned {
                 host: "far",
                 pid: 9
-            }
+            })
         );
         let err = WireReply::from(&Reply::Err {
             code: ErrCode::NoRoute,
             detail: "unknown host".into(),
         });
         assert_eq!(
-            err.peek(),
-            ReplyPeek::Err {
+            err.read(),
+            Ok(ReplyRef::Err {
                 code: ErrCode::NoRoute,
                 detail: "unknown host"
-            }
+            })
         );
-        assert_eq!(WireReply::from(&Reply::Pong).peek(), ReplyPeek::Other);
+        assert_eq!(WireReply::from(&Reply::Pong).read(), Ok(ReplyRef::Pong));
+        // A snapshot's records are the reply's tail, and their run is
+        // recorded from where the reply begins.
+        let snapshot = WireReply::from(&snapshot_of("a", &[1, 2]));
+        let Ok(ReplyRef::Records {
+            kind,
+            count,
+            region,
+            run: Some(run),
+        }) = snapshot.read()
+        else {
+            panic!("a snapshot whose pids ascend has a run");
+        };
+        assert_eq!((kind, count), (REPLY_SNAPSHOT, 2));
+        let bytes = snapshot.as_bytes();
+        assert_eq!(region, &bytes[bytes.len() - region.len()..]);
         assert_eq!(
-            WireReply::from(&snapshot_of("a", &[1])).peek(),
-            ReplyPeek::Other
+            run.bounds(bytes).map(|b| (b.0, b.1)),
+            Some((("a", 1), ("a", 2)))
         );
+        // Each of the other kinds is its own variant.
+        let others: Vec<WireReply> = sample_replies()[7..].iter().map(WireReply::from).collect();
+        let others: Vec<_> = others.iter().map(|r| r.read().unwrap()).collect();
+        let kinds = [
+            ReplyRef::Files,
+            ReplyRef::Triggers,
+            ReplyRef::Stats,
+            ReplyRef::Status,
+            ReplyRef::Partial,
+            ReplyRef::Metrics,
+        ];
+        assert_eq!(others, kinds);
     }
 
     #[test]
@@ -2448,8 +2508,8 @@ mod tests {
             adopted: true,
         };
         let snapshot = |n: usize| WireReply::snapshot("a", std::iter::repeat_n(record, n));
-        let refusal = |reply: &WireReply, count: usize| match reply.peek() {
-            ReplyPeek::Err { code, detail } => {
+        let refusal = |reply: &WireReply, count: usize| match reply.read() {
+            Ok(ReplyRef::Err { code, detail }) => {
                 assert_eq!(code, ErrCode::Internal);
                 assert!(detail.contains(&format!("{count} records")), "{detail}");
                 assert!(detail.contains("65535"), "{detail}");
@@ -2463,9 +2523,10 @@ mod tests {
         };
         assert_eq!(procs.len(), MAX_REPLY_RECORDS);
         refusal(&snapshot(MAX_REPLY_RECORDS + 1), MAX_REPLY_RECORDS + 1);
-        let merged = WireReply::merge(&Op::Snapshot, &[full.clone(), snapshot(0)]);
+        let part = |reply: WireReply| (reply, None);
+        let merged = WireReply::merge(&Op::Snapshot, &[part(full.clone()), part(snapshot(0))]);
         assert_eq!(merged.unwrap().as_bytes().len(), full.as_bytes().len());
-        let merged = WireReply::merge(&Op::Snapshot, &[full, snapshot(1)]);
+        let merged = WireReply::merge(&Op::Snapshot, &[part(full), part(snapshot(1))]);
         refusal(&merged.unwrap(), MAX_REPLY_RECORDS + 1);
     }
 }

@@ -373,12 +373,14 @@ impl<'a> ProcRecordRef<'a> {
     }
 
     /// Reads one record, checking every length, string, option byte and
-    /// state tag, and allocating nothing.
+    /// state tag, and allocating nothing. Always inlined: every record
+    /// that crosses an LPM is walked through here, and the walk's loop
+    /// should not make a call per record.
     ///
     /// # Errors
     ///
     /// Any [`CodecError`] on malformed input.
-    #[inline]
+    #[inline(always)]
     pub fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
         Ok(ProcRecordRef {
             host: dec.str_ref()?,
@@ -482,12 +484,52 @@ impl Wire for HistoryRecord {
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(HistoryRecord {
+        HistoryRecordRef::decode(dec).map(HistoryRecordRef::to_record)
+    }
+}
+
+/// A [`HistoryRecord`] whose strings are borrowed from the bytes it was
+/// read off: the one reader of its wire layout, as [`ProcRecordRef`] is
+/// a snapshot record's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistoryRecordRef<'a> {
+    /// When (µs, simulated).
+    pub at_us: u64,
+    /// Host of the process.
+    pub host: &'a str,
+    /// Its pid there.
+    pub pid: u32,
+    /// Event kind.
+    pub kind: &'a str,
+    /// Free-form detail.
+    pub detail: &'a str,
+}
+
+impl<'a> HistoryRecordRef<'a> {
+    /// Reads one record, checking every length and string, and
+    /// allocating nothing.
+    ///
+    /// # Errors
+    ///
+    /// Any [`CodecError`] on malformed input.
+    pub fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
+        Ok(HistoryRecordRef {
             at_us: dec.u64()?,
-            gpid: Gpid::decode(dec)?,
-            kind: dec.str()?,
-            detail: dec.str()?,
+            host: dec.str_ref()?,
+            pid: dec.u32()?,
+            kind: dec.str_ref()?,
+            detail: dec.str_ref()?,
         })
+    }
+
+    /// The owned record.
+    pub fn to_record(self) -> HistoryRecord {
+        HistoryRecord {
+            at_us: self.at_us,
+            gpid: Gpid::new(self.host, self.pid),
+            kind: self.kind.to_owned(),
+            detail: self.detail.to_owned(),
+        }
     }
 }
 

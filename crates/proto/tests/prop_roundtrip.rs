@@ -14,13 +14,13 @@ use ppm_proto::kernel_wire::{
     for_each_kernel_msg, walk_kernel_batch, KernelEventRef, KernelMsgRef,
 };
 use ppm_proto::msg::{
-    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, SnapshotRun, WirePart, WireReply,
-    MAX_REPLY_RECORDS,
+    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyRef, SnapshotRun, WirePart,
+    WireReply, MAX_REPLY_RECORDS,
 };
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{
-    FileRecord, Gpid, HistoryRecord, MetricRow, Name, ProcRecord, ProcRecordRef, Route,
-    RusageRecord, Stamp, WireProcState,
+    FileRecord, Gpid, HistoryRecord, HistoryRecordRef, MetricRow, Name, ProcRecord, ProcRecordRef,
+    Route, RusageRecord, Stamp, WireProcState,
 };
 use ppm_runtime::events::KernelEvent;
 use ppm_runtime::ids::Pid;
@@ -445,6 +445,117 @@ fn reference_merge(op: &Op, parts: &[WireReply]) -> Vec<u8> {
     }
 }
 
+/// The replies [`arb_reply`] leaves out: counters and a partial result
+/// around any other reply.
+fn arb_rare_reply() -> impl Strategy<Value = Reply> {
+    prop_oneof![
+        prop::collection::vec(any::<u64>(), 10).prop_map(|v| Reply::Stats {
+            requests: v[0],
+            bcasts: (v[1], v[2], v[3]),
+            relays: v[4],
+            route_cache_hits: v[5],
+            auth_failures: v[6],
+            handlers: (v[7], v[8], v[9]),
+        }),
+        (prop::collection::vec(arb_host(), 0..4), arb_reply()).prop_map(|(missing, inner)| {
+            Reply::Partial {
+                missing,
+                inner: Box::new(inner),
+            }
+        }),
+    ]
+}
+
+/// Holds what `ReplyRef::read` gave, reading `span`, to the reply
+/// `Reply::decode` built from the same bytes: the same fields; a record
+/// list's count, and a region at the end of the span that decodes to the
+/// records; and a snapshot's run as computed here from the decoded
+/// records — compared through `Debug`, since only a walk can make a
+/// `SnapshotRun`.
+fn read_as_decoded(view: ReplyRef<'_>, span: &[u8], decoded: &Reply) {
+    fn region_holds<T: Wire + PartialEq + std::fmt::Debug>(
+        region: &[u8],
+        count: usize,
+        items: &[T],
+    ) {
+        let mut dec = Dec::new(region);
+        let back: Vec<T> = (0..count)
+            .map(|_| T::decode(&mut dec).expect("a record"))
+            .collect();
+        dec.finish()
+            .expect("the region holds the records and nothing else");
+        assert_eq!(back, items);
+    }
+    let (kind, run) = match (view, decoded) {
+        (ReplyRef::Ok, Reply::Ok)
+        | (ReplyRef::Pong, Reply::Pong)
+        | (ReplyRef::Files, Reply::Files { .. })
+        | (ReplyRef::Triggers, Reply::Triggers { .. })
+        | (ReplyRef::Status, Reply::Status { .. })
+        | (ReplyRef::Stats, Reply::Stats { .. })
+        | (ReplyRef::Partial, Reply::Partial { .. })
+        | (ReplyRef::Metrics, Reply::Metrics { .. }) => return,
+        (ReplyRef::Err { code, detail }, Reply::Err { code: c, detail: d }) => {
+            assert_eq!((code, detail), (*c, d.as_str()));
+            return;
+        }
+        (ReplyRef::Spawned { host, pid }, Reply::Spawned { gpid }) => {
+            assert_eq!((host, pid), (gpid.host.as_str(), gpid.pid));
+            return;
+        }
+        (
+            ReplyRef::Records {
+                kind,
+                count,
+                region,
+                run,
+            },
+            Reply::Snapshot { host, procs },
+        ) => {
+            assert!(span.ends_with(region));
+            region_holds(region, count, procs);
+            let first = 1 + 2 + host.len() + 2;
+            let lens = procs.iter().map(|p| p.to_bytes().len());
+            let last = first + lens.rev().skip(1).sum::<usize>();
+            let fresh = ascends(decoded).then(|| {
+                let count = procs.len();
+                format!("SnapshotRun {{ count: {count}, first: {first}, last: {last} }}")
+            });
+            assert_eq!(run.map(|run| format!("{run:?}")), fresh);
+            (kind == 4, run)
+        }
+        (
+            ReplyRef::Records {
+                kind,
+                count,
+                region,
+                run,
+            },
+            Reply::Rusage { records },
+        ) => {
+            assert!(span.ends_with(region));
+            region_holds(region, count, records);
+            (kind == 5, run)
+        }
+        (
+            ReplyRef::Records {
+                kind,
+                count,
+                region,
+                run,
+            },
+            Reply::History { events },
+        ) => {
+            assert!(span.ends_with(region));
+            region_holds(region, count, events);
+            (kind == 6, run)
+        }
+        (view, decoded) => panic!("read {view:?} where the decode built {decoded:?}"),
+    };
+    assert!(kind, "the tag of {decoded:?}");
+    assert!(run.is_none() || matches!(decoded, Reply::Snapshot { .. }));
+}
+
 /// One host's snapshot slice for the merge property: pids that mostly
 /// ascend (as an LPM writes them) but now and then do not or repeat,
 /// records that name the reporting host or, now and then, another, and
@@ -532,7 +643,7 @@ fn bulk_slice(host: &str, count: usize, admitted: Admitted) -> (WireReply, Optio
     let reply = WireReply::snapshot(host, records);
     let run = match admitted {
         Admitted::Encoded => None,
-        Admitted::Split | Admitted::Local => SnapshotRun::of(&reply),
+        Admitted::Split | Admitted::Local => reply.read().ok().and_then(ReplyRef::run),
     };
     (reply, run)
 }
@@ -991,12 +1102,14 @@ proptest! {
         }
     }
 
-    /// The borrowed record walk and `ProcRecord::decode` agree on
-    /// arbitrary bytes: both refuse, or both accept the same fields over
-    /// the same span — and that span re-decodes to the same record.
+    /// The borrowed record walks and the owned decodes agree on
+    /// arbitrary bytes, for a snapshot record and for a history record:
+    /// both refuse, or both accept the same fields over the same span —
+    /// and that span re-decodes to the same record.
     #[test]
     fn borrowed_record_scan_agrees_with_decode(
         record in arb_proc_record(),
+        event in arb_history_record(),
         flips in prop::collection::vec((any::<u16>(), any::<u8>()), 0..4),
         cut in any::<u16>(),
         garbage in prop::collection::vec(any::<u8>(), 0..96),
@@ -1008,7 +1121,7 @@ proptest! {
             damaged[at] = byte;
         }
         damaged.truncate(1 + usize::from(cut) % (damaged.len() + 8));
-        for data in [record.to_bytes().to_vec(), damaged, garbage] {
+        for data in [record.to_bytes().to_vec(), damaged, garbage.clone()] {
             let mut owned = Dec::new(&data);
             let mut borrowed = Dec::new(&data);
             match (ProcRecord::decode(&mut owned), ProcRecordRef::decode(&mut borrowed)) {
@@ -1022,6 +1135,66 @@ proptest! {
                 }
                 (owned, borrowed) => {
                     prop_assert!(false, "owned {owned:?} but borrowed {borrowed:?}");
+                }
+            }
+        }
+        let mut damaged = event.to_bytes().to_vec();
+        let at = usize::from(cut) % damaged.len();
+        damaged[at] ^= 0x80;
+        damaged.truncate(at + usize::from(cut) % 8);
+        for data in [event.to_bytes().to_vec(), damaged, garbage] {
+            let mut owned = Dec::new(&data);
+            let mut borrowed = Dec::new(&data);
+            match (HistoryRecord::decode(&mut owned), HistoryRecordRef::decode(&mut borrowed)) {
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (Ok(rec), Ok(view)) => {
+                    prop_assert_eq!(view.to_record(), rec.clone());
+                    prop_assert_eq!(borrowed.pos(), owned.pos());
+                    let span = &data[..borrowed.pos()];
+                    prop_assert_eq!(HistoryRecord::from_bytes(span).expect("span decodes"), rec);
+                }
+                (owned, borrowed) => {
+                    prop_assert!(false, "owned {owned:?} but borrowed {borrowed:?}");
+                }
+            }
+        }
+    }
+
+    /// `ReplyRef::read`, the one borrowed reader of a reply, and
+    /// `Reply::decode`, the tool's, agree on every kind of reply, intact,
+    /// damaged, cut short or followed by more bytes, and on noise: both
+    /// refuse with the same error, or both accept and stop at the same
+    /// offset, the borrowed reading naming what the decode built. A
+    /// snapshot's run is the one its decoded records give, and there is
+    /// one exactly when their `(host, pid)` keys strictly ascend.
+    #[test]
+    fn reply_read_agrees_with_decode(
+        reply in prop_oneof![arb_reply(), arb_slice(), arb_rare_reply()],
+        flips in prop::collection::vec((any::<u16>(), any::<u8>()), 0..3),
+        cut in any::<u16>(),
+        tail in prop::collection::vec(any::<u8>(), 0..4),
+        garbage in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let good = reply.to_bytes().to_vec();
+        let mut damaged = good.clone();
+        for (at, byte) in flips {
+            let at = usize::from(at) % damaged.len();
+            damaged[at] = byte;
+        }
+        let cut_short = good[..usize::from(cut) % good.len()].to_vec();
+        let mut followed = good.clone();
+        followed.extend(tail);
+        for data in [good, damaged, cut_short, followed, garbage] {
+            let mut owned = Dec::new(&data);
+            let mut borrowed = Dec::new(&data);
+            match (Reply::decode(&mut owned), ReplyRef::read(&mut borrowed)) {
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (Ok(decoded), Ok(view)) => {
+                    prop_assert_eq!(borrowed.pos(), owned.pos());
+                    read_as_decoded(view, &data[..borrowed.pos()], &decoded);
+                }
+                (owned, borrowed) => {
+                    prop_assert!(false, "decode {owned:?} but read {borrowed:?}");
                 }
             }
         }
@@ -1056,8 +1229,8 @@ proptest! {
         }
 
         // The originator's own slice comes first, then the parts.
-        let mut wires = vec![WireReply::from(&local)];
-        wires.extend(split.into_iter().map(|p| p.reply));
+        let mut wires = vec![(WireReply::from(&local), None)];
+        wires.extend(split.into_iter().map(|p| (p.reply, None)));
         let mut replies = vec![local];
         replies.extend(parts.into_iter().map(|p| p.reply));
         let merged = WireReply::merge(&op, &wires).expect("valid parts merge");
@@ -1145,13 +1318,14 @@ proptest! {
                 }
                 Admitted::Local => {
                     let wire = WireReply::from(reply);
-                    let run = SnapshotRun::of(&wire);
+                    let run = wire.read().ok().and_then(ReplyRef::run);
                     (wire, run)
                 }
                 Admitted::Encoded => (WireReply::from(reply), None),
             };
             if *admitted != Admitted::Encoded {
-                prop_assert_eq!(part.1, SnapshotRun::of(&part.0));
+                // Read in its frame or on its own, a reply gives one run.
+                prop_assert_eq!(part.1, part.0.read().ok().and_then(ReplyRef::run));
                 prop_assert_eq!(part.1.is_some(), ascends(reply));
             }
             parts.push(part);
@@ -1169,7 +1343,9 @@ proptest! {
         let expect = reference_merge(&op, &wires);
         let merged = WireReply::merge(&op, &parts).expect("valid parts merge");
         prop_assert_eq!(merged.as_bytes(), &expect[..]);
-        let walked = WireReply::merge(&op, &wires).expect("valid parts merge");
+        // The same parts without their runs take the walk.
+        let runless: Vec<_> = wires.into_iter().map(|wire| (wire, None)).collect();
+        let walked = WireReply::merge(&op, &runless).expect("valid parts merge");
         prop_assert_eq!(walked.as_bytes(), &expect[..]);
     }
 

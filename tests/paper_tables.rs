@@ -5,7 +5,8 @@
 //! action's tool-measured elapsed time comes back as a `time=` sample.
 //! These tests hold the tables to the paper's shape — orderings, ratios,
 //! the 177 ms reconciliation — and pin each grid's report digest, which
-//! folds every cell's output, trace and metrics.
+//! folds every cell's output, trace and metrics. `paper_table3_noagg.sweep`
+//! plays Table 3's chains without in-network aggregation.
 
 use std::path::Path;
 
@@ -140,4 +141,39 @@ fn table3_has_the_papers_shape() {
     assert!(spec.id.starts_with("scenario:paper/table3_topology4.ppm|"));
     let run = run_cell(&spec, false, false).unwrap_or_else(|(_, e)| panic!("{e}"));
     assert!(run.output.contains("18 process(es)"), "{}", run.output);
+}
+
+/// Table 3's chain rows with and without in-network aggregation: the
+/// `_noagg` cells are the chain cells with `noagg` on the user line, so
+/// each relay forwards every part it gathered as a frame of its own. At
+/// six processes per host the unspliced chains are not slower: each is
+/// within 1 % of its spliced row (0.9 ms and 2.0 ms faster at these
+/// seeds), so splicing is not what puts the chain rows below the paper's.
+#[test]
+fn table3_chains_without_splicing() {
+    let (noagg, report) = run_pinned(
+        &load_grid("paper_table3_noagg.sweep"),
+        "summary runs=10 ok=10 fail=0 digest 6ce5a1f582d108e4\n",
+    );
+    assert!(
+        report.contains(
+            "cell scenario:paper/table3_topology3_noagg.ppm|fault:none runs=5 ok=5 fail=0 \
+             sim_end_us median=28120000 p99=28120000 time:snapshot mean_us=401350 n=5\n"
+        ),
+        "{report}"
+    );
+    let spliced = run_specs(&load_grid("paper_table3.sweep").expand(), 1);
+    for topology in [3, 4] {
+        let with = mean_ms(
+            &spliced,
+            &format!("table3_topology{topology}.ppm"),
+            "snapshot",
+        );
+        let cell = format!("table3_topology{topology}_noagg.ppm");
+        let without = mean_ms(&noagg, &cell, "snapshot");
+        assert!(
+            (without - with).abs() < with * 0.01,
+            "topology {topology}: spliced {with:.1} ms, unspliced {without:.1} ms"
+        );
+    }
 }

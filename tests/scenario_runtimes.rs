@@ -199,6 +199,11 @@ fn a_partial_mesh_is_refused_off_the_sim() {
     // The first refusal in file order is the one named.
     let text = format!("host a vax780\nhost b sun2\nhost c sun2\nlink a b\n{USER}at 1s crash b\n");
     refused_off_the_sim(&text, 3, "full mesh");
+    // Table 3's unspliced chains, as the chain cells they copy: host b,
+    // on line 10, has no link to the root.
+    for cell in ["table3_topology3_noagg.ppm", "table3_topology4_noagg.ppm"] {
+        refused_off_the_sim(&shipped(&format!("paper/{cell}")), 10, "full mesh");
+    }
 }
 
 /// A `ppm-sim` command line only the sim can honour, refused on the real

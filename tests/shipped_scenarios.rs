@@ -49,8 +49,8 @@ fn every_shipped_scenario_parses() {
             }
         }
     }
-    // Seven at the top level, fourteen paper cells.
-    assert!(seen >= 21, "shipped scenarios present: {seen}");
+    // Seven at the top level, sixteen paper cells.
+    assert!(seen >= 23, "shipped scenarios present: {seen}");
 }
 
 /// A fault-free `*` snapshot is whole however deep the chain it climbs,
