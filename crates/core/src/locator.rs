@@ -90,7 +90,7 @@ impl RouteCache {
         if route.origin() != Some(self_host) {
             return;
         }
-        let hops = &route.0;
+        let hops = route.hosts();
         if hops.len() < 3 {
             return;
         }
@@ -157,8 +157,9 @@ pub struct HelloIdentity {
 /// What a finished [`Dial`] hands its owner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Dialed {
-    /// [`Dial::pmd`]: the pmd's answer.
-    Answer(Msg),
+    /// [`Dial::pmd`]: the pmd's answer (boxed: a `Msg` is several times
+    /// the size of a channel, and a name-server answer is rare).
+    Answer(Box<Msg>),
     /// [`Dial::lpm`]: an authenticated channel to the LPM.
     Channel {
         /// The authenticated connection to the LPM.
@@ -381,7 +382,7 @@ impl Dial {
                 (Ok(answer), false) => {
                     self.hang_up(sys);
                     self.step = Step::Done;
-                    Progress::Done(Dialed::Answer(answer))
+                    Progress::Done(Dialed::Answer(Box::new(answer)))
                 }
                 (Ok(Msg::LpmAddr { port, created, .. }), true) => {
                     self.hang_up(sys);
@@ -505,7 +506,7 @@ mod tests {
         };
         assert_eq!(
             dial.on_message(sys, answer.to_bytes()),
-            Progress::Done(Dialed::Answer(answer))
+            Progress::Done(Dialed::Answer(Box::new(answer)))
         );
         assert_eq!(
             dial.on_conn_event(sys, ConnEvent::Closed),

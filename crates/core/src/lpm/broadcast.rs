@@ -571,7 +571,7 @@ impl Lpm {
             // thus gives up before its parent (DESIGN.md §8).
             let depth = match b.role {
                 BcastRole::Origin { .. } => 0,
-                BcastRole::Relay { .. } => b.route_in.0.len() as u64,
+                BcastRole::Relay { .. } => b.route_in.hosts().len() as u64,
             };
             let below = LEVEL_ALLOWANCE.saturating_mul(WAVE_LEVELS.saturating_sub(depth));
             if !std::mem::replace(&mut b.waited_below, true) && !below.is_zero() {

@@ -202,7 +202,7 @@ impl Lpm {
             }
             Progress::Done(Dialed::Answer(answer)) => {
                 self.channels.remove(key);
-                self.name_server_answered(sys, answer);
+                self.name_server_answered(sys, *answer);
             }
             Progress::Failed(err) => match self.channels.remove(key).map(|slot| slot.purpose) {
                 Some(ChanPurpose::NameServer) => {

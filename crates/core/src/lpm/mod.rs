@@ -841,7 +841,7 @@ mod tests {
             user: 100,
             dest: "elsewhere".into(),
             op: Op::Ping,
-            route: Route(vec!["h".into(); usize::from(u16::MAX)]),
+            route: std::iter::repeat_n(Name::from("h"), usize::from(u16::MAX)).collect(),
             hops_left: 0,
             deadline_us: 0,
             attempt: 0,

@@ -216,7 +216,7 @@ impl RpcTable {
         if let Some(DedupEntry::Done { reply, route, .. }) = self.dedup.get(key) {
             return DupVerdict::Replay {
                 reply: reply.clone(),
-                route: route.clone(),
+                route: Route::clone(route),
             };
         }
         if boot != 0 && self.fences.get(&key.0).is_some_and(|&f| boot < f) {
@@ -251,6 +251,7 @@ impl RpcTable {
     /// delivery is answered without re-execution.
     pub(crate) fn note_done(&mut self, key: RpcKey, at: SimTime, reply: WireReply, route: Route) {
         self.index_dedup(key.clone(), at);
+        let route = Box::new(route);
         self.dedup
             .insert(key, DedupEntry::Done { at, reply, route });
     }
@@ -268,7 +269,9 @@ impl RpcTable {
     /// Only buckets whose time range reaches the expiry cutoff are
     /// visited, so a tick's cost is proportional to what actually expires
     /// (plus at most one partially-expired boundary bucket), not to the
-    /// whole retention window.
+    /// whole retention window. A ripe bucket is emptied in place and the
+    /// boundary bucket trimmed in place: a tick with nothing to purge
+    /// allocates nothing.
     pub(crate) fn purge_dedup(&mut self, now: SimTime, window: SimDuration) -> usize {
         let now_us = now.as_micros();
         let window_us = window.as_micros();
@@ -277,32 +280,33 @@ impl RpcTable {
         }
         let cutoff_us = now_us - window_us;
         let cutoff_bucket = cutoff_us >> DEDUP_BUCKET_POW;
-        let ripe: Vec<u64> = self
-            .dedup_buckets
-            .range(..=cutoff_bucket)
-            .map(|(b, _)| *b)
-            .collect();
         let mut purged = 0;
-        for b in ripe {
-            let refs = self.dedup_buckets.remove(&b).expect("listed bucket");
-            let mut keep = Vec::new();
-            for key in refs {
-                let Some(e) = self.dedup.get(&key) else {
-                    continue; // re-inserted and already purged via a newer ref
+        while let Some(mut bucket) = self.dedup_buckets.first_entry() {
+            let b = *bucket.key();
+            if b > cutoff_bucket {
+                break;
+            }
+            let dedup = &mut self.dedup;
+            bucket.get_mut().retain(|key| {
+                let Some(e) = dedup.get(key) else {
+                    return false; // re-inserted and already purged via a newer ref
                 };
                 let at_us = e.at().as_micros();
                 if at_us <= cutoff_us {
-                    self.dedup.remove(&key);
+                    dedup.remove(key);
                     purged += 1;
-                } else if at_us >> DEDUP_BUCKET_POW == b {
-                    // Boundary bucket: not yet expired, stays indexed.
-                    keep.push(key);
+                    return false;
                 }
-                // else: a fresh re-insertion owns a newer reference.
+                // Boundary bucket: not yet expired, stays indexed. Else a
+                // fresh re-insertion owns a newer reference.
+                at_us >> DEDUP_BUCKET_POW == b
+            });
+            if !bucket.get().is_empty() {
+                // Only the cutoff's own bucket keeps a live entry, and it
+                // is the last one in range.
+                break;
             }
-            if !keep.is_empty() {
-                self.dedup_buckets.insert(b, keep);
-            }
+            bucket.remove();
         }
         purged
     }

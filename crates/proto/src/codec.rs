@@ -195,6 +195,13 @@ impl Enc {
         self.buf[slot..slot + 4].copy_from_slice(&len.to_be_bytes());
     }
 
+    /// Makes room for at least `additional` more bytes, growing the
+    /// buffer as a `Vec` does: for a caller that knows what it is about
+    /// to write, so that its last field does not regrow the buffer.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Appends bytes that are already in wire form (no length prefix):
     /// how a value is forwarded without being decoded.
     #[inline]

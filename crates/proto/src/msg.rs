@@ -1459,8 +1459,10 @@ impl WireReply {
     }
 
     /// Appends `BcastPart { host, reply, route }` to `batch` as one
-    /// length-prefixed frame (the batch's count header is the caller's).
+    /// length-prefixed frame (the batch's count header is the caller's),
+    /// room for the whole frame made first.
     pub fn push_part(&self, batch: &mut Enc, host: &str, route: &Route) {
+        batch.reserve(4 + 2 + host.len() + self.as_bytes().len() + route.wire_len());
         batch.frame_with(|enc| {
             enc.str(host);
             enc.splice(self.as_bytes());

@@ -2,6 +2,7 @@
 //! and the record types carried in replies.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use ppm_runtime::hashx::{fnv1a_fold, FNV_OFFSET};
 
@@ -145,57 +146,147 @@ impl Wire for Stamp {
 /// its answer.
 pub const MAX_ROUTE_HOSTS: usize = u8::MAX as usize + 2;
 
+/// The most hosts a [`Route`] holds in the value itself. Every route the
+/// shipped workloads decode on a star or a small tree names at most five
+/// hosts; a longer relay chain spills to the heap.
+pub const INLINE_ROUTE_HOSTS: usize = 5;
+
 /// The hosts a message traversed, in order. "All data returned to the
 /// originator of a broadcast request includes the message's
 /// source-destination route. This allows quick routing of messages
 /// affecting processes in topologically distant hosts."
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Route(pub Vec<Name>);
+///
+/// Up to [`INLINE_ROUTE_HOSTS`] hosts are held inline, so decoding,
+/// cloning and pushing onto such a route allocate nothing (each hop is a
+/// [`Name`], itself inline when short); past that the hosts move to a
+/// `Vec`. Equality, hashing and the `Debug` form are those of the host
+/// list, whichever way it is held.
+#[derive(Clone, Default)]
+pub struct Route(Hosts);
+
+#[derive(Clone)]
+enum Hosts {
+    /// The first `len` entries of `hosts`; the others are empty names.
+    Inline {
+        len: u8,
+        hosts: [Name; INLINE_ROUTE_HOSTS],
+    },
+    /// More than [`INLINE_ROUTE_HOSTS`] hosts.
+    Spilled(Vec<Name>),
+}
+
+impl Default for Hosts {
+    fn default() -> Self {
+        Hosts::Inline {
+            len: 0,
+            hosts: Default::default(),
+        }
+    }
+}
 
 impl Route {
     /// A route starting at `origin`.
     pub fn from_origin(origin: impl Into<Name>) -> Self {
-        Route(vec![origin.into()])
+        let mut route = Route::default();
+        route.append(origin.into());
+        route
+    }
+
+    /// The hosts, origin first.
+    pub fn hosts(&self) -> &[Name] {
+        match &self.0 {
+            Hosts::Inline { len, hosts } => &hosts[..usize::from(*len)],
+            Hosts::Spilled(hosts) => hosts,
+        }
     }
 
     /// Appends a hop (no-op if it is already the last entry).
     pub fn push(&mut self, host: impl Into<Name>) {
         let host = host.into();
-        if self.0.last() != Some(&host) {
-            self.0.push(host);
+        if self.hosts().last() != Some(&host) {
+            self.append(host);
+        }
+    }
+
+    /// Appends `host` unconditionally, spilling a full inline route.
+    fn append(&mut self, host: Name) {
+        match &mut self.0 {
+            Hosts::Inline { len, hosts } if usize::from(*len) < INLINE_ROUTE_HOSTS => {
+                hosts[usize::from(*len)] = host;
+                *len += 1;
+            }
+            Hosts::Inline { hosts, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_ROUTE_HOSTS);
+                spilled.extend(hosts.iter_mut().map(std::mem::take));
+                spilled.push(host);
+                self.0 = Hosts::Spilled(spilled);
+            }
+            Hosts::Spilled(hosts) => hosts.push(host),
         }
     }
 
     /// Whether the route already visits `host` (loop prevention).
     pub fn contains(&self, host: &str) -> bool {
-        self.0.iter().any(|h| h == host)
+        self.hosts().iter().any(|h| h == host)
     }
 
     /// Number of hops (edges) traversed.
     pub fn hops(&self) -> usize {
-        self.0.len().saturating_sub(1)
+        self.hosts().len().saturating_sub(1)
     }
 
     /// The host the route started from.
     pub fn origin(&self) -> Option<&str> {
-        self.0.first().map(Name::as_str)
+        self.hosts().first().map(Name::as_str)
     }
 
     /// The host the route last visited.
     pub fn last(&self) -> Option<&str> {
-        self.0.last().map(Name::as_str)
+        self.hosts().last().map(Name::as_str)
+    }
+}
+
+impl FromIterator<Name> for Route {
+    /// A route naming exactly these hosts, repeats included (what a
+    /// decode of their encoding gives).
+    fn from_iter<I: IntoIterator<Item = Name>>(hosts: I) -> Self {
+        let mut route = Route::default();
+        for host in hosts {
+            route.append(host);
+        }
+        route
+    }
+}
+
+impl PartialEq for Route {
+    fn eq(&self, other: &Route) -> bool {
+        self.hosts() == other.hosts()
+    }
+}
+
+impl Eq for Route {}
+
+impl Hash for Route {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hosts().hash(state);
+    }
+}
+
+impl fmt::Debug for Route {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Route").field(&self.hosts()).finish()
     }
 }
 
 impl fmt::Display for Route {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0.join(" -> "))
+        write!(f, "{}", self.hosts().join(" -> "))
     }
 }
 
 impl Wire for Route {
     fn encode(&self, enc: &mut Enc) {
-        enc.seq(&self.0, |e, h| e.str(h));
+        enc.seq(self.hosts(), |e, h| e.str(h));
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
@@ -206,17 +297,21 @@ impl Wire for Route {
                 len: n,
             });
         }
-        let mut hosts = Vec::with_capacity(n);
+        let mut route = if n > INLINE_ROUTE_HOSTS {
+            Route(Hosts::Spilled(Vec::with_capacity(n)))
+        } else {
+            Route::default()
+        };
         for _ in 0..n {
-            hosts.push(Name::decode(dec)?);
+            route.append(Name::decode(dec)?);
         }
-        Ok(Route(hosts))
+        Ok(route)
     }
 
     /// Counted, not encoded: replies are spliced into frames sized up
     /// front, and every one of them ends in a route.
     fn wire_len(&self) -> usize {
-        2 + self.0.iter().map(|h| 2 + h.len()).sum::<usize>()
+        2 + self.hosts().iter().map(|h| 2 + h.len()).sum::<usize>()
     }
 }
 
@@ -661,11 +756,9 @@ mod tests {
 
     #[test]
     fn a_route_past_the_hop_budget_is_refused() {
-        let longest = Route(
-            (0..MAX_ROUTE_HOSTS)
-                .map(|i| format!("h{i}").into())
-                .collect(),
-        );
+        let longest: Route = (0..MAX_ROUTE_HOSTS)
+            .map(|i| format!("h{i}").into())
+            .collect();
         assert_eq!(Route::from_bytes(&longest.to_bytes()).unwrap(), longest);
         let mut past = longest;
         past.push("one-more");

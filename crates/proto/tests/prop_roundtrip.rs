@@ -20,7 +20,7 @@ use ppm_proto::msg::{
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{
     FileRecord, Gpid, HistoryRecord, HistoryRecordRef, MetricRow, Name, ProcRecord, ProcRecordRef,
-    Route, RusageRecord, Stamp, WireProcState,
+    Route, RusageRecord, Stamp, WireProcState, INLINE_ROUTE_HOSTS, MAX_ROUTE_HOSTS,
 };
 use ppm_runtime::events::KernelEvent;
 use ppm_runtime::ids::Pid;
@@ -61,7 +61,21 @@ fn arb_gpid() -> impl Strategy<Value = Gpid> {
 }
 
 fn arb_route() -> impl Strategy<Value = Route> {
-    prop::collection::vec(arb_name().prop_map(Name::from), 0..5).prop_map(Route)
+    prop::collection::vec(arb_host(), 0..8).prop_map(Route::from_iter)
+}
+
+/// A route's hosts as a plain list, on both sides of
+/// [`INLINE_ROUTE_HOSTS`]: 0 to 7 of them, or the most a route may name.
+/// Four names, one past [`Name::INLINE_CAP`], so that repeats happen.
+fn arb_route_hosts() -> impl Strategy<Value = Vec<Name>> {
+    fn host() -> impl Strategy<Value = Name> {
+        const HOSTS: [&str; 4] = ["a", "b", "relay", "a-host-name-past-the-inline-cap"];
+        (0..HOSTS.len()).prop_map(|i| Name::from(HOSTS[i]))
+    }
+    prop_oneof![
+        prop::collection::vec(host(), 0..8),
+        prop::collection::vec(host(), MAX_ROUTE_HOSTS..=MAX_ROUTE_HOSTS),
+    ]
 }
 
 fn arb_stamp() -> impl Strategy<Value = Stamp> {
@@ -984,7 +998,7 @@ proptest! {
         prop_assert_eq!(record.to_bytes(), want.into_bytes());
         prop_assert_eq!(ProcRecord::from_bytes(&record.to_bytes()).expect("record"), record);
 
-        let route = Route(hops.iter().map(Name::from).collect());
+        let route: Route = hops.iter().map(Name::from).collect();
         let mut want = Enc::new();
         want.seq(&hops, |e, h| e.str(h));
         prop_assert_eq!(route.to_bytes(), want.into_bytes());
@@ -1002,6 +1016,60 @@ proptest! {
         let back = Stamp::from_bytes(&stamp.to_bytes()).expect("stamp");
         prop_assert!(back.verify(0x1986));
         prop_assert_eq!(back, stamp);
+    }
+
+    /// A route held inline or spilled is the host list it was built
+    /// from: its encoding, its length, its queries, its equality and
+    /// hash, and what a `push` does, whichever side of
+    /// [`INLINE_ROUTE_HOSTS`] it starts and ends on.
+    #[test]
+    fn route_agrees_with_a_host_list(hosts in arb_route_hosts(), next in arb_route_hosts()) {
+        let route: Route = hosts.iter().cloned().collect();
+        prop_assert_eq!(route.hosts(), &hosts[..]);
+        let mut want = Enc::new();
+        want.seq(&hosts, |e, h| e.str(h));
+        let bytes = route.to_bytes();
+        prop_assert_eq!(&bytes, &want.into_bytes());
+        prop_assert_eq!(route.wire_len(), bytes.len());
+        let back = Route::from_bytes(&bytes).expect("route");
+        prop_assert_eq!(back.hosts(), &hosts[..]);
+        prop_assert_eq!(std_hash(&back), std_hash(&route));
+        prop_assert_eq!(&back, &route);
+        prop_assert_eq!(format!("{back:?}"), format!("Route({hosts:?})"));
+
+        prop_assert_eq!(route.hops(), hosts.len().saturating_sub(1));
+        prop_assert_eq!(route.origin(), hosts.first().map(Name::as_str));
+        prop_assert_eq!(route.last(), hosts.last().map(Name::as_str));
+        for probe in ["a", "b", "relay", "a-host-name-past-the-inline-cap", "elsewhere"] {
+            prop_assert_eq!(route.contains(probe), hosts.iter().any(|h| h == probe));
+        }
+
+        // Pushing skips a host that is already last, and nothing else.
+        let (mut pushed, mut model) = (route.clone(), hosts.clone());
+        for host in next.iter().take(2 * INLINE_ROUTE_HOSTS) {
+            pushed.push(host);
+            if model.last() != Some(host) {
+                model.push(host.clone());
+            }
+            prop_assert_eq!(pushed.hosts(), &model[..]);
+        }
+        prop_assert_eq!(pushed.wire_len(), pushed.to_bytes().len());
+        if model.len() <= MAX_ROUTE_HOSTS {
+            prop_assert_eq!(Route::from_bytes(&pushed.to_bytes()).expect("pushed"), pushed);
+        }
+
+        // One host past the most a route may name is refused.
+        let mut past = route;
+        let filler = ["x", "y"];
+        let mut i = 0;
+        while past.hosts().len() <= MAX_ROUTE_HOSTS {
+            past.push(filler[i % 2]);
+            i += 1;
+        }
+        prop_assert_eq!(
+            Route::from_bytes(&past.to_bytes()),
+            Err(CodecError::TooLong { what: "Route", len: MAX_ROUTE_HOSTS + 1 })
+        );
     }
 
     /// `missing` lists are canonical on the wire: whatever order and

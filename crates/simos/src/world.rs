@@ -146,9 +146,10 @@ pub struct World {
     pub(crate) conns: ConnTable<Floors>,
     pub(crate) services: Services,
     /// The behaviour of every live process that has one. A program is
-    /// taken out for the duration of its own callback, so the callback's
-    /// [`Sys`] can borrow the rest of the world.
-    pub(crate) programs: FastMap<ProcKey, Box<dyn Program>>,
+    /// taken out of its slot for the duration of its own callback, so the
+    /// callback's [`Sys`] can borrow the rest of the world; the slot stays
+    /// (empty) until the program goes back or its process goes.
+    pub(crate) programs: FastMap<ProcKey, Option<Box<dyn Program>>>,
     /// Events held back because their target process is stopped.
     pub(crate) deferred: FastMap<ProcKey, Vec<SimEvent>>,
     /// Everything the world records about itself: trace, spans, its own
@@ -427,7 +428,7 @@ impl World {
         };
         self.engine.schedule(cost, SimEvent::Start((host, pid)));
         if let Some(program) = spec.program {
-            self.programs.insert((host, pid), program);
+            self.programs.insert((host, pid), Some(program));
         }
         let spawned = Note::Spawned {
             pid,
@@ -989,45 +990,58 @@ impl World {
         }
     }
 
-    /// Invokes a program callback, honouring busy and stopped states:
-    /// a stopped process accumulates its events until continued, a busy
-    /// one sees them when its CPU burst ends.
-    fn with_program(
-        &mut self,
-        key: ProcKey,
-        reschedule: Option<SimEvent>,
-        f: impl FnOnce(&mut dyn Program, &mut Sys<'_>),
-    ) {
-        if !self.is_alive(key.0, key.1) {
-            return;
+    /// Whether the process `key` takes an event now, or why not: one
+    /// read of its process-table entry.
+    fn admit(&self, key: ProcKey) -> Result<(), Held> {
+        let (host, pid) = key;
+        let entry = match self.hosts.get(host.0 as usize) {
+            Some(k) if self.host_up(host) => k.get(pid),
+            _ => None,
+        };
+        match entry {
+            Some(p) if !p.is_alive() => Err(Held::Dead),
+            Some(p) if p.state == ProcState::Stopped => Err(Held::Stopped),
+            Some(p) if p.busy_until > self.now() => Err(Held::Busy(p.busy_until)),
+            Some(_) => Ok(()),
+            None => Err(Held::Dead),
         }
-        let p = self.kernel(key.0).get(key.1).expect("alive");
-        let (state, busy_until) = (p.state, p.busy_until);
-        if state == ProcState::Stopped {
-            if let Some(ev) = reschedule {
-                self.deferred.entry(key).or_default().push(ev);
+    }
+
+    /// Parks an event its process cannot take now: a stopped process
+    /// accumulates its events until continued, a busy one sees them when
+    /// its CPU burst ends, a dead one never does.
+    fn hold(&mut self, key: ProcKey, held: Held, ev: SimEvent) {
+        match held {
+            Held::Stopped => self.deferred.entry(key).or_default().push(ev),
+            Held::Busy(until) => {
+                self.engine.schedule_at(until, ev);
             }
-            return;
+            Held::Dead => {}
         }
-        if busy_until > self.now() {
-            if let Some(ev) = reschedule {
-                self.engine.schedule_at(busy_until, ev);
-                return;
-            }
+    }
+
+    /// Runs `f` on the program of `key` unless its process is dead or
+    /// stopped. A busy process takes the event at once: a start, a child's
+    /// exit or a connection event is not held back for a CPU burst.
+    fn run_unless_stopped(&mut self, key: ProcKey, f: impl FnOnce(&mut dyn Program, &mut Sys<'_>)) {
+        if let Ok(()) | Err(Held::Busy(_)) = self.admit(key) {
+            self.run_program(key, f);
         }
-        self.run_program(key, f);
     }
 
     /// Runs `f` on the program of `key` (if it has one) with syscall
-    /// access. The program sits outside the table meanwhile, and goes
-    /// back only if its process survived the callback.
+    /// access. The program is taken out of its slot meanwhile and put
+    /// back in place only if the slot is still there and empty: an exit
+    /// or a host crash inside the callback removes the slot, and a
+    /// process that reuses the pid fills it with its own program.
     fn run_program(&mut self, key: ProcKey, f: impl FnOnce(&mut dyn Program, &mut Sys<'_>)) {
-        let Some(mut program) = self.programs.remove(&key) else {
+        let Some(mut program) = self.programs.get_mut(&key).and_then(Option::take) else {
             return;
         };
         f(program.as_mut(), &mut Sys::new(self, key));
-        if self.is_alive(key.0, key.1) {
-            self.programs.insert(key, program);
+        if let Some(slot @ None) = self.programs.get_mut(&key) {
+            debug_assert!(self.hosts[key.0 .0 as usize].is_alive(key.1));
+            *slot = Some(program);
         }
     }
 
@@ -1037,7 +1051,7 @@ impl World {
                 if self.host_up(key.0)
                     && self.kernel_call(key.0, |k, now, fx| k.start(key.1, now, fx))
                 {
-                    self.with_program(key, None, |p, sys| p.on_start(sys));
+                    self.run_unless_stopped(key, |p, sys| p.on_start(sys));
                 }
             }
             SimEvent::Timer(key, token, boot) => {
@@ -1046,26 +1060,21 @@ impl World {
                 if self.kernel(key.0).boot_count() != boot {
                     return;
                 }
-                let resched = SimEvent::Timer(key, token, boot);
-                self.with_program(key, Some(resched), |p, sys| p.on_timer(sys, token));
-            }
-            SimEvent::Deliver { conn, to, data } => {
-                if !self.is_alive(to.0, to.1) {
-                    return;
+                match self.admit(key) {
+                    Ok(()) => self.run_program(key, |p, sys| p.on_timer(sys, token)),
+                    Err(held) => self.hold(key, held, SimEvent::Timer(key, token, boot)),
                 }
-                // Accounting happens on actual handling (inside the
-                // closure), so busy/stopped deferral cannot double-count.
-                let resched = SimEvent::Deliver {
-                    conn,
-                    to,
-                    data: data.clone(),
-                };
-                self.with_program(to, Some(resched), |p, sys| {
+            }
+            // Accounting happens on actual handling (inside the closure),
+            // so busy/stopped deferral cannot double-count.
+            SimEvent::Deliver { conn, to, data } => match self.admit(to) {
+                Ok(()) => self.run_program(to, |p, sys| {
                     if sys.delivered(conn, data.len()) {
                         p.on_message(sys, conn, data)
                     }
-                });
-            }
+                }),
+                Err(held) => self.hold(to, held, SimEvent::Deliver { conn, to, data }),
+            },
             SimEvent::ConnEstablish { conn } => self.handle_establish(conn),
             SimEvent::Tell(told) => self.tell(told),
             SimEvent::KernelFlush { to } => {
@@ -1085,20 +1094,17 @@ impl World {
                 }
                 self.dispatch(SimEvent::KernelBatch { to, data });
             }
-            SimEvent::KernelBatch { to, data } => {
-                let resched = SimEvent::KernelBatch {
-                    to,
-                    data: data.clone(),
-                };
-                self.with_program(to, Some(resched), |p, sys| p.on_kernel_batch(sys, data));
-            }
+            SimEvent::KernelBatch { to, data } => match self.admit(to) {
+                Ok(()) => self.run_program(to, |p, sys| p.on_kernel_batch(sys, data)),
+                Err(held) => self.hold(to, held, SimEvent::KernelBatch { to, data }),
+            },
             SimEvent::SignalDeliver { to, signal } => self.handle_signal(to, signal),
             SimEvent::ChildExit {
                 parent,
                 child,
                 status,
             } => {
-                self.with_program(parent, None, |p, sys| p.on_child_exit(sys, child, status));
+                self.run_unless_stopped(parent, |p, sys| p.on_child_exit(sys, child, status));
             }
             SimEvent::LoadTick(host) => {
                 if !self.host_up(host) {
@@ -1179,7 +1185,7 @@ impl World {
             let (now, kernel) = (self.now(), &mut self.hosts[to.0 .0 as usize]);
             self.conns.told_closed(conn, to, now, kernel);
         }
-        self.with_program(to, None, |p, sys| p.on_conn_event(sys, conn, event));
+        self.run_unless_stopped(to, |p, sys| p.on_conn_event(sys, conn, event));
     }
 
     fn handle_establish(&mut self, conn: ConnId) {
@@ -1294,6 +1300,17 @@ impl World {
         let tick = self.config.load_tick;
         self.engine.schedule(tick, SimEvent::LoadTick(host));
     }
+}
+
+/// Why a process does not take an event now.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    /// Gone, or its host is down: the event is dropped.
+    Dead,
+    /// Stopped by a signal: the event waits for a continue.
+    Stopped,
+    /// In a CPU burst until then.
+    Busy(SimTime),
 }
 
 #[derive(Debug, Clone, Copy)]

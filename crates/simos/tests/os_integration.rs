@@ -7,7 +7,7 @@ use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::obs::MetricValue;
 use ppm_runtime::process::ProcState;
-use ppm_runtime::program::{ConnEvent, Program, SpawnSpec, SysError};
+use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
@@ -668,5 +668,121 @@ fn a_timer_does_not_outlive_the_boot_it_was_armed_in() {
     assert!(
         w.kernel(a).get(second).unwrap().is_alive(),
         "the first boot's 60 s timer fired into the second boot's worker"
+    );
+}
+
+/// A program that logs what reaches it under its own label, and when it
+/// is dropped. On its first timer it forks `forks` children (and arms a
+/// second timer) or, with no forks, exits inside the callback.
+struct Slotted {
+    label: &'static str,
+    forks: usize,
+    log: Arc<Mutex<Vec<String>>>,
+}
+
+impl Slotted {
+    fn spec(label: &'static str, forks: usize, log: &Arc<Mutex<Vec<String>>>) -> SpawnSpec {
+        let log = Arc::clone(log);
+        SpawnSpec::new(label, Box::new(Slotted { label, forks, log }))
+    }
+
+    fn note(&self, what: impl std::fmt::Display) {
+        self.log
+            .lock()
+            .unwrap()
+            .push(format!("{} {what}", self.label));
+    }
+}
+
+impl Program for Slotted {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.set_timer(SimDuration::from_millis(100), 1);
+    }
+    fn on_timer(&mut self, sys: &mut dyn Sys, token: u64) {
+        self.note(format_args!("timer {token}"));
+        if token != 1 {
+            return;
+        }
+        if self.forks == 0 {
+            sys.exit(0);
+            return;
+        }
+        for _ in 0..self.forks {
+            let idle = Worker::new(SimDuration::from_secs(60), SimDuration::ZERO);
+            sys.spawn(SpawnSpec::new("child", Box::new(idle))).unwrap();
+        }
+        sys.set_timer(SimDuration::from_millis(100), 2);
+    }
+    fn on_signal(&mut self, _sys: &mut dyn Sys, signal: Signal) -> SigAction {
+        self.note(format_args!("signal {signal:?}"));
+        SigAction::Handled
+    }
+    fn name(&self) -> &str {
+        self.label
+    }
+}
+
+impl Drop for Slotted {
+    fn drop(&mut self) {
+        self.note("dropped");
+    }
+}
+
+/// A program sits outside its slot while its own callback runs. It goes
+/// back only if its process is still there: an exit inside the callback
+/// drops it; a fork that grows the program table meanwhile does not lose
+/// it; and after a crash the pid's next holder runs its own program.
+#[test]
+fn a_program_goes_back_to_its_slot_only_while_its_process_lives() {
+    let mut w = World::new(11);
+    let a = w.add_host(HostSpec::new("a", CpuClass::Vax780));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let taken = |log: &Arc<Mutex<Vec<String>>>| std::mem::take(&mut *log.lock().unwrap());
+
+    let quitter = w
+        .spawn_user(a, Uid(1), Slotted::spec("quitter", 0, &log))
+        .unwrap();
+    w.run_for(SimDuration::from_secs(1));
+    assert_eq!(taken(&log), ["quitter timer 1", "quitter dropped"]);
+    assert!(!w.kernel(a).is_alive(quitter));
+
+    let forker = w
+        .spawn_user(a, Uid(1), Slotted::spec("forker", 200, &log))
+        .unwrap();
+    w.run_for(SimDuration::from_secs(1));
+    w.post_signal(Uid(1), (a, forker), Signal::Usr1).unwrap();
+    w.run_for(SimDuration::from_millis(100));
+    assert_eq!(
+        taken(&log),
+        ["forker timer 1", "forker timer 2", "forker signal Usr1"],
+        "the forker's program went back to its slot after 200 forks"
+    );
+
+    w.schedule_crash(a, SimDuration::ZERO);
+    w.schedule_restart(a, SimDuration::from_secs(1));
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(
+        taken(&log),
+        ["forker dropped"],
+        "the crash dropped the program"
+    );
+    let mut heir = w
+        .spawn_user(a, Uid(1), Slotted::spec("heir", 1, &log))
+        .unwrap();
+    while heir != forker {
+        w.post_signal(Uid(1), (a, heir), Signal::Kill).unwrap();
+        w.run_for(SimDuration::from_millis(10));
+        heir = w
+            .spawn_user(a, Uid(1), Slotted::spec("heir", 1, &log))
+            .unwrap();
+    }
+    taken(&log);
+    w.run_for(SimDuration::from_secs(1));
+    w.post_signal(Uid(1), (a, heir), Signal::Usr1).unwrap();
+    w.run_for(SimDuration::from_millis(100));
+    assert_eq!(
+        taken(&log),
+        ["heir timer 1", "heir timer 2", "heir signal Usr1"],
+        "the pid's new holder runs its own program"
     );
 }
