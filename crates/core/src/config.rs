@@ -32,7 +32,7 @@ pub const DEFAULT_TRACE_FLAGS: TraceFlags = TraceFlags::ALL;
 ///
 /// The cost constants are calibrated so the regenerated Table 2 lands on
 /// the paper's numbers (77 ms within-host create; 30 / 199 / 210 ms
-/// stop-or-kill at 0 / 1 / 2 hops) — see `ppm-bench`.
+/// stop-or-kill at 0 / 1 / 2 hops) — see `scenarios/paper_table2.sweep`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PpmConfig {
     /// Dispatcher cost to pick up and classify one incoming request.

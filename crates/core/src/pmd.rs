@@ -8,7 +8,8 @@
 //! The paper notes (Section 5) that pmd state lost in a pmd-only crash
 //! breaks the mechanism, and suggests keeping it in stable storage; that
 //! hardening "has not been implemented" there — here it is available
-//! behind [`PmdOptions::stable_storage`] and ablated in `ppm-bench`.
+//! behind [`PmdOptions::stable_storage`] and ablated by
+//! `scenarios/ablation_pmd.sweep`.
 
 use std::collections::HashMap;
 use std::sync::Arc;

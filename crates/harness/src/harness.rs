@@ -17,7 +17,9 @@
 use std::sync::Arc;
 
 use ppm_proto::msg::{ControlAction, Op, Reply};
-use ppm_proto::types::{Gpid, HistoryRecord, MetricRow, Name, ProcRecord, RusageRecord};
+use ppm_proto::types::{
+    FileRecord, Gpid, HistoryRecord, MetricRow, Name, ProcRecord, RusageRecord,
+};
 use ppm_runtime::obs::SpanEvent;
 use ppm_runtime::program::SpawnSpec;
 pub use ppm_runtime::rt::Runtime;
@@ -646,6 +648,24 @@ impl<R: Runtime> PpmHarness<R> {
         let reply = self.one_reply(from_host, uid, dest, op, Self::WAIT)?;
         match split_partial(reply).0 {
             Reply::History { events } => Ok(events),
+            _ => Err(HarnessError::UnexpectedReply),
+        }
+    }
+
+    /// Lists a (possibly remote) process's open descriptors.
+    ///
+    /// # Errors
+    ///
+    /// Tool/LPM/timeout errors as [`HarnessError`].
+    pub fn open_files(
+        &mut self,
+        from_host: &str,
+        uid: Uid,
+        target: &Gpid,
+    ) -> Result<Vec<FileRecord>, HarnessError> {
+        let op = Op::OpenFiles { pid: target.pid };
+        match self.one_reply(from_host, uid, &target.host.clone(), op, Self::WAIT)? {
+            Reply::Files { entries } => Ok(entries),
             _ => Err(HarnessError::UnexpectedReply),
         }
     }

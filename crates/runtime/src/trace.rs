@@ -1,10 +1,10 @@
 //! Structured simulation trace.
 //!
 //! Every layer of the stack (kernel, network, daemons, LPMs, tools) can
-//! append timestamped entries to a shared [`TraceLog`]. The figure
-//! regenerators in `ppm-bench` replay these entries to print the message
-//! sequences of Figures 2–4, and tests assert on them to check protocol
-//! steps without reaching into private state.
+//! append timestamped entries to a shared [`TraceLog`]. A scenario run
+//! with `--trace` prints them: Figure 2's LPM creation steps are read
+//! off `scenarios/exhibits/figure2.ppm`'s, and tests assert on them to
+//! check protocol steps without reaching into private state.
 //!
 //! An entry is a [`Note`]. The lines a backend writes once per process
 //! or per connection are typed variants: the log keeps their values and

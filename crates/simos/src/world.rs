@@ -16,6 +16,7 @@ use std::fmt;
 
 use bytes::Bytes;
 use ppm_proto::codec::encode_batch;
+use ppm_proto::kernel_wire::walk_kernel_batch;
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::CpuClass;
 use ppm_runtime::kernel::{Effect, Effects};
@@ -167,6 +168,8 @@ pub struct World {
     pub(crate) net: Option<NetModel>,
     /// `net.*` metric ids, present iff `net` is.
     pub(crate) net_obs: Option<NetObs>,
+    /// `kernel.delivery_us`, once [`World::time_kernel_delivery`] asked.
+    kernel_delivery: Option<HistId>,
     /// Bumped whenever reachability may have changed (link cut/heal,
     /// named net-link cut/heal, host crash/restart). Programs compare it
     /// against a remembered value to revalidate cached routes.
@@ -780,6 +783,7 @@ impl World {
             faults: None,
             net: None,
             net_obs: None,
+            kernel_delivery: None,
             net_epoch: 0,
             seed,
         }
@@ -855,6 +859,13 @@ impl World {
         );
         self.net = Some(net);
         Ok(())
+    }
+
+    /// Registers `kernel.delivery_us` (Table 1): from here on, each kernel
+    /// message's delivery time, queued to handed to its tracer with any
+    /// hold, is recorded. Unregistered, metrics stay as they were.
+    pub fn time_kernel_delivery(&mut self) {
+        self.kernel_delivery = Some(self.obs.registry.hist("kernel.delivery_us"));
     }
 
     /// Schedules a host crash at `delay` from now.
@@ -1095,7 +1106,15 @@ impl World {
                 self.dispatch(SimEvent::KernelBatch { to, data });
             }
             SimEvent::KernelBatch { to, data } => match self.admit(to) {
-                Ok(()) => self.run_program(to, |p, sys| p.on_kernel_batch(sys, data)),
+                Ok(()) => {
+                    if let Some(hist) = self.kernel_delivery {
+                        let (now, reg) = (self.now(), &mut self.obs.registry);
+                        walk_kernel_batch(&data, |m| {
+                            reg.record(hist, now.saturating_since(m.queued_at).as_micros());
+                        });
+                    }
+                    self.run_program(to, |p, sys| p.on_kernel_batch(sys, data));
+                }
                 Err(held) => self.hold(to, held, SimEvent::KernelBatch { to, data }),
             },
             SimEvent::SignalDeliver { to, signal } => self.handle_signal(to, signal),

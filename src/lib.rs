@@ -19,8 +19,9 @@
 //! (see the `ppm-sweep` binary), and the [`mc_suites`] the model checker
 //! explores (see the `ppm-mc` binary).
 //!
-//! See `examples/` for runnable walkthroughs and `ppm-bench` for the
-//! regeneration of every table and figure in the paper.
+//! See `examples/` for runnable walkthroughs, and `scenarios/` for the
+//! cells and grids that regenerate every table and figure in the paper,
+//! its ablations and its scale test (`ppm-sweep scenarios/*.sweep`).
 //!
 //! ## Quickstart
 //!

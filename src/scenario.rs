@@ -15,7 +15,10 @@
 //! seed 1986                               # seeds the sim; real and mc make no seeded choice
 //! host calder vax780                      # cpu: vax780 | vax750 | sun2
 //! link calder ucbarpa                     # sim-only unless every pair is linked
+//! load calder 1.5                         # sim-only
+//! pmd stable                              # or: pmd volatile
 //! user 100 secret=0xBEEF recovery=calder,ucbarpa [fast] [nameserver=ns] [noagg]
+//!          [noreuse] [noroutes] [window=60s]
 //!
 //! at 0s    spawn calder 100 ucbarpa worker as w1 [lifetime=10s] [parent=$w0] [time=LABEL]
 //! at 500ms adopt calder 100 calder 4
@@ -26,6 +29,7 @@
 //! at 5s    history calder 100 *
 //! at 6s    killtree calder 100 $w1
 //! at 7s    drill calder 100 ucbarpa,kim [kill=ucbarpa]
+//! at 7s    files calder 100 calder 5          # a process's descriptors
 //! at 8s    crash ucbarpa                     # sim-only
 //! at 9s    restart ucbarpa                   # sim-only
 //! at 10s   link-down calder ucbarpa          # sim-only
@@ -38,9 +42,21 @@
 //! it in later `control`/`killtree`/`parent=` arguments. Durations are a
 //! count and a unit (`us`, `ms` or `s`). UIDs and PIDs fit in 32 bits,
 //! and no token is longer than 65 535 bytes, the most a protocol string
-//! carries (a host name, a command, a destination). A
-//! `link` joins two distinct hosts declared on earlier lines; a host and
-//! a user are each declared once.
+//! carries (a host name, a command, a destination). A `link`, a `load`
+//! and a user's `recovery=` and `nameserver=` name hosts declared on
+//! earlier lines; a host and a user are each declared once.
+//!
+//! A user's options set its [`PpmConfig`]: `fast` the short recovery
+//! timers, `noagg` no reply splicing, `noreuse` no handler reuse,
+//! `noroutes` no route learning and `window=` the broadcast stamp
+//! window. `pmd stable|volatile` sets whether pmds keep their registry
+//! on stable storage ([`PmdOptions::stable_storage`]); without it they
+//! do only when LPMs are brought back (a `kill=` drill, a fault plan).
+//!
+//! `load HOST AVG` pins the host's load average near AVG (0, or 0.25 to
+//! 8) with duty-cycled spinners from the first instant, and times each
+//! kernel message handed to a process: `kernel.delivery_us` in the world
+//! metrics, `delivery_us` in the sweep report (Table 1).
 //!
 //! `time=LABEL` on a `spawn`, `control` or `snapshot` reports the tool's
 //! elapsed time for it — request sent to reply received — under LABEL in
@@ -53,12 +69,12 @@
 //! with a `kill=` runs its pmds with stable storage and LPM respawn.
 //!
 //! **Sim-only statements** — `crash`, `restart`, `link-down`, `link-up`,
-//! and a `link` set that leaves some pair of hosts unlinked (every other
-//! runtime is one LAN segment) — need the simulated world, as do
-//! `ppm-sim --seed`, fault plans, a network model, the `--hosts` chain
-//! and the `--users` storm.
-//! [`crate::sweep::run_cell`] refuses them on every other runtime, with
-//! the offending line, before a host boots.
+//! `load`, and a `link` set that leaves some pair of hosts unlinked
+//! (every other runtime is one LAN segment) — need the simulated world,
+//! as do `ppm-sim --seed`, fault plans, a network model, the `--hosts`
+//! chain and the `--users` storm. [`crate::sweep::run_cell`] refuses
+//! them on every other runtime, with the offending line, before a host
+//! boots.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -72,9 +88,11 @@ use ppm_proto::codec::MAX_STR_BYTES;
 use ppm_proto::msg::ControlAction;
 use ppm_proto::types::{Gpid, ProcRecord};
 use ppm_runtime::events::TraceFlags;
+use ppm_runtime::program::SpawnSpec;
+use ppm_runtime::workload::DutyCycle;
 use ppm_simnet::fault::FaultPlan;
 use ppm_simnet::time::{SimDuration, SimTime};
-use ppm_simnet::topology::{CpuClass, NetGraph, NetSpec};
+use ppm_simnet::topology::{CpuClass, HostId, NetGraph, NetSpec};
 use ppm_simos::ids::Uid;
 use ppm_simos::world::World;
 use ppm_tools::computation::signal_computation;
@@ -206,6 +224,12 @@ pub enum Action {
         uid: u32,
         root: ProcRef,
     },
+    /// Print a process's open descriptors.
+    Files {
+        from: String,
+        uid: u32,
+        target: ProcRef,
+    },
     /// Run the recovery drill: jobs on `jobs`, `kill`'s LPM the victim.
     Drill {
         from: String,
@@ -250,6 +274,11 @@ pub struct Scenario {
     pub users: Vec<(u32, u64, Vec<String>, PpmConfig)>,
     /// Timed actions, in file order, each with its `time=` label.
     pub actions: Vec<(usize, SimTime, Action, Option<String>)>,
+    /// `load HOST AVG` statements: line, host and the average pinned.
+    pub loads: Vec<(usize, String, f64)>,
+    /// `pmd stable|volatile`: whether pmds keep their registry on stable
+    /// storage, when the file says.
+    pub stable_storage: Option<bool>,
     /// Extra time to run after the last action.
     pub tail: SimDuration,
 }
@@ -368,6 +397,33 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 }
                 sc.links.push((a.to_string(), b.to_string()));
             }
+            "load" => {
+                let (Some(&host), Some(avg), 3) = (tokens.get(1), tokens.get(2), tokens.len())
+                else {
+                    return Err(err(line, "load takes HOST AVG"));
+                };
+                if !sc.hosts.iter().any(|(h, _)| h == host) {
+                    return Err(err(line, format!("load names undeclared host {host:?}")));
+                }
+                if sc.loads.iter().any(|(_, h, _)| h == host) {
+                    return Err(err(line, format!("load of {host:?} is given twice")));
+                }
+                let avg: f64 = avg
+                    .parse()
+                    .map_err(|_| err(line, format!("bad load average {avg:?}")))?;
+                // Spinners come in halves of a process: 0, or 0.25 to MAX_LOAD.
+                if !(avg == 0.0 || (0.25..=MAX_LOAD).contains(&avg)) {
+                    return Err(err(line, format!("cannot pin a load average of {avg}")));
+                }
+                sc.loads.push((line, host.to_string(), avg));
+            }
+            "pmd" => {
+                sc.stable_storage = match (tokens.get(1).copied(), tokens.len()) {
+                    (Some("stable"), 2) => Some(true),
+                    (Some("volatile"), 2) => Some(false),
+                    _ => return Err(err(line, "pmd takes stable or volatile")),
+                };
+            }
             "user" => {
                 let uid = parse_u32(
                     tokens.get(1).ok_or_else(|| err(line, "user needs a uid"))?,
@@ -378,24 +434,35 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 }
                 let mut secret = 0u64;
                 let mut recovery = Vec::new();
-                let mut cfg = PpmConfig::default();
+                // `fast` sets timers only, so it goes first wherever it is.
+                let mut cfg = if tokens[2..].contains(&"fast") {
+                    PpmConfig::fast_recovery()
+                } else {
+                    PpmConfig::default()
+                };
+                let declared = |h: &str| {
+                    let known = sc.hosts.iter().any(|(d, _)| d == h);
+                    let unknown = || err(line, format!("user names undeclared host {h:?}"));
+                    known.then(|| h.to_string()).ok_or_else(unknown)
+                };
                 for t in &tokens[2..] {
                     if let Some(v) = t.strip_prefix("secret=") {
                         secret = parse_u64(v, line)?;
                     } else if let Some(v) = t.strip_prefix("recovery=") {
-                        recovery = v.split(',').map(str::to_string).collect();
+                        recovery = v.split(',').map(declared).collect::<Result<_, _>>()?;
                     } else if let Some(v) = t.strip_prefix("nameserver=") {
-                        cfg.recovery_policy = RecoveryPolicy::NameServer { host: v.into() };
-                    } else if *t == "fast" {
-                        let policy = cfg.recovery_policy.clone();
-                        let splicing = cfg.reply_splicing;
-                        cfg = PpmConfig::fast_recovery();
-                        cfg.recovery_policy = policy;
-                        cfg.reply_splicing = splicing;
-                    } else if *t == "noagg" {
-                        cfg.reply_splicing = false;
+                        let host = declared(v)?.into();
+                        cfg.recovery_policy = RecoveryPolicy::NameServer { host };
+                    } else if let Some(v) = t.strip_prefix("window=") {
+                        cfg.bcast_window = parse_duration(v, line)?;
                     } else {
-                        return Err(err(line, format!("unknown user option {t:?}")));
+                        match *t {
+                            "fast" => {}
+                            "noagg" => cfg.reply_splicing = false,
+                            "noreuse" => cfg.handler_reuse = false,
+                            "noroutes" => cfg.route_learning = false,
+                            _ => return Err(err(line, format!("unknown user option {t:?}"))),
+                        }
                     }
                 }
                 sc.users.push((uid, secret, recovery, cfg));
@@ -555,6 +622,12 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
             let (root, _) = parse_proc_ref(&tokens[3..], line)?;
             Ok(Action::KillTree { from, uid, root })
         }
+        "files" => {
+            let from = need(1, "FROM")?.to_string();
+            let uid = parse_u32(need(2, "UID")?, line)?;
+            let (target, _) = parse_proc_ref(&tokens[3..], line)?;
+            Ok(Action::Files { from, uid, target })
+        }
         "drill" => {
             let from = need(1, "FROM")?.to_string();
             let uid = parse_u32(need(2, "UID")?, line)?;
@@ -603,8 +676,9 @@ pub struct ExecOptions<'a> {
     /// Record structured spans from the first event.
     pub spans: bool,
     /// A fault plan applied before the first action (`ppm-sim --faults`).
-    /// Enables pmd stable storage and LPM respawn, so the world can heal
-    /// from the faults the plan injects.
+    /// Enables LPM respawn and (unless a scenario says `pmd volatile`)
+    /// pmd stable storage, so the world can heal from the faults the plan
+    /// injects.
     pub faults: Option<&'a FaultPlan>,
     /// A physical network model installed before the first action
     /// (`ppm-sim --topology`): deliveries are priced over its routes with
@@ -732,12 +806,19 @@ pub(crate) fn execute_played(
     trace: bool,
 ) -> Result<Played, ScenarioError> {
     let host_names = || sc.hosts.iter().map(|(n, _)| n.clone()).collect();
-    let builder = builder(sc).trace(trace).seed(sc.seed);
-    let mut builder = opts.builder(builder, host_names)?;
+    let builder = opts.builder(PpmHarness::builder(), host_names)?;
+    let mut builder = scenario_builder(sc, builder, opts.faults.is_some());
     for (a, b) in &sc.links {
         builder = builder.link(a.clone(), b.clone());
     }
-    let mut ppm = builder.build();
+    let mut ppm = builder.trace(trace).seed(sc.seed).build();
+    if !sc.loads.is_empty() {
+        ppm.world_mut().time_kernel_delivery();
+    }
+    for (line, host, avg) in &sc.loads {
+        let host = ppm.host(host).map_err(|e| err(*line, e.to_string()))?;
+        pin_load(ppm.world_mut(), host, *avg);
+    }
     opts.arm(&mut ppm, out)?;
     let mut times = Vec::new();
     let observed = play(sc, &mut ppm, out, &sim_world, &mut times);
@@ -753,7 +834,7 @@ pub(crate) fn execute_played(
 /// been refused by [`crate::sweep::run_cell`]; an action that fails is
 /// [`Played::observed`]'s error.
 pub(crate) fn execute_on<R: Runtime>(sc: &Scenario, rt: R, out: &mut dyn fmt::Write) -> Played<R> {
-    let mut ppm = builder(sc).build_on(rt);
+    let mut ppm = scenario_builder(sc, PpmHarness::builder(), false).build_on(rt);
     let mut times = Vec::new();
     let observed = play(sc, &mut ppm, out, &|_, _, _| Ok(()), &mut times);
     Played {
@@ -763,10 +844,11 @@ pub(crate) fn execute_on<R: Runtime>(sc: &Scenario, rt: R, out: &mut dyn fmt::Wr
     }
 }
 
-/// What every runtime boots for `sc`: its hosts and accounts and, when a
-/// drill kills an LPM, a pmd that brings it back.
-fn builder(sc: &Scenario) -> HarnessBuilder {
-    let mut builder = PpmHarness::builder();
+/// What every runtime boots for `sc` on `builder`: its hosts and
+/// accounts and, when it is `faulted` or a drill kills an LPM, a pmd that
+/// brings LPMs back; `pmd stable|volatile` has the last word on its
+/// stable storage.
+fn scenario_builder(sc: &Scenario, mut builder: HarnessBuilder, faulted: bool) -> HarnessBuilder {
     for (name, cpu) in &sc.hosts {
         builder = builder.host(name.clone(), *cpu);
     }
@@ -775,10 +857,27 @@ fn builder(sc: &Scenario) -> HarnessBuilder {
         builder = builder.user(Uid(*uid), *secret, &rec, cfg.clone());
     }
     let kills = |(_, _, a, _): &_| matches!(a, Action::Drill { kill: Some(_), .. });
-    if sc.actions.iter().any(kills) {
-        builder = builder.pmd_options(RECOVERING);
+    let respawn_lpms = faulted || sc.actions.iter().any(kills);
+    builder.pmd_options(PmdOptions {
+        stable_storage: sc.stable_storage.unwrap_or(respawn_lpms),
+        respawn_lpms,
+    })
+}
+
+/// The most load a `load` statement pins: sixteen spinners.
+const MAX_LOAD: f64 = 8.0;
+
+/// Pins `host`'s load average near `avg` as Table 1 is measured: `2·avg`
+/// spinners of uid 1 (rounded), each runnable for its share of a 400 ms
+/// period, from the world's first instant.
+fn pin_load(world: &mut World, host: HostId, avg: f64) {
+    let n = (avg * 2.0).round();
+    for i in 0..n as usize {
+        let spin = DutyCycle::new(avg / n, SimDuration::from_millis(400));
+        let spec = SpawnSpec::new(format!("spin{i}"), Box::new(spin));
+        let spawned = world.spawn_user(host, Uid(1), spec);
+        spawned.expect("a booted host takes a spinner");
     }
-    builder
 }
 
 /// The one way a sim-only statement (`crash`, `restart`, `link-down`,
@@ -972,6 +1071,13 @@ fn play<R: Runtime>(
                     .map_err(lift(line))?;
                 n.hash(&mut seen);
                 let _ = writeln!(out, "killed {n} member(s) of {g}");
+            }
+            Action::Files { from, uid, target } => {
+                let g = resolve(target, &bindings, line)?;
+                let fds = ppm.open_files(from, Uid(*uid), &g).map_err(lift(line))?;
+                seen.set(fds.iter().map(|e| (e.fd, &e.kind)));
+                let title = format!("descriptors of {g}");
+                let _ = writeln!(out, "{}", ppm_tools::files_tool::render_fds(&fds, &title));
             }
             Action::Drill {
                 from,
@@ -1218,6 +1324,51 @@ run 2s
         let e = execute_with(&sc, &mut out, ExecOptions::default()).unwrap_err();
         assert!(e.message.contains("$ghost"), "{e}");
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn the_exhibit_spellings_set_existing_settings() {
+        let sc = parse(
+            "host a vax780\nhost b sun2\nload b 1.5\npmd volatile\n\
+             user 7 secret=1 noreuse noroutes window=60ms fast noagg\n\
+             at 1s files a 7 b 5",
+        )
+        .unwrap();
+        assert_eq!(sc.loads, vec![(3, "b".to_string(), 1.5)]);
+        assert_eq!(sc.stable_storage, Some(false));
+        let cfg = &sc.users[0].3;
+        let want = PpmConfig {
+            handler_reuse: false,
+            route_learning: false,
+            reply_splicing: false,
+            bcast_window: SimDuration::from_millis(60),
+            ..PpmConfig::fast_recovery()
+        };
+        assert_eq!(*cfg, want, "`fast` keeps what the other options set");
+        let files = Action::Files {
+            from: "a".into(),
+            uid: 7,
+            target: ProcRef::Literal(Gpid::new("b", 5)),
+        };
+        assert_eq!(sc.actions[0].2, files);
+        let sc = parse("host a vax780\nuser 7 secret=1\npmd stable").unwrap();
+        assert_eq!((sc.loads.len(), sc.stable_storage), (0, Some(true)));
+    }
+
+    #[test]
+    fn a_load_times_kernel_delivery_and_nothing_else_does() {
+        let text = "host a vax780\nuser 7 secret=1 recovery=a\n\
+                    at 300s spawn a 7 a job as j\nat 301s control a 7 $j stop\nrun 1s";
+        let metrics = |text: &str| {
+            let sc = parse(text).unwrap();
+            let ppm = execute_with(&sc, &mut String::new(), ExecOptions::default()).unwrap();
+            ppm.metrics_report()
+        };
+        assert!(!metrics(text).contains("kernel.delivery_us"));
+        let loaded = metrics(&text.replace("user", "load a 1\nuser"));
+        let line = loaded.lines().find(|l| l.contains(" kernel.delivery_us "));
+        // The exec, then the signal and stop messages of the control.
+        assert!(line.expect("timed").contains(" count=3 "), "{loaded}");
     }
 
     #[test]

@@ -288,9 +288,10 @@ pub struct RunResult {
     /// `ppm-sim --digest` for the same spec).
     pub digest: u64,
     pub sim_end_us: u64,
-    /// Pooled (`count`, `sum`) of every `lpm.mttr_us` histogram in the
-    /// metrics text, when any LPM recovered during the run.
-    pub mttr: Option<(u64, u64)>,
+    /// Pooled (`count`, `sum`) of every `lpm.mttr_us` and of every
+    /// `kernel.delivery_us` histogram in the metrics text, where they have
+    /// samples: when any LPM recovered, and under a `load` statement.
+    pub pooled: [Option<(u64, u64)>; 2],
     /// The scenario's `time=` samples ([`CellRun::times`]).
     pub times: Vec<(String, u64)>,
     /// Unmet predicates and execution errors; empty means the run passed.
@@ -602,14 +603,21 @@ impl SimArgs {
     }
 }
 
-/// Pools every `lpm.mttr_us` histogram line of a metrics text into one
+/// The histograms a report line pools over every registry of a run, each
+/// with the name the line gives it.
+const POOLED: [(&str, &str); 2] = [
+    (" lpm.mttr_us ", "mttr_us"),
+    (" kernel.delivery_us ", "delivery_us"),
+];
+
+/// Pools every `name` histogram line of a metrics text into one
 /// (count, sum) pair. Render shape (see `ppm_core::obs`):
-/// `label lpm.mttr_us count=N sum=S buckets=[...]`.
-fn pool_mttr(metrics: &str) -> Option<(u64, u64)> {
+/// `label name count=N sum=S buckets=[...]`.
+fn pool(metrics: &str, name: &str) -> Option<(u64, u64)> {
     let mut count = 0u64;
     let mut sum = 0u64;
     for line in metrics.lines() {
-        if !line.contains(" lpm.mttr_us ") {
+        if !line.contains(name) {
             continue;
         }
         for tok in line.split_whitespace() {
@@ -707,7 +715,9 @@ pub fn run_cell(spec: &RunSpec, spans: bool, trace: bool) -> Result<CellRun, Cel
     let mesh = sc
         .mesh_gap
         .map(|line| (line, "a link set that is not the full mesh"));
-    if let Some((line, what)) = statement.into_iter().chain(mesh).min().filter(|_| off_sim) {
+    let load = sc.loads.first().map(|&(line, ..)| (line, "load"));
+    let first = statement.into_iter().chain(mesh).chain(load).min();
+    if let Some((line, what)) = first.filter(|_| off_sim) {
         return Err(refused(line, what));
     }
     match spec.runtime {
@@ -820,7 +830,7 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
         id: spec.id.clone(),
         digest: run.digest.expect("a recorded run has a digest"),
         sim_end_us: run.sim_end_us,
-        mttr: pool_mttr(&run.metrics),
+        pooled: POOLED.map(|(name, _)| pool(&run.metrics, name)),
         times: run.times,
         failures,
         repro: spec.repro(),
@@ -862,6 +872,24 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     debug_assert!(!sorted.is_empty());
     let rank = (p * sorted.len() as u64).div_ceil(100).max(1) as usize;
     sorted[rank.min(sorted.len()) - 1]
+}
+
+/// Appends ` <name> mean=<m> samples=<n>` for each [`POOLED`] histogram
+/// with samples among `runs`, pooled over them.
+fn push_pooled<'a>(out: &mut String, runs: impl Iterator<Item = &'a [Option<(u64, u64)>; 2]>) {
+    let mut pooled = [(0u64, 0u64); 2];
+    for run in runs {
+        for ((c, s), one) in pooled.iter_mut().zip(run) {
+            if let Some((rc, rs)) = one {
+                (*c, *s) = (*c + rc, *s + rs);
+            }
+        }
+    }
+    for ((_, name), (count, sum)) in POOLED.iter().zip(pooled) {
+        if let Some(mean) = sum.checked_div(count) {
+            out.push_str(&format!(" {name} mean={mean} samples={count}"));
+        }
+    }
 }
 
 /// Appends ` time:<label> mean_us=<m> n=<k>` for each label among
@@ -913,10 +941,6 @@ pub fn render_report(grid: &Grid, results: &[RunResult]) -> String {
         let ok = rs.iter().filter(|r| r.failures.is_empty()).count();
         let mut ends: Vec<u64> = rs.iter().map(|r| r.sim_end_us).collect();
         ends.sort_unstable();
-        let (mttr_count, mttr_sum) = rs
-            .iter()
-            .filter_map(|r| r.mttr)
-            .fold((0u64, 0u64), |(c, s), (rc, rs)| (c + rc, s + rs));
         out.push_str(&format!(
             "cell {key} runs={} ok={ok} fail={} sim_end_us median={} p99={}",
             rs.len(),
@@ -924,9 +948,7 @@ pub fn render_report(grid: &Grid, results: &[RunResult]) -> String {
             percentile(&ends, 50),
             percentile(&ends, 99),
         ));
-        if let Some(mean) = mttr_sum.checked_div(mttr_count) {
-            out.push_str(&format!(" mttr_us mean={mean} samples={mttr_count}"));
-        }
+        push_pooled(&mut out, rs.iter().map(|r| &r.pooled));
         push_times(&mut out, rs.iter().flat_map(|r| &r.times));
         out.push('\n');
     }
@@ -938,9 +960,7 @@ pub fn render_report(grid: &Grid, results: &[RunResult]) -> String {
             hex(r.digest),
             r.sim_end_us
         ));
-        if let Some((c, s)) = r.mttr {
-            out.push_str(&format!(" mttr_us mean={} samples={c}", s / c));
-        }
+        push_pooled(&mut out, std::iter::once(&r.pooled));
         push_times(&mut out, r.times.iter());
         out.push_str(if r.failures.is_empty() {
             " ok\n"

@@ -127,7 +127,7 @@ proptest! {
 
     #[test]
     fn sweep_grids_parse_or_refuse_and_name_each_cell_once(
-        grid in 0usize..6,
+        grid in 0usize..11,
         edits in edits(),
     ) {
         let file = [
@@ -137,6 +137,11 @@ proptest! {
             "tenant_scale.sweep",
             "paper_table2.sweep",
             "paper_table3.sweep",
+            "paper_table1.sweep",
+            "paper_figures.sweep",
+            "ablations.sweep",
+            "ablation_pmd.sweep",
+            "scale.sweep",
         ];
         let text = mutate(&shipped(file[grid]), &edits);
         match Grid::parse(&text, &scenarios()) {

@@ -32,6 +32,10 @@ proptest! {
                 Just("secret=1".to_string()), Just("$x".to_string()),
                 Just("drill".to_string()), Just("kill=a".to_string()),
                 Just("time=x".to_string()), Just("snapshot".to_string()),
+                Just("load".to_string()), Just("0.5".to_string()),
+                Just("pmd".to_string()), Just("stable".to_string()),
+                Just("files".to_string()), Just("noreuse".to_string()),
+                Just("noroutes".to_string()), Just("window=1s".to_string()),
                 Just("\n".to_string()),
             ],
             0..60,
@@ -43,15 +47,17 @@ proptest! {
 }
 
 /// Renders a scenario that is mostly well-formed — hosts `h0..h{k-1}`,
-/// links between declared hosts, actions at bounded times — with a
-/// hostile statement mixed in now and then (a repeated host, a link or
-/// an action naming an undeclared host, an unbound `$name`, a user
-/// nobody declared), so that both the accepting and the rejecting side
-/// of `parse` are exercised.
+/// links between declared hosts, loads, actions at bounded times — with
+/// a hostile statement mixed in now and then (a repeated host, a link,
+/// a load, a recovery host or an action naming an undeclared host, a
+/// load no spinners can pin, a bad stamp window, an unbound `$name`, a
+/// user nobody declared), so that both the accepting and the rejecting
+/// side of `parse` are exercised.
 fn render(
     k: usize,
     dup_host: bool,
     links: &[(u8, u8, u8)],
+    loads: &[(u8, u8)],
     users: &[(u8, u8, u8)],
     actions: &[(u8, u8, u8, u8, u8)],
     tail: u8,
@@ -83,6 +89,19 @@ fn render(
         };
         format!("h{i}")
     };
+    // One draw in sixteen is an average no spinners can pin.
+    let average = |a: u8| match a % 16 {
+        15 => ["-1", "NaN", "inf", "0.1", "9", "x"][a as usize / 16 % 6],
+        n => ["0", "0.25", "0.5", "1", "1.5", "2", "2.5", "3.5"][n as usize % 8],
+    };
+    for &(h, avg) in loads {
+        writeln!(s, "load {} {}", host(h), average(avg)).unwrap();
+    }
+    match tail & 48 {
+        16 => s.push_str("pmd stable\n"),
+        32 => s.push_str("pmd volatile\n"),
+        _ => {}
+    }
     let uids = [7u32, 100];
     for (i, &(rec, ns, flags)) in users.iter().enumerate() {
         let uid = uids[i % 2];
@@ -96,6 +115,16 @@ fn render(
         }
         if flags & 2 == 2 {
             s.push_str(" noagg");
+        }
+        if flags & 4 == 4 {
+            s.push_str(" noreuse");
+        }
+        if flags & 8 == 8 {
+            s.push_str(" noroutes");
+        }
+        if flags & 16 == 16 {
+            let windows = ["60s", "60ms", "0s", "1s", "250ms", "10s", "2s", "5h"];
+            write!(s, " window={}", windows[ns as usize % 8]).unwrap();
         }
         s.push('\n');
     }
@@ -113,7 +142,7 @@ fn render(
             None => format!("{dest} {}", 2 + extra % 8),
         };
         write!(s, "at {}ms ", u32::from(t % 30) * 100).unwrap();
-        match kind % 12 {
+        match kind % 13 {
             0..=2 => {
                 write!(s, "spawn {from} {uid} {dest} job{i} as n{i}").unwrap();
                 spawned.push(i);
@@ -140,6 +169,7 @@ fn render(
             8 => write!(s, "history {from} {uid} *").unwrap(),
             9 => write!(s, "killtree {from} {uid} {name}").unwrap(),
             10 => write!(s, "{} {dest}", if t & 1 == 0 { "crash" } else { "restart" }).unwrap(),
+            11 => write!(s, "files {from} {uid} {name}").unwrap(),
             _ => {
                 let verb = if t & 1 == 0 { "link-down" } else { "link-up" };
                 write!(s, "{verb} {from} {dest}").unwrap();
@@ -194,6 +224,7 @@ proptest! {
         k in 1usize..5,
         dup_host in (0u8..16).prop_map(|n| n == 0),
         links in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..5),
+        loads in prop::collection::vec((any::<u8>(), any::<u8>()), 0..2),
         users in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..3),
         actions in prop::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
@@ -201,7 +232,7 @@ proptest! {
         ),
         tail in any::<u8>(),
     ) {
-        let text = render(k, dup_host, &links, &users, &actions, tail);
+        let text = render(k, dup_host, &links, &loads, &users, &actions, tail);
         let Ok(sc) = ppm::scenario::parse(&text) else {
             return Ok(());
         };
@@ -281,6 +312,56 @@ fn hostile_statements_are_line_numbered_parse_errors() {
             format!("host {}\n{user}", "h".repeat(70_000)),
             1,
             "70000 bytes",
+        ),
+        // A recovery host or name server nobody declared, or none at
+        // all: the LPMs ran with no CCS, or each as its own.
+        (
+            "host a\nhost b\nlink a b\nuser 1 secret=1 nameserver=zz\n".into(),
+            4,
+            "undeclared host \"zz\"",
+        ),
+        (
+            "host a\nuser 1 secret=1 recovery=\n".into(),
+            2,
+            "undeclared host \"\"",
+        ),
+        (
+            "host a\nuser 1 secret=1 recovery=a,,zz\n".into(),
+            2,
+            "undeclared host \"\"",
+        ),
+        (
+            "host a\nuser 1 secret=1 recovery=a,zz\n".into(),
+            2,
+            "undeclared host \"zz\"",
+        ),
+        (
+            "user 1 secret=1 recovery=a\nhost a\n".into(),
+            1,
+            "undeclared host \"a\"",
+        ),
+        // A load no spinners pin, or of a host nobody declared.
+        (format!("host a\n{user}load a -1\n"), 3, "cannot pin"),
+        (format!("host a\n{user}load a NaN\n"), 3, "cannot pin"),
+        (format!("host a\n{user}load a inf\n"), 3, "cannot pin"),
+        (format!("host a\n{user}load a 1e300\n"), 3, "cannot pin"),
+        (format!("host a\n{user}load a 0.1\n"), 3, "cannot pin"),
+        (format!("host a\n{user}load a x\n"), 3, "bad load average"),
+        (format!("host a\n{user}load a\n"), 3, "load takes HOST AVG"),
+        (format!("host a\n{user}load zz 1\n"), 3, "undeclared host"),
+        (format!("host a\n{user}load a 1\nload a 2\n"), 4, "twice"),
+        // A stamp window that is no duration.
+        ("host a\nuser 1 secret=1 window=5h\n".into(), 2, "unit"),
+        ("host a\nuser 1 secret=1 window=60\n".into(), 2, "unit"),
+        (
+            "host a\nuser 1 secret=1 window=-1s\n".into(),
+            2,
+            "bad duration",
+        ),
+        (
+            format!("host a\n{user}pmd durable\n"),
+            3,
+            "stable or volatile",
         ),
     ] {
         let e = ppm::scenario::parse(&text).expect_err(&text);

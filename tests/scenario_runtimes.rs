@@ -192,6 +192,15 @@ fn link_up_is_refused_off_the_sim() {
 }
 
 #[test]
+fn load_is_refused_off_the_sim() {
+    let text = format!("{MESH}{USER}load b 1.5\n");
+    refused_off_the_sim(&text, 9, "load");
+    // Named at its own line, before a later sim-only action's.
+    let text = format!("{MESH}load c 0.5\n{USER}at 1s crash b\n");
+    refused_off_the_sim(&text, 7, "load");
+}
+
+#[test]
 fn a_partial_mesh_is_refused_off_the_sim() {
     // c, declared on line 3, has no link to a.
     let text = format!("host a vax780\nhost b sun2\nhost c sun2\nlink a b\nlink b c\n{USER}");

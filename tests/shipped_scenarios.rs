@@ -38,7 +38,11 @@ fn nameserver_scenario_parses_and_executes() {
 fn every_shipped_scenario_parses() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
     let mut seen = 0;
-    for dir in [dir.to_string(), format!("{dir}/paper")] {
+    for dir in [
+        dir.to_string(),
+        format!("{dir}/paper"),
+        format!("{dir}/exhibits"),
+    ] {
         for entry in std::fs::read_dir(&dir).expect("scenarios dir") {
             let path = entry.expect("entry").path();
             if path.extension().and_then(|e| e.to_str()) == Some("ppm") {
@@ -49,8 +53,8 @@ fn every_shipped_scenario_parses() {
             }
         }
     }
-    // Seven at the top level, sixteen paper cells.
-    assert!(seen >= 23, "shipped scenarios present: {seen}");
+    // Seven at the top level, sixteen paper cells and forty exhibits.
+    assert!(seen >= 63, "shipped scenarios present: {seen}");
 }
 
 /// A fault-free `*` snapshot is whole however deep the chain it climbs,

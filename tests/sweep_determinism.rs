@@ -71,7 +71,7 @@ fn pooled_cell_digest_equals_standalone_run() {
         let solo = run_spec(spec);
         assert_eq!(solo.digest, pooled.digest, "{}", spec.id);
         assert_eq!(solo.sim_end_us, pooled.sim_end_us, "{}", spec.id);
-        assert_eq!(solo.mttr, pooled.mttr, "{}", spec.id);
+        assert_eq!(solo.pooled, pooled.pooled, "{}", spec.id);
     }
 }
 
