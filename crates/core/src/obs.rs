@@ -2,7 +2,7 @@
 //! exporters behind `ppm-sim --metrics` / `--spans`.
 //!
 //! Every LPM owns a [`ppm_runtime::obs::Registry`] behind a shared handle
-//! ([`LpmObs`]) and registers it with the world's observability hub at
+//! (`LpmObs`) and registers it with the world's observability hub at
 //! start, so a harness samples every
 //! registry at end of run without generating simulated traffic. The same
 //! registry is what [`ppm_proto::msg::Op::Metrics`] snapshots remotely:

@@ -13,7 +13,7 @@
 //!   connection FIFOs, an explorable timer set, budgeted fault moves.
 //!   It is also a [`ppm_runtime::rt::Runtime`], so every driver written
 //!   for the sim and real backends boots and runs on it unchanged.
-//! * [`explore`] — replay-based DFS with digest pruning and greedy
+//! * [`explore`](mod@explore) — replay-based DFS with digest pruning and greedy
 //!   counterexample minimization.
 //!
 //! The suites themselves — worlds booted through `ppm-harness` and

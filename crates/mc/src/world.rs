@@ -4,7 +4,7 @@
 //! the real backend by wall-clock arrival. This backend orders them by
 //! *choice*: every pending delivery, kernel notification, due timer and
 //! budgeted adversary action is an **enabled move**, and the explorer
-//! (see [`crate::explore`]) picks which one fires next. Exhausting those
+//! (see [`crate::explore`](mod@crate::explore)) picks which one fires next. Exhausting those
 //! picks exhausts the interleavings of the PPM protocols on a small
 //! world — exactly the schedules a discrete-event simulation samples
 //! only one of per seed.

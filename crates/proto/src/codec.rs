@@ -1,16 +1,35 @@
 //! Binary wire codec.
 //!
-//! A small, explicit, length-checked binary format. The codec is
-//! hand-rolled (rather than derived from a serialization framework) for
-//! two reasons: the byte-exact message sizes feed the latency models —
-//! Table 1 is about a *112-byte* message — and the decoder must be robust
-//! against arbitrary bytes, since LPMs accept connections from the
-//! network.
+//! A small, explicit, length-checked binary format, written here rather
+//! than taken from a serialization framework for two reasons: the
+//! byte-exact message sizes feed the latency models — Table 1 is about a
+//! *112-byte* message — and the decoder must be robust against arbitrary
+//! bytes, since LPMs accept connections from the network.
 //!
 //! Conventions: integers are big-endian; strings are `u16` length-prefixed
-//! UTF-8; sequences are `u16` count-prefixed; options are a one-byte tag.
-//! Batches of messages are `u32` count-prefixed sequences of `u32`
-//! length-prefixed frames (see [`encode_batch`] / [`frames`]).
+//! UTF-8; byte blobs are `u32` length-prefixed; sequences are `u16`
+//! count-prefixed; options are a one-byte tag; tuples, records and
+//! variants' fields are their members in order. Batches of messages are
+//! `u32` count-prefixed sequences of `u32` length-prefixed frames (see
+//! [`encode_batch`] / [`frames`]).
+//!
+//! # The wire table
+//!
+//! Every wire enum and record struct is declared once, through the
+//! crate's `wire!` macro: its docs and derives, each variant's tag
+//! (and trace name, where the type has `kind()`), and each field with its
+//! type. The table generates the type itself, [`Wire::encode`] and
+//! [`Wire::decode`] — [`CodecError::BadTag`] for any tag it does not list
+//! — `kind()`, and a `TAGS` list. A field is written by its type's own
+//! [`Wire`] impl (scalars, `String`, [`Bytes`], `Option`, `Vec`, `Box`
+//! and tuples have one here), so adding a message is writing one entry.
+//!
+//! What stays written by hand, and why, is said beside each piece: the
+//! borrowed readers an LPM runs over arriving bytes (`ProcRecordRef`,
+//! `HistoryRecordRef`, `ReplyRef::read`, `Inbound`, `WirePart`,
+//! `KernelEventRef`), the splices that write a message without building
+//! it (`WireReply`, `Msg::bcast_agg_bytes`), `Route` for its storage,
+//! and `Name`, which lives in `ppm-runtime`.
 //!
 //! # Allocation discipline
 //!
@@ -611,6 +630,222 @@ pub trait Wire: Sized {
     }
 }
 
+/// Integers and `bool`: the [`Enc`] / [`Dec`] method of the same name.
+macro_rules! scalar_wire {
+    ($($t:ident)*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn encode(&self, enc: &mut Enc) {
+                enc.$t(*self);
+            }
+
+            #[inline]
+            fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+                dec.$t()
+            }
+        }
+    )*};
+}
+
+scalar_wire!(u8 u16 u32 u64 i32 i64 bool);
+
+impl Wire for String {
+    #[inline]
+    fn encode(&self, enc: &mut Enc) {
+        enc.str(self);
+    }
+
+    #[inline]
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        dec.str()
+    }
+}
+
+/// A `u32` length-prefixed blob, copied out of the input on decode.
+impl Wire for Bytes {
+    #[inline]
+    fn encode(&self, enc: &mut Enc) {
+        enc.bytes(self);
+    }
+
+    #[inline]
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        dec.bytes_ref().map(Bytes::copy_from_slice)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn encode(&self, enc: &mut Enc) {
+        enc.opt(self, |e, v| v.encode(e));
+    }
+
+    #[inline]
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        dec.opt(T::decode)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn encode(&self, enc: &mut Enc) {
+        enc.seq(self, |e, v| v.encode(e));
+    }
+
+    #[inline]
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        dec.seq(T::decode)
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    #[inline]
+    fn encode(&self, enc: &mut Enc) {
+        T::encode(self, enc);
+    }
+
+    #[inline]
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+        T::decode(dec).map(Box::new)
+    }
+}
+
+/// Tuples: their members in order.
+macro_rules! tuple_wire {
+    ($(($($T:ident),+))+) => {$(
+        #[allow(non_snake_case)]
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            #[inline]
+            fn encode(&self, enc: &mut Enc) {
+                let ($($T,)+) = self;
+                $($T.encode(enc);)+
+            }
+
+            #[inline]
+            fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
+                Ok(($($T::decode(dec)?,)+))
+            }
+        }
+    )+};
+}
+
+tuple_wire!((A, B)(A, B, C));
+
+/// The wire table: declares one wire enum or record struct and generates
+/// its [`Wire`] impl, so that its layout is written once.
+///
+/// A struct is written as usual; its fields are encoded in order, each by
+/// its type's [`Wire`] impl. Items after the struct (a `wire_len` that
+/// counts instead of encoding) go into the generated impl.
+///
+/// In an enum, each variant is led by `[tag]`, or `[tag, "name"]` when
+/// the type has a `kind()` (then every variant has a name); a variant is
+/// its tag byte followed by its fields in order. A tuple variant names
+/// its fields, as in `Signal(signal: u8)`, which declares `Signal(u8)`.
+/// An enum also gets `TAGS`, every tag in the table, and its decoder
+/// refuses any other byte with [`CodecError::BadTag`].
+///
+/// A field may be followed by `=> f`: it is then written by
+/// `f(&field, enc)` (decoding is still by its type).
+macro_rules! wire {
+    (
+        $(#[$m:meta])*
+        $vis:vis struct $Name:ident {
+            $( $(#[$fm:meta])* $fvis:vis $f:ident : $ft:ty $(=> $fenc:path)? ),* $(,)?
+        }
+        $($extra:tt)*
+    ) => {
+        $(#[$m])*
+        $vis struct $Name {
+            $( $(#[$fm])* $fvis $f : $ft ),*
+        }
+
+        impl $crate::codec::Wire for $Name {
+            fn encode(&self, enc: &mut $crate::codec::Enc) {
+                $( $crate::codec::wire!(@put enc, &self.$f $(, $fenc)?); )*
+            }
+
+            fn decode(dec: &mut $crate::codec::Dec<'_>) -> Result<Self, $crate::codec::CodecError> {
+                Ok(Self { $( $f: $crate::codec::Wire::decode(dec)? ),* })
+            }
+
+            $($extra)*
+        }
+    };
+    (
+        $(#[$m:meta])*
+        $vis:vis enum $Name:ident {
+            $(
+                $(#[$vm:meta])*
+                [$tag:tt $(, $kind:literal)?] $V:ident
+                $({ $( $(#[$fm:meta])* $f:ident : $ft:ty $(=> $fenc:path)? ),* $(,)? })?
+                $(( $($b:ident : $bt:ty),* ))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$m])*
+        $vis enum $Name {
+            $(
+                $(#[$vm])*
+                $V $({ $( $(#[$fm])* $f : $ft ),* })? $(( $($bt),* ))?,
+            )*
+        }
+
+        impl $Name {
+            /// Every tag the wire table gives this type, in table order.
+            pub const TAGS: &[u8] = &[$($tag),*];
+        }
+
+        $crate::codec::wire!(@kind $Name $($V $($kind)?,)*);
+
+        impl $crate::codec::Wire for $Name {
+            fn encode(&self, enc: &mut $crate::codec::Enc) {
+                match self {
+                    $(
+                        Self::$V $({ $($f),* })? $(( $($b),* ))? => {
+                            enc.u8($tag);
+                            $($( $crate::codec::wire!(@put enc, $f $(, $fenc)?); )*)?
+                            $($( $crate::codec::Wire::encode($b, enc); )*)?
+                        }
+                    )*
+                }
+            }
+
+            fn decode(dec: &mut $crate::codec::Dec<'_>) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match dec.u8()? {
+                    $(
+                        $tag => Self::$V
+                            $({ $($f: $crate::codec::Wire::decode(dec)?),* })?
+                            $(( $(<$bt as $crate::codec::Wire>::decode(dec)?),* ))?,
+                    )*
+                    tag => {
+                        return Err($crate::codec::CodecError::BadTag { what: stringify!($Name), tag })
+                    }
+                })
+            }
+        }
+    };
+    (@put $enc:ident, $v:expr) => {
+        $crate::codec::Wire::encode($v, $enc)
+    };
+    (@put $enc:ident, $v:expr, $fenc:path) => {
+        $fenc($v, $enc)
+    };
+    (@kind $Name:ident $($V:ident $kind:literal,)*) => {
+        impl $Name {
+            /// Short name for traces.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Self::$V { .. } => $kind,)*
+                }
+            }
+        }
+    };
+    (@kind $Name:ident $($V:ident,)*) => {};
+}
+
+pub(crate) use wire;
+
 /// Encodes `items` as one batch: a `u32` count followed by a `u32`
 /// length-prefixed frame per item.
 ///
@@ -744,6 +979,28 @@ mod tests {
     }
 
     #[test]
+    fn composite_values_encode_as_their_members_in_order() {
+        let mut manual = Enc::new();
+        manual.seq(&[(7u32, true)], |e, (n, b)| {
+            e.u32(*n);
+            e.bool(*b);
+        });
+        manual.opt(&Some(-3i64), |e, v| e.i64(*v));
+        manual.str("x");
+        manual.u16(9);
+        manual.u8(1);
+        manual.bytes(b"blob");
+        let value = (
+            (vec![(7u32, true)], Some(-3i64)),
+            (String::from("x"), 9u16, Box::new(1u8)),
+            Bytes::from(b"blob".to_vec()),
+        );
+        let bytes = value.to_bytes();
+        assert_eq!(bytes, manual.into_bytes());
+        assert_eq!(Wire::from_bytes(&bytes), Ok(value));
+    }
+
+    #[test]
     fn string_roundtrip_and_utf8_check() {
         let mut e = Enc::new();
         e.str("ucbvax ✓");
@@ -863,25 +1120,10 @@ mod tests {
 
     #[test]
     fn batch_roundtrip_and_zero_copy_frames() {
-        // u32 wrapper lacks a Wire impl here; encode strings via a tiny
-        // local type instead.
-        struct S(String);
-        impl Wire for S {
-            fn encode(&self, enc: &mut Enc) {
-                enc.str(&self.0);
-            }
-            fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-                Ok(S(dec.str()?))
-            }
-        }
-        let items: Vec<S> = ["a", "bb", "ccc"]
-            .iter()
-            .map(|s| S(s.to_string()))
-            .collect();
+        let items: Vec<String> = ["a", "bb", "ccc"].map(String::from).to_vec();
         let bytes = encode_batch(&items);
-        let back: Vec<S> = decode_batch(&bytes).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[1].0, "bb");
+        let back: Vec<String> = decode_batch(&bytes).unwrap();
+        assert_eq!(back, items);
 
         let mut it = frames(&bytes).unwrap();
         assert_eq!(it.len(), 3);

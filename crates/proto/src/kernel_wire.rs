@@ -333,6 +333,9 @@ impl<'a> KernelMsgRef<'a> {
     }
 }
 
+// Written by hand, not in the wire table: `KernelEvent` and `KernelMsg`
+// are declared in `ppm-runtime`, and their layout is the borrowed
+// walk's above.
 impl Wire for KernelEvent {
     fn encode(&self, enc: &mut Enc) {
         KernelEventRef::from(self).encode(enc);

@@ -1,7 +1,7 @@
 //! # ppm-proto — the PPM wire protocol
 //!
-//! Message types and a hand-rolled, length-checked binary codec for
-//! everything that flows between tools, local process managers (LPMs) and
+//! Message types and a length-checked binary codec, whose wire table
+//! declares each message once (see [`codec`]), for everything that flows between tools, local process managers (LPMs) and
 //! process manager daemons (pmds): the LPM-creation protocol of Figure 2,
 //! the authenticated sibling handshake of Figure 3, directed
 //! request/reply with source-destination routes, the broadcast echo wave

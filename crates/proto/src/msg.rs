@@ -32,6 +32,17 @@
 //! [`WireReply::merge`] each part's records. Nothing else in an LPM looks
 //! into a reply; only the tool decodes one ([`Reply::decode`]).
 //!
+//! # What the wire table does not write
+//!
+//! [`Msg`], [`Op`], [`Reply`], [`BcastPart`], [`ControlAction`] and
+//! [`ErrCode`] are entries of the wire table (see [`crate::codec`]),
+//! which writes their codecs. What is written by hand here reads or
+//! writes a message around a reply it never builds, which no generated
+//! codec can: [`ReplyRef::read`], [`WireReply`] and its splices,
+//! [`Inbound`], [`WirePart`] and [`Msg::bcast_agg_bytes`]. They share
+//! the tags they need with the table through the `REPLY_*` and `MSG_*`
+//! constants.
+//!
 //! # The vocabulary is what is spoken
 //!
 //! Every [`Msg`] is sent by some component and accepted by another
@@ -45,15 +56,16 @@ use std::ops::Range;
 
 use bytes::Bytes;
 
-use crate::codec::{frames, CodecError, Dec, Enc, Wire};
+use crate::codec::{frames, wire, CodecError, Dec, Enc, Wire};
 use crate::triggers::TriggerSpec;
 use crate::types::{
     FileRecord, Gpid, HistoryRecord, HistoryRecordRef, MetricRow, Name, ProcRecord, ProcRecordRef,
     Route, RusageRecord, Stamp,
 };
 
-// Tags of the values this module reads or writes around an encoded
-// reply without decoding it.
+// Tags the wire table shares with the readers and splices below, which
+// read or write around an encoded reply without decoding it: one
+// spelling for both.
 const REPLY_ERR: u8 = 1;
 const REPLY_SPAWNED: u8 = 3;
 const REPLY_SNAPSHOT: u8 = 4;
@@ -63,439 +75,251 @@ const REPLY_PARTIAL: u8 = 11;
 const MSG_RESP: u8 = 7;
 const MSG_BCAST_AGG: u8 = 16;
 
-/// Sorts and dedups a `missing`-hosts list for the wire: aggregate
+/// Writes a `missing`-hosts list sorted and deduplicated: aggregate
 /// relays build these from per-hop sets and re-flushes, so the raw order
 /// (and cross-hop duplicates) is not canonical. Encoding always emits
 /// the normalized form, keeping same-seed runs byte-identical.
-fn canonical_missing(missing: &[Name]) -> Vec<&str> {
+fn encode_missing(missing: &[Name], enc: &mut Enc) {
     let mut v: Vec<&str> = missing.iter().map(Name::as_str).collect();
     v.sort_unstable();
     v.dedup();
-    v
+    enc.seq(&v, |e, s| e.str(s));
 }
 
-/// Process-control verbs of the snapshot tool: "stop a process, execute it
-/// in the foreground, execute it in the background, kill it".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ControlAction {
-    /// Stop (SIGSTOP).
-    Stop,
-    /// Continue in the foreground.
-    Foreground,
-    /// Continue in the background.
-    Background,
-    /// Kill (SIGKILL).
-    Kill,
-    /// Deliver an arbitrary signal by number.
-    Signal(u8),
-}
-
-impl Wire for ControlAction {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            ControlAction::Stop => enc.u8(0),
-            ControlAction::Foreground => enc.u8(1),
-            ControlAction::Background => enc.u8(2),
-            ControlAction::Kill => enc.u8(3),
-            ControlAction::Signal(n) => {
-                enc.u8(4);
-                enc.u8(*n);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match dec.u8()? {
-            0 => Ok(ControlAction::Stop),
-            1 => Ok(ControlAction::Foreground),
-            2 => Ok(ControlAction::Background),
-            3 => Ok(ControlAction::Kill),
-            4 => Ok(ControlAction::Signal(dec.u8()?)),
-            tag => Err(CodecError::BadTag {
-                what: "ControlAction",
-                tag,
-            }),
-        }
+wire! {
+    /// Process-control verbs of the snapshot tool: "stop a process, execute it
+    /// in the foreground, execute it in the background, kill it".
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ControlAction {
+        /// Stop (SIGSTOP).
+        [0] Stop,
+        /// Continue in the foreground.
+        [1] Foreground,
+        /// Continue in the background.
+        [2] Background,
+        /// Kill (SIGKILL).
+        [3] Kill,
+        /// Deliver an arbitrary signal by number.
+        [4] Signal(signal: u8),
     }
 }
 
-/// Error codes carried in [`Reply::Err`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrCode {
-    /// Target process does not exist.
-    NoSuchProcess,
-    /// Permission denied (cross-user request).
-    Permission,
-    /// No route to the target host.
-    NoRoute,
-    /// Target host is down.
-    HostDown,
-    /// The responsible handler timed out.
-    Timeout,
-    /// Request malformed or inapplicable.
-    BadRequest,
-    /// Named entity not found.
-    NotFound,
-    /// Internal failure in the manager.
-    Internal,
-    /// The request's propagated deadline expired while it was in flight
-    /// (distinct from [`ErrCode::Timeout`], which means the local timer
-    /// fired with no reply).
-    DeadlineExceeded,
-    /// The request carries a correlation id stamped by a dead LPM
-    /// incarnation (its boot epoch is older than the fence learned from
-    /// the respawn's [`Msg::ForestPull`]). Such requests are answered
-    /// replay-only — never executed fresh — because the predecessor's
-    /// dedup window was purged and re-execution could double-apply.
-    StaleEpoch,
-}
-
-impl Wire for ErrCode {
-    fn encode(&self, enc: &mut Enc) {
-        let tag = match self {
-            ErrCode::NoSuchProcess => 0,
-            ErrCode::Permission => 1,
-            ErrCode::NoRoute => 2,
-            ErrCode::HostDown => 3,
-            ErrCode::Timeout => 4,
-            ErrCode::BadRequest => 5,
-            ErrCode::NotFound => 6,
-            ErrCode::Internal => 7,
-            ErrCode::DeadlineExceeded => 8,
-            ErrCode::StaleEpoch => 9,
-        };
-        enc.u8(tag);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match dec.u8()? {
-            0 => ErrCode::NoSuchProcess,
-            1 => ErrCode::Permission,
-            2 => ErrCode::NoRoute,
-            3 => ErrCode::HostDown,
-            4 => ErrCode::Timeout,
-            5 => ErrCode::BadRequest,
-            6 => ErrCode::NotFound,
-            7 => ErrCode::Internal,
-            8 => ErrCode::DeadlineExceeded,
-            9 => ErrCode::StaleEpoch,
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "ErrCode",
-                    tag,
-                })
-            }
-        })
+wire! {
+    /// Error codes carried in [`Reply::Err`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ErrCode {
+        /// Target process does not exist.
+        [0] NoSuchProcess,
+        /// Permission denied (cross-user request).
+        [1] Permission,
+        /// No route to the target host.
+        [2] NoRoute,
+        /// Target host is down.
+        [3] HostDown,
+        /// The responsible handler timed out.
+        [4] Timeout,
+        /// Request malformed or inapplicable.
+        [5] BadRequest,
+        /// Named entity not found.
+        [6] NotFound,
+        /// Internal failure in the manager.
+        [7] Internal,
+        /// The request's propagated deadline expired while it was in flight
+        /// (distinct from [`ErrCode::Timeout`], which means the local timer
+        /// fired with no reply).
+        [8] DeadlineExceeded,
+        /// The request carries a correlation id stamped by a dead LPM
+        /// incarnation (its boot epoch is older than the fence learned from
+        /// the respawn's [`Msg::ForestPull`]). Such requests are answered
+        /// replay-only — never executed fresh — because the predecessor's
+        /// dedup window was purged and re-execution could double-apply.
+        [9] StaleEpoch,
     }
 }
 
-/// Operations a tool (or a sibling acting for a tool) asks an LPM to
-/// perform on its host.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// Liveness check.
-    Ping,
-    /// LPM status: load, managed process count, sibling set.
-    Status,
-    /// Control a local process.
-    Control {
-        /// Target pid on the receiving LPM's host.
-        pid: u32,
-        /// What to do.
-        action: ControlAction,
-    },
-    /// Create a process on the receiving LPM's host (the LPM is "the
-    /// process creation server for a user's remote processes").
-    Spawn {
-        /// Command name.
-        command: String,
-        /// Logical parent in the user's computation tree.
-        logical_parent: Option<Gpid>,
-        /// Synthetic workload: lifetime before voluntary exit (µs);
-        /// `None` runs until signalled.
-        lifetime_us: Option<u64>,
-        /// Synthetic workload: CPU burst at start (µs).
-        work_us: u64,
-        /// Whether the process is CPU-bound while alive.
-        cpu_bound: bool,
-    },
-    /// Report all managed processes on this host (one snapshot slice).
-    Snapshot,
-    /// Report resource statistics of exited processes (all, or one pid).
-    Rusage {
-        /// Restrict to one pid.
-        pid: Option<u32>,
-    },
-    /// Report history events at or after `since_us`, newest last.
-    History {
-        /// Lower time bound (µs).
-        since_us: u64,
-        /// Maximum entries.
-        max: u16,
-    },
-    /// Report open descriptors of a local process.
-    OpenFiles {
-        /// Target pid.
-        pid: u32,
-    },
-    /// Adopt a local process (and descendants) with tracing flags.
-    Adopt {
-        /// Target pid.
-        pid: u32,
-        /// [`TraceFlags`](https://en.wikipedia.org/wiki/Ptrace)-style bits
-        /// (see `ppm-runtime::events::TraceFlags`).
-        flags: u8,
-    },
-    /// Change the tracing granularity of an adopted process.
-    SetTraceFlags {
-        /// Target pid.
-        pid: u32,
-        /// New flag bits.
-        flags: u8,
-    },
-    /// Register a history-dependent trigger.
-    AddTrigger {
-        /// The trigger.
-        spec: TriggerSpec,
-    },
-    /// Remove a trigger by id.
-    DelTrigger {
-        /// Trigger id.
-        id: u32,
-    },
-    /// List registered triggers.
-    ListTriggers,
-    /// Report the LPM's internal counters (requests, broadcasts, relays,
-    /// handler pool activity) — introspection for tools and experiments.
-    Stats,
-    /// Pull the LPM's observability registry: every counter, gauge and
-    /// histogram it keeps, answered with [`Reply::Metrics`].
-    Metrics,
-}
-
-impl Op {
-    /// Short name for traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Op::Ping => "ping",
-            Op::Status => "status",
-            Op::Control { .. } => "control",
-            Op::Spawn { .. } => "spawn",
-            Op::Snapshot => "snapshot",
-            Op::Rusage { .. } => "rusage",
-            Op::History { .. } => "history",
-            Op::OpenFiles { .. } => "files",
-            Op::Adopt { .. } => "adopt",
-            Op::SetTraceFlags { .. } => "traceflags",
-            Op::AddTrigger { .. } => "add-trigger",
-            Op::DelTrigger { .. } => "del-trigger",
-            Op::ListTriggers => "list-triggers",
-            Op::Stats => "stats",
-            Op::Metrics => "metrics",
-        }
+wire! {
+    /// Operations a tool (or a sibling acting for a tool) asks an LPM to
+    /// perform on its host.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Op {
+        /// Liveness check.
+        [0, "ping"] Ping,
+        /// LPM status: load, managed process count, sibling set.
+        [1, "status"] Status,
+        /// Control a local process.
+        [2, "control"] Control {
+            /// Target pid on the receiving LPM's host.
+            pid: u32,
+            /// What to do.
+            action: ControlAction,
+        },
+        /// Create a process on the receiving LPM's host (the LPM is "the
+        /// process creation server for a user's remote processes").
+        [3, "spawn"] Spawn {
+            /// Command name.
+            command: String,
+            /// Logical parent in the user's computation tree.
+            logical_parent: Option<Gpid>,
+            /// Synthetic workload: lifetime before voluntary exit (µs);
+            /// `None` runs until signalled.
+            lifetime_us: Option<u64>,
+            /// Synthetic workload: CPU burst at start (µs).
+            work_us: u64,
+            /// Whether the process is CPU-bound while alive.
+            cpu_bound: bool,
+        },
+        /// Report all managed processes on this host (one snapshot slice).
+        [4, "snapshot"] Snapshot,
+        /// Report resource statistics of exited processes (all, or one pid).
+        [5, "rusage"] Rusage {
+            /// Restrict to one pid.
+            pid: Option<u32>,
+        },
+        /// Report history events at or after `since_us`, newest last.
+        [6, "history"] History {
+            /// Lower time bound (µs).
+            since_us: u64,
+            /// Maximum entries.
+            max: u16,
+        },
+        /// Report open descriptors of a local process.
+        [7, "files"] OpenFiles {
+            /// Target pid.
+            pid: u32,
+        },
+        /// Adopt a local process (and descendants) with tracing flags.
+        [8, "adopt"] Adopt {
+            /// Target pid.
+            pid: u32,
+            /// [`TraceFlags`](https://en.wikipedia.org/wiki/Ptrace)-style bits
+            /// (see `ppm-runtime::events::TraceFlags`).
+            flags: u8,
+        },
+        /// Change the tracing granularity of an adopted process.
+        [9, "traceflags"] SetTraceFlags {
+            /// Target pid.
+            pid: u32,
+            /// New flag bits.
+            flags: u8,
+        },
+        /// Register a history-dependent trigger.
+        [10, "add-trigger"] AddTrigger {
+            /// The trigger.
+            spec: TriggerSpec,
+        },
+        /// Remove a trigger by id.
+        [11, "del-trigger"] DelTrigger {
+            /// Trigger id.
+            id: u32,
+        },
+        /// List registered triggers.
+        [12, "list-triggers"] ListTriggers,
+        /// Report the LPM's internal counters (requests, broadcasts, relays,
+        /// handler pool activity) — introspection for tools and experiments.
+        [13, "stats"] Stats,
+        /// Pull the LPM's observability registry: every counter, gauge and
+        /// histogram it keeps, answered with [`Reply::Metrics`].
+        [14, "metrics"] Metrics,
     }
 }
 
-impl Wire for Op {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            Op::Ping => enc.u8(0),
-            Op::Status => enc.u8(1),
-            Op::Control { pid, action } => {
-                enc.u8(2);
-                enc.u32(*pid);
-                action.encode(enc);
-            }
-            Op::Spawn {
-                command,
-                logical_parent,
-                lifetime_us,
-                work_us,
-                cpu_bound,
-            } => {
-                enc.u8(3);
-                enc.str(command);
-                enc.opt(logical_parent, |e, g| g.encode(e));
-                enc.opt(lifetime_us, |e, v| e.u64(*v));
-                enc.u64(*work_us);
-                enc.bool(*cpu_bound);
-            }
-            Op::Snapshot => enc.u8(4),
-            Op::Rusage { pid } => {
-                enc.u8(5);
-                enc.opt(pid, |e, v| e.u32(*v));
-            }
-            Op::History { since_us, max } => {
-                enc.u8(6);
-                enc.u64(*since_us);
-                enc.u16(*max);
-            }
-            Op::OpenFiles { pid } => {
-                enc.u8(7);
-                enc.u32(*pid);
-            }
-            Op::Adopt { pid, flags } => {
-                enc.u8(8);
-                enc.u32(*pid);
-                enc.u8(*flags);
-            }
-            Op::SetTraceFlags { pid, flags } => {
-                enc.u8(9);
-                enc.u32(*pid);
-                enc.u8(*flags);
-            }
-            Op::AddTrigger { spec } => {
-                enc.u8(10);
-                spec.encode(enc);
-            }
-            Op::DelTrigger { id } => {
-                enc.u8(11);
-                enc.u32(*id);
-            }
-            Op::ListTriggers => enc.u8(12),
-            Op::Stats => enc.u8(13),
-            Op::Metrics => enc.u8(14),
-        }
+wire! {
+    /// Replies to [`Op`]s.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Reply {
+        /// Success with no payload.
+        [0] Ok,
+        /// Failure.
+        [REPLY_ERR] Err {
+            /// Machine-readable code.
+            code: ErrCode,
+            /// Human-readable detail.
+            detail: String,
+        },
+        /// Ping answer.
+        [2] Pong,
+        /// [`Op::Spawn`] result.
+        [REPLY_SPAWNED] Spawned {
+            /// Identity of the new process.
+            gpid: Gpid,
+        },
+        /// One host's slice of a distributed snapshot.
+        [REPLY_SNAPSHOT] Snapshot {
+            /// Reporting host.
+            host: String,
+            /// Managed processes on that host.
+            procs: Vec<ProcRecord>,
+        },
+        /// Exited-process statistics.
+        [REPLY_RUSAGE] Rusage {
+            /// Records, oldest first.
+            records: Vec<RusageRecord>,
+        },
+        /// History slice.
+        [REPLY_HISTORY] History {
+            /// Events, oldest first.
+            events: Vec<HistoryRecord>,
+        },
+        /// Open descriptors of a process.
+        [7] Files {
+            /// Entries in descriptor order.
+            entries: Vec<FileRecord>,
+        },
+        /// Registered triggers.
+        [8] Triggers {
+            /// Entries in id order.
+            entries: Vec<TriggerSpec>,
+        },
+        /// LPM internal counters.
+        [10] Stats {
+            /// Requests that entered the pipeline.
+            requests: u64,
+            /// Broadcasts originated / forwarded / suppressed.
+            bcasts: (u64, u64, u64),
+            /// Directed requests relayed for other LPMs.
+            relays: u64,
+            /// Requests answered via a learned route instead of a new channel.
+            route_cache_hits: u64,
+            /// Hello authentication failures.
+            auth_failures: u64,
+            /// Handler forks / reuses / reaped.
+            handlers: (u64, u64, u64),
+        },
+        /// LPM status.
+        [9] Status {
+            /// Reporting host.
+            host: Name,
+            /// Load average × 1000.
+            load_milli: u32,
+            /// Managed (adopted or created) live processes.
+            managed: u32,
+            /// Hosts with live sibling connections.
+            siblings: Vec<Name>,
+            /// Current CCS host as this LPM believes it.
+            ccs: Name,
+            /// CCS epoch (bumps on re-election).
+            epoch: u64,
+        },
+        /// A sweep result assembled without every host: `inner` carries what
+        /// was gathered, `missing` names the hosts whose slices never arrived
+        /// (straggler timeout or partition during the wave).
+        [REPLY_PARTIAL] Partial {
+            /// Hosts whose contributions are absent from `inner`. Canonical
+            /// on the wire: encoding sorts and dedups.
+            missing: Vec<Name> => encode_missing,
+            /// The combined result of the hosts that did answer.
+            inner: Box<Reply>,
+        },
+        /// [`Op::Metrics`] result: one LPM's observability registry.
+        [12] Metrics {
+            /// Reporting host.
+            host: Name,
+            /// Simulated instant the registry was sampled (µs).
+            at_us: u64,
+            /// Registry contents, sorted by name.
+            rows: Vec<MetricRow>,
+        },
     }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match dec.u8()? {
-            0 => Op::Ping,
-            1 => Op::Status,
-            2 => Op::Control {
-                pid: dec.u32()?,
-                action: ControlAction::decode(dec)?,
-            },
-            3 => Op::Spawn {
-                command: dec.str()?,
-                logical_parent: dec.opt(Gpid::decode)?,
-                lifetime_us: dec.opt(|d| d.u64())?,
-                work_us: dec.u64()?,
-                cpu_bound: dec.bool()?,
-            },
-            4 => Op::Snapshot,
-            5 => Op::Rusage {
-                pid: dec.opt(|d| d.u32())?,
-            },
-            6 => Op::History {
-                since_us: dec.u64()?,
-                max: dec.u16()?,
-            },
-            7 => Op::OpenFiles { pid: dec.u32()? },
-            8 => Op::Adopt {
-                pid: dec.u32()?,
-                flags: dec.u8()?,
-            },
-            9 => Op::SetTraceFlags {
-                pid: dec.u32()?,
-                flags: dec.u8()?,
-            },
-            10 => Op::AddTrigger {
-                spec: TriggerSpec::decode(dec)?,
-            },
-            11 => Op::DelTrigger { id: dec.u32()? },
-            12 => Op::ListTriggers,
-            13 => Op::Stats,
-            14 => Op::Metrics,
-            tag => return Err(CodecError::BadTag { what: "Op", tag }),
-        })
-    }
-}
-
-/// Replies to [`Op`]s.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reply {
-    /// Success with no payload.
-    Ok,
-    /// Failure.
-    Err {
-        /// Machine-readable code.
-        code: ErrCode,
-        /// Human-readable detail.
-        detail: String,
-    },
-    /// Ping answer.
-    Pong,
-    /// [`Op::Spawn`] result.
-    Spawned {
-        /// Identity of the new process.
-        gpid: Gpid,
-    },
-    /// One host's slice of a distributed snapshot.
-    Snapshot {
-        /// Reporting host.
-        host: String,
-        /// Managed processes on that host.
-        procs: Vec<ProcRecord>,
-    },
-    /// Exited-process statistics.
-    Rusage {
-        /// Records, oldest first.
-        records: Vec<RusageRecord>,
-    },
-    /// History slice.
-    History {
-        /// Events, oldest first.
-        events: Vec<HistoryRecord>,
-    },
-    /// Open descriptors of a process.
-    Files {
-        /// Entries in descriptor order.
-        entries: Vec<FileRecord>,
-    },
-    /// Registered triggers.
-    Triggers {
-        /// Entries in id order.
-        entries: Vec<TriggerSpec>,
-    },
-    /// LPM internal counters.
-    Stats {
-        /// Requests that entered the pipeline.
-        requests: u64,
-        /// Broadcasts originated / forwarded / suppressed.
-        bcasts: (u64, u64, u64),
-        /// Directed requests relayed for other LPMs.
-        relays: u64,
-        /// Requests answered via a learned route instead of a new channel.
-        route_cache_hits: u64,
-        /// Hello authentication failures.
-        auth_failures: u64,
-        /// Handler forks / reuses / reaped.
-        handlers: (u64, u64, u64),
-    },
-    /// LPM status.
-    Status {
-        /// Reporting host.
-        host: Name,
-        /// Load average × 1000.
-        load_milli: u32,
-        /// Managed (adopted or created) live processes.
-        managed: u32,
-        /// Hosts with live sibling connections.
-        siblings: Vec<Name>,
-        /// Current CCS host as this LPM believes it.
-        ccs: Name,
-        /// CCS epoch (bumps on re-election).
-        epoch: u64,
-    },
-    /// A sweep result assembled without every host: `inner` carries what
-    /// was gathered, `missing` names the hosts whose slices never arrived
-    /// (straggler timeout or partition during the wave).
-    Partial {
-        /// Hosts whose contributions are absent from `inner`.
-        missing: Vec<Name>,
-        /// The combined result of the hosts that did answer.
-        inner: Box<Reply>,
-    },
-    /// [`Op::Metrics`] result: one LPM's observability registry.
-    Metrics {
-        /// Reporting host.
-        host: Name,
-        /// Simulated instant the registry was sampled (µs).
-        at_us: u64,
-        /// Registry contents, sorted by name.
-        rows: Vec<MetricRow>,
-    },
 }
 
 impl Reply {
@@ -505,412 +329,236 @@ impl Reply {
     }
 }
 
-impl Wire for Reply {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            Reply::Ok => enc.u8(0),
-            Reply::Err { code, detail } => {
-                enc.u8(REPLY_ERR);
-                code.encode(enc);
-                enc.str(detail);
-            }
-            Reply::Pong => enc.u8(2),
-            Reply::Spawned { gpid } => {
-                enc.u8(REPLY_SPAWNED);
-                gpid.encode(enc);
-            }
-            Reply::Snapshot { host, procs } => {
-                enc.u8(REPLY_SNAPSHOT);
-                enc.str(host);
-                enc.seq(procs, |e, p| p.encode(e));
-            }
-            Reply::Rusage { records } => {
-                enc.u8(REPLY_RUSAGE);
-                enc.seq(records, |e, r| r.encode(e));
-            }
-            Reply::History { events } => {
-                enc.u8(REPLY_HISTORY);
-                enc.seq(events, |e, r| r.encode(e));
-            }
-            Reply::Files { entries } => {
-                enc.u8(7);
-                enc.seq(entries, |e, r| r.encode(e));
-            }
-            Reply::Triggers { entries } => {
-                enc.u8(8);
-                enc.seq(entries, |e, r| r.encode(e));
-            }
-            Reply::Stats {
-                requests,
-                bcasts,
-                relays,
-                route_cache_hits,
-                auth_failures,
-                handlers,
-            } => {
-                enc.u8(10);
-                enc.u64(*requests);
-                enc.u64(bcasts.0);
-                enc.u64(bcasts.1);
-                enc.u64(bcasts.2);
-                enc.u64(*relays);
-                enc.u64(*route_cache_hits);
-                enc.u64(*auth_failures);
-                enc.u64(handlers.0);
-                enc.u64(handlers.1);
-                enc.u64(handlers.2);
-            }
-            Reply::Status {
-                host,
-                load_milli,
-                managed,
-                siblings,
-                ccs,
-                epoch,
-            } => {
-                enc.u8(9);
-                enc.str(host);
-                enc.u32(*load_milli);
-                enc.u32(*managed);
-                enc.seq(siblings, |e, s| e.str(s));
-                enc.str(ccs);
-                enc.u64(*epoch);
-            }
-            Reply::Partial { missing, inner } => {
-                enc.u8(REPLY_PARTIAL);
-                enc.seq(&canonical_missing(missing), |e, s| e.str(s));
-                inner.encode(enc);
-            }
-            Reply::Metrics { host, at_us, rows } => {
-                enc.u8(12);
-                enc.str(host);
-                enc.u64(*at_us);
-                enc.seq(rows, |e, r| r.encode(e));
-            }
-        }
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match dec.u8()? {
-            0 => Reply::Ok,
-            REPLY_ERR => Reply::Err {
-                code: ErrCode::decode(dec)?,
-                detail: dec.str()?,
-            },
-            2 => Reply::Pong,
-            REPLY_SPAWNED => Reply::Spawned {
-                gpid: Gpid::decode(dec)?,
-            },
-            REPLY_SNAPSHOT => Reply::Snapshot {
-                host: dec.str()?,
-                procs: dec.seq(ProcRecord::decode)?,
-            },
-            REPLY_RUSAGE => Reply::Rusage {
-                records: dec.seq(RusageRecord::decode)?,
-            },
-            REPLY_HISTORY => Reply::History {
-                events: dec.seq(HistoryRecord::decode)?,
-            },
-            7 => Reply::Files {
-                entries: dec.seq(FileRecord::decode)?,
-            },
-            8 => Reply::Triggers {
-                entries: dec.seq(TriggerSpec::decode)?,
-            },
-            9 => Reply::Status {
-                host: Name::decode(dec)?,
-                load_milli: dec.u32()?,
-                managed: dec.u32()?,
-                siblings: dec.seq(Name::decode)?,
-                ccs: Name::decode(dec)?,
-                epoch: dec.u64()?,
-            },
-            10 => Reply::Stats {
-                requests: dec.u64()?,
-                bcasts: (dec.u64()?, dec.u64()?, dec.u64()?),
-                relays: dec.u64()?,
-                route_cache_hits: dec.u64()?,
-                auth_failures: dec.u64()?,
-                handlers: (dec.u64()?, dec.u64()?, dec.u64()?),
-            },
-            REPLY_PARTIAL => Reply::Partial {
-                missing: dec.seq(Name::decode)?,
-                inner: Box::new(Reply::decode(dec)?),
-            },
-            12 => Reply::Metrics {
-                host: Name::decode(dec)?,
-                at_us: dec.u64()?,
-                rows: dec.seq(MetricRow::decode)?,
-            },
-            tag => return Err(CodecError::BadTag { what: "Reply", tag }),
-        })
+wire! {
+    /// One host's contribution inside a [`Msg::BcastAgg`] batch (the
+    /// aggregate frame carries the wave's stamp once for the whole batch).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BcastPart {
+        /// Answering host.
+        pub host: Name,
+        /// The host's reply.
+        pub reply: Reply,
+        /// Route the host's slice of the wave had taken.
+        pub route: Route,
     }
 }
 
-/// One host's contribution inside a [`Msg::BcastAgg`] batch (the
-/// aggregate frame carries the wave's stamp once for the whole batch).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BcastPart {
-    /// Answering host.
-    pub host: Name,
-    /// The host's reply.
-    pub reply: Reply,
-    /// Route the host's slice of the wave had taken.
-    pub route: Route,
-}
+wire! {
+    /// Everything that flows between tools, LPMs and pmds.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Msg {
+        // ---- pmd protocol (Figure 2) ----------------------------------------
+        /// Step 3: create (or find) the user's LPM on this host.
+        [0, "create-lpm"] CreateLpm {
+            /// Owning user.
+            user: u32,
+        },
+        /// Step 4: the accept address of the user's LPM.
+        [2, "lpm-addr"] LpmAddr {
+            /// Owning user.
+            user: u32,
+            /// Accept port of the LPM.
+            port: u16,
+            /// True when the LPM was created by this request.
+            created: bool,
+        },
+        /// Step 4 refused: this host has no account for the user.
+        [3, "no-lpm"] NoLpm {
+            /// Owning user.
+            user: u32,
+        },
 
-impl Wire for BcastPart {
-    fn encode(&self, enc: &mut Enc) {
-        enc.str(&self.host);
-        self.reply.encode(enc);
-        self.route.encode(enc);
+        // ---- handshake on an LPM accept socket -------------------------------
+        /// First message on any connection to an LPM: who is calling.
+        [4, "hello"] Hello {
+            /// The user the caller claims to act for.
+            user: u32,
+            /// Caller's host name.
+            host: Name,
+            /// True for tools, false for sibling LPMs.
+            is_tool: bool,
+            /// The caller's current CCS view (siblings propagate it).
+            ccs: Name,
+            /// CCS epoch.
+            epoch: u64,
+            /// Keyed proof derived from the user's network secret.
+            proof: u64,
+        },
+        /// Handshake answer.
+        [5, "hello-ack"] HelloAck {
+            /// Responder's host name.
+            host: Name,
+            /// Whether authentication succeeded.
+            ok: bool,
+            /// Responder's CCS view.
+            ccs: Name,
+            /// Responder's CCS epoch.
+            epoch: u64,
+        },
+
+        // ---- request / reply --------------------------------------------------
+        /// A directed request, possibly relayed along `route`.
+        [6, "req"] Req {
+            /// Request id, unique at the origin.
+            id: u64,
+            /// Acting user.
+            user: u32,
+            /// Final destination host.
+            dest: String,
+            /// The operation.
+            op: Op,
+            /// Hosts traversed so far.
+            route: Route,
+            /// Remaining relay budget.
+            hops_left: u8,
+            /// Absolute deadline (simulated µs since epoch); `0` means none.
+            /// Relays decay it in lockstep with `hops_left` and refuse
+            /// expired requests with [`ErrCode::DeadlineExceeded`].
+            deadline_us: u64,
+            /// Zero-based attempt counter; retries reuse the same `id` so
+            /// receivers can deduplicate on `(origin, id)`.
+            attempt: u8,
+            /// Boot epoch of the origin LPM's incarnation (its start instant
+            /// in µs, never 0 for an LPM; `0` means unstamped, e.g. a tool).
+            /// Relays carry it unchanged. Executors that have learned a newer
+            /// epoch for the origin (via [`Msg::ForestPull`]) treat older
+            /// stamps as replay-only and refuse with [`ErrCode::StaleEpoch`]
+            /// instead of executing fresh.
+            boot: u64,
+        },
+        /// Reply to [`Msg::Req`], relayed back along the reverse route.
+        [MSG_RESP, "resp"] Resp {
+            /// Request id.
+            id: u64,
+            /// The reply.
+            reply: Reply,
+            /// Full source→destination route the request took.
+            route: Route,
+        },
+
+        // ---- broadcast (graph-cover echo wave) ---------------------------------
+        /// A broadcast request propagating over the sibling graph.
+        [8, "bcast"] Bcast {
+            /// Signed timestamp (dedup + authenticity).
+            stamp: Stamp,
+            /// Acting user.
+            user: u32,
+            /// Operation every LPM performs.
+            op: Op,
+            /// Hosts traversed so far.
+            route: Route,
+        },
+        /// Subtree-complete marker of the echo wave.
+        [10, "bcast-done"] BcastDone {
+            /// Stamp of the completed request.
+            stamp: Stamp,
+        },
+        /// A relay's whole subtree of answers in one frame: in-network
+        /// aggregation of the echo wave. `parts` is a length-prefixed batch
+        /// (see [`crate::codec::encode_batch`]) of [`BcastPart`] frames;
+        /// relays concatenate child batches without re-encoding them, so a
+        /// chain of `n` hosts moves each record once instead of once per hop.
+        [MSG_BCAST_AGG, "bcast-agg"] BcastAgg {
+            /// Stamp of the wave being answered.
+            stamp: Stamp,
+            /// Batch-framed [`BcastPart`]s from this subtree.
+            parts: bytes::Bytes,
+            /// Hosts of this subtree that never answered (lost children or
+            /// stragglers cut off by the wave timeout). Canonical on the
+            /// wire: encoding sorts and dedups.
+            missing: Vec<Name> => encode_missing,
+        },
+
+        // ---- recovery (Section 5) ----------------------------------------------
+        /// CCS announcement / adoption of a new coordinator.
+        [11, "ccs-announce"] CcsAnnounce {
+            /// Acting user.
+            user: u32,
+            /// The coordinator host.
+            ccs: Name,
+            /// Election epoch.
+            epoch: u64,
+        },
+        /// Liveness probe toward a (suspected) CCS.
+        [12, "probe"] Probe {
+            /// Acting user.
+            user: u32,
+            /// Prober's host.
+            from: Name,
+        },
+        /// Probe answer.
+        [13, "probe-ack"] ProbeAck {
+            /// Responder's host.
+            from: Name,
+            /// Responder's CCS view.
+            ccs: Name,
+            /// Responder's epoch.
+            epoch: u64,
+        },
+
+        // ---- name-server CCS assignment (Section 5's alternative) --------------
+        /// Ask the name-serving pmd for the user's CCS. `claimant` is the
+        /// querying LPM's host (assigned as CCS when none exists);
+        /// `dead` reports a CCS the querier observed failing, prompting
+        /// reassignment.
+        [14, "ccs-query"] CcsQuery {
+            /// Acting user.
+            user: u32,
+            /// The querying LPM's host.
+            claimant: Name,
+            /// A CCS host observed dead, if any.
+            dead: Option<Name>,
+        },
+        /// The name server's answer.
+        [15, "ccs-info"] CcsInfo {
+            /// Acting user.
+            user: u32,
+            /// Assigned coordinator host.
+            ccs: Name,
+            /// Assignment epoch.
+            epoch: u64,
+        },
+
+        // ---- adoption gossip (crash recovery) ----------------------------------
+        /// A respawned LPM asking a sibling which of its re-adopted local
+        /// processes the sibling knows remote parents for. `live` lists the
+        /// survivors' local pids on `host`.
+        [18, "forest-pull"] ForestPull {
+            /// Acting user.
+            user: u32,
+            /// The respawned LPM's host.
+            host: Name,
+            /// Local pids of the re-adopted survivors.
+            live: Vec<u32>,
+            /// The respawned incarnation's boot epoch. Receivers fence the
+            /// predecessor's correlation ids at this value when they purge
+            /// its dedup entries, so a late in-flight retry stamped by the
+            /// dead incarnation can never re-execute.
+            boot: u64,
+        },
+        /// The sibling's answer: logical-parent edges it recorded when it
+        /// originated remote spawns onto `host`. The respawned LPM grafts
+        /// these onto its rebuilt forest, undoing the degeneration the crash
+        /// caused.
+        [19, "forest-info"] ForestInfo {
+            /// Acting user.
+            user: u32,
+            /// The host the edges are for (the respawned LPM's host).
+            host: Name,
+            /// `(local pid, remote logical parent)` pairs.
+            edges: Vec<(u32, Gpid)>,
+        },
     }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(BcastPart {
-            host: Name::decode(dec)?,
-            reply: Reply::decode(dec)?,
-            route: Route::decode(dec)?,
-        })
-    }
-}
-
-/// Everything that flows between tools, LPMs and pmds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Msg {
-    // ---- pmd protocol (Figure 2) ----------------------------------------
-    /// Step 3: create (or find) the user's LPM on this host.
-    CreateLpm {
-        /// Owning user.
-        user: u32,
-    },
-    /// Step 4: the accept address of the user's LPM.
-    LpmAddr {
-        /// Owning user.
-        user: u32,
-        /// Accept port of the LPM.
-        port: u16,
-        /// True when the LPM was created by this request.
-        created: bool,
-    },
-    /// Step 4 refused: this host has no account for the user.
-    NoLpm {
-        /// Owning user.
-        user: u32,
-    },
-
-    // ---- handshake on an LPM accept socket -------------------------------
-    /// First message on any connection to an LPM: who is calling.
-    Hello {
-        /// The user the caller claims to act for.
-        user: u32,
-        /// Caller's host name.
-        host: Name,
-        /// True for tools, false for sibling LPMs.
-        is_tool: bool,
-        /// The caller's current CCS view (siblings propagate it).
-        ccs: Name,
-        /// CCS epoch.
-        epoch: u64,
-        /// Keyed proof derived from the user's network secret.
-        proof: u64,
-    },
-    /// Handshake answer.
-    HelloAck {
-        /// Responder's host name.
-        host: Name,
-        /// Whether authentication succeeded.
-        ok: bool,
-        /// Responder's CCS view.
-        ccs: Name,
-        /// Responder's CCS epoch.
-        epoch: u64,
-    },
-
-    // ---- request / reply --------------------------------------------------
-    /// A directed request, possibly relayed along `route`.
-    Req {
-        /// Request id, unique at the origin.
-        id: u64,
-        /// Acting user.
-        user: u32,
-        /// Final destination host.
-        dest: String,
-        /// The operation.
-        op: Op,
-        /// Hosts traversed so far.
-        route: Route,
-        /// Remaining relay budget.
-        hops_left: u8,
-        /// Absolute deadline (simulated µs since epoch); `0` means none.
-        /// Relays decay it in lockstep with `hops_left` and refuse
-        /// expired requests with [`ErrCode::DeadlineExceeded`].
-        deadline_us: u64,
-        /// Zero-based attempt counter; retries reuse the same `id` so
-        /// receivers can deduplicate on `(origin, id)`.
-        attempt: u8,
-        /// Boot epoch of the origin LPM's incarnation (its start instant
-        /// in µs, never 0 for an LPM; `0` means unstamped, e.g. a tool).
-        /// Relays carry it unchanged. Executors that have learned a newer
-        /// epoch for the origin (via [`Msg::ForestPull`]) treat older
-        /// stamps as replay-only and refuse with [`ErrCode::StaleEpoch`]
-        /// instead of executing fresh.
-        boot: u64,
-    },
-    /// Reply to [`Msg::Req`], relayed back along the reverse route.
-    Resp {
-        /// Request id.
-        id: u64,
-        /// The reply.
-        reply: Reply,
-        /// Full source→destination route the request took.
-        route: Route,
-    },
-
-    // ---- broadcast (graph-cover echo wave) ---------------------------------
-    /// A broadcast request propagating over the sibling graph.
-    Bcast {
-        /// Signed timestamp (dedup + authenticity).
-        stamp: Stamp,
-        /// Acting user.
-        user: u32,
-        /// Operation every LPM performs.
-        op: Op,
-        /// Hosts traversed so far.
-        route: Route,
-    },
-    /// Subtree-complete marker of the echo wave.
-    BcastDone {
-        /// Stamp of the completed request.
-        stamp: Stamp,
-    },
-    /// A relay's whole subtree of answers in one frame: in-network
-    /// aggregation of the echo wave. `parts` is a length-prefixed batch
-    /// (see [`crate::codec::encode_batch`]) of [`BcastPart`] frames;
-    /// relays concatenate child batches without re-encoding them, so a
-    /// chain of `n` hosts moves each record once instead of once per hop.
-    BcastAgg {
-        /// Stamp of the wave being answered.
-        stamp: Stamp,
-        /// Batch-framed [`BcastPart`]s from this subtree.
-        parts: bytes::Bytes,
-        /// Hosts of this subtree that never answered (lost children or
-        /// stragglers cut off by the wave timeout). Canonical on the
-        /// wire: encoding sorts and dedups.
-        missing: Vec<Name>,
-    },
-
-    // ---- recovery (Section 5) ----------------------------------------------
-    /// CCS announcement / adoption of a new coordinator.
-    CcsAnnounce {
-        /// Acting user.
-        user: u32,
-        /// The coordinator host.
-        ccs: Name,
-        /// Election epoch.
-        epoch: u64,
-    },
-    /// Liveness probe toward a (suspected) CCS.
-    Probe {
-        /// Acting user.
-        user: u32,
-        /// Prober's host.
-        from: Name,
-    },
-    /// Probe answer.
-    ProbeAck {
-        /// Responder's host.
-        from: Name,
-        /// Responder's CCS view.
-        ccs: Name,
-        /// Responder's epoch.
-        epoch: u64,
-    },
-
-    // ---- name-server CCS assignment (Section 5's alternative) --------------
-    /// Ask the name-serving pmd for the user's CCS. `claimant` is the
-    /// querying LPM's host (assigned as CCS when none exists);
-    /// `dead` reports a CCS the querier observed failing, prompting
-    /// reassignment.
-    CcsQuery {
-        /// Acting user.
-        user: u32,
-        /// The querying LPM's host.
-        claimant: Name,
-        /// A CCS host observed dead, if any.
-        dead: Option<Name>,
-    },
-    /// The name server's answer.
-    CcsInfo {
-        /// Acting user.
-        user: u32,
-        /// Assigned coordinator host.
-        ccs: Name,
-        /// Assignment epoch.
-        epoch: u64,
-    },
-
-    // ---- adoption gossip (crash recovery) ----------------------------------
-    /// A respawned LPM asking a sibling which of its re-adopted local
-    /// processes the sibling knows remote parents for. `live` lists the
-    /// survivors' local pids on `host`.
-    ForestPull {
-        /// Acting user.
-        user: u32,
-        /// The respawned LPM's host.
-        host: Name,
-        /// Local pids of the re-adopted survivors.
-        live: Vec<u32>,
-        /// The respawned incarnation's boot epoch. Receivers fence the
-        /// predecessor's correlation ids at this value when they purge
-        /// its dedup entries, so a late in-flight retry stamped by the
-        /// dead incarnation can never re-execute.
-        boot: u64,
-    },
-    /// The sibling's answer: logical-parent edges it recorded when it
-    /// originated remote spawns onto `host`. The respawned LPM grafts
-    /// these onto its rebuilt forest, undoing the degeneration the crash
-    /// caused.
-    ForestInfo {
-        /// Acting user.
-        user: u32,
-        /// The host the edges are for (the respawned LPM's host).
-        host: Name,
-        /// `(local pid, remote logical parent)` pairs.
-        edges: Vec<(u32, Gpid)>,
-    },
 }
 
 impl Msg {
-    /// Short name for traces.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Msg::CreateLpm { .. } => "create-lpm",
-            Msg::LpmAddr { .. } => "lpm-addr",
-            Msg::NoLpm { .. } => "no-lpm",
-            Msg::Hello { .. } => "hello",
-            Msg::HelloAck { .. } => "hello-ack",
-            Msg::Req { .. } => "req",
-            Msg::Resp { .. } => "resp",
-            Msg::Bcast { .. } => "bcast",
-            Msg::BcastDone { .. } => "bcast-done",
-            Msg::BcastAgg { .. } => "bcast-agg",
-            Msg::CcsAnnounce { .. } => "ccs-announce",
-            Msg::Probe { .. } => "probe",
-            Msg::ProbeAck { .. } => "probe-ack",
-            Msg::CcsQuery { .. } => "ccs-query",
-            Msg::CcsInfo { .. } => "ccs-info",
-            Msg::ForestPull { .. } => "forest-pull",
-            Msg::ForestInfo { .. } => "forest-info",
-        }
-    }
-
     /// The bytes of `Msg::BcastAgg { stamp, parts, missing }` whose
     /// `parts` batch is the `count` part frames `frames` (a batch without
     /// its count header), written once into a buffer sized exactly: how a
     /// relay sends what it gathered without first copying it into a
     /// batch of its own. A set is already in the canonical (sorted,
-    /// deduplicated) order the wire form requires.
+    /// deduplicated) order the wire form requires. Written by hand, not
+    /// by the wire table, because it never builds the `Msg`.
     ///
     /// # Panics
     ///
@@ -933,259 +581,6 @@ impl Msg {
             enc.str(host);
         }
         enc.into_bytes()
-    }
-}
-
-impl Wire for Msg {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            Msg::CreateLpm { user } => {
-                enc.u8(0);
-                enc.u32(*user);
-            }
-            Msg::LpmAddr {
-                user,
-                port,
-                created,
-            } => {
-                enc.u8(2);
-                enc.u32(*user);
-                enc.u16(*port);
-                enc.bool(*created);
-            }
-            Msg::NoLpm { user } => {
-                enc.u8(3);
-                enc.u32(*user);
-            }
-            Msg::Hello {
-                user,
-                host,
-                is_tool,
-                ccs,
-                epoch,
-                proof,
-            } => {
-                enc.u8(4);
-                enc.u32(*user);
-                enc.str(host);
-                enc.bool(*is_tool);
-                enc.str(ccs);
-                enc.u64(*epoch);
-                enc.u64(*proof);
-            }
-            Msg::HelloAck {
-                host,
-                ok,
-                ccs,
-                epoch,
-            } => {
-                enc.u8(5);
-                enc.str(host);
-                enc.bool(*ok);
-                enc.str(ccs);
-                enc.u64(*epoch);
-            }
-            Msg::Req {
-                id,
-                user,
-                dest,
-                op,
-                route,
-                hops_left,
-                deadline_us,
-                attempt,
-                boot,
-            } => {
-                enc.u8(6);
-                enc.u64(*id);
-                enc.u32(*user);
-                enc.str(dest);
-                op.encode(enc);
-                route.encode(enc);
-                enc.u8(*hops_left);
-                enc.u64(*deadline_us);
-                enc.u8(*attempt);
-                enc.u64(*boot);
-            }
-            Msg::Resp { id, reply, route } => {
-                enc.u8(MSG_RESP);
-                enc.u64(*id);
-                reply.encode(enc);
-                route.encode(enc);
-            }
-            Msg::Bcast {
-                stamp,
-                user,
-                op,
-                route,
-            } => {
-                enc.u8(8);
-                stamp.encode(enc);
-                enc.u32(*user);
-                op.encode(enc);
-                route.encode(enc);
-            }
-            Msg::BcastDone { stamp } => {
-                enc.u8(10);
-                stamp.encode(enc);
-            }
-            Msg::BcastAgg {
-                stamp,
-                parts,
-                missing,
-            } => {
-                enc.u8(MSG_BCAST_AGG);
-                stamp.encode(enc);
-                enc.bytes(parts);
-                enc.seq(&canonical_missing(missing), |e, s| e.str(s));
-            }
-            Msg::CcsAnnounce { user, ccs, epoch } => {
-                enc.u8(11);
-                enc.u32(*user);
-                enc.str(ccs);
-                enc.u64(*epoch);
-            }
-            Msg::Probe { user, from } => {
-                enc.u8(12);
-                enc.u32(*user);
-                enc.str(from);
-            }
-            Msg::ProbeAck { from, ccs, epoch } => {
-                enc.u8(13);
-                enc.str(from);
-                enc.str(ccs);
-                enc.u64(*epoch);
-            }
-            Msg::CcsQuery {
-                user,
-                claimant,
-                dead,
-            } => {
-                enc.u8(14);
-                enc.u32(*user);
-                enc.str(claimant);
-                enc.opt(dead, |e, d| e.str(d));
-            }
-            Msg::CcsInfo { user, ccs, epoch } => {
-                enc.u8(15);
-                enc.u32(*user);
-                enc.str(ccs);
-                enc.u64(*epoch);
-            }
-            Msg::ForestPull {
-                user,
-                host,
-                live,
-                boot,
-            } => {
-                enc.u8(18);
-                enc.u32(*user);
-                enc.str(host);
-                enc.seq(live, |e, p| e.u32(*p));
-                enc.u64(*boot);
-            }
-            Msg::ForestInfo { user, host, edges } => {
-                enc.u8(19);
-                enc.u32(*user);
-                enc.str(host);
-                enc.seq(edges, |e, (pid, parent)| {
-                    e.u32(*pid);
-                    parent.encode(e);
-                });
-            }
-        }
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match dec.u8()? {
-            0 => Msg::CreateLpm { user: dec.u32()? },
-            2 => Msg::LpmAddr {
-                user: dec.u32()?,
-                port: dec.u16()?,
-                created: dec.bool()?,
-            },
-            3 => Msg::NoLpm { user: dec.u32()? },
-            4 => Msg::Hello {
-                user: dec.u32()?,
-                host: Name::decode(dec)?,
-                is_tool: dec.bool()?,
-                ccs: Name::decode(dec)?,
-                epoch: dec.u64()?,
-                proof: dec.u64()?,
-            },
-            5 => Msg::HelloAck {
-                host: Name::decode(dec)?,
-                ok: dec.bool()?,
-                ccs: Name::decode(dec)?,
-                epoch: dec.u64()?,
-            },
-            6 => Msg::Req {
-                id: dec.u64()?,
-                user: dec.u32()?,
-                dest: dec.str()?,
-                op: Op::decode(dec)?,
-                route: Route::decode(dec)?,
-                hops_left: dec.u8()?,
-                deadline_us: dec.u64()?,
-                attempt: dec.u8()?,
-                boot: dec.u64()?,
-            },
-            MSG_RESP => Msg::Resp {
-                id: dec.u64()?,
-                reply: Reply::decode(dec)?,
-                route: Route::decode(dec)?,
-            },
-            8 => Msg::Bcast {
-                stamp: Stamp::decode(dec)?,
-                user: dec.u32()?,
-                op: Op::decode(dec)?,
-                route: Route::decode(dec)?,
-            },
-            10 => Msg::BcastDone {
-                stamp: Stamp::decode(dec)?,
-            },
-            11 => Msg::CcsAnnounce {
-                user: dec.u32()?,
-                ccs: Name::decode(dec)?,
-                epoch: dec.u64()?,
-            },
-            12 => Msg::Probe {
-                user: dec.u32()?,
-                from: Name::decode(dec)?,
-            },
-            13 => Msg::ProbeAck {
-                from: Name::decode(dec)?,
-                ccs: Name::decode(dec)?,
-                epoch: dec.u64()?,
-            },
-            14 => Msg::CcsQuery {
-                user: dec.u32()?,
-                claimant: Name::decode(dec)?,
-                dead: dec.opt(Name::decode)?,
-            },
-            15 => Msg::CcsInfo {
-                user: dec.u32()?,
-                ccs: Name::decode(dec)?,
-                epoch: dec.u64()?,
-            },
-            MSG_BCAST_AGG => Msg::BcastAgg {
-                stamp: Stamp::decode(dec)?,
-                parts: bytes::Bytes::copy_from_slice(dec.bytes_ref()?),
-                missing: dec.seq(Name::decode)?,
-            },
-            18 => Msg::ForestPull {
-                user: dec.u32()?,
-                host: Name::decode(dec)?,
-                live: dec.seq(|d| d.u32())?,
-                boot: dec.u64()?,
-            },
-            19 => Msg::ForestInfo {
-                user: dec.u32()?,
-                host: Name::decode(dec)?,
-                edges: dec.seq(|d| Ok((d.u32()?, Gpid::decode(d)?)))?,
-            },
-            tag => return Err(CodecError::BadTag { what: "Msg", tag }),
-        })
     }
 }
 

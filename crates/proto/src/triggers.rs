@@ -7,21 +7,23 @@
 
 use std::fmt;
 
-use crate::codec::{CodecError, Dec, Enc, Wire};
+use crate::codec::wire;
 use crate::types::Gpid;
 
-/// A pattern over kernel/history events. All present fields must match.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EventPattern {
-    /// Event kind to match ("exit", "stop", "fork", ...); empty = any.
-    pub kind: String,
-    /// Restrict to one local pid.
-    pub pid: Option<u32>,
-    /// Restrict to commands with this prefix.
-    pub command_prefix: Option<String>,
-    /// Only match once the process has consumed at least this much CPU
-    /// (µs) — the "history dependent" part.
-    pub min_cpu_us: Option<u64>,
+wire! {
+    /// A pattern over kernel/history events. All present fields must match.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct EventPattern {
+        /// Event kind to match ("exit", "stop", "fork", ...); empty = any.
+        pub kind: String,
+        /// Restrict to one local pid.
+        pub pid: Option<u32>,
+        /// Restrict to commands with this prefix.
+        pub command_prefix: Option<String>,
+        /// Only match once the process has consumed at least this much CPU
+        /// (µs) — the "history dependent" part.
+        pub min_cpu_us: Option<u64>,
+    }
 }
 
 impl EventPattern {
@@ -52,44 +54,28 @@ impl EventPattern {
     }
 }
 
-impl Wire for EventPattern {
-    fn encode(&self, enc: &mut Enc) {
-        enc.str(&self.kind);
-        enc.opt(&self.pid, |e, v| e.u32(*v));
-        enc.opt(&self.command_prefix, |e, v| e.str(v));
-        enc.opt(&self.min_cpu_us, |e, v| e.u64(*v));
+wire! {
+    /// What to do when a trigger fires.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum TriggerAction {
+        /// Deliver a signal to a (possibly remote) process.
+        [0] Signal {
+            /// Target process.
+            target: Gpid,
+            /// BSD signal number.
+            signal: u8,
+        },
+        /// Record a notification in the LPM history (picked up by tools).
+        [1] Notify {
+            /// Free-form note.
+            note: String,
+        },
+        /// Kill every process of the computation rooted at `root`.
+        [2] KillTree {
+            /// Root of the subtree.
+            root: Gpid,
+        },
     }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(EventPattern {
-            kind: dec.str()?,
-            pid: dec.opt(|d| d.u32())?,
-            command_prefix: dec.opt(|d| d.str())?,
-            min_cpu_us: dec.opt(|d| d.u64())?,
-        })
-    }
-}
-
-/// What to do when a trigger fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TriggerAction {
-    /// Deliver a signal to a (possibly remote) process.
-    Signal {
-        /// Target process.
-        target: Gpid,
-        /// BSD signal number.
-        signal: u8,
-    },
-    /// Record a notification in the LPM history (picked up by tools).
-    Notify {
-        /// Free-form note.
-        note: String,
-    },
-    /// Kill every process of the computation rooted at `root`.
-    KillTree {
-        /// Root of the subtree.
-        root: Gpid,
-    },
 }
 
 impl fmt::Display for TriggerAction {
@@ -102,77 +88,25 @@ impl fmt::Display for TriggerAction {
     }
 }
 
-impl Wire for TriggerAction {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            TriggerAction::Signal { target, signal } => {
-                enc.u8(0);
-                target.encode(enc);
-                enc.u8(*signal);
-            }
-            TriggerAction::Notify { note } => {
-                enc.u8(1);
-                enc.str(note);
-            }
-            TriggerAction::KillTree { root } => {
-                enc.u8(2);
-                root.encode(enc);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match dec.u8()? {
-            0 => Ok(TriggerAction::Signal {
-                target: Gpid::decode(dec)?,
-                signal: dec.u8()?,
-            }),
-            1 => Ok(TriggerAction::Notify { note: dec.str()? }),
-            2 => Ok(TriggerAction::KillTree {
-                root: Gpid::decode(dec)?,
-            }),
-            tag => Err(CodecError::BadTag {
-                what: "TriggerAction",
-                tag,
-            }),
-        }
-    }
-}
-
-/// A complete trigger registration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TriggerSpec {
-    /// Identifier assigned by the registering tool (unique per user).
-    pub id: u32,
-    /// When to fire.
-    pub pattern: EventPattern,
-    /// What to do.
-    pub action: TriggerAction,
-    /// Remove after first firing?
-    pub once: bool,
-}
-
-impl Wire for TriggerSpec {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u32(self.id);
-        self.pattern.encode(enc);
-        self.action.encode(enc);
-        enc.bool(self.once);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(TriggerSpec {
-            id: dec.u32()?,
-            pattern: EventPattern::decode(dec)?,
-            action: TriggerAction::decode(dec)?,
-            once: dec.bool()?,
-        })
+wire! {
+    /// A complete trigger registration.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TriggerSpec {
+        /// Identifier assigned by the registering tool (unique per user).
+        pub id: u32,
+        /// When to fire.
+        pub pattern: EventPattern,
+        /// What to do.
+        pub action: TriggerAction,
+        /// Remove after first firing?
+        pub once: bool,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{CodecError, Wire};
 
     #[test]
     fn pattern_builder_and_roundtrip() {

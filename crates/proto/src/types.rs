@@ -6,10 +6,12 @@ use std::hash::{Hash, Hasher};
 
 use ppm_runtime::hashx::{fnv1a_fold, FNV_OFFSET};
 
-use crate::codec::{CodecError, Dec, Enc, Wire};
+use crate::codec::{wire, CodecError, Dec, Enc, Wire};
 
 pub use ppm_runtime::name::Name;
 
+// Written by hand: `Name` is declared in `ppm-runtime`, so the wire table
+// cannot declare it. On the wire it is a string.
 impl Wire for Name {
     #[inline]
     fn encode(&self, enc: &mut Enc) {
@@ -22,14 +24,16 @@ impl Wire for Name {
     }
 }
 
-/// A network-global process identity, written `<host name, pid>` as in the
-/// paper ("Processes are identified in the network by `<host name, pid>`").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Gpid {
-    /// Host name.
-    pub host: Name,
-    /// Pid on that host.
-    pub pid: u32,
+wire! {
+    /// A network-global process identity, written `<host name, pid>` as in the
+    /// paper ("Processes are identified in the network by `<host name, pid>`").
+    #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct Gpid {
+        /// Host name.
+        pub host: Name,
+        /// Pid on that host.
+        pub pid: u32,
+    }
 }
 
 impl Gpid {
@@ -48,39 +52,33 @@ impl fmt::Display for Gpid {
     }
 }
 
-impl Wire for Gpid {
-    fn encode(&self, enc: &mut Enc) {
-        enc.str(&self.host);
-        enc.u32(self.pid);
+wire! {
+    /// The signed timestamp carried by broadcast requests.
+    ///
+    /// Per Section 4: "A scheme for not retransmitting old broadcast requests
+    /// has been implemented using a signed timestamp in which the name of the
+    /// originating host appears." The signature is an FNV-1a keyed hash over
+    /// the other fields — a stand-in for the paper-era shared-secret signing
+    /// (host-level masquerade was explicitly out of scope there too).
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct Stamp {
+        /// Originating host name. A stamp is cloned on every hop of the echo
+        /// wave and keyed into the seen/active maps; a [`Name`] clones
+        /// without allocating.
+        pub origin: Name,
+        /// Per-origin sequence number.
+        pub seq: u64,
+        /// Origination time, microseconds of simulated time.
+        pub at_us: u64,
+        /// Keyed hash over `(origin, seq, at_us)`.
+        pub sig: u64,
     }
 
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Gpid {
-            host: Name::decode(dec)?,
-            pid: dec.u32()?,
-        })
+    /// Counted, not encoded: a relay's aggregate is written into a
+    /// buffer sized up front, and it starts with the wave's stamp.
+    fn wire_len(&self) -> usize {
+        2 + self.origin.len() + 24
     }
-}
-
-/// The signed timestamp carried by broadcast requests.
-///
-/// Per Section 4: "A scheme for not retransmitting old broadcast requests
-/// has been implemented using a signed timestamp in which the name of the
-/// originating host appears." The signature is an FNV-1a keyed hash over
-/// the other fields — a stand-in for the paper-era shared-secret signing
-/// (host-level masquerade was explicitly out of scope there too).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Stamp {
-    /// Originating host name. A stamp is cloned on every hop of the echo
-    /// wave and keyed into the seen/active maps; a [`Name`] clones
-    /// without allocating.
-    pub origin: Name,
-    /// Per-origin sequence number.
-    pub seq: u64,
-    /// Origination time, microseconds of simulated time.
-    pub at_us: u64,
-    /// Keyed hash over `(origin, seq, at_us)`.
-    pub sig: u64,
 }
 
 impl Stamp {
@@ -112,30 +110,6 @@ impl Stamp {
     /// expiry.
     pub fn key(&self) -> (Name, u64) {
         (self.origin.clone(), self.seq)
-    }
-}
-
-impl Wire for Stamp {
-    fn encode(&self, enc: &mut Enc) {
-        enc.str(&self.origin);
-        enc.u64(self.seq);
-        enc.u64(self.at_us);
-        enc.u64(self.sig);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Stamp {
-            origin: Name::decode(dec)?,
-            seq: dec.u64()?,
-            at_us: dec.u64()?,
-            sig: dec.u64()?,
-        })
-    }
-
-    /// Counted, not encoded: a relay's aggregate is written into a
-    /// buffer sized up front, and it starts with the wave's stamp.
-    fn wire_len(&self) -> usize {
-        2 + self.origin.len() + 24
     }
 }
 
@@ -284,6 +258,9 @@ impl fmt::Display for Route {
     }
 }
 
+// Written by hand: a route's hosts are held inline or spilled to the
+// heap, and its decode refuses more than `MAX_ROUTE_HOSTS` before it
+// reads a host.
 impl Wire for Route {
     fn encode(&self, enc: &mut Enc) {
         enc.seq(self.hosts(), |e, h| e.str(h));
@@ -315,28 +292,19 @@ impl Wire for Route {
     }
 }
 
-/// Process state on the wire (the paper's running / stopped / dead, plus
-/// embryonic creations in flight).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireProcState {
-    /// Runnable or running.
-    Running,
-    /// Stopped by signal.
-    Stopped,
-    /// Exited; retained in the tree while children are alive.
-    Dead,
-    /// Creation in progress.
-    Embryo,
-}
-
-impl WireProcState {
-    fn tag(self) -> u8 {
-        match self {
-            WireProcState::Running => 0,
-            WireProcState::Stopped => 1,
-            WireProcState::Dead => 2,
-            WireProcState::Embryo => 3,
-        }
+wire! {
+    /// Process state on the wire (the paper's running / stopped / dead, plus
+    /// embryonic creations in flight).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum WireProcState {
+        /// Runnable or running.
+        [0] Running,
+        /// Stopped by signal.
+        [1] Stopped,
+        /// Exited; retained in the tree while children are alive.
+        [2] Dead,
+        /// Creation in progress.
+        [3] Embryo,
     }
 }
 
@@ -348,25 +316,6 @@ impl fmt::Display for WireProcState {
             WireProcState::Dead => "dead",
             WireProcState::Embryo => "embryo",
         })
-    }
-}
-
-impl Wire for WireProcState {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u8(self.tag());
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match dec.u8()? {
-            0 => Ok(WireProcState::Running),
-            1 => Ok(WireProcState::Stopped),
-            2 => Ok(WireProcState::Dead),
-            3 => Ok(WireProcState::Embryo),
-            tag => Err(CodecError::BadTag {
-                what: "WireProcState",
-                tag,
-            }),
-        }
     }
 }
 
@@ -426,7 +375,9 @@ impl Wire for ProcRecord {
 /// [`ProcRecord`]'s own [`Wire`] impl goes through it — so a record
 /// written straight from an LPM's slab and a record merely walked over at
 /// a broadcast's originator are encoded and checked exactly as the owned
-/// type is.
+/// type is. It is written by hand, not in the wire table: every record
+/// that crosses an LPM is walked by its `#[inline(always)]` decode, and
+/// the walk's speed hangs on that inlining.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcRecordRef<'a> {
     /// Host the process runs on.
@@ -506,54 +457,28 @@ impl<'a> ProcRecordRef<'a> {
     }
 }
 
-/// Resource statistics of one exited process (the paper's second tool).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RusageRecord {
-    /// Identity.
-    pub gpid: Gpid,
-    /// Command name.
-    pub command: Name,
-    /// Exit time (µs, simulated).
-    pub exited_us: u64,
-    /// Exit code, or the signal number that killed it (negated - 1000).
-    pub status: i32,
-    /// CPU consumed (µs).
-    pub cpu_us: u64,
-    /// Messages sent / received.
-    pub msgs: u64,
-    /// Bytes sent / received.
-    pub bytes: u64,
-    /// Files opened.
-    pub files: u64,
-    /// Children forked.
-    pub forks: u64,
-}
-
-impl Wire for RusageRecord {
-    fn encode(&self, enc: &mut Enc) {
-        self.gpid.encode(enc);
-        enc.str(&self.command);
-        enc.u64(self.exited_us);
-        enc.i32(self.status);
-        enc.u64(self.cpu_us);
-        enc.u64(self.msgs);
-        enc.u64(self.bytes);
-        enc.u64(self.files);
-        enc.u64(self.forks);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(RusageRecord {
-            gpid: Gpid::decode(dec)?,
-            command: Name::decode(dec)?,
-            exited_us: dec.u64()?,
-            status: dec.i32()?,
-            cpu_us: dec.u64()?,
-            msgs: dec.u64()?,
-            bytes: dec.u64()?,
-            files: dec.u64()?,
-            forks: dec.u64()?,
-        })
+wire! {
+    /// Resource statistics of one exited process (the paper's second tool).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RusageRecord {
+        /// Identity.
+        pub gpid: Gpid,
+        /// Command name.
+        pub command: Name,
+        /// Exit time (µs, simulated).
+        pub exited_us: u64,
+        /// Exit code, or the signal number that killed it (negated - 1000).
+        pub status: i32,
+        /// CPU consumed (µs).
+        pub cpu_us: u64,
+        /// Messages sent / received.
+        pub msgs: u64,
+        /// Bytes sent / received.
+        pub bytes: u64,
+        /// Files opened.
+        pub files: u64,
+        /// Children forked.
+        pub forks: u64,
     }
 }
 
@@ -585,7 +510,8 @@ impl Wire for HistoryRecord {
 
 /// A [`HistoryRecord`] whose strings are borrowed from the bytes it was
 /// read off: the one reader of its wire layout, as [`ProcRecordRef`] is
-/// a snapshot record's.
+/// a snapshot record's, written by hand for the same reason: the merge
+/// walks history records without building them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryRecordRef<'a> {
     /// When (µs, simulated).
@@ -628,67 +554,35 @@ impl<'a> HistoryRecordRef<'a> {
     }
 }
 
-/// One open descriptor of a process (for the files/fd tools of Section 7).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileRecord {
-    /// Descriptor number.
-    pub fd: u32,
-    /// Kind: "file", "socket", "listener", "kernel".
-    pub kind: String,
-    /// Path or peer description.
-    pub detail: String,
-}
-
-impl Wire for FileRecord {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u32(self.fd);
-        enc.str(&self.kind);
-        enc.str(&self.detail);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(FileRecord {
-            fd: dec.u32()?,
-            kind: dec.str()?,
-            detail: dec.str()?,
-        })
+wire! {
+    /// One open descriptor of a process (for the files/fd tools of Section 7).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FileRecord {
+        /// Descriptor number.
+        pub fd: u32,
+        /// Kind: "file", "socket", "listener", "kernel".
+        pub kind: String,
+        /// Path or peer description.
+        pub detail: String,
     }
 }
 
-/// One metric of an LPM's observability registry, as pulled over the wire
-/// by `Op::Metrics` and answered in `Reply::Metrics`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricRow {
-    /// Registry name, e.g. `"rpc.retries"`.
-    pub name: String,
-    /// `0` counter, `1` gauge, `2` log2 histogram.
-    pub kind: u8,
-    /// Counter or gauge value; for histograms, the sample count.
-    pub value: i64,
-    /// Histogram sum (zero for counters and gauges).
-    pub sum: u64,
-    /// Histogram buckets, trimmed after the last occupied one (empty for
-    /// counters and gauges); bucket `i` counts values of bit length `i`.
-    pub buckets: Vec<u64>,
-}
-
-impl Wire for MetricRow {
-    fn encode(&self, enc: &mut Enc) {
-        enc.str(&self.name);
-        enc.u8(self.kind);
-        enc.i64(self.value);
-        enc.u64(self.sum);
-        enc.seq(&self.buckets, |e, b| e.u64(*b));
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(MetricRow {
-            name: dec.str()?,
-            kind: dec.u8()?,
-            value: dec.i64()?,
-            sum: dec.u64()?,
-            buckets: dec.seq(|d| d.u64())?,
-        })
+wire! {
+    /// One metric of an LPM's observability registry, as pulled over the wire
+    /// by `Op::Metrics` and answered in `Reply::Metrics`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MetricRow {
+        /// Registry name, e.g. `"rpc.retries"`.
+        pub name: String,
+        /// `0` counter, `1` gauge, `2` log2 histogram.
+        pub kind: u8,
+        /// Counter or gauge value; for histograms, the sample count.
+        pub value: i64,
+        /// Histogram sum (zero for counters and gauges).
+        pub sum: u64,
+        /// Histogram buckets, trimmed after the last occupied one (empty for
+        /// counters and gauges); bucket `i` counts values of bit length `i`.
+        pub buckets: Vec<u64>,
     }
 }
 

@@ -169,20 +169,23 @@ fn arb_trigger() -> impl Strategy<Value = TriggerSpec> {
             command_prefix,
             min_cpu_us,
         });
-    let action = prop_oneof![
-        (arb_gpid(), any::<u8>())
-            .prop_map(|(target, signal)| TriggerAction::Signal { target, signal }),
-        arb_name().prop_map(|note| TriggerAction::Notify { note }),
-        arb_gpid().prop_map(|root| TriggerAction::KillTree { root }),
-    ];
-    (any::<u32>(), pattern, action, any::<bool>()).prop_map(|(id, pattern, action, once)| {
-        TriggerSpec {
+    (any::<u32>(), pattern, arb_trigger_action(), any::<bool>()).prop_map(
+        |(id, pattern, action, once)| TriggerSpec {
             id,
             pattern,
             action,
             once,
-        }
-    })
+        },
+    )
+}
+
+fn arb_trigger_action() -> impl Strategy<Value = TriggerAction> {
+    prop_oneof![
+        (arb_gpid(), any::<u8>())
+            .prop_map(|(target, signal)| TriggerAction::Signal { target, signal }),
+        arb_name().prop_map(|note| TriggerAction::Notify { note }),
+        arb_gpid().prop_map(|root| TriggerAction::KillTree { root }),
+    ]
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -215,11 +218,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u32>(), any::<u8>()).prop_map(|(pid, flags)| Op::SetTraceFlags { pid, flags }),
         arb_trigger().prop_map(|spec| Op::AddTrigger { spec }),
         any::<u32>().prop_map(|id| Op::DelTrigger { id }),
+        Just(Op::Stats),
+        Just(Op::Metrics),
     ]
 }
 
-fn arb_reply() -> impl Strategy<Value = Reply> {
-    let err_code = prop_oneof![
+fn arb_err_code() -> impl Strategy<Value = ErrCode> {
+    prop_oneof![
         Just(ErrCode::NoSuchProcess),
         Just(ErrCode::Permission),
         Just(ErrCode::NoRoute),
@@ -230,11 +235,14 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
         Just(ErrCode::Internal),
         Just(ErrCode::DeadlineExceeded),
         Just(ErrCode::StaleEpoch),
-    ];
+    ]
+}
+
+fn arb_reply() -> impl Strategy<Value = Reply> {
     prop_oneof![
         Just(Reply::Ok),
         Just(Reply::Pong),
-        (err_code, arb_name()).prop_map(|(code, detail)| Reply::Err { code, detail }),
+        (arb_err_code(), arb_name()).prop_map(|(code, detail)| Reply::Err { code, detail }),
         arb_gpid().prop_map(|gpid| Reply::Spawned { gpid }),
         (arb_name(), prop::collection::vec(arb_proc_record(), 0..4))
             .prop_map(|(host, procs)| Reply::Snapshot { host, procs }),
@@ -816,7 +824,89 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             ccs,
             epoch
         }),
+        // `missing` drawn canonical (sorted, no repeats), as it decodes.
+        (
+            arb_stamp(),
+            prop::collection::vec(any::<u8>(), 0..24),
+            prop::collection::vec(arb_host(), 0..4)
+        )
+            .prop_map(|(stamp, parts, missing)| Msg::BcastAgg {
+                stamp,
+                parts: parts.into(),
+                missing: missing
+                    .into_iter()
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect(),
+            }),
+        (any::<u32>(), arb_host(), prop::option::of(arb_host())).prop_map(
+            |(user, claimant, dead)| Msg::CcsQuery {
+                user,
+                claimant,
+                dead
+            }
+        ),
+        (any::<u32>(), arb_host(), any::<u64>()).prop_map(|(user, ccs, epoch)| Msg::CcsInfo {
+            user,
+            ccs,
+            epoch
+        }),
+        (
+            any::<u32>(),
+            arb_host(),
+            prop::collection::vec(any::<u32>(), 0..4),
+            any::<u64>()
+        )
+            .prop_map(|(user, host, live, boot)| Msg::ForestPull {
+                user,
+                host,
+                live,
+                boot
+            }),
+        (
+            any::<u32>(),
+            arb_host(),
+            prop::collection::vec((any::<u32>(), arb_gpid()), 0..4)
+        )
+            .prop_map(|(user, host, edges)| Msg::ForestInfo { user, host, edges }),
     ]
+}
+
+/// The tags a generator's values lead with, over enough draws that a
+/// uniform choice among a couple of dozen variants misses none.
+fn tags_drawn<T: Wire>(strategy: impl Strategy<Value = T>) -> BTreeSet<u8> {
+    let mut rng = TestRng::from_seed(1986);
+    (0..2_000)
+        .map(|_| strategy.generate(&mut rng).to_bytes()[0])
+        .collect()
+}
+
+/// Every tag in the wire table is drawn by the generators the properties
+/// above use, and no other: a variant added to the table is fuzzed the
+/// day it is added, or this test names its type.
+#[test]
+fn the_generators_draw_every_tag_in_the_table() {
+    let table = |tags: &[u8]| tags.iter().copied().collect::<BTreeSet<u8>>();
+    assert_eq!(tags_drawn(arb_msg()), table(Msg::TAGS), "Msg");
+    assert_eq!(tags_drawn(arb_op()), table(Op::TAGS), "Op");
+    let replies = prop_oneof![arb_reply(), arb_rare_reply()];
+    assert_eq!(tags_drawn(replies), table(Reply::TAGS), "Reply");
+    assert_eq!(
+        tags_drawn(arb_action()),
+        table(ControlAction::TAGS),
+        "ControlAction"
+    );
+    assert_eq!(tags_drawn(arb_err_code()), table(ErrCode::TAGS), "ErrCode");
+    assert_eq!(
+        tags_drawn(arb_trigger_action()),
+        table(TriggerAction::TAGS),
+        "TriggerAction"
+    );
+    assert_eq!(
+        tags_drawn(arb_state()),
+        table(WireProcState::TAGS),
+        "WireProcState"
+    );
 }
 
 proptest! {

@@ -512,7 +512,7 @@ impl NodeCore {
 
 /// The real syscall interface bound to one calling process.
 ///
-/// Where [`ppm_simos::sys::Sys`] supplies the trait's required methods
+/// Where the simulator's `ppm_simos::sys::Sys` supplies the trait's required methods
 /// from the discrete-event world, this supplies them from the node:
 /// timers go to the node heap, connections to loopback TCP, forks and
 /// signals to the node's deferred actions, notes to the cluster's hub.

@@ -760,12 +760,6 @@ impl Kernel {
     pub fn update_load(&mut self, runnable: usize, alpha: f64) {
         self.load_avg += (runnable as f64 - self.load_avg) * alpha.clamp(0.0, 1.0);
     }
-
-    /// Forces the load average (testing/benchmark hook; real runs drive it
-    /// with CPU-bound workloads).
-    pub fn set_load_avg(&mut self, la: f64) {
-        self.load_avg = la.max(0.0);
-    }
 }
 
 #[cfg(test)]
@@ -991,7 +985,10 @@ mod tests {
     fn reboot_wipes_everything_but_counts_boots() {
         let mut k = kern();
         add(&mut k, Pid::INIT, Uid(1), "x");
-        k.set_load_avg(2.5);
+        for _ in 0..4 {
+            k.update_load(3, 0.5);
+        }
+        assert!(k.load_avg() > 0.0);
         k.reboot(SimTime::from_secs(10));
         assert_eq!(k.processes().count(), 1);
         assert_eq!(k.load_avg(), 0.0);

@@ -5,7 +5,7 @@
 //! time and values derived from simulation state, so a same-seed run
 //! produces byte-identical snapshots. Registration interns static names
 //! into dense indices; the hot-path operations ([`Registry::inc`],
-//! [`Registry::add`], [`Registry::set`], [`Registry::record`]) are a
+//! [`Registry::add`], [`Registry::record`]) are a
 //! bounds-checked array access plus a relaxed atomic add, cheap enough to
 //! stay enabled in benchmark runs (`runtime.obs.record_ns_per_op` in
 //! `benchmark/`) while remaining safe to sample from another thread.

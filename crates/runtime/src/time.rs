@@ -1,6 +1,6 @@
 //! Protocol-visible time, as an integer-microsecond newtype.
 //!
-//! All time a [`crate::sys::Clock`] hands to protocol code is expressed in
+//! All time [`crate::sys::Sys::now`] hands to protocol code is expressed in
 //! integer **microseconds** as a [`Micros`] instant. Using a newtype over
 //! an integer keeps both backends honest: the simulation counts ticks from
 //! run start with no floating-point drift, and the real backend counts

@@ -238,8 +238,11 @@ impl World {
         &self.hosts[host.0 as usize]
     }
 
-    /// Mutable kernel of a host (benchmark hooks such as
-    /// [`Kernel::set_load_avg`]).
+    /// Mutable kernel of a host.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown host id.
     pub fn kernel_mut(&mut self, host: HostId) -> &mut Kernel {
         &mut self.hosts[host.0 as usize]
     }

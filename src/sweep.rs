@@ -9,7 +9,7 @@
 //! simulated world (one engine per run — the engine itself stays
 //! single-threaded and deterministic, parallelism lives strictly
 //! *between* runs); [`render_report`] folds the results into a
-//! [`SweepReport`] rendering that is **byte-identical regardless of
+//! report whose text is **byte-identical regardless of
 //! worker count or completion order**, because results land in
 //! spec-indexed slots and every section is sorted by spec id — arrival
 //! order never reaches the output. Wall-clock numbers are observational
