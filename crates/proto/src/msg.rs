@@ -66,12 +66,19 @@ use crate::types::{
 // Tags the wire table shares with the readers and splices below, which
 // read or write around an encoded reply without decoding it: one
 // spelling for both.
+const REPLY_OK: u8 = 0;
 const REPLY_ERR: u8 = 1;
+const REPLY_PONG: u8 = 2;
 const REPLY_SPAWNED: u8 = 3;
 const REPLY_SNAPSHOT: u8 = 4;
 const REPLY_RUSAGE: u8 = 5;
 const REPLY_HISTORY: u8 = 6;
+const REPLY_FILES: u8 = 7;
+const REPLY_TRIGGERS: u8 = 8;
+const REPLY_STATUS: u8 = 9;
+const REPLY_STATS: u8 = 10;
 const REPLY_PARTIAL: u8 = 11;
+const REPLY_METRICS: u8 = 12;
 const MSG_RESP: u8 = 7;
 const MSG_BCAST_AGG: u8 = 16;
 
@@ -228,7 +235,7 @@ wire! {
     #[derive(Debug, Clone, PartialEq)]
     pub enum Reply {
         /// Success with no payload.
-        [0] Ok,
+        [REPLY_OK] Ok,
         /// Failure.
         [REPLY_ERR] Err {
             /// Machine-readable code.
@@ -237,7 +244,7 @@ wire! {
             detail: String,
         },
         /// Ping answer.
-        [2] Pong,
+        [REPLY_PONG] Pong,
         /// [`Op::Spawn`] result.
         [REPLY_SPAWNED] Spawned {
             /// Identity of the new process.
@@ -261,17 +268,17 @@ wire! {
             events: Vec<HistoryRecord>,
         },
         /// Open descriptors of a process.
-        [7] Files {
+        [REPLY_FILES] Files {
             /// Entries in descriptor order.
             entries: Vec<FileRecord>,
         },
         /// Registered triggers.
-        [8] Triggers {
+        [REPLY_TRIGGERS] Triggers {
             /// Entries in id order.
             entries: Vec<TriggerSpec>,
         },
         /// LPM internal counters.
-        [10] Stats {
+        [REPLY_STATS] Stats {
             /// Requests that entered the pipeline.
             requests: u64,
             /// Broadcasts originated / forwarded / suppressed.
@@ -286,7 +293,7 @@ wire! {
             handlers: (u64, u64, u64),
         },
         /// LPM status.
-        [9] Status {
+        [REPLY_STATUS] Status {
             /// Reporting host.
             host: Name,
             /// Load average × 1000.
@@ -311,7 +318,7 @@ wire! {
             inner: Box<Reply>,
         },
         /// [`Op::Metrics`] result: one LPM's observability registry.
-        [12] Metrics {
+        [REPLY_METRICS] Metrics {
             /// Reporting host.
             host: Name,
             /// Simulated instant the registry was sampled (µs).
@@ -662,12 +669,12 @@ impl<'a> ReplyRef<'a> {
     pub fn read(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
         let start = dec.clone();
         Ok(match dec.u8()? {
-            0 => ReplyRef::Ok,
+            REPLY_OK => ReplyRef::Ok,
             REPLY_ERR => ReplyRef::Err {
                 code: ErrCode::decode(dec)?,
                 detail: dec.str_ref()?,
             },
-            2 => ReplyRef::Pong,
+            REPLY_PONG => ReplyRef::Pong,
             REPLY_SPAWNED => ReplyRef::Spawned {
                 host: dec.str_ref()?,
                 pid: dec.u32()?,
@@ -682,12 +689,14 @@ impl<'a> ReplyRef<'a> {
                 *dec = start;
                 Reply::decode(dec)?;
                 match tag {
-                    7 => ReplyRef::Files,
-                    8 => ReplyRef::Triggers,
-                    9 => ReplyRef::Status,
-                    10 => ReplyRef::Stats,
+                    REPLY_FILES => ReplyRef::Files,
+                    REPLY_TRIGGERS => ReplyRef::Triggers,
+                    REPLY_STATUS => ReplyRef::Status,
+                    REPLY_STATS => ReplyRef::Stats,
                     REPLY_PARTIAL => ReplyRef::Partial,
-                    _ => ReplyRef::Metrics, // 12: the decode refused any other tag
+                    REPLY_METRICS => ReplyRef::Metrics,
+                    // A tag the table decodes but this reader does not name.
+                    _ => return Err(CodecError::BadTag { what: "Reply", tag }),
                 }
             }
         })
@@ -1789,6 +1798,36 @@ mod tests {
             ReplyRef::Metrics,
         ];
         assert_eq!(others, kinds);
+    }
+
+    #[test]
+    fn read_names_every_reply_tag_by_its_own_kind() {
+        let samples = sample_replies();
+        for &tag in Reply::TAGS {
+            let reply = samples
+                .iter()
+                .filter(|r| r.to_bytes()[0] == tag)
+                .min_by_key(|r| r.to_bytes().len())
+                .unwrap_or_else(|| panic!("no sample reply has tag {tag}"));
+            let wire = WireReply::from(reply);
+            let read = wire.read().unwrap_or_else(|e| panic!("tag {tag}: {e}"));
+            let same = match reply {
+                Reply::Ok => matches!(read, ReplyRef::Ok),
+                Reply::Err { .. } => matches!(read, ReplyRef::Err { .. }),
+                Reply::Pong => matches!(read, ReplyRef::Pong),
+                Reply::Spawned { .. } => matches!(read, ReplyRef::Spawned { .. }),
+                Reply::Snapshot { .. } | Reply::Rusage { .. } | Reply::History { .. } => {
+                    matches!(read, ReplyRef::Records { kind, .. } if kind == tag)
+                }
+                Reply::Files { .. } => matches!(read, ReplyRef::Files),
+                Reply::Triggers { .. } => matches!(read, ReplyRef::Triggers),
+                Reply::Stats { .. } => matches!(read, ReplyRef::Stats),
+                Reply::Status { .. } => matches!(read, ReplyRef::Status),
+                Reply::Partial { .. } => matches!(read, ReplyRef::Partial),
+                Reply::Metrics { .. } => matches!(read, ReplyRef::Metrics),
+            };
+            assert!(same, "tag {tag} read as {read:?}");
+        }
     }
 
     #[test]

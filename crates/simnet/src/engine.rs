@@ -5,6 +5,14 @@
 //! order (a monotonically increasing sequence number), which makes runs
 //! fully deterministic: delivery follows the total order `(at, seq)`.
 //!
+//! # Storage
+//!
+//! Pending events are the nodes of one slab whose freed cells the next
+//! schedule reuses. A bucket is a `(head, tail)` pair of slab indices, an
+//! intrusive list as in Varghese and Lauck's timing wheels, and the
+//! overflow heap holds `(at, seq, index)` keys, so what the queue
+//! allocates grows with the events it holds, not the time they span.
+//!
 //! # The traffic it is sized to
 //!
 //! Nothing that ships cancels an event. The PPM's timers run out rather
@@ -20,7 +28,7 @@
 //! `engine.cancels` reads 0 on every shipped scenario and every benchmark
 //! workload. So the queue keeps no liveness ledger and no position index:
 //! schedule and pop touch only the bucket they land in, and
-//! [`TimerWheel::cancel`] is an exact search-and-remove that costs
+//! [`TimerWheel::cancel`] is an exact search-and-unlink that costs
 //! O(pending). It exists because the benchmark's queue replay and this
 //! crate's tests call it, and so that a caller that does start cancelling
 //! shows up in `engine.cancels`.
@@ -71,33 +79,18 @@ const WHEEL_SLOTS: usize = 64;
 /// overflow heap until the wheel advances far enough to admit it.
 const WHEEL_LEVELS: usize = 4;
 
+/// The slab index that ends a list: an empty bucket is `(NIL, NIL)`.
+const NIL: u32 = u32::MAX;
+
+/// One slab cell: a pending event, or a free cell on the free list.
 #[derive(Debug)]
-struct WheelEntry<E> {
+struct Node<E> {
     at: SimTime,
     seq: u64,
-    payload: E,
-}
-
-/// An overflow-heap entry, ordered by the same `(at, seq)` total order as
-/// the wheel proper. Only the key participates in comparisons.
-#[derive(Debug)]
-struct FarEntry<E>(WheelEntry<E>);
-
-impl<E> PartialEq for FarEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.0.at, self.0.seq) == (other.0.at, other.0.seq)
-    }
-}
-impl<E> Eq for FarEntry<E> {}
-impl<E> PartialOrd for FarEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for FarEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.at, self.0.seq).cmp(&(other.0.at, other.0.seq))
-    }
+    /// The next node of its bucket or of the free list; `NIL` ends both.
+    next: u32,
+    /// `None` exactly when the cell is free.
+    payload: Option<E>,
 }
 
 /// A deterministic discrete-event queue backed by a **hierarchical timer
@@ -109,8 +102,8 @@ impl<E> Ord for FarEntry<E> {
 /// A world schedules an event per message hop, per kernel batch and per
 /// timer, nearly all of them a few hundred microseconds to a few seconds
 /// ahead, and lets every one of them fire (see the module docs: nothing
-/// that ships cancels). Scheduling drops the event into the bucket
-/// covering its deadline and firing advances along per-level 64-bit
+/// that ships cancels). Scheduling links the event's slab index into the
+/// bucket covering its deadline and firing advances along per-level 64-bit
 /// occupancy masks, so neither pays a comparison per queue level.
 ///
 /// # Windows, not rotations
@@ -120,7 +113,8 @@ impl<E> Ord for FarEntry<E> {
 /// An event is filed at the lowest level whose current window contains
 /// its deadline; events beyond the top window wait in an overflow
 /// min-heap. When level 0 drains, the earliest occupied slot of the next
-/// occupied level is *cascaded* down one level, narrowing the window;
+/// occupied level is *cascaded* down one level, narrowing the window (its
+/// indices are relinked, no event moves, no bucket owns a buffer);
 /// when the whole wheel drains, the windows are rebased around the
 /// overflow heap's minimum and the heap's matching prefix migrates in.
 /// Keying windows by absolute position (rather than a rotating cursor)
@@ -159,10 +153,13 @@ pub struct TimerWheel<E> {
     /// Per-level slot-occupancy bitmasks: bit `s` is set exactly when
     /// slot `s` holds an entry.
     occ: [u64; WHEEL_LEVELS],
-    /// `WHEEL_LEVELS * WHEEL_SLOTS` buckets, level-major.
-    slots: Vec<Vec<WheelEntry<E>>>,
-    /// Events past the top-level window, ordered by `(at, seq)`.
-    overflow: BinaryHeap<Reverse<FarEntry<E>>>,
+    /// Every pending event, and the free cells listed from `free`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    /// Level-major `(head, tail)` lists through `nodes`, in filling order.
+    buckets: Box<[(u32, u32); WHEEL_LEVELS * WHEEL_SLOTS]>,
+    /// `(at, seq, slab index)` of each event past the top-level window.
+    overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     overflow_peak: usize,
 }
 
@@ -175,8 +172,6 @@ impl<E> Default for TimerWheel<E> {
 impl<E> TimerWheel<E> {
     /// Creates an empty wheel at time zero.
     pub fn new() -> Self {
-        let mut slots = Vec::with_capacity(WHEEL_LEVELS * WHEEL_SLOTS);
-        slots.resize_with(WHEEL_LEVELS * WHEEL_SLOTS, Vec::new);
         TimerWheel {
             now: SimTime::ZERO,
             seq: 0,
@@ -185,7 +180,9 @@ impl<E> TimerWheel<E> {
             pending: 0,
             win: [0; WHEEL_LEVELS],
             occ: [0; WHEEL_LEVELS],
-            slots,
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: Box::new([(NIL, NIL); WHEEL_LEVELS * WHEEL_SLOTS]),
             overflow: BinaryHeap::new(),
             overflow_peak: 0,
         }
@@ -233,38 +230,65 @@ impl<E> TimerWheel<E> {
         let seq = self.seq;
         self.seq += 1;
         self.pending += 1;
-        self.place(WheelEntry { at, seq, payload });
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            payload: Some(payload),
+        };
+        let i = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "event slab full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+            i => {
+                self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+                i
+            }
+        };
+        self.place(i);
         EventId(seq)
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// had not yet fired (or been cancelled).
     ///
-    /// This is a search over every bucket and the overflow heap,
-    /// O(pending): nothing that ships calls it (see the module docs), so
-    /// schedule and pop keep no index for it to use.
+    /// This is a walk of every bucket's list and a search of the overflow
+    /// heap, O(pending): nothing that ships calls it (see the module
+    /// docs), so schedule and pop keep no index for it to use.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let hit = self.remove_from_wheel(id.0) || {
-            let before = self.overflow.len();
-            self.overflow.retain(|Reverse(far)| far.0.seq != id.0);
-            self.overflow.len() < before
+        let hit = self.unlink_seq(id.0).or_else(|| {
+            let &Reverse((_, _, i)) = self.overflow.iter().find(|Reverse(k)| k.1 == id.0)?;
+            self.overflow.retain(|Reverse(k)| k.1 != id.0);
+            Some(i)
+        });
+        let Some(i) = hit else {
+            return false;
         };
-        if hit {
-            self.pending -= 1;
-            self.cancelled += 1;
-        }
-        hit
+        self.release(i);
+        self.pending -= 1;
+        self.cancelled += 1;
+        true
     }
 
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         // A level pins its window while occupied, so the earliest slot
-        // of the lowest occupied level holds the global minimum.
+        // of the lowest occupied level holds the global minimum; a
+        // level-0 slot is one µs wide, so its head holds it.
         if let Some(l) = self.occ.iter().position(|&mask| mask != 0) {
             let s = self.occ[l].trailing_zeros() as usize;
-            return self.slots[l * WHEEL_SLOTS + s].iter().map(|e| e.at).min();
+            let mut i = self.buckets[l * WHEEL_SLOTS + s].0;
+            let mut min = self.nodes[i as usize].at;
+            while l > 0 && i != NIL {
+                let node = &self.nodes[i as usize];
+                min = min.min(node.at);
+                i = node.next;
+            }
+            return Some(min);
         }
-        self.overflow.peek().map(|Reverse(top)| top.0.at)
+        self.overflow.peek().map(|Reverse(top)| top.0)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -286,20 +310,14 @@ impl<E> TimerWheel<E> {
             }
         }
         let s = self.occ[0].trailing_zeros() as usize;
-        let bucket = &mut self.slots[s];
-        debug_assert!(
-            bucket.windows(2).all(|w| w[0].seq < w[1].seq),
-            "level-0 bucket lost its (at, seq) order"
-        );
-        let e = bucket.remove(0);
-        if bucket.is_empty() {
-            self.occ[0] &= !(1u64 << s);
-        }
-        debug_assert!(e.at >= self.now, "event queue time went backwards");
-        self.now = e.at;
+        let i = self.buckets[s].0;
+        self.unlink(s, NIL, i);
+        let at = self.nodes[i as usize].at;
+        debug_assert!(at >= self.now, "event queue time went backwards");
+        self.now = at;
         self.pending -= 1;
         self.processed += 1;
-        Some((e.at, e.payload))
+        Some((at, self.release(i)))
     }
 
     /// Pops the next event only if it fires at or before `horizon`.
@@ -320,20 +338,46 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Files an entry at the lowest level whose current window contains
-    /// its deadline, or in the overflow heap past the top window.
-    fn place(&mut self, e: WheelEntry<E>) {
-        let at = e.at.as_micros();
+    /// Files node `i` at the lowest level whose current window contains
+    /// its deadline, or its key in the overflow heap past the top window.
+    fn place(&mut self, i: u32) {
+        let node = &self.nodes[i as usize];
+        let at = node.at.as_micros();
         for l in 0..WHEEL_LEVELS {
             if at / WHEEL_POW[l + 1] == self.win[l] {
                 let s = ((at / WHEEL_POW[l]) % WHEEL_SLOTS as u64) as usize;
-                self.slots[l * WHEEL_SLOTS + s].push(e);
-                self.occ[l] |= 1u64 << s;
+                self.link(l, s, i);
                 return;
             }
         }
-        self.overflow.push(Reverse(FarEntry(e)));
+        self.overflow.push(Reverse((node.at, node.seq, i)));
         self.overflow_peak = self.overflow_peak.max(self.overflow.len());
+    }
+
+    /// Appends node `i` to the tail of slot `s` of level `l`.
+    fn link(&mut self, l: usize, s: usize, i: u32) {
+        self.nodes[i as usize].next = NIL;
+        let bucket = &mut self.buckets[l * WHEEL_SLOTS + s];
+        match bucket.1 {
+            NIL => bucket.0 = i,
+            tail => {
+                debug_assert!(
+                    l > 0 || self.nodes[tail as usize].seq < self.nodes[i as usize].seq,
+                    "level-0 bucket lost its (at, seq) order"
+                );
+                self.nodes[tail as usize].next = i;
+            }
+        }
+        bucket.1 = i;
+        self.occ[l] |= 1u64 << s;
+    }
+
+    /// Frees slab cell `i` onto the free list and hands back its payload.
+    fn release(&mut self, i: u32) -> E {
+        let node = &mut self.nodes[i as usize];
+        node.next = self.free;
+        self.free = i;
+        node.payload.take().expect("a linked node holds its event")
     }
 
     /// Moves the earliest slot of the lowest occupied level (above level
@@ -345,15 +389,15 @@ impl<E> TimerWheel<E> {
         let s = self.occ[l].trailing_zeros() as usize;
         self.occ[l] &= !(1u64 << s);
         self.win[l - 1] = self.win[l] * WHEEL_SLOTS as u64 + s as u64;
-        // Distribute the batch in source order; the slot keeps its (now
-        // empty) buffer for its next turn of the wheel.
-        let mut entries = std::mem::take(&mut self.slots[l * WHEEL_SLOTS + s]);
-        for e in entries.drain(..) {
-            let s2 = ((e.at.as_micros() / WHEEL_POW[l - 1]) % WHEEL_SLOTS as u64) as usize;
-            self.slots[(l - 1) * WHEEL_SLOTS + s2].push(e);
-            self.occ[l - 1] |= 1u64 << s2;
+        // Relink the batch in source order.
+        let (mut i, _) = std::mem::replace(&mut self.buckets[l * WHEEL_SLOTS + s], (NIL, NIL));
+        while i != NIL {
+            let node = &self.nodes[i as usize];
+            let next = node.next;
+            let s2 = ((node.at.as_micros() / WHEEL_POW[l - 1]) % WHEEL_SLOTS as u64) as usize;
+            self.link(l - 1, s2, i);
+            i = next;
         }
-        self.slots[l * WHEEL_SLOTS + s] = entries;
         true
     }
 
@@ -361,36 +405,52 @@ impl<E> TimerWheel<E> {
     /// the heap's prefix that falls inside the top window into the
     /// wheel. Returns `false` when the heap is empty too.
     fn rebase(&mut self) -> bool {
-        let Some(Reverse(first)) = self.overflow.peek() else {
+        let Some(&Reverse((first, _, _))) = self.overflow.peek() else {
             return false;
         };
-        let m = first.0.at.as_micros();
+        let m = first.as_micros();
         for l in 0..WHEEL_LEVELS {
             self.win[l] = m / WHEEL_POW[l + 1];
         }
-        while let Some(Reverse(top)) = self.overflow.peek() {
-            if top.0.at.as_micros() / WHEEL_POW[WHEEL_LEVELS] != self.win[WHEEL_LEVELS - 1] {
+        while let Some(&Reverse((at, _, i))) = self.overflow.peek() {
+            if at.as_micros() / WHEEL_POW[WHEEL_LEVELS] != self.win[WHEEL_LEVELS - 1] {
                 break;
             }
-            let Reverse(FarEntry(e)) = self.overflow.pop().expect("peeked entry");
-            self.place(e);
+            self.overflow.pop();
+            self.place(i);
         }
         true
     }
 
-    /// Removes the entry numbered `seq` from whichever bucket holds it,
-    /// keeping the bucket's order.
-    fn remove_from_wheel(&mut self, seq: u64) -> bool {
-        for (i, bucket) in self.slots.iter_mut().enumerate() {
-            if let Some(pos) = bucket.iter().position(|e| e.seq == seq) {
-                bucket.remove(pos);
-                if bucket.is_empty() {
-                    self.occ[i / WHEEL_SLOTS] &= !(1u64 << (i % WHEEL_SLOTS));
-                }
-                return true;
+    /// Unlinks the node numbered `seq` from whichever bucket holds it,
+    /// keeping the bucket's order, and returns its slab index.
+    fn unlink_seq(&mut self, seq: u64) -> Option<u32> {
+        for b in 0..self.buckets.len() {
+            let (mut prev, mut i) = (NIL, self.buckets[b].0);
+            while i != NIL && self.nodes[i as usize].seq != seq {
+                (prev, i) = (i, self.nodes[i as usize].next);
+            }
+            if i != NIL {
+                self.unlink(b, prev, i);
+                return Some(i);
             }
         }
-        false
+        None
+    }
+
+    /// Unlinks node `i`, after `prev` (`NIL`: the head), from bucket `b`.
+    fn unlink(&mut self, b: usize, prev: u32, i: u32) {
+        let next = self.nodes[i as usize].next;
+        match prev {
+            NIL => self.buckets[b].0 = next,
+            prev => self.nodes[prev as usize].next = next,
+        }
+        if next == NIL {
+            self.buckets[b].1 = prev;
+        }
+        if self.buckets[b].0 == NIL {
+            self.occ[b / WHEEL_SLOTS] &= !(1u64 << (b % WHEEL_SLOTS));
+        }
     }
 }
 
@@ -572,5 +632,81 @@ mod tests {
         let s = w.stats();
         assert_eq!((s.schedules, s.cancels, s.fired, s.pending), (3, 2, 1, 0));
         assert_eq!((s.overflow_len, s.overflow_peak), (0, 1));
+    }
+
+    fn us(n: u64) -> SimTime {
+        SimTime::from_micros(n)
+    }
+
+    /// Slab cells in use or free: the high-water mark of pending events.
+    fn slab_len<E>(w: &TimerWheel<E>) -> usize {
+        w.nodes.len()
+    }
+
+    /// Everything left, as `(at µs, payload)` in pop order.
+    fn drain(w: &mut TimerWheel<u32>) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| w.pop().map(|(t, v)| (t.as_micros(), v))).collect()
+    }
+
+    #[test]
+    fn cancelling_head_middle_and_tail_of_a_level0_bucket_keeps_its_list() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let ids: Vec<_> = (0..5).map(|v| w.schedule_at(us(10), v)).collect();
+        w.schedule_at(us(20), 9);
+        assert_eq!(
+            w.occ,
+            [(1 << 10) | (1 << 20), 0, 0, 0],
+            "one level-0 bucket"
+        );
+        for v in [0, 2, 4] {
+            assert!(w.cancel(ids[v]), "cancel {v}");
+        }
+        // The tail was cancelled: a new entry must follow the old middle.
+        w.schedule_at(us(10), 5);
+        assert_eq!(drain(&mut w), [(10, 1), (10, 3), (10, 5), (20, 9)]);
+
+        // A bucket emptied by cancels alone leaves its occupancy bit.
+        let only = w.schedule_at(us(30), 6);
+        w.schedule_at(us(40), 7);
+        assert!(w.cancel(only));
+        assert_eq!(w.peek_time(), Some(us(40)));
+        assert_eq!(drain(&mut w), [(40, 7)]);
+    }
+
+    #[test]
+    fn cancelling_head_middle_and_tail_of_a_level2_bucket_before_it_cascades() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        // Level-2 slot 24 spans [98 304, 102 400) µs; these deadlines
+        // differ, so the bucket's list is not in `(at, seq)` order.
+        let at = [100_000, 99_000, 101_000, 99_000, 100_500];
+        let ids: Vec<_> = (0..5).map(|v| w.schedule_at(us(at[v]), v as u32)).collect();
+        assert_eq!(w.occ, [0, 0, 1 << 24, 0], "one level-2 bucket");
+        for v in [0, 2, 4] {
+            assert!(w.cancel(ids[v]), "cancel {v}");
+        }
+        w.schedule_at(us(100_000), 5);
+        w.schedule_at(us(99_000), 6);
+        assert_eq!(w.occ, [0, 0, 1 << 24, 0], "still one level-2 bucket");
+        assert_eq!(w.peek_time(), Some(us(99_000)));
+        assert_eq!(
+            drain(&mut w),
+            [(99_000, 1), (99_000, 3), (99_000, 6), (100_000, 5)]
+        );
+    }
+
+    #[test]
+    fn freed_cells_are_reused() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let mut x = 1986u64;
+        for v in 0..10_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            w.schedule(SimDuration::from_micros((x >> 33) % 20_000_000), v);
+            if w.pending() == 64 {
+                w.pop();
+            }
+        }
+        assert_eq!(w.stats().schedules, 10_000);
+        assert!(slab_len(&w) <= 64, "slab grew to {}", slab_len(&w));
+        assert_eq!(drain(&mut w).len(), 63);
     }
 }
