@@ -664,7 +664,7 @@ impl McWorld {
                 h.write_u32(tracer.0);
                 h.write_u64(q.len() as u64);
                 for m in q {
-                    h.write(format!("{:?}", m.event).as_bytes());
+                    h.write(format!("{:?}", m.event.to_event()).as_bytes());
                 }
             }
         }

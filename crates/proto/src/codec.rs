@@ -53,8 +53,11 @@ use std::fmt;
 use bytes::Bytes;
 
 /// Buffers at most this large are returned to the encode pool; anything
-/// bigger (a huge snapshot reply) is freed rather than hoarded.
-const POOL_MAX_CAPACITY: usize = 16 * 1024;
+/// bigger (a huge snapshot reply) is freed rather than hoarded. A kernel
+/// batch fits: the largest a 1 365-process fork/exec/exit wave flushes
+/// is 29.7 KB, so its grown buffer is kept, not regrown from empty by
+/// the next large batch.
+const POOL_MAX_CAPACITY: usize = 32 * 1024;
 
 /// Buffers retained per thread. Encoding rarely nests more than a frame
 /// inside a batch, so a small stack suffices.
@@ -195,11 +198,6 @@ impl Enc {
             pool_put(self.buf);
         }
         n
-    }
-
-    /// Appends `item` as a `u32` length-prefixed frame.
-    pub fn frame(&mut self, item: &impl Wire) {
-        self.frame_with(|enc| item.encode(enc));
     }
 
     /// Appends whatever `body` writes as a `u32` length-prefixed frame.
@@ -853,10 +851,16 @@ pub(crate) use wire;
 /// the same destination at once (a broadcast merge relaying queued
 /// responses upstream, a snapshot reply carrying many records).
 pub fn encode_batch<T: Wire>(items: &[T]) -> Bytes {
+    encode_batch_with(items, T::encode)
+}
+
+/// [`encode_batch`], each frame written by `encode`: for items that
+/// stand for a [`Wire`] value without being one (the kernel's queue).
+pub(crate) fn encode_batch_with<T>(items: &[T], mut encode: impl FnMut(&T, &mut Enc)) -> Bytes {
     let mut enc = Enc::pooled();
     enc.u32(u32::try_from(items.len()).expect("batch count fits in u32"));
     for item in items {
-        enc.frame(item);
+        enc.frame_with(|enc| encode(item, enc));
     }
     enc.into_bytes()
 }

@@ -7,12 +7,20 @@
 //! iterator yields each frame and [`KernelEventRef`] reads it with its
 //! text borrowed, so a burst of fork/exec/exit events costs one delivery
 //! and no copy of a command or path.
+//!
+//! The kernel's side is [`encode_kernel_batch`]: its queue of
+//! [`PendingMsg`]s, each written through the same borrowed view, to the
+//! bytes [`encode_batch`](crate::codec::encode_batch) gives the
+//! [`KernelMsg`]s they stand for.
 
-use crate::codec::{CodecError, Dec, Enc, Wire};
+use bytes::Bytes;
+
+use crate::codec::{encode_batch_with, CodecError, Dec, Enc, Wire};
 use ppm_runtime::time::{SimDuration, SimTime};
 
 use ppm_runtime::events::KernelEvent;
 use ppm_runtime::ids::Pid;
+use ppm_runtime::kernel::{PendingEvent, PendingMsg};
 use ppm_runtime::process::Rusage;
 use ppm_runtime::program::KernelMsg;
 use ppm_runtime::signal::{ExitStatus, Signal};
@@ -137,6 +145,18 @@ impl<'a> From<&'a KernelEvent> for KernelEventRef<'a> {
             KernelEvent::MsgReceived { pid, bytes } => KernelEventRef::MsgReceived { pid, bytes },
             KernelEvent::FileOpened { pid, ref path } => KernelEventRef::FileOpened { pid, path },
             KernelEvent::FileClosed { pid, ref path } => KernelEventRef::FileClosed { pid, path },
+        }
+    }
+}
+
+impl<'a> From<&'a PendingEvent> for KernelEventRef<'a> {
+    fn from(ev: &'a PendingEvent) -> Self {
+        match ev {
+            PendingEvent::Exec { pid, command } => KernelEventRef::Exec {
+                pid: *pid,
+                command: command.as_str(),
+            },
+            PendingEvent::Event(event) => event.into(),
         }
     }
 }
@@ -324,6 +344,12 @@ impl<'a> KernelMsgRef<'a> {
         })
     }
 
+    /// Writes the message: when it was queued, then the event.
+    pub(crate) fn encode(&self, enc: &mut Enc) {
+        enc.u64(self.queued_at.as_micros());
+        self.event.encode(enc);
+    }
+
     /// The owned message, its text copied out of the frame.
     pub fn to_owned(&self) -> KernelMsg {
         KernelMsg {
@@ -346,15 +372,34 @@ impl Wire for KernelEvent {
     }
 }
 
+impl<'a> From<&'a PendingMsg> for KernelMsgRef<'a> {
+    fn from(msg: &'a PendingMsg) -> Self {
+        KernelMsgRef {
+            queued_at: msg.queued_at,
+            event: (&msg.event).into(),
+        }
+    }
+}
+
 impl Wire for KernelMsg {
     fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.queued_at.as_micros());
-        self.event.encode(enc);
+        let msg = KernelMsgRef {
+            queued_at: self.queued_at,
+            event: (&self.event).into(),
+        };
+        msg.encode(enc);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
         KernelMsgRef::decode(dec).map(|msg| msg.to_owned())
     }
+}
+
+/// Encodes a tracer's queue as one kernel batch frame, byte for byte
+/// what [`encode_batch`](crate::codec::encode_batch) writes for the
+/// [`KernelMsg`]s it stands for ([`PendingMsg::to_msg`]).
+pub fn encode_kernel_batch(msgs: &[PendingMsg]) -> Bytes {
+    encode_batch_with(msgs, |msg, enc| KernelMsgRef::from(msg).encode(enc))
 }
 
 /// Walks a coalesced kernel batch frame in place and feeds each message,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use ppm_proto::codec::{decode_batch, encode_batch, frames, CodecError, Dec, Enc, Wire};
 use ppm_proto::kernel_wire::{
-    for_each_kernel_msg, walk_kernel_batch, KernelEventRef, KernelMsgRef,
+    encode_kernel_batch, for_each_kernel_msg, walk_kernel_batch, KernelEventRef, KernelMsgRef,
 };
 use ppm_proto::msg::{
     BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyRef, SnapshotRun, WirePart,
@@ -22,8 +22,9 @@ use ppm_proto::types::{
     FileRecord, Gpid, HistoryRecord, HistoryRecordRef, MetricRow, Name, ProcRecord, ProcRecordRef,
     Route, RusageRecord, Stamp, WireProcState, INLINE_ROUTE_HOSTS, MAX_ROUTE_HOSTS,
 };
-use ppm_runtime::events::KernelEvent;
-use ppm_runtime::ids::Pid;
+use ppm_runtime::events::{KernelEvent, TraceFlags};
+use ppm_runtime::ids::{Pid, Uid};
+use ppm_runtime::kernel::{Effect, Effects, Kernel, PendingEvent};
 use ppm_runtime::process::Rusage;
 use ppm_runtime::program::KernelMsg;
 use ppm_runtime::signal::{ExitStatus, Signal};
@@ -724,6 +725,47 @@ fn arb_kernel_msg() -> impl Strategy<Value = KernelMsg> {
     })
 }
 
+/// `event`, about `pid` instead.
+fn about(pid: Pid, mut event: KernelEvent) -> KernelEvent {
+    match &mut event {
+        KernelEvent::Fork { parent: p, .. }
+        | KernelEvent::Exec { pid: p, .. }
+        | KernelEvent::Exit { pid: p, .. }
+        | KernelEvent::SignalDelivered { pid: p, .. }
+        | KernelEvent::Stopped { pid: p }
+        | KernelEvent::Continued { pid: p }
+        | KernelEvent::MsgSent { pid: p, .. }
+        | KernelEvent::MsgReceived { pid: p, .. }
+        | KernelEvent::FileOpened { pid: p, .. }
+        | KernelEvent::FileClosed { pid: p, .. } => *p = pid,
+    }
+    event
+}
+
+/// Queues `msgs` on a kernel as it queues its own events, an exec's
+/// command as a `Name`, and returns the `(kind, wire_size)` of each
+/// event the kernel reported queued.
+fn queue(k: &mut Kernel, msgs: &[KernelMsg]) -> Vec<(&'static str, usize)> {
+    let mut fx = Effects::new();
+    for msg in msgs {
+        let event = match &msg.event {
+            KernelEvent::Exec { pid, command } => PendingEvent::Exec {
+                pid: *pid,
+                command: Name::new(command),
+            },
+            event => event.clone().into(),
+        };
+        k.emit(event, msg.queued_at, &mut fx);
+    }
+    let queued = fx.iter().filter_map(|e| match e {
+        Effect::Queued {
+            kind, wire_size, ..
+        } => Some((*kind, *wire_size)),
+        _ => None,
+    });
+    queued.collect()
+}
+
 /// Walks a kernel batch, checking on the way that every message the walk
 /// yields re-encodes to bytes the walk reads back as itself.
 fn walk_checked(data: &[u8]) -> Result<Vec<KernelMsg>, TestCaseError> {
@@ -1216,7 +1258,7 @@ proptest! {
         let mut spliced = Enc::new();
         wire.push_part(&mut spliced, &host, &route);
         let mut encoded = Enc::new();
-        encoded.frame(&BcastPart { host, reply: reply.clone(), route });
+        encoded.frame_with(|enc| BcastPart { host, reply: reply.clone(), route }.encode(enc));
         prop_assert_eq!(spliced.into_bytes(), encoded.into_bytes());
 
         let set: BTreeSet<Name> = missing.iter().cloned().collect();
@@ -1551,6 +1593,35 @@ proptest! {
             prop_assert_eq!(view.pid(), msg.event.pid());
             prop_assert_eq!(view.to_owned(), msg.event.clone());
         }
+    }
+
+    /// A tracer's queue, drawn over every kernel event with exec commands
+    /// on both sides of `Name::INLINE_CAP`, encodes to the bytes its
+    /// messages' owned form does, and pops back one at a time as those
+    /// messages; each event is reported queued with its owned form's kind
+    /// and modelled size.
+    #[test]
+    fn a_kernel_queue_encodes_and_pops_as_its_owned_messages(
+        msgs in prop::collection::vec(arb_kernel_msg(), 1..12),
+    ) {
+        let mut k = Kernel::new(SimTime::ZERO);
+        let (user, mut fx) = (Uid(100), Effects::new());
+        let lpm = k.spawn(Pid::INIT, user, "lpm", false, SimTime::ZERO, &mut fx);
+        let job = k.spawn(Pid::INIT, user, "job", false, SimTime::ZERO, &mut fx);
+        k.adopt(job, lpm, user, TraceFlags::ALL).expect("same user");
+        let msgs: Vec<KernelMsg> = msgs
+            .into_iter()
+            .map(|m| KernelMsg { event: about(job, m.event), ..m })
+            .collect();
+        let owned: Vec<_> = msgs.iter().map(|m| (m.event.kind(), m.event.wire_size())).collect();
+        prop_assert_eq!(queue(&mut k, &msgs), owned);
+        let batch = k.drain_batch(lpm, encode_kernel_batch);
+        prop_assert_eq!(batch, Some(encode_batch(&msgs)));
+        queue(&mut k, &msgs);
+        for msg in &msgs {
+            prop_assert_eq!(k.pop_kernel_msg(lpm).as_ref(), Some(msg));
+        }
+        prop_assert!(k.pop_kernel_msg(lpm).is_none());
     }
 
     /// Arbitrary bytes, and valid batches cut short or with a byte

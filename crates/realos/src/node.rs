@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use ppm_proto::codec::encode_batch;
+use ppm_proto::kernel_wire::encode_kernel_batch;
 
 use ppm_runtime::conn::{ConnTable, Endpoint, Tell};
 use ppm_runtime::ids::{ConnId, HostId, Pid, Port, Uid};
@@ -342,7 +342,7 @@ impl NodeCore {
 
     fn do_kernel_flush(&mut self, tracer: Pid) {
         // A dead tracer's batch is collected all the same, and dropped.
-        let batch = self.kernel.drain_batch(tracer, encode_batch);
+        let batch = self.kernel.drain_batch(tracer, encode_kernel_batch);
         if let Some(batch) = batch.filter(|_| self.kernel.is_alive(tracer)) {
             self.with_program(tracer, |prog, sys| prog.on_kernel_batch(sys, batch));
         }

@@ -171,7 +171,7 @@ impl KernelEvent {
     pub fn wire_size(&self) -> usize {
         match self {
             KernelEvent::Exit { .. } => 112,
-            KernelEvent::Exec { command, .. } => 64 + command.len(),
+            KernelEvent::Exec { command, .. } => exec_wire_size(command),
             KernelEvent::FileOpened { path, .. } | KernelEvent::FileClosed { path, .. } => {
                 48 + path.len()
             }
@@ -208,6 +208,12 @@ impl KernelEvent {
             KernelEvent::FileClosed { .. } => "file-close",
         }
     }
+}
+
+/// [`KernelEvent::wire_size`] of an exec of `command`: shared with the
+/// kernel's queue, which holds an exec's command as a `Name`.
+pub(crate) fn exec_wire_size(command: &str) -> usize {
+    64 + command.len()
 }
 
 #[cfg(test)]

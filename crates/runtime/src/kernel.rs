@@ -15,11 +15,21 @@
 //! are the kernel's own counters, not outside input. Nothing may depend
 //! on the order such a table iterates in (`std`'s randomly seeded maps,
 //! which these were, already forbade it): what is listed is sorted or
-//! walked through the ordered per-uid index.
+//! walked through a pid-ordered list.
 //!
-//! Kernel events coalesce in one queue per tracer. [`Kernel::emit`]
-//! reports the event that made a queue non-empty as `first`, and the
-//! backend arms one flush for it. The flush is
+//! Those lists — each process's live children, each owner's live
+//! processes — are threaded through the process table itself: an entry
+//! holds the pids before and after it in both, so a fork links in at a
+//! tail and an exit unlinks in constant time, and neither touches the
+//! allocator. A fork's pid is the highest yet, so appending keeps pid
+//! order; an orphan handed to init is the one insertion that searches
+//! (see `reparent_to_init`).
+//!
+//! Kernel events coalesce in one queue per tracer. An event joins it as
+//! a [`PendingMsg`], an exec holding the process table's own [`Name`],
+//! so a traced fork, exec and exit queue without an allocation.
+//! [`Kernel::emit`] reports the event that made a queue non-empty as
+//! `first`, and the backend arms one flush for it. The flush is
 //! [`Kernel::drain_batch`]: the whole queue, oldest first, as one slice
 //! to encode, after which the queue is empty *and keeps its buffer*, so
 //! a tracer's next burst allocates nothing for it. A backend that
@@ -30,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 
-use crate::events::{KernelEvent, TraceFlags};
+use crate::events::{self, KernelEvent, TraceFlags};
 use crate::fd::{FdKind, OpenMode};
 use crate::hashx::FastMap;
 use crate::ids::{ConnId, Fd, Pid, Port, Uid};
@@ -80,7 +90,7 @@ pub const EXITED_RETENTION: usize = 512;
 /// One host's kernel state.
 ///
 /// The process table is sharded by owner: alongside the global pid map,
-/// a per-uid index of live pids keeps every user-scoped question —
+/// a per-uid list of live pids keeps every user-scoped question —
 /// `user_processes`, the LPM's recovery rescan, the pmd's per-user
 /// dispatch — proportional to that user's own processes rather than to
 /// the whole host's table. With thousands of users per host, the global
@@ -88,10 +98,10 @@ pub const EXITED_RETENTION: usize = 512;
 #[derive(Debug)]
 pub struct Kernel {
     procs: FastMap<Pid, Process>,
-    /// Live pids per owner, pid-ordered: a sorted `Vec`, kept like a
-    /// child list (a fork appends, an exit bisects). Maintained on insert
-    /// and exit; a uid's entry is removed when its last live pid exits.
-    by_uid: FastMap<Uid, Vec<Pid>>,
+    /// The ends of each owner's list of live pids, threaded through the
+    /// table like a child list. A uid's entry is removed when its last
+    /// live pid exits.
+    by_uid: FastMap<Uid, Ends>,
     exited_order: VecDeque<Pid>,
     next_pid: u32,
     load_avg: f64,
@@ -108,23 +118,157 @@ pub struct Kernel {
     prev_services: Vec<String>,
     /// Kernel events coalescing toward each tracer's next wakeup. A
     /// drained queue stays, empty, for its buffer.
-    pending: FastMap<Pid, VecDeque<KernelMsg>>,
+    pending: FastMap<Pid, VecDeque<PendingMsg>>,
 }
 
-/// Links `pid` into a child list or a per-uid index. Both are kept in
-/// pid order, where an exit finds its entry by bisection; a fork's pid
-/// is the highest yet and lands at the end, an orphan handed to init
-/// wherever it belongs.
-fn link_child(children: &mut Vec<Pid>, pid: Pid) {
-    let at = children.partition_point(|&c| c < pid);
-    children.insert(at, pid);
+/// A kernel event waiting in its tracer's queue: one [`KernelMsg`] on
+/// the kernel socket once the batch is encoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PendingMsg {
+    /// The event.
+    pub event: PendingEvent,
+    /// When the kernel queued it.
+    pub queued_at: SimTime,
 }
 
-/// Unlinks `pid` from a list [`link_child`] keeps, by bisection.
-fn unlink_child(children: &mut Vec<Pid>, pid: Pid) {
-    if let Ok(at) = children.binary_search(&pid) {
-        children.remove(at);
+/// The event of a [`PendingMsg`]: a [`KernelEvent`], except that an exec
+/// holds the process table's [`Name`] for its command, so queueing one
+/// copies the name and allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PendingEvent {
+    /// `pid` replaced its image with `command`: [`KernelEvent::Exec`].
+    Exec { pid: Pid, command: Name },
+    /// Any other event, as the tracer reads it.
+    Event(KernelEvent),
+}
+
+impl PendingEvent {
+    /// The process the event concerns.
+    fn pid(&self) -> Pid {
+        match self {
+            PendingEvent::Exec { pid, .. } => *pid,
+            PendingEvent::Event(event) => event.pid(),
+        }
     }
+
+    /// The flag class that must be enabled for the event to be reported.
+    fn required_flag(&self) -> TraceFlags {
+        match self {
+            PendingEvent::Exec { .. } => TraceFlags::PROC,
+            PendingEvent::Event(event) => event.required_flag(),
+        }
+    }
+
+    /// Short name for traces, as [`KernelEvent::kind`] gives it.
+    fn kind(&self) -> &'static str {
+        match self {
+            PendingEvent::Exec { .. } => "exec",
+            PendingEvent::Event(event) => event.kind(),
+        }
+    }
+
+    /// The modelled size on the kernel socket, as
+    /// [`KernelEvent::wire_size`] gives it.
+    fn wire_size(&self) -> usize {
+        match self {
+            PendingEvent::Exec { command, .. } => events::exec_wire_size(command),
+            PendingEvent::Event(event) => event.wire_size(),
+        }
+    }
+
+    /// The owned event, an exec's command copied into its `String`.
+    pub fn to_event(&self) -> KernelEvent {
+        match self {
+            PendingEvent::Exec { pid, command } => KernelEvent::Exec {
+                pid: *pid,
+                command: command.to_string(),
+            },
+            PendingEvent::Event(event) => event.clone(),
+        }
+    }
+}
+
+impl From<KernelEvent> for PendingEvent {
+    fn from(event: KernelEvent) -> Self {
+        PendingEvent::Event(event)
+    }
+}
+
+impl PendingMsg {
+    /// The message as the tracer decodes it.
+    pub fn to_msg(&self) -> KernelMsg {
+        KernelMsg {
+            event: self.event.to_event(),
+            queued_at: self.queued_at,
+        }
+    }
+}
+
+/// The pid that ends a threaded list: no process is ever pid 0, and a
+/// sentinel keeps a link four bytes where an `Option` would take eight.
+const NIL: Pid = Pid(0);
+
+/// A link as an `Option`: `None` for [`NIL`].
+fn linked(pid: Pid) -> Option<Pid> {
+    (pid != NIL).then_some(pid)
+}
+
+/// A process entry's neighbours in one list the kernel threads through
+/// its table.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    prev: Pid,
+    next: Pid,
+}
+
+/// The first and last pid of a threaded list.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    head: Pid,
+    tail: Pid,
+}
+
+impl Hop {
+    const UNLINKED: Hop = Hop {
+        prev: NIL,
+        next: NIL,
+    };
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// Where a process entry sits in the kernel's threaded lists, and the
+/// ends of its own child list: kept inside [`Process`], the size of the
+/// `Vec` of children it replaces, so linking and unlinking a process
+/// allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Links {
+    /// Among its parent's live children.
+    sibling: Hop,
+    /// Among its owner's live processes.
+    owner: Hop,
+    /// Its own live children.
+    children: Ends,
+}
+
+impl Links {
+    pub(crate) const UNLINKED: Links = Links {
+        sibling: Hop::UNLINKED,
+        owner: Hop::UNLINKED,
+        children: Ends::EMPTY,
+    };
+}
+
+/// One threaded list: a process's children, or an owner's processes.
+#[derive(Debug, Clone, Copy)]
+enum List {
+    ChildrenOf(Pid),
+    OwnedBy(Uid),
 }
 
 impl Kernel {
@@ -145,8 +289,9 @@ impl Kernel {
         };
         let mut init = Process::new(Pid::INIT, Pid::INIT, Uid::ROOT, "init", now);
         init.state = ProcState::Running;
-        k.by_uid.entry(Uid::ROOT).or_default().push(Pid::INIT);
         k.procs.insert(Pid::INIT, init);
+        k.by_uid.insert(Uid::ROOT, Ends::EMPTY);
+        k.link_after(List::OwnedBy(Uid::ROOT), NIL, Pid::INIT);
         k
     }
 
@@ -188,23 +333,116 @@ impl Kernel {
         pid
     }
 
-    /// Inserts a new process entry and links it under its parent.
+    /// Inserts a new process entry and links it under its parent and its
+    /// owner. Its pid is the highest yet, so it goes at both tails.
     ///
     /// # Panics
     ///
     /// Panics if the pid is already present (allocator misuse).
     pub fn insert(&mut self, proc: Process) {
-        let pid = proc.pid;
-        let ppid = proc.ppid;
-        link_child(self.by_uid.entry(proc.uid).or_default(), pid);
+        let (pid, ppid, uid) = (proc.pid, proc.ppid, proc.uid);
         assert!(
             self.procs.insert(pid, proc).is_none(),
             "pid {pid} already in process table"
         );
+        let owned = List::OwnedBy(uid);
+        let tail = self.by_uid.entry(uid).or_insert(Ends::EMPTY).tail;
+        self.link_after(owned, tail, pid);
         if let Some(parent) = self.procs.get_mut(&ppid) {
-            link_child(&mut parent.children, pid);
             parent.rusage.forks += 1;
+            let tail = parent.links.children.tail;
+            self.link_after(List::ChildrenOf(ppid), tail, pid);
         }
+    }
+
+    /// The ends of `list`; `None` for the children of a pid with no
+    /// entry, or an owner with no live process.
+    fn ends(&mut self, list: List) -> Option<&mut Ends> {
+        match list {
+            List::ChildrenOf(ppid) => self.procs.get_mut(&ppid).map(|p| &mut p.links.children),
+            List::OwnedBy(uid) => self.by_uid.get_mut(&uid),
+        }
+    }
+
+    /// `pid`'s neighbours in `list`.
+    fn hop(&mut self, list: List, pid: Pid) -> &mut Hop {
+        let links = &mut self
+            .procs
+            .get_mut(&pid)
+            .expect("a listed pid has an entry")
+            .links;
+        match list {
+            List::ChildrenOf(_) => &mut links.sibling,
+            List::OwnedBy(_) => &mut links.owner,
+        }
+    }
+
+    /// Links `pid` into `list` right after `after`, or at its head when
+    /// `after` is `NIL`. A list whose ends have no home (its parent's
+    /// entry was evicted) still threads its members, so a later unlink
+    /// finds them.
+    fn link_after(&mut self, list: List, after: Pid, pid: Pid) {
+        let next = match after {
+            NIL => self
+                .ends(list)
+                .map_or(NIL, |e| std::mem::replace(&mut e.head, pid)),
+            a => std::mem::replace(&mut self.hop(list, a).next, pid),
+        };
+        match next {
+            NIL => {
+                if let Some(ends) = self.ends(list) {
+                    ends.tail = pid;
+                }
+            }
+            n => self.hop(list, n).prev = pid,
+        }
+        *self.hop(list, pid) = Hop { prev: after, next };
+    }
+
+    /// Unlinks `pid` from `list`, in constant time.
+    fn unlink(&mut self, list: List, pid: Pid) {
+        let Hop { prev, next } = std::mem::replace(self.hop(list, pid), Hop::UNLINKED);
+        match prev {
+            NIL => {
+                if let Some(ends) = self.ends(list) {
+                    ends.head = next;
+                }
+            }
+            p => self.hop(list, p).next = next,
+        }
+        match next {
+            NIL => {
+                if let Some(ends) = self.ends(list) {
+                    ends.tail = prev;
+                }
+            }
+            n => self.hop(list, n).prev = prev,
+        }
+    }
+
+    /// The pids of a list, first to last.
+    fn walk(&self, head: Pid, list: List) -> impl Iterator<Item = Pid> + '_ {
+        let step = move |pid: &Pid| {
+            let links = &self.procs[pid].links;
+            linked(match list {
+                List::ChildrenOf(_) => links.sibling.next,
+                List::OwnedBy(_) => links.owner.next,
+            })
+        };
+        std::iter::successors(linked(head), step)
+    }
+
+    /// The live children of `pid`, in pid order: none for a pid with no
+    /// entry.
+    pub fn children(&self, pid: Pid) -> impl Iterator<Item = Pid> + '_ {
+        let head = self.procs.get(&pid).map_or(NIL, |p| p.links.children.head);
+        self.walk(head, List::ChildrenOf(pid))
+    }
+
+    /// The live pids `uid` owns, in pid order.
+    fn owned_by(&self, uid: Uid) -> impl Iterator<Item = Pid> + '_ {
+        let head = self.by_uid.get(&uid).map_or(NIL, |e| e.head);
+        self.walk(head, List::OwnedBy(uid))
     }
 
     /// Immutable access to a process entry (alive or recently exited).
@@ -239,62 +477,42 @@ impl Kernel {
     /// order. Served from the per-uid shard index: O(user's own
     /// processes), independent of how many other tenants the host carries.
     pub fn user_processes(&self, uid: Uid) -> Vec<ProcInfo> {
-        let pids = self.by_uid.get(&uid).into_iter().flatten();
-        pids.map(|pid| ProcInfo::from(&self.procs[pid])).collect()
+        let pids = self.owned_by(uid);
+        pids.map(|pid| ProcInfo::from(&self.procs[&pid])).collect()
     }
 
     /// `uid`'s lowest-pid live process whose command starts with `prefix`
     /// (`ps | grep` at a terminal; the [`crate::rt::Runtime::find_proc`]
     /// of every backend).
     pub fn find_user_proc(&self, uid: Uid, prefix: &str) -> Option<Pid> {
-        let mut pids = self.by_uid.get(&uid).into_iter().flatten();
+        let mut pids = self.owned_by(uid);
         pids.find(|pid| self.procs[pid].command.starts_with(prefix))
-            .copied()
     }
 
-    /// Marks a process exited, detaches it from the run queue, reparents
-    /// its live children to init, and records it in the retention ring.
-    ///
-    /// Returns the pids of the children that were reparented.
+    /// Marks a process exited, detaches it from the run queue, unlinks it
+    /// from its parent's and its owner's lists, reparents its live
+    /// children to init, and records it in the retention ring.
     ///
     /// # Panics
     ///
     /// Panics if `pid` is not a live process (callers check first).
-    pub fn finish_exit(&mut self, pid: Pid, status: ExitStatus, now: SimTime) -> Vec<Pid> {
-        let children;
-        let uid;
-        {
+    pub fn finish_exit(&mut self, pid: Pid, status: ExitStatus, now: SimTime) {
+        let p = self.procs.get_mut(&pid).expect("exiting pid exists");
+        assert!(p.is_alive(), "double exit of pid {pid}");
+        p.state = ProcState::Exited(status);
+        p.exited_at = Some(now);
+        p.cpu_bound = false;
+        let (uid, ppid) = (p.uid, p.ppid);
+        self.unlink(List::OwnedBy(uid), pid);
+        if self.by_uid.get(&uid).is_some_and(|e| e.head == NIL) {
+            self.by_uid.remove(&uid);
+        }
+        // Init is its own parent, in no child list, and keeps its own.
+        if pid != Pid::INIT {
+            self.unlink(List::ChildrenOf(ppid), pid);
             let p = self.procs.get_mut(&pid).expect("exiting pid exists");
-            assert!(p.is_alive(), "double exit of pid {pid}");
-            p.state = ProcState::Exited(status);
-            p.exited_at = Some(now);
-            p.cpu_bound = false;
-            uid = p.uid;
-            children = std::mem::take(&mut p.children);
-        }
-        // The exited pid leaves its owner's shard of the live index.
-        if let Some(pids) = self.by_uid.get_mut(&uid) {
-            unlink_child(pids, pid);
-            if pids.is_empty() {
-                self.by_uid.remove(&uid);
-            }
-        }
-        // Reparent live children to init.
-        for &c in &children {
-            if let Some(cp) = self.procs.get_mut(&c) {
-                cp.ppid = Pid::INIT;
-            }
-        }
-        if let Some(init) = self.procs.get_mut(&Pid::INIT) {
-            for &c in &children {
-                link_child(&mut init.children, c);
-            }
-        }
-        // Unlink from the (old) parent's child list, by bisection:
-        // init's list is long while orphans pile up.
-        let ppid = self.procs[&pid].ppid;
-        if let Some(parent) = self.procs.get_mut(&ppid) {
-            unlink_child(&mut parent.children, pid);
+            let orphans = std::mem::replace(&mut p.links.children, Ends::EMPTY);
+            self.reparent_to_init(orphans);
         }
         self.exited_order.push_back(pid);
         while self.exited_order.len() > EXITED_RETENTION {
@@ -302,7 +520,46 @@ impl Kernel {
                 self.procs.remove(&old);
             }
         }
-        children
+    }
+
+    /// Hands a detached child list to init, each orphan into init's list
+    /// in pid order. The place is found from the orphan's owner's list:
+    /// its nearest lower pid there is most often init's child already
+    /// (its parent exited first too), so that walk back passes a few
+    /// entries where one back from init's tail passed dozens; init's
+    /// list is then walked forward past other owners' children. Only an
+    /// orphan whose owner has no lower pid in init's list walks back
+    /// from init's tail.
+    fn reparent_to_init(&mut self, orphans: Ends) {
+        let init = List::ChildrenOf(Pid::INIT);
+        let mut orphan = orphans.head;
+        while orphan != NIL {
+            let p = self
+                .procs
+                .get_mut(&orphan)
+                .expect("a live child has an entry");
+            p.ppid = Pid::INIT;
+            let (next, mut at) = (p.links.sibling.next, p.links.owner.prev);
+            while at != NIL {
+                let q = &self.procs[&at];
+                if at != Pid::INIT && q.ppid == Pid::INIT {
+                    break;
+                }
+                at = q.links.owner.prev;
+            }
+            if at == NIL {
+                at = self.ends(init).map_or(NIL, |e| e.tail);
+                while at != NIL && at > orphan {
+                    at = self.hop(init, at).prev;
+                }
+            } else {
+                while let Some(n) = linked(self.hop(init, at).next).filter(|&n| n < orphan) {
+                    at = n;
+                }
+            }
+            self.link_after(init, at, orphan);
+            orphan = next;
+        }
     }
 
     /// The adoption check and effect (the paper's extended `ptrace`):
@@ -392,10 +649,10 @@ impl Kernel {
             return false;
         };
         p.state = ProcState::Running;
-        // The event's command is a `String`: the one allocation a traced
-        // process still costs here.
-        let command = p.command.to_string();
-        self.emit(KernelEvent::Exec { pid, command }, now, fx);
+        // The table's `Name`: a 24-byte copy, or a shared count for a
+        // long command, and no allocation either way.
+        let command = p.command.clone();
+        self.emit(PendingEvent::Exec { pid, command }, now, fx);
         true
     }
 
@@ -508,7 +765,8 @@ impl Kernel {
     /// process it is about — if there is one, it asked for this class
     /// of event, it is alive, and it is not the process itself (an LPM
     /// does not report itself to itself).
-    pub fn emit(&mut self, event: KernelEvent, now: SimTime, fx: &mut Effects) {
+    pub fn emit(&mut self, event: impl Into<PendingEvent>, now: SimTime, fx: &mut Effects) {
+        let event = event.into();
         let pid = event.pid();
         let Some(p) = self.procs.get(&pid) else {
             return;
@@ -526,7 +784,7 @@ impl Kernel {
             wire_size: event.wire_size(),
             first: batch.is_empty(),
         });
-        batch.push_back(KernelMsg {
+        batch.push_back(PendingMsg {
             event,
             queued_at: now,
         });
@@ -539,7 +797,7 @@ impl Kernel {
     pub fn drain_batch<R>(
         &mut self,
         tracer: Pid,
-        flush: impl FnOnce(&[KernelMsg]) -> R,
+        flush: impl FnOnce(&[PendingMsg]) -> R,
     ) -> Option<R> {
         let batch = self.pending.get_mut(&tracer).filter(|b| !b.is_empty())?;
         let flushed = flush(batch.make_contiguous());
@@ -550,14 +808,16 @@ impl Kernel {
         Some(flushed)
     }
 
-    /// Collects only the oldest pending event for `tracer` (backends
-    /// that deliver one event per wakeup).
+    /// Collects only the oldest pending event for `tracer`, as the
+    /// tracer will decode it (backends that deliver one event per
+    /// wakeup).
     pub fn pop_kernel_msg(&mut self, tracer: Pid) -> Option<KernelMsg> {
-        self.pending.get_mut(&tracer)?.pop_front()
+        let msg = self.pending.get_mut(&tracer)?.pop_front()?;
+        Some(msg.to_msg())
     }
 
     /// The non-empty pending batches, in tracer-pid order.
-    pub fn pending_batches(&self) -> Vec<(Pid, &VecDeque<KernelMsg>)> {
+    pub fn pending_batches(&self) -> Vec<(Pid, &VecDeque<PendingMsg>)> {
         let waiting = self.pending.iter().filter(|(_, b)| !b.is_empty());
         let mut batches: Vec<_> = waiting.map(|(t, b)| (*t, b)).collect();
         batches.sort_unstable_by_key(|(tracer, _)| *tracer);
@@ -744,8 +1004,9 @@ impl Kernel {
     /// Number of runnable entities for the load-average sample: running
     /// CPU-bound processes plus processes currently busy with work.
     pub fn runnable_count(&self, now: SimTime) -> usize {
-        // Over the live index: the table also retains exited entries.
-        let live = self.by_uid.values().flatten().map(|pid| &self.procs[pid]);
+        // Over the owners' lists: the table also retains exited entries.
+        let live = self.by_uid.keys().flat_map(|&uid| self.owned_by(uid));
+        let live = live.map(|pid| &self.procs[&pid]);
         live.filter(|p| p.state == ProcState::Running && (p.cpu_bound || p.busy_until > now))
             .count()
     }
@@ -779,6 +1040,42 @@ mod tests {
         pid
     }
 
+    fn kids(k: &Kernel, pid: Pid) -> Vec<Pid> {
+        k.children(pid).collect()
+    }
+
+    fn exit(k: &mut Kernel, pid: Pid) {
+        k.finish_exit(pid, ExitStatus::SUCCESS, SimTime::ZERO);
+    }
+
+    /// Every threaded list reads the same both ways, and every owner in
+    /// the index has a live process.
+    fn assert_threaded(k: &Kernel) {
+        let back = |tail: Pid, prev: fn(&Links) -> Pid| {
+            let step = |pid: &Pid| linked(prev(&k.procs[pid].links));
+            let mut pids: Vec<Pid> = std::iter::successors(linked(tail), step).collect();
+            pids.reverse();
+            pids
+        };
+        for (&pid, p) in &k.procs {
+            let tail = p.links.children.tail;
+            assert_eq!(
+                kids(k, pid),
+                back(tail, |l| l.sibling.prev),
+                "{pid}'s children"
+            );
+        }
+        for (&uid, ends) in &k.by_uid {
+            let owned: Vec<Pid> = k.owned_by(uid).collect();
+            assert!(!owned.is_empty(), "{uid} is indexed with no live process");
+            assert_eq!(
+                owned,
+                back(ends.tail, |l| l.owner.prev),
+                "{uid}'s processes"
+            );
+        }
+    }
+
     #[test]
     fn boot_creates_init_only() {
         let k = kern();
@@ -801,7 +1098,7 @@ mod tests {
         let mut k = kern();
         let a = add(&mut k, Pid::INIT, Uid(100), "sh");
         let b = add(&mut k, a, Uid(100), "cc");
-        assert_eq!(k.get(a).unwrap().children, vec![b]);
+        assert_eq!(kids(&k, a), [b]);
         assert_eq!(k.get(a).unwrap().rusage.forks, 1);
         assert_eq!(k.get(b).unwrap().ppid, a);
     }
@@ -840,10 +1137,9 @@ mod tests {
         let mut k = kern();
         let a = add(&mut k, Pid::INIT, Uid(100), "sh");
         let b = add(&mut k, a, Uid(100), "worker");
-        let orphans = k.finish_exit(a, ExitStatus::Code(1), SimTime::from_millis(5));
-        assert_eq!(orphans, vec![b]);
+        k.finish_exit(a, ExitStatus::Code(1), SimTime::from_millis(5));
         assert_eq!(k.get(b).unwrap().ppid, Pid::INIT);
-        assert!(k.get(Pid::INIT).unwrap().children.contains(&b));
+        assert_eq!(kids(&k, Pid::INIT), [b]);
         let a_entry = k.get(a).unwrap();
         assert_eq!(a_entry.state, ProcState::Exited(ExitStatus::Code(1)));
         assert_eq!(a_entry.exited_at, Some(SimTime::from_millis(5)));
@@ -853,16 +1149,124 @@ mod tests {
     fn child_lists_stay_in_pid_order_through_orphaning_and_exits() {
         let mut k = kern();
         let sh = add(&mut k, Pid::INIT, Uid(100), "sh");
-        let kids: Vec<Pid> = (0..3).map(|_| add(&mut k, sh, Uid(100), "kid")).collect();
+        let orphans: Vec<Pid> = (0..3).map(|_| add(&mut k, sh, Uid(100), "kid")).collect();
         let late = add(&mut k, Pid::INIT, Uid(100), "late");
-        assert_eq!(k.finish_exit(sh, ExitStatus::SUCCESS, SimTime::ZERO), kids);
-        // The orphans' pids lie between init's own two children.
-        let mut all = kids.clone();
+        exit(&mut k, sh);
+        // The orphans' pids lie below init's later child.
+        let mut all = orphans.clone();
         all.push(late);
-        assert_eq!(k.get(Pid::INIT).unwrap().children, all);
-        k.finish_exit(kids[1], ExitStatus::SUCCESS, SimTime::ZERO);
-        k.finish_exit(late, ExitStatus::SUCCESS, SimTime::ZERO);
-        assert_eq!(k.get(Pid::INIT).unwrap().children, [kids[0], kids[2]]);
+        assert_eq!(kids(&k, Pid::INIT), all);
+        assert_threaded(&k);
+        exit(&mut k, orphans[1]);
+        exit(&mut k, late);
+        assert_eq!(kids(&k, Pid::INIT), [orphans[0], orphans[2]]);
+        assert_threaded(&k);
+    }
+
+    #[test]
+    fn exiting_the_head_middle_and_tail_child_unlinks_each() {
+        let mut k = kern();
+        let sh = add(&mut k, Pid::INIT, Uid(100), "sh");
+        let [a, b, c, d] = [(); 4].map(|()| add(&mut k, sh, Uid(100), "kid"));
+        exit(&mut k, b);
+        assert_eq!(kids(&k, sh), [a, c, d], "middle");
+        assert_threaded(&k);
+        exit(&mut k, a);
+        assert_eq!(kids(&k, sh), [c, d], "head");
+        assert_threaded(&k);
+        exit(&mut k, d);
+        assert_eq!(kids(&k, sh), [c], "tail");
+        assert_threaded(&k);
+        exit(&mut k, c);
+        assert!(kids(&k, sh).is_empty(), "the last");
+        assert_threaded(&k);
+        // The emptied list takes a new child at its head.
+        let e = add(&mut k, sh, Uid(100), "kid");
+        assert_eq!(kids(&k, sh), [e]);
+        assert_threaded(&k);
+    }
+
+    #[test]
+    fn an_orphan_below_an_init_child_joins_init_in_pid_order() {
+        let mut k = kern();
+        let daemon = add(&mut k, Pid::INIT, Uid::ROOT, "inetd");
+        let sh = add(&mut k, Pid::INIT, Uid(100), "sh");
+        let orphans = [(); 2].map(|()| add(&mut k, sh, Uid(100), "kid"));
+        let grandchild = add(&mut k, orphans[0], Uid(100), "cc");
+        let late = [(); 2].map(|()| add(&mut k, Pid::INIT, Uid(200), "late"));
+        exit(&mut k, sh);
+        assert_eq!(
+            kids(&k, Pid::INIT),
+            [daemon, orphans[0], orphans[1], late[0], late[1]]
+        );
+        assert_threaded(&k);
+        // An orphan below every later child, but above the first.
+        exit(&mut k, orphans[0]);
+        let init_kids = [daemon, orphans[1], grandchild, late[0], late[1]];
+        assert_eq!(kids(&k, Pid::INIT), init_kids);
+        assert!(init_kids
+            .iter()
+            .all(|&c| k.get(c).unwrap().ppid == Pid::INIT));
+        assert_threaded(&k);
+    }
+
+    #[test]
+    fn an_orphan_is_placed_past_other_owners_children_of_init() {
+        let mut k = kern();
+        let mine = add(&mut k, Pid::INIT, Uid(100), "a");
+        let theirs = add(&mut k, Pid::INIT, Uid(200), "b");
+        let sh = add(&mut k, Pid::INIT, Uid(100), "sh");
+        let theirs_late = add(&mut k, Pid::INIT, Uid(200), "c");
+        let kid = add(&mut k, sh, Uid(100), "kid");
+        let last = add(&mut k, Pid::INIT, Uid(200), "d");
+        // The kid's nearest lower pid of its owner that init holds is
+        // `mine`; two of another owner's lie between it and the kid.
+        exit(&mut k, sh);
+        let init_kids = [mine, theirs, theirs_late, kid, last];
+        assert_eq!(kids(&k, Pid::INIT), init_kids);
+        assert_threaded(&k);
+    }
+
+    #[test]
+    fn a_parent_evicted_past_retention_leaves_its_children_listed_under_init() {
+        let mut k = kern();
+        let sh = add(&mut k, Pid::INIT, Uid(100), "sh");
+        let orphans = [(); 3].map(|()| add(&mut k, sh, Uid(100), "kid"));
+        exit(&mut k, sh);
+        for _ in 0..EXITED_RETENTION {
+            let p = add(&mut k, Pid::INIT, Uid(1), "p");
+            exit(&mut k, p);
+        }
+        assert!(k.get(sh).is_none(), "the parent's entry was evicted");
+        assert_eq!(kids(&k, Pid::INIT), orphans);
+        assert!(kids(&k, sh).is_empty());
+        assert_threaded(&k);
+        exit(&mut k, orphans[1]);
+        assert_eq!(kids(&k, Pid::INIT), [orphans[0], orphans[2]]);
+        assert_threaded(&k);
+    }
+
+    #[test]
+    fn a_uids_last_process_takes_it_out_of_the_index() {
+        let mut k = kern();
+        let a = add(&mut k, Pid::INIT, Uid(100), "a");
+        let b = add(&mut k, a, Uid(100), "b");
+        let other = add(&mut k, Pid::INIT, Uid(200), "other");
+        exit(&mut k, a);
+        assert!(k.by_uid.contains_key(&Uid(100)));
+        exit(&mut k, b);
+        assert!(
+            !k.by_uid.contains_key(&Uid(100)),
+            "no entry for an owner with none"
+        );
+        assert!(k.user_processes(Uid(100)).is_empty());
+        assert_threaded(&k);
+        // The owner comes back with a fresh list.
+        let c = add(&mut k, other, Uid(100), "c");
+        let mine: Vec<Pid> = k.user_processes(Uid(100)).iter().map(|p| p.pid).collect();
+        assert_eq!(mine, [c]);
+        assert_eq!(k.find_user_proc(Uid(100), "c"), Some(c));
+        assert_threaded(&k);
     }
 
     #[test]

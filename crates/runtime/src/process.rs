@@ -7,6 +7,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::events::TraceFlags;
 use crate::fd::FdTable;
 use crate::ids::{Pid, Uid};
+use crate::kernel::Links;
 use crate::name::Name;
 use crate::signal::ExitStatus;
 
@@ -95,8 +96,9 @@ pub struct Process {
     /// The process is busy handling work until this instant; events
     /// arriving earlier queue behind it.
     pub busy_until: SimTime,
-    /// Live child pids on this host, in pid order.
-    pub children: Vec<Pid>,
+    /// Its place in its parent's and its owner's lists, and the ends of
+    /// its own child list ([`crate::kernel::Kernel::children`]).
+    pub(crate) links: Links,
     /// Open file descriptors.
     pub fds: FdTable,
 }
@@ -117,7 +119,7 @@ impl Process {
             tracer: None,
             cpu_bound: false,
             busy_until: SimTime::ZERO,
-            children: Vec::new(),
+            links: Links::UNLINKED,
             fds: FdTable::new(),
         }
     }

@@ -5,7 +5,7 @@ use bytes::Bytes;
 
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::ids::{Pid, Port, Uid};
-use ppm_runtime::kernel::{Effect, Effects, Kernel};
+use ppm_runtime::kernel::{Effect, Effects, Kernel, PendingMsg};
 use ppm_runtime::program::{KernelMsg, SigAction, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::CRASHED_AT_KEY;
@@ -55,7 +55,8 @@ fn children_inherit_the_tracer_and_only_the_first_event_arms_a_flush() {
     assert_eq!(firsts, [true, false], "the exec rides the fork's flush");
     let batch = k.drain_batch(lpm, <[_]>::to_vec).expect("pending");
     assert_eq!(batch.len(), 2);
-    assert!(matches!(batch[0].event, KernelEvent::Fork { child, .. } if child == kid));
+    let fork = batch[0].event.to_event();
+    assert!(matches!(fork, KernelEvent::Fork { child, .. } if child == kid));
     assert!(k.drain_batch(lpm, |_| ()).is_none(), "collected once");
 }
 
@@ -65,16 +66,15 @@ fn a_batch_drains_in_queue_order_whatever_was_popped_and_arms_again_after() {
     for bytes in 1..=5 {
         k.account_sent(job, bytes, T0, &mut fx);
     }
-    let sizes = |msgs: &[KernelMsg]| -> Vec<usize> {
-        let size = |m: &KernelMsg| match m.event {
-            KernelEvent::MsgSent { bytes, .. } => bytes,
-            _ => 0,
-        };
-        msgs.iter().map(size).collect()
+    let size = |m: KernelMsg| match m.event {
+        KernelEvent::MsgSent { bytes, .. } => bytes,
+        _ => 0,
     };
+    let sizes =
+        |msgs: &[PendingMsg]| -> Vec<usize> { msgs.iter().map(|m| size(m.to_msg())).collect() };
     // One event per wakeup takes the oldest; the flush takes the rest.
     let first = k.pop_kernel_msg(lpm).expect("queued");
-    assert_eq!(sizes(&[first]), [1]);
+    assert_eq!(size(first), 1);
     assert_eq!(k.pending_batches()[0].1.len(), 4);
     assert_eq!(k.drain_batch(lpm, sizes), Some(vec![2, 3, 4, 5]));
     assert!(k.pending_batches().is_empty() && k.pop_kernel_msg(lpm).is_none());

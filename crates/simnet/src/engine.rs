@@ -12,6 +12,9 @@
 //! intrusive list as in Varghese and Lauck's timing wheels, and the
 //! overflow heap holds `(at, seq, index)` keys, so what the queue
 //! allocates grows with the events it holds, not the time they span.
+//! Above level 0 a bucket also keeps the index of its earliest node:
+//! [`TimerWheel::peek_time`], which a bounded run calls before every pop,
+//! reads that node instead of walking the list.
 //!
 //! # The traffic it is sized to
 //!
@@ -79,8 +82,27 @@ const WHEEL_SLOTS: usize = 64;
 /// overflow heap until the wheel advances far enough to admit it.
 const WHEEL_LEVELS: usize = 4;
 
-/// The slab index that ends a list: an empty bucket is `(NIL, NIL)`.
+/// The slab index that ends a list: an empty bucket holds only `NIL`s.
 const NIL: u32 = u32::MAX;
+
+/// One wheel slot: a list through the slab, in filling order.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+    /// Above level 0, the node with the earliest deadline, so that a
+    /// peek reads it instead of walking the list; `NIL` when empty. A
+    /// level-0 slot is one µs wide, so there the head has it.
+    min: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+        min: NIL,
+    };
+}
 
 /// One slab cell: a pending event, or a free cell on the free list.
 #[derive(Debug)]
@@ -156,8 +178,8 @@ pub struct TimerWheel<E> {
     /// Every pending event, and the free cells listed from `free`.
     nodes: Vec<Node<E>>,
     free: u32,
-    /// Level-major `(head, tail)` lists through `nodes`, in filling order.
-    buckets: Box<[(u32, u32); WHEEL_LEVELS * WHEEL_SLOTS]>,
+    /// Level-major slots, each a list through `nodes`.
+    buckets: Box<[Bucket; WHEEL_LEVELS * WHEEL_SLOTS]>,
     /// `(at, seq, slab index)` of each event past the top-level window.
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     overflow_peak: usize,
@@ -182,7 +204,7 @@ impl<E> TimerWheel<E> {
             occ: [0; WHEEL_LEVELS],
             nodes: Vec::new(),
             free: NIL,
-            buckets: Box::new([(NIL, NIL); WHEEL_LEVELS * WHEEL_SLOTS]),
+            buckets: Box::new([Bucket::EMPTY; WHEEL_LEVELS * WHEEL_SLOTS]),
             overflow: BinaryHeap::new(),
             overflow_peak: 0,
         }
@@ -275,18 +297,13 @@ impl<E> TimerWheel<E> {
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         // A level pins its window while occupied, so the earliest slot
-        // of the lowest occupied level holds the global minimum; a
-        // level-0 slot is one µs wide, so its head holds it.
+        // of the lowest occupied level holds the global minimum: its
+        // head at level 0, its kept minimum above.
         if let Some(l) = self.occ.iter().position(|&mask| mask != 0) {
             let s = self.occ[l].trailing_zeros() as usize;
-            let mut i = self.buckets[l * WHEEL_SLOTS + s].0;
-            let mut min = self.nodes[i as usize].at;
-            while l > 0 && i != NIL {
-                let node = &self.nodes[i as usize];
-                min = min.min(node.at);
-                i = node.next;
-            }
-            return Some(min);
+            let bucket = &self.buckets[l * WHEEL_SLOTS + s];
+            let i = if l == 0 { bucket.head } else { bucket.min };
+            return Some(self.nodes[i as usize].at);
         }
         self.overflow.peek().map(|Reverse(top)| top.0)
     }
@@ -310,7 +327,7 @@ impl<E> TimerWheel<E> {
             }
         }
         let s = self.occ[0].trailing_zeros() as usize;
-        let i = self.buckets[s].0;
+        let i = self.buckets[s].head;
         self.unlink(s, NIL, i);
         let at = self.nodes[i as usize].at;
         debug_assert!(at >= self.now, "event queue time went backwards");
@@ -358,8 +375,8 @@ impl<E> TimerWheel<E> {
     fn link(&mut self, l: usize, s: usize, i: u32) {
         self.nodes[i as usize].next = NIL;
         let bucket = &mut self.buckets[l * WHEEL_SLOTS + s];
-        match bucket.1 {
-            NIL => bucket.0 = i,
+        match bucket.tail {
+            NIL => bucket.head = i,
             tail => {
                 debug_assert!(
                     l > 0 || self.nodes[tail as usize].seq < self.nodes[i as usize].seq,
@@ -368,7 +385,12 @@ impl<E> TimerWheel<E> {
                 self.nodes[tail as usize].next = i;
             }
         }
-        bucket.1 = i;
+        bucket.tail = i;
+        if l > 0
+            && (bucket.min == NIL || self.nodes[i as usize].at < self.nodes[bucket.min as usize].at)
+        {
+            bucket.min = i;
+        }
         self.occ[l] |= 1u64 << s;
     }
 
@@ -390,7 +412,8 @@ impl<E> TimerWheel<E> {
         self.occ[l] &= !(1u64 << s);
         self.win[l - 1] = self.win[l] * WHEEL_SLOTS as u64 + s as u64;
         // Relink the batch in source order.
-        let (mut i, _) = std::mem::replace(&mut self.buckets[l * WHEEL_SLOTS + s], (NIL, NIL));
+        let source = std::mem::replace(&mut self.buckets[l * WHEEL_SLOTS + s], Bucket::EMPTY);
+        let mut i = source.head;
         while i != NIL {
             let node = &self.nodes[i as usize];
             let next = node.next;
@@ -426,7 +449,7 @@ impl<E> TimerWheel<E> {
     /// keeping the bucket's order, and returns its slab index.
     fn unlink_seq(&mut self, seq: u64) -> Option<u32> {
         for b in 0..self.buckets.len() {
-            let (mut prev, mut i) = (NIL, self.buckets[b].0);
+            let (mut prev, mut i) = (NIL, self.buckets[b].head);
             while i != NIL && self.nodes[i as usize].seq != seq {
                 (prev, i) = (i, self.nodes[i as usize].next);
             }
@@ -441,16 +464,34 @@ impl<E> TimerWheel<E> {
     /// Unlinks node `i`, after `prev` (`NIL`: the head), from bucket `b`.
     fn unlink(&mut self, b: usize, prev: u32, i: u32) {
         let next = self.nodes[i as usize].next;
+        let bucket = &mut self.buckets[b];
         match prev {
-            NIL => self.buckets[b].0 = next,
+            NIL => bucket.head = next,
             prev => self.nodes[prev as usize].next = next,
         }
         if next == NIL {
-            self.buckets[b].1 = prev;
+            bucket.tail = prev;
         }
-        if self.buckets[b].0 == NIL {
+        if bucket.head == NIL {
+            bucket.min = NIL;
             self.occ[b / WHEEL_SLOTS] &= !(1u64 << (b % WHEEL_SLOTS));
+        } else if bucket.min == i {
+            // Only a cancel takes a minimum from a list it leaves behind.
+            let head = bucket.head;
+            self.buckets[b].min = self.earliest(head);
         }
+    }
+
+    /// The node with the earliest deadline in the list from `i`.
+    fn earliest(&self, mut i: u32) -> u32 {
+        let mut min = i;
+        while i != NIL {
+            if self.nodes[i as usize].at < self.nodes[min as usize].at {
+                min = i;
+            }
+            i = self.nodes[i as usize].next;
+        }
+        min
     }
 }
 

@@ -241,6 +241,44 @@ proptest! {
             }
         }
     }
+
+    /// `peek_time` is the minimum over every pending event after each
+    /// schedule, cancel and pop. Half the cancels take the earliest
+    /// pending event, which is most often the kept minimum of a level
+    /// 1–3 bucket whose other entries stay behind.
+    #[test]
+    fn peek_time_is_the_minimum_over_every_pending_event(
+        ops in prop::collection::vec((0u8..6, 0usize..5, any::<u64>()), 1..300)
+    ) {
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        let mut model = ModelQueue::new();
+        // The wheel's id of each model sequence number.
+        let mut ids = Vec::new();
+        for (kind, span, arg) in ops {
+            match kind {
+                0..=2 => {
+                    let delay = delay_of(span, arg);
+                    ids.push(wheel.schedule(SimDuration::from_micros(delay), arg));
+                    model.schedule(delay, arg);
+                }
+                3 | 4 => {
+                    let earliest = model.pending.iter().map(|&(at, seq, _)| (at, seq)).min();
+                    let seq = match (kind, earliest) {
+                        (3, Some((_, seq))) => seq,
+                        _ if !ids.is_empty() => arg % ids.len() as u64,
+                        _ => continue,
+                    };
+                    let verdict = wheel.cancel(ids[seq as usize]);
+                    prop_assert_eq!(verdict, model.cancel(seq), "cancel verdicts");
+                }
+                _ => {
+                    let fired = wheel.pop().map(|(t, v)| (t.as_micros(), v));
+                    prop_assert_eq!(fired, model.pop(), "pops");
+                }
+            }
+            prop_assert_eq!(wheel.peek_time().map(SimTime::as_micros), model.peek_time());
+        }
+    }
 }
 
 // ---- topology ---------------------------------------------------------------

@@ -15,8 +15,7 @@
 use std::fmt;
 
 use bytes::Bytes;
-use ppm_proto::codec::encode_batch;
-use ppm_proto::kernel_wire::walk_kernel_batch;
+use ppm_proto::kernel_wire::{encode_kernel_batch, walk_kernel_batch};
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::ids::CpuClass;
 use ppm_runtime::kernel::{Effect, Effects};
@@ -1093,7 +1092,7 @@ impl World {
             SimEvent::Tell(told) => self.tell(told),
             SimEvent::KernelFlush { to } => {
                 let kernel = self.kernel_mut(to.0);
-                let flush = |msgs: &[_]| (msgs.len(), encode_batch(msgs));
+                let flush = |msgs: &[_]| (msgs.len(), encode_kernel_batch(msgs));
                 let Some((count, data)) = kernel.drain_batch(to.1, flush) else {
                     return;
                 };

@@ -257,8 +257,10 @@ proptest! {
 
     /// Process-table invariants hold under any spawn/exit/adopt sequence:
     /// parent-child links are mutual, live children have live entries,
-    /// exited processes never re-enter the run queue, and adoption never
-    /// crosses users.
+    /// every live process sits in exactly its parent's child list, child
+    /// lists are pid-ordered, each owner's list is the pid-ordered filter
+    /// of the table, exited processes never re-enter the run queue, and
+    /// adoption never crosses users.
     #[test]
     fn kernel_table_invariants(ops in arb_kern_ops()) {
         let now = SimTime::ZERO;
@@ -305,18 +307,31 @@ proptest! {
                 }
             }
             // Invariants after every op.
+            let mut listed_under: BTreeMap<Pid, Vec<Pid>> = BTreeMap::new();
             for p in k.processes() {
-                for &c in &p.children {
+                let kids: Vec<Pid> = k.children(p.pid).collect();
+                prop_assert!(kids.windows(2).all(|w| w[0] < w[1]), "{} lists {:?}", p.pid, kids);
+                for &c in &kids {
                     let child = k.get(c);
                     prop_assert!(child.is_some(), "dangling child {c}");
                     let child = child.expect("checked");
                     prop_assert!(child.is_alive(), "dead child {c} still linked");
                     prop_assert_eq!(child.ppid, p.pid, "ppid backlink broken");
+                    listed_under.entry(c).or_default().push(p.pid);
                 }
                 if !p.is_alive() {
                     prop_assert!(!p.cpu_bound, "exited process on the run queue");
                     prop_assert!(p.exited_at.is_some());
                 }
+            }
+            for p in k.processes().filter(|p| p.is_alive() && p.pid != Pid::INIT) {
+                let lists = listed_under.get(&p.pid).cloned().unwrap_or_default();
+                prop_assert_eq!(lists, vec![p.ppid], "the lists holding {}", p.pid);
+            }
+            for uid in (0..3).map(Uid) {
+                let listed: Vec<Pid> = k.user_processes(uid).iter().map(|i| i.pid).collect();
+                let mine = k.processes().filter(|p| p.is_alive() && p.uid == uid);
+                prop_assert_eq!(listed, mine.map(|p| p.pid).collect::<Vec<_>>(), "{}'s list", uid);
             }
         }
         // Runnable count never exceeds live processes.

@@ -79,7 +79,7 @@ fn tree_spawner_builds_full_tree() {
     let mine = kern.user_processes(Uid(1));
     assert_eq!(mine.len(), 7, "root + 2 + 4 nodes alive");
     // Genealogy: root has exactly two children.
-    assert_eq!(kern.get(root).unwrap().children.len(), 2);
+    assert_eq!(kern.children(root).count(), 2);
 }
 
 #[test]

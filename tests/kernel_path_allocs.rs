@@ -183,7 +183,8 @@ fn a_traced_process_costs_at_most_four_allocations() {
     // 3.7 as written: 7.8 while the process table, the exec event's
     // decode and the exited ring each copied the command, 29.0 before
     // the path stopped rebuilding strings. The program above spends 2 of
-    // them itself (`format!`, `Box`), and the exec event's `String` is 1.
+    // them itself (`format!`, `Box`); the kernel's share is held to none
+    // by the test below.
     let per_proc = spent as f64 / f64::from(PROCS);
     assert!(
         per_proc <= 4.0,
@@ -196,6 +197,19 @@ fn a_traced_process_costs_at_most_four_allocations() {
     assert!(
         per_proc <= 240.0,
         "{per_proc:.1} bytes of trace per traced process ({traced} for {PROCS})"
+    );
+}
+
+#[test]
+fn the_kernel_queues_a_traced_fork_exec_and_exit_without_allocating() {
+    let (spent, _) = steady_wave(true);
+    // The program's own 2 (`format!`, `Box`) and at most a quarter more
+    // (2.10 as written): 3.7 while the exec event copied its command
+    // into a `String` and a parent's first child grew a `Vec`.
+    let per_proc = spent as f64 / f64::from(PROCS);
+    assert!(
+        per_proc <= 2.25,
+        "{per_proc:.2} allocations per traced process ({spent} for {PROCS})"
     );
 }
 
