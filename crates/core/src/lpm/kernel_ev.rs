@@ -7,7 +7,8 @@
 //! Every fork, exec and exit of every traced process comes through
 //! [`Lpm::ingest_kernel_event`], so it builds nothing it can borrow or be
 //! given. The message is read in place off the batch frame
-//! ([`KernelMsgRef`]): an exec's command is a `&str` into the frame,
+//! ([`KernelMsgRef`], the kernel's one `KernelMsg` type with its text
+//! borrowed): an exec's command is a `&str` into the frame,
 //! made into a [`Name`](ppm_proto::types::Name) — inline up to 22 bytes,
 //! so no allocation — once for the genealogy and once for the history
 //! entry's text, a file path likewise. A fork's node takes the command

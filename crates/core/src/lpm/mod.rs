@@ -561,7 +561,8 @@ impl Program for Lpm {
             sys.exit(1);
             return;
         }
-        sys.register_kernel_socket();
+        // Fails only after an exit, and this path has not exited.
+        let _ = sys.register_kernel_socket();
         // Expose the metrics registry to the world hub so harnesses and
         // the CLI can sample it without simulated traffic.
         sys.register_metrics(

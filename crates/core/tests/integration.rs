@@ -968,7 +968,7 @@ impl Program for ScriptedJob {
     }
 
     fn on_timer(&mut self, sys: &mut dyn Sys, _token: u64) {
-        self.log = Some(sys.open("/usr/tmp/scripted.log", OpenMode::Write));
+        self.log = sys.open("/usr/tmp/scripted.log", OpenMode::Write).ok();
         let kid = Worker::new(SimDuration::from_millis(200), SimDuration::from_millis(5));
         sys.spawn(SpawnSpec::new("kid", Box::new(kid))).unwrap();
         sys.connect(self.echo.0, self.echo.1).unwrap();

@@ -438,7 +438,7 @@ impl McWorld {
                 if let Some(msg) = self.kernels[k.0 as usize].pop_kernel_msg(Pid(k.1)) {
                     // One message per move, through the batch frame the
                     // sim and real backends ship.
-                    let frame = ppm_proto::codec::encode_batch(&[msg]);
+                    let frame = ppm_proto::kernel_wire::encode_kernel_batch(&[msg]);
                     self.dispatch(*k, |p, sys| p.on_kernel_batch(sys, frame));
                 }
             }
@@ -664,7 +664,7 @@ impl McWorld {
                 h.write_u32(tracer.0);
                 h.write_u64(q.len() as u64);
                 for m in q {
-                    h.write(format!("{:?}", m.event.to_event()).as_bytes());
+                    h.write(format!("{:?}", m.event).as_bytes());
                 }
             }
         }

@@ -27,9 +27,10 @@
 //! What stays written by hand, and why, is said beside each piece: the
 //! borrowed readers an LPM runs over arriving bytes (`ProcRecordRef`,
 //! `HistoryRecordRef`, `ReplyRef::read`, `Inbound`, `WirePart`,
-//! `KernelEventRef`), the splices that write a message without building
-//! it (`WireReply`, `Msg::bcast_agg_bytes`), `Route` for its storage,
-//! and `Name`, which lives in `ppm-runtime`.
+//! `kernel_wire::decode_kernel_msg`), the splices that write a message
+//! without building it (`WireReply`, `Msg::bcast_agg_bytes`), `Route`
+//! for its storage, and `Name` and `KernelMsg`, which live in
+//! `ppm-runtime`.
 //!
 //! # Allocation discipline
 //!

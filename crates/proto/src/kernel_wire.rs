@@ -2,16 +2,15 @@
 //!
 //! The kernel coalesces event messages headed for the same LPM wakeup
 //! into one batch frame (`[u32 count][u32 len][frame]...`, the protocol's
-//! standard batch layout). Each frame is one [`KernelMsg`]. The batch is
-//! walked in place by [`walk_kernel_batch`]: the zero-copy frame
-//! iterator yields each frame and [`KernelEventRef`] reads it with its
-//! text borrowed, so a burst of fork/exec/exit events costs one delivery
-//! and no copy of a command or path.
-//!
-//! The kernel's side is [`encode_kernel_batch`]: its queue of
-//! [`PendingMsg`]s, each written through the same borrowed view, to the
-//! bytes [`encode_batch`](crate::codec::encode_batch) gives the
-//! [`KernelMsg`]s they stand for.
+//! standard batch layout). Each frame is one [`KernelMsg`], its layout
+//! written once: [`encode_kernel_msg`] writes a message whatever holds
+//! its text, and [`decode_kernel_msg`] reads one with its text borrowed.
+//! The batch is walked in place by [`walk_kernel_batch`], so a burst of
+//! fork/exec/exit events costs one delivery and no copy of a command or
+//! path. The kernel's side is [`encode_kernel_batch`]: its queue of
+//! `KernelMsg<Name>`s, to the bytes
+//! [`encode_batch`](crate::codec::encode_batch) gives the owned
+//! messages they stand for.
 
 use bytes::Bytes;
 
@@ -20,11 +19,10 @@ use ppm_runtime::time::{SimDuration, SimTime};
 
 use ppm_runtime::events::KernelEvent;
 use ppm_runtime::ids::Pid;
-use ppm_runtime::kernel::{PendingEvent, PendingMsg};
+use ppm_runtime::name::Name;
 use ppm_runtime::process::Rusage;
 use ppm_runtime::program::KernelMsg;
 use ppm_runtime::signal::{ExitStatus, Signal};
-
 fn enc_signal(enc: &mut Enc, s: Signal) {
     enc.u8(s.number());
 }
@@ -85,321 +83,113 @@ fn dec_rusage(dec: &mut Dec<'_>) -> Result<Rusage, CodecError> {
     })
 }
 
-/// A kernel event read in place: a [`KernelEvent`] whose exec command
-/// and file paths borrow the batch frame they were decoded from.
+/// A kernel event read in place: its exec command or file path borrows
+/// the batch frame it was decoded from.
+pub type KernelEventRef<'a> = KernelEvent<&'a str>;
+
+/// A kernel message read in place, as [`decode_kernel_msg`] gives it.
+pub type KernelMsgRef<'a> = KernelMsg<&'a str>;
+
+/// Writes one kernel message: when it was queued, the event's tag, its
+/// pid, then what the variant carries. The one writer of the layout,
+/// for an owned, queued or borrowed message alike.
+pub fn encode_kernel_msg<S: AsRef<str>>(msg: &KernelMsg<S>, enc: &mut Enc) {
+    enc.u64(msg.queued_at.as_micros());
+    let event = &msg.event;
+    enc.u8(event.tag());
+    enc.u32(event.pid().0);
+    match event {
+        KernelEvent::Fork { child, .. } => enc.u32(child.0),
+        KernelEvent::Exec { command: text, .. }
+        | KernelEvent::FileOpened { path: text, .. }
+        | KernelEvent::FileClosed { path: text, .. } => enc.str(text.as_ref()),
+        KernelEvent::Exit { status, rusage, .. } => {
+            enc_status(enc, status);
+            enc_rusage(enc, rusage);
+        }
+        KernelEvent::SignalDelivered { signal, .. } => enc_signal(enc, *signal),
+        KernelEvent::Stopped { .. } | KernelEvent::Continued { .. } => {}
+        KernelEvent::MsgSent { bytes, .. } | KernelEvent::MsgReceived { bytes, .. } => {
+            enc.u64(*bytes as u64)
+        }
+    }
+}
+
+/// Reads one kernel message, borrowing its text from `dec`'s input: the
+/// one reader of the layout [`encode_kernel_msg`] writes.
 ///
-/// This is the one place that knows a kernel event's layout. Both
-/// directions go through it — [`KernelEvent`]'s [`Wire`] impl encodes its
-/// borrowed view and decodes by this walk plus
-/// [`KernelEventRef::to_owned`] — so the LPM, which reads every event
-/// of every traced process, can take the command straight off the frame
-/// and build nothing it does not keep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KernelEventRef<'a> {
-    /// `parent` forked `child`.
-    Fork { parent: Pid, child: Pid },
-    /// `pid` replaced its image with `command`.
-    Exec { pid: Pid, command: &'a str },
-    /// `pid` terminated.
-    Exit {
-        pid: Pid,
-        status: ExitStatus,
-        rusage: Rusage,
-    },
-    /// A signal was delivered to `pid`.
-    SignalDelivered { pid: Pid, signal: Signal },
-    /// `pid` was stopped.
-    Stopped { pid: Pid },
-    /// `pid` was continued.
-    Continued { pid: Pid },
-    /// `pid` sent an IPC message of `bytes` bytes.
-    MsgSent { pid: Pid, bytes: usize },
-    /// `pid` received an IPC message of `bytes` bytes.
-    MsgReceived { pid: Pid, bytes: usize },
-    /// `pid` opened `path`.
-    FileOpened { pid: Pid, path: &'a str },
-    /// `pid` closed `path`.
-    FileClosed { pid: Pid, path: &'a str },
+/// # Errors
+///
+/// [`CodecError::BadTag`] for an unknown event, signal or exit-status
+/// tag; [`CodecError::Truncated`] or [`CodecError::BadUtf8`] as the
+/// decoder reports them.
+pub fn decode_kernel_msg<'a>(dec: &mut Dec<'a>) -> Result<KernelMsgRef<'a>, CodecError> {
+    let queued_at = SimTime::from_micros(dec.u64()?);
+    let tag = dec.u8()?;
+    if usize::from(tag) >= KernelEvent::KINDS.len() {
+        return Err(CodecError::BadTag {
+            what: "kernel event",
+            tag,
+        });
+    }
+    let pid = Pid(dec.u32()?);
+    let event = match tag {
+        0 => KernelEvent::Fork {
+            parent: pid,
+            child: Pid(dec.u32()?),
+        },
+        1 => KernelEvent::Exec {
+            pid,
+            command: dec.str_ref()?,
+        },
+        2 => KernelEvent::Exit {
+            pid,
+            status: dec_status(dec)?,
+            rusage: dec_rusage(dec)?,
+        },
+        3 => KernelEvent::SignalDelivered {
+            pid,
+            signal: dec_signal(dec)?,
+        },
+        4 => KernelEvent::Stopped { pid },
+        5 => KernelEvent::Continued { pid },
+        6 => KernelEvent::MsgSent {
+            pid,
+            bytes: dec.u64()? as usize,
+        },
+        7 => KernelEvent::MsgReceived {
+            pid,
+            bytes: dec.u64()? as usize,
+        },
+        8 => KernelEvent::FileOpened {
+            pid,
+            path: dec.str_ref()?,
+        },
+        _ => KernelEvent::FileClosed {
+            pid,
+            path: dec.str_ref()?,
+        },
+    };
+    Ok(KernelMsg { event, queued_at })
 }
 
-impl<'a> From<&'a KernelEvent> for KernelEventRef<'a> {
-    fn from(ev: &'a KernelEvent) -> Self {
-        match *ev {
-            KernelEvent::Fork { parent, child } => KernelEventRef::Fork { parent, child },
-            KernelEvent::Exec { pid, ref command } => KernelEventRef::Exec { pid, command },
-            KernelEvent::Exit {
-                pid,
-                status,
-                rusage,
-            } => KernelEventRef::Exit {
-                pid,
-                status,
-                rusage,
-            },
-            KernelEvent::SignalDelivered { pid, signal } => {
-                KernelEventRef::SignalDelivered { pid, signal }
-            }
-            KernelEvent::Stopped { pid } => KernelEventRef::Stopped { pid },
-            KernelEvent::Continued { pid } => KernelEventRef::Continued { pid },
-            KernelEvent::MsgSent { pid, bytes } => KernelEventRef::MsgSent { pid, bytes },
-            KernelEvent::MsgReceived { pid, bytes } => KernelEventRef::MsgReceived { pid, bytes },
-            KernelEvent::FileOpened { pid, ref path } => KernelEventRef::FileOpened { pid, path },
-            KernelEvent::FileClosed { pid, ref path } => KernelEventRef::FileClosed { pid, path },
-        }
-    }
-}
-
-impl<'a> From<&'a PendingEvent> for KernelEventRef<'a> {
-    fn from(ev: &'a PendingEvent) -> Self {
-        match ev {
-            PendingEvent::Exec { pid, command } => KernelEventRef::Exec {
-                pid: *pid,
-                command: command.as_str(),
-            },
-            PendingEvent::Event(event) => event.into(),
-        }
-    }
-}
-
-impl<'a> KernelEventRef<'a> {
-    /// The wire tag, which is also the index of the event's name in
-    /// [`KernelEvent::KINDS`].
-    fn tag(&self) -> u8 {
-        match self {
-            KernelEventRef::Fork { .. } => 0,
-            KernelEventRef::Exec { .. } => 1,
-            KernelEventRef::Exit { .. } => 2,
-            KernelEventRef::SignalDelivered { .. } => 3,
-            KernelEventRef::Stopped { .. } => 4,
-            KernelEventRef::Continued { .. } => 5,
-            KernelEventRef::MsgSent { .. } => 6,
-            KernelEventRef::MsgReceived { .. } => 7,
-            KernelEventRef::FileOpened { .. } => 8,
-            KernelEventRef::FileClosed { .. } => 9,
-        }
-    }
-
-    /// Short name for traces and history records, as
-    /// [`KernelEvent::kind`] gives it.
-    pub fn kind(&self) -> &'static str {
-        KernelEvent::KINDS[usize::from(self.tag())]
-    }
-
-    /// The process the event concerns, as [`KernelEvent::pid`] gives it.
-    pub fn pid(&self) -> Pid {
-        match *self {
-            KernelEventRef::Fork { parent, .. } => parent,
-            KernelEventRef::Exec { pid, .. }
-            | KernelEventRef::Exit { pid, .. }
-            | KernelEventRef::SignalDelivered { pid, .. }
-            | KernelEventRef::Stopped { pid }
-            | KernelEventRef::Continued { pid }
-            | KernelEventRef::MsgSent { pid, .. }
-            | KernelEventRef::MsgReceived { pid, .. }
-            | KernelEventRef::FileOpened { pid, .. }
-            | KernelEventRef::FileClosed { pid, .. } => pid,
-        }
-    }
-
-    /// The owned event, its text copied out of the frame.
-    pub fn to_owned(&self) -> KernelEvent {
-        match *self {
-            KernelEventRef::Fork { parent, child } => KernelEvent::Fork { parent, child },
-            KernelEventRef::Exec { pid, command } => KernelEvent::Exec {
-                pid,
-                command: command.to_owned(),
-            },
-            KernelEventRef::Exit {
-                pid,
-                status,
-                rusage,
-            } => KernelEvent::Exit {
-                pid,
-                status,
-                rusage,
-            },
-            KernelEventRef::SignalDelivered { pid, signal } => {
-                KernelEvent::SignalDelivered { pid, signal }
-            }
-            KernelEventRef::Stopped { pid } => KernelEvent::Stopped { pid },
-            KernelEventRef::Continued { pid } => KernelEvent::Continued { pid },
-            KernelEventRef::MsgSent { pid, bytes } => KernelEvent::MsgSent { pid, bytes },
-            KernelEventRef::MsgReceived { pid, bytes } => KernelEvent::MsgReceived { pid, bytes },
-            KernelEventRef::FileOpened { pid, path } => KernelEvent::FileOpened {
-                pid,
-                path: path.to_owned(),
-            },
-            KernelEventRef::FileClosed { pid, path } => KernelEvent::FileClosed {
-                pid,
-                path: path.to_owned(),
-            },
-        }
-    }
-
-    /// Writes the event: its tag, its pid, then what the variant carries.
-    pub fn encode(&self, enc: &mut Enc) {
-        enc.u8(self.tag());
-        enc.u32(self.pid().0);
-        match *self {
-            KernelEventRef::Fork { child, .. } => enc.u32(child.0),
-            KernelEventRef::Exec { command, .. } => enc.str(command),
-            KernelEventRef::Exit { status, rusage, .. } => {
-                enc_status(enc, &status);
-                enc_rusage(enc, &rusage);
-            }
-            KernelEventRef::SignalDelivered { signal, .. } => enc_signal(enc, signal),
-            KernelEventRef::Stopped { .. } | KernelEventRef::Continued { .. } => {}
-            KernelEventRef::MsgSent { bytes, .. } | KernelEventRef::MsgReceived { bytes, .. } => {
-                enc.u64(bytes as u64)
-            }
-            KernelEventRef::FileOpened { path, .. } | KernelEventRef::FileClosed { path, .. } => {
-                enc.str(path)
-            }
-        }
-    }
-
-    /// Reads one event, borrowing its text from `dec`'s input.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::BadTag`] for an unknown event, signal or exit-status
-    /// tag; [`CodecError::Truncated`] or [`CodecError::BadUtf8`] as the
-    /// decoder reports them.
-    pub fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
-        let tag = dec.u8()?;
-        if usize::from(tag) >= KernelEvent::KINDS.len() {
-            return Err(CodecError::BadTag {
-                what: "kernel event",
-                tag,
-            });
-        }
-        let pid = Pid(dec.u32()?);
-        Ok(match tag {
-            0 => KernelEventRef::Fork {
-                parent: pid,
-                child: Pid(dec.u32()?),
-            },
-            1 => KernelEventRef::Exec {
-                pid,
-                command: dec.str_ref()?,
-            },
-            2 => KernelEventRef::Exit {
-                pid,
-                status: dec_status(dec)?,
-                rusage: dec_rusage(dec)?,
-            },
-            3 => KernelEventRef::SignalDelivered {
-                pid,
-                signal: dec_signal(dec)?,
-            },
-            4 => KernelEventRef::Stopped { pid },
-            5 => KernelEventRef::Continued { pid },
-            6 => KernelEventRef::MsgSent {
-                pid,
-                bytes: dec.u64()? as usize,
-            },
-            7 => KernelEventRef::MsgReceived {
-                pid,
-                bytes: dec.u64()? as usize,
-            },
-            8 => KernelEventRef::FileOpened {
-                pid,
-                path: dec.str_ref()?,
-            },
-            _ => KernelEventRef::FileClosed {
-                pid,
-                path: dec.str_ref()?,
-            },
-        })
-    }
-}
-
-/// A kernel message read in place: the borrowed view of a [`KernelMsg`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelMsgRef<'a> {
-    /// When the kernel queued the event.
-    pub queued_at: SimTime,
-    /// The event, its text borrowed from the frame.
-    pub event: KernelEventRef<'a>,
-}
-
-impl<'a> KernelMsgRef<'a> {
-    /// Reads one message that fills `frame` exactly.
-    ///
-    /// # Errors
-    ///
-    /// As [`KernelEventRef::decode`], and [`CodecError::TrailingBytes`]
-    /// when the frame holds more than one message.
-    pub fn from_bytes(frame: &'a [u8]) -> Result<Self, CodecError> {
-        let mut dec = Dec::new(frame);
-        let msg = Self::decode(&mut dec)?;
-        dec.finish()?;
-        Ok(msg)
-    }
-
-    fn decode(dec: &mut Dec<'a>) -> Result<Self, CodecError> {
-        Ok(KernelMsgRef {
-            queued_at: SimTime::from_micros(dec.u64()?),
-            event: KernelEventRef::decode(dec)?,
-        })
-    }
-
-    /// Writes the message: when it was queued, then the event.
-    pub(crate) fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.queued_at.as_micros());
-        self.event.encode(enc);
-    }
-
-    /// The owned message, its text copied out of the frame.
-    pub fn to_owned(&self) -> KernelMsg {
-        KernelMsg {
-            queued_at: self.queued_at,
-            event: self.event.to_owned(),
-        }
-    }
-}
-
-// Written by hand, not in the wire table: `KernelEvent` and `KernelMsg`
-// are declared in `ppm-runtime`, and their layout is the borrowed
-// walk's above.
-impl Wire for KernelEvent {
-    fn encode(&self, enc: &mut Enc) {
-        KernelEventRef::from(self).encode(enc);
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        KernelEventRef::decode(dec).map(|ev| ev.to_owned())
-    }
-}
-
-impl<'a> From<&'a PendingMsg> for KernelMsgRef<'a> {
-    fn from(msg: &'a PendingMsg) -> Self {
-        KernelMsgRef {
-            queued_at: msg.queued_at,
-            event: (&msg.event).into(),
-        }
-    }
-}
-
+// Written by hand, not in the wire table: `KernelMsg` is declared in
+// `ppm-runtime`, and its layout is the pair above.
 impl Wire for KernelMsg {
     fn encode(&self, enc: &mut Enc) {
-        let msg = KernelMsgRef {
-            queued_at: self.queued_at,
-            event: (&self.event).into(),
-        };
-        msg.encode(enc);
+        encode_kernel_msg(self, enc);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
-        KernelMsgRef::decode(dec).map(|msg| msg.to_owned())
+        decode_kernel_msg(dec).map(|msg| msg.map(|text| String::from(*text)))
     }
 }
 
 /// Encodes a tracer's queue as one kernel batch frame, byte for byte
 /// what [`encode_batch`](crate::codec::encode_batch) writes for the
-/// [`KernelMsg`]s it stands for ([`PendingMsg::to_msg`]).
-pub fn encode_kernel_batch(msgs: &[PendingMsg]) -> Bytes {
-    encode_batch_with(msgs, |msg, enc| KernelMsgRef::from(msg).encode(enc))
+/// owned [`KernelMsg`]s it stands for.
+pub fn encode_kernel_batch(msgs: &[KernelMsg<Name>]) -> Bytes {
+    encode_batch_with(msgs, encode_kernel_msg)
 }
 
 /// Walks a coalesced kernel batch frame in place and feeds each message,
@@ -413,8 +203,11 @@ pub fn walk_kernel_batch<'a>(data: &'a [u8], mut f: impl FnMut(KernelMsgRef<'a>)
     };
     for frame in iter {
         let Ok(frame) = frame else { return };
-        if let Ok(msg) = KernelMsgRef::from_bytes(frame) {
-            f(msg);
+        let mut dec = Dec::new(frame);
+        if let Ok(msg) = decode_kernel_msg(&mut dec) {
+            if dec.finish().is_ok() {
+                f(msg);
+            }
         }
     }
 }
@@ -422,7 +215,7 @@ pub fn walk_kernel_batch<'a>(data: &'a [u8], mut f: impl FnMut(KernelMsgRef<'a>)
 /// [`walk_kernel_batch`], each message copied out as an owned
 /// [`KernelMsg`].
 pub fn for_each_kernel_msg(data: &[u8], mut f: impl FnMut(KernelMsg)) {
-    walk_kernel_batch(data, |msg| f(msg.to_owned()));
+    walk_kernel_batch(data, |msg| f(msg.map(|text| String::from(*text))));
 }
 
 #[cfg(test)]

@@ -495,12 +495,22 @@ pub struct HistoryRecord {
     pub detail: String,
 }
 
+impl HistoryRecord {
+    /// This record with its strings borrowed.
+    pub fn view(&self) -> HistoryRecordRef<'_> {
+        HistoryRecordRef {
+            at_us: self.at_us,
+            host: &self.gpid.host,
+            pid: self.gpid.pid,
+            kind: &self.kind,
+            detail: &self.detail,
+        }
+    }
+}
+
 impl Wire for HistoryRecord {
     fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.at_us);
-        self.gpid.encode(enc);
-        enc.str(&self.kind);
-        enc.str(&self.detail);
+        self.view().encode(enc);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CodecError> {
@@ -508,10 +518,11 @@ impl Wire for HistoryRecord {
     }
 }
 
-/// A [`HistoryRecord`] whose strings are borrowed from the bytes it was
-/// read off: the one reader of its wire layout, as [`ProcRecordRef`] is
-/// a snapshot record's, written by hand for the same reason: the merge
-/// walks history records without building them.
+/// A [`HistoryRecord`] whose strings are borrowed: from the record it
+/// views, or from the bytes it was read off. The one place that knows
+/// its wire layout, as [`ProcRecordRef`] is a snapshot record's, written
+/// by hand for the same reason: the merge walks history records without
+/// building them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryRecordRef<'a> {
     /// When (µs, simulated).
@@ -527,6 +538,15 @@ pub struct HistoryRecordRef<'a> {
 }
 
 impl<'a> HistoryRecordRef<'a> {
+    /// Appends the record in [`HistoryRecord`]'s wire form.
+    pub fn encode(&self, enc: &mut Enc) {
+        enc.u64(self.at_us);
+        enc.str(self.host);
+        enc.u32(self.pid);
+        enc.str(self.kind);
+        enc.str(self.detail);
+    }
+
     /// Reads one record, checking every length and string, and
     /// allocating nothing.
     ///

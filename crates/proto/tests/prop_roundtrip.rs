@@ -11,7 +11,8 @@ use proptest::prelude::*;
 
 use ppm_proto::codec::{decode_batch, encode_batch, frames, CodecError, Dec, Enc, Wire};
 use ppm_proto::kernel_wire::{
-    encode_kernel_batch, for_each_kernel_msg, walk_kernel_batch, KernelEventRef, KernelMsgRef,
+    decode_kernel_msg, encode_kernel_batch, encode_kernel_msg, for_each_kernel_msg,
+    walk_kernel_batch, KernelMsgRef,
 };
 use ppm_proto::msg::{
     BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyRef, SnapshotRun, WirePart,
@@ -24,7 +25,7 @@ use ppm_proto::types::{
 };
 use ppm_runtime::events::{KernelEvent, TraceFlags};
 use ppm_runtime::ids::{Pid, Uid};
-use ppm_runtime::kernel::{Effect, Effects, Kernel, PendingEvent};
+use ppm_runtime::kernel::{Effect, Effects, Kernel};
 use ppm_runtime::process::Rusage;
 use ppm_runtime::program::KernelMsg;
 use ppm_runtime::signal::{ExitStatus, Signal};
@@ -748,13 +749,7 @@ fn about(pid: Pid, mut event: KernelEvent) -> KernelEvent {
 fn queue(k: &mut Kernel, msgs: &[KernelMsg]) -> Vec<(&'static str, usize)> {
     let mut fx = Effects::new();
     for msg in msgs {
-        let event = match &msg.event {
-            KernelEvent::Exec { pid, command } => PendingEvent::Exec {
-                pid: *pid,
-                command: Name::new(command),
-            },
-            event => event.clone().into(),
-        };
+        let event = msg.event.map(|text| Name::new(text));
         k.emit(event, msg.queued_at, &mut fx);
     }
     let queued = fx.iter().filter_map(|e| match e {
@@ -766,15 +761,29 @@ fn queue(k: &mut Kernel, msgs: &[KernelMsg]) -> Vec<(&'static str, usize)> {
     queued.collect()
 }
 
+/// The bytes `encode_kernel_msg` writes for `msg`.
+fn kernel_msg_bytes<S: AsRef<str>>(msg: &KernelMsg<S>) -> Vec<u8> {
+    let mut enc = Enc::new();
+    encode_kernel_msg(msg, &mut enc);
+    enc.into_bytes().to_vec()
+}
+
+/// The one message `frame` holds, borrowed from it.
+fn read_kernel_msg(frame: &[u8]) -> Result<KernelMsgRef<'_>, CodecError> {
+    let mut dec = Dec::new(frame);
+    let msg = decode_kernel_msg(&mut dec)?;
+    dec.finish().map(|()| msg)
+}
+
 /// Walks a kernel batch, checking on the way that every message the walk
 /// yields re-encodes to bytes the walk reads back as itself.
 fn walk_checked(data: &[u8]) -> Result<Vec<KernelMsg>, TestCaseError> {
     let mut walked = Vec::new();
     let mut stable = Ok(());
     walk_kernel_batch(data, |msg| {
-        let owned = msg.to_owned();
+        let owned = msg.map(|text| text.to_string());
         let bytes = owned.to_bytes();
-        if KernelMsgRef::from_bytes(&bytes) != Ok(msg) {
+        if read_kernel_msg(&bytes) != Ok(msg) {
             stable = Err(TestCaseError(format!("{msg:?} does not re-read")));
         }
         walked.push(owned);
@@ -1575,8 +1584,10 @@ proptest! {
 
     /// A batch of kernel messages walks back, borrowed and then owned, to
     /// the messages encoded — the same values the owned batch decode and
-    /// `for_each_kernel_msg` give — and each borrowed event names the
-    /// kind and pid its owned form does.
+    /// `for_each_kernel_msg` give. Each message's owned, queued (`Name`)
+    /// and borrowed (`&str`) forms encode to the same bytes and name the
+    /// same kind, pid and modelled size, and `map` takes the borrowed
+    /// form to the owned one and back.
     #[test]
     fn kernel_batches_walk_back_to_their_messages(
         msgs in prop::collection::vec(arb_kernel_msg(), 0..12),
@@ -1588,18 +1599,26 @@ proptest! {
         for_each_kernel_msg(&wire, |msg| owned.push(msg));
         prop_assert_eq!(&owned, &msgs);
         for msg in &msgs {
-            let view = KernelEventRef::from(&msg.event);
-            prop_assert_eq!(view.kind(), msg.event.kind());
-            prop_assert_eq!(view.pid(), msg.event.pid());
-            prop_assert_eq!(view.to_owned(), msg.event.clone());
+            let (queued, view) = (msg.map(|text| Name::new(text)), msg.map(String::as_str));
+            let bytes = msg.to_bytes().to_vec();
+            prop_assert_eq!(&kernel_msg_bytes(msg), &bytes);
+            prop_assert_eq!(&kernel_msg_bytes(&queued), &bytes);
+            prop_assert_eq!(&kernel_msg_bytes(&view), &bytes);
+            let (kind, pid, size) = (msg.event.kind(), msg.event.pid(), msg.event.wire_size());
+            prop_assert_eq!((view.event.kind(), view.event.pid(), view.event.wire_size()), (kind, pid, size));
+            prop_assert_eq!((queued.event.kind(), queued.event.pid(), queued.event.wire_size()), (kind, pid, size));
+            let owned = view.map(|text| text.to_string());
+            prop_assert_eq!(&owned, msg);
+            prop_assert_eq!(owned.map(String::as_str), view);
         }
     }
 
     /// A tracer's queue, drawn over every kernel event with exec commands
     /// on both sides of `Name::INLINE_CAP`, encodes to the bytes its
     /// messages' owned form does, and pops back one at a time as those
-    /// messages; each event is reported queued with its owned form's kind
-    /// and modelled size.
+    /// messages, each of which, sent alone as the checker sends it, is
+    /// the owned message's one-frame batch; each event is reported
+    /// queued with its owned form's kind and modelled size.
     #[test]
     fn a_kernel_queue_encodes_and_pops_as_its_owned_messages(
         msgs in prop::collection::vec(arb_kernel_msg(), 1..12),
@@ -1619,7 +1638,10 @@ proptest! {
         prop_assert_eq!(batch, Some(encode_batch(&msgs)));
         queue(&mut k, &msgs);
         for msg in &msgs {
-            prop_assert_eq!(k.pop_kernel_msg(lpm).as_ref(), Some(msg));
+            let popped = k.pop_kernel_msg(lpm).expect("queued");
+            prop_assert_eq!(popped.map(|text| text.to_string()), msg.clone());
+            let frame = encode_kernel_batch(std::slice::from_ref(&popped));
+            prop_assert_eq!(frame, encode_batch(std::slice::from_ref(msg)));
         }
         prop_assert!(k.pop_kernel_msg(lpm).is_none());
     }

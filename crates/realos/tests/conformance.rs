@@ -259,7 +259,7 @@ impl ParentProg {
 
 impl Program for ParentProg {
     fn on_start(&mut self, sys: &mut dyn Sys) {
-        sys.register_kernel_socket();
+        sys.register_kernel_socket().expect("alive");
         let pid = sys
             .spawn(SpawnSpec::new("short-child", Box::new(ShortChild)))
             .expect("spawn child");

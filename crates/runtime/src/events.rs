@@ -106,13 +106,19 @@ impl fmt::Display for TraceFlags {
 /// One kernel-generated event about a traced process.
 ///
 /// These are the messages the (modified) kernel deposits on the LPM's
-/// kernel socket.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KernelEvent {
+/// kernel socket. `S` is how the event holds its text (an exec's
+/// command, a file's path), and the one type serves every place an
+/// event lives: the kernel queues a `KernelEvent<Name>` (the process
+/// table's name, copied without an allocation), the LPM walks a
+/// `KernelEvent<&str>` borrowed from the batch frame, and a reader that
+/// keeps events owns a `KernelEvent<String>`, the default.
+/// [`KernelEvent::map`] turns one form into another.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum KernelEvent<S = String> {
     /// `parent` forked `child`; the child inherits tracing.
     Fork { parent: Pid, child: Pid },
     /// `pid` replaced its image with `command`.
-    Exec { pid: Pid, command: String },
+    Exec { pid: Pid, command: S },
     /// `pid` terminated; final resource usage attached.
     Exit {
         pid: Pid,
@@ -130,16 +136,33 @@ pub enum KernelEvent {
     /// `pid` received an IPC message of `bytes` bytes.
     MsgReceived { pid: Pid, bytes: usize },
     /// `pid` opened `path`.
-    FileOpened { pid: Pid, path: String },
+    FileOpened { pid: Pid, path: S },
     /// `pid` closed `path`.
-    FileClosed { pid: Pid, path: String },
+    FileClosed { pid: Pid, path: S },
 }
 
 impl KernelEvent {
+    /// Every name [`KernelEvent::kind`] gives, in variant order: the
+    /// wire tag of an event is the index of its name here.
+    pub const KINDS: [&'static str; 10] = [
+        "fork",
+        "exec",
+        "exit",
+        "signal",
+        "stop",
+        "cont",
+        "msg-sent",
+        "msg-recv",
+        "file-open",
+        "file-close",
+    ];
+}
+
+impl<S> KernelEvent<S> {
     /// The process the event concerns.
     pub fn pid(&self) -> Pid {
-        match self {
-            KernelEvent::Fork { parent, .. } => *parent,
+        match *self {
+            KernelEvent::Fork { parent, .. } => parent,
             KernelEvent::Exec { pid, .. }
             | KernelEvent::Exit { pid, .. }
             | KernelEvent::SignalDelivered { pid, .. }
@@ -148,8 +171,30 @@ impl KernelEvent {
             | KernelEvent::MsgSent { pid, .. }
             | KernelEvent::MsgReceived { pid, .. }
             | KernelEvent::FileOpened { pid, .. }
-            | KernelEvent::FileClosed { pid, .. } => *pid,
+            | KernelEvent::FileClosed { pid, .. } => pid,
         }
+    }
+
+    /// The wire tag, which is also the index of the event's name in
+    /// [`KernelEvent::KINDS`].
+    pub fn tag(&self) -> u8 {
+        match self {
+            KernelEvent::Fork { .. } => 0,
+            KernelEvent::Exec { .. } => 1,
+            KernelEvent::Exit { .. } => 2,
+            KernelEvent::SignalDelivered { .. } => 3,
+            KernelEvent::Stopped { .. } => 4,
+            KernelEvent::Continued { .. } => 5,
+            KernelEvent::MsgSent { .. } => 6,
+            KernelEvent::MsgReceived { .. } => 7,
+            KernelEvent::FileOpened { .. } => 8,
+            KernelEvent::FileClosed { .. } => 9,
+        }
+    }
+
+    /// Short name for traces and history records.
+    pub fn kind(&self) -> &'static str {
+        KernelEvent::KINDS[usize::from(self.tag())]
     }
 
     /// The flag class that must be enabled for this event to be reported.
@@ -166,54 +211,54 @@ impl KernelEvent {
         }
     }
 
-    /// Approximate encoded size in bytes, used by the Table 1 latency
-    /// model. The paper's reference kernel→LPM message is 112 bytes.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            KernelEvent::Exit { .. } => 112,
-            KernelEvent::Exec { command, .. } => exec_wire_size(command),
-            KernelEvent::FileOpened { path, .. } | KernelEvent::FileClosed { path, .. } => {
-                48 + path.len()
+    /// The same event with its text passed through `f`: `map(String::as_str)`
+    /// borrows an owned event, `map(|s| s.to_string())` copies a queued or
+    /// borrowed one out.
+    pub fn map<'a, T>(&'a self, f: impl FnOnce(&'a S) -> T) -> KernelEvent<T> {
+        match *self {
+            KernelEvent::Fork { parent, child } => KernelEvent::Fork { parent, child },
+            KernelEvent::Exec { pid, ref command } => KernelEvent::Exec {
+                pid,
+                command: f(command),
+            },
+            KernelEvent::Exit {
+                pid,
+                status,
+                rusage,
+            } => KernelEvent::Exit {
+                pid,
+                status,
+                rusage,
+            },
+            KernelEvent::SignalDelivered { pid, signal } => {
+                KernelEvent::SignalDelivered { pid, signal }
             }
-            _ => 112,
-        }
-    }
-
-    /// Every name [`KernelEvent::kind`] gives, in variant order.
-    pub const KINDS: [&'static str; 10] = [
-        "fork",
-        "exec",
-        "exit",
-        "signal",
-        "stop",
-        "cont",
-        "msg-sent",
-        "msg-recv",
-        "file-open",
-        "file-close",
-    ];
-
-    /// Short name for traces and history records.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            KernelEvent::Fork { .. } => "fork",
-            KernelEvent::Exec { .. } => "exec",
-            KernelEvent::Exit { .. } => "exit",
-            KernelEvent::SignalDelivered { .. } => "signal",
-            KernelEvent::Stopped { .. } => "stop",
-            KernelEvent::Continued { .. } => "cont",
-            KernelEvent::MsgSent { .. } => "msg-sent",
-            KernelEvent::MsgReceived { .. } => "msg-recv",
-            KernelEvent::FileOpened { .. } => "file-open",
-            KernelEvent::FileClosed { .. } => "file-close",
+            KernelEvent::Stopped { pid } => KernelEvent::Stopped { pid },
+            KernelEvent::Continued { pid } => KernelEvent::Continued { pid },
+            KernelEvent::MsgSent { pid, bytes } => KernelEvent::MsgSent { pid, bytes },
+            KernelEvent::MsgReceived { pid, bytes } => KernelEvent::MsgReceived { pid, bytes },
+            KernelEvent::FileOpened { pid, ref path } => {
+                KernelEvent::FileOpened { pid, path: f(path) }
+            }
+            KernelEvent::FileClosed { pid, ref path } => {
+                KernelEvent::FileClosed { pid, path: f(path) }
+            }
         }
     }
 }
 
-/// [`KernelEvent::wire_size`] of an exec of `command`: shared with the
-/// kernel's queue, which holds an exec's command as a `Name`.
-pub(crate) fn exec_wire_size(command: &str) -> usize {
-    64 + command.len()
+impl<S: AsRef<str>> KernelEvent<S> {
+    /// Approximate encoded size in bytes, used by the Table 1 latency
+    /// model. The paper's reference kernel→LPM message is 112 bytes.
+    pub fn wire_size(&self) -> usize {
+        match self {
+            KernelEvent::Exec { command, .. } => 64 + command.as_ref().len(),
+            KernelEvent::FileOpened { path, .. } | KernelEvent::FileClosed { path, .. } => {
+                48 + path.as_ref().len()
+            }
+            _ => 112,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -250,19 +295,19 @@ mod tests {
 
     #[test]
     fn event_required_flags() {
-        let e = KernelEvent::Fork {
+        let e: KernelEvent = KernelEvent::Fork {
             parent: Pid(1),
             child: Pid(2),
         };
         assert_eq!(e.required_flag(), TraceFlags::PROC);
-        let e = KernelEvent::Stopped { pid: Pid(3) };
+        let e: KernelEvent = KernelEvent::Stopped { pid: Pid(3) };
         assert_eq!(e.required_flag(), TraceFlags::SIGNALS);
-        let e = KernelEvent::MsgSent {
+        let e: KernelEvent = KernelEvent::MsgSent {
             pid: Pid(3),
             bytes: 10,
         };
         assert_eq!(e.required_flag(), TraceFlags::IPC);
-        let e = KernelEvent::FileOpened {
+        let e: KernelEvent = KernelEvent::FileOpened {
             pid: Pid(3),
             path: "/tmp/x".into(),
         };
@@ -271,7 +316,7 @@ mod tests {
 
     #[test]
     fn exit_event_is_reference_sized() {
-        let e = KernelEvent::Exit {
+        let e: KernelEvent = KernelEvent::Exit {
             pid: Pid(9),
             status: ExitStatus::SUCCESS,
             rusage: Rusage::default(),

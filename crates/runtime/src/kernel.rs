@@ -26,21 +26,23 @@
 //! (see `reparent_to_init`).
 //!
 //! Kernel events coalesce in one queue per tracer. An event joins it as
-//! a [`PendingMsg`], an exec holding the process table's own [`Name`],
-//! so a traced fork, exec and exit queue without an allocation.
+//! a [`KernelMsg<Name>`](KernelMsg), an exec holding the process table's
+//! own [`Name`], so a traced fork, exec and exit queue without an
+//! allocation.
 //! [`Kernel::emit`] reports the event that made a queue non-empty as
 //! `first`, and the backend arms one flush for it. The flush is
 //! [`Kernel::drain_batch`]: the whole queue, oldest first, as one slice
 //! to encode, after which the queue is empty *and keeps its buffer*, so
 //! a tracer's next burst allocates nothing for it. A backend that
 //! delivers one event per wakeup (the checker) calls
-//! [`Kernel::pop_kernel_msg`] instead; neither shifts what stays queued.
+//! [`Kernel::pop_kernel_msg`] instead and encodes the one message the
+//! same way; neither shifts what stays queued.
 
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 
-use crate::events::{self, KernelEvent, TraceFlags};
+use crate::events::{KernelEvent, TraceFlags};
 use crate::fd::{FdKind, OpenMode};
 use crate::hashx::FastMap;
 use crate::ids::{ConnId, Fd, Pid, Port, Uid};
@@ -118,90 +120,7 @@ pub struct Kernel {
     prev_services: Vec<String>,
     /// Kernel events coalescing toward each tracer's next wakeup. A
     /// drained queue stays, empty, for its buffer.
-    pending: FastMap<Pid, VecDeque<PendingMsg>>,
-}
-
-/// A kernel event waiting in its tracer's queue: one [`KernelMsg`] on
-/// the kernel socket once the batch is encoded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingMsg {
-    /// The event.
-    pub event: PendingEvent,
-    /// When the kernel queued it.
-    pub queued_at: SimTime,
-}
-
-/// The event of a [`PendingMsg`]: a [`KernelEvent`], except that an exec
-/// holds the process table's [`Name`] for its command, so queueing one
-/// copies the name and allocates nothing.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PendingEvent {
-    /// `pid` replaced its image with `command`: [`KernelEvent::Exec`].
-    Exec { pid: Pid, command: Name },
-    /// Any other event, as the tracer reads it.
-    Event(KernelEvent),
-}
-
-impl PendingEvent {
-    /// The process the event concerns.
-    fn pid(&self) -> Pid {
-        match self {
-            PendingEvent::Exec { pid, .. } => *pid,
-            PendingEvent::Event(event) => event.pid(),
-        }
-    }
-
-    /// The flag class that must be enabled for the event to be reported.
-    fn required_flag(&self) -> TraceFlags {
-        match self {
-            PendingEvent::Exec { .. } => TraceFlags::PROC,
-            PendingEvent::Event(event) => event.required_flag(),
-        }
-    }
-
-    /// Short name for traces, as [`KernelEvent::kind`] gives it.
-    fn kind(&self) -> &'static str {
-        match self {
-            PendingEvent::Exec { .. } => "exec",
-            PendingEvent::Event(event) => event.kind(),
-        }
-    }
-
-    /// The modelled size on the kernel socket, as
-    /// [`KernelEvent::wire_size`] gives it.
-    fn wire_size(&self) -> usize {
-        match self {
-            PendingEvent::Exec { command, .. } => events::exec_wire_size(command),
-            PendingEvent::Event(event) => event.wire_size(),
-        }
-    }
-
-    /// The owned event, an exec's command copied into its `String`.
-    pub fn to_event(&self) -> KernelEvent {
-        match self {
-            PendingEvent::Exec { pid, command } => KernelEvent::Exec {
-                pid: *pid,
-                command: command.to_string(),
-            },
-            PendingEvent::Event(event) => event.clone(),
-        }
-    }
-}
-
-impl From<KernelEvent> for PendingEvent {
-    fn from(event: KernelEvent) -> Self {
-        PendingEvent::Event(event)
-    }
-}
-
-impl PendingMsg {
-    /// The message as the tracer decodes it.
-    pub fn to_msg(&self) -> KernelMsg {
-        KernelMsg {
-            event: self.event.to_event(),
-            queued_at: self.queued_at,
-        }
-    }
+    pending: FastMap<Pid, VecDeque<KernelMsg<Name>>>,
 }
 
 /// The pid that ends a threaded list: no process is ever pid 0, and a
@@ -652,7 +571,7 @@ impl Kernel {
         // The table's `Name`: a 24-byte copy, or a shared count for a
         // long command, and no allocation either way.
         let command = p.command.clone();
-        self.emit(PendingEvent::Exec { pid, command }, now, fx);
+        self.emit(KernelEvent::Exec { pid, command }, now, fx);
         true
     }
 
@@ -765,8 +684,7 @@ impl Kernel {
     /// process it is about — if there is one, it asked for this class
     /// of event, it is alive, and it is not the process itself (an LPM
     /// does not report itself to itself).
-    pub fn emit(&mut self, event: impl Into<PendingEvent>, now: SimTime, fx: &mut Effects) {
-        let event = event.into();
+    pub fn emit(&mut self, event: KernelEvent<Name>, now: SimTime, fx: &mut Effects) {
         let pid = event.pid();
         let Some(p) = self.procs.get(&pid) else {
             return;
@@ -784,7 +702,7 @@ impl Kernel {
             wire_size: event.wire_size(),
             first: batch.is_empty(),
         });
-        batch.push_back(PendingMsg {
+        batch.push_back(KernelMsg {
             event,
             queued_at: now,
         });
@@ -797,7 +715,7 @@ impl Kernel {
     pub fn drain_batch<R>(
         &mut self,
         tracer: Pid,
-        flush: impl FnOnce(&[PendingMsg]) -> R,
+        flush: impl FnOnce(&[KernelMsg<Name>]) -> R,
     ) -> Option<R> {
         let batch = self.pending.get_mut(&tracer).filter(|b| !b.is_empty())?;
         let flushed = flush(batch.make_contiguous());
@@ -808,16 +726,14 @@ impl Kernel {
         Some(flushed)
     }
 
-    /// Collects only the oldest pending event for `tracer`, as the
-    /// tracer will decode it (backends that deliver one event per
-    /// wakeup).
-    pub fn pop_kernel_msg(&mut self, tracer: Pid) -> Option<KernelMsg> {
-        let msg = self.pending.get_mut(&tracer)?.pop_front()?;
-        Some(msg.to_msg())
+    /// Collects only the oldest pending event for `tracer` (backends
+    /// that deliver one event per wakeup).
+    pub fn pop_kernel_msg(&mut self, tracer: Pid) -> Option<KernelMsg<Name>> {
+        self.pending.get_mut(&tracer)?.pop_front()
     }
 
     /// The non-empty pending batches, in tracer-pid order.
-    pub fn pending_batches(&self) -> Vec<(Pid, &VecDeque<PendingMsg>)> {
+    pub fn pending_batches(&self) -> Vec<(Pid, &VecDeque<KernelMsg<Name>>)> {
         let waiting = self.pending.iter().filter(|(_, b)| !b.is_empty());
         let mut batches: Vec<_> = waiting.map(|(t, b)| (*t, b)).collect();
         batches.sort_unstable_by_key(|(tracer, _)| *tracer);
@@ -826,11 +742,11 @@ impl Kernel {
 
     // ---- per-process syscalls --------------------------------------------
 
-    /// Allocates the kernel socket descriptor of `pid`, the (live)
-    /// calling process.
-    pub fn register_kernel_socket(&mut self, pid: Pid) -> Fd {
-        self.alloc_fd(pid, FdKind::KernelSocket)
-            .expect("caller is alive")
+    /// Allocates the kernel socket descriptor of `pid`, the calling
+    /// process, or fails with [`SysError::NoSuchProcess`] once it has
+    /// exited (a program may go on calling after its own `exit`).
+    pub fn register_kernel_socket(&mut self, pid: Pid) -> Result<Fd, SysError> {
+        Ok(self.live_mut(pid)?.fds.alloc(FdKind::KernelSocket))
     }
 
     /// Allocates a descriptor in a live process's table.
@@ -894,8 +810,9 @@ impl Kernel {
         self.emit(KernelEvent::MsgReceived { pid, bytes }, now, fx);
     }
 
-    /// Opens a file in the descriptor table of `pid`, the (live)
-    /// calling process.
+    /// Opens a file in the descriptor table of `pid`, the calling
+    /// process, or fails with [`SysError::NoSuchProcess`], reporting
+    /// nothing, once it has exited.
     pub fn open_path(
         &mut self,
         pid: Pid,
@@ -903,16 +820,16 @@ impl Kernel {
         mode: OpenMode,
         now: SimTime,
         fx: &mut Effects,
-    ) -> Fd {
-        let p = self.live_mut(pid).expect("caller is alive");
+    ) -> Result<Fd, SysError> {
+        let p = self.live_mut(pid)?;
         p.rusage.files_opened += 1;
-        let file = FdKind::File {
-            path: path.clone(),
-            mode,
+        let event = KernelEvent::FileOpened {
+            pid,
+            path: Name::new(&path),
         };
-        let fd = p.fds.alloc(file);
-        self.emit(KernelEvent::FileOpened { pid, path }, now, fx);
-        fd
+        let fd = p.fds.alloc(FdKind::File { path, mode });
+        self.emit(event, now, fx);
+        Ok(fd)
     }
 
     /// Closes a descriptor of `pid`, or fails with
@@ -930,6 +847,7 @@ impl Kernel {
             .map_err(|_| SysError::BadFileDescriptor)?;
         match p.fds.release(fd).ok_or(SysError::BadFileDescriptor)? {
             FdKind::File { path, .. } => {
+                let path = Name::from(path);
                 self.emit(KernelEvent::FileClosed { pid, path }, now, fx);
                 Ok(None)
             }

@@ -23,13 +23,26 @@ use crate::sys::Sys;
 ///
 /// `queued_at` is the instant the kernel generated the message; the
 /// difference between the delivery time and `queued_at` is exactly the
-/// quantity Table 1 of the paper reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelMsg {
+/// quantity Table 1 of the paper reports. `S` holds the event's text,
+/// as in [`KernelEvent`]: the kernel's queue holds `KernelMsg<Name>`,
+/// a walk over a batch frame yields `KernelMsg<&str>`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelMsg<S = String> {
     /// The event.
-    pub event: KernelEvent,
+    pub event: KernelEvent<S>,
     /// When the kernel queued the message.
     pub queued_at: SimTime,
+}
+
+impl<S> KernelMsg<S> {
+    /// The same message with its event's text passed through `f`, as
+    /// [`KernelEvent::map`] does.
+    pub fn map<'a, T>(&'a self, f: impl FnOnce(&'a S) -> T) -> KernelMsg<T> {
+        KernelMsg {
+            event: self.event.map(f),
+            queued_at: self.queued_at,
+        }
+    }
 }
 
 /// Errors returned by syscalls.

@@ -340,7 +340,11 @@ pub trait Sys {
 
     /// Allocates the kernel socket descriptor (LPMs call this once; see
     /// Figure 4 of the paper).
-    fn register_kernel_socket(&mut self) -> Fd {
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::NoSuchProcess`] after the caller's own exit.
+    fn register_kernel_socket(&mut self) -> Result<Fd, SysError> {
         let pid = self.pid();
         self.kernel_fx().0.register_kernel_socket(pid)
     }
@@ -398,7 +402,11 @@ pub trait Sys {
 
     /// Opens a file, allocating a descriptor. (Prefer the inherent `open`
     /// convenience.)
-    fn open_path(&mut self, path: String, mode: OpenMode) -> Fd {
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::NoSuchProcess`] after the caller's own exit.
+    fn open_path(&mut self, path: String, mode: OpenMode) -> Result<Fd, SysError> {
         let (pid, now) = (self.pid(), self.now());
         let (kernel, fx) = self.kernel_fx();
         let fd = kernel.open_path(pid, path, mode, now, fx);
@@ -451,7 +459,11 @@ impl dyn Sys + '_ {
     }
 
     /// Opens a file, allocating a descriptor.
-    pub fn open(&mut self, path: impl Into<String>, mode: OpenMode) -> Fd {
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::NoSuchProcess`] after the caller's own exit.
+    pub fn open(&mut self, path: impl Into<String>, mode: OpenMode) -> Result<Fd, SysError> {
         self.open_path(path.into(), mode)
     }
 }
@@ -569,7 +581,7 @@ mod tests {
         sys.send(conn, Bytes::from_static(b"hi")).unwrap();
         sys.stable_put("k", Bytes::from_static(b"v"));
         assert_eq!(sys.stable_get("k"), Some(Bytes::from_static(b"v")));
-        let fd = sys.open("/tmp/f", OpenMode::ReadWrite);
+        let fd = sys.open("/tmp/f", OpenMode::ReadWrite).unwrap();
         assert!(sys.close_fd(fd).is_ok());
         sys.set_timer(SimDuration::from_millis(5), 7);
         assert_eq!(mini.hub.trace.entries().next().unwrap().text(), "n=1");

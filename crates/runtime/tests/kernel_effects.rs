@@ -4,8 +4,10 @@
 use bytes::Bytes;
 
 use ppm_runtime::events::{KernelEvent, TraceFlags};
+use ppm_runtime::fd::OpenMode;
 use ppm_runtime::ids::{Pid, Port, Uid};
-use ppm_runtime::kernel::{Effect, Effects, Kernel, PendingMsg};
+use ppm_runtime::kernel::{Effect, Effects, Kernel};
+use ppm_runtime::name::Name;
 use ppm_runtime::program::{KernelMsg, SigAction, SysError};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::CRASHED_AT_KEY;
@@ -22,7 +24,7 @@ fn traced(flags: TraceFlags) -> (Kernel, Pid, Pid, Effects) {
     let lpm = k.spawn(Pid::INIT, USER, "lpm", false, T0, &mut fx);
     let job = k.spawn(Pid::INIT, USER, "job", false, T0, &mut fx);
     assert!(k.start(lpm, T0, &mut fx) && k.start(job, T0, &mut fx));
-    k.register_kernel_socket(lpm);
+    k.register_kernel_socket(lpm).expect("alive");
     k.adopt(job, lpm, USER, flags).expect("same user");
     assert!(fx.is_empty(), "nothing traced yet: {fx:?}");
     (k, lpm, job, fx)
@@ -55,8 +57,7 @@ fn children_inherit_the_tracer_and_only_the_first_event_arms_a_flush() {
     assert_eq!(firsts, [true, false], "the exec rides the fork's flush");
     let batch = k.drain_batch(lpm, <[_]>::to_vec).expect("pending");
     assert_eq!(batch.len(), 2);
-    let fork = batch[0].event.to_event();
-    assert!(matches!(fork, KernelEvent::Fork { child, .. } if child == kid));
+    assert!(matches!(batch[0].event, KernelEvent::Fork { child, .. } if child == kid));
     assert!(k.drain_batch(lpm, |_| ()).is_none(), "collected once");
 }
 
@@ -66,15 +67,14 @@ fn a_batch_drains_in_queue_order_whatever_was_popped_and_arms_again_after() {
     for bytes in 1..=5 {
         k.account_sent(job, bytes, T0, &mut fx);
     }
-    let size = |m: KernelMsg| match m.event {
+    let size = |m: &KernelMsg<Name>| match m.event {
         KernelEvent::MsgSent { bytes, .. } => bytes,
         _ => 0,
     };
-    let sizes =
-        |msgs: &[PendingMsg]| -> Vec<usize> { msgs.iter().map(|m| size(m.to_msg())).collect() };
+    let sizes = |msgs: &[KernelMsg<Name>]| -> Vec<usize> { msgs.iter().map(size).collect() };
     // One event per wakeup takes the oldest; the flush takes the rest.
     let first = k.pop_kernel_msg(lpm).expect("queued");
-    assert_eq!(size(first), 1);
+    assert_eq!(size(&first), 1);
     assert_eq!(k.pending_batches()[0].1.len(), 4);
     assert_eq!(k.drain_batch(lpm, sizes), Some(vec![2, 3, 4, 5]));
     assert!(k.pending_batches().is_empty() && k.pop_kernel_msg(lpm).is_none());
@@ -167,6 +167,21 @@ fn acting_on_a_process_takes_its_owner_or_root() {
     assert_eq!(k.open_fds(USER, lpm).map(|fds| fds.len()), Ok(1));
     k.exit(job, ExitStatus::SUCCESS, T0, &mut fx);
     assert_eq!(k.may_signal(USER, job), Err(SysError::NoSuchProcess));
+}
+
+#[test]
+fn a_dead_caller_is_refused_a_file_and_a_kernel_socket_and_reported_nowhere() {
+    let (mut k, lpm, job, mut fx) = traced(TraceFlags::ALL);
+    k.exit(job, ExitStatus::SUCCESS, T0, &mut fx);
+    fx.clear();
+    let opened = k.open_path(job, "/tmp/late".into(), OpenMode::Write, T0, &mut fx);
+    assert_eq!(opened, Err(SysError::NoSuchProcess));
+    assert_eq!(k.register_kernel_socket(job), Err(SysError::NoSuchProcess));
+    assert!(fx.is_empty(), "nothing queued: {fx:?}");
+    assert_eq!(k.rusage_of(job).expect("retained").files_opened, 0);
+    // The live tracer's own calls still answer.
+    let fd = k.open_path(lpm, "/tmp/log".into(), OpenMode::Write, T0, &mut fx);
+    assert!(fd.is_ok() && k.register_kernel_socket(lpm).is_ok());
 }
 
 #[test]

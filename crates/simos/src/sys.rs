@@ -161,7 +161,7 @@ mod tests {
             assert_eq!(sys.host_name(), "a");
             assert!(sys.pid().0 > 1);
             assert_eq!(sys.uid(), Uid(7));
-            let fd = sys.open("/tmp/file", OpenMode::ReadWrite);
+            let fd = sys.open("/tmp/file", OpenMode::ReadWrite).expect("alive");
             assert!(sys.close_fd(fd).is_ok());
             assert!(sys.close_fd(fd).is_err());
             assert!(sys.resolve_host("a").is_ok());

@@ -274,7 +274,7 @@ struct Tracer {
 }
 impl Program for Tracer {
     fn on_start(&mut self, sys: &mut dyn Sys) {
-        sys.register_kernel_socket();
+        sys.register_kernel_socket().expect("alive");
         sys.adopt(self.target, TraceFlags::PROC).unwrap();
     }
     fn on_kernel_batch(&mut self, _sys: &mut dyn Sys, data: bytes::Bytes) {
@@ -293,7 +293,7 @@ struct LatencyTracer {
 }
 impl Program for LatencyTracer {
     fn on_start(&mut self, sys: &mut dyn Sys) {
-        sys.register_kernel_socket();
+        sys.register_kernel_socket().expect("alive");
         sys.adopt(self.target, TraceFlags::PROC).unwrap();
     }
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: bytes::Bytes) {
@@ -445,7 +445,7 @@ fn exit_event_carries_final_rusage() {
     }
     impl Program for ExitWatch {
         fn on_start(&mut self, sys: &mut dyn Sys) {
-            sys.register_kernel_socket();
+            sys.register_kernel_socket().expect("alive");
             sys.adopt(self.target, TraceFlags::PROC).unwrap();
         }
         fn on_kernel_batch(&mut self, _sys: &mut dyn Sys, data: bytes::Bytes) {

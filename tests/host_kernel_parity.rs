@@ -28,6 +28,10 @@
 //! last one: each action says `NoSuchHost`, each query `None` or
 //! `false`, and none panics.
 //!
+//! A sixth starts two processes that exit and then make one more call,
+//! one opening a file and one registering a kernel socket: each ends
+//! with its exit status, and none panics the world.
+//!
 //! Each script is one generic driver, run on all three `Runtime`s.
 
 use bytes::Bytes;
@@ -40,7 +44,7 @@ use ppm_runtime::fd::{FdKind, OpenMode};
 use ppm_runtime::ids::{ConnId, CpuClass, HostId, Pid, Port, Uid};
 use ppm_runtime::program::{ConnEvent, Program, SigAction, SpawnSpec, SysError};
 use ppm_runtime::rt::Runtime;
-use ppm_runtime::signal::Signal;
+use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::SimDuration;
 use ppm_simos::world::World;
@@ -59,7 +63,7 @@ struct Subject;
 impl Program for Subject {
     fn on_start(&mut self, sys: &mut dyn Sys) {
         sys.spawn(SpawnSpec::inert("kid")).expect("fork kid");
-        let fd = sys.open("/tmp/parity", OpenMode::Write);
+        let fd = sys.open("/tmp/parity", OpenMode::Write).expect("alive");
         sys.close_fd(fd).expect("close own file");
     }
 
@@ -136,7 +140,7 @@ impl Observer {
 
 impl Program for Observer {
     fn on_start(&mut self, sys: &mut dyn Sys) {
-        sys.register_kernel_socket();
+        sys.register_kernel_socket().expect("alive");
         let subject = sys
             .spawn(SpawnSpec::new("subject", Box::new(Subject)))
             .expect("spawn subject");
@@ -557,4 +561,69 @@ fn an_unknown_host_is_an_answer_not_a_panic_on_sim_real_and_mc() {
     let real = unknown_host_on(&mut RealRuntime::with_trace(false));
     assert_eq!(real, expected, "real backend diverges from sim");
     assert_eq!(unknown_host_on(&mut McWorld::new()), expected, "mc");
+}
+
+/// Where the sixth script's parent reports how its children ended.
+const LATE_REPORT: &str = "parity.late";
+
+/// Exits, then opens a file (or, with `register`, registers a kernel
+/// socket) as if it had not.
+struct LateCaller {
+    register: bool,
+}
+
+impl Program for LateCaller {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.exit(0);
+        if self.register {
+            let _ = sys.register_kernel_socket();
+        } else {
+            let _ = sys.open("/tmp/late", OpenMode::Write);
+        }
+    }
+}
+
+/// Starts both late callers and reports each child's exit, in name order.
+#[derive(Default)]
+struct LateParent {
+    names: Vec<(Pid, &'static str)>,
+    ended: Vec<String>,
+}
+
+impl Program for LateParent {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        for (name, register) in [("late-open", false), ("late-register", true)] {
+            let spec = SpawnSpec::new(name, Box::new(LateCaller { register }));
+            let pid = sys.spawn(spec).expect("spawn late caller");
+            self.names.push((pid, name));
+        }
+    }
+
+    fn on_child_exit(&mut self, sys: &mut dyn Sys, child: Pid, status: ExitStatus) {
+        let name = self.names.iter().find(|(pid, _)| *pid == child);
+        let name = name.map_or("other", |(_, name)| name);
+        self.ended.push(format!("{name} {status}"));
+        if self.ended.len() == self.names.len() {
+            self.ended.sort();
+            sys.stable_put(LATE_REPORT, self.ended.join("\n"));
+        }
+    }
+}
+
+fn late_calls_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
+    let host = rt.add_host("a", CpuClass::Vax780);
+    let spec = SpawnSpec::new("late-parent", Box::<LateParent>::default());
+    rt.spawn_user(host, OWNER, spec).expect("spawn late parent");
+    wait_for(rt, host, LATE_REPORT);
+    text(rt.stable_get(host, LATE_REPORT), "report", backend)
+}
+
+#[test]
+fn a_call_after_its_own_exit_is_answered_not_a_panic_on_sim_real_and_mc() {
+    let expected = "late-open exit(0)\nlate-register exit(0)";
+    assert_eq!(late_calls_on(&mut World::new(7), "sim"), expected);
+    let real = late_calls_on(&mut RealRuntime::with_trace(false), "real");
+    assert_eq!(real, expected, "real backend diverges from sim");
+    let mc = late_calls_on(&mut McWorld::new(), "mc");
+    assert_eq!(mc, expected, "model checker diverges from sim");
 }
