@@ -20,6 +20,14 @@
 //! A driver boots and runs it like the other two backends, through
 //! [`Runtime`]: `run(span)` is the default schedule, the first enabled
 //! move in drain order until the span has passed.
+//!
+//! Processes run on the one host driver ([`ppm_runtime::host`]), with
+//! the sim's rules: `exit` takes effect at the call, a stopped process's
+//! timers, messages and kernel batches wait for its `SIGCONT`, and a
+//! signal a program posts, like an event a `SIGCONT` releases, runs once
+//! the move's callbacks have returned. This world supplies the driver's
+//! backend: its clock, its queues, and the frontier (a start, a timer
+//! or a child's exit the driver schedules becomes an enabled move).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hasher;
@@ -28,19 +36,19 @@ use bytes::Bytes;
 
 use ppm_core::Lpm;
 use ppm_proto::codec::Wire;
+use ppm_proto::kernel_wire::encode_kernel_batch;
 use ppm_proto::Msg;
 use ppm_runtime::conn::{ConnState, ConnTable, Endpoint, Tell};
 use ppm_runtime::hashx::HashX;
+use ppm_runtime::host::{After, Backend, Driver, Hosts, Wake};
 use ppm_runtime::inetd::Inetd;
-use ppm_runtime::kernel::{Effect, Effects, Kernel};
+use ppm_runtime::kernel::Kernel;
 use ppm_runtime::obs::{HubRef, MetricSample, ObsHub};
 use ppm_runtime::rt::{Runtime, ServiceFactory, Services};
 use ppm_runtime::signal::{ExitStatus, Signal};
-use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
 use ppm_runtime::{
-    ConnEvent, ConnId, CpuClass, HostId, Pid, Port, ProcKey, Program, SigAction, SpawnSpec,
-    SysError, Uid,
+    ConnEvent, ConnId, CpuClass, HostId, Pid, Port, ProcKey, Program, SpawnSpec, SysError, Uid,
 };
 
 /// Process key used internally: (host index, pid number). Plain integers
@@ -82,6 +90,7 @@ fn end(k: K) -> Endpoint {
 struct McTimer {
     owner: K,
     token: u64,
+    boot: u32,
     due: SimTime,
 }
 
@@ -115,9 +124,9 @@ pub enum Move {
     Fault(usize),
 }
 
-/// The bounded-model-checking world: per-host kernels (the same
-/// [`Kernel`] state machine the sim and real backends run), programs,
-/// and the frontier of pending deliveries.
+/// The bounded-model-checking world: the host driver's table (per-host
+/// kernels — the same [`Kernel`] state machine the sim and real
+/// backends run — and programs) and the frontier of pending deliveries.
 pub struct McWorld {
     clock: SimTime,
     /// Timers due after this instant are no move: the end of the
@@ -125,13 +134,11 @@ pub struct McWorld {
     /// from generating unbounded suffixes; `run` sets its own.
     horizon: SimTime,
     host_names: Vec<String>,
-    kernels: Vec<Kernel>,
-    /// The kernels' effects sink, drained after every kernel call.
-    fx: Effects,
+    /// The kernels, programs and held events: the host driver's table.
+    hosts: Hosts,
     /// Currently cut host pairs (normalized low-high). Everything else
     /// in the static topology is routable; worlds are fully meshed.
     cut_links: BTreeSet<(u32, u32)>,
-    progs: BTreeMap<K, Box<dyn Program>>,
     conns: ConnTable<Queues>,
     /// The connections that can still make a move: open ones, and closed
     /// ones with items queued. A closed connection never gets another
@@ -141,6 +148,10 @@ pub struct McWorld {
     next_timer: u64,
     child_exits: BTreeMap<K, VecDeque<(Pid, ExitStatus)>>,
     starts: BTreeSet<K>,
+    /// What runs once the current move's callbacks have returned, in
+    /// order: the signals programs posted, and the events a `SIGCONT`
+    /// released.
+    after: VecDeque<(ProcKey, Wake)>,
     /// inetd's registry (the harness registers pmd).
     services: Services,
     /// What the world records about itself. Tracing is off — and costs
@@ -181,16 +192,15 @@ impl McWorld {
             clock: SimTime::from_micros(1_000),
             horizon: SimTime::FAR_FUTURE,
             host_names: Vec::new(),
-            kernels: Vec::new(),
-            fx: Effects::new(),
+            hosts: Hosts::default(),
             cut_links: BTreeSet::new(),
-            progs: BTreeMap::new(),
             conns: ConnTable::default(),
             busy: BTreeSet::new(),
             timers: BTreeMap::new(),
             next_timer: 1,
             child_exits: BTreeMap::new(),
             starts: BTreeSet::new(),
+            after: VecDeque::new(),
             services: Services::default(),
             hub: ObsHub::new(false),
             kill_log: BTreeMap::new(),
@@ -277,16 +287,19 @@ impl McWorld {
 
     // ---- inspection (predicates) ----------------------------------------
 
-    /// All live LPM programs, keyed by (host, pid).
+    /// All live LPM programs, keyed by (host, pid), in that order.
     pub fn lpms(&self) -> Vec<(K, &Lpm)> {
-        self.progs
-            .iter()
+        let mut lpms: Vec<_> = self
+            .hosts
+            .programs()
             .filter_map(|(k, p)| {
                 p.as_any()
                     .and_then(|a| a.downcast_ref::<Lpm>())
-                    .map(|l| (*k, l))
+                    .map(|l| (key(k), l))
             })
-            .collect()
+            .collect();
+        lpms.sort_unstable_by_key(|(k, _)| *k);
+        lpms
     }
 
     /// Host name for a host index.
@@ -319,7 +332,8 @@ impl McWorld {
     /// First live pid on `host` with the given command name, whoever
     /// owns it (what [`Adversary::KillProc`] aims at).
     fn first_live(&self, host: u32, command: &str) -> Option<u32> {
-        self.kernels[host as usize]
+        self.hosts
+            .kernel(HostId(host))
             .processes()
             .find(|p| p.is_alive() && p.command == command)
             .map(|p| p.pid.0)
@@ -341,9 +355,9 @@ impl McWorld {
                 }
             }
         }
-        for (host, kernel) in self.kernels.iter().enumerate() {
+        for (host, kernel) in self.hosts.iter() {
             for (tracer, _) in kernel.pending_batches() {
-                moves.push(Move::Kernel((host as u32, tracer.0)));
+                moves.push(Move::Kernel((host.0, tracer.0)));
             }
         }
         for (&k, q) in &self.child_exits {
@@ -421,7 +435,9 @@ impl McWorld {
     }
 
     fn proc_label(&self, k: K) -> String {
-        let cmd = self.kernels[k.0 as usize]
+        let cmd = self
+            .hosts
+            .kernel(HostId(k.0))
             .get(Pid(k.1))
             .map_or("?", |p| p.command.as_str());
         format!("{cmd}@{}:{}", self.host_names[k.0 as usize], k.1)
@@ -431,39 +447,39 @@ impl McWorld {
     /// [`McWorld::enabled_moves`].
     pub fn apply(&mut self, mv: &Move) {
         match mv {
-            Move::Start(k) => self.do_start(*k),
+            Move::Start(k) => {
+                self.starts.remove(k);
+                self.clock += TICK;
+                self.wake(end(*k), Wake::Start);
+            }
             Move::Net { conn, to_b } => self.do_deliver(*conn, *to_b),
             Move::Kernel(k) => {
                 self.clock += TICK;
-                if let Some(msg) = self.kernels[k.0 as usize].pop_kernel_msg(Pid(k.1)) {
-                    // One message per move, through the batch frame the
-                    // sim and real backends ship.
-                    let frame = ppm_proto::kernel_wire::encode_kernel_batch(&[msg]);
-                    self.dispatch(*k, |p, sys| p.on_kernel_batch(sys, frame));
-                }
+                self.wake(end(*k), Wake::Flush);
             }
             Move::ChildExit(k) => {
                 self.clock += TICK;
                 let item = self.child_exits.get_mut(k).and_then(VecDeque::pop_front);
                 if let Some((child, status)) = item {
-                    self.dispatch(*k, |p, sys| p.on_child_exit(sys, child, status));
+                    self.wake(end(*k), Wake::ChildExit { child, status });
                 }
             }
             Move::Timer(id) => {
                 if let Some(t) = self.timers.remove(id) {
                     self.clock = self.clock.max(t.due);
-                    self.dispatch(t.owner, |p, sys| p.on_timer(sys, t.token));
+                    let (token, boot) = (t.token, t.boot);
+                    self.wake(end(t.owner), Wake::Timer { token, boot });
                 }
             }
             Move::Fault(i) => self.do_fault(*i),
         }
+        self.run_after();
     }
 
-    fn do_start(&mut self, k: K) {
-        self.starts.remove(&k);
-        self.clock += TICK;
-        if self.kernel_call(k.0, |kn, now, fx| kn.start(Pid(k.1), now, fx)) {
-            self.dispatch(k, |p, sys| p.on_start(sys));
+    /// Runs what the move's callbacks left to run after them.
+    fn run_after(&mut self) {
+        while let Some((to, wake)) = self.after.pop_front() {
+            self.wake(to, wake);
         }
     }
 
@@ -474,36 +490,28 @@ impl McWorld {
             return;
         };
         let (server, to) = (c.server, if to_b { c.server } else { c.client });
-        let (dst, now) = (key(to), self.clock);
+        let now = self.clock;
         let queue = self.conns.link_mut(cid).map(|q| &mut q[usize::from(to_b)]);
         let Some(item) = queue.and_then(VecDeque::pop_front) else {
             return;
         };
-        let kernel = &mut self.kernels[dst.0 as usize];
         match item {
-            NetItem::Msg(bytes) => {
-                let handed = self
-                    .conns
-                    .deliver(cid, to, bytes.len(), now, kernel, &mut self.fx);
-                self.apply_effects(dst.0);
-                if handed {
-                    self.dispatch(dst, |p, sys| p.on_message(sys, cid, bytes));
-                }
-            }
+            NetItem::Msg(data) => self.wake(to, Wake::Message { conn: cid, data }),
             NetItem::Conn(event) => {
                 match event {
                     // The handshake completes when either end first hears of it.
                     ConnEvent::Established | ConnEvent::Accepted { .. } => {
-                        let kernel = &mut self.kernels[server.0 .0 as usize];
+                        let kernel = self.hosts.kernel_mut(server.0);
                         self.conns.establish(cid, now, kernel);
                     }
                     ConnEvent::Failed(_) => self.last_disruption_at = Some(now),
                     ConnEvent::Closed => {
                         self.last_disruption_at = Some(now);
+                        let kernel = self.hosts.kernel_mut(to.0);
                         self.conns.told_closed(cid, to, now, kernel);
                     }
                 }
-                self.dispatch(dst, |p, sys| p.on_conn_event(sys, cid, event));
+                self.wake(to, Wake::Told { conn: cid, event });
             }
         }
         let c = self.conns.get(cid).expect("delivered on");
@@ -523,7 +531,7 @@ impl McWorld {
         match adv.clone() {
             Adversary::KillProc { host, command } => {
                 if let Some(pid) = self.first_live(host, &command) {
-                    self.deliver_signal((host, pid), Signal::Kill);
+                    self.wake((HostId(host), Pid(pid)), Wake::Signal(Signal::Kill));
                 }
             }
             Adversary::CutLink { a, b } => {
@@ -588,7 +596,7 @@ impl McWorld {
     /// the observables predicates read — is folded in.
     pub fn digest(&self) -> u64 {
         let mut h = HashX::default();
-        for kernel in &self.kernels {
+        for (_, kernel) in self.hosts.iter() {
             h.write_u32(kernel.boot_count());
             for p in kernel.processes() {
                 h.write_u32(p.pid.0);
@@ -608,9 +616,9 @@ impl McWorld {
             h.write_u32(*a);
             h.write_u32(*b);
         }
-        for (host, kernel) in self.kernels.iter().enumerate() {
+        for (host, kernel) in self.hosts.iter() {
             for (port, pid) in kernel.listeners() {
-                h.write_u32(host as u32);
+                h.write_u32(host.0);
                 h.write_u16(port.0);
                 h.write_u32(pid.0);
             }
@@ -658,9 +666,9 @@ impl McWorld {
             h.write_u32(t.owner.1);
             h.write_u64(t.token);
         }
-        for (host, kernel) in self.kernels.iter().enumerate() {
+        for (host, kernel) in self.hosts.iter() {
             for (tracer, q) in kernel.pending_batches() {
-                h.write_u32(host as u32);
+                h.write_u32(host.0);
                 h.write_u32(tracer.0);
                 h.write_u64(q.len() as u64);
                 for m in q {
@@ -680,10 +688,23 @@ impl McWorld {
             h.write_u32(k.0);
             h.write_u32(k.1);
         }
-        for (k, p) in &self.progs {
-            h.write_u32(k.0);
-            h.write_u32(k.1);
+        // The driver's table hashes in no fixed order: walk it by
+        // (host, pid), as the digest always has.
+        let mut programs: Vec<_> = self.hosts.programs().collect();
+        programs.sort_unstable_by_key(|(k, _)| *k);
+        for (k, p) in programs {
+            h.write_u32(k.0 .0);
+            h.write_u32(k.1 .0);
             h.write_u64(p.state_digest());
+        }
+        let mut held: Vec<_> = self.hosts.held().collect();
+        held.sort_unstable_by_key(|(k, _)| *k);
+        for (k, wakes) in held {
+            h.write_u32(k.0 .0);
+            h.write_u32(k.1 .0);
+            for wake in wakes {
+                h.write(format!("{wake:?}").as_bytes());
+            }
         }
         // Observables the predicates read must split states, or pruning
         // could hide a violation behind an already-visited digest.
@@ -712,93 +733,11 @@ impl McWorld {
     // ---- internals ------------------------------------------------------
 
     fn proc_alive(&self, k: K) -> bool {
-        self.kernels[k.0 as usize].is_alive(Pid(k.1))
+        self.hosts.kernel(HostId(k.0)).is_alive(Pid(k.1))
     }
 
     fn route_alive(&self, a: u32, b: u32) -> bool {
         a == b || !self.cut_links.contains(&norm(a, b))
-    }
-
-    /// Runs a program callback with a scoped syscall view, then applies
-    /// any deferred exit. The program is removed from the table for the
-    /// duration so nested dispatches (a kill landing on another process)
-    /// can run re-entrantly.
-    fn dispatch<F>(&mut self, k: K, f: F)
-    where
-        F: FnOnce(&mut dyn Program, &mut dyn Sys),
-    {
-        let Some(mut prog) = self.progs.remove(&k) else {
-            return;
-        };
-        let mut sys = McSys {
-            w: self,
-            key: k,
-            exited: None,
-            own_signals: Vec::new(),
-        };
-        f(prog.as_mut(), &mut sys);
-        let McSys {
-            exited,
-            own_signals,
-            ..
-        } = sys;
-        if exited.is_none() && self.proc_alive(k) {
-            self.progs.insert(k, prog);
-        }
-        if let Some(status) = exited {
-            self.kernel_call(k.0, |kn, now, fx| kn.exit(Pid(k.1), status, now, fx));
-        }
-        for signal in own_signals {
-            self.deliver_signal(k, signal);
-        }
-    }
-
-    /// Runs one call into `host`'s kernel at the current instant, then
-    /// turns what the kernel asked for into frontier state, in order.
-    fn kernel_call<R>(
-        &mut self,
-        host: u32,
-        f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R,
-    ) -> R {
-        let out = f(&mut self.kernels[host as usize], self.clock, &mut self.fx);
-        self.apply_effects(host);
-        out
-    }
-
-    fn apply_effects(&mut self, host: u32) {
-        let mut fx = std::mem::take(&mut self.fx);
-        for effect in fx.drain(..) {
-            // Queued events wait in the kernel until a `Kernel` move pops
-            // them; stopped programs are not held back; the kernel's own
-            // steps are not traced (a move's description names them).
-            if let Effect::Gone(pid, status, notify) = effect {
-                self.process_gone((host, pid.0), status, notify);
-            }
-        }
-        self.fx = fx;
-    }
-
-    /// Frontier teardown for an exited process: its pending moves go,
-    /// its connections FIN, its parent (if it has behaviour) is told.
-    fn process_gone(&mut self, k: K, status: ExitStatus, notify: Option<Pid>) {
-        self.progs.remove(&k);
-        self.starts.remove(&k);
-        self.child_exits.remove(&k);
-        self.timers.retain(|_, t| t.owner != k);
-        // Events still queued for a dead tracer would only be no-op moves.
-        self.kernels[k.0 as usize].drain_batch(Pid(k.1), |_| ());
-        for told in self.conns.process_gone(end(k), self.clock) {
-            self.fin(told);
-        }
-        if let Some(ppid) = notify {
-            let parent = (k.0, ppid.0);
-            if self.progs.contains_key(&parent) || self.starts.contains(&parent) {
-                self.child_exits
-                    .entry(parent)
-                    .or_default()
-                    .push_back((Pid(k.1), status));
-            }
-        }
     }
 
     /// One end closed or died: items travelling toward it are dropped,
@@ -810,34 +749,6 @@ impl McWorld {
         q[1 - toward_peer].clear();
         q[toward_peer].push_back(CLOSED);
     }
-
-    /// Forks a child of `parent`; it starts via its `Start` move.
-    fn spawn(&mut self, parent: K, uid: Uid, spec: SpawnSpec) -> Pid {
-        let pid = self.kernel_call(parent.0, |kn, now, fx| {
-            kn.spawn(Pid(parent.1), uid, spec.command, spec.cpu_bound, now, fx)
-        });
-        if let Some(program) = spec.program {
-            self.progs.insert((parent.0, pid.0), program);
-        }
-        self.starts.insert((parent.0, pid.0));
-        pid
-    }
-
-    /// Applies a signal to a live process: the kernel does the state
-    /// changes and events, the target's handler runs in between.
-    fn deliver_signal(&mut self, k: K, signal: Signal) {
-        let pid = Pid(k.1);
-        if !self.proc_alive(k)
-            || !self.kernel_call(k.0, |kn, now, fx| kn.deliver_signal(pid, signal, now, fx))
-        {
-            return;
-        }
-        let mut action = SigAction::Default;
-        self.dispatch(k, |p, sys| action = p.on_signal(sys, signal));
-        self.kernel_call(k.0, |kn, now, fx| {
-            kn.finish_signal(pid, signal, action, now, fx);
-        });
-    }
 }
 
 impl Runtime for McWorld {
@@ -847,35 +758,35 @@ impl Runtime for McWorld {
 
     /// A host routable to every other, with inetd spawned on it.
     fn add_host(&mut self, name: &str, _cpu: CpuClass) -> HostId {
-        let host = self.kernels.len() as u32;
+        let host = self.hosts.add(Kernel::new(self.clock));
         self.host_names.push(name.to_string());
-        self.kernels.push(Kernel::new(self.clock));
         let inetd = SpawnSpec::new("inetd", Box::new(Inetd::new()));
-        self.spawn((host, Pid::INIT.0), Uid::ROOT, inetd);
-        HostId(host)
+        let spawned = self.fork(host, Pid::INIT, Uid::ROOT, inetd, None);
+        spawned.expect("a checker's host never goes down");
+        host
     }
 
     /// A child of init; it starts with its `Start` move.
     fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        if host.0 as usize >= self.kernels.len() {
+        if self.hosts.get(host).is_none() {
             return Err(SysError::NoSuchHost);
         }
-        Ok(self.spawn((host.0, Pid::INIT.0), uid, spec))
+        self.fork(host, Pid::INIT, uid, spec, None)
     }
 
     /// Checked by the kernel, then delivered on the spot.
     fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError> {
-        let (host, pid) = target;
-        let kernel = self.kernels.get(host.0 as usize);
-        kernel.ok_or(SysError::NoSuchHost)?.may_signal(from, pid)?;
-        self.deliver_signal((host.0, pid.0), signal);
+        let kernel = self.hosts.get(target.0);
+        kernel
+            .ok_or(SysError::NoSuchHost)?
+            .may_signal(from, target.1)?;
+        self.wake(target, Wake::Signal(signal));
+        self.run_after();
         Ok(())
     }
 
     fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
-        self.kernels
-            .get(host.0 as usize)?
-            .find_user_proc(uid, prefix)
+        self.hosts.get(host)?.find_user_proc(uid, prefix)
     }
 
     /// The default schedule: [`McWorld::run_until`]'s drain with the
@@ -890,13 +801,11 @@ impl Runtime for McWorld {
     }
 
     fn is_alive(&self, host: HostId, pid: Pid) -> bool {
-        self.kernels
-            .get(host.0 as usize)
-            .is_some_and(|k| k.is_alive(pid))
+        self.hosts.get(host).is_some_and(|k| k.is_alive(pid))
     }
 
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.kernels.get(host.0 as usize)?.stable_get(key)
+        self.hosts.get(host)?.stable_get(key)
     }
 
     fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
@@ -934,122 +843,28 @@ fn frame_kind(bytes: &Bytes) -> String {
     }
 }
 
-// ---- the syscall view ---------------------------------------------------
+/// The checker's half of the host driver: its clock and its frontier.
+/// What the driver schedules becomes an enabled move; the kernel's
+/// queued events already are one ([`Move::Kernel`]).
+impl Backend for McWorld {
+    fn hosts(&self) -> &Hosts {
+        &self.hosts
+    }
 
-/// `Sys` implementation scoped to one calling process of the mc world.
-struct McSys<'w> {
-    w: &'w mut McWorld,
-    key: K,
-    /// Set by `exit`; applied by the dispatcher after the callback
-    /// returns.
-    exited: Option<ExitStatus>,
-    /// Signals the caller sent itself: delivered, handler and all, once
-    /// the dispatcher has put the program back.
-    own_signals: Vec<Signal>,
-}
+    fn hosts_mut(&mut self) -> &mut Hosts {
+        &mut self.hosts
+    }
 
-impl Sys for McSys<'_> {
     fn now(&self) -> Micros {
-        self.w.clock
+        self.clock
     }
 
-    fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let id = self.w.next_timer;
-        self.w.next_timer += 1;
-        self.w.timers.insert(
-            id,
-            McTimer {
-                owner: self.key,
-                token,
-                due: self.w.clock + delay,
-            },
-        );
-    }
-
-    fn listen(&mut self, port: Port) -> Result<(), SysError> {
-        self.w.kernels[self.key.0 as usize].bind(Pid(self.key.1), port)
-    }
-
-    fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
-        if host.0 as usize >= self.w.host_names.len() {
-            return Err(SysError::NoSuchHost);
-        }
-        let (me, w) = (end(self.key), &mut *self.w);
-        let listener = w.kernels[host.0 as usize].listener(port);
-        let reachable = w.route_alive(self.key.0, host.0);
-        let Some(pid) = listener.filter(|_| reachable) else {
-            let reason = match reachable {
-                true => SysError::ConnectionRefused,
-                false => SysError::Unreachable,
-            };
-            let server = (host, listener.unwrap_or(Pid::NONE));
-            let told = w.conns.open_refused(me, server, port, reason, w.clock);
-            let queues = w.conns.link_mut(told.conn).expect("just opened");
-            queues[0].push_back(NetItem::Conn(told.event));
-            w.busy.insert(told.conn);
-            return Ok(told.conn);
-        };
-        let kernel = &mut w.kernels[self.key.0 as usize];
-        let id = w.conns.open(me, (host, pid), port, w.clock, kernel);
-        let queues = w.conns.link_mut(id).expect("just opened");
-        queues[0].push_back(NetItem::Conn(ConnEvent::Established));
-        queues[1].push_back(NetItem::Conn(ConnEvent::Accepted { peer: me, port }));
-        w.busy.insert(id);
-        Ok(id)
-    }
-
-    fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
-        let (me, w) = (end(self.key), &mut *self.w);
-        let (k, fx) = (&mut w.kernels[self.key.0 as usize], &mut w.fx);
-        let peer = w.conns.send(conn, me, data.len(), w.clock, k, fx)?;
-        w.apply_effects(self.key.0);
-        if w.route_alive(self.key.0, peer.0 .0) {
-            let (dir, queues) = w.conns.carry(conn, me, data.len());
-            queues[dir].push_back(NetItem::Msg(data));
-            return Ok(());
-        }
-        // Link is cut under an established connection: the send is
-        // silently swallowed (TCP would buffer it); both endpoints later
-        // learn Closed. This is the window the stale-route-cache bug
-        // lived in.
-        w.conns.sever(conn, w.clock);
-        for q in w.conns.link_mut(conn).expect("sent on") {
-            q.push_back(CLOSED);
-        }
-        w.blackhole_sends += 1;
-        Ok(())
-    }
-
-    fn conn_alive(&self, conn: ConnId) -> bool {
-        let peer = self.w.conns.established(conn, end(self.key));
-        // The caller is alive: it is running.
-        peer.is_some_and(|p| self.w.proc_alive(key(p)) && self.w.route_alive(self.key.0, p.0 .0))
-    }
-
-    fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
-        let (me, w) = (end(self.key), &mut *self.w);
-        let kernel = &mut w.kernels[self.key.0 as usize];
-        if let Some(told) = w.conns.close(conn, me, w.clock, kernel)? {
-            w.fin(told);
-        }
-        Ok(())
-    }
-
-    fn host(&self) -> HostId {
-        HostId(self.key.0)
-    }
-
-    fn host_name(&self) -> &str {
-        &self.w.host_names[self.key.0 as usize]
-    }
-
-    fn pid(&self) -> Pid {
-        Pid(self.key.1)
+    fn host_name(&self, host: HostId) -> &str {
+        &self.host_names[host.0 as usize]
     }
 
     fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
-        self.w
-            .host_names
+        self.host_names
             .iter()
             .position(|h| h == name)
             .map(|i| HostId(i as u32))
@@ -1062,45 +877,167 @@ impl Sys for McSys<'_> {
         0.5
     }
 
-    fn exit(&mut self, code: i32) {
-        self.exited = Some(ExitStatus::Code(code));
-    }
-
-    fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        Ok(self.w.spawn((self.key.0, parent.0), uid, spec))
-    }
-
-    fn post_signal(&mut self, target: Pid, signal: Signal) {
-        let host = self.key.0;
-        *self
-            .w
-            .kill_log
-            .entry((host, target.0, signal.number()))
-            .or_insert(0) += 1;
-        if target.0 == self.key.1 {
-            self.own_signals.push(signal);
-        } else {
-            self.w.deliver_signal((host, target.0), signal);
-        }
-    }
-
-    fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)> {
-        self.w.services.make(name, HostId(self.key.0))
-    }
-
-    fn kernel(&self) -> &Kernel {
-        &self.w.kernels[self.key.0 as usize]
-    }
-
-    fn kernel_fx(&mut self) -> (&mut Kernel, &mut Effects) {
-        (&mut self.w.kernels[self.key.0 as usize], &mut self.w.fx)
-    }
-
-    fn flush_effects(&mut self) {
-        self.w.apply_effects(self.key.0);
-    }
-
     fn hub(&mut self) -> HubRef<'_> {
-        HubRef::Own(&mut self.w.hub)
+        HubRef::Own(&mut self.hub)
+    }
+
+    fn make_service(&self, name: &str, host: HostId) -> Option<(Port, Box<dyn Program>)> {
+        self.services.make(name, host)
+    }
+
+    fn listen(&mut self, key: ProcKey, port: Port) -> Result<(), SysError> {
+        self.hosts.kernel_mut(key.0).bind(key.1, port)
+    }
+
+    fn connect(&mut self, me: ProcKey, host: HostId, port: Port) -> Result<ConnId, SysError> {
+        if host.0 as usize >= self.host_names.len() {
+            return Err(SysError::NoSuchHost);
+        }
+        let listener = self.hosts.kernel(host).listener(port);
+        let reachable = self.route_alive(me.0 .0, host.0);
+        let Some(pid) = listener.filter(|_| reachable) else {
+            let reason = match reachable {
+                true => SysError::ConnectionRefused,
+                false => SysError::Unreachable,
+            };
+            let server = (host, listener.unwrap_or(Pid::NONE));
+            let told = self
+                .conns
+                .open_refused(me, server, port, reason, self.clock);
+            let queues = self.conns.link_mut(told.conn).expect("just opened");
+            queues[0].push_back(NetItem::Conn(told.event));
+            self.busy.insert(told.conn);
+            return Ok(told.conn);
+        };
+        let kernel = self.hosts.kernel_mut(me.0);
+        let id = self.conns.open(me, (host, pid), port, self.clock, kernel);
+        let queues = self.conns.link_mut(id).expect("just opened");
+        queues[0].push_back(NetItem::Conn(ConnEvent::Established));
+        queues[1].push_back(NetItem::Conn(ConnEvent::Accepted { peer: me, port }));
+        self.busy.insert(id);
+        Ok(id)
+    }
+
+    fn send(&mut self, me: ProcKey, conn: ConnId, data: Bytes) -> Result<(), SysError> {
+        let (kernel, fx) = self.hosts.kernel_fx(me.0);
+        let peer = self
+            .conns
+            .send(conn, me, data.len(), self.clock, kernel, fx)?;
+        self.apply_effects(me.0);
+        if self.route_alive(me.0 .0, peer.0 .0) {
+            let (dir, queues) = self.conns.carry(conn, me, data.len());
+            queues[dir].push_back(NetItem::Msg(data));
+            return Ok(());
+        }
+        // Link is cut under an established connection: the send is
+        // silently swallowed (TCP would buffer it); both endpoints later
+        // learn Closed. This is the window the stale-route-cache bug
+        // lived in.
+        self.conns.sever(conn, self.clock);
+        for q in self.conns.link_mut(conn).expect("sent on") {
+            q.push_back(CLOSED);
+        }
+        self.blackhole_sends += 1;
+        Ok(())
+    }
+
+    fn close(&mut self, me: ProcKey, conn: ConnId) -> Result<(), SysError> {
+        let kernel = self.hosts.kernel_mut(me.0);
+        if let Some(told) = self.conns.close(conn, me, self.clock, kernel)? {
+            self.fin(told);
+        }
+        Ok(())
+    }
+
+    fn conn_alive(&self, me: ProcKey, conn: ConnId) -> bool {
+        let peer = self.conns.established(conn, me);
+        // The caller is alive: it is running.
+        peer.is_some_and(|p| self.proc_alive(key(p)) && self.route_alive(me.0 .0, p.0 .0))
+    }
+
+    /// A start, a timer or a child's exit becomes frontier state; a
+    /// posted signal and a released event wait for the move's callbacks
+    /// to return.
+    fn schedule(&mut self, to: ProcKey, wake: Wake, after: After) -> SimDuration {
+        let k = key(to);
+        match wake {
+            _ if after == After::Now => self.after.push_back((to, wake)),
+            Wake::Start => {
+                self.starts.insert(k);
+            }
+            Wake::Timer { token, boot } => {
+                let delay = match after {
+                    After::Delay(delay) => delay,
+                    _ => SimDuration::ZERO,
+                };
+                let id = self.next_timer;
+                self.next_timer += 1;
+                let due = self.clock + delay;
+                let timer = McTimer {
+                    owner: k,
+                    token,
+                    boot,
+                    due,
+                };
+                self.timers.insert(id, timer);
+            }
+            Wake::Signal(signal) => {
+                *self
+                    .kill_log
+                    .entry((k.0, k.1, signal.number()))
+                    .or_insert(0) += 1;
+                self.after.push_back((to, Wake::Signal(signal)));
+            }
+            // A parent hears of a child's exit only if it has a program
+            // to hear it with, running or about to start.
+            Wake::ChildExit { child, status }
+                if self.hosts.has_program(to) || self.starts.contains(&k) =>
+            {
+                let exits = self.child_exits.entry(k).or_default();
+                exits.push_back((child, status));
+            }
+            // Nothing else is scheduled on the checker: a flush is a
+            // `Kernel` move already, a message or a connection notice
+            // travels its connection's queue, and an orphaned notice has
+            // no one to hear it.
+            _ => {}
+        }
+        SimDuration::ZERO
+    }
+
+    /// Queued events wait in the kernel until a `Kernel` move pops them.
+    fn queued(&mut self, _: ProcKey, _: usize, _: bool) -> Option<SimDuration> {
+        None
+    }
+
+    /// One message per move, through the batch frame the sim and real
+    /// backends ship.
+    fn flush(&mut self, tracer: ProcKey) -> Option<Bytes> {
+        let msg = self.hosts.kernel_mut(tracer.0).pop_kernel_msg(tracer.1)?;
+        Some(encode_kernel_batch(&[msg]))
+    }
+
+    fn handed(&mut self, to: ProcKey, wake: Wake) -> Option<Wake> {
+        if let Wake::Message { conn, data } = &wake {
+            let (kernel, fx) = self.hosts.kernel_fx(to.0);
+            let now = self.clock;
+            let handed = self.conns.deliver(*conn, to, data.len(), now, kernel, fx);
+            self.apply_effects(to.0);
+            return handed.then_some(wake);
+        }
+        Some(wake)
+    }
+
+    /// Its pending moves go, and its connections FIN.
+    fn gone(&mut self, end: ProcKey) {
+        let k = key(end);
+        self.starts.remove(&k);
+        self.child_exits.remove(&k);
+        self.timers.retain(|_, t| t.owner != k);
+        // Events still queued for a dead tracer would only be no-op moves.
+        self.hosts.kernel_mut(end.0).drain_batch(end.1, |_| ());
+        for told in self.conns.process_gone(end, self.clock) {
+            self.fin(told);
+        }
     }
 }

@@ -17,8 +17,11 @@
 //!   the open-connection index, under every backend.
 //! * [`program`] — the [`program::Program`] actor trait every LPM, pmd,
 //!   inetd, tool and workload implements.
-//! * [`sys`] — the [`sys::Sys`] syscall facade handed to programs: a
-//!   backend supplies its required methods, the rest is written once.
+//! * [`sys`] — the [`sys::Sys`] syscall facade handed to programs.
+//! * [`host`] — the one host driver around the kernels: the program
+//!   table, the callback runner and the one `impl Sys`, exit, spawn,
+//!   signals, the stop rules and effect application, over a small
+//!   [`host::Backend`] each backend supplies (clock, timers, wire).
 //! * [`rt`] — the [`rt::Runtime`] harness facade the backend-conformance
 //!   suite drives.
 //! * [`trace`], [`obs`], [`hashx`] — structured tracing, metrics/spans
@@ -37,6 +40,7 @@ pub mod conn;
 pub mod events;
 pub mod fd;
 pub mod hashx;
+pub mod host;
 pub mod ids;
 pub mod inetd;
 pub mod kernel;

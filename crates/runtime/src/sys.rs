@@ -5,20 +5,21 @@
 //! system calls — spawn/exit/kill/adopt, stream sockets, timers, files,
 //! CPU accounting — plus read-only introspection (`ps`-style queries).
 //!
-//! Three backends implement it — the **simulated** world (`ppm-simos`:
-//! discrete-event time, a modelled network), the **real** node runtime
-//! (`ppm-realos`: the monotonic clock, loopback TCP) and the **model
-//! checker** (`ppm-mc`: event order by explorer choice). Each supplies
-//! only its clock, timers, transport and event order; everything about
-//! processes, signals and kernel events is answered by the one host
-//! kernel they share ([`crate::kernel::Kernel`]).
+//! Every program on every backend — the **simulated** world
+//! (`ppm-simos`), the **real** node runtime (`ppm-realos`) and the
+//! **model checker** (`ppm-mc`) — is lent the one implementation the
+//! host driver writes, [`crate::host::Caller`]; a backend supplies only
+//! its clock, timers, transport and event order
+//! ([`crate::host::Backend`]), and everything about processes, signals
+//! and kernel events is answered by the one host kernel they share
+//! ([`crate::kernel::Kernel`]).
 //!
 //! Protocol code (`ppm-core`, the tools) is written against this trait
 //! only, so the same LPM/pmd/RPC stack drives every world. The trait is
-//! flat: its *required* methods are what a backend genuinely supplies —
-//! the clock, one-shot timers, the transport, identity and name
-//! resolution, raw process creation and signal posting, inetd's
-//! registry, and access to its [`Kernel`], effects sink and
+//! flat: its *required* methods are what the driver supplies — the
+//! clock, one-shot timers, the transport, identity and name resolution,
+//! raw process creation and signal posting, inetd's registry, and
+//! access to its [`Kernel`], effects sink and
 //! [`ObsHub`](crate::obs::ObsHub) — and only what some program calls.
 //! Timers are armed and run out; there is no cancel, because the PPM's
 //! timers (time-to-live, time-to-die, retention, probes, RPC steps) are

@@ -9,7 +9,7 @@
 //! The paper modified 4.3BSD "with kernel changes kept to a minimum"; the
 //! PPM interacts with the kernel only through system calls, stream
 //! sockets and kernel event messages. This crate reproduces that exact
-//! surface (see [`sys::Sys`] and [`ppm_runtime::program::Program`]) so the PPM logic
+//! surface (see [`ppm_runtime::sys::Sys`] and [`ppm_runtime::program::Program`]) so the PPM logic
 //! in `ppm-core` is structured just like the original user-level C
 //! implementation.
 //!
@@ -36,12 +36,10 @@
 
 pub mod config;
 pub mod net;
-pub mod sys;
 pub mod world;
 
 pub use ppm_runtime::{ids, signal};
 
 pub use config::OsConfig;
 pub use ids::{ConnId, Fd, Pid, Port, Uid};
-pub use sys::Sys;
 pub use world::World;

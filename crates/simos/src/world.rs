@@ -5,8 +5,11 @@
 //! attached to processes. Its event loop pops one event at a time, mutates
 //! kernel/network state, and invokes at most one program handler — so a
 //! run with a given seed is exactly reproducible. It is the simulated
-//! backend of the [`Runtime`] facade itself, and lends each program
-//! callback a [`Sys`] that borrows it.
+//! backend of the [`Runtime`] facade itself, and the [`Backend`] of the
+//! one host driver ([`ppm_runtime::host`]), which runs the programs: the
+//! world supplies its virtual clock, its timer wheel, the modelled wire,
+//! the topology's host table, the seeded RNG and cost model, and the
+//! price of every woken event.
 //!
 //! Programs never call each other directly: every interaction (message,
 //! signal, child exit, kernel event) becomes a scheduled event, mirroring
@@ -16,9 +19,8 @@ use std::fmt;
 
 use bytes::Bytes;
 use ppm_proto::kernel_wire::{encode_kernel_batch, walk_kernel_batch};
-use ppm_runtime::hashx::FastMap;
+use ppm_runtime::host::{After, Backend, Caller, Driver, Hosts, Wake};
 use ppm_runtime::ids::CpuClass;
-use ppm_runtime::kernel::{Effect, Effects};
 use ppm_runtime::obs::{CounterId, HistId, HubRef, MetricSample, MetricValue, ObsHub, Registry};
 use ppm_runtime::rt::{Runtime, ServiceFactory, Services};
 use ppm_runtime::sys::Sys as _;
@@ -33,51 +35,23 @@ use ppm_simnet::topology::{HostId, HostSpec, NetSpec, Topology};
 
 use crate::config::OsConfig;
 use crate::ids::{ConnId, Pid, Port, Uid};
-use crate::sys::Sys;
 use ppm_runtime::conn::{ConnState, ConnTable, Connection, Tell};
 use ppm_runtime::kernel::Kernel;
-use ppm_runtime::process::ProcState;
-use ppm_runtime::program::{ConnEvent, ProcKey, Program, SigAction, SpawnSpec, SysError};
-use ppm_runtime::signal::{ExitStatus, Signal};
+use ppm_runtime::program::{ConnEvent, ProcKey, Program, SpawnSpec, SysError};
+use ppm_runtime::signal::Signal;
 
 /// Events flowing through the engine. Internal to the crate; programs see
 /// the typed callbacks of [`Program`] instead.
 #[derive(Debug, Clone)]
 pub(crate) enum SimEvent {
-    Start(ProcKey),
-    /// `(process, token, boot)`: the timer belongs to the boot of its
-    /// host it was armed in ([`Kernel::boot_count`]).
-    Timer(ProcKey, u64, u32),
-    Deliver {
-        conn: ConnId,
-        to: ProcKey,
-        data: Bytes,
-    },
+    /// What the host driver runs for one process: a start, a timer, a
+    /// message, a kernel flush or batch, a signal, a child's exit.
+    Wake(ProcKey, Wake),
     ConnEstablish {
         conn: ConnId,
     },
     /// Tell one end what became of its connection (`Failed`, `Closed`).
     Tell(Tell),
-    /// Deliver the pending kernel-event batch for `to` (armed by the
-    /// first event of the batch; later events ride the same wakeup).
-    KernelFlush {
-        to: ProcKey,
-    },
-    /// A kernel-event batch already encoded, re-delivered after a busy or
-    /// stopped deferral.
-    KernelBatch {
-        to: ProcKey,
-        data: Bytes,
-    },
-    SignalDeliver {
-        to: ProcKey,
-        signal: Signal,
-    },
-    ChildExit {
-        parent: ProcKey,
-        child: Pid,
-        status: ExitStatus,
-    },
     LoadTick(HostId),
     HostCrash(HostId),
     HostRestart(HostId),
@@ -127,8 +101,8 @@ pub(crate) struct NetObs {
 /// jittered latencies: the sim's transport beside each record.
 pub type Floors = [SimTime; 2];
 
-/// The simulated world: its state, which syscalls (via [`Sys`]) operate
-/// on, and the event loop that dispatches its queue to the programs.
+/// The simulated world: its state, which syscalls operate on, and the
+/// event loop that dispatches its queue to the host driver.
 pub struct World {
     // A hierarchical timer wheel: the short-deadline RPC timer population
     // (retransmits, handler slots, housekeeping) lands in the wheel arrays;
@@ -138,20 +112,12 @@ pub struct World {
     pub(crate) latency: LatencyModel,
     pub(crate) rng: SimRng,
     pub(crate) config: OsConfig,
-    /// One kernel per host: all process, signal and kernel-event
-    /// semantics live there; this world only schedules what it asks for.
-    pub(crate) hosts: Vec<Kernel>,
-    /// The kernels' effects sink, drained after every kernel call.
-    pub(crate) fx: Effects,
+    /// One kernel per host (all process, signal and kernel-event
+    /// semantics live there), the programs and the held events: the
+    /// host driver's table; this world only schedules what it asks for.
+    pub(crate) hosts: Hosts,
     pub(crate) conns: ConnTable<Floors>,
     pub(crate) services: Services,
-    /// The behaviour of every live process that has one. A program is
-    /// taken out of its slot for the duration of its own callback, so the
-    /// callback's [`Sys`] can borrow the rest of the world; the slot stays
-    /// (empty) until the program goes back or its process goes.
-    pub(crate) programs: FastMap<ProcKey, Option<Box<dyn Program>>>,
-    /// Events held back because their target process is stopped.
-    pub(crate) deferred: FastMap<ProcKey, Vec<SimEvent>>,
     /// Everything the world records about itself: trace, spans, its own
     /// metrics and the registries programs publish.
     pub(crate) obs: ObsHub,
@@ -234,7 +200,7 @@ impl World {
     ///
     /// Panics on an unknown host id.
     pub fn kernel(&self, host: HostId) -> &Kernel {
-        &self.hosts[host.0 as usize]
+        self.hosts.kernel(host)
     }
 
     /// Mutable kernel of a host.
@@ -243,7 +209,7 @@ impl World {
     ///
     /// Panics on an unknown host id.
     pub fn kernel_mut(&mut self, host: HostId) -> &mut Kernel {
-        &mut self.hosts[host.0 as usize]
+        self.hosts.kernel_mut(host)
     }
 
     /// Looks a host up by name.
@@ -289,10 +255,6 @@ impl World {
         self.obs.trace.note(now, Some(host), cat, note);
     }
 
-    pub(crate) fn host_up(&self, id: HostId) -> bool {
-        self.topo.is_up(id)
-    }
-
     /// Scales a nominal (idle reference machine) CPU cost to this host's
     /// class and current load, with jitter.
     pub(crate) fn scaled_cpu_cost(&mut self, host: HostId, nominal: SimDuration) -> SimDuration {
@@ -303,226 +265,12 @@ impl World {
         self.rng.jitter(scaled, jitter)
     }
 
-    // ---- process management -------------------------------------------
-
-    /// Runs one call into `host`'s kernel at the current instant, then
-    /// schedules whatever the kernel asked for, in the order it asked.
-    pub(crate) fn kernel_call<R>(
-        &mut self,
-        host: HostId,
-        f: impl FnOnce(&mut Kernel, SimTime, &mut Effects) -> R,
-    ) -> R {
-        let now = self.engine.now();
-        let (kernel, fx) = self.kernel_fx(host);
-        let out = f(kernel, now, fx);
-        self.apply_effects(host);
-        out
-    }
-
-    /// `host`'s kernel and the effects sink its calls append to.
-    pub(crate) fn kernel_fx(&mut self, host: HostId) -> (&mut Kernel, &mut Effects) {
-        (&mut self.hosts[host.0 as usize], &mut self.fx)
-    }
-
-    /// Schedules what `host`'s kernel asked for since the last drain.
-    pub(crate) fn apply_effects(&mut self, host: HostId) {
-        if !self.fx.is_empty() {
-            let mut fx = std::mem::take(&mut self.fx);
-            for effect in fx.drain(..) {
-                self.apply_effect(host, effect);
-            }
-            self.fx = fx;
-        }
-    }
-
-    fn apply_effect(&mut self, host: HostId, effect: Effect) {
-        match effect {
-            Effect::Queued {
-                tracer,
-                pid,
-                kind,
-                wire_size,
-                first,
-            } => {
-                self.obs.registry.inc(self.ids.kernel_events);
-                let delay = if first {
-                    // First event of the wakeup pays the Table 1 latency
-                    // and arms the flush; later ones coalesce into the
-                    // same batch frame, one delivery for the burst.
-                    self.obs.registry.inc(self.ids.kernel_wakeups);
-                    let cpu = self.topo.spec(host).cpu;
-                    let la = self.kernel(host).load_avg();
-                    let base = self.latency.kernel_msg(cpu, la, wire_size);
-                    let delay = self.rng.jitter(base, self.latency.jitter_fraction);
-                    let to = (host, tracer);
-                    self.engine.schedule(delay, SimEvent::KernelFlush { to });
-                    Some(delay)
-                } else {
-                    None
-                };
-                let queued = Note::KernelEvent {
-                    kind,
-                    pid,
-                    tracer,
-                    wire_size,
-                    delay,
-                };
-                self.note(host, TraceCategory::Kernel, queued);
-            }
-            Effect::Signaled(pid, signal) => {
-                self.note(host, TraceCategory::Kernel, Note::Signaled { signal, pid });
-            }
-            Effect::Resumed(pid) => {
-                for ev in self.deferred.remove(&(host, pid)).unwrap_or_default() {
-                    self.engine.schedule(SimDuration::ZERO, ev);
-                }
-            }
-            Effect::Exiting(pid, status) => {
-                self.note(host, TraceCategory::Kernel, Note::Exiting { pid, status });
-            }
-            Effect::Gone(pid, status, notify) => {
-                self.programs.remove(&(host, pid));
-                self.deferred.remove(&(host, pid));
-                let now = self.now();
-                for t in self.conns.process_gone((host, pid), now) {
-                    if let RouteState::Hops(hops) = self.route_state(host, t.to.0) {
-                        let jf = self.latency.jitter_fraction;
-                        let base = self.one_way(hops, host, t.to.0, 32);
-                        let delay = self.rng.jitter(base, jf);
-                        self.engine.schedule(delay, SimEvent::Tell(t));
-                    }
-                }
-                if let Some(ppid) = notify {
-                    let delay = self.config.child_exit_latency;
-                    let parent = (host, ppid);
-                    self.engine.schedule(
-                        delay,
-                        SimEvent::ChildExit {
-                            parent,
-                            child: pid,
-                            status,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Creates a process on `host` under `parent`. Returns its pid; the
-    /// program (if any) starts after the fork+exec delay.
-    pub(crate) fn spawn(
-        &mut self,
-        host: HostId,
-        parent: Pid,
-        uid: Uid,
-        spec: SpawnSpec,
-        cost_override: Option<SimDuration>,
-    ) -> Result<Pid, SysError> {
-        if !self.host_up(host) {
-            return Err(SysError::HostDown);
-        }
-        let pid = self.kernel_call(host, |k, now, fx| {
-            k.spawn(parent, uid, spec.command.clone(), spec.cpu_bound, now, fx)
-        });
-        let cost = match cost_override {
-            Some(c) => c,
-            None => {
-                let nominal = self.config.spawn_cost;
-                self.scaled_cpu_cost(host, nominal)
-            }
-        };
-        self.engine.schedule(cost, SimEvent::Start((host, pid)));
-        if let Some(program) = spec.program {
-            self.programs.insert((host, pid), Some(program));
-        }
-        let spawned = Note::Spawned {
-            pid,
-            command: &spec.command,
-            parent,
-            ready_in: cost,
-        };
-        self.note(host, TraceCategory::Kernel, spawned);
-        Ok(pid)
-    }
-
-    /// Terminates a process; the kernel's effects tear down its
-    /// connections and notify its parent.
-    pub(crate) fn do_exit(&mut self, key: ProcKey, status: ExitStatus) {
-        if self.host_up(key.0) {
-            self.kernel_call(key.0, |k, now, fx| k.exit(key.1, status, now, fx));
-        }
-    }
-
-    /// Delivery of a permitted signal, after the signal latency.
-    pub(crate) fn schedule_signal(&mut self, target: ProcKey, signal: Signal) {
-        let delay = self.config.signal_latency;
-        let jf = self.config.cost_jitter;
-        let delay = self.rng.jitter(delay, jf);
-        self.engine
-            .schedule(delay, SimEvent::SignalDeliver { to: target, signal });
+    /// The current instant of the virtual clock.
+    pub fn now(&self) -> SimTime {
+        self.engine.now()
     }
 
     // ---- networking ----------------------------------------------------
-
-    /// Binds a listener.
-    pub(crate) fn listen(&mut self, key: ProcKey, port: Port) -> Result<(), SysError> {
-        let (host, pid) = key;
-        if !self.host_up(host) {
-            return Err(SysError::HostDown);
-        }
-        self.kernel_mut(host).bind(pid, port)?;
-        self.note(host, TraceCategory::Net, Note::Listening { pid, port });
-        Ok(())
-    }
-
-    /// Initiates a connection; completion is reported via `ConnEvent`.
-    pub(crate) fn connect(
-        &mut self,
-        from: ProcKey,
-        target: HostId,
-        port: Port,
-    ) -> Result<ConnId, SysError> {
-        if (target.0 as usize) >= self.hosts.len() {
-            return Err(SysError::NoSuchHost);
-        }
-        let now = self.now();
-        // A SYN that goes nowhere times out; a refused one comes back as an
-        // RST after one round trip. Either way the record is kept, so a
-        // late `close` is harmless.
-        let (delay, reason) = match self.route_state(from.0, target) {
-            RouteState::HostDown => (self.config.connect_timeout, SysError::HostDown),
-            RouteState::Unreachable => (self.config.connect_timeout, SysError::Unreachable),
-            RouteState::Hops(hops) => {
-                let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
-                match self.kernel(target).listener(port) {
-                    None => (rtt, SysError::ConnectionRefused),
-                    Some(server_pid) => {
-                        let kernel = &mut self.hosts[from.0 .0 as usize];
-                        let id = self
-                            .conns
-                            .open(from, (target, server_pid), port, now, kernel);
-                        self.engine
-                            .schedule(rtt, SimEvent::ConnEstablish { conn: id });
-                        let connecting = Note::Connecting {
-                            pid: from.1,
-                            to: &self.topo.spec(target).name,
-                            port,
-                            hops,
-                            conn: id,
-                        };
-                        self.obs
-                            .trace
-                            .note(now, Some(from.0), TraceCategory::Net, connecting);
-                        return Ok(id);
-                    }
-                }
-            }
-        };
-        let server = (target, Pid::INIT);
-        let told = self.conns.open_refused(from, server, port, reason, now);
-        self.engine.schedule(delay, SimEvent::Tell(told));
-        Ok(told.conn)
-    }
 
     fn rtt(&mut self, hops: u32, a: HostId, b: HostId, bytes: usize) -> SimDuration {
         let one_way = self.one_way(hops, a, b, bytes);
@@ -546,173 +294,6 @@ impl World {
             }
         }
         self.latency.wire(hops, bytes)
-    }
-
-    /// Whether a connection is deliverable right now: `from` is an
-    /// endpoint, the connection is established, and the link to the peer
-    /// is routable. Unlike [`World::send`], a dead route here is
-    /// reported immediately instead of succeeding locally and breaking
-    /// after the detection interval — this is the send-time liveness
-    /// check programs use to validate cached next-hops.
-    pub(crate) fn conn_alive(&self, from: ProcKey, conn: ConnId) -> bool {
-        let peer = self.conns.established(conn, from);
-        peer.is_some_and(|p| matches!(self.route_state(from.0, p.0), RouteState::Hops(_)))
-    }
-
-    /// Sends bytes on an established connection. Returns `Ok` when the
-    /// local write succeeds (TCP semantics); breakage discovered later is
-    /// reported via a `Closed` event.
-    pub(crate) fn send(
-        &mut self,
-        from: ProcKey,
-        conn: ConnId,
-        data: Bytes,
-    ) -> Result<(), SysError> {
-        let (len, now) = (data.len(), self.now());
-        let kernel = &mut self.hosts[from.0 .0 as usize];
-        let peer = self
-            .conns
-            .send(conn, from, len, now, kernel, &mut self.fx)?;
-        self.apply_effects(from.0);
-        let reach = self.route_state(from.0, peer.0);
-        let hops = match reach {
-            RouteState::Hops(h) => h,
-            RouteState::HostDown | RouteState::Unreachable => {
-                // Write succeeds locally; breakage surfaces after the
-                // detection interval.
-                let jf = self.config.cost_jitter;
-                let base = self.config.break_detection;
-                let delay = self.rng.jitter(base, jf);
-                self.conns.sever(conn, now);
-                self.engine
-                    .schedule(delay, SimEvent::Tell(Tell::closed(conn, from)));
-                self.tracef(
-                    Some(from.0),
-                    TraceCategory::Net,
-                    format_args!("send on {conn} lost (peer unreachable); breakage pending"),
-                );
-                return Ok(());
-            }
-        };
-        let jf = self.latency.jitter_fraction;
-        // Routed worlds price the transfer over the canonical route —
-        // per-link latency plus contention-scaled serialization — instead
-        // of the flat wire law. Local IPC always stays flat.
-        let now_us = self.engine.now().as_micros();
-        let routed = match &mut self.net {
-            Some(net) if hops > 0 => Some(net.transfer(from.0 .0, peer.0 .0, len as u64, now_us)),
-            _ => None,
-        };
-        let base = match routed {
-            None => self.latency.wire(hops, len),
-            Some(Transfer::Deliver {
-                total_us,
-                queue_us,
-                links,
-                bisection_bytes,
-            }) => {
-                self.note_net_send(len as u64, queue_us, links, bisection_bytes);
-                SimDuration::from_micros(total_us)
-            }
-            Some(Transfer::Dropped { bisection_bytes }) => {
-                // A lossy link ate it: the write succeeded locally,
-                // nothing arrives, recovery is up to the RPC retries.
-                self.note_net_drop(bisection_bytes);
-                self.tracef(
-                    Some(from.0),
-                    TraceCategory::Net,
-                    format_args!("net: message on {conn} dropped (lossy link)"),
-                );
-                return Ok(());
-            }
-            Some(Transfer::Unreachable) => {
-                // `route_state` consulted the same table just above, so
-                // this cannot fire today; handle it like any dead route.
-                let base = self.config.break_detection;
-                let delay = self.rng.jitter(base, self.config.cost_jitter);
-                self.conns.sever(conn, now);
-                self.engine
-                    .schedule(delay, SimEvent::Tell(Tell::closed(conn, from)));
-                return Ok(());
-            }
-        };
-        let delay = self.rng.jitter(base, jf);
-        // Fault-plan wire rules ride a dedicated RNG stream, so the
-        // latency jitter sequence above is identical with or without an
-        // installed plan.
-        let fate = match self.faults.as_mut() {
-            Some(f) => {
-                let now = self.engine.now();
-                let from_name = &self.topo.spec(from.0).name;
-                let to_name = &self.topo.spec(peer.0).name;
-                f.decide(from_name, to_name, now)
-            }
-            None => WireDecision::default(),
-        };
-        if fate.fired > 0 {
-            let fired = u64::from(fate.fired);
-            self.obs.registry.add(self.ids.faults_injected, fired);
-        }
-        if fate.drop {
-            // Silent loss: the sender's write succeeded, nothing arrives,
-            // and recovery is up to the RPC retry machinery.
-            self.tracef(
-                Some(from.0),
-                TraceCategory::Net,
-                format_args!("fault: message on {conn} dropped"),
-            );
-            return Ok(());
-        }
-        let delay = SimDuration::from_micros(delay.as_micros() + fate.extra.as_micros());
-        let (dir, floors) = self.conns.carry(conn, from, len);
-        let mut arrival = (now + delay).max(floors[dir]);
-        floors[dir] = arrival + SimDuration::from_micros(1);
-        if let Some(skew) = fate.reorder {
-            // Land past the slot without raising the FIFO floor, so later
-            // traffic in the same direction overtakes this message.
-            arrival += skew;
-        }
-        if fate.dup {
-            self.engine.schedule_at(
-                arrival + delay.max(SimDuration::from_micros(1)),
-                SimEvent::Deliver {
-                    conn,
-                    to: peer,
-                    data: data.clone(),
-                },
-            );
-        }
-        self.engine.schedule_at(
-            arrival,
-            SimEvent::Deliver {
-                conn,
-                to: peer,
-                data,
-            },
-        );
-        Ok(())
-    }
-
-    /// Closes a connection from one side; the peer is notified. Like a
-    /// TCP FIN, the notification is ordered after data already in flight
-    /// toward the peer.
-    pub(crate) fn close(&mut self, from: ProcKey, conn: ConnId) -> Result<(), SysError> {
-        let now = self.now();
-        let kernel = &mut self.hosts[from.0 .0 as usize];
-        let Some(told) = self.conns.close(conn, from, now, kernel)? else {
-            return Ok(());
-        };
-        let peer = told.to;
-        if let RouteState::Hops(hops) = self.route_state(from.0, peer.0) {
-            let jf = self.latency.jitter_fraction;
-            let base = self.one_way(hops, from.0, peer.0, 32);
-            let delay = self.rng.jitter(base, jf);
-            let c = self.conns.get(conn).expect("just closed");
-            let floor = self.conns.link(conn).expect("just closed")[c.toward(peer)];
-            self.engine
-                .schedule_at((now + delay).max(floor), SimEvent::Tell(told));
-        }
-        Ok(())
     }
 
     /// Records one routed delivery into the `net.*` metrics.
@@ -774,12 +355,9 @@ impl World {
             latency: LatencyModel::default(),
             rng: SimRng::seed_from(seed),
             config: OsConfig::default(),
-            hosts: Vec::new(),
-            fx: Effects::new(),
+            hosts: Hosts::default(),
             conns: ConnTable::default(),
             services: Services::default(),
-            programs: FastMap::default(),
-            deferred: FastMap::default(),
             obs,
             ids,
             faults: None,
@@ -802,7 +380,7 @@ impl World {
     /// the new host to every other.
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
         let id = self.topo.add_host(spec);
-        self.hosts.push(Kernel::new(self.now()));
+        self.hosts.add(Kernel::new(self.now()));
         self.boot_daemons(id);
         let tick = self.config.load_tick;
         self.engine.schedule(tick, SimEvent::LoadTick(id));
@@ -812,7 +390,7 @@ impl World {
     fn boot_daemons(&mut self, host: HostId) {
         let boot = self.config.daemon_boot_cost;
         let spec = SpawnSpec::new("inetd", Box::new(ppm_runtime::inetd::Inetd::new()));
-        self.spawn(host, Pid::INIT, Uid::ROOT, spec, Some(boot))
+        self.fork(host, Pid::INIT, Uid::ROOT, spec, Some(boot))
             .expect("host is up during boot");
     }
 
@@ -1003,130 +581,11 @@ impl World {
         }
     }
 
-    /// Whether the process `key` takes an event now, or why not: one
-    /// read of its process-table entry.
-    fn admit(&self, key: ProcKey) -> Result<(), Held> {
-        let (host, pid) = key;
-        let entry = match self.hosts.get(host.0 as usize) {
-            Some(k) if self.host_up(host) => k.get(pid),
-            _ => None,
-        };
-        match entry {
-            Some(p) if !p.is_alive() => Err(Held::Dead),
-            Some(p) if p.state == ProcState::Stopped => Err(Held::Stopped),
-            Some(p) if p.busy_until > self.now() => Err(Held::Busy(p.busy_until)),
-            Some(_) => Ok(()),
-            None => Err(Held::Dead),
-        }
-    }
-
-    /// Parks an event its process cannot take now: a stopped process
-    /// accumulates its events until continued, a busy one sees them when
-    /// its CPU burst ends, a dead one never does.
-    fn hold(&mut self, key: ProcKey, held: Held, ev: SimEvent) {
-        match held {
-            Held::Stopped => self.deferred.entry(key).or_default().push(ev),
-            Held::Busy(until) => {
-                self.engine.schedule_at(until, ev);
-            }
-            Held::Dead => {}
-        }
-    }
-
-    /// Runs `f` on the program of `key` unless its process is dead or
-    /// stopped. A busy process takes the event at once: a start, a child's
-    /// exit or a connection event is not held back for a CPU burst.
-    fn run_unless_stopped(&mut self, key: ProcKey, f: impl FnOnce(&mut dyn Program, &mut Sys<'_>)) {
-        if let Ok(()) | Err(Held::Busy(_)) = self.admit(key) {
-            self.run_program(key, f);
-        }
-    }
-
-    /// Runs `f` on the program of `key` (if it has one) with syscall
-    /// access. The program is taken out of its slot meanwhile and put
-    /// back in place only if the slot is still there and empty: an exit
-    /// or a host crash inside the callback removes the slot, and a
-    /// process that reuses the pid fills it with its own program.
-    fn run_program(&mut self, key: ProcKey, f: impl FnOnce(&mut dyn Program, &mut Sys<'_>)) {
-        let Some(mut program) = self.programs.get_mut(&key).and_then(Option::take) else {
-            return;
-        };
-        f(program.as_mut(), &mut Sys::new(self, key));
-        if let Some(slot @ None) = self.programs.get_mut(&key) {
-            debug_assert!(self.hosts[key.0 .0 as usize].is_alive(key.1));
-            *slot = Some(program);
-        }
-    }
-
     fn dispatch(&mut self, ev: SimEvent) {
         match ev {
-            SimEvent::Start(key) => {
-                if self.host_up(key.0)
-                    && self.kernel_call(key.0, |k, now, fx| k.start(key.1, now, fx))
-                {
-                    self.run_unless_stopped(key, |p, sys| p.on_start(sys));
-                }
-            }
-            SimEvent::Timer(key, token, boot) => {
-                // Pids restart at 2 after a crash: a timer that outlived
-                // its boot would fire into whoever holds the pid now.
-                if self.kernel(key.0).boot_count() != boot {
-                    return;
-                }
-                match self.admit(key) {
-                    Ok(()) => self.run_program(key, |p, sys| p.on_timer(sys, token)),
-                    Err(held) => self.hold(key, held, SimEvent::Timer(key, token, boot)),
-                }
-            }
-            // Accounting happens on actual handling (inside the closure),
-            // so busy/stopped deferral cannot double-count.
-            SimEvent::Deliver { conn, to, data } => match self.admit(to) {
-                Ok(()) => self.run_program(to, |p, sys| {
-                    if sys.delivered(conn, data.len()) {
-                        p.on_message(sys, conn, data)
-                    }
-                }),
-                Err(held) => self.hold(to, held, SimEvent::Deliver { conn, to, data }),
-            },
+            SimEvent::Wake(key, wake) => self.wake(key, wake),
             SimEvent::ConnEstablish { conn } => self.handle_establish(conn),
             SimEvent::Tell(told) => self.tell(told),
-            SimEvent::KernelFlush { to } => {
-                let kernel = self.kernel_mut(to.0);
-                let flush = |msgs: &[_]| (msgs.len(), encode_kernel_batch(msgs));
-                let Some((count, data)) = kernel.drain_batch(to.1, flush) else {
-                    return;
-                };
-                let batch = self.ids.kernel_batch_msgs;
-                self.obs.registry.record(batch, count as u64);
-                if count > 1 {
-                    let flushed = Note::Flushed {
-                        count,
-                        tracer: to.1,
-                    };
-                    self.note(to.0, TraceCategory::Kernel, flushed);
-                }
-                self.dispatch(SimEvent::KernelBatch { to, data });
-            }
-            SimEvent::KernelBatch { to, data } => match self.admit(to) {
-                Ok(()) => {
-                    if let Some(hist) = self.kernel_delivery {
-                        let (now, reg) = (self.now(), &mut self.obs.registry);
-                        walk_kernel_batch(&data, |m| {
-                            reg.record(hist, now.saturating_since(m.queued_at).as_micros());
-                        });
-                    }
-                    self.run_program(to, |p, sys| p.on_kernel_batch(sys, data));
-                }
-                Err(held) => self.hold(to, held, SimEvent::KernelBatch { to, data }),
-            },
-            SimEvent::SignalDeliver { to, signal } => self.handle_signal(to, signal),
-            SimEvent::ChildExit {
-                parent,
-                child,
-                status,
-            } => {
-                self.run_unless_stopped(parent, |p, sys| p.on_child_exit(sys, child, status));
-            }
             SimEvent::LoadTick(host) => {
                 if !self.host_up(host) {
                     return;
@@ -1203,10 +662,10 @@ impl World {
     fn tell(&mut self, told: Tell) {
         let Tell { conn, to, event } = told;
         if event == ConnEvent::Closed {
-            let (now, kernel) = (self.now(), &mut self.hosts[to.0 .0 as usize]);
+            let (now, kernel) = (self.now(), self.hosts.kernel_mut(to.0));
             self.conns.told_closed(conn, to, now, kernel);
         }
-        self.run_unless_stopped(to, |p, sys| p.on_conn_event(sys, conn, event));
+        self.wake(to, Wake::Told { conn, event });
     }
 
     fn handle_establish(&mut self, conn: ConnId) {
@@ -1231,12 +690,12 @@ impl World {
             } else {
                 SysError::Unreachable
             };
-            let kernel = &mut self.hosts[client.0 .0 as usize];
+            let kernel = self.hosts.kernel_mut(client.0);
             let told = self.conns.refuse(conn, reason, now, kernel);
             told.into_iter().for_each(|t| self.tell(t));
             return;
         }
-        let kernel = &mut self.hosts[server.0 .0 as usize];
+        let kernel = self.hosts.kernel_mut(server.0);
         let told = self.conns.establish(conn, now, kernel);
         let established = Note::Established {
             conn,
@@ -1249,22 +708,6 @@ impl World {
             .trace
             .note(now, Some(server.0), TraceCategory::Net, established);
         told.into_iter().flatten().for_each(|t| self.tell(t));
-    }
-
-    fn handle_signal(&mut self, to: ProcKey, signal: Signal) {
-        if !self.is_alive(to.0, to.1) {
-            return;
-        }
-        let (host, pid) = to;
-        let catchable = self.kernel_call(host, |k, now, fx| k.deliver_signal(pid, signal, now, fx));
-        if catchable {
-            // Give the program a chance, else default.
-            let mut action = SigAction::Default;
-            self.run_program(to, |p, sys| action = p.on_signal(sys, signal));
-            self.kernel_call(host, |k, now, fx| {
-                k.finish_signal(pid, signal, action, now, fx);
-            });
-        }
     }
 
     fn handle_crash(&mut self, host: HostId) {
@@ -1292,8 +735,7 @@ impl World {
         // restart re-runs the services, and a respawned daemon can read
         // how long the host was dark.
         self.kernel_mut(host).crash(now);
-        self.programs.retain(|k, _| k.0 != host);
-        self.deferred.retain(|k, _| k.0 != host);
+        self.hosts.drop_host(host);
     }
 
     fn handle_restart(&mut self, host: HostId) {
@@ -1316,22 +758,11 @@ impl World {
         // Re-run the services that were up at crash time (pmd comes back
         // without waiting for traffic), the way init replays /etc/rc.
         for name in names {
-            let _ = Sys::new(self, (host, Pid::INIT)).spawn_service(&name);
+            let _ = Caller::new(self, (host, Pid::INIT)).spawn_service(&name);
         }
         let tick = self.config.load_tick;
         self.engine.schedule(tick, SimEvent::LoadTick(host));
     }
-}
-
-/// Why a process does not take an event now.
-#[derive(Debug, Clone, Copy)]
-enum Held {
-    /// Gone, or its host is down: the event is dropped.
-    Dead,
-    /// Stopped by a signal: the event waits for a continue.
-    Stopped,
-    /// In a CPU burst until then.
-    Busy(SimTime),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -1345,8 +776,8 @@ impl fmt::Debug for World {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("World")
             .field("now", &self.now())
-            .field("hosts", &self.hosts.len())
-            .field("programs", &self.programs.len())
+            .field("hosts", &self.hosts.iter().count())
+            .field("programs", &self.hosts.program_count())
             .field("connections", &self.conns.len())
             .field("pending_events", &self.engine.pending())
             .finish()
@@ -1370,26 +801,26 @@ impl Runtime for World {
 
     /// A child of init, started after the fork+exec delay.
     fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
-        if host.0 as usize >= self.hosts.len() {
+        if self.hosts.get(host).is_none() {
             return Err(SysError::NoSuchHost);
         }
-        self.spawn(host, Pid::INIT, uid, spec, None)
+        self.fork(host, Pid::INIT, uid, spec, None)
     }
 
     /// Checked by the kernel; delivered after the signal latency.
     fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError> {
-        let kernel = self.hosts.get(target.0 .0 as usize);
+        let kernel = self.hosts.get(target.0);
         let kernel = kernel.ok_or(SysError::NoSuchHost)?;
         if !self.host_up(target.0) {
             return Err(SysError::HostDown);
         }
         kernel.may_signal(from, target.1)?;
-        self.schedule_signal(target, signal);
+        self.schedule(target, Wake::Signal(signal), After::Priced);
         Ok(())
     }
 
     fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
-        self.hosts.get(host.0 as usize)?.find_user_proc(uid, prefix)
+        self.hosts.get(host)?.find_user_proc(uid, prefix)
     }
 
     fn run(&mut self, span: SimDuration) {
@@ -1397,20 +828,20 @@ impl Runtime for World {
     }
 
     fn is_alive(&self, host: HostId, pid: Pid) -> bool {
-        let kernel = self.hosts.get(host.0 as usize);
+        let kernel = self.hosts.get(host);
         kernel.is_some_and(|k| self.host_up(host) && k.is_alive(pid))
     }
 
     /// A host no `add_host` returned is down and has never booted.
     fn power(&self, host: HostId) -> (bool, u32) {
-        match self.hosts.get(host.0 as usize) {
+        match self.hosts.get(host) {
             Some(k) => (self.host_up(host), k.boot_count()),
             None => (false, 0),
         }
     }
 
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
-        self.hosts.get(host.0 as usize)?.stable_get(key)
+        self.hosts.get(host)?.stable_get(key)
     }
 
     /// Leads with the world's own section: its registry (kernel event
@@ -1446,9 +877,377 @@ impl Runtime for World {
     }
 }
 
+/// The sim's half of the host driver: the virtual clock, the wheel, the
+/// modelled wire and the price of each woken event.
+impl Backend for World {
+    fn hosts(&self) -> &Hosts {
+        &self.hosts
+    }
+
+    fn hosts_mut(&mut self) -> &mut Hosts {
+        &mut self.hosts
+    }
+
+    fn now(&self) -> SimTime {
+        self.engine.now()
+    }
+
+    fn host_up(&self, host: HostId) -> bool {
+        self.topo.is_up(host)
+    }
+
+    fn host_name(&self, host: HostId) -> &str {
+        &self.topo.spec(host).name
+    }
+
+    fn resolve_host(&self, name: &str) -> Result<HostId, SysError> {
+        self.host_by_name(name).ok_or(SysError::NoSuchHost)
+    }
+
+    fn random_unit(&mut self) -> f64 {
+        self.rng.unit_f64()
+    }
+
+    fn scale_cost(&mut self, host: HostId, nominal: SimDuration) -> SimDuration {
+        self.scaled_cpu_cost(host, nominal)
+    }
+
+    fn net_epoch(&self) -> u64 {
+        self.net_epoch
+    }
+
+    fn edge_up(&self, a: &str, b: &str) -> bool {
+        match (self.host_by_name(a), self.host_by_name(b)) {
+            (Some(ha), Some(hb)) => World::edge_up(self, ha, hb),
+            _ => false,
+        }
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        HubRef::Own(&mut self.obs)
+    }
+
+    fn make_service(&self, name: &str, host: HostId) -> Option<(Port, Box<dyn Program>)> {
+        self.services.make(name, host)
+    }
+
+    /// Binds a listener.
+    fn listen(&mut self, key: ProcKey, port: Port) -> Result<(), SysError> {
+        let (host, pid) = key;
+        if !self.host_up(host) {
+            return Err(SysError::HostDown);
+        }
+        self.kernel_mut(host).bind(pid, port)?;
+        self.note(host, TraceCategory::Net, Note::Listening { pid, port });
+        Ok(())
+    }
+
+    /// Initiates a connection; completion is reported via `ConnEvent`.
+    fn connect(&mut self, from: ProcKey, target: HostId, port: Port) -> Result<ConnId, SysError> {
+        if self.hosts.get(target).is_none() {
+            return Err(SysError::NoSuchHost);
+        }
+        let now = self.now();
+        // A SYN that goes nowhere times out; a refused one comes back as an
+        // RST after one round trip. Either way the record is kept, so a
+        // late `close` is harmless.
+        let (delay, reason) = match self.route_state(from.0, target) {
+            RouteState::HostDown => (self.config.connect_timeout, SysError::HostDown),
+            RouteState::Unreachable => (self.config.connect_timeout, SysError::Unreachable),
+            RouteState::Hops(hops) => {
+                let rtt = self.rtt(hops, from.0, target, self.config.handshake_bytes);
+                match self.kernel(target).listener(port) {
+                    None => (rtt, SysError::ConnectionRefused),
+                    Some(server_pid) => {
+                        let kernel = self.hosts.kernel_mut(from.0);
+                        let id = self
+                            .conns
+                            .open(from, (target, server_pid), port, now, kernel);
+                        self.engine
+                            .schedule(rtt, SimEvent::ConnEstablish { conn: id });
+                        let connecting = Note::Connecting {
+                            pid: from.1,
+                            to: &self.topo.spec(target).name,
+                            port,
+                            hops,
+                            conn: id,
+                        };
+                        self.obs
+                            .trace
+                            .note(now, Some(from.0), TraceCategory::Net, connecting);
+                        return Ok(id);
+                    }
+                }
+            }
+        };
+        let server = (target, Pid::INIT);
+        let told = self.conns.open_refused(from, server, port, reason, now);
+        self.engine.schedule(delay, SimEvent::Tell(told));
+        Ok(told.conn)
+    }
+
+    /// Whether a connection is deliverable right now: `from` is an
+    /// endpoint, the connection is established, and the link to the peer
+    /// is routable. Unlike `send`, a dead route here is
+    /// reported immediately instead of succeeding locally and breaking
+    /// after the detection interval — this is the send-time liveness
+    /// check programs use to validate cached next-hops.
+    fn conn_alive(&self, from: ProcKey, conn: ConnId) -> bool {
+        let peer = self.conns.established(conn, from);
+        peer.is_some_and(|p| matches!(self.route_state(from.0, p.0), RouteState::Hops(_)))
+    }
+
+    /// Sends bytes on an established connection. Returns `Ok` when the
+    /// local write succeeds (TCP semantics); breakage discovered later is
+    /// reported via a `Closed` event.
+    fn send(&mut self, from: ProcKey, conn: ConnId, data: Bytes) -> Result<(), SysError> {
+        let (len, now) = (data.len(), self.now());
+        let (kernel, fx) = self.hosts.kernel_fx(from.0);
+        let peer = self.conns.send(conn, from, len, now, kernel, fx)?;
+        self.apply_effects(from.0);
+        let reach = self.route_state(from.0, peer.0);
+        let hops = match reach {
+            RouteState::Hops(h) => h,
+            RouteState::HostDown | RouteState::Unreachable => {
+                // Write succeeds locally; breakage surfaces after the
+                // detection interval.
+                let jf = self.config.cost_jitter;
+                let base = self.config.break_detection;
+                let delay = self.rng.jitter(base, jf);
+                self.conns.sever(conn, now);
+                self.engine
+                    .schedule(delay, SimEvent::Tell(Tell::closed(conn, from)));
+                self.tracef(
+                    Some(from.0),
+                    TraceCategory::Net,
+                    format_args!("send on {conn} lost (peer unreachable); breakage pending"),
+                );
+                return Ok(());
+            }
+        };
+        let jf = self.latency.jitter_fraction;
+        // Routed worlds price the transfer over the canonical route —
+        // per-link latency plus contention-scaled serialization — instead
+        // of the flat wire law. Local IPC always stays flat.
+        let now_us = self.engine.now().as_micros();
+        let routed = match &mut self.net {
+            Some(net) if hops > 0 => Some(net.transfer(from.0 .0, peer.0 .0, len as u64, now_us)),
+            _ => None,
+        };
+        let base = match routed {
+            None => self.latency.wire(hops, len),
+            Some(Transfer::Deliver {
+                total_us,
+                queue_us,
+                links,
+                bisection_bytes,
+            }) => {
+                self.note_net_send(len as u64, queue_us, links, bisection_bytes);
+                SimDuration::from_micros(total_us)
+            }
+            Some(Transfer::Dropped { bisection_bytes }) => {
+                // A lossy link ate it: the write succeeded locally,
+                // nothing arrives, recovery is up to the RPC retries.
+                self.note_net_drop(bisection_bytes);
+                self.tracef(
+                    Some(from.0),
+                    TraceCategory::Net,
+                    format_args!("net: message on {conn} dropped (lossy link)"),
+                );
+                return Ok(());
+            }
+            Some(Transfer::Unreachable) => {
+                // `route_state` consulted the same table just above, so
+                // this cannot fire today; handle it like any dead route.
+                let base = self.config.break_detection;
+                let delay = self.rng.jitter(base, self.config.cost_jitter);
+                self.conns.sever(conn, now);
+                self.engine
+                    .schedule(delay, SimEvent::Tell(Tell::closed(conn, from)));
+                return Ok(());
+            }
+        };
+        let delay = self.rng.jitter(base, jf);
+        // Fault-plan wire rules ride a dedicated RNG stream, so the
+        // latency jitter sequence above is identical with or without an
+        // installed plan.
+        let fate = match self.faults.as_mut() {
+            Some(f) => {
+                let now = self.engine.now();
+                let from_name = &self.topo.spec(from.0).name;
+                let to_name = &self.topo.spec(peer.0).name;
+                f.decide(from_name, to_name, now)
+            }
+            None => WireDecision::default(),
+        };
+        if fate.fired > 0 {
+            let fired = u64::from(fate.fired);
+            self.obs.registry.add(self.ids.faults_injected, fired);
+        }
+        if fate.drop {
+            // Silent loss: the sender's write succeeded, nothing arrives,
+            // and recovery is up to the RPC retry machinery.
+            self.tracef(
+                Some(from.0),
+                TraceCategory::Net,
+                format_args!("fault: message on {conn} dropped"),
+            );
+            return Ok(());
+        }
+        let delay = SimDuration::from_micros(delay.as_micros() + fate.extra.as_micros());
+        let (dir, floors) = self.conns.carry(conn, from, len);
+        let mut arrival = (now + delay).max(floors[dir]);
+        floors[dir] = arrival + SimDuration::from_micros(1);
+        if let Some(skew) = fate.reorder {
+            // Land past the slot without raising the FIFO floor, so later
+            // traffic in the same direction overtakes this message.
+            arrival += skew;
+        }
+        if fate.dup {
+            self.engine.schedule_at(
+                arrival + delay.max(SimDuration::from_micros(1)),
+                SimEvent::Wake(
+                    peer,
+                    Wake::Message {
+                        conn,
+                        data: data.clone(),
+                    },
+                ),
+            );
+        }
+        self.engine
+            .schedule_at(arrival, SimEvent::Wake(peer, Wake::Message { conn, data }));
+        Ok(())
+    }
+
+    /// Closes a connection from one side; the peer is notified. Like a
+    /// TCP FIN, the notification is ordered after data already in flight
+    /// toward the peer.
+    fn close(&mut self, from: ProcKey, conn: ConnId) -> Result<(), SysError> {
+        let now = self.now();
+        let kernel = self.hosts.kernel_mut(from.0);
+        let Some(told) = self.conns.close(conn, from, now, kernel)? else {
+            return Ok(());
+        };
+        let peer = told.to;
+        if let RouteState::Hops(hops) = self.route_state(from.0, peer.0) {
+            let jf = self.latency.jitter_fraction;
+            let base = self.one_way(hops, from.0, peer.0, 32);
+            let delay = self.rng.jitter(base, jf);
+            let c = self.conns.get(conn).expect("just closed");
+            let floor = self.conns.link(conn).expect("just closed")[c.toward(peer)];
+            self.engine
+                .schedule_at((now + delay).max(floor), SimEvent::Tell(told));
+        }
+        Ok(())
+    }
+
+    /// A fork's exec pays the scaled spawn cost, a signal the jittered
+    /// signal latency, a child's exit notice the fixed one.
+    fn schedule(&mut self, key: ProcKey, wake: Wake, after: After) -> SimDuration {
+        let delay = match after {
+            After::Now => SimDuration::ZERO,
+            After::Delay(delay) => delay,
+            After::Priced => match wake {
+                Wake::Start => {
+                    let nominal = self.config.spawn_cost;
+                    self.scaled_cpu_cost(key.0, nominal)
+                }
+                Wake::Signal(_) => {
+                    let (delay, jf) = (self.config.signal_latency, self.config.cost_jitter);
+                    self.rng.jitter(delay, jf)
+                }
+                Wake::ChildExit { .. } => self.config.child_exit_latency,
+                _ => SimDuration::ZERO,
+            },
+        };
+        self.engine.schedule(delay, SimEvent::Wake(key, wake));
+        delay
+    }
+
+    fn queued(&mut self, to: ProcKey, wire_size: usize, first: bool) -> Option<SimDuration> {
+        self.obs.registry.inc(self.ids.kernel_events);
+        if !first {
+            return None;
+        }
+        // First event of the wakeup pays the Table 1 latency and arms
+        // the flush; later ones coalesce into the same batch frame, one
+        // delivery for the burst.
+        self.obs.registry.inc(self.ids.kernel_wakeups);
+        let cpu = self.topo.spec(to.0).cpu;
+        let la = self.kernel(to.0).load_avg();
+        let base = self.latency.kernel_msg(cpu, la, wire_size);
+        let delay = self.rng.jitter(base, self.latency.jitter_fraction);
+        self.engine.schedule(delay, SimEvent::Wake(to, Wake::Flush));
+        Some(delay)
+    }
+
+    fn flush(&mut self, to: ProcKey) -> Option<Bytes> {
+        let kernel = self.hosts.kernel_mut(to.0);
+        let flush = |msgs: &[_]| (msgs.len(), encode_kernel_batch(msgs));
+        let (count, data) = kernel.drain_batch(to.1, flush)?;
+        let batch = self.ids.kernel_batch_msgs;
+        self.obs.registry.record(batch, count as u64);
+        if count > 1 {
+            let flushed = Note::Flushed {
+                count,
+                tracer: to.1,
+            };
+            World::note(self, to.0, TraceCategory::Kernel, flushed);
+        }
+        Some(data)
+    }
+
+    /// A process in a CPU burst sees its timers, messages and batches
+    /// when the burst ends. A message is accounted to its end, a batch's
+    /// delivery time to `kernel.delivery_us` if asked.
+    fn handed(&mut self, to: ProcKey, wake: Wake) -> Option<Wake> {
+        let now = self.now();
+        let busy = self.kernel(to.0).get(to.1).map(|p| p.busy_until);
+        if let Some(until) = busy.filter(|&until| until > now) {
+            self.engine.schedule_at(until, SimEvent::Wake(to, wake));
+            return None;
+        }
+        match &wake {
+            Wake::Message { conn, data } => {
+                let (kernel, fx) = self.hosts.kernel_fx(to.0);
+                let handed = self.conns.deliver(*conn, to, data.len(), now, kernel, fx);
+                self.apply_effects(to.0);
+                handed.then_some(wake)
+            }
+            Wake::Batch(data) => {
+                if let Some(hist) = self.kernel_delivery {
+                    let reg = &mut self.obs.registry;
+                    walk_kernel_batch(data, |m| {
+                        reg.record(hist, now.saturating_since(m.queued_at).as_micros());
+                    });
+                }
+                Some(wake)
+            }
+            _ => Some(wake),
+        }
+    }
+
+    /// Each open connection's peer is told after a one-way trip.
+    fn gone(&mut self, key: ProcKey) {
+        let (host, now) = (key.0, self.now());
+        for t in self.conns.process_gone(key, now) {
+            if let RouteState::Hops(hops) = self.route_state(host, t.to.0) {
+                let jf = self.latency.jitter_fraction;
+                let base = self.one_way(hops, host, t.to.0, 32);
+                let delay = self.rng.jitter(base, jf);
+                self.engine.schedule(delay, SimEvent::Tell(t));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppm_runtime::fd::OpenMode;
+    use ppm_runtime::process::ProcState;
+    use ppm_runtime::signal::ExitStatus;
     use ppm_simnet::topology::CpuClass;
     use std::sync::{Arc, Mutex};
 
@@ -1595,11 +1394,43 @@ mod tests {
         assert_eq!(held(&w, (b, server)), [id]);
         assert_eq!(held(&w, (a, client)), [id]);
 
-        w.do_exit((b, server), ExitStatus::Code(0));
+        w.exit((b, server), ExitStatus::Code(0));
         assert_eq!(w.conn_table().get(id).unwrap().state, ConnState::Closed);
         assert_eq!(w.conn_table().held_len(), 0);
         w.run_for(SimDuration::from_secs(1));
         assert_eq!(*log.lock().unwrap(), [ConnEvent::Closed]);
+    }
+
+    struct Probe;
+    impl Program for Probe {
+        fn on_start(&mut self, sys: &mut dyn ppm_runtime::sys::Sys) {
+            assert_eq!(sys.host_name(), "a");
+            assert!(sys.pid().0 > 1);
+            assert_eq!(sys.uid(), Uid(7));
+            let fd = sys.open("/tmp/file", OpenMode::ReadWrite).expect("alive");
+            assert!(sys.close_fd(fd).is_ok());
+            assert!(sys.close_fd(fd).is_err());
+            assert!(sys.resolve_host("a").is_ok());
+            assert!(sys.resolve_host("zzz").is_err());
+            sys.set_timer(SimDuration::from_millis(5), 1);
+            sys.exit(0);
+        }
+        fn name(&self) -> &str {
+            "probe"
+        }
+    }
+
+    #[test]
+    fn basic_syscalls_work_from_a_program() {
+        let mut w = World::new(5);
+        let a = w.add_host(HostSpec::new("a", CpuClass::Vax780));
+        let pid = w
+            .spawn_user(a, Uid(7), SpawnSpec::new("probe", Box::new(Probe)))
+            .unwrap();
+        w.run_for(SimDuration::from_millis(500));
+        let p = w.kernel(a).get(pid).unwrap();
+        assert!(!p.is_alive(), "probe exited cleanly");
+        assert_eq!(p.rusage.files_opened, 1);
     }
 
     #[test]

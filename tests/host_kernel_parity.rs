@@ -30,7 +30,13 @@
 //!
 //! A sixth starts two processes that exit and then make one more call,
 //! one opening a file and one registering a kernel socket: each ends
-//! with its exit status, and none panics the world.
+//! with its exit status, neither counts a file, no tracer hears of one,
+//! and none panics the world.
+//!
+//! A seventh kills its own child from a timer callback and is told the
+//! child was killed. An eighth arms a timer that falls due while its
+//! process is stopped: the callback runs only after `SIGCONT`, and sees
+//! its process running.
 //!
 //! Each script is one generic driver, run on all three `Runtime`s.
 
@@ -583,30 +589,61 @@ impl Program for LateCaller {
     }
 }
 
-/// Starts both late callers and reports each child's exit, in name order.
+/// Starts and traces both late callers, and reports, in order, each
+/// child's exit status and what its tracer heard of its files.
 #[derive(Default)]
 struct LateParent {
     names: Vec<(Pid, &'static str)>,
-    ended: Vec<String>,
+    lines: Vec<String>,
+}
+
+impl LateParent {
+    fn name_of(&self, pid: Pid) -> &'static str {
+        let name = self.names.iter().find(|(p, _)| *p == pid);
+        name.map_or("other", |(_, name)| name)
+    }
+
+    /// Two lines per child: its exit status, and its exit event.
+    fn record(&mut self, sys: &mut dyn Sys, line: String) {
+        self.lines.push(line);
+        if self.lines.len() == 2 * self.names.len() {
+            self.lines.sort();
+            sys.stable_put(LATE_REPORT, self.lines.join("\n"));
+        }
+    }
 }
 
 impl Program for LateParent {
     fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.register_kernel_socket().expect("alive");
         for (name, register) in [("late-open", false), ("late-register", true)] {
             let spec = SpawnSpec::new(name, Box::new(LateCaller { register }));
             let pid = sys.spawn(spec).expect("spawn late caller");
+            sys.adopt(pid, TraceFlags::ALL).expect("adopt own child");
             self.names.push((pid, name));
         }
     }
 
-    fn on_child_exit(&mut self, sys: &mut dyn Sys, child: Pid, status: ExitStatus) {
-        let name = self.names.iter().find(|(pid, _)| *pid == child);
-        let name = name.map_or("other", |(_, name)| name);
-        self.ended.push(format!("{name} {status}"));
-        if self.ended.len() == self.names.len() {
-            self.ended.sort();
-            sys.stable_put(LATE_REPORT, self.ended.join("\n"));
+    fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {
+        let mut heard = Vec::new();
+        for_each_kernel_msg(&data, |msg| match msg.event {
+            KernelEvent::FileOpened { pid, path } => {
+                heard.push(format!("{} opened {path}", self.name_of(pid)));
+            }
+            KernelEvent::Exit { pid, rusage, .. } => {
+                let files = rusage.files_opened;
+                heard.push(format!("{} exit event files={files}", self.name_of(pid)));
+            }
+            _ => {}
+        });
+        for line in heard {
+            self.record(sys, line);
         }
+    }
+
+    fn on_child_exit(&mut self, sys: &mut dyn Sys, child: Pid, status: ExitStatus) {
+        let line = format!("{} {status}", self.name_of(child));
+        self.record(sys, line);
     }
 }
 
@@ -620,10 +657,136 @@ fn late_calls_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
 
 #[test]
 fn a_call_after_its_own_exit_is_answered_not_a_panic_on_sim_real_and_mc() {
-    let expected = "late-open exit(0)\nlate-register exit(0)";
+    let expected = "\
+late-open exit event files=0
+late-open exit(0)
+late-register exit event files=0
+late-register exit(0)";
     assert_eq!(late_calls_on(&mut World::new(7), "sim"), expected);
     let real = late_calls_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
     let mc = late_calls_on(&mut McWorld::new(), "mc");
+    assert_eq!(mc, expected, "model checker diverges from sim");
+}
+
+/// Where the seventh script's parent reports how its child ended.
+const REAPED: &str = "parity.reaped";
+
+/// Forks a child and kills it from a timer callback.
+#[derive(Default)]
+struct Reaper {
+    kid: Option<Pid>,
+}
+
+impl Program for Reaper {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        self.kid = Some(sys.spawn(SpawnSpec::inert("kid")).expect("fork kid"));
+        sys.set_timer(SimDuration::from_millis(100), 0);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
+        let kid = self.kid.expect("forked");
+        sys.kill(kid, Signal::Kill).expect("its own child");
+    }
+
+    fn on_child_exit(&mut self, sys: &mut dyn Sys, child: Pid, status: ExitStatus) {
+        let who = if Some(child) == self.kid {
+            "kid"
+        } else {
+            "other"
+        };
+        sys.stable_put(REAPED, format!("{who} {status}"));
+    }
+}
+
+fn reap_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
+    let host = rt.add_host("a", CpuClass::Vax780);
+    let spec = SpawnSpec::new("reaper", Box::<Reaper>::default());
+    rt.spawn_user(host, OWNER, spec).expect("spawn reaper");
+    wait_for(rt, host, REAPED);
+    text(rt.stable_get(host, REAPED), "report", backend)
+}
+
+#[test]
+fn a_parent_that_kills_its_own_child_is_told_on_sim_real_and_mc() {
+    let expected = "kid killed by SIGKILL";
+    assert_eq!(reap_on(&mut World::new(7), "sim"), expected);
+    let real = reap_on(&mut RealRuntime::with_trace(false), "real");
+    assert_eq!(real, expected, "real backend diverges from sim");
+    let mc = reap_on(&mut McWorld::new(), "mc");
+    assert_eq!(mc, expected, "model checker diverges from sim");
+}
+
+/// Where the eighth script's sleeper reports what its timer saw, and
+/// where its parent marks that it sent `SIGCONT`.
+const WOKE: &str = "parity.woke";
+const CONTINUED: &str = "parity.continued";
+
+/// Arms a timer 100 ms ahead and reports, when it runs, its state and
+/// whether its `SIGCONT` was already sent.
+struct Sleeper;
+
+impl Program for Sleeper {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.set_timer(SimDuration::from_millis(100), 0);
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
+        let state = sys.proc_info(sys.pid()).expect("alive").state;
+        let continued = sys.stable_get(CONTINUED).is_some();
+        sys.stable_put(WOKE, format!("{state:?}, continued {continued}"));
+    }
+}
+
+/// Stops the sleeper once it runs (its exec event says so) and
+/// continues it 300 ms later, well past its timer.
+#[derive(Default)]
+struct Stopper {
+    sleeper: Option<Pid>,
+}
+
+impl Program for Stopper {
+    fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.register_kernel_socket().expect("alive");
+        let pid = sys.spawn(SpawnSpec::new("sleeper", Box::new(Sleeper)));
+        let pid = pid.expect("spawn sleeper");
+        sys.adopt(pid, TraceFlags::ALL).expect("adopt own child");
+        self.sleeper = Some(pid);
+    }
+
+    fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {
+        let mut started = false;
+        for_each_kernel_msg(&data, |msg| {
+            started |= matches!(msg.event, KernelEvent::Exec { .. });
+        });
+        if started {
+            sys.kill(self.sleeper.expect("spawned"), Signal::Stop)
+                .expect("own child");
+            sys.set_timer(SimDuration::from_millis(300), 0);
+        }
+    }
+
+    fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
+        sys.stable_put(CONTINUED, "yes");
+        sys.kill(self.sleeper.expect("spawned"), Signal::Cont)
+            .expect("own child");
+    }
+}
+
+fn stop_hold_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
+    let host = rt.add_host("a", CpuClass::Vax780);
+    let spec = SpawnSpec::new("stopper", Box::<Stopper>::default());
+    rt.spawn_user(host, OWNER, spec).expect("spawn stopper");
+    wait_for(rt, host, WOKE);
+    text(rt.stable_get(host, WOKE), "report", backend)
+}
+
+#[test]
+fn a_timer_due_while_stopped_runs_after_sigcont_on_sim_real_and_mc() {
+    let expected = "Running, continued true";
+    assert_eq!(stop_hold_on(&mut World::new(7), "sim"), expected);
+    let real = stop_hold_on(&mut RealRuntime::with_trace(false), "real");
+    assert_eq!(real, expected, "real backend diverges from sim");
+    let mc = stop_hold_on(&mut McWorld::new(), "mc");
     assert_eq!(mc, expected, "model checker diverges from sim");
 }
