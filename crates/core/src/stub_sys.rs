@@ -74,8 +74,20 @@ impl Sys for StubSys {
     fn fork_exec(&mut self, _: Pid, _: Uid, _: SpawnSpec) -> Result<Pid, SysError> {
         unimplemented!()
     }
-    fn post_signal(&mut self, _: Pid, _: Signal) {
+    fn post_signal(&mut self, _: Pid, _: Signal) -> Result<(), SysError> {
         unimplemented!()
+    }
+    fn conn_alive(&self, _: ConnId) -> bool {
+        true
+    }
+    fn net_epoch(&self) -> u64 {
+        0
+    }
+    fn edge_up(&self, _: &str, _: &str) -> bool {
+        true
+    }
+    fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
+        nominal
     }
     fn make_service(&self, _: &str) -> Option<(Port, Box<dyn Program>)> {
         unimplemented!()

@@ -23,7 +23,8 @@
 //!
 //! Processes run on the one host driver ([`ppm_runtime::host`]), with
 //! the sim's rules: `exit` takes effect at the call, a stopped process's
-//! timers, messages and kernel batches wait for its `SIGCONT`, and a
+//! timers, messages, kernel batches, connection notices and child exits
+//! wait for its `SIGCONT`, and a
 //! signal a program posts, like an event a `SIGCONT` releases, runs once
 //! the move's callbacks have returned. This world supplies the driver's
 //! backend: its clock, its queues, and the frontier (a start, a timer

@@ -7,11 +7,12 @@
 //! only if the slot is still there and empty; [`Caller`] is the one
 //! `impl Sys` every program is lent; `exit` reaches the kernel at the
 //! call (a later call in the same callback comes from a dead process,
-//! as after `_exit(2)`); a signal a program posts is never delivered
-//! inside its own callback; a stopped process's timers, messages and
-//! kernel batches wait for its `SIGCONT` while its starts, connection
-//! notices and child exits are dropped ([`Driver::admit`]); and the
-//! kernel's effects are applied, with their trace notes.
+//! as after `_exit(2)`, and [`Caller`] refuses it); a signal a program
+//! posts is never delivered inside its own callback; a stopped
+//! process's timers, messages, kernel batches, connection notices and
+//! child exits wait for its `SIGCONT` while a start is dropped
+//! ([`Driver::admit`]); and the kernel's effects are applied, with
+//! their trace notes.
 //!
 //! A backend supplies what differs: its clock, its wire, chance and
 //! cost, host names, its hub, *when* a woken event runs
@@ -411,18 +412,31 @@ pub trait Driver: Backend {
             Wake::Start => {
                 if self.host_up(key.0)
                     && self.kernel_call(key.0, |k, now, fx| k.start(key.1, now, fx))
+                    && self.admit(key).is_ok()
                 {
-                    self.run_unless_stopped(key, |p, sys| p.on_start(sys));
+                    self.run_program(key, |p, sys| p.on_start(sys));
                 }
             }
             // Pids restart at 2 after a crash: a timer that outlived its
             // boot would fire into whoever holds the pid now.
             Wake::Timer { boot, .. } if self.hosts().kernel(key.0).boot_count() != boot => {}
-            Wake::Timer { .. } | Wake::Message { .. } | Wake::Batch(_) => match self.admit(key) {
+            Wake::Flush => {
+                if let Some(batch) = self.flush(key) {
+                    self.wake(key, Wake::Batch(batch));
+                }
+            }
+            Wake::Signal(signal) => self.deliver_signal(key, signal),
+            // A timer, message, batch, connection notice or child exit.
+            wake => match self.admit(key) {
                 // Accounting happens on actual handling, so a held event
-                // cannot count twice.
+                // cannot count twice. A connection or child notice is not
+                // held back for a CPU burst.
                 Ok(()) => self.run_program(key, |p, sys| {
-                    if let Some(wake) = sys.b.handed(key, wake) {
+                    let wake = match wake {
+                        Wake::Told { .. } | Wake::ChildExit { .. } => Some(wake),
+                        wake => sys.b.handed(key, wake),
+                    };
+                    if let Some(wake) = wake {
                         wake.call(p, sys);
                     }
                 }),
@@ -430,15 +444,6 @@ pub trait Driver: Backend {
                 Err(Held::Stopped) => self.hosts_mut().held.entry(key).or_default().push(wake),
                 Err(Held::Dead) => {}
             },
-            Wake::Flush => {
-                if let Some(batch) = self.flush(key) {
-                    self.wake(key, Wake::Batch(batch));
-                }
-            }
-            Wake::Signal(signal) => self.deliver_signal(key, signal),
-            Wake::Told { .. } | Wake::ChildExit { .. } => {
-                self.run_unless_stopped(key, |p, sys| wake.call(p, sys));
-            }
         }
     }
 
@@ -474,19 +479,6 @@ pub trait Driver: Backend {
             Some(p) if p.state == ProcState::Stopped => Err(Held::Stopped),
             Some(_) => Ok(()),
             None => Err(Held::Dead),
-        }
-    }
-
-    /// Runs `f` on the program of `key` unless its process is dead or
-    /// stopped. A start, a child's exit or a connection event is not
-    /// held back for a CPU burst.
-    fn run_unless_stopped(
-        &mut self,
-        key: ProcKey,
-        f: impl FnOnce(&mut dyn Program, &mut Caller<'_, Self>),
-    ) {
-        if self.admit(key).is_ok() {
-            self.run_program(key, f);
         }
     }
 
@@ -526,6 +518,14 @@ impl<'a, B: Backend> Caller<'a, B> {
     pub fn new(b: &'a mut B, key: ProcKey) -> Self {
         Caller { b, key }
     }
+
+    /// [`SysError::NoSuchProcess`] once the caller has exited: a call
+    /// after `exit` in the same callback binds, connects, forks, signals
+    /// and arms nothing.
+    fn live(&self) -> Result<(), SysError> {
+        let alive = self.kernel().is_alive(self.key.1);
+        alive.then_some(()).ok_or(SysError::NoSuchProcess)
+    }
 }
 
 impl<B: Backend> Sys for Caller<'_, B> {
@@ -534,24 +534,32 @@ impl<B: Backend> Sys for Caller<'_, B> {
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let boot = self.b.hosts().kernel(self.key.0).boot_count();
-        let timer = Wake::Timer { token, boot };
-        self.b.schedule(self.key, timer, After::Delay(delay));
+        if self.live().is_ok() {
+            let timer = Wake::Timer {
+                token,
+                boot: self.kernel().boot_count(),
+            };
+            self.b.schedule(self.key, timer, After::Delay(delay));
+        }
     }
 
     fn listen(&mut self, port: Port) -> Result<(), SysError> {
+        self.live()?;
         self.b.listen(self.key, port)
     }
 
     fn connect(&mut self, host: HostId, port: Port) -> Result<ConnId, SysError> {
+        self.live()?;
         self.b.connect(self.key, host, port)
     }
 
     fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> Result<(), SysError> {
+        self.live()?;
         self.b.send(self.key, conn, data)
     }
 
     fn close(&mut self, conn: ConnId) -> Result<(), SysError> {
+        self.live()?;
         self.b.close(self.key, conn)
     }
 
@@ -596,12 +604,15 @@ impl<B: Backend> Sys for Caller<'_, B> {
     }
 
     fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        self.live()?;
         self.b.fork(self.key.0, parent, uid, spec, None)
     }
 
-    fn post_signal(&mut self, target: Pid, signal: Signal) {
+    fn post_signal(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
+        self.live()?;
         let target = (self.key.0, target);
         self.b.schedule(target, Wake::Signal(signal), After::Priced);
+        Ok(())
     }
 
     fn make_service(&self, name: &str) -> Option<(Port, Box<dyn Program>)> {

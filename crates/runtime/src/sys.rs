@@ -18,8 +18,8 @@
 //! only, so the same LPM/pmd/RPC stack drives every world. The trait is
 //! flat: its *required* methods are what the driver supplies — the
 //! clock, one-shot timers, the transport, identity and name resolution,
-//! raw process creation and signal posting, inetd's registry, and
-//! access to its [`Kernel`], effects sink and
+//! chance and cost, raw process creation and signal posting, inetd's
+//! registry, and access to its [`Kernel`], effects sink and
 //! [`ObsHub`](crate::obs::ObsHub) — and only what some program calls.
 //! Timers are armed and run out; there is no cancel, because the PPM's
 //! timers (time-to-live, time-to-die, retention, probes, RPC steps) are
@@ -112,28 +112,20 @@ pub trait Sys {
     /// Programs use this to validate cached next-hops before committing a
     /// send to them — a connection can look established while a fresh
     /// link cut has not yet produced its closed notification.
-    fn conn_alive(&self, conn: ConnId) -> bool {
-        let _ = conn;
-        true
-    }
+    fn conn_alive(&self, conn: ConnId) -> bool;
 
     /// The network's reachability epoch: bumped whenever link or host
     /// state changes (partition, heal, named-link cut, crash, restart).
     /// Programs remember the last epoch they saw and revalidate cached
     /// routes when it moves. Backends without topology visibility (real
     /// TCP) never bump it.
-    fn net_epoch(&self) -> u64 {
-        0
-    }
+    fn net_epoch(&self) -> u64;
 
     /// Whether hosts `a` and `b` (by name) can currently exchange
     /// traffic — the pairwise check route-cache revalidation runs over a
     /// cached path's legs. Backends without a global view answer `true`
     /// and rely on send errors instead.
-    fn edge_up(&self, a: &str, b: &str) -> bool {
-        let _ = (a, b);
-        true
-    }
+    fn edge_up(&self, a: &str, b: &str) -> bool;
 
     // ---- identity and the host table -----------------------------------
 
@@ -165,9 +157,7 @@ pub trait Sys {
     /// handler processes run in parallel with its dispatcher). Backends
     /// without a load model (real nodes, where the work takes the time it
     /// takes) return the nominal cost unchanged.
-    fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
-        nominal
-    }
+    fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration;
 
     // ---- processes, raw --------------------------------------------------
 
@@ -184,8 +174,12 @@ pub trait Sys {
     fn fork_exec(&mut self, parent: Pid, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError>;
 
     /// Schedules delivery of `signal` to `target` on this host, checking
-    /// nothing: the raw half of [`Sys::kill`].
-    fn post_signal(&mut self, target: Pid, signal: Signal);
+    /// nothing of the target: the raw half of [`Sys::kill`].
+    ///
+    /// # Errors
+    ///
+    /// [`SysError::NoSuchProcess`] when the caller itself has exited.
+    fn post_signal(&mut self, target: Pid, signal: Signal) -> Result<(), SysError>;
 
     /// Looks `name` up in inetd's registry: its well-known port and a
     /// fresh instance of its program for this host.
@@ -283,8 +277,7 @@ pub trait Sys {
     /// [`SysError::NoSuchProcess`] or [`SysError::PermissionDenied`].
     fn kill(&mut self, target: Pid, signal: Signal) -> Result<(), SysError> {
         self.kernel().may_signal(self.uid(), target)?;
-        self.post_signal(target, signal);
-        Ok(())
+        self.post_signal(target, signal)
     }
 
     /// Asks inetd's registry to ensure a service runs on this host:
@@ -537,7 +530,21 @@ mod tests {
                 let (k, fx) = (&mut self.kernel, &mut self.fx);
                 Ok(k.spawn(parent, uid, spec.command, spec.cpu_bound, now, fx))
             }
-            fn post_signal(&mut self, _t: Pid, _s: Signal) {}
+            fn post_signal(&mut self, _t: Pid, _s: Signal) -> Result<(), SysError> {
+                Ok(())
+            }
+            fn conn_alive(&self, _c: ConnId) -> bool {
+                true
+            }
+            fn net_epoch(&self) -> u64 {
+                0
+            }
+            fn edge_up(&self, _a: &str, _b: &str) -> bool {
+                true
+            }
+            fn scale_cost(&mut self, nominal: SimDuration) -> SimDuration {
+                nominal
+            }
             fn make_service(&self, _n: &str) -> Option<(Port, Box<dyn Program>)> {
                 None
             }

@@ -63,7 +63,8 @@ enum Step {
     Stop,
     /// The tracer continues it.
     Cont,
-    /// Exit, then open a file, arm a timer and signal itself.
+    /// Exit, then open a file, listen, fork, arm a timer, and signal
+    /// its newest child and itself.
     Exit,
 }
 
@@ -230,9 +231,18 @@ impl Subject {
             Step::Exit => {
                 sys.exit(3);
                 let opened = sys.open("/tmp/late", OpenMode::Write).map(|_| ());
+                let listened = sys.listen(PORT);
+                let spawned = sys.spawn(SpawnSpec::inert("late")).map(|_| ());
                 sys.set_timer(self.eighths(1), 199);
+                let kid = self
+                    .kids
+                    .last()
+                    .map(|(pid, _)| sys.kill(*pid, Signal::Usr1));
                 let killed = sys.kill(sys.pid(), Signal::Usr1);
-                format!("exit, then open {opened:?} kill self {killed:?}")
+                format!(
+                    "exit, then open {opened:?} listen {listened:?} spawn {spawned:?} \
+                     kill kid {kid:?} kill self {killed:?}"
+                )
             }
             Step::Stop | Step::Cont => return,
         };
@@ -443,7 +453,8 @@ proptest! {
 /// One script through three of the driver's rules: a timer due while
 /// its process is stopped runs after `SIGCONT` (step 4), a parent that
 /// kills its own child is told (step 5), and a call after `exit` acts
-/// as from a dead process: the exit counts one file (step 7).
+/// as from a dead process: the exit counts one file, and nothing is
+/// opened, bound, forked or signalled after it (step 7).
 #[test]
 fn a_stop_a_killed_child_and_a_late_call_end_the_same_on_sim_and_mc() {
     let codes = [0, 12, 7, 11, 1, 16];
@@ -473,7 +484,7 @@ fn a_stop_a_killed_child_and_a_late_call_end_the_same_on_sim_and_mc() {
 6 subject open Ok(())
 6 subject timer 5 Running
 7 event exit subject exit(3) forks=1 signals=2 files=1 sent=0/0B received=0/0B
-7 subject exit, then open Err(NoSuchProcess) kill self Err(NoSuchProcess)
+7 subject exit, then open Err(NoSuchProcess) listen Err(NoSuchProcess) spawn Err(NoSuchProcess) kill kid Some(Err(NoSuchProcess)) kill self Err(NoSuchProcess)
 7 subject timer 6 Running
 7 tracer reaped subject exit(3)
 8 tracer kill kid0 SIGKILL Err(NoSuchProcess)

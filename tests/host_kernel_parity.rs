@@ -28,15 +28,17 @@
 //! last one: each action says `NoSuchHost`, each query `None` or
 //! `false`, and none panics.
 //!
-//! A sixth starts two processes that exit and then make one more call,
-//! one opening a file and one registering a kernel socket: each ends
-//! with its exit status, neither counts a file, no tracer hears of one,
-//! and none panics the world.
+//! A sixth starts two processes that exit and then go on calling, one
+//! opening a file and one registering a kernel socket, both listening,
+//! forking and killing their parent: each ends with its exit status,
+//! neither counts a file, no tracer hears of one, the port stays free,
+//! no orphan is forked, the parent lives, and none panics the world.
 //!
 //! A seventh kills its own child from a timer callback and is told the
 //! child was killed. An eighth arms a timer that falls due while its
-//! process is stopped: the callback runs only after `SIGCONT`, and sees
-//! its process running.
+//! process is stopped, and whose child is killed meanwhile: the timer
+//! callback and the child's exit notice run only after `SIGCONT`, and
+//! each sees its process running.
 //!
 //! Each script is one generic driver, run on all three `Runtime`s.
 
@@ -571,11 +573,16 @@ fn an_unknown_host_is_an_answer_not_a_panic_on_sim_real_and_mc() {
 
 /// Where the sixth script's parent reports how its children ended.
 const LATE_REPORT: &str = "parity.late";
+/// The port each late caller tries to bind after its exit.
+const LATE_PORT: Port = Port(23);
+/// The command each late caller tries to fork after its exit.
+const LATE_ORPHAN: &str = "late-orphan";
 
 /// Exits, then opens a file (or, with `register`, registers a kernel
 /// socket) as if it had not.
 struct LateCaller {
     register: bool,
+    parent: Pid,
 }
 
 impl Program for LateCaller {
@@ -586,6 +593,11 @@ impl Program for LateCaller {
         } else {
             let _ = sys.open("/tmp/late", OpenMode::Write);
         }
+        // None of these may act: no port is bound to the dead, no
+        // orphan forked by it, no signal sent in its name.
+        let _ = sys.listen(LATE_PORT);
+        let _ = sys.spawn(SpawnSpec::inert(LATE_ORPHAN));
+        let _ = sys.kill(self.parent, Signal::Usr1);
     }
 }
 
@@ -603,12 +615,13 @@ impl LateParent {
         name.map_or("other", |(_, name)| name)
     }
 
-    /// Two lines per child: its exit status, and its exit event.
+    /// Two lines per child: its exit status, and its exit event. The
+    /// report follows 100 ms after the last, when any signal the
+    /// children sent would have arrived.
     fn record(&mut self, sys: &mut dyn Sys, line: String) {
         self.lines.push(line);
         if self.lines.len() == 2 * self.names.len() {
-            self.lines.sort();
-            sys.stable_put(LATE_REPORT, self.lines.join("\n"));
+            sys.set_timer(SimDuration::from_millis(100), 0);
         }
     }
 }
@@ -616,8 +629,9 @@ impl LateParent {
 impl Program for LateParent {
     fn on_start(&mut self, sys: &mut dyn Sys) {
         sys.register_kernel_socket().expect("alive");
+        let parent = sys.pid();
         for (name, register) in [("late-open", false), ("late-register", true)] {
-            let spec = SpawnSpec::new(name, Box::new(LateCaller { register }));
+            let spec = SpawnSpec::new(name, Box::new(LateCaller { register, parent }));
             let pid = sys.spawn(spec).expect("spawn late caller");
             sys.adopt(pid, TraceFlags::ALL).expect("adopt own child");
             self.names.push((pid, name));
@@ -645,6 +659,25 @@ impl Program for LateParent {
         let line = format!("{} {status}", self.name_of(child));
         self.record(sys, line);
     }
+
+    /// Reports, after the children's lines, whether their late port is
+    /// free, how many orphans they forked and how many signals reached
+    /// this process.
+    fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
+        self.lines.sort();
+        let listen = sys.listen(LATE_PORT);
+        let everyone = [OWNER, Uid::ROOT].map(|uid| sys.user_processes(uid));
+        let orphans = everyone.iter().flatten();
+        let orphans = orphans.filter(|p| p.command == LATE_ORPHAN).count();
+        let signals = sys.rusage_of(sys.pid()).expect("alive").signals_received;
+        let then = format!("then listen {listen:?}, orphans {orphans}, signals {signals}");
+        self.lines.push(then);
+        sys.stable_put(LATE_REPORT, self.lines.join("\n"));
+    }
+
+    fn on_signal(&mut self, _: &mut dyn Sys, _: Signal) -> SigAction {
+        SigAction::Handled
+    }
 }
 
 fn late_calls_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
@@ -661,7 +694,8 @@ fn a_call_after_its_own_exit_is_answered_not_a_panic_on_sim_real_and_mc() {
 late-open exit event files=0
 late-open exit(0)
 late-register exit event files=0
-late-register exit(0)";
+late-register exit(0)
+then listen Ok(()), orphans 0, signals 0";
     assert_eq!(late_calls_on(&mut World::new(7), "sim"), expected);
     let real = late_calls_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
@@ -717,32 +751,48 @@ fn a_parent_that_kills_its_own_child_is_told_on_sim_real_and_mc() {
     assert_eq!(mc, expected, "model checker diverges from sim");
 }
 
-/// Where the eighth script's sleeper reports what its timer saw, and
-/// where its parent marks that it sent `SIGCONT`.
+/// Where the eighth script's sleeper reports what its timer saw and
+/// what it heard of its child, and where its parent marks that it sent
+/// `SIGCONT`.
 const WOKE: &str = "parity.woke";
+const HEARD: &str = "parity.heard";
 const CONTINUED: &str = "parity.continued";
 
-/// Arms a timer 100 ms ahead and reports, when it runs, its state and
+/// Forks a child and arms a timer 100 ms ahead; reports, when the timer
+/// runs and when it hears of the child's exit, its own state and
 /// whether its `SIGCONT` was already sent.
 struct Sleeper;
 
+impl Sleeper {
+    fn report(sys: &mut dyn Sys, key: &str, what: String) {
+        let state = sys.proc_info(sys.pid()).expect("alive").state;
+        let continued = sys.stable_get(CONTINUED).is_some();
+        sys.stable_put(key, format!("{what}{state:?}, continued {continued}"));
+    }
+}
+
 impl Program for Sleeper {
     fn on_start(&mut self, sys: &mut dyn Sys) {
+        sys.spawn(SpawnSpec::inert("kid")).expect("fork kid");
         sys.set_timer(SimDuration::from_millis(100), 0);
     }
 
     fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
-        let state = sys.proc_info(sys.pid()).expect("alive").state;
-        let continued = sys.stable_get(CONTINUED).is_some();
-        sys.stable_put(WOKE, format!("{state:?}, continued {continued}"));
+        Sleeper::report(sys, WOKE, String::new());
+    }
+
+    fn on_child_exit(&mut self, sys: &mut dyn Sys, _: Pid, status: ExitStatus) {
+        Sleeper::report(sys, HEARD, format!("{status}, "));
     }
 }
 
-/// Stops the sleeper once it runs (its exec event says so) and
-/// continues it 300 ms later, well past its timer.
+/// Stops the sleeper once it forks (its fork event says so), kills its
+/// child 50 ms later, and continues it 250 ms after that, well past its
+/// timer.
 #[derive(Default)]
 struct Stopper {
     sleeper: Option<Pid>,
+    kid: Option<Pid>,
 }
 
 impl Program for Stopper {
@@ -755,35 +805,48 @@ impl Program for Stopper {
     }
 
     fn on_kernel_batch(&mut self, sys: &mut dyn Sys, data: Bytes) {
-        let mut started = false;
+        let mut forked = None;
         for_each_kernel_msg(&data, |msg| {
-            started |= matches!(msg.event, KernelEvent::Exec { .. });
+            if let KernelEvent::Fork { child, .. } = msg.event {
+                forked = Some(child);
+            }
         });
-        if started {
+        if let Some(kid) = forked.filter(|_| self.kid.is_none()) {
+            self.kid = Some(kid);
             sys.kill(self.sleeper.expect("spawned"), Signal::Stop)
                 .expect("own child");
-            sys.set_timer(SimDuration::from_millis(300), 0);
+            sys.set_timer(SimDuration::from_millis(50), 0);
         }
     }
 
-    fn on_timer(&mut self, sys: &mut dyn Sys, _: u64) {
-        sys.stable_put(CONTINUED, "yes");
-        sys.kill(self.sleeper.expect("spawned"), Signal::Cont)
-            .expect("own child");
+    fn on_timer(&mut self, sys: &mut dyn Sys, token: u64) {
+        if token == 0 {
+            sys.kill(self.kid.expect("forked"), Signal::Kill)
+                .expect("own grandchild");
+            sys.set_timer(SimDuration::from_millis(250), 1);
+        } else {
+            sys.stable_put(CONTINUED, "yes");
+            sys.kill(self.sleeper.expect("spawned"), Signal::Cont)
+                .expect("own child");
+        }
     }
 }
 
-fn stop_hold_on<R: Runtime>(rt: &mut R, backend: &str) -> String {
+fn stop_hold_on<R: Runtime>(rt: &mut R, backend: &str) -> [String; 2] {
     let host = rt.add_host("a", CpuClass::Vax780);
     let spec = SpawnSpec::new("stopper", Box::<Stopper>::default());
     rt.spawn_user(host, OWNER, spec).expect("spawn stopper");
     wait_for(rt, host, WOKE);
-    text(rt.stable_get(host, WOKE), "report", backend)
+    wait_for(rt, host, HEARD);
+    [WOKE, HEARD].map(|key| text(rt.stable_get(host, key), key, backend))
 }
 
 #[test]
-fn a_timer_due_while_stopped_runs_after_sigcont_on_sim_real_and_mc() {
-    let expected = "Running, continued true";
+fn a_timer_and_a_child_exit_due_while_stopped_run_after_sigcont_on_sim_real_and_mc() {
+    let expected = [
+        "Running, continued true",
+        "killed by SIGKILL, Running, continued true",
+    ];
     assert_eq!(stop_hold_on(&mut World::new(7), "sim"), expected);
     let real = stop_hold_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
