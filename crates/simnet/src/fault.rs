@@ -3,9 +3,10 @@
 //! A [`FaultPlan`] describes *when the world misbehaves*: hosts crash and
 //! restart, links are cut and heal, processes are killed, and the wire
 //! drops, duplicates, reorders or delays messages with seeded
-//! probabilities. Plans are text files (one statement per line, `#`
-//! comments) so a chaos scenario is an artifact that can be committed,
-//! diffed and replayed:
+//! probabilities. Plans are text files, read by [`crate::grammar`] as
+//! every file is (one statement per line, `#` comments, counts such as a
+//! `seed` in decimal or `0x` hex, durations with a unit), so a chaos
+//! scenario is an artifact that can be committed, diffed and replayed:
 //!
 //! ```text
 //! seed 7
@@ -26,8 +27,7 @@
 //! perturb the latency jitter stream — the same plan and seed produce
 //! the same fault schedule whether or not other randomness changes.
 
-use std::fmt;
-
+use crate::grammar::{self, LineError, Tokens};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -142,66 +142,13 @@ impl Default for FaultPlan {
     }
 }
 
-/// A parse failure, with the 1-based line it came from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlanError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for FaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for FaultPlanError {}
-
-fn err(line: usize, message: impl Into<String>) -> FaultPlanError {
-    FaultPlanError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn parse_duration(s: &str, line: usize) -> Result<SimDuration, FaultPlanError> {
-    s.parse().map_err(|m: String| err(line, m))
-}
-
-fn parse_time(s: &str, line: usize) -> Result<SimTime, FaultPlanError> {
-    Ok(SimTime::ZERO + parse_duration(s, line)?)
-}
-
-/// `at` plus a sugared `restart` / `heal` delay, still inside the clock's
-/// range (so the plan's `encode` parses again).
-fn parse_later(at: SimTime, s: &str, line: usize) -> Result<SimTime, FaultPlanError> {
-    let d = parse_duration(s, line)?;
-    let later = at.as_micros().checked_add(d.as_micros());
-    let later = later.filter(|us| *us <= SimTime::FAR_FUTURE.as_micros());
-    later
-        .map(|_| at + d)
-        .ok_or_else(|| err(line, format!("{at} + {s} is out of range")))
-}
-
-fn parse_prob(s: &str, line: usize) -> Result<f64, FaultPlanError> {
-    let p: f64 = s
-        .parse()
-        .map_err(|_| err(line, format!("bad probability {s:?}")))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(err(line, format!("probability {p} outside [0, 1]")));
-    }
-    Ok(p)
-}
-
 impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.wire.is_empty()
     }
 
-    /// Parses a plan from text.
+    /// Parses a plan from text, read by [`grammar::each_line`].
     ///
     /// # Examples
     ///
@@ -211,37 +158,28 @@ impl FaultPlan {
     /// assert_eq!(plan.seed, 7);
     /// assert_eq!(plan.events.len(), 2, "crash + sugared restart");
     /// assert_eq!(plan.wire.len(), 1);
-    /// # Ok::<(), ppm_simnet::fault::FaultPlanError>(())
+    /// # Ok::<(), ppm_simnet::grammar::LineError>(())
     /// ```
     ///
     /// # Errors
     ///
-    /// [`FaultPlanError`] with the offending line number.
-    pub fn parse(text: &str) -> Result<Self, FaultPlanError> {
+    /// [`LineError`] with the offending line number.
+    pub fn parse(text: &str) -> Result<Self, LineError> {
         let mut plan = FaultPlan::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let stripped = raw.split('#').next().unwrap_or("").trim();
-            if stripped.is_empty() {
-                continue;
-            }
-            let tokens: Vec<&str> = stripped.split_whitespace().collect();
-            match tokens[0] {
-                "seed" => {
-                    let v = tokens
-                        .get(1)
-                        .ok_or_else(|| err(line, "seed needs a value"))?;
-                    plan.seed = v
-                        .parse()
-                        .map_err(|_| err(line, format!("bad seed {v:?}")))?;
+        grammar::each_line(text, |line| {
+            let t = line.at(0);
+            match t.verb() {
+                "seed" => plan.seed = grammar::count(t.need(1, "a value")?)?,
+                "at" => {
+                    let at = grammar::instant(t.need(1, "a time")?)?;
+                    t.need(2, "a fault verb")?;
+                    parse_event(&mut plan, at, line.at(2))?;
                 }
-                "at" => parse_event(&mut plan, &tokens[1..], line)?,
-                "drop" | "dup" | "reorder" | "delay" => {
-                    plan.wire.push(parse_wire_rule(&tokens, line)?);
-                }
-                other => return Err(err(line, format!("unknown statement {other:?}"))),
+                "drop" | "dup" | "reorder" | "delay" => plan.wire.push(parse_wire_rule(t)?),
+                other => return Err(format!("unknown statement {other:?}")),
             }
-        }
+            Ok(())
+        })?;
         Ok(plan)
     }
 
@@ -310,169 +248,94 @@ impl FaultPlan {
     }
 }
 
-fn parse_event(plan: &mut FaultPlan, tokens: &[&str], line: usize) -> Result<(), FaultPlanError> {
-    let when = tokens.first().ok_or_else(|| err(line, "at needs a time"))?;
-    let at = parse_time(when, line)?;
-    let verb = tokens
-        .get(1)
-        .ok_or_else(|| err(line, "at needs a fault verb"))?;
-    let need = |i: usize, what: &str| -> Result<String, FaultPlanError> {
-        tokens
-            .get(i)
-            .map(|t| t.to_string())
-            .ok_or_else(|| err(line, format!("{verb} needs {what}")))
-    };
-    match *verb {
+/// Adds the events of the fault `t` names, its verb first, at `at`.
+fn parse_event(plan: &mut FaultPlan, at: SimTime, t: Tokens) -> Result<(), String> {
+    use FaultKind::*;
+    let word = |i, what| t.need(i, what).map(String::from);
+    let host = || word(1, "HOST");
+    let link = || word(2, "a link name after `link`");
+    let pair = || Ok::<_, String>((word(1, "two hosts")?, word(2, "two hosts")?));
+    let mut push = |at, kind| plan.events.push(FaultEvent { at, kind });
+    match t.verb() {
         "crash" => {
-            let host = need(2, "HOST")?;
-            plan.events.push(FaultEvent {
-                at,
-                kind: FaultKind::Crash { host: host.clone() },
-            });
+            push(at, Crash { host: host()? });
             // Sugar: `crash HOST restart DUR` heals the host DUR later.
-            match tokens.get(3) {
-                Some(&"restart") => {
-                    plan.events.push(FaultEvent {
-                        at: parse_later(at, &need(4, "a delay after `restart`")?, line)?,
-                        kind: FaultKind::Restart { host },
-                    });
-                }
-                Some(other) => {
-                    return Err(err(line, format!("unknown crash option {other:?}")));
-                }
-                None => {}
+            if let Some(later) = sugar(t, 2, "restart", at)? {
+                push(later, Restart { host: host()? });
             }
         }
-        "restart" => {
-            plan.events.push(FaultEvent {
-                at,
-                kind: FaultKind::Restart {
-                    host: need(2, "HOST")?,
-                },
-            });
+        "restart" => push(at, Restart { host: host()? }),
+        // Sugar: `cut link NAME [heal DUR]` targets a named netmodel
+        // link instead of a host pair.
+        "cut" | "link-down" if t.get(1) == Some("link") => {
+            push(at, NetLinkDown { link: link()? });
+            if let Some(later) = sugar(t, 3, "heal", at)? {
+                push(later, NetLinkUp { link: link()? });
+            }
         }
         "cut" | "link-down" => {
-            // Sugar: `cut link NAME [heal DUR]` targets a named netmodel
-            // link instead of a host pair.
-            if tokens.get(2) == Some(&"link") {
-                let link = need(3, "a link name after `link`")?;
-                plan.events.push(FaultEvent {
-                    at,
-                    kind: FaultKind::NetLinkDown { link: link.clone() },
-                });
-                match tokens.get(4) {
-                    Some(&"heal") => {
-                        plan.events.push(FaultEvent {
-                            at: parse_later(at, &need(5, "a delay after `heal`")?, line)?,
-                            kind: FaultKind::NetLinkUp { link },
-                        });
-                    }
-                    Some(other) => {
-                        return Err(err(line, format!("unknown cut option {other:?}")));
-                    }
-                    None => {}
-                }
-                return Ok(());
-            }
-            let a = need(2, "two hosts")?;
-            let b = need(3, "two hosts")?;
-            plan.events.push(FaultEvent {
-                at,
-                kind: FaultKind::LinkDown {
-                    a: a.clone(),
-                    b: b.clone(),
-                },
-            });
+            let (a, b) = pair()?;
+            push(at, LinkDown { a, b });
             // Sugar: `cut A B heal DUR` restores the link DUR later.
-            match tokens.get(4) {
-                Some(&"heal") => {
-                    plan.events.push(FaultEvent {
-                        at: parse_later(at, &need(5, "a delay after `heal`")?, line)?,
-                        kind: FaultKind::LinkUp { a, b },
-                    });
-                }
-                Some(other) => {
-                    return Err(err(line, format!("unknown cut option {other:?}")));
-                }
-                None => {}
+            if let Some(later) = sugar(t, 3, "heal", at)? {
+                let (a, b) = pair()?;
+                push(later, LinkUp { a, b });
             }
+        }
+        "link-up" | "heal" if t.get(1) == Some("link") => {
+            push(at, NetLinkUp { link: link()? });
         }
         "link-up" | "heal" => {
-            if tokens.get(2) == Some(&"link") {
-                plan.events.push(FaultEvent {
-                    at,
-                    kind: FaultKind::NetLinkUp {
-                        link: need(3, "a link name after `link`")?,
-                    },
-                });
-                return Ok(());
-            }
-            plan.events.push(FaultEvent {
-                at,
-                kind: FaultKind::LinkUp {
-                    a: need(2, "two hosts")?,
-                    b: need(3, "two hosts")?,
-                },
-            });
+            let (a, b) = pair()?;
+            push(at, LinkUp { a, b });
         }
         "kill" => {
-            plan.events.push(FaultEvent {
-                at,
-                kind: FaultKind::Kill {
-                    host: need(2, "HOST")?,
-                    command: need(3, "a command prefix")?,
-                },
-            });
+            let (host, command) = (host()?, word(2, "a command prefix")?);
+            push(at, Kill { host, command });
         }
-        other => return Err(err(line, format!("unknown fault verb {other:?}"))),
+        other => return Err(format!("unknown fault verb {other:?}")),
     }
     Ok(())
 }
+/// The instant of the optional `WORD DUR` at token `i`: `at` plus DUR.
+fn sugar(t: Tokens, i: usize, word: &str, at: SimTime) -> Result<Option<SimTime>, String> {
+    match t.get(i) {
+        None => Ok(None),
+        Some(w) if w == word => {
+            let delay = t.get(i + 1);
+            let delay =
+                delay.ok_or_else(|| format!("{} needs a delay after `{word}`", t.verb()))?;
+            grammar::later(at, delay).map(Some)
+        }
+        Some(other) => Err(format!("unknown {} option {other:?}", t.verb())),
+    }
+}
 
-fn parse_wire_rule(tokens: &[&str], line: usize) -> Result<WireRule, FaultPlanError> {
-    let verb = tokens[0];
-    let p = parse_prob(
-        tokens
-            .get(1)
-            .ok_or_else(|| err(line, format!("{verb} needs a probability")))?,
-        line,
-    )?;
-    let mut i = 2;
-    let value = |what: &str, i: usize| -> Result<&str, FaultPlanError> {
-        tokens
-            .get(i)
-            .copied()
-            .ok_or_else(|| err(line, format!("{verb} needs {what}")))
-    };
-    let kind = match verb {
-        "drop" => WireFaultKind::Drop,
-        "dup" => WireFaultKind::Dup,
+fn parse_wire_rule(t: Tokens) -> Result<WireRule, String> {
+    let p = grammar::probability(t.need(1, "a probability")?)?;
+    let (kind, mut i) = match t.verb() {
+        "drop" => (WireFaultKind::Drop, 2),
+        "dup" => (WireFaultKind::Dup, 2),
+        "reorder" if t.get(2) != Some("skew") => return Err("reorder needs `skew DUR`".into()),
         "reorder" => {
-            if tokens.get(2) != Some(&"skew") {
-                return Err(err(line, "reorder needs `skew DUR`"));
-            }
-            let skew = parse_duration(value("a duration after `skew`", 3)?, line)?;
-            i = 4;
-            WireFaultKind::Reorder { skew }
+            let skew = grammar::duration(t.need(3, "a duration after `skew`")?)?;
+            (WireFaultKind::Reorder { skew }, 4)
         }
+        "delay" if t.get(2) != Some("add") => return Err("delay needs `add DUR`".into()),
         "delay" => {
-            if tokens.get(2) != Some(&"add") {
-                return Err(err(line, "delay needs `add DUR`"));
-            }
-            let extra = parse_duration(value("a duration after `add`", 3)?, line)?;
-            i = 4;
-            WireFaultKind::Delay { extra }
+            let extra = grammar::duration(t.need(3, "a duration after `add`")?)?;
+            (WireFaultKind::Delay { extra }, 4)
         }
-        other => return Err(err(line, format!("unknown wire fault {other:?}"))),
+        other => return Err(format!("unknown wire fault {other:?}")),
     };
     let mut rule = WireRule::new(kind, p);
-    while i < tokens.len() {
-        match tokens[i] {
-            "from" => rule.from = Some(value("a host after `from`", i + 1)?.to_string()),
-            "to" => rule.to = Some(value("a host after `to`", i + 1)?.to_string()),
-            "after" => rule.after = Some(parse_time(value("a time after `after`", i + 1)?, line)?),
-            "until" => rule.until = Some(parse_time(value("a time after `until`", i + 1)?, line)?),
-            other => return Err(err(line, format!("unknown rule option {other:?}"))),
+    while let Some(option) = t.get(i) {
+        match option {
+            "from" => rule.from = Some(t.need(i + 1, "a host after `from`")?.into()),
+            "to" => rule.to = Some(t.need(i + 1, "a host after `to`")?.into()),
+            "after" => rule.after = Some(grammar::instant(t.need(i + 1, "a time after `after`")?)?),
+            "until" => rule.until = Some(grammar::instant(t.need(i + 1, "a time after `until`")?)?),
+            other => return Err(format!("unknown rule option {other:?}")),
         }
         i += 2;
     }

@@ -33,6 +33,7 @@
 pub mod bandwidth;
 pub mod engine;
 pub mod fault;
+pub mod grammar;
 pub mod latency;
 pub mod rng;
 pub mod routing;

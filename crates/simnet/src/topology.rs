@@ -6,11 +6,17 @@
 //! hosts (Table 2 and Table 3 are keyed on it) and **reachability** (crash
 //! recovery in Section 5 is driven by partitions and host crashes). This
 //! module models exactly those.
+//!
+//! Beside it sits the physical network model, [`NetSpec`]: a preset, or a
+//! `.topo` file read by [`crate::grammar`] as every text file is (`#`
+//! comments, durations with a unit, probabilities in `[0, 1]`, and a
+//! refusal that names its line).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
-use crate::time::{SimDuration, SimTime};
+use crate::grammar::{self, LineError};
+use crate::time::SimTime;
 
 // Host identity and hardware class live in the backend-agnostic runtime
 // layer; re-exported here so simulation-side code keeps its paths.
@@ -326,8 +332,8 @@ fn parse_net_cap_bps(s: &str) -> Result<u64, String> {
 }
 
 impl NetSpec {
-    /// Parses a `.topo` file. Grammar, one directive per line
-    /// (`#` comments):
+    /// Parses a `.topo` file, read by [`grammar::each_line`]. Grammar,
+    /// one directive per line (`#` comments):
     ///
     /// ```text
     /// topo NAME
@@ -335,98 +341,74 @@ impl NetSpec {
     /// link A B [name=X] [cap=BPS[k|m]] [lat=DUR] [loss=P] [core]
     /// ```
     ///
-    /// Unnamed links get `A-B`. `cap` defaults to
-    /// [`NET_DEFAULT_CAP_BPS`], `lat` to [`NET_DEFAULT_LAT_US`]. `DUR` is
-    /// a count and a unit (`us`, `ms` or `s`), and the latencies of all
-    /// links together must fit the simulated clock.
-    pub fn parse(text: &str) -> Result<NetSpec, String> {
+    /// Unnamed links get `A-B`; a link name is used once. `cap` defaults
+    /// to [`NET_DEFAULT_CAP_BPS`], `lat` to [`NET_DEFAULT_LAT_US`]. `DUR`
+    /// is a count and a unit (`us`, `ms` or `s`), and the latencies of
+    /// all links together must fit the simulated clock. `P` is a
+    /// probability.
+    ///
+    /// # Errors
+    ///
+    /// [`LineError`] with the offending line number, or line 0 for a file
+    /// with no links.
+    pub fn parse(text: &str) -> Result<NetSpec, LineError> {
         let mut spec = NetSpec::default();
         let mut route_lat_us = 0u64;
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |m: String| format!("topo line {}: {m}", ln + 1);
-            let mut toks = line.split_whitespace();
-            match toks.next().unwrap() {
-                "topo" => {
-                    spec.name = toks
-                        .next()
-                        .ok_or_else(|| err("missing name".into()))?
-                        .into();
-                }
+        grammar::each_line(text, |line| {
+            let t = line.at(0);
+            match t.verb() {
+                "topo" => spec.name = t.need(1, "a name")?.into(),
                 "switch" => {
-                    let s: String = toks
-                        .next()
-                        .ok_or_else(|| err("missing switch name".into()))?
-                        .into();
-                    if spec.switches.contains(&s) {
-                        return Err(err(format!("duplicate switch {s:?}")));
+                    let s = t.need(1, "a name")?;
+                    if spec.switches.iter().any(|w| w == s) {
+                        return Err(format!("duplicate switch {s:?}"));
                     }
-                    spec.switches.push(s);
+                    spec.switches.push(s.into());
                 }
                 "link" => {
-                    let a: String = toks
-                        .next()
-                        .ok_or_else(|| err("missing endpoint".into()))?
-                        .into();
-                    let b: String = toks
-                        .next()
-                        .ok_or_else(|| err("missing endpoint".into()))?
-                        .into();
+                    let (a, b) = (t.need(1, "two endpoints")?, t.need(2, "two endpoints")?);
                     if a == b {
-                        return Err(err("self-link".into()));
+                        return Err("self-link".into());
                     }
                     let mut link = NetLinkSpec {
                         name: format!("{a}-{b}"),
-                        a,
-                        b,
+                        a: a.into(),
+                        b: b.into(),
                         cap_bps: NET_DEFAULT_CAP_BPS,
                         lat_us: NET_DEFAULT_LAT_US,
                         loss: 0.0,
                         core: false,
                     };
-                    for t in toks {
-                        if let Some(v) = t.strip_prefix("name=") {
-                            link.name = v.into();
-                        } else if let Some(v) = t.strip_prefix("cap=") {
-                            link.cap_bps = parse_net_cap_bps(v).map_err(&err)?;
-                        } else if let Some(v) = t.strip_prefix("lat=") {
-                            link.lat_us = v.parse::<SimDuration>().map_err(&err)?.as_micros();
-                        } else if let Some(v) = t.strip_prefix("loss=") {
-                            link.loss = v
-                                .parse()
-                                .ok()
-                                .filter(|p| (0.0..=1.0).contains(p))
-                                .ok_or_else(|| err(format!("bad loss {v:?}")))?;
-                        } else if t == "core" {
-                            link.core = true;
-                        } else {
-                            return Err(err(format!("unknown link attribute {t:?}")));
+                    for &attr in &t.0[3..] {
+                        match grammar::option(attr) {
+                            ("name", Some(v)) => link.name = v.into(),
+                            ("cap", Some(v)) => link.cap_bps = parse_net_cap_bps(v)?,
+                            ("lat", Some(v)) => link.lat_us = grammar::duration(v)?.as_micros(),
+                            ("loss", Some(v)) => link.loss = grammar::probability(v)?,
+                            ("core", None) => link.core = true,
+                            _ => return Err(format!("unknown link attribute {attr:?}")),
                         }
+                    }
+                    if spec.links.iter().any(|l| l.name == link.name) {
+                        return Err(format!("duplicate link name {:?}", link.name));
                     }
                     // No route crosses a link twice, so bounding the sum
                     // over all links bounds every route's latency.
                     route_lat_us = route_lat_us
                         .checked_add(link.lat_us)
                         .filter(|t| *t <= SimTime::FAR_FUTURE.as_micros())
-                        .ok_or_else(|| err("link latencies sum past the clock's range".into()))?;
+                        .ok_or("link latencies sum past the clock's range")?;
                     spec.links.push(link);
                 }
-                other => return Err(err(format!("unknown directive {other:?}"))),
+                other => return Err(format!("unknown directive {other:?}")),
             }
-        }
+            Ok(())
+        })?;
         if spec.name.is_empty() {
             spec.name = "custom".into();
         }
         if spec.links.is_empty() {
             return Err("topo file declares no links".into());
-        }
-        let mut names: Vec<&str> = spec.links.iter().map(|l| l.name.as_str()).collect();
-        names.sort_unstable();
-        if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
-            return Err(format!("duplicate link name {:?}", w[0]));
         }
         Ok(spec)
     }
@@ -698,12 +680,12 @@ mod net_tests {
         assert!(NetSpec::parse("topo empty").is_err());
         for lat in ["infs", "NaNms", "-3ms", "7"] {
             let e = NetSpec::parse(&format!("link a b\nlink b c lat={lat}")).unwrap_err();
-            assert!(e.starts_with("topo line 2: "), "{lat}: {e}");
+            assert!(e.to_string().starts_with("line 2: "), "{lat}: {e}");
         }
         // Each latency fits the clock; a route over all three would not.
         let far = "lat=2000000000000s";
         let e = NetSpec::parse(&format!("link a b {far}\nlink b c {far}\nlink c d {far}"));
-        assert!(e.unwrap_err().starts_with("topo line 3: "));
+        assert!(e.unwrap_err().to_string().starts_with("line 3: "));
     }
 
     #[test]

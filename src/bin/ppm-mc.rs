@@ -25,44 +25,50 @@ use std::process::ExitCode;
 
 use ppm::digest::hex;
 use ppm::mc_suites;
+use ppm::simnet::grammar::{flag_number, flag_value, LineError};
 use ppm_mc::{explore, replay, replay_trace, Budget};
 
-struct Args {
-    suite: String,
+/// `ppm-mc`'s command line.
+struct Cli {
+    suites: Vec<&'static str>,
     depth: Option<usize>,
     states: Option<u64>,
     repro: bool,
     digest_only: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        suite: "all".to_string(),
+fn parse_args() -> Result<Cli, LineError> {
+    let mut cli = Cli {
+        suites: mc_suites::SUITES.to_vec(),
         depth: None,
         states: None,
         repro: false,
         digest_only: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        match flag {
             "--suite" => {
-                args.suite = it.next().ok_or("--suite needs a value")?;
+                let name = flag_value(flag, args.next(), "a value")?;
+                let known = mc_suites::SUITES;
+                cli.suites = match known.into_iter().find(|n| *n == name) {
+                    Some(one) => vec![one],
+                    None if name == "all" => known.to_vec(),
+                    None => {
+                        let known = known.join(", ");
+                        return Err(format!("unknown suite {name:?}; known: {known}").into());
+                    }
+                };
             }
-            "--depth" => {
-                let v = it.next().ok_or("--depth needs a value")?;
-                args.depth = Some(v.parse().map_err(|_| format!("bad depth {v}"))?);
-            }
-            "--states" => {
-                let v = it.next().ok_or("--states needs a value")?;
-                args.states = Some(v.parse().map_err(|_| format!("bad states {v}"))?);
-            }
-            "--repro" => args.repro = true,
-            "--digest" => args.digest_only = true,
-            other => return Err(format!("unknown argument {other}")),
+            "--depth" => cli.depth = Some(flag_number(flag, args.next(), 0)?),
+            "--states" => cli.states = Some(flag_number(flag, args.next(), 0)?),
+            "--repro" => cli.repro = true,
+            "--digest" => cli.digest_only = true,
+            other => return Err(format!("unknown argument {other}").into()),
         }
     }
-    Ok(args)
+    Ok(cli)
 }
 
 fn main() -> ExitCode {
@@ -73,27 +79,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let names: Vec<&str> = if args.suite == "all" {
-        mc_suites::SUITES.to_vec()
-    } else {
-        match mc_suites::by_name(&args.suite) {
-            Some(_) => vec![mc_suites::SUITES
-                .iter()
-                .copied()
-                .find(|n| *n == args.suite)
-                .expect("by_name implies membership")],
-            None => {
-                eprintln!(
-                    "ppm-mc: unknown suite {:?}; known: {}",
-                    args.suite,
-                    mc_suites::SUITES.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        }
-    };
     let mut failed = false;
-    for name in names {
+    for name in args.suites.iter().copied() {
         let s = mc_suites::by_name(name).expect("listed suite exists");
         let budget = Budget {
             max_depth: args.depth.unwrap_or(s.default_budget.max_depth),

@@ -16,13 +16,15 @@
 //! report to a file; `--repro <spec-id>` prints the single-run `ppm-sim`
 //! command line that replays one cell (digest and all) and exits.
 //!
-//! An unknown flag and a second grid path are refused with the usage
-//! line before any cell runs. Exit status is nonzero when any cell
+//! The command line is read by `ppm::simnet::grammar::Args`, as
+//! `ppm-sim`'s is: an unknown flag, a flag without its value and a second
+//! grid path are refused with the usage line before any cell runs. Exit status is nonzero when any cell
 //! fails its predicates, so the grid doubles as a batch acceptance gate.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use ppm::simnet::grammar::{self, flag_number, flag_value, LineError};
 use ppm::sweep::{render_report, render_timing, run_specs, Grid};
 
 fn usage() -> ExitCode {
@@ -31,47 +33,45 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn main() -> ExitCode {
+/// `ppm-sweep`'s command line.
+#[derive(Default)]
+struct Cli {
+    grid: Option<String>,
+    workers: Option<usize>,
+    out: Option<String>,
+    repro: Option<String>,
+}
+
+fn parse_args() -> Result<Cli, LineError> {
     let mut args = std::env::args().skip(1);
-    let mut grid_path: Option<PathBuf> = None;
-    let mut workers: Option<usize> = None;
-    let mut out_path: Option<String> = None;
-    let mut repro_id: Option<String> = None;
+    let mut cli = Cli::default();
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workers" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()).filter(|n| *n >= 1) else {
-                    eprintln!("ppm-sweep: --workers needs a count of at least 1");
-                    return ExitCode::FAILURE;
-                };
-                workers = Some(n);
-            }
-            "--out" => {
-                let Some(p) = args.next() else {
-                    eprintln!("ppm-sweep: --out needs a path");
-                    return ExitCode::FAILURE;
-                };
-                out_path = Some(p);
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--workers" => cli.workers = Some(flag_number(flag, args.next(), 1)?),
+            "--out" => cli.out = Some(flag_value(flag, args.next(), "a path")?),
             "--repro" => {
-                let Some(id) = args.next() else {
-                    eprintln!("ppm-sweep: --repro needs a spec id (variant|plan|seed=N)");
-                    return ExitCode::FAILURE;
-                };
-                repro_id = Some(id);
+                cli.repro = Some(flag_value(
+                    flag,
+                    args.next(),
+                    "a spec id (variant|plan|seed=N)",
+                )?)
             }
-            flag if flag.starts_with('-') => {
-                eprintln!("ppm-sweep: unknown flag {flag:?}");
-                return usage();
-            }
-            _ if grid_path.is_some() => {
-                eprintln!("ppm-sweep: a second grid path {arg:?}");
-                return usage();
-            }
-            _ => grid_path = Some(PathBuf::from(arg)),
+            _ => grammar::operand(arg, &mut cli.grid, "grid path")?,
         }
     }
-    let Some(grid_path) = grid_path else {
+    Ok(cli)
+}
+
+fn main() -> ExitCode {
+    let cli = match parse_args() {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("ppm-sweep: {e}");
+            return usage();
+        }
+    };
+    let Some(grid_path) = cli.grid.map(PathBuf::from) else {
         return usage();
     };
     let grid = match Grid::load(&grid_path) {
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
         }
     };
     let specs = grid.expand();
-    if let Some(id) = repro_id {
+    if let Some(id) = cli.repro {
         return match specs.iter().find(|s| s.id == id) {
             Some(spec) => {
                 println!("{}", spec.repro());
@@ -97,7 +97,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let workers = workers.unwrap_or_else(|| {
+    let workers = cli.workers.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
     let started = std::time::Instant::now();
@@ -106,7 +106,7 @@ fn main() -> ExitCode {
     let report = render_report(&grid, &results);
     print!("{report}");
     eprintln!("{}", render_timing(results.len(), workers, elapsed));
-    if let Some(p) = out_path {
+    if let Some(p) = cli.out {
         if let Err(e) = std::fs::write(&p, &report) {
             eprintln!("ppm-sweep: cannot write {p}: {e}");
             return ExitCode::FAILURE;

@@ -39,10 +39,12 @@
 //! ```
 //!
 //! `as NAME` binds the created process's `<host, pid>`; `$NAME` refers to
-//! it in later `control`/`killtree`/`parent=` arguments. Durations are a
-//! count and a unit (`us`, `ms` or `s`). UIDs and PIDs fit in 32 bits,
-//! and no token is longer than 65 535 bytes, the most a protocol string
-//! carries (a host name, a command, a destination). A `link`, a `load`
+//! it in later `control`/`killtree`/`parent=` arguments. The file is read
+//! by [`ppm_simnet::grammar`], as every text file is: durations are a
+//! count and a unit (`us`, `ms` or `s`), a seed or a secret is decimal or
+//! `0x` hex, UIDs and PIDs fit in 32 bits, and no token is longer than
+//! 65 535 bytes, the most a protocol string carries (a host name, a
+//! command, a destination). A refusal names its line. A `link`, a `load`
 //! and a user's `recovery=` and `nameserver=` name hosts declared on
 //! earlier lines; a host and a user are each declared once.
 //!
@@ -84,13 +86,13 @@ use ppm_core::config::{PpmConfig, RecoveryPolicy};
 use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::{HarnessBuilder, HarnessError, PpmHarness, Runtime};
 use ppm_harness::tenant::{self, scale_spec, TenantWorld};
-use ppm_proto::codec::MAX_STR_BYTES;
 use ppm_proto::msg::ControlAction;
 use ppm_proto::types::{Gpid, ProcRecord};
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::program::SpawnSpec;
 use ppm_runtime::workload::DutyCycle;
 use ppm_simnet::fault::FaultPlan;
+use ppm_simnet::grammar::{self, LineError, Tokens};
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, NetGraph, NetSpec};
 use ppm_simos::ids::Uid;
@@ -132,34 +134,6 @@ pub fn chain_scenario(n: usize) -> String {
     writeln!(s, "at {}ms snapshot h0 100 *", n * 200 + 2_000).expect("write to string");
     s.push_str("run 10s\n");
     s
-}
-
-/// A parse or execution failure, with the line it came from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioError {
-    /// 1-based line number (0 for execution-phase errors without one).
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line > 0 {
-            write!(f, "line {}: {}", self.line, self.message)
-        } else {
-            f.write_str(&self.message)
-        }
-    }
-}
-
-impl std::error::Error for ScenarioError {}
-
-pub(crate) fn err(line: usize, message: impl Into<String>) -> ScenarioError {
-    ScenarioError {
-        line,
-        message: message.into(),
-    }
 }
 
 /// A process reference: literal `host pid` pair or a `$name` binding.
@@ -283,40 +257,19 @@ pub struct Scenario {
     pub tail: SimDuration,
 }
 
-fn parse_duration(s: &str, line: usize) -> Result<SimDuration, ScenarioError> {
-    s.parse().map_err(|m: String| err(line, m))
-}
-
-fn parse_u64(s: &str, line: usize) -> Result<u64, ScenarioError> {
-    let parsed = if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    parsed.map_err(|_| err(line, format!("bad number {s:?}")))
-}
-
-/// A UID or PID: a number that fits in 32 bits.
-fn parse_u32(s: &str, line: usize) -> Result<u32, ScenarioError> {
-    u32::try_from(parse_u64(s, line)?)
-        .map_err(|_| err(line, format!("{s:?} does not fit in 32 bits")))
-}
-
-fn parse_proc_ref(tokens: &[&str], line: usize) -> Result<(ProcRef, usize), ScenarioError> {
-    match tokens.first() {
+/// A process: `$name`, or a `host` and a pid; with the tokens it took.
+fn proc_ref(host: Option<&str>, pid: Option<&str>) -> Result<(ProcRef, usize), String> {
+    match host {
         Some(t) if t.starts_with('$') => Ok((ProcRef::Named(t[1..].to_string()), 1)),
         Some(host) => {
-            let pid = tokens
-                .get(1)
-                .ok_or_else(|| err(line, "expected HOST PID or $name"))?;
-            let pid = parse_u32(pid, line)?;
-            Ok((ProcRef::Literal(Gpid::new(*host, pid)), 2))
+            let pid = grammar::id(pid.ok_or("expected HOST PID or $name")?)?;
+            Ok((ProcRef::Literal(Gpid::new(host, pid)), 2))
         }
-        None => Err(err(line, "expected a process reference")),
+        None => Err("expected a process reference".into()),
     }
 }
 
-/// Parses a scenario from text.
+/// Parses a scenario from text, read by [`grammar::each_line`].
 ///
 /// # Examples
 ///
@@ -328,169 +281,136 @@ fn parse_proc_ref(tokens: &[&str], line: usize) -> Result<(ProcRef, usize), Scen
 /// )?;
 /// assert_eq!(scenario.hosts.len(), 2);
 /// assert_eq!(scenario.actions.len(), 1);
-/// # Ok::<(), ppm::scenario::ScenarioError>(())
+/// # Ok::<(), ppm::simnet::grammar::LineError>(())
 /// ```
 ///
 /// # Errors
 ///
-/// [`ScenarioError`] with the offending line number.
-pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
+/// [`LineError`] with the offending line number, or line 0 for a
+/// scenario with no hosts or no users.
+pub fn parse(text: &str) -> Result<Scenario, LineError> {
     let mut sc = Scenario {
         seed: 1986,
         tail: SimDuration::ZERO,
         ..Default::default()
     };
     let mut host_lines = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        let stripped = raw.split('#').next().unwrap_or("").trim();
-        if stripped.is_empty() {
-            continue;
-        }
-        let mut tokens: Vec<&str> = stripped.split_whitespace().collect();
-        if let Some(long) = tokens.iter().find(|t| t.len() > MAX_STR_BYTES) {
-            let len = long.len();
-            return Err(err(
-                line,
-                format!("a token of {len} bytes is longer than {MAX_STR_BYTES}"),
-            ));
-        }
-        match tokens[0] {
-            "seed" => {
-                sc.seed = parse_u64(
-                    tokens
-                        .get(1)
-                        .ok_or_else(|| err(line, "seed needs a value"))?,
-                    line,
-                )?;
-            }
+    grammar::each_line(text, |line| {
+        let t = line.at(0);
+        match t.verb() {
+            "seed" => sc.seed = grammar::count(t.need(1, "a value")?)?,
             "host" => {
-                let name = tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "host needs a name"))?;
-                let cpu = match tokens.get(2).copied() {
+                let name = t.need(1, "a name")?;
+                let cpu = match t.get(2) {
                     Some("vax780") | None => CpuClass::Vax780,
                     Some("vax750") => CpuClass::Vax750,
                     Some("sun2") => CpuClass::Sun2,
-                    Some(other) => return Err(err(line, format!("unknown cpu {other:?}"))),
+                    Some(other) => return Err(format!("unknown cpu {other:?}")),
                 };
                 if sc.hosts.iter().any(|(h, _)| h == name) {
-                    return Err(err(line, format!("host {name:?} is declared twice")));
+                    return Err(format!("host {name:?} is declared twice"));
                 }
                 sc.hosts.push((name.to_string(), cpu));
-                host_lines.push(line);
+                host_lines.push(line.no);
             }
             "link" => {
-                let a = tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "link needs two hosts"))?;
-                let b = tokens
-                    .get(2)
-                    .ok_or_else(|| err(line, "link needs two hosts"))?;
+                let (a, b) = (t.need(1, "two hosts")?, t.need(2, "two hosts")?);
                 if a == b {
-                    return Err(err(line, format!("link joins {a:?} to itself")));
+                    return Err(format!("link joins {a:?} to itself"));
                 }
                 for end in [a, b] {
                     if !sc.hosts.iter().any(|(h, _)| h == end) {
-                        return Err(err(line, format!("link names undeclared host {end:?}")));
+                        return Err(format!("link names undeclared host {end:?}"));
                     }
                 }
                 sc.links.push((a.to_string(), b.to_string()));
             }
             "load" => {
-                let (Some(&host), Some(avg), 3) = (tokens.get(1), tokens.get(2), tokens.len())
-                else {
-                    return Err(err(line, "load takes HOST AVG"));
+                let (Some(host), Some(avg), 3) = (t.get(1), t.get(2), t.0.len()) else {
+                    return Err("load takes HOST AVG".into());
                 };
                 if !sc.hosts.iter().any(|(h, _)| h == host) {
-                    return Err(err(line, format!("load names undeclared host {host:?}")));
+                    return Err(format!("load names undeclared host {host:?}"));
                 }
                 if sc.loads.iter().any(|(_, h, _)| h == host) {
-                    return Err(err(line, format!("load of {host:?} is given twice")));
+                    return Err(format!("load of {host:?} is given twice"));
                 }
                 let avg: f64 = avg
                     .parse()
-                    .map_err(|_| err(line, format!("bad load average {avg:?}")))?;
+                    .map_err(|_| format!("bad load average {avg:?}"))?;
                 // Spinners come in halves of a process: 0, or 0.25 to MAX_LOAD.
                 if !(avg == 0.0 || (0.25..=MAX_LOAD).contains(&avg)) {
-                    return Err(err(line, format!("cannot pin a load average of {avg}")));
+                    return Err(format!("cannot pin a load average of {avg}"));
                 }
-                sc.loads.push((line, host.to_string(), avg));
+                sc.loads.push((line.no, host.to_string(), avg));
             }
             "pmd" => {
-                sc.stable_storage = match (tokens.get(1).copied(), tokens.len()) {
+                sc.stable_storage = match (t.get(1), t.0.len()) {
                     (Some("stable"), 2) => Some(true),
                     (Some("volatile"), 2) => Some(false),
-                    _ => return Err(err(line, "pmd takes stable or volatile")),
+                    _ => return Err("pmd takes stable or volatile".into()),
                 };
             }
             "user" => {
-                let uid = parse_u32(
-                    tokens.get(1).ok_or_else(|| err(line, "user needs a uid"))?,
-                    line,
-                )?;
+                let uid = grammar::id(t.need(1, "a uid")?)?;
                 if sc.users.iter().any(|u| u.0 == uid) {
-                    return Err(err(line, format!("user {uid} is declared twice")));
+                    return Err(format!("user {uid} is declared twice"));
                 }
                 let mut secret = 0u64;
                 let mut recovery = Vec::new();
                 // `fast` sets timers only, so it goes first wherever it is.
-                let mut cfg = if tokens[2..].contains(&"fast") {
+                let mut cfg = if t.0[2..].contains(&"fast") {
                     PpmConfig::fast_recovery()
                 } else {
                     PpmConfig::default()
                 };
                 let declared = |h: &str| {
                     let known = sc.hosts.iter().any(|(d, _)| d == h);
-                    let unknown = || err(line, format!("user names undeclared host {h:?}"));
+                    let unknown = || format!("user names undeclared host {h:?}");
                     known.then(|| h.to_string()).ok_or_else(unknown)
                 };
-                for t in &tokens[2..] {
-                    if let Some(v) = t.strip_prefix("secret=") {
-                        secret = parse_u64(v, line)?;
-                    } else if let Some(v) = t.strip_prefix("recovery=") {
-                        recovery = v.split(',').map(declared).collect::<Result<_, _>>()?;
-                    } else if let Some(v) = t.strip_prefix("nameserver=") {
-                        let host = declared(v)?.into();
-                        cfg.recovery_policy = RecoveryPolicy::NameServer { host };
-                    } else if let Some(v) = t.strip_prefix("window=") {
-                        cfg.bcast_window = parse_duration(v, line)?;
-                    } else {
-                        match *t {
-                            "fast" => {}
-                            "noagg" => cfg.reply_splicing = false,
-                            "noreuse" => cfg.handler_reuse = false,
-                            "noroutes" => cfg.route_learning = false,
-                            _ => return Err(err(line, format!("unknown user option {t:?}"))),
+                for &opt in &t.0[2..] {
+                    match grammar::option(opt) {
+                        ("secret", Some(v)) => secret = grammar::count(v)?,
+                        ("recovery", Some(v)) => {
+                            recovery = v.split(',').map(declared).collect::<Result<_, _>>()?;
                         }
+                        ("nameserver", Some(v)) => {
+                            let host = declared(v)?.into();
+                            cfg.recovery_policy = RecoveryPolicy::NameServer { host };
+                        }
+                        ("window", Some(v)) => cfg.bcast_window = grammar::duration(v)?,
+                        ("fast", None) => {}
+                        ("noagg", None) => cfg.reply_splicing = false,
+                        ("noreuse", None) => cfg.handler_reuse = false,
+                        ("noroutes", None) => cfg.route_learning = false,
+                        _ => return Err(format!("unknown user option {opt:?}")),
                     }
                 }
                 sc.users.push((uid, secret, recovery, cfg));
             }
             "at" => {
-                let when = tokens.get(1).ok_or_else(|| err(line, "at needs a time"))?;
-                let at = SimTime::ZERO + parse_duration(when, line)?;
-                let label = take_label(&mut tokens, line)?;
-                let action = parse_action(&tokens[2..], line)?;
-                sc.actions.push((line, at, action, label));
+                let at = grammar::instant(t.need(1, "a time")?)?;
+                let label = take_label(&mut line.tokens)?;
+                line.at(0).need(2, "an action")?;
+                let action = parse_action(line.at(2))?;
+                sc.actions.push((line.no, at, action, label));
             }
             "run" => {
-                let d = tokens
-                    .get(1)
-                    .ok_or_else(|| err(line, "run needs a duration"))?;
-                sc.tail += parse_duration(d, line)?;
+                sc.tail += grammar::duration(t.need(1, "a duration")?)?;
                 if sc.tail.as_micros() > SimTime::FAR_FUTURE.as_micros() {
-                    return Err(err(line, "run durations add up out of range"));
+                    return Err("run durations add up out of range".into());
                 }
             }
-            other => return Err(err(line, format!("unknown statement {other:?}"))),
+            other => return Err(format!("unknown statement {other:?}")),
         }
-    }
+        Ok(())
+    })?;
     if sc.hosts.is_empty() {
-        return Err(err(0, "scenario declares no hosts"));
+        return Err("scenario declares no hosts".into());
     }
     if sc.users.is_empty() {
-        return Err(err(0, "scenario declares no users"));
+        return Err("scenario declares no users".into());
     }
     let joins = |a: &str, b: &str| {
         sc.links
@@ -504,63 +424,49 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
 
 /// Takes the `time=LABEL` token off an `at` line, if it has one: the
 /// label its action's elapsed time is reported under.
-fn take_label(tokens: &mut Vec<&str>, line: usize) -> Result<Option<String>, ScenarioError> {
+fn take_label(tokens: &mut Vec<&str>) -> Result<Option<String>, String> {
     let is_label = |t: &&str| t.starts_with("time=");
     let Some(i) = tokens.iter().skip(3).position(is_label) else {
         return Ok(None);
     };
     let label = tokens.remove(3 + i)["time=".len()..].to_string();
     if label.is_empty() {
-        return Err(err(line, "time= needs a label"));
+        return Err("time= needs a label".into());
     }
     if tokens.iter().skip(3).any(is_label) {
-        return Err(err(line, "time= is given twice"));
+        return Err("time= is given twice".into());
     }
     match tokens[2] {
         "spawn" | "control" | "snapshot" => Ok(Some(label)),
-        verb => Err(err(line, format!("{verb} takes no time= label"))),
+        verb => Err(format!("{verb} takes no time= label")),
     }
 }
 
-fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
-    let verb = tokens
-        .first()
-        .ok_or_else(|| err(line, "at needs an action"))?;
-    let need = |i: usize, what: &str| -> Result<&str, ScenarioError> {
-        tokens
-            .get(i)
-            .copied()
-            .ok_or_else(|| err(line, format!("{verb} needs {what}")))
-    };
-    match *verb {
+/// The action `t` names, its verb first.
+fn parse_action(t: Tokens) -> Result<Action, String> {
+    let from = || t.need(1, "FROM").map(str::to_string);
+    let uid = || grammar::id(t.need(2, "UID")?);
+    match t.verb() {
         "spawn" => {
-            let from = need(1, "FROM")?.to_string();
-            let uid = parse_u32(need(2, "UID")?, line)?;
-            let dest = need(3, "DEST")?.to_string();
-            let command = need(4, "COMMAND")?.to_string();
-            let mut bind = None;
-            let mut lifetime = None;
-            let mut parent = None;
+            let (from, uid) = (from()?, uid()?);
+            let dest = t.need(3, "DEST")?.to_string();
+            let command = t.need(4, "COMMAND")?.to_string();
+            let (mut bind, mut lifetime, mut parent) = (None, None, None);
             let mut i = 5;
-            while i < tokens.len() {
-                match tokens[i] {
-                    "as" => {
-                        bind = Some(need(i + 1, "a name after `as`")?.to_string());
-                        i += 2;
-                    }
-                    t if t.starts_with("lifetime=") => {
-                        lifetime = Some(parse_duration(&t["lifetime=".len()..], line)?);
+            while let Some(opt) = t.get(i) {
+                match grammar::option(opt) {
+                    ("as", None) => {
+                        bind = Some(t.need(i + 1, "a name after `as`")?.to_string());
                         i += 1;
                     }
-                    t if t.starts_with("parent=") => {
-                        let rest = &t["parent=".len()..];
-                        let toks: Vec<&str> = rest.split(':').collect();
-                        let (r, _) = parse_proc_ref(&toks, line)?;
-                        parent = Some(r);
-                        i += 1;
+                    ("lifetime", Some(v)) => lifetime = Some(grammar::duration(v)?),
+                    ("parent", Some(v)) => {
+                        let mut toks = v.split(':');
+                        parent = Some(proc_ref(toks.next(), toks.next())?.0);
                     }
-                    other => return Err(err(line, format!("unknown spawn option {other:?}"))),
+                    _ => return Err(format!("unknown spawn option {opt:?}")),
                 }
+                i += 1;
             }
             Ok(Action::Spawn {
                 from,
@@ -573,22 +479,20 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
             })
         }
         "adopt" => Ok(Action::Adopt {
-            from: need(1, "FROM")?.to_string(),
-            uid: parse_u32(need(2, "UID")?, line)?,
-            host: need(3, "HOST")?.to_string(),
-            pid: parse_u32(need(4, "PID")?, line)?,
+            from: from()?,
+            uid: uid()?,
+            host: t.need(3, "HOST")?.to_string(),
+            pid: grammar::id(t.need(4, "PID")?)?,
         }),
         "control" => {
-            let from = need(1, "FROM")?.to_string();
-            let uid = parse_u32(need(2, "UID")?, line)?;
-            let (target, used) = parse_proc_ref(&tokens[3..], line)?;
-            let verb = need(3 + used, "stop|fg|bg|kill")?;
-            let action = match verb {
+            let (from, uid) = (from()?, uid()?);
+            let (target, used) = proc_ref(t.get(3), t.get(4))?;
+            let action = match t.need(3 + used, "stop|fg|bg|kill")? {
                 "stop" => ControlAction::Stop,
                 "fg" => ControlAction::Foreground,
                 "bg" => ControlAction::Background,
                 "kill" => ControlAction::Kill,
-                other => return Err(err(line, format!("unknown control verb {other:?}"))),
+                other => return Err(format!("unknown control verb {other:?}")),
             };
             Ok(Action::Control {
                 from,
@@ -597,51 +501,43 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
                 action,
             })
         }
-        "snapshot" => Ok(Action::Snapshot {
-            from: need(1, "FROM")?.to_string(),
-            uid: parse_u32(need(2, "UID")?, line)?,
-            dest: need(3, "DEST")?.to_string(),
-        }),
-        "dashboard" => Ok(Action::Dashboard {
-            from: need(1, "FROM")?.to_string(),
-            uid: parse_u32(need(2, "UID")?, line)?,
-        }),
-        "rusage" => Ok(Action::Rusage {
-            from: need(1, "FROM")?.to_string(),
-            uid: parse_u32(need(2, "UID")?, line)?,
-            dest: need(3, "DEST")?.to_string(),
-        }),
-        "history" => Ok(Action::History {
-            from: need(1, "FROM")?.to_string(),
-            uid: parse_u32(need(2, "UID")?, line)?,
-            dest: need(3, "DEST")?.to_string(),
-        }),
+        "snapshot" | "rusage" | "history" => {
+            let (from, uid, dest) = (from()?, uid()?, t.need(3, "DEST")?.to_string());
+            Ok(match t.verb() {
+                "snapshot" => Action::Snapshot { from, uid, dest },
+                "rusage" => Action::Rusage { from, uid, dest },
+                _ => Action::History { from, uid, dest },
+            })
+        }
+        "dashboard" => {
+            let (from, uid) = (from()?, uid()?);
+            Ok(Action::Dashboard { from, uid })
+        }
         "killtree" => {
-            let from = need(1, "FROM")?.to_string();
-            let uid = parse_u32(need(2, "UID")?, line)?;
-            let (root, _) = parse_proc_ref(&tokens[3..], line)?;
+            let (from, uid) = (from()?, uid()?);
+            let (root, _) = proc_ref(t.get(3), t.get(4))?;
             Ok(Action::KillTree { from, uid, root })
         }
         "files" => {
-            let from = need(1, "FROM")?.to_string();
-            let uid = parse_u32(need(2, "UID")?, line)?;
-            let (target, _) = parse_proc_ref(&tokens[3..], line)?;
+            let (from, uid) = (from()?, uid()?);
+            let (target, _) = proc_ref(t.get(3), t.get(4))?;
             Ok(Action::Files { from, uid, target })
         }
         "drill" => {
-            let from = need(1, "FROM")?.to_string();
-            let uid = parse_u32(need(2, "UID")?, line)?;
-            let jobs: Vec<String> = need(3, "HOST[,HOST..]")?
+            let (from, uid) = (from()?, uid()?);
+            let jobs: Vec<String> = t
+                .need(3, "HOST[,HOST..]")?
                 .split(',')
                 .map(str::to_string)
                 .collect();
-            let kill = tokens
-                .get(4)
-                .map(|t| t.strip_prefix("kill=").filter(|h| !h.is_empty()));
+            let kill = t.get(4).map(|opt| match grammar::option(opt) {
+                ("kill", Some(host)) if !host.is_empty() => Some(host),
+                _ => None,
+            });
             let kill = match kill {
-                Some(Some(host)) if tokens.len() == 5 => Some(host.to_string()),
+                Some(Some(host)) if t.0.len() == 5 => Some(host.to_string()),
                 None if !jobs.iter().any(String::is_empty) => None,
-                _ => return Err(err(line, "drill takes FROM UID HOST[,HOST..] [kill=HOST]")),
+                _ => return Err("drill takes FROM UID HOST[,HOST..] [kill=HOST]".into()),
             };
             Ok(Action::Drill {
                 from,
@@ -650,23 +546,19 @@ fn parse_action(tokens: &[&str], line: usize) -> Result<Action, ScenarioError> {
                 kill,
             })
         }
-        "crash" => Ok(Action::Crash {
-            host: need(1, "HOST")?.to_string(),
-        }),
-        "restart" => Ok(Action::Restart {
-            host: need(1, "HOST")?.to_string(),
-        }),
-        "link-down" => Ok(Action::Link {
-            a: need(1, "A")?.to_string(),
-            b: need(2, "B")?.to_string(),
-            up: false,
-        }),
-        "link-up" => Ok(Action::Link {
-            a: need(1, "A")?.to_string(),
-            b: need(2, "B")?.to_string(),
-            up: true,
-        }),
-        other => Err(err(line, format!("unknown action {other:?}"))),
+        "crash" | "restart" => {
+            let host = t.need(1, "HOST")?.to_string();
+            Ok(match t.verb() {
+                "crash" => Action::Crash { host },
+                _ => Action::Restart { host },
+            })
+        }
+        "link-down" | "link-up" => {
+            let (a, b) = (t.need(1, "A")?.to_string(), t.need(2, "B")?.to_string());
+            let up = t.verb() == "link-up";
+            Ok(Action::Link { a, b, up })
+        }
+        other => Err(format!("unknown action {other:?}")),
     }
 }
 
@@ -701,12 +593,12 @@ impl ExecOptions<'_> {
         &self,
         mut builder: HarnessBuilder,
         host_names: impl FnOnce() -> Vec<String>,
-    ) -> Result<HarnessBuilder, ScenarioError> {
+    ) -> Result<HarnessBuilder, LineError> {
         if let Some(spec) = self.topology {
             // Dry-run the graph build so a bad spec (unknown endpoint, name
             // collision with a host) surfaces as a scenario error instead of
             // a harness panic.
-            NetGraph::build(spec, &host_names()).map_err(|e| err(0, e))?;
+            NetGraph::build(spec, &host_names()).map_err(LineError::from)?;
             builder = builder.topology(spec.clone());
         }
         if self.faults.is_some() {
@@ -719,14 +611,14 @@ impl ExecOptions<'_> {
 
     /// What is switched on once the world has booted: span recording and
     /// the fault plan.
-    fn arm(&self, ppm: &mut PpmHarness, out: &mut dyn fmt::Write) -> Result<(), ScenarioError> {
+    fn arm(&self, ppm: &mut PpmHarness, out: &mut dyn fmt::Write) -> Result<(), LineError> {
         if self.spans {
             ppm.enable_spans();
         }
         if let Some(plan) = self.faults {
             ppm.world_mut()
                 .apply_fault_plan(plan)
-                .map_err(|e| err(0, e))?;
+                .map_err(LineError::from)?;
             let _ = writeln!(
                 out,
                 "--- fault plan armed: {} scheduled fault(s), {} wire rule(s), seed {}",
@@ -752,8 +644,8 @@ pub(crate) fn execute_storm(
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
     trace: bool,
-) -> Result<PpmHarness, ScenarioError> {
-    tenant::storm_fits(users, hosts).map_err(|e| err(0, e))?;
+) -> Result<PpmHarness, LineError> {
+    tenant::storm_fits(users, hosts).map_err(LineError::from)?;
     let builder = PpmHarness::builder().trace(trace);
     let builder = opts.builder(builder, || tenant::host_names(hosts))?;
     let mut world = TenantWorld::boot(builder, scale_spec(users, hosts, seed), procs);
@@ -774,7 +666,7 @@ pub(crate) struct Played<R: Runtime = World> {
     /// `missing` host sets, reachability, killtree counts), with every
     /// clock value left out. A scenario every runtime can play folds the
     /// same value on each. Or the error of the action that failed.
-    pub observed: Result<u64, ScenarioError>,
+    pub observed: Result<u64, LineError>,
     /// Each `time=` labelled action played, in play order: its label and
     /// the tool's elapsed time from request sent to reply, µs.
     pub times: Vec<(String, u64)>,
@@ -786,13 +678,13 @@ pub(crate) struct Played<R: Runtime = World> {
 ///
 /// # Errors
 ///
-/// [`ScenarioError`] naming the failing action's line, or (line 0) a
+/// [`LineError`] naming the failing action's line, or (line 0) a
 /// fault plan referencing an unknown host.
 pub fn execute_with(
     sc: &Scenario,
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
-) -> Result<PpmHarness, ScenarioError> {
+) -> Result<PpmHarness, LineError> {
     let played = execute_played(sc, out, opts, true)?;
     played.observed.map(|_| played.ppm)
 }
@@ -804,7 +696,7 @@ pub(crate) fn execute_played(
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
     trace: bool,
-) -> Result<Played, ScenarioError> {
+) -> Result<Played, LineError> {
     let host_names = || sc.hosts.iter().map(|(n, _)| n.clone()).collect();
     let builder = opts.builder(PpmHarness::builder(), host_names)?;
     let mut builder = scenario_builder(sc, builder, opts.faults.is_some());
@@ -816,7 +708,9 @@ pub(crate) fn execute_played(
         ppm.world_mut().time_kernel_delivery();
     }
     for (line, host, avg) in &sc.loads {
-        let host = ppm.host(host).map_err(|e| err(*line, e.to_string()))?;
+        let host = ppm
+            .host(host)
+            .map_err(|e| LineError::new(*line, e.to_string()))?;
         pin_load(ppm.world_mut(), host, *avg);
     }
     opts.arm(&mut ppm, out)?;
@@ -960,7 +854,7 @@ fn play<R: Runtime>(
     out: &mut dyn fmt::Write,
     sim: &SimHook<R>,
     times: &mut Vec<(String, u64)>,
-) -> Result<u64, ScenarioError> {
+) -> Result<u64, LineError> {
     let mut bindings: HashMap<&str, Gpid> = HashMap::new();
     let mut seen = Fnv::new();
     let mut actions: Vec<_> = sc.actions.iter().collect();
@@ -970,9 +864,9 @@ fn play<R: Runtime>(
         ProcRef::Named(n) => bindings
             .get(n.as_str())
             .cloned()
-            .ok_or_else(|| err(line, format!("unbound process name ${n}"))),
+            .ok_or_else(|| LineError::new(line, format!("unbound process name ${n}"))),
     };
-    let lift = |line: usize| move |e: HarnessError| err(line, e.to_string());
+    let lift = |line: usize| move |e: HarnessError| LineError::new(line, e.to_string());
 
     for &(line, at, ref action, ref label) in actions {
         if at > ppm.now() {
@@ -1087,7 +981,7 @@ fn play<R: Runtime>(
             } => {
                 let jobs: Vec<&str> = jobs.iter().map(String::as_str).collect();
                 let report = recovery_drill(ppm, Uid(*uid), from, &jobs, kill.as_deref())
-                    .map_err(|e| err(line, e))?;
+                    .map_err(|e| LineError::new(line, e))?;
                 (&report.root, &report.jobs, &report.sites.hosts).hash(&mut seen);
                 seen.procs(&report.procs);
                 let recovery = report.recovery.as_ref();
@@ -1146,6 +1040,7 @@ fn print_drill(out: &mut dyn fmt::Write, report: &DrillReport, hosts: &[String])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppm_proto::codec::MAX_STR_BYTES;
 
     const DEMO: &str = r#"
 # demo scenario
@@ -1243,6 +1138,17 @@ run 2s
         // The longest a protocol string carries is still a command.
         let most = "y".repeat(MAX_STR_BYTES);
         assert!(parse(&format!("{user}at 1s spawn a 100 a {most}")).is_ok());
+        assert_eq!(MAX_STR_BYTES, grammar::MAX_TOKEN_BYTES);
+        // Every other file is read by the same reader, so bound alike.
+        let path = std::path::Path::new(".");
+        for e in [
+            FaultPlan::parse(&format!("seed 1\nat 1s crash {long}")).unwrap_err(),
+            NetSpec::parse(&format!("switch s\nlink a {long}")).unwrap_err(),
+            crate::sweep::Grid::parse(&format!("sweep x\nexpect {long}"), path).unwrap_err(),
+        ] {
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains("70000 bytes"), "{e}");
+        }
     }
 
     #[test]
@@ -1306,13 +1212,12 @@ run 2s
 
     #[test]
     fn duration_parsing() {
-        assert_eq!(
-            parse_duration("250ms", 1).unwrap(),
-            SimDuration::from_millis(250)
-        );
-        assert_eq!(parse_duration("3s", 1).unwrap(), SimDuration::from_secs(3));
-        assert!(parse_duration("10", 1).is_err());
-        assert!(parse_duration("5h", 1).is_err());
+        let run = |d: &str| parse(&format!("host a vax780\nuser 1 secret=1\nrun {d}"));
+        assert_eq!(run("250ms").unwrap().tail, SimDuration::from_millis(250));
+        assert_eq!(run("3s").unwrap().tail, SimDuration::from_secs(3));
+        for bad in ["10", "5h"] {
+            assert_eq!(run(bad).unwrap_err().line, 3, "{bad}");
+        }
     }
 
     #[test]

@@ -44,10 +44,16 @@
 //!
 //! A grid names each cell once: a seed, variant, fault plan or topology
 //! listed twice (`seeds 1,1`) would repeat ids, and is refused.
+//!
+//! A grid is read by [`grammar::each_line`], as every text file is: `#`
+//! comments, the text after a directive as its argument (a path, a name,
+//! a substring), seeds and counts in decimal or `0x` hex, and a refusal
+//! that names its line. [`SimArgs::parse`] reads `ppm-sim`'s flags with
+//! the same module's [`grammar::flag_value`], [`grammar::flag_number`] and
+//! [`grammar::operand`].
 
 use std::borrow::Cow;
 use std::path::Path;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -57,10 +63,10 @@ use ppm_realos::RealRuntime;
 use crate::digest::{fnv1a, fnv1a_fold, hex};
 use crate::harness::harness::{PpmHarness, Runtime};
 use crate::harness::tenant::{host_names, storm_fits};
-use crate::scenario::{self, ExecOptions, Played, Scenario, ScenarioError};
+use crate::scenario::{self, ExecOptions, Played, Scenario};
 use crate::simnet::fault::FaultPlan;
+use crate::simnet::grammar::{self, flag_number, flag_value, LineError, Tokens};
 use crate::simnet::topology::NetSpec;
-use std::fmt::Display;
 
 /// The runtime a cell plays on (`ppm-sim --runtime`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,11 +135,6 @@ pub struct Topo {
 /// Reads a file a cell names — once, when the cell is loaded.
 fn read(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-}
-
-/// `v` as a number of at least `min`.
-fn at_least<T: FromStr + PartialOrd>(v: &str, min: T) -> Option<T> {
-    v.parse().ok().filter(|n| *n >= min)
 }
 
 impl Variant {
@@ -232,13 +233,13 @@ impl Topo {
     }
 
     /// The model to install in a world of `hosts`, if any.
-    fn model(&self, hosts: Vec<String>) -> Result<Option<Cow<'_, NetSpec>>, ScenarioError> {
+    fn model(&self, hosts: Vec<String>) -> Result<Option<Cow<'_, NetSpec>>, LineError> {
         let preset = |name| NetSpec::preset(name, &hosts).map(Cow::Owned);
         match (&self.spec, &self.arg) {
             (Some(spec), _) => Ok(Some(Cow::Borrowed(spec))),
-            (None, Some(name)) => preset(name).map(Some).ok_or_else(|| {
-                scenario::err(0, format!("preset {name:?} needs at least one host"))
-            }),
+            (None, Some(name)) => preset(name)
+                .map(Some)
+                .ok_or_else(|| LineError::from(format!("preset {name:?} needs at least one host"))),
             (None, None) => Ok(None),
         }
     }
@@ -311,11 +312,12 @@ fn once<T>(axis: &mut Vec<T>, item: T, label: fn(&T) -> &str) -> Result<(), Stri
 }
 
 impl Grid {
-    /// Parses a grid file. `base` is the directory paths are resolved
-    /// against (the grid file's parent). Scenario and fault files are
-    /// read and fault grammars validated here, so workers start from
-    /// in-memory text and grammar errors fail fast, not per-cell.
-    pub fn parse(text: &str, base: &Path) -> Result<Grid, String> {
+    /// Parses a grid file, read by [`grammar::each_line`]. `base` is the
+    /// directory paths are resolved against (the grid file's parent).
+    /// Scenario and fault files are read and fault grammars validated
+    /// here, so workers start from in-memory text and grammar errors fail
+    /// fast, not per-cell.
+    pub fn parse(text: &str, base: &Path) -> Result<Grid, LineError> {
         let mut name = None;
         let mut seeds = Vec::new();
         let mut variants = Vec::new();
@@ -323,58 +325,35 @@ impl Grid {
         let mut topos = Vec::new();
         let mut expects = Vec::new();
         let mut expects_metric = Vec::new();
-        for (lno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: String| format!("line {}: {msg}", lno + 1);
-            let (key, rest) = match line.split_once(char::is_whitespace) {
-                Some((k, r)) => (k, r.trim()),
-                None => (line, ""),
-            };
-            let mut variant = |v| once(&mut variants, v, |v: &Variant| &v.label);
-            let added = match key {
-                "sweep" if rest.is_empty() => Err("sweep needs a name".into()),
-                "sweep" => {
-                    name = Some(rest.to_string());
-                    Ok(())
-                }
-                "seeds" => parse_seeds(rest).and_then(|new| {
-                    new.into_iter().try_for_each(|seed| {
+        let variant: fn(&Variant) -> &str = |v| &v.label;
+        grammar::each_line(text, |line| {
+            let (t, rest) = (line.at(0), line.rest(1));
+            let arg = |what| t.need(1, what).map(|_| rest.to_string());
+            match t.verb() {
+                "sweep" => name = Some(arg("a name")?),
+                "seeds" => {
+                    for seed in parse_seeds(rest)? {
                         if seeds.contains(&seed) {
                             return Err(format!("seed {seed} is listed twice"));
                         }
                         seeds.push(seed);
-                        Ok(())
-                    })
-                }),
-                "scenario" => Variant::scenario(rest, base).and_then(&mut variant),
-                "chain" => at_least(rest, 2)
-                    .map(Variant::chain)
-                    .ok_or_else(|| "chain needs a host count of at least 2".to_string())
-                    .and_then(&mut variant),
-                "storm" => parse_storm(rest).and_then(&mut variant),
-                "faults" => Plan::load(rest, base).and_then(|p| once(&mut plans, p, |p| &p.label)),
-                "topology" => {
-                    Topo::load(rest, base).and_then(|t| once(&mut topos, t, |t| &t.label))
+                    }
                 }
-                "expect" | "expect-metric" if rest.is_empty() => {
-                    Err(format!("{key} needs a substring"))
+                "scenario" => once(&mut variants, Variant::scenario(rest, base)?, variant)?,
+                "chain" => {
+                    let hosts = grammar::count_at_least(rest, 2);
+                    let hosts = hosts.ok_or("chain needs a host count of at least 2")?;
+                    once(&mut variants, Variant::chain(hosts), variant)?;
                 }
-                "expect" | "expect-metric" => {
-                    let to = if key == "expect" {
-                        &mut expects
-                    } else {
-                        &mut expects_metric
-                    };
-                    to.push(rest.to_string());
-                    Ok(())
-                }
-                other => Err(format!("unknown directive {other:?}")),
-            };
-            added.map_err(err)?;
-        }
+                "storm" => once(&mut variants, parse_storm(t)?, variant)?,
+                "faults" => once(&mut plans, Plan::load(rest, base)?, |p| &p.label)?,
+                "topology" => once(&mut topos, Topo::load(rest, base)?, |t| &t.label)?,
+                "expect" => expects.push(arg("a substring")?),
+                "expect-metric" => expects_metric.push(arg("a substring")?),
+                other => return Err(format!("unknown directive {other:?}")),
+            }
+            Ok(())
+        })?;
         let name = name.ok_or("missing `sweep NAME` header")?;
         if variants.is_empty() {
             return Err("grid declares no variants (scenario/chain/storm)".into());
@@ -397,7 +376,7 @@ impl Grid {
     }
 
     /// Reads and parses a grid file; paths resolve against its parent dir.
-    pub fn load(path: &Path) -> Result<Grid, String> {
+    pub fn load(path: &Path) -> Result<Grid, LineError> {
         Grid::parse(&read(path)?, path.parent().unwrap_or(Path::new(".")))
     }
 
@@ -443,17 +422,20 @@ impl Grid {
 }
 
 /// A grid's `storm UxH [procs=P]`.
-fn parse_storm(rest: &str) -> Result<Variant, String> {
-    let mut parts = rest.split_whitespace();
-    let shape = parts.next().unwrap_or("");
-    let (users, hosts) = shape
-        .split_once('x')
-        .and_then(|(u, h)| Some((at_least(u, 1)?, at_least(h, 2)?)))
-        .ok_or_else(|| format!("bad storm shape {shape:?} (want UxH)"))?;
+fn parse_storm(t: Tokens) -> Result<Variant, String> {
+    let shape = t.get(1).unwrap_or("");
+    let (u, h) = shape.split_once('x').unwrap_or_default();
+    let (users, hosts) = (grammar::count_at_least(u, 1), grammar::count_at_least(h, 2));
+    let (Some(users), Some(hosts)) = (users, hosts) else {
+        return Err(format!("bad storm shape {shape:?} (want UxH)"));
+    };
     let mut procs = None;
-    for p in parts {
-        let v = p.strip_prefix("procs=").and_then(|v| at_least(v, 1));
-        procs = Some(v.ok_or_else(|| format!("bad storm option {p:?}"))?);
+    for &opt in t.0.get(2..).unwrap_or_default() {
+        let v = match grammar::option(opt) {
+            ("procs", Some(v)) => grammar::count_at_least(v, 1),
+            _ => None,
+        };
+        procs = Some(v.ok_or_else(|| format!("bad storm option {opt:?}"))?);
     }
     Variant::storm(users, hosts, procs)
 }
@@ -463,8 +445,7 @@ fn parse_seeds(rest: &str) -> Result<Vec<u64>, String> {
         return Err("seeds needs a range a..b or a comma list".into());
     }
     if let Some((a, b)) = rest.split_once("..") {
-        let a: u64 = a.trim().parse().map_err(|_| format!("bad seed {a:?}"))?;
-        let b: u64 = b.trim().parse().map_err(|_| format!("bad seed {b:?}"))?;
+        let (a, b) = (grammar::count(a.trim())?, grammar::count(b.trim())?);
         if b < a {
             return Err(format!("empty seed range {a}..{b}"));
         }
@@ -473,12 +454,7 @@ fn parse_seeds(rest: &str) -> Result<Vec<u64>, String> {
         }
         return Ok((a..=b).collect());
     }
-    rest.split(',')
-        .map(|s| {
-            let s = s.trim();
-            s.parse().map_err(|_| format!("bad seed {s:?}"))
-        })
-        .collect()
+    rest.split(',').map(|s| grammar::count(s.trim())).collect()
 }
 
 impl RunSpec {
@@ -520,26 +496,11 @@ pub struct SimArgs {
     pub spans: Option<String>,
 }
 
-/// A flag's value, or the error naming what the flag needs.
-fn value(flag: &str, v: Option<String>, what: &str) -> Result<String, String> {
-    v.ok_or_else(|| format!("{flag} needs {what}"))
-}
-
-/// A flag's value as a number of at least `min`.
-fn count<T: FromStr + PartialOrd + Display>(
-    flag: &str,
-    v: Option<String>,
-    min: T,
-) -> Result<T, String> {
-    let what = format!("a number of at least {min}");
-    at_least(&value(flag, v, &what)?, min).ok_or_else(|| format!("{flag} needs {what}"))
-}
-
 impl SimArgs {
     /// Parses `ppm-sim`'s arguments (program name excluded); paths are
     /// read relative to the working directory. Refuses an unknown flag, a
     /// second scenario path and `--procs` without `--users`.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<SimArgs, String> {
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<SimArgs, LineError> {
         let here = Path::new("");
         let mut args = args.into_iter();
         let (mut trace, mut digest, mut metrics, mut spans) = (false, false, None, None);
@@ -557,17 +518,17 @@ impl SimArgs {
                     let found = BACKENDS.iter().find(|(n, _)| *n == name);
                     runtime = found.ok_or("--runtime needs sim, real or mc")?.1;
                 }
-                "--faults" => plan = Plan::load(&value(flag, args.next(), "a plan")?, here)?,
-                "--topology" => topo = Topo::load(&value(flag, args.next(), "a model")?, here)?,
-                "--hosts" => hosts = Some(count(flag, args.next(), 2)?),
-                "--users" => users = Some(count(flag, args.next(), 1)?),
-                "--procs" => procs = Some(count(flag, args.next(), 1)?),
-                "--seed" => seed = Some(count(flag, args.next(), 0)?),
-                "--metrics" => metrics = Some(value(flag, args.next(), "an output path")?),
-                "--spans" => spans = Some(value(flag, args.next(), "an output path")?),
-                _ if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-                _ if path.is_some() => return Err(format!("a second scenario path {flag:?}")),
-                _ => path = Some(arg),
+                "--faults" => plan = Plan::load(&flag_value(flag, args.next(), "a plan")?, here)?,
+                "--topology" => {
+                    topo = Topo::load(&flag_value(flag, args.next(), "a model")?, here)?
+                }
+                "--hosts" => hosts = Some(flag_number(flag, args.next(), 2)?),
+                "--users" => users = Some(flag_number(flag, args.next(), 1)?),
+                "--procs" => procs = Some(flag_number(flag, args.next(), 1)?),
+                "--seed" => seed = Some(flag_number(flag, args.next(), 0)?),
+                "--metrics" => metrics = Some(flag_value(flag, args.next(), "an output path")?),
+                "--spans" => spans = Some(flag_value(flag, args.next(), "an output path")?),
+                _ => grammar::operand(arg, &mut path, "scenario path")?,
             }
         }
         if procs.is_some() && users.is_none() {
@@ -658,7 +619,7 @@ pub struct CellRun {
 
 /// A cell that did not run to its end: the run so far, when one
 /// started, and why.
-pub type CellFailure = (Option<Box<CellRun>>, ScenarioError);
+pub type CellFailure = (Option<Box<CellRun>>, LineError);
 
 /// Runs one cell on its runtime — the whole of `ppm-sim` and of a sweep
 /// worker, whatever it plays: refuse what the runtime cannot play, build,
@@ -735,8 +696,10 @@ pub fn run_cell(spec: &RunSpec, spans: bool, trace: bool) -> Result<CellRun, Cel
 
 /// What only the sim can play, refused on another runtime.
 fn refused(line: usize, what: &str) -> CellFailure {
-    let message = format!("{what} needs the sim runtime");
-    (None, ScenarioError { line, message })
+    (
+        None,
+        LineError::new(line, format!("{what} needs the sim runtime")),
+    )
 }
 
 /// Plays `sc` on a runtime other than the sim, recording what the
@@ -1072,7 +1035,8 @@ expect-metric lpm.
         ] {
             assert!(Grid::parse(bad, Path::new(".")).is_err(), "{bad:?}");
         }
-        let e = Grid::parse("sweep x\n\nstorm 100000x65535", Path::new(".")).unwrap_err();
+        let e = Grid::parse("sweep x\n\nstorm 100000x65535", Path::new("."));
+        let e = e.unwrap_err().to_string();
         assert!(
             e.starts_with("line 3: a 100000x65535 storm is too large"),
             "{e}"
@@ -1249,7 +1213,7 @@ topology fat-tree
                 "net:fat-tree",
             ),
         ] {
-            let e = Grid::parse(grid, &dir).expect_err(grid);
+            let e = Grid::parse(grid, &dir).expect_err(grid).to_string();
             assert!(e.starts_with(&format!("line {line}: ")), "{grid}: {e}");
             assert!(e.contains(twice) && e.contains("twice"), "{grid}: {e}");
         }
@@ -1262,7 +1226,7 @@ topology fat-tree
     }
 
     fn sim_args(args: &[&str]) -> Result<SimArgs, String> {
-        SimArgs::parse(args.iter().map(|a| a.to_string()))
+        SimArgs::parse(args.iter().map(|a| a.to_string())).map_err(|e| e.to_string())
     }
 
     #[test]

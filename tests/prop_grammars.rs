@@ -1,19 +1,24 @@
-//! Property tests: every text grammar but the scenario's (which has
-//! `prop_scenario.rs`) rejects hostile input without panicking — fault
-//! plans, topology specs, sweep grids and `ppm-sim`'s command line.
+//! Property tests: every text grammar rejects hostile input without
+//! panicking, and names the line it refuses — scenarios, fault plans,
+//! topology specs, sweep grids and `ppm-sim`'s command line, all read by
+//! `ppm_simnet::grammar`.
 //!
 //! The inputs are shipped files (and a spec written to the `.topo`
 //! grammar) mutated a few edits at a time: a token or the number inside
 //! one replaced by a huge, negative, NaN or empty value, a line
 //! duplicated (a name declared twice), an unknown directive inserted, a
-//! stray `#` cut into a token. Each parse must return `Ok` or `Err`; an
-//! accepted fault plan must survive its own `encode`, and an accepted
-//! grid must name each cell once.
+//! stray `#` cut into a token. Each parse must return `Ok` or `Err`; a
+//! refusal carries a line of the mutated text, or line 0 only for a rule
+//! of the whole file (and always for a command line). An accepted fault
+//! plan must survive its own `encode`, and an accepted grid must name
+//! each cell once. (`prop_scenario.rs` generates well-formed scenarios;
+//! here the shipped ones are mutated.)
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 
 use ppm::simnet::fault::FaultPlan;
+use ppm::simnet::grammar::LineError;
 use ppm::simnet::topology::NetSpec;
 use ppm::sweep::{Grid, SimArgs};
 use proptest::prelude::*;
@@ -107,13 +112,45 @@ fn edits() -> impl Strategy<Value = Vec<(u16, u8, u8)>> {
     prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..6)
 }
 
+/// `e` names one of `text`'s lines, or line 0 for one of the grammar's
+/// `whole_file` rules.
+fn placed(e: &LineError, text: &str, whole_file: &[&str]) -> Result<(), TestCaseError> {
+    prop_assert!(!e.message.is_empty(), "{}", text);
+    if e.line == 0 {
+        let rule = whole_file.iter().any(|r| e.message.contains(r));
+        prop_assert!(rule, "line 0 for {:?}\n{}", e.message, text);
+    } else {
+        let n = text.lines().count();
+        prop_assert!(
+            e.line <= n,
+            "line {} of {} lines: {}\n{}",
+            e.line,
+            n,
+            e,
+            text
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn scenarios_parse_or_refuse_on_a_line(file in 0usize..2, edits in edits()) {
+        let text = mutate(&shipped(["demo.ppm", "chaos.ppm"][file]), &edits);
+        if let Err(e) = ppm::scenario::parse(&text) {
+            placed(&e, &text, &["declares no hosts", "declares no users"])?;
+        }
+    }
+
     #[test]
     fn fault_plans_parse_or_refuse_and_round_trip(edits in edits()) {
         let text = mutate(&shipped("crash_heal.fault"), &edits);
-        if let Ok(plan) = FaultPlan::parse(&text) {
-            let again = FaultPlan::parse(&plan.encode());
-            prop_assert_eq!(again.as_ref(), Ok(&plan), "{}", text);
+        match FaultPlan::parse(&text) {
+            Ok(plan) => {
+                let again = FaultPlan::parse(&plan.encode());
+                prop_assert_eq!(again.as_ref(), Ok(&plan), "{}", text);
+            }
+            Err(e) => placed(&e, &text, &[])?,
         }
     }
 
@@ -121,7 +158,7 @@ proptest! {
     fn topology_specs_parse_or_refuse(edits in edits()) {
         let text = mutate(TOPO, &edits);
         if let Err(e) = NetSpec::parse(&text) {
-            prop_assert!(!e.is_empty(), "{}", text);
+            placed(&e, &text, &["declares no links"])?;
         }
     }
 
@@ -150,7 +187,7 @@ proptest! {
                 let ids: HashSet<&str> = specs.iter().map(|s| s.id.as_str()).collect();
                 prop_assert_eq!(ids.len(), specs.len(), "{}", text);
             }
-            Err(e) => prop_assert!(!e.is_empty(), "{}", text),
+            Err(e) => placed(&e, &text, &["missing `sweep NAME` header", "declares no variants"])?,
         }
     }
 
@@ -164,6 +201,19 @@ proptest! {
             "--runtime real --hosts 12 --seed 9 --topology wan-hub --trace".to_string(),
         ];
         let argv = mutate(&lines[line], &edits);
-        let _ = SimArgs::parse(argv.split_whitespace().map(String::from));
+        if let Err(e) = SimArgs::parse(argv.split_whitespace().map(String::from)) {
+            prop_assert_eq!(e.line, 0, "{}", argv);
+            prop_assert!(!e.message.is_empty(), "{}", argv);
+        }
     }
+}
+
+/// One number reader: a count means the same in every file.
+#[test]
+fn a_seed_in_hex_means_the_same_in_a_scenario_and_a_fault_plan() {
+    let plan = FaultPlan::parse("seed 0x7c2\nat 1s crash a restart 2s").expect("a hex seed");
+    assert_eq!(plan.seed, 1986);
+    assert_eq!(FaultPlan::parse(&plan.encode()), Ok(plan));
+    let sc = ppm::scenario::parse("seed 0x7c2\nhost a\nuser 1 secret=1").expect("a hex seed");
+    assert_eq!(sc.seed, 1986);
 }

@@ -242,7 +242,7 @@ proptest! {
             8 => match NetSpec::parse(&render_topo(k, &links)) {
                 Ok(spec) => Some(spec),
                 Err(e) => {
-                    prop_assert!(e.starts_with("topo line "), "{e}");
+                    prop_assert!(e.to_string().starts_with("line "), "{e}");
                     None
                 }
             },

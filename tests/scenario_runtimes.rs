@@ -14,7 +14,8 @@
 //! `cargo test --release --test scenario_runtimes -- --ignored` (CI
 //! `real-smoke`).
 
-use ppm::scenario::{self, ExecOptions, ScenarioError};
+use ppm::scenario::{self, ExecOptions};
+use ppm::simnet::grammar::LineError;
 use ppm::sweep::{run_cell, Backend, CellRun, Plan, RunSpec, SimArgs, Topo, Variant, VariantKind};
 
 /// The fault-free shipped cells every runtime plays.
@@ -152,7 +153,7 @@ fn refused_off_the_sim(text: &str, line: usize, what: &str) {
     let sc = scenario::parse(text).expect("parses");
     let mut out = String::new();
     scenario::execute_with(&sc, &mut out, ExecOptions::default()).expect("the sim plays it");
-    let check = |e: ScenarioError, out: String, runtime: &str| {
+    let check = |e: LineError, out: String, runtime: &str| {
         assert_eq!(e.line, line, "{runtime}: {e}");
         assert!(e.message.contains(what), "{runtime}: {e}");
         assert!(e.message.contains("sim runtime"), "{runtime}: {e}");
@@ -218,7 +219,7 @@ fn a_partial_mesh_is_refused_off_the_sim() {
 /// A `ppm-sim` command line only the sim can honour, refused on the real
 /// runtime and on the checker, naming the flag.
 fn flag_refused_off_the_sim(args: &[&str], flag: &str) {
-    let check = |run: Result<_, (Option<Box<CellRun>>, ScenarioError)>, runtime: &str| {
+    let check = |run: Result<_, (Option<Box<CellRun>>, LineError)>, runtime: &str| {
         let (run, e) = run
             .err()
             .unwrap_or_else(|| panic!("{runtime} refuses {flag}"));
