@@ -43,13 +43,16 @@
 //! runs' record regions in first-key order into the reply the tool
 //! receives (a sort of record keys only when the runs do not line up).
 //! No record is materialised at the originator, and a relay writes its
-//! aggregate once, straight from what it gathered
-//! ([`Msg::bcast_agg_bytes`]).
+//! aggregate once, in the buffer it gathers into ([`RelayAgg`]): the
+//! message's head goes in when the relay joins the wave, and the frames
+//! leave where they were gathered.
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use ppm_proto::codec::{frames, Enc, Wire};
-use ppm_proto::msg::{ErrCode, Msg, Op, Reply, ReplyRef, WirePart, WireReply, MAX_REPLY_RECORDS};
+use ppm_proto::msg::{
+    ErrCode, Msg, Op, RelayAgg, Reply, ReplyRef, WirePart, WireReply, MAX_REPLY_RECORDS,
+};
 use ppm_proto::types::{Name, Route, Stamp};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::obs::SpanPhase;
@@ -59,7 +62,7 @@ use ppm_runtime::trace::TraceCategory;
 
 use crate::rpc::PendingRequest;
 
-use super::{BcastKey, BcastRole, BcastState, Lpm, ReplyTo, TimerKind};
+use super::{BcastKey, BcastRole, BcastState, Child, Lpm, ReplyTo, TimerKind};
 
 /// The deepest cover tree the straggler timers are sized for.
 const WAVE_LEVELS: u64 = 48;
@@ -67,12 +70,16 @@ const WAVE_LEVELS: u64 = 48;
 /// request's hop down, the aggregate's hop back up.
 const LEVEL_ALLOWANCE: SimDuration = SimDuration::from_millis(150);
 
-/// Which operations may be broadcast (`dest = "*"`).
-fn broadcastable(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Snapshot | Op::Rusage { .. } | Op::History { .. } | Op::Ping
-    )
+/// Which operations may be broadcast (`dest = "*"`): each has its slot
+/// in `Lpm::agg_bytes`.
+fn wave_kind(op: &Op) -> Option<usize> {
+    match op {
+        Op::Snapshot => Some(0),
+        Op::Rusage { .. } => Some(1),
+        Op::History { .. } => Some(2),
+        Op::Ping => Some(3),
+        _ => None,
+    }
 }
 
 impl BcastState {
@@ -82,7 +89,7 @@ impl BcastState {
         user: u32,
         op: Op,
         route_in: Route,
-        forward_targets: Vec<Name>,
+        forward_targets: Vec<Child>,
         role: BcastRole,
     ) -> Self {
         BcastState {
@@ -90,12 +97,11 @@ impl BcastState {
             op,
             user,
             role,
-            pending_children: BTreeSet::new(),
+            pending_children: Vec::new(),
             local_done: false,
             forward_handler: None,
             forwarded: forward_targets.is_empty(),
             forward_targets,
-            agg_received: BTreeSet::new(),
             missing: BTreeSet::new(),
             missing_capped: false,
             route_in,
@@ -131,7 +137,7 @@ impl Lpm {
             let r = self.rpc.get(req_id).expect("broadcast request exists");
             (r.user, r.op.clone())
         };
-        if !broadcastable(&op) {
+        if wave_kind(&op).is_none() {
             self.finish_with_error(
                 sys,
                 req_id,
@@ -152,7 +158,7 @@ impl Lpm {
         self.rpc.note_bcast(key.clone(), now);
         self.stats.bcasts_originated += 1;
 
-        let forward_targets: Vec<Name> = self.siblings.keys().cloned().collect();
+        let forward_targets: Vec<Child> = self.siblings.keys().cloned().map(Child::new).collect();
         let span = format_args!("{}@{}", key.0, key.1);
         sys.span("bcast", span, SpanPhase::Begin);
         sys.trace(
@@ -164,11 +170,13 @@ impl Lpm {
                 op.kind(),
             ),
         );
+        // Sized as the last wave this LPM originated: a steady wave
+        // gathers into its tables without regrowing them.
         let role = BcastRole::Origin {
             reply_req: req_id,
-            parts: Vec::new(),
-            merge_queue: VecDeque::new(),
-            answered: HashSet::new(),
+            parts: Vec::with_capacity(self.wave_parts),
+            merge_queue: VecDeque::with_capacity(self.wave_parts),
+            answered: HashSet::with_capacity(self.wave_parts),
             combine_started: false,
             merges_outstanding: 0,
             merge_free_at: SimTime::ZERO,
@@ -297,11 +305,12 @@ impl Lpm {
 
         // Graph cover: forward to every sibling except the sender and any
         // host the request already visited.
-        let forward_targets: Vec<Name> = self
+        let forward_targets: Vec<Child> = self
             .siblings
             .keys()
             .filter(|h| h.as_str() != from_host && !route.contains(h))
             .cloned()
+            .map(Child::new)
             .collect();
         let span = format_args!("{}@{}", key.0, key.1);
         sys.span("bcast.relay", span, SpanPhase::Begin);
@@ -312,10 +321,10 @@ impl Lpm {
                 key.0, key.1
             ),
         );
+        let room = wave_kind(&op).map_or(0, |kind| self.agg_bytes[kind]);
         let role = BcastRole::Relay {
             upstream: conn,
-            agg_buf: Enc::new(),
-            agg_count: 0,
+            agg: RelayAgg::new(&stamp, room),
             respond_handler: None,
         };
         self.join_wave(
@@ -324,17 +333,15 @@ impl Lpm {
         );
     }
 
-    /// The forward handler is ready: send the wave downstream.
+    /// The forward handler is ready: send the wave downstream. The
+    /// targets it reaches become the children the wave waits on.
     pub(crate) fn bcast_forward_ready(&mut self, sys: &mut dyn Sys, key: &BcastKey) {
-        let Some(b) = self.bcasts.get(key) else {
+        let Some(b) = self.bcasts.get_mut(key) else {
             return;
         };
-        let stamp = b.stamp.clone();
-        let user = b.user;
-        let op = b.op.clone();
+        let mut targets = std::mem::take(&mut b.forward_targets);
         let mut route = b.route_in.clone();
         route.push(&self.host);
-        let targets = b.forward_targets.clone();
         sys.trace(
             TraceCategory::Broadcast,
             format_args!("forward {}#{} -> {targets:?}", key.0, key.1),
@@ -342,25 +349,19 @@ impl Lpm {
         // The wave body is identical for every sibling: encode the message
         // once and fan out cheap shared-buffer clones of the bytes.
         let msg = Msg::Bcast {
-            stamp,
-            user,
-            op,
+            stamp: b.stamp.clone(),
+            user: b.user,
+            op: b.op.clone(),
             route,
         };
         let wire = msg.to_bytes();
-        for host in targets {
-            let Some(&conn) = self.siblings.get(&host) else {
-                continue;
-            };
-            if sys.send(conn, wire.clone()).is_ok() {
-                if let Some(b) = self.bcasts.get_mut(key) {
-                    b.pending_children.insert(host);
-                }
-            }
-        }
-        if let Some(b) = self.bcasts.get_mut(key) {
-            b.forwarded = true;
-        }
+        let siblings = &self.siblings;
+        targets.retain(|child| {
+            let conn = siblings.get(&child.host);
+            conn.is_some_and(|&conn| sys.send(conn, wire.clone()).is_ok())
+        });
+        b.pending_children = targets;
+        b.forwarded = true;
         self.maybe_complete(sys, key);
     }
 
@@ -384,15 +385,12 @@ impl Lpm {
                 let run = reply.read().ok().and_then(ReplyRef::run);
                 parts.push((reply, run));
             }
-            BcastRole::Relay {
-                agg_buf, agg_count, ..
-            } => {
-                // The local slice becomes the first part of the subtree's
-                // single upstream aggregate.
+            BcastRole::Relay { agg, .. } => {
+                // The local slice becomes a part of the subtree's single
+                // upstream aggregate.
                 let mut route = b.route_in.clone();
                 route.push(&self.host);
-                reply.push_part(agg_buf, &self.host, &route);
-                *agg_count += 1;
+                agg.push_part(&reply, &self.host, &route);
             }
         }
         self.maybe_complete(sys, key);
@@ -448,14 +446,11 @@ impl Lpm {
                     Err(e) => unreadable = Some(e.to_string()),
                 }
             }
-            BcastRole::Relay {
-                agg_buf, agg_count, ..
-            } => {
+            BcastRole::Relay { agg, .. } => {
                 // Splice the child's frames onto ours byte-for-byte — the
                 // in-network aggregation fast path.
-                match append_batch(agg_buf, &parts) {
+                match append_batch(agg, &parts) {
                     Some(spliced) => {
-                        *agg_count += spliced;
                         let spliced = u64::from(spliced);
                         self.obs.registry.add(self.obs.parts_spliced, spliced);
                     }
@@ -467,7 +462,9 @@ impl Lpm {
             self.note(sys, format_args!("bad aggregate from {from_host}: {why}"));
         }
         let b = self.bcasts.get_mut(&key).expect("checked");
-        b.agg_received.insert(Name::new(from_host));
+        if let Some(child) = b.pending_children.iter_mut().find(|c| c.host == from_host) {
+            child.answered = true;
+        }
         for host in missing {
             b.name_missing(sys, host);
         }
@@ -541,7 +538,7 @@ impl Lpm {
     /// A child subtree reported completion.
     pub(crate) fn bcast_child_done(&mut self, sys: &mut dyn Sys, key: &BcastKey, child: &str) {
         if let Some(b) = self.bcasts.get_mut(key) {
-            b.pending_children.remove(child);
+            b.pending_children.retain(|c| c.host != child);
         }
         self.maybe_complete(sys, key);
     }
@@ -551,8 +548,10 @@ impl Lpm {
     /// case its subtree's answers are all present.
     pub(crate) fn bcast_child_lost(&mut self, sys: &mut dyn Sys, key: &BcastKey, child: &str) {
         if let Some(b) = self.bcasts.get_mut(key) {
-            if b.pending_children.remove(child) && !b.agg_received.contains(child) {
-                b.name_missing(sys, Name::new(child));
+            if let Some(at) = b.pending_children.iter().position(|c| c.host == child) {
+                if !b.pending_children.remove(at).answered {
+                    b.name_missing(sys, Name::new(child));
+                }
             }
         }
         self.maybe_complete(sys, key);
@@ -579,13 +578,12 @@ impl Lpm {
                 self.bcasts.get_mut(key).expect("checked").timeout_token = Some(tok);
                 return;
             }
-            let stragglers: Vec<Name> = b.pending_children.iter().cloned().collect();
-            for h in &stragglers {
-                if !b.agg_received.contains(h) {
-                    b.name_missing(sys, h.clone());
+            let stragglers = std::mem::take(&mut b.pending_children);
+            for child in &stragglers {
+                if !child.answered {
+                    b.name_missing(sys, child.host.clone());
                 }
             }
-            b.pending_children.clear();
             b.forwarded = true;
             b.timeout_token = None;
             self.note(
@@ -643,6 +641,7 @@ impl Lpm {
             } => {
                 // Merge parts into the final reply; a non-empty missing
                 // list marks the result as partial.
+                self.wave_parts = parts.len();
                 self.release_handler(sys, b.forward_handler);
                 sys.trace(
                     TraceCategory::Broadcast,
@@ -676,17 +675,18 @@ impl Lpm {
             }
             BcastRole::Relay {
                 upstream,
-                agg_buf,
-                agg_count,
+                agg,
                 respond_handler,
             } => {
                 let stamp = b.stamp;
                 if self.cfg.reply_splicing {
                     // The whole subtree's answers leave in a single
-                    // aggregated frame on this edge, written once from
-                    // what was gathered, then the wave-completion marker.
-                    let agg =
-                        Msg::bcast_agg_bytes(&stamp, agg_count, agg_buf.as_slice(), &b.missing);
+                    // aggregated frame on this edge, in the buffer they
+                    // were gathered in, then the wave-completion marker.
+                    let agg = agg.finish(&b.missing);
+                    if let Some(kind) = wave_kind(&b.op) {
+                        self.agg_bytes[kind] = agg.len();
+                    }
                     let _ = sys.send(upstream, agg);
                 } else {
                     // Splicing off (the congestion exhibit's baseline):
@@ -696,9 +696,6 @@ impl Lpm {
                     // frame carries the missing list. Re-framed, not
                     // re-encoded: each part's frame is copied as it stands.
                     let missing: Vec<Name> = b.missing.into_iter().collect();
-                    let mut batch = Vec::with_capacity(4 + agg_buf.len());
-                    batch.extend_from_slice(&agg_count.to_be_bytes());
-                    batch.extend_from_slice(agg_buf.as_slice());
                     let mut send_agg = |parts: bytes::Bytes, missing: Vec<Name>| {
                         let agg = Msg::BcastAgg {
                             stamp: stamp.clone(),
@@ -707,7 +704,11 @@ impl Lpm {
                         };
                         let _ = sys.send(upstream, agg.to_bytes());
                     };
-                    for frame in frames(&batch).into_iter().flatten().map_while(Result::ok) {
+                    for frame in frames(agg.batch())
+                        .into_iter()
+                        .flatten()
+                        .map_while(Result::ok)
+                    {
                         let mut one = Enc::with_capacity(8 + frame.len());
                         one.u32(1);
                         one.bytes(frame);
@@ -731,13 +732,13 @@ impl Lpm {
 /// garbage cannot make this whole subtree's aggregate unreadable further
 /// up: a batch whose frames do not fill it exactly as its header says is
 /// refused (`None`) and nothing is spliced.
-fn append_batch(buf: &mut Enc, batch: &[u8]) -> Option<u32> {
+fn append_batch(agg: &mut RelayAgg, batch: &[u8]) -> Option<u32> {
     let mut iter = frames(batch).ok()?;
     let count = u32::try_from(iter.len()).ok()?;
     if !iter.all(|frame| frame.is_ok()) {
         return None;
     }
-    buf.splice(&batch[4..]);
+    agg.splice(count, &batch[4..]);
     Some(count)
 }
 
@@ -755,7 +756,7 @@ mod tests {
     /// An LPM on "here" that has entered a snapshot wave of `origin` in
     /// `role`, its local slice done and nothing to forward, still waiting
     /// on one child, "kid".
-    fn in_wave(origin: &str, role: BcastRole) -> (Lpm, StubSys, BcastKey) {
+    fn in_wave(origin: &str, role: impl FnOnce(&Stamp) -> BcastRole) -> (Lpm, StubSys, BcastKey) {
         let entry = UserEntry {
             cred: UserCred::new(Uid(100), 7),
             recovery: vec!["here".into()],
@@ -766,9 +767,10 @@ mod tests {
         let stamp = Stamp::signed(origin, 1, 0, lpm.auth.stamp_secret());
         let key = stamp.key();
         let route_in = Route::from_origin(origin);
+        let role = role(&stamp);
         let mut wave = BcastState::new(stamp, 100, Op::Snapshot, route_in, Vec::new(), role);
         wave.local_done = true;
-        wave.pending_children.insert("kid".into());
+        wave.pending_children.push(Child::new("kid".into()));
         lpm.bcasts.insert(key.clone(), wave);
         (lpm, StubSys::new(true), key)
     }
@@ -792,10 +794,9 @@ mod tests {
 
     #[test]
     fn a_relay_flooded_with_missing_names_still_sends_what_decodes() {
-        let role = BcastRole::Relay {
+        let role = |stamp: &Stamp| BcastRole::Relay {
             upstream: ConnId(7),
-            agg_buf: Enc::new(),
-            agg_count: 0,
+            agg: RelayAgg::new(stamp, 0),
             respond_handler: None,
         };
         let (mut lpm, mut sys, key) = in_wave("origin", role);
@@ -812,7 +813,7 @@ mod tests {
 
     #[test]
     fn an_originator_flooded_with_missing_names_still_answers_what_decodes() {
-        let role = BcastRole::Origin {
+        let role = |_: &Stamp| BcastRole::Origin {
             reply_req: 1,
             parts: Vec::new(),
             merge_queue: VecDeque::new(),
@@ -871,12 +872,13 @@ mod tests {
         WireReply::from(&Reply::Ok).push_part(&mut batch, "c", &route);
         let batch = batch.into_bytes();
 
-        let mut buf = Enc::new();
-        assert_eq!(append_batch(&mut buf, &batch), Some(2));
-        assert_eq!(buf.as_slice(), &batch[4..]);
-        assert_eq!(append_batch(&mut buf, &0u32.to_be_bytes()), Some(0));
+        let stamp = Stamp::signed("a", 1, 0, 7);
+        let mut agg = RelayAgg::new(&stamp, 0);
+        assert_eq!(append_batch(&mut agg, &batch), Some(2));
+        assert_eq!(agg.batch(), &batch[..]);
+        assert_eq!(append_batch(&mut agg, &0u32.to_be_bytes()), Some(0));
 
-        let spliced = buf.len();
+        let spliced = agg.batch().to_vec();
         let mut trailing = batch.to_vec();
         trailing.push(0);
         let mut overcounted = batch.to_vec();
@@ -887,8 +889,8 @@ mod tests {
             &trailing,
             &overcounted,
         ] {
-            assert_eq!(append_batch(&mut buf, bad), None);
-            assert_eq!(buf.len(), spliced, "nothing spliced from a bad batch");
+            assert_eq!(append_batch(&mut agg, bad), None);
+            assert_eq!(agg.batch(), spliced, "nothing spliced from a bad batch");
         }
     }
 }

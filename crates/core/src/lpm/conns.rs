@@ -278,7 +278,7 @@ impl Lpm {
                 let keys: Vec<BcastKey> = self
                     .bcasts
                     .iter()
-                    .filter(|(_, b)| b.pending_children.contains(host))
+                    .filter(|(_, b)| b.pending_children.iter().any(|c| c.host == host))
                     .map(|(k, _)| k.clone())
                     .collect();
                 for key in keys {

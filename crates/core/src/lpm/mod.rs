@@ -34,8 +34,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use bytes::Bytes;
-use ppm_proto::codec::{Enc, Wire};
-use ppm_proto::msg::{Inbound, Msg, Op, SnapshotRun, WireReply};
+use ppm_proto::codec::Wire;
+use ppm_proto::msg::{Inbound, Msg, Op, RelayAgg, SnapshotRun, WireReply};
 use ppm_proto::types::{Gpid, Name, Route, Stamp};
 use ppm_runtime::hashx::{fnv1a_fold, FastMap, FNV_OFFSET};
 use ppm_runtime::ids::{ConnId, Port};
@@ -119,19 +119,18 @@ pub(crate) struct BcastState {
     pub op: Op,
     pub user: u32,
     pub role: BcastRole,
-    /// Hosts we forwarded to and still owe us a `BcastDone`.
-    pub pending_children: BTreeSet<Name>,
+    /// Hosts we forwarded to and still owe us a `BcastDone`, in host
+    /// order: the forward targets the wave reached.
+    pub pending_children: Vec<Child>,
     /// The local slice finished.
     pub local_done: bool,
     /// Handler blocked on the downstream wave, if any.
     pub forward_handler: Option<HandlerId>,
-    /// Hosts the wave will be forwarded to (decided at receipt).
-    pub forward_targets: Vec<Name>,
+    /// Hosts the wave will be forwarded to (decided at receipt), in host
+    /// order; taken when the wave is forwarded.
+    pub forward_targets: Vec<Child>,
     /// The downstream forward has been performed (or none was needed).
     pub forwarded: bool,
-    /// Direct children whose aggregate already arrived (a later
-    /// connection loss must not mark an answered subtree as missing).
-    pub agg_received: BTreeSet<Name>,
     /// Hosts of this subtree whose answers never arrived (lost children,
     /// straggler timeouts). Travels upstream in the aggregate; at the
     /// origin it becomes the [`Reply::Partial`] marker. Holds at most
@@ -145,6 +144,31 @@ pub(crate) struct BcastState {
     pub timeout_token: Option<u64>,
     /// The straggler timer has already been extended for the levels below.
     pub waited_below: bool,
+}
+
+/// A sibling a wave goes to, and then a child it waits on.
+pub(crate) struct Child {
+    pub host: Name,
+    /// Its aggregate already arrived: a later connection loss must not
+    /// mark an answered subtree as missing.
+    pub answered: bool,
+}
+
+impl Child {
+    /// A sibling the wave has not reached yet.
+    pub fn new(host: Name) -> Self {
+        Child {
+            host,
+            answered: false,
+        }
+    }
+}
+
+/// A child is traced as its host name, as a list of names is.
+impl fmt::Debug for Child {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.host, f)
+    }
 }
 
 /// What this LPM is to a wave, with the state only that role keeps.
@@ -178,13 +202,11 @@ pub(crate) enum BcastRole {
     Relay {
         /// The sibling connection the wave arrived on.
         upstream: ConnId,
-        /// [`ppm_proto::msg::BcastPart`] frames accumulated for the one
-        /// upstream aggregate (batch body without its count header).
-        /// Child aggregates are spliced in byte-for-byte — no decode, no
+        /// The one upstream aggregate, written as its
+        /// [`ppm_proto::msg::BcastPart`] frames are gathered. Child
+        /// aggregates are spliced in byte-for-byte — no decode, no
         /// re-encode — so each record crosses every edge once.
-        agg_buf: Enc,
-        /// Number of part frames in `agg_buf`.
-        agg_count: u32,
+        agg: RelayAgg,
         /// Handler that gathered the local slice; it blocks until this
         /// node's whole participation completes.
         respond_handler: Option<HandlerId>,
@@ -271,6 +293,14 @@ pub struct Lpm {
     pub(crate) rpc: RpcTable,
 
     pub(crate) bcast_seq: u64,
+    /// The parts the last wave this LPM originated gathered: how large
+    /// the next one's tables start.
+    pub(crate) wave_parts: usize,
+    /// The bytes of the last aggregate this LPM relayed for each kind of
+    /// wave (`broadcast::wave_kind`): how much room the next wave of that
+    /// kind starts with, so a small rusage wave is not sized by a large
+    /// snapshot.
+    pub(crate) agg_bytes: [usize; 4],
     pub(crate) bcasts: FastMap<BcastKey, BcastState>,
 
     pub(crate) tree: Genealogy,
@@ -336,6 +366,8 @@ impl Lpm {
             route_epoch: 0,
             rpc: RpcTable::new(),
             bcast_seq: 0,
+            wave_parts: 0,
+            agg_bytes: [0; 4],
             bcasts: FastMap::default(),
             tree: Genealogy::default(),
             history: History::new(HISTORY_CAP, RUSAGE_CAP),

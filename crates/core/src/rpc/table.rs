@@ -65,6 +65,9 @@ pub(crate) struct RpcTable {
     /// re-inserted with a fresh timestamp leaves its old reference behind,
     /// which purge discards after checking the live entry.
     dedup_buckets: BTreeMap<u64, Vec<RpcKey>>,
+    /// The largest bucket purge emptied, kept for the next bucket to
+    /// fill, so that a steady window files its keys without allocating.
+    spare_bucket: Vec<RpcKey>,
     /// Spawned-but-not-yet-exec'd pid → local request id.
     spawn_waits: FastMap<u32, u64>,
     /// Incarnation fence per origin host: the newest boot epoch a forest
@@ -258,9 +261,10 @@ impl RpcTable {
 
     /// Files a key under its insertion-time expiry bucket.
     fn index_dedup(&mut self, key: RpcKey, at: SimTime) {
+        let spare = &mut self.spare_bucket;
         self.dedup_buckets
             .entry(at.as_micros() >> DEDUP_BUCKET_POW)
-            .or_default()
+            .or_insert_with(|| std::mem::take(spare))
             .push(key);
     }
 
@@ -271,7 +275,8 @@ impl RpcTable {
     /// (plus at most one partially-expired boundary bucket), not to the
     /// whole retention window. A ripe bucket is emptied in place and the
     /// boundary bucket trimmed in place: a tick with nothing to purge
-    /// allocates nothing.
+    /// allocates nothing. The largest emptied bucket is kept for the next
+    /// one to fill.
     pub(crate) fn purge_dedup(&mut self, now: SimTime, window: SimDuration) -> usize {
         let now_us = now.as_micros();
         let window_us = window.as_micros();
@@ -306,7 +311,10 @@ impl RpcTable {
                 // is the last one in range.
                 break;
             }
-            bucket.remove();
+            let emptied = bucket.remove();
+            if emptied.capacity() > self.spare_bucket.capacity() {
+                self.spare_bucket = emptied;
+            }
         }
         purged
     }

@@ -28,7 +28,7 @@
 //! borrowed readers an LPM runs over arriving bytes (`ProcRecordRef`,
 //! `HistoryRecordRef`, `ReplyRef::read`, `Inbound`, `WirePart`,
 //! `kernel_wire::decode_kernel_msg`), the splices that write a message
-//! without building it (`WireReply`, `Msg::bcast_agg_bytes`), `Route`
+//! without building it (`WireReply`, `RelayAgg`), `Route`
 //! for its storage, and `Name` and `KernelMsg`, which live in
 //! `ppm-runtime`.
 //!
@@ -210,7 +210,17 @@ impl Enc {
         self.u32(0);
         body(self);
         let len = u32::try_from(self.buf.len() - slot - 4).expect("frame fits in u32");
-        self.buf[slot..slot + 4].copy_from_slice(&len.to_be_bytes());
+        self.patch_u32(slot, len);
+    }
+
+    /// Overwrites the `u32` written at byte `at`: a length or count slot
+    /// reserved before what it measures was written.
+    ///
+    /// # Panics
+    ///
+    /// If fewer than four bytes were written from `at` on.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Makes room for at least `additional` more bytes, growing the

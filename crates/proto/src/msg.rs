@@ -39,7 +39,7 @@
 //! which writes their codecs. What is written by hand here reads or
 //! writes a message around a reply it never builds, which no generated
 //! codec can: [`ReplyRef::read`], [`WireReply`] and its splices,
-//! [`Inbound`], [`WirePart`] and [`Msg::bcast_agg_bytes`]. They share
+//! [`Inbound`], [`WirePart`] and [`RelayAgg`]. They share
 //! the tags they need with the table through the `REPLY_*` and `MSG_*`
 //! constants.
 //!
@@ -558,36 +558,87 @@ wire! {
     }
 }
 
-impl Msg {
-    /// The bytes of `Msg::BcastAgg { stamp, parts, missing }` whose
-    /// `parts` batch is the `count` part frames `frames` (a batch without
-    /// its count header), written once into a buffer sized exactly: how a
-    /// relay sends what it gathered without first copying it into a
-    /// batch of its own. A set is already in the canonical (sorted,
-    /// deduplicated) order the wire form requires. Written by hand, not
-    /// by the wire table, because it never builds the `Msg`.
+/// A relay's upstream `Msg::BcastAgg { stamp, parts, missing }`,
+/// written in the buffer its parts are gathered into: the message's head
+/// (tag, stamp, blob length, part count) first, each part frame after
+/// it, and [`RelayAgg::finish`] patches the blob length and appends the
+/// missing list. The frames a relay gathered thus leave in the buffer
+/// they were gathered in, never copied into a second one. Written by
+/// hand, not by the wire table, because it never builds the `Msg`.
+#[derive(Debug)]
+pub struct RelayAgg {
+    enc: Enc,
+    /// Where the part frames start, past the head.
+    frames_at: usize,
+    /// Part frames written so far, also kept patched in the head.
+    count: u32,
+}
+
+impl RelayAgg {
+    /// The aggregate of the wave `stamp` names, nothing gathered yet, in
+    /// a buffer with room for at least `capacity` bytes.
+    pub fn new(stamp: &Stamp, capacity: usize) -> Self {
+        let head = 1 + stamp.wire_len() + 8;
+        // Room for the head and for the count of an empty missing list.
+        let mut enc = Enc::with_capacity(capacity.max(head + 2));
+        enc.u8(MSG_BCAST_AGG);
+        stamp.encode(&mut enc);
+        enc.u32(0);
+        enc.u32(0);
+        RelayAgg {
+            frames_at: enc.len(),
+            enc,
+            count: 0,
+        }
+    }
+
+    /// Counts `n` more part frames, in the head as well.
+    fn counted(&mut self, n: u32) {
+        self.count += n;
+        self.enc.patch_u32(self.frames_at - 4, self.count);
+    }
+
+    /// Appends `BcastPart { host, reply, route }` as one frame, keeping
+    /// room for the count of an empty missing list.
+    pub fn push_part(&mut self, reply: &WireReply, host: &str, route: &Route) {
+        self.enc.reserve(reply.part_len(host, route) + 2);
+        reply.push_part(&mut self.enc, host, route);
+        self.counted(1);
+    }
+
+    /// Appends `count` part frames already in wire form (a batch without
+    /// its count header), byte for byte, keeping room for the count of
+    /// an empty missing list.
+    pub fn splice(&mut self, count: u32, frames: &[u8]) {
+        self.enc.reserve(frames.len() + 2);
+        self.enc.splice(frames);
+        self.counted(count);
+    }
+
+    /// The part frames written so far as a batch: their count, then the
+    /// frames.
+    pub fn batch(&self) -> &[u8] {
+        &self.enc.as_slice()[self.frames_at - 4..]
+    }
+
+    /// The finished message: the blob length patched and the missing
+    /// list appended (a set is already in the canonical, sorted and
+    /// deduplicated, order the wire form requires). Bytes equal to
+    /// encoding the `Msg::BcastAgg` whose `parts` is [`RelayAgg::batch`].
     ///
     /// # Panics
     ///
     /// Past `u16::MAX` missing hosts, as [`Enc::seq`] does.
-    pub fn bcast_agg_bytes(
-        stamp: &Stamp,
-        count: u32,
-        frames: &[u8],
-        missing: &BTreeSet<Name>,
-    ) -> Bytes {
+    pub fn finish(mut self, missing: &BTreeSet<Name>) -> Bytes {
+        let blob = u32::try_from(self.batch().len()).expect("protocol blob fits in u32");
+        self.enc.patch_u32(self.frames_at - 8, blob);
         let names: usize = missing.iter().map(|host| 2 + host.len()).sum();
-        let mut enc = Enc::with_capacity(1 + stamp.wire_len() + 8 + frames.len() + 2 + names);
-        enc.u8(MSG_BCAST_AGG);
-        stamp.encode(&mut enc);
-        enc.u32(u32::try_from(4 + frames.len()).expect("protocol blob fits in u32"));
-        enc.u32(count);
-        enc.splice(frames);
-        enc.seq_len(missing.len());
+        self.enc.reserve(2 + names);
+        self.enc.seq_len(missing.len());
         for host in missing {
-            enc.str(host);
+            self.enc.str(host);
         }
-        enc.into_bytes()
+        self.enc.into_bytes()
     }
 }
 
@@ -862,11 +913,16 @@ impl WireReply {
         enc.into_bytes()
     }
 
+    /// The bytes [`WireReply::push_part`] appends for `host` and `route`.
+    pub fn part_len(&self, host: &str, route: &Route) -> usize {
+        4 + 2 + host.len() + self.as_bytes().len() + route.wire_len()
+    }
+
     /// Appends `BcastPart { host, reply, route }` to `batch` as one
     /// length-prefixed frame (the batch's count header is the caller's),
     /// room for the whole frame made first.
     pub fn push_part(&self, batch: &mut Enc, host: &str, route: &Route) {
-        batch.reserve(4 + 2 + host.len() + self.as_bytes().len() + route.wire_len());
+        batch.reserve(self.part_len(host, route));
         batch.frame_with(|enc| {
             enc.str(host);
             enc.splice(self.as_bytes());

@@ -15,8 +15,8 @@ use ppm_proto::kernel_wire::{
     walk_kernel_batch, KernelMsgRef,
 };
 use ppm_proto::msg::{
-    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyRef, SnapshotRun, WirePart,
-    WireReply, MAX_REPLY_RECORDS,
+    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, RelayAgg, Reply, ReplyRef, SnapshotRun,
+    WirePart, WireReply, MAX_REPLY_RECORDS,
 };
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{
@@ -1558,28 +1558,65 @@ proptest! {
         prop_assert_eq!(walked.as_bytes(), &expect[..]);
     }
 
-    /// A relay's aggregate, written once from the part frames it
-    /// gathered, is the encoded `Msg::BcastAgg` — for real frames and for
-    /// noise, any stamp, any missing set.
+    /// A relay's aggregate, written in the buffer it gathers into — its
+    /// own part and child batches spliced in any order, real frames or
+    /// noise — is the encoded `Msg::BcastAgg` of the batch it gathered,
+    /// for any stamp, missing set and starting room; with nothing gathered
+    /// (every child lost, no local slice) it is the message with an empty
+    /// batch.
+    /// The writer's batch — what a `noagg` relay re-frames — is that
+    /// batch at every step.
     #[test]
     fn relay_aggregate_is_the_encoded_msg(
         stamp in arb_stamp(),
-        answers in prop::collection::vec((arb_host(), arb_bcast_answer(), arb_route()), 0..5),
-        noise in prop::option::of((any::<u32>(), prop::collection::vec(any::<u8>(), 0..64))),
+        pieces in prop::collection::vec(
+            prop_oneof![
+                (arb_host(), arb_bcast_answer(), arb_route()).prop_map(Ok),
+                prop_oneof![
+                    prop::collection::vec((arb_host(), arb_bcast_answer(), arb_route()), 0..4)
+                        .prop_map(|answers| {
+                            let parts: Vec<BcastPart> = answers
+                                .into_iter()
+                                .map(|(host, reply, route)| BcastPart { host, reply, route })
+                                .collect();
+                            (parts.len() as u32, encode_batch(&parts)[4..].to_vec())
+                        }),
+                    (0u32..1 << 20, prop::collection::vec(any::<u8>(), 0..64)),
+                ]
+                .prop_map(Err),
+            ],
+            0..5,
+        ),
         missing in prop::collection::vec(arb_host(), 0..6),
+        capacity in 0usize..512,
     ) {
-        let (count, frames) = noise.unwrap_or_else(|| {
-            let parts: Vec<BcastPart> = answers
-                .into_iter()
-                .map(|(host, reply, route)| BcastPart { host, reply, route })
-                .collect();
-            (parts.len() as u32, encode_batch(&parts)[4..].to_vec())
-        });
-        let set: BTreeSet<Name> = missing.iter().cloned().collect();
+        let mut agg = RelayAgg::new(&stamp, capacity);
+        let (mut count, mut gathered) = (0u32, Vec::new());
+        for piece in pieces {
+            match piece {
+                Ok((host, reply, route)) => {
+                    let reply = WireReply::from(&reply);
+                    agg.push_part(&reply, &host, &route);
+                    let mut one = Enc::new();
+                    reply.push_part(&mut one, &host, &route);
+                    gathered.extend_from_slice(one.as_slice());
+                    count = count.wrapping_add(1);
+                }
+                Err((n, frames)) => {
+                    agg.splice(n, &frames);
+                    gathered.extend_from_slice(&frames);
+                    count = count.wrapping_add(n);
+                }
+            }
+            prop_assert_eq!(&agg.batch()[..4], &count.to_be_bytes()[..]);
+            prop_assert_eq!(&agg.batch()[4..], &gathered[..]);
+        }
         let mut batch = count.to_be_bytes().to_vec();
-        batch.extend_from_slice(&frames);
+        batch.extend_from_slice(&gathered);
+        let set: BTreeSet<Name> = missing.iter().cloned().collect();
+        let missing = set.iter().cloned().collect();
         let msg = Msg::BcastAgg { stamp: stamp.clone(), parts: batch.into(), missing };
-        prop_assert_eq!(Msg::bcast_agg_bytes(&stamp, count, &frames, &set), msg.to_bytes());
+        prop_assert_eq!(agg.finish(&set), msg.to_bytes());
     }
 
     /// A batch of kernel messages walks back, borrowed and then owned, to

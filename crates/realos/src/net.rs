@@ -173,10 +173,12 @@ pub fn spawn_acceptor(
 
 /// Spawns the connector thread for one outbound connection attempt.
 ///
-/// Resolution and TCP connect are retried briefly (the listener may be
-/// rebinding mid-respawn); a target with no published listener reports
-/// [`SysError::ConnectionRefused`], which clients treat like a TCP RST
-/// and retry at the protocol layer.
+/// A target with no published listener reports
+/// [`SysError::ConnectionRefused`] at once, as the simulated network
+/// refuses it after one round trip; clients treat it like a TCP RST and
+/// retry at the protocol layer. Only a published port whose TCP connect
+/// fails is tried again, briefly: its listener may be rebinding
+/// mid-respawn.
 pub fn spawn_connector(
     conn: ConnId,
     src: (HostId, Pid),
@@ -192,7 +194,7 @@ pub fn spawn_connector(
                     std::thread::sleep(Duration::from_millis(10 * attempt));
                 }
                 let real = ports.lock().unwrap().get(&dst).copied();
-                let Some(real) = real else { continue };
+                let Some(real) = real else { break };
                 match TcpStream::connect(("127.0.0.1", real)) {
                     Ok(mut stream) => {
                         stream.set_nodelay(true).ok();

@@ -169,7 +169,10 @@ impl FaultPlan {
         grammar::each_line(text, |line| {
             let t = line.at(0);
             match t.verb() {
-                "seed" => plan.seed = grammar::count(t.need(1, "a value")?)?,
+                "seed" => {
+                    plan.seed = grammar::count(t.need(1, "a value")?)?;
+                    t.end(2)?;
+                }
                 "at" => {
                     let at = grammar::instant(t.need(1, "a time")?)?;
                     t.need(2, "a fault verb")?;
@@ -256,15 +259,20 @@ fn parse_event(plan: &mut FaultPlan, at: SimTime, t: Tokens) -> Result<(), Strin
     let link = || word(2, "a link name after `link`");
     let pair = || Ok::<_, String>((word(1, "two hosts")?, word(2, "two hosts")?));
     let mut push = |at, kind| plan.events.push(FaultEvent { at, kind });
-    match t.verb() {
+    // Each verb's arm returns how many tokens it read, the verb counted.
+    let read = match t.verb() {
         "crash" => {
             push(at, Crash { host: host()? });
             // Sugar: `crash HOST restart DUR` heals the host DUR later.
             if let Some(later) = sugar(t, 2, "restart", at)? {
                 push(later, Restart { host: host()? });
             }
+            4
         }
-        "restart" => push(at, Restart { host: host()? }),
+        "restart" => {
+            push(at, Restart { host: host()? });
+            2
+        }
         // Sugar: `cut link NAME [heal DUR]` targets a named netmodel
         // link instead of a host pair.
         "cut" | "link-down" if t.get(1) == Some("link") => {
@@ -272,6 +280,7 @@ fn parse_event(plan: &mut FaultPlan, at: SimTime, t: Tokens) -> Result<(), Strin
             if let Some(later) = sugar(t, 3, "heal", at)? {
                 push(later, NetLinkUp { link: link()? });
             }
+            5
         }
         "cut" | "link-down" => {
             let (a, b) = pair()?;
@@ -281,21 +290,27 @@ fn parse_event(plan: &mut FaultPlan, at: SimTime, t: Tokens) -> Result<(), Strin
                 let (a, b) = pair()?;
                 push(later, LinkUp { a, b });
             }
+            5
         }
         "link-up" | "heal" if t.get(1) == Some("link") => {
             push(at, NetLinkUp { link: link()? });
+            3
         }
         "link-up" | "heal" => {
             let (a, b) = pair()?;
             push(at, LinkUp { a, b });
+            3
         }
         "kill" => {
             let (host, command) = (host()?, word(2, "a command prefix")?);
             push(at, Kill { host, command });
+            3
         }
         other => return Err(format!("unknown fault verb {other:?}")),
-    }
-    Ok(())
+    };
+    // Tokens run on without a gap, so a sugar left out leaves no token
+    // at its place or past it.
+    t.end(read)
 }
 /// The instant of the optional `WORD DUR` at token `i`: `at` plus DUR.
 fn sugar(t: Tokens, i: usize, word: &str, at: SimTime) -> Result<Option<SimTime>, String> {
@@ -562,6 +577,31 @@ delay 0.5 add 40ms to kim
             let e = FaultPlan::parse(&format!("seed 1\n{late}")).unwrap_err();
             assert_eq!(e.line, 2, "{late}: {e}");
             assert!(e.message.contains("out of range"), "{late}: {e}");
+        }
+        // A token past the ones a statement reads is refused, not dropped.
+        for (extra, message) in [
+            ("at 1s kill a lpm junk", "kill has an extra token \"junk\""),
+            (
+                "at 2s restart b whenever",
+                "restart has an extra token \"whenever\"",
+            ),
+            (
+                "at 2s crash b restart 1s now",
+                "crash has an extra token \"now\"",
+            ),
+            (
+                "at 2s cut a b heal 1s now",
+                "cut has an extra token \"now\"",
+            ),
+            (
+                "at 2s cut link up0 heal 1s now",
+                "cut has an extra token \"now\"",
+            ),
+            ("at 2s heal a b now", "heal has an extra token \"now\""),
+            ("seed 1 2", "seed has an extra token \"2\""),
+        ] {
+            let e = FaultPlan::parse(&format!("seed 1\n{extra}")).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (2, message), "{extra}");
         }
     }
 

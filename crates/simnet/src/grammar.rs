@@ -172,6 +172,23 @@ impl<'a> Tokens<'_, 'a> {
         self.get(i)
             .ok_or_else(|| format!("{} needs {what}", self.verb()))
     }
+
+    /// Refuses a token past the first `n`, the verb counted: what a
+    /// statement that has read all it takes says last, so that nothing
+    /// written after it is dropped unread.
+    ///
+    /// ```
+    /// use ppm_simnet::grammar::Tokens;
+    /// assert_eq!(Tokens(&["crash", "b"]).end(2), Ok(()));
+    /// let refused = Tokens(&["crash", "b", "now", "please"]).end(2);
+    /// assert_eq!(refused.unwrap_err(), "crash has an extra token \"now\"");
+    /// ```
+    pub fn end(self, n: usize) -> Result<(), String> {
+        match self.get(n) {
+            None => Ok(()),
+            Some(extra) => Err(format!("{} has an extra token {extra:?}", self.verb())),
+        }
+    }
 }
 
 /// A count: decimal, or hexadecimal after `0x`.

@@ -357,9 +357,13 @@ impl NetSpec {
         grammar::each_line(text, |line| {
             let t = line.at(0);
             match t.verb() {
-                "topo" => spec.name = t.need(1, "a name")?.into(),
+                "topo" => {
+                    spec.name = t.need(1, "a name")?.into();
+                    t.end(2)?;
+                }
                 "switch" => {
                     let s = t.need(1, "a name")?;
+                    t.end(2)?;
                     if spec.switches.iter().any(|w| w == s) {
                         return Err(format!("duplicate switch {s:?}"));
                     }
@@ -678,6 +682,13 @@ mod net_tests {
         assert!(NetSpec::parse("link a b loss=2").is_err());
         assert!(NetSpec::parse("link a b name=x\nlink b c name=x").is_err());
         assert!(NetSpec::parse("topo empty").is_err());
+        for (extra, message) in [
+            ("topo lab two", "topo has an extra token \"two\""),
+            ("switch core tor", "switch has an extra token \"tor\""),
+        ] {
+            let e = NetSpec::parse(&format!("link a b\n{extra}")).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (2, message), "{extra}");
+        }
         for lat in ["infs", "NaNms", "-3ms", "7"] {
             let e = NetSpec::parse(&format!("link a b\nlink b c lat={lat}")).unwrap_err();
             assert!(e.to_string().starts_with("line 2: "), "{lat}: {e}");

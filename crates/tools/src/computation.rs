@@ -50,11 +50,9 @@ pub fn locate<R: Runtime>(
     let (records, unreachable) = ppm.snapshot_partial(from_host, uid, "*")?;
     let forest = Forest::build(records);
     let mut members = Vec::new();
-    if forest.get(root).is_some() {
-        for (_, node) in forest.walk(root) {
-            if node.record.state != WireProcState::Dead {
-                members.push(node.record.gpid.clone());
-            }
+    for (_, node) in forest.walk_from(root) {
+        if node.record.state != WireProcState::Dead {
+            members.push(node.record.gpid.clone());
         }
     }
     members.sort();

@@ -14,6 +14,7 @@ use ppm_simnet::topology::HostId;
 use ppm_simos::ids::Uid;
 
 use crate::forest::Forest;
+use crate::snapshot::indent;
 
 /// Host liveness as the runtime sees it: whether the host is powered
 /// and whether it has ever been power-cycled (only the sim's hosts are).
@@ -324,24 +325,21 @@ pub fn render_dashboard(
         );
     }
     let mut failure_roots = 0;
-    for root in forest.roots() {
-        let failure = forest.is_failure_root(root);
-        failure_roots += usize::from(failure);
-        for (depth, node) in forest.walk(root) {
-            let _ = writeln!(
-                out,
-                "{}{} {} {} ({})",
-                "  ".repeat(depth + 1),
-                match (depth, failure) {
-                    (0, true) => "!",
-                    (0, false) => "*",
-                    _ => "-",
-                },
-                node.record.gpid,
-                node.record.command,
-                node.record.state
-            );
-        }
+    for (depth, node) in forest.walk() {
+        let marker = match depth {
+            0 if forest.is_failure_root(&node.record.gpid) => {
+                failure_roots += 1;
+                "!"
+            }
+            0 => "*",
+            _ => "-",
+        };
+        indent(&mut out, "  ", depth + 1);
+        let _ = writeln!(
+            out,
+            "{marker} {} {} ({})",
+            node.record.gpid, node.record.command, node.record.state
+        );
     }
     if failure_roots > 0 {
         let _ = writeln!(

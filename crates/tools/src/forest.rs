@@ -109,7 +109,6 @@ impl Forest {
         Forest { nodes, roots }
     }
 
-    /// Root processes, sorted.
     /// Whether `root` is a root a crash manufactured: a live process a
     /// respawned LPM re-adopted with its real parent lost (recorded as
     /// `ppid == 0`, while ordinary root spawns carry ppid 1) and no
@@ -124,6 +123,7 @@ impl Forest {
         })
     }
 
+    /// Root processes, sorted.
     pub fn roots(&self) -> &[Gpid] {
         &self.roots
     }
@@ -148,25 +148,64 @@ impl Forest {
         self.nodes.get(gpid)
     }
 
-    /// The hosts represented, sorted.
-    pub fn hosts(&self) -> Vec<String> {
-        let set: BTreeSet<String> = self.nodes.keys().map(|g| g.host.to_string()).collect();
-        set.into_iter().collect()
-    }
-
-    /// Depth-first walk of one tree, yielding `(depth, gpid)`.
-    pub fn walk<'a>(&'a self, root: &Gpid) -> Vec<(usize, &'a ForestNode)> {
-        let mut out = Vec::new();
-        let mut stack: Vec<(usize, Gpid)> = vec![(0, root.clone())];
-        while let Some((depth, gpid)) = stack.pop() {
-            if let Some(node) = self.nodes.get(&gpid) {
-                out.push((depth, node));
-                for child in node.children.iter().rev() {
-                    stack.push((depth + 1, child.clone()));
-                }
+    /// The hosts represented, sorted: the keys are sorted by host
+    /// first, so each new host is a change from the last one.
+    pub fn hosts(&self) -> Vec<&str> {
+        let mut hosts: Vec<&str> = Vec::new();
+        for gpid in self.nodes.keys() {
+            let host = gpid.host.as_str();
+            if hosts.last() != Some(&host) {
+                hosts.push(host);
             }
         }
-        out
+        hosts
+    }
+
+    /// Every tree depth-first, roots in order, yielding `(depth, node)`:
+    /// a root at depth 0, then each child's subtree in child order.
+    pub fn walk(&self) -> Walk<'_> {
+        Walk {
+            nodes: &self.nodes,
+            roots: self.roots.iter(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// The tree under `root` depth-first, as [`Forest::walk`] visits it;
+    /// nothing when `root` is not in the forest.
+    pub fn walk_from<'a>(&'a self, root: &'a Gpid) -> Walk<'a> {
+        Walk {
+            nodes: &self.nodes,
+            roots: std::slice::from_ref(root).iter(),
+            stack: Vec::new(),
+        }
+    }
+}
+
+/// The depth-first visit of [`Forest::walk`]: one stack of borrowed
+/// identities, reused from tree to tree.
+#[derive(Debug)]
+pub struct Walk<'a> {
+    nodes: &'a BTreeMap<Gpid, ForestNode>,
+    roots: std::slice::Iter<'a, Gpid>,
+    stack: Vec<(usize, &'a Gpid)>,
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = (usize, &'a ForestNode);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let (depth, gpid) = match self.stack.pop() {
+                Some(top) => top,
+                None => (0, self.roots.next()?),
+            };
+            if let Some(node) = self.nodes.get(gpid) {
+                let below = node.children.iter().rev().map(|child| (depth + 1, child));
+                self.stack.extend(below);
+                return Some((depth, node));
+            }
+        }
     }
 }
 
@@ -207,11 +246,8 @@ mod tests {
             rec("c", 30, 1, Some(("b", 20))),
         ]);
         assert_eq!(f.tree_count(), 1, "one logical tree across three hosts");
-        let walk = f.walk(&Gpid::new("a", 10));
-        assert_eq!(walk.len(), 3);
-        assert_eq!(walk[0].0, 0);
-        assert_eq!(walk[1].0, 1);
-        assert_eq!(walk[2].0, 2);
+        let depths: Vec<usize> = f.walk().map(|(depth, _)| depth).collect();
+        assert_eq!(depths, [0, 1, 2]);
         assert_eq!(f.hosts(), vec!["a", "b", "c"]);
     }
 

@@ -49,28 +49,33 @@ pub fn render(records: Vec<ProcRecord>, title: &str) -> String {
         forest.tree_count(),
         forest.hosts().join(", ")
     );
-    for root in forest.roots() {
-        for (depth, node) in forest.walk(root) {
-            let indent = "   ".repeat(depth);
-            let marker = if depth == 0 { "*" } else { "└─" };
-            let state = match node.record.state {
-                WireProcState::Dead => " [exited]",
-                WireProcState::Stopped => " [stopped]",
-                WireProcState::Embryo => " [embryo]",
-                WireProcState::Running => "",
-            };
-            let cross = match (&node.record.logical_parent, depth) {
-                (Some(lp), d) if d > 0 && lp.host != node.record.gpid.host => "  <- remote child",
-                _ => "",
-            };
-            let _ = writeln!(
-                out,
-                "{indent}{marker} {} {}{state}{cross}",
-                node.record.gpid, node.record.command
-            );
-        }
+    for (depth, node) in forest.walk() {
+        indent(&mut out, "   ", depth);
+        let marker = if depth == 0 { "*" } else { "└─" };
+        let state = match node.record.state {
+            WireProcState::Dead => " [exited]",
+            WireProcState::Stopped => " [stopped]",
+            WireProcState::Embryo => " [embryo]",
+            WireProcState::Running => "",
+        };
+        let cross = match (&node.record.logical_parent, depth) {
+            (Some(lp), d) if d > 0 && lp.host != node.record.gpid.host => "  <- remote child",
+            _ => "",
+        };
+        let _ = writeln!(
+            out,
+            "{marker} {} {}{state}{cross}",
+            node.record.gpid, node.record.command
+        );
     }
     out
+}
+
+/// Appends `unit` to `out` `depth` times: a tree line's indent.
+pub(crate) fn indent(out: &mut String, unit: &str, depth: usize) {
+    for _ in 0..depth {
+        out.push_str(unit);
+    }
 }
 
 /// Renders a snapshot like [`render`]; a partial sweep (`missing` names

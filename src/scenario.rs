@@ -233,7 +233,7 @@ impl Action {
 }
 
 /// A parsed scenario.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
     /// World seed.
     pub seed: u64,
@@ -298,7 +298,10 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
     grammar::each_line(text, |line| {
         let t = line.at(0);
         match t.verb() {
-            "seed" => sc.seed = grammar::count(t.need(1, "a value")?)?,
+            "seed" => {
+                sc.seed = grammar::count(t.need(1, "a value")?)?;
+                t.end(2)?;
+            }
             "host" => {
                 let name = t.need(1, "a name")?;
                 let cpu = match t.get(2) {
@@ -307,6 +310,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                     Some("sun2") => CpuClass::Sun2,
                     Some(other) => return Err(format!("unknown cpu {other:?}")),
                 };
+                t.end(3)?;
                 if sc.hosts.iter().any(|(h, _)| h == name) {
                     return Err(format!("host {name:?} is declared twice"));
                 }
@@ -315,6 +319,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
             }
             "link" => {
                 let (a, b) = (t.need(1, "two hosts")?, t.need(2, "two hosts")?);
+                t.end(3)?;
                 if a == b {
                     return Err(format!("link joins {a:?} to itself"));
                 }
@@ -398,6 +403,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
             }
             "run" => {
                 sc.tail += grammar::duration(t.need(1, "a duration")?)?;
+                t.end(2)?;
                 if sc.tail.as_micros() > SimTime::FAR_FUTURE.as_micros() {
                     return Err("run durations add up out of range".into());
                 }
@@ -478,12 +484,17 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
                 parent,
             })
         }
-        "adopt" => Ok(Action::Adopt {
-            from: from()?,
-            uid: uid()?,
-            host: t.need(3, "HOST")?.to_string(),
-            pid: grammar::id(t.need(4, "PID")?)?,
-        }),
+        "adopt" => {
+            let (from, uid, host) = (from()?, uid()?, t.need(3, "HOST")?.to_string());
+            let pid = grammar::id(t.need(4, "PID")?)?;
+            t.end(5)?;
+            Ok(Action::Adopt {
+                from,
+                uid,
+                host,
+                pid,
+            })
+        }
         "control" => {
             let (from, uid) = (from()?, uid()?);
             let (target, used) = proc_ref(t.get(3), t.get(4))?;
@@ -494,6 +505,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
                 "kill" => ControlAction::Kill,
                 other => return Err(format!("unknown control verb {other:?}")),
             };
+            t.end(4 + used)?;
             Ok(Action::Control {
                 from,
                 uid,
@@ -503,6 +515,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
         }
         "snapshot" | "rusage" | "history" => {
             let (from, uid, dest) = (from()?, uid()?, t.need(3, "DEST")?.to_string());
+            t.end(4)?;
             Ok(match t.verb() {
                 "snapshot" => Action::Snapshot { from, uid, dest },
                 "rusage" => Action::Rusage { from, uid, dest },
@@ -511,16 +524,19 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
         }
         "dashboard" => {
             let (from, uid) = (from()?, uid()?);
+            t.end(3)?;
             Ok(Action::Dashboard { from, uid })
         }
         "killtree" => {
             let (from, uid) = (from()?, uid()?);
-            let (root, _) = proc_ref(t.get(3), t.get(4))?;
+            let (root, used) = proc_ref(t.get(3), t.get(4))?;
+            t.end(3 + used)?;
             Ok(Action::KillTree { from, uid, root })
         }
         "files" => {
             let (from, uid) = (from()?, uid()?);
-            let (target, _) = proc_ref(t.get(3), t.get(4))?;
+            let (target, used) = proc_ref(t.get(3), t.get(4))?;
+            t.end(3 + used)?;
             Ok(Action::Files { from, uid, target })
         }
         "drill" => {
@@ -548,6 +564,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
         }
         "crash" | "restart" => {
             let host = t.need(1, "HOST")?.to_string();
+            t.end(2)?;
             Ok(match t.verb() {
                 "crash" => Action::Crash { host },
                 _ => Action::Restart { host },
@@ -555,6 +572,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
         }
         "link-down" | "link-up" => {
             let (a, b) = (t.need(1, "A")?.to_string(), t.need(2, "B")?.to_string());
+            t.end(3)?;
             let up = t.verb() == "link-up";
             Ok(Action::Link { a, b, up })
         }
@@ -1098,6 +1116,32 @@ run 2s
 
         let e = parse("user 1 secret=1").unwrap_err();
         assert!(e.message.contains("no hosts"));
+
+        // A token past the ones a statement reads is refused, not dropped.
+        let head = "host a\nhost b\nuser 1\n";
+        for (line, extra) in [
+            (
+                "at 1s snapshot a 1 * junk more",
+                "snapshot has an extra token \"junk\"",
+            ),
+            (
+                "at 2s crash b now please",
+                "crash has an extra token \"now\"",
+            ),
+            (
+                "at 2s control a 1 $m stop now",
+                "control has an extra token \"now\"",
+            ),
+            (
+                "at 2s link-down a b c",
+                "link-down has an extra token \"c\"",
+            ),
+            ("seed 7 8", "seed has an extra token \"8\""),
+            ("run 1s 2s", "run has an extra token \"2s\""),
+        ] {
+            let e = parse(&format!("{head}{line}")).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (4, extra), "{line}");
+        }
     }
 
     #[test]

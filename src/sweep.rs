@@ -89,8 +89,9 @@ const BACKENDS: [(&str, Backend); 3] = [
 /// One axis-point of the variant dimension.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VariantKind {
-    /// A scenario file, preloaded so workers never touch the filesystem.
-    Scenario { text: Arc<str> },
+    /// A scenario file, read and parsed at load, so workers never touch
+    /// the filesystem and a broken file fails before any cell runs.
+    Scenario { scenario: Arc<Scenario> },
     /// A generated chain-topology scale scenario (`ppm-sim --hosts N`).
     Chain { hosts: usize },
     /// A multi-tenant fork/exec/exit storm (`ppm-sim --users U --hosts H`).
@@ -138,14 +139,18 @@ fn read(path: &Path) -> Result<String, String> {
 }
 
 impl Variant {
-    /// `scenario FILE` / `ppm-sim FILE`: the file at `base.join(arg)`.
+    /// `scenario FILE` / `ppm-sim FILE`: the file at `base.join(arg)`,
+    /// parsed; a grammar error names the file and its line.
     pub fn scenario(arg: &str, base: &Path) -> Result<Variant, String> {
         let path = base.join(arg);
-        let text = read(&path)?;
+        let args = path.display().to_string();
+        let scenario = scenario::parse(&read(&path)?).map_err(|e| format!("{args}: {e}"))?;
         Ok(Variant {
             label: format!("scenario:{arg}"),
-            args: path.display().to_string(),
-            kind: VariantKind::Scenario { text: text.into() },
+            args,
+            kind: VariantKind::Scenario {
+                scenario: Arc::new(scenario),
+            },
         })
     }
 
@@ -314,9 +319,10 @@ fn once<T>(axis: &mut Vec<T>, item: T, label: fn(&T) -> &str) -> Result<(), Stri
 impl Grid {
     /// Parses a grid file, read by [`grammar::each_line`]. `base` is the
     /// directory paths are resolved against (the grid file's parent).
-    /// Scenario and fault files are read and fault grammars validated
-    /// here, so workers start from in-memory text and grammar errors fail
-    /// fast, not per-cell.
+    /// Scenario and fault files are read and parsed here, so workers
+    /// never touch the filesystem and grammar errors fail fast, not
+    /// per-cell: a broken scenario refuses the grid's line that names
+    /// it, with the scenario's path and its own line.
     pub fn parse(text: &str, base: &Path) -> Result<Grid, LineError> {
         let mut name = None;
         let mut seeds = Vec::new();
@@ -651,9 +657,11 @@ pub fn run_cell(spec: &RunSpec, spans: bool, trace: bool) -> Result<CellRun, Cel
         topology,
     };
     let mut output = String::new();
-    let text = match *kind {
-        VariantKind::Scenario { ref text } => Cow::Borrowed(&**text),
-        Chain { hosts } => Cow::Owned(scenario::chain_scenario(hosts)),
+    let mut sc = match *kind {
+        VariantKind::Scenario { ref scenario } => Scenario::clone(scenario),
+        Chain { hosts } => {
+            scenario::parse(&scenario::chain_scenario(hosts)).map_err(|e| (None, e))?
+        }
         Storm {
             users,
             hosts,
@@ -667,7 +675,6 @@ pub fn run_cell(spec: &RunSpec, spans: bool, trace: bool) -> Result<CellRun, Cel
             return Ok(finished(run, output, spans, trace, None));
         }
     };
-    let mut sc = scenario::parse(&text).map_err(|e| (None, e))?;
     sc.seed = spec.seed.unwrap_or(sc.seed);
     let statement = sc
         .actions
@@ -982,7 +989,7 @@ run 200ms
                     label: "scenario:mini.ppm".into(),
                     args: "scenarios/mini.ppm".into(),
                     kind: VariantKind::Scenario {
-                        text: MINI_SCENARIO.into(),
+                        scenario: Arc::new(scenario::parse(MINI_SCENARIO).expect("mini parses")),
                     },
                 },
                 Variant::storm(2, 2, Some(80)).expect("a small storm"),

@@ -493,8 +493,8 @@ fn a_stop_a_killed_child_and_a_late_call_end_the_same_on_sim_and_mc() {
     assert_eq!(run_script(McWorld::new(), &codes, SIM_STEP), expected, "mc");
 }
 
-/// The real column: 32 scripts on one loopback node, steps 160 ms apart
-/// (half a step outlasts a refused connect's retries, 60 ms).
+/// The real column: 32 scripts on one loopback node, at the sim's steps
+/// (a connect to a port nobody listens on is refused at once on both).
 #[test]
 #[ignore = "real TCP and wall-clock time; run with --ignored"]
 fn a_script_ends_the_same_on_sim_and_real() {
@@ -503,11 +503,7 @@ fn a_script_ends_the_same_on_sim_and_real() {
         let mut rng = TestRng::from_seed(0x1986 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let codes = strategy.generate(&mut rng);
         let sim = run_script(World::new(7), &codes, SIM_STEP);
-        let real = run_script(
-            RealRuntime::with_trace(false),
-            &codes,
-            SimDuration::from_millis(160),
-        );
+        let real = run_script(RealRuntime::with_trace(false), &codes, SIM_STEP);
         assert_eq!(real, sim, "case {case}: script {codes:?}");
     }
 }

@@ -10,7 +10,8 @@
 //! it stores per process is what a long run's resident set grows by when
 //! someone asked for it. Nobody asks by default, and then it stores
 //! nothing. The tool's end of a snapshot is counted too: decoding the
-//! reply must not allocate once per record.
+//! reply must not allocate once per record, and neither must drawing it
+//! as Figure 1's forest.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -264,4 +265,47 @@ fn a_snapshot_reply_decodes_without_an_allocation_per_record() {
     // The record vector, the reporting host and the route: a constant,
     // where a `String` per name made it 2 N more.
     assert_eq!(snapshot_decode_allocs(10), snapshot_decode_allocs(1_000));
+}
+
+/// A `*` snapshot shaped like the fan-out benchmark's: one process on
+/// `h0` and 20 on each of 15 more hosts, every one a root (the harness
+/// spawns them with no parent the forest tracks), with commands of one
+/// to four hex digits.
+fn fanout_snapshot() -> Vec<ProcRecord> {
+    let record = |host: usize, pid: u32, command: String| ProcRecord {
+        gpid: Gpid::new(format!("h{host}"), pid),
+        ppid: 1,
+        logical_parent: None,
+        command: command.into(),
+        state: WireProcState::Running,
+        started_us: u64::from(pid),
+        cpu_us: 0,
+        adopted: true,
+    };
+    let mut records = vec![record(0, 100, "root".to_string())];
+    for host in 1..16 {
+        for j in 0..20u32 {
+            let digits = 1 + (host as u32 + j) % 4;
+            let hex = j.wrapping_mul(2_654_435_761) % (1 << (4 * digits));
+            records.push(record(host, 100 + j, format!("job{j}-{hex:x}")));
+        }
+    }
+    records
+}
+
+#[test]
+fn rendering_a_snapshot_does_not_allocate_per_record() {
+    let records = fanout_snapshot();
+    assert_eq!(records.len(), 301);
+    let copy = records.clone();
+    let before = ALLOCS.get();
+    let text = ppm::tools::snapshot::render(copy, "*");
+    let spent = ALLOCS.get() - before;
+    assert!(text.starts_with("*\n301 process(es) in 301 tree(s) across hosts: h0, h1, h10,"));
+    assert_eq!(text.lines().count(), 2 + 301, "one line per process");
+    // 48 now: the forest's map, its key and root lists, the walk's one
+    // stack, the host list and the text as it grows.
+    // 954 while each tree was a fresh walk over cloned identities, the
+    // host list a `String` per record and every line built its indent.
+    assert!(spent <= 48, "{spent} allocations to render 301 records");
 }

@@ -4,18 +4,20 @@
 //! its source-destination route back to the originator; each of those
 //! steps is budgeted here. A budget fails when a frame goes back to two
 //! allocations (a buffer and a separate shared header), when a short
-//! route goes back to the heap, or when the simulated host's delivery
-//! path starts copying what it hands a process.
+//! route goes back to the heap, when the simulated host's delivery
+//! path starts copying what it hands a process, or when a relay copies
+//! the frames it gathered into a second buffer to send them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 use bytes::Bytes;
 use ppm::core::config::PpmConfig;
 use ppm::harness::harness::PpmHarness;
 use ppm::proto::codec::{Enc, Wire};
-use ppm::proto::msg::{ControlAction, Inbound, Msg, Op, Reply, WirePart, WireReply};
-use ppm::proto::types::{Gpid, Route};
+use ppm::proto::msg::{ControlAction, Inbound, Msg, Op, RelayAgg, Reply, WirePart, WireReply};
+use ppm::proto::types::{Gpid, Route, Stamp};
 use ppm::runtime::program::SpawnSpec;
 use ppm::simnet::topology::CpuClass;
 use ppm::simos::ids::Uid;
@@ -146,6 +148,52 @@ fn an_aggregate_splits_into_parts_with_one_allocation() {
         spent, 1,
         "WirePart::split: the Vec of parts, nothing per part"
     );
+}
+
+#[test]
+fn a_relay_finishes_its_aggregate_in_the_buffer_it_gathered_into() {
+    const PARTS: usize = 16;
+    let stamp = Stamp::signed("origin", 7, 1_000, 0xC0FFEE);
+    let mut agg = RelayAgg::new(&stamp, 0);
+    let mut frames = Enc::new();
+    for i in 0..PARTS {
+        let host = format!("h{i}");
+        let mut route = route_of(1 + i % 4);
+        route.push(host.as_str());
+        let reply = WireReply::from(&Reply::Snapshot {
+            host: host.as_str().into(),
+            procs: Vec::new(),
+        });
+        if i % 2 == 0 {
+            agg.push_part(&reply, &host, &route);
+        } else {
+            // A child's batch, spliced byte for byte.
+            let mut one = Enc::new();
+            reply.push_part(&mut one, &host, &route);
+            agg.splice(1, one.as_slice());
+        }
+        reply.push_part(&mut frames, &host, &route);
+    }
+    let gathered = agg.batch().as_ptr_range();
+    let (spent, sent) = counted(|| agg.finish(&BTreeSet::new()));
+    // 2 while the frames were copied into a second buffer of exactly the
+    // message's size, which then took its shared header.
+    assert_eq!(
+        spent, 1,
+        "RelayAgg::finish: the shared header, nothing else"
+    );
+    assert!(
+        sent.as_ptr_range().contains(&gathered.start),
+        "the frames leave in the buffer they were gathered in"
+    );
+    let mut batch = (PARTS as u32).to_be_bytes().to_vec();
+    batch.extend_from_slice(frames.as_slice());
+    let msg = Msg::BcastAgg {
+        stamp,
+        parts: batch.into(),
+        missing: Vec::new(),
+    };
+    assert_eq!(sent, msg.to_bytes());
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //! of the whole file (and always for a command line). An accepted fault
 //! plan must survive its own `encode`, and an accepted grid must name
 //! each cell once. (`prop_scenario.rs` generates well-formed scenarios;
-//! here the shipped ones are mutated.)
+//! here the shipped ones are mutated.) A token added to any statement
+//! of a shipped file is refused on that statement's line.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -206,6 +207,66 @@ proptest! {
             prop_assert!(!e.message.is_empty(), "{}", argv);
         }
     }
+}
+
+/// Every shipped file under `dir` (recursively) whose name ends in `ext`.
+fn shipped_files(dir: &std::path::Path, ext: &str, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("scenarios directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            shipped_files(&path, ext, out);
+        } else if path.extension().is_some_and(|e| e == ext) {
+            out.push(path);
+        }
+    }
+}
+
+/// A token past the ones a statement reads is refused on its own line,
+/// never dropped: for every statement of every shipped scenario, fault
+/// plan and topology spec, the file with one more token on that line
+/// (before its comment) is refused there. The file as shipped parses.
+#[test]
+fn an_extra_token_on_any_statement_is_refused_on_its_line() {
+    type Parse = fn(&str) -> Result<(), LineError>;
+    let grammars: [(&str, Parse); 3] = [
+        ("ppm", |t| ppm::scenario::parse(t).map(drop)),
+        ("fault", |t| FaultPlan::parse(t).map(drop)),
+        ("topo", |t| NetSpec::parse(t).map(drop)),
+    ];
+    let mut statements = 0;
+    for (ext, parse) in grammars {
+        let mut files = Vec::new();
+        shipped_files(&scenarios(), ext, &mut files);
+        let mut texts: Vec<(String, String)> = files
+            .iter()
+            .map(|f| {
+                (
+                    f.display().to_string(),
+                    std::fs::read_to_string(f).expect("readable"),
+                )
+            })
+            .collect();
+        if ext == "topo" {
+            texts.push(("TOPO".into(), TOPO.into()));
+        }
+        for (name, text) in texts {
+            assert_eq!(parse(&text), Ok(()), "{name} as shipped");
+            let lines: Vec<&str> = text.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                let (statement, comment) = line.split_at(line.find('#').unwrap_or(line.len()));
+                if statement.trim().is_empty() {
+                    continue;
+                }
+                let mut edited = lines.clone();
+                let longer = format!("{} surplus {comment}", statement.trim_end());
+                edited[i] = &longer;
+                let e = parse(&edited.join("\n")).expect_err(&format!("{name}: {longer}"));
+                assert_eq!(e.line, i + 1, "{name}: {longer}: {e}");
+                statements += 1;
+            }
+        }
+    }
+    assert!(statements > 500, "only {statements} statements tried");
 }
 
 /// One number reader: a count means the same in every file.

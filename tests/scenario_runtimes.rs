@@ -32,7 +32,10 @@ fn shipped(name: &str) -> String {
 
 /// The cell that plays `text` on `runtime`, as `ppm-sim --runtime` does.
 fn cell(runtime: Backend, text: &str) -> RunSpec {
-    let kind = VariantKind::Scenario { text: text.into() };
+    let scenario = scenario::parse(text).expect("the cell parses");
+    let kind = VariantKind::Scenario {
+        scenario: scenario.into(),
+    };
     RunSpec {
         id: String::new(),
         variant: Variant {
