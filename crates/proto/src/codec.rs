@@ -35,10 +35,16 @@
 //! # Allocation discipline
 //!
 //! Encoding is the hottest protocol path — every request, relay, and
-//! broadcast fan-out serializes at least one message. [`Enc::pooled`]
-//! draws its buffer from a thread-local pool so steady-state encoding
-//! never grows a fresh `Vec` through the realloc ladder; the buffer's
-//! capacity is recycled when the encoder finishes. On the decode side,
+//! broadcast fan-out serializes at least one message. An [`Enc`] writes
+//! into a [`bytes::BytesMut`]: one of its thread's spare buffers, grown
+//! from class to class, and [`Enc::into_bytes`] hands that buffer over
+//! as the message, never a copy of it. When the last reader of the
+//! message drops it, the buffer goes back to the dropping thread's
+//! spares (see the `bytes` module docs for the classes and their caps),
+//! so a warm thread encodes and sends without allocating: a
+//! [`Wire::to_bytes`] frame, a kernel batch, a
+//! [`WireReply::resp`](crate::msg::WireReply::resp) and a relay's
+//! [`RelayAgg`](crate::msg::RelayAgg) alike. On the decode side,
 //! [`Dec::str_ref`] borrows string fields straight out of the receive
 //! buffer so callers that only inspect (route hops, host-name dispatch)
 //! skip the per-field `String` allocation that [`Dec::str`] pays.
@@ -47,46 +53,10 @@
 //! say where it sits in the buffer, so it can be kept as a
 //! [`Bytes::slice`] and written back out with [`Enc::splice`].
 
-use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
-use bytes::Bytes;
-
-/// Buffers at most this large are returned to the encode pool; anything
-/// bigger (a huge snapshot reply) is freed rather than hoarded. A kernel
-/// batch fits: the largest a 1 365-process fork/exec/exit wave flushes
-/// is 29.7 KB, so its grown buffer is kept, not regrown from empty by
-/// the next large batch.
-const POOL_MAX_CAPACITY: usize = 32 * 1024;
-
-/// Buffers retained per thread. Encoding rarely nests more than a frame
-/// inside a batch, so a small stack suffices.
-const POOL_MAX_BUFFERS: usize = 8;
-
-thread_local! {
-    /// Recycled encode buffers, cleared but with capacity intact.
-    static ENC_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Takes a warm buffer from the pool (or a fresh one).
-fn pool_get() -> Vec<u8> {
-    ENC_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
-}
-
-/// Returns a buffer to the pool if it is worth keeping.
-fn pool_put(mut buf: Vec<u8>) {
-    if buf.capacity() == 0 || buf.capacity() > POOL_MAX_CAPACITY {
-        return;
-    }
-    buf.clear();
-    ENC_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < POOL_MAX_BUFFERS {
-            pool.push(buf);
-        }
-    });
-}
+use bytes::{Bytes, BytesMut};
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,60 +115,44 @@ pub fn clip_str(text: &str) -> &str {
 /// Encoder: accumulates bytes.
 #[derive(Debug, Default)]
 pub struct Enc {
-    buf: Vec<u8>,
-    /// Whether `buf` came from (and returns to) the thread-local pool.
-    pooled: bool,
+    buf: BytesMut,
 }
 
 impl Enc {
-    /// Creates an empty encoder with a fresh buffer.
+    /// Creates an empty encoder; its buffer is drawn on the first write.
     pub fn new() -> Self {
         Enc::default()
     }
 
-    /// Creates an encoder backed by a recycled thread-local buffer.
+    /// Creates an encoder over one of this thread's spare buffers (or a
+    /// fresh one), sized for a short message.
     ///
-    /// The buffer's capacity survives across messages, so steady-state
-    /// encoding performs no growth reallocations; [`Enc::into_bytes`]
-    /// copies the encoding into an exact-size buffer and recycles the
-    /// working one.
+    /// [`Enc::into_bytes`] hands the buffer over as the message, and the
+    /// buffer comes back to the spares when its last reader drops it, so
+    /// a warm thread encodes and sends without allocating.
     pub fn pooled() -> Self {
-        Enc {
-            buf: pool_get(),
-            pooled: true,
-        }
+        Enc::with_capacity(0)
     }
 
-    /// Creates an encoder over a fresh buffer of exactly `n` bytes, for
-    /// callers that know the encoded size up front (a reply spliced out
-    /// of pieces already on the wire): the buffer never regrows and
-    /// [`Enc::into_bytes`] hands it over without the pooled path's copy.
+    /// Creates an encoder with room for at least `n` bytes, for callers
+    /// that know the encoded size up front (a reply spliced out of pieces
+    /// already on the wire): the buffer never regrows.
     pub fn with_capacity(n: usize) -> Self {
         Enc {
-            buf: Vec::with_capacity(n),
-            pooled: false,
+            buf: BytesMut::with_capacity(n),
         }
     }
 
-    /// Finishes encoding, yielding the bytes.
+    /// Finishes encoding, yielding the bytes: the buffer itself, not a
+    /// copy of it.
     pub fn into_bytes(self) -> Bytes {
-        if self.pooled {
-            let out = Bytes::copy_from_slice(&self.buf);
-            pool_put(self.buf);
-            out
-        } else {
-            Bytes::from(self.buf)
-        }
+        self.buf.freeze()
     }
 
-    /// Finishes encoding, yielding only the length (recycling the buffer
-    /// when pooled). Used for size queries that never need the bytes.
+    /// Finishes encoding, yielding only the length (the buffer goes back
+    /// to the spares). Used for size queries that never need the bytes.
     pub fn into_len(self) -> usize {
-        let n = self.buf.len();
-        if self.pooled {
-            pool_put(self.buf);
-        }
-        n
+        self.buf.len()
     }
 
     /// Appends whatever `body` writes as a `u32` length-prefixed frame.
@@ -224,8 +178,9 @@ impl Enc {
     }
 
     /// Makes room for at least `additional` more bytes, growing the
-    /// buffer as a `Vec` does: for a caller that knows what it is about
-    /// to write, so that its last field does not regrow the buffer.
+    /// buffer to the next spare class: for a caller that knows what it
+    /// is about to write, so that its last field does not regrow the
+    /// buffer.
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
@@ -255,7 +210,7 @@ impl Enc {
     /// Writes a `u8`.
     #[inline]
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.buf.extend_from_slice(&[v]);
     }
 
     /// Writes a `u16` big-endian.
@@ -1089,8 +1044,9 @@ mod tests {
         let fresh = encode_all(Enc::new());
         let pooled = encode_all(Enc::pooled());
         assert_eq!(fresh, pooled);
-        // A second pooled encode reuses the recycled buffer and must not
-        // leak bytes from the first.
+        // A second pooled encode reuses the spare the first one left and
+        // must not leak bytes from it.
+        drop(pooled);
         let again = encode_all(Enc::pooled());
         assert_eq!(fresh, again);
     }

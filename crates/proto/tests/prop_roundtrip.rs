@@ -923,6 +923,30 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     ]
 }
 
+/// A message to send while others are held: mostly any message, and now
+/// and then an aggregate whose blob is large enough to need any spare
+/// class, or to pass them all.
+fn arb_sent_msg() -> impl Strategy<Value = Msg> {
+    prop_oneof![
+        arb_msg(),
+        arb_msg(),
+        (arb_stamp(), 0usize..40_000, any::<u8>()).prop_map(|(stamp, len, fill)| {
+            Msg::BcastAgg {
+                stamp,
+                parts: vec![fill; len].into(),
+                missing: Vec::new(),
+            }
+        }),
+    ]
+}
+
+/// What a frame held while others are sent must still read: its bytes
+/// when it was encoded, or the window of them a slice cut.
+struct Held {
+    frame: bytes::Bytes,
+    want: Vec<u8>,
+}
+
 /// The tags a generator's values lead with, over enough draws that a
 /// uniform choice among a couple of dozen variants misses none.
 fn tags_drawn<T: Wire>(strategy: impl Strategy<Value = T>) -> BTreeSet<u8> {
@@ -1022,6 +1046,53 @@ proptest! {
         if !wire.is_empty() {
             let cut = usize::from(cut) % wire.len();
             let _ = decode_batch::<Msg>(&wire[..cut]);
+        }
+    }
+
+    /// A sent frame's buffer comes back to be reused only when nothing
+    /// reads it any more: random interleavings of encoding, cloning,
+    /// slicing and dropping messages give the bytes of a fresh encode,
+    /// and every frame and slice still held reads as it did at the end.
+    #[test]
+    fn spares_never_alias_held_frames(
+        steps in prop::collection::vec(
+            (0u8..4, arb_sent_msg(), any::<usize>(), any::<usize>(), any::<usize>()),
+            1..40,
+        )
+    ) {
+        let mut held: Vec<Held> = Vec::new();
+        for (step, msg, pick, from, to) in steps {
+            let i = pick % held.len().max(1);
+            match step {
+                0 => {
+                    let mut fresh = Enc::new();
+                    msg.encode(&mut fresh);
+                    let want = fresh.as_slice().to_vec();
+                    drop(fresh);
+                    let frame = msg.to_bytes();
+                    prop_assert_eq!(&frame[..], &want[..]);
+                    held.push(Held { frame, want });
+                }
+                1 if !held.is_empty() => {
+                    let (frame, want) = (held[i].frame.clone(), held[i].want.clone());
+                    held.push(Held { frame, want });
+                }
+                2 if !held.is_empty() => {
+                    let len = held[i].want.len();
+                    let (a, b) = (from % (len + 1), to % (len + 1));
+                    let (a, b) = (a.min(b), a.max(b));
+                    let frame = held[i].frame.slice(a..b);
+                    let want = held[i].want[a..b].to_vec();
+                    held.push(Held { frame, want });
+                }
+                _ if !held.is_empty() => {
+                    held.swap_remove(i);
+                }
+                _ => {}
+            }
+        }
+        for h in &held {
+            prop_assert_eq!(&h.frame[..], &h.want[..]);
         }
     }
 
