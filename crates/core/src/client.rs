@@ -7,7 +7,7 @@
 //! plays a script of requests, records every reply with its timing into a
 //! shared [`ToolOutcome`], and exits.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
@@ -86,16 +86,15 @@ pub struct Tool {
     outcome: ToolHandle,
     chan: Option<Dial>,
     conn: Option<ConnId>,
+    /// Script steps sent so far; step `i` goes out with wire id `i + 1`.
     step: usize,
-    next_id: u64,
     /// How many requests may be in flight at once (1 = lock-step).
     pipeline: usize,
     /// Per-request deadline stamped on the wire; `None` lets the LPM
     /// apply its configured default.
     step_deadline: Option<SimDuration>,
-    /// Wire id → script index of requests awaiting a reply.
-    inflight: HashMap<u64, usize>,
-    /// Replies that arrived ahead of an earlier outstanding step.
+    /// Replies that arrived ahead of an earlier outstanding step; a reply
+    /// in script order goes straight into `outcome.replies`.
     reordered: BTreeMap<usize, (Reply, SimTime)>,
     /// Next script index to flush into `outcome.replies`.
     flushed: usize,
@@ -128,10 +127,8 @@ impl Tool {
             chan: None,
             conn: None,
             step: 0,
-            next_id: 1,
             pipeline: 1,
             step_deadline: None,
-            inflight: HashMap::new(),
             reordered: BTreeMap::new(),
             flushed: 0,
         };
@@ -166,17 +163,19 @@ impl Tool {
     /// once every step has been sent and answered.
     fn pump(&mut self, sys: &mut dyn Sys) {
         let Some(conn) = self.conn else { return };
-        while self.step < self.script.len() && self.inflight.len() < self.pipeline {
-            let ToolStep { dest, op } = self.script[self.step].clone();
-            let id = self.next_id;
-            self.next_id += 1;
+        while self.step < self.script.len() && self.in_flight() < self.pipeline {
+            // A step is sent once and never read again: its op moves
+            // into the request.
+            let ToolStep { dest, op } = &mut self.script[self.step];
+            let (dest, op) = (dest.to_string(), std::mem::replace(op, Op::Ping));
+            let id = self.step as u64 + 1;
             let deadline_us = self
                 .step_deadline
                 .map_or(0, |d| (sys.now() + d).as_micros());
             let msg = Msg::Req {
                 id,
                 user: self.cred.uid.0,
-                dest: dest.to_string(),
+                dest,
                 op,
                 route: ppm_proto::types::Route::default(),
                 hops_left: self.cfg.max_hops,
@@ -184,7 +183,6 @@ impl Tool {
                 attempt: 0,
                 boot: 0,
             };
-            self.inflight.insert(id, self.step);
             self.outcome.lock().unwrap().sent_at.push(sys.now());
             self.step += 1;
             if sys.send(conn, msg.to_bytes()).is_err() {
@@ -192,7 +190,7 @@ impl Tool {
                 return;
             }
         }
-        if self.step >= self.script.len() && self.inflight.is_empty() {
+        if self.step >= self.script.len() && self.in_flight() == 0 {
             {
                 let mut o = self.outcome.lock().unwrap();
                 o.done = true;
@@ -202,11 +200,31 @@ impl Tool {
         }
     }
 
-    /// Records a reply for script index `idx`, flushing any contiguous run
-    /// into the outcome so `replies` stays in script order.
+    /// Requests sent and not yet answered.
+    fn in_flight(&self) -> usize {
+        self.step - self.flushed - self.reordered.len()
+    }
+
+    /// The script index a reply with wire id `id` answers, if that step
+    /// was sent and is still unanswered: id 0, an id never sent and a
+    /// duplicate are not.
+    fn awaiting(&self, id: u64) -> Option<usize> {
+        let idx = usize::try_from(id.checked_sub(1)?).ok()?;
+        let open = (self.flushed..self.step).contains(&idx);
+        (open && !self.reordered.contains_key(&idx)).then_some(idx)
+    }
+
+    /// Records a reply for script index `idx`: in script order it goes
+    /// straight into the outcome, with any early arrivals it was holding
+    /// back; ahead of order it waits, so `replies` stays in script order.
     fn record_reply(&mut self, idx: usize, reply: Reply, at: SimTime) {
-        self.reordered.insert(idx, (reply, at));
+        if idx != self.flushed {
+            self.reordered.insert(idx, (reply, at));
+            return;
+        }
         let mut o = self.outcome.lock().unwrap();
+        o.replies.push((reply, at));
+        self.flushed += 1;
         while let Some(entry) = self.reordered.remove(&self.flushed) {
             o.replies.push(entry);
             self.flushed += 1;
@@ -274,7 +292,7 @@ impl Program for Tool {
                 Ok(Msg::Resp { id, reply, .. }) => {
                     // Match the reply to its request by wire id; stale or
                     // duplicate ids are ignored.
-                    if let Some(idx) = self.inflight.remove(&id) {
+                    if let Some(idx) = self.awaiting(id) {
                         self.record_reply(idx, reply, sys.now());
                         self.pump(sys);
                     }
@@ -318,7 +336,96 @@ impl Program for Tool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stub_sys::StubSys;
+    use ppm_proto::msg::ErrCode;
+    use ppm_proto::types::Route;
     use ppm_runtime::ids::Uid;
+
+    const LPM: ConnId = ConnId(1);
+
+    /// A tool with `steps` pings and a `window`, its channel to the LPM
+    /// open and its first window sent.
+    fn connected(steps: usize, window: usize) -> (Tool, ToolHandle, StubSys) {
+        let script = (0..steps).map(|_| ToolStep::new("a", Op::Ping)).collect();
+        let (tool, handle) = Tool::new(UserCred::new(Uid(1), 2), PpmConfig::default(), script);
+        let mut tool = tool.with_pipeline(window);
+        let mut sys = StubSys::new(false);
+        tool.conn = Some(LPM);
+        tool.pump(&mut sys);
+        (tool, handle, sys)
+    }
+
+    fn answer(tool: &mut Tool, sys: &mut StubSys, id: u64, reply: Reply) {
+        let route = Route::default();
+        let resp = Msg::Resp { id, reply, route };
+        tool.on_message(sys, LPM, resp.to_bytes());
+    }
+
+    /// The wire ids of the requests sent so far.
+    fn sent_ids(sys: &StubSys) -> Vec<u64> {
+        let id = |frame: &Bytes| match Msg::from_bytes(frame) {
+            Ok(Msg::Req { id, .. }) => id,
+            other => panic!("not a request: {other:?}"),
+        };
+        sys.sent.iter().map(id).collect()
+    }
+
+    #[test]
+    fn a_duplicate_an_unsent_id_and_id_zero_are_ignored() {
+        let (mut tool, handle, mut sys) = connected(2, 1);
+        assert_eq!(sent_ids(&sys), [1]);
+        answer(&mut tool, &mut sys, 0, Reply::Ok);
+        answer(&mut tool, &mut sys, 2, Reply::Ok);
+        answer(&mut tool, &mut sys, u64::MAX, Reply::Ok);
+        assert!(handle.lock().unwrap().replies.is_empty());
+        assert_eq!(sent_ids(&sys), [1], "nothing answered, nothing more sent");
+
+        answer(&mut tool, &mut sys, 1, Reply::Pong);
+        assert_eq!(sent_ids(&sys), [1, 2]);
+        answer(&mut tool, &mut sys, 1, Reply::Ok);
+        assert_eq!(handle.lock().unwrap().replies.len(), 1, "a duplicate");
+        assert_eq!(sent_ids(&sys), [1, 2]);
+        assert_eq!(sys.exited, None);
+
+        answer(&mut tool, &mut sys, 2, Reply::Pong);
+        let o = handle.lock().unwrap();
+        assert!(o.done);
+        assert_eq!(sys.exited, Some(0));
+        assert!(o.replies.iter().all(|(r, _)| matches!(r, Reply::Pong)));
+        assert_eq!(o.replies.len(), 2);
+    }
+
+    #[test]
+    fn pipelined_replies_out_of_order_land_in_script_order() {
+        let (mut tool, handle, mut sys) = connected(4, 3);
+        assert_eq!(sent_ids(&sys), [1, 2, 3]);
+        let err = |detail: &str| Reply::Err {
+            code: ErrCode::BadRequest,
+            detail: detail.to_string(),
+        };
+        // Step 2's reply lands first, twice: it waits, and a step is sent
+        // in its place.
+        answer(&mut tool, &mut sys, 3, err("third"));
+        answer(&mut tool, &mut sys, 3, err("again"));
+        assert!(handle.lock().unwrap().replies.is_empty());
+        assert_eq!(sent_ids(&sys), [1, 2, 3, 4]);
+        answer(&mut tool, &mut sys, 2, err("second"));
+        answer(&mut tool, &mut sys, 4, err("fourth"));
+        assert!(handle.lock().unwrap().replies.is_empty());
+        answer(&mut tool, &mut sys, 1, err("first"));
+        let o = handle.lock().unwrap();
+        let details: Vec<&str> = o
+            .replies
+            .iter()
+            .map(|(r, _)| match r {
+                Reply::Err { detail, .. } => detail.as_str(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(details, ["first", "second", "third", "fourth"]);
+        assert!(o.done);
+        assert_eq!(sys.exited, Some(0));
+    }
 
     #[test]
     fn outcome_elapsed_math() {

@@ -5,8 +5,9 @@
 //! (`LpmObs`) and registers it with the world's observability hub at
 //! start, so a harness samples every
 //! registry at end of run without generating simulated traffic. The same
-//! registry is what [`ppm_proto::msg::Op::Metrics`] snapshots remotely:
-//! [`rows`] converts samples into wire [`MetricRow`]s.
+//! registry is what [`ppm_proto::msg::Op::Metrics`] snapshots remotely.
+//! [`section_rows`] reads a registry straight into wire [`MetricRow`]s;
+//! [`rows`] converts a snapshot's samples into the same rows.
 //!
 //! All output is keyed to the deterministic simulation clock, so a
 //! same-seed run renders byte-identical metrics and span files (the CI
@@ -14,9 +15,11 @@
 
 use std::fmt::Write as _;
 
-use ppm_proto::types::MetricRow;
-use ppm_runtime::obs::SharedRegistry;
-use ppm_runtime::obs::{CounterId, HistId, MetricSample, MetricValue, SpanEvent, SpanPhase};
+use ppm_proto::types::{MetricRow, Name};
+use ppm_runtime::obs::{
+    CounterId, Hist, HistId, MetricRef, MetricSample, MetricValue, Registry, Section,
+    SharedRegistry, SpanEvent, SpanPhase,
+};
 
 /// The LPM's registered metric set: ids into its shared registry.
 ///
@@ -56,7 +59,8 @@ pub(crate) struct LpmObs {
 
 impl LpmObs {
     pub(crate) fn new() -> Self {
-        let mut r = ppm_runtime::obs::Registry::new();
+        // Room for the 11 counters and 3 histograms registered below.
+        let mut r = Registry::with_capacity(11, 3);
         let requests = r.counter("rpc.requests");
         let retries = r.counter("rpc.retries");
         let dups_suppressed = r.counter("rpc.dups_suppressed");
@@ -92,53 +96,76 @@ impl LpmObs {
 
     /// Samples the registry into wire rows (name-sorted, deterministic).
     pub(crate) fn rows(&self) -> Vec<MetricRow> {
-        rows(&self.registry.snapshot())
+        let mut rows = Vec::with_capacity(self.registry.len());
+        self.registry
+            .each(|name, value| rows.push(row(name, value)));
+        rows
     }
 }
 
 /// Converts registry samples into wire [`MetricRow`]s. Histogram buckets
 /// are trimmed of trailing zeros so idle histograms cost a few bytes.
 pub fn rows(samples: &[MetricSample]) -> Vec<MetricRow> {
-    samples
-        .iter()
-        .map(|s| match &s.value {
-            MetricValue::Counter(v) => MetricRow {
-                name: s.name.to_string(),
-                kind: 0,
-                value: *v as i64,
-                sum: 0,
-                buckets: Vec::new(),
-            },
-            MetricValue::Gauge(v) => MetricRow {
-                name: s.name.to_string(),
-                kind: 1,
-                value: *v,
-                sum: 0,
-                buckets: Vec::new(),
-            },
-            MetricValue::Hist(h) => {
-                let mut buckets: Vec<u64> = h.buckets.to_vec();
-                while buckets.last() == Some(&0) {
-                    buckets.pop();
-                }
-                MetricRow {
-                    name: s.name.to_string(),
-                    kind: 2,
-                    value: h.count as i64,
-                    sum: h.sum,
-                    buckets,
-                }
-            }
-        })
-        .collect()
+    let value = |s: &MetricSample| match &s.value {
+        MetricValue::Counter(v) => row(s.name, MetricRef::Counter(*v)),
+        MetricValue::Gauge(v) => row(s.name, MetricRef::Gauge(*v)),
+        MetricValue::Hist(h) => row(s.name, MetricRef::Hist(h)),
+    };
+    samples.iter().map(value).collect()
+}
+
+/// A section's wire rows, read from its registry's cells in place: one
+/// allocation for the rows, and one more for each histogram with an
+/// occupied bucket.
+pub fn section_rows(section: &Section<'_>) -> Vec<MetricRow> {
+    let mut rows = Vec::with_capacity(section.len());
+    section.each(|name, value| rows.push(row(name, value)));
+    rows
+}
+
+/// One metric as a wire row; a histogram keeps its buckets up to the
+/// last occupied one, and an idle one keeps none (and allocates nothing).
+fn row(name: &str, value: MetricRef<'_>) -> MetricRow {
+    let (kind, value, sum, buckets) = match value {
+        MetricRef::Counter(v) => (0, v as i64, 0, Vec::new()),
+        MetricRef::Gauge(v) => (1, v, 0, Vec::new()),
+        MetricRef::Hist(h) => (2, h.count as i64, h.sum, occupied(h).to_vec()),
+    };
+    MetricRow {
+        name: Name::new(name),
+        kind,
+        value,
+        sum,
+        buckets,
+    }
+}
+
+/// A histogram's buckets up to its last occupied one.
+fn occupied(h: &Hist) -> &[u64] {
+    let len = h.buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    &h.buckets[..len]
 }
 
 /// Renders labelled metric sections as stable text, one metric per line:
 /// `label name value` for counters/gauges,
 /// `label name count=N sum=S buckets=[..]` for histograms. Sections
-/// render in the order given; callers pass them label-sorted.
+/// render in the order given; callers pass them label-sorted. The text
+/// is written into one `String`, sized for it first.
 pub fn render_metrics(sections: &[(String, Vec<MetricRow>)]) -> String {
-    let mut out = String::new();
+    // Room for the widest value: an `i64` or `u64` in decimal.
+    const NUM: usize = 20;
+    let line = |label: &str, row: &MetricRow| {
+        let head = label.len() + 1 + row.name.len() + 1;
+        match row.kind {
+            2 => head + "count= sum= buckets=[]\n".len() + 2 * NUM + row.buckets.len() * (NUM + 1),
+            _ => head + NUM + 1,
+        }
+    };
+    let size = sections
+        .iter()
+        .flat_map(|(label, rows)| rows.iter().map(move |row| line(label, row)))
+        .sum();
+    let mut out = String::with_capacity(size);
     for (label, rows) in sections {
         for row in rows {
             match row.kind {
@@ -267,6 +294,12 @@ mod tests {
             .find(|r| r.name == "recov.probe_rtt_us")
             .unwrap();
         assert!(idle.buckets.is_empty(), "idle hist has no buckets");
+    }
+
+    #[test]
+    fn the_lpm_registry_is_sized_for_what_it_registers() {
+        let obs = LpmObs::new();
+        assert_eq!(obs.registry.len(), 11 + 3);
     }
 
     #[test]

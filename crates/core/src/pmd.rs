@@ -223,9 +223,8 @@ impl Pmd {
         if let Some(port) = self.live_lpm(sys, user) {
             return Some((port, false));
         }
-        let entry = self.users.get(Uid(user))?.clone();
+        let program = Lpm::new(self.users.get(Uid(user))?);
         let port = lpm_port(Uid(user));
-        let program = Lpm::new(&entry);
         let spec = SpawnSpec::new(format!("lpm-{user}"), Box::new(program));
         let pid = sys.spawn_as(Uid(user), spec).ok()?;
         self.register(user, pid, port);
@@ -241,9 +240,8 @@ impl Pmd {
     /// replacement re-adopts survivors and measures its recovery time
     /// from `crashed_at`.
     fn respawn_lpm(&mut self, sys: &mut dyn Sys, user: u32, crashed_at: SimTime) -> Option<Pid> {
-        let entry = self.users.get(Uid(user))?.clone();
+        let program = Lpm::respawned(self.users.get(Uid(user))?, crashed_at);
         let port = lpm_port(Uid(user));
-        let program = Lpm::respawned(&entry, crashed_at);
         let spec = SpawnSpec::new(format!("lpm-{user}"), Box::new(program));
         let pid = sys.spawn_as(Uid(user), spec).ok()?;
         self.register(user, pid, port);

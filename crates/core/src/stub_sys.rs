@@ -1,8 +1,9 @@
 //! A backend for white-box tests that feed a state machine the events an
 //! integration run never produces on demand (a refused dial, a sibling
 //! flooding a wave): every connect succeeds with the next id, every send
-//! is kept and every close accepted, the clock stands at zero and timers
-//! never fire. Anything else is a test that asked for more than it meant.
+//! is kept, every close accepted and an exit noted, the clock stands at
+//! zero and timers never fire. Anything else is a test that asked for
+//! more than it meant.
 
 use bytes::Bytes;
 use ppm_runtime::ids::{ConnId, HostId, Pid, Port, Uid};
@@ -18,6 +19,8 @@ pub(crate) struct StubSys {
     pub conns: u64,
     /// Everything sent, in order.
     pub sent: Vec<Bytes>,
+    /// The code the program exited with, once it has.
+    pub exited: Option<i32>,
     pub hub: ObsHub,
 }
 
@@ -26,6 +29,7 @@ impl StubSys {
         StubSys {
             conns: 0,
             sent: Vec::new(),
+            exited: None,
             hub: ObsHub::new(trace),
         }
     }
@@ -68,8 +72,8 @@ impl Sys for StubSys {
     fn random_unit(&mut self) -> f64 {
         unimplemented!()
     }
-    fn exit(&mut self, _: i32) {
-        unimplemented!()
+    fn exit(&mut self, code: i32) {
+        self.exited = Some(code);
     }
     fn fork_exec(&mut self, _: Pid, _: Uid, _: SpawnSpec) -> Result<Pid, SysError> {
         unimplemented!()

@@ -41,7 +41,7 @@ pub struct HarnessBuilder {
     seed: u64,
     pmd_options: PmdOptions,
     hosts: Vec<HostSpec>,
-    links: Vec<(String, String)>,
+    links: Vec<(Name, Name)>,
     users: UserDirectory,
     topology: Option<NetSpec>,
     trace: bool,
@@ -93,7 +93,7 @@ impl HarnessBuilder {
     }
 
     /// Adds an undirected link between two named hosts.
-    pub fn link(mut self, a: impl Into<String>, b: impl Into<String>) -> Self {
+    pub fn link(mut self, a: impl Into<Name>, b: impl Into<Name>) -> Self {
         self.links.push((a.into(), b.into()));
         self
     }
@@ -142,7 +142,7 @@ impl HarnessBuilder {
             world.add_host(spec);
         }
         for (a, b) in self.links {
-            let id = |name: &String| {
+            let id = |name: &Name| {
                 let at = hosts.iter().position(|h| h == name);
                 HostId(at.unwrap_or_else(|| panic!("link references unknown host {name:?}")) as u32)
             };
@@ -718,11 +718,12 @@ impl<R: Runtime> PpmHarness<R> {
     /// statistics), then each registered LPM registry under its
     /// `host/uid` label.
     pub fn metrics_sections(&self) -> Vec<(String, Vec<MetricRow>)> {
-        let snaps = self.rt.metric_snapshots();
-        snaps
-            .into_iter()
-            .map(|(label, snap)| (label, ppm_core::obs::rows(&snap)))
-            .collect()
+        let mut sections = Vec::new();
+        self.rt.metric_sections(&mut |section| {
+            let rows = ppm_core::obs::section_rows(&section);
+            sections.push((section.label.to_string(), rows));
+        });
+        sections
     }
 
     /// All metrics rendered as the stable text format behind

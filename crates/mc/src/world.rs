@@ -44,7 +44,7 @@ use ppm_runtime::hashx::HashX;
 use ppm_runtime::host::{After, Backend, Driver, Hosts, Wake};
 use ppm_runtime::inetd::Inetd;
 use ppm_runtime::kernel::Kernel;
-use ppm_runtime::obs::{HubRef, MetricSample, ObsHub};
+use ppm_runtime::obs::{HubRef, ObsHub, Section};
 use ppm_runtime::rt::{Runtime, ServiceFactory, Services};
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::time::{Micros, SimDuration, SimTime};
@@ -809,8 +809,8 @@ impl Runtime for McWorld {
         self.hosts.get(host)?.stable_get(key)
     }
 
-    fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
-        self.hub.snapshots()
+    fn metric_sections(&self, visit: &mut dyn FnMut(Section<'_>)) {
+        self.hub.sections(visit);
     }
 
     fn hub(&mut self) -> HubRef<'_> {

@@ -1487,6 +1487,43 @@ mod tests {
         ]
     }
 
+    /// A metrics reply's bytes, as they were when a row's name was a
+    /// `String`: a `Name` writes the same `u16` length and bytes, held
+    /// inline or (past 22 bytes) shared.
+    #[test]
+    fn a_metrics_reply_encodes_as_it_always_has() {
+        let row = |name: &str, kind, value, sum, buckets: &[u64]| MetricRow {
+            name: Name::new(name),
+            kind,
+            value,
+            sum,
+            buckets: buckets.to_vec(),
+        };
+        let reply = Reply::Metrics {
+            host: "calder".into(),
+            at_us: 1_500_000,
+            rows: vec![
+                row("lpm.mttr_us", 2, 1, 5_021_310, &[0, 0, 0, 1]),
+                row("rpc.deadline_refused", 0, 7, 0, &[]),
+                row("engine.pending", 1, -3, 0, &[]),
+                row("a metric name past the inline capacity", 0, 1, 0, &[]),
+            ],
+        };
+        let golden = concat!(
+            "0c000663616c646572000000000016e3600004000b6c706d2e6d7474725f7573",
+            "02000000000000000100000000004c9e7e000400000000000000000000000000",
+            "0000000000000000000000000000000000000100147270632e646561646c696e",
+            "655f7265667573656400000000000000000700000000000000000000000e656e",
+            "67696e652e70656e64696e6701fffffffffffffffd0000000000000000000000",
+            "2661206d6574726963206e616d6520706173742074686520696e6c696e652063",
+            "6170616369747900000000000000000100000000000000000000",
+        );
+        let bytes = reply.to_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
+        assert_eq!(Reply::from_bytes(&bytes).unwrap(), reply);
+    }
+
     #[test]
     fn every_msg_roundtrips() {
         for m in sample_msgs() {

@@ -593,7 +593,7 @@ wire! {
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct MetricRow {
         /// Registry name, e.g. `"rpc.retries"`.
-        pub name: String,
+        pub name: Name,
         /// `0` counter, `1` gauge, `2` log2 histogram.
         pub kind: u8,
         /// Counter or gauge value; for histograms, the sample count.

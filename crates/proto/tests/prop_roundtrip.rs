@@ -52,6 +52,12 @@ fn arb_text() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A metric name: a short one, held inline, or text on both sides of
+/// [`Name::INLINE_CAP`], whose longer draws take the shared `Arc` arm.
+fn arb_metric_name() -> impl Strategy<Value = Name> {
+    prop_oneof![arb_host(), arb_text().prop_map(Name::from)]
+}
+
 fn std_hash(value: &impl Hash) -> u64 {
     let mut h = DefaultHasher::new();
     value.hash(&mut h);
@@ -295,7 +301,7 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
             any::<u64>(),
             prop::collection::vec(
                 (
-                    arb_name(),
+                    arb_metric_name(),
                     0u8..3,
                     any::<i64>(),
                     any::<u64>(),

@@ -21,7 +21,7 @@ use bytes::Bytes;
 
 use ppm_runtime::ids::{CpuClass, HostId, Pid, Port, Uid};
 use ppm_runtime::kernel::Kernel;
-use ppm_runtime::obs::{HubRef, MetricSample, ObsHub};
+use ppm_runtime::obs::{HubRef, ObsHub, Section};
 use ppm_runtime::program::{ProcKey, SpawnSpec, SysError};
 pub use ppm_runtime::rt::ServiceFactory;
 use ppm_runtime::rt::{Runtime, Services};
@@ -209,8 +209,8 @@ impl Runtime for RealRuntime {
         self.inspect(host, move |k| k.stable_get(&key)).flatten()
     }
 
-    fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
-        self.shared.hub().snapshots()
+    fn metric_sections(&self, visit: &mut dyn FnMut(Section<'_>)) {
+        self.shared.hub().sections(visit);
     }
 
     fn hub(&mut self) -> HubRef<'_> {

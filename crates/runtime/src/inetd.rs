@@ -61,14 +61,11 @@ impl Program for Inetd {
     }
 
     fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, data: Bytes) {
-        let service = match std::str::from_utf8(&data) {
-            Ok(s) => s.to_string(),
-            Err(_) => {
-                let _ = sys.send(conn, Bytes::from_static(&[INETD_UNKNOWN]));
-                return;
-            }
+        let Ok(service) = std::str::from_utf8(&data) else {
+            let _ = sys.send(conn, Bytes::from_static(&[INETD_UNKNOWN]));
+            return;
         };
-        match sys.spawn_service(&service) {
+        match sys.spawn_service(service) {
             Ok((pid, port)) => {
                 sys.trace(
                     TraceCategory::Daemon,

@@ -111,6 +111,18 @@ pub enum MetricValue {
     Hist(Box<Hist>),
 }
 
+/// One metric's value read in place: a [`MetricValue`] with the
+/// histogram borrowed, so reading a registry allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricRef<'a> {
+    /// Monotonic counter.
+    Counter(u64),
+    /// Point-in-time level.
+    Gauge(i64),
+    /// Log2 histogram.
+    Hist(&'a Hist),
+}
+
 /// One metric in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricSample {
@@ -229,6 +241,25 @@ impl Registry {
         Registry::default()
     }
 
+    /// Creates an empty registry with room for `counters` counters and
+    /// `hists` histograms, so registering that many allocates once each.
+    pub fn with_capacity(counters: usize, hists: usize) -> Self {
+        Registry {
+            counters: Vec::with_capacity(counters),
+            hists: Vec::with_capacity(hists),
+        }
+    }
+
+    /// Number of registered metrics.
+    pub fn len(&self) -> usize {
+        self.counters.len() + self.hists.len()
+    }
+
+    /// True when nothing is registered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Seals this registry into a [`SharedRegistry`] handle. No further
     /// metrics can be registered once shared.
     pub fn into_shared(self) -> SharedRegistry {
@@ -279,21 +310,94 @@ impl Registry {
 
     /// All metrics, sorted by name.
     pub fn snapshot(&self) -> Vec<MetricSample> {
-        let mut out: Vec<MetricSample> = Vec::with_capacity(self.counters.len() + self.hists.len());
-        for (name, v) in &self.counters {
-            out.push(MetricSample {
-                name,
-                value: MetricValue::Counter(v.load(Relaxed)),
-            });
-        }
-        for (name, h) in &self.hists {
-            out.push(MetricSample {
-                name,
-                value: MetricValue::Hist(Box::new(h.load())),
-            });
-        }
-        out.sort_by(|a, b| a.name.cmp(b.name));
+        let mut out = Vec::with_capacity(self.len());
+        self.each(|name, value| {
+            let value = match value {
+                MetricRef::Counter(v) => MetricValue::Counter(v),
+                MetricRef::Gauge(v) => MetricValue::Gauge(v),
+                MetricRef::Hist(h) => MetricValue::Hist(Box::new(h.clone())),
+            };
+            out.push(MetricSample { name, value });
+        });
         out
+    }
+
+    /// Hands `f` every metric in [`Registry::snapshot`]'s order — by
+    /// name, a counter before a histogram of the same name — read from
+    /// its cells in place: no sample is built and nothing is allocated
+    /// for a registry of up to [`Registry::SORTED_ON_STACK`] metrics.
+    pub fn each(&self, mut f: impl FnMut(&'static str, MetricRef<'_>)) {
+        // Slot `i` is counter `i`, or histogram `i - counters.len()`.
+        let n = self.len();
+        let mut stack = [0u32; Self::SORTED_ON_STACK];
+        let mut heap = Vec::new();
+        let order = if n <= stack.len() {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        for (i, slot) in order.iter_mut().enumerate() {
+            *slot = i as u32;
+        }
+        let name = |i: u32| match self.counters.get(i as usize) {
+            Some((name, _)) => *name,
+            None => self.hists[i as usize - self.counters.len()].0,
+        };
+        // Registration order breaks ties, as the stable sort did.
+        order.sort_unstable_by_key(|&i| (name(i), i));
+        for &i in order.iter() {
+            match self.counters.get(i as usize) {
+                Some((name, v)) => f(name, MetricRef::Counter(v.load(Relaxed))),
+                None => {
+                    let (name, cells) = &self.hists[i as usize - self.counters.len()];
+                    f(name, MetricRef::Hist(&cells.load()));
+                }
+            }
+        }
+    }
+
+    /// The most metrics [`Registry::each`] puts in name order without an
+    /// allocation: more than any registry in the workspace holds.
+    pub const SORTED_ON_STACK: usize = 64;
+}
+
+/// One section of the metrics report read in place: a labelled registry
+/// and, for the simulation's own section, the event engine's queue
+/// statistics, which live outside any registry.
+#[derive(Debug, Clone, Copy)]
+pub struct Section<'a> {
+    /// `world`, or the `host/uid` an LPM published its registry under.
+    pub label: &'a str,
+    /// The registry.
+    pub registry: &'a Registry,
+    /// Values kept beside the registry, sorted by name.
+    pub extra: &'a [(&'static str, MetricRef<'a>)],
+}
+
+impl Section<'_> {
+    /// Number of metrics in the section.
+    pub fn len(&self) -> usize {
+        self.registry.len() + self.extra.len()
+    }
+
+    /// True when the section holds no metric.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Hands `f` every metric of the section in name order: the
+    /// registry's, with `extra` merged in (after a registry metric of the
+    /// same name).
+    pub fn each(&self, mut f: impl FnMut(&'static str, MetricRef<'_>)) {
+        let mut extra = self.extra.iter().peekable();
+        self.registry.each(|name, value| {
+            while let Some((n, v)) = extra.next_if(|(n, _)| *n < name) {
+                f(n, *v);
+            }
+            f(name, value);
+        });
+        extra.for_each(|(n, v)| f(n, *v));
     }
 }
 
@@ -393,7 +497,7 @@ pub struct ObsHub {
     /// network model; empty elsewhere).
     pub registry: Registry,
     /// Registries programs published, keyed by a caller-chosen label (an
-    /// LPM uses `"host/uid"`).
+    /// LPM uses `"host/uid"`), sorted by it.
     programs: Vec<(String, SharedRegistry)>,
 }
 
@@ -414,24 +518,30 @@ impl ObsHub {
     /// before is replaced in place, so a respawned LPM shadows its
     /// predecessor.
     pub fn register(&mut self, label: String, registry: SharedRegistry) {
-        match self.programs.iter_mut().find(|(l, _)| *l == label) {
-            Some(slot) => slot.1 = registry,
-            None => self.programs.push((label, registry)),
+        match self
+            .programs
+            .binary_search_by(|(l, _)| l.as_str().cmp(&label))
+        {
+            Ok(at) => self.programs[at].1 = registry,
+            Err(at) => self.programs.insert(at, (label, registry)),
         }
     }
 
-    /// The published registries with their labels, in first-publication
-    /// order.
+    /// The published registries with their labels, sorted by label.
     pub fn iter(&self) -> impl Iterator<Item = &(String, SharedRegistry)> {
         self.programs.iter()
     }
 
-    /// Snapshots every published registry, sorted by label.
-    pub fn snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
-        let published = self.iter().map(|(l, r)| (l.clone(), r.snapshot()));
-        let mut out: Vec<_> = published.collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// Hands `visit` every published registry as a [`Section`], sorted by
+    /// label.
+    pub fn sections(&self, visit: &mut dyn FnMut(Section<'_>)) {
+        for (label, registry) in &self.programs {
+            visit(Section {
+                label,
+                registry,
+                extra: &[],
+            });
+        }
     }
 }
 
@@ -537,6 +647,11 @@ mod tests {
 
     #[test]
     fn hub_samples_registered_registries_sorted_by_label() {
+        let snapshots = |hub: &ObsHub| {
+            let mut out = Vec::new();
+            hub.sections(&mut |s| out.push((s.label.to_string(), s.registry.snapshot())));
+            out
+        };
         let mut hub = ObsHub::new(false);
         let mut reg = Registry::new();
         let c = reg.counter("x");
@@ -545,7 +660,7 @@ mod tests {
         let b: SharedRegistry = Registry::new().into_shared();
         hub.register("beta/1".into(), b);
         hub.register("alpha/1".into(), a);
-        let snaps = hub.snapshots();
+        let snaps = snapshots(&hub);
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].0, "alpha/1");
         assert_eq!(snaps[0].1[0].value, MetricValue::Counter(1));
@@ -554,9 +669,56 @@ mod tests {
         let respawned: SharedRegistry = reg.into_shared();
         respawned.add(c, 7);
         hub.register("alpha/1".into(), respawned);
-        let snaps = hub.snapshots();
+        let snaps = snapshots(&hub);
         assert_eq!(snaps.len(), 2, "replaced, not appended");
         assert_eq!(snaps[0].0, "alpha/1");
         assert_eq!(snaps[0].1[0].value, MetricValue::Counter(7));
+    }
+
+    #[test]
+    fn a_registry_past_the_stack_order_still_reads_in_name_order() {
+        let mut r = Registry::new();
+        let n = Registry::SORTED_ON_STACK + 6;
+        for i in (0..n).rev() {
+            let name: &'static str = Box::leak(format!("m{i:03}").into_boxed_str());
+            r.counter(name);
+        }
+        let mut names = Vec::new();
+        r.each(|name, _| names.push(name));
+        assert_eq!(names.len(), n);
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+    }
+
+    #[test]
+    fn a_section_reads_its_registry_and_extras_in_name_order() {
+        let mut r = Registry::new();
+        let late = r.counter("m.late");
+        let same = r.hist("m.same");
+        r.counter("m.same");
+        r.counter("a.first");
+        r.add(late, 3);
+        r.record(same, 5);
+        let extra = [
+            ("b.extra", MetricRef::Gauge(-2)),
+            ("z.last", MetricRef::Counter(9)),
+        ];
+        let section = Section {
+            label: "world",
+            registry: &r,
+            extra: &extra,
+        };
+        let mut seen = Vec::new();
+        section.each(|name, value| seen.push((name, format!("{value:?}"))));
+        let names: Vec<&str> = seen.iter().map(|(n, _)| *n).collect();
+        // A counter before the histogram of its name, as the snapshot's
+        // stable sort had them.
+        let order = ["a.first", "b.extra", "m.late", "m.same", "m.same", "z.last"];
+        assert_eq!(names, order);
+        assert_eq!(seen[2].1, "Counter(3)");
+        assert_eq!(seen[3].1, "Counter(0)");
+        assert!(seen[4].1.starts_with("Hist("), "{seen:?}");
+        assert_eq!(section.len(), 6);
+        let snap: Vec<&str> = r.snapshot().iter().map(|s| s.name).collect();
+        assert_eq!(snap, ["a.first", "m.late", "m.same", "m.same"]);
     }
 }

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use crate::ids::{CpuClass, HostId, Pid, Port, Uid};
-use crate::obs::{HubRef, MetricSample};
+use crate::obs::{HubRef, Section};
 use crate::program::{ProcKey, Program, SpawnSpec, SysError};
 use crate::signal::Signal;
 use crate::time::{Micros, SimDuration};
@@ -120,10 +120,10 @@ pub trait Runtime {
     /// suite's channel for programs to report what they observed.
     fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes>;
 
-    /// Every metrics registry in the world as labelled snapshots, in
-    /// report order: the backend's own section first, if it keeps one,
-    /// then the hub's [`crate::obs::ObsHub::snapshots`].
-    fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)>;
+    /// Hands `visit` every metrics registry in the world, read in place,
+    /// in report order: the backend's own section first, if it keeps one,
+    /// then the hub's [`crate::obs::ObsHub::sections`].
+    fn metric_sections(&self, visit: &mut dyn FnMut(Section<'_>));
 
     /// The world's observability hub: switch trace or span recording,
     /// read what was recorded.

@@ -21,7 +21,7 @@ use bytes::Bytes;
 use ppm_proto::kernel_wire::{encode_kernel_batch, walk_kernel_batch};
 use ppm_runtime::host::{After, Backend, Caller, Driver, Hosts, Wake};
 use ppm_runtime::ids::CpuClass;
-use ppm_runtime::obs::{CounterId, HistId, HubRef, MetricSample, MetricValue, ObsHub, Registry};
+use ppm_runtime::obs::{CounterId, HistId, HubRef, MetricRef, ObsHub, Registry, Section};
 use ppm_runtime::rt::{Runtime, ServiceFactory, Services};
 use ppm_runtime::sys::Sys as _;
 use ppm_runtime::trace::{Note, TraceCategory, TraceLog};
@@ -74,6 +74,11 @@ pub(crate) struct WorldObs {
 }
 
 impl WorldObs {
+    /// The most counters and histograms the world's registry holds: its
+    /// own, [`NetObs`]'s and `kernel.delivery_us`.
+    const COUNTERS: usize = 3 + 5;
+    const HISTS: usize = 1 + 1 + 1;
+
     fn register(reg: &mut Registry) -> Self {
         WorldObs {
             kernel_events: reg.counter("kernel.events"),
@@ -348,6 +353,7 @@ impl World {
     /// [`World::obs_mut`] before the lines it wants are written.
     pub fn new(seed: u64) -> Self {
         let mut obs = ObsHub::new(false);
+        obs.registry = Registry::with_capacity(WorldObs::COUNTERS, WorldObs::HISTS);
         let ids = WorldObs::register(&mut obs.registry);
         World {
             engine: TimerWheel::new(),
@@ -846,26 +852,23 @@ impl Runtime for World {
 
     /// Leads with the world's own section: its registry (kernel event
     /// path, faults, `net.*`) and the event engine's queue counts.
-    fn metric_snapshots(&self) -> Vec<(String, Vec<MetricSample>)> {
-        let mut world = self.obs.registry.snapshot();
+    fn metric_sections(&self, visit: &mut dyn FnMut(Section<'_>)) {
         let stats = self.engine_stats();
-        let counter = |name, v: u64| MetricSample {
-            name,
-            value: MetricValue::Counter(v),
-        };
-        let gauge = |name, v: usize| MetricSample {
-            name,
-            value: MetricValue::Gauge(v as i64),
-        };
-        world.push(counter("engine.schedules", stats.schedules));
-        world.push(counter("engine.cancels", stats.cancels));
-        world.push(counter("engine.fired", stats.fired));
-        world.push(gauge("engine.pending", stats.pending));
-        world.push(gauge("engine.overflow_peak", stats.overflow_peak));
-        world.sort_by(|a, b| a.name.cmp(b.name));
-        let mut sections = vec![("world".to_string(), world)];
-        sections.extend(self.obs.snapshots());
-        sections
+        let gauge = |v: usize| MetricRef::Gauge(v as i64);
+        // Sorted by name.
+        let engine = [
+            ("engine.cancels", MetricRef::Counter(stats.cancels)),
+            ("engine.fired", MetricRef::Counter(stats.fired)),
+            ("engine.overflow_peak", gauge(stats.overflow_peak)),
+            ("engine.pending", gauge(stats.pending)),
+            ("engine.schedules", MetricRef::Counter(stats.schedules)),
+        ];
+        visit(Section {
+            label: "world",
+            registry: &self.obs.registry,
+            extra: &engine,
+        });
+        self.obs.sections(visit);
     }
 
     fn hub(&mut self) -> HubRef<'_> {

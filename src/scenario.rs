@@ -87,7 +87,7 @@ use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::{HarnessBuilder, HarnessError, PpmHarness, Runtime};
 use ppm_harness::tenant::{self, scale_spec, TenantWorld};
 use ppm_proto::msg::ControlAction;
-use ppm_proto::types::{Gpid, ProcRecord};
+use ppm_proto::types::{Gpid, Name, ProcRecord};
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::program::SpawnSpec;
 use ppm_runtime::workload::DutyCycle;
@@ -142,7 +142,7 @@ pub enum ProcRef {
     /// Literal `<host, pid>`.
     Literal(Gpid),
     /// A name bound by `as NAME`.
-    Named(String),
+    Named(Name),
 }
 
 /// One timed action.
@@ -150,73 +150,57 @@ pub enum ProcRef {
 pub enum Action {
     /// Create a process through the PPM.
     Spawn {
-        from: String,
+        from: Name,
         uid: u32,
-        dest: String,
-        command: String,
-        bind: Option<String>,
+        dest: Name,
+        command: Name,
+        bind: Option<Name>,
         lifetime: Option<SimDuration>,
         parent: Option<ProcRef>,
     },
     /// Adopt an existing process.
     Adopt {
-        from: String,
+        from: Name,
         uid: u32,
-        host: String,
+        host: Name,
         pid: u32,
     },
     /// Control one process.
     Control {
-        from: String,
+        from: Name,
         uid: u32,
         target: ProcRef,
         action: ControlAction,
     },
     /// Snapshot (`dest` may be `*`) and print the forest.
-    Snapshot {
-        from: String,
-        uid: u32,
-        dest: String,
-    },
+    Snapshot { from: Name, uid: u32, dest: Name },
     /// Print the display-tool dashboard.
-    Dashboard { from: String, uid: u32 },
+    Dashboard { from: Name, uid: u32 },
     /// Print exited-process statistics.
-    Rusage {
-        from: String,
-        uid: u32,
-        dest: String,
-    },
+    Rusage { from: Name, uid: u32, dest: Name },
     /// Print the history log.
-    History {
-        from: String,
-        uid: u32,
-        dest: String,
-    },
+    History { from: Name, uid: u32, dest: Name },
     /// Broadcast SIGKILL to a whole computation.
-    KillTree {
-        from: String,
-        uid: u32,
-        root: ProcRef,
-    },
+    KillTree { from: Name, uid: u32, root: ProcRef },
     /// Print a process's open descriptors.
     Files {
-        from: String,
+        from: Name,
         uid: u32,
         target: ProcRef,
     },
     /// Run the recovery drill: jobs on `jobs`, `kill`'s LPM the victim.
     Drill {
-        from: String,
+        from: Name,
         uid: u32,
-        jobs: Vec<String>,
-        kill: Option<String>,
+        jobs: Vec<Name>,
+        kill: Option<Name>,
     },
     /// Crash a host.
-    Crash { host: String },
+    Crash { host: Name },
     /// Restart a host.
-    Restart { host: String },
+    Restart { host: Name },
     /// Take a link down / bring it up.
-    Link { a: String, b: String, up: bool },
+    Link { a: Name, b: Name, up: bool },
 }
 
 impl Action {
@@ -232,24 +216,26 @@ impl Action {
     }
 }
 
-/// A parsed scenario.
+/// A parsed scenario. Host names, commands, destinations and `$name`
+/// bindings are [`Name`]s: a name the shipped scenarios use is held
+/// inline, so parsing one allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
     /// World seed.
     pub seed: u64,
     /// Hosts in declaration order.
-    pub hosts: Vec<(String, CpuClass)>,
+    pub hosts: Vec<(Name, CpuClass)>,
     /// Links.
-    pub links: Vec<(String, String)>,
+    pub links: Vec<(Name, Name)>,
     /// The line declaring the first host with no link to some host
     /// declared before it: a partial mesh, which only the sim can play.
     pub mesh_gap: Option<usize>,
     /// Users: uid → (secret, recovery list, config).
-    pub users: Vec<(u32, u64, Vec<String>, PpmConfig)>,
+    pub users: Vec<(u32, u64, Vec<Name>, PpmConfig)>,
     /// Timed actions, in file order, each with its `time=` label.
-    pub actions: Vec<(usize, SimTime, Action, Option<String>)>,
+    pub actions: Vec<(usize, SimTime, Action, Option<Name>)>,
     /// `load HOST AVG` statements: line, host and the average pinned.
-    pub loads: Vec<(usize, String, f64)>,
+    pub loads: Vec<(usize, Name, f64)>,
     /// `pmd stable|volatile`: whether pmds keep their registry on stable
     /// storage, when the file says.
     pub stable_storage: Option<bool>,
@@ -260,7 +246,7 @@ pub struct Scenario {
 /// A process: `$name`, or a `host` and a pid; with the tokens it took.
 fn proc_ref(host: Option<&str>, pid: Option<&str>) -> Result<(ProcRef, usize), String> {
     match host {
-        Some(t) if t.starts_with('$') => Ok((ProcRef::Named(t[1..].to_string()), 1)),
+        Some(t) if t.starts_with('$') => Ok((ProcRef::Named(Name::new(&t[1..])), 1)),
         Some(host) => {
             let pid = grammar::id(pid.ok_or("expected HOST PID or $name")?)?;
             Ok((ProcRef::Literal(Gpid::new(host, pid)), 2))
@@ -314,7 +300,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                 if sc.hosts.iter().any(|(h, _)| h == name) {
                     return Err(format!("host {name:?} is declared twice"));
                 }
-                sc.hosts.push((name.to_string(), cpu));
+                sc.hosts.push((Name::new(name), cpu));
                 host_lines.push(line.no);
             }
             "link" => {
@@ -328,7 +314,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                         return Err(format!("link names undeclared host {end:?}"));
                     }
                 }
-                sc.links.push((a.to_string(), b.to_string()));
+                sc.links.push((Name::new(a), Name::new(b)));
             }
             "load" => {
                 let (Some(host), Some(avg), 3) = (t.get(1), t.get(2), t.0.len()) else {
@@ -347,7 +333,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                 if !(avg == 0.0 || (0.25..=MAX_LOAD).contains(&avg)) {
                     return Err(format!("cannot pin a load average of {avg}"));
                 }
-                sc.loads.push((line.no, host.to_string(), avg));
+                sc.loads.push((line.no, Name::new(host), avg));
             }
             "pmd" => {
                 sc.stable_storage = match (t.get(1), t.0.len()) {
@@ -372,7 +358,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                 let declared = |h: &str| {
                     let known = sc.hosts.iter().any(|(d, _)| d == h);
                     let unknown = || format!("user names undeclared host {h:?}");
-                    known.then(|| h.to_string()).ok_or_else(unknown)
+                    known.then(|| Name::new(h)).ok_or_else(unknown)
                 };
                 for &opt in &t.0[2..] {
                     match grammar::option(opt) {
@@ -381,7 +367,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                             recovery = v.split(',').map(declared).collect::<Result<_, _>>()?;
                         }
                         ("nameserver", Some(v)) => {
-                            let host = declared(v)?.into();
+                            let host = declared(v)?;
                             cfg.recovery_policy = RecoveryPolicy::NameServer { host };
                         }
                         ("window", Some(v)) => cfg.bcast_window = grammar::duration(v)?,
@@ -430,12 +416,12 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
 
 /// Takes the `time=LABEL` token off an `at` line, if it has one: the
 /// label its action's elapsed time is reported under.
-fn take_label(tokens: &mut Vec<&str>) -> Result<Option<String>, String> {
+fn take_label(tokens: &mut Vec<&str>) -> Result<Option<Name>, String> {
     let is_label = |t: &&str| t.starts_with("time=");
     let Some(i) = tokens.iter().skip(3).position(is_label) else {
         return Ok(None);
     };
-    let label = tokens.remove(3 + i)["time=".len()..].to_string();
+    let label = Name::new(&tokens.remove(3 + i)["time=".len()..]);
     if label.is_empty() {
         return Err("time= needs a label".into());
     }
@@ -450,19 +436,19 @@ fn take_label(tokens: &mut Vec<&str>) -> Result<Option<String>, String> {
 
 /// The action `t` names, its verb first.
 fn parse_action(t: Tokens) -> Result<Action, String> {
-    let from = || t.need(1, "FROM").map(str::to_string);
+    let name = |i, what| t.need(i, what).map(Name::new);
+    let from = || name(1, "FROM");
     let uid = || grammar::id(t.need(2, "UID")?);
     match t.verb() {
         "spawn" => {
             let (from, uid) = (from()?, uid()?);
-            let dest = t.need(3, "DEST")?.to_string();
-            let command = t.need(4, "COMMAND")?.to_string();
+            let (dest, command) = (name(3, "DEST")?, name(4, "COMMAND")?);
             let (mut bind, mut lifetime, mut parent) = (None, None, None);
             let mut i = 5;
             while let Some(opt) = t.get(i) {
                 match grammar::option(opt) {
                     ("as", None) => {
-                        bind = Some(t.need(i + 1, "a name after `as`")?.to_string());
+                        bind = Some(name(i + 1, "a name after `as`")?);
                         i += 1;
                     }
                     ("lifetime", Some(v)) => lifetime = Some(grammar::duration(v)?),
@@ -485,7 +471,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
             })
         }
         "adopt" => {
-            let (from, uid, host) = (from()?, uid()?, t.need(3, "HOST")?.to_string());
+            let (from, uid, host) = (from()?, uid()?, name(3, "HOST")?);
             let pid = grammar::id(t.need(4, "PID")?)?;
             t.end(5)?;
             Ok(Action::Adopt {
@@ -514,7 +500,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
             })
         }
         "snapshot" | "rusage" | "history" => {
-            let (from, uid, dest) = (from()?, uid()?, t.need(3, "DEST")?.to_string());
+            let (from, uid, dest) = (from()?, uid()?, name(3, "DEST")?);
             t.end(4)?;
             Ok(match t.verb() {
                 "snapshot" => Action::Snapshot { from, uid, dest },
@@ -541,18 +527,18 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
         }
         "drill" => {
             let (from, uid) = (from()?, uid()?);
-            let jobs: Vec<String> = t
+            let jobs: Vec<Name> = t
                 .need(3, "HOST[,HOST..]")?
                 .split(',')
-                .map(str::to_string)
+                .map(Name::new)
                 .collect();
             let kill = t.get(4).map(|opt| match grammar::option(opt) {
                 ("kill", Some(host)) if !host.is_empty() => Some(host),
                 _ => None,
             });
             let kill = match kill {
-                Some(Some(host)) if t.0.len() == 5 => Some(host.to_string()),
-                None if !jobs.iter().any(String::is_empty) => None,
+                Some(Some(host)) if t.0.len() == 5 => Some(Name::new(host)),
+                None if !jobs.iter().any(|job| job.is_empty()) => None,
                 _ => return Err("drill takes FROM UID HOST[,HOST..] [kill=HOST]".into()),
             };
             Ok(Action::Drill {
@@ -563,7 +549,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
             })
         }
         "crash" | "restart" => {
-            let host = t.need(1, "HOST")?.to_string();
+            let host = name(1, "HOST")?;
             t.end(2)?;
             Ok(match t.verb() {
                 "crash" => Action::Crash { host },
@@ -571,7 +557,7 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
             })
         }
         "link-down" | "link-up" => {
-            let (a, b) = (t.need(1, "A")?.to_string(), t.need(2, "B")?.to_string());
+            let (a, b) = (name(1, "A")?, name(2, "B")?);
             t.end(3)?;
             let up = t.verb() == "link-up";
             Ok(Action::Link { a, b, up })
@@ -715,11 +701,11 @@ pub(crate) fn execute_played(
     opts: ExecOptions<'_>,
     trace: bool,
 ) -> Result<Played, LineError> {
-    let host_names = || sc.hosts.iter().map(|(n, _)| n.clone()).collect();
+    let host_names = || sc.hosts.iter().map(|(n, _)| n.to_string()).collect();
     let builder = opts.builder(PpmHarness::builder(), host_names)?;
     let mut builder = scenario_builder(sc, builder, opts.faults.is_some());
     for (a, b) in &sc.links {
-        builder = builder.link(a.clone(), b.clone());
+        builder = builder.link(a, b);
     }
     let mut ppm = builder.trace(trace).seed(sc.seed).build();
     if !sc.loads.is_empty() {
@@ -762,10 +748,10 @@ pub(crate) fn execute_on<R: Runtime>(sc: &Scenario, rt: R, out: &mut dyn fmt::Wr
 /// stable storage.
 fn scenario_builder(sc: &Scenario, mut builder: HarnessBuilder, faulted: bool) -> HarnessBuilder {
     for (name, cpu) in &sc.hosts {
-        builder = builder.host(name.clone(), *cpu);
+        builder = builder.host(name.as_str(), *cpu);
     }
     for (uid, secret, recovery, cfg) in &sc.users {
-        let rec: Vec<&str> = recovery.iter().map(String::as_str).collect();
+        let rec: Vec<&str> = recovery.iter().map(Name::as_str).collect();
         builder = builder.user(Uid(*uid), *secret, &rec, cfg.clone());
     }
     let kills = |(_, _, a, _): &_| matches!(a, Action::Drill { kill: Some(_), .. });
@@ -912,7 +898,7 @@ fn play<R: Runtime>(
                 let _ = writeln!(out, "created {g}");
                 g.hash(&mut seen);
                 if let Some(name) = bind {
-                    bindings.insert(name, g);
+                    bindings.insert(name.as_str(), g);
                 }
             }
             Action::Adopt {
@@ -997,7 +983,7 @@ fn play<R: Runtime>(
                 jobs,
                 kill,
             } => {
-                let jobs: Vec<&str> = jobs.iter().map(String::as_str).collect();
+                let jobs: Vec<&str> = jobs.iter().map(Name::as_str).collect();
                 let report = recovery_drill(ppm, Uid(*uid), from, &jobs, kill.as_deref())
                     .map_err(|e| LineError::new(line, e))?;
                 (&report.root, &report.jobs, &report.sites.hosts).hash(&mut seen);
@@ -1013,7 +999,7 @@ fn play<R: Runtime>(
             }
         }
         if let (Some(label), Some(elapsed)) = (label, ppm.last_elapsed()) {
-            times.push((label.clone(), elapsed.as_micros()));
+            times.push((label.to_string(), elapsed.as_micros()));
         }
     }
     if !sc.tail.is_zero() {
@@ -1283,7 +1269,7 @@ run 2s
              at 1s files a 7 b 5",
         )
         .unwrap();
-        assert_eq!(sc.loads, vec![(3, "b".to_string(), 1.5)]);
+        assert_eq!(sc.loads, vec![(3, Name::new("b"), 1.5)]);
         assert_eq!(sc.stable_storage, Some(false));
         let cfg = &sc.users[0].3;
         let want = PpmConfig {

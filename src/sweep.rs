@@ -690,7 +690,7 @@ pub fn run_cell(spec: &RunSpec, spans: bool, trace: bool) -> Result<CellRun, Cel
     }
     match spec.runtime {
         Backend::Sim => {
-            let hosts = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
+            let hosts = sc.hosts.iter().map(|(n, _)| n.to_string()).collect();
             let topology = spec.topo.model(hosts).map_err(|e| (None, e))?;
             let opts = opts(topology.as_deref());
             let played = scenario::execute_played(&sc, &mut output, opts, trace);

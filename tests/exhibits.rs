@@ -222,8 +222,9 @@ fn figure5_is_the_table3_cells() {
         let mut edges: Vec<(String, String)> = Vec::new();
         for (_, _, action, _) in cell(i).actions {
             if let Action::Spawn { from, dest, .. } = action {
-                if !edges.contains(&(from.clone(), dest.clone())) {
-                    edges.push((from, dest));
+                let edge = (from.to_string(), dest.to_string());
+                if !edges.contains(&edge) {
+                    edges.push(edge);
                 }
             }
         }
@@ -234,7 +235,7 @@ fn figure5_is_the_table3_cells() {
     assert_eq!(channels(2), [edge("root", "a"), edge("root", "b")]);
     assert_eq!(channels(3), [edge("root", "a"), edge("a", "b")]);
     // Topology 4: a chain of two plus a star leaf.
-    let hosts: Vec<String> = cell(4).hosts.into_iter().map(|(h, _)| h).collect();
+    let hosts: Vec<String> = cell(4).hosts.iter().map(|(h, _)| h.to_string()).collect();
     assert_eq!(hosts, ["root", "a", "b", "c"]);
     let four = [edge("root", "a"), edge("a", "b"), edge("root", "c")];
     assert_eq!(channels(4), four);

@@ -74,7 +74,7 @@ fn flat_chain_digest_matches_the_pre_netmodel_tree() {
 fn routed_runs_are_deterministic_and_distinct_from_flat() {
     let text = scenario_file("chaos.ppm");
     let sc = scenario::parse(&text).expect("parses");
-    let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.clone()).collect();
+    let hosts: Vec<String> = sc.hosts.iter().map(|(n, _)| n.to_string()).collect();
     for preset in NetSpec::PRESETS {
         let spec = NetSpec::preset(preset, &hosts).expect("preset builds");
         let first = run_digest(&text, None, Some(&spec));

@@ -236,7 +236,7 @@ proptest! {
         let Ok(sc) = ppm::scenario::parse(&text) else {
             return Ok(());
         };
-        let hosts: Vec<String> = sc.hosts.iter().map(|(h, _)| h.clone()).collect();
+        let hosts: Vec<String> = sc.hosts.iter().map(|(h, _)| h.to_string()).collect();
         let topology = match tail & 12 {
             4 => NetSpec::preset("fat-tree", &hosts),
             8 => match NetSpec::parse(&render_topo(k, &links)) {
