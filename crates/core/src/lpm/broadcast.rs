@@ -47,7 +47,7 @@
 //! message's head goes in when the relay joins the wave, and the frames
 //! leave where they were gathered.
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 
 use ppm_proto::codec::{frames, Enc, Wire};
 use ppm_proto::msg::{
@@ -62,13 +62,61 @@ use ppm_runtime::trace::TraceCategory;
 
 use crate::rpc::PendingRequest;
 
-use super::{BcastKey, BcastRole, BcastState, Child, Lpm, ReplyTo, TimerKind};
+use super::{BcastKey, BcastRole, BcastState, Child, Lpm, OriginTables, ReplyTo, TimerKind};
 
 /// The deepest cover tree the straggler timers are sized for.
 const WAVE_LEVELS: u64 = 48;
 /// What the timers allow one level of a wave: a handler fork and the
 /// request's hop down, the aggregate's hop back up.
 const LEVEL_ALLOWANCE: SimDuration = SimDuration::from_millis(150);
+
+/// The most tables of each kind an LPM keeps from the waves that ended:
+/// twice the waves a tool keeps in flight at a pipeline window of 4, so
+/// that every wave an LPM joins at that pace finds its tables.
+const WAVE_SPARES: usize = 8;
+
+/// What the waves that ended left for the next ones: their child lists
+/// and their originators' tables, cleared, at most [`WAVE_SPARES`] of
+/// each, and the one vector an originator splits every arriving
+/// aggregate into. A warm LPM joins a wave without allocating for it.
+#[derive(Debug, Default)]
+pub(crate) struct WaveSpares {
+    children: Vec<Vec<Child>>,
+    origins: Vec<OriginTables>,
+    split: Vec<WirePart>,
+}
+
+impl WaveSpares {
+    /// An empty child list, with the room an ended wave's had.
+    fn children(&mut self) -> Vec<Child> {
+        self.children.pop().unwrap_or_default()
+    }
+
+    /// Empty originator tables, with the room an ended wave's had.
+    fn origin(&mut self) -> OriginTables {
+        self.origins.pop().unwrap_or_default()
+    }
+
+    /// Keeps `children`'s room for a later wave, if it has any and the
+    /// list is not full.
+    fn keep_children(&mut self, mut children: Vec<Child>) {
+        if children.capacity() > 0 && self.children.len() < WAVE_SPARES {
+            children.clear();
+            self.children.push(children);
+        }
+    }
+
+    /// Keeps an ended wave's originator tables for a later wave, cleared,
+    /// if the list is not full.
+    fn keep_origin(&mut self, mut tables: OriginTables) {
+        if self.origins.len() < WAVE_SPARES {
+            tables.parts.clear();
+            tables.merge_queue.clear();
+            tables.answered.clear();
+            self.origins.push(tables);
+        }
+    }
+}
 
 /// Which operations may be broadcast (`dest = "*"`): each has its slot
 /// in `Lpm::agg_bytes`.
@@ -158,7 +206,8 @@ impl Lpm {
         self.rpc.note_bcast(key.clone(), now);
         self.stats.bcasts_originated += 1;
 
-        let forward_targets: Vec<Child> = self.siblings.keys().cloned().map(Child::new).collect();
+        let mut forward_targets = self.wave_spares.children();
+        forward_targets.extend(self.siblings.keys().cloned().map(Child::new));
         let span = format_args!("{}@{}", key.0, key.1);
         sys.span("bcast", span, SpanPhase::Begin);
         sys.trace(
@@ -170,13 +219,9 @@ impl Lpm {
                 op.kind(),
             ),
         );
-        // Sized as the last wave this LPM originated: a steady wave
-        // gathers into its tables without regrowing them.
         let role = BcastRole::Origin {
             reply_req: req_id,
-            parts: Vec::with_capacity(self.wave_parts),
-            merge_queue: VecDeque::with_capacity(self.wave_parts),
-            answered: HashSet::with_capacity(self.wave_parts),
+            tables: self.wave_spares.origin(),
             combine_started: false,
             merges_outstanding: 0,
             merge_free_at: SimTime::ZERO,
@@ -305,13 +350,14 @@ impl Lpm {
 
         // Graph cover: forward to every sibling except the sender and any
         // host the request already visited.
-        let forward_targets: Vec<Child> = self
-            .siblings
-            .keys()
-            .filter(|h| h.as_str() != from_host && !route.contains(h))
-            .cloned()
-            .map(Child::new)
-            .collect();
+        let mut forward_targets = self.wave_spares.children();
+        forward_targets.extend(
+            self.siblings
+                .keys()
+                .filter(|h| h.as_str() != from_host && !route.contains(h))
+                .cloned()
+                .map(Child::new),
+        );
         let span = format_args!("{}@{}", key.0, key.1);
         sys.span("bcast.relay", span, SpanPhase::Begin);
         sys.trace(
@@ -381,9 +427,9 @@ impl Lpm {
             format_args!("local slice done {}#{}", key.0, key.1),
         );
         match &mut b.role {
-            BcastRole::Origin { parts, .. } => {
+            BcastRole::Origin { tables, .. } => {
                 let run = reply.read().ok().and_then(ReplyRef::run);
-                parts.push((reply, run));
+                tables.parts.push((reply, run));
             }
             BcastRole::Relay { agg, .. } => {
                 // The local slice becomes a part of the subtree's single
@@ -427,10 +473,11 @@ impl Lpm {
                 // Split the batch and queue each part for the combine
                 // phase (the per-part merge cost model is unchanged —
                 // only the transit cost collapsed).
-                match WirePart::split(&parts) {
-                    Ok(parts) => {
+                let mut split = std::mem::take(&mut self.wave_spares.split);
+                match WirePart::split(&parts, &mut split) {
+                    Ok(()) => {
                         let mut dropped = 0;
-                        for part in parts {
+                        for part in split.drain(..) {
                             dropped += usize::from(!self.queue_part(sys, &key, part));
                         }
                         if dropped > 0 {
@@ -445,6 +492,7 @@ impl Lpm {
                     }
                     Err(e) => unreadable = Some(e.to_string()),
                 }
+                self.wave_spares.split = split;
             }
             BcastRole::Relay { agg, .. } => {
                 // Splice the child's frames onto ours byte-for-byte — the
@@ -480,18 +528,17 @@ impl Lpm {
     /// serialized slot at once.
     fn queue_part(&mut self, sys: &mut dyn Sys, key: &BcastKey, part: WirePart) -> bool {
         let Some(BcastRole::Origin {
-            merge_queue,
-            answered,
+            tables,
             combine_started,
             ..
         }) = self.bcasts.get_mut(key).map(|b| &mut b.role)
         else {
             return true;
         };
-        if part.host == self.host.as_bytes() || !answered.insert(part.host) {
+        if part.host == self.host.as_bytes() || !tables.answered.insert(part.host) {
             return false;
         }
-        merge_queue.push_back((part.reply, part.run));
+        tables.merge_queue.push_back((part.reply, part.run));
         let combine_started = *combine_started;
         self.learn_route(&part.route);
         if combine_started {
@@ -522,8 +569,7 @@ impl Lpm {
     /// An originator merge slot completed.
     pub(crate) fn bcast_merge_slot(&mut self, sys: &mut dyn Sys, key: &BcastKey) {
         let Some(BcastRole::Origin {
-            parts,
-            merge_queue,
+            tables,
             merges_outstanding,
             ..
         }) = self.bcasts.get_mut(key).map(|b| &mut b.role)
@@ -531,7 +577,7 @@ impl Lpm {
             return;
         };
         *merges_outstanding = merges_outstanding.saturating_sub(1);
-        parts.extend(merge_queue.pop_front());
+        tables.parts.extend(tables.merge_queue.pop_front());
         self.maybe_complete(sys, key);
     }
 
@@ -607,7 +653,7 @@ impl Lpm {
             return;
         }
         if let BcastRole::Origin {
-            merge_queue,
+            tables,
             combine_started,
             merges_outstanding,
             ..
@@ -620,14 +666,14 @@ impl Lpm {
                 // shape, where an extra answering host costs an extra
                 // merge even when its reply arrived early and in parallel.
                 *combine_started = true;
-                let parts_waiting = merge_queue.len();
+                let parts_waiting = tables.merge_queue.len();
                 for _ in 0..parts_waiting {
                     self.schedule_merge_slot(sys, key);
                 }
                 if parts_waiting > 0 {
                     return;
                 }
-            } else if !merge_queue.is_empty() || *merges_outstanding > 0 {
+            } else if !tables.merge_queue.is_empty() || *merges_outstanding > 0 {
                 return;
             }
         }
@@ -635,13 +681,14 @@ impl Lpm {
         if let Some(tok) = b.timeout_token {
             self.rpc.cancel(tok);
         }
+        self.wave_spares.keep_children(b.forward_targets);
+        self.wave_spares.keep_children(b.pending_children);
         match b.role {
             BcastRole::Origin {
-                reply_req, parts, ..
+                reply_req, tables, ..
             } => {
                 // Merge parts into the final reply; a non-empty missing
                 // list marks the result as partial.
-                self.wave_parts = parts.len();
                 self.release_handler(sys, b.forward_handler);
                 sys.trace(
                     TraceCategory::Broadcast,
@@ -649,7 +696,7 @@ impl Lpm {
                         "finalize {}#{} with {} parts ({} missing)",
                         key.0,
                         key.1,
-                        parts.len(),
+                        tables.parts.len(),
                         b.missing.len()
                     ),
                 );
@@ -657,7 +704,7 @@ impl Lpm {
                 sys.span("bcast", span, SpanPhase::End);
                 // Every part was checked when it was made or arrived, so
                 // the merge's own checked walk has nothing left to refuse.
-                let combined = WireReply::merge(&b.op, &parts).unwrap_or_else(|e| {
+                let combined = WireReply::merge(&b.op, &tables.parts).unwrap_or_else(|e| {
                     WireReply::from(&Reply::Err {
                         code: ErrCode::Internal,
                         detail: format!("merge failed at {e}"),
@@ -672,6 +719,7 @@ impl Lpm {
                     combined.partial(&b.missing)
                 };
                 self.finish_req(sys, reply_req, combined);
+                self.wave_spares.keep_origin(tables);
             }
             BcastRole::Relay {
                 upstream,
@@ -815,9 +863,7 @@ mod tests {
     fn an_originator_flooded_with_missing_names_still_answers_what_decodes() {
         let role = |_: &Stamp| BcastRole::Origin {
             reply_req: 1,
-            parts: Vec::new(),
-            merge_queue: VecDeque::new(),
-            answered: HashSet::new(),
+            tables: OriginTables::default(),
             combine_started: false,
             merges_outstanding: 0,
             merge_free_at: SimTime::ZERO,

@@ -178,17 +178,8 @@ pub(crate) enum BcastRole {
     Origin {
         /// Internal request to finish with the merged reply.
         reply_req: u64,
-        /// Accumulated parts, in the order their merge slots completed —
-        /// the order the final merge's stable sort sees — each with the
-        /// run the walk that admitted it recorded.
-        parts: Vec<(WireReply, Option<SnapshotRun>)>,
-        /// Replies waiting for their merge slot.
-        merge_queue: VecDeque<(WireReply, Option<SnapshotRun>)>,
-        /// Hosts whose part has been accepted in this wave (the
-        /// originator's own is its local slice): a second part from one
-        /// of them — a duplicated aggregate — is dropped. Names off the
-        /// wire, so the default hasher.
-        answered: HashSet<Bytes>,
+        /// What the answers gather into.
+        tables: OriginTables,
         /// Whether the combine phase has begun: parts gather during the
         /// wave and every serialized merge slot starts once the wave
         /// quiesces, so each contributor costs a full slot at the tail.
@@ -211,6 +202,24 @@ pub(crate) enum BcastRole {
         /// node's whole participation completes.
         respond_handler: Option<HandlerId>,
     },
+}
+
+/// The tables an originator gathers a wave's answers into. They go back
+/// to the LPM's spares when the wave ends, so the next wave it originates
+/// fills them again without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct OriginTables {
+    /// Accumulated parts, in the order their merge slots completed — the
+    /// order the final merge's stable sort sees — each with the run the
+    /// walk that admitted it recorded.
+    pub parts: Vec<(WireReply, Option<SnapshotRun>)>,
+    /// Replies waiting for their merge slot.
+    pub merge_queue: VecDeque<(WireReply, Option<SnapshotRun>)>,
+    /// Hosts whose part has been accepted in this wave (the originator's
+    /// own is its local slice): a second part from one of them — a
+    /// duplicated aggregate — is dropped. Names off the wire, so the
+    /// default hasher.
+    pub answered: HashSet<Bytes>,
 }
 
 /// Recovery mode (Section 5).
@@ -293,9 +302,8 @@ pub struct Lpm {
     pub(crate) rpc: RpcTable,
 
     pub(crate) bcast_seq: u64,
-    /// The parts the last wave this LPM originated gathered: how large
-    /// the next one's tables start.
-    pub(crate) wave_parts: usize,
+    /// The tables of waves that have ended, cleared for the next waves.
+    pub(crate) wave_spares: broadcast::WaveSpares,
     /// The bytes of the last aggregate this LPM relayed for each kind of
     /// wave (`broadcast::wave_kind`): how much room the next wave of that
     /// kind starts with, so a small rusage wave is not sized by a large
@@ -366,7 +374,7 @@ impl Lpm {
             route_epoch: 0,
             rpc: RpcTable::new(),
             bcast_seq: 0,
-            wave_parts: 0,
+            wave_spares: broadcast::WaveSpares::default(),
             agg_bytes: [0; 4],
             bcasts: FastMap::default(),
             tree: Genealogy::default(),

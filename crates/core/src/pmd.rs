@@ -225,7 +225,7 @@ impl Pmd {
         }
         let program = Lpm::new(self.users.get(Uid(user))?);
         let port = lpm_port(Uid(user));
-        let spec = SpawnSpec::new(format!("lpm-{user}"), Box::new(program));
+        let spec = SpawnSpec::new(lpm_command(user), Box::new(program));
         let pid = sys.spawn_as(Uid(user), spec).ok()?;
         self.register(user, pid, port);
         self.persist(sys);
@@ -242,7 +242,7 @@ impl Pmd {
     fn respawn_lpm(&mut self, sys: &mut dyn Sys, user: u32, crashed_at: SimTime) -> Option<Pid> {
         let program = Lpm::respawned(self.users.get(Uid(user))?, crashed_at);
         let port = lpm_port(Uid(user));
-        let spec = SpawnSpec::new(format!("lpm-{user}"), Box::new(program));
+        let spec = SpawnSpec::new(lpm_command(user), Box::new(program));
         let pid = sys.spawn_as(Uid(user), spec).ok()?;
         self.register(user, pid, port);
         self.persist(sys);
@@ -252,6 +252,18 @@ impl Pmd {
         );
         Some(pid)
     }
+}
+
+/// An LPM's command, `lpm-<uid>`, written on the stack into the inline
+/// `Name` it is: no `String` on the way.
+fn lpm_command(user: u32) -> Name {
+    use std::io::Write as _;
+    const ROOM: usize = "lpm-".len() + 10;
+    let mut buf = [0u8; ROOM];
+    let mut rest = &mut buf[..];
+    write!(rest, "lpm-{user}").expect("room for `lpm-` and a u32");
+    let len = ROOM - rest.len();
+    Name::new(std::str::from_utf8(&buf[..len]).expect("ASCII"))
 }
 
 /// The host's crash stamp ([`ppm_runtime::sys::CRASHED_AT_KEY`]), if the
@@ -326,6 +338,13 @@ impl Program for Pmd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_lpm_command_is_its_uid_written_out() {
+        for user in [0, 7, 100, 65_535, u32::MAX] {
+            assert_eq!(lpm_command(user), format!("lpm-{user}"));
+        }
+    }
 
     #[test]
     fn default_options_do_not_persist() {

@@ -6,7 +6,7 @@
 //! spawn-wait map, and the timer registry. The LPM submodules drive it;
 //! nothing else in the crate reaches into its maps directly.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use ppm_proto::msg::{ErrCode, WireReply};
 use ppm_proto::types::{Name, Route};
@@ -15,11 +15,6 @@ use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{SimDuration, SimTime};
 
 use super::{DedupEntry, PendingRequest, ReqPhase, RpcKey, TimerKind};
-
-/// Width of one dedup expiry bucket, as a power of two of microseconds
-/// (2^20 µs ≈ 1.05 s — coarse enough that a busy window spans few
-/// buckets, fine enough that the boundary bucket re-scan stays small).
-const DEDUP_BUCKET_POW: u32 = 20;
 
 /// Decision after a transport failure or per-attempt timeout on an
 /// origin-side request.
@@ -59,15 +54,13 @@ pub(crate) struct RpcTable {
     /// Shared retention window: broadcast stamps and executed sibling
     /// requests, purged together by `bcast_window`.
     dedup: FastMap<RpcKey, DedupEntry>,
-    /// Expiry index over `dedup`: insertion-time bucket → keys inserted in
-    /// that bucket. Purge walks only the buckets at or before the cutoff
-    /// instead of scanning the whole window. References are lazy: a key
-    /// re-inserted with a fresh timestamp leaves its old reference behind,
-    /// which purge discards after checking the live entry.
-    dedup_buckets: BTreeMap<u64, Vec<RpcKey>>,
-    /// The largest bucket purge emptied, kept for the next bucket to
-    /// fill, so that a steady window files its keys without allocating.
-    spare_bucket: Vec<RpcKey>,
+    /// Expiry order over `dedup`: each key as it was noted, with the
+    /// instant. Every key is noted at the LPM's clock, which never goes
+    /// back, so the front is the oldest note and purge pops only from
+    /// there. References are lazy: a key noted again leaves its old
+    /// reference behind, as `purge_peer` leaves every one of its keys',
+    /// and purge discards those after checking the live entry.
+    dedup_order: VecDeque<(SimTime, RpcKey)>,
     /// Spawned-but-not-yet-exec'd pid → local request id.
     spawn_waits: FastMap<u32, u64>,
     /// Incarnation fence per origin host: the newest boot epoch a forest
@@ -259,61 +252,34 @@ impl RpcTable {
             .insert(key, DedupEntry::Done { at, reply, route });
     }
 
-    /// Files a key under its insertion-time expiry bucket.
+    /// Files a key at the back of the expiry order.
     fn index_dedup(&mut self, key: RpcKey, at: SimTime) {
-        let spare = &mut self.spare_bucket;
-        self.dedup_buckets
-            .entry(at.as_micros() >> DEDUP_BUCKET_POW)
-            .or_insert_with(|| std::mem::take(spare))
-            .push(key);
+        debug_assert!(
+            self.dedup_order.back().is_none_or(|(last, _)| *last <= at),
+            "dedup keys are noted in time order"
+        );
+        self.dedup_order.push_back((at, key));
     }
 
     /// Drops dedup entries older than `window`; returns how many went.
     ///
-    /// Only buckets whose time range reaches the expiry cutoff are
-    /// visited, so a tick's cost is proportional to what actually expires
-    /// (plus at most one partially-expired boundary bucket), not to the
-    /// whole retention window. A ripe bucket is emptied in place and the
-    /// boundary bucket trimmed in place: a tick with nothing to purge
-    /// allocates nothing. The largest emptied bucket is kept for the next
-    /// one to fill.
+    /// Only the references at or before the expiry cutoff are visited,
+    /// from the front, so a tick's cost is proportional to what actually
+    /// expires, not to the whole retention window, and a steady window
+    /// reuses the order's room without allocating.
     pub(crate) fn purge_dedup(&mut self, now: SimTime, window: SimDuration) -> usize {
-        let now_us = now.as_micros();
-        let window_us = window.as_micros();
-        if now_us < window_us {
+        let Some(cutoff_us) = now.as_micros().checked_sub(window.as_micros()) else {
             return 0;
-        }
-        let cutoff_us = now_us - window_us;
-        let cutoff_bucket = cutoff_us >> DEDUP_BUCKET_POW;
+        };
         let mut purged = 0;
-        while let Some(mut bucket) = self.dedup_buckets.first_entry() {
-            let b = *bucket.key();
-            if b > cutoff_bucket {
-                break;
-            }
-            let dedup = &mut self.dedup;
-            bucket.get_mut().retain(|key| {
-                let Some(e) = dedup.get(key) else {
-                    return false; // re-inserted and already purged via a newer ref
-                };
-                let at_us = e.at().as_micros();
-                if at_us <= cutoff_us {
-                    dedup.remove(key);
-                    purged += 1;
-                    return false;
-                }
-                // Boundary bucket: not yet expired, stays indexed. Else a
-                // fresh re-insertion owns a newer reference.
-                at_us >> DEDUP_BUCKET_POW == b
-            });
-            if !bucket.get().is_empty() {
-                // Only the cutoff's own bucket keeps a live entry, and it
-                // is the last one in range.
-                break;
-            }
-            let emptied = bucket.remove();
-            if emptied.capacity() > self.spare_bucket.capacity() {
-                self.spare_bucket = emptied;
+        let ripe = |(at, _): &mut (SimTime, RpcKey)| at.as_micros() <= cutoff_us;
+        while let Some((_, key)) = self.dedup_order.pop_front_if(ripe) {
+            // A key noted again since this reference lives on until its
+            // newer one ripens; one purged already is gone.
+            let live = self.dedup.get(&key);
+            if live.is_some_and(|e| e.at().as_micros() <= cutoff_us) {
+                self.dedup.remove(&key);
+                purged += 1;
             }
         }
         purged
@@ -324,8 +290,8 @@ impl RpcTable {
     /// Called when a peer's connection is torn down by a crash: a
     /// restarted LPM allocates correlation ids from scratch, so cached
     /// replies under its old ids would wrongly suppress (and mis-answer)
-    /// its fresh requests. Stale expiry-bucket references are left behind;
-    /// [`RpcTable::purge_dedup`] discards them when their bucket ripens.
+    /// its fresh requests. Stale expiry-order references are left behind;
+    /// [`RpcTable::purge_dedup`] discards them when they ripen.
     pub(crate) fn purge_peer(&mut self, origin: &str) -> usize {
         let before = self.dedup.len();
         self.dedup.retain(|(host, _), _| host.as_ref() != origin);
@@ -395,6 +361,8 @@ mod tests {
     use super::super::ReplyTo;
     use super::*;
     use ppm_proto::msg::{Op, Reply};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn wire(reply: Reply) -> WireReply {
         WireReply::from(&reply)
@@ -499,7 +467,7 @@ mod tests {
         assert!(matches!(t.dup_verdict(&a1, 1), DupVerdict::New));
         assert!(!t.bcast_seen(&a2));
         assert!(matches!(t.dup_verdict(&b1, 1), DupVerdict::Replay { .. }));
-        // The stale bucket references left behind are discarded cleanly.
+        // The stale references left behind are discarded cleanly.
         assert_eq!(
             t.purge_dedup(
                 SimTime::from_micros(10_000_000),
@@ -512,8 +480,8 @@ mod tests {
     #[test]
     fn reinserted_dedup_keys_survive_purge_of_their_old_bucket() {
         // A key noted again with a fresh timestamp leaves a stale
-        // reference in its old expiry bucket; purging that bucket must
-        // neither drop the live entry nor count it as purged.
+        // reference at its old place in the expiry order; purging past it
+        // must neither drop the live entry nor count it as purged.
         let mut t = RpcTable::new();
         let key: RpcKey = (Name::from("far"), 4);
         let window = SimDuration::from_secs(60);
@@ -540,9 +508,9 @@ mod tests {
     }
 
     #[test]
-    fn purge_handles_boundary_bucket_partially() {
-        // Two entries in the same ~1s bucket, straddling the cutoff: only
-        // the expired one goes, and the survivor expires on a later tick.
+    fn purge_stops_at_the_cutoff() {
+        // Two entries a second apart, straddling the cutoff: only the
+        // expired one goes, and the survivor expires on a later tick.
         let mut t = RpcTable::new();
         let a: RpcKey = (Name::from("a"), 1);
         let b: RpcKey = (Name::from("b"), 2);
@@ -558,6 +526,87 @@ mod tests {
         assert!(t.bcast_seen(&b));
         assert_eq!(t.purge_dedup(SimTime::from_micros(11_900_001), window), 1);
         assert!(!t.bcast_seen(&b));
+    }
+
+    /// One step of [`the_expiry_order_purges_what_a_full_scan_purges`].
+    #[derive(Debug, Clone)]
+    enum DedupOp {
+        /// The clock moves on by this many µs.
+        Advance(u64),
+        Bcast(RpcKey),
+        Done(RpcKey),
+        /// Purge with this window, in µs.
+        Purge(u64),
+        PurgePeer(&'static str),
+    }
+
+    const ORIGINS: [&str; 3] = ["a", "b", "c"];
+
+    fn arb_key() -> impl Strategy<Value = RpcKey> {
+        (0usize..3, 0u64..6).prop_map(|(o, id)| (Name::from(ORIGINS[o]), id))
+    }
+
+    fn arb_dedup_ops() -> impl Strategy<Value = Vec<DedupOp>> {
+        prop::collection::vec(
+            prop_oneof![
+                (0u64..3_000_000).prop_map(DedupOp::Advance),
+                prop_oneof![Just(0u64), 0u64..1_000].prop_map(DedupOp::Advance),
+                arb_key().prop_map(DedupOp::Bcast),
+                arb_key().prop_map(DedupOp::Done),
+                (0u64..8_000_000).prop_map(DedupOp::Purge),
+                (0usize..3).prop_map(|o| DedupOp::PurgePeer(ORIGINS[o])),
+            ],
+            1..80,
+        )
+    }
+
+    /// What the window holds: each key with its kind and instant.
+    fn held(t: &RpcTable) -> BTreeMap<RpcKey, (bool, SimTime)> {
+        t.dedup
+            .iter()
+            .map(|(k, e)| (k.clone(), (matches!(e, DedupEntry::Bcast { .. }), e.at())))
+            .collect()
+    }
+
+    proptest! {
+        /// Notes at a clock that only moves forward, purges of any window
+        /// and peer purges: the expiry order purges what a scan of every
+        /// entry purges, the same count each time, and leaves the same
+        /// entries behind.
+        #[test]
+        fn the_expiry_order_purges_what_a_full_scan_purges(ops in arb_dedup_ops()) {
+            let mut t = RpcTable::new();
+            let mut model: BTreeMap<RpcKey, (bool, SimTime)> = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    DedupOp::Advance(us) => now += SimDuration::from_micros(us),
+                    DedupOp::Bcast(key) => {
+                        t.note_bcast(key.clone(), now);
+                        model.insert(key, (true, now));
+                    }
+                    DedupOp::Done(key) => {
+                        let route = Route::from_origin(&key.0);
+                        t.note_done(key.clone(), now, wire(Reply::Ok), route);
+                        model.insert(key, (false, now));
+                    }
+                    DedupOp::Purge(window_us) => {
+                        let window = SimDuration::from_micros(window_us);
+                        let before = model.len();
+                        if let Some(cutoff) = now.as_micros().checked_sub(window_us) {
+                            model.retain(|_, (_, at)| at.as_micros() > cutoff);
+                        }
+                        prop_assert_eq!(t.purge_dedup(now, window), before - model.len());
+                    }
+                    DedupOp::PurgePeer(origin) => {
+                        let before = model.len();
+                        model.retain(|(host, _), _| host.as_str() != origin);
+                        prop_assert_eq!(t.purge_peer(origin), before - model.len());
+                    }
+                }
+                prop_assert_eq!(&held(&t), &model);
+            }
+        }
     }
 
     #[test]

@@ -1026,13 +1026,24 @@ impl SnapshotRun {
 /// the merge to the walk: a snapshot part without a run, runs that tie
 /// or overlap.
 fn splice_runs(parts: &[(WireReply, Option<SnapshotRun>)]) -> Option<WireReply> {
-    let mut runs: Vec<(Key<'_>, Key<'_>, &[u8])> = Vec::with_capacity(parts.len());
+    // Sorted in place: on the stack for up to `RUNS_ON_STACK` parts.
+    const NO_RUN: (Key<'_>, Key<'_>, &[u8]) = (("", 0), ("", 0), &[]);
+    let mut stack = [NO_RUN; RUNS_ON_STACK];
+    let mut heap = Vec::new();
+    let room = if parts.len() <= RUNS_ON_STACK {
+        &mut stack[..]
+    } else {
+        heap.resize(parts.len(), NO_RUN);
+        &mut heap[..]
+    };
+    let mut runs = 0;
     let mut count = 0;
     for (reply, run) in parts {
         let bytes = reply.as_bytes();
         match run {
             Some(run) if run.count > 0 => {
-                runs.push(run.bounds(bytes)?);
+                room[runs] = run.bounds(bytes)?;
+                runs += 1;
                 count += run.count;
             }
             Some(_) => {}
@@ -1041,6 +1052,7 @@ fn splice_runs(parts: &[(WireReply, Option<SnapshotRun>)]) -> Option<WireReply> 
             None => return None,
         }
     }
+    let runs = &mut room[..runs];
     runs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     if runs.windows(2).any(|pair| pair[0].1 >= pair[1].0) {
         return None;
@@ -1051,6 +1063,10 @@ fn splice_runs(parts: &[(WireReply, Option<SnapshotRun>)]) -> Option<WireReply> 
         runs.iter().map(|run| run.2),
     ))
 }
+
+/// The most parts [`splice_runs`] sorts without an allocation: more
+/// answering hosts than any shipped world has.
+const RUNS_ON_STACK: usize = 64;
 
 /// [`WireReply::merge`] by a walk: every record of each part of kind
 /// `KIND` with its key, stably sorted.
@@ -1217,13 +1233,16 @@ pub struct WirePart {
 
 impl WirePart {
     /// Splits a [`Msg::BcastAgg`] batch into its parts, checking
-    /// everything [`crate::codec::decode_batch`]`::<BcastPart>` checks.
+    /// everything [`crate::codec::decode_batch`]`::<BcastPart>` checks,
+    /// into `parts`, which is cleared first: a caller that keeps the
+    /// vector splits every batch into the same room.
     ///
     /// # Errors
     ///
-    /// The first part that fails, with the reason.
-    pub fn split(batch: &Bytes) -> Result<Vec<WirePart>, PartError> {
-        let mut parts = Vec::new();
+    /// The first part that fails, with the reason; `parts` is then
+    /// empty, so a batch that does not read gives no part at all.
+    pub fn split(batch: &Bytes, parts: &mut Vec<WirePart>) -> Result<(), PartError> {
+        parts.clear();
         let mut read = || {
             let mut iter = frames(batch)?;
             parts.reserve(iter.len());
@@ -1246,13 +1265,11 @@ impl WirePart {
             }
             Ok(())
         };
-        match read() {
-            Ok(()) => Ok(parts),
-            Err(err) => Err(PartError {
-                part: parts.len(),
-                err,
-            }),
-        }
+        read().map_err(|err| {
+            let part = parts.len();
+            parts.clear();
+            PartError { part, err }
+        })
     }
 }
 
@@ -1733,7 +1750,8 @@ mod tests {
         for (host, pids) in [("b", &[4, 9][..]), ("a", &[1, 2]), ("c", &[])] {
             WireReply::from(&snapshot_of(host, pids)).push_part(&mut batch, host, &route);
         }
-        let split = WirePart::split(&batch.into_bytes()).unwrap();
+        let mut split = Vec::new();
+        WirePart::split(&batch.into_bytes(), &mut split).unwrap();
         assert_eq!(split[1].host, b"a"[..]);
         let mut parts: Vec<_> = split.into_iter().map(|p| (p.reply, p.run)).collect();
         parts.push((WireReply::from(&Reply::Pong), None));
@@ -1758,9 +1776,29 @@ mod tests {
     }
 
     #[test]
+    fn more_runs_than_the_stack_holds_are_spliced_as_the_walk_merges() {
+        // Hosts answer in descending name order, so the runs must be
+        // sorted, on the heap past `RUNS_ON_STACK`.
+        for hosts in [RUNS_ON_STACK, RUNS_ON_STACK + 1, 2 * RUNS_ON_STACK + 3] {
+            let parts: Vec<_> = (0..hosts)
+                .rev()
+                .map(|i| {
+                    let reply = WireReply::from(&snapshot_of(&format!("h{i:03}"), &[1, 2]));
+                    let run = reply.read().unwrap().run();
+                    (reply, run)
+                })
+                .collect();
+            let runless: Vec<_> = parts.iter().map(|p| (p.0.clone(), None)).collect();
+            let walked = WireReply::merge(&Op::Snapshot, &runless).unwrap();
+            assert_eq!(splice_runs(&parts), Some(walked), "{hosts} hosts");
+        }
+    }
+
+    #[test]
     fn split_names_the_part_it_cannot_read() {
         let route = Route::from_origin("a");
         let good = WireReply::from(&snapshot_of("a", &[1]));
+        let mut parts = Vec::new();
         for (what, bad, err) in damaged_snapshots() {
             let mut batch = Enc::new();
             batch.u32(3);
@@ -1771,8 +1809,12 @@ mod tests {
                 route.encode(enc);
             });
             good.push_part(&mut batch, "c", &route);
-            let got = WirePart::split(&batch.into_bytes()).unwrap_err();
+            let got = WirePart::split(&batch.into_bytes(), &mut parts).unwrap_err();
             assert_eq!(got.part, 1, "{what}");
+            assert!(
+                parts.is_empty(),
+                "{what}: the part read before it is not kept"
+            );
             // Cutting the reply short makes the walk run into the route
             // behind it; whatever it trips over there, it is refused.
             if !matches!(what, "truncated" | "trailing byte") {
@@ -1787,7 +1829,7 @@ mod tests {
         batch.u32(1_000);
         batch.u8(0);
         assert_eq!(
-            WirePart::split(&batch.into_bytes()),
+            WirePart::split(&batch.into_bytes(), &mut parts),
             Err(PartError {
                 part: 1,
                 err: CodecError::Truncated
@@ -1795,11 +1837,12 @@ mod tests {
         );
         // A header that promises more frames than there are bytes.
         assert_eq!(
-            WirePart::split(&Bytes::from(vec![0, 0, 1, 0, 0]))
+            WirePart::split(&Bytes::from(vec![0, 0, 1, 0, 0]), &mut parts)
                 .unwrap_err()
                 .part,
             0
         );
+        assert!(parts.is_empty());
     }
 
     #[test]

@@ -1507,7 +1507,8 @@ proptest! {
             .map(|(host, reply, route)| BcastPart { host, reply, route })
             .collect();
         let batch = encode_batch(&parts);
-        let split = WirePart::split(&batch).expect("a valid batch splits");
+        let mut split = Vec::new();
+        WirePart::split(&batch, &mut split).expect("a valid batch splits");
         prop_assert_eq!(split.len(), parts.len());
         for (wire, part) in split.iter().zip(&parts) {
             prop_assert_eq!(wire.reply.as_bytes(), &part.reply.to_bytes()[..]);
@@ -1524,7 +1525,9 @@ proptest! {
     }
 
     /// `WirePart::split` accepts exactly the batches
-    /// `decode_batch::<BcastPart>` accepts, damaged or not.
+    /// `decode_batch::<BcastPart>` accepts, damaged or not, into a vector
+    /// that held another batch's parts: what it held is gone either way,
+    /// and a refused batch leaves no part.
     #[test]
     fn split_agrees_with_batch_decode(
         answers in prop::collection::vec((arb_host(), arb_bcast_answer(), arb_route()), 0..4),
@@ -1542,16 +1545,18 @@ proptest! {
         }
         data.truncate(usize::from(cut) % (data.len() + 64));
         let data = bytes::Bytes::from(data);
-        match (decode_batch::<BcastPart>(&data), WirePart::split(&data)) {
-            (Ok(owned), Ok(split)) => {
+        let mut split = Vec::new();
+        WirePart::split(&encode_batch(&parts), &mut split).expect("a valid batch splits");
+        match (decode_batch::<BcastPart>(&data), WirePart::split(&data, &mut split)) {
+            (Ok(owned), Ok(())) => {
                 prop_assert_eq!(owned.len(), split.len());
                 for (part, wire) in owned.iter().zip(&split) {
                     prop_assert_eq!(wire.reply.decode().expect("checked"), part.reply.clone());
                     prop_assert_eq!(&wire.route, &part.route);
                 }
             }
-            (Err(_), Err(_)) => {}
-            (owned, split) => prop_assert!(false, "decode {owned:?} but split {split:?}"),
+            (Err(_), Err(_)) => prop_assert!(split.is_empty(), "parts kept: {split:?}"),
+            (owned, got) => prop_assert!(false, "decode {owned:?} but split {got:?}"),
         }
     }
 
@@ -1591,9 +1596,9 @@ proptest! {
         for (host, reply, _) in answers.iter().filter(|a| a.2 == Admitted::Split) {
             WireReply::from(reply).push_part(&mut batch, host, &route);
         }
-        let mut split = WirePart::split(&batch.into_bytes())
-            .expect("a valid batch splits")
-            .into_iter();
+        let mut split = Vec::new();
+        WirePart::split(&batch.into_bytes(), &mut split).expect("a valid batch splits");
+        let mut split = split.into_iter();
         let mut parts = Vec::new();
         for (host, reply, admitted) in &answers {
             let part = match admitted {

@@ -1,16 +1,17 @@
-//! Where a sweep cell allocates: a sampling allocator over the
-//! benchmark's `sweep_cells` mix.
+//! Where the benchmark's workloads allocate: a sampling allocator over
+//! the `sweep_cells` mix (the default) or the `snapshot_fanout` world.
 //!
-//! Every allocation the measuring thread makes while a cell plays is
-//! counted exactly; at every 53rd the sampler captures a backtrace
+//! Every allocation the measuring thread makes while an operation plays
+//! is counted exactly; at every 53rd the sampler captures a backtrace
 //! (its own allocations neither counted nor sampled) and files it under
 //! the first frame in this repository — `crates/`, `src/` or
 //! `benchmark/`; frames of `vendor/`'s stand-ins and of this file count
-//! as the library code they are. Each cell is what a sweep worker does:
-//! `scenario::parse` (and the fault plan) → `execute_with` → the trace
-//! and the metrics report rendered → `fnv1a` over the three.
+//! as the library code they are.
 //!
-//! The mix is the benchmark's, from the shipped files: `chaos.ppm` and
+//! `--workload sweep_cells`: each cell is what a sweep worker does:
+//! `scenario::parse` (and the fault plan) → `execute_with` → the trace
+//! and the metrics report rendered → `fnv1a` over the three. The mix is
+//! the benchmark's, from the shipped files: `chaos.ppm` and
 //! `chaos_dual.ppm`, each with and without `crash_heal.fault`, then
 //! `demo.ppm` and the 24-host `chain_scenario`. Cells cycle through a
 //! 12-slot pattern in the benchmark's 3:3:2:2:1:1 proportions, so the
@@ -18,17 +19,29 @@
 //! benchmark's mix exactly; one cell of each kind is played uncounted
 //! first, as the benchmark warms up.
 //!
+//! `--workload snapshot_fanout`: the benchmark's world — 16 hosts on the
+//! fat-tree model, their LPMs linked as a 4-ary tree, 301 records (one
+//! root on `h0`, 20 processes on each other host) — settled for 25 s and
+//! warmed by one tool of 4 steps, then `--tools` tools (48 by default),
+//! each from a host in turn in seeded order, of 32 pipelined `*`
+//! snapshots at window 4, the first reply of each rendered as the
+//! display does. An operation is one snapshot.
+//!
 //! Run with line tables, so the backtraces name files and lines:
 //!
 //! ```console
 //! $ CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
 //!       cargo run --release --example alloc_sites -- --cells 120 --seed 1986
+//! $ CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
+//!       cargo run --release --example alloc_sites -- --workload snapshot_fanout
 //! ```
 //!
-//! It prints each cell's exact count, then the sampled rows — per file
-//! and per `file:line`, as allocations a cell (samples × 53 ÷ cells) —
-//! beside the exact total a cell. Being an example, it links into
-//! neither `ppm-sim` nor the benchmark, whose counts it leaves alone.
+//! It prints each cell's or tool's exact count, then the sampled rows —
+//! per file and per `file:line`, as allocations an operation (samples ×
+//! 53 ÷ operations) — beside the exact total an operation, and what each
+//! class of `bytes`'s spare buffers was asked for meanwhile. Being an
+//! example, it links into neither `ppm-sim` nor the benchmark, whose
+//! counts it leaves alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -37,9 +50,18 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
+use bytes::SpareCounts;
+
+use ppm::core::client::ToolStep;
+use ppm::core::config::PpmConfig;
 use ppm::digest::fnv1a;
+use ppm::harness::harness::PpmHarness;
+use ppm::proto::msg::{Op, Reply};
 use ppm::scenario::{self, ExecOptions};
 use ppm::simnet::fault::FaultPlan;
+use ppm::simnet::time::SimDuration;
+use ppm::simnet::topology::{CpuClass, NetSpec};
+use ppm::simos::ids::Uid;
 
 /// One allocation in this many is sampled: a prime, so no loop of the
 /// program beats in step with it.
@@ -62,7 +84,8 @@ const CHAIN_HOSTS: usize = 24;
 struct Sampler;
 
 thread_local! {
-    /// Counting is on only on the measuring thread, while a cell plays.
+    /// Counting is on only on the measuring thread, while an operation
+    /// plays.
     static ON: Cell<bool> = const { Cell::new(false) };
     /// The sampler is capturing: what it allocates meanwhile is its own.
     static BUSY: Cell<bool> = const { Cell::new(false) };
@@ -143,6 +166,95 @@ fn site(trace: &Backtrace, root: &Path, cwd: &Path) -> Option<String> {
     })
 }
 
+/// The samples taken so far, filed by site.
+#[derive(Default)]
+struct Sites {
+    /// `file:line` → samples.
+    sites: BTreeMap<String, u64>,
+    /// Samples with no frame in the repository.
+    unplaced: u64,
+}
+
+impl Sites {
+    /// Files the samples captured since the last call.
+    fn file(&mut self, root: &Path, cwd: &Path) {
+        for trace in SAMPLES.take() {
+            match site(&trace, root, cwd) {
+                Some(s) => *self.sites.entry(s).or_default() += 1,
+                None => self.unplaced += 1,
+            }
+        }
+    }
+
+    /// Prints the rows per file and per site, as allocations an `op`,
+    /// and the sampled total beside the `counted` one.
+    fn print(&self, op: &str, ops: u64, counted: u64) {
+        let per_op = |samples: u64| (samples * EVERY) as f64 / ops as f64;
+        let mut files: BTreeMap<&str, u64> = BTreeMap::new();
+        for (s, n) in &self.sites {
+            let file = s.rsplit_once(':').map_or(s.as_str(), |(f, _)| f);
+            *files.entry(file).or_default() += n;
+        }
+        let sampled: u64 = self.sites.values().sum::<u64>() + self.unplaced;
+        println!();
+        println!("allocations a {op}, by file (sampled x {EVERY} / {op}s):");
+        let mut by_file: Vec<_> = files.into_iter().collect();
+        by_file.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        for (file, n) in &by_file {
+            println!("  {:>8.2}  {file}", per_op(*n));
+        }
+        println!(
+            "  {:>8.2}  (no frame in the repository)",
+            per_op(self.unplaced)
+        );
+        println!();
+        println!("allocations a {op}, by site:");
+        let mut by_site: Vec<_> = self.sites.iter().collect();
+        by_site.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+        for (s, n) in by_site {
+            println!("  {:>8.2}  {s}", per_op(*n));
+        }
+        println!();
+        println!(
+            "sampled total a {op} {:.2}, counted total a {op} {:.2} ({counted} over {ops} {op}s)",
+            per_op(sampled),
+            counted as f64 / ops as f64
+        );
+    }
+}
+
+/// Prints what each class of spare buffers was asked for between
+/// `before` and now, on this thread, in all and an `op`.
+fn print_spares(before: &[SpareCounts], op: &str, ops: u64) {
+    println!();
+    println!("spare buffers on this thread, by class: in all (a {op})");
+    println!("   class      draws          misses          keeps           drops");
+    for (now, was) in bytes::spare_counts().iter().zip(before) {
+        let cell = |now: u64, was: u64| {
+            let n = now - was;
+            format!("{n:>6} ({:>6.2})", n as f64 / ops as f64)
+        };
+        println!(
+            "  {:>6}  {}  {}  {}  {}",
+            now.class_bytes,
+            cell(now.draws, was.draws),
+            cell(now.misses, was.misses),
+            cell(now.keeps, was.keeps),
+            cell(now.drops, was.drops),
+        );
+    }
+}
+
+/// Runs `f` with this thread's allocations counted (and sampled); returns
+/// how many it made and what it returned.
+fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = COUNT.with(Cell::get);
+    ON.with(|on| on.set(true));
+    let out = f();
+    ON.with(|on| on.set(false));
+    (COUNT.with(Cell::get) - before, out)
+}
+
 /// One cell, start to digest. Returns the digest.
 fn play(text: &str, plan: Option<&FaultPlan>, seed: u64) -> Result<u64, String> {
     let mut sc = scenario::parse(text).map_err(|e| format!("parse: {e}"))?;
@@ -159,7 +271,7 @@ fn play(text: &str, plan: Option<&FaultPlan>, seed: u64) -> Result<u64, String> 
     Ok(fnv1a(&[&out, &trace, &metrics]))
 }
 
-/// splitmix64: the cells' seeds, from the run's.
+/// splitmix64: the run's seeds and seeded choices, from its seed.
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -169,75 +281,47 @@ fn mix(x: u64) -> u64 {
 
 fn usage(why: &str) -> ExitCode {
     eprintln!("alloc_sites: {why}");
-    eprintln!("usage: alloc_sites [--cells N] [--seed S]");
+    eprintln!(
+        "usage: alloc_sites [--workload sweep_cells|snapshot_fanout] [--cells N] [--tools N] [--seed S]"
+    );
     ExitCode::FAILURE
 }
 
-fn main() -> ExitCode {
-    let (mut cells, mut seed) = (120usize, 1986u64);
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let value = args.next().and_then(|v| v.parse::<u64>().ok());
-        match (flag.as_str(), value) {
-            ("--cells", Some(n)) if n > 0 => cells = n as usize,
-            ("--seed", Some(s)) => seed = s,
-            _ => return usage(&format!("bad argument {flag:?}")),
-        }
-    }
-    let root = env!("CARGO_MANIFEST_DIR");
-    let cwd = match std::env::current_dir() {
-        Ok(cwd) => cwd,
-        Err(e) => return usage(&format!("no working directory: {e}")),
-    };
+/// The `sweep_cells` mix, `cells` cells of it.
+fn sweep_cells(cells: usize, seed: u64, root: &Path, cwd: &Path) -> Result<(), String> {
     let read = |name: &str| {
-        let path = format!("{root}/scenarios/{name}");
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))
+        let path = root.join("scenarios").join(name);
+        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
     };
-    let loaded = (|| -> Result<_, String> {
-        let texts = KINDS
-            .iter()
-            .map(|&(file, _)| match file {
-                "chain" => Ok(scenario::chain_scenario(CHAIN_HOSTS)),
-                file => read(file),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let plan =
-            FaultPlan::parse(&read(FAULT_FILE)?).map_err(|e| format!("{FAULT_FILE}: {e}"))?;
-        Ok((texts, plan))
-    })();
-    let (texts, plan) = match loaded {
-        Ok(loaded) => loaded,
-        Err(why) => return usage(&why),
-    };
+    let texts = KINDS
+        .iter()
+        .map(|&(file, _)| match file {
+            "chain" => Ok(scenario::chain_scenario(CHAIN_HOSTS)),
+            file => read(file),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let plan = FaultPlan::parse(&read(FAULT_FILE)?).map_err(|e| format!("{FAULT_FILE}: {e}"))?;
     let cell = |kind: usize, seed: u64| {
         let faults = KINDS[kind].1.then_some(&plan);
         play(&texts[kind], faults, seed)
     };
 
     for kind in 0..KINDS.len() {
-        if let Err(why) = cell(kind, mix(seed ^ kind as u64)) {
-            return usage(&format!("warm-up cell {kind}: {why}"));
-        }
+        cell(kind, mix(seed ^ kind as u64)).map_err(|why| format!("warm-up cell {kind}: {why}"))?;
     }
 
     println!("alloc_sites: {cells} cells, seed {seed}, 1 allocation in {EVERY} sampled");
     println!("cell  kind  scenario              allocations  digest");
-    let mut sites: BTreeMap<String, u64> = BTreeMap::new();
-    let mut unplaced = 0u64;
+    let spares = bytes::spare_counts();
+    let mut sites = Sites::default();
     let mut counted = 0u64;
     for i in 0..cells {
         let kind = PATTERN[i % PATTERN.len()];
         let cell_seed = 1 + mix(seed.wrapping_add(i as u64)) % (1 << 32);
-        let before = COUNT.with(Cell::get);
-        ON.with(|on| on.set(true));
-        let played = cell(kind, cell_seed);
-        ON.with(|on| on.set(false));
-        let n = COUNT.with(Cell::get) - before;
+        let (n, played) = counting(|| cell(kind, cell_seed));
         counted += n;
-        let digest = match played {
-            Ok(d) => d,
-            Err(why) => return usage(&format!("cell {i} (kind {kind}, seed {cell_seed}): {why}")),
-        };
+        let digest =
+            played.map_err(|why| format!("cell {i} (kind {kind}, seed {cell_seed}): {why}"))?;
         let (file, faulted) = KINDS[kind];
         let name = if faulted {
             format!("{file}+fault")
@@ -245,44 +329,157 @@ fn main() -> ExitCode {
             file.to_string()
         };
         println!("{i:>4}  {kind:>4}  {name:<20}  {n:>11}  {digest:016x}");
-        for trace in SAMPLES.take() {
-            match site(&trace, Path::new(root), &cwd) {
-                Some(s) => *sites.entry(s).or_default() += 1,
-                None => unplaced += 1,
-            }
+        sites.file(root, cwd);
+    }
+    sites.print("cell", cells as u64, counted);
+    print_spares(&spares, "cell", cells as u64);
+    Ok(())
+}
+
+const USER: Uid = Uid(100);
+const HOSTS: usize = 16;
+const PER_HOST: usize = 20;
+/// One root on `h0` plus `PER_HOST` on each other host.
+const RECORDS: usize = 1 + (HOSTS - 1) * PER_HOST;
+const STEPS_PER_TOOL: usize = 32;
+const WINDOW: usize = 4;
+const WAIT: SimDuration = SimDuration::from_secs(600);
+
+fn host(i: usize) -> String {
+    format!("h{i}")
+}
+
+/// The `snapshot_fanout` world, populated, settled and warmed.
+fn fanout_world(seed: u64) -> Result<PpmHarness, String> {
+    let names: Vec<String> = (0..HOSTS).map(host).collect();
+    let spec = NetSpec::preset("fat-tree", &names).ok_or("the fat-tree preset does not build")?;
+    let cfg = PpmConfig {
+        bcast_timeout: SimDuration::from_secs(60),
+        req_timeout: SimDuration::from_secs(60),
+        ..PpmConfig::default()
+    };
+    let mut b = PpmHarness::builder().seed(seed);
+    for (i, name) in names.iter().enumerate() {
+        let cpu = if i % 3 == 2 {
+            CpuClass::Vax750
+        } else {
+            CpuClass::Vax780
+        };
+        b = b.host(name.clone(), cpu);
+    }
+    for i in 1..HOSTS {
+        b = b.link(host((i - 1) / 4), host(i));
+    }
+    let mut ppm = b.topology(spec).user(USER, 0x1986, &["h0"], cfg).build();
+    // Host i's processes are created from host (i - 1) / 4, which makes
+    // the sibling graph, and so the cover tree, 4-ary; seeded commands
+    // give the records seeded sizes.
+    let mut spawn = |from: &str, dest: &str, command: &str| {
+        ppm.spawn_remote(from, USER, dest, command, None, None)
+            .map(drop)
+            .map_err(|e| format!("spawn {from} -> {dest}: {e}"))
+    };
+    spawn("h0", "h0", "root")?;
+    for i in 1..HOSTS {
+        for j in 0..PER_HOST {
+            let r = mix(seed ^ (i * PER_HOST + j) as u64);
+            let digits = 1 + r % 4;
+            let command = format!("job{j}-{:x}", (r >> 8) % (1 << (4 * digits)));
+            spawn(&host((i - 1) / 4), &host(i), &command)?;
         }
     }
+    ppm.run_for(SimDuration::from_secs(25));
+    snapshot_tool(&mut ppm, 0, 4)?;
+    Ok(ppm)
+}
 
-    let per_cell = |samples: u64| (samples * EVERY) as f64 / cells as f64;
-    let mut files: BTreeMap<&str, u64> = BTreeMap::new();
-    for (s, n) in &sites {
-        let file = s.rsplit_once(':').map_or(s.as_str(), |(f, _)| f);
-        *files.entry(file).or_default() += n;
+/// One tool on host `origin`: `steps` pipelined `*` snapshots, each
+/// checked complete, the first rendered. Returns the rendered bytes.
+fn snapshot_tool(ppm: &mut PpmHarness, origin: usize, steps: usize) -> Result<usize, String> {
+    let script = vec![ToolStep::new("*", Op::Snapshot); steps];
+    let outcome = ppm
+        .run_tool_pipelined(&host(origin), USER, script, WINDOW, WAIT)
+        .map_err(|e| e.to_string())?;
+    if let Some(err) = &outcome.error {
+        return Err(format!("tool failed: {err}"));
     }
-    let sampled: u64 = sites.values().sum::<u64>() + unplaced;
-    println!();
-    println!("allocations a cell, by file (sampled x {EVERY} / cells):");
-    let mut by_file: Vec<_> = files.into_iter().collect();
-    by_file.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    for (file, n) in &by_file {
-        println!("  {:>8.2}  {file}", per_cell(*n));
+    let mut rendered = 0;
+    for i in 0..steps {
+        match outcome.reply(i) {
+            Some(Reply::Snapshot { procs, .. }) if procs.len() == RECORDS => {
+                if i == 0 {
+                    rendered = ppm::tools::snapshot::render(procs.to_vec(), "*").len();
+                }
+            }
+            other => return Err(format!("step {i}: {other:?}")),
+        }
     }
+    Ok(rendered)
+}
+
+/// The `snapshot_fanout` world under `tools` tools.
+fn snapshot_fanout(tools: usize, seed: u64, root: &Path, cwd: &Path) -> Result<(), String> {
+    let mut ppm = fanout_world(seed)?;
+    // Every host equally often, in seeded order.
+    let mut origins: Vec<usize> = (0..tools).map(|t| t % HOSTS).collect();
+    for i in (1..origins.len()).rev() {
+        let j = (mix(seed ^ (i as u64).rotate_left(32)) % (i as u64 + 1)) as usize;
+        origins.swap(i, j);
+    }
+
     println!(
-        "  {:>8.2}  (no frame in the repository)",
-        per_cell(unplaced)
+        "alloc_sites: snapshot_fanout, {tools} tools of {STEPS_PER_TOOL} snapshots, seed {seed}, 1 allocation in {EVERY} sampled"
     );
-    println!();
-    println!("allocations a cell, by site:");
-    let mut by_site: Vec<_> = sites.iter().collect();
-    by_site.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-    for (s, n) in by_site {
-        println!("  {:>8.2}  {s}", per_cell(*n));
+    println!("tool  origin  allocations  spare misses  rendered bytes");
+    let spares = bytes::spare_counts();
+    let mut sites = Sites::default();
+    let mut counted = 0u64;
+    let misses = || bytes::spare_counts().iter().map(|c| c.misses).sum::<u64>();
+    for (t, &origin) in origins.iter().enumerate() {
+        let missed = misses();
+        let (n, played) = counting(|| snapshot_tool(&mut ppm, origin, STEPS_PER_TOOL));
+        counted += n;
+        let rendered = played.map_err(|why| format!("tool {t} on {}: {why}", host(origin)))?;
+        let missed = misses() - missed;
+        println!(
+            "{t:>4}  {:>6}  {n:>11}  {missed:>12}  {rendered:>14}",
+            host(origin)
+        );
+        sites.file(root, cwd);
     }
-    println!();
-    println!(
-        "sampled total a cell {:.2}, counted total a cell {:.2} ({counted} over {cells} cells)",
-        per_cell(sampled),
-        counted as f64 / cells as f64
-    );
-    ExitCode::SUCCESS
+    let ops = (tools * STEPS_PER_TOOL) as u64;
+    sites.print("snapshot", ops, counted);
+    print_spares(&spares, "snapshot", ops);
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let (mut workload, mut cells, mut tools, mut seed) =
+        (String::from("sweep_cells"), 120, 48, 1986);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let value = args.next();
+        let number = value.as_deref().and_then(|v| v.parse::<u64>().ok());
+        match (flag.as_str(), number) {
+            ("--workload", _) if value.is_some() => workload = value.unwrap_or_default(),
+            ("--cells", Some(n)) if n > 0 => cells = n as usize,
+            ("--tools", Some(n)) if n > 0 => tools = n as usize,
+            ("--seed", Some(s)) => seed = s,
+            _ => return usage(&format!("bad argument {flag:?}")),
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cwd = match std::env::current_dir() {
+        Ok(cwd) => cwd,
+        Err(e) => return usage(&format!("no working directory: {e}")),
+    };
+    let run = match workload.as_str() {
+        "sweep_cells" => sweep_cells(cells, seed, root, &cwd),
+        "snapshot_fanout" => snapshot_fanout(tools, seed, root, &cwd),
+        other => return usage(&format!("unknown workload {other:?}")),
+    };
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(why) => usage(&why),
+    }
 }

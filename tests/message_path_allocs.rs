@@ -168,12 +168,17 @@ fn an_aggregate_splits_into_parts_with_one_allocation() {
         WireReply::from(&reply).push_part(&mut batch, &host, &route);
     }
     let batch = batch.into_bytes();
-    let (spent, parts) = counted(|| WirePart::split(&batch).expect("splits"));
+    let mut parts = Vec::new();
+    let (spent, ()) = counted(|| WirePart::split(&batch, &mut parts).expect("splits"));
     assert_eq!(parts.len(), PARTS);
     assert_eq!(
         spent, 1,
-        "WirePart::split: the Vec of parts, nothing per part"
+        "WirePart::split into a new vector: its room, nothing per part"
     );
+    // An originator splits every aggregate into the vector it keeps.
+    let (spent, ()) = counted(|| WirePart::split(&batch, &mut parts).expect("splits"));
+    assert_eq!(parts.len(), PARTS);
+    assert_eq!(spent, 0, "WirePart::split into a kept vector: nothing");
 }
 
 #[test]
@@ -338,10 +343,9 @@ fn a_directed_control_between_two_lpms_stays_within_its_budget() {
     );
 }
 
-/// A world of six hosts in a binary tree of siblings, three processes on
-/// each host but the root, and four `*` snapshots from the root: the
-/// records each one returns.
-fn play_a_snapshot_world() -> usize {
+/// A world of six hosts in a binary tree of siblings and three processes
+/// on each host but the root.
+fn a_snapshot_world() -> PpmHarness {
     let host = |i: usize| format!("h{i}");
     let mut b = PpmHarness::builder().seed(1986);
     for i in 0..6 {
@@ -358,6 +362,13 @@ fn play_a_snapshot_world() -> usize {
                 .expect("spawn");
         }
     }
+    ppm
+}
+
+/// [`a_snapshot_world`] and four `*` snapshots from the root: the
+/// records the last one returns.
+fn play_a_snapshot_world() -> usize {
+    let mut ppm = a_snapshot_world();
     let mut records = 0;
     for _ in 0..4 {
         records = ppm.snapshot("h0", USER, "*").expect("snapshot").len();
@@ -376,4 +387,29 @@ fn a_snapshot_world_costs_the_same_each_time_it_is_played() {
         plays[1], plays[2],
         "allocations and records of the 2nd and 3rd play"
     );
+}
+
+#[test]
+fn a_warm_lpm_runs_a_wave_on_the_tables_the_last_one_left() {
+    // The third play, so this thread's spares are warm; its first
+    // snapshot creates the LPMs, and each later wave finds the tables the
+    // one before it left.
+    let mut waves = 0;
+    for _ in 0..3 {
+        let mut ppm = a_snapshot_world();
+        ppm.snapshot("h0", USER, "*").expect("snapshot");
+        let (spent, records) = counted(|| {
+            (0..3)
+                .map(|_| ppm.snapshot("h0", USER, "*").expect("snapshot").len())
+                .sum::<usize>()
+        });
+        assert_eq!(records, 3 * 15, "every record, every wave");
+        waves = spent;
+    }
+    // A tool process, its connection and the records it decodes, with
+    // nothing for the wave's tables: 63 as written, 91 while every wave
+    // collected its forward targets into a new vector, the originator
+    // built its tables anew and split each aggregate into a vector of its
+    // own, and the spare buffers kept 32 a class.
+    assert!(waves <= 63, "{waves} allocations for three warm waves");
 }
