@@ -133,6 +133,14 @@ impl HarnessBuilder {
     ///
     /// Panics if a link references an unknown host name.
     pub fn build(self) -> PpmHarness {
+        self.build_with(|world| world)
+    }
+
+    /// Builds the simulated world as [`HarnessBuilder::build`] does (and
+    /// panics where it does), and hands it to `wrap` before it boots: a
+    /// runtime that plays the sim's own world by another schedule boots,
+    /// and runs, in its place.
+    pub fn build_with<R: Runtime>(self, wrap: impl FnOnce(World) -> R) -> PpmHarness<R> {
         let mut world = World::new(self.seed);
         world.obs_mut().trace.set_enabled(self.trace);
         let users = self.users.into_shared();
@@ -153,7 +161,7 @@ impl HarnessBuilder {
                 .install_netmodel(spec)
                 .unwrap_or_else(|e| panic!("topology install failed: {e}"));
         }
-        PpmHarness::booted(world, users, hosts)
+        PpmHarness::booted(wrap(world), users, hosts)
     }
 
     /// Boots the same PPM on any backend through the [`Runtime`] facade:
@@ -242,15 +250,17 @@ impl PpmHarness {
     pub fn builder() -> HarnessBuilder {
         HarnessBuilder::default()
     }
+}
 
+impl<R: Runtime + AsRef<World> + AsMut<World>> PpmHarness<R> {
     /// The world, for inspection.
     pub fn world(&self) -> &World {
-        &self.rt
+        self.rt.as_ref()
     }
 
     /// The world, mutable (fault injection, load hooks).
     pub fn world_mut(&mut self) -> &mut World {
-        &mut self.rt
+        self.rt.as_mut()
     }
 }
 

@@ -2,8 +2,8 @@
 //! moves, with digest pruning and counterexample minimization.
 //!
 //! A state is identified by the **pick vector** that reaches it — the
-//! index chosen into [`crate::world::McWorld::enabled_moves`] at each
-//! step from the scenario's staged initial world. Replaying the vector
+//! index chosen into [`Chooser::moves`] at each step from the scenario's
+//! staged initial world. Replaying the vector
 //! reconstructs the state exactly (everything in the world is
 //! deterministic), so the explorer needs no snapshotting and a found
 //! violation is a replayable schedule by construction.
@@ -13,15 +13,13 @@
 //! time) are free, so a depth budget of 10 reaches deep into the
 //! protocols while the fan-out stays bounded. States whose digest was
 //! already visited are pruned; the digest folds in every observable the
-//! predicates read (see `McWorld::digest`), so pruning cannot hide a
+//! predicates read (see [`Chooser::digest`]), so pruning cannot hide a
 //! violation.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use ppm_runtime::rt::Runtime;
-
-use crate::world::McWorld;
+use crate::chooser::Chooser;
 
 /// Exploration limits.
 #[derive(Debug, Clone, Copy)]
@@ -43,7 +41,7 @@ impl Budget {
 }
 
 /// A predicate over the world: `Some(description)` on violation.
-pub type Predicate = Box<dyn Fn(&McWorld) -> Option<String>>;
+pub type Predicate = Box<dyn Fn(&Chooser) -> Option<String>>;
 
 /// What one scenario checks: a staged initial world plus its safety and
 /// quiescence predicates. Predicates return `Some(description)` on
@@ -56,7 +54,7 @@ pub struct Scenario {
     /// convergence predicate applies. The CLI uses it unless overridden.
     pub default_budget: Budget,
     /// Builds and stages the initial world deterministically.
-    pub build: Box<dyn Fn() -> McWorld>,
+    pub build: Box<dyn Fn() -> Chooser>,
     /// Safety: checked after every move of every schedule.
     pub check_step: Predicate,
     /// Convergence: checked in states with no enabled moves (all
@@ -104,7 +102,7 @@ pub fn explore(s: &Scenario, budget: Budget) -> (Stats, Option<Violation>) {
     let mut stack: Vec<(Vec<usize>, usize)> = vec![(Vec::new(), 0)];
     // The world of the entry on top of the stack, when it is the first
     // child of the state just expanded: that state's world, one move on.
-    let mut first_child: Option<McWorld> = None;
+    let mut first_child: Option<Chooser> = None;
     while let Some((picks, depth)) = stack.pop() {
         if stats.states >= budget.max_states {
             stats.truncated = true;
@@ -125,29 +123,29 @@ pub fn explore(s: &Scenario, budget: Budget) -> (Stats, Option<Violation>) {
             stats.dedup_hits += 1;
             continue;
         }
-        let moves = w.enabled_moves();
-        if moves.is_empty() {
+        let moves = w.moves().len();
+        if moves == 0 {
             stats.quiescent += 1;
             if let Some(why) = (s.check_quiescent)(&w) {
                 return (stats, Some(minimize(s, &picks, &why)));
             }
             continue;
         }
-        let next_depth = depth + usize::from(moves.len() > 1);
-        if moves.len() > 1 {
+        let next_depth = depth + usize::from(moves > 1);
+        if moves > 1 {
             stats.branch_points += 1;
             if next_depth > budget.max_depth {
                 stats.truncated = true;
                 continue;
             }
         }
-        for i in (0..moves.len()).rev() {
+        for i in (0..moves).rev() {
             let mut np = picks.clone();
             np.push(i);
             stack.push((np, next_depth));
         }
         // The next pop is `picks + [0]`: step into it rather than replay.
-        w.apply(&moves[0]);
+        w.fire(0);
         first_child = Some(w);
     }
     (stats, None)
@@ -156,14 +154,12 @@ pub fn explore(s: &Scenario, budget: Budget) -> (Stats, Option<Violation>) {
 /// Replays a pick vector from the staged initial world. Out-of-range
 /// picks wrap (`pick % enabled.len()`), so vectors stay valid while the
 /// minimizer deletes entries.
-pub fn replay(s: &Scenario, picks: &[usize]) -> McWorld {
+pub fn replay(s: &Scenario, picks: &[usize]) -> Chooser {
     let mut w = (s.build)();
     for &p in picks {
-        let moves = w.enabled_moves();
-        if moves.is_empty() {
+        if !w.fire(p) {
             break;
         }
-        w.apply(&moves[p % moves.len()]);
     }
     w
 }
@@ -173,18 +169,18 @@ pub fn replay(s: &Scenario, picks: &[usize]) -> McWorld {
 /// the format every backend prints — indented under it.
 pub fn replay_trace(s: &Scenario, picks: &[usize]) -> Vec<String> {
     let mut w = (s.build)();
-    w.hub().trace.set_enabled(true);
+    w.world_mut().obs_mut().trace.set_enabled(true);
     let mut out = Vec::new();
     for &p in picks {
-        let moves = w.enabled_moves();
+        let moves = w.moves();
         if moves.is_empty() {
             break;
         }
-        let mv = moves[p % moves.len()].clone();
-        let mut step = w.describe(&mv);
-        let noted = w.hub().trace.len();
-        w.apply(&mv);
-        for note in w.hub().trace.entries().skip(noted) {
+        let i = p % moves.len();
+        let mut step = w.describe(&moves[i]);
+        let noted = w.world().trace().len();
+        w.fire(i);
+        for note in w.world().trace().entries().skip(noted) {
             write!(step, "\n      {note}").expect("writing to a String cannot fail");
         }
         out.push(step);
@@ -196,16 +192,14 @@ pub fn replay_trace(s: &Scenario, picks: &[usize]) -> Vec<String> {
 fn violates(s: &Scenario, picks: &[usize]) -> bool {
     let mut w = (s.build)();
     for &p in picks {
-        let moves = w.enabled_moves();
-        if moves.is_empty() {
+        if !w.fire(p) {
             break;
         }
-        w.apply(&moves[p % moves.len()]);
         if (s.check_step)(&w).is_some() {
             return true;
         }
     }
-    w.enabled_moves().is_empty() && (s.check_quiescent)(&w).is_some()
+    w.moves().is_empty() && (s.check_quiescent)(&w).is_some()
 }
 
 /// Greedy delta-debugging: repeatedly drops single picks while the
@@ -238,18 +232,10 @@ fn minimize(s: &Scenario, picks: &[usize], why: &str) -> Violation {
 /// Applies the first enabled move whose description contains `pattern`.
 /// Regression tests use this to drive a known bad schedule without
 /// depending on brittle pick indices. Returns `true` if a move matched.
-pub fn apply_matching(w: &mut McWorld, pattern: &str) -> bool {
-    let mv = w
-        .enabled_moves()
-        .into_iter()
-        .find(|m| w.describe(m).contains(pattern));
-    match mv {
-        Some(m) => {
-            w.apply(&m);
-            true
-        }
-        None => false,
-    }
+pub fn apply_matching(w: &mut Chooser, pattern: &str) -> bool {
+    let moves = w.moves();
+    let hit = moves.iter().position(|m| w.describe(m).contains(pattern));
+    hit.is_some_and(|i| w.fire(i))
 }
 
 /// Convenience for tests: asserts a whole exploration stays clean and

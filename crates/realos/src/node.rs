@@ -3,7 +3,7 @@
 //!
 //! A node is the real-backend analogue of one simulated host. Its
 //! processes run on the one host driver ([`ppm_runtime::host`]) the sim
-//! and the checker also run — its kernel, program table, callback
+//! also runs — its kernel, program table, callback
 //! runner, `Sys`, exit, signals and stop rules are theirs by
 //! construction — and the node supplies the driver's backend: the
 //! monotonic clock, a timer heap, loopback TCP with its acceptor and

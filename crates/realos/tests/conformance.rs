@@ -1,6 +1,6 @@
 //! Backend conformance: one suite of observation programs, run over the
-//! simulated runtime, the real loopback runtime and the model checker's
-//! world (its default schedule) through the [`Runtime`] facade.
+//! simulated runtime and the real loopback runtime through the
+//! [`Runtime`] facade. (The model checker explores the sim's own world.)
 //!
 //! The programs report what they observed through stable storage (the
 //! facade's only introspection channel), so the assertions are identical
@@ -400,11 +400,5 @@ fn sim_backend_conforms() {
 #[test]
 fn real_backend_conforms() {
     let mut rt = ppm_realos::RealRuntime::new();
-    conformance_suite(&mut rt);
-}
-
-#[test]
-fn mc_backend_conforms() {
-    let mut rt = ppm_mc::McWorld::new();
     conformance_suite(&mut rt);
 }

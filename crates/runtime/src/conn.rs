@@ -12,10 +12,9 @@
 //! Like the kernel, the table is pure: a backend calls a transition with
 //! the current instant and the kernel of the end it touches, and gets back
 //! who must be told what ([`Tell`]). *When* is the backend's: the sim
-//! prices the notice onto its wheel, the checker queues it as a move, a
-//! real node hears of a peer's close from its socket. Beside each record
-//! the backend keeps its transport, the table's `L`: the sim its FIFO
-//! floors, a real node its stream, the checker its queues.
+//! prices the notice onto its wheel, a real node hears of a peer's close
+//! from its socket. Beside each record the backend keeps its transport,
+//! the table's `L`: the sim its FIFO floors, a real node its stream.
 //!
 //! Records are never dropped — the IPC tool reads closed ones too — so
 //! the table is append-only and dense: ids are handed out from `base + 1`
@@ -37,7 +36,7 @@ use crate::time::SimTime;
 pub type Endpoint = ProcKey;
 
 /// Lifecycle of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConnState {
     /// SYN in flight.
     Connecting,
@@ -103,7 +102,7 @@ impl Connection {
 
 /// What a transition asks its backend to deliver: `event`, about `conn`,
 /// to the endpoint `to`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub struct Tell {
     /// The connection.
     pub conn: ConnId,

@@ -113,7 +113,7 @@ impl fmt::Display for TraceFlags {
 /// `KernelEvent<&str>` borrowed from the batch frame, and a reader that
 /// keeps events owns a `KernelEvent<String>`, the default.
 /// [`KernelEvent::map`] turns one form into another.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum KernelEvent<S = String> {
     /// `parent` forked `child`; the child inherits tracing.
     Fork { parent: Pid, child: Pid },

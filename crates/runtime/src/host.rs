@@ -1,5 +1,5 @@
-//! The host driver: what the sim, the checker and a real node do for
-//! their processes, written once over a small [`Backend`] each supplies.
+//! The host driver: what the sim and a real node do for their
+//! processes, written once over a small [`Backend`] each supplies.
 //!
 //! [`Hosts`] holds the kernels, their effects sink, the program table
 //! and the events held for stopped processes. [`Driver`] runs them: a
@@ -16,8 +16,8 @@
 //!
 //! A backend supplies what differs: its clock, its wire, chance and
 //! cost, host names, its hub, *when* a woken event runs
-//! ([`Backend::schedule`]: the sim prices it onto its wheel, the checker
-//! makes it frontier state, a real node queues it), the kernel batch's
+//! ([`Backend::schedule`]: the sim prices it onto its wheel, a real
+//! node queues it), the kernel batch's
 //! encoding, and connection teardown. A CPU burst is the sim's pricing
 //! hook ([`Backend::handed`]), not a process rule.
 
@@ -35,7 +35,7 @@ use crate::time::{Micros, SimDuration, SimTime};
 use crate::trace::{Note, TraceCategory};
 
 /// What a process is woken for: one callback, or the step before one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum Wake {
     /// The exec half of fork+exec: the kernel starts it, then `on_start`.
     Start,
@@ -158,12 +158,6 @@ impl Hosts {
         let first = self.first;
         let ids = (0..).map(move |i| HostId(first + i));
         ids.zip(&self.kernels)
-    }
-
-    /// Whether `key` has a program slot: it has behaviour, and its
-    /// process has not gone (the slot stays while its callback runs).
-    pub fn has_program(&self, key: ProcKey) -> bool {
-        self.programs.contains_key(&key)
     }
 
     /// How many processes have programs.

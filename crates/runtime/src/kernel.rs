@@ -5,7 +5,8 @@
 //! signal delivery, the kernel events deposited on an LPM's kernel
 //! socket, listener and service registrations, and stable storage. It
 //! is pure — no clock, no queue, no transport. A backend (discrete-event
-//! simulation, real loopback nodes, the model checker) passes the
+//! simulation, whose world the model checker explores, or real loopback
+//! nodes) passes the
 //! current instant in and an [`Effects`] buffer; the kernel mutates its
 //! tables and appends what the backend must now *schedule*. Backends
 //! differ only in when those effects fire and how bytes move.
@@ -33,10 +34,7 @@
 //! `first`, and the backend arms one flush for it. The flush is
 //! [`Kernel::drain_batch`]: the whole queue, oldest first, as one slice
 //! to encode, after which the queue is empty *and keeps its buffer*, so
-//! a tracer's next burst allocates nothing for it. A backend that
-//! delivers one event per wakeup (the checker) calls
-//! [`Kernel::pop_kernel_msg`] instead and encodes the one message the
-//! same way; neither shifts what stays queued.
+//! a tracer's next burst allocates nothing for it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -724,12 +722,6 @@ impl Kernel {
             self.pending.remove(&tracer);
         }
         Some(flushed)
-    }
-
-    /// Collects only the oldest pending event for `tracer` (backends
-    /// that deliver one event per wakeup).
-    pub fn pop_kernel_msg(&mut self, tracer: Pid) -> Option<KernelMsg<Name>> {
-        self.pending.get_mut(&tracer)?.pop_front()
     }
 
     /// The non-empty pending batches, in tracer-pid order.

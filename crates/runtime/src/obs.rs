@@ -18,8 +18,8 @@
 //!
 //! [`ObsHub`] is where a world keeps all of it — the trace log, the span
 //! log, the backend's own registry and the registries programs publish.
-//! Every backend owns exactly one (the simulated world and the checker
-//! as a field, the real cluster behind its lock) and hands it out as a
+//! Every backend owns exactly one (the simulated world as a field, the
+//! real cluster behind its lock) and hands it out as a
 //! [`HubRef`]; what is recorded, and in what format, is decided here and
 //! in [`crate::sys::Sys`], never in a backend.
 

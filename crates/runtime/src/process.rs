@@ -47,7 +47,7 @@ impl fmt::Display for ProcState {
 
 /// Resource usage of a process — the data behind the paper's
 /// "exited process resource consumption statistics" tool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rusage {
     /// CPU time consumed, in microseconds.
     pub cpu: SimDuration,

@@ -100,7 +100,7 @@ impl fmt::Display for SysError {
 impl Error for SysError {}
 
 /// Connection lifecycle notifications delivered to [`Program::on_conn_event`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum ConnEvent {
     /// Server side: a client connected to a port this process listens on.
     Accepted {

@@ -6,9 +6,10 @@
 //! at a terminal (`ps`, `kill`), and sample what the programs published.
 //! Everything that drives a PPM is written against this trait alone —
 //! the backend-conformance suite, the host-kernel parity test and
-//! `ppm-harness`'s `PpmHarness<R>` — and runs unchanged over three
-//! backends: the simulated world, the real loopback cluster and the
-//! model checker's world.
+//! `ppm-harness`'s `PpmHarness<R>` — and runs unchanged over two
+//! backends: the simulated world and the real loopback cluster. The
+//! model checker is no third: it chooses among the simulated world's
+//! own pending events.
 //!
 //! The surface is what every backend can answer identically. Conformance
 //! programs report what they observed through stable storage
@@ -63,8 +64,9 @@ impl Services {
     }
 }
 
-/// A bootable PPM world: simulated (`ppm-simos`'s `World`), real
-/// (`ppm-realos`'s `RealRuntime`) or explored (`ppm-mc`'s `McWorld`).
+/// A bootable PPM world: simulated (`ppm-simos`'s `World`, which the
+/// model checker's chooser also explores) or real (`ppm-realos`'s
+/// `RealRuntime`).
 ///
 /// A host id no `add_host` returned is an answer, not a panic: the
 /// actions say [`SysError::NoSuchHost`], the queries `None` or `false`.
@@ -101,8 +103,7 @@ pub trait Runtime {
 
     /// Lets the world run for (at least) `span` of the backend clock.
     /// The simulation advances its virtual clock; the real backend
-    /// sleeps wall-clock time while node threads work; the checker
-    /// applies its default schedule.
+    /// sleeps wall-clock time while node threads work.
     fn run(&mut self, span: SimDuration);
 
     /// Whether a process is currently alive.

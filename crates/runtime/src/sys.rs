@@ -6,8 +6,8 @@
 //! CPU accounting — plus read-only introspection (`ps`-style queries).
 //!
 //! Every program on every backend — the **simulated** world
-//! (`ppm-simos`), the **real** node runtime (`ppm-realos`) and the
-//! **model checker** (`ppm-mc`) — is lent the one implementation the
+//! (`ppm-simos`, which the model checker `ppm-mc` explores) and the
+//! **real** node runtime (`ppm-realos`) — is lent the one implementation the
 //! host driver writes, [`crate::host::Caller`]; a backend supplies only
 //! its clock, timers, transport and event order
 //! ([`crate::host::Backend`]), and everything about processes, signals

@@ -62,7 +62,7 @@ fn children_inherit_the_tracer_and_only_the_first_event_arms_a_flush() {
 }
 
 #[test]
-fn a_batch_drains_in_queue_order_whatever_was_popped_and_arms_again_after() {
+fn a_batch_drains_in_queue_order_and_arms_again_after() {
     let (mut k, lpm, job, mut fx) = traced(TraceFlags::IPC);
     for bytes in 1..=5 {
         k.account_sent(job, bytes, T0, &mut fx);
@@ -72,12 +72,9 @@ fn a_batch_drains_in_queue_order_whatever_was_popped_and_arms_again_after() {
         _ => 0,
     };
     let sizes = |msgs: &[KernelMsg<Name>]| -> Vec<usize> { msgs.iter().map(size).collect() };
-    // One event per wakeup takes the oldest; the flush takes the rest.
-    let first = k.pop_kernel_msg(lpm).expect("queued");
-    assert_eq!(size(&first), 1);
-    assert_eq!(k.pending_batches()[0].1.len(), 4);
-    assert_eq!(k.drain_batch(lpm, sizes), Some(vec![2, 3, 4, 5]));
-    assert!(k.pending_batches().is_empty() && k.pop_kernel_msg(lpm).is_none());
+    assert_eq!(k.pending_batches()[0].1.len(), 5);
+    assert_eq!(k.drain_batch(lpm, sizes), Some(vec![1, 2, 3, 4, 5]));
+    assert!(k.pending_batches().is_empty());
     // The drained queue is empty again: the next event is a first.
     fx.clear();
     k.account_sent(job, 6, T0, &mut fx);

@@ -31,10 +31,12 @@
 //! `engine.cancels` reads 0 on every shipped scenario and every benchmark
 //! workload. So the queue keeps no liveness ledger and no position index:
 //! schedule and pop touch only the bucket they land in, and
-//! [`TimerWheel::cancel`] is an exact search-and-unlink that costs
-//! O(pending). It exists because the benchmark's queue replay and this
-//! crate's tests call it, and so that a caller that does start cancelling
-//! shows up in `engine.cancels`.
+//! [`TimerWheel::take`] is an exact search-and-unlink that costs
+//! O(pending). The model checker takes the event it chooses out of time
+//! order with it, reading its choices from [`TimerWheel::in_order`];
+//! [`TimerWheel::cancel`] is a take whose event is dropped, kept because
+//! the benchmark's queue replay calls it, and so that a caller that does
+//! start cancelling shows up in `engine.cancels`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -275,23 +277,44 @@ impl<E> TimerWheel<E> {
 
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// had not yet fired (or been cancelled).
-    ///
-    /// This is a walk of every bucket's list and a search of the overflow
-    /// heap, O(pending): nothing that ships calls it (see the module
-    /// docs), so schedule and pop keep no index for it to use.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let hit = self.unlink_seq(id.0).or_else(|| {
-            let &Reverse((_, _, i)) = self.overflow.iter().find(|Reverse(k)| k.1 == id.0)?;
-            self.overflow.retain(|Reverse(k)| k.1 != id.0);
-            Some(i)
-        });
-        let Some(i) = hit else {
+        let Some(i) = self.unlink_id(id) else {
             return false;
         };
         self.release(i);
         self.pending -= 1;
         self.cancelled += 1;
         true
+    }
+
+    /// Takes a pending event out of the queue, whatever its place, and
+    /// counts it fired; the clock does not move. `None` if it already
+    /// fired, was taken or was cancelled. A walk of every bucket and the
+    /// overflow heap, O(pending): schedule and pop keep no index for it
+    /// (see the module docs). After a take the rest still pops in
+    /// `(at, seq)` order, but no earlier than the clock only while events
+    /// are taken in that order.
+    pub fn take(&mut self, id: EventId) -> Option<(SimTime, E)> {
+        let i = self.unlink_id(id)?;
+        let at = self.nodes[i as usize].at;
+        self.pending -= 1;
+        self.processed += 1;
+        Some((at, self.release(i)))
+    }
+
+    /// Every pending event with its id and instant, in `(at, seq)` order:
+    /// the first is what [`TimerWheel::pop`] returns next.
+    pub fn in_order(&self) -> Vec<(EventId, SimTime, &E)> {
+        let mut all: Vec<_> = self.events().collect();
+        all.sort_unstable_by_key(|&(id, at, _)| (at, id));
+        all
+    }
+
+    /// Every pending event with its id and instant, in no particular
+    /// order.
+    pub fn events(&self) -> impl Iterator<Item = (EventId, SimTime, &E)> {
+        let nodes = self.nodes.iter();
+        nodes.filter_map(|n| Some((EventId(n.seq), n.at, n.payload.as_ref()?)))
     }
 
     /// Timestamp of the next event, if any.
@@ -445,9 +468,10 @@ impl<E> TimerWheel<E> {
         true
     }
 
-    /// Unlinks the node numbered `seq` from whichever bucket holds it,
-    /// keeping the bucket's order, and returns its slab index.
-    fn unlink_seq(&mut self, seq: u64) -> Option<u32> {
+    /// Unlinks the pending event `id` from whichever bucket or heap
+    /// holds it, keeping the bucket's order, and returns its slab index.
+    fn unlink_id(&mut self, id: EventId) -> Option<u32> {
+        let seq = id.0;
         for b in 0..self.buckets.len() {
             let (mut prev, mut i) = (NIL, self.buckets[b].head);
             while i != NIL && self.nodes[i as usize].seq != seq {
@@ -458,7 +482,9 @@ impl<E> TimerWheel<E> {
                 return Some(i);
             }
         }
-        None
+        let &Reverse((_, _, i)) = self.overflow.iter().find(|Reverse(k)| k.1 == seq)?;
+        self.overflow.retain(|Reverse(k)| k.1 != seq);
+        Some(i)
     }
 
     /// Unlinks node `i`, after `prev` (`NIL`: the head), from bucket `b`.
@@ -476,7 +502,7 @@ impl<E> TimerWheel<E> {
             bucket.min = NIL;
             self.occ[b / WHEEL_SLOTS] &= !(1u64 << (b % WHEEL_SLOTS));
         } else if bucket.min == i {
-            // Only a cancel takes a minimum from a list it leaves behind.
+            // Only a take takes a minimum from a list it leaves behind.
             let head = bucket.head;
             self.buckets[b].min = self.earliest(head);
         }

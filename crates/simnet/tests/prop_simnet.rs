@@ -281,6 +281,66 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The checker's two calls into the queue: the first event of
+    /// `in_order` is what `pop` returns, and after a `take` of any
+    /// pending event the rest still pop in `(at, seq)` order. Schedules,
+    /// cancels, takes and pops interleave at random, over every wheel
+    /// level and the overflow heap; the model is the oracle throughout.
+    #[test]
+    fn in_order_leads_with_the_next_pop_and_a_take_keeps_the_rest_in_order(
+        ops in prop::collection::vec((0u8..9, 0usize..5, any::<u64>()), 1..300)
+    ) {
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        let mut model = ModelQueue::new();
+        // The wheel's id and the model's sequence number of each event.
+        let mut ids = Vec::new();
+        for (kind, span, arg) in ops {
+            match kind {
+                0..=3 => {
+                    let delay = delay_of(span, arg);
+                    let id = wheel.schedule(SimDuration::from_micros(delay), arg);
+                    ids.push((id, model.schedule(delay, arg)));
+                }
+                4 if !ids.is_empty() => {
+                    let (wid, mid) = ids[arg as usize % ids.len()];
+                    prop_assert_eq!(wheel.cancel(wid), model.cancel(mid), "cancel verdicts");
+                }
+                5 | 6 => {
+                    let pending = wheel.in_order();
+                    if pending.is_empty() {
+                        continue;
+                    }
+                    let (id, at, &payload) = pending[arg as usize % pending.len()];
+                    let &(_, mid) = ids.iter().find(|(w, _)| *w == id).expect("an issued id");
+                    prop_assert!(model.cancel(mid), "the model holds what the wheel lists");
+                    let taken = wheel.take(id).map(|(t, v)| (t.as_micros(), v));
+                    prop_assert_eq!(taken, Some((at.as_micros(), payload)), "a take");
+                    prop_assert!(wheel.take(id).is_none(), "a second take finds nothing");
+                }
+                _ => {
+                    let first = wheel.in_order().first().map(|&(_, t, &v)| (t.as_micros(), v));
+                    let popped = wheel.pop().map(|(t, v)| (t.as_micros(), v));
+                    prop_assert_eq!(popped, first, "in_order leads with the next pop");
+                    prop_assert_eq!(popped, model.pop(), "pops");
+                }
+            }
+            let mut want: Vec<_> = model.pending.iter().map(|&(at, seq, v)| (at, seq, v)).collect();
+            want.sort_unstable();
+            let listed: Vec<_> = wheel.in_order().iter().map(|&(_, t, &v)| (t.as_micros(), v)).collect();
+            let want: Vec<_> = want.into_iter().map(|(at, _, v)| (at, v)).collect();
+            prop_assert_eq!(listed, want, "in_order is the model's (at, seq) order");
+        }
+        loop {
+            let want = model.pop();
+            prop_assert_eq!(wheel.pop().map(|(t, v)| (t.as_micros(), v)), want, "drain");
+            if want.is_none() {
+                break;
+            }
+        }
+    }
+}
+
 // ---- topology ---------------------------------------------------------------
 
 /// Reference all-pairs shortest paths (Floyd–Warshall).

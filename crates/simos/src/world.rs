@@ -26,7 +26,7 @@ use ppm_runtime::rt::{Runtime, ServiceFactory, Services};
 use ppm_runtime::sys::Sys as _;
 use ppm_runtime::trace::{Note, TraceCategory, TraceLog};
 use ppm_simnet::bandwidth::{NetModel, Transfer};
-use ppm_simnet::engine::TimerWheel;
+use ppm_simnet::engine::{EventId, TimerWheel};
 use ppm_simnet::fault::{FaultKind, FaultPlan, WireDecision, WireFaults};
 use ppm_simnet::latency::LatencyModel;
 use ppm_simnet::rng::SimRng;
@@ -40,10 +40,11 @@ use ppm_runtime::kernel::Kernel;
 use ppm_runtime::program::{ConnEvent, ProcKey, Program, SpawnSpec, SysError};
 use ppm_runtime::signal::Signal;
 
-/// Events flowing through the engine. Internal to the crate; programs see
-/// the typed callbacks of [`Program`] instead.
-#[derive(Debug, Clone)]
-pub(crate) enum SimEvent {
+/// Events flowing through the engine. Programs see the typed callbacks
+/// of [`Program`] instead; the checker reads them to name, digest and
+/// copy its moves ([`World::moves`]).
+#[derive(Debug, Clone, Hash)]
+pub enum SimEvent {
     /// What the host driver runs for one process: a start, a timer, a
     /// message, a kernel flush or batch, a signal, a child's exit.
     Wake(ProcKey, Wake),
@@ -62,6 +63,42 @@ pub(crate) enum SimEvent {
     /// Fault-plan kill: SIGKILL every live process on the host whose
     /// command starts with the prefix.
     KillCmd(HostId, String),
+}
+
+/// What a pending event advances: one of the FIFO inputs the paper gives
+/// a process (a connection's direction, its start, its kernel socket,
+/// its child exits, its signals), the world-wide timer stream, or one
+/// staged fault. Only a stream's earliest event is a move
+/// ([`World::moves`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Stream {
+    /// A connection's messages and notices toward one end.
+    Conn(ConnId, ProcKey),
+    /// A process's start.
+    Start(ProcKey),
+    /// A process's kernel socket: its flushes and batches.
+    Kernel(ProcKey),
+    /// A process's child-exit notices.
+    ChildExits(ProcKey),
+    /// The signals posted to a process.
+    Signals(ProcKey),
+    /// Every timer of every process.
+    Timers,
+    /// A crash, restart, kill or link change, each its own stream.
+    Fault(EventId),
+}
+
+/// One move: the earliest pending event of one [`Stream`].
+#[derive(Debug, Clone, Copy)]
+pub struct Move<'a> {
+    /// The queue's id of the event.
+    pub id: EventId,
+    /// When the sim's own run fires it.
+    pub at: SimTime,
+    /// The stream it heads.
+    pub stream: Stream,
+    /// The event.
+    pub event: &'a SimEvent,
 }
 
 /// Registry ids of the world's own metrics: the kernel event path and
@@ -587,6 +624,124 @@ impl World {
         }
     }
 
+    /// Every pending event but the load ticks, in no particular order,
+    /// each as the move it is once it heads its stream.
+    pub fn pending(&self) -> Vec<Move<'_>> {
+        let pending = self.engine.events();
+        pending
+            .filter_map(|(id, at, e)| self.as_move(id, at, e))
+            .collect()
+    }
+
+    /// The head of every stream of pending events, in the `(at, seq)`
+    /// order of the heads: move 0 is what [`World::step`] fires next,
+    /// unless a load tick comes first. A load tick is no move.
+    pub fn moves(&self) -> Vec<Move<'_>> {
+        let mut heads: Vec<Move<'_>> = Vec::new();
+        for m in self.pending() {
+            match heads.iter_mut().find(|h| h.stream == m.stream) {
+                Some(h) if (m.at, m.id) < (h.at, h.id) => *h = m,
+                Some(_) => {}
+                None => heads.push(m),
+            }
+        }
+        heads.sort_unstable_by_key(|m| (m.at, m.id));
+        heads
+    }
+
+    /// A pending event as the move it is once it heads its stream, the
+    /// stream read off the event itself; `None` for a load tick.
+    fn as_move<'a>(&self, id: EventId, at: SimTime, event: &'a SimEvent) -> Option<Move<'a>> {
+        let stream = match event {
+            SimEvent::Wake(key, wake) => match wake {
+                Wake::Message { conn, .. } | Wake::Told { conn, .. } => Stream::Conn(*conn, *key),
+                Wake::Start => Stream::Start(*key),
+                Wake::Flush | Wake::Batch(_) => Stream::Kernel(*key),
+                Wake::ChildExit { .. } => Stream::ChildExits(*key),
+                Wake::Signal(_) => Stream::Signals(*key),
+                Wake::Timer { .. } => Stream::Timers,
+            },
+            // The handshake heads the client's direction: nothing travels
+            // toward the server before it.
+            SimEvent::ConnEstablish { conn } => {
+                let client = self.conns.get(*conn).expect("a record per id").client;
+                Stream::Conn(*conn, client)
+            }
+            SimEvent::Tell(told) => Stream::Conn(told.conn, told.to),
+            SimEvent::LoadTick(_) => return None,
+            SimEvent::HostCrash(_)
+            | SimEvent::HostRestart(_)
+            | SimEvent::LinkSet(..)
+            | SimEvent::NetLinkSet(..)
+            | SimEvent::KillCmd(..) => Stream::Fault(id),
+        };
+        Some(Move {
+            id,
+            at,
+            stream,
+            event,
+        })
+    }
+
+    /// Fires move `i` of [`World::moves`] ([`World::fire_id`]); panics if
+    /// there is none.
+    pub fn fire(&mut self, i: usize) {
+        let id = self.moves()[i].id;
+        self.fire_id(id);
+    }
+
+    /// Fires the pending event `id` — a move's, out of time order if it
+    /// is not move 0: first each load tick due before it, then the
+    /// event. The clock moves to the later of now and the event's
+    /// instant. An event at the head of the queue, no earlier than now,
+    /// is popped as [`World::step`] pops it, so firing move 0 until none
+    /// is left plays the sim's own run, engine counters included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not pending.
+    pub fn fire_id(&mut self, id: EventId) {
+        loop {
+            // One pass finds the queue's head, the event's instant and
+            // the earliest load tick due before it.
+            let earlier = |k, was: Option<(SimTime, EventId)>| Some(was.map_or(k, |w| w.min(k)));
+            let (mut head, mut at, mut tick) = (None, None, None);
+            for (t, a, e) in self.engine.events() {
+                head = earlier((a, t), head);
+                if t == id {
+                    at = Some(a);
+                }
+                if matches!(e, SimEvent::LoadTick(_)) {
+                    tick = earlier((a, t), tick);
+                }
+            }
+            let at = at.expect("a pending event");
+            let next = tick.filter(|&k| k < (at, id)).unwrap_or((at, id));
+            let ev = if Some(next) == head && next.0 >= self.now() {
+                self.engine.pop().expect("the head").1
+            } else {
+                let (at, ev) = self.engine.take(next.1).expect("a pending event");
+                self.engine.advance_to(at);
+                ev
+            };
+            self.dispatch(ev);
+            if next.1 == id {
+                return;
+            }
+        }
+    }
+
+    /// Schedules a copy of move `i`'s event at its instant, behind the
+    /// original in its stream: a retransmitted frame, for the checker.
+    /// Panics if there is no move `i`.
+    pub fn repeat(&mut self, i: usize) {
+        let (at, event) = {
+            let m = &self.moves()[i];
+            (m.at, m.event.clone())
+        };
+        self.engine.schedule_at(at, event);
+    }
+
     fn dispatch(&mut self, ev: SimEvent) {
         match ev {
             SimEvent::Wake(key, wake) => self.wake(key, wake),
@@ -787,6 +942,20 @@ impl fmt::Debug for World {
             .field("connections", &self.conns.len())
             .field("pending_events", &self.engine.pending())
             .finish()
+    }
+}
+
+/// A world is its own: what reads or drives "the sim's world" takes any
+/// runtime that holds one.
+impl AsRef<World> for World {
+    fn as_ref(&self) -> &World {
+        self
+    }
+}
+
+impl AsMut<World> for World {
+    fn as_mut(&mut self) -> &mut World {
+        self
     }
 }
 

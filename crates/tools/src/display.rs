@@ -12,6 +12,7 @@ use ppm_proto::types::{Name, ProcRecord};
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::HostId;
 use ppm_simos::ids::Uid;
+use ppm_simos::World;
 
 use crate::forest::Forest;
 use crate::snapshot::indent;
@@ -183,7 +184,9 @@ pub fn dashboard<R: Runtime>(
 /// The dashboard's network section, or `None` when the sim world runs
 /// the flat wire law (which renders exactly the pre-netmodel bytes).
 #[must_use]
-pub fn net_section(ppm: &PpmHarness) -> Option<String> {
+pub fn net_section<R: Runtime + AsRef<World> + AsMut<World>>(
+    ppm: &PpmHarness<R>,
+) -> Option<String> {
     let (name, links) = net_rows(ppm)?;
     Some(render_net(&name, &links, NET_TOP_LINKS))
 }
@@ -213,7 +216,9 @@ pub struct NetLinkRow {
 /// Per-link traffic rows, busiest first (ties keep declaration order),
 /// or `None` when the world runs the flat wire law (no net model).
 #[must_use]
-pub fn net_rows(ppm: &PpmHarness) -> Option<(String, Vec<NetLinkRow>)> {
+pub fn net_rows<R: Runtime + AsRef<World> + AsMut<World>>(
+    ppm: &PpmHarness<R>,
+) -> Option<(String, Vec<NetLinkRow>)> {
     let net = ppm.world().net()?;
     let mut rows: Vec<NetLinkRow> = net
         .graph

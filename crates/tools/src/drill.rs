@@ -11,7 +11,7 @@
 //! The script is generic over [`Runtime`] and waits only by polling the
 //! backend clock through the harness, so the simulation's `fault_e2e`
 //! test and a scenario's `drill` statement on every runtime (`ppm-sim
-//! --runtime sim|real|mc scenarios/drill.ppm`) run this one body; each
+//! --runtime sim|real scenarios/drill.ppm`) run this one body; each
 //! adds only its own extras to the [`DrillReport`].
 
 use std::collections::BTreeSet;

@@ -1,5 +1,5 @@
-//! `ppm-sim` — run a PPM scenario file against the simulated network, a
-//! real loopback cluster or the model checker's world.
+//! `ppm-sim` — run a PPM scenario file against the simulated network or
+//! a real loopback cluster.
 //!
 //! ```console
 //! $ cargo run --bin ppm-sim -- scenarios/demo.ppm
@@ -22,7 +22,7 @@
 //! | `--seed S` | `seeds S` | overrides the scenario's `seed` statement; a storm's default is 1986 |
 //! | `--faults <plan>` | `faults <plan>` | arms a fault plan (grammar in `ppm_simnet::fault`); the pmds keep stable storage and respawn LPMs, so the system heals itself |
 //! | `--topology <preset\|file>` | `topology <preset\|file>` | installs the network model: a preset (`full-mesh`, `fat-tree`, `wan-hub`, `last-mile`) over the cell's hosts, or a spec file (`ppm_simnet::topology`); deliveries are priced over its routes and `net.*` metrics appear; without it the flat wire law holds, byte-identical to pre-netmodel builds |
-//! | `--runtime sim\|real\|mc` | — (grids run on the sim) | picks the runtime (below) |
+//! | `--runtime sim\|real` | — (grids run on the sim) | picks the runtime (below) |
 //! | `--digest` | each `run` line's digest | appends `digest <16-hex>`: the FNV-1a fold of output, trace and metrics text, so a cell's repro line re-checks its digest |
 //! | `--trace` | — | appends the full trace after the output |
 //! | `--metrics <path>` | `expect-metric` reads the same text | writes every metrics registry (the kernel event path, each LPM's counters) |
@@ -32,9 +32,10 @@
 //! runtime: a run that neither prints nor folds it keeps none, and its
 //! output and metrics are the same bytes either way.
 //!
-//! `--runtime sim|real|mc` (default `sim`) picks what the cell plays on:
-//! the simulation, node threads on loopback TCP with the wall clock, or
-//! the checker's world under its default schedule. Off the sim, the
+//! `--runtime sim|real` (default `sim`) picks what the cell plays on:
+//! the simulation, or node threads on loopback TCP with the wall clock.
+//! (The model checker explores the sim's own world; under its default
+//! schedule it is the sim's run, so it is no runtime of its own.) Off the sim, the
 //! hosts are one LAN segment, and what only the sim can play — `crash`,
 //! `restart`, `link-down`, `link-up`, a partial mesh of `link`s,
 //! `--seed`, `--faults`, `--topology`, `--hosts` and `--users` — is
@@ -105,7 +106,7 @@ fn report_storm_rate(users: u32, hosts: u16, procs: u64, elapsed: std::time::Dur
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ppm-sim [--runtime sim|real|mc] [--trace] [--digest] [--seed <S>] \
+        "usage: ppm-sim [--runtime sim|real] [--trace] [--digest] [--seed <S>] \
          [--metrics <path>] [--spans <path>] [--faults <plan>] [--topology <preset|file>] \
          (<scenario-file> | --hosts <N> | --users <U> --hosts <N> [--procs <P>])"
     );

@@ -1,12 +1,13 @@
 //! The five protocol suites `ppm-mc` explores.
 //!
-//! Each suite boots a small PPM on the checker through the same
+//! Each suite boots a small PPM on the sim's world through the same
 //! [`PpmHarness`] every backend uses (accounts, pmd, tools), stages it
 //! **deterministically** up to the interesting frontier (requests in
-//! flight, a retransmit duplicated, a manager killed), then hands the
-//! explorer a compact set of enabled moves to interleave exhaustively.
-//! Staging uses the same move machinery as exploration, so a suite
-//! build is itself a replayable schedule prefix.
+//! flight, a retransmit duplicated, a manager killed, a fault staged),
+//! then hands the explorer the world's pending streams to interleave
+//! exhaustively. Staging is the sim's own run and the same move
+//! machinery as exploration, so a suite build is itself a replayable
+//! schedule prefix.
 //!
 //! * `exactly-once` — a control operation retransmitted across its
 //!   origin LPM's crash must not execute twice (the dedup-purge /
@@ -17,18 +18,21 @@
 //!   heal, all live LPMs converge on one (CCS, epoch).
 //! * `no-orphans` — killing an LPM that tracks a remotely-requested
 //!   process leaves no orphan forest roots once its successor rebuilds.
-//! * `stale-route` — a cached next-hop whose link was cut after the
+//! * `stale-route` — a cached next-hop whose relay LPM died after the
 //!   route was learned must never be used for a directed request (the
 //!   `conn_alive`-at-send-time bug).
 
 use ppm_core::{PmdOptions, PpmConfig, ToolHandle, ToolStep};
 use ppm_harness::harness::PpmHarness;
-use ppm_mc::{apply_matching, Adversary, Budget, McWorld, Scenario};
+use ppm_mc::{apply_matching, Budget, Chooser, Scenario};
 use ppm_proto::types::Gpid;
 use ppm_proto::{ControlAction, Msg, Op};
 use ppm_runtime::signal::Signal;
 use ppm_runtime::time::SimDuration;
 use ppm_runtime::{CpuClass, HostId, Pid, Runtime, SpawnSpec, Uid};
+use ppm_simnet::fault::FaultKind;
+use ppm_simos::world::Move;
+use ppm_simos::World;
 
 const UID: Uid = Uid(100);
 /// Steps allowed for a staging drain; generous because drains are cheap
@@ -36,9 +40,15 @@ const UID: Uid = Uid(100);
 const DRAIN: usize = 20_000;
 /// Backend-clock budget for a staging tool.
 const WAIT: SimDuration = SimDuration::from_secs(20);
+/// The suites' world seed.
+const SEED: u64 = 1986;
+/// The suites' hosts, by their order in each suite's `boot`.
+const A: HostId = HostId(0);
+const B: HostId = HostId(1);
+const C: HostId = HostId(2);
 
 /// A PPM on `hosts` for one account whose `.recovery` list is `recovery`.
-fn boot(hosts: &[&str], recovery: &[&str], respawn: bool) -> PpmHarness<McWorld> {
+fn boot(hosts: &[&str], recovery: &[&str], respawn: bool) -> PpmHarness<World> {
     let options = PmdOptions {
         stable_storage: true,
         respawn_lpms: respawn,
@@ -48,17 +58,17 @@ fn boot(hosts: &[&str], recovery: &[&str], respawn: bool) -> PpmHarness<McWorld>
     for h in hosts {
         ppm = ppm.host(*h, CpuClass::Vax780);
     }
-    ppm.build_on(McWorld::new())
+    ppm.build_on(World::new(SEED))
 }
 
 /// A plain UNIX process of the user's on `host` (no PPM behaviour).
-fn login(ppm: &mut PpmHarness<McWorld>, host: &str, command: &str) -> Pid {
+fn login(ppm: &mut PpmHarness<World>, host: &str, command: &str) -> Pid {
     let spec = SpawnSpec::inert(command);
     ppm.spawn_login_process(host, UID, spec)
         .expect("host known")
 }
 
-fn launch(ppm: &mut PpmHarness<McWorld>, host: &str, script: Vec<ToolStep>) -> ToolHandle {
+fn launch(ppm: &mut PpmHarness<World>, host: &str, script: Vec<ToolStep>) -> ToolHandle {
     ppm.launch_tool(host, UID, script)
         .expect("account and host known")
 }
@@ -74,7 +84,7 @@ fn stop(dest: &str, pid: Pid) -> ToolStep {
 
 /// Raises sibling edges by pinging: `a` pings each of `from_a`, `b` each
 /// of `from_b`, and both wait for their answers.
-fn pings(ppm: &mut PpmHarness<McWorld>, from_a: &[&str], from_b: &[&str]) {
+fn pings(ppm: &mut PpmHarness<World>, from_a: &[&str], from_b: &[&str]) {
     let tools = [("a", from_a), ("b", from_b)].map(|(host, dests)| {
         let script = dests.iter().copied().map(ping).collect();
         ppm.launch_tool(host, UID, script)
@@ -84,17 +94,17 @@ fn pings(ppm: &mut PpmHarness<McWorld>, from_a: &[&str], from_b: &[&str]) {
     }
 }
 
-/// Whether some enabled move's description contains `pattern`.
-fn queued(w: &McWorld, pattern: &str) -> bool {
-    let moves = w.enabled_moves();
+/// Whether some move's description contains `pattern`.
+fn queued(w: &Chooser, pattern: &str) -> bool {
+    let moves = w.moves();
     moves.iter().any(|m| w.describe(m).contains(pattern))
 }
 
-/// How often the user's `command` on `host` was sent `signal` by a
-/// program.
-fn signalled(w: &McWorld, host: u32, command: &str, signal: Signal) -> u32 {
-    let pid = w.find_proc(HostId(host), UID, command);
-    w.signal_count(host, pid.unwrap_or(Pid(0)), signal)
+/// How many signals the kernel delivered to the user's `command` on
+/// `host`: a control op's `SIGSTOP`, the only signal these jobs get.
+fn signalled(w: &Chooser, host: HostId, command: &str) -> u64 {
+    let pid = w.world().find_proc(host, UID, command);
+    w.signals_received(host, pid.unwrap_or(Pid(0)))
 }
 
 /// All suites by CLI/CI suite name.
@@ -134,7 +144,7 @@ pub fn exactly_once() -> Scenario {
         login(&mut ppm, "a", "coord");
         let job = login(&mut ppm, "b", "job");
         launch(&mut ppm, "a", vec![stop("b", job)]);
-        let mut w = ppm.into_runtime();
+        let mut w = Chooser::new(ppm.into_runtime());
         // Bring the stack up until the relayed control request is in
         // flight toward `b` (the tool's own request to its local LPM
         // flows freely), holding that frame on the wire.
@@ -146,16 +156,16 @@ pub fn exactly_once() -> Scenario {
         );
         assert!(reached, "staging: control request never queued");
         // The retransmit: duplicate the queued request frame.
-        assert!(w.stage_dup_head(Some(1), |m| matches!(m, Msg::Req { .. })));
+        assert!(w.stage_dup_head(Some(B), |m| matches!(m, Msg::Req { .. })));
         // First copy delivers and executes.
         assert!(apply_matching(&mut w, relay));
-        let job_stopped = |w: &McWorld| signalled(w, 1, "job", Signal::Stop) >= 1;
+        let job_stopped = |w: &Chooser| signalled(w, B, "job") >= 1;
         let reached = w.run_until(DRAIN, |w, m| w.describe(m).contains(relay), job_stopped);
         assert!(reached, "staging: first control never executed");
         // Crash the origin LPM; pmd respawns it; run the recovery
         // forward until the successor's forest pull is on the wire.
-        let lpm = w.find_proc(HostId(0), UID, "lpm-").expect("a's LPM");
-        let kill = w.post_signal(Uid::ROOT, (HostId(0), lpm), Signal::Kill);
+        let lpm = w.world().find_proc(A, UID, "lpm-").expect("a's LPM");
+        let kill = w.world_mut().post_signal(Uid::ROOT, (A, lpm), Signal::Kill);
         kill.expect("root may kill it");
         let reached = w.run_until(
             DRAIN,
@@ -171,8 +181,8 @@ pub fn exactly_once() -> Scenario {
         w.set_horizon(SimDuration::from_secs(5));
         w
     };
-    let stopped_twice = |w: &McWorld| {
-        let n = signalled(w, 1, "job", Signal::Stop);
+    let stopped_twice = |w: &Chooser| {
+        let n = signalled(w, B, "job");
         (n > 1).then(|| format!("control executed {n} times on job@b (exactly-once broken)"))
     };
     Scenario {
@@ -198,7 +208,7 @@ pub fn bcast_dedup() -> Scenario {
         pings(&mut ppm, &["b", "c"], &["c"]);
         // The broadcast under test.
         launch(&mut ppm, "a", vec![ping("*")]);
-        let mut w = ppm.into_runtime();
+        let mut w = Chooser::new(ppm.into_runtime());
         w.snapshot_exec_baseline();
         let wave = "msg bcast";
         let reached = w.run_until(
@@ -212,7 +222,7 @@ pub fn bcast_dedup() -> Scenario {
         w.set_horizon(SimDuration::from_secs(5));
         w
     };
-    let over_executed = |w: &McWorld| {
+    let over_executed = |w: &Chooser| {
         let d = w.max_exec_delta();
         (d > 1).then(|| format!("some LPM ran {d} local slices for one wave (dedup broken)"))
     };
@@ -234,14 +244,17 @@ pub fn election() -> Scenario {
     let build = || {
         let mut ppm = boot(&["a", "b", "c"], &["a", "b", "c"], true);
         pings(&mut ppm, &["b", "c"], &["c"]);
-        let mut w = ppm.into_runtime();
+        let mut w = Chooser::new(ppm.into_runtime());
         // Partition the CCS (`a`, highest priority) away and let the
         // survivors elect deterministically.
-        w.stage_cut(0, 1);
-        w.stage_cut(0, 2);
-        let elected = |w: &McWorld| {
+        for b in ["b", "c"] {
+            let (a, b) = ("a".to_string(), b.to_string());
+            w.stage_fault(FaultKind::LinkDown { a, b });
+            assert!(apply_matching(&mut w, "fault cut a-"), "the cut is a move");
+        }
+        let elected = |w: &Chooser| {
             let lpms = w.lpms();
-            let survivors: Vec<_> = lpms.iter().filter(|(k, _)| k.0 != 0).collect();
+            let survivors: Vec<_> = lpms.iter().filter(|(k, _)| k.0 != A).collect();
             survivors.len() == 2 && survivors.iter().all(|(_, l)| l.ccs_view().0 == "b")
         };
         let reached = w.run_until(DRAIN, |_, _| false, elected);
@@ -250,13 +263,15 @@ pub fn election() -> Scenario {
         // only demanded of schedules that leave at least two probe
         // cycles after the last heal — later heals end the schedule
         // with the repair legitimately still in progress.
-        w.add_adversary(Adversary::HealLink { a: 0, b: 1 }, 1);
-        w.add_adversary(Adversary::HealLink { a: 0, b: 2 }, 1);
+        for b in ["b", "c"] {
+            let (a, b) = ("a".to_string(), b.to_string());
+            w.stage_fault(FaultKind::LinkUp { a, b });
+        }
         w.set_horizon(SimDuration::from_secs(6));
         w.set_convergence_margin(SimDuration::from_secs(3));
         w
     };
-    let diverged = |w: &McWorld| {
+    let diverged = |w: &Chooser| {
         if !w.converge_expected() {
             return None;
         }
@@ -305,16 +320,16 @@ pub fn no_orphans() -> Scenario {
         let script = vec![ToolStep::new("b", spawn)];
         ppm.run_tool("a", UID, script, WAIT)
             .expect("staging: remote spawn");
-        let mut w = ppm.into_runtime();
+        let mut w = Chooser::new(ppm.into_runtime());
         // The explorer chooses when the tracking LPM dies relative to
         // everything else in flight.
-        let command = "lpm-100".to_string();
-        w.add_adversary(Adversary::KillProc { host: 1, command }, 1);
+        let (host, command) = ("b".to_string(), "lpm-100".to_string());
+        w.stage_fault(FaultKind::Kill { host, command });
         w.set_horizon(SimDuration::from_secs(10));
         w.set_convergence_margin(SimDuration::from_secs(5));
         w
     };
-    let orphaned = |w: &McWorld| {
+    let orphaned = |w: &Chooser| {
         if !w.converge_expected() {
             return None;
         }
@@ -323,18 +338,18 @@ pub fn no_orphans() -> Scenario {
             if roots > 0 {
                 return Some(format!(
                     "LPM on {} holds {roots} orphan forest root(s) at quiescence",
-                    w.host_name(k.0)
+                    w.world().host_name(k.0)
                 ));
             }
             if l.is_rebuilding() {
                 return Some(format!(
                     "LPM on {} still rebuilding at quiescence",
-                    w.host_name(k.0)
+                    w.world().host_name(k.0)
                 ));
             }
         }
         // The worker must still be alive and adopted by the successor.
-        match w.find_proc(HostId(1), UID, "worker") {
+        match w.world().find_proc(B, UID, "worker") {
             None => Some("worker vanished".to_string()),
             Some(_) => None,
         }
@@ -351,19 +366,22 @@ pub fn no_orphans() -> Scenario {
     }
 }
 
-/// A route learned through an intermediary whose link is later cut must
-/// not be used: `evict_via` only fires when the closed notification
-/// arrives, which lags the cut, so the send path has to validate the
-/// cached hop against link liveness (`Sys::conn_alive`) itself.
+/// A route learned through an intermediary that later dies must not be
+/// used: `evict_via` only fires when the closed notification arrives,
+/// which lags the death, so the send path has to validate the cached hop
+/// against the connection's liveness (`Sys::conn_alive`) itself. (A cut
+/// link bumps the world's reachability epoch, and the LPM evicts its
+/// cached routes on that before it looks at a hop; a dead relay leaves
+/// the epoch as it was.)
 ///
 /// Staged frontier: `a` knows `c` only via `b` (a broadcast over the
-/// chain a–b–c taught the route), the a–b link is cut with the closed
-/// notice still undelivered, and a directed control op for `c` starts at
-/// `a`. Using the cached hop blackholes a retry cycle; the fixed path
-/// evicts and dials `c` directly.
+/// chain a–b–c taught the route), `b`'s LPM is dead with the closed
+/// notice toward `a` still undelivered, and a directed control op for
+/// `c` starts at `a`. Using the cached hop sends into a closed
+/// connection; the fixed path evicts and dials `c` directly.
 pub fn stale_route() -> Scenario {
     let build = || {
-        let mut ppm = boot(&["a", "b", "c"], &["a", "b", "c"], true);
+        let mut ppm = boot(&["a", "b", "c"], &["a", "b", "c"], false);
         let job = login(&mut ppm, "c", "job");
         // Sibling edges a-b and b-c only: the broadcast wave relays
         // through b, and its gathered parts teach `a` that `c` is
@@ -372,37 +390,56 @@ pub fn stale_route() -> Scenario {
         ppm.run_tool("a", UID, vec![ping("*")], WAIT)
             .expect("staging: route-teaching broadcast");
         launch(&mut ppm, "a", vec![stop("c", job)]);
-        let mut w = ppm.into_runtime();
-        // Cut the learned hop. The sibling conn a-b stays up from the
-        // LPMs' point of view until a send fails or the closed notice
-        // lands — exactly the stale window under test.
-        w.stage_cut(0, 1);
+        let mut w = Chooser::new(ppm.into_runtime());
+        // Kill the learned hop. The sibling conn a-b stays up from the
+        // LPMs' point of view until the closed notice lands — exactly the
+        // stale window under test.
+        let (host, command) = ("b".to_string(), "lpm-100".to_string());
+        w.stage_fault(FaultKind::Kill { host, command });
+        assert!(apply_matching(&mut w, "fault kill lpm-100@b"));
+        assert!(apply_matching(&mut w, "signal SIGKILL -> lpm-100@b"));
+        // Run the tool's request through `a`'s routing with the notice
+        // held back, until `a` has chosen a hop: it dials `c` (or, with
+        // the send-time check gone, forwards into the dead hop).
+        let notice = "deliver closed -> lpm-100@a";
+        let held = |w: &Chooser, m: &Move<'_>| w.describe(m).contains(notice);
+        let routed = |w: &Chooser| {
+            let lpms = w.lpms();
+            let cached = lpms
+                .iter()
+                .any(|(k, l)| k.0 == A && l.stats().route_cache_hits > 0);
+            cached || queued(w, "deliver established -> lpm-100@a")
+        };
+        assert!(
+            w.run_until(DRAIN, held, routed),
+            "staging: the request never routed"
+        );
         w.set_horizon(SimDuration::from_secs(8));
         w.set_convergence_margin(SimDuration::from_secs(4));
         w
     };
     // Any route-cache hit at `a` after staging means the dead cached hop
     // was chosen; the double-Stop check rides along for free.
-    let used_stale = |w: &McWorld| {
+    let used_stale = |w: &Chooser| {
         for (k, l) in w.lpms() {
-            if k.0 == 0 && l.stats().route_cache_hits > 0 {
+            if k.0 == A && l.stats().route_cache_hits > 0 {
                 return Some(
-                    "directed request forwarded into the cut a-b hop (stale route used)"
+                    "directed request forwarded into the dead a-b hop (stale route used)"
                         .to_string(),
                 );
             }
         }
-        let n = signalled(w, 2, "job", Signal::Stop);
+        let n = signalled(w, C, "job");
         (n > 1).then(|| format!("control executed {n} times on job@c"))
     };
-    let undelivered = move |w: &McWorld| {
+    let undelivered = move |w: &Chooser| {
         if let Some(why) = used_stale(w) {
             return Some(why);
         }
         if !w.converge_expected() {
             return None;
         }
-        if signalled(w, 2, "job", Signal::Stop) == 0 {
+        if signalled(w, C, "job") == 0 {
             return Some("control op never reached job@c despite a live a-c path".to_string());
         }
         None
@@ -430,7 +467,7 @@ mod tests {
         let build = || {
             let mut ppm = boot(&["a", "b"], &["a", "b"], false);
             launch(&mut ppm, "a", vec![ping("b")]);
-            ppm.into_runtime()
+            Chooser::new(ppm.into_runtime())
         };
         Scenario {
             name: "ping",
@@ -447,7 +484,7 @@ mod tests {
         // First enabled move each time, to quiescence.
         let picks = vec![0; 300];
         // What `explore` replays keeps the hub off: nothing is recorded.
-        assert!(replay(&s, &picks).hub().trace.is_empty());
+        assert!(replay(&s, &picks).world().trace().is_empty());
 
         let trace = replay_trace(&s, &picks);
         let mut lpm_notes = 0;

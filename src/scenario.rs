@@ -5,14 +5,15 @@
 //! making the reproduction usable as a standalone experimentation
 //! vehicle, the way the paper positions the PPM prototype ("a tool for
 //! experimentation in networked environments"). One executor plays a
-//! scenario on every runtime — the simulation, a real loopback cluster or
-//! the model checker's world — behind [`crate::sweep::run_cell`], which
-//! runs every cell; [`execute_with`] plays one on the simulation alone.
+//! scenario on every runtime — the simulation or a real loopback
+//! cluster — behind [`crate::sweep::run_cell`], which runs every cell;
+//! [`execute_with`] plays one on the simulation alone, and
+//! [`execute_played`] on any runtime that holds the sim's world.
 //!
 //! # Grammar (one statement per line, `#` comments)
 //!
 //! ```text
-//! seed 1986                               # seeds the sim; real and mc make no seeded choice
+//! seed 1986                               # seeds the sim; real makes no seeded choice
 //! host calder vax780                      # cpu: vax780 | vax750 | sun2
 //! link calder ucbarpa                     # sim-only unless every pair is linked
 //! load calder 1.5                         # sim-only
@@ -615,7 +616,11 @@ impl ExecOptions<'_> {
 
     /// What is switched on once the world has booted: span recording and
     /// the fault plan.
-    fn arm(&self, ppm: &mut PpmHarness, out: &mut dyn fmt::Write) -> Result<(), LineError> {
+    fn arm<R: Runtime + AsRef<World> + AsMut<World>>(
+        &self,
+        ppm: &mut PpmHarness<R>,
+        out: &mut dyn fmt::Write,
+    ) -> Result<(), LineError> {
         if self.spans {
             ppm.enable_spans();
         }
@@ -661,7 +666,7 @@ pub(crate) fn execute_storm(
 
 /// A scenario played on runtime `R`, to its end or to the action that
 /// failed.
-pub(crate) struct Played<R: Runtime = World> {
+pub struct Played<R: Runtime = World> {
     /// The harness, for post-run inspection — its trace and metrics say
     /// how far a failed play got.
     pub ppm: PpmHarness<R>,
@@ -689,25 +694,32 @@ pub fn execute_with(
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
 ) -> Result<PpmHarness, LineError> {
-    let played = execute_played(sc, out, opts, true)?;
+    let played = execute_played(sc, out, opts, true, |world| world)?;
     played.observed.map(|_| played.ppm)
 }
 
 /// Like [`execute_with`], keeping the observable digest, and the harness
-/// when an action fails; the trace is recorded only if `trace`.
-pub(crate) fn execute_played(
+/// when an action fails; the trace is recorded only if `trace`. The
+/// built world is handed to `wrap` before it boots
+/// ([`HarnessBuilder::build_with`]): the identity plays the sim's run.
+///
+/// # Errors
+///
+/// A fault plan or topology the world refuses, with its line.
+pub fn execute_played<R: Runtime + AsRef<World> + AsMut<World> + 'static>(
     sc: &Scenario,
     out: &mut dyn fmt::Write,
     opts: ExecOptions<'_>,
     trace: bool,
-) -> Result<Played, LineError> {
+    wrap: impl FnOnce(World) -> R,
+) -> Result<Played<R>, LineError> {
     let host_names = || sc.hosts.iter().map(|(n, _)| n.to_string()).collect();
     let builder = opts.builder(PpmHarness::builder(), host_names)?;
     let mut builder = scenario_builder(sc, builder, opts.faults.is_some());
     for (a, b) in &sc.links {
         builder = builder.link(a, b);
     }
-    let mut ppm = builder.trace(trace).seed(sc.seed).build();
+    let mut ppm = builder.trace(trace).seed(sc.seed).build_with(wrap);
     if !sc.loads.is_empty() {
         ppm.world_mut().time_kernel_delivery();
     }
@@ -727,8 +739,8 @@ pub(crate) fn execute_played(
     })
 }
 
-/// Plays a scenario on another runtime — a real loopback cluster or the
-/// checker's world — as one LAN segment. What only the sim can play has
+/// Plays a scenario on another runtime — a real loopback cluster — as
+/// one LAN segment. What only the sim can play has
 /// been refused by [`crate::sweep::run_cell`]; an action that fails is
 /// [`Played::observed`]'s error.
 pub(crate) fn execute_on<R: Runtime>(sc: &Scenario, rt: R, out: &mut dyn fmt::Write) -> Played<R> {
@@ -783,7 +795,11 @@ fn pin_load(world: &mut World, host: HostId, avg: f64) {
 /// section reaches a dashboard's text. Only [`execute_played`] hands
 /// [`play`] this one; every other runtime hands it a no-op, having
 /// refused those statements before it booted.
-fn sim_world(ppm: &mut PpmHarness, action: &Action, text: &mut String) -> Result<(), HarnessError> {
+fn sim_world<R: Runtime + AsRef<World> + AsMut<World>>(
+    ppm: &mut PpmHarness<R>,
+    action: &Action,
+    text: &mut String,
+) -> Result<(), HarnessError> {
     let now = SimDuration::ZERO;
     match action {
         Action::Crash { host } => {

@@ -57,7 +57,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ppm_mc::McWorld;
 use ppm_realos::RealRuntime;
 
 use crate::digest::{fnv1a, fnv1a_fold, hex};
@@ -75,16 +74,10 @@ pub enum Backend {
     Sim,
     /// Node threads on loopback TCP, on the wall clock.
     Real,
-    /// The model checker's world under its default schedule.
-    Mc,
 }
 
 /// Each runtime by its `--runtime` name.
-const BACKENDS: [(&str, Backend); 3] = [
-    ("sim", Backend::Sim),
-    ("real", Backend::Real),
-    ("mc", Backend::Mc),
-];
+const BACKENDS: [(&str, Backend); 2] = [("sim", Backend::Sim), ("real", Backend::Real)];
 
 /// One axis-point of the variant dimension.
 #[derive(Debug, Clone, PartialEq)]
@@ -522,7 +515,7 @@ impl SimArgs {
                 "--runtime" => {
                     let name = args.next().unwrap_or_default();
                     let found = BACKENDS.iter().find(|(n, _)| *n == name);
-                    runtime = found.ok_or("--runtime needs sim, real or mc")?.1;
+                    runtime = found.ok_or("--runtime needs sim or real")?.1;
                 }
                 "--faults" => plan = Plan::load(&flag_value(flag, args.next(), "a plan")?, here)?,
                 "--topology" => {
@@ -693,11 +686,15 @@ pub fn run_cell(spec: &RunSpec, spans: bool, trace: bool) -> Result<CellRun, Cel
             let hosts = sc.hosts.iter().map(|(n, _)| n.to_string()).collect();
             let topology = spec.topo.model(hosts).map_err(|e| (None, e))?;
             let opts = opts(topology.as_deref());
-            let played = scenario::execute_played(&sc, &mut output, opts, trace);
+            let played = scenario::execute_played(&sc, &mut output, opts, trace, |w| w);
             done(played.map_err(|e| (None, e))?, output, spans, trace)
         }
-        Backend::Real => off_the_sim(RealRuntime::new(), &sc, spans, trace, output),
-        Backend::Mc => off_the_sim(McWorld::new(), &sc, spans, trace, output),
+        Backend::Real => {
+            let mut rt = RealRuntime::with_trace(trace);
+            rt.hub().spans.set_enabled(spans);
+            let played = scenario::execute_on(&sc, rt, &mut output);
+            done(played, output, spans, trace)
+        }
     }
 }
 
@@ -707,21 +704,6 @@ fn refused(line: usize, what: &str) -> CellFailure {
         None,
         LineError::new(line, format!("{what} needs the sim runtime")),
     )
-}
-
-/// Plays `sc` on a runtime other than the sim, recording what the
-/// caller reads.
-fn off_the_sim<R: Runtime>(
-    mut rt: R,
-    sc: &Scenario,
-    spans: bool,
-    trace: bool,
-    mut out: String,
-) -> Result<CellRun, CellFailure> {
-    rt.hub().trace.set_enabled(trace);
-    rt.hub().spans.set_enabled(spans);
-    let played = scenario::execute_on(sc, rt, &mut out);
-    done(played, out, spans, trace)
 }
 
 /// A played scenario's run, or the failed action's error with the run
@@ -1279,7 +1261,7 @@ topology fat-tree
     fn a_command_line_names_one_cell_on_one_runtime() {
         let args = sim_args(&[
             "--runtime",
-            "mc",
+            "real",
             "--seed",
             "9",
             "--topology",
@@ -1288,16 +1270,17 @@ topology fat-tree
             "3",
         ]);
         let args = args.expect("parses");
-        assert_eq!(args.cell.runtime, Backend::Mc);
+        assert_eq!(args.cell.runtime, Backend::Real);
         assert_eq!(args.cell.seed, Some(9));
         assert_eq!(args.cell.topo.arg.as_deref(), Some("fat-tree"));
         assert_eq!(args.cell.variant.kind, VariantKind::Chain { hosts: 3 });
         assert!(args
             .cell
             .repro()
-            .ends_with(" -- --digest --runtime mc --seed 9 --topology fat-tree --hosts 3"));
+            .ends_with(" -- --digest --runtime real --seed 9 --topology fat-tree --hosts 3"));
         for bad in [
             &["--runtime", "vax", "--hosts", "3"][..],
+            &["--runtime", "mc", "--hosts", "3"],
             &["--hosts", "1"],
             &["--hosts"],
             &["--seed", "-1", "--hosts", "3"],

@@ -1,11 +1,13 @@
-//! Three backends, one kernel.
+//! Two backends, one kernel.
 //!
 //! One observer script — adopt a process with every trace flag, watch it
 //! fork, open and close a file, be stopped and continued, take a
 //! catchable signal with and without a handler, exit, and watch its
-//! child be killed — runs on the simulated world, on real loopback
-//! nodes, and on the model checker's world (its default schedule).
-//! All three sit on `ppm_runtime::kernel::Kernel`, so the tracer must
+//! child be killed — runs on the simulated world and on real loopback
+//! nodes. (The model checker explores the sim's own world, and its
+//! default schedule is the sim's run: `host_driver_differential` and
+//! `scenario_runtimes` hold it there.) Both sit on
+//! `ppm_runtime::kernel::Kernel`, so the tracer must
 //! see the same `KernelEvent` sequence and the same resource usage, and
 //! a foreign user's `open_fds` must be refused, on each of them.
 //!
@@ -40,11 +42,10 @@
 //! callback and the child's exit notice run only after `SIGCONT`, and
 //! each sees its process running.
 //!
-//! Each script is one generic driver, run on all three `Runtime`s.
+//! Each script is one generic driver, run on both `Runtime`s.
 
 use bytes::Bytes;
 
-use ppm_mc::McWorld;
 use ppm_proto::kernel_wire::for_each_kernel_msg;
 use ppm_realos::RealRuntime;
 use ppm_runtime::events::{KernelEvent, TraceFlags};
@@ -243,8 +244,6 @@ own open_fds Ok(1)";
     );
     let real = run_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, sim, "real backend diverges from sim");
-    let mc = run_on(&mut McWorld::new(), "mc");
-    assert_eq!(mc, sim, "model checker diverges from sim");
 }
 
 const SINK: &str = "sink";
@@ -317,7 +316,6 @@ fn a_daemon_is_inits_child_and_a_closed_connection_leaves_no_descriptor() {
         dial_on(&mut RealRuntime::with_trace(false), "real"),
         expected
     );
-    assert_eq!(dial_on(&mut McWorld::new(), "mc"), expected);
 }
 
 const PORT_UP: Port = Port(21);
@@ -435,8 +433,8 @@ impl Program for ConnClient {
 
     fn on_message(&mut self, sys: &mut dyn Sys, conn: ConnId, _: Bytes) {
         self.log.push(ipc(sys));
-        // The server's end, from a process on its host: the sim and the
-        // checker name both ends by one id, a real node names each end.
+        // The server's end, from a process on its host: the sim names
+        // both ends by one id, a real node names each end.
         let id = text(sys.stable_get(ACCEPTED_ID), ACCEPTED_ID, "client");
         let theirs = ConnId(id.parse().expect("an id"));
         let no = Err(SysError::NotConnected);
@@ -482,8 +480,6 @@ peer exited: alive false, sockets 0",
     assert_eq!(conn_script_on(&mut World::new(7), "sim"), expected);
     let real = conn_script_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
-    let mc = conn_script_on(&mut McWorld::new(), "mc");
-    assert_eq!(mc, expected, "model checker diverges from sim");
 }
 
 /// Where the fourth script's process reports what it handled.
@@ -534,8 +530,6 @@ fn a_signal_a_process_sends_itself_reaches_its_handler_on_sim_real_and_mc() {
     assert_eq!(self_signal_on(&mut World::new(7), "sim"), expected);
     let real = self_signal_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
-    let mc = self_signal_on(&mut McWorld::new(), "mc");
-    assert_eq!(mc, expected, "model checker diverges from sim");
 }
 
 /// Every facade call that names a host, made with one no `add_host`
@@ -568,7 +562,6 @@ fn an_unknown_host_is_an_answer_not_a_panic_on_sim_real_and_mc() {
     assert_eq!(sim.power(HostId(1)), (false, 0), "sim: never booted");
     let real = unknown_host_on(&mut RealRuntime::with_trace(false));
     assert_eq!(real, expected, "real backend diverges from sim");
-    assert_eq!(unknown_host_on(&mut McWorld::new()), expected, "mc");
 }
 
 /// Where the sixth script's parent reports how its children ended.
@@ -699,8 +692,6 @@ then listen Ok(()), orphans 0, signals 0";
     assert_eq!(late_calls_on(&mut World::new(7), "sim"), expected);
     let real = late_calls_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
-    let mc = late_calls_on(&mut McWorld::new(), "mc");
-    assert_eq!(mc, expected, "model checker diverges from sim");
 }
 
 /// Where the seventh script's parent reports how its child ended.
@@ -747,8 +738,6 @@ fn a_parent_that_kills_its_own_child_is_told_on_sim_real_and_mc() {
     assert_eq!(reap_on(&mut World::new(7), "sim"), expected);
     let real = reap_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
-    let mc = reap_on(&mut McWorld::new(), "mc");
-    assert_eq!(mc, expected, "model checker diverges from sim");
 }
 
 /// Where the eighth script's sleeper reports what its timer saw and
@@ -850,6 +839,4 @@ fn a_timer_and_a_child_exit_due_while_stopped_run_after_sigcont_on_sim_real_and_
     assert_eq!(stop_hold_on(&mut World::new(7), "sim"), expected);
     let real = stop_hold_on(&mut RealRuntime::with_trace(false), "real");
     assert_eq!(real, expected, "real backend diverges from sim");
-    let mc = stop_hold_on(&mut McWorld::new(), "mc");
-    assert_eq!(mc, expected, "model checker diverges from sim");
 }

@@ -9,8 +9,8 @@
 
 use ppm::mc_suites;
 use ppm_mc::{apply_matching, assert_no_violation, explore, replay, replay_trace, Budget};
-use ppm_runtime::signal::Signal;
 use ppm_runtime::{HostId, Runtime, Uid};
+use ppm_simnet::fault::FaultKind;
 
 /// The suites' one account.
 const UID: Uid = Uid(100);
@@ -47,9 +47,12 @@ fn purge_before_late_retry_executes_exactly_once() {
         "duplicate must not re-execute"
     );
     w.run_to_quiescence(20_000);
-    let job = w.find_proc(HostId(1), UID, "job").expect("job survives");
+    let job = w
+        .world()
+        .find_proc(HostId(1), UID, "job")
+        .expect("job survives");
     assert_eq!(
-        w.signal_count(1, job, Signal::Stop),
+        w.signals_received(HostId(1), job),
         1,
         "control op executed exactly once across the purge/retry race"
     );
@@ -71,47 +74,91 @@ fn forest_rebuild_completes_once_gossip_explains_roots() {
     );
     w.run_to_quiescence(20_000);
     assert!(
-        w.find_proc(HostId(1), UID, "worker").is_some(),
+        w.world().find_proc(HostId(1), UID, "worker").is_some(),
         "worker survives its manager's crash"
     );
     for (k, l) in w.lpms() {
-        assert_eq!(
-            l.orphan_root_count(),
-            0,
-            "no orphan forest roots on {} after recovery",
-            w.host_name(k.0)
-        );
+        let host = w.world().host_name(k.0);
+        let roots = l.orphan_root_count();
+        assert_eq!(roots, 0, "no orphan forest roots on {host} after recovery");
         assert!(
             !l.is_rebuilding(),
-            "LPM on {} finished rebuilding without a second sibling connect",
-            w.host_name(k.0)
+            "LPM on {host} finished rebuilding without a second sibling connect",
         );
     }
 }
 
+/// What a second world could not reach: under the `no-orphans` race the
+/// tracking LPM on `b` is killed and rebuilds, then the coordinator's
+/// host `a` crashes and restarts — the crash and the restart fault moves
+/// of the sim's own world — and the run reaches quiescence with every
+/// predicate of the suite holding: `b`'s LPM keeps the logical edge it
+/// recovered, the worker keeps its manager.
+#[test]
+fn a_host_crash_and_restart_after_the_no_orphans_rebuild_converge() {
+    let s = mc_suites::no_orphans();
+    let mut w = (s.build)();
+    w.stage_fault(FaultKind::Crash { host: "a".into() });
+    w.stage_fault(FaultKind::Restart { host: "a".into() });
+    let lpm_on_b = |w: &ppm_mc::Chooser| w.world().find_proc(HostId(1), UID, "lpm-");
+    let killed = lpm_on_b(&w).expect("b's LPM");
+    assert!(
+        apply_matching(&mut w, "fault kill lpm-100@b"),
+        "the suite's own fault"
+    );
+    let successor = |w: &ppm_mc::Chooser, done: bool| {
+        let lpms = w.lpms();
+        let on_b = lpms.iter().find(|(k, _)| k.0 == HostId(1) && k.1 != killed);
+        on_b.is_some_and(|(_, l)| {
+            l.is_rebuilding() != done && (!done || l.orphan_root_count() == 0)
+        })
+    };
+    let rebuilding = |w: &ppm_mc::Chooser| successor(w, false);
+    assert!(
+        w.run_until(20_000, |_, _| false, rebuilding),
+        "b's LPM respawns"
+    );
+    let rebuilt = |w: &ppm_mc::Chooser| successor(w, true);
+    assert!(w.run_until(20_000, |_, _| false, rebuilt), "and rebuilds");
+    assert!(
+        apply_matching(&mut w, "fault crash a"),
+        "the crash is a move"
+    );
+    assert!((s.check_step)(&w).is_none());
+    assert_eq!(w.world().power(HostId(0)), (false, 1), "a is down");
+    assert!(
+        apply_matching(&mut w, "fault restart a"),
+        "so is the restart"
+    );
+    assert!(w.run_to_quiescence(20_000), "quiescent under the horizon");
+    assert!(w.moves().is_empty(), "every staged fault fired");
+    assert_eq!(w.world().power(HostId(0)), (true, 2), "a is back");
+    assert!(w.converge_expected(), "the schedule left room to repair");
+    assert_eq!((s.check_quiescent)(&w), None);
+}
+
 /// The stale-route bug (`stale-route` suite): a next-hop learned through
-/// `b` survives the a–b cut until the closed notice lands, and the
-/// pre-fix send path forwarded into it (a route-cache hit on a dead
-/// link, blackholing a retry cycle). The fixed path validates the hop
-/// with `Sys::conn_alive` at send time, evicts it, and dials `c`
-/// directly.
+/// `b` survives the death of `b`'s LPM until the closed notice lands,
+/// and the pre-fix send path forwarded into it (a route-cache hit on a
+/// dead connection). The fixed path validates the hop with
+/// `Sys::conn_alive` at send time, evicts it, and dials `c` directly.
 #[test]
 fn cut_next_hop_is_evicted_not_used() {
     let s = mc_suites::stale_route();
     let mut w = (s.build)();
     w.run_to_quiescence(20_000);
     for (k, l) in w.lpms() {
-        if k.0 == 0 {
-            assert_eq!(
-                l.stats().route_cache_hits,
-                0,
-                "no forward into the cut a-b hop"
-            );
+        if k.0 == HostId(0) {
+            let hits = l.stats().route_cache_hits;
+            assert_eq!(hits, 0, "no forward into the dead a-b hop");
         }
     }
-    let job = w.find_proc(HostId(2), UID, "job").expect("job survives");
+    let job = w
+        .world()
+        .find_proc(HostId(2), UID, "job")
+        .expect("job survives");
     assert_eq!(
-        w.signal_count(2, job, Signal::Stop),
+        w.signals_received(HostId(2), job),
         1,
         "control op reached c via the direct channel"
     );

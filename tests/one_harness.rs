@@ -1,22 +1,21 @@
 //! One harness, every runtime: the same driver code and the same script
-//! produce the same protocol-observable result on the simulated world,
-//! on a real loopback-TCP cluster and on the model checker's world under
-//! its default schedule.
+//! produce the same protocol-observable result on the simulated world
+//! and on a real loopback-TCP cluster. (The model checker explores the
+//! sim's own world; `scenario_runtimes` plays every shipped cell, the
+//! drill's kill → respawn → re-adopt leg included, through its default
+//! schedule.)
 //!
 //! This is the whole-scenario differential for one script, and tier-1's
 //! only look at the real backend: a few seconds of wall clock at most,
 //! every wait a deadline-bounded poll inside the harness. The
 //! explanation is part of the result: every backend records the same
 //! spans, a trace of what the LPMs did, and the same published
-//! registries, read through the same harness calls. The checker also
-//! runs the drill's kill → respawn → re-adopt leg.
+//! registries, read through the same harness calls.
 
 use std::collections::HashSet;
 
 use ppm_core::config::PpmConfig;
-use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::{PpmHarness, Runtime};
-use ppm_mc::McWorld;
 use ppm_proto::types::{Name, WireProcState};
 use ppm_realos::RealRuntime;
 use ppm_runtime::ids::{CpuClass, Uid};
@@ -106,36 +105,4 @@ fn sim_and_real_show_the_same_computation() {
         "the backends explain the run differently"
     );
     assert_eq!(sim_why.1, ["home/uid100", "work/uid100"]);
-}
-
-#[test]
-fn the_checker_shows_the_computation_the_sim_does() {
-    let sim = exec_display_locate(traced_sim(), "sim");
-    let mut mc = McWorld::new();
-    mc.hub().trace.set_enabled(true);
-    assert_eq!(exec_display_locate(mc, "mc"), sim, "mc differs from sim");
-}
-
-/// `fault_e2e`'s drill, on the checker: a root on home, three jobs on
-/// work, work's LPM killed, respawned and re-adopting all three.
-#[test]
-fn the_checker_respawns_a_killed_lpm_and_readopts_its_jobs() {
-    let mut ppm = PpmHarness::builder()
-        .host("home", CpuClass::Vax780)
-        .host("work", CpuClass::Sun2)
-        .host("far", CpuClass::Sun2)
-        .pmd_options(PmdOptions {
-            stable_storage: true,
-            respawn_lpms: true,
-        })
-        .user(USER, 0xFA017, &["home", "work"], PpmConfig::fast_recovery())
-        .build_on(McWorld::new());
-    let report = recovery_drill(&mut ppm, USER, "home", &["work"; 3], Some("work"))
-        .expect("drill on the checker");
-    let recovery = report.recovery.expect("the kill leg ran");
-    assert_eq!(recovery.forest.len(), 3, "three live managed jobs on work");
-    assert_ne!(recovery.respawned, recovery.victim, "a fresh LPM process");
-    let metrics = ppm.metrics_report();
-    assert!(metrics.contains("work/uid100 lpm.restarts 1"), "{metrics}");
-    assert!(metrics.contains("work/uid100 lpm.readopted 3"), "{metrics}");
 }

@@ -198,7 +198,7 @@ proptest! {
         let lines = [
             format!("--digest --seed 3 --faults {base}/crash_heal.fault {base}/chaos.ppm"),
             format!("--trace --topology fat-tree --metrics m.txt {base}/congestion.ppm"),
-            "--runtime mc --users 16 --hosts 4 --procs 300 --spans s.jsonl".to_string(),
+            "--runtime real --users 16 --hosts 4 --procs 300 --spans s.jsonl".to_string(),
             "--runtime real --hosts 12 --seed 9 --topology wan-hub --trace".to_string(),
         ];
         let argv = mutate(&lines[line], &edits);

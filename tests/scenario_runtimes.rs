@@ -1,22 +1,108 @@
 //! One scenario executor on every runtime: a `.ppm` cell played on the
-//! simulation, on the model checker's world and on a real loopback
-//! cluster folds the same observable digest — what the actions returned,
-//! every clock value left out (`scenario::Played::observed`).
+//! simulation and on a real loopback cluster folds the same observable
+//! digest — what the actions returned, every clock value left out
+//! (`scenario::Played::observed`). The model checker's default
+//! schedule — `World::fire(0)` until no move is due — is the sim's own
+//! run: every shipped cell played through it prints the sim's bytes.
 //!
 //! What is shared and what is substituted (DESIGN.md §12): the parser,
 //! the runner (`sweep::run_cell`), the executor (`scenario::play`), the
 //! harness, the tools and the whole PPM stack are shared; only the
 //! runtime under the harness differs. What only the sim can play is
-//! refused on the others, with its line, before a host boots.
+//! refused on the real runtime, with its line, before a host boots.
 //!
 //! Sim and checker run in tier-1. The real column boots loopback TCP
 //! clusters and waits wall-clock time (about 45 s for the three cells):
 //! `cargo test --release --test scenario_runtimes -- --ignored` (CI
 //! `real-smoke`).
 
+use bytes::Bytes;
+
+use ppm::digest::{fnv1a, hex};
+use ppm::harness::harness::Runtime;
+use ppm::runtime::ids::{CpuClass, HostId, Pid, Port, Uid};
+use ppm::runtime::obs::{HubRef, Section};
+use ppm::runtime::program::{ProcKey, SpawnSpec, SysError};
+use ppm::runtime::rt::ServiceFactory;
+use ppm::runtime::signal::Signal;
+use ppm::runtime::time::{Micros, SimDuration};
 use ppm::scenario::{self, ExecOptions};
+use ppm::simnet::fault::FaultPlan;
 use ppm::simnet::grammar::LineError;
+use ppm::simos::World;
 use ppm::sweep::{run_cell, Backend, CellRun, Plan, RunSpec, SimArgs, Topo, Variant, VariantKind};
+
+/// The sim's world played by the checker's default schedule: move 0
+/// fired while one is due, where the sim pops its queue.
+struct Fired(World);
+
+impl Runtime for Fired {
+    fn register_service(&mut self, name: &str, port: Port, factory: ServiceFactory) {
+        self.0.register_service(name, port, factory);
+    }
+
+    fn add_host(&mut self, name: &str, cpu: CpuClass) -> HostId {
+        Runtime::add_host(&mut self.0, name, cpu)
+    }
+
+    fn spawn_user(&mut self, host: HostId, uid: Uid, spec: SpawnSpec) -> Result<Pid, SysError> {
+        self.0.spawn_user(host, uid, spec)
+    }
+
+    fn post_signal(&mut self, from: Uid, target: ProcKey, signal: Signal) -> Result<(), SysError> {
+        self.0.post_signal(from, target, signal)
+    }
+
+    fn find_proc(&self, host: HostId, uid: Uid, prefix: &str) -> Option<Pid> {
+        self.0.find_proc(host, uid, prefix)
+    }
+
+    /// Move 0 while one is due by `span`'s end, then the load ticks due
+    /// by then, and the clock to the end, as the sim's run leaves it.
+    fn run(&mut self, span: SimDuration) {
+        let end = self.0.now() + span;
+        while self.0.moves().first().is_some_and(|m| m.at <= end) {
+            self.0.fire(0);
+        }
+        self.0.run_until(end);
+    }
+
+    fn is_alive(&self, host: HostId, pid: Pid) -> bool {
+        self.0.is_alive(host, pid)
+    }
+
+    fn power(&self, host: HostId) -> (bool, u32) {
+        self.0.power(host)
+    }
+
+    fn stable_get(&self, host: HostId, key: &str) -> Option<Bytes> {
+        self.0.stable_get(host, key)
+    }
+
+    fn metric_sections(&self, visit: &mut dyn FnMut(Section<'_>)) {
+        self.0.metric_sections(visit);
+    }
+
+    fn hub(&mut self) -> HubRef<'_> {
+        Runtime::hub(&mut self.0)
+    }
+
+    fn now(&self) -> Micros {
+        self.0.now()
+    }
+}
+
+impl AsRef<World> for Fired {
+    fn as_ref(&self) -> &World {
+        &self.0
+    }
+}
+
+impl AsMut<World> for Fired {
+    fn as_mut(&mut self) -> &mut World {
+        &mut self.0
+    }
+}
 
 /// The fault-free shipped cells every runtime plays.
 const CELLS: [&str; 3] = ["chaos.ppm", "chaos_dual.ppm", "drill.ppm"];
@@ -104,14 +190,109 @@ fn assert_three_jobs_recovered(out: &str, metrics: &str) {
     assert_ne!(victim, respawned, "a fresh LPM process: {out}");
 }
 
+/// `text` under `plan` played through the checker's default schedule,
+/// recorded as `ppm-sim --trace --digest` records it.
+fn fired(text: &str, plan: Option<&FaultPlan>) -> CellRun {
+    let sc = scenario::parse(text).expect("the cell parses");
+    let opts = ExecOptions {
+        faults: plan,
+        ..ExecOptions::default()
+    };
+    let mut output = String::new();
+    let played = scenario::execute_played(&sc, &mut output, opts, true, Fired);
+    let played = played.unwrap_or_else(|e| panic!("{e}"));
+    let mut ppm = played.ppm;
+    let (trace, metrics) = (ppm.trace_render(None), ppm.metrics_report());
+    CellRun {
+        digest: Some(fnv1a(&[&output, &trace, &metrics])),
+        observed: played.observed.ok(),
+        sim_end_us: ppm.now().as_micros(),
+        output,
+        trace,
+        metrics,
+        ..CellRun::default()
+    }
+}
+
+/// The first line where two renderings part, for a readable failure.
+fn first_difference(a: &str, b: &str) -> String {
+    let mut lines = a.lines().zip(b.lines()).enumerate();
+    let found = lines.find(|(_, (x, y))| x != y);
+    found.map_or("one is a prefix of the other".into(), |(i, (x, y))| {
+        format!("line {}: {x:?} vs {y:?}", i + 1)
+    })
+}
+
+/// Every shipped cell, and `chaos.ppm` under `crash_heal.fault`, played
+/// through `World::fire(0)` prints the sim's output, trace and metrics:
+/// the same `--digest` line and the same trace FNV.
+#[test]
+fn every_shipped_cell_plays_the_sims_run_through_fire_0() {
+    let mut cells: Vec<(String, Option<String>)> = Vec::new();
+    for dir in ["", "exhibits/", "paper/"] {
+        let entries = std::fs::read_dir(path(dir)).expect("scenarios/ lists");
+        let mut names: Vec<String> = entries
+            .map(|e| {
+                e.expect("an entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|n| n.ends_with(".ppm"))
+            .map(|n| format!("{dir}{n}"))
+            .collect();
+        names.sort();
+        cells.extend(names.into_iter().map(|n| (n, None)));
+    }
+    assert!(cells.len() >= 60, "{} cells", cells.len());
+    cells.push(("chaos.ppm".into(), Some("crash_heal.fault".into())));
+    for (name, fault) in &cells {
+        let text = shipped(name);
+        let plan = fault
+            .as_deref()
+            .map(|f| Plan::load(&path(f), std::path::Path::new("/")));
+        let plan = plan
+            .map(|p| p.expect("the plan loads"))
+            .unwrap_or_else(Plan::none);
+        let spec = RunSpec {
+            plan: plan.clone(),
+            ..cell(Backend::Sim, &text)
+        };
+        let sim = run_cell(&spec, false, true).unwrap_or_else(|(_, e)| panic!("{name}: {e}"));
+        let run = fired(&text, plan.plan.as_deref());
+        let label = format!("{name} {fault:?}");
+        let fnv = |t: &str| hex(fnv1a(&[t]));
+        assert_eq!(
+            run.output,
+            sim.output,
+            "{label}: {}",
+            first_difference(&run.output, &sim.output)
+        );
+        assert_eq!(
+            fnv(&run.trace),
+            fnv(&sim.trace),
+            "{label}: {}",
+            first_difference(&run.trace, &sim.trace)
+        );
+        assert_eq!(
+            run.metrics,
+            sim.metrics,
+            "{label}: {}",
+            first_difference(&run.metrics, &sim.metrics)
+        );
+        assert_eq!(run.digest, sim.digest, "{label}");
+        assert_eq!(run.sim_end_us, sim.sim_end_us, "{label}");
+    }
+}
+
 #[test]
 fn sim_and_checker_observe_the_same_cells() {
     for name in CELLS {
         let text = shipped(name);
         let (sim, sim_out) = on_sim(&text);
-        let (mc, mc_run) = on(Backend::Mc, &text);
-        let mc_out = mc_run.output;
-        assert_eq!(sim, mc, "{name}: sim\n{sim_out}\nmc\n{mc_out}");
+        let run = fired(&text, None);
+        let mc = run.observed.expect("a scenario's observable digest");
+        assert_eq!(sim, mc, "{name}: sim\n{sim_out}\nmc\n{}", run.output);
     }
 }
 
@@ -119,8 +300,8 @@ fn sim_and_checker_observe_the_same_cells() {
 fn the_checker_recovers_all_three_jobs_as_the_sim_does() {
     let text = three_jobs();
     let (sim, _) = on_sim(&text);
-    let (mc, run) = on(Backend::Mc, &text);
-    assert_eq!(sim, mc, "{}", run.output);
+    let run = fired(&text, None);
+    assert_eq!(Some(sim), run.observed, "{}", run.output);
     assert_three_jobs_recovered(&run.output, &run.metrics);
 }
 
@@ -150,8 +331,8 @@ fn the_real_runtime_observes_what_the_sim_does() {
 const MESH: &str = "host a vax780\nhost b sun2\nhost c sun2\nlink a b\nlink a c\nlink b c\n";
 const USER: &str = "user 100 secret=0x1986 recovery=a\nat 0s spawn a 100 b job\n";
 
-/// `text` is refused at `line` on the real runtime and on the checker,
-/// naming `what`, with nothing played.
+/// `text` is refused at `line` on the real runtime, naming `what`, with
+/// nothing played.
 fn refused_off_the_sim(text: &str, line: usize, what: &str) {
     let sc = scenario::parse(text).expect("parses");
     let mut out = String::new();
@@ -168,8 +349,6 @@ fn refused_off_the_sim(text: &str, line: usize, what: &str) {
     };
     let (e, out) = refused(Backend::Real).expect("real refuses");
     check(e, out, "real");
-    let (e, out) = refused(Backend::Mc).expect("mc refuses");
-    check(e, out, "mc");
 }
 
 #[test]
@@ -220,7 +399,7 @@ fn a_partial_mesh_is_refused_off_the_sim() {
 }
 
 /// A `ppm-sim` command line only the sim can honour, refused on the real
-/// runtime and on the checker, naming the flag.
+/// runtime, naming the flag.
 fn flag_refused_off_the_sim(args: &[&str], flag: &str) {
     let check = |run: Result<_, (Option<Box<CellRun>>, LineError)>, runtime: &str| {
         let (run, e) = run
@@ -238,7 +417,6 @@ fn flag_refused_off_the_sim(args: &[&str], flag: &str) {
         run_cell(&spec, false, false)
     };
     check(on("real"), "real");
-    check(on("mc"), "mc");
 }
 
 #[test]
@@ -285,7 +463,7 @@ fn a_failed_run_keeps_its_output_trace_and_metrics(runtime: Backend) {
 
 #[test]
 fn a_failed_run_off_the_sim_keeps_its_output_trace_and_metrics() {
-    a_failed_run_keeps_its_output_trace_and_metrics(Backend::Mc);
+    a_failed_run_keeps_its_output_trace_and_metrics(Backend::Real);
 }
 
 #[test]
