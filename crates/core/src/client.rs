@@ -7,13 +7,12 @@
 //! plays a script of requests, records every reply with its timing into a
 //! shared [`ToolOutcome`], and exits.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use ppm_proto::codec::Wire;
-use ppm_proto::msg::{Msg, Op, Reply};
-use ppm_proto::types::Name;
+use ppm_proto::msg::{Msg, Op, Reply, ReqRef};
+use ppm_proto::types::{Name, Route};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::program::{ConnEvent, Program};
 use ppm_runtime::sys::Sys;
@@ -42,13 +41,22 @@ impl ToolStep {
     }
 }
 
+/// One script step as the tool saw it.
+#[derive(Debug, Clone)]
+pub struct StepOutcome {
+    /// When the request was sent.
+    pub sent_at: SimTime,
+    /// The reply and when it arrived, once it has.
+    pub reply: Option<(Reply, SimTime)>,
+}
+
 /// What the tool observed, shared with the test/benchmark driver.
 #[derive(Debug, Clone, Default)]
 pub struct ToolOutcome {
-    /// Replies in script order, with the time each arrived.
-    pub replies: Vec<(Reply, SimTime)>,
-    /// When each request was sent.
-    pub sent_at: Vec<SimTime>,
+    /// The steps sent so far, in script order; room for the whole script
+    /// is made when the tool is created. A reply lands in its step's
+    /// entry as it arrives, in whatever order replies arrive.
+    pub steps: Vec<StepOutcome>,
     /// Fatal error, if the tool could not complete.
     pub error: Option<String>,
     /// The tool finished its script (successfully or not).
@@ -64,14 +72,20 @@ pub struct ToolOutcome {
 impl ToolOutcome {
     /// Elapsed time from request send to reply for step `i`.
     pub fn elapsed(&self, i: usize) -> Option<SimDuration> {
-        let (_, at) = self.replies.get(i)?;
-        let sent = *self.sent_at.get(i)?;
-        Some(at.saturating_since(sent))
+        let step = self.steps.get(i)?;
+        let (_, at) = step.reply.as_ref()?;
+        Some(at.saturating_since(step.sent_at))
     }
 
     /// The reply of step `i`, if it arrived.
     pub fn reply(&self, i: usize) -> Option<&Reply> {
-        self.replies.get(i).map(|(r, _)| r)
+        self.steps.get(i)?.reply.as_ref().map(|(r, _)| r)
+    }
+
+    /// The replies that arrived, in script order, with when each did.
+    pub fn replies(&self) -> impl Iterator<Item = (&Reply, SimTime)> {
+        let answered = self.steps.iter().filter_map(|s| s.reply.as_ref());
+        answered.map(|(r, at)| (r, *at))
     }
 }
 
@@ -93,11 +107,8 @@ pub struct Tool {
     /// Per-request deadline stamped on the wire; `None` lets the LPM
     /// apply its configured default.
     step_deadline: Option<SimDuration>,
-    /// Replies that arrived ahead of an earlier outstanding step; a reply
-    /// in script order goes straight into `outcome.replies`.
-    reordered: BTreeMap<usize, (Reply, SimTime)>,
-    /// Next script index to flush into `outcome.replies`.
-    flushed: usize,
+    /// Steps answered so far.
+    answered: usize,
 }
 
 impl std::fmt::Debug for Tool {
@@ -118,7 +129,11 @@ const GIVE_UP: SimDuration = SimDuration::from_secs(120);
 impl Tool {
     /// Creates a tool with a script; results land in the returned handle.
     pub fn new(cred: UserCred, cfg: PpmConfig, script: Vec<ToolStep>) -> (Self, ToolHandle) {
-        let outcome: ToolHandle = Arc::new(Mutex::new(ToolOutcome::default()));
+        let outcome = ToolOutcome {
+            steps: Vec::with_capacity(script.len()),
+            ..ToolOutcome::default()
+        };
+        let outcome: ToolHandle = Arc::new(Mutex::new(outcome));
         let tool = Tool {
             cred,
             cfg,
@@ -129,8 +144,7 @@ impl Tool {
             step: 0,
             pipeline: 1,
             step_deadline: None,
-            reordered: BTreeMap::new(),
-            flushed: 0,
+            answered: 0,
         };
         (tool, outcome)
     }
@@ -164,28 +178,29 @@ impl Tool {
     fn pump(&mut self, sys: &mut dyn Sys) {
         let Some(conn) = self.conn else { return };
         while self.step < self.script.len() && self.in_flight() < self.pipeline {
-            // A step is sent once and never read again: its op moves
-            // into the request.
-            let ToolStep { dest, op } = &mut self.script[self.step];
-            let (dest, op) = (dest.to_string(), std::mem::replace(op, Op::Ping));
-            let id = self.step as u64 + 1;
+            let ToolStep { dest, op } = &self.script[self.step];
             let deadline_us = self
                 .step_deadline
                 .map_or(0, |d| (sys.now() + d).as_micros());
-            let msg = Msg::Req {
-                id,
+            let frame = ReqRef {
+                id: self.step as u64 + 1,
                 user: self.cred.uid.0,
                 dest,
                 op,
-                route: ppm_proto::types::Route::default(),
+                route: &Route::default(),
                 hops_left: self.cfg.max_hops,
                 deadline_us,
                 attempt: 0,
                 boot: 0,
+            }
+            .to_bytes();
+            let sent = StepOutcome {
+                sent_at: sys.now(),
+                reply: None,
             };
-            self.outcome.lock().unwrap().sent_at.push(sys.now());
+            self.outcome.lock().unwrap().steps.push(sent);
             self.step += 1;
-            if sys.send(conn, msg.to_bytes()).is_err() {
+            if sys.send(conn, frame).is_err() {
                 self.fail(sys, "send to LPM failed".to_string());
                 return;
             }
@@ -202,32 +217,24 @@ impl Tool {
 
     /// Requests sent and not yet answered.
     fn in_flight(&self) -> usize {
-        self.step - self.flushed - self.reordered.len()
+        self.step - self.answered
     }
 
-    /// The script index a reply with wire id `id` answers, if that step
-    /// was sent and is still unanswered: id 0, an id never sent and a
-    /// duplicate are not.
-    fn awaiting(&self, id: u64) -> Option<usize> {
-        let idx = usize::try_from(id.checked_sub(1)?).ok()?;
-        let open = (self.flushed..self.step).contains(&idx);
-        (open && !self.reordered.contains_key(&idx)).then_some(idx)
-    }
-
-    /// Records a reply for script index `idx`: in script order it goes
-    /// straight into the outcome, with any early arrivals it was holding
-    /// back; ahead of order it waits, so `replies` stays in script order.
-    fn record_reply(&mut self, idx: usize, reply: Reply, at: SimTime) {
-        if idx != self.flushed {
-            self.reordered.insert(idx, (reply, at));
-            return;
-        }
+    /// Records the reply with wire id `id` in the step it answers, if
+    /// that step was sent and is still unanswered: id 0, an id never
+    /// sent and a duplicate are not. Returns whether it was recorded.
+    fn record_reply(&mut self, id: u64, reply: Reply, at: SimTime) -> bool {
+        let Some(idx) = id.checked_sub(1).and_then(|i| usize::try_from(i).ok()) else {
+            return false;
+        };
         let mut o = self.outcome.lock().unwrap();
-        o.replies.push((reply, at));
-        self.flushed += 1;
-        while let Some(entry) = self.reordered.remove(&self.flushed) {
-            o.replies.push(entry);
-            self.flushed += 1;
+        match o.steps.get_mut(idx) {
+            Some(step) if step.reply.is_none() => {
+                step.reply = Some((reply, at));
+                self.answered += 1;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -292,8 +299,7 @@ impl Program for Tool {
                 Ok(Msg::Resp { id, reply, .. }) => {
                     // Match the reply to its request by wire id; stale or
                     // duplicate ids are ignored.
-                    if let Some(idx) = self.awaiting(id) {
-                        self.record_reply(idx, reply, sys.now());
+                    if self.record_reply(id, reply, sys.now()) {
                         self.pump(sys);
                     }
                 }
@@ -377,13 +383,13 @@ mod tests {
         answer(&mut tool, &mut sys, 0, Reply::Ok);
         answer(&mut tool, &mut sys, 2, Reply::Ok);
         answer(&mut tool, &mut sys, u64::MAX, Reply::Ok);
-        assert!(handle.lock().unwrap().replies.is_empty());
+        assert_eq!(handle.lock().unwrap().replies().count(), 0);
         assert_eq!(sent_ids(&sys), [1], "nothing answered, nothing more sent");
 
         answer(&mut tool, &mut sys, 1, Reply::Pong);
         assert_eq!(sent_ids(&sys), [1, 2]);
         answer(&mut tool, &mut sys, 1, Reply::Ok);
-        assert_eq!(handle.lock().unwrap().replies.len(), 1, "a duplicate");
+        assert_eq!(handle.lock().unwrap().replies().count(), 1, "a duplicate");
         assert_eq!(sent_ids(&sys), [1, 2]);
         assert_eq!(sys.exited, None);
 
@@ -391,8 +397,8 @@ mod tests {
         let o = handle.lock().unwrap();
         assert!(o.done);
         assert_eq!(sys.exited, Some(0));
-        assert!(o.replies.iter().all(|(r, _)| matches!(r, Reply::Pong)));
-        assert_eq!(o.replies.len(), 2);
+        assert!(o.replies().all(|(r, _)| matches!(r, Reply::Pong)));
+        assert_eq!(o.replies().count(), 2);
     }
 
     #[test]
@@ -403,20 +409,19 @@ mod tests {
             code: ErrCode::BadRequest,
             detail: detail.to_string(),
         };
-        // Step 2's reply lands first, twice: it waits, and a step is sent
-        // in its place.
+        // Step 2's reply lands first, twice: the first is kept in its
+        // step, and a step is sent in its place.
         answer(&mut tool, &mut sys, 3, err("third"));
         answer(&mut tool, &mut sys, 3, err("again"));
-        assert!(handle.lock().unwrap().replies.is_empty());
+        assert!(handle.lock().unwrap().reply(0).is_none());
         assert_eq!(sent_ids(&sys), [1, 2, 3, 4]);
         answer(&mut tool, &mut sys, 2, err("second"));
         answer(&mut tool, &mut sys, 4, err("fourth"));
-        assert!(handle.lock().unwrap().replies.is_empty());
+        assert!(!handle.lock().unwrap().done);
         answer(&mut tool, &mut sys, 1, err("first"));
         let o = handle.lock().unwrap();
         let details: Vec<&str> = o
-            .replies
-            .iter()
+            .replies()
             .map(|(r, _)| match r {
                 Reply::Err { detail, .. } => detail.as_str(),
                 other => panic!("{other:?}"),
@@ -430,11 +435,19 @@ mod tests {
     #[test]
     fn outcome_elapsed_math() {
         let mut o = ToolOutcome::default();
-        o.sent_at.push(SimTime::from_millis(10));
-        o.replies.push((Reply::Ok, SimTime::from_millis(40)));
+        o.steps.push(StepOutcome {
+            sent_at: SimTime::from_millis(10),
+            reply: Some((Reply::Ok, SimTime::from_millis(40))),
+        });
+        o.steps.push(StepOutcome {
+            sent_at: SimTime::from_millis(20),
+            reply: None,
+        });
         assert_eq!(o.elapsed(0), Some(SimDuration::from_millis(30)));
         assert_eq!(o.elapsed(1), None);
+        assert_eq!(o.elapsed(2), None);
         assert!(matches!(o.reply(0), Some(Reply::Ok)));
+        assert!(o.reply(1).is_none());
     }
 
     #[test]
@@ -444,26 +457,24 @@ mod tests {
             PpmConfig::default(),
             vec![ToolStep::new("a", Op::Ping)],
         );
-        assert!(!handle.lock().unwrap().done);
+        let o = handle.lock().unwrap();
+        assert!(!o.done);
+        assert!(o.steps.capacity() >= 1, "room for the script up front");
         assert_eq!(tool.script.len(), 1);
         assert_eq!(tool.pipeline, 1);
     }
 
     #[test]
-    fn out_of_order_replies_flush_in_script_order() {
-        let (tool, handle) = Tool::new(
-            UserCred::new(Uid(1), 2),
-            PpmConfig::default(),
-            vec![ToolStep::new("a", Op::Ping), ToolStep::new("b", Op::Ping)],
-        );
-        let mut tool = tool.with_pipeline(4);
+    fn out_of_order_replies_land_in_their_steps() {
+        let (mut tool, handle, _sys) = connected(2, 4);
         assert_eq!(tool.pipeline, 4);
-        // Step 1's reply lands first: nothing flushes until step 0 arrives.
-        tool.record_reply(1, Reply::Ok, SimTime::from_millis(5));
-        assert!(handle.lock().unwrap().replies.is_empty());
-        tool.record_reply(0, Reply::Pong, SimTime::from_millis(9));
+        // Step 1's reply lands first, in step 1; step 0 is still open.
+        assert!(tool.record_reply(2, Reply::Ok, SimTime::from_millis(5)));
+        assert!(handle.lock().unwrap().reply(0).is_none());
+        assert!(tool.record_reply(1, Reply::Pong, SimTime::from_millis(9)));
+        assert!(!tool.record_reply(1, Reply::Ok, SimTime::from_millis(9)));
         let o = handle.lock().unwrap();
-        assert!(matches!(o.replies[0].0, Reply::Pong));
-        assert!(matches!(o.replies[1].0, Reply::Ok));
+        assert!(matches!(o.reply(0), Some(Reply::Pong)));
+        assert!(matches!(o.reply(1), Some(Reply::Ok)));
     }
 }

@@ -46,6 +46,9 @@ pub enum Detail {
     Signal(Signal),
     /// A message size (`"112 bytes"`).
     Bytes(usize),
+    /// A process an LPM created for a request, by its command
+    /// (`"spawned troff for request"`).
+    Spawned(Name),
     /// Text that is only known as text: a command, a path, a note.
     Text(Name),
 }
@@ -58,6 +61,12 @@ impl Detail {
             Detail::Status(status) => status.to_string(),
             Detail::Signal(signal) => signal.to_string(),
             Detail::Bytes(n) => format!("{n} bytes"),
+            // Cut, like a note, to what the record can carry.
+            Detail::Spawned(command) => {
+                let mut text = format!("spawned {command} for request");
+                text.truncate(clip_str(&text).len());
+                text
+            }
             // A note built around a name at a protocol string's limit
             // is cut to what the record can carry.
             Detail::Text(text) => clip_str(text).to_string(),
@@ -289,9 +298,24 @@ mod tests {
             (Detail::Signal(Signal::Stop), "SIGSTOP"),
             (Detail::Bytes(112), "112 bytes"),
             (Detail::from("troff"), "troff"),
+            (Detail::Spawned("troff".into()), "spawned troff for request"),
         ];
         for (detail, text) in texts {
             assert_eq!(detail.render(), text);
+        }
+    }
+
+    /// A spawn's detail is the note it replaced, built when it is read:
+    /// the same text, cut at the same char boundary for a command at a
+    /// protocol string's limit.
+    #[test]
+    fn a_spawn_renders_the_note_it_replaced() {
+        let long = "é".repeat(ppm_proto::codec::MAX_STR_BYTES / 2);
+        for command in ["troff", "a-command-longer-than-a-name-held-inline", &long] {
+            let note = format!("spawned {command} for request");
+            let spawned = Detail::Spawned(command.into()).render();
+            assert_eq!(spawned, Detail::from(note).render());
+            assert!(spawned.len() <= ppm_proto::codec::MAX_STR_BYTES);
         }
     }
 

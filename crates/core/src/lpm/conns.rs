@@ -224,12 +224,10 @@ impl Lpm {
         let Some(queued) = self.outbox.remove(host) else {
             return;
         };
-        for (msg, req_id) in queued {
-            if self.send_msg(sys, conn, &msg).is_err() {
-                if let Some(id) = req_id {
-                    self.fail_request_transport(sys, id, "sibling channel broke during flush");
-                }
-            } else if let Some(id) = req_id {
+        for (frame, id) in queued {
+            if sys.send(conn, frame).is_err() {
+                self.fail_request_transport(sys, id, "sibling channel broke during flush");
+            } else {
                 self.mark_sent(sys, id, conn);
             }
         }
@@ -239,17 +237,10 @@ impl Lpm {
         let Some(queued) = self.outbox.remove(host) else {
             return;
         };
-        for (msg, req_id) in queued {
-            if let Some(id) = req_id {
-                // Transport-level failure: origin requests with attempt
-                // budget left go into retry backoff instead of erroring.
-                self.fail_request_transport(sys, id, &format!("cannot reach {host}: {err}"));
-            } else if let Msg::Bcast { stamp, .. } = msg {
-                // A broadcast child never came up: complete without it and
-                // mark it missing.
-                let key = stamp.key();
-                self.bcast_child_lost(sys, &key, host);
-            }
+        for (_, id) in queued {
+            // Transport-level failure: origin requests with attempt
+            // budget left go into retry backoff instead of erroring.
+            self.fail_request_transport(sys, id, &format!("cannot reach {host}: {err}"));
         }
     }
 

@@ -290,7 +290,7 @@ pub struct Lpm {
     /// The dial table: every Figure-2 chain in progress.
     pub(crate) channels: BTreeMap<DialKey, ChannelSlot>,
     pub(crate) chan_retry_armed: BTreeSet<DialKey>,
-    pub(crate) outbox: BTreeMap<Name, Vec<(Msg, Option<u64>)>>,
+    pub(crate) outbox: BTreeMap<Name, Vec<(Bytes, u64)>>,
     pub(crate) route_cache: RouteCache,
     /// The last reachability epoch the route cache was validated at;
     /// when `sys.net_epoch()` moves past it, cached routes with a dead
@@ -666,9 +666,10 @@ impl Program for Lpm {
             return;
         }
         let role = self.conns.get(&conn).cloned();
-        // Siblings are who replies come from: theirs stay on the wire.
+        // Authenticated peers send requests, whose destination is read as
+        // a name, and siblings replies, which stay on the wire.
         let msg = match &role {
-            Some(ConnRole::Sibling(_)) => Inbound::decode(&data),
+            Some(ConnRole::Sibling(_) | ConnRole::Tool) => Inbound::decode(&data),
             _ => Msg::from_bytes(&data).map(Inbound::Other),
         };
         let Ok(msg) = msg else {
@@ -683,7 +684,7 @@ impl Program for Lpm {
         match (role, msg) {
             (Some(ConnRole::Sibling(host)), msg) => self.handle_sibling_msg(sys, conn, &host, msg),
             (Some(ConnRole::AwaitHello), Inbound::Other(msg)) => self.handle_hello(sys, conn, msg),
-            (Some(ConnRole::Tool), Inbound::Other(msg)) => self.handle_tool_msg(sys, conn, msg),
+            (Some(ConnRole::Tool), msg) => self.handle_tool_msg(sys, conn, msg),
             _ => {
                 // Message on an unknown connection (e.g. raced with close).
             }

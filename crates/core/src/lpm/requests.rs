@@ -9,7 +9,10 @@
 //! possible.
 
 use ppm_proto::codec::clip_str;
-use ppm_proto::msg::{ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyRef, WireReply};
+use bytes::Bytes;
+use ppm_proto::msg::{
+    ControlAction, ErrCode, Inbound, Msg, Op, Reply, ReplyRef, ReqRef, WireReply, WireReq,
+};
 use ppm_proto::types::{FileRecord, Gpid, Name, Route};
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::fd::FdKind;
@@ -81,19 +84,17 @@ impl Lpm {
     // ---- entry points -------------------------------------------------------
 
     /// A message arrived from an authenticated tool.
-    pub(crate) fn handle_tool_msg(&mut self, sys: &mut dyn Sys, conn: ConnId, msg: Msg) {
+    pub(crate) fn handle_tool_msg(&mut self, sys: &mut dyn Sys, conn: ConnId, msg: Inbound) {
         match msg {
-            Msg::Req {
+            Inbound::Req(WireReq {
                 id,
                 user,
                 dest,
                 op,
-                route: _,
                 hops_left,
                 deadline_us,
-                attempt: _,
-                boot: _,
-            } => {
+                ..
+            }) => {
                 let reply_to = ReplyTo::Tool {
                     conn,
                     external_id: id,
@@ -125,6 +126,7 @@ impl Lpm {
         self.recovered_contact(sys);
         // Messages that carry a reply keep it on the wire.
         let msg = match msg {
+            Inbound::Req(req) => return self.ingest_sibling_req(sys, conn, req),
             Inbound::Resp { id, reply, route } => return self.handle_resp(sys, id, reply, route),
             Inbound::BcastAgg {
                 stamp,
@@ -134,31 +136,6 @@ impl Lpm {
             Inbound::Other(msg) => msg,
         };
         match msg {
-            Msg::Req {
-                id,
-                user,
-                dest,
-                op,
-                route,
-                hops_left,
-                deadline_us,
-                attempt,
-                boot,
-            } => {
-                self.ingest_sibling_req(
-                    sys,
-                    conn,
-                    id,
-                    user,
-                    dest,
-                    op,
-                    route,
-                    hops_left,
-                    deadline_us,
-                    attempt,
-                    boot,
-                );
-            }
             Msg::Bcast {
                 stamp,
                 user,
@@ -205,21 +182,18 @@ impl Lpm {
     /// A directed request off a sibling connection: dedup against the
     /// correlation table, refuse exhausted or expired requests without
     /// allocating table state, then enter the pipeline.
-    #[allow(clippy::too_many_arguments)]
-    fn ingest_sibling_req(
-        &mut self,
-        sys: &mut dyn Sys,
-        conn: ConnId,
-        id: u64,
-        user: u32,
-        dest: String,
-        op: Op,
-        route: Route,
-        hops_left: u8,
-        deadline_us: u64,
-        attempt: u8,
-        boot: u64,
-    ) {
+    fn ingest_sibling_req(&mut self, sys: &mut dyn Sys, conn: ConnId, req: WireReq) {
+        let WireReq {
+            id,
+            user,
+            dest,
+            op,
+            route,
+            hops_left,
+            deadline_us,
+            attempt,
+            boot,
+        } = req;
         let origin = Name::new(route.origin().unwrap_or(&self.host));
         let corr: RpcKey = (origin, id);
         let mut route_in = route.clone();
@@ -256,15 +230,16 @@ impl Lpm {
                 }
                 return;
             }
-            DupVerdict::Replay { reply, route } => {
+            DupVerdict::Replay { resp } => {
                 self.obs.registry.inc(self.obs.dups_suppressed);
                 self.note(
                     sys,
                     format_args!("replaying cached reply for {}", fmt_key(&corr)),
                 );
-                // Replay with the cached route: the original responder's
-                // full path, so the origin still learns it from a retry.
-                let _ = sys.send(conn, reply.resp(id, &route));
+                // Replay the frame that answered it, cached route and all:
+                // the original responder's full path, so the origin still
+                // learns it from a retry.
+                let _ = sys.send(conn, resp);
                 return;
             }
             DupVerdict::Stale => {
@@ -588,8 +563,8 @@ impl Lpm {
         match self.ensure_sibling(sys, &dest) {
             SiblingStatus::Connected(conn) => self.forward_req(sys, id, conn),
             SiblingStatus::Pending => {
-                let msg = self.req_wire_msg(id);
-                self.outbox.entry(dest).or_default().push((msg, Some(id)));
+                let frame = self.req_frame(id);
+                self.outbox.entry(dest).or_default().push((frame, id));
                 if let Some(r) = self.rpc.get_mut(id) {
                     r.phase = ReqPhase::AwaitChannel;
                 }
@@ -600,30 +575,30 @@ impl Lpm {
         }
     }
 
-    /// The wire form of a pending request. The correlation id — not the
-    /// local table id — goes on the wire, and the route extends the
-    /// origin's accumulated route, so the request keeps one identity
-    /// end-to-end.
-    fn req_wire_msg(&self, id: u64) -> Msg {
-        let r = self.rpc.get(id).expect("wire msg of live request");
+    /// The wire form of a pending request, written from the table's
+    /// entry. The correlation id — not the local table id — goes on the
+    /// wire, and the route extends the origin's accumulated route, so the
+    /// request keeps one identity end-to-end.
+    fn req_frame(&self, id: u64) -> Bytes {
+        let r = self.rpc.get(id).expect("wire form of a live request");
         let mut route = r.route.clone();
         route.push(&self.host);
-        Msg::Req {
+        ReqRef {
             id: r.corr.1,
             user: r.user,
-            dest: r.dest.to_string(),
-            op: r.op.clone(),
-            route,
+            dest: &r.dest,
+            op: &r.op,
+            route: &route,
             hops_left: r.hops_left,
             deadline_us: r.deadline.map_or(0, SimTime::as_micros),
             attempt: r.attempt,
             boot: r.boot,
         }
+        .to_bytes()
     }
 
     fn forward_req(&mut self, sys: &mut dyn Sys, id: u64, conn: ConnId) {
-        let msg = self.req_wire_msg(id);
-        match self.send_msg(sys, conn, &msg) {
+        match sys.send(conn, self.req_frame(id)) {
             Ok(()) => self.mark_sent(sys, id, conn),
             Err(e) => {
                 // A synchronous send error means the connection is dead
@@ -934,9 +909,8 @@ impl Lpm {
         let now = sys.now();
         self.tree
             .track(pid.0, ppid, logical, command.clone(), now.as_micros(), true);
-        let note = format!("spawned {command} for request");
         self.history
-            .record(now, Who::Local(pid.0), "create", note.into());
+            .record(now, Who::Local(pid.0), "create", Detail::Spawned(command));
         self.rpc.add_spawn_wait(pid.0, id);
         if let Some(r) = self.rpc.get_mut(id) {
             r.spawn_pid = Some(pid.0);
@@ -1101,10 +1075,10 @@ impl Lpm {
             } => {
                 let route = resp_route.unwrap_or(route_in);
                 let resp = reply.resp(external_id, &route);
-                // Idempotent dedup: park the reply in the retention
+                // Idempotent dedup: park the answer in the retention
                 // window so a retried delivery of the same correlation
                 // id is answered without re-execution.
-                self.rpc.note_done(req.corr, sys.now(), reply, route);
+                self.rpc.note_done(req.corr, sys.now(), resp.clone());
                 let _ = sys.send(conn, resp);
             }
             ReplyTo::Internal => {

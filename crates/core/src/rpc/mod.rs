@@ -29,7 +29,8 @@
 
 mod table;
 
-use ppm_proto::msg::{Op, WireReply};
+use bytes::Bytes;
+use ppm_proto::msg::Op;
 use ppm_proto::types::{Name, Route};
 use ppm_runtime::ids::ConnId;
 use ppm_runtime::time::{SimDuration, SimTime};
@@ -167,16 +168,14 @@ pub(crate) enum TimerKind {
 pub(crate) enum DedupEntry {
     /// A broadcast wave stamp, seen at `at`.
     Bcast { at: SimTime },
-    /// A directed sibling request executed here; the reply is cached —
-    /// as the bytes that answered it, so parking it copied nothing — and
-    /// a retried delivery is answered without re-execution. The route is
-    /// boxed: most of the window is broadcast stamps, and an inline route
-    /// would make each of them 176 bytes instead of 56.
-    Done {
-        at: SimTime,
-        reply: WireReply,
-        route: Box<Route>,
-    },
+    /// A directed sibling request executed here; the `Resp` frame that
+    /// answered it is cached — the reply and its route in the bytes that
+    /// were sent, so parking it copied nothing and boxed nothing — and a
+    /// retried delivery, which carries the same wire id, is answered with
+    /// that frame again without re-execution. Most of the window is
+    /// broadcast stamps, and a frame keeps them at the size of a stamp
+    /// and a `Bytes` (an inline route would make each 176 bytes).
+    Done { at: SimTime, resp: Bytes },
 }
 
 impl DedupEntry {

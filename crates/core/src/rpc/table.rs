@@ -8,8 +8,9 @@
 
 use std::collections::VecDeque;
 
-use ppm_proto::msg::{ErrCode, WireReply};
-use ppm_proto::types::{Name, Route};
+use bytes::Bytes;
+use ppm_proto::msg::ErrCode;
+use ppm_proto::types::Name;
 use ppm_runtime::hashx::FastMap;
 use ppm_runtime::sys::Sys;
 use ppm_runtime::time::{SimDuration, SimTime};
@@ -34,9 +35,9 @@ pub(crate) enum DupVerdict {
     /// The same correlation id is still in flight here (a retry overtook
     /// the original's reply); local id of the live entry.
     InFlight(u64),
-    /// Already executed here; replay the cached reply without running the
-    /// operation again.
-    Replay { reply: WireReply, route: Route },
+    /// Already executed here; replay the cached `Resp` frame without
+    /// running the operation again.
+    Replay { resp: Bytes },
     /// The correlation id was stamped by a dead incarnation of its origin
     /// (its boot epoch is older than the fence a respawn installed).
     /// Replay-only territory: with no cached reply left, the request is
@@ -209,11 +210,8 @@ impl RpcTable {
         if let Some(&id) = self.corr.get(key) {
             return DupVerdict::InFlight(id);
         }
-        if let Some(DedupEntry::Done { reply, route, .. }) = self.dedup.get(key) {
-            return DupVerdict::Replay {
-                reply: reply.clone(),
-                route: Route::clone(route),
-            };
+        if let Some(DedupEntry::Done { resp, .. }) = self.dedup.get(key) {
+            return DupVerdict::Replay { resp: resp.clone() };
         }
         if boot != 0 && self.fences.get(&key.0).is_some_and(|&f| boot < f) {
             return DupVerdict::Stale;
@@ -243,13 +241,11 @@ impl RpcTable {
         matches!(self.dedup.get(key), Some(DedupEntry::Bcast { .. }))
     }
 
-    /// Caches the reply of an executed sibling request so a retried
-    /// delivery is answered without re-execution.
-    pub(crate) fn note_done(&mut self, key: RpcKey, at: SimTime, reply: WireReply, route: Route) {
+    /// Caches the `Resp` frame that answered an executed sibling request
+    /// so a retried delivery is answered without re-execution.
+    pub(crate) fn note_done(&mut self, key: RpcKey, at: SimTime, resp: Bytes) {
         self.index_dedup(key.clone(), at);
-        let route = Box::new(route);
-        self.dedup
-            .insert(key, DedupEntry::Done { at, reply, route });
+        self.dedup.insert(key, DedupEntry::Done { at, resp });
     }
 
     /// Files a key at the back of the expiry order.
@@ -360,12 +356,16 @@ impl PendingRequest {
 mod tests {
     use super::super::ReplyTo;
     use super::*;
-    use ppm_proto::msg::{Op, Reply};
+    use ppm_proto::codec::Wire;
+    use ppm_proto::msg::{Msg, Op, Reply, WireReply};
+    use ppm_proto::types::Route;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    fn wire(reply: Reply) -> WireReply {
-        WireReply::from(&reply)
+    /// The `Resp` frame that answers wire id 9 with `reply` along a route
+    /// from `origin`.
+    fn resp(reply: Reply, origin: &str) -> Bytes {
+        WireReply::from(&reply).resp(9, &Route::from_origin(origin))
     }
 
     fn req(corr: RpcKey, reply_to: ReplyTo) -> PendingRequest {
@@ -411,11 +411,10 @@ mod tests {
         t.note_done(
             key.clone(),
             at,
-            wire(Reply::Pong),
-            Route::from_origin("far"),
+            resp(Reply::Pong, "far"),
         );
         match t.dup_verdict(&key, 1) {
-            DupVerdict::Replay { reply, .. } => assert_eq!(reply, wire(Reply::Pong)),
+            DupVerdict::Replay { resp: frame } => assert_eq!(frame, resp(Reply::Pong, "far")),
             v => panic!("expected replay, got {v:?}"),
         }
         // Inside the window: kept. Past it: purged.
@@ -424,6 +423,48 @@ mod tests {
         let purged = t.purge_dedup(at + SimDuration::from_secs(61), window);
         assert_eq!(purged, 1);
         assert!(matches!(t.dup_verdict(&key, 1), DupVerdict::New));
+    }
+
+    /// A retried delivery of an executed request is answered with the
+    /// frame that answered it: its reply, its wire id and the whole route
+    /// the original took; a purge that expires an older entry leaves it
+    /// answering so.
+    #[test]
+    fn a_retried_request_is_answered_with_its_cached_route_across_a_purge() {
+        let mut t = RpcTable::new();
+        let old: RpcKey = (Name::from("a"), 3);
+        let key: RpcKey = (Name::from("origin"), 9);
+        let mut route = Route::from_origin("origin");
+        route.push("relay");
+        route.push("here");
+        let answer = Msg::Resp {
+            id: 9,
+            reply: Reply::Pong,
+            route: route.clone(),
+        };
+        t.note_done(old.clone(), SimTime::ZERO, resp(Reply::Ok, "a"));
+        let at = SimTime::from_micros(30_000_000);
+        t.note_done(key.clone(), at, WireReply::from(&Reply::Pong).resp(9, &route));
+        let replayed = |t: &RpcTable| match t.dup_verdict(&key, 1) {
+            DupVerdict::Replay { resp } => Msg::from_bytes(&resp).expect("a cached frame reads"),
+            v => panic!("expected replay, got {v:?}"),
+        };
+        assert_eq!(replayed(&t), answer);
+        let window = SimDuration::from_secs(60);
+        assert_eq!(t.purge_dedup(SimTime::from_micros(61_000_000), window), 1);
+        assert!(matches!(t.dup_verdict(&old, 1), DupVerdict::New));
+        assert_eq!(replayed(&t), answer, "after the purge");
+        assert_eq!(t.purge_dedup(at + SimDuration::from_secs(61), window), 1);
+        assert!(matches!(t.dup_verdict(&key, 1), DupVerdict::New));
+    }
+
+    /// What the window weighs: an entry, a broadcast stamp's included,
+    /// is an instant and a frame, 40 bytes (56 while an executed
+    /// request's entry boxed its route beside its reply), because that
+    /// route is in the cached frame.
+    #[test]
+    fn a_dedup_entry_is_an_instant_and_a_frame() {
+        assert_eq!(std::mem::size_of::<DedupEntry>(), 40);
     }
 
     #[test]
@@ -435,8 +476,7 @@ mod tests {
         t.note_done(
             d,
             SimTime::from_micros(500),
-            wire(Reply::Pong),
-            Route::from_origin("b"),
+            resp(Reply::Pong, "b"),
         );
         assert!(t.bcast_seen(&b));
         let purged = t.purge_dedup(SimTime::from_micros(2_000_000), SimDuration::from_millis(1));
@@ -453,15 +493,13 @@ mod tests {
         t.note_done(
             a1.clone(),
             SimTime::ZERO,
-            wire(Reply::Pong),
-            Route::from_origin("a"),
+            resp(Reply::Pong, "a"),
         );
         t.note_bcast(a2.clone(), SimTime::ZERO);
         t.note_done(
             b1.clone(),
             SimTime::ZERO,
-            wire(Reply::Ok),
-            Route::from_origin("b"),
+            resp(Reply::Ok, "b"),
         );
         assert_eq!(t.purge_peer("a"), 2);
         assert!(matches!(t.dup_verdict(&a1, 1), DupVerdict::New));
@@ -488,14 +526,12 @@ mod tests {
         t.note_done(
             key.clone(),
             SimTime::ZERO,
-            wire(Reply::Pong),
-            Route::from_origin("far"),
+            resp(Reply::Pong, "far"),
         );
         t.note_done(
             key.clone(),
             SimTime::from_micros(50_000_000),
-            wire(Reply::Ok),
-            Route::from_origin("far"),
+            resp(Reply::Ok, "far"),
         );
         // 61s: the t=0 insertion would have expired, but the entry was
         // refreshed at t=50s and must stay.
@@ -586,8 +622,7 @@ mod tests {
                         model.insert(key, (true, now));
                     }
                     DedupOp::Done(key) => {
-                        let route = Route::from_origin(&key.0);
-                        t.note_done(key.clone(), now, wire(Reply::Ok), route);
+                        t.note_done(key.clone(), now, resp(Reply::Ok, &key.0));
                         model.insert(key, (false, now));
                     }
                     DedupOp::Purge(window_us) => {
@@ -619,8 +654,7 @@ mod tests {
         t.note_done(
             key.clone(),
             SimTime::ZERO,
-            wire(Reply::Pong),
-            Route::from_origin("work"),
+            resp(Reply::Pong, "work"),
         );
         t.fence_origin("work", 5_000_000);
         // Cached reply still replays even though the id is fenced.

@@ -587,7 +587,7 @@ fn deterministic_runs_with_same_seed() {
                 SimDuration::from_secs(30),
             )
             .unwrap();
-        (g, o.replies.last().map(|(_, t)| *t), ppm.now())
+        (g, o.replies().last().map(|(_, t)| t), ppm.now())
     };
     let a = run(7);
     let b = run(7);
@@ -749,7 +749,7 @@ fn concurrent_tools_are_all_served() {
         let o = h.lock().unwrap().clone();
         assert!(o.done, "tool {i} finished");
         assert!(o.error.is_none(), "tool {i}: {:?}", o.error);
-        assert_eq!(o.replies.len(), 1, "tool {i}");
+        assert_eq!(o.replies().count(), 1, "tool {i}");
     }
 }
 

@@ -51,9 +51,9 @@ fn masquerading_tool_with_wrong_secret_is_rejected() {
 
     let outcome = handle.lock().unwrap().clone();
     assert!(outcome.done);
+    assert_eq!(outcome.replies().count(), 0, "no data leaked");
     let err = outcome.error.expect("authentication must fail");
     assert!(err.contains("permission denied"), "{err}");
-    assert!(outcome.replies.is_empty(), "no data leaked");
 }
 
 #[test]

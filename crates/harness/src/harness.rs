@@ -760,7 +760,7 @@ fn first_reply(outcome: ToolOutcome) -> Result<Reply, HarnessError> {
     if let Some(err) = outcome.error {
         return Err(HarnessError::Tool(err));
     }
-    match outcome.replies.into_iter().next() {
+    match outcome.steps.into_iter().next().and_then(|step| step.reply) {
         Some((Reply::Err { code, detail }, _)) => {
             Err(HarnessError::Lpm(format!("{code:?}: {detail}")))
         }

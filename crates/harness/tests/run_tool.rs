@@ -46,8 +46,8 @@ fn a_pipelined_script_returns_every_reply_in_script_order() {
     assert!(out.done);
     assert_eq!(out.error, None);
     assert!(out.started_at.is_some() && out.connected_at.is_some());
-    assert_eq!(out.replies.len(), steps);
-    assert_eq!(out.sent_at.len(), steps);
+    assert_eq!(out.replies().count(), steps);
+    assert_eq!(out.steps.len(), steps);
     assert!(matches!(out.reply(0), Some(Reply::Pong)));
     assert!(
         matches!(out.reply(1), Some(Reply::Snapshot { host, procs }) if host == "*" && procs.len() == 1)

@@ -39,9 +39,11 @@
 //! which writes their codecs. What is written by hand here reads or
 //! writes a message around a reply it never builds, which no generated
 //! codec can: [`ReplyRef::read`], [`WireReply`] and its splices,
-//! [`Inbound`], [`WirePart`] and [`RelayAgg`]. They share
-//! the tags they need with the table through the `REPLY_*` and `MSG_*`
-//! constants.
+//! [`Inbound`], [`WirePart`] and [`RelayAgg`]. So is [`ReqRef`], which
+//! writes a request from fields it only borrows, and the request arm of
+//! [`Inbound`], which reads the destination as a [`Name`]: a generated
+//! codec owns every field it writes or reads. They share the tags they
+//! need with the table through the `REPLY_*` and `MSG_*` constants.
 //!
 //! # The vocabulary is what is spoken
 //!
@@ -79,6 +81,7 @@ const REPLY_STATUS: u8 = 9;
 const REPLY_STATS: u8 = 10;
 const REPLY_PARTIAL: u8 = 11;
 const REPLY_METRICS: u8 = 12;
+const MSG_REQ: u8 = 6;
 const MSG_RESP: u8 = 7;
 const MSG_BCAST_AGG: u8 = 16;
 
@@ -405,7 +408,7 @@ wire! {
 
         // ---- request / reply --------------------------------------------------
         /// A directed request, possibly relayed along `route`.
-        [6, "req"] Req {
+        [MSG_REQ, "req"] Req {
             /// Request id, unique at the origin.
             id: u64,
             /// Acting user.
@@ -1150,11 +1153,104 @@ impl fmt::Debug for WireReply {
     }
 }
 
-/// A message off a sibling connection, with any reply it carries left on
-/// the wire: what [`Msg::from_bytes`] accepts, [`Inbound::decode`]
-/// accepts, and the other way round.
+/// A [`Msg::Req`] written from borrowed fields: the bytes that encoding
+/// the `Msg::Req` of the same fields gives, with no `Msg` — and so no
+/// owned destination or operation — built to write them. How a tool sends
+/// a script step and an LPM forwards a request it holds.
+#[derive(Debug, Clone, Copy)]
+pub struct ReqRef<'a> {
+    /// Request id, unique at the origin.
+    pub id: u64,
+    /// Acting user.
+    pub user: u32,
+    /// Final destination host.
+    pub dest: &'a str,
+    /// The operation.
+    pub op: &'a Op,
+    /// Hosts traversed so far.
+    pub route: &'a Route,
+    /// Remaining relay budget.
+    pub hops_left: u8,
+    /// Absolute deadline (simulated µs); `0` means none.
+    pub deadline_us: u64,
+    /// Zero-based attempt counter.
+    pub attempt: u8,
+    /// Boot epoch of the origin LPM's incarnation; `0` means unstamped.
+    pub boot: u64,
+}
+
+impl ReqRef<'_> {
+    /// Appends the request, field by field in the wire table's order.
+    pub fn encode(&self, enc: &mut Enc) {
+        enc.u8(MSG_REQ);
+        enc.u64(self.id);
+        enc.u32(self.user);
+        enc.str(self.dest);
+        self.op.encode(enc);
+        self.route.encode(enc);
+        enc.u8(self.hops_left);
+        enc.u64(self.deadline_us);
+        enc.u8(self.attempt);
+        enc.u64(self.boot);
+    }
+
+    /// The request as a frame, in a pooled buffer.
+    pub fn to_bytes(&self) -> Bytes {
+        let mut enc = Enc::pooled();
+        self.encode(&mut enc);
+        enc.into_bytes()
+    }
+}
+
+/// A [`Msg::Req`] as an LPM reads it: the destination a [`Name`], so that
+/// a short one is read without a copy on the heap.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireReq {
+    /// Request id, unique at the origin.
+    pub id: u64,
+    /// Acting user.
+    pub user: u32,
+    /// Final destination host.
+    pub dest: Name,
+    /// The operation.
+    pub op: Op,
+    /// Hosts traversed so far.
+    pub route: Route,
+    /// Remaining relay budget.
+    pub hops_left: u8,
+    /// Absolute deadline (simulated µs); `0` means none.
+    pub deadline_us: u64,
+    /// Zero-based attempt counter.
+    pub attempt: u8,
+    /// Boot epoch of the origin LPM's incarnation; `0` means unstamped.
+    pub boot: u64,
+}
+
+impl WireReq {
+    /// The request's fields, borrowed: what writes it back.
+    pub fn as_ref(&self) -> ReqRef<'_> {
+        ReqRef {
+            id: self.id,
+            user: self.user,
+            dest: &self.dest,
+            op: &self.op,
+            route: &self.route,
+            hops_left: self.hops_left,
+            deadline_us: self.deadline_us,
+            attempt: self.attempt,
+            boot: self.boot,
+        }
+    }
+}
+
+/// A message off a tool or sibling connection, a request's destination
+/// read as a [`Name`] and any reply it carries left on the wire: what
+/// [`Msg::from_bytes`] accepts, [`Inbound::decode`] accepts, and the
+/// other way round.
 #[derive(Debug, PartialEq)]
 pub enum Inbound {
+    /// [`Msg::Req`].
+    Req(WireReq),
     /// [`Msg::Resp`].
     Resp {
         /// Request id.
@@ -1174,11 +1270,21 @@ pub enum Inbound {
         /// Hosts of the subtree that never answered.
         missing: Vec<Name>,
     },
-    /// Every message that carries no reply, decoded.
+    /// Every other message, decoded.
     Other(Msg),
 }
 
 impl Inbound {
+    /// Short name for traces: the [`Msg::kind`] of the message it reads.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Inbound::Req(_) => "req",
+            Inbound::Resp { .. } => "resp",
+            Inbound::BcastAgg { .. } => "bcast-agg",
+            Inbound::Other(msg) => msg.kind(),
+        }
+    }
+
     /// Reads one message from a complete frame (no trailing bytes).
     ///
     /// # Errors
@@ -1187,6 +1293,18 @@ impl Inbound {
     pub fn decode(frame: &Bytes) -> Result<Self, CodecError> {
         let mut dec = Dec::new(frame);
         let msg = match dec.u8()? {
+            // Fields are read in the order they are written.
+            MSG_REQ => Inbound::Req(WireReq {
+                id: dec.u64()?,
+                user: dec.u32()?,
+                dest: Name::decode(&mut dec)?,
+                op: Op::decode(&mut dec)?,
+                route: Route::decode(&mut dec)?,
+                hops_left: dec.u8()?,
+                deadline_us: dec.u64()?,
+                attempt: dec.u8()?,
+                boot: dec.u64()?,
+            }),
             MSG_RESP => {
                 let id = dec.u64()?;
                 let at = dec.pos();

@@ -15,8 +15,8 @@ use ppm_proto::kernel_wire::{
     walk_kernel_batch, KernelMsgRef,
 };
 use ppm_proto::msg::{
-    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, RelayAgg, Reply, ReplyRef, SnapshotRun,
-    WirePart, WireReply, MAX_REPLY_RECORDS,
+    BcastPart, ControlAction, ErrCode, Inbound, Msg, Op, RelayAgg, Reply, ReplyRef, ReqRef,
+    SnapshotRun, WirePart, WireReply, WireReq, MAX_REPLY_RECORDS,
 };
 use ppm_proto::triggers::{EventPattern, TriggerAction, TriggerSpec};
 use ppm_proto::types::{
@@ -49,6 +49,22 @@ fn arb_text() -> impl Strategy<Value = String> {
         (17..=22usize, 0..CHARS.len()).prop_map(|(pad, c)| "a".repeat(pad) + &CHARS[c].to_string()),
         prop::collection::vec(0..CHARS.len(), 0..24)
             .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect()),
+    ]
+}
+
+/// A request's destination: a host name, text on both sides of
+/// [`Name::INLINE_CAP`], or a length at an edge — empty, 22 and 23 bytes,
+/// and a protocol string's most, 65 535 bytes, ended by two-byte
+/// characters.
+fn arb_dest() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_name(),
+        arb_name(),
+        arb_name(),
+        arb_text(),
+        arb_text(),
+        (0..3usize).prop_map(|i| "h".repeat([0, 22, 23][i])),
+        Just("a".to_string() + &"é".repeat((usize::from(u16::MAX) - 1) / 2)),
     ]
 }
 
@@ -797,6 +813,34 @@ fn walk_checked(data: &[u8]) -> Result<Vec<KernelMsg>, TestCaseError> {
     stable.map(|()| walked)
 }
 
+/// A [`Msg::Req`], its destination drawn by [`arb_dest`].
+fn arb_req() -> impl Strategy<Value = Msg> {
+    (
+        any::<u64>(),
+        any::<u32>(),
+        arb_dest(),
+        arb_op(),
+        arb_route(),
+        any::<u8>(),
+        any::<u64>(),
+        any::<u8>(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(id, user, dest, op, route, hops_left, deadline_us, attempt, boot)| Msg::Req {
+                id,
+                user,
+                dest,
+                op,
+                route,
+                hops_left,
+                deadline_us,
+                attempt,
+                boot,
+            },
+        )
+}
+
 fn arb_msg() -> impl Strategy<Value = Msg> {
     prop_oneof![
         any::<u32>().prop_map(|user| Msg::CreateLpm { user }),
@@ -832,30 +876,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 epoch,
             }
         }),
-        (
-            any::<u64>(),
-            any::<u32>(),
-            arb_name(),
-            arb_op(),
-            arb_route(),
-            any::<u8>(),
-            any::<u64>(),
-            any::<u8>(),
-            any::<u64>()
-        )
-            .prop_map(
-                |(id, user, dest, op, route, hops_left, deadline_us, attempt, boot)| Msg::Req {
-                    id,
-                    user,
-                    dest,
-                    op,
-                    route,
-                    hops_left,
-                    deadline_us,
-                    attempt,
-                    boot
-                }
-            ),
+        arb_req(),
         (any::<u64>(), arb_reply(), arb_route()).prop_map(|(id, reply, route)| Msg::Resp {
             id,
             reply,
@@ -1100,6 +1121,37 @@ proptest! {
         for h in &held {
             prop_assert_eq!(&h.frame[..], &h.want[..]);
         }
+    }
+
+    /// A request written from borrowed fields is the bytes of the
+    /// `Msg::Req` of the same fields, and the request that reads back
+    /// from them writes them again.
+    #[test]
+    fn a_borrowed_request_encodes_as_its_msg(msg in arb_req()) {
+        let Msg::Req { id, user, dest, op, route, hops_left, deadline_us, attempt, boot } = &msg else {
+            unreachable!("arb_req draws requests")
+        };
+        let borrowed = ReqRef {
+            id: *id,
+            user: *user,
+            dest,
+            op,
+            route,
+            hops_left: *hops_left,
+            deadline_us: *deadline_us,
+            attempt: *attempt,
+            boot: *boot,
+        };
+        let wire = msg.to_bytes();
+        prop_assert_eq!(&borrowed.to_bytes(), &wire);
+        let mut into = Enc::new();
+        borrowed.encode(&mut into);
+        prop_assert_eq!(into.as_slice(), &wire[..]);
+        let Ok(Inbound::Req(read)) = Inbound::decode(&wire) else {
+            panic!("a request reads as one");
+        };
+        prop_assert_eq!(read.dest.as_str(), dest.as_str());
+        prop_assert_eq!(read.as_ref().to_bytes(), wire);
     }
 
     /// The pooled steady-state encoder emits byte-identical output to a
@@ -1353,31 +1405,54 @@ proptest! {
         prop_assert_eq!(wrapped.as_bytes(), &partial.to_bytes()[..]);
     }
 
-    /// A sibling's message read with its reply left on the wire is the
-    /// message `Msg::from_bytes` reads: same fields, the reply the very
-    /// bytes that were sent, and the same verdict on truncations and on
-    /// arbitrary bytes.
+    /// A tool's or a sibling's message read with its reply left on the
+    /// wire and a request's destination as a `Name` is the message
+    /// `Msg::from_bytes` reads: same fields, the reply the very bytes that
+    /// were sent, and the same verdict on truncations, on a changed byte
+    /// and on arbitrary bytes.
     #[test]
     fn inbound_agrees_with_msg_decode(
         msg in arb_msg(),
         cut in any::<u16>(),
+        edit in (any::<u16>(), any::<u8>()),
         garbage in prop::collection::vec(any::<u8>(), 0..256),
     ) {
         let wire = msg.to_bytes();
         let expect = match msg.clone() {
+            Msg::Req { id, user, dest, op, route, hops_left, deadline_us, attempt, boot } => {
+                let dest = Name::from(dest);
+                Inbound::Req(WireReq { id, user, dest, op, route, hops_left, deadline_us, attempt, boot })
+            }
             Msg::Resp { id, reply, route } => {
                 Inbound::Resp { id, reply: WireReply::from(&reply), route }
             }
             Msg::BcastAgg { stamp, parts, missing } => Inbound::BcastAgg { stamp, parts, missing },
             other => Inbound::Other(other),
         };
-        prop_assert_eq!(Inbound::decode(&wire).expect("decodes"), expect);
+        let inbound = Inbound::decode(&wire).expect("decodes");
+        prop_assert_eq!(inbound.kind(), msg.kind());
+        prop_assert_eq!(inbound, expect);
 
         let cut = wire.slice(..usize::from(cut) % wire.len());
         prop_assert_eq!(Inbound::decode(&cut).is_ok(), Msg::from_bytes(&cut).is_ok());
-        // Steer some garbage at the two reply-carrying tags, and at the
-        // retired third (9), which both sides refuse.
-        for tag in [None, Some(7u8), Some(9), Some(16)] {
+        // Every cut of a short message, to its last byte, is refused by
+        // both.
+        if wire.len() <= 512 {
+            for n in 0..wire.len() {
+                let short = wire.slice(..n);
+                prop_assert!(Inbound::decode(&short).is_err(), "a cut to {} bytes", n);
+                prop_assert!(Msg::from_bytes(&short).is_err());
+            }
+        }
+        // One byte of the message changed: both accept it or both refuse.
+        let mut edited = wire.to_vec();
+        let at = usize::from(edit.0) % edited.len();
+        edited[at] = edit.1;
+        let edited = bytes::Bytes::from(edited);
+        prop_assert_eq!(Inbound::decode(&edited).is_ok(), Msg::from_bytes(&edited).is_ok());
+        // Steer some garbage at the request tag, the two reply-carrying
+        // tags, and the retired third (9), which both sides refuse.
+        for tag in [None, Some(6u8), Some(7), Some(9), Some(16)] {
             let mut data = garbage.clone();
             if let (Some(tag), Some(first)) = (tag, data.first_mut()) {
                 *first = tag;

@@ -11,7 +11,7 @@
 //! talks to the daemon directly — the daemon may still be booting, so
 //! clients retry their connect, exactly like TCP SYN retransmission.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::ids::{ConnId, Port};
 use crate::program::{ConnEvent, Program, SysError};
@@ -25,9 +25,19 @@ pub const INETD_UNKNOWN: u8 = 1;
 /// Reply status byte: service could not be started.
 pub const INETD_FAILED: u8 = 2;
 
-/// Builds an inetd request for a service name.
-pub fn request(service: &str) -> Bytes {
-    Bytes::copy_from_slice(service.as_bytes())
+/// Builds an inetd request for a service name: the name's own bytes,
+/// not a copy of them.
+pub fn request(service: &'static str) -> Bytes {
+    Bytes::from_static(service.as_bytes())
+}
+
+/// The positive reply naming `port`, written in one of the thread's spare
+/// buffers, to which it goes back when the client has read it.
+fn port_reply(port: Port) -> Bytes {
+    let [hi, lo] = port.0.to_be_bytes();
+    let mut reply = BytesMut::with_capacity(3);
+    reply.extend_from_slice(&[INETD_OK, hi, lo]);
+    reply.freeze()
 }
 
 /// Parses an inetd reply into the service port.
@@ -71,9 +81,7 @@ impl Program for Inetd {
                     TraceCategory::Daemon,
                     format_args!("inetd: request for {service} -> pid {pid} port {port}"),
                 );
-                let Port(p) = port;
-                let [hi, lo] = p.to_be_bytes();
-                let _ = sys.send(conn, Bytes::copy_from_slice(&[INETD_OK, hi, lo]));
+                let _ = sys.send(conn, port_reply(port));
             }
             Err(SysError::UnknownService) => {
                 let _ = sys.send(conn, Bytes::from_static(&[INETD_UNKNOWN]));
@@ -103,6 +111,9 @@ mod tests {
         let p = Port(3);
         let [hi, lo] = p.0.to_be_bytes();
         assert_eq!(parse_reply(&[INETD_OK, hi, lo]), Ok(p));
+        let port = Port(0x1234);
+        assert_eq!(&port_reply(port)[..], [INETD_OK, 0x12, 0x34]);
+        assert_eq!(parse_reply(&port_reply(port)), Ok(port));
     }
 
     #[test]

@@ -852,7 +852,7 @@ impl Kernel {
     /// ([`SysError::NoSuchProcess`], [`SysError::PermissionDenied`]).
     pub fn open_fds(&self, caller: Uid, pid: Pid) -> Result<Vec<(Fd, FdKind)>, SysError> {
         let p = self.owned(pid, caller)?;
-        Ok(p.fds.iter().map(|(fd, k)| (fd, k.clone())).collect())
+        Ok(p.fds.iter().collect())
     }
 
     // ---- listeners, services, stable storage -----------------------------

@@ -156,8 +156,13 @@ fn a_one_step_tool_launch_is_pinned() {
     let counts: Vec<u64> = (0..4).map(|_| counted(|| launch(&mut ppm)).0).collect();
     let spent = counts.iter().min().copied();
     // The tool process, its dial through inetd and pmd to the LPM, its
-    // request and the reply. Three more while the tool kept a wire-id
-    // map and put every reply through its reorder map, and inetd copied
-    // the service name it was asked for.
-    assert_eq!(spent, Some(10), "one single-step tool launch: {counts:?}");
+    // request and the reply: the script, the boxed tool, its shared
+    // outcome and the outcome's vector, sized from the script. 10 while
+    // the outcome grew a vector of send times and one of replies, and the
+    // request, the tool's descriptor table, the LPM's decode and inetd's
+    // request and reply each allocated what they did not keep; three
+    // more before that, while the tool kept a wire-id map and put every
+    // reply through its reorder map, and inetd copied the service name
+    // it was asked for.
+    assert_eq!(spent, Some(4), "one single-step tool launch: {counts:?}");
 }
