@@ -20,12 +20,15 @@ use ppm_proto::types::{Gpid, ProcRecord, WireProcState};
 use ppm_runtime::program::{ConnEvent, Program, SpawnSpec};
 use ppm_runtime::signal::Signal;
 use ppm_runtime::sys::Sys;
+use ppm_simnet::fault::FaultKind;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::{ConnId, Uid};
 
 const USER: Uid = Uid(100);
 const HOSTS: [&str; 4] = ["h0", "h1", "h2", "h3"];
+/// How soon a scheduled fault fires.
+const MS: SimDuration = SimDuration::from_millis(1);
 
 fn harness(seed: u64) -> PpmHarness {
     let mut b = PpmHarness::builder().seed(seed);
@@ -139,18 +142,20 @@ fn run_episode(seed: u64, steps: usize) {
                 let Some(victim) = up_host(&mut rng, &downed) else {
                     continue;
                 };
-                let h = ppm.host(victim).unwrap();
-                ppm.world_mut()
-                    .schedule_crash(h, SimDuration::from_millis(1));
+                let crash = FaultKind::Crash {
+                    host: victim.into(),
+                };
+                ppm.world_mut().schedule_fault(&crash, MS).unwrap();
                 downed.push(victim);
                 live_procs.retain(|g| g.host != victim);
             }
             80..=86 => {
                 // Restart a downed host.
                 if let Some(victim) = downed.pop() {
-                    let h = ppm.host(victim).unwrap();
-                    ppm.world_mut()
-                        .schedule_restart(h, SimDuration::from_millis(1));
+                    let restart = FaultKind::Restart {
+                        host: victim.into(),
+                    };
+                    ppm.world_mut().schedule_fault(&restart, MS).unwrap();
                 }
             }
             87..=92 => {
@@ -163,17 +168,15 @@ fn run_episode(seed: u64, steps: usize) {
                     ("h0", "h2"),
                 ];
                 let l = links[rng.gen_range(0..links.len())];
-                let a = ppm.host(l.0).unwrap();
-                let b = ppm.host(l.1).unwrap();
-                if let Some(pos) = cut_links.iter().position(|&c| c == l) {
+                let (a, b) = (l.0.into(), l.1.into());
+                let fault = if let Some(pos) = cut_links.iter().position(|&c| c == l) {
                     cut_links.remove(pos);
-                    ppm.world_mut()
-                        .schedule_link(a, b, true, SimDuration::from_millis(1));
+                    FaultKind::LinkUp { a, b }
                 } else {
                     cut_links.push(l);
-                    ppm.world_mut()
-                        .schedule_link(a, b, false, SimDuration::from_millis(1));
-                }
+                    FaultKind::LinkDown { a, b }
+                };
+                ppm.world_mut().schedule_fault(&fault, MS).unwrap();
             }
             93..=96 => {
                 // Kill a pmd or an LPM outright (process-level failure).
@@ -202,16 +205,18 @@ fn run_episode(seed: u64, steps: usize) {
     }
 
     // Settle: heal everything and verify the PPM still works end to end.
-    for l in cut_links {
-        let a = ppm.host(l.0).unwrap();
-        let b = ppm.host(l.1).unwrap();
-        ppm.world_mut()
-            .schedule_link(a, b, true, SimDuration::from_millis(1));
+    for (a, b) in cut_links {
+        let heal = FaultKind::LinkUp {
+            a: a.into(),
+            b: b.into(),
+        };
+        ppm.world_mut().schedule_fault(&heal, MS).unwrap();
     }
     for victim in downed {
-        let h = ppm.host(victim).unwrap();
-        ppm.world_mut()
-            .schedule_restart(h, SimDuration::from_millis(1));
+        let restart = FaultKind::Restart {
+            host: victim.into(),
+        };
+        ppm.world_mut().schedule_fault(&restart, MS).unwrap();
     }
     ppm.run_for(SimDuration::from_secs(30));
 
@@ -310,10 +315,11 @@ fn relay_losing_a_child_mid_gather_yields_a_partial_aggregate() {
     // still registered at c2, so the relay forwards the wave to c3 and
     // waits — then the break surfaces mid-gather and c2 must fall back to
     // a partial aggregate naming exactly its lost child.
-    let c2 = ppm.host("c2").unwrap();
-    let c3 = ppm.host("c3").unwrap();
-    ppm.world_mut()
-        .schedule_link(c2, c3, false, SimDuration::from_millis(1));
+    let cut = FaultKind::LinkDown {
+        a: "c2".into(),
+        b: "c3".into(),
+    };
+    ppm.world_mut().schedule_fault(&cut, MS).unwrap();
     ppm.run_for(SimDuration::from_millis(50));
 
     let (procs, missing) = ppm
@@ -336,10 +342,11 @@ fn relay_losing_a_child_mid_gather_yields_a_partial_aggregate() {
     );
 
     // A later sweep over the healed chain is complete again.
-    let h2 = ppm.host("c2").unwrap();
-    let h3 = ppm.host("c3").unwrap();
-    ppm.world_mut()
-        .schedule_link(h2, h3, true, SimDuration::from_millis(1));
+    let heal = FaultKind::LinkUp {
+        a: "c2".into(),
+        b: "c3".into(),
+    };
+    ppm.world_mut().schedule_fault(&heal, MS).unwrap();
     ppm.run_for(SimDuration::from_secs(20));
     let (_, missing) = ppm
         .snapshot_partial("c0", USER, "*")

@@ -9,6 +9,7 @@ use ppm_core::pmd::PmdOptions;
 use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::Reply;
 use ppm_proto::types::Name;
+use ppm_simnet::fault::FaultKind;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::Uid;
@@ -74,9 +75,14 @@ fn ccs_crash_prompts_reassignment_via_name_server() {
     assert_eq!(ccs_of(&mut ppm, "beta").0, "alpha");
 
     // The coordinator host crashes; beta reports it dead and is promoted.
-    let alpha = ppm.host("alpha").unwrap();
     ppm.world_mut()
-        .schedule_crash(alpha, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "alpha".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(20));
     let (ccs, epoch) = ccs_of(&mut ppm, "beta");
     assert_eq!(
@@ -88,7 +94,13 @@ fn ccs_crash_prompts_reassignment_via_name_server() {
     // alpha returns: the assignment is stable (no hand-back; the name
     // server coordinates, not a priority list).
     ppm.world_mut()
-        .schedule_restart(alpha, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Restart {
+                host: "alpha".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(10));
     ppm.spawn_remote("beta", USER, "alpha", "j3", None, None)
         .unwrap();
@@ -111,9 +123,14 @@ fn stale_dead_report_does_not_steal_the_role() {
         .unwrap();
     ppm.run_for(SimDuration::from_secs(2));
 
-    let alpha = ppm.host("alpha").unwrap();
     ppm.world_mut()
-        .schedule_crash(alpha, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "alpha".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(30));
 
     // Both survivors agree on a single CCS (whoever reported first).
@@ -136,12 +153,20 @@ fn name_server_outage_leads_to_orphan_time_to_die() {
 
     // Both the name server and the current CCS (alpha) crash: beta cannot
     // reach any coordinator authority and must close down.
-    let ns = ppm.host("ns").unwrap();
-    let alpha = ppm.host("alpha").unwrap();
     ppm.world_mut()
-        .schedule_crash(ns, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash { host: "ns".into() },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.world_mut()
-        .schedule_crash(alpha, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "alpha".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(60));
 
     let beta = ppm.host("beta").unwrap();

@@ -10,6 +10,7 @@ use ppm_harness::harness::PpmHarness;
 use ppm_proto::msg::{ControlAction, Op, Reply};
 use ppm_proto::types::Name;
 use ppm_runtime::signal::Signal;
+use ppm_simnet::fault::FaultKind;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::{Pid, Uid};
@@ -54,9 +55,14 @@ fn ccs_crash_elects_next_recovery_host() {
     assert_eq!(ccs, "home");
 
     // The CCS host crashes.
-    let home = ppm.host("home").unwrap();
     ppm.world_mut()
-        .schedule_crash(home, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "home".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(20));
 
     // Survivors converge on the next host in the .recovery list.
@@ -75,9 +81,14 @@ fn recovered_top_priority_host_resumes_ccs_role() {
     ppm.spawn_remote("home", USER, "far", "j2", None, None)
         .unwrap();
 
-    let home = ppm.host("home").unwrap();
     ppm.world_mut()
-        .schedule_crash(home, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "home".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(20));
     let (ccs, _, _) = status_of(&mut ppm, "work", "work");
     assert_eq!(ccs, "work");
@@ -85,7 +96,13 @@ fn recovered_top_priority_host_resumes_ccs_role() {
     // home comes back; the acting CCS probes it at low frequency and
     // hands the role back ("whenever such host comes up, they connect").
     ppm.world_mut()
-        .schedule_restart(home, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Restart {
+                host: "home".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(40));
     let (ccs, epoch, _) = status_of(&mut ppm, "work", "work");
     assert_eq!(ccs, "home", "top-priority host resumed as CCS");
@@ -107,9 +124,14 @@ fn host_crash_turns_snapshot_into_a_forest() {
 
     // work crashes: its slice of the computation is gone; the remainder
     // is a forest (root on home + orphaned view of far's leaf).
-    let work = ppm.host("work").unwrap();
     ppm.world_mut()
-        .schedule_crash(work, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "work".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(10));
 
     let procs = ppm.snapshot("home", USER, "*").unwrap();
@@ -148,12 +170,22 @@ fn orphaned_lpm_kills_local_processes_after_time_to_die() {
 
     // Cut far off completely and give it a reason to notice (its only
     // sibling connection breaks when home crashes the link path).
-    let home = ppm.host("home").unwrap();
-    let work = ppm.host("work").unwrap();
     ppm.world_mut()
-        .schedule_crash(home, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "home".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.world_mut()
-        .schedule_crash(work, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "work".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(60));
 
     let p = ppm.world().kernel(far).get(pid).unwrap();
@@ -184,13 +216,24 @@ fn partitioned_lpm_in_contact_with_a_recovery_host_survives_indefinitely() {
 
     // Partition {home} from {work, far}: work is itself in the recovery
     // list, so the work/far component continues under work as CCS.
-    let home = ppm.host("home").unwrap();
-    let work = ppm.host("work").unwrap();
-    let far = ppm.host("far").unwrap();
     ppm.world_mut()
-        .schedule_link(home, work, false, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::LinkDown {
+                a: "home".into(),
+                b: "work".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.world_mut()
-        .schedule_link(home, far, false, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::LinkDown {
+                a: "home".into(),
+                b: "far".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(30));
 
     // Far past the (short) time-to-die: everything still runs.
@@ -202,9 +245,23 @@ fn partitioned_lpm_in_contact_with_a_recovery_host_survives_indefinitely() {
 
     // Heal the partition: probing reconnects to home, which resumes CCS.
     ppm.world_mut()
-        .schedule_link(home, work, true, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::LinkUp {
+                a: "home".into(),
+                b: "work".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.world_mut()
-        .schedule_link(home, far, true, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::LinkUp {
+                a: "home".into(),
+                b: "far".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(40));
     let (ccs, _, _) = status_of(&mut ppm, "work", "work");
     assert_eq!(ccs, "home", "healed partition reunifies under the home CCS");
@@ -361,9 +418,12 @@ fn in_flight_request_fails_cleanly_when_target_crashes() {
         .spawn_remote("home", USER, "far", "victim", None, None)
         .unwrap();
     // Crash far, then immediately try to control the process there.
-    let far = ppm.host("far").unwrap();
     ppm.world_mut()
-        .schedule_crash(far, SimDuration::from_millis(1));
+        .schedule_fault(
+            &FaultKind::Crash { host: "far".into() },
+            SimDuration::from_millis(1),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_millis(100));
     let err = ppm
         .control("home", USER, &g, ControlAction::Kill)
@@ -385,9 +445,12 @@ fn broadcast_completes_despite_crashed_participant() {
         .unwrap();
     ppm.spawn_remote("home", USER, "far", "b", None, None)
         .unwrap();
-    let far = ppm.host("far").unwrap();
     ppm.world_mut()
-        .schedule_crash(far, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash { host: "far".into() },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(5));
 
     // Snapshot still completes with the surviving hosts' slices.
@@ -439,9 +502,12 @@ fn crash_mid_broadcast_still_completes_with_partial_results() {
             vec![ToolStep::new("*", ppm_proto::msg::Op::Snapshot)],
         )
         .unwrap();
-    let far = ppm.host("far").unwrap();
     ppm.world_mut()
-        .schedule_crash(far, SimDuration::from_millis(120));
+        .schedule_fault(
+            &FaultKind::Crash { host: "far".into() },
+            SimDuration::from_millis(120),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(10));
 
     let outcome = handle.lock().unwrap().clone();

@@ -13,6 +13,7 @@ use ppm_core::client::ToolStep;
 use ppm_core::config::PpmConfig;
 use ppm_harness::harness::{PpmHarness, Runtime};
 use ppm_proto::msg::{ErrCode, Op, Reply};
+use ppm_simnet::fault::FaultKind;
 use ppm_simnet::time::SimDuration;
 use ppm_simnet::topology::CpuClass;
 use ppm_simos::ids::Uid;
@@ -79,12 +80,24 @@ fn sibling_loss_before_delivery_retries_and_executes_once() {
     // connection only notices on the next send (breakage surfaces after
     // the detection interval), so the first attempt is lost and the
     // retry rebuilds the channel over the healed link.
-    let a = ppm.host("origin").unwrap();
-    let b = ppm.host("exec").unwrap();
     ppm.world_mut()
-        .schedule_link(a, b, false, SimDuration::from_millis(1));
+        .schedule_fault(
+            &FaultKind::LinkDown {
+                a: "origin".into(),
+                b: "exec".into(),
+            },
+            SimDuration::from_millis(1),
+        )
+        .unwrap();
     ppm.world_mut()
-        .schedule_link(a, b, true, SimDuration::from_millis(250));
+        .schedule_fault(
+            &FaultKind::LinkUp {
+                a: "origin".into(),
+                b: "exec".into(),
+            },
+            SimDuration::from_millis(250),
+        )
+        .unwrap();
 
     let outcome = ppm
         .run_tool(
@@ -128,8 +141,6 @@ fn lost_reply_is_replayed_from_the_dedup_cache_not_reexecuted() {
     let mut ppm = pair(true);
     warm(&mut ppm);
 
-    let a = ppm.host("origin").unwrap();
-    let b = ppm.host("exec").unwrap();
     // Launch the spawn asynchronously so the partition can hit
     // mid-request: after the request has been delivered, before the
     // reply is sent.
@@ -145,12 +156,26 @@ fn lost_reply_is_replayed_from_the_dedup_cache_not_reexecuted() {
     // deferred until the child's exec event, ~60 ms later).
     ppm.run_for(SimDuration::from_millis(80));
     ppm.world_mut()
-        .schedule_link(a, b, false, SimDuration::from_millis(1));
+        .schedule_fault(
+            &FaultKind::LinkDown {
+                a: "origin".into(),
+                b: "exec".into(),
+            },
+            SimDuration::from_millis(1),
+        )
+        .unwrap();
     // Heal before the origin's 3 s request timeout fires, so the retry
     // can get through.
     ppm.run_for(SimDuration::from_secs(1));
     ppm.world_mut()
-        .schedule_link(a, b, true, SimDuration::from_millis(1));
+        .schedule_fault(
+            &FaultKind::LinkUp {
+                a: "origin".into(),
+                b: "exec".into(),
+            },
+            SimDuration::from_millis(1),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(20));
 
     let outcome = handle.lock().unwrap().clone();

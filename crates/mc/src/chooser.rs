@@ -27,7 +27,7 @@ use ppm_runtime::hashx::HashX;
 use ppm_runtime::host::{Backend, Wake};
 use ppm_runtime::time::{SimDuration, SimTime};
 use ppm_runtime::{ConnEvent, HostId, Pid, ProcKey};
-use ppm_simnet::fault::{FaultEvent, FaultKind, FaultPlan};
+use ppm_simnet::fault::FaultKind;
 use ppm_simos::world::{Move, SimEvent, Stream, World};
 
 /// The sim's world under the checker's choices.
@@ -118,14 +118,7 @@ impl Chooser {
     ///
     /// Panics if the fault names a host the world does not have.
     pub fn stage_fault(&mut self, kind: FaultKind) {
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                at: self.world.now(),
-                kind,
-            }],
-            ..FaultPlan::default()
-        };
-        let staged = self.world.apply_fault_plan(&plan);
+        let staged = self.world.schedule_fault(&kind, SimDuration::ZERO);
         staged.expect("a staged fault names the world's hosts");
     }
 

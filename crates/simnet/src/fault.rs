@@ -20,12 +20,19 @@
 //! delay 0.2 add 40ms
 //! ```
 //!
+//! An `at` line's fault is read by [`parse_event`], which a scenario's
+//! fault statements go through too, so both files write a fault alike.
+//!
 //! Nothing here executes faults: the simulation layers interpret the
 //! plan by scheduling [`FaultEvent`]s on the event engine and consulting
 //! [`WireFaults`] on every message send. The wire-fault generator owns
 //! its **own** seeded [`SimRng`] stream, so fault decisions never
 //! perturb the latency jitter stream — the same plan and seed produce
 //! the same fault schedule whether or not other randomness changes.
+
+use std::fmt;
+
+use ppm_runtime::name::Name;
 
 use crate::grammar::{self, LineError, Tokens};
 use crate::rng::SimRng;
@@ -40,26 +47,58 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// The kinds of scheduled (non-probabilistic) faults.
+/// The kinds of scheduled (non-probabilistic) faults: what a plan's and
+/// a scenario's `at` lines name, and what the checker stages. Names are
+/// [`Name`]s, so a short one is held inline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Power-fail a host: every process, FD and socket dies.
-    Crash { host: String },
+    Crash { host: Name },
     /// Power the host back up (kernel reboots, daemons re-run).
-    Restart { host: String },
+    Restart { host: Name },
     /// Cut the link between two hosts.
-    LinkDown { a: String, b: String },
+    LinkDown { a: Name, b: Name },
     /// Heal the link between two hosts.
-    LinkUp { a: String, b: String },
+    LinkUp { a: Name, b: Name },
     /// Cut a *named* netmodel link (`cut link <name>`); requires a
     /// topology to be installed so the name can resolve.
-    NetLinkDown { link: String },
+    NetLinkDown { link: Name },
     /// Heal a named netmodel link.
-    NetLinkUp { link: String },
+    NetLinkUp { link: Name },
     /// SIGKILL every live process on `host` whose command starts with
     /// `command` — the way a plan kills an LPM without taking the whole
     /// host down.
-    Kill { host: String, command: String },
+    Kill { host: Name, command: Name },
+}
+
+impl FaultKind {
+    /// The canonical verb of the fault: what [`FaultPlan::encode`]
+    /// writes for it.
+    pub fn verb(&self) -> &'static str {
+        use FaultKind::*;
+        match self {
+            Crash { .. } => "crash",
+            Restart { .. } => "restart",
+            LinkDown { .. } | NetLinkDown { .. } => "link-down",
+            LinkUp { .. } | NetLinkUp { .. } => "link-up",
+            Kill { .. } => "kill",
+        }
+    }
+}
+
+/// The fault in canonical text, its verb first: `crash far`,
+/// `link-down a b`, `link-up link up0`, `kill work lpm`.
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use FaultKind::*;
+        let verb = self.verb();
+        match self {
+            Crash { host } | Restart { host } => write!(f, "{verb} {host}"),
+            LinkDown { a, b } | LinkUp { a, b } => write!(f, "{verb} {a} {b}"),
+            NetLinkDown { link } | NetLinkUp { link } => write!(f, "{verb} link {link}"),
+            Kill { host, command } => write!(f, "{verb} {host} {command}"),
+        }
+    }
 }
 
 /// The kinds of probabilistic per-message wire faults.
@@ -90,9 +129,9 @@ pub struct WireRule {
     /// Per-message firing probability in `[0, 1]`.
     pub p: f64,
     /// Only messages sent from this host (any, when `None`).
-    pub from: Option<String>,
+    pub from: Option<Name>,
     /// Only messages sent to this host (any, when `None`).
-    pub to: Option<String>,
+    pub to: Option<Name>,
     /// Only messages sent at or after this time.
     pub after: Option<SimTime>,
     /// Only messages sent strictly before this time.
@@ -175,8 +214,12 @@ impl FaultPlan {
                 }
                 "at" => {
                     let at = grammar::instant(t.need(1, "a time")?)?;
-                    t.need(2, "a fault verb")?;
-                    parse_event(&mut plan, at, line.at(2))?;
+                    let verb = t.need(2, "a fault verb")?;
+                    let Some((fault, later)) = parse_event(at, line.at(2))? else {
+                        return Err(format!("unknown fault verb {verb:?}"));
+                    };
+                    plan.events.push(fault);
+                    plan.events.extend(later);
                 }
                 "drop" | "dup" | "reorder" | "delay" => plan.wire.push(parse_wire_rule(t)?),
                 other => return Err(format!("unknown statement {other:?}")),
@@ -193,30 +236,7 @@ impl FaultPlan {
         let mut out = String::new();
         let _ = writeln!(out, "seed {}", self.seed);
         for ev in &self.events {
-            let at = ev.at.as_micros();
-            match &ev.kind {
-                FaultKind::Crash { host } => {
-                    let _ = writeln!(out, "at {at}us crash {host}");
-                }
-                FaultKind::Restart { host } => {
-                    let _ = writeln!(out, "at {at}us restart {host}");
-                }
-                FaultKind::LinkDown { a, b } => {
-                    let _ = writeln!(out, "at {at}us link-down {a} {b}");
-                }
-                FaultKind::LinkUp { a, b } => {
-                    let _ = writeln!(out, "at {at}us link-up {a} {b}");
-                }
-                FaultKind::NetLinkDown { link } => {
-                    let _ = writeln!(out, "at {at}us link-down link {link}");
-                }
-                FaultKind::NetLinkUp { link } => {
-                    let _ = writeln!(out, "at {at}us link-up link {link}");
-                }
-                FaultKind::Kill { host, command } => {
-                    let _ = writeln!(out, "at {at}us kill {host} {command}");
-                }
-            }
+            let _ = writeln!(out, "at {}us {}", ev.at.as_micros(), ev.kind);
         }
         for rule in &self.wire {
             match &rule.kind {
@@ -251,79 +271,84 @@ impl FaultPlan {
     }
 }
 
-/// Adds the events of the fault `t` names, its verb first, at `at`.
-fn parse_event(plan: &mut FaultPlan, at: SimTime, t: Tokens) -> Result<(), String> {
+/// Reads the fault `t` names, its verb first, at `at`: the fault, and
+/// the `restart` or `heal` its sugar schedules later. `None` when the
+/// verb names no fault. The one reader of a fault verb: a plan's `at`
+/// lines and a scenario's go through it.
+///
+/// # Errors
+///
+/// A missing or extra token, or a sugar delay past the clock's range.
+pub fn parse_event(
+    at: SimTime,
+    t: Tokens,
+) -> Result<Option<(FaultEvent, Option<FaultEvent>)>, String> {
     use FaultKind::*;
-    let word = |i, what| t.need(i, what).map(String::from);
+    let word = |i, what| t.need(i, what).map(Name::new);
     let host = || word(1, "HOST");
     let link = || word(2, "a link name after `link`");
     let pair = || Ok::<_, String>((word(1, "two hosts")?, word(2, "two hosts")?));
-    let mut push = |at, kind| plan.events.push(FaultEvent { at, kind });
-    // Each verb's arm returns how many tokens it read, the verb counted.
-    let read = match t.verb() {
+    // Each verb's arm gives the fault, the instant and fault of its
+    // sugar, and how many tokens it read, the verb counted.
+    let (kind, later, read) = match t.verb() {
         "crash" => {
-            push(at, Crash { host: host()? });
+            let host = host()?;
             // Sugar: `crash HOST restart DUR` heals the host DUR later.
-            if let Some(later) = sugar(t, 2, "restart", at)? {
-                push(later, Restart { host: host()? });
-            }
-            4
+            let later = sugar(t, 2, "restart", at)?;
+            let later = later.map(|at| (at, Restart { host: host.clone() }));
+            (Crash { host }, later, 4)
         }
-        "restart" => {
-            push(at, Restart { host: host()? });
-            2
-        }
+        "restart" => (Restart { host: host()? }, None, 2),
         // Sugar: `cut link NAME [heal DUR]` targets a named netmodel
         // link instead of a host pair.
         "cut" | "link-down" if t.get(1) == Some("link") => {
-            push(at, NetLinkDown { link: link()? });
-            if let Some(later) = sugar(t, 3, "heal", at)? {
-                push(later, NetLinkUp { link: link()? });
-            }
-            5
+            let link = link()?;
+            let later = sugar(t, 3, "heal", at)?;
+            let later = later.map(|at| (at, NetLinkUp { link: link.clone() }));
+            (NetLinkDown { link }, later, 5)
         }
         "cut" | "link-down" => {
             let (a, b) = pair()?;
-            push(at, LinkDown { a, b });
             // Sugar: `cut A B heal DUR` restores the link DUR later.
-            if let Some(later) = sugar(t, 3, "heal", at)? {
-                let (a, b) = pair()?;
-                push(later, LinkUp { a, b });
-            }
-            5
+            let later = sugar(t, 3, "heal", at)?;
+            let later = later.map(|at| {
+                (
+                    at,
+                    LinkUp {
+                        a: a.clone(),
+                        b: b.clone(),
+                    },
+                )
+            });
+            (LinkDown { a, b }, later, 5)
         }
-        "link-up" | "heal" if t.get(1) == Some("link") => {
-            push(at, NetLinkUp { link: link()? });
-            3
-        }
+        "link-up" | "heal" if t.get(1) == Some("link") => (NetLinkUp { link: link()? }, None, 3),
         "link-up" | "heal" => {
             let (a, b) = pair()?;
-            push(at, LinkUp { a, b });
-            3
+            (LinkUp { a, b }, None, 3)
         }
         "kill" => {
             let (host, command) = (host()?, word(2, "a command prefix")?);
-            push(at, Kill { host, command });
-            3
+            (Kill { host, command }, None, 3)
         }
-        other => return Err(format!("unknown fault verb {other:?}")),
+        _ => return Ok(None),
     };
     // Tokens run on without a gap, so a sugar left out leaves no token
     // at its place or past it.
-    t.end(read)
+    t.end(read)?;
+    let later = later.map(|(at, kind)| FaultEvent { at, kind });
+    Ok(Some((FaultEvent { at, kind }, later)))
 }
+
 /// The instant of the optional `WORD DUR` at token `i`: `at` plus DUR.
+/// Any other token there is one the statement does not read.
 fn sugar(t: Tokens, i: usize, word: &str, at: SimTime) -> Result<Option<SimTime>, String> {
-    match t.get(i) {
-        None => Ok(None),
-        Some(w) if w == word => {
-            let delay = t.get(i + 1);
-            let delay =
-                delay.ok_or_else(|| format!("{} needs a delay after `{word}`", t.verb()))?;
-            grammar::later(at, delay).map(Some)
-        }
-        Some(other) => Err(format!("unknown {} option {other:?}", t.verb())),
+    if t.get(i) != Some(word) {
+        return t.end(i).map(|()| None);
     }
+    let delay = t.get(i + 1);
+    let delay = delay.ok_or_else(|| format!("{} needs a delay after `{word}`", t.verb()))?;
+    grammar::later(at, delay).map(Some)
 }
 
 fn parse_wire_rule(t: Tokens) -> Result<WireRule, String> {

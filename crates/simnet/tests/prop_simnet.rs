@@ -444,6 +444,7 @@ proptest! {
 
 // ---- fault plans ------------------------------------------------------------
 
+use ppm_runtime::name::Name;
 use ppm_simnet::fault::{FaultEvent, FaultKind, FaultPlan, WireFaultKind, WireFaults, WireRule};
 
 fn arb_host() -> impl Strategy<Value = String> {
@@ -457,16 +458,18 @@ fn arb_link_name() -> impl Strategy<Value = String> {
 }
 
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
+    let host = || arb_host().prop_map(Name::from);
+    let link = || arb_link_name().prop_map(Name::from);
     prop_oneof![
-        arb_host().prop_map(|host| FaultKind::Crash { host }),
-        arb_host().prop_map(|host| FaultKind::Restart { host }),
-        (arb_host(), arb_host()).prop_map(|(a, b)| FaultKind::LinkDown { a, b }),
-        (arb_host(), arb_host()).prop_map(|(a, b)| FaultKind::LinkUp { a, b }),
-        arb_link_name().prop_map(|link| FaultKind::NetLinkDown { link }),
-        arb_link_name().prop_map(|link| FaultKind::NetLinkUp { link }),
-        (arb_host(), 0u8..3).prop_map(|(host, c)| FaultKind::Kill {
+        host().prop_map(|host| FaultKind::Crash { host }),
+        host().prop_map(|host| FaultKind::Restart { host }),
+        (host(), host()).prop_map(|(a, b)| FaultKind::LinkDown { a, b }),
+        (host(), host()).prop_map(|(a, b)| FaultKind::LinkUp { a, b }),
+        link().prop_map(|link| FaultKind::NetLinkDown { link }),
+        link().prop_map(|link| FaultKind::NetLinkUp { link }),
+        (host(), 0u8..3).prop_map(|(host, c)| FaultKind::Kill {
             host,
-            command: ["lpm", "pmd", "worker"][c as usize].to_string(),
+            command: ["lpm", "pmd", "worker"][c as usize].into(),
         }),
     ]
 }
@@ -485,8 +488,8 @@ fn arb_wire_rule() -> impl Strategy<Value = WireRule> {
     (
         kind,
         0u32..=1000,
-        prop::option::of(arb_host()),
-        prop::option::of(arb_host()),
+        prop::option::of(arb_host().prop_map(Name::from)),
+        prop::option::of(arb_host().prop_map(Name::from)),
         prop::option::of(0u64..20_000_000),
         prop::option::of(0u64..20_000_000),
     )

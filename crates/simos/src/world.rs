@@ -491,19 +491,47 @@ impl World {
         self.kernel_delivery = Some(self.obs.registry.hist("kernel.delivery_us"));
     }
 
-    /// Schedules a host crash at `delay` from now.
-    pub fn schedule_crash(&mut self, host: HostId, delay: SimDuration) {
-        self.engine.schedule(delay, SimEvent::HostCrash(host));
+    /// The event `fault` schedules: its host names resolved to ids, a
+    /// netmodel link name to the link's index. The one resolver behind
+    /// [`World::schedule_fault`] and [`World::apply_fault_plan`].
+    fn fault_event(&self, fault: &FaultKind) -> Result<SimEvent, String> {
+        let verb = fault.verb();
+        let host = |name: &str| {
+            self.host_by_name(name)
+                .ok_or_else(|| format!("{verb} names unknown host {name:?}"))
+        };
+        let link = |name: &str| match &self.net {
+            Some(net) => net
+                .graph
+                .link_by_name(name)
+                .ok_or_else(|| format!("{verb} names unknown net link {name:?}")),
+            None => Err(format!(
+                "{verb} names net link {name:?} but no topology model is installed"
+            )),
+        };
+        use FaultKind::*;
+        Ok(match fault {
+            Crash { host: h } => SimEvent::HostCrash(host(h)?),
+            Restart { host: h } => SimEvent::HostRestart(host(h)?),
+            LinkDown { a, b } => SimEvent::LinkSet(host(a)?, host(b)?, false),
+            LinkUp { a, b } => SimEvent::LinkSet(host(a)?, host(b)?, true),
+            NetLinkDown { link: l } => SimEvent::NetLinkSet(link(l)?, false),
+            NetLinkUp { link: l } => SimEvent::NetLinkSet(link(l)?, true),
+            Kill { host: h, command } => SimEvent::KillCmd(host(h)?, command.to_string()),
+        })
     }
 
-    /// Schedules a host restart at `delay` from now.
-    pub fn schedule_restart(&mut self, host: HostId, delay: SimDuration) {
-        self.engine.schedule(delay, SimEvent::HostRestart(host));
-    }
-
-    /// Schedules a link state change (partition / heal) at `delay` from now.
-    pub fn schedule_link(&mut self, a: HostId, b: HostId, up: bool, delay: SimDuration) {
-        self.engine.schedule(delay, SimEvent::LinkSet(a, b, up));
+    /// Schedules `fault` at `delay` from now. Counts nothing into
+    /// `faults.injected`: a plan counts its faults when it is installed.
+    ///
+    /// # Errors
+    ///
+    /// A message naming a host or net link the world does not have;
+    /// nothing is scheduled then.
+    pub fn schedule_fault(&mut self, fault: &FaultKind, delay: SimDuration) -> Result<(), String> {
+        let event = self.fault_event(fault)?;
+        self.engine.schedule(delay, event);
+        Ok(())
     }
 
     /// Installs a fault plan: schedules its timed faults on the event
@@ -514,78 +542,20 @@ impl World {
     ///
     /// # Errors
     ///
-    /// Returns a message naming any host the plan references but the
-    /// world does not have; nothing is scheduled in that case.
+    /// Returns a message naming any host or net link the plan references
+    /// but the world does not have; nothing is scheduled in that case.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), String> {
-        let resolve = |world: &World, name: &str| {
-            world
-                .host_by_name(name)
-                .ok_or_else(|| format!("fault plan references unknown host {name:?}"))
-        };
-        // Validate every host first so a bad plan is all-or-nothing.
+        // Every fault resolves before any is scheduled: all or nothing.
+        // Checked first, not collected: a vector would cost more than a
+        // second lookup of a few names.
         for ev in &plan.events {
-            match &ev.kind {
-                FaultKind::Crash { host }
-                | FaultKind::Restart { host }
-                | FaultKind::Kill { host, .. } => {
-                    resolve(self, host)?;
-                }
-                FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b } => {
-                    resolve(self, a)?;
-                    resolve(self, b)?;
-                }
-                FaultKind::NetLinkDown { link } | FaultKind::NetLinkUp { link } => {
-                    match &self.net {
-                        Some(net) if net.graph.link_by_name(link).is_some() => {}
-                        Some(_) => {
-                            return Err(format!("fault plan references unknown net link {link:?}"));
-                        }
-                        None => {
-                            return Err(format!(
-                                "fault plan cuts net link {link:?} but no topology model is installed"
-                            ));
-                        }
-                    }
-                }
-            }
+            self.fault_event(&ev.kind)?;
         }
         let now = self.now();
         for ev in &plan.events {
             let delay = ev.at.saturating_since(now);
-            match &ev.kind {
-                FaultKind::Crash { host } => {
-                    let h = resolve(self, host).expect("validated");
-                    self.schedule_crash(h, delay);
-                }
-                FaultKind::Restart { host } => {
-                    let h = resolve(self, host).expect("validated");
-                    self.schedule_restart(h, delay);
-                }
-                FaultKind::LinkDown { a, b } => {
-                    let ha = resolve(self, a).expect("validated");
-                    let hb = resolve(self, b).expect("validated");
-                    self.schedule_link(ha, hb, false, delay);
-                }
-                FaultKind::LinkUp { a, b } => {
-                    let ha = resolve(self, a).expect("validated");
-                    let hb = resolve(self, b).expect("validated");
-                    self.schedule_link(ha, hb, true, delay);
-                }
-                FaultKind::NetLinkDown { link } | FaultKind::NetLinkUp { link } => {
-                    let idx = self
-                        .net
-                        .as_ref()
-                        .and_then(|n| n.graph.link_by_name(link))
-                        .expect("validated");
-                    let up = matches!(&ev.kind, FaultKind::NetLinkUp { .. });
-                    self.engine.schedule(delay, SimEvent::NetLinkSet(idx, up));
-                }
-                FaultKind::Kill { host, command } => {
-                    let h = resolve(self, host).expect("validated");
-                    self.engine
-                        .schedule(delay, SimEvent::KillCmd(h, command.clone()));
-                }
-            }
+            self.schedule_fault(&ev.kind, delay)
+                .expect("resolved above");
         }
         let faults = self.ids.faults_injected;
         if !plan.events.is_empty() {
@@ -1487,11 +1457,15 @@ mod tests {
         let (mut w, a, _) = two_hosts();
         let pid = w.spawn_user(a, Uid(100), SpawnSpec::inert("job")).unwrap();
         w.run_for(SimDuration::from_millis(200));
-        w.schedule_crash(a, SimDuration::from_millis(10));
+        let crash = FaultKind::Crash { host: "a".into() };
+        w.schedule_fault(&crash, SimDuration::from_millis(10))
+            .unwrap();
         w.run_for(SimDuration::from_millis(50));
         assert!(!w.host_up(a));
         assert!(!w.is_alive(a, pid));
-        w.schedule_restart(a, SimDuration::from_millis(10));
+        let restart = FaultKind::Restart { host: "a".into() };
+        w.schedule_fault(&restart, SimDuration::from_millis(10))
+            .unwrap();
         w.run_for(SimDuration::from_millis(200));
         assert!(w.host_up(a));
         assert_eq!(w.kernel(a).boot_count(), 2);

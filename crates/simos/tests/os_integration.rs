@@ -12,6 +12,7 @@ use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
 use ppm_runtime::workload::{Chatter, EchoServer, Worker};
+use ppm_simnet::fault::FaultKind;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostSpec};
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
@@ -132,7 +133,11 @@ fn connect_to_missing_listener_is_refused() {
 #[test]
 fn connect_to_crashed_host_fails_with_host_down() {
     let (mut w, a, b) = two_hosts(3);
-    w.schedule_crash(b, SimDuration::from_millis(1));
+    w.schedule_fault(
+        &FaultKind::Crash { host: "b".into() },
+        SimDuration::from_millis(1),
+    )
+    .unwrap();
     w.run_for(SimDuration::from_millis(50));
     let log = Arc::new(Mutex::new(Vec::new()));
     w.spawn_user(
@@ -215,7 +220,14 @@ fn partition_breaks_connections_on_send() {
             SpawnSpec::new("chat", Box::new(Chatter::new(b, Port(9), 64, 1000))),
         )
         .unwrap();
-    w.schedule_link(a, b, false, SimDuration::from_millis(500));
+    w.schedule_fault(
+        &FaultKind::LinkDown {
+            a: "a".into(),
+            b: "b".into(),
+        },
+        SimDuration::from_millis(500),
+    )
+    .unwrap();
     w.run_for(SimDuration::from_secs(5));
     let p = w.kernel(a).get(c).unwrap();
     assert_eq!(
@@ -659,8 +671,16 @@ fn a_timer_does_not_outlive_the_boot_it_was_armed_in() {
         SpawnSpec::new("worker", Box::new(Worker::new(life, SimDuration::ZERO)))
     };
     let first = w.spawn_user(a, Uid(1), worker(60)).unwrap();
-    w.schedule_crash(a, SimDuration::from_secs(1));
-    w.schedule_restart(a, SimDuration::from_secs(2));
+    w.schedule_fault(
+        &FaultKind::Crash { host: "a".into() },
+        SimDuration::from_secs(1),
+    )
+    .unwrap();
+    w.schedule_fault(
+        &FaultKind::Restart { host: "a".into() },
+        SimDuration::from_secs(2),
+    )
+    .unwrap();
     w.run_until(SimTime::from_secs(3));
     let second = w.spawn_user(a, Uid(1), worker(300)).unwrap();
     assert_eq!(second, first, "the second boot hands the pid out again");
@@ -758,8 +778,13 @@ fn a_program_goes_back_to_its_slot_only_while_its_process_lives() {
         "the forker's program went back to its slot after 200 forks"
     );
 
-    w.schedule_crash(a, SimDuration::ZERO);
-    w.schedule_restart(a, SimDuration::from_secs(1));
+    w.schedule_fault(&FaultKind::Crash { host: "a".into() }, SimDuration::ZERO)
+        .unwrap();
+    w.schedule_fault(
+        &FaultKind::Restart { host: "a".into() },
+        SimDuration::from_secs(1),
+    )
+    .unwrap();
     w.run_for(SimDuration::from_secs(2));
     assert_eq!(
         taken(&log),

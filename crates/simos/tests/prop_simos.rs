@@ -12,6 +12,7 @@ use ppm_runtime::program::{ConnEvent, ProcKey, Program, SpawnSpec};
 use ppm_runtime::rt::Runtime;
 use ppm_runtime::signal::{ExitStatus, Signal};
 use ppm_runtime::sys::Sys;
+use ppm_simnet::fault::FaultKind;
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, HostSpec};
 use ppm_simos::ids::{ConnId, Pid, Port, Uid};
@@ -116,6 +117,8 @@ enum NetOp {
 }
 
 const NET_HOSTS: usize = 3;
+/// How soon a scheduled fault fires.
+const SOON: SimDuration = SimDuration::from_millis(1);
 const NET_PORTS: u16 = 4;
 
 fn arb_net_ops() -> impl Strategy<Value = Vec<(NetOp, usize)>> {
@@ -236,10 +239,18 @@ proptest! {
                         let _ = w.post_signal(Uid(1), *key, Signal::Kill);
                     }
                 }
-                NetOp::Crash(h) => w.schedule_crash(hosts[h], SimDuration::from_millis(1)),
-                NetOp::Restart(h) => w.schedule_restart(hosts[h], SimDuration::from_millis(1)),
+                NetOp::Crash(h) => {
+                    let host = w.host_name(hosts[h]).into();
+                    w.schedule_fault(&FaultKind::Crash { host }, SOON).unwrap();
+                }
+                NetOp::Restart(h) => {
+                    let host = w.host_name(hosts[h]).into();
+                    w.schedule_fault(&FaultKind::Restart { host }, SOON).unwrap();
+                }
                 NetOp::Link(a, b, up) => {
-                    w.schedule_link(hosts[a], hosts[b], up, SimDuration::from_millis(1));
+                    let (a, b) = (w.host_name(hosts[a]).into(), w.host_name(hosts[b]).into());
+                    let fault = if up { FaultKind::LinkUp { a, b } } else { FaultKind::LinkDown { a, b } };
+                    w.schedule_fault(&fault, SOON).unwrap();
                 }
             }
             check_conn_index(&w)?;

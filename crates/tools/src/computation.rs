@@ -129,6 +129,7 @@ pub fn signal_computation<R: Runtime>(
 mod tests {
     use super::*;
     use ppm_core::config::PpmConfig;
+    use ppm_simnet::fault::FaultKind;
     use ppm_simnet::time::SimDuration;
     use ppm_simnet::topology::CpuClass;
 
@@ -254,10 +255,15 @@ mod tests {
         ppm.spawn_remote("a", USER, "b", "w1", Some(root.clone()), None)
             .unwrap();
         ppm.run_for(SimDuration::from_millis(100));
-        let a = ppm.host("a").unwrap();
-        let b = ppm.host("b").unwrap();
         ppm.world_mut()
-            .schedule_link(a, b, false, SimDuration::from_millis(1));
+            .schedule_fault(
+                &FaultKind::LinkDown {
+                    a: "a".into(),
+                    b: "b".into(),
+                },
+                SimDuration::from_millis(1),
+            )
+            .unwrap();
         ppm.run_for(SimDuration::from_millis(50));
 
         let sites = locate(&mut ppm, "a", USER, &root).unwrap();

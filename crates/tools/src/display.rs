@@ -360,6 +360,7 @@ pub fn render_dashboard(
 mod tests {
     use super::*;
     use ppm_core::config::PpmConfig;
+    use ppm_simnet::fault::FaultKind;
     use ppm_simnet::time::SimDuration;
     use ppm_simnet::topology::CpuClass;
 
@@ -409,16 +410,23 @@ mod tests {
             .link("x", "y")
             .user(USER, 7, &["x"], PpmConfig::fast_recovery())
             .build();
-        let y = ppm.host("y").unwrap();
         ppm.world_mut()
-            .schedule_crash(y, SimDuration::from_millis(10));
+            .schedule_fault(
+                &FaultKind::Crash { host: "y".into() },
+                SimDuration::from_millis(10),
+            )
+            .unwrap();
         ppm.run_for(SimDuration::from_secs(1));
         let rows = gather_status(&mut ppm, "x", USER).unwrap();
         let yrow = rows.iter().find(|r| r.host == "y").unwrap();
         assert_eq!(yrow.liveness, Liveness::Down);
 
         ppm.world_mut()
-            .schedule_restart(y, SimDuration::from_millis(10));
+            .schedule_fault(
+                &FaultKind::Restart { host: "y".into() },
+                SimDuration::from_millis(10),
+            )
+            .unwrap();
         ppm.run_for(SimDuration::from_secs(2));
         let rows = gather_status(&mut ppm, "x", USER).unwrap();
         let yrow = rows.iter().find(|r| r.host == "y").unwrap();
@@ -513,9 +521,12 @@ mod tests {
             .user(USER, 7, &["x"], PpmConfig::fast_recovery())
             .build();
         ppm.spawn_remote("x", USER, "y", "w", None, None).unwrap();
-        let y = ppm.host("y").unwrap();
         ppm.world_mut()
-            .schedule_crash(y, SimDuration::from_millis(10));
+            .schedule_fault(
+                &FaultKind::Crash { host: "y".into() },
+                SimDuration::from_millis(10),
+            )
+            .unwrap();
         ppm.run_for(SimDuration::from_secs(2));
         let rows = gather_status(&mut ppm, "x", USER).unwrap();
         let yrow = rows.iter().find(|r| r.host == "y").unwrap();

@@ -11,6 +11,7 @@ use ppm::harness::harness::PpmHarness;
 use ppm::proto::msg::Reply;
 use ppm::proto::types::Name;
 use ppm::runtime::trace::TraceCategory;
+use ppm::simnet::fault::FaultKind;
 use ppm::simnet::time::SimDuration;
 use ppm::simnet::topology::CpuClass;
 use ppm::simos::ids::Uid;
@@ -45,10 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("initial view from work: CCS={ccs} epoch={epoch}");
 
     // The home machine crashes.
-    let home = ppm.host("home")?;
     println!("\n*** crashing home ***");
     ppm.world_mut()
-        .schedule_crash(home, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Crash {
+                host: "home".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(20));
 
     let (ccs, epoch) = ccs_view(&mut ppm, "work", user);
@@ -70,7 +76,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // home returns; probing hands the coordinator role back.
     println!("\n*** restarting home ***");
     ppm.world_mut()
-        .schedule_restart(home, SimDuration::from_millis(10));
+        .schedule_fault(
+            &FaultKind::Restart {
+                host: "home".into(),
+            },
+            SimDuration::from_millis(10),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(40));
     let (ccs, epoch) = ccs_view(&mut ppm, "work", user);
     println!("after restart, view from work: CCS={ccs} epoch={epoch}");

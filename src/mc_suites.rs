@@ -248,7 +248,7 @@ pub fn election() -> Scenario {
         // Partition the CCS (`a`, highest priority) away and let the
         // survivors elect deterministically.
         for b in ["b", "c"] {
-            let (a, b) = ("a".to_string(), b.to_string());
+            let (a, b) = ("a".into(), b.into());
             w.stage_fault(FaultKind::LinkDown { a, b });
             assert!(apply_matching(&mut w, "fault cut a-"), "the cut is a move");
         }
@@ -264,7 +264,7 @@ pub fn election() -> Scenario {
         // cycles after the last heal — later heals end the schedule
         // with the repair legitimately still in progress.
         for b in ["b", "c"] {
-            let (a, b) = ("a".to_string(), b.to_string());
+            let (a, b) = ("a".into(), b.into());
             w.stage_fault(FaultKind::LinkUp { a, b });
         }
         w.set_horizon(SimDuration::from_secs(6));
@@ -323,7 +323,7 @@ pub fn no_orphans() -> Scenario {
         let mut w = Chooser::new(ppm.into_runtime());
         // The explorer chooses when the tracking LPM dies relative to
         // everything else in flight.
-        let (host, command) = ("b".to_string(), "lpm-100".to_string());
+        let (host, command) = ("b".into(), "lpm-100".into());
         w.stage_fault(FaultKind::Kill { host, command });
         w.set_horizon(SimDuration::from_secs(10));
         w.set_convergence_margin(SimDuration::from_secs(5));
@@ -394,7 +394,7 @@ pub fn stale_route() -> Scenario {
         // Kill the learned hop. The sibling conn a-b stays up from the
         // LPMs' point of view until the closed notice lands — exactly the
         // stale window under test.
-        let (host, command) = ("b".to_string(), "lpm-100".to_string());
+        let (host, command) = ("b".into(), "lpm-100".into());
         w.stage_fault(FaultKind::Kill { host, command });
         assert!(apply_matching(&mut w, "fault kill lpm-100@b"));
         assert!(apply_matching(&mut w, "signal SIGKILL -> lpm-100@b"));

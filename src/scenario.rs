@@ -31,10 +31,11 @@
 //! at 6s    killtree calder 100 $w1
 //! at 7s    drill calder 100 ucbarpa,kim [kill=ucbarpa]
 //! at 7s    files calder 100 calder 5          # a process's descriptors
-//! at 8s    crash ucbarpa                     # sim-only
-//! at 9s    restart ucbarpa                   # sim-only
-//! at 10s   link-down calder ucbarpa          # sim-only
-//! at 11s   link-up calder ucbarpa            # sim-only
+//! at 8s    crash ucbarpa [restart 6s]        # sim-only, as are the faults below
+//! at 9s    restart ucbarpa
+//! at 10s   cut calder ucbarpa [heal 2s]      # or: link-down; heal A B, link-up A B
+//! at 11s   cut link core:tor0-spine1         # a `--topology` link, by name
+//! at 12s   kill calder lpm                   # SIGKILL by command prefix
 //!
 //! run 30s
 //! ```
@@ -45,9 +46,15 @@
 //! count and a unit (`us`, `ms` or `s`), a seed or a secret is decimal or
 //! `0x` hex, UIDs and PIDs fit in 32 bits, and no token is longer than
 //! 65 535 bytes, the most a protocol string carries (a host name, a
-//! command, a destination). A refusal names its line. A `link`, a `load`
-//! and a user's `recovery=` and `nameserver=` name hosts declared on
-//! earlier lines; a host and a user are each declared once.
+//! command, a destination). A refusal names its line. A `link`, a `load`,
+//! a fault and a user's `recovery=` and `nameserver=` name hosts declared
+//! on earlier lines; a host and a user are each declared once.
+//!
+//! A fault is written as a fault plan writes it: its `at` line is read
+//! by [`ppm_simnet::fault::parse_event`], the fault plan's own reader,
+//! into [`Action::Fault`]. A sugared `restart` or `heal` is a second
+//! fault at its later instant. A fault is scheduled when play reaches
+//! it, with no delay, and is not counted into `faults.injected`.
 //!
 //! A user's options set its [`PpmConfig`]: `fast` the short recovery
 //! timers, `noagg` no reply splicing, `noreuse` no handler reuse,
@@ -71,8 +78,8 @@
 //! that host's LPM and wait for the respawn and re-adoption. A scenario
 //! with a `kill=` runs its pmds with stable storage and LPM respawn.
 //!
-//! **Sim-only statements** — `crash`, `restart`, `link-down`, `link-up`,
-//! `load`, and a `link` set that leaves some pair of hosts unlinked
+//! **Sim-only statements** — every fault, `load`, and a `link` set that
+//! leaves some pair of hosts unlinked
 //! (every other runtime is one LAN segment) — need the simulated world,
 //! as do `ppm-sim --seed`, fault plans, a network model, the `--hosts`
 //! chain and the `--users` storm. [`crate::sweep::run_cell`] refuses
@@ -92,7 +99,7 @@ use ppm_proto::types::{Gpid, Name, ProcRecord};
 use ppm_runtime::events::TraceFlags;
 use ppm_runtime::program::SpawnSpec;
 use ppm_runtime::workload::DutyCycle;
-use ppm_simnet::fault::FaultPlan;
+use ppm_simnet::fault::{self, FaultEvent, FaultKind, FaultPlan};
 use ppm_simnet::grammar::{self, LineError, Tokens};
 use ppm_simnet::time::{SimDuration, SimTime};
 use ppm_simnet::topology::{CpuClass, HostId, NetGraph, NetSpec};
@@ -196,22 +203,16 @@ pub enum Action {
         jobs: Vec<Name>,
         kill: Option<Name>,
     },
-    /// Crash a host.
-    Crash { host: Name },
-    /// Restart a host.
-    Restart { host: Name },
-    /// Take a link down / bring it up.
-    Link { a: Name, b: Name, up: bool },
+    /// A fault, in the fault plan's vocabulary: a crash, a restart, a
+    /// link cut or healed, a kill.
+    Fault(FaultKind),
 }
 
 impl Action {
     /// The statement, when only the simulated world can play it.
     pub(crate) fn sim_only(&self) -> Option<&'static str> {
         match self {
-            Action::Crash { .. } => Some("crash"),
-            Action::Restart { .. } => Some("restart"),
-            Action::Link { up: false, .. } => Some("link-down"),
-            Action::Link { up: true, .. } => Some("link-up"),
+            Action::Fault(fault) => Some(fault.verb()),
             _ => None,
         }
     }
@@ -242,6 +243,18 @@ pub struct Scenario {
     pub stable_storage: Option<bool>,
     /// Extra time to run after the last action.
     pub tail: SimDuration,
+}
+
+impl Scenario {
+    /// Refuses `host` unless an earlier line declared it; `verb` names
+    /// the statement that named it.
+    fn declared(&self, verb: &str, host: &str) -> Result<(), String> {
+        if self.hosts.iter().any(|(h, _)| h == host) {
+            Ok(())
+        } else {
+            Err(format!("{verb} names undeclared host {host:?}"))
+        }
+    }
 }
 
 /// A process: `$name`, or a `host` and a pid; with the tokens it took.
@@ -311,9 +324,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                     return Err(format!("link joins {a:?} to itself"));
                 }
                 for end in [a, b] {
-                    if !sc.hosts.iter().any(|(h, _)| h == end) {
-                        return Err(format!("link names undeclared host {end:?}"));
-                    }
+                    sc.declared("link", end)?;
                 }
                 sc.links.push((Name::new(a), Name::new(b)));
             }
@@ -321,9 +332,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                 let (Some(host), Some(avg), 3) = (t.get(1), t.get(2), t.0.len()) else {
                     return Err("load takes HOST AVG".into());
                 };
-                if !sc.hosts.iter().any(|(h, _)| h == host) {
-                    return Err(format!("load names undeclared host {host:?}"));
-                }
+                sc.declared("load", host)?;
                 if sc.loads.iter().any(|(_, h, _)| h == host) {
                     return Err(format!("load of {host:?} is given twice"));
                 }
@@ -356,11 +365,7 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                 } else {
                     PpmConfig::default()
                 };
-                let declared = |h: &str| {
-                    let known = sc.hosts.iter().any(|(d, _)| d == h);
-                    let unknown = || format!("user names undeclared host {h:?}");
-                    known.then(|| Name::new(h)).ok_or_else(unknown)
-                };
+                let declared = |h: &str| sc.declared("user", h).map(|()| Name::new(h));
                 for &opt in &t.0[2..] {
                     match grammar::option(opt) {
                         ("secret", Some(v)) => secret = grammar::count(v)?,
@@ -385,8 +390,25 @@ pub fn parse(text: &str) -> Result<Scenario, LineError> {
                 let at = grammar::instant(t.need(1, "a time")?)?;
                 let label = take_label(&mut line.tokens)?;
                 line.at(0).need(2, "an action")?;
-                let action = parse_action(line.at(2))?;
-                sc.actions.push((line.no, at, action, label));
+                let Some((fault, later)) = fault::parse_event(at, line.at(2))? else {
+                    let action = parse_action(line.at(2))?;
+                    sc.actions.push((line.no, at, action, label));
+                    return Ok(());
+                };
+                for FaultEvent { at, kind } in std::iter::once(fault).chain(later) {
+                    use FaultKind::*;
+                    // A netmodel link is resolved as the fault is played,
+                    // under the run's `--topology`.
+                    let (a, b) = match &kind {
+                        Crash { host } | Restart { host } | Kill { host, .. } => (Some(host), None),
+                        LinkDown { a, b } | LinkUp { a, b } => (Some(a), Some(b)),
+                        NetLinkDown { .. } | NetLinkUp { .. } => (None, None),
+                    };
+                    for host in a.into_iter().chain(b) {
+                        sc.declared(kind.verb(), host)?;
+                    }
+                    sc.actions.push((line.no, at, Action::Fault(kind), None));
+                }
             }
             "run" => {
                 sc.tail += grammar::duration(t.need(1, "a duration")?)?;
@@ -548,20 +570,6 @@ fn parse_action(t: Tokens) -> Result<Action, String> {
                 jobs,
                 kill,
             })
-        }
-        "crash" | "restart" => {
-            let host = name(1, "HOST")?;
-            t.end(2)?;
-            Ok(match t.verb() {
-                "crash" => Action::Crash { host },
-                _ => Action::Restart { host },
-            })
-        }
-        "link-down" | "link-up" => {
-            let (a, b) = (name(1, "A")?, name(2, "B")?);
-            t.end(3)?;
-            let up = t.verb() == "link-up";
-            Ok(Action::Link { a, b, up })
         }
         other => Err(format!("unknown action {other:?}")),
     }
@@ -790,30 +798,18 @@ fn pin_load(world: &mut World, host: HostId, avg: f64) {
     }
 }
 
-/// The one way a sim-only statement (`crash`, `restart`, `link-down`,
-/// `link-up`) reaches the simulated world, and the world's network
-/// section reaches a dashboard's text. Only [`execute_played`] hands
-/// [`play`] this one; every other runtime hands it a no-op, having
-/// refused those statements before it booted.
+/// The one way a sim-only statement (a fault) reaches the simulated
+/// world, scheduled to fire now through [`World::schedule_fault`], and
+/// the world's network section reaches a dashboard's text. Only
+/// [`execute_played`] hands [`play`] this one; every other runtime hands
+/// it a no-op, having refused those statements before it booted.
 fn sim_world<R: Runtime + AsRef<World> + AsMut<World>>(
     ppm: &mut PpmHarness<R>,
     action: &Action,
     text: &mut String,
-) -> Result<(), HarnessError> {
-    let now = SimDuration::ZERO;
+) -> Result<(), String> {
     match action {
-        Action::Crash { host } => {
-            let h = ppm.host(host)?;
-            ppm.world_mut().schedule_crash(h, now);
-        }
-        Action::Restart { host } => {
-            let h = ppm.host(host)?;
-            ppm.world_mut().schedule_restart(h, now);
-        }
-        Action::Link { a, b, up } => {
-            let (ha, hb) = (ppm.host(a)?, ppm.host(b)?);
-            ppm.world_mut().schedule_link(ha, hb, *up, now);
-        }
+        Action::Fault(fault) => ppm.world_mut().schedule_fault(fault, SimDuration::ZERO)?,
         Action::Dashboard { .. } => text.extend(display::net_section(ppm)),
         _ => {}
     }
@@ -822,7 +818,7 @@ fn sim_world<R: Runtime + AsRef<World> + AsMut<World>>(
 
 /// What [`play`] hands a sim-only statement and a dashboard's text to:
 /// [`sim_world`] on the sim, a no-op elsewhere.
-type SimHook<R> = dyn Fn(&mut PpmHarness<R>, &Action, &mut String) -> Result<(), HarnessError>;
+type SimHook<R> = dyn Fn(&mut PpmHarness<R>, &Action, &mut String) -> Result<(), String>;
 
 /// FNV-1a as a [`Hasher`]: what [`play`] folds [`Played::observed`] with.
 struct Fnv(u64);
@@ -893,7 +889,16 @@ fn play<R: Runtime>(
             let wait = at.saturating_since(ppm.now());
             ppm.run_for(wait);
         }
-        let _ = writeln!(out, "--- [{at}] {action:?}");
+        let _ = match action {
+            // A host-pair link change prints as the scenario's own
+            // `Link` action always did.
+            Action::Fault(FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b }) => {
+                let up = matches!(action, Action::Fault(FaultKind::LinkUp { .. }));
+                writeln!(out, "--- [{at}] Link {{ a: {a:?}, b: {b:?}, up: {up} }}")
+            }
+            Action::Fault(fault) => writeln!(out, "--- [{at}] {fault:?}"),
+            _ => writeln!(out, "--- [{at}] {action:?}"),
+        };
         match action {
             Action::Spawn {
                 from,
@@ -956,7 +961,7 @@ fn play<R: Runtime>(
                 seen.set(missing.iter());
                 let forest = Forest::build(procs);
                 let mut text = display::render_dashboard(from, Uid(*uid), &rows, &forest, &missing);
-                sim(ppm, action, &mut text).map_err(lift(line))?;
+                sim(ppm, action, &mut text).map_err(|e| LineError::new(line, e))?;
                 let _ = writeln!(out, "{text}");
             }
             Action::Rusage { from, uid, dest } => {
@@ -1010,8 +1015,8 @@ fn play<R: Runtime>(
                     .hash(&mut seen);
                 print_drill(out, &report, &ppm.host_names());
             }
-            Action::Crash { .. } | Action::Restart { .. } | Action::Link { .. } => {
-                sim(ppm, action, &mut String::new()).map_err(lift(line))?;
+            Action::Fault(_) => {
+                sim(ppm, action, &mut String::new()).map_err(|e| LineError::new(line, e))?;
             }
         }
         if let (Some(label), Some(elapsed)) = (label, ppm.last_elapsed()) {
@@ -1143,6 +1148,26 @@ run 2s
         ] {
             let e = parse(&format!("{head}{line}")).unwrap_err();
             assert_eq!((e.line, e.message.as_str()), (4, extra), "{line}");
+        }
+
+        // A fault naming a host no line declared is refused as the file
+        // is read, as a `link` or a `load` is, not when play reaches it.
+        for (line, says) in [
+            ("at 9s crash z", "crash names undeclared host \"z\""),
+            ("at 9s restart z", "restart names undeclared host \"z\""),
+            (
+                "at 9s link-down a z",
+                "link-down names undeclared host \"z\"",
+            ),
+            ("at 9s heal z b", "link-up names undeclared host \"z\""),
+            ("at 9s kill z lpm", "kill names undeclared host \"z\""),
+            ("at 9s crash a restart 1s", ""),
+            ("at 9s cut link core:tor0 heal 1s", ""),
+        ] {
+            match parse(&format!("{head}{line}")) {
+                Err(e) => assert_eq!((e.line, e.message.as_str()), (4, says), "{line}"),
+                Ok(_) => assert!(says.is_empty(), "{line} parsed"),
+            }
         }
     }
 

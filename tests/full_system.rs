@@ -12,6 +12,7 @@ use ppm::proto::types::WireProcState;
 use ppm::runtime::events::TraceFlags;
 use ppm::runtime::program::SpawnSpec;
 use ppm::runtime::workload::{TreeSpawner, Worker};
+use ppm::simnet::fault::FaultKind;
 use ppm::simnet::time::{SimDuration, SimTime};
 use ppm::simnet::topology::{CpuClass, HostSpec};
 use ppm::simos::ids::Uid;
@@ -135,9 +136,12 @@ fn a_day_in_the_life_of_the_ppm() {
         WireProcState::Stopped
     );
 
-    let lab = ppm.host("lab").expect("lab");
     ppm.world_mut()
-        .schedule_crash(lab, SimDuration::from_millis(100));
+        .schedule_fault(
+            &FaultKind::Crash { host: "lab".into() },
+            SimDuration::from_millis(100),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(10));
 
     // Lab's processes are gone; the rest of the computation survives.
@@ -182,7 +186,11 @@ fn a_day_in_the_life_of_the_ppm() {
 
     // The lab machine returns; the PPM fabric rebuilds on demand.
     ppm.world_mut()
-        .schedule_restart(lab, SimDuration::from_millis(100));
+        .schedule_fault(
+            &FaultKind::Restart { host: "lab".into() },
+            SimDuration::from_millis(100),
+        )
+        .unwrap();
     ppm.run_for(SimDuration::from_secs(5));
     let revived = ppm
         .spawn_remote(
@@ -247,8 +255,16 @@ fn a_timer_does_not_outlive_the_boot_it_was_armed_in() {
         SpawnSpec::new("worker", Box::new(Worker::new(life, SimDuration::ZERO)))
     };
     let first = w.spawn_user(a, ALICE, worker(60)).unwrap();
-    w.schedule_crash(a, SimDuration::from_secs(1));
-    w.schedule_restart(a, SimDuration::from_secs(2));
+    w.schedule_fault(
+        &FaultKind::Crash { host: "a".into() },
+        SimDuration::from_secs(1),
+    )
+    .unwrap();
+    w.schedule_fault(
+        &FaultKind::Restart { host: "a".into() },
+        SimDuration::from_secs(2),
+    )
+    .unwrap();
     w.run_until(SimTime::from_secs(3));
     let second = w.spawn_user(a, ALICE, worker(300)).unwrap();
     assert_eq!(second, first, "the second boot hands the pid out again");

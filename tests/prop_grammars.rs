@@ -13,12 +13,14 @@
 //! plan must survive its own `encode`, and an accepted grid must name
 //! each cell once. (`prop_scenario.rs` generates well-formed scenarios;
 //! here the shipped ones are mutated.) A token added to any statement
-//! of a shipped file is refused on that statement's line.
+//! of a shipped file is refused on that statement's line. A fault's
+//! `at` line reads the same in a scenario as in a fault plan.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use ppm::simnet::fault::FaultPlan;
+use ppm::scenario::Action;
+use ppm::simnet::fault::{FaultEvent, FaultPlan};
 use ppm::simnet::grammar::LineError;
 use ppm::simnet::topology::NetSpec;
 use ppm::sweep::{Grid, SimArgs};
@@ -134,7 +136,69 @@ fn placed(e: &LineError, text: &str, whole_file: &[&str]) -> Result<(), TestCase
     Ok(())
 }
 
+/// A fault's `at` line: every verb and spelling of a fault plan, with
+/// or without its `restart` or `heal` sugar, now and then a token short
+/// or one too many.
+fn fault_lines() -> impl Strategy<Value = String> {
+    (0usize..10, 0usize..3, 0usize..3, 0u32..5_000, 0u8..8).prop_map(|(verb, a, b, ms, shape)| {
+        let hosts = ["a", "b", "c"];
+        let (a, b) = (hosts[a], hosts[b]);
+        let (body, sugar) = match verb {
+            0 => (format!("crash {a}"), " restart 3s"),
+            1 => (format!("restart {a}"), ""),
+            2 => (format!("cut {a} {b}"), " heal 250ms"),
+            3 => (format!("link-down {a} {b}"), " heal 1s"),
+            4 => (format!("heal {a} {b}"), ""),
+            5 => (format!("link-up {a} {b}"), ""),
+            6 => (format!("cut link up-{a}"), " heal 2s"),
+            7 => (format!("link-down link up-{a}"), ""),
+            8 => (format!("heal link up-{a}"), ""),
+            _ => (format!("kill {a} lpm"), ""),
+        };
+        let line = match shape {
+            0..=2 => body,
+            3..=5 => format!("{body}{sugar}"),
+            6 => format!("{body}{sugar} surplus"),
+            // The last token cut off.
+            _ => body
+                .rsplit_once(' ')
+                .map_or(body.clone(), |(head, _)| head.to_string()),
+        };
+        format!("at {ms}ms {line}")
+    })
+}
+
 proptest! {
+    /// One reader of a fault verb: a scenario's `at` line gives the
+    /// faults, at the instants, a fault plan's gives, or the same
+    /// refusal.
+    #[test]
+    fn a_fault_line_means_the_same_in_a_scenario_and_a_fault_plan(line in fault_lines()) {
+        let plan = FaultPlan::parse(&line);
+        let scenario = ppm::scenario::parse(&format!("host a\nhost b\nhost c\nuser 1\n{line}"));
+        match (plan, scenario) {
+            (Ok(plan), Ok(sc)) => {
+                let faults: Vec<_> = sc
+                    .actions
+                    .iter()
+                    .map(|(no, at, action, label)| match action {
+                        Action::Fault(kind) if (*no, label) == (5, &None) => {
+                            Some(FaultEvent { at: *at, kind: kind.clone() })
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let events: Vec<_> = plan.events.into_iter().map(Some).collect();
+                prop_assert_eq!(faults, events, "{}", line);
+            }
+            (Err(p), Err(s)) => {
+                prop_assert_eq!((p.line, s.line), (1, 5), "{}", line);
+                prop_assert_eq!(p.message, s.message, "{}", line);
+            }
+            (p, s) => prop_assert!(false, "{line}: plan {p:?}, scenario {s:?}"),
+        }
+    }
+
     #[test]
     fn scenarios_parse_or_refuse_on_a_line(file in 0usize..2, edits in edits()) {
         let text = mutate(&shipped(["demo.ppm", "chaos.ppm"][file]), &edits);

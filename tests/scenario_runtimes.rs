@@ -375,6 +375,18 @@ fn link_up_is_refused_off_the_sim() {
 }
 
 #[test]
+fn kill_is_refused_off_the_sim() {
+    let text = format!("{MESH}{USER}at 1s kill b lpm\n");
+    refused_off_the_sim(&text, 9, "kill");
+}
+
+#[test]
+fn a_sugared_crash_and_restart_is_refused_off_the_sim() {
+    let text = format!("{MESH}{USER}at 1s crash b restart 2s\n");
+    refused_off_the_sim(&text, 9, "crash");
+}
+
+#[test]
 fn load_is_refused_off_the_sim() {
     let text = format!("{MESH}{USER}load b 1.5\n");
     refused_off_the_sim(&text, 9, "load");
